@@ -7,6 +7,7 @@ package bufcache
 import (
 	"container/list"
 	"fmt"
+	"sort"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
@@ -174,9 +175,19 @@ func (c *Cache) Release(pg *Page) {
 	pg.pins--
 }
 
-// FlushAll writes every dirty page to the device (checkpoint).
+// FlushAll writes every dirty page to the device (checkpoint), in page-ID
+// order: the writes block, so their order is the device's seek pattern and
+// must not depend on map iteration.
 func (c *Cache) FlushAll(p *sim.Proc) error {
+	var dirty []*Page
 	for _, pg := range c.pages {
+		if pg.dirty {
+			dirty = append(dirty, pg)
+		}
+	}
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].ID < dirty[j].ID })
+	for _, pg := range dirty {
+		// An eviction by another process may have written pg meanwhile.
 		if pg.dirty {
 			if err := c.writePage(p, pg); err != nil {
 				return err

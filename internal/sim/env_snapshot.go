@@ -28,14 +28,8 @@ func (e *Env) Snapshot() []byte {
 	w.I64(e.probeSeq)
 	w.Int(e.liveQueued)
 
-	entries := make([]*queued, len(e.queue))
-	copy(entries, e.queue)
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].at != entries[j].at {
-			return entries[i].at < entries[j].at
-		}
-		return entries[i].seq < entries[j].seq
-	})
+	entries := append(eventQueue(nil), e.queue...)
+	sort.Slice(entries, entries.less)
 	w.U32(uint32(len(entries)))
 	for _, q := range entries {
 		w.I64(int64(q.at))

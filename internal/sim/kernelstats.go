@@ -105,7 +105,7 @@ func (e *Env) SetMetrics(reg *telemetry.Registry) {
 		func() float64 { return float64(e.now) / 1e6 })
 	reg.GaugeFunc(telemetry.Prefix+"sim_event_queue_depth",
 		"Current event-queue depth.",
-		func() float64 { return float64(e.queue.Len()) })
+		func() float64 { return float64(len(e.queue)) })
 	reg.GaugeFunc(telemetry.Prefix+"sim_event_queue_peak",
 		"Event-queue high-water mark.",
 		func() float64 { return float64(e.kstats.QueuePeak) })

@@ -76,7 +76,7 @@ func (e *Env) ProbeCount() int64 { return e.probeSeq }
 
 // Paused reports whether the world is paused at a probe event; RunUntil
 // resumes it.
-func (e *Env) Paused() bool { return e.pausedProc != nil }
+func (e *Env) Paused() bool { return e.run.paused != nil }
 
 // EmitProbe records one interesting event from the running process p. The
 // probe index advances unconditionally; if a hook is attached and asks to
@@ -92,19 +92,17 @@ func (e *Env) EmitProbe(p *Proc, kind ProbeKind, dev string, lba int64, count in
 	}
 }
 
-// pauseHere parks the running process without scheduling a wakeup; the
-// kernel resumes it at the head of the next RunUntil.
+// pauseHere parks the running process without scheduling a wakeup or
+// dispatching anything, and wakes the driver; the next RunUntil resumes it
+// first.
 func (p *Proc) pauseHere() {
 	e := p.env
-	if e.cur != p {
+	if e.run.cur != p {
 		panic("sim: probe pause from outside the running process")
 	}
-	e.pausedProc = p
+	e.run.paused = p
 	p.state = procParked
-	e.parked <- struct{}{}
+	e.transfer(nil)
 	<-p.resume
-	if p.killed {
-		panic(killedPanic{p: p})
-	}
-	p.state = procRunning
+	p.resumed()
 }

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -76,13 +75,21 @@ type Env struct {
 	now    Time
 	seq    int64
 	queue  eventQueue
-	parked chan struct{} // handshake: running proc -> kernel
-	//lint:allow snapshotguard cur is the running process; nil between events, where every snapshot is taken
-	cur    *Proc
+	driver chan struct{} // hand-off: dispatch loop -> the goroutine in RunUntil or Close
 	procs  map[int64]*Proc
 	nextID int64
-	//lint:allow snapshotguard closed guards host-side reuse of this Env value; a closed kernel cannot be snapshotted at all
-	closed bool
+	//lint:allow snapshotguard run is host-side control state of the RunUntil in progress: between runs cur is nil and deadline is dead, a paused proc is the snapshotting hook's own caller, and a closed kernel cannot be snapshotted at all
+	run struct {
+		// cur is the running process; nil while the driver has control.
+		cur *Proc
+		// paused, when non-nil, is a process parked in place by a probe
+		// hook; RunUntil resumes it before popping the queue, which keeps a
+		// paused-and-resumed run byte-identical to a never-paused one.
+		paused *Proc
+		// deadline is the argument of the RunUntil in progress.
+		deadline Time
+		closed   bool
+	}
 	// liveQueued counts queued events belonging to non-daemon processes;
 	// when it reaches zero the simulation has nothing left to do but
 	// housekeeping and Run returns.
@@ -93,11 +100,6 @@ type Env struct {
 	// hooked and unhooked runs.
 	probeSeq  int64
 	probeHook ProbeHook
-	// pausedProc, when non-nil, is a process parked in place by a probe
-	// hook; RunUntil resumes it before popping the queue, which keeps a
-	// paused-and-resumed run byte-identical to a never-paused one.
-	//lint:allow snapshotguard pausedProc is nil outside a probe-hook pause; snapshots are taken from the hook, where the pause is the caller's own frame
-	pausedProc *Proc
 
 	// tracer, when non-nil, observes process scheduling (see SetTracer).
 	// Hooks never touch the clock or the queue, so a traced run is
@@ -124,7 +126,7 @@ type Env struct {
 // NewEnv returns an empty environment with the clock at 0.
 func NewEnv() *Env {
 	return &Env{
-		parked: make(chan struct{}),
+		driver: make(chan struct{}),
 		procs:  make(map[int64]*Proc),
 	}
 }
@@ -164,7 +166,7 @@ func (e *Env) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	if e.closed {
+	if e.run.closed {
 		panic("sim: Go on closed Env")
 	}
 	e.nextID++
@@ -186,26 +188,23 @@ func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		e.tracer.Emit(trace.Event{At: int64(e.now), Kind: trace.KProcStart, Track: name})
 	}
 	go func() {
-		<-p.resume
 		defer func() {
 			if r := recover(); r != nil {
-				if kp, ok := r.(killedPanic); ok && kp.p == p {
-					// Unwound by Env.Close: hand control back silently.
-					p.state = procDone
-					delete(e.procs, p.id)
-					e.parked <- struct{}{}
-					return
-				}
-				// Re-panicking here would crash the whole program from a
-				// bare goroutine with a confusing trace. Surface the panic
-				// on the kernel side instead.
 				p.state = procDone
 				delete(e.procs, p.id)
-				e.kernelPanic = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				e.parked <- struct{}{}
-				return
+				if kp, ok := r.(killedPanic); !ok || kp.p != p {
+					// Re-panicking here would crash the whole program from a
+					// bare goroutine with a confusing trace. Surface the panic
+					// on the driver's side instead.
+					e.kernelPanic = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+				}
+				// Unwound by Env.Close or panicked: either way the run is
+				// over, so control goes straight back without dispatching.
+				e.transfer(nil)
 			}
 		}()
+		<-p.resume
+		p.resumed()
 		fn(p)
 		p.state = procDone
 		delete(e.procs, p.id)
@@ -214,7 +213,7 @@ func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 			e.tracer.Emit(trace.Event{At: int64(e.now), Kind: trace.KProcEnd, Track: p.name})
 		}
 		p.done.Trigger()
-		e.parked <- struct{}{}
+		e.transfer(e.next())
 	}()
 	e.schedule(e.now, p)
 	return p
@@ -226,9 +225,9 @@ func (e *Env) schedule(t Time, p *Proc) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.queue, &queued{at: t, seq: e.seq, proc: p})
+	e.queue.push(queued{at: t, seq: e.seq, proc: p})
 	e.kstats.HeapPushes++
-	if n := e.queue.Len(); n > e.kstats.QueuePeak {
+	if n := len(e.queue); n > e.kstats.QueuePeak {
 		e.kstats.QueuePeak = n
 	}
 	p.state = procReady
@@ -260,32 +259,49 @@ func (e *Env) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 // processes excluded — a periodic sampler alone does not keep the clock
 // advancing) or the next event would be after deadline. The clock never
 // passes deadline.
+//
+// The caller's goroutine (the driver) only starts the run: it resumes one
+// process and sleeps. From then on whichever process gives up control runs
+// the dispatch loop itself (see yield) and the driver is woken only when the
+// run is over: nothing live is queued, the next event is past deadline, a
+// probe hook paused a process, or a process panicked.
 func (e *Env) RunUntil(deadline Time) Time {
-	if e.closed {
+	if e.run.closed {
 		panic("sim: RunUntil on closed Env")
 	}
+	e.run.deadline = deadline
 	// A process paused at a probe resumes first, ahead of every queued
 	// event: pausing queued nothing, so the pop order from here on matches a
 	// never-paused run exactly.
-	if p := e.pausedProc; p != nil {
-		e.pausedProc = nil
-		e.step(p)
-		if e.kernelPanic != nil {
-			kp := e.kernelPanic
-			e.kernelPanic = nil
-			panic(kp)
-		}
-		if e.pausedProc != nil {
-			return e.now
-		}
+	p := e.run.paused
+	e.run.paused = nil
+	if p == nil {
+		p = e.next()
 	}
-	for e.queue.Len() > 0 && e.liveQueued > 0 {
+	if p != nil {
+		e.transfer(p)
+		<-e.driver
+	}
+	if e.kernelPanic != nil {
+		kp := e.kernelPanic
+		e.kernelPanic = nil
+		panic(kp)
+	}
+	return e.now
+}
+
+// next pops the event queue up to the deadline and returns the process whose
+// event is due, with the clock advanced to it, or nil when the run is over.
+// It runs on whichever goroutine holds control; pop order and seq assignment
+// do not depend on which one that is.
+func (e *Env) next() *Proc {
+	for len(e.queue) > 0 && e.liveQueued > 0 {
 		next := e.queue[0]
-		if next.at > deadline {
-			e.now = deadline
-			return e.now
+		if next.at > e.run.deadline {
+			e.now = e.run.deadline
+			return nil
 		}
-		heap.Pop(&e.queue)
+		e.queue.pop()
 		e.kstats.HeapPops++
 		if !next.proc.daemon {
 			e.liveQueued--
@@ -295,49 +311,68 @@ func (e *Env) RunUntil(deadline Time) Time {
 		}
 		e.now = next.at
 		e.kstats.EventsDispatched++
-		e.mDispatchDepth.Observe(float64(e.queue.Len() + 1))
+		e.mDispatchDepth.Observe(float64(len(e.queue) + 1))
 		e.tlDispatch.Inc(int64(e.now))
-		e.step(next.proc)
-		if e.kernelPanic != nil {
-			p := e.kernelPanic
-			e.kernelPanic = nil
-			panic(p)
-		}
-		if e.pausedProc != nil {
-			return e.now
-		}
+		return next.proc
 	}
-	return e.now
+	return nil
 }
 
-// step transfers control to p and waits for it to park or finish.
-func (e *Env) step(p *Proc) {
-	prev := e.cur
-	e.cur = p
-	p.state = procRunning
-	p.resume <- struct{}{}
-	<-e.parked
-	e.cur = prev
+// transfer hands control to process n, or to the driver when n is nil. The
+// caller must then block on its own channel or exit.
+func (e *Env) transfer(n *Proc) {
+	e.run.cur = n
+	if n == nil {
+		e.driver <- struct{}{}
+		return
+	}
+	n.resume <- struct{}{}
 }
 
 // Close unwinds every live process so no goroutines are leaked. After Close
 // the environment must not be used. It is safe to call from the goroutine
 // that called Run (not from inside a simulated process).
 func (e *Env) Close() {
-	if e.closed {
+	if e.run.closed {
 		return
 	}
-	e.closed = true
-	e.pausedProc = nil // a probe-paused proc is parked; the loop kills it
+	e.run.closed = true
+	e.run.paused = nil // a probe-paused proc is parked; the loop kills it
 	for _, p := range e.procs {
 		if p.state == procParked || p.state == procReady {
 			p.killed = true
-			e.step(p)
+			e.transfer(p)
+			<-e.driver
 		}
 	}
 	e.procs = map[int64]*Proc{}
 	e.queue = nil
 	e.liveQueued = 0
+}
+
+// yield gives up control from the running process p, whose caller has
+// already recorded how p resumes (a queued wake-up, a waiter list), and
+// returns when p next runs. p dispatches the next event itself: if that is
+// its own wake-up it just continues, with no channel operation and no
+// goroutine switch; otherwise it resumes the next process, or the driver when
+// the run is over, directly. A process killed by Close that blocks again
+// while unwinding (a deferred Sleep) dispatches nothing and keeps unwinding.
+func (p *Proc) yield() {
+	if !p.killed {
+		if n := p.env.next(); n != p {
+			p.env.transfer(n)
+			<-p.resume
+		}
+	}
+	p.resumed()
+}
+
+// resumed is the wake-up side of every hand-off to p.
+func (p *Proc) resumed() {
+	if p.killed {
+		panic(killedPanic{p: p})
+	}
+	p.state = procRunning
 }
 
 // park blocks the calling process until something calls env.ready(p).
@@ -346,12 +381,7 @@ func (p *Proc) park() {
 		p.env.tracer.Emit(trace.Event{At: int64(p.env.now), Kind: trace.KBlock, Track: p.name})
 	}
 	p.state = procParked
-	p.env.parked <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killedPanic{p: p})
-	}
-	p.state = procRunning
+	p.yield()
 }
 
 // Env returns the environment the process runs in.
@@ -370,7 +400,7 @@ func (p *Proc) Done() *Event { return p.done }
 // still yield control (the process re-runs at the same instant, after other
 // work queued at that instant).
 func (p *Proc) Sleep(d time.Duration) {
-	if p.env.cur != p {
+	if p.env.run.cur != p {
 		panic("sim: Sleep called from outside the running process")
 	}
 	at := p.env.now
@@ -379,12 +409,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	p.state = procParked
 	p.env.schedule(at, p)
-	p.env.parked <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killedPanic{p: p})
-	}
-	p.state = procRunning
+	p.yield()
 }
 
 // Yield gives other processes scheduled at the current instant a chance to
@@ -398,23 +423,52 @@ type queued struct {
 	proc *Proc
 }
 
-// eventQueue is a min-heap on (at, seq).
-type eventQueue []*queued
+// eventQueue is a binary min-heap on (at, seq), held by value: a process is
+// queued at most once, so entries need no identity and pushing allocates
+// nothing once the slice has grown. (at, seq) is a strict total order, so
+// the pop order is the same for any correct heap.
+type eventQueue []queued
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*queued)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+
+func (q *eventQueue) push(it queued) {
+	h := append(*q, it)
+	*q = h
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// pop removes the minimum entry (q[0]).
+func (q *eventQueue) pop() {
+	h := *q
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = queued{} // drop the *Proc so a finished process can be collected
+	h = h[:n]
+	*q = h
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && h.less(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && h.less(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

@@ -302,6 +302,7 @@ type Driver struct {
 	// Record and staging bookkeeping.
 	seq          uint64
 	staging      map[bufKey]*bufEntry
+	stagedBytes  int64 // sum of bytes() over staging, kept where entries come and go
 	wbQueues     []*sim.Queue[bufKey]
 	allIdleCond  *sim.Cond
 	lastActivity sim.Time

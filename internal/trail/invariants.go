@@ -19,6 +19,7 @@ import (
 //  4. Every staged buffer's record references point at records of this
 //     driver, and no fully committed record is still referenced.
 //  5. Committed counts never exceed block counts.
+//  6. The running StagedBytes counter equals the sum over the staging map.
 func (d *Driver) CheckInvariants() error {
 	type trackKey struct {
 		log, track int
@@ -56,7 +57,9 @@ func (d *Driver) CheckInvariants() error {
 			return fmt.Errorf("trail: log %d tail track bitmap has %d used sectors, usedOnTail %d", li, used, ld.usedOnTail)
 		}
 	}
+	var staged int64
 	for key, e := range d.staging {
+		staged += e.bytes()
 		if e.count <= 0 || len(e.data) < e.count*geom.SectorSize {
 			return fmt.Errorf("trail: staged %v has count %d with %d data bytes", key, e.count, len(e.data))
 		}
@@ -68,6 +71,9 @@ func (d *Driver) CheckInvariants() error {
 				return fmt.Errorf("trail: staged %v references fully committed record seq %d", key, ref.rec.seq)
 			}
 		}
+	}
+	if staged != d.stagedBytes {
+		return fmt.Errorf("trail: stagedBytes counter %d, staging map holds %d", d.stagedBytes, staged)
 	}
 	return nil
 }

@@ -120,8 +120,13 @@ func (d *Driver) Snapshot() []byte {
 
 	keys := d.sortedStagingKeys()
 	w.U32(uint32(len(keys)))
+	// stagedBytes is derived from the entries encoded below and rebuilt by
+	// Restore; a snapshot taken with the counter out of step would restore
+	// into a driver that throttles differently from the captured one.
+	staged := d.stagedBytes
 	for _, k := range keys {
 		e := d.staging[k]
+		staged -= e.bytes()
 		w.Int(k.dev)
 		w.I64(k.lba)
 		w.Int(k.count)
@@ -143,6 +148,10 @@ func (d *Driver) Snapshot() []byte {
 		for _, id := range e.spanIDs {
 			w.I64(id)
 		}
+	}
+
+	if staged != 0 {
+		panic(fmt.Sprintf("trail: Snapshot: stagedBytes counter is %d bytes off the staging map", staged))
 	}
 
 	for _, q := range d.wbQueues {
@@ -348,6 +357,7 @@ func (d *Driver) Restore(data []byte) error {
 		ld.outstanding = s.recs
 	}
 	d.staging = make(map[bufKey]*bufEntry, len(staged))
+	d.stagedBytes = 0
 	for _, ss := range staged {
 		for _, pos := range ss.refPos {
 			ss.entry.refs = append(ss.entry.refs, recordRef{
@@ -356,6 +366,7 @@ func (d *Driver) Restore(data []byte) error {
 			})
 		}
 		d.staging[ss.key] = ss.entry
+		d.stagedBytes += ss.entry.bytes()
 	}
 	for i, items := range wbItems {
 		q := d.wbQueues[i]

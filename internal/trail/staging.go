@@ -80,6 +80,7 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 	if e == nil {
 		e = &bufEntry{count: pw.count}
 		d.staging[key] = e
+		d.stagedBytes += e.bytes()
 	} else if len(e.refs) > 0 || e.inQueue {
 		// A version of this buffer is already awaiting write-back; the
 		// new data supersedes it and a single data-disk write will
@@ -220,6 +221,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			e := f.entry
 			if cur := d.staging[f.key]; cur == e && e.version == f.ver && len(e.refs) == 0 && !e.inQueue {
 				delete(d.staging, f.key)
+				d.stagedBytes -= e.bytes()
 				d.tlStaged.Set(float64(d.StagedBytes()), int64(p.Now()))
 			}
 			d.tlFlights.Add(-1, int64(p.Now()))
@@ -276,10 +278,7 @@ func (d *Driver) commitRef(ref recordRef) {
 }
 
 // StagedBytes returns the memory pinned by the staging buffer.
-func (d *Driver) StagedBytes() int64 {
-	var n int64
-	for _, e := range d.staging {
-		n += int64(e.count) * geom.SectorSize
-	}
-	return n
-}
+func (d *Driver) StagedBytes() int64 { return d.stagedBytes }
+
+// bytes is the memory e pins while staged.
+func (e *bufEntry) bytes() int64 { return int64(e.count) * geom.SectorSize }
