@@ -19,7 +19,7 @@ import (
 
 // benchTPCC is a reduced-scale configuration that keeps each iteration in
 // the seconds range while preserving every structural knob; use
-// cmd/tpccbench -paper for the full w=1 runs.
+// cmd/reproduce -only table2 -paper for the full w=1 runs.
 func benchTPCC() experiments.TPCCConfig {
 	return experiments.TPCCConfig{
 		DB: tpcc.Config{

@@ -9,8 +9,8 @@
 //     stdout and every export is byte-deterministic for a fixed seed, so
 //     CI byte-compares two same-seed runs end to end.
 //   - Sweep (-sweep "2,4,8"): the scale-out experiment — throughput and
-//     tail latency vs shard count — with benchfmt entries (cluster/shards=N)
-//     for the benchdiff gate.
+//     tail latency vs shard count. (cmd/trailbench writes the same sweep's
+//     cluster/shards=N rows into the benchfmt gate file.)
 //
 // Usage:
 //
@@ -18,7 +18,7 @@
 //	           [-read-frac F] [-zipf S] [-chaos SCENARIO] [-verify]
 //	           [-explain-tail F] [-metrics FILE[.prom|.json]]
 //	           [-timeline DUR] [-timeline-out FILE]
-//	           [-sweep N,N,...] [-json FILE] [-append]
+//	           [-sweep N,N,...]
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/benchfmt"
 	"tracklog/internal/cluster"
 	"tracklog/internal/experiments"
 	"tracklog/internal/fault"
@@ -60,8 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tlBucket := fs.Duration("timeline", 0, "timeline bucket width (0 disables)")
 	tlOut := fs.String("timeline-out", "cluster-timeline.csv", "timeline export path for -timeline (.json for JSON, else CSV)")
 	sweep := fs.String("sweep", "", "comma-separated shard counts: run the scale-out sweep instead of a chaos run")
-	jsonOut := fs.String("json", "", "benchfmt summary file for -sweep (empty disables)")
-	appendJSON := fs.Bool("append", false, "merge into an existing -json file, replacing prior cluster/ entries")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -80,12 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprint(stdout, res.String())
-		if *jsonOut != "" {
-			if err := writeSweepSummary(*jsonOut, *appendJSON, *requests, *seed, res); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "bench summary -> %s\n", *jsonOut)
-		}
 		return 0
 	}
 
@@ -210,46 +201,6 @@ func parseCounts(s string) ([]int, error) {
 	return counts, nil
 }
 
-// writeSweepSummary writes (or with appendTo, merges into) the benchfmt
-// file, replacing prior cluster/ entries so the sweep can ride in
-// BENCH_trail.json alongside the other gates.
-func writeSweepSummary(path string, appendTo bool, requests int, seed uint64, res *experiments.ClusterResult) error {
-	bf := &benchfmt.File{Writes: requests, Seed: seed}
-	if appendTo {
-		if existing, err := benchfmt.ReadFile(path); err == nil {
-			bf = existing
-			kept := bf.Experiments[:0]
-			for _, e := range bf.Experiments {
-				if !strings.HasPrefix(e.Name, "cluster/") {
-					kept = append(kept, e)
-				}
-			}
-			bf.Experiments = kept
-		} else if !os.IsNotExist(err) {
-			return err
-		}
-	}
-	for _, pt := range res.Points {
-		bf.Experiments = append(bf.Experiments, benchfmt.Entry{
-			Name:   fmt.Sprintf("cluster/shards=%d", pt.Shards),
-			Count:  pt.Acked,
-			MeanUS: usFloat(pt.WMean),
-			P50US:  usFloat(pt.WP50),
-			P99US:  usFloat(pt.WP99),
-			Rates: map[string]float64{
-				"acked_per_sec": pt.AckedPerSec,
-			},
-			Counters: map[string]int64{
-				"acked":        pt.Acked,
-				"shed":         pt.Shed,
-				"write_failed": pt.Failed,
-				"reads_ok":     pt.ReadsOK,
-			},
-		})
-	}
-	return bf.WriteFile(path)
-}
-
 func promOrJSON(path string, reg *telemetry.Registry) func(io.Writer) error {
 	if strings.HasSuffix(path, ".prom") {
 		return reg.WriteProm
@@ -268,6 +219,3 @@ func writeFile(path string, write func(w io.Writer) error) error {
 	}
 	return f.Close()
 }
-
-// usFloat converts a duration to microseconds.
-func usFloat(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }

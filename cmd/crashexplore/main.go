@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"tracklog/internal/crashexplore"
 	"tracklog/internal/crashexplore/stacks"
@@ -60,34 +59,26 @@ func main() {
 		}
 	}
 
-	// Wall-clock throughput is reporting-only; the exploration itself runs
-	// entirely in virtual time.
-	start := time.Now() //lint:allow virtualtime wall-clock branches/sec is a host-side throughput report
 	rep, err := crashexplore.New(st, opts).Run()
 	if err != nil {
 		fail(err)
 	}
-	elapsed := time.Since(start) //lint:allow virtualtime wall-clock branches/sec is a host-side throughput report
 
 	if *jsonOut {
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			fail(err)
 		}
 	} else {
-		printSummary(rep, elapsed)
+		printSummary(rep)
 	}
 	if rep.Failed() {
 		os.Exit(1)
 	}
 }
 
-func printSummary(rep *crashexplore.Report, elapsed time.Duration) {
+func printSummary(rep *crashexplore.Report) {
 	fmt.Printf("stack seed %d: %d probes observed, %d candidate events in window, %d branches explored\n",
 		rep.Seed, rep.TotalProbes, rep.Candidates, rep.Explored)
-	if elapsed > 0 {
-		fmt.Printf("throughput: %.0f branches/sec (%.2fs wall clock)\n",
-			float64(rep.Explored)/elapsed.Seconds(), elapsed.Seconds())
-	}
 	if !rep.Failed() {
 		fmt.Printf("PASS: all %d branches uphold the durability contract\n", rep.Explored)
 		return

@@ -1,122 +1,85 @@
-// Command reproduce regenerates the paper's entire evaluation — every
-// table, figure, ablation and extension — and writes a self-contained
-// markdown report to stdout. This is the one-command "rebuild the paper"
-// entry point.
+// Command reproduce regenerates the paper's evaluation — every table,
+// figure, ablation and extension in internal/experiments.Catalogue — and
+// writes a self-contained markdown report to stdout. It is the only runner
+// of the catalogue: one section, a family of sections, or the whole paper.
 //
 // Usage:
 //
-//	reproduce [-quick] [-seed N] > report.md
+//	reproduce [-only KEYS] [-quick|-paper] [-seed N] > report.md
 //
-// -quick shrinks workload sizes for a fast smoke run; the default sizes
-// match EXPERIMENTS.md. The full run takes a few minutes of wall time.
+// -only takes comma-separated section keys or key prefixes (fig3, table2,
+// ablate, ext-raid5, ...); without it everything runs. The default sizes are
+// the ones EXPERIMENTS.md's numbers come from; -quick shrinks every workload
+// for a fast smoke run and -paper runs TPC-C at the paper's full w=1 scale
+// (much slower). Every number is simulated (virtual-clock) time, so the
+// report is byte-identical for a given seed and sizing.
+//
+// Exit status: 0 when every selected section ran, 1 when any failed (the
+// remaining sections still run), 2 on usage errors.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"tracklog/internal/experiments"
 )
 
-// stringerFunc adapts a prerendered string to fmt.Stringer.
-type stringerFunc string
-
-func (s stringerFunc) String() string { return string(s) }
-
 func main() {
-	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
-	seed := flag.Uint64("seed", 1, "random seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, experiments.Select))
+}
 
-	writes := 200
-	txns := 0 // experiment defaults
-	qs := []int{32, 64, 128, 256}
-	if *quick {
-		writes = 60
-		txns = 200
-		qs = []int{16, 48}
+// run is main with the catalogue lookup injected, so tests can substitute a
+// failing section.
+func run(args []string, stdout, stderr io.Writer, sel func(only string) ([]experiments.Section, error)) int {
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "comma-separated section keys or key prefixes (default: every section)")
+	quick := fs.Bool("quick", false, "shrink workloads for a fast smoke run")
+	paper := fs.Bool("paper", false, "run TPC-C at the paper's full w=1 scale (slow)")
+	seed := fs.Uint64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	sz := experiments.DefaultSizing()
+	switch {
+	case *quick && *paper:
+		fmt.Fprintln(stderr, "reproduce: -quick and -paper are mutually exclusive")
+		return 2
+	case *quick:
+		sz = experiments.QuickSizing()
+	case *paper:
+		sz = experiments.PaperSizing()
+	}
+	sections, err := sel(*only)
+	if err != nil {
+		fmt.Fprintln(stderr, "reproduce:", err)
+		return 2
 	}
 
-	start := time.Now()
-	fmt.Println("# Track-Based Disk Logging — full reproduction report")
-	fmt.Println()
-	fmt.Printf("Seed %d. Every number below is simulated (virtual-clock) time;\n", *seed)
-	fmt.Println("see EXPERIMENTS.md for the paper-vs-measured discussion.")
-	fmt.Println()
+	fmt.Fprintln(stdout, "# Track-Based Disk Logging — reproduction report")
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "Seed %d. Every number below is simulated (virtual-clock) time;\n", *seed)
+	fmt.Fprintln(stdout, "see EXPERIMENTS.md for the paper-vs-measured discussion.")
+	fmt.Fprintln(stdout)
 
-	section := func(title string, run func() (fmt.Stringer, error)) {
-		fmt.Printf("## %s\n\n```\n", title)
-		res, err := run()
+	failed := 0
+	for _, s := range sections {
+		fmt.Fprintf(stdout, "## %s\n\n```\n", s.Title)
+		text, err := s.Run(sz, *seed)
 		if err != nil {
-			fmt.Printf("ERROR: %v\n```\n\n", err)
-			fmt.Fprintf(os.Stderr, "reproduce: %s: %v\n", title, err)
-			return
+			failed++
+			text = fmt.Sprintf("ERROR: %v", err)
+			fmt.Fprintf(stderr, "reproduce: %s: %v\n", s.Key, err)
 		}
-		fmt.Printf("%v```\n\n", res)
+		fmt.Fprintln(stdout, text)
+		fmt.Fprint(stdout, "```\n\n")
 	}
-
-	section("Section 3.1 — delta calibration", func() (fmt.Stringer, error) {
-		return experiments.DeltaCalibration(nil, writes/10)
-	})
-	section("Section 5.1 — latency anatomy", func() (fmt.Stringer, error) {
-		return experiments.LatencyAnatomy(writes / 4)
-	})
-	for _, procs := range []int{1, 5} {
-		procs := procs
-		panel := map[int]string{1: "a", 5: "b"}[procs]
-		section(fmt.Sprintf("Figure 3(%s) — sync write latency, %d process(es)", panel, procs),
-			func() (fmt.Stringer, error) {
-				res, err := experiments.Figure3(experiments.Figure3Config{
-					Processes: procs, WritesPerProcess: writes / procs * 1, Seed: *seed,
-				})
-				if err != nil {
-					return nil, err
-				}
-				return stringerFunc(res.String() + "\n" + res.Plot()), nil
-			})
+	if failed > 0 {
+		fmt.Fprintf(stderr, "reproduce: %d of %d sections failed\n", failed, len(sections))
+		return 1
 	}
-	section("Table 1 — batched writes", func() (fmt.Stringer, error) {
-		return experiments.Table1(32, nil)
-	})
-	section("Table 2 — TPC-C on three storage systems", func() (fmt.Stringer, error) {
-		return experiments.Table2(experiments.TPCCConfig{Seed: *seed, Transactions: txns})
-	})
-	section("Table 3 — group commits vs log buffer size", func() (fmt.Stringer, error) {
-		return experiments.Table3(experiments.TPCCConfig{Seed: *seed, Transactions: txns}, nil)
-	})
-	section("Section 5.2 — track utilization", func() (fmt.Stringer, error) {
-		return experiments.TrackUtilization(experiments.TPCCConfig{Seed: *seed, Transactions: txns}, nil)
-	})
-	section("Figure 4 — crash recovery", func() (fmt.Stringer, error) {
-		res, err := experiments.Figure4(qs, *seed)
-		if err != nil {
-			return nil, err
-		}
-		return stringerFunc(res.String() + "\n" + res.Plot()), nil
-	})
-	section("Ablation — track utilization threshold", func() (fmt.Stringer, error) {
-		return experiments.ThresholdSweep(nil, writes, *seed)
-	})
-	section("Ablation — read priority", func() (fmt.Stringer, error) {
-		return experiments.ReadPriorityAblation(writes/2, *seed)
-	})
-	section("Ablation — recovery optimizations", func() (fmt.Stringer, error) {
-		return experiments.RecoveryOptimizationsAblation(qs[len(qs)-1]/2, *seed)
-	})
-	section("Extension — multiple log disks", func() (fmt.Stringer, error) {
-		return experiments.MultiLogAblation(nil, writes, *seed)
-	})
-	section("Extension — O_SYNC file metadata", func() (fmt.Stringer, error) {
-		return experiments.FSMetadata(writes/4, *seed)
-	})
-	section("Extension — RAID-5 small writes", func() (fmt.Stringer, error) {
-		return experiments.RAID5SmallWrites(writes/2, *seed)
-	})
-	section("Extension — direct vs file-system database logging", func() (fmt.Stringer, error) {
-		return experiments.DirectLogging(writes/2, *seed)
-	})
-
-	fmt.Printf("---\nGenerated in %v wall time.\n", time.Since(start).Round(time.Second))
+	return 0
 }

@@ -1,10 +1,12 @@
-// Command rundiff explains the difference between two runs. Where benchdiff
-// can only say *that* a run regressed, rundiff loads the full artifact set of
-// a baseline and a current run — benchmark summary, utilization timeline,
-// span dump, telemetry export — aligns them by component/phase/bucket, and
-// emits a ranked attribution report: which mechanical phase, queue, or
-// counter moved, by how many percentage points of the run, and in which
-// bucket window the shift concentrates.
+// Command rundiff gates and explains the difference between two runs. Given
+// two bare benchfmt files it is the CI regression gate (rundiff
+// BENCH_trail.json BENCH_current.json); given two run-artifact directories
+// it also says *why*: it loads the full artifact set of a baseline and a
+// current run — benchmark summary, utilization timeline, span dump,
+// telemetry export — aligns them by component/phase/bucket, and emits a
+// ranked attribution report: which mechanical phase, queue, or counter
+// moved, by how many percentage points of the run, and in which bucket
+// window the shift concentrates.
 //
 // Usage:
 //
@@ -19,8 +21,12 @@
 //	spans.json    span dump               (-span-out)
 //	metrics.prom  telemetry export        (-metrics)
 //
-// The report has three layers. The bench section is the regression gate,
-// with the same tolerance flags and semantics as benchdiff. The attribution
+// The report has three layers. The bench section is the regression gate:
+// tolerances are relative (0.10 = a metric may be up to 10% worse before the
+// gate fails, a negative tolerance disables that metric), rate metrics
+// (entries' "rates" map) are higher-is-better so -rate-tol bounds how far a
+// rate may DROP, a baseline entry missing from the current run fails, and
+// improvements never fail in either direction. The attribution
 // section ranks share-of-run deltas — timeline occupancy states and span
 // phases, both in percentage points of total run time, so they are directly
 // comparable — worst first; occupancy findings carry the contiguous bucket
@@ -77,6 +83,8 @@ type BenchDelta struct {
 	Cur       float64 `json:"cur"`
 	Pct       float64 `json:"pct"` // signed, positive = worse
 	Regressed bool    `json:"regressed"`
+	// HigherIsBetter marks rate metrics: Base/Cur are rates, not latencies.
+	HigherIsBetter bool `json:"higher_is_better,omitempty"`
 }
 
 // Attrib is one ranked share-of-run finding. BasePct/CurPct are percent of
@@ -309,7 +317,7 @@ func worstWindow(a Attrib) string {
 	return fmt.Sprintf(" in buckets [%d,%d)", a.WorstLo, a.WorstHi)
 }
 
-// compareBench runs the benchdiff gate when both sides carry a summary.
+// compareBench runs the regression gate when both sides carry a summary.
 // It reports whether any metric regressed beyond tolerance.
 func compareBench(rep *Report, base, cur *artifacts, tol benchfmt.Tolerance) bool {
 	switch {
@@ -324,7 +332,7 @@ func compareBench(rep *Report, base, cur *artifacts, tol benchfmt.Tolerance) boo
 	for _, d := range deltas {
 		rep.Bench = append(rep.Bench, BenchDelta{
 			Name: d.Name, Metric: d.Metric, Base: d.Base, Cur: d.Cur,
-			Pct: d.Pct, Regressed: d.Regressed,
+			Pct: d.Pct, Regressed: d.Regressed, HigherIsBetter: d.HigherIsBetter,
 		})
 		regressed = regressed || d.Regressed
 	}
@@ -602,6 +610,12 @@ func printReport(w io.Writer, rep *Report, top int) {
 		// Only regressed rows print; the full delta table lives in -json.
 		for _, d := range rep.Bench {
 			if !d.Regressed {
+				continue
+			}
+			if d.HigherIsBetter {
+				// Pct is signed worse-positive; show the raw rate change.
+				fmt.Fprintf(w, "%-36s %-24s %12.0f -> %12.0f  %+6.1f%%  REGRESSION\n",
+					d.Name, d.Metric, d.Base, d.Cur, -d.Pct)
 				continue
 			}
 			fmt.Fprintf(w, "%-36s %-4s %10.1fus -> %10.1fus  %+6.1f%%  REGRESSION\n",

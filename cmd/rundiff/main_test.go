@@ -132,23 +132,72 @@ func TestUnexplainedRegression(t *testing.T) {
 	}
 }
 
+// TestBareBenchFiles is the CI bench gate: two bare benchfmt files, the
+// tolerance flags, exit 1 on any regression or missing entry.
 func TestBareBenchFiles(t *testing.T) {
-	dir := t.TempDir()
-	basePath := filepath.Join(dir, "base.json")
-	curPath := filepath.Join(dir, "cur.json")
-	if err := os.WriteFile(basePath, []byte(benchJSON(t, 12000)), 0o644); err != nil {
-		t.Fatal(err)
+	latency := func(p99 float64) *benchfmt.File {
+		return &benchfmt.File{Writes: 200, Seed: 1, Experiments: []benchfmt.Entry{
+			{Name: "sync-write/trail/sparse/1KB", Count: 200, MeanUS: 2000, P50US: 1900, P99US: p99},
+			{Name: "sync-write/std/sparse/1KB", Count: 200, MeanUS: 21000, P50US: 20000, P99US: 41000},
+		}}
 	}
-	if err := os.WriteFile(curPath, []byte(benchJSON(t, 23000)), 0o644); err != nil {
-		t.Fatal(err)
+	// A higher-is-better rate entry, as trailbench writes for simbench/*.
+	rate := func(r float64) *benchfmt.File {
+		return &benchfmt.File{Writes: 100, Seed: 1, Experiments: []benchfmt.Entry{{
+			Name: "simbench/trail", Count: 100, MeanUS: 2000, P50US: 1900, P99US: 4000,
+			Rates: map[string]float64{"events_per_virtual_sec": r},
+		}}}
 	}
-	code, out, _ := runDiff(t, basePath, curPath)
-	if code != 1 || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("bench-only mode: exit %d, output:\n%s", code, out)
+	stdOnly := latency(4000)
+	stdOnly.Experiments = stdOnly.Experiments[1:]
+
+	for _, tc := range []struct {
+		name      string
+		flags     []string
+		base, cur *benchfmt.File
+		code      int
+		want      []string // substrings of stdout
+	}{
+		{"identical runs pass", nil, latency(4000), latency(4000), 0, []string{"verdict: ok"}},
+		{"injected p99 regression fails", nil, latency(4000), latency(4800), 1, []string{"REGRESSION", "p99"}},
+		{"within-tolerance regression passes", nil, latency(4000), latency(4300), 0, nil},
+		{"tightened -p99-tol catches it", []string{"-p99-tol", "0.05"}, latency(4000), latency(4300), 1, []string{"REGRESSION"}},
+		{"missing experiment fails", nil, latency(4000), stdOnly, 1, []string{"MISSING"}},
+		{"rate drop fails", nil, rate(1000), rate(800), 1, []string{"REGRESSION", "events_per_virtual_sec", "1000 ->          800   -20.0%"}},
+		{"rate rise passes", []string{"-rate-tol", "0.01"}, rate(1000), rate(1300), 0, nil},
+		{"rate drop within default -rate-tol passes", nil, rate(1000), rate(950), 0, nil},
+		{"tightened -rate-tol catches it", []string{"-rate-tol", "0.02"}, rate(1000), rate(950), 1, []string{"REGRESSION"}},
+		{"negative -rate-tol disables the rate gate", []string{"-rate-tol", "-1"}, rate(1000), rate(1), 0, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			basePath, curPath := filepath.Join(dir, "base.json"), filepath.Join(dir, "cur.json")
+			if err := tc.base.WriteFile(basePath); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.cur.WriteFile(curPath); err != nil {
+				t.Fatal(err)
+			}
+			code, out, _ := runDiff(t, append(tc.flags, basePath, curPath)...)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d; output:\n%s", code, tc.code, out)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("output missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
-	if code, _, _ := runDiff(t, basePath, basePath); code != 0 {
-		t.Fatalf("identical bench files should exit 0, got %d", code)
-	}
+
+	t.Run("bad usage", func(t *testing.T) {
+		if code, _, _ := runDiff(t, "only-one.json"); code != 2 {
+			t.Fatalf("exit %d on one argument, want 2", code)
+		}
+		if code, _, _ := runDiff(t, "a.json", "b.json"); code != 2 {
+			t.Fatalf("exit %d on unreadable files, want 2", code)
+		}
+	})
 }
 
 func TestSpanPhaseAttribution(t *testing.T) {

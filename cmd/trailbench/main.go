@@ -1,26 +1,37 @@
-// Command trailbench regenerates the paper's raw-disk experiments: Figure 3
-// (synchronous write latency, Trail vs the standard subsystem), Table 1
-// (batched writes), the §3.1 delta calibration, and the §5.1 latency
-// anatomy.
+// Command trailbench is the sole writer of the benchfmt gate file
+// (BENCH_trail.json): one run measures, entirely in virtual time,
+//
+//   - the sync-write grid: both systems, both arrival modes, 1KB and 8KB
+//     writes, 200 writes each;
+//   - the overload point (2.0x offered load, QoS off and on);
+//   - crash-point exploration over a fixed 60-event trail window;
+//   - simbench/<world>: 400 writes through each of the four shared stack
+//     worlds ({trail, stddisk, raid5, wal}, the recipes cmd/crashexplore
+//     uses), with the kernel's work counters and events per VIRTUAL second;
+//   - cluster/shards={2,4,8}: the scale-out sweep at 600 requests.
+//
+// The file is byte-deterministic for a given seed, so CI runs trailbench
+// twice, byte-compares the two files, and gates the result against the
+// checked-in baseline with `rundiff BENCH_trail.json BENCH_current.json`.
+// Host cost (wall time, allocations) is measured from outside the module by
+// bench/ (`bash bench/run.sh`), never here.
 //
 // Usage:
 //
-//	trailbench [-fig3] [-table1] [-delta] [-anatomy] [-procs N] [-writes N] [-seed N]
+//	trailbench [-json FILE] [-seed N] [-telemetry FILE[.prom|.json]]
+//	           [-timeline DUR] [-timeline-out FILE]
 //
-// With no selection flags, everything runs.
-//
-// Every invocation also writes a machine-readable benchmark summary —
-// mean/p50/p99 latency and driver counters for the core sync-write
-// configurations — to the file named by -json (default BENCH_trail.json;
-// empty disables), for dashboards and regression tooling.
+// -telemetry exports each world's unified registry, one file per world with
+// the world name inserted before the extension (sb.prom -> sb-trail.prom).
+// -timeline exports per-layer state occupancy, one file per sync-write
+// configuration and per world, named the same way.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -34,167 +45,74 @@ import (
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/stddisk"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/timeline"
 	"tracklog/internal/trail"
 	"tracklog/internal/workload"
 )
 
-func main() {
-	fig3 := flag.Bool("fig3", false, "run Figure 3 (sync write latency vs size)")
-	table1 := flag.Bool("table1", false, "run Table 1 (batched writes)")
-	delta := flag.Bool("delta", false, "run the section 3.1 delta calibration")
-	anatomy := flag.Bool("anatomy", false, "run the section 5.1 latency anatomy")
-	ablate := flag.Bool("ablate", false, "run the design-choice ablations (threshold, read priority, recovery optimizations)")
-	ext := flag.Bool("ext", false, "run the extensions (multi-log-disk, O_SYNC file metadata, RAID-5 small writes)")
-	procs := flag.Int("procs", 0, "Figure 3 multiprogramming level (0 = both panels: 1 and 5)")
-	writes := flag.Int("writes", 200, "writes per measurement point")
-	seed := flag.Uint64("seed", 1, "random seed")
-	jsonOut := flag.String("json", "BENCH_trail.json", "machine-readable benchmark summary file (empty disables)")
-	tlBucket := flag.Duration("timeline", 0, "aggregate per-layer state occupancy into virtual-time buckets of this width during the -json sync-write grid (0 disables)")
-	tlOut := flag.String("timeline-out", "timeline.csv", "timeline export base path for -timeline; one file per sync-write configuration, the slash-mangled name inserted before the extension (.json for JSON, else CSV)")
-	summaryOnly := flag.Bool("summary-only", false, "skip the experiment reports; only write the -json summary (CI regression gating)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) covering the whole run")
-	memProfile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) at exit")
-	flag.Parse()
+// The gate file's fixed sizes. Changing any of them re-baselines
+// BENCH_trail.json.
+const (
+	gridWrites      = 200
+	worldWrites     = 400
+	clusterRequests = 600
+	exploreWindow   = 60
+)
 
-	all := !*summaryOnly && !*fig3 && !*table1 && !*delta && !*anatomy && !*ablate && !*ext
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "trailbench:", err)
-		os.Exit(1)
-	}
+var worlds = []string{"trail", "stddisk", "raid5", "wal"}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
-			}
-		}()
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if all || *fig3 {
-		panels := []int{1, 5}
-		if *procs > 0 {
-			panels = []int{*procs}
-		}
-		for _, p := range panels {
-			res, err := experiments.Figure3(experiments.Figure3Config{
-				Processes:        p,
-				WritesPerProcess: *writes,
-				Seed:             *seed,
-			})
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(res)
-			fmt.Println(res.Plot())
-		}
-	}
-	if all || *table1 {
-		res, err := experiments.Table1(32, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res)
-	}
-	if all || *delta {
-		res, err := experiments.DeltaCalibration(nil, *writes/10+5)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res)
-	}
-	if all || *anatomy {
-		res, err := experiments.LatencyAnatomy(*writes / 4)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res)
-	}
-	if all || *ablate {
-		th, err := experiments.ThresholdSweep(nil, *writes, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(th)
-		rp, err := experiments.ReadPriorityAblation(*writes/2, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rp)
-		ro, err := experiments.RecoveryOptimizationsAblation(64, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(ro)
-	}
-	if all || *ext {
-		ml, err := experiments.MultiLogAblation(nil, *writes, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(ml)
-		fm, err := experiments.FSMetadata(*writes/4, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(fm)
-		r5, err := experiments.RAID5SmallWrites(*writes/2, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(r5)
-		dl, err := experiments.DirectLogging(*writes/2, *seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(dl)
-	}
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut, *writes, *seed, *tlBucket, *tlOut); err != nil {
-			fail(err)
-		}
-		fmt.Printf("bench summary -> %s\n", *jsonOut)
-	}
+// artifacts says where a run's optional per-entry exports go.
+type artifacts struct {
+	telemetryBase string        // "" disables
+	tlBucket      time.Duration // 0 disables
+	tlBase        string
 }
 
-// writeBenchJSON runs the core sync-write configurations (both systems, both
-// arrival modes, 1KB and 8KB writes) and writes their latency distributions
-// and counters in the benchfmt schema. The file is byte-deterministic for a
-// given seed, so cmd/benchdiff can gate regressions against a checked-in
-// baseline.
-func writeBenchJSON(path string, writes int, seed uint64, tlBucket time.Duration, tlBase string) error {
-	bf := &benchfmt.File{Writes: writes, Seed: seed}
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trailbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.String("json", "BENCH_trail.json", "benchfmt gate file to write (empty disables)")
+	seed := fs.Uint64("seed", 1, "random seed")
+	telemetryOut := fs.String("telemetry", "", "telemetry export base path; one file per world, world name inserted before the .prom/.json extension")
+	tlBucket := fs.Duration("timeline", 0, "aggregate per-layer state occupancy into virtual-time buckets of this width (0 disables)")
+	tlOut := fs.String("timeline-out", "timeline.csv", "timeline export base path for -timeline; one file per sync-write configuration and per world, the slash-mangled name inserted before the extension (.json for JSON, else CSV)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	bf, err := measure(*seed, artifacts{telemetryBase: *telemetryOut, tlBucket: *tlBucket, tlBase: *tlOut})
+	if err == nil && *jsonOut != "" {
+		err = bf.WriteFile(*jsonOut)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "trailbench:", err)
+		return 1
+	}
+	if *jsonOut != "" {
+		fmt.Fprintf(stdout, "bench summary -> %s\n", *jsonOut)
+	}
+	return 0
+}
+
+// measure runs every gate entry in file order.
+func measure(seed uint64, art artifacts) (*benchfmt.File, error) {
+	bf := &benchfmt.File{Writes: gridWrites, Seed: seed}
 	for _, system := range []string{"trail", "std"} {
 		for _, mode := range []workload.Mode{workload.Sparse, workload.Clustered} {
 			for _, sizeKB := range []int{1, 8} {
-				e, err := benchPoint(system, mode, sizeKB, writes, seed, tlBucket, tlBase)
+				e, err := gridPoint(system, mode, sizeKB, seed, art)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				bf.Experiments = append(bf.Experiments, e)
 			}
 		}
 	}
-	ov, err := experiments.Overload([]float64{2.0}, writes, seed)
+	ov, err := experiments.Overload([]float64{2.0}, gridWrites, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, row := range ov.Rows {
 		qosStr := "off"
@@ -216,10 +134,39 @@ func writeBenchJSON(path string, writes int, seed uint64, tlBucket time.Duration
 	}
 	xp, err := explorePoint(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	bf.Experiments = append(bf.Experiments, xp)
-	return bf.WriteFile(path)
+	for _, name := range worlds {
+		e, err := worldPoint(name, art)
+		if err != nil {
+			return nil, fmt.Errorf("world %s: %w", name, err)
+		}
+		bf.Experiments = append(bf.Experiments, e)
+	}
+	sweep, err := experiments.Cluster([]int{2, 4, 8}, 0, clusterRequests, seed)
+	if err != nil {
+		return nil, err
+	}
+	for _, pt := range sweep.Points {
+		bf.Experiments = append(bf.Experiments, benchfmt.Entry{
+			Name:   fmt.Sprintf("cluster/shards=%d", pt.Shards),
+			Count:  pt.Acked,
+			MeanUS: usFloat(pt.WMean),
+			P50US:  usFloat(pt.WP50),
+			P99US:  usFloat(pt.WP99),
+			Rates: map[string]float64{
+				"acked_per_sec": pt.AckedPerSec,
+			},
+			Counters: map[string]int64{
+				"acked":        pt.Acked,
+				"shed":         pt.Shed,
+				"write_failed": pt.Failed,
+				"reads_ok":     pt.ReadsOK,
+			},
+		})
+	}
+	return bf, nil
 }
 
 // explorePoint measures crash-point exploration over a fixed trail window.
@@ -232,7 +179,7 @@ func explorePoint(seed uint64) (benchfmt.Entry, error) {
 	if err != nil {
 		return benchfmt.Entry{}, err
 	}
-	rep, err := crashexplore.New(st, crashexplore.Options{Seed: seed, Window: 60}).Run()
+	rep, err := crashexplore.New(st, crashexplore.Options{Seed: seed, Window: exploreWindow}).Run()
 	if err != nil {
 		return benchfmt.Entry{}, err
 	}
@@ -246,19 +193,13 @@ func explorePoint(seed uint64) (benchfmt.Entry, error) {
 		cuts.Add(at)
 		replayed += at
 	}
-	e := benchfmt.Entry{
-		Name:   "crash-explore/trail/window=60",
-		Count:  int64(rep.Explored),
-		MeanUS: usFloat(cuts.Mean()),
-		P50US:  usFloat(cuts.Quantile(0.50)),
-		P99US:  usFloat(cuts.Quantile(0.99)),
-		Counters: map[string]int64{
-			"candidates":   int64(rep.Candidates),
-			"total_probes": rep.TotalProbes,
-		},
+	e := latencyEntry(fmt.Sprintf("crash-explore/trail/window=%d", exploreWindow), cuts)
+	e.Counters = map[string]int64{
+		"candidates":   int64(rep.Candidates),
+		"total_probes": rep.TotalProbes,
 	}
 	if replayed > 0 {
-		// Higher-is-better: lives in Rates so benchdiff gates a DROP in
+		// Higher-is-better: lives in Rates so the gate catches a DROP in
 		// exploration throughput, not a rise.
 		e.Rates = map[string]float64{
 			"branches_per_virtual_sec": float64(rep.Explored) / replayed.Seconds(),
@@ -267,15 +208,15 @@ func explorePoint(seed uint64) (benchfmt.Entry, error) {
 	return e, nil
 }
 
-// benchPoint runs one sync-write configuration on a fresh rig. With a
+// gridPoint runs one sync-write configuration on a fresh rig. With a
 // timeline bucket it also attaches an aggregator to every layer of the rig
-// and exports the per-configuration occupancy timeline next to tlBase.
-func benchPoint(system string, mode workload.Mode, sizeKB, writes int, seed uint64, tlBucket time.Duration, tlBase string) (benchfmt.Entry, error) {
+// and exports the per-configuration occupancy timeline.
+func gridPoint(system string, mode workload.Mode, sizeKB int, seed uint64, art artifacts) (benchfmt.Entry, error) {
 	env := sim.NewEnv()
 	defer env.Close()
 	var agg *timeline.Aggregator
-	if tlBucket > 0 {
-		agg = timeline.New(tlBucket)
+	if art.tlBucket > 0 {
+		agg = timeline.New(art.tlBucket)
 		env.SetTimeline(agg)
 	}
 	var dev blockdev.Device
@@ -304,35 +245,109 @@ func benchPoint(system string, mode workload.Mode, sizeKB, writes int, seed uint
 		Mode:             mode,
 		WriteSize:        sizeKB * 1024,
 		Processes:        1,
-		WritesPerProcess: writes,
+		WritesPerProcess: gridWrites,
 		Seed:             seed,
 	})
 	if err != nil {
 		return benchfmt.Entry{}, fmt.Errorf("bench %s/%v/%dKB: %w", system, mode, sizeKB, err)
 	}
-	e := benchfmt.Entry{
-		Name:   fmt.Sprintf("sync-write/%s/%v/%dKB", system, mode, sizeKB),
-		Count:  res.Latency.Count(),
-		MeanUS: usFloat(res.Latency.Mean()),
-		P50US:  usFloat(res.Latency.Quantile(0.50)),
-		P99US:  usFloat(res.Latency.Quantile(0.99)),
-	}
+	e := latencyEntry(fmt.Sprintf("sync-write/%s/%v/%dKB", system, mode, sizeKB), res.Latency)
 	if drv != nil {
 		e.Counters = drv.Stats().Counters().Snapshot()
 	}
 	if agg != nil {
 		agg.Finish(int64(env.Now()))
-		if err := writeTimeline(timelinePath(tlBase, e.Name), agg); err != nil {
+		if err := writeTimeline(artifactPath(art.tlBase, e.Name), agg); err != nil {
 			return benchfmt.Entry{}, err
 		}
 	}
 	return e, nil
 }
 
-// timelinePath inserts the slash-mangled configuration name before the base
-// path's extension: "timeline.csv" + "sync-write/trail/sparse/1KB" ->
-// "timeline-sync-write-trail-sparse-1KB.csv".
-func timelinePath(base, name string) string {
+// worldPoint drives the fixed write workload through one stack world and
+// reports the DES kernel's cost for it: per-write virtual latency, kernel
+// work counters, and events per virtual second.
+func worldPoint(name string, art artifacts) (benchfmt.Entry, error) {
+	st, err := stacks.ByName(name, "", 0)
+	if err != nil {
+		return benchfmt.Entry{}, err
+	}
+	env := sim.NewEnv()
+	defer env.Close()
+	var reg *telemetry.Registry
+	if art.telemetryBase != "" {
+		reg = telemetry.NewRegistry()
+		env.SetMetrics(reg)
+	}
+	wf, err := st.Build(env)
+	if err != nil {
+		return benchfmt.Entry{}, err
+	}
+	st.Observe(reg)
+	var agg *timeline.Aggregator
+	if art.tlBucket > 0 {
+		agg = timeline.New(art.tlBucket)
+		env.SetTimeline(agg)
+		st.ObserveTimeline(agg)
+	}
+
+	// The WAL world runs the simulation during Build (catalog setup), so
+	// measure the bench phase as a delta from here.
+	base := env.KernelStats()
+	vstart := env.Now()
+	lat := metrics.NewSummary()
+	var werr error
+	env.Go("bench", func(p *sim.Proc) {
+		for i := 0; i < worldWrites; i++ {
+			slot, version := i%st.Slots, i/st.Slots+1
+			t0 := p.Now()
+			if err := wf(p, slot, version); err != nil {
+				werr = fmt.Errorf("write %d: %w", i, err)
+				return
+			}
+			lat.Add(p.Now().Sub(t0))
+		}
+	})
+	env.Run()
+	if werr != nil {
+		return benchfmt.Entry{}, werr
+	}
+	ks := env.KernelStats().Delta(base)
+	entry := latencyEntry("simbench/"+name, lat)
+	entry.Rates = map[string]float64{
+		"events_per_virtual_sec": float64(ks.EventsDispatched) / env.Now().Sub(vstart).Seconds(),
+	}
+	entry.Counters = map[string]int64{
+		"events_dispatched": ks.EventsDispatched,
+		"heap_pushes":       ks.HeapPushes,
+		"heap_pops":         ks.HeapPops,
+		"proc_wakeups":      ks.Wakeups,
+		"probe_events":      ks.ProbeEvents,
+	}
+	if reg != nil {
+		path := artifactPath(art.telemetryBase, name)
+		write := reg.WriteJSON
+		if strings.HasSuffix(path, ".prom") {
+			write = reg.WriteProm
+		}
+		if err := writeFile(path, write); err != nil {
+			return benchfmt.Entry{}, err
+		}
+	}
+	if agg != nil {
+		agg.Finish(int64(env.Now()))
+		if err := writeTimeline(artifactPath(art.tlBase, name), agg); err != nil {
+			return benchfmt.Entry{}, err
+		}
+	}
+	return entry, nil
+}
+
+// artifactPath inserts the slash-mangled entry name before the base path's
+// extension: "timeline.csv" + "sync-write/trail/sparse/1KB" ->
+// "timeline-sync-write-trail-sparse-1KB.csv"; "sb.prom" + "wal" ->
+// "sb-wal.prom".
+func artifactPath(base, name string) string {
 	name = strings.ReplaceAll(name, "/", "-")
 	if i := strings.LastIndexByte(base, '.'); i > 0 {
 		return base[:i] + "-" + name + base[i:]
@@ -343,19 +358,34 @@ func timelinePath(base, name string) string {
 // writeTimeline exports the finished aggregator to path: JSON for .json,
 // the CSV exposition otherwise. Both forms are byte-deterministic.
 func writeTimeline(path string, agg *timeline.Aggregator) error {
+	write := agg.WriteCSV
+	if strings.HasSuffix(path, ".json") {
+		write = agg.WriteJSON
+	}
+	return writeFile(path, write)
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".json") {
-		err = agg.WriteJSON(f)
-	} else {
-		err = agg.WriteCSV(f)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	return f.Close()
+}
+
+// latencyEntry starts a gate entry from a latency distribution.
+func latencyEntry(name string, lat *metrics.Summary) benchfmt.Entry {
+	return benchfmt.Entry{
+		Name:   name,
+		Count:  lat.Count(),
+		MeanUS: usFloat(lat.Mean()),
+		P50US:  usFloat(lat.Quantile(0.50)),
+		P99US:  usFloat(lat.Quantile(0.99)),
 	}
-	return err
 }
 
 // usFloat converts a duration to microseconds.

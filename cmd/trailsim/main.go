@@ -62,7 +62,6 @@ import (
 	"tracklog/internal/benchfmt"
 	"tracklog/internal/blockdev"
 	"tracklog/internal/crashexplore"
-	"tracklog/internal/crashexplore/stacks"
 	"tracklog/internal/disk"
 	"tracklog/internal/experiments"
 	"tracklog/internal/fault"
@@ -93,7 +92,6 @@ func main() {
 	faults := flag.String("faults", "", "fault scenario to inject on every drive (key=value terms, e.g. latent=3,timeout=1; see internal/fault)")
 	faultSeed := flag.Uint64("fault-seed", 0, "seed for fault sampling (default: -seed)")
 	faultTol := flag.Bool("faulttol", false, "run the standard/trail/raid5 fault-tolerance comparison under -faults")
-	exploreCrashes := flag.Int64("explore-crashes", 0, "exhaustively explore the first N interesting events (trail stack; composes with -faults/-fault-seed/-seed)")
 	verifySnapshot := flag.Bool("verify-snapshot", false, "after the run, checkpoint the world, restore it, and verify byte-identity (status on stderr)")
 	qosOn := flag.Bool("qos", false, "enable the default overload policy (admission bounds, retry budgets, throttling)")
 	deadline := flag.Duration("deadline", 0, "per-request deadline: issue time + D (0 disables)")
@@ -132,8 +130,6 @@ func main() {
 	pol := qosPolicy(*qosOn, *deadline, *maxDepth)
 	var err error
 	switch {
-	case *exploreCrashes > 0:
-		err = runExplore(*system, *exploreCrashes, *seed, *faults, *faultSeed)
 	case *faultTol:
 		err = runFaultTol(*faults, *writes, *faultSeed)
 	case *replayFile != "":
@@ -496,32 +492,6 @@ func buildDevice(env *sim.Env, system, scenario string, faultSeed uint64, pol *q
 	default:
 		return nil, nil, nil, nil, nil, fmt.Errorf("unknown system %q", system)
 	}
-}
-
-// runExplore sweeps the crash-point explorer over the first window
-// interesting events of the trail stack: power cut at each, recovery, and
-// an acknowledged-write audit per branch (see cmd/crashexplore for the
-// multi-stack tool).
-func runExplore(system string, window int64, seed uint64, scenario string, faultSeed uint64) error {
-	if system != "trail" {
-		return fmt.Errorf("-explore-crashes drives the trail stack (got -system %q); use cmd/crashexplore for raid5/wal", system)
-	}
-	st, err := stacks.TrailStack(scenario, faultSeed)
-	if err != nil {
-		return err
-	}
-	rep, err := crashexplore.New(st, crashexplore.Options{Seed: seed, Window: window}).Run()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("crash exploration: %d branches over events [0,%d) of %d probes\n",
-		rep.Explored, window, rep.TotalProbes)
-	if rep.Failed() {
-		return fmt.Errorf("crash exploration: %d lost, %d torn, %d error branches (first failing event %d)",
-			rep.LostBranches, rep.TornBranches, rep.ErrorBranches, rep.FirstFailing)
-	}
-	fmt.Printf("crash exploration: all %d branches uphold the durability contract\n", rep.Explored)
-	return nil
 }
 
 // verifyWorldSnapshot checkpoints the (now quiescent) world, restores the

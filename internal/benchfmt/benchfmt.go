@@ -1,6 +1,6 @@
 // Package benchfmt defines the machine-readable benchmark summary schema
 // shared by the benchmark writers (cmd/trailbench) and the regression gate
-// (cmd/benchdiff). The on-disk form is JSON with struct fields in
+// (cmd/rundiff). The on-disk form is JSON with struct fields in
 // declaration order and map keys sorted, so a file is byte-deterministic for
 // a given simulation seed — two runs of the same tree produce identical
 // bytes, and any diff is a real behaviour change.

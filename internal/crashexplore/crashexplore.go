@@ -1,18 +1,20 @@
-// Package crashexplore turns the seeded crash trial of internal/crashcheck
-// into an exhaustive explorer: instead of cutting power at one seed-dependent
-// instant, it enumerates every interesting event in a window — each
-// acknowledgement, each media sector write, each write-back flight boundary,
-// each log-commit — branches a fresh deterministic world, cuts power exactly
-// at that event, runs recovery, and audits the durability contract on every
-// branch: an ACKNOWLEDGED write never comes back lost or torn.
+// Package crashexplore is the one crash harness. Its seeded trial
+// (RunSingle) runs a concurrent slot-writer workload against a storage
+// stack, cuts power at one seed-dependent instant, recovers the stack on a
+// fresh environment, and audits the durability contract. Its explorer
+// (New/Run) generalizes the one cut to an exhaustive sweep: it enumerates
+// every interesting event in a window — each acknowledgement, each media
+// sector write, each write-back flight boundary, each log-commit — branches
+// a fresh deterministic world, cuts power exactly at that event, runs
+// recovery, and audits the durability contract on every branch: an
+// ACKNOWLEDGED write never comes back lost or torn.
 //
 // Worlds branch by deterministic replay: the simulation kernel numbers every
 // probe event globally (sim.EmitProbe), so re-running the same seeded
 // workload against a freshly built stack and pausing at probe index i
 // reproduces, bit for bit, the state the census run had at that event. A cut
 // is then env.Close() — in-flight processes die mid-write, and only platter
-// state (disk.Disk media) survives into recovery, exactly like the
-// single-instant harness.
+// state (disk.Disk media) survives into recovery, exactly as in RunSingle.
 //
 // The minimal failing event index (Report.FirstFailing) is the bisection
 // handle: the earliest interesting event whose cut breaks recovery. Fixes are
@@ -65,14 +67,14 @@ type Stack struct {
 
 	// Observe, if non-nil, registers the telemetry of the most recently
 	// Built rig (driver counters, per-disk utilization) on reg. Callers
-	// that want component metrics (cmd/simbench) invoke it right after
+	// that want component metrics (cmd/trailbench) invoke it right after
 	// Build; the explorer never does. Registering on a nil registry must
 	// be a no-op, matching the component RegisterMetrics contract.
 	Observe func(reg *telemetry.Registry)
 
 	// ObserveTimeline, if non-nil, attaches the most recently Built rig to
 	// a utilization-timeline aggregator (disk lanes, queue depths, driver
-	// levels). Callers that want timelines (cmd/simbench) invoke it right
+	// levels). Callers that want timelines (cmd/trailbench) invoke it right
 	// after Build; the explorer never does. Attaching a nil aggregator must
 	// be a no-op, matching the component SetTimeline contract.
 	ObserveTimeline func(a *timeline.Aggregator)
@@ -81,9 +83,8 @@ type Stack struct {
 // launchWorkload starts the harness's slot writers on env: one process per
 // slot, writing monotonically increasing versions with a seeded think time.
 // It returns the per-slot acknowledged-version array (updated as writes
-// return) and the legacy seed-dependent cut instant, drawn from the same
-// random stream in the same order as the original crashcheck harness — so a
-// single-branch time cut reproduces its trials exactly.
+// return) and RunSingle's seed-dependent cut instant, drawn after the think
+// times from the same random stream, so a seed names one trial for good.
 func launchWorkload(env *sim.Env, seed uint64, slots int, write WriteFunc) (acked []int, cut time.Duration) {
 	acked = make([]int, slots)
 	rng := sim.NewRand(seed + 1000)
@@ -121,7 +122,7 @@ func (a SlotAudit) Failed() bool { return a.Torn || a.Lost() }
 
 // audit reads back every slot on the recovery environment and compares it
 // with the acknowledged state. It runs as one process named "audit", slot
-// order, like the original harness.
+// order.
 func audit(env *sim.Env, read ReadFunc, acked []int) []SlotAudit {
 	out := make([]SlotAudit, len(acked))
 	env.Go("audit", func(p *sim.Proc) {
@@ -150,10 +151,10 @@ func (r *SingleResult) Failed() bool {
 	return false
 }
 
-// RunSingle executes one seeded crash trial against the stack: the legacy
-// single-branch window. The workload shape, cut instant, recovery sequence,
-// and audit order reproduce the original crashcheck harness exactly; the
-// crashcheck package is now a thin wrapper over this function.
+// RunSingle executes one seeded crash trial against the stack: build, run
+// the slot writers until the seed-dependent cut instant, cut power, recover
+// on a fresh environment, audit every slot, then run the stack's Post
+// restart check.
 func RunSingle(st Stack, seed uint64) (*SingleResult, error) {
 	env := sim.NewEnv()
 	write, err := st.Build(env)

@@ -22,7 +22,7 @@ type Options struct {
 	Skip   int64
 	Window int64
 	// Horizon bounds each run in virtual time (census and branches alike).
-	// Zero defaults to 150ms, past the legacy harness's largest cut instant.
+	// Zero defaults to 150ms, past RunSingle's largest cut instant.
 	Horizon time.Duration
 	// Kinds restricts branching to these probe kinds (nil = branch on all).
 	// The census still records every kind for the report.

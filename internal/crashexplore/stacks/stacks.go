@@ -22,11 +22,11 @@ import (
 	"tracklog/internal/wal"
 )
 
-// The stack recipes below are the explorer-facing ports of the three crash
-// rigs the test suite drives through crashcheck: the Trail driver, a RAID-5
-// array of standard disks, and the WAL+transaction database over Trail
-// devices. Each Build call assembles a fresh rig; Recover reboots the most
-// recent one (the drives survive the cut).
+// The stack recipes below are the crash rigs every tool and test shares: the
+// Trail driver, a plain standard disk, a RAID-5 array of standard disks, and
+// the WAL+transaction database over Trail devices. Each Build call assembles
+// a fresh rig; Recover reboots the most recent one (the drives survive the
+// cut).
 
 func exploreLogParams() disk.Params {
 	g := geom.Uniform(12, 2, 60)
@@ -155,7 +155,7 @@ func RAID5Stack() crashexplore.Stack {
 	)
 	var raw []*disk.Disk
 	var memberDevs []*stddisk.Device
-	var arr *raid.Array
+	var arr, arr2 *raid.Array
 	return crashexplore.Stack{
 		Slots: slots,
 		Build: func(env *sim.Env) (crashexplore.WriteFunc, error) {
@@ -189,7 +189,8 @@ func RAID5Stack() crashexplore.Stack {
 				id := blockdev.DevID{Major: 9, Minor: uint8(i)}
 				devs = append(devs, stddisk.New(env2, d, id, sched.LOOK))
 			}
-			arr2, err := raid.New(devs, chunk)
+			var err error
+			arr2, err = raid.New(devs, chunk)
 			if err != nil {
 				return nil, err
 			}
@@ -200,6 +201,15 @@ func RAID5Stack() crashexplore.Stack {
 				}
 				return crashexplore.ParseVersion(buf, slot, 1)
 			}, nil
+		},
+		Post: func(env2 *sim.Env) error {
+			// The reassembled array accepts new writes.
+			var werr error
+			env2.Go("post", func(p *sim.Proc) {
+				werr = arr2.Write(p, 4096, 1, crashexplore.Payload(0, 1, 1))
+			})
+			env2.Run()
+			return werr
 		},
 		Observe: func(reg *telemetry.Registry) {
 			if arr != nil {
@@ -224,7 +234,7 @@ func RAID5Stack() crashexplore.Stack {
 // no logging layer. Slots are single sectors — a plain disk acknowledges a
 // write only after the media transfer completes, but multi-sector writes
 // tear legitimately. It completes the four-way {trail, stddisk, raid5,
-// wal} comparison the explorer and cmd/simbench share.
+// wal} comparison the explorer and cmd/trailbench share.
 func StdStack() crashexplore.Stack {
 	const (
 		slots       = 8

@@ -2,6 +2,7 @@ package stacks_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -119,5 +120,42 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := stacks.ByName("trail", "zork=1", 0); err == nil {
 		t.Fatal("malformed scenario accepted")
+	}
+}
+
+// TestCrashConsistency is the seeded sampling half of the harness: one
+// time-cut trial per (recipe, seed) through crashexplore.RunSingle, including
+// the recipe's Post restart check. Every ACKNOWLEDGED write must survive the
+// cut untorn. The trail recipe's trials live next to the driver
+// (internal/trail TestCrashConsistencyProperty).
+func TestCrashConsistency(t *testing.T) {
+	for _, tc := range []struct {
+		stack  string
+		trials int
+	}{
+		{"stddisk", 8},
+		{"raid5", 8},
+		{"wal", 6},
+	} {
+		t.Run(tc.stack, func(t *testing.T) {
+			for trial := 0; trial < tc.trials; trial++ {
+				seed := uint64(trial)
+				t.Run(fmt.Sprintf("trial-%02d", trial), func(t *testing.T) {
+					st, err := stacks.ByName(tc.stack, "", 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := crashexplore.RunSingle(st, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, a := range res.Audits {
+						if a.Failed() {
+							t.Errorf("seed %d slot %d: acked v%d, recovered v%d (torn=%v)", seed, a.Slot, a.Acked, a.Found, a.Torn)
+						}
+					}
+				})
+			}
+		})
 	}
 }

@@ -112,7 +112,7 @@ type Pass struct {
 	// Path is the package's invariant path: the import path with any
 	// ".../testdata/src/" prefix stripped, so analysistest fixtures are
 	// matched against the same per-package configuration (simulated-path
-	// sets, allowlists, home packages) as the real tree.
+	// sets, home packages) as the real tree.
 	Path string
 
 	// Prog is the whole-program view over every package of this Run. The

@@ -15,18 +15,16 @@ import (
 // constants (time.Millisecond, ...) remain legal — only the wall-clock
 // entry points are banned, whether called or passed as function values.
 //
-// Call sites in cmd/ that legitimately need the wall clock (progress
-// reporting on a human terminal) are listed in wallClockAllowed; anything
-// else needs a //lint:allow virtualtime <reason> escape.
+// There are no exceptions: the module has one clock. Host cost (wall time,
+// allocations) is measured from outside the linted tree by bench/.
 //
 // The check is whole-program: beyond direct time.* references, any function
 // that *reaches* the wall clock through the call graph is flagged at its
-// first offending call edge, with the witness chain. An allowlist entry or
-// //lint:allow sanctions the site it covers, not the functions that call
-// it — telemetry.StartWall may read the wall clock, but a simulated-path
-// package calling StartWall is still a finding. Functions with their own
-// direct time.* references are the direct half's territory and are not
-// re-reported indirectly.
+// first offending call edge, with the witness chain. A //lint:allow
+// sanctions the site it covers, not the functions that call it — a helper
+// may carry an escape, but a simulated-path package calling that helper is
+// still a finding. Functions with their own direct time.* references are
+// the direct half's territory and are not re-reported indirectly.
 var VirtualTime = &Analyzer{
 	Name: "virtualtime",
 	Doc:  "forbid wall-clock time (time.Now, time.Sleep, ...) in simulated-path packages",
@@ -50,27 +48,10 @@ var wallClockBanned = map[string]bool{
 // simulatedPathPrefixes marks the packages whose time must be virtual. The
 // whole library tree qualifies: every internal package either runs under
 // the simulator or produces deterministic artifacts from virtual
-// timestamps. Binaries under cmd/ are also covered so a new tool cannot
-// quietly mix clocks; the per-site allowlist below carves out the
-// wall-clock-legitimate exceptions.
+// timestamps. Binaries under cmd/ are covered too, so a new tool cannot
+// quietly mix clocks.
 var simulatedPathPrefixes = []string{
 	"tracklog",
-}
-
-// wallClockAllowed maps a package's invariant path to the function names
-// whose wall-clock use is sanctioned. Keep this list short and justified:
-// these sites report human-perceived progress and never feed a simulated
-// timestamp.
-var wallClockAllowed = map[string]map[string]bool{
-	// reproduce prints "Generated in Ns wall time" after the full report.
-	"tracklog/cmd/reproduce": {"main": true},
-	// simbench prints total wall time after the run; its per-world host-cost
-	// measurements go through telemetry.StartWall (the wall side channel),
-	// which carries its own //lint:allow escapes. run/runWorld drive that
-	// side channel, so their indirect wall-clock reach is sanctioned too —
-	// the measured wall durations feed -wall-out reporting, never a
-	// simulated timestamp.
-	"tracklog/cmd/simbench": {"main": true, "run": true, "runWorld": true},
 }
 
 func runVirtualTime(pass *Pass) error {
@@ -84,7 +65,6 @@ func runVirtualTime(pass *Pass) error {
 	if !inScope {
 		return nil
 	}
-	allowed := wallClockAllowed[pass.Path]
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -98,31 +78,25 @@ func runVirtualTime(pass *Pass) error {
 			if !wallClockBanned[obj.Name()] {
 				return true
 			}
-			if allowed != nil && allowed[enclosingFuncName(file, sel.Pos())] {
-				return true
-			}
 			pass.Reportf(sel.Pos(),
 				"time.%s reads the wall clock in a simulated-path package; route timing through the virtual clock (sim.Env.Now / sim.Proc timers)",
 				obj.Name())
 			return true
 		})
 	}
-	reportIndirectTime(pass, allowed)
+	reportIndirectTime(pass)
 	return nil
 }
 
 // reportIndirectTime is the whole-program half: functions with no direct
 // time.* reference whose call graph still reaches the wall clock are
 // flagged at their first offending call edge.
-func reportIndirectTime(pass *Pass, allowed map[string]bool) {
+func reportIndirectTime(pass *Pass) {
 	chains := pass.Prog.timeTaint()
 	for _, fid := range pass.Prog.FuncsOfPackage(pass.CurPkg) {
 		fi := pass.Prog.Funcs[fid]
 		if len(fi.TimeRefs) > 0 {
-			continue // a leaf: the direct half reported or sanctioned it
-		}
-		if allowed != nil && allowed[funcBaseName(fid)] {
-			continue
+			continue // a leaf: the direct half reported it
 		}
 		if c := firstTaintedCall(fi, chains); c != nil {
 			pass.Reportf(c.Pos,

@@ -12,10 +12,6 @@ func TestVirtualTimeIndirectFixture(t *testing.T) {
 	RunFixture(t, "testdata/src/tracklog/internal/vthelper", VirtualTime)
 }
 
-func TestVirtualTimeAllowlist(t *testing.T) {
-	RunFixture(t, "testdata/src/tracklog/cmd/reproduce", VirtualTime)
-}
-
 func TestVirtualTimeOutOfScope(t *testing.T) {
 	// A package outside the simulated-path set is never flagged, whatever
 	// it does with the wall clock.

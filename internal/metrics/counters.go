@@ -96,18 +96,6 @@ func (c *Counters) Merge(other *Counters) {
 	}
 }
 
-// Total sums every counter.
-func (c *Counters) Total() int64 {
-	if c == nil {
-		return 0
-	}
-	var t int64
-	for _, v := range c.vals {
-		t += v
-	}
-	return t
-}
-
 // String renders "name=value" pairs sorted by name.
 //
 // Deprecated exposition path: the hand-rolled formatting this method used to

@@ -89,9 +89,6 @@ func TestCountersZeroValue(t *testing.T) {
 	if c.Get("a") != 5 || c.Get("b") != 7 {
 		t.Fatalf("zero-value counters: a=%d b=%d", c.Get("a"), c.Get("b"))
 	}
-	if c.Total() != 12 {
-		t.Fatalf("Total = %d, want 12", c.Total())
-	}
 }
 
 func TestCountersNilSafe(t *testing.T) {
@@ -99,7 +96,7 @@ func TestCountersNilSafe(t *testing.T) {
 	c.Add("a", 1)
 	c.Set("b", 2)
 	c.Merge(NewCounters())
-	if c.Get("a") != 0 || c.Total() != 0 {
+	if c.Get("a") != 0 || c.Get("b") != 0 {
 		t.Fatal("nil counters accumulated state")
 	}
 	if c.Names() != nil {

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 
 	"tracklog/internal/telemetry"
 )
@@ -10,16 +9,6 @@ import (
 // Prometheus exposition for counter sets, routed through the telemetry
 // registry so the whole module shares one text-format implementation
 // (name sanitization, escaping, ordering — see internal/telemetry/prom.go).
-
-// WriteProm writes the counter set in Prometheus text exposition format.
-// Names follow the module convention: "trail.writes" becomes
-// "tracklog_trail_writes_total" (the "_total" suffix is added unless
-// already present).
-func (c *Counters) WriteProm(w io.Writer) error {
-	reg := telemetry.NewRegistry()
-	RegisterCounters(reg, func() *Counters { return c })
-	return reg.WriteProm(w)
-}
 
 // RegisterCounters registers every counter produced by snap as a live
 // counter series on reg, under the conventional exported names. snap is

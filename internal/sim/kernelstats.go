@@ -18,8 +18,8 @@ import "tracklog/internal/telemetry"
 // snapshot byte-compare must not depend on whether an observer was
 // attached.
 //
-// Wall-clock cost (events/sec, ns/event, allocs/event) is measured
-// separately by telemetry.WallTimer and never appears here.
+// Wall-clock cost (events/sec, ns/event, allocs/event) is measured from
+// outside the module by bench/ and never appears here.
 
 // KernelStats is a snapshot of the kernel's own work counters.
 type KernelStats struct {
@@ -46,7 +46,7 @@ type KernelStats struct {
 }
 
 // Delta returns s minus an earlier baseline, for measuring one phase of a
-// run (e.g. cmd/simbench subtracting world-construction cost). Peaks are
+// run (e.g. cmd/trailbench subtracting world-construction cost). Peaks are
 // carried over unchanged: they are whole-run high-water marks.
 func (s KernelStats) Delta(base KernelStats) KernelStats {
 	return KernelStats{

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"tracklog/internal/blockdev"
-	"tracklog/internal/crashcheck"
+	"tracklog/internal/crashexplore"
 	"tracklog/internal/disk"
 	"tracklog/internal/fault"
 	"tracklog/internal/sched"
@@ -135,7 +135,7 @@ func runFaultyCrashTrial(t *testing.T, seed uint64) {
 		gap := time.Duration(rng.IntRange(0, 3000)) * time.Microsecond
 		env.Go(fmt.Sprintf("slot-%d", s), func(p *sim.Proc) {
 			for v := 1; ; v++ {
-				if err := dev.Write(p, int64(s*64), sectorsPer, crashcheck.Payload(s, v, sectorsPer)); err != nil {
+				if err := dev.Write(p, int64(s*64), sectorsPer, crashexplore.Payload(s, v, sectorsPer)); err != nil {
 					return // exhausted retries or driver failed; not acknowledged
 				}
 				acked[s] = v
@@ -164,7 +164,7 @@ func runFaultyCrashTrial(t *testing.T, seed uint64) {
 
 	for s := 0; s < slots; s++ {
 		got := data.MediaRead(int64(s*64), sectorsPer)
-		v, consistent := crashcheck.ParseVersion(got, s, sectorsPer)
+		v, consistent := crashexplore.ParseVersion(got, s, sectorsPer)
 		if !consistent {
 			t.Errorf("seed %d slot %d: torn/mixed payload", seed, s)
 			continue
@@ -263,7 +263,7 @@ func runDoubleCrashTrial(t *testing.T, seed uint64) {
 		gap := time.Duration(rng.IntRange(0, 2000)) * time.Microsecond
 		env.Go(fmt.Sprintf("slot-%d", s), func(p *sim.Proc) {
 			for v := 1; ; v++ {
-				if err := dev.Write(p, int64(s*64), sectorsPer, crashcheck.Payload(s, v, sectorsPer)); err != nil {
+				if err := dev.Write(p, int64(s*64), sectorsPer, crashexplore.Payload(s, v, sectorsPer)); err != nil {
 					return
 				}
 				acked[s] = v
@@ -307,7 +307,7 @@ func runDoubleCrashTrial(t *testing.T, seed uint64) {
 	// last acknowledged one, and the system restarts.
 	for s := 0; s < slots; s++ {
 		got := data.MediaRead(int64(s*64), sectorsPer)
-		v, consistent := crashcheck.ParseVersion(got, s, sectorsPer)
+		v, consistent := crashexplore.ParseVersion(got, s, sectorsPer)
 		if !consistent {
 			t.Errorf("seed %d slot %d: torn/mixed payload after double crash", seed, s)
 			continue
