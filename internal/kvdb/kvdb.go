@@ -27,6 +27,10 @@ var (
 	ErrNotFound = errors.New("kvdb: key not found")
 	// ErrTooLarge means a key/value pair cannot fit any page.
 	ErrTooLarge = errors.New("kvdb: entry exceeds page capacity")
+	// ErrCorrupt means a page does not hold what this engine writes: a bad
+	// type byte, a cell or pointer that leads outside the page or the store,
+	// an invariant Check verifies. It arrives wrapped with the page ID.
+	ErrCorrupt = errors.New("kvdb: corrupt page")
 )
 
 const (
@@ -45,10 +49,19 @@ const (
 
 	// maxEntry bounds a single entry so two always fit a page.
 	maxEntry = capacity / 2
+
+	// maxDepth bounds a descent, so that child pointers corrupted into a
+	// cycle end in ErrCorrupt. A tree of this engine's making is far
+	// shallower: every level multiplies the page count by at least two.
+	maxDepth = 48
 )
 
 // metaPage is page 0 of a store: nextPage(8) + ntrees(2) + roots(8 each).
 const maxTrees = 64
+
+func corruptf(id int64, format string, args ...any) error {
+	return fmt.Errorf("%w %d: %s", ErrCorrupt, id, fmt.Sprintf(format, args...))
+}
 
 // Store owns a device, its page cache, and page allocation; trees live
 // inside a store.
@@ -76,12 +89,19 @@ func Open(p *sim.Proc, dev blockdev.Device, cachePages int) (*Store, error) {
 		s.writeMeta(pg)
 		return s, nil
 	}
+	if s.nextPage < 0 || s.nextPage > dev.Sectors()/bufcache.PageSectors {
+		return nil, corruptf(0, "%d pages allocated on a device of %d", s.nextPage, dev.Sectors()/bufcache.PageSectors)
+	}
 	n := int(binary.LittleEndian.Uint16(pg.Data[8:]))
 	if n > maxTrees {
-		return nil, fmt.Errorf("kvdb: corrupt meta page: %d trees", n)
+		return nil, corruptf(0, "%d trees", n)
 	}
 	for i := 0; i < n; i++ {
-		s.roots = append(s.roots, int64(binary.LittleEndian.Uint64(pg.Data[10+8*i:])))
+		root := int64(binary.LittleEndian.Uint64(pg.Data[10+8*i:]))
+		if root < 1 || root >= s.nextPage {
+			return nil, corruptf(0, "tree %d rooted at page %d of %d", i, root, s.nextPage)
+		}
+		s.roots = append(s.roots, root)
 	}
 	return s, nil
 }
@@ -129,18 +149,12 @@ func (s *Store) CreateTree(p *sim.Proc) (*Tree, error) {
 	if len(s.roots) >= maxTrees {
 		return nil, fmt.Errorf("kvdb: store full (%d trees)", maxTrees)
 	}
-	rootID, err := s.alloc(p)
+	root, err := s.newNode(p, true)
 	if err != nil {
 		return nil, err
 	}
-	pg, err := s.cache.GetZero(p, rootID)
-	if err != nil {
-		return nil, err
-	}
-	encodeNode(&node{leaf: true}, pg.Data)
-	s.cache.MarkDirty(pg)
-	s.cache.Release(pg)
-	s.roots = append(s.roots, rootID)
+	s.unpin(root)
+	s.roots = append(s.roots, root.pg.ID)
 	if err := s.syncMeta(p); err != nil {
 		return nil, err
 	}
@@ -155,208 +169,250 @@ func (s *Store) Tree(idx int) (*Tree, error) {
 	return &Tree{store: s, idx: idx}, nil
 }
 
+// A node page is type(1) nkeys(2) link(8), then nkeys cells, then zeroes to
+// the end of the page. A leaf's link is its right sibling (0 at the end of
+// the chain) and its cells are klen(2) vlen(2) logical(2) key value; an
+// internal node's link is its leftmost child and its cells are klen(2) key
+// child(8), the child holding the keys >= key. Nodes are read and edited
+// where they lie, in the pinned page, and every length, offset and page ID
+// read from one is checked before it is followed (DESIGN.md §16).
+
+// node is a pinned page viewed as a B+tree node.
+type node struct {
+	pg   *bufcache.Page
+	leaf bool
+	n    int // cells
+}
+
+// pin pins page id and checks its header.
+func (s *Store) pin(p *sim.Proc, id int64) (node, error) {
+	if id < 1 || id >= s.nextPage {
+		return node{}, corruptf(id, "pointer outside the store's %d pages", s.nextPage)
+	}
+	pg, err := s.cache.Get(p, id)
+	if err != nil {
+		return node{}, err
+	}
+	nd := node{pg: pg, leaf: pg.Data[0] == leafType, n: int(binary.LittleEndian.Uint16(pg.Data[1:]))}
+	if !nd.leaf && pg.Data[0] != internalType {
+		s.cache.Release(pg)
+		return node{}, corruptf(id, "node type %d", pg.Data[0])
+	}
+	return nd, nil
+}
+
+func (s *Store) unpin(nd node) { s.cache.Release(nd.pg) }
+
+// edit takes a second pin on nd, under which it is modified, and marks it
+// dirty; the caller unpins twice. The engine this one replaced decoded a
+// node under one pin and stored it under another, and the cache's hit count
+// and LRU order, which decide the simulated I/O, are held to that sequence.
+// nd stays pinned throughout, so offsets found under the first pin hold.
+func (s *Store) edit(p *sim.Proc, nd node) error {
+	if _, err := s.cache.Get(p, nd.pg.ID); err != nil {
+		return err
+	}
+	s.cache.MarkDirty(nd.pg)
+	return nil
+}
+
+// newNode allocates a page and returns it pinned, dirty and formatted as an
+// empty node.
+func (s *Store) newNode(p *sim.Proc, leaf bool) (node, error) {
+	id, err := s.alloc(p)
+	if err != nil {
+		return node{}, err
+	}
+	pg, err := s.cache.GetZero(p, id)
+	if err != nil {
+		return node{}, err
+	}
+	nd := node{pg: pg, leaf: leaf}
+	nd.write(0, 0, nil)
+	s.cache.MarkDirty(pg)
+	return nd, nil
+}
+
+func (nd node) link() int64 { return int64(binary.LittleEndian.Uint64(nd.pg.Data[3:])) }
+
+func (nd node) setCount(n int) { binary.LittleEndian.PutUint16(nd.pg.Data[1:], uint16(n)) }
+
+// write replaces the node's whole content: n cells, already encoded.
+func (nd node) write(n int, link int64, cells []byte) {
+	d := nd.pg.Data
+	d[0] = internalType
+	if nd.leaf {
+		d[0] = leafType
+	}
+	nd.setCount(n)
+	binary.LittleEndian.PutUint64(d[3:], uint64(link))
+	clear(d[nodeHeader+copy(d[nodeHeader:], cells):])
+}
+
+// cell decodes the cell at d[off:] of a leaf or an internal node: its key,
+// its payload (the value, or the child's 8 bytes), both aliasing d, its
+// accounting size and the offset past it. ok is false when the cell does
+// not lie inside d, or claims a logical size below its value's length,
+// which would let a page outgrow its accounting.
+func cell(d []byte, leaf bool, off int) (key, val []byte, size, end int, ok bool) {
+	hdr, vlen, logical := internalEntryOverhead-8, 8, 8
+	if leaf {
+		hdr = leafEntryOverhead
+	}
+	if off+hdr > len(d) {
+		return
+	}
+	klen := int(binary.LittleEndian.Uint16(d[off:]))
+	if leaf {
+		vlen = int(binary.LittleEndian.Uint16(d[off+2:]))
+		logical = int(binary.LittleEndian.Uint16(d[off+4:]))
+	}
+	off += hdr
+	end = off + klen + vlen
+	if end > len(d) || logical < vlen {
+		return
+	}
+	return d[off : off+klen], d[off+klen : end], hdr + klen + logical, end, true
+}
+
+// appendLeafCell encodes one leaf cell.
+func appendLeafCell(b, key, val []byte, logical int) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(key)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(val)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(logical))
+	return append(append(b, key...), val...)
+}
+
+// appendInternalCell encodes one internal cell.
+func appendInternalCell(b, key []byte, child int64) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(key)))
+	return binary.LittleEndian.AppendUint64(append(b, key...), uint64(child))
+}
+
+// spot is where a key lies, or would be inserted, in a node.
+type spot struct {
+	idx      int    // index of the cell at off
+	off, end int    // the key's cell is d[off:end]; end == off when the key is absent
+	size     int    // accounting bytes of that cell, 0 when absent
+	before   []byte // payload of the cell before off, the node's link at the first
+	used     int    // offset past the last cell (whole walks only)
+	fill     int    // accounting bytes of all cells (whole walks only)
+}
+
+func (sp spot) found() bool { return sp.end > sp.off }
+
+// seek walks the cells to the first whose key is >= key, in an internal
+// node > key: the child before that cell is the one covering key. A whole
+// walk carries on to the last cell for the node's fill.
+func (nd node) seek(key []byte, whole bool) (spot, error) {
+	d := nd.pg.Data
+	sp := spot{idx: -1, before: d[3:nodeHeader]}
+	stop := 1 // the bytes.Compare result the walk stops at
+	if nd.leaf {
+		stop = 0
+	}
+	off := nodeHeader
+	for i := 0; i < nd.n; i++ {
+		k, v, size, end, ok := cell(d, nd.leaf, off)
+		if !ok {
+			return sp, corruptf(nd.pg.ID, "cell %d of %d runs past the page", i, nd.n)
+		}
+		if sp.idx < 0 {
+			if c := bytes.Compare(k, key); c >= stop {
+				sp.idx, sp.off, sp.end = i, off, off
+				if c == 0 {
+					sp.end, sp.size = end, size
+				}
+				if !whole {
+					return sp, nil
+				}
+			} else {
+				sp.before = v
+			}
+		}
+		sp.fill += size
+		off = end
+	}
+	if sp.idx < 0 {
+		sp.idx, sp.off, sp.end = nd.n, off, off
+	}
+	sp.used = off
+	return sp, nil
+}
+
+// child returns the child that covers the key sp was sought for in an
+// internal node: the one the cell before it points to.
+func (sp spot) child() int64 { return int64(binary.LittleEndian.Uint64(sp.before)) }
+
+// splice makes d[off:off+size] the place of d[off:end], moving the cells
+// behind it, which end at used, and zeroing what they vacate: the bytes
+// past a node's cells are always zero.
+func splice(d []byte, off, end, used, size int) {
+	newUsed := used + size - (end - off)
+	copy(d[off+size:], d[end:used])
+	if newUsed < used {
+		clear(d[newUsed:used])
+	}
+}
+
 // Tree is a B+tree of byte-string keys and values.
 type Tree struct {
 	store *Store
 	idx   int
 }
 
-// node is the decoded form of a page.
-type node struct {
-	leaf     bool
-	keys     [][]byte
-	vals     [][]byte // leaf only
-	logical  []int    // leaf only: page-fill size of each value
-	next     int64    // leaf only: right sibling page
-	children []int64  // internal only: len(keys)+1 entries
-}
-
-// fill returns the node's logical entry-area usage.
-func (n *node) fill() int {
-	total := 0
-	if n.leaf {
-		for i, k := range n.keys {
-			total += len(k) + n.logical[i] + leafEntryOverhead
-		}
-	} else {
-		for _, k := range n.keys {
-			total += len(k) + internalEntryOverhead
-		}
-	}
-	return total
-}
-
-func decodeNode(data []byte) (*node, error) {
-	n := &node{}
-	switch data[0] {
-	case leafType:
-		n.leaf = true
-	case internalType:
-	default:
-		return nil, fmt.Errorf("kvdb: bad node type %d", data[0])
-	}
-	nkeys := int(binary.LittleEndian.Uint16(data[1:]))
-	off := 3
-	if n.leaf {
-		n.next = int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		for i := 0; i < nkeys; i++ {
-			klen := int(binary.LittleEndian.Uint16(data[off:]))
-			vlen := int(binary.LittleEndian.Uint16(data[off+2:]))
-			logical := int(binary.LittleEndian.Uint16(data[off+4:]))
-			off += 6
-			k := make([]byte, klen)
-			copy(k, data[off:])
-			off += klen
-			v := make([]byte, vlen)
-			copy(v, data[off:])
-			off += vlen
-			n.keys = append(n.keys, k)
-			n.vals = append(n.vals, v)
-			n.logical = append(n.logical, logical)
-		}
-		return n, nil
-	}
-	n.children = append(n.children, int64(binary.LittleEndian.Uint64(data[off:])))
-	off += 8
-	for i := 0; i < nkeys; i++ {
-		klen := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		k := make([]byte, klen)
-		copy(k, data[off:])
-		off += klen
-		child := int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		n.keys = append(n.keys, k)
-		n.children = append(n.children, child)
-	}
-	return n, nil
-}
-
-func encodeNode(n *node, data []byte) {
-	for i := range data {
-		data[i] = 0
-	}
-	if n.leaf {
-		data[0] = leafType
-	} else {
-		data[0] = internalType
-	}
-	binary.LittleEndian.PutUint16(data[1:], uint16(len(n.keys)))
-	off := 3
-	if n.leaf {
-		binary.LittleEndian.PutUint64(data[off:], uint64(n.next))
-		off += 8
-		for i, k := range n.keys {
-			binary.LittleEndian.PutUint16(data[off:], uint16(len(k)))
-			binary.LittleEndian.PutUint16(data[off+2:], uint16(len(n.vals[i])))
-			binary.LittleEndian.PutUint16(data[off+4:], uint16(n.logical[i]))
-			off += 6
-			off += copy(data[off:], k)
-			off += copy(data[off:], n.vals[i])
-		}
-		return
-	}
-	binary.LittleEndian.PutUint64(data[off:], uint64(n.children[0]))
-	off += 8
-	for i, k := range n.keys {
-		binary.LittleEndian.PutUint16(data[off:], uint16(len(k)))
-		off += 2
-		off += copy(data[off:], k)
-		binary.LittleEndian.PutUint64(data[off:], uint64(n.children[i+1]))
-		off += 8
-	}
-}
-
-// loadNode reads and decodes a page (pin released before return).
-func (t *Tree) loadNode(p *sim.Proc, id int64) (*node, error) {
-	pg, err := t.store.cache.Get(p, id)
-	if err != nil {
-		return nil, err
-	}
-	defer t.store.cache.Release(pg)
-	return decodeNode(pg.Data)
-}
-
-// storeNode encodes a node back to its page.
-func (t *Tree) storeNode(p *sim.Proc, id int64, n *node) error {
-	pg, err := t.store.cache.Get(p, id)
-	if err != nil {
-		return err
-	}
-	encodeNode(n, pg.Data)
-	t.store.cache.MarkDirty(pg)
-	t.store.cache.Release(pg)
-	return nil
-}
-
-// storeNewNode allocates a page and writes the node to it.
-func (t *Tree) storeNewNode(p *sim.Proc, n *node) (int64, error) {
-	id, err := t.store.alloc(p)
-	if err != nil {
-		return 0, err
-	}
-	pg, err := t.store.cache.GetZero(p, id)
-	if err != nil {
-		return 0, err
-	}
-	encodeNode(n, pg.Data)
-	t.store.cache.MarkDirty(pg)
-	t.store.cache.Release(pg)
-	return id, nil
-}
-
 // root returns the tree's root page ID.
 func (t *Tree) root() int64 { return t.store.roots[t.idx] }
 
-// Get returns the value stored at key.
-func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) {
+// step is one internal node of a descent: what Put needs to decide, on the
+// way back up and before pinning the node again, whether a separator fits.
+type step struct {
+	id   int64
+	used int
+}
+
+// descend walks from the root to the leaf covering key, one pin at a time,
+// and returns that leaf pinned. With path set it records the internal nodes
+// passed, each walked whole; depth is their count.
+func (t *Tree) descend(p *sim.Proc, key []byte, path *[maxDepth]step) (leaf node, depth int, err error) {
+	s := t.store
 	id := t.root()
-	for {
-		n, err := t.loadNode(p, id)
+	for ; depth < maxDepth; depth++ {
+		nd, err := s.pin(p, id)
+		if err != nil || nd.leaf {
+			return nd, depth, err
+		}
+		sp, err := nd.seek(key, path != nil)
+		s.unpin(nd)
 		if err != nil {
-			return nil, err
+			return node{}, 0, err
 		}
-		if n.leaf {
-			i, ok := findKey(n.keys, key)
-			if !ok {
-				return nil, ErrNotFound
-			}
-			return n.vals[i], nil
+		if path != nil {
+			path[depth] = step{id, sp.used}
 		}
-		id = n.children[childIndex(n.keys, key)]
+		id = sp.child()
 	}
+	return node{}, 0, corruptf(id, "more than %d levels down", maxDepth)
 }
 
-// findKey returns the index of key in keys (exact match).
-func findKey(keys [][]byte, key []byte) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch bytes.Compare(keys[mid], key) {
-		case 0:
-			return mid, true
-		case -1:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
+// Get returns a copy of the value stored at key.
+func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) {
+	leaf, _, err := t.descend(p, key, nil)
+	if err != nil {
+		return nil, err
 	}
-	return lo, false
-}
-
-// childIndex returns which child of an internal node covers key.
-func childIndex(keys [][]byte, key []byte) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	defer t.store.unpin(leaf)
+	sp, err := leaf.seek(key, false)
+	if err != nil {
+		return nil, err
 	}
-	return lo
+	if !sp.found() {
+		return nil, ErrNotFound
+	}
+	_, v, _, _, _ := cell(leaf.pg.Data, true, sp.off)
+	val := make([]byte, len(v))
+	copy(val, v)
+	return val, nil
 }
 
 // Put inserts or replaces key with value. logicalSize is the page-fill cost
@@ -369,247 +425,321 @@ func (t *Tree) Put(p *sim.Proc, key, value []byte, logicalSize int) error {
 	if len(key)+logicalSize+leafEntryOverhead > maxEntry {
 		return fmt.Errorf("%w: key %d + logical %d", ErrTooLarge, len(key), logicalSize)
 	}
-	sep, right, err := t.insert(p, t.root(), key, value, logicalSize)
+	var path [maxDepth]step
+	leaf, depth, err := t.descend(p, key, &path)
 	if err != nil {
 		return err
 	}
-	if right == 0 {
-		return nil
+	sep, right, err := t.putLeaf(p, leaf, key, value, logicalSize)
+	for err == nil && right != 0 && depth > 0 {
+		depth--
+		sep, right, err = t.putSeparator(p, path[depth], sep, right)
+	}
+	if err != nil || right == 0 {
+		return err
 	}
 	// Root split: grow the tree by one level.
-	oldRoot := t.root()
-	newRoot := &node{keys: [][]byte{sep}, children: []int64{oldRoot, right}}
-	id, err := t.storeNewNode(p, newRoot)
+	s := t.store
+	root, err := s.newNode(p, false)
 	if err != nil {
 		return err
 	}
-	t.store.roots[t.idx] = id
-	return t.store.syncMeta(p)
+	var buf [internalEntryOverhead + maxEntry]byte
+	root.write(1, t.root(), appendInternalCell(buf[:0], sep, right))
+	s.unpin(root)
+	s.roots[t.idx] = root.pg.ID
+	return s.syncMeta(p)
 }
 
-// insert descends to the leaf, inserts, and propagates splits upward.
-// It returns (separator, rightPageID) when node id split.
-func (t *Tree) insert(p *sim.Proc, id int64, key, value []byte, logicalSize int) ([]byte, int64, error) {
-	n, err := t.loadNode(p, id)
+// putLeaf writes the entry into the pinned leaf and unpins it. When the
+// leaf cannot take it, the leaf splits and putLeaf returns the separator
+// and the new right sibling for the parent.
+func (t *Tree) putLeaf(p *sim.Proc, leaf node, key, value []byte, logical int) ([]byte, int64, error) {
+	s := t.store
+	sp, err := leaf.seek(key, true)
 	if err != nil {
+		s.unpin(leaf)
 		return nil, 0, err
 	}
-	if n.leaf {
-		i, ok := findKey(n.keys, key)
-		if ok {
-			n.vals[i] = value
-			n.logical[i] = logicalSize
-		} else {
-			n.keys = insertAt(n.keys, i, key)
-			n.vals = insertAt(n.vals, i, value)
-			n.logical = insertIntAt(n.logical, i, logicalSize)
+	if sp.fill-sp.size+leafEntryOverhead+len(key)+logical > capacity {
+		s.unpin(leaf)
+		var buf [maxEntry]byte
+		return t.split(p, leaf.pg.ID, true, key, appendLeafCell(buf[:0], key, value, logical))
+	}
+	defer s.unpin(leaf)
+	if err := s.edit(p, leaf); err != nil {
+		return nil, 0, err
+	}
+	defer s.unpin(leaf)
+	d := leaf.pg.Data
+	splice(d, sp.off, sp.end, sp.used, leafEntryOverhead+len(key)+len(value))
+	appendLeafCell(d[:sp.off], key, value, logical) // in place: splice made the room
+	if !sp.found() {
+		leaf.setCount(leaf.n + 1)
+	}
+	return nil, 0, nil
+}
+
+// putSeparator adds the cell (sep, right) to the internal node at, as it
+// was seen on the way down: in place when it fits, else by splitting the
+// node, which returns the next separator and right sibling for the level
+// above.
+func (t *Tree) putSeparator(p *sim.Proc, at step, sep []byte, right int64) ([]byte, int64, error) {
+	s := t.store
+	size := internalEntryOverhead + len(sep)
+	if at.used+size <= bufcache.PageSize {
+		nd, err := s.pin(p, at.id)
+		if err != nil {
+			return nil, 0, err
 		}
-		return t.finishInsert(p, id, n)
+		sp, err := nd.seek(sep, true)
+		if err == nil && nd.leaf {
+			err = corruptf(at.id, "internal node became a leaf")
+		}
+		if err != nil {
+			s.unpin(nd)
+			return nil, 0, err
+		}
+		if sp.used+size <= bufcache.PageSize {
+			d := nd.pg.Data
+			splice(d, sp.off, sp.off, sp.used, size)
+			appendInternalCell(d[:sp.off], sep, right) // in place: splice made the room
+			nd.setCount(nd.n + 1)
+			s.cache.MarkDirty(nd.pg)
+			s.unpin(nd)
+			return nil, 0, nil
+		}
+		// Another process filled the node while this one waited for a page
+		// below it.
+		s.unpin(nd)
 	}
-	ci := childIndex(n.keys, key)
-	sep, right, err := t.insert(p, n.children[ci], key, value, logicalSize)
-	if err != nil || right == 0 {
-		return nil, 0, err
-	}
-	n.keys = insertAt(n.keys, ci, sep)
-	n.children = insertInt64At(n.children, ci+1, right)
-	return t.finishInsert(p, id, n)
+	var buf [internalEntryOverhead + maxEntry]byte
+	return t.split(p, at.id, false, sep, appendInternalCell(buf[:0], sep, right))
 }
 
-// finishInsert stores n (splitting first if it overflows).
-func (t *Tree) finishInsert(p *sim.Proc, id int64, n *node) ([]byte, int64, error) {
-	if n.fill() <= capacity {
-		return nil, 0, t.storeNode(p, id, n)
-	}
-	sep, right := split(n)
-	rightID, err := t.storeNewNode(p, right)
+// split gives node id a new right sibling and divides between the two the
+// node's cells and entry, the encoded cell for key that did not fit. It
+// returns the separator and the sibling for the level above. The division is
+// worked out on a copy: the overfull node never exists in a page.
+func (t *Tree) split(p *sim.Proc, id int64, leaf bool, key, entry []byte) ([]byte, int64, error) {
+	s := t.store
+	right, err := s.newNode(p, leaf)
 	if err != nil {
 		return nil, 0, err
 	}
-	if n.leaf {
-		right.next = n.next
-		n.next = rightID
-		if err := t.storeNode(p, rightID, right); err != nil {
+	if leaf {
+		// The decoding engine stored a new leaf twice, the second time to
+		// link it into the chain; the second Get is part of the sequence
+		// Store.edit describes.
+		s.unpin(right)
+		if right, err = s.pin(p, right.pg.ID); err != nil {
 			return nil, 0, err
 		}
 	}
-	if err := t.storeNode(p, id, n); err != nil {
+	defer s.unpin(right)
+	// Both nodes stay pinned from here: nothing that could wait for a page
+	// runs between reading the old node and writing the two halves.
+	left, err := s.pin(p, id)
+	if err != nil {
 		return nil, 0, err
 	}
-	return sep, rightID, nil
-}
-
-// split moves the upper half (by logical fill) of n into a new right node
-// and returns the separator key.
-func split(n *node) ([]byte, *node) {
-	if n.leaf {
-		half := n.fill() / 2
-		cut, run := 0, 0
-		for i, k := range n.keys {
-			run += len(k) + n.logical[i] + leafEntryOverhead
-			if run > half {
-				cut = i + 1
-				break
-			}
-		}
-		if cut <= 0 || cut >= len(n.keys) {
-			cut = len(n.keys) / 2
-		}
-		right := &node{
-			leaf:    true,
-			keys:    append([][]byte{}, n.keys[cut:]...),
-			vals:    append([][]byte{}, n.vals[cut:]...),
-			logical: append([]int{}, n.logical[cut:]...),
-		}
-		n.keys = n.keys[:cut]
-		n.vals = n.vals[:cut]
-		n.logical = n.logical[:cut]
-		return right.keys[0], right
+	defer s.unpin(left)
+	if left.leaf != leaf {
+		return nil, 0, corruptf(id, "node changed kind under a split")
 	}
-	mid := len(n.keys) / 2
-	sep := n.keys[mid]
-	right := &node{
-		keys:     append([][]byte{}, n.keys[mid+1:]...),
-		children: append([]int64{}, n.children[mid+1:]...),
+	sp, err := left.seek(key, true)
+	if err != nil {
+		return nil, 0, err
 	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	return sep, right
-}
+	var buf [2 * bufcache.PageSize]byte
+	d := left.pg.Data
+	cells := append(append(append(buf[:0], d[nodeHeader:sp.off]...), entry...), d[sp.end:sp.used]...)
+	n := left.n
+	if !sp.found() {
+		n++
+	}
 
-func insertAt(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertIntAt(s []int, i, v int) []int {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertInt64At(s []int64, i int, v int64) []int64 {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	// A leaf's left half takes cells until it holds more than half the
+	// fill, an internal node's half the keys; either stops short of a cell
+	// that would put it over a page, which the halfway mark can lie past
+	// when entries exceed a third of a page.
+	_, _, entrySize, _, _ := cell(entry, leaf, 0)
+	half := (sp.fill - sp.size + entrySize) / 2
+	cut, off, run := 0, 0, 0
+	for cut < n && (leaf && run <= half || !leaf && cut < n/2) {
+		_, _, size, end, _ := cell(cells, leaf, off)
+		if run += size; run > capacity {
+			break
+		}
+		cut, off = cut+1, end
+	}
+	if leaf && (cut == 0 || cut == n) {
+		cut, off = n/2, 0
+		for i := 0; i < cut; i++ {
+			_, _, _, off, _ = cell(cells, leaf, off)
+		}
+	}
+	// The cell at the cut starts a leaf's right half; an internal node's
+	// moves up, its child becoming the right half's leftmost.
+	k, v, _, end, _ := cell(cells, leaf, off)
+	rn, rlink, rcells, llink := n-cut, left.link(), cells[off:], right.pg.ID
+	if !leaf {
+		rn, rlink, rcells, llink = n-cut-1, int64(binary.LittleEndian.Uint64(v)), cells[end:], left.link()
+	}
+	if off > capacity || len(rcells) > capacity {
+		return nil, 0, corruptf(id, "halves of %d and %d bytes", off, len(rcells))
+	}
+	sep := bytes.Clone(k)
+	right.write(rn, rlink, rcells)
+	left.write(cut, llink, cells[:off])
+	s.cache.MarkDirty(right.pg)
+	s.cache.MarkDirty(left.pg)
+	return sep, right.pg.ID, nil
 }
 
 // Delete removes key. Nodes are not rebalanced (lazy deletion, standard for
 // the workloads here: TPC-C only deletes new-order rows).
 func (t *Tree) Delete(p *sim.Proc, key []byte) error {
-	id := t.root()
-	var path []int64
-	for {
-		path = append(path, id)
-		n, err := t.loadNode(p, id)
-		if err != nil {
-			return err
-		}
-		if n.leaf {
-			i, ok := findKey(n.keys, key)
-			if !ok {
-				return ErrNotFound
-			}
-			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			n.vals = append(n.vals[:i], n.vals[i+1:]...)
-			n.logical = append(n.logical[:i], n.logical[i+1:]...)
-			return t.storeNode(p, id, n)
-		}
-		id = n.children[childIndex(n.keys, key)]
+	s := t.store
+	leaf, _, err := t.descend(p, key, nil)
+	if err != nil {
+		return err
 	}
+	defer s.unpin(leaf)
+	sp, err := leaf.seek(key, true)
+	if err != nil {
+		return err
+	}
+	if !sp.found() {
+		return ErrNotFound
+	}
+	if err := s.edit(p, leaf); err != nil {
+		return err
+	}
+	defer s.unpin(leaf)
+	splice(leaf.pg.Data, sp.off, sp.end, sp.used, 0)
+	leaf.setCount(leaf.n - 1)
+	return nil
 }
 
-// Scan calls fn for each key >= from in order until fn returns false.
+// Scan calls fn for each key >= from in order until fn returns false. The
+// slices fn receives alias the pinned page: they are valid until fn
+// returns, and fn must not write to the tree.
 func (t *Tree) Scan(p *sim.Proc, from []byte, fn func(key, value []byte) bool) error {
-	id := t.root()
-	for {
-		n, err := t.loadNode(p, id)
-		if err != nil {
+	s := t.store
+	leaf, _, err := t.descend(p, from, nil)
+	if err != nil {
+		return err
+	}
+	sp, err := leaf.seek(from, false)
+	if err != nil {
+		s.unpin(leaf)
+		return err
+	}
+	for visited := int64(1); ; visited++ {
+		d := leaf.pg.Data
+		for i, off := sp.idx, sp.off; i < leaf.n; i++ {
+			k, v, _, end, ok := cell(d, true, off)
+			if !ok {
+				s.unpin(leaf)
+				return corruptf(leaf.pg.ID, "cell %d of %d runs past the page", i, leaf.n)
+			}
+			if !fn(k, v) {
+				s.unpin(leaf)
+				return nil
+			}
+			off = end
+		}
+		next := leaf.link()
+		s.unpin(leaf)
+		if next == 0 {
+			return nil
+		}
+		if visited >= s.nextPage {
+			return corruptf(next, "leaf chain longer than the store's %d pages", s.nextPage)
+		}
+		if leaf, err = s.pin(p, next); err != nil {
 			return err
 		}
-		if n.leaf {
-			start, _ := findKey(n.keys, from)
-			for {
-				for i := start; i < len(n.keys); i++ {
-					if !fn(n.keys[i], n.vals[i]) {
-						return nil
-					}
-				}
-				if n.next == 0 {
-					return nil
-				}
-				n, err = t.loadNode(p, n.next)
-				if err != nil {
-					return err
-				}
-				start = 0
-			}
+		if !leaf.leaf {
+			s.unpin(leaf)
+			return corruptf(next, "internal node on the leaf chain")
 		}
-		id = n.children[childIndex(n.keys, from)]
+		sp = spot{off: nodeHeader}
 	}
 }
 
 // Check validates the tree's structural invariants, returning the first
-// violation: keys strictly sorted within nodes, all leaves at equal depth,
+// violation as an ErrCorrupt: cells inside their page and within its
+// capacity, keys strictly sorted within nodes, all leaves at equal depth,
 // every key within its parent's separator bounds, and the leaf chain in
 // left-to-right order. Intended for tests.
 func (t *Tree) Check(p *sim.Proc) error {
-	var leafDepth = -1
+	s := t.store
+	leafDepth := -1
 	var prevLeafKey []byte
+	visited := int64(0)
 	var walk func(id int64, depth int, lo, hi []byte) error
 	walk = func(id int64, depth int, lo, hi []byte) error {
-		n, err := t.loadNode(p, id)
+		if visited++; visited >= s.nextPage || depth >= maxDepth {
+			return corruptf(id, "reached at depth %d as page %d of a store of %d", depth, visited, s.nextPage)
+		}
+		nd, err := s.pin(p, id)
 		if err != nil {
 			return err
 		}
-		for i, k := range n.keys {
-			if i > 0 && bytes.Compare(n.keys[i-1], k) >= 0 {
-				return fmt.Errorf("kvdb: page %d keys out of order at %d", id, i)
+		// The walk works on a copy: the separators must outlive the pin,
+		// which is dropped before the children are visited, one pin at a
+		// time like every other descent.
+		d, link := bytes.Clone(nd.pg.Data), nd.link()
+		s.unpin(nd)
+
+		var prev []byte
+		off, fill := nodeHeader, 0
+		for i := 0; i < nd.n; i++ {
+			k, _, size, end, ok := cell(d, nd.leaf, off)
+			if !ok {
+				return corruptf(id, "cell %d of %d runs past the page", i, nd.n)
+			}
+			off, fill = end, fill+size
+			if i > 0 && bytes.Compare(prev, k) >= 0 {
+				return corruptf(id, "keys out of order at %d", i)
 			}
 			if lo != nil && bytes.Compare(k, lo) < 0 {
-				return fmt.Errorf("kvdb: page %d key %q below separator %q", id, k, lo)
+				return corruptf(id, "key %q below separator %q", k, lo)
 			}
 			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				return fmt.Errorf("kvdb: page %d key %q not below separator %q", id, k, hi)
+				return corruptf(id, "key %q not below separator %q", k, hi)
 			}
+			if nd.leaf {
+				if prevLeafKey != nil && bytes.Compare(prevLeafKey, k) >= 0 {
+					return corruptf(id, "leaf chain out of order at %q", k)
+				}
+				prevLeafKey = k
+			}
+			prev = k
 		}
-		if n.leaf {
+		if fill > capacity {
+			return corruptf(id, "overfull (%d)", fill)
+		}
+		if nd.leaf {
 			if leafDepth == -1 {
 				leafDepth = depth
 			} else if depth != leafDepth {
-				return fmt.Errorf("kvdb: leaf page %d at depth %d, want %d", id, depth, leafDepth)
-			}
-			for _, k := range n.keys {
-				if prevLeafKey != nil && bytes.Compare(prevLeafKey, k) >= 0 {
-					return fmt.Errorf("kvdb: leaf chain out of order at %q", k)
-				}
-				prevLeafKey = append(prevLeafKey[:0], k...)
-			}
-			if n.fill() > capacity {
-				return fmt.Errorf("kvdb: leaf page %d overfull (%d)", id, n.fill())
+				return corruptf(id, "leaf at depth %d, want %d", depth, leafDepth)
 			}
 			return nil
 		}
-		if len(n.children) != len(n.keys)+1 {
-			return fmt.Errorf("kvdb: page %d has %d children for %d keys", id, len(n.children), len(n.keys))
-		}
-		for i, child := range n.children {
-			clo, chi := lo, hi
-			if i > 0 {
-				clo = n.keys[i-1]
-			}
-			if i < len(n.keys) {
-				chi = n.keys[i]
-			}
-			if err := walk(child, depth+1, clo, chi); err != nil {
+		child, clo := link, lo
+		off = nodeHeader
+		for i := 0; i < nd.n; i++ {
+			k, next, _, end, _ := cell(d, false, off)
+			if err := walk(child, depth+1, clo, k); err != nil {
 				return err
 			}
+			child, clo, off = int64(binary.LittleEndian.Uint64(next)), k, end
 		}
-		return nil
+		return walk(child, depth+1, clo, hi)
 	}
 	return walk(t.root(), 0, nil, nil)
 }

@@ -129,8 +129,8 @@ type FuncInfo struct {
 	// outside the exempt file (seeds for indirect-reach detection).
 	RandRefs []token.Pos
 
-	// SinkCalls records direct output-sink calls (fmt printing, JSON/CSV
-	// writers, ...) as classified by sinkName.
+	// SinkCalls records direct sink calls (fmt printing, JSON/CSV writers,
+	// kernel scheduling calls, ...) as classified by sinkName.
 	SinkCalls []SinkCall
 
 	// ProbeEmits records sim.Env.EmitProbe call sites with the probe-kind
@@ -983,8 +983,30 @@ func sinkNameFromFunc(fn *types.Func) string {
 			return fmt.Sprintf("%s.%s", named.Obj().Name(), name)
 		}
 	}
-	if NormalizePath(named.Obj().Pkg().Path()) == "tracklog/internal/trace" && named.Obj().Name() == "ChromeWriter" {
-		return "trace.ChromeWriter." + name
+	switch NormalizePath(named.Obj().Pkg().Path()) {
+	case "tracklog/internal/trace":
+		if named.Obj().Name() == "ChromeWriter" {
+			return "trace.ChromeWriter." + name
+		}
+	case "tracklog/internal/sim":
+		// Kernel scheduling calls: processes made runnable at one instant
+		// run in the order they were made runnable.
+		switch call := named.Obj().Name() + "." + name; call {
+		case "Event.Trigger", "Cond.Signal", "Cond.Broadcast", "Env.Go", "Env.GoDaemon", "Resource.Release":
+			return schedSinkPrefix + call
+		}
 	}
 	return ""
+}
+
+// schedSinkPrefix starts the name of every kernel-scheduling sink, which is
+// how sinkKind tells them from output sinks.
+const schedSinkPrefix = "sim."
+
+// sinkKind is the noun a diagnostic gives a sink.
+func sinkKind(sink string) string {
+	if strings.HasPrefix(sink, schedSinkPrefix) {
+		return "scheduling call"
+	}
+	return "output sink"
 }

@@ -18,13 +18,17 @@ import (
 //     the wall clock by any import in the binary; crypto/rand is
 //     nondeterministic by design.
 //
-//  2. Ranging over a map into an output sink is flagged. Map iteration
-//     order is randomized per run, so any fmt print, JSON/CSV writer,
-//     buffered writer or Chrome trace emission inside a map-range body
-//     produces run-dependent bytes. Collect the keys, sort them, and range
-//     the sorted slice instead. The check is whole-program: a sink reached
-//     through a helper call (or a chain of them) is traced over the call
-//     graph and reported with the witness chain.
+//  2. Ranging over a map into a sink is flagged. Map iteration order is
+//     randomized per run, so any fmt print, JSON/CSV writer, buffered
+//     writer or Chrome trace emission inside a map-range body produces
+//     run-dependent bytes, and any kernel scheduling call there
+//     (sim.Event.Trigger, sim.Cond.Signal/Broadcast, sim.Env.Go/GoDaemon,
+//     sim.Resource.Release) a run-dependent schedule: processes made
+//     runnable at one instant run in the order they were made runnable.
+//     Collect the keys, sort them, and range the sorted slice instead. The
+//     check is whole-program: a sink reached through a helper call (or a
+//     chain of them) is traced over the call graph and reported with the
+//     witness chain.
 //
 // Both rules have an interprocedural half built on the call-graph engine:
 // a function with no direct banned-rand reference whose call graph still
@@ -33,7 +37,7 @@ import (
 // sim.Rand is the fix, not a finding).
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid math/rand outside internal/sim and map-range iteration into output sinks",
+	Doc:  "forbid math/rand outside internal/sim and map-range iteration into output or scheduling sinks",
 	Run:  runDeterminism,
 }
 
@@ -99,8 +103,8 @@ func (prog *Program) randTaint() map[string][]string {
 	return prog.randChains
 }
 
-// sinkTaint seeds the caller-ward taint closure with every direct
-// output-sink call, for the helper-mediated map-range check.
+// sinkTaint seeds the caller-ward taint closure with every direct sink
+// call, for the helper-mediated map-range check.
 func (prog *Program) sinkTaint() map[string][]string {
 	if prog.sinkChains == nil {
 		seeds := make(map[string]string)
@@ -133,7 +137,7 @@ func checkRandImports(pass *Pass, file *ast.File) {
 
 // checkMapRangeSinks flags `for ... := range m { ... sink ... }` where m is
 // map-typed and the loop body (including nested statements) contains a call
-// to an output sink.
+// to a sink.
 func checkMapRangeSinks(pass *Pass, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
@@ -159,8 +163,8 @@ func checkMapRangeSinks(pass *Pass, file *ast.File) {
 			}
 			if sink := sinkName(pass, call); sink != "" {
 				pass.Reportf(rng.For,
-					"map iteration order is randomized, but this range body reaches output sink %s; collect the keys, sort them, and range the sorted slice",
-					sink)
+					"map iteration order is randomized, but this range body reaches %s %s; collect the keys, sort them, and range the sorted slice",
+					sinkKind(sink), sink)
 				done = true
 				return false
 			}
@@ -169,8 +173,8 @@ func checkMapRangeSinks(pass *Pass, file *ast.File) {
 			if callee := pass.calleeFunc(call); callee != nil {
 				if chain := chains[FuncID(callee)]; chain != nil {
 					pass.Reportf(rng.For,
-						"map iteration order is randomized, but this range body reaches output sink via helper (%s); collect the keys, sort them, and range the sorted slice",
-						renderChain(chain))
+						"map iteration order is randomized, but this range body reaches %s via helper (%s); collect the keys, sort them, and range the sorted slice",
+						sinkKind(chain[len(chain)-1]), renderChain(chain))
 					done = true
 					return false
 				}
@@ -181,7 +185,7 @@ func checkMapRangeSinks(pass *Pass, file *ast.File) {
 	})
 }
 
-// sinkName reports the human-readable name of the output sink a call
+// sinkName reports the human-readable name of the sink a call
 // targets, or "" if the call is not a sink. The classification itself lives
 // in sinkNameFromFunc (callgraph.go), shared with the whole-program
 // summaries.

@@ -158,26 +158,37 @@ func TestConsistencyNewOrderQueueSubsetOfOrders(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	// Two identical rigs produce bit-identical results, checkpoints
-	// included: a checkpoint's page writes block, so their order is part of
-	// the virtual-time result.
+	// Identical rigs produce bit-identical results, checkpoints included: a
+	// checkpoint's page writes block, so their order is part of the
+	// virtual-time result. At concurrency 4 a commit wakes waiters on several
+	// keys at one instant, and the order it wakes them in must not be Go's
+	// map order: that case runs often enough to draw more than one order.
 	type outcome struct {
 		committed, flushes int64
+		lockWaits          int64
 		elapsed            time.Duration
 		tpmC               float64
 		sum, p50, p99, max time.Duration
 	}
-	run := func() outcome {
-		r := newRig(t, wal.SyncEveryCommit)
-		defer r.env.Close()
-		res, err := r.run.Run(r.env, RunConfig{Transactions: 50, Concurrency: 2, Seed: 41, CheckpointEvery: 10})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct{ concurrency, txns, runs int }{{2, 50, 2}, {4, 300, 10}} {
+		run := func() outcome {
+			r := newRig(t, wal.SyncEveryCommit)
+			defer r.env.Close()
+			res, err := r.run.Run(r.env, RunConfig{Transactions: tc.txns, Concurrency: tc.concurrency, Seed: 41, CheckpointEvery: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return outcome{res.Committed, res.LogFlushes, r.m.Stats().LockWaits, res.Elapsed, res.TpmC(), res.Response.Sum(),
+				res.Response.Quantile(0.5), res.Response.Quantile(0.99), res.Response.Max()}
 		}
-		return outcome{res.Committed, res.LogFlushes, res.Elapsed, res.TpmC(), res.Response.Sum(),
-			res.Response.Quantile(0.5), res.Response.Quantile(0.99), res.Response.Max()}
-	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("runs diverged:\n%+v\n%+v", a, b)
+		first := run()
+		if tc.concurrency > 2 && first.lockWaits == 0 {
+			t.Errorf("concurrency %d: no lock waits, the case tests nothing", tc.concurrency)
+		}
+		for i := 1; i < tc.runs; i++ {
+			if again := run(); again != first {
+				t.Fatalf("concurrency %d: run %d diverged:\n%+v\n%+v", tc.concurrency, i, first, again)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"tracklog/internal/kvdb"
@@ -285,6 +286,25 @@ func (r *Runner) execute(p *sim.Proc, rng *sim.Rand, t TxType, cpuScale float64)
 	}
 }
 
+// get, getForUpdate, put and del run one row operation of tx on table t.
+// A row's lock is named by its key, which each builds once per operation.
+
+func (r *Runner) get(p *sim.Proc, tx *txn.Txn, t Table, key []byte) ([]byte, error) {
+	return tx.Get(p, r.db.trees[t], uint16(t), key, string(key))
+}
+
+func (r *Runner) getForUpdate(p *sim.Proc, tx *txn.Txn, t Table, key []byte) ([]byte, error) {
+	return tx.GetForUpdate(p, r.db.trees[t], uint16(t), key, string(key))
+}
+
+func (r *Runner) put(p *sim.Proc, tx *txn.Txn, t Table, key, row []byte, logical int) error {
+	return tx.Put(p, r.db.trees[t], uint16(t), key, row, logical, string(key))
+}
+
+func (r *Runner) del(p *sim.Proc, tx *txn.Txn, t Table, key []byte) error {
+	return tx.Delete(p, r.db.trees[t], uint16(t), key, string(key))
+}
+
 // newOrder implements TPC-C §2.4.
 func (r *Runner) newOrder(p *sim.Proc, rng *sim.Rand) error {
 	cfg := r.db.cfg
@@ -293,19 +313,20 @@ func (r *Runner) newOrder(p *sim.Proc, rng *sim.Rand) error {
 	c := rng.NURand(1023, 1, cfg.CustomersPerDistrict)
 	tx := r.m.Begin()
 
-	if _, err := tx.Get(p, r.db.trees[Warehouse], uint16(Warehouse), wKey(w), string(wKey(w))); err != nil {
+	if _, err := r.get(p, tx, Warehouse, wKey(w)); err != nil {
 		return r.fail(p, tx, err)
 	}
-	dRow, err := tx.GetForUpdate(p, r.db.trees[District], uint16(District), dKey(w, d), string(dKey(w, d)))
+	dk := dKey(w, d)
+	dRow, err := r.getForUpdate(p, tx, District, dk)
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
 	oID := int(getU32(dRow, 0))
-	if err := tx.Put(p, r.db.trees[District], uint16(District), dKey(w, d),
-		districtRow(uint32(oID+1), getU32(dRow, 1), getU32(dRow, 2)), District.logicalSize(), string(dKey(w, d))); err != nil {
+	if err := r.put(p, tx, District, dk,
+		districtRow(uint32(oID+1), getU32(dRow, 1), getU32(dRow, 2)), District.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
-	if _, err := tx.Get(p, r.db.trees[Customer], uint16(Customer), cKey(w, d, c), string(cKey(w, d, c))); err != nil {
+	if _, err := r.get(p, tx, Customer, cKey(w, d, c)); err != nil {
 		return r.fail(p, tx, err)
 	}
 
@@ -318,12 +339,13 @@ func (r *Runner) newOrder(p *sim.Proc, rng *sim.Rand) error {
 			tx.Abort(p)
 			return errRollback
 		}
-		iRow, err := tx.Get(p, r.db.trees[Item], uint16(Item), iKey(item), string(iKey(item)))
+		iRow, err := r.get(p, tx, Item, iKey(item))
 		if err != nil {
 			return r.fail(p, tx, err)
 		}
 		price := getU32(iRow, 0)
-		sRow, err := tx.GetForUpdate(p, r.db.trees[Stock], uint16(Stock), sKey(w, item), string(sKey(w, item)))
+		sk := sKey(w, item)
+		sRow, err := r.getForUpdate(p, tx, Stock, sk)
 		if err != nil {
 			return r.fail(p, tx, err)
 		}
@@ -334,28 +356,25 @@ func (r *Runner) newOrder(p *sim.Proc, rng *sim.Rand) error {
 		} else {
 			qty = qty - orderQty + 91
 		}
-		if err := tx.Put(p, r.db.trees[Stock], uint16(Stock), sKey(w, item),
-			stockRow(qty, getU32(sRow, 1)+orderQty, getU32(sRow, 2)+1, getU32(sRow, 3)),
-			Stock.logicalSize(), string(sKey(w, item))); err != nil {
+		if err := r.put(p, tx, Stock, sk,
+			stockRow(qty, getU32(sRow, 1)+orderQty, getU32(sRow, 2)+1, getU32(sRow, 3)), Stock.logicalSize()); err != nil {
 			return r.fail(p, tx, err)
 		}
 		amount := orderQty * price
 		total += amount
-		if err := tx.Put(p, r.db.trees[OrderLine], uint16(OrderLine), olKey(w, d, oID, l),
-			orderLineRow(uint32(item), orderQty, amount, 0), OrderLine.logicalSize(), string(olKey(w, d, oID, l))); err != nil {
+		if err := r.put(p, tx, OrderLine, olKey(w, d, oID, l),
+			orderLineRow(uint32(item), orderQty, amount, 0), OrderLine.logicalSize()); err != nil {
 			return r.fail(p, tx, err)
 		}
 	}
-	if err := tx.Put(p, r.db.trees[Order], uint16(Order), oKey(w, d, oID),
-		orderRow(uint32(c), uint32(olCnt), 0, 0), Order.logicalSize(), string(oKey(w, d, oID))); err != nil {
+	if err := r.put(p, tx, Order, oKey(w, d, oID),
+		orderRow(uint32(c), uint32(olCnt), 0, 0), Order.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
-	if err := tx.Put(p, r.db.trees[Order], uint16(Order), ocKey(w, d, c, oID),
-		[]byte{1}, 8, string(ocKey(w, d, c, oID))); err != nil {
+	if err := r.put(p, tx, Order, ocKey(w, d, c, oID), []byte{1}, 8); err != nil {
 		return r.fail(p, tx, err)
 	}
-	if err := tx.Put(p, r.db.trees[NewOrder], uint16(NewOrder), noKey(w, d, oID),
-		[]byte{1}, NewOrder.logicalSize(), string(noKey(w, d, oID))); err != nil {
+	if err := r.put(p, tx, NewOrder, noKey(w, d, oID), []byte{1}, NewOrder.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
 	return tx.Commit(p)
@@ -370,35 +389,38 @@ func (r *Runner) payment(p *sim.Proc, rng *sim.Rand) error {
 	amount := uint32(rng.IntRange(100, 500000))
 	tx := r.m.Begin()
 
-	wRow, err := tx.GetForUpdate(p, r.db.trees[Warehouse], uint16(Warehouse), wKey(w), string(wKey(w)))
+	wk := wKey(w)
+	wRow, err := r.getForUpdate(p, tx, Warehouse, wk)
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
-	if err := tx.Put(p, r.db.trees[Warehouse], uint16(Warehouse), wKey(w),
-		warehouseRow(getU32(wRow, 0)+amount, getU32(wRow, 1)), Warehouse.logicalSize(), string(wKey(w))); err != nil {
+	if err := r.put(p, tx, Warehouse, wk,
+		warehouseRow(getU32(wRow, 0)+amount, getU32(wRow, 1)), Warehouse.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
-	dRow, err := tx.GetForUpdate(p, r.db.trees[District], uint16(District), dKey(w, d), string(dKey(w, d)))
+	dk := dKey(w, d)
+	dRow, err := r.getForUpdate(p, tx, District, dk)
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
-	if err := tx.Put(p, r.db.trees[District], uint16(District), dKey(w, d),
-		districtRow(getU32(dRow, 0), getU32(dRow, 1)+amount, getU32(dRow, 2)), District.logicalSize(), string(dKey(w, d))); err != nil {
+	if err := r.put(p, tx, District, dk,
+		districtRow(getU32(dRow, 0), getU32(dRow, 1)+amount, getU32(dRow, 2)), District.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
-	cRow, err := tx.GetForUpdate(p, r.db.trees[Customer], uint16(Customer), cKey(w, d, c), string(cKey(w, d, c)))
+	ck := cKey(w, d, c)
+	cRow, err := r.getForUpdate(p, tx, Customer, ck)
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
 	bal := customerBalance(cRow) - int64(amount)
-	if err := tx.Put(p, r.db.trees[Customer], uint16(Customer), cKey(w, d, c),
+	if err := r.put(p, tx, Customer, ck,
 		customerRow(bal, getU32(cRow, 1)+amount, getU32(cRow, 2)+1, getU32(cRow, 3), getU32(cRow, 4)),
-		Customer.logicalSize(), string(cKey(w, d, c))); err != nil {
+		Customer.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
 	r.db.hSeq++
-	if err := tx.Put(p, r.db.trees[History], uint16(History), hKey(w, r.db.hSeq),
-		historyRow(uint32(c), amount), History.logicalSize(), string(hKey(w, r.db.hSeq))); err != nil {
+	if err := r.put(p, tx, History, hKey(w, r.db.hSeq),
+		historyRow(uint32(c), amount), History.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
 	return tx.Commit(p)
@@ -413,7 +435,7 @@ func (r *Runner) orderStatus(p *sim.Proc, rng *sim.Rand) error {
 	c := rng.NURand(1023, 1, cfg.CustomersPerDistrict)
 	tx := r.m.Begin()
 
-	if _, err := tx.Get(p, r.db.trees[Customer], uint16(Customer), cKey(w, d, c), string(cKey(w, d, c))); err != nil {
+	if _, err := r.get(p, tx, Customer, cKey(w, d, c)); err != nil {
 		return r.fail(p, tx, err)
 	}
 	// Latest order via the customer-order index.
@@ -423,18 +445,20 @@ func (r *Runner) orderStatus(p *sim.Proc, rng *sim.Rand) error {
 		if !bytes.HasPrefix(k, prefix) {
 			return false
 		}
-		fmt.Sscanf(string(k[len(prefix):]), "%d", &lastOID)
+		if o, ok := keySuffix(k, prefix); ok {
+			lastOID = o
+		}
 		return true
 	})
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
 	if lastOID >= 0 {
-		oRow, err := tx.Get(p, r.db.trees[Order], uint16(Order), oKey(w, d, lastOID), string(oKey(w, d, lastOID)))
+		oRow, err := r.get(p, tx, Order, oKey(w, d, lastOID))
 		if err == nil {
 			olCnt := int(getU32(oRow, 1))
 			for l := 1; l <= olCnt; l++ {
-				if _, err := tx.Get(p, r.db.trees[OrderLine], uint16(OrderLine), olKey(w, d, lastOID, l), string(olKey(w, d, lastOID, l))); err != nil && !errors.Is(err, kvdb.ErrNotFound) {
+				if _, err := r.get(p, tx, OrderLine, olKey(w, d, lastOID, l)); err != nil && !errors.Is(err, kvdb.ErrNotFound) {
 					return r.fail(p, tx, err)
 				}
 			}
@@ -455,7 +479,7 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 
 	for d := 1; d <= cfg.Districts; d++ {
 		// Serialize per-district queue consumption.
-		qLock := fmt.Sprintf("noq:%d:%d", w, d)
+		qLock := "noq:" + strconv.Itoa(w) + ":" + strconv.Itoa(d)
 		if err := tx.Lock(p, qLock, txn.Exclusive); err != nil {
 			return r.fail(p, tx, err)
 		}
@@ -463,7 +487,9 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 		oldest := -1
 		err := r.db.trees[NewOrder].Scan(p, prefix, func(k, v []byte) bool {
 			if bytes.HasPrefix(k, prefix) {
-				fmt.Sscanf(string(k[len(prefix):]), "%d", &oldest)
+				if o, ok := keySuffix(k, prefix); ok {
+					oldest = o
+				}
 			}
 			return false
 		})
@@ -473,10 +499,11 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 		if oldest < 0 {
 			continue // district queue empty
 		}
-		if err := tx.Delete(p, r.db.trees[NewOrder], uint16(NewOrder), noKey(w, d, oldest), string(noKey(w, d, oldest))); err != nil {
+		if err := r.del(p, tx, NewOrder, noKey(w, d, oldest)); err != nil {
 			return r.fail(p, tx, err)
 		}
-		oRow, err := tx.GetForUpdate(p, r.db.trees[Order], uint16(Order), oKey(w, d, oldest), string(oKey(w, d, oldest)))
+		orderKey := oKey(w, d, oldest)
+		oRow, err := r.getForUpdate(p, tx, Order, orderKey)
 		if err != nil {
 			if errors.Is(err, kvdb.ErrNotFound) {
 				continue
@@ -485,13 +512,13 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 		}
 		cID := int(getU32(oRow, 0))
 		olCnt := int(getU32(oRow, 1))
-		if err := tx.Put(p, r.db.trees[Order], uint16(Order), oKey(w, d, oldest),
-			orderRow(uint32(cID), uint32(olCnt), carrier, 1), Order.logicalSize(), string(oKey(w, d, oldest))); err != nil {
+		if err := r.put(p, tx, Order, orderKey,
+			orderRow(uint32(cID), uint32(olCnt), carrier, 1), Order.logicalSize()); err != nil {
 			return r.fail(p, tx, err)
 		}
 		var total int64
 		for l := 1; l <= olCnt; l++ {
-			olRow, err := tx.Get(p, r.db.trees[OrderLine], uint16(OrderLine), olKey(w, d, oldest, l), string(olKey(w, d, oldest, l)))
+			olRow, err := r.get(p, tx, OrderLine, olKey(w, d, oldest, l))
 			if err != nil {
 				if errors.Is(err, kvdb.ErrNotFound) {
 					continue
@@ -500,13 +527,14 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 			}
 			total += int64(getU32(olRow, 2))
 		}
-		cRow, err := tx.GetForUpdate(p, r.db.trees[Customer], uint16(Customer), cKey(w, d, cID), string(cKey(w, d, cID)))
+		ck := cKey(w, d, cID)
+		cRow, err := r.getForUpdate(p, tx, Customer, ck)
 		if err != nil {
 			return r.fail(p, tx, err)
 		}
-		if err := tx.Put(p, r.db.trees[Customer], uint16(Customer), cKey(w, d, cID),
+		if err := r.put(p, tx, Customer, ck,
 			customerRow(customerBalance(cRow)+total, getU32(cRow, 1), getU32(cRow, 2), getU32(cRow, 3)+1, getU32(cRow, 4)),
-			Customer.logicalSize(), string(cKey(w, d, cID))); err != nil {
+			Customer.logicalSize()); err != nil {
 			return r.fail(p, tx, err)
 		}
 	}
@@ -522,7 +550,7 @@ func (r *Runner) stockLevel(p *sim.Proc, rng *sim.Rand) error {
 	threshold := uint32(rng.IntRange(10, 20))
 	tx := r.m.Begin()
 
-	dRow, err := tx.Get(p, r.db.trees[District], uint16(District), dKey(w, d), string(dKey(w, d)))
+	dRow, err := r.get(p, tx, District, dKey(w, d))
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
@@ -546,7 +574,7 @@ func (r *Runner) stockLevel(p *sim.Proc, rng *sim.Rand) error {
 				continue
 			}
 			seen[item] = true
-			sRow, err := tx.Get(p, r.db.trees[Stock], uint16(Stock), sKey(w, int(item)), string(sKey(w, int(item))))
+			sRow, err := r.get(p, tx, Stock, sKey(w, int(item)))
 			if err != nil {
 				return r.fail(p, tx, err)
 			}

@@ -12,6 +12,7 @@ package tpcc
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/kvdb"
@@ -72,26 +73,58 @@ func (t Table) String() string {
 }
 
 // Key builders. Fixed-width decimal fields keep byte order == numeric order
-// for B+tree scans.
+// for B+tree scans: a key is its table's tag letter, then ':' and a
+// zero-padded number per field, as fmt's "t:%04d:%02d" wrote them.
 
-func wKey(w int) []byte            { return []byte(fmt.Sprintf("w:%04d", w)) }
-func dKey(w, d int) []byte         { return []byte(fmt.Sprintf("d:%04d:%02d", w, d)) }
-func cKey(w, d, c int) []byte      { return []byte(fmt.Sprintf("c:%04d:%02d:%05d", w, d, c)) }
-func iKey(i int) []byte            { return []byte(fmt.Sprintf("i:%06d", i)) }
-func sKey(w, i int) []byte         { return []byte(fmt.Sprintf("s:%04d:%06d", w, i)) }
-func oKey(w, d, o int) []byte      { return []byte(fmt.Sprintf("o:%04d:%02d:%08d", w, d, o)) }
-func noKey(w, d, o int) []byte     { return []byte(fmt.Sprintf("n:%04d:%02d:%08d", w, d, o)) }
-func olKey(w, d, o, l int) []byte  { return []byte(fmt.Sprintf("l:%04d:%02d:%08d:%02d", w, d, o, l)) }
-func hKey(w int, seq int64) []byte { return []byte(fmt.Sprintf("h:%04d:%012d", w, seq)) }
+// keyBuf is a key under construction; 24 bytes hold the longest one.
+type keyBuf []byte
+
+func newKey(tag byte) keyBuf { return append(make(keyBuf, 0, 24), tag) }
+
+// num appends ':' and v in at least width digits.
+func (k keyBuf) num(v, width int) keyBuf { return appendPadded(append(k, ':'), int64(v), width) }
+
+// appendPadded appends v as fmt's %0*d prints it: zero-padded to width,
+// the sign counted in the width, wider when v needs more digits.
+func appendPadded(b []byte, v int64, width int) []byte {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], v, 10)
+	if v < 0 {
+		b, digits, width = append(b, '-'), digits[1:], width-1
+	}
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
+}
+
+func wKey(w int) []byte           { return newKey('w').num(w, 4) }
+func dKey(w, d int) []byte        { return newKey('d').num(w, 4).num(d, 2) }
+func cKey(w, d, c int) []byte     { return newKey('c').num(w, 4).num(d, 2).num(c, 5) }
+func iKey(i int) []byte           { return newKey('i').num(i, 6) }
+func sKey(w, i int) []byte        { return newKey('s').num(w, 4).num(i, 6) }
+func oKey(w, d, o int) []byte     { return newKey('o').num(w, 4).num(d, 2).num(o, 8) }
+func noKey(w, d, o int) []byte    { return newKey('n').num(w, 4).num(d, 2).num(o, 8) }
+func olKey(w, d, o, l int) []byte { return newKey('l').num(w, 4).num(d, 2).num(o, 8).num(l, 2) }
+func hKey(w int, seq int64) []byte {
+	return appendPadded(append(newKey('h').num(w, 4), ':'), seq, 12)
+}
 
 // noPrefix is the scan prefix for a district's new-order queue.
-func noPrefix(w, d int) []byte { return []byte(fmt.Sprintf("n:%04d:%02d:", w, d)) }
+func noPrefix(w, d int) []byte { return append(newKey('n').num(w, 4).num(d, 2), ':') }
 
 // ocKey indexes a customer's orders for Order-Status.
 func ocKey(w, d, c, o int) []byte {
-	return []byte(fmt.Sprintf("x:%04d:%02d:%05d:%08d", w, d, c, o))
+	return newKey('x').num(w, 4).num(d, 2).num(c, 5).num(o, 8)
 }
-func ocPrefix(w, d, c int) []byte { return []byte(fmt.Sprintf("x:%04d:%02d:%05d:", w, d, c)) }
+func ocPrefix(w, d, c int) []byte { return append(newKey('x').num(w, 4).num(d, 2).num(c, 5), ':') }
+
+// keySuffix parses the decimal field that follows prefix in a scanned key.
+// It converts in place and keeps nothing: k may alias a pinned page.
+func keySuffix(k, prefix []byte) (int, bool) {
+	v, err := strconv.Atoi(string(k[len(prefix):]))
+	return v, err == nil
+}
 
 // Row codecs: compact little-endian structs of just the computed fields.
 

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"tracklog/internal/kvdb"
@@ -201,10 +202,17 @@ func (m *Manager) wouldDeadlock(txnID int64, key string) bool {
 	return false
 }
 
-// releaseAll frees every lock held by t and grants waiting requests.
+// releaseAll frees every lock held by t and grants waiting requests, in key
+// order: waiters on different keys wake at one instant, and the order of
+// their wake-ups is the order they run in.
 func (t *Txn) releaseAll() {
 	m := t.m
+	keys := make([]string, 0, len(t.locks))
 	for key := range t.locks {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
 		ls := m.locks[key]
 		if ls == nil {
 			continue
@@ -224,7 +232,7 @@ func (t *Txn) releaseAll() {
 			delete(m.locks, key)
 		}
 	}
-	t.locks = map[string]LockMode{}
+	clear(t.locks)
 }
 
 // findWrite returns t's buffered write for (tag, key), newest first.
