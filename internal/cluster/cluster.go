@@ -423,38 +423,54 @@ type MixResult struct {
 	Outcomes []ReqOutcome
 }
 
-// RunMix launches one open-loop process per mix request (arrival at its At
-// instant) against the cluster. Call env.Run afterwards; the result is
-// filled in as requests complete.
+// RunMix plays the mix against the cluster open loop: one cluster/arrivals
+// process sleeps to each request's At instant (counted from when it starts)
+// and spawns that request's own process there, so a request costs the kernel
+// a process only while it is in flight. Requests due at the same instant
+// arrive in index order. Call env.Run afterwards; the result is filled in as
+// requests complete.
 func (c *Cluster) RunMix(reqs []workload.MixRequest) *MixResult {
 	res := &MixResult{Outcomes: make([]ReqOutcome, len(reqs))}
-	for i := range reqs {
-		i, r := i, reqs[i]
-		c.env.Go(fmt.Sprintf("cluster/req%d", i), func(p *sim.Proc) {
-			p.Sleep(r.At)
-			start := p.Now()
-			var err error
-			if r.Read {
-				_, err = c.Read(p, r.Tenant, r.Block, r.Class)
-			} else {
-				err = c.Write(p, r.Tenant, r.Block, r.Class)
-			}
-			o := &res.Outcomes[i]
-			o.At, o.Tenant, o.Read, o.Class = r.At, r.Tenant, r.Read, r.Class
-			o.Latency = time.Duration(p.Now().Sub(start))
-			switch {
-			case err == nil:
-				o.OK = true
-			case blockdev.IsShed(err):
-				o.Shed = true
-			case blockdev.IsExpired(err):
-				o.Expired = true
-			default:
-				o.Failed = true
-			}
-		})
+	order := make([]int, len(reqs))
+	for i := range order {
+		order[i] = i
 	}
+	sort.SliceStable(order, func(a, b int) bool { return reqs[order[a]].At < reqs[order[b]].At })
+	c.env.Go("cluster/arrivals", func(p *sim.Proc) {
+		start := p.Now()
+		for _, i := range order {
+			if wait := start.Add(reqs[i].At).Sub(p.Now()); wait > 0 {
+				p.Sleep(wait)
+			}
+			c.env.Go(fmt.Sprintf("cluster/req%d", i), func(p *sim.Proc) {
+				c.runMixRequest(p, reqs[i], &res.Outcomes[i])
+			})
+		}
+	})
 	return res
+}
+
+// runMixRequest issues one mix request and records its outcome in o.
+func (c *Cluster) runMixRequest(p *sim.Proc, r workload.MixRequest, o *ReqOutcome) {
+	start := p.Now()
+	var err error
+	if r.Read {
+		_, err = c.Read(p, r.Tenant, r.Block, r.Class)
+	} else {
+		err = c.Write(p, r.Tenant, r.Block, r.Class)
+	}
+	o.At, o.Tenant, o.Read, o.Class = r.At, r.Tenant, r.Read, r.Class
+	o.Latency = time.Duration(p.Now().Sub(start))
+	switch {
+	case err == nil:
+		o.OK = true
+	case blockdev.IsShed(err):
+		o.Shed = true
+	case blockdev.IsExpired(err):
+		o.Expired = true
+	default:
+		o.Failed = true
+	}
 }
 
 // VerifyAcked reads back every slot with at least one acknowledged write

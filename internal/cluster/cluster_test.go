@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"tracklog/internal/qos"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
+	"tracklog/internal/trace"
 	"tracklog/internal/workload"
 )
 
@@ -164,7 +167,9 @@ func TestClusterKillOneShardZeroAckedWriteLoss(t *testing.T) {
 }
 
 // Two same-seed kill-one-shard runs must agree on every outcome — the
-// property CI's cluster-chaos job byte-compares end to end.
+// property CI's cluster-chaos job byte-compares end to end — and on the
+// outcome stream recorded when RunMix still spawned every request up front:
+// spawning at arrival changes what the kernel carries, not what a client sees.
 func TestClusterKillRunDeterministic(t *testing.T) {
 	run := func() (string, Stats) {
 		env := sim.NewEnv()
@@ -185,6 +190,55 @@ func TestClusterKillRunDeterministic(t *testing.T) {
 	}
 	if stA != stB {
 		t.Fatalf("same-seed kill runs produced different stats:\n%+v\n%+v", stA, stB)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(sumA))
+	if got, want := h.Sum64(), uint64(0x7d044e25363ef9d2); got != want {
+		t.Fatalf("outcome stream digest %#016x, want %#016x (spawn-up-front RunMix, seed 23)", got, want)
+	}
+}
+
+// RunMix spawns each request at its due instant: in At order whatever the
+// order of the slice, in index order among requests due together, with
+// outcomes still indexed like the input.
+func TestRunMixArrivalOrder(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	tr := trace.New(1 << 12)
+	env.SetTracer(tr)
+	c, err := New(env, Config{Shards: 2, Tenants: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := []workload.MixRequest{
+		{At: 2 * time.Millisecond, Tenant: 0},
+		{At: 1 * time.Millisecond, Tenant: 1},
+		{At: 2 * time.Millisecond, Tenant: 2},
+		{At: 2 * time.Millisecond, Tenant: 3, Read: true},
+	}
+	var base sim.Time
+	var res *MixResult
+	env.Go("late-start", func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond) // arrivals count from RunMix, not from 0
+		base = p.Now()
+		res = c.RunMix(mix)
+	})
+	env.Run()
+
+	var spawned []string
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KProcStart && strings.HasPrefix(ev.Track, "cluster/req") {
+			spawned = append(spawned, fmt.Sprintf("%s@%v", ev.Track, sim.Time(ev.At).Sub(base)))
+		}
+	}
+	want := []string{"cluster/req1@1ms", "cluster/req0@2ms", "cluster/req2@2ms", "cluster/req3@2ms"}
+	if fmt.Sprint(spawned) != fmt.Sprint(want) {
+		t.Fatalf("requests spawned as %v, want %v", spawned, want)
+	}
+	for i, o := range res.Outcomes {
+		if !o.OK || o.At != mix[i].At || o.Tenant != mix[i].Tenant || o.Read != mix[i].Read {
+			t.Errorf("outcome %d = %+v, want an OK result for %+v", i, o, mix[i])
+		}
 	}
 }
 

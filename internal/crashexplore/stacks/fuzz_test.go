@@ -1,6 +1,7 @@
 package stacks_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"tracklog/internal/crashexplore"
 	"tracklog/internal/disk"
 	"tracklog/internal/fault"
+	"tracklog/internal/geom"
 	"tracklog/internal/raid"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
@@ -72,6 +74,17 @@ func FuzzSnapshotRestore(f *testing.F) {
 	for _, s := range targets {
 		f.Add(s.Snapshot())
 	}
+	// A drive snapshot ends with its sector entries (LBA, length, 512 bytes)
+	// in increasing LBA order; one with the last two swapped, and one with
+	// the last LBA repeated, are corrupt.
+	const entry = 8 + 4 + geom.SectorSize
+	drive := targets["disk"].Snapshot()
+	last, prev := len(drive)-entry, len(drive)-2*entry
+	backwards := append(append(bytes.Clone(drive[:prev]), drive[last:]...), drive[prev:last]...)
+	f.Add(backwards)
+	repeated := bytes.Clone(drive)
+	copy(repeated[last:last+8], drive[prev:prev+8])
+	f.Add(repeated)
 	env.Close()
 	w, _ := buildTrailWorld(f, 12)
 	f.Add(w.Snapshot())

@@ -242,7 +242,7 @@ type Disk struct {
 	//lint:allow snapshotguard seekA/B/C are refit from params at construction; the mid-run SeekDeratePPM knob is snapshotted
 	seekA, seekB, seekC float64
 
-	media map[int64][]byte
+	media sectorStore
 	stats Stats
 	inj   Injector
 
@@ -293,7 +293,7 @@ func New(env *sim.Env, params Params) *Disk {
 		env:       env,
 		arm:       sim.NewResource(env, 1),
 		rotPeriod: rot,
-		media:     make(map[int64][]byte),
+		media:     newSectorStore(0),
 	}
 	d.fitSeekCurve()
 	return d
@@ -597,7 +597,7 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 				}
 			}
 			if req.Write {
-				d.writeSector(cur, buf[off:off+geom.SectorSize])
+				d.media.write(cur, buf[off:off+geom.SectorSize])
 				if d.inj != nil {
 					d.inj.SectorWritten(cur)
 				}
@@ -605,7 +605,7 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 				// crash exploration (a cut here tears the transfer).
 				d.env.EmitProbe(p, sim.ProbeMediaWrite, d.params.Name, cur, 1)
 			} else {
-				d.readSector(cur, buf[off:off+geom.SectorSize])
+				d.media.read(cur, buf[off:off+geom.SectorSize])
 			}
 		}
 		if d.tr != nil && extent > 0 {
@@ -663,23 +663,48 @@ func (d *Disk) accumulate(req *Request, res Result) {
 	d.stats.TransferTime += res.Transfer
 }
 
-func (d *Disk) writeSector(lba int64, data []byte) {
-	s, ok := d.media[lba]
-	if !ok {
-		s = make([]byte, geom.SectorSize)
-		d.media[lba] = s
-	}
-	copy(s, data)
+// sectorStore holds a drive's written sectors: one 512-byte slice per LBA,
+// carved out of shared slabs so that a new sector costs a map insert, not an
+// allocation. Sectors are never freed singly (MediaZero drops the whole
+// store), so a slab lives exactly as long as the drive contents it backs.
+type sectorStore struct {
+	sectors map[int64][]byte
+	spare   []byte // unused tail of the newest slab
 }
 
-func (d *Disk) readSector(lba int64, into []byte) {
-	if s, ok := d.media[lba]; ok {
-		copy(into, s)
+// Slab bounds, in sectors. A slab is as large as the store already is, within
+// these bounds: a drive holding a handful of sectors (a crash-explorer branch,
+// a test fixture) wastes at most as much as it uses, and a busy one allocates
+// once per 128 new sectors.
+const minSlabSectors, maxSlabSectors = 8, 128
+
+func newSectorStore(sizeHint int) sectorStore {
+	return sectorStore{sectors: make(map[int64][]byte, sizeHint)}
+}
+
+// write stores one sector at lba.
+func (s *sectorStore) write(lba int64, data []byte) {
+	sec, ok := s.sectors[lba]
+	if !ok {
+		if len(s.spare) == 0 {
+			n := min(max(len(s.sectors), minSlabSectors), maxSlabSectors)
+			s.spare = make([]byte, n*geom.SectorSize)
+		}
+		// Capacity capped so no append through one sector can reach the next.
+		sec = s.spare[:geom.SectorSize:geom.SectorSize]
+		s.spare = s.spare[geom.SectorSize:]
+		s.sectors[lba] = sec
+	}
+	copy(sec, data)
+}
+
+// read copies the sector at lba into into; never-written sectors read zero.
+func (s *sectorStore) read(lba int64, into []byte) {
+	if sec, ok := s.sectors[lba]; ok {
+		copy(into, sec)
 		return
 	}
-	for i := range into {
-		into[i] = 0
-	}
+	clear(into)
 }
 
 // MediaRead copies count sectors starting at lba out of the persistent media,
@@ -688,7 +713,7 @@ func (d *Disk) readSector(lba int64, into []byte) {
 func (d *Disk) MediaRead(lba int64, count int) []byte {
 	out := make([]byte, count*geom.SectorSize)
 	for i := 0; i < count; i++ {
-		d.readSector(lba+int64(i), out[i*geom.SectorSize:(i+1)*geom.SectorSize])
+		d.media.read(lba+int64(i), out[i*geom.SectorSize:(i+1)*geom.SectorSize])
 	}
 	return out
 }
@@ -700,12 +725,12 @@ func (d *Disk) MediaWrite(lba int64, data []byte) {
 		panic("disk: MediaWrite data not sector-aligned")
 	}
 	for i := 0; i < len(data)/geom.SectorSize; i++ {
-		d.writeSector(lba+int64(i), data[i*geom.SectorSize:(i+1)*geom.SectorSize])
+		d.media.write(lba+int64(i), data[i*geom.SectorSize:(i+1)*geom.SectorSize])
 	}
 }
 
 // MediaZero discards all media contents (reformatting).
-func (d *Disk) MediaZero() { d.media = make(map[int64][]byte) }
+func (d *Disk) MediaZero() { d.media = newSectorStore(0) }
 
 // WrittenSectors returns how many distinct sectors hold data.
-func (d *Disk) WrittenSectors() int { return len(d.media) }
+func (d *Disk) WrittenSectors() int { return len(d.media.sectors) }

@@ -38,23 +38,24 @@ func (d *Disk) Snapshot() []byte {
 	w.I64(int64(d.stats.TransferTime))
 	w.I64(d.stats.Errors)
 
-	lbas := make([]int64, 0, len(d.media))
-	for lba := range d.media {
+	lbas := make([]int64, 0, len(d.media.sectors))
+	for lba := range d.media.sectors {
 		lbas = append(lbas, lba)
 	}
 	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
 	w.U32(uint32(len(lbas)))
 	for _, lba := range lbas {
 		w.I64(lba)
-		w.Bytes32(d.media[lba])
+		w.Bytes32(d.media.sectors[lba])
 	}
 	return w.Bytes()
 }
 
 // Restore adopts a state produced by Snapshot on a drive of the same model
-// and capacity. The media map is deep-copied, so a restored drive shares
-// nothing with the snapshot's source — the isolation the crash explorer's
-// branches rely on. The drive must be idle (no command holding the arm).
+// and capacity. Every sector is copied into a store of the drive's own, so a
+// restored drive shares nothing with the snapshot's source or its bytes — the
+// isolation the crash explorer's branches rely on. The drive must be idle (no
+// command holding the arm).
 func (d *Disk) Restore(data []byte) error {
 	r, err := snapshot.NewReader(data, diskSnapKind, 2)
 	if err != nil {
@@ -79,10 +80,11 @@ func (d *Disk) Restore(data []byte) error {
 	st.Errors = r.I64()
 
 	n := r.Len()
-	media := make(map[int64][]byte, n)
+	media := newSectorStore(n)
+	prev := int64(-1)
 	for i := 0; i < n; i++ {
 		lba := r.I64()
-		sec := r.Bytes32()
+		sec := r.View32()
 		if r.Err() != nil {
 			break
 		}
@@ -92,7 +94,13 @@ func (d *Disk) Restore(data []byte) error {
 		if lba < 0 || lba >= total {
 			return fmt.Errorf("%w: sector %d outside drive", snapshot.ErrCorrupt, lba)
 		}
-		media[lba] = sec
+		// Snapshot writes sectors in LBA order; anything else is not one of
+		// ours, and adopting it would let a repeated LBA silently win.
+		if lba <= prev {
+			return fmt.Errorf("%w: sector %d after sector %d", snapshot.ErrCorrupt, lba, prev)
+		}
+		prev = lba
+		media.write(lba, sec)
 	}
 	if err := r.Close(); err != nil {
 		return err

@@ -53,14 +53,15 @@ func (p Policy) String() string {
 }
 
 // Request is a queued disk command. Done fires when the command completes;
-// Result is valid after that.
+// Result is valid after that. Done is held by value and bound by Submit, so a
+// request costs its caller one allocation; do not copy a submitted Request.
 type Request struct {
 	Write bool
 	LBA   int64
 	Count int
 	Data  []byte
 
-	Done   *sim.Event
+	Done   sim.Event
 	Result disk.Result
 
 	// Err is the command's failure, if any, once Done fires. It wraps a
@@ -257,9 +258,7 @@ func (q *Queue) remove(req *Request) {
 // bounded queue completes req (or a lower-class victim) with
 // blockdev.ErrOverload before returning.
 func (q *Queue) Submit(req *Request) {
-	if req.Done == nil {
-		req.Done = sim.NewEvent(q.env)
-	}
+	req.Done.Init(q.env)
 	req.Queued = q.env.Now()
 	if q.maxDepth > 0 && q.Depth() >= q.maxDepth {
 		victim := q.shedVictim(req.Class)
@@ -306,7 +305,6 @@ func (q *Queue) Submit(req *Request) {
 
 // Do enqueues req and blocks p until it completes.
 func (q *Queue) Do(p *sim.Proc, req *Request) disk.Result {
-	req.Done = sim.NewEvent(q.env)
 	q.Submit(req)
 	req.Done.Wait(p)
 	return req.Result
@@ -386,12 +384,12 @@ func (q *Queue) pick() *Request {
 	case SSTF:
 		return q.popSSTF()
 	case LOOK:
-		return q.popLOOK()
+		return q.popLOOK(q.reads, q.writes)
 	case ReadPriorityLOOK:
 		if len(q.reads) > 0 {
-			return q.removeRead(q.lookIndex(q.reads))
+			return q.popLOOK(q.reads, nil)
 		}
-		return q.removeWrite(q.lookIndex(q.writes))
+		return q.popLOOK(nil, q.writes)
 	default:
 		panic(fmt.Sprintf("sched: unknown policy %v", q.policy))
 	}
@@ -430,58 +428,40 @@ func (q *Queue) popFIFO() *Request {
 	}
 }
 
-// popLOOK picks the elevator-nearest request across reads and writes.
-func (q *Queue) popLOOK() *Request {
-	all := make([]*Request, 0, q.Depth())
-	all = append(all, q.reads...)
-	all = append(all, q.writes...)
-	best := q.lookIndex(all)
-	req := all[best]
-	// Remove from whichever list holds it.
-	for i, r := range q.reads {
-		if r == req {
-			return q.removeRead(i)
+// popLOOK removes and returns the next request per LOOK among reads and
+// writes (subsets of q.reads and q.writes; not both empty): the nearest one at
+// or beyond the head position in the sweep direction, reversing the sweep
+// when nothing lies that way. On equal distance the first seen wins, reads
+// before writes. Both lists are scanned where they lie.
+func (q *Queue) popLOOK(reads, writes []*Request) *Request {
+	write, i, ok := q.lookDir(reads, writes)
+	if !ok {
+		q.sweepUp = !q.sweepUp
+		if write, i, ok = q.lookDir(reads, writes); !ok {
+			panic("sched: LOOK on an empty queue")
 		}
 	}
-	for i, r := range q.writes {
-		if r == req {
-			return q.removeWrite(i)
-		}
+	if write {
+		return q.removeWrite(i)
 	}
-	panic("sched: LOOK picked unknown request")
+	return q.removeRead(i)
 }
 
-// lookIndex returns the index in list of the next request per LOOK given the
-// current head position and sweep direction; it reverses direction when the
-// sweep is exhausted. list must be non-empty.
-func (q *Queue) lookIndex(list []*Request) int {
-	pickDir := func(up bool) (int, bool) {
-		best, found := -1, false
-		for i, r := range list {
-			inDir := (up && r.LBA >= q.lastLBA) || (!up && r.LBA <= q.lastLBA)
-			if !inDir {
+// lookDir finds the request nearest the head position in the current sweep
+// direction: index i of writes if write, of reads otherwise.
+func (q *Queue) lookDir(reads, writes []*Request) (write bool, i int, ok bool) {
+	var best int64
+	for li, list := range [2][]*Request{reads, writes} {
+		for j, r := range list {
+			if (q.sweepUp && r.LBA < q.lastLBA) || (!q.sweepUp && r.LBA > q.lastLBA) {
 				continue
 			}
-			if !found {
-				best, found = i, true
-				continue
-			}
-			d1, d2 := absDelta(r.LBA, q.lastLBA), absDelta(list[best].LBA, q.lastLBA)
-			if d1 < d2 {
-				best = i
+			if d := absDelta(r.LBA, q.lastLBA); !ok || d < best {
+				write, i, ok, best = li == 1, j, true, d
 			}
 		}
-		return best, found
 	}
-	if i, ok := pickDir(q.sweepUp); ok {
-		return i
-	}
-	q.sweepUp = !q.sweepUp
-	i, ok := pickDir(q.sweepUp)
-	if !ok {
-		panic("sched: lookIndex on empty list")
-	}
-	return i
+	return write, i, ok
 }
 
 func absDelta(a, b int64) int64 {

@@ -62,7 +62,7 @@ type Proc struct {
 	// daemon processes (samplers, background observers) do not keep the
 	// simulation alive: Run returns once only daemon events remain queued.
 	daemon bool
-	done   *Event // triggered when the process function returns
+	done   Event // triggered when the process function returns
 }
 
 // killedPanic is the sentinel used to unwind processes on Env.Close.
@@ -177,8 +177,8 @@ func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		resume: make(chan struct{}),
 		state:  procReady,
 		daemon: daemon,
+		done:   Event{env: e},
 	}
-	p.done = NewEvent(e)
 	e.procs[p.id] = p
 	e.kstats.ProcsSpawned++
 	if n := len(e.procs); n > e.kstats.ProcsPeak {
@@ -394,7 +394,7 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Time { return p.env.now }
 
 // Done returns an event triggered when the process function returns.
-func (p *Proc) Done() *Event { return p.done }
+func (p *Proc) Done() *Event { return &p.done }
 
 // Sleep blocks the process for d of virtual time. Non-positive durations
 // still yield control (the process re-runs at the same instant, after other

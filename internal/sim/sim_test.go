@@ -75,24 +75,30 @@ func TestProcessesInterleaveDeterministically(t *testing.T) {
 func TestEventWakesWaiters(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
-	ev := NewEvent(env)
-	var woken []string
-	for _, name := range []string{"w1", "w2"} {
-		env.Go(name, func(p *Proc) {
-			ev.Wait(p)
-			woken = append(woken, p.Name())
+	// One event from NewEvent, one held by value and bound with Init; three
+	// waiters each, so the inline first waiter and the spill list both fill.
+	var byValue struct{ ev Event }
+	byValue.ev.Init(env)
+	for _, ev := range []*Event{NewEvent(env), &byValue.ev} {
+		var woken []string
+		for _, name := range []string{"w1", "w2", "w3"} {
+			env.Go(name, func(p *Proc) {
+				ev.Wait(p)
+				woken = append(woken, p.Name())
+			})
+		}
+		fireAt := env.Now().Add(time.Millisecond)
+		env.Go("trigger", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			ev.Trigger()
 		})
-	}
-	env.Go("trigger", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		ev.Trigger()
-	})
-	env.Run()
-	if len(woken) != 2 || woken[0] != "w1" || woken[1] != "w2" {
-		t.Errorf("woken = %v, want [w1 w2] in FIFO order", woken)
-	}
-	if ev.At() != Time(time.Millisecond) {
-		t.Errorf("event fired at %v, want 1ms", ev.At())
+		env.Run()
+		if len(woken) != 3 || woken[0] != "w1" || woken[1] != "w2" || woken[2] != "w3" {
+			t.Errorf("woken = %v, want [w1 w2 w3] in FIFO order", woken)
+		}
+		if ev.At() != fireAt {
+			t.Errorf("event fired at %v, want %v", ev.At(), fireAt)
+		}
 	}
 }
 

@@ -2,17 +2,25 @@ package sim
 
 // Event is a one-shot completion signal. Processes that Wait before Trigger
 // are resumed (in FIFO order) at the instant of the Trigger; Wait after
-// Trigger returns immediately. The zero value is not usable; create events
-// with NewEvent.
+// Trigger returns immediately. The zero value is not usable: create events
+// with NewEvent, or Init one embedded by value in a larger struct. An Event
+// must not be copied once a process waits on it.
 type Event struct {
-	env     *Env
-	fired   bool
-	at      Time
-	waiters []*Proc
+	env   *Env
+	fired bool
+	at    Time
+	// first is the earliest waiter, held inline: nearly every event (a
+	// request's completion, a process's exit) has exactly one, so waiting
+	// allocates nothing. more holds any later waiters, in arrival order.
+	first *Proc
+	more  []*Proc
 }
 
 // NewEvent returns an untriggered event bound to env.
 func NewEvent(env *Env) *Event { return &Event{env: env} }
+
+// Init resets ev to an untriggered event bound to env.
+func (ev *Event) Init(env *Env) { *ev = Event{env: env} }
 
 // Fired reports whether the event has been triggered.
 func (ev *Event) Fired() bool { return ev.fired }
@@ -28,10 +36,13 @@ func (ev *Event) Trigger() {
 	}
 	ev.fired = true
 	ev.at = ev.env.now
-	for _, p := range ev.waiters {
-		ev.env.ready(p)
+	if ev.first != nil {
+		ev.env.ready(ev.first)
+		for _, p := range ev.more {
+			ev.env.ready(p)
+		}
+		ev.first, ev.more = nil, nil
 	}
-	ev.waiters = nil
 }
 
 // Wait blocks p until the event fires.
@@ -39,8 +50,58 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, p)
+	if ev.first == nil {
+		ev.first = p
+	} else {
+		ev.more = append(ev.more, p)
+	}
 	p.park()
+}
+
+// FIFO is a first-in first-out list popped by a head index, so a pop neither
+// copies the list down nor gives up the front of the backing array the way
+// items = items[1:] does: a queue in steady state stops allocating once the
+// array has grown to its peak depth. It is plain data with no kernel
+// behaviour (Queue adds the blocking Pop); the zero value is an empty list.
+type FIFO[T any] struct {
+	items []T // items[head:] are live, items[:head] already popped and zeroed
+	head  int
+}
+
+// Len returns the number of queued items.
+func (f *FIFO[T]) Len() int { return len(f.items) - f.head }
+
+// Live returns the queued items, oldest first. The slice aliases the list
+// and is valid until the next Push, Pop or Reset.
+func (f *FIFO[T]) Live() []T { return f.items[f.head:] }
+
+// Reset replaces the contents with items, oldest first, taking ownership of
+// the slice.
+func (f *FIFO[T]) Reset(items []T) { f.items, f.head = items, 0 }
+
+// Push appends v.
+func (f *FIFO[T]) Push(v T) {
+	// A full array at least half popped slides its live tail down instead of
+	// growing: the copy is paid for by the pops that freed the space, which
+	// keeps Push amortised O(1) however long the list stays non-empty.
+	if f.head > 0 && len(f.items) == cap(f.items) && f.head >= len(f.items)/2 {
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items, f.head = f.items[:n], 0
+	}
+	f.items = append(f.items, v)
+}
+
+// Pop removes and returns the oldest item; the list must not be empty.
+func (f *FIFO[T]) Pop() T {
+	var zero T
+	v := f.items[f.head]
+	f.items[f.head] = zero
+	f.head++
+	if f.head == len(f.items) {
+		f.items, f.head = f.items[:0], 0
+	}
+	return v
 }
 
 // Cond is a reusable condition: processes Wait on it and other processes
@@ -49,7 +110,7 @@ func (ev *Event) Wait(p *Proc) {
 // "recheck the predicate in a loop" discipline is all that is needed.
 type Cond struct {
 	env     *Env
-	waiters []*Proc
+	waiters FIFO[*Proc]
 }
 
 // NewCond returns a condition bound to env.
@@ -58,30 +119,26 @@ func NewCond(env *Env) *Cond { return &Cond{env: env} }
 // Wait parks p until a Signal or Broadcast wakes it. Callers must re-check
 // their predicate after waking.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.waiters.Push(p)
 	p.park()
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if c.waiters.Len() > 0 {
+		c.env.ready(c.waiters.Pop())
 	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.env.ready(p)
 }
 
 // Broadcast wakes every waiting process.
 func (c *Cond) Broadcast() {
-	for _, p := range c.waiters {
-		c.env.ready(p)
+	for c.waiters.Len() > 0 {
+		c.env.ready(c.waiters.Pop())
 	}
-	c.waiters = nil
 }
 
 // Waiting returns the number of processes blocked on the condition.
-func (c *Cond) Waiting() int { return len(c.waiters) }
+func (c *Cond) Waiting() int { return c.waiters.Len() }
 
 // Resource is a counting semaphore with FIFO admission, used to model
 // exclusive hardware (capacity 1 models a disk arm).
@@ -89,7 +146,7 @@ type Resource struct {
 	env      *Env
 	capacity int
 	inUse    int
-	waiters  []*Proc
+	waiters  FIFO[*Proc]
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -102,11 +159,11 @@ func NewResource(env *Env, capacity int) *Resource {
 
 // Acquire blocks p until a unit of the resource is free, then takes it.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters.Push(p)
 	p.park()
 	// The releaser incremented inUse on our behalf before waking us.
 }
@@ -116,11 +173,9 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle Resource")
 	}
-	if len(r.waiters) > 0 {
-		p := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.env.ready(p)
-		return // unit passes to p; inUse unchanged
+	if r.waiters.Len() > 0 {
+		r.env.ready(r.waiters.Pop())
+		return // unit passes to the waiter; inUse unchanged
 	}
 	r.inUse--
 }
@@ -132,7 +187,7 @@ func (r *Resource) InUse() int { return r.inUse }
 // a Go channel. Values are any; callers own the type discipline.
 type Queue[T any] struct {
 	env   *Env
-	items []T
+	items FIFO[T]
 	cond  *Cond
 }
 
@@ -143,58 +198,48 @@ func NewQueue[T any](env *Env) *Queue[T] {
 
 // Push appends v and wakes one blocked Pop.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	q.cond.Signal()
 }
 
 // Pop blocks p until an item is available, then removes and returns the
 // oldest one.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.items.Len() == 0 {
 		q.cond.Wait(p)
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v
+	return q.items.Pop()
 }
 
 // TryPop removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	return q.items.Pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Items returns a copy of the queued items, oldest first, without removing
 // them (used by state snapshots).
 func (q *Queue[T]) Items() []T {
-	out := make([]T, len(q.items))
-	copy(out, q.items)
+	out := make([]T, q.items.Len())
+	copy(out, q.items.Live())
 	return out
 }
 
 // Drain removes and returns up to max items (all items if max <= 0).
 func (q *Queue[T]) Drain(max int) []T {
-	n := len(q.items)
+	n := q.items.Len()
 	if max > 0 && max < n {
 		n = max
 	}
 	out := make([]T, n)
-	copy(out, q.items[:n])
-	for i := 0; i < n; i++ {
-		var zero T
-		q.items[i] = zero
+	for i := range out {
+		out[i] = q.items.Pop()
 	}
-	q.items = q.items[n:]
 	return out
 }

@@ -226,14 +226,20 @@ func (r *Reader) Bool() bool {
 
 // Bytes32 reads a length-prefixed byte slice (copied out of the stream).
 func (r *Reader) Bytes32() []byte {
-	n := int(r.U32())
-	b := r.take(n)
+	b := r.View32()
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
+	out := make([]byte, len(b))
 	copy(out, b)
 	return out
+}
+
+// View32 reads a length-prefixed byte slice without copying it: the result
+// aliases the snapshot bytes, for decoders that copy it somewhere of their
+// own at once.
+func (r *Reader) View32() []byte {
+	return r.take(int(r.U32()))
 }
 
 // StringVal reads a length-prefixed string.

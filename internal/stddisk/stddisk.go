@@ -40,6 +40,9 @@ type Device struct {
 	size  int64
 	stats Stats
 	pol   *qos.Policy
+	// probeName is id.String(), formatted once rather than per acknowledged
+	// write.
+	probeName string
 
 	tr     *trace.Tracer
 	trName string
@@ -58,9 +61,10 @@ var (
 // sched.LOOK for the paper's baseline).
 func New(env *sim.Env, d *disk.Disk, id blockdev.DevID, policy sched.Policy) *Device {
 	return &Device{
-		id:    id,
-		queue: sched.New(env, d, policy),
-		size:  d.Geom().TotalSectors(),
+		id:        id,
+		queue:     sched.New(env, d, policy),
+		size:      d.Geom().TotalSectors(),
+		probeName: id.String(),
 	}
 }
 
@@ -220,7 +224,7 @@ func (d *Device) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts 
 	if err == nil {
 		// The in-place write is durable and about to be acknowledged to the
 		// client: a crash-exploration interesting event.
-		p.Env().EmitProbe(p, sim.ProbeAck, d.id.String(), lba, count)
+		p.Env().EmitProbe(p, sim.ProbeAck, d.probeName, lba, count)
 	}
 	return err
 }

@@ -212,7 +212,7 @@ type pendingWrite struct {
 	lba    int64
 	count  int
 	data   []byte
-	done   *sim.Event
+	done   sim.Event // by value: one allocation per write, not two
 	queued sim.Time
 	// deadline is the request's absolute virtual-time deadline (0 = none):
 	// past it the driver abandons the request with ErrDeadlineExceeded
@@ -296,7 +296,7 @@ type Driver struct {
 	devIDs     []blockdev.DevID
 
 	// Log write queue shared by every log disk's writer process.
-	logQ     []*pendingWrite
+	logQ     sim.FIFO[*pendingWrite]
 	logQCond *sim.Cond
 
 	// Record and staging bookkeeping.
@@ -520,7 +520,7 @@ func (d *Driver) NumLogDisks() int { return len(d.logs) }
 func (d *Driver) LogDisk(idx int) *disk.Disk { return d.logs[idx].disk }
 
 // LogQueueLen returns the number of client writes waiting for a log writer.
-func (d *Driver) LogQueueLen() int { return len(d.logQ) }
+func (d *Driver) LogQueueLen() int { return d.logQ.Len() }
 
 // DataQueue returns the scheduler queue of data disk idx, for stats.
 func (d *Driver) DataQueue(idx int) *sched.Queue { return d.dataQueues[idx] }
@@ -607,16 +607,16 @@ func (d *Driver) shedWrite(p *sim.Proc, devIdx int, lba int64, count int) error 
 	d.tlShed.Inc(int64(p.Now()))
 	if d.tr != nil {
 		d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KShed, Track: "trail",
-			LBA: lba, Count: count, A: int64(len(d.logQ)), B: 1})
+			LBA: lba, Count: count, A: int64(d.logQ.Len()), B: 1})
 	}
 	if d.rec != nil {
 		now := int64(p.Now())
 		rq := d.rec.Start(span.KWrite, "trail", d.spanNames[devIdx], lba, count, now)
-		rq.Point(span.PShed, now, int64(len(d.logQ)), 0)
+		rq.Point(span.PShed, now, int64(d.logQ.Len()), 0)
 		rq.Finish(now, true)
 	}
 	return fmt.Errorf("trail %v write: log queue full (depth %d): %w",
-		d.devIDs[devIdx], len(d.logQ), blockdev.ErrOverload)
+		d.devIDs[devIdx], d.logQ.Len(), blockdev.ErrOverload)
 }
 
 // throttleWrite stalls a foreground write against write-back progress when
@@ -695,7 +695,7 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 		return fmt.Errorf("trail %v write: %w", d.devIDs[devIdx], blockdev.ErrDeadlineExceeded)
 	}
 	// Admission: shed when the log queue is at the class's bound.
-	if bound := pol.ClassBound(opts.Class); bound > 0 && len(d.logQ) >= bound {
+	if bound := pol.ClassBound(opts.Class); bound > 0 && d.logQ.Len() >= bound {
 		return d.shedWrite(p, devIdx, lba, count)
 	}
 	// Degradation: under log pressure, throttle foreground writes against
@@ -707,8 +707,10 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 		d.stats.FailedWrites++
 		return fmt.Errorf("trail %v write: %w", d.devIDs[devIdx], d.failed)
 	}
-	// Split requests larger than one record's capacity.
-	var waits []*pendingWrite
+	// Split requests larger than one record's capacity. Nearly every write
+	// is a single chunk, awaited from the stack; only a split one spills.
+	var single [1]*pendingWrite
+	waits := single[:0]
 	for off := 0; off < count; off += d.cfg.MaxBatchSectors {
 		n := count - off
 		if n > d.cfg.MaxBatchSectors {
@@ -721,23 +723,23 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 			lba:      lba + int64(off),
 			count:    n,
 			data:     chunk,
-			done:     sim.NewEvent(d.env),
 			queued:   p.Now(),
 			deadline: deadline,
 			class:    opts.Class,
 		}
+		pw.done.Init(d.env)
 		if d.rec != nil {
-			pw.qdepth = len(d.logQ)
+			pw.qdepth = d.logQ.Len()
 			pw.cursor = int64(pw.queued)
 			pw.rq = d.rec.Start(span.KWrite, "trail", d.spanNames[devIdx], pw.lba, n, pw.cursor)
 		}
-		d.logQ = append(d.logQ, pw)
+		d.logQ.Push(pw)
 		waits = append(waits, pw)
 	}
-	if n := len(d.logQ); n > d.stats.MaxLogQueue {
+	if n := d.logQ.Len(); n > d.stats.MaxLogQueue {
 		d.stats.MaxLogQueue = n
 	}
-	d.tlLogQ.Set(float64(len(d.logQ)), int64(p.Now()))
+	d.tlLogQ.Set(float64(d.logQ.Len()), int64(p.Now()))
 	d.logQCond.Signal()
 	var firstErr error
 	for _, pw := range waits {
@@ -1014,7 +1016,7 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
 // repositions (§5.1's final optimization).
 func (d *Driver) logWriterLoop(p *sim.Proc, ld *logDisk) {
 	for {
-		for len(d.logQ) == 0 {
+		for d.logQ.Len() == 0 {
 			ld.writerBusy = false
 			d.maybeAllIdle()
 			d.logQCond.Wait(p)
@@ -1032,7 +1034,7 @@ func (d *Driver) logWriterLoop(p *sim.Proc, ld *logDisk) {
 			continue // re-check the queue; another writer may have drained it
 		}
 
-		first := d.logQ[0]
+		first := d.logQ.Live()[0]
 		// A record needs a free run of 1 header + data sectors starting
 		// at or rotationally after the predicted head position. If the
 		// tail track has no such run, move to the next track.
@@ -1132,28 +1134,26 @@ func (pw *pendingWrite) expired(now sim.Time) bool {
 func (d *Driver) takeBatch(now sim.Time, capacity int) []*pendingWrite {
 	var batch []*pendingWrite
 	total := 0
-	for len(d.logQ) > 0 {
-		nxt := d.logQ[0]
+	for d.logQ.Len() > 0 {
+		nxt := d.logQ.Live()[0]
 		if nxt.expired(now) {
-			d.logQ = d.logQ[1:]
+			d.logQ.Pop()
 			d.expireWrite(now, nxt)
 			continue
 		}
 		if d.cfg.DisableBatching {
 			if len(batch) == 0 {
-				batch = append(batch, nxt)
-				d.logQ = d.logQ[1:]
+				batch = append(batch, d.logQ.Pop())
 			}
 			break
 		}
 		if len(batch) > 0 && total+nxt.count > capacity {
 			break
 		}
-		batch = append(batch, nxt)
+		batch = append(batch, d.logQ.Pop())
 		total += nxt.count
-		d.logQ = d.logQ[1:]
 	}
-	d.tlLogQ.Set(float64(len(d.logQ)), int64(now))
+	d.tlLogQ.Set(float64(d.logQ.Len()), int64(now))
 	return batch
 }
 
@@ -1339,7 +1339,7 @@ func (d *Driver) requeueOrFail(batch []*pendingWrite, cause error) {
 		retry = append(retry, pw)
 	}
 	if len(retry) > 0 {
-		d.logQ = append(retry, d.logQ...)
+		d.logQ.Reset(append(retry, d.logQ.Live()...))
 		d.logQCond.Broadcast()
 	}
 }
@@ -1376,13 +1376,13 @@ func (d *Driver) failLogDisk(ld *logDisk, err error) {
 		err = blockdev.ErrDeviceFailed
 	}
 	d.failed = fmt.Errorf("all log disks failed: %w", err)
-	for _, pw := range d.logQ {
+	for _, pw := range d.logQ.Live() {
 		pw.err = d.failed
 		d.stats.FailedWrites++
 		d.finishFailed(pw)
 		pw.done.Trigger()
 	}
-	d.logQ = nil
+	d.logQ.Reset(nil)
 	d.allIdleCond.Broadcast()
 }
 
@@ -1395,7 +1395,7 @@ func (d *Driver) idleLoop(p *sim.Proc) {
 		if d.closed {
 			return
 		}
-		if len(d.logQ) > 0 {
+		if d.logQ.Len() > 0 {
 			continue
 		}
 		busy := false
@@ -1437,7 +1437,7 @@ func (d *Driver) idleLoop(p *sim.Proc) {
 
 // maybeAllIdle wakes Shutdown waiters when everything has drained.
 func (d *Driver) maybeAllIdle() {
-	if len(d.logQ) > 0 || d.OutstandingRecords() > 0 {
+	if d.logQ.Len() > 0 || d.OutstandingRecords() > 0 {
 		return
 	}
 	for _, ld := range d.logs {
@@ -1450,7 +1450,7 @@ func (d *Driver) maybeAllIdle() {
 
 // drained reports whether all queues, writers and records are idle.
 func (d *Driver) drained() bool {
-	if len(d.logQ) > 0 || d.OutstandingRecords() > 0 {
+	if d.logQ.Len() > 0 || d.OutstandingRecords() > 0 {
 		return false
 	}
 	for _, ld := range d.logs {

@@ -17,8 +17,8 @@ const driverSnapKind = "trail.Driver"
 // stacks that a data snapshot cannot carry. Worlds in those states are
 // restored by deterministic replay instead (internal/crashexplore).
 func (d *Driver) quiescent() error {
-	if len(d.logQ) > 0 {
-		return fmt.Errorf("%w: %d writes in the log queue", snapshot.ErrNotQuiescent, len(d.logQ))
+	if d.logQ.Len() > 0 {
+		return fmt.Errorf("%w: %d writes in the log queue", snapshot.ErrNotQuiescent, d.logQ.Len())
 	}
 	for _, ld := range d.logs {
 		if ld.writerBusy {
