@@ -167,7 +167,8 @@ type Device interface {
 	Sectors() int64
 	// Read returns count sectors starting at lba.
 	Read(p *sim.Proc, lba int64, count int) ([]byte, error)
-	// Write makes count sectors at lba durable.
+	// Write makes count sectors at lba durable. It does not keep data: the
+	// caller may reuse the buffer the instant Write returns.
 	Write(p *sim.Proc, lba int64, count int, data []byte) error
 }
 

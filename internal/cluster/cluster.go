@@ -19,6 +19,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -129,15 +130,15 @@ type ringEntry struct {
 }
 
 // slot is the cluster's bookkeeping for one (tenant, block) address: the
-// acked version count, the issue counter feeding payload generation, and
-// every acknowledged payload (newest first) a read may legally return —
-// overlapping writes to the same slot are acked in simulator order, but a
-// concurrent pair's winner is ambiguous, so verification matches any acked
-// candidate exactly like trailsim's readback.
+// acked version count, the issue counter feeding payload generation, and the
+// sequence number of every acknowledged write, in ack order: payloadFor turns
+// each back into a payload a read may legally return. Overlapping writes to
+// a slot are acked in simulator order, but a concurrent pair's winner is
+// ambiguous, so verification matches any acked candidate like trailsim's.
 type slot struct {
 	version int64
 	issued  int64
-	cands   [][]byte
+	cands   []int64
 }
 
 // Stats are the cluster's cumulative counters.
@@ -170,6 +171,8 @@ type Cluster struct {
 	slots  [][]slot
 	spb    int // sectors per block
 	stats  Stats
+	// spanNames are the shards' span device names ("shardN"), built once.
+	spanNames []string
 
 	rec *span.Recorder
 	agg *timeline.Aggregator
@@ -232,6 +235,7 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.shards = append(c.shards, sh)
+		c.spanNames = append(c.spanNames, fmt.Sprintf("shard%d", i))
 	}
 	c.armScenario()
 	c.startHeartbeats()
@@ -475,7 +479,7 @@ func (c *Cluster) runMixRequest(p *sim.Proc, r workload.MixRequest, o *ReqOutcom
 
 // VerifyAcked reads back every slot with at least one acknowledged write
 // through the normal routed read path and checks the data matches one of
-// the acked payload candidates. It returns the number of slots checked and
+// the acked payloads. It returns the number of slots checked and
 // the number lost (unreadable or mismatched) — the kill-one-shard
 // acceptance bar is lost == 0.
 func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
@@ -491,7 +495,7 @@ func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
 				lost++
 				continue
 			}
-			if !matchAny(data, sl.cands) {
+			if !c.matchesAcked(data, t, b) {
 				lost++
 			}
 		}
@@ -499,9 +503,12 @@ func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
 	return checked, lost
 }
 
-func matchAny(data []byte, cands [][]byte) bool {
-	for _, cand := range cands {
-		if string(data) == string(cand) {
+// matchesAcked reports whether data is the payload of one of the slot's
+// acknowledged writes, trying the newest first.
+func (c *Cluster) matchesAcked(data []byte, tenant, block int) bool {
+	cands := c.slots[tenant][block].cands
+	for i := len(cands) - 1; i >= 0; i-- {
+		if bytes.Equal(data, payloadFor(tenant, block, cands[i], c.cfg.WriteSize)) {
 			return true
 		}
 	}

@@ -35,8 +35,7 @@ func TestClusterWriteReadRoundTrip(t *testing.T) {
 				t.Errorf("read tenant %d: %v", tn, err)
 				continue
 			}
-			want := c.slots[tn][0].cands[0]
-			if string(data) != string(want) {
+			if !c.matchesAcked(data, tn, 0) {
 				t.Errorf("tenant %d read back wrong data", tn)
 			}
 		}

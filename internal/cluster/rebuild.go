@@ -14,8 +14,6 @@ package cluster
 // write, so the last landed data always reflects the newest acked version.
 
 import (
-	"fmt"
-
 	"tracklog/internal/blockdev"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
@@ -51,7 +49,7 @@ func (c *Cluster) rebuildSlot(p *sim.Proc, sh *Shard, tenant, block, survivorIdx
 	srcLBA := c.slotLBA(tenant, block, survivorIdx)
 	dstLBA := c.slotLBA(tenant, block, sh.idx)
 	start := p.Now()
-	rq := c.rec.Start(span.KWriteback, "cluster", fmt.Sprintf("shard%d", sh.idx),
+	rq := c.rec.Start(span.KWriteback, "cluster", c.spanNames[sh.idx],
 		dstLBA, c.spb, int64(start))
 
 	copied := false

@@ -46,7 +46,7 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	payload := payloadFor(tenant, block, seq, c.cfg.WriteSize)
 
 	start := p.Now()
-	rq := c.rec.Start(span.KWrite, "cluster", fmt.Sprintf("shard%d", pl.Primary),
+	rq := c.rec.Start(span.KWrite, "cluster", c.spanNames[pl.Primary],
 		c.slotLBA(tenant, block, pl.Primary), c.spb, int64(start))
 
 	// Cluster-edge admission: while capacity is lost, Background traffic
@@ -158,7 +158,7 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	}
 
 	sl.version++
-	sl.cands = append([][]byte{payload}, sl.cands...)
+	sl.cands = append(sl.cands, seq)
 	c.stats.WritesAcked++
 	if hardFails > 0 {
 		c.stats.DegradedAcks++
@@ -198,7 +198,7 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]
 	pl := c.place[tenant]
 	pri, rep := c.shards[pl.Primary], c.shards[pl.Replica]
 	start := p.Now()
-	rq := c.rec.Start(span.KRead, "cluster", fmt.Sprintf("shard%d", pl.Primary),
+	rq := c.rec.Start(span.KRead, "cluster", c.spanNames[pl.Primary],
 		c.slotLBA(tenant, block, pl.Primary), c.spb, int64(start))
 
 	race := &readRace{done: sim.NewEvent(c.env)}

@@ -64,6 +64,36 @@ func fuzzTargets(tb testing.TB) (*sim.Env, map[string]snapshot.Snapshotter) {
 	}
 }
 
+// pinnedStagingSnapshot snapshots a quiescent driver that still holds staged
+// blocks: every sector of their extents fails its write-back, so the two
+// overlapping extents stay pinned in staging with their log references.
+func pinnedStagingSnapshot(tb testing.TB) []byte {
+	env := sim.NewEnv()
+	defer env.Close()
+	log := disk.New(env, worldLogParams())
+	if err := trail.Format(log); err != nil {
+		tb.Fatal(err)
+	}
+	data := disk.New(env, worldDataParams())
+	fault.Attach(data, sim.NewRand(5), fault.Config{LatentWriteErrors: 16, MaxLBA: 16})
+	drv, err := trail.NewDriver(env, log, []*disk.Disk{data}, trail.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	env.Go("writer", func(p *sim.Proc) {
+		for _, w := range [][2]int{{0, 16}, {8, 8}} {
+			if err := drv.Dev(0).Write(p, int64(w[0]), w[1], crashexplore.Payload(w[0], 1, w[1])); err != nil {
+				tb.Errorf("write: %v", err)
+			}
+		}
+	})
+	env.Run()
+	if drv.StagedBytes() != 24*geom.SectorSize {
+		tb.Fatalf("%d bytes pinned in staging, want both extents", drv.StagedBytes())
+	}
+	return drv.Snapshot()
+}
+
 // FuzzSnapshotRestore throws arbitrary bytes at every component's Restore.
 // The contract: never panic, and every rejection is a wrapped codec sentinel
 // (ErrCorrupt, ErrMismatch, or ErrNotQuiescent) so callers can triage.
@@ -88,6 +118,14 @@ func FuzzSnapshotRestore(f *testing.F) {
 	env.Close()
 	w, _ := buildTrailWorld(f, 12)
 	f.Add(w.Snapshot())
+	// A driver snapshot whose staging buffer is not empty, so the per-entry
+	// stage stamps (codec version 2) are in the corpus, and the same bytes
+	// under the version-1 header they no longer parse under.
+	pinned := pinnedStagingSnapshot(f)
+	f.Add(pinned)
+	v1 := bytes.Clone(pinned)
+	v1[bytes.Index(v1, []byte("trail.Driver"))+len("trail.Driver")] = 1
+	f.Add(v1)
 	f.Add([]byte{})
 	f.Add([]byte("TLSS"))
 

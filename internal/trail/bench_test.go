@@ -1,0 +1,85 @@
+package trail
+
+import (
+	"testing"
+	"time"
+
+	"tracklog/internal/blockdev"
+	"tracklog/internal/disk"
+	"tracklog/internal/geom"
+	"tracklog/internal/sim"
+)
+
+// The Trail driver's rungs of the per-layer benchmark ladder (ROADMAP): host
+// cost of sealing one record image, and of one 4 KB synchronous write whose
+// write-back drains before the next, so that no cost depends on a backlog —
+// the shapes of the benchmark's trail.build_record and trail.write_drained
+// probes. Run with
+//
+//	go test -run '^$' -bench . -benchmem ./internal/trail
+
+const benchSectors = 8 // 4 KB
+
+// An 8-block record built, decoded and extracted again: the image is the one
+// allocation BuildRecord may make, the decoded header and its block list the
+// other two.
+func BenchmarkBuildRecord(b *testing.B) {
+	data := make([]byte, benchSectors*geom.SectorSize)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	h := &RecordHeader{Epoch: 1, PrevSect: -1, Blocks: make([]BlockRef, benchSectors)}
+	for i := range h.Blocks {
+		h.Blocks[i] = BlockRef{Dev: blockdev.DevID{Major: 8}, DataLBA: int64(i)}
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Seq, h.HeaderLBA = uint64(i), int64(i)
+		img, err := BuildRecord(h, data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		back, err := DecodeRecordHeader(img)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if allocSink, err = ExtractData(back, img); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// One sparse writer on the paper's drives: caller's buffer to staging chunk,
+// chunk to record image, image to the log slab, chunk to the data slab.
+func BenchmarkWriteDrained4K(b *testing.B) {
+	env := sim.NewEnv()
+	defer env.Close()
+	log := disk.New(env, disk.ST41601N())
+	if err := Format(log); err != nil {
+		b.Fatal(err)
+	}
+	data := disk.New(env, disk.WDCaviar())
+	drv, err := NewDriver(env, log, []*disk.Disk{data}, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := drv.Dev(0)
+	blocks := uint64(dev.Sectors()/benchSectors - 1)
+	buf := make([]byte, benchSectors*geom.SectorSize)
+	env.Go("writer", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			lba := int64(uint64(i+1)*0x9E3779B97F4A7C15%blocks) * benchSectors
+			if err := dev.Write(p, lba, benchSectors, buf); err != nil {
+				b.Error(err)
+				return
+			}
+			p.Sleep(40 * time.Millisecond)
+		}
+	})
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+}

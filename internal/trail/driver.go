@@ -1,8 +1,10 @@
 package trail
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"tracklog/internal/blockdev"
@@ -265,6 +267,11 @@ type logDisk struct {
 	outstanding   []*record
 	lastRecordLBA int64
 
+	// img and blocks are the record image and block list of the one writer
+	// process this disk has: sealed in place, reused for every record.
+	img    []byte
+	blocks []BlockRef
+
 	writerBusy bool
 	// dead marks a log disk lost to blockdev.ErrDeviceFailed; its writer
 	// has exited and the allocator never touches it again.
@@ -303,6 +310,7 @@ type Driver struct {
 	seq          uint64
 	staging      map[bufKey]*bufEntry
 	stagedBytes  int64 // sum of bytes() over staging, kept where entries come and go
+	stageStamp   int64 // stage calls so far; orders overlapping staged extents
 	wbQueues     []*sim.Queue[bufKey]
 	allIdleCond  *sim.Cond
 	lastActivity sim.Time
@@ -404,6 +412,8 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 			spaceFreed:    sim.NewCond(env),
 			pred:          NewPredictor(lg.Params().RotPeriod()),
 			lastRecordLBA: -1,
+			img:           make([]byte, geom.SectorSize, (1+cfg.MaxBatchSectors)*geom.SectorSize),
+			blocks:        make([]BlockRef, 0, cfg.MaxBatchSectors),
 		}
 		ld.busyCount = make([]int, len(ld.usable))
 		_, _, spt := ld.tailTrack()
@@ -760,21 +770,15 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		return nil, ErrClosed
 	}
 	opts.Deadline = d.cfg.QoS.Deadline(p.Now(), opts.Deadline)
-	if e, ok := d.staging[bufKey{dev: devIdx, lba: lba, count: count}]; ok {
-		d.stats.ReadsFromStaging++
-		d.recordStagingHit(p, devIdx, lba, count)
-		out := make([]byte, count*geom.SectorSize)
-		copy(out, e.data)
-		return out, nil
-	}
-	// A larger staged extent may fully contain the request.
-	for k, e := range d.staging {
-		if k.dev == devIdx && k.lba <= lba && k.lba+int64(k.count) >= lba+int64(count) {
+	// The newest staged extent holding the whole request makes the platter
+	// irrelevant: serve it, with any newer overlapping extents laid on top.
+	over := d.stagedOver(devIdx, lba, count)
+	for i := len(over) - 1; i >= 0; i-- {
+		if e := over[i]; e.lba <= lba && e.lba+int64(e.count) >= lba+int64(count) {
 			d.stats.ReadsFromStaging++
 			d.recordStagingHit(p, devIdx, lba, count)
-			off := (lba - k.lba) * geom.SectorSize
 			out := make([]byte, count*geom.SectorSize)
-			copy(out, e.data[off:])
+			overlay(out, lba, over[i:])
 			return out, nil
 		}
 	}
@@ -794,7 +798,7 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		if req.Err == nil {
 			rq.Command(span.FromResult(&res, d.dataDisks[devIdx].Params().RotPeriod()))
 			rq.Finish(int64(res.End), false)
-			d.overlayStaged(devIdx, lba, count, req.Data)
+			overlay(req.Data, lba, d.stagedOver(devIdx, lba, count))
 			return req.Data, nil
 		}
 		if blockdev.IsExpired(req.Err) {
@@ -838,37 +842,28 @@ func (d *Driver) recordStagingHit(p *sim.Proc, devIdx int, lba int64, count int)
 	rq.Finish(now, false)
 }
 
-// overlayStaged copies any staged (newer) sectors overlapping [lba,
-// lba+count) of dev over buf.
-func (d *Driver) overlayStaged(devIdx int, lba int64, count int, buf []byte) {
-	end := lba + int64(count)
+// stagedOver returns the staged extents of dev overlapping [lba, lba+count),
+// oldest first: by stamp, whichever way the staging map iterates.
+func (d *Driver) stagedOver(devIdx int, lba int64, count int) []*bufEntry {
+	var over []*bufEntry
 	for k, e := range d.staging {
-		if k.dev != devIdx {
-			continue
+		if k.dev == devIdx && k.lba < lba+int64(count) && k.lba+int64(e.count) > lba {
+			over = append(over, e)
 		}
-		eEnd := k.lba + int64(e.count)
-		if k.lba >= end || eEnd <= lba {
-			continue
-		}
-		from := maxI64(k.lba, lba)
-		to := minI64(eEnd, end)
+	}
+	slices.SortFunc(over, func(a, b *bufEntry) int { return cmp.Compare(a.stamp, b.stamp) })
+	return over
+}
+
+// overlay copies the parts of the extents in over that fall inside buf, which
+// starts at lba, in slice order: a later extent overwrites an earlier one.
+func overlay(buf []byte, lba int64, over []*bufEntry) {
+	end := lba + int64(len(buf)/geom.SectorSize)
+	for _, e := range over {
+		from, to := max(e.lba, lba), min(e.lba+int64(e.count), end)
 		copy(buf[(from-lba)*geom.SectorSize:(to-lba)*geom.SectorSize],
-			e.data[(from-k.lba)*geom.SectorSize:(to-k.lba)*geom.SectorSize])
+			e.data[(from-e.lba)*geom.SectorSize:(to-e.lba)*geom.SectorSize])
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // tailTrack returns the log disk's current tail track (cyl, head, spt).
@@ -1189,14 +1184,11 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	cyl, head, _ := ld.tailTrack()
 	headerLBA := ld.g.TrackStartLBA(cyl, head) + int64(target)
 
-	total := 0
+	// Each chunk is copied once, into this log disk's image buffer; only this
+	// writer touches it and disk.Access does not keep it, so it is reused.
+	img, blocks := ld.img[:geom.SectorSize], ld.blocks[:0]
 	for _, pw := range batch {
-		total += pw.count
-	}
-	data := make([]byte, 0, total*geom.SectorSize)
-	blocks := make([]BlockRef, 0, total)
-	for _, pw := range batch {
-		data = append(data, pw.data...)
+		img = append(img, pw.data...)
 		for i := 0; i < pw.count; i++ {
 			blocks = append(blocks, BlockRef{
 				Dev:     d.devIDs[pw.devIdx],
@@ -1204,9 +1196,11 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 			})
 		}
 	}
+	ld.img, ld.blocks = img, blocks
+	total := len(blocks)
 
 	d.seq++
-	hdr := &RecordHeader{
+	hdr := RecordHeader{
 		Epoch:     d.epoch,
 		Seq:       d.seq,
 		HeaderLBA: headerLBA,
@@ -1217,8 +1211,7 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	if oldest := ld.oldestOutstanding(); oldest != nil {
 		hdr.LogHead = oldest.headerLBA
 	}
-	img, err := BuildRecord(hdr, data)
-	if err != nil {
+	if err := sealRecord(&hdr, img); err != nil {
 		panic(fmt.Sprintf("trail: building record: %v", err))
 	}
 
@@ -1459,6 +1452,17 @@ func (d *Driver) drained() bool {
 		}
 	}
 	return true
+}
+
+// PowerCut lets go of what a power cut destroys — the staging buffer and the
+// queues are host memory — so the staged blocks are collectable while
+// recovery builds the next world. Call it once the environment is closed: the
+// driver refuses I/O afterwards, its Stats stay readable.
+func (d *Driver) PowerCut() {
+	d.closed = true
+	d.staging, d.stagedBytes = nil, 0
+	d.logQ.Reset(nil)
+	d.wbQueues = nil
 }
 
 // Shutdown drains all pending log writes and write-backs, then marks every

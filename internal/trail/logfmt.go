@@ -218,10 +218,21 @@ var _ [geom.SectorSize - rhEncodedSize]byte
 
 // Encode serializes the header into a single sector.
 func (h *RecordHeader) Encode() ([]byte, error) {
-	if len(h.Blocks) == 0 || len(h.Blocks) > MaxBatch {
-		return nil, fmt.Errorf("trail: record with %d blocks (max %d)", len(h.Blocks), MaxBatch)
-	}
 	buf := make([]byte, geom.SectorSize)
+	if err := h.encodeInto(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// encodeInto serializes the header over sector, which the caller may be
+// reusing: every byte is rewritten, the tail past rhEncodedSize with zeroes.
+func (h *RecordHeader) encodeInto(sector []byte) error {
+	if len(h.Blocks) == 0 || len(h.Blocks) > MaxBatch {
+		return fmt.Errorf("trail: record with %d blocks (max %d)", len(h.Blocks), MaxBatch)
+	}
+	buf := sector[:geom.SectorSize]
+	clear(buf)
 	buf[0] = recordFirstByte
 	copy(buf[1:], recordSignature[:])
 	le := binary.LittleEndian
@@ -239,7 +250,7 @@ func (h *RecordHeader) Encode() ([]byte, error) {
 		buf[off+9] = b.Dev.Minor
 		buf[rhFirstBytes+i] = b.FirstDataByte
 	}
-	return buf, nil
+	return nil
 }
 
 // DecodeRecordHeader parses a record header sector. It returns ErrNotRecord
@@ -287,19 +298,24 @@ func BuildRecord(h *RecordHeader, data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("trail: record data %d bytes for %d blocks", len(data), n)
 	}
 	img := make([]byte, (n+1)*geom.SectorSize)
+	copy(img[geom.SectorSize:], data)
+	if err := sealRecord(h, img); err != nil {
+		return nil, err
+	}
+	return img, nil
+}
+
+// sealRecord turns img — a header sector of any content, then len(h.Blocks)
+// sectors of client data — into the record's on-disk image in place: first
+// bytes substituted and saved in h, DataCRC computed, header encoded.
+func sealRecord(h *RecordHeader, img []byte) error {
 	payload := img[geom.SectorSize:]
-	copy(payload, data)
-	for i := 0; i < n; i++ {
+	for i := range h.Blocks {
 		h.Blocks[i].FirstDataByte = payload[i*geom.SectorSize]
 		payload[i*geom.SectorSize] = dataFirstByte
 	}
 	h.DataCRC = crc32.ChecksumIEEE(payload)
-	hdr, err := h.Encode()
-	if err != nil {
-		return nil, err
-	}
-	copy(img, hdr)
-	return img, nil
+	return h.encodeInto(img)
 }
 
 // ExtractData reverses BuildRecord for a record image read back from the log

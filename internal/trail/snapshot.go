@@ -73,11 +73,12 @@ func (d *Driver) Snapshot() []byte {
 		}
 	}
 
-	w := snapshot.NewWriter(driverSnapKind, 1)
+	w := snapshot.NewWriter(driverSnapKind, 2)
 	w.Int(len(d.logs))
 	w.Int(len(d.dataDisks))
 	w.U32(d.epoch)
 	w.U64(d.seq)
+	w.I64(d.stageStamp)
 	w.I64(int64(d.lastActivity))
 	w.Bool(d.closed)
 	w.Bool(d.failed != nil)
@@ -132,7 +133,7 @@ func (d *Driver) Snapshot() []byte {
 		w.Int(k.count)
 		w.Bytes32(e.data)
 		w.Int(e.count)
-		w.I64(e.version)
+		w.I64(e.stamp)
 		w.Bool(e.inQueue)
 		w.U32(uint32(len(e.refs)))
 		for _, ref := range e.refs {
@@ -178,7 +179,7 @@ func (d *Driver) Quiescent() error { return d.quiescent() }
 // whole world additionally requires the kernel to be rebuilt by replay (see
 // internal/crashexplore).
 func (d *Driver) Restore(data []byte) error {
-	r, err := snapshot.NewReader(data, driverSnapKind, 1)
+	r, err := snapshot.NewReader(data, driverSnapKind, 2)
 	if err != nil {
 		return err
 	}
@@ -186,6 +187,7 @@ func (d *Driver) Restore(data []byte) error {
 	nData := r.Int()
 	epoch := r.U32()
 	seq := r.U64()
+	stageStamp := r.I64()
 	lastActivity := r.I64()
 	closed := r.Bool()
 	failed := r.Bool()
@@ -265,7 +267,7 @@ func (d *Driver) Restore(data []byte) error {
 		ss.key.count = r.Int()
 		ss.entry.data = r.Bytes32()
 		ss.entry.count = r.Int()
-		ss.entry.version = r.I64()
+		ss.entry.stamp = r.I64()
 		ss.entry.inQueue = r.Bool()
 		nr := r.Len()
 		for j := 0; j < nr; j++ {
@@ -332,6 +334,7 @@ func (d *Driver) Restore(data []byte) error {
 	d.failed = nil
 	d.epoch = epoch
 	d.seq = seq
+	d.stageStamp = stageStamp
 	d.lastActivity = sim.Time(lastActivity)
 	d.stats = st
 	for i, s := range lds {
@@ -365,6 +368,7 @@ func (d *Driver) Restore(data []byte) error {
 				sectors: pos[2],
 			})
 		}
+		ss.entry.lba = ss.key.lba
 		d.staging[ss.key] = ss.entry
 		d.stagedBytes += ss.entry.bytes()
 	}

@@ -42,11 +42,16 @@ type bufKey struct {
 	count int
 }
 
-// bufEntry is one staged write pinned in the driver's buffer memory.
+// bufEntry is one staged write pinned in the driver's buffer memory. data is
+// replaced by stage and never written through: a write-back flight keeps
+// reading the slice it was handed while newer versions arrive.
 type bufEntry struct {
-	data    []byte
-	count   int
-	version int64
+	data  []byte
+	lba   int64
+	count int
+	// stamp is the driver-wide stage count at which data was acknowledged: it
+	// names the version, and where extents overlap the higher one is newer.
+	stamp int64
 	// refs lists the log records whose reclamation is waiting on this
 	// buffer reaching the data disk.
 	refs []recordRef
@@ -78,7 +83,7 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 	key := bufKey{dev: pw.devIdx, lba: pw.lba, count: pw.count}
 	e := d.staging[key]
 	if e == nil {
-		e = &bufEntry{count: pw.count}
+		e = &bufEntry{lba: pw.lba, count: pw.count}
 		d.staging[key] = e
 		d.stagedBytes += e.bytes()
 	} else if len(e.refs) > 0 || e.inQueue {
@@ -88,7 +93,8 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 		d.stats.SupersededWriteBacks++
 	}
 	e.data = pw.data
-	e.version++
+	d.stageStamp++
+	e.stamp = d.stageStamp
 	e.refs = append(e.refs, recordRef{rec: rec, sectors: pw.count})
 	if id := pw.rq.ID(); id != 0 {
 		e.spanIDs = append(e.spanIDs, id)
@@ -142,11 +148,10 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 				continue
 			}
 			e.inQueue = false
-			f := &wbFlight{key: key, entry: e, refs: e.refs, ver: e.version}
+			f := &wbFlight{key: key, entry: e, refs: e.refs, ver: e.stamp}
 			e.refs = nil
-			data := make([]byte, len(e.data))
-			copy(data, e.data)
-			f.req = &sched.Request{Write: true, LBA: key.lba, Count: e.count, Data: data}
+			// No copy: a superseding write replaces e.data, never writes through it.
+			f.req = &sched.Request{Write: true, LBA: key.lba, Count: e.count, Data: e.data}
 			if d.rec != nil {
 				f.cursor = int64(p.Now())
 				f.rq = d.rec.Start(span.KWriteback, "trail", d.spanNames[devIdx],
@@ -219,7 +224,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			}
 			// Release the buffer if no newer version arrived mid-flight.
 			e := f.entry
-			if cur := d.staging[f.key]; cur == e && e.version == f.ver && len(e.refs) == 0 && !e.inQueue {
+			if cur := d.staging[f.key]; cur == e && e.stamp == f.ver && len(e.refs) == 0 && !e.inQueue {
 				delete(d.staging, f.key)
 				d.stagedBytes -= e.bytes()
 				d.tlStaged.Set(float64(d.StagedBytes()), int64(p.Now()))

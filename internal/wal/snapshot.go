@@ -24,7 +24,7 @@ func (l *Log) Snapshot() []byte {
 	w.Int(l.cfg.BufferBytes)
 	w.Bool(l.cfg.MetadataWrites)
 
-	w.Bytes32(l.buf)
+	w.Bytes32(l.bufs[l.cur][segHeader:])
 	w.I64(l.nextLSN)
 	w.I64(l.flushedTo)
 	w.I64(l.headSect)
@@ -72,10 +72,7 @@ func (l *Log) Restore(data []byte) error {
 	if l.flushing {
 		return fmt.Errorf("%w: wal flush in progress", snapshot.ErrNotQuiescent)
 	}
-	if len(buf) == 0 {
-		buf = nil
-	}
-	l.buf = buf
+	l.bufs[l.cur] = append(l.bufs[l.cur][:segHeader], buf...)
 	l.nextLSN = nextLSN
 	l.flushedTo = flushedTo
 	l.headSect = headSect

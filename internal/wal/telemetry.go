@@ -25,7 +25,7 @@ func (l *Log) RegisterMetrics(reg *telemetry.Registry) {
 		func() float64 { return float64(l.stats.IOTime) / 1e6 })
 	reg.GaugeFunc(telemetry.Prefix+"wal_buffered_bytes",
 		"Bytes appended but not yet durable.",
-		func() float64 { return float64(len(l.buf)) })
+		func() float64 { return float64(l.BufferedBytes()) })
 	reg.GaugeFunc(telemetry.Prefix+"wal_durable_lsn",
 		"Byte offset durable on disk.",
 		func() float64 { return float64(l.flushedTo) })

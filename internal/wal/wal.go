@@ -25,8 +25,12 @@ import (
 // ErrLogFull means the log region is exhausted.
 var ErrLogFull = errors.New("wal: log region full")
 
-// segMagic marks the start of a flushed segment on disk.
-const segMagic = 0x57414C53 // "WALS"
+// segMagic marks the start of a flushed segment on disk, which opens with
+// segHeader bytes: magic(4) + length(4).
+const segMagic, segHeader = 0x57414C53, 8 // "WALS"
+
+// zeroSector pads a segment to its sector boundary.
+var zeroSector [geom.SectorSize]byte
 
 // Mode selects the commit discipline of the three systems in Table 2.
 type Mode int
@@ -83,7 +87,14 @@ type Stats struct {
 type Log struct {
 	cfg Config
 
-	buf       []byte
+	// bufs[cur] is the next segment as it will lie on disk: segHeader bytes
+	// reserved, then the appended records. Flush frames and pads it in place
+	// and hands it to the device, which does not keep it; appends meanwhile
+	// go to the other buffer, so cur flips at every flush. meta is the inode
+	// sector of MetadataWrites.
+	bufs      [2][]byte
+	cur       int
+	meta      [geom.SectorSize]byte
 	nextLSN   int64 // byte offset of the end of the buffer
 	flushedTo int64 // byte offset durable on disk
 	headSect  int64 // next sector offset in the region to write
@@ -113,7 +124,8 @@ func New(env *sim.Env, cfg Config) (*Log, error) {
 	if cfg.Sectors <= 0 {
 		return nil, errors.New("wal: empty log region")
 	}
-	return &Log{cfg: cfg, flushDone: sim.NewCond(env)}, nil
+	return &Log{cfg: cfg, flushDone: sim.NewCond(env),
+		bufs: [2][]byte{make([]byte, segHeader), make([]byte, segHeader)}}, nil
 }
 
 // Stats returns a copy of the counters.
@@ -145,14 +157,13 @@ func (l *Log) Mode() Mode { return l.cfg.Mode }
 func (l *Log) Append(p *sim.Proc, rec []byte) (int64, error) {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(rec)))
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, rec...)
+	l.bufs[l.cur] = append(append(l.bufs[l.cur], hdr[:]...), rec...)
 	l.nextLSN += int64(len(rec) + 4)
 	l.stats.Appends++
 	l.stats.AppendedBytes += int64(len(rec))
 	l.tlAppends.Inc(int64(p.Now()))
-	l.tlBuffered.Set(float64(len(l.buf)), int64(p.Now()))
-	if len(l.buf) >= l.cfg.BufferBytes {
+	l.tlBuffered.Set(float64(l.BufferedBytes()), int64(p.Now()))
+	if l.BufferedBytes() >= l.cfg.BufferBytes {
 		if err := l.Flush(p); err != nil {
 			return 0, err
 		}
@@ -197,25 +208,23 @@ func (l *Log) Flush(p *sim.Proc) error {
 			return nil
 		}
 	}
-	if len(l.buf) == 0 {
+	if l.BufferedBytes() == 0 {
 		return nil
 	}
 	l.flushing = true
-	data := l.buf
-	l.buf = nil
+	seg := l.bufs[l.cur]
+	l.cur ^= 1
+	l.bufs[l.cur] = l.bufs[l.cur][:segHeader]
 	l.tlBuffered.Set(0, int64(p.Now()))
 	flushLSN := l.nextLSN
 
-	// Frame the flush as a segment: magic(4) + length(4) + records, padded
-	// to a sector boundary, so a reader can walk flush boundaries after a
-	// crash.
-	framed := make([]byte, 8+len(data))
-	binary.LittleEndian.PutUint32(framed, segMagic)
-	binary.LittleEndian.PutUint32(framed[4:], uint32(len(data)))
-	copy(framed[8:], data)
-	sectors := int64((len(framed) + geom.SectorSize - 1) / geom.SectorSize)
-	padded := make([]byte, sectors*geom.SectorSize)
-	copy(padded, framed)
+	// Frame the flush as a segment where it lies: magic and length into the
+	// reserved head, zeroes up to a sector boundary behind the records, so a
+	// reader can walk flush boundaries after a crash.
+	binary.LittleEndian.PutUint32(seg, segMagic)
+	binary.LittleEndian.PutUint32(seg[4:], uint32(len(seg)-segHeader))
+	sectors := int64((len(seg) + geom.SectorSize - 1) / geom.SectorSize)
+	seg = append(seg, zeroSector[:int(sectors)*geom.SectorSize-len(seg)]...)
 	err := func() error {
 		// Sector 0 of the region is the metadata (inode) block; log data
 		// starts at sector 1.
@@ -223,15 +232,14 @@ func (l *Log) Flush(p *sim.Proc) error {
 			return fmt.Errorf("%w: %d of %d sectors used", ErrLogFull, l.headSect, l.cfg.Sectors)
 		}
 		start := p.Now()
-		if err := l.cfg.Dev.Write(p, l.cfg.StartLBA+1+l.headSect, int(sectors), padded); err != nil {
+		if err := l.cfg.Dev.Write(p, l.cfg.StartLBA+1+l.headSect, int(sectors), seg); err != nil {
 			return fmt.Errorf("wal: flushing: %w", err)
 		}
 		if l.cfg.MetadataWrites {
 			// EXT2 O_SYNC: the inode (file size/mtime) update is also
 			// synchronous.
-			meta := make([]byte, geom.SectorSize)
-			binary.LittleEndian.PutUint64(meta, uint64(flushLSN))
-			if err := l.cfg.Dev.Write(p, l.cfg.StartLBA, 1, meta); err != nil {
+			binary.LittleEndian.PutUint64(l.meta[:], uint64(flushLSN))
+			if err := l.cfg.Dev.Write(p, l.cfg.StartLBA, 1, l.meta[:]); err != nil {
 				return fmt.Errorf("wal: metadata update: %w", err)
 			}
 		}
@@ -243,7 +251,7 @@ func (l *Log) Flush(p *sim.Proc) error {
 		l.tlFlushedS.Add(sectors, int64(p.Now()))
 		return nil
 	}()
-	l.flushing = false
+	l.flushing, l.bufs[l.cur^1] = false, seg
 	if err == nil {
 		l.flushedTo = flushLSN
 		// The flushed records are durable and commits through flushLSN are
@@ -255,7 +263,7 @@ func (l *Log) Flush(p *sim.Proc) error {
 }
 
 // BufferedBytes returns the size of the unflushed buffer.
-func (l *Log) BufferedBytes() int { return len(l.buf) }
+func (l *Log) BufferedBytes() int { return len(l.bufs[l.cur]) - segHeader }
 
 // ReadRecords scans the log region on the device and returns every durable
 // record in append order. Use it after a crash to drive redo recovery: the
@@ -275,7 +283,7 @@ func ReadRecords(p *sim.Proc, dev blockdev.Device, startLBA, sectors int64) ([][
 			break // end of log
 		}
 		length := int64(le.Uint32(hdr[4:]))
-		segSectors := (8 + length + geom.SectorSize - 1) / geom.SectorSize
+		segSectors := (segHeader + length + geom.SectorSize - 1) / geom.SectorSize
 		if length <= 0 || at+segSectors > end {
 			break // torn or corrupt tail segment
 		}
@@ -283,7 +291,7 @@ func ReadRecords(p *sim.Proc, dev blockdev.Device, startLBA, sectors int64) ([][
 		if err != nil {
 			return nil, fmt.Errorf("wal: reading segment: %w", err)
 		}
-		body := seg[8 : 8+length]
+		body := seg[segHeader : segHeader+length]
 		for len(body) >= 4 {
 			recLen := int(le.Uint32(body))
 			if recLen <= 0 || recLen+4 > len(body) {

@@ -205,10 +205,13 @@ func (s *System) RunUntil(t Time) Time { return s.Env.RunUntil(t) }
 // Close unwinds the environment (always call when done).
 func (s *System) Close() { s.Env.Close() }
 
-// Crash cuts power: every in-flight operation is lost, media survive. The
-// system is unusable afterwards; call Recover to reboot into a recovered
-// system.
-func (s *System) Crash() { s.Env.Close() }
+// Crash cuts power: every in-flight operation and the driver's host-memory
+// state (staging buffer, queues) are lost, media survive. The system is
+// unusable afterwards; call Recover to reboot into a recovered system.
+func (s *System) Crash() {
+	s.Env.Close()
+	s.Trail.PowerCut()
+}
 
 // Recover reboots a crashed system: it reattaches the surviving disks to a
 // fresh environment, runs Trail recovery (replaying pending records to the

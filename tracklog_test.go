@@ -97,6 +97,63 @@ func TestSystemCrashRecoverCycle(t *testing.T) {
 	}
 }
 
+// A power cut takes the driver's host memory with it: after Crash the dead
+// driver holds no staged block, refuses I/O, and still answers for what it
+// did, while Recover rebuilds everything acknowledged from the platters.
+func TestCrashDropsHostStateKeepsStats(t *testing.T) {
+	sys, err := tracklog.NewSystem(tracklog.SystemConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writes = 24
+	block := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 8*tracklog.SectorSize) }
+	acked := 0
+	sys.Go("client", func(p *tracklog.Proc) {
+		for i := 0; i < writes; i++ {
+			if err := sys.Trail.Dev(0).Write(p, int64(i)*4096, 8, block(i)); err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+			acked++
+		}
+	})
+	for i := 0; i < 1000 && acked < writes; i++ {
+		sys.RunUntil(sys.Env.Now().Add(time.Millisecond))
+	}
+	before := sys.Trail.Stats()
+	if sys.Trail.StagedBytes() == 0 || before.Writes != writes {
+		t.Fatalf("staged %d bytes after %d writes at the cut; want write-back behind the log",
+			sys.Trail.StagedBytes(), before.Writes)
+	}
+	sys.Crash()
+	if got := sys.Trail.StagedBytes(); got != 0 {
+		t.Errorf("dead driver still pins %d staged bytes", got)
+	}
+	if sys.Trail.Stats() != before {
+		t.Error("the dead driver's Stats changed across the cut")
+	}
+
+	recovered, rep, err := sys.Recover(tracklog.RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	if rep.Clean || rep.BlocksReplayed == 0 {
+		t.Fatalf("report %+v", rep)
+	}
+	recovered.Go("client", func(p *tracklog.Proc) {
+		for i := 0; i < writes; i++ {
+			got, err := recovered.Trail.Dev(0).Read(p, int64(i)*4096, 8)
+			if err != nil || !bytes.Equal(got, block(i)) {
+				t.Errorf("block %d lost across the cut (err %v)", i, err)
+			}
+		}
+		if _, err := sys.Trail.Dev(0).Read(p, 0, 8); err == nil {
+			t.Error("the dead driver still serves reads")
+		}
+	})
+	recovered.Run()
+}
+
 func TestStandardDeviceBaseline(t *testing.T) {
 	env := tracklog.NewEnv()
 	defer env.Close()
