@@ -59,7 +59,7 @@ func main() {
 		}
 	}
 
-	rep, err := crashexplore.New(st, opts).Run()
+	rep, err := crashexplore.New(st.Stack, opts).Run()
 	if err != nil {
 		fail(err)
 	}

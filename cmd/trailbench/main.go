@@ -36,18 +36,15 @@ import (
 	"time"
 
 	"tracklog/internal/benchfmt"
-	"tracklog/internal/blockdev"
 	"tracklog/internal/crashexplore"
 	"tracklog/internal/crashexplore/stacks"
-	"tracklog/internal/disk"
 	"tracklog/internal/experiments"
 	"tracklog/internal/metrics"
+	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
 	"tracklog/internal/telemetry"
 	"tracklog/internal/timeline"
-	"tracklog/internal/trail"
 	"tracklog/internal/workload"
 )
 
@@ -179,7 +176,7 @@ func explorePoint(seed uint64) (benchfmt.Entry, error) {
 	if err != nil {
 		return benchfmt.Entry{}, err
 	}
-	rep, err := crashexplore.New(st, crashexplore.Options{Seed: seed, Window: exploreWindow}).Run()
+	rep, err := crashexplore.New(st.Stack, crashexplore.Options{Seed: seed, Window: exploreWindow}).Run()
 	if err != nil {
 		return benchfmt.Entry{}, err
 	}
@@ -212,36 +209,21 @@ func explorePoint(seed uint64) (benchfmt.Entry, error) {
 // timeline bucket it also attaches an aggregator to every layer of the rig
 // and exports the per-configuration occupancy timeline.
 func gridPoint(system string, mode workload.Mode, sizeKB int, seed uint64, art artifacts) (benchfmt.Entry, error) {
-	env := sim.NewEnv()
-	defer env.Close()
 	var agg *timeline.Aggregator
 	if art.tlBucket > 0 {
 		agg = timeline.New(art.tlBucket)
-		env.SetTimeline(agg)
 	}
-	var dev blockdev.Device
-	var drv *trail.Driver
-	switch system {
-	case "trail":
-		log := disk.New(env, disk.ST41601N())
-		if err := trail.Format(log); err != nil {
-			return benchfmt.Entry{}, err
-		}
-		data := disk.New(env, disk.WDCaviar())
-		var err error
-		drv, err = trail.NewDriver(env, log, []*disk.Disk{data}, trail.Config{})
-		if err != nil {
-			return benchfmt.Entry{}, err
-		}
-		dev = drv.Dev(0)
-		drv.SetTimeline(agg)
-	default:
-		d := disk.New(env, disk.WDCaviar())
-		std := stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
-		std.SetTimeline(agg, "disk0")
-		dev = std
+	cfg := rig.Config{Instruments: rig.Instruments{Timeline: agg}}
+	if system != "trail" {
+		cfg.Baseline = sched.LOOK
 	}
-	res, err := workload.RunSyncWrites(env, dev, workload.SyncWriteConfig{
+	r, err := rig.New(cfg)
+	if err != nil {
+		return benchfmt.Entry{}, err
+	}
+	defer r.Close()
+	env, drv := r.Env, r.Trail
+	res, err := workload.RunSyncWrites(env, r.Dev(0), workload.SyncWriteConfig{
 		Mode:             mode,
 		WriteSize:        sizeKB * 1024,
 		Processes:        1,
@@ -274,22 +256,23 @@ func worldPoint(name string, art artifacts) (benchfmt.Entry, error) {
 	}
 	env := sim.NewEnv()
 	defer env.Close()
-	var reg *telemetry.Registry
+	// The kernel's registry series cover Build too (the WAL world runs the
+	// simulation there); every timeline lane starts after it.
+	var in rig.Instruments
 	if art.telemetryBase != "" {
-		reg = telemetry.NewRegistry()
-		env.SetMetrics(reg)
+		in.Registry = telemetry.NewRegistry()
+		in.AttachKernel(env)
 	}
 	wf, err := st.Build(env)
 	if err != nil {
 		return benchfmt.Entry{}, err
 	}
-	st.Observe(reg)
-	var agg *timeline.Aggregator
 	if art.tlBucket > 0 {
-		agg = timeline.New(art.tlBucket)
-		env.SetTimeline(agg)
-		st.ObserveTimeline(agg)
+		in.Timeline = timeline.New(art.tlBucket)
+		rig.Instruments{Timeline: in.Timeline}.AttachKernel(env)
 	}
+	st.Observe(in)
+	reg, agg := in.Registry, in.Timeline
 
 	// The WAL world runs the simulation during Build (catalog setup), so
 	// measure the bench phase as a delta from here.

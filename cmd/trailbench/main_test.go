@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tracklog/internal/crashexplore/stacks"
+	"tracklog/internal/rig"
 	"tracklog/internal/sim"
 	"tracklog/internal/telemetry"
 )
@@ -101,9 +102,9 @@ func TestDefaultRunReproducesBaseline(t *testing.T) {
 	}
 }
 
-// Every instrumented component must accept a nil registry (and the kernel a
-// nil SetMetrics) as a no-op: the nil-is-disabled discipline that keeps
-// un-instrumented worlds at zero overhead.
+// Every world's single Observe hook must accept the zero instruments bundle
+// (and the kernel the same bundle) as a no-op: the nil-is-disabled discipline
+// that keeps un-instrumented worlds at zero overhead.
 func TestNilRegistryIsNoOpInEveryWorld(t *testing.T) {
 	for _, name := range worlds {
 		t.Run(name, func(t *testing.T) {
@@ -113,16 +114,15 @@ func TestNilRegistryIsNoOpInEveryWorld(t *testing.T) {
 			}
 			env := sim.NewEnv()
 			defer env.Close()
-			env.SetMetrics(nil)
+			rig.Instruments{}.AttachKernel(env)
 			wf, err := st.Build(env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Observe == nil || st.ObserveTimeline == nil {
-				t.Fatal("stack lacks an Observe or ObserveTimeline hook")
+			if st.Observe == nil {
+				t.Fatal("stack lacks an Observe hook")
 			}
-			st.Observe(nil) // must not panic or register anything
-			st.ObserveTimeline(nil)
+			st.Observe(rig.Instruments{}) // must not panic or register anything
 			env.Go("w", func(p *sim.Proc) {
 				for i := 0; i < 2*st.Slots; i++ {
 					if err := wf(p, i%st.Slots, i/st.Slots+1); err != nil {

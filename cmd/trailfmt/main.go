@@ -17,6 +17,7 @@ import (
 
 	"tracklog/internal/disk"
 	"tracklog/internal/geom"
+	"tracklog/internal/rig"
 	"tracklog/internal/sim"
 	"tracklog/internal/trail"
 )
@@ -34,22 +35,20 @@ func main() {
 }
 
 func run(writes int, crash, verbose bool) error {
-	env := sim.NewEnv()
-	defer env.Close()
-	log := disk.New(env, disk.ST41601N())
-	if err := trail.Format(log); err != nil {
+	sys, err := rig.Prepare(rig.Config{})
+	if err != nil {
 		return err
 	}
+	defer sys.Close()
+	env, log := sys.Env, sys.LogDisk
 	fmt.Printf("formatted %s: %d tracks, %.2f GiB, header replicas on tracks %v\n",
 		log.Params().Name, log.Geom().TotalTracks(),
 		float64(log.Geom().Capacity())/(1<<30), trail.HeaderTracks(log.Geom()))
 
-	data := disk.New(env, disk.WDCaviar())
-	drv, err := trail.NewDriver(env, log, []*disk.Disk{data}, trail.Config{})
-	if err != nil {
+	if err := sys.Start(); err != nil {
 		return err
 	}
-	dev := drv.Dev(0)
+	dev, drv := sys.Dev(0), sys.Trail
 	done := 0
 	env.Go("workload", func(p *sim.Proc) {
 		rng := sim.NewRand(7)

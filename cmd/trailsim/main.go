@@ -60,18 +60,17 @@ import (
 	"time"
 
 	"tracklog/internal/benchfmt"
-	"tracklog/internal/blockdev"
 	"tracklog/internal/crashexplore"
 	"tracklog/internal/disk"
 	"tracklog/internal/experiments"
 	"tracklog/internal/fault"
 	"tracklog/internal/metrics"
 	"tracklog/internal/qos"
+	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/snapshot"
 	"tracklog/internal/span"
-	"tracklog/internal/stddisk"
 	"tracklog/internal/telemetry"
 	"tracklog/internal/timeline"
 	"tracklog/internal/trace"
@@ -220,48 +219,20 @@ func (o *observer) setTimeline(bucket time.Duration, out string) {
 	o.agg = timeline.New(bucket)
 }
 
-// attach wires the observer into a freshly built rig: the kernel and every
-// device report into the tracer, and a daemon process (which never keeps the
-// simulation alive) samples the gauges. At most one of drv/std is non-nil.
-func (o *observer) attach(env *sim.Env, drv *trail.Driver, std *stddisk.Device) {
-	if o.tr != nil {
-		env.SetTracer(o.tr)
-		if drv != nil {
-			drv.SetTracer(o.tr)
-		}
-		if std != nil {
-			std.SetTracer(o.tr, "disk0")
-		}
-	}
-	if o.rec != nil {
-		if drv != nil {
-			drv.SetRecorder(o.rec)
-		}
-		if std != nil {
-			std.SetRecorder(o.rec, "disk0")
-		}
-	}
+// instruments is the bundle the rig attaches to the kernel and every layer.
+func (o *observer) instruments() rig.Instruments {
+	return rig.Instruments{Tracer: o.tr, Recorder: o.rec, Timeline: o.agg, Registry: o.reg}
+}
+
+// attach wires what the bundle does not carry into a freshly built rig: the
+// counter snapshot for the Prometheus exposition, the clock finish() closes
+// the timeline at, and a daemon process (which never keeps the simulation
+// alive) sampling the gauges.
+func (o *observer) attach(r *rig.Rig) {
+	env, drv := r.Env, r.Trail
+	o.env = env
 	if drv != nil {
 		o.counters = func() map[string]int64 { return drv.Stats().Counters().Snapshot() }
-	}
-	if o.reg != nil {
-		env.SetMetrics(o.reg)
-		if drv != nil {
-			drv.RegisterMetrics(o.reg)
-		}
-		if std != nil {
-			std.RegisterMetrics(o.reg, "disk0")
-		}
-	}
-	if o.agg != nil {
-		o.env = env
-		env.SetTimeline(o.agg)
-		if drv != nil {
-			drv.SetTimeline(o.agg)
-		}
-		if std != nil {
-			std.SetTimeline(o.agg, "disk0")
-		}
 	}
 	if o.interval <= 0 {
 		return
@@ -282,7 +253,8 @@ func (o *observer) attach(env *sim.Env, drv *trail.Driver, std *stddisk.Device) 
 				p.Sleep(o.interval)
 			}
 		})
-	case std != nil:
+	default:
+		std := r.Std[0]
 		o.sampler = trace.NewSampler("queue_depth", "arm_cyl")
 		env.GoDaemon("telemetry-sampler", func(p *sim.Proc) {
 			for {
@@ -430,68 +402,55 @@ func qosPolicy(on bool, deadline time.Duration, maxDepth int) *qos.Policy {
 	return pol
 }
 
-// buildDevice assembles the chosen storage system on a fresh environment,
-// optionally attaching the fault scenario to every drive and the overload
-// policy to the driver. Every stateful component is also registered in a
-// checkpointable World (for -verify-snapshot).
-func buildDevice(env *sim.Env, system, scenario string, faultSeed uint64, pol *qos.Policy, seekDeratePPM int64) (blockdev.Device, *trail.Driver, *stddisk.Device, []*fault.Plan, *crashexplore.World, error) {
-	var fcfg fault.Config
+// buildRig assembles the chosen storage system on a fresh environment with
+// the observer attached, optionally with the fault scenario on every drive
+// and the overload policy on the driver. Every stateful component is also
+// registered in a checkpointable World (for -verify-snapshot).
+func buildRig(system, scenario string, faultSeed uint64, pol *qos.Policy, seekDeratePPM int64, obs *observer) (*rig.Rig, *crashexplore.World, error) {
+	cfg := rig.Config{FaultSeed: faultSeed, Instruments: obs.instruments()}
 	if scenario != "" {
-		var err error
-		if fcfg, err = fault.ParseScenario(scenario); err != nil {
-			return nil, nil, nil, nil, nil, err
+		fcfg, err := fault.ParseScenario(scenario)
+		if err != nil {
+			return nil, nil, err
 		}
+		cfg.Faults = &fcfg
 	}
-	frng := sim.NewRand(faultSeed)
-	var plans []*fault.Plan
-	attach := func(d *disk.Disk) {
-		if scenario != "" {
-			plans = append(plans, fault.Attach(d, frng, fcfg))
-		}
-	}
-	w := crashexplore.NewWorld(env)
-	registerPlans := func() {
-		for i, pl := range plans {
-			w.Register(fmt.Sprintf("fault.%d", i), pl)
-		}
-	}
+	// The derate goes on the drive the system's synchronous writes wait for.
 	switch system {
 	case "trail":
 		lp := disk.ST41601N()
 		lp.SeekDeratePPM = seekDeratePPM
-		log := disk.New(env, lp)
-		if err := trail.Format(log); err != nil {
-			return nil, nil, nil, nil, nil, err
-		}
-		data := disk.New(env, disk.WDCaviar())
-		attach(log)
-		attach(data)
-		cfg := trail.Config{QoS: pol}
-		drv, err := trail.NewDriver(env, log, []*disk.Disk{data}, cfg)
-		if err != nil {
-			return nil, nil, nil, nil, nil, err
-		}
-		w.Register("disk.log", log)
-		w.Register("disk.data0", data)
-		w.Register("trail", drv)
-		registerPlans()
-		return drv.Dev(0), drv, nil, plans, w, nil
+		cfg.LogDisk = &lp
+		cfg.Trail = trail.Config{QoS: pol}
 	case "std":
 		dp := disk.WDCaviar()
 		dp.SeekDeratePPM = seekDeratePPM
-		d := disk.New(env, dp)
-		attach(d)
-		sd := stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
-		if pol != nil {
-			sd.SetQoS(pol)
-		}
-		w.Register("disk.0", d)
-		w.Register("stddisk", sd)
-		registerPlans()
-		return sd, nil, sd, plans, w, nil
+		cfg.DataDisk = &dp
+		cfg.Baseline = sched.LOOK
 	default:
-		return nil, nil, nil, nil, nil, fmt.Errorf("unknown system %q", system)
+		return nil, nil, fmt.Errorf("unknown system %q", system)
 	}
+	r, err := rig.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := crashexplore.NewWorld(r.Env)
+	if r.Trail != nil {
+		w.Register("disk.log", r.LogDisk)
+		w.Register("disk.data0", r.DataDisks[0])
+		w.Register("trail", r.Trail)
+	} else {
+		if pol != nil {
+			r.Std[0].SetQoS(pol)
+		}
+		w.Register("disk.0", r.DataDisks[0])
+		w.Register("stddisk", r.Std[0])
+	}
+	for i, pl := range r.Plans {
+		w.Register(fmt.Sprintf("fault.%d", i), pl)
+	}
+	obs.attach(r)
+	return r, w, nil
 }
 
 // verifyWorldSnapshot checkpoints the (now quiescent) world, restores the
@@ -523,14 +482,12 @@ func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, obs *
 	if err != nil {
 		return err
 	}
-	env := sim.NewEnv()
-	defer env.Close()
-	dev, drv, std, _, _, err := buildDevice(env, system, "", 0, pol, seekDerate)
+	r, _, err := buildRig(system, "", 0, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}
-	obs.attach(env, drv, std)
-	res, err := workload.Replay(env, dev, tr)
+	defer r.Close()
+	res, err := workload.Replay(r.Env, r.Dev(0), tr)
 	if err != nil {
 		return err
 	}
@@ -540,13 +497,12 @@ func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, obs *
 
 // runPattern synthesizes a trace with the named pattern and replays it.
 func runPattern(system, pattern string, ops, size int, writeRatio float64, seed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
-	env := sim.NewEnv()
-	defer env.Close()
-	dev, drv, std, _, _, err := buildDevice(env, system, "", 0, pol, seekDerate)
+	r, _, err := buildRig(system, "", 0, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}
-	obs.attach(env, drv, std)
+	defer r.Close()
+	env, dev := r.Env, r.Dev(0)
 	var pat workload.Pattern
 	switch pattern {
 	case "uniform":
@@ -575,13 +531,12 @@ func printReplay(system, source string, res *workload.ReplayResult) {
 }
 
 func run(system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verifySnap bool, obs *observer) error {
-	env := sim.NewEnv()
-	defer env.Close()
-	dev, drv, std, plans, world, err := buildDevice(env, system, scenario, faultSeed, pol, seekDerate)
+	r, world, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}
-	obs.attach(env, drv, std)
+	defer r.Close()
+	env, dev, drv, plans := r.Env, r.Dev(0), r.Trail, r.Plans
 
 	m := workload.Sparse
 	if mode == "clustered" {
@@ -646,13 +601,12 @@ type ackedWrite struct {
 // after the run: an acknowledged write that cannot be read back intact is
 // data loss and fails the run.
 func runOpenLoop(system string, size, writes int, rate float64, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verify bool, obs *observer) error {
-	env := sim.NewEnv()
-	defer env.Close()
-	dev, drv, std, plans, _, err := buildDevice(env, system, scenario, faultSeed, pol, seekDerate)
+	r, _, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}
-	obs.attach(env, drv, std)
+	defer r.Close()
+	env, dev, drv, plans := r.Env, r.Dev(0), r.Trail, r.Plans
 
 	// survivors holds, per target, every acknowledged write: concurrent
 	// acked writes to one slot race in the device, so readback must match

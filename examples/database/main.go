@@ -10,14 +10,8 @@ import (
 	"log"
 
 	"tracklog"
-	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
 	"tracklog/internal/sched"
-	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
 	"tracklog/internal/tpcc"
-	"tracklog/internal/trail"
-	"tracklog/internal/txn"
 	"tracklog/internal/wal"
 )
 
@@ -49,71 +43,19 @@ func main() {
 	}
 }
 
+// runSystem deploys the database on three IDE disks — one for the database
+// log file, two for tables, populated through instant devices before the
+// system starts (setup work, not measured) — behind Trail or behind the
+// standard elevator, and runs the transaction mix.
 func runSystem(useTrail bool) (*tpcc.Result, error) {
-	env := sim.NewEnv()
-	defer env.Close()
-
-	// Three IDE disks: one for the database log file, two for tables.
-	var phys []*disk.Disk
-	for i := 0; i < 3; i++ {
-		phys = append(phys, disk.New(env, disk.WDCaviar()))
+	var hw tracklog.SystemConfig
+	if !useTrail {
+		hw.Baseline = sched.LOOK
 	}
-
-	// Populate through instant devices: setup work, not measured.
-	var db *tpcc.DB
-	var err error
-	env.Go("load", func(p *sim.Proc) {
-		inst := []blockdev.Device{
-			disk.NewInstantDev(phys[1], blockdev.DevID{Major: 3, Minor: 1}),
-			disk.NewInstantDev(phys[2], blockdev.DevID{Major: 3, Minor: 2}),
-		}
-		db, err = tpcc.Load(p, dbConfig(), inst)
-		if err == nil {
-			err = db.FlushAll(p)
-		}
-	})
-	env.Run()
+	sys, runner, err := tpcc.Deploy(hw, dbConfig(), wal.Config{})
 	if err != nil {
 		return nil, err
 	}
-
-	// Reopen the tables on the measured storage system.
-	var logDev, tab1, tab2 blockdev.Device
-	if useTrail {
-		logDisk := disk.New(env, disk.ST41601N())
-		if err := trail.Format(logDisk); err != nil {
-			return nil, err
-		}
-		drv, err := trail.NewDriver(env, logDisk, phys, trail.Default())
-		if err != nil {
-			return nil, err
-		}
-		logDev, tab1, tab2 = drv.Dev(0), drv.Dev(1), drv.Dev(2)
-	} else {
-		logDev = stddisk.New(env, phys[0], blockdev.DevID{Major: 3, Minor: 0}, sched.LOOK)
-		tab1 = stddisk.New(env, phys[1], blockdev.DevID{Major: 3, Minor: 1}, sched.LOOK)
-		tab2 = stddisk.New(env, phys[2], blockdev.DevID{Major: 3, Minor: 2}, sched.LOOK)
-	}
-
-	var runner *tpcc.Runner
-	env.Go("open", func(p *sim.Proc) {
-		rdb, oerr := tpcc.Reopen(p, dbConfig(), []blockdev.Device{tab1, tab2})
-		if oerr != nil {
-			err = oerr
-			return
-		}
-		l, oerr := wal.New(env, wal.Config{Dev: logDev, Sectors: logDev.Sectors()})
-		if oerr != nil {
-			err = oerr
-			return
-		}
-		runner = tpcc.NewRunner(rdb, txn.NewManager(env, l))
-	})
-	env.Run()
-	if err != nil {
-		return nil, err
-	}
-	return runner.Run(env, tpcc.RunConfig{Transactions: 300, Concurrency: 2, Warmup: 50, Seed: 21})
+	defer sys.Close()
+	return runner.Run(sys.Env, tpcc.RunConfig{Transactions: 300, Concurrency: 2, Warmup: 50, Seed: 21})
 }
-
-var _ = tracklog.SectorSize // the example builds against the public module

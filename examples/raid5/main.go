@@ -13,14 +13,10 @@ import (
 	"time"
 
 	"tracklog"
-	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
 	"tracklog/internal/metrics"
 	"tracklog/internal/raid"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
-	"tracklog/internal/trail"
 )
 
 const (
@@ -47,33 +43,18 @@ func main() {
 }
 
 func run(useTrail bool) (time.Duration, bool, error) {
-	env := sim.NewEnv()
-	defer env.Close()
-
-	var devs []blockdev.Device
-	if useTrail {
-		lg := disk.New(env, disk.ST41601N())
-		if err := trail.Format(lg); err != nil {
-			return 0, false, err
-		}
-		var raws []*disk.Disk
-		for i := 0; i < nDisks; i++ {
-			raws = append(raws, disk.New(env, disk.WDCaviar()))
-		}
-		drv, err := trail.NewDriver(env, lg, raws, trail.Default())
-		if err != nil {
-			return 0, false, err
-		}
-		for i := 0; i < nDisks; i++ {
-			devs = append(devs, drv.Dev(i))
-		}
-	} else {
-		for i := 0; i < nDisks; i++ {
-			d := disk.New(env, disk.WDCaviar())
-			devs = append(devs, stddisk.New(env, d, blockdev.DevID{Major: 9, Minor: uint8(i)}, sched.LOOK))
-		}
+	cfg := tracklog.SystemConfig{DataDisks: nDisks}
+	if !useTrail {
+		cfg.Baseline, cfg.Major = sched.LOOK, 9 // array members sit on the md major
 	}
-	array, err := raid.New(devs, chunk)
+	sys, err := tracklog.NewSystem(cfg)
+	if err != nil {
+		return 0, false, err
+	}
+	defer sys.Close()
+	env := sys.Env
+
+	array, err := raid.New(sys.Devs(), chunk)
 	if err != nil {
 		return 0, false, err
 	}

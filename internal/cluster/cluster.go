@@ -26,9 +26,9 @@ import (
 	"time"
 
 	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
 	"tracklog/internal/fault"
 	"tracklog/internal/qos"
+	"tracklog/internal/rig"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
 	"tracklog/internal/timeline"
@@ -74,7 +74,7 @@ type Config struct {
 	Trail trail.Config
 	// Scenario schedules whole-shard chaos (kills, derates).
 	Scenario fault.ShardScenario
-	// Seed feeds the cluster's private RNG (fault plans).
+	// Seed feeds the shards' fault plans.
 	Seed uint64
 }
 
@@ -164,7 +164,6 @@ type Stats struct {
 type Cluster struct {
 	env    *sim.Env
 	cfg    Config
-	rng    *sim.Rand
 	ring   []ringEntry
 	place  []Placement
 	shards []*Shard
@@ -203,7 +202,6 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		env:  env,
 		cfg:  cfg,
-		rng:  sim.NewRand(cfg.Seed ^ 0xC10C0DE),
 		ring: buildRing(cfg.Shards, cfg.VNodes),
 		spb:  cfg.WriteSize / 512,
 	}
@@ -242,29 +240,22 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// provision builds one shard generation: a fresh formatted log disk, a
-// fresh data disk, and a Trail driver over them. Generation 0 additionally
-// arms the kill plan from the chaos scenario — replacement hardware is
-// healthy by construction.
+// provision builds one shard generation: the standard rig — a fresh
+// formatted log disk, a fresh data disk, and a Trail driver over them — on
+// the cluster's environment. Generation 0 additionally arms the kill plan
+// from the chaos scenario on both drives; replacement hardware is healthy by
+// construction.
 func (c *Cluster) provision(idx, gen int) (*Shard, error) {
-	log := disk.New(c.env, disk.ST41601N())
-	if err := trail.Format(log); err != nil {
-		return nil, fmt.Errorf("cluster: shard %d: %w", idx, err)
+	hw := rig.Config{Env: c.env, Trail: c.cfg.Trail, FaultSeed: (c.cfg.Seed ^ 0xC10C0DE) + uint64(idx)}
+	hw.Trail.QoS = c.cfg.QoS
+	if killAt := c.cfg.Scenario.KillFor(idx); gen == 0 && killAt > 0 {
+		hw.Faults = &fault.Config{FailAt: killAt}
 	}
-	data := disk.New(c.env, disk.WDCaviar())
-	tcfg := c.cfg.Trail
-	tcfg.QoS = c.cfg.QoS
-	drv, err := trail.NewDriver(c.env, log, []*disk.Disk{data}, tcfg)
+	r, err := rig.New(hw)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d: %w", idx, err)
 	}
-	if gen == 0 {
-		if killAt := c.cfg.Scenario.KillFor(idx); killAt > 0 {
-			fault.Attach(log, c.rng, fault.Config{FailAt: killAt})
-			fault.Attach(data, c.rng, fault.Config{FailAt: killAt})
-		}
-	}
-	sh := &Shard{idx: idx, gen: gen, log: log, data: data, drv: drv, dev: drv.Dev(0)}
+	sh := &Shard{idx: idx, gen: gen, log: r.LogDisk, data: r.DataDisks[0], drv: r.Trail, dev: r.Trail.Dev(0)}
 	if c.agg != nil {
 		c.observeShardDisks(sh)
 	}

@@ -29,8 +29,6 @@ import (
 
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
-	"tracklog/internal/telemetry"
-	"tracklog/internal/timeline"
 )
 
 // WriteFunc makes version v of slot s durable, returning nil once the stack
@@ -64,20 +62,6 @@ type Stack struct {
 	// recovered stack accepts new writes). Only RunSingle invokes it; the
 	// explorer skips it on every branch.
 	Post func(env *sim.Env) error
-
-	// Observe, if non-nil, registers the telemetry of the most recently
-	// Built rig (driver counters, per-disk utilization) on reg. Callers
-	// that want component metrics (cmd/trailbench) invoke it right after
-	// Build; the explorer never does. Registering on a nil registry must
-	// be a no-op, matching the component RegisterMetrics contract.
-	Observe func(reg *telemetry.Registry)
-
-	// ObserveTimeline, if non-nil, attaches the most recently Built rig to
-	// a utilization-timeline aggregator (disk lanes, queue depths, driver
-	// levels). Callers that want timelines (cmd/trailbench) invoke it right
-	// after Build; the explorer never does. Attaching a nil aggregator must
-	// be a no-op, matching the component SetTimeline contract.
-	ObserveTimeline func(a *timeline.Aggregator)
 }
 
 // launchWorkload starts the harness's slot writers on env: one process per

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/metrics"
+	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/stddisk"
@@ -42,24 +42,24 @@ func ThresholdSweep(thresholds []float64, writes int, seed uint64) (*ThresholdRe
 	}
 	res := &ThresholdResult{}
 	for _, th := range thresholds {
-		cfg := DefaultTrailConfig()
+		cfg := trail.Default()
 		cfg.UtilizationThreshold = th
-		rig, err := newTrailRig(1, cfg)
+		sys, err := rig.New(rig.Config{Trail: cfg})
 		if err != nil {
 			return nil, err
 		}
-		wres, err := workload.RunSyncWrites(rig.env, rig.drv.Dev(0), workload.SyncWriteConfig{
+		wres, err := workload.RunSyncWrites(sys.Env, sys.Trail.Dev(0), workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        1024,
 			WritesPerProcess: writes,
 			Seed:             seed,
 		})
 		if err != nil {
-			rig.env.Close()
+			sys.Env.Close()
 			return nil, fmt.Errorf("threshold %.2f: %w", th, err)
 		}
-		s := rig.drv.Stats()
-		rig.env.Close()
+		s := sys.Trail.Stats()
+		sys.Env.Close()
 		res.Rows = append(res.Rows, ThresholdRow{
 			Threshold:    th,
 			MeanLatency:  wres.Latency.Mean(),
@@ -102,20 +102,20 @@ func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
 	}
 	res := &ReadPriorityResult{}
 	for _, policy := range []sched.Policy{sched.ReadPriorityLOOK, sched.LOOK} {
-		cfg := DefaultTrailConfig()
+		cfg := trail.Default()
 		cfg.DataPolicy = policy
-		rig, err := newTrailRig(1, cfg)
+		sys, err := rig.New(rig.Config{Trail: cfg})
 		if err != nil {
 			return nil, err
 		}
-		dev := rig.drv.Dev(0)
+		dev := sys.Trail.Dev(0)
 		rng := sim.NewRand(seed)
 		lat := metrics.NewSummary()
 
 		// Writer: a continuous stream of staged writes keeps the
 		// write-back path busy on the data disk.
 		writing := true
-		rig.env.Go("writer", func(p *sim.Proc) {
+		sys.Env.Go("writer", func(p *sim.Proc) {
 			for writing {
 				lba := rng.Int64n(dev.Sectors()/8) * 8
 				if err := dev.Write(p, lba, 8, make([]byte, 8*geom.SectorSize)); err != nil {
@@ -125,7 +125,7 @@ func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
 			}
 		})
 		// Reader: cold reads that must reach the data disk.
-		rig.env.Go("reader", func(p *sim.Proc) {
+		sys.Env.Go("reader", func(p *sim.Proc) {
 			p.Sleep(50 * time.Millisecond) // let the write-back queue build
 			for i := 0; i < reads; i++ {
 				lba := (rng.Int64n(dev.Sectors()/16) + dev.Sectors()/16) &^ 7
@@ -139,10 +139,10 @@ func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
 			writing = false
 		})
 		deadline := sim.Time(60 * time.Second)
-		for rig.env.Now() < deadline && lat.Count() < int64(reads) {
-			rig.env.RunUntil(rig.env.Now().Add(100 * time.Millisecond))
+		for sys.Env.Now() < deadline && lat.Count() < int64(reads) {
+			sys.Env.RunUntil(sys.Env.Now().Add(100 * time.Millisecond))
 		}
-		rig.env.Close()
+		sys.Env.Close()
 		if lat.Count() < int64(reads) {
 			return nil, fmt.Errorf("read-priority ablation: only %d of %d reads completed", lat.Count(), reads)
 		}
@@ -186,27 +186,16 @@ func MultiLogAblation(counts []int, writes int, seed uint64) (*MultiLogResult, e
 	}
 	res := &MultiLogResult{}
 	for _, n := range counts {
-		env := sim.NewEnv()
-		var logs []*disk.Disk
-		for i := 0; i < n; i++ {
-			lg := disk.New(env, disk.ST41601N())
-			if err := trail.Format(lg); err != nil {
-				env.Close()
-				return nil, err
-			}
-			logs = append(logs, lg)
-		}
-		data := disk.New(env, disk.WDCaviar())
-		cfg := DefaultTrailConfig()
+		cfg := trail.Default()
 		// Aggressive threshold maximizes repositioning, the overhead under
 		// study.
 		cfg.UtilizationThreshold = 0.05
-		drv, err := trail.NewDriverMulti(env, logs, []*disk.Disk{data}, cfg)
+		sys, err := rig.New(rig.Config{LogDisks: n, Trail: cfg})
 		if err != nil {
-			env.Close()
 			return nil, err
 		}
-		wres, err := workload.RunSyncWrites(env, drv.Dev(0), workload.SyncWriteConfig{
+		env := sys.Env
+		wres, err := workload.RunSyncWrites(env, sys.Dev(0), workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        2048,
 			WritesPerProcess: writes,

@@ -7,7 +7,9 @@ import (
 
 	"tracklog/internal/geom"
 	"tracklog/internal/metrics"
+	"tracklog/internal/rig"
 	"tracklog/internal/sim"
+	"tracklog/internal/trail"
 )
 
 // DeltaRow is one point of the §3.1 delta calibration sweep.
@@ -42,18 +44,18 @@ func DeltaCalibration(deltas []int, writesPerPoint int) (*DeltaResult, error) {
 	}
 	var res DeltaResult
 	for _, delta := range deltas {
-		cfg := DefaultTrailConfig()
+		cfg := trail.Default()
 		cfg.FixedDelta = delta
-		rig, err := newTrailRig(1, cfg)
+		sys, err := rig.New(rig.Config{Trail: cfg})
 		if err != nil {
 			return nil, err
 		}
 		if res.RotPeriod == 0 {
-			res.RotPeriod = rig.log.Params().RotPeriod()
+			res.RotPeriod = sys.LogDisk.Params().RotPeriod()
 		}
-		dev := rig.drv.Dev(0)
+		dev := sys.Trail.Dev(0)
 		lat := metrics.NewSummary()
-		rig.env.Go("calib", func(p *sim.Proc) {
+		sys.Env.Go("calib", func(p *sim.Proc) {
 			dev.Write(p, 0, 1, make([]byte, geom.SectorSize)) // establish reference
 			for i := 1; i <= writesPerPoint; i++ {
 				p.Sleep(3 * time.Millisecond)
@@ -64,8 +66,8 @@ func DeltaCalibration(deltas []int, writesPerPoint int) (*DeltaResult, error) {
 				lat.Add(p.Now().Sub(start))
 			}
 		})
-		rig.env.Run()
-		rig.env.Close()
+		sys.Env.Run()
+		sys.Env.Close()
 		row := DeltaRow{
 			Delta:        delta,
 			Mean:         lat.Mean(),
@@ -119,15 +121,15 @@ func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 	measure := func(sectors int) (time.Duration, time.Duration, error) {
 		// Low utilization threshold forces a reposition after every write
 		// so its cost is sampled continuously.
-		cfg := DefaultTrailConfig()
-		rig, err := newTrailRig(1, cfg)
+		cfg := trail.Default()
+		sys, err := rig.New(rig.Config{Trail: cfg})
 		if err != nil {
 			return 0, 0, err
 		}
-		defer rig.env.Close()
-		dev := rig.drv.Dev(0)
+		defer sys.Env.Close()
+		dev := sys.Trail.Dev(0)
 		lat := metrics.NewSummary()
-		rig.env.Go("anatomy", func(p *sim.Proc) {
+		sys.Env.Go("anatomy", func(p *sim.Proc) {
 			dev.Write(p, 0, sectors, make([]byte, sectors*geom.SectorSize))
 			for i := 1; i <= writes; i++ {
 				p.Sleep(10 * time.Millisecond) // sparse: repositioning masked
@@ -138,8 +140,8 @@ func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 				lat.Add(p.Now().Sub(start))
 			}
 		})
-		rig.env.Run()
-		s := rig.drv.Stats()
+		sys.Env.Run()
+		s := sys.Trail.Stats()
 		var repos time.Duration
 		if s.Repositions > 0 {
 			repos = s.RepositionTime / time.Duration(s.Repositions)
@@ -164,12 +166,12 @@ func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 }
 
 func newParamsSectorTime() time.Duration {
-	rig, err := newTrailRig(1, DefaultTrailConfig())
+	sys, err := rig.New(rig.Config{})
 	if err != nil {
 		return 0
 	}
-	defer rig.env.Close()
-	return rig.log.Params().SectorTime(0)
+	defer sys.Env.Close()
+	return sys.LogDisk.Params().SectorTime(0)
 }
 
 // String renders the anatomy.

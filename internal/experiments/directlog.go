@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
 	"tracklog/internal/fslite"
 	"tracklog/internal/metrics"
+	"tracklog/internal/rig"
 	"tracklog/internal/sim"
-	"tracklog/internal/trail"
 	"tracklog/internal/wal"
 )
 
@@ -37,28 +36,21 @@ func DirectLogging(commits int, seed uint64) (*DirectLogResult, error) {
 	}
 	res := &DirectLogResult{}
 	for _, direct := range []bool{true, false} {
-		env := sim.NewEnv()
-		lg := disk.New(env, disk.ST41601N())
-		if err := trail.Format(lg); err != nil {
-			env.Close()
-			return nil, err
-		}
-		dd := disk.New(env, disk.WDCaviar())
-		drv, err := trail.NewDriver(env, lg, []*disk.Disk{dd}, DefaultTrailConfig())
+		sys, err := rig.New(rig.Config{})
 		if err != nil {
-			env.Close()
 			return nil, err
 		}
+		env := sys.Env
 
 		name := "raw trail device (direct)"
 		lat := metrics.NewSummary()
 		var flushes int64
 		var ferr error
 		env.Go("bench", func(p *sim.Proc) {
-			var dev blockdev.Device = drv.Dev(0)
+			dev := sys.Dev(0)
 			if !direct {
 				name = "file system file (indirect)"
-				fs, err := fslite.Mkfs(p, drv.Dev(0))
+				fs, err := fslite.Mkfs(p, dev)
 				if err != nil {
 					ferr = err
 					return

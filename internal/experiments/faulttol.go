@@ -7,15 +7,13 @@ import (
 	"time"
 
 	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
 	"tracklog/internal/fault"
 	"tracklog/internal/geom"
 	"tracklog/internal/metrics"
 	"tracklog/internal/raid"
+	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
-	"tracklog/internal/trail"
 )
 
 // faultRegion bounds the workload (and, by default, the sampled fault
@@ -77,52 +75,39 @@ func FaultTolerance(writes int, seed uint64, cfg fault.Config) (*FaultToleranceR
 // faultToleranceRun builds one system with the scenario attached and drives
 // the workload against it.
 func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config) (*FaultRow, error) {
-	env := sim.NewEnv()
-	defer env.Close()
-	planRng := sim.NewRand(seed)
-
+	var sys *rig.Rig
 	var dev blockdev.Device
 	var plans []*fault.Plan
 	var sysCounters func() *metrics.Counters
+	var err error
 	switch system {
 	case "standard":
-		d := disk.New(env, disk.WDCaviar())
-		plans = append(plans, fault.Attach(d, planRng, cfg))
-		sd := stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
-		dev = sd
+		if sys, err = rig.New(rig.Config{Baseline: sched.LOOK, Faults: &cfg, FaultSeed: seed}); err != nil {
+			return nil, err
+		}
+		dev = sys.Dev(0)
 		sysCounters = func() *metrics.Counters {
 			c := metrics.NewCounters()
-			s := sd.Stats()
+			s := sys.Std[0].Stats()
 			c.Set("stddisk.retries", s.Retries)
 			c.Set("stddisk.failures", s.Failures)
 			return c
 		}
 	case "trail":
-		lg := disk.New(env, disk.ST41601N())
-		if err := trail.Format(lg); err != nil {
+		if sys, err = rig.New(rig.Config{Faults: &cfg, FaultSeed: seed}); err != nil {
 			return nil, err
 		}
-		data := disk.New(env, disk.WDCaviar())
-		plans = append(plans,
-			fault.Attach(lg, planRng, cfg),
-			fault.Attach(data, planRng, cfg))
-		drv, err := trail.NewDriver(env, lg, []*disk.Disk{data}, DefaultTrailConfig())
-		if err != nil {
-			return nil, err
-		}
-		dev = drv.Dev(0)
-		sysCounters = func() *metrics.Counters { return drv.Stats().FaultCounters() }
+		dev = sys.Dev(0)
+		sysCounters = func() *metrics.Counters { return sys.Trail.Stats().FaultCounters() }
 	case "raid5":
-		var devs []blockdev.Device
-		for i := 0; i < 4; i++ {
-			d := disk.New(env, disk.WDCaviar())
-			if i == 0 {
-				plans = append(plans, fault.Attach(d, planRng, cfg))
-			}
-			devs = append(devs, stddisk.New(env, d, blockdev.DevID{Major: 9, Minor: uint8(i)}, sched.LOOK))
+		// Only member 0 is faulty: the array must mask one bad disk.
+		if sys, err = rig.New(rig.Config{Baseline: sched.LOOK, Major: 9, DataDisks: 4}); err != nil {
+			return nil, err
 		}
-		a, err := raid.New(devs, 8)
+		plans = append(plans, fault.Attach(sys.DataDisks[0], sim.NewRand(seed), cfg))
+		a, err := raid.New(sys.Devs(), 8)
 		if err != nil {
+			sys.Close()
 			return nil, err
 		}
 		dev = raidDevice{a}
@@ -130,6 +115,8 @@ func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config)
 	default:
 		return nil, fmt.Errorf("unknown system %q", system)
 	}
+	env, plans := sys.Env, append(plans, sys.Plans...)
+	defer env.Close()
 
 	row := &FaultRow{System: system}
 	lat := metrics.NewSummary()

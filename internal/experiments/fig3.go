@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"tracklog/internal/metrics"
+	"tracklog/internal/rig"
+	"tracklog/internal/sched"
 	"tracklog/internal/workload"
 )
 
@@ -75,19 +77,22 @@ func Figure3(cfg Figure3Config) (*Fig3Result, error) {
 				Seed:             cfg.Seed + uint64(sizeKB),
 			}
 			// Trail.
-			tr, err := newTrailRig(1, DefaultTrailConfig())
+			tr, err := rig.New(rig.Config{})
 			if err != nil {
 				return nil, err
 			}
-			tres, err := workload.RunSyncWrites(tr.env, tr.drv.Dev(0), wcfg)
-			tr.env.Close()
+			tres, err := workload.RunSyncWrites(tr.Env, tr.Trail.Dev(0), wcfg)
+			tr.Env.Close()
 			if err != nil {
 				return nil, fmt.Errorf("fig3 trail %dKB %v: %w", sizeKB, mode, err)
 			}
 			// Linux baseline.
-			lx := newLinuxRig(1)
-			lres, err := workload.RunSyncWrites(lx.env, lx.devs[0], wcfg)
-			lx.env.Close()
+			lx, err := rig.New(rig.Config{Baseline: sched.LOOK})
+			if err != nil {
+				return nil, err
+			}
+			lres, err := workload.RunSyncWrites(lx.Env, lx.Dev(0), wcfg)
+			lx.Env.Close()
 			if err != nil {
 				return nil, fmt.Errorf("fig3 linux %dKB %v: %w", sizeKB, mode, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"tracklog/internal/rig"
 	"tracklog/internal/span"
 	"tracklog/internal/trace"
 	"tracklog/internal/workload"
@@ -58,23 +59,20 @@ func Figure3Traced(cfg Figure3Config) (*Fig3TracedResult, error) {
 	cfg = cfg.withDefaults()
 	res := &Fig3TracedResult{Processes: cfg.Processes}
 	for _, sizeKB := range cfg.SizesKB {
-		tr, err := newTrailRig(1, DefaultTrailConfig())
+		tracer := trace.New(0)
+		rec := span.NewRecorder(0)
+		tr, err := rig.New(rig.Config{Instruments: rig.Instruments{Tracer: tracer, Recorder: rec}})
 		if err != nil {
 			return nil, err
 		}
-		tracer := trace.New(0)
-		tr.env.SetTracer(tracer)
-		tr.drv.SetTracer(tracer)
-		rec := span.NewRecorder(0)
-		tr.drv.SetRecorder(rec)
-		tres, err := workload.RunSyncWrites(tr.env, tr.drv.Dev(0), workload.SyncWriteConfig{
+		tres, err := workload.RunSyncWrites(tr.Env, tr.Trail.Dev(0), workload.SyncWriteConfig{
 			Mode:             workload.Sparse,
 			WriteSize:        sizeKB * 1024,
 			Processes:        cfg.Processes,
 			WritesPerProcess: cfg.WritesPerProcess,
 			Seed:             cfg.Seed + uint64(sizeKB),
 		})
-		tr.env.Close()
+		tr.Env.Close()
 		if err != nil {
 			return nil, fmt.Errorf("fig3traced %dKB: %w", sizeKB, err)
 		}

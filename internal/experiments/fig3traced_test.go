@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracklog/internal/rig"
 	"tracklog/internal/trace"
 	"tracklog/internal/workload"
 )
@@ -63,17 +64,17 @@ func TestFigure3Traced(t *testing.T) {
 // an untraced run of the same seed: tracing is observation only.
 func TestTracingDoesNotPerturbWorkload(t *testing.T) {
 	run := func(traced bool) (elapsed, mean int64) {
-		rig, err := newTrailRig(1, DefaultTrailConfig())
+		sys, err := rig.New(rig.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rig.env.Close()
+		defer sys.Env.Close()
 		if traced {
 			tr := trace.New(0)
-			rig.env.SetTracer(tr)
-			rig.drv.SetTracer(tr)
+			sys.Env.SetTracer(tr)
+			sys.Trail.SetTracer(tr)
 		}
-		res, err := workload.RunSyncWrites(rig.env, rig.drv.Dev(0), workload.SyncWriteConfig{
+		res, err := workload.RunSyncWrites(sys.Env, sys.Trail.Dev(0), workload.SyncWriteConfig{
 			Mode:             workload.Sparse,
 			WriteSize:        2048,
 			Processes:        2,

@@ -5,13 +5,11 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 	"tracklog/internal/metrics"
-	"tracklog/internal/sched"
+	"tracklog/internal/rig"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
-	"tracklog/internal/stddisk"
 	"tracklog/internal/trail"
 )
 
@@ -101,19 +99,19 @@ func Figure4(qs []int, seed uint64) (*Fig4Result, error) {
 
 // crashWithBacklog builds a Trail system, runs writes until Q records are
 // outstanding, cuts power, reboots and recovers with opts. When rec is
-// non-nil the rebooted data disks record spans into it, so the write-back
-// phase can be decomposed per device command.
+// non-nil the rig carries it, so the rebooted data disks record spans into
+// it and the write-back phase can be decomposed per device command.
 func crashWithBacklog(q int, seed uint64, opts trail.RecoverOptions, rec *span.Recorder) (*trail.RecoverReport, error) {
-	cfg := DefaultTrailConfig()
+	cfg := trail.Default()
 	cfg.DisableBatching = true // one record per write: backlog == Q records
-	rig, err := newTrailRig(1, cfg)
+	sys, err := rig.New(rig.Config{Trail: cfg, Instruments: rig.Instruments{Recorder: rec}})
 	if err != nil {
 		return nil, err
 	}
-	dev := rig.drv.Dev(0)
+	dev := sys.Dev(0)
 	rng := sim.NewRand(seed + uint64(q))
 	stop := false
-	rig.env.Go("load", func(p *sim.Proc) {
+	sys.Go("load", func(p *sim.Proc) {
 		for !stop {
 			lba := rng.Int64n(dev.Sectors()/8) * 8
 			if err := dev.Write(p, lba, 2, make([]byte, 2*geom.SectorSize)); err != nil {
@@ -122,39 +120,24 @@ func crashWithBacklog(q int, seed uint64, opts trail.RecoverOptions, rec *span.R
 		}
 	})
 	// Advance until the backlog reaches Q, then cut power.
-	for rig.drv.OutstandingRecords() < q {
-		before := rig.env.Now()
-		rig.env.RunUntil(before.Add(2 * time.Millisecond))
-		if rig.env.Now() == before {
-			rig.env.Close()
-			return nil, fmt.Errorf("fig4: backlog stalled at %d of %d", rig.drv.OutstandingRecords(), q)
+	for sys.Trail.OutstandingRecords() < q {
+		before := sys.Env.Now()
+		sys.RunUntil(before.Add(2 * time.Millisecond))
+		if sys.Env.Now() == before {
+			sys.Close()
+			return nil, fmt.Errorf("fig4: backlog stalled at %d of %d", sys.Trail.OutstandingRecords(), q)
 		}
 	}
 	stop = true
-	rig.env.Close()
+	sys.Crash()
 
 	// Reboot: fresh environment, same media.
-	env := sim.NewEnv()
-	defer env.Close()
-	rig.log.Reattach(env)
-	devs := map[blockdev.DevID]blockdev.Device{}
-	for i, dd := range rig.data {
-		dd.Reattach(env)
-		id := blockdev.DevID{Major: 8, Minor: uint8(i)}
-		sd := stddisk.New(env, dd, id, sched.LOOK)
-		if rec != nil {
-			sd.SetRecorder(rec, fmt.Sprintf("data%d", i))
-		}
-		devs[id] = sd
+	rebooted, rep, err := sys.Recover(opts)
+	if err != nil {
+		return nil, fmt.Errorf("fig4 recover q=%d: %w", q, err)
 	}
-	var rep *trail.RecoverReport
-	var rerr error
-	env.Go("recover", func(p *sim.Proc) {
-		rep, rerr = trail.Recover(p, rig.log, devs, opts)
-	})
-	env.Run()
-	if rerr != nil {
-		return nil, fmt.Errorf("fig4 recover q=%d: %w", q, rerr)
+	if rebooted != nil {
+		rebooted.Close()
 	}
 	return rep, nil
 }

@@ -5,13 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
 	"tracklog/internal/fslite"
+	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
-	"tracklog/internal/trail"
 )
 
 // FSMetaRow is one storage system's O_SYNC file-append cost.
@@ -38,27 +35,15 @@ func FSMetadata(appends int, seed uint64) (*FSMetaResult, error) {
 	}
 	res := &FSMetaResult{}
 	for _, useTrail := range []bool{false, true} {
-		env := sim.NewEnv()
-		var dev blockdev.Device
-		name := "standard"
+		name, cfg := "standard", rig.Config{Baseline: sched.LOOK}
 		if useTrail {
-			name = "trail"
-			lg := disk.New(env, disk.ST41601N())
-			if err := trail.Format(lg); err != nil {
-				env.Close()
-				return nil, err
-			}
-			dd := disk.New(env, disk.WDCaviar())
-			drv, err := trail.NewDriver(env, lg, []*disk.Disk{dd}, DefaultTrailConfig())
-			if err != nil {
-				env.Close()
-				return nil, err
-			}
-			dev = drv.Dev(0)
-		} else {
-			dd := disk.New(env, disk.WDCaviar())
-			dev = stddisk.New(env, dd, blockdev.DevID{Major: 3}, sched.LOOK)
+			name, cfg = "trail", rig.Config{}
 		}
+		sys, err := rig.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		env, dev := sys.Env, sys.Dev(0)
 		var row FSMetaRow
 		row.System = name
 		var ferr error

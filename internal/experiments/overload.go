@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"tracklog/internal/qos"
+	"tracklog/internal/rig"
+	"tracklog/internal/trail"
 	"tracklog/internal/workload"
 )
 
@@ -87,13 +89,13 @@ func Overload(multipliers []float64, requests int, seed uint64) (*OverloadResult
 // times higher than the batched service time and would make "2× load"
 // comfortably sustainable.)
 func calibrateSaturation(seed uint64) (time.Duration, error) {
-	rig, err := newTrailRig(1, DefaultTrailConfig())
+	sys, err := rig.New(rig.Config{})
 	if err != nil {
 		return 0, err
 	}
-	defer rig.env.Close()
+	defer sys.Env.Close()
 	const writes = 200
-	wres, err := workload.RunOpenLoopWrites(rig.env, rig.drv.Dev(0), workload.OpenLoopConfig{
+	wres, err := workload.RunOpenLoopWrites(sys.Env, sys.Trail.Dev(0), workload.OpenLoopConfig{
 		Interarrival: 50 * time.Microsecond,
 		Requests:     writes,
 		WriteSize:    1024,
@@ -110,20 +112,20 @@ func calibrateSaturation(seed uint64) (time.Duration, error) {
 
 // overloadCell runs one open-loop cell of the sweep.
 func overloadCell(multiplier float64, withQoS bool, svc time.Duration, requests int, seed uint64) (*OverloadRow, error) {
-	cfg := DefaultTrailConfig()
+	cfg := trail.Default()
 	if withQoS {
 		cfg.QoS = overloadPolicy()
 	}
-	rig, err := newTrailRig(1, cfg)
+	sys, err := rig.New(rig.Config{Trail: cfg})
 	if err != nil {
 		return nil, err
 	}
-	defer rig.env.Close()
+	defer sys.Env.Close()
 	interarrival := time.Duration(float64(svc) / multiplier)
 	if interarrival <= 0 {
 		interarrival = time.Microsecond
 	}
-	wres, err := workload.RunOpenLoopWrites(rig.env, rig.drv.Dev(0), workload.OpenLoopConfig{
+	wres, err := workload.RunOpenLoopWrites(sys.Env, sys.Trail.Dev(0), workload.OpenLoopConfig{
 		Interarrival: interarrival,
 		Requests:     requests,
 		WriteSize:    1024,
@@ -135,7 +137,7 @@ func overloadCell(multiplier float64, withQoS bool, svc time.Duration, requests 
 	if wres.OtherErrors > 0 {
 		return nil, fmt.Errorf("%d unexpected write errors", wres.OtherErrors)
 	}
-	st := rig.drv.Stats()
+	st := sys.Trail.Stats()
 	return &OverloadRow{
 		Multiplier:  multiplier,
 		QoS:         withQoS,

@@ -5,15 +5,12 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/metrics"
 	"tracklog/internal/raid"
+	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
-	"tracklog/internal/trail"
 )
 
 // RAID5Row is one configuration of the small-write experiment.
@@ -40,36 +37,17 @@ func RAID5SmallWrites(writes int, seed uint64) (*RAID5Result, error) {
 	}
 	res := &RAID5Result{}
 	for _, useTrail := range []bool{false, true} {
-		env := sim.NewEnv()
 		const nDevs = 4
-		var devs []blockdev.Device
-		name := "standard"
+		name, cfg := "standard", rig.Config{DataDisks: nDevs, Baseline: sched.LOOK, Major: 9}
 		if useTrail {
-			name = "trail"
-			lg := disk.New(env, disk.ST41601N())
-			if err := trail.Format(lg); err != nil {
-				env.Close()
-				return nil, err
-			}
-			var raws []*disk.Disk
-			for i := 0; i < nDevs; i++ {
-				raws = append(raws, disk.New(env, disk.WDCaviar()))
-			}
-			drv, err := trail.NewDriver(env, lg, raws, DefaultTrailConfig())
-			if err != nil {
-				env.Close()
-				return nil, err
-			}
-			for i := 0; i < nDevs; i++ {
-				devs = append(devs, drv.Dev(i))
-			}
-		} else {
-			for i := 0; i < nDevs; i++ {
-				d := disk.New(env, disk.WDCaviar())
-				devs = append(devs, stddisk.New(env, d, blockdev.DevID{Major: 9, Minor: uint8(i)}, sched.LOOK))
-			}
+			name, cfg = "trail", rig.Config{DataDisks: nDevs}
 		}
-		a, err := raid.New(devs, 8)
+		sys, err := rig.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		env := sys.Env
+		a, err := raid.New(sys.Devs(), 8)
 		if err != nil {
 			env.Close()
 			return nil, err

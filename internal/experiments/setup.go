@@ -8,65 +8,7 @@
 // the paper's tables.
 package experiments
 
-import (
-	"fmt"
-
-	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
-	"tracklog/internal/sched"
-	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
-	"tracklog/internal/trail"
-)
-
-// trailRig is the paper's Trail hardware: one ST41601N log disk and n WD
-// Caviar data disks behind the Trail driver.
-type trailRig struct {
-	env  *sim.Env
-	log  *disk.Disk
-	data []*disk.Disk
-	drv  *trail.Driver
-}
-
-func newTrailRig(nData int, cfg trail.Config) (*trailRig, error) {
-	env := sim.NewEnv()
-	log := disk.New(env, disk.ST41601N())
-	if err := trail.Format(log); err != nil {
-		return nil, err
-	}
-	var data []*disk.Disk
-	for i := 0; i < nData; i++ {
-		data = append(data, disk.New(env, disk.WDCaviar()))
-	}
-	drv, err := trail.NewDriver(env, log, data, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &trailRig{env: env, log: log, data: data, drv: drv}, nil
-}
-
-// linuxRig is the paper's baseline: WD Caviar data disks behind a LOOK
-// elevator, writes in place.
-type linuxRig struct {
-	env  *sim.Env
-	data []*disk.Disk
-	devs []*stddisk.Device
-}
-
-func newLinuxRig(nData int) *linuxRig {
-	env := sim.NewEnv()
-	r := &linuxRig{env: env}
-	for i := 0; i < nData; i++ {
-		d := disk.New(env, disk.WDCaviar())
-		r.data = append(r.data, d)
-		r.devs = append(r.devs, stddisk.New(env, d, blockdev.DevID{Major: 3, Minor: uint8(i)}, sched.LOOK))
-	}
-	return r
-}
-
-// DefaultTrailConfig returns the paper's Trail configuration (30% track
-// utilization threshold, 32-sector batches, read-priority data disks).
-func DefaultTrailConfig() trail.Config { return trail.Default() }
+import "fmt"
 
 // fmtMS renders a duration in milliseconds with two decimals.
 func fmtMS(d interface{ Seconds() float64 }) string {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tracklog/internal/geom"
+	"tracklog/internal/rig"
 	"tracklog/internal/sim"
 	"tracklog/internal/trail"
 )
@@ -40,30 +41,30 @@ func Table1(writes int, batchSizes []int) (*Table1Result, error) {
 	}
 	res := &Table1Result{Writes: writes}
 	for _, bs := range batchSizes {
-		cfg := DefaultTrailConfig()
+		cfg := trail.Default()
 		cfg.MaxBatchSectors = bs
 		if bs == 1 {
 			cfg.DisableBatching = true
 		}
-		rig, err := newTrailRig(1, cfg)
+		sys, err := rig.New(rig.Config{Trail: cfg})
 		if err != nil {
 			return nil, err
 		}
-		dev := rig.drv.Dev(0)
+		dev := sys.Trail.Dev(0)
 		// Warm the driver (establish the prediction reference point) so the
 		// measurement starts from steady state, as the paper's does.
-		rig.env.Go("warmup", func(p *sim.Proc) {
+		sys.Env.Go("warmup", func(p *sim.Proc) {
 			if err := dev.Write(p, 1<<20, 1, make([]byte, geom.SectorSize)); err != nil {
 				panic(err)
 			}
 		})
-		rig.env.Run()
-		warmRecords := rig.drv.Stats().Records
+		sys.Env.Run()
+		warmRecords := sys.Trail.Stats().Records
 		var first, last sim.Time
 		done := 0
 		for i := 0; i < writes; i++ {
 			lba := int64(i * 64)
-			rig.env.Go(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
+			sys.Env.Go(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 				if first == 0 {
 					first = p.Now()
 				}
@@ -76,17 +77,17 @@ func Table1(writes int, batchSizes []int) (*Table1Result, error) {
 				}
 			})
 		}
-		rig.env.Run()
+		sys.Env.Run()
 		if done != writes {
-			rig.env.Close()
+			sys.Env.Close()
 			return nil, fmt.Errorf("table1 batch %d: %d of %d writes completed", bs, done, writes)
 		}
 		res.Rows = append(res.Rows, Table1Row{
 			BatchSize: bs,
 			Elapsed:   last.Sub(first),
-			Records:   rig.drv.Stats().Records - warmRecords,
+			Records:   sys.Trail.Stats().Records - warmRecords,
 		})
-		rig.env.Close()
+		sys.Env.Close()
 	}
 	return res, nil
 }

@@ -5,14 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
+	"tracklog/internal/rig"
 	"tracklog/internal/sched"
-	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
 	"tracklog/internal/tpcc"
-	"tracklog/internal/trail"
-	"tracklog/internal/txn"
 	"tracklog/internal/wal"
 )
 
@@ -112,101 +108,24 @@ func PaperScale() TPCCConfig {
 	}
 }
 
-// tpccDeployment is an assembled database + transaction manager on one of
-// the three storage systems.
-type tpccDeployment struct {
-	env    *sim.Env
-	runner *tpcc.Runner
-	drv    *trail.Driver // nil for non-Trail systems
-}
-
-// buildTPCC assembles the paper's §5.2 hardware: one disk dedicated to the
+// buildTPCC assembles the paper's §5.2 hardware — one disk dedicated to the
 // database log file, two disks for tables — either behind the Trail driver
-// (plus its ST41601N log disk) or behind the standard subsystem.
-func buildTPCC(system StorageSystem, cfg TPCCConfig) (*tpccDeployment, error) {
-	env := sim.NewEnv()
-	// Physical IDE disks: 0 = DB log file, 1..2 = tables.
-	var phys []*disk.Disk
-	for i := 0; i < 3; i++ {
-		phys = append(phys, disk.New(env, disk.WDCaviar()))
-	}
-
-	// Populate the tables through instant devices (setup, unmeasured).
-	var loadErr error
-	env.Go("load", func(p *sim.Proc) {
-		inst := []blockdev.Device{
-			disk.NewInstantDev(phys[1], blockdev.DevID{Major: 3, Minor: 1}),
-			disk.NewInstantDev(phys[2], blockdev.DevID{Major: 3, Minor: 2}),
-		}
-		db, err := tpcc.Load(p, cfg.DB, inst)
-		if err == nil {
-			err = db.FlushAll(p)
-		}
-		loadErr = err
-	})
-	env.Run()
-	if loadErr != nil {
-		env.Close()
-		return nil, fmt.Errorf("tpcc load: %w", loadErr)
-	}
-
-	dep := &tpccDeployment{env: env}
-	var logDev, tab1, tab2 blockdev.Device
+// (plus its ST41601N log disk) or behind the standard subsystem, with the
+// column's commit discipline.
+func buildTPCC(system StorageSystem, cfg TPCCConfig) (*rig.Rig, *tpcc.Runner, error) {
+	var hw rig.Config
+	mode := wal.SyncEveryCommit
 	switch system {
 	case Ext2Trail:
-		logDisk := disk.New(env, disk.ST41601N())
-		if err := trail.Format(logDisk); err != nil {
-			env.Close()
-			return nil, err
-		}
-		drv, err := trail.NewDriver(env, logDisk, phys, DefaultTrailConfig())
-		if err != nil {
-			env.Close()
-			return nil, err
-		}
-		dep.drv = drv
-		logDev, tab1, tab2 = drv.Dev(0), drv.Dev(1), drv.Dev(2)
-	case Ext2, Ext2GC:
-		logDev = stddisk.New(env, phys[0], blockdev.DevID{Major: 3, Minor: 0}, sched.LOOK)
-		tab1 = stddisk.New(env, phys[1], blockdev.DevID{Major: 3, Minor: 1}, sched.LOOK)
-		tab2 = stddisk.New(env, phys[2], blockdev.DevID{Major: 3, Minor: 2}, sched.LOOK)
-	default:
-		env.Close()
-		return nil, fmt.Errorf("unknown system %v", system)
-	}
-
-	mode := wal.SyncEveryCommit
-	if system == Ext2GC {
+	case Ext2:
+		hw.Baseline = sched.LOOK
+	case Ext2GC:
+		hw.Baseline = sched.LOOK
 		mode = wal.GroupCommit
+	default:
+		return nil, nil, fmt.Errorf("unknown system %v", system)
 	}
-	var mgr *txn.Manager
-	var openErr error
-	env.Go("open", func(p *sim.Proc) {
-		db, err := tpcc.Reopen(p, cfg.DB, []blockdev.Device{tab1, tab2})
-		if err != nil {
-			openErr = err
-			return
-		}
-		l, err := wal.New(env, wal.Config{
-			Dev:            logDev,
-			Sectors:        logDev.Sectors(),
-			Mode:           mode,
-			BufferBytes:    cfg.LogBufferKB * 1024,
-			MetadataWrites: false,
-		})
-		if err != nil {
-			openErr = err
-			return
-		}
-		mgr = txn.NewManager(env, l)
-		dep.runner = tpcc.NewRunner(db, mgr)
-	})
-	env.Run()
-	if openErr != nil {
-		env.Close()
-		return nil, fmt.Errorf("tpcc open: %w", openErr)
-	}
-	return dep, nil
+	return tpcc.Deploy(hw, cfg.DB, wal.Config{Mode: mode, BufferBytes: cfg.LogBufferKB * 1024})
 }
 
 // Table2Row is one column of Table 2 (transposed into a row here).
@@ -231,18 +150,18 @@ func Table2(cfg TPCCConfig) (*Table2Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Table2Result{Config: cfg}
 	for _, sys := range []StorageSystem{Ext2Trail, Ext2, Ext2GC} {
-		dep, err := buildTPCC(sys, cfg)
+		hw, runner, err := buildTPCC(sys, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("table2 %v: %w", sys, err)
 		}
-		r, err := dep.runner.Run(dep.env, tpcc.RunConfig{
+		r, err := runner.Run(hw.Env, tpcc.RunConfig{
 			Transactions:    cfg.Transactions,
 			Concurrency:     cfg.Concurrency,
 			Warmup:          cfg.Warmup,
 			Seed:            cfg.Seed + 7,
 			CheckpointEvery: cfg.CheckpointEvery,
 		})
-		dep.env.Close()
+		hw.Close()
 		if err != nil {
 			return nil, fmt.Errorf("table2 %v: %w", sys, err)
 		}
@@ -304,18 +223,18 @@ func Table3(cfg TPCCConfig, bufferKBs []int) (*Table3Result, error) {
 	for _, kb := range bufferKBs {
 		c := cfg
 		c.LogBufferKB = kb
-		dep, err := buildTPCC(Ext2GC, c)
+		hw, runner, err := buildTPCC(Ext2GC, c)
 		if err != nil {
 			return nil, fmt.Errorf("table3 %dKB: %w", kb, err)
 		}
-		r, err := dep.runner.Run(dep.env, tpcc.RunConfig{
+		r, err := runner.Run(hw.Env, tpcc.RunConfig{
 			Transactions:    c.Transactions,
 			Concurrency:     c.Concurrency,
 			Warmup:          c.Warmup,
 			Seed:            c.Seed + 13,
 			CheckpointEvery: c.CheckpointEvery,
 		})
-		dep.env.Close()
+		hw.Close()
 		if err != nil {
 			return nil, fmt.Errorf("table3 %dKB: %w", kb, err)
 		}
@@ -374,11 +293,11 @@ func TrackUtilization(cfg TPCCConfig, concurrencies []int) (*UtilizationResult, 
 		// data-disk I/O, whose commits then arrive at the log in bursts
 		// ("the disk I/Os occur in bursts since the CPU time each
 		// transaction requires is much smaller than the disk I/O delay").
-		dep, err := buildTPCC(Ext2Trail, c)
+		hw, runner, err := buildTPCC(Ext2Trail, c)
 		if err != nil {
 			return nil, fmt.Errorf("utilization conc=%d: %w", conc, err)
 		}
-		_, err = dep.runner.Run(dep.env, tpcc.RunConfig{
+		_, err = runner.Run(hw.Env, tpcc.RunConfig{
 			Transactions:    c.Transactions,
 			Concurrency:     conc,
 			Warmup:          c.Warmup,
@@ -386,17 +305,17 @@ func TrackUtilization(cfg TPCCConfig, concurrencies []int) (*UtilizationResult, 
 			CheckpointEvery: c.CheckpointEvery,
 		})
 		if err != nil {
-			dep.env.Close()
+			hw.Close()
 			return nil, fmt.Errorf("utilization conc=%d: %w", conc, err)
 		}
-		s := dep.drv.Stats()
+		s := hw.Trail.Stats()
 		g := disk.ST41601N().Geom
 		avgSPT := float64(g.TotalSectors()) / float64(g.TotalTracks())
 		oneBatch := 0.0
 		if s.Records > 0 {
 			oneBatch = (float64(s.LoggedSectors+s.Records) / float64(s.Records)) / avgSPT
 		}
-		dep.env.Close()
+		hw.Close()
 		res.Rows = append(res.Rows, UtilizationRow{
 			Concurrency:  conc,
 			OneBatchUtil: oneBatch,

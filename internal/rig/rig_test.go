@@ -1,0 +1,228 @@
+package rig
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"tracklog/internal/blockdev"
+	"tracklog/internal/disk"
+	"tracklog/internal/fault"
+	"tracklog/internal/geom"
+	"tracklog/internal/sched"
+	"tracklog/internal/sim"
+	"tracklog/internal/snapshot"
+	"tracklog/internal/span"
+	"tracklog/internal/telemetry"
+	"tracklog/internal/timeline"
+	"tracklog/internal/trace"
+	"tracklog/internal/trail"
+)
+
+// Small drives keep recovery's track scan short.
+func smallLog() *disk.Params {
+	g := geom.Uniform(12, 2, 60)
+	g.TrackSkew, g.CylSkew = 4, 8
+	return &disk.Params{
+		Name: "log", RPM: 6000, Geom: g,
+		SeekT2T: 800 * time.Microsecond, SeekAvg: 4 * time.Millisecond, SeekMax: 8 * time.Millisecond,
+		HeadSwitch: 400 * time.Microsecond, ReadOverhead: 200 * time.Microsecond,
+		WriteOverhead: 500 * time.Microsecond, WriteSettle: 100 * time.Microsecond,
+		WriteTurnaround: 600 * time.Microsecond,
+	}
+}
+
+func smallData() *disk.Params {
+	p := *smallLog()
+	p.Name, p.Geom = "data", geom.Uniform(100, 2, 60)
+	return &p
+}
+
+func block(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 4*geom.SectorSize) }
+
+// Every acknowledged block survives write -> Crash -> Recover on a Trail rig
+// with one and two log disks and on a baseline rig, and the rebooted rig is
+// of the same kind and configuration as the one that crashed.
+func TestCrashRecoverReadBack(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"trail-1log", Config{}},
+		{"trail-2log", Config{LogDisks: 2, Trail: trail.Config{DisableBatching: true}}},
+		{"baseline", Config{Baseline: sched.LOOK}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.DataDisks, cfg.LogDisk, cfg.DataDisk = 2, smallLog(), smallData()
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const writes = 16
+			acked := 0
+			r.Go("client", func(p *sim.Proc) {
+				for i := 0; i < writes; i++ {
+					if err := r.Dev(i%2).Write(p, int64(i)*64, 4, block(i)); err != nil {
+						t.Errorf("write %d: %v", i, err)
+						return
+					}
+					acked++
+				}
+			})
+			// Cut right after the last ack: on Trail, write-back is behind.
+			for i := 0; i < 10000 && acked < writes; i++ {
+				r.RunUntil(r.Env.Now().Add(100 * time.Microsecond))
+			}
+			if acked != writes {
+				t.Fatalf("%d of %d writes acknowledged", acked, writes)
+			}
+			r.Crash()
+			n, rep, err := r.Recover(trail.RecoverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if trailRig := cfg.Baseline == 0; trailRig != (rep != nil) || trailRig != (n.Trail != nil) || len(n.Std) != len(r.Std) {
+				t.Fatalf("rebooted rig: report %v, driver %v, %d baseline devices", rep, n.Trail, len(n.Std))
+			}
+			if n.Trail != nil && n.Trail.NumLogDisks() != len(r.LogDisks) {
+				t.Errorf("rebooted driver has %d log disks, want %d", n.Trail.NumLogDisks(), len(r.LogDisks))
+			}
+			n.Go("reader", func(p *sim.Proc) {
+				for i := 0; i < writes; i++ {
+					got, err := n.Dev(i%2).Read(p, int64(i)*64, 4)
+					if err != nil || !bytes.Equal(got, block(i)) {
+						t.Errorf("block %d lost across the cut (err %v)", i, err)
+					}
+				}
+			})
+			n.Run()
+		})
+	}
+}
+
+// planDigest fingerprints a rig's fault plans in attach order.
+func planDigest(plans []*fault.Plan) uint64 {
+	w := snapshot.NewWriter("rig.test.plans", 1)
+	for _, p := range plans {
+		w.Bytes32(p.Snapshot())
+	}
+	return snapshot.Digest(w.Bytes())
+}
+
+// The same scenario and seed sample the same plans as the hand-attached
+// sites did at 614bac6 (log disk first, then the data disk, one stream): the
+// digests were recorded there from cmd/trailsim's buildDevice order and from
+// experiments.FaultTolerance's trail system.
+func TestFaultPlansMatchHandAttachedOrder(t *testing.T) {
+	for _, tc := range []struct {
+		scenario string
+		maxLBA   int64
+		seed     uint64
+		want     uint64
+	}{
+		{"latent=3,timeout=1", 0, 5, 0x053a994921a468ed},
+		{"wlatent=2,latent=4,timeout=2", 4096, 9, 0x3bb27a2813497b7a},
+	} {
+		fcfg, err := fault.ParseScenario(tc.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fcfg.MaxLBA = tc.maxLBA
+		r, err := New(Config{Faults: &fcfg, FaultSeed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if len(r.Plans) != 2 {
+			t.Fatalf("%d plans for 1 log + 1 data disk", len(r.Plans))
+		}
+		if got := planDigest(r.Plans); got != tc.want {
+			t.Errorf("%s seed %d: plan digest %#016x, want %#016x", tc.scenario, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// The zero bundle attaches nothing and allocates nothing: the attach step is
+// all that separates Start from a build with no attach call, and on a zero
+// bundle it costs no allocation and leaves every handle nil. (Whole builds
+// are not compared: each spawns goroutines, whose allocations vary by one or
+// two between identical runs.) A full bundle, for contrast, reaches the
+// kernel and every layer.
+func TestZeroInstrumentsAttachNothing(t *testing.T) {
+	for _, cfg := range []Config{{}, {Baseline: sched.LOOK}} {
+		cfg.LogDisk, cfg.DataDisk = smallLog(), smallData()
+		bare, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			bare.cfg.Instruments.AttachKernel(bare.Env)
+			bare.Attach(bare.cfg.Instruments)
+		}); n != 0 {
+			t.Errorf("baseline=%v: attaching the zero bundle allocates %v objects", cfg.Baseline != 0, n)
+		}
+		if bare.Env.Tracer() != nil || (bare.Trail != nil && bare.Trail.Recorder() != nil) {
+			t.Errorf("baseline=%v: the zero bundle attached a handle", cfg.Baseline != 0)
+		}
+		bare.Close()
+
+		cfg.Instruments = Instruments{Tracer: trace.New(0), Recorder: span.NewRecorder(0),
+			Timeline: timeline.New(time.Millisecond), Registry: telemetry.NewRegistry()}
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Go("client", func(p *sim.Proc) {
+			if err := r.Dev(0).Write(p, 0, 4, block(0)); err != nil {
+				t.Error(err)
+			}
+		})
+		r.Run()
+		r.Close()
+		in := cfg.Instruments
+		if r.Env.Tracer() != in.Tracer || in.Tracer.Len() == 0 || len(in.Recorder.Requests()) == 0 || in.Registry.Len() == 0 {
+			t.Errorf("baseline=%v: full bundle saw %d events, %d requests, %d series",
+				cfg.Baseline != 0, in.Tracer.Len(), len(in.Recorder.Requests()), in.Registry.Len())
+		}
+	}
+}
+
+// The two-phase build: data put on the drives through instant devices after
+// Prepare (running the environment to do so) is what Dev(i) reads after Start.
+func TestPopulateBeforeStart(t *testing.T) {
+	for _, cfg := range []Config{{}, {Baseline: sched.LOOK}} {
+		cfg.DataDisks, cfg.LogDisk, cfg.DataDisk = 2, smallLog(), smallData()
+		r, err := Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Trail != nil || r.Std != nil {
+			t.Fatal("Prepare started the system")
+		}
+		r.Go("load", func(p *sim.Proc) {
+			for i, d := range r.DataDisks {
+				inst := disk.NewInstantDev(d, blockdev.DevID{Major: 3, Minor: uint8(i)})
+				if err := inst.Write(p, 128, 4, block(i)); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		r.Run()
+		if err := r.Start(); err != nil {
+			t.Fatal(err)
+		}
+		r.Go("reader", func(p *sim.Proc) {
+			for i := range r.DataDisks {
+				got, err := r.Dev(i).Read(p, 128, 4)
+				if err != nil || !bytes.Equal(got, block(i)) {
+					t.Error(fmt.Errorf("baseline=%v disk %d: populated block not readable after Start (err %v)", cfg.Baseline != 0, i, err))
+				}
+			}
+		})
+		r.Run()
+		r.Close()
+	}
+}

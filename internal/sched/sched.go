@@ -493,27 +493,21 @@ func (q *Queue) removeWrite(i int) *Request {
 
 // popSSTF picks the request with the shortest seek distance from the
 // current head position, regardless of direction (starvation-prone, which
-// is why LOOK exists; provided for comparison).
+// is why LOOK exists; provided for comparison). On equal distance the first
+// seen wins, reads before writes. Both lists are scanned where they lie.
 func (q *Queue) popSSTF() *Request {
-	all := make([]*Request, 0, q.Depth())
-	all = append(all, q.reads...)
-	all = append(all, q.writes...)
-	best := 0
-	for i, r := range all {
-		if absDelta(r.LBA, q.lastLBA) < absDelta(all[best].LBA, q.lastLBA) {
-			best = i
+	var write, ok bool
+	var i int
+	var best int64
+	for li, list := range [2][]*Request{q.reads, q.writes} {
+		for j, r := range list {
+			if d := absDelta(r.LBA, q.lastLBA); !ok || d < best {
+				write, i, ok, best = li == 1, j, true, d
+			}
 		}
 	}
-	req := all[best]
-	for i, r := range q.reads {
-		if r == req {
-			return q.removeRead(i)
-		}
+	if write {
+		return q.removeWrite(i)
 	}
-	for i, r := range q.writes {
-		if r == req {
-			return q.removeWrite(i)
-		}
-	}
-	panic("sched: SSTF picked unknown request")
+	return q.removeRead(i)
 }

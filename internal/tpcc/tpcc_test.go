@@ -45,15 +45,15 @@ func diskParams(name string) disk.Params {
 	}
 }
 
-// rig is a loaded database with a transaction manager over timed disks.
-type rig struct {
+// testRig is a loaded database with a transaction manager over timed disks.
+type testRig struct {
 	env *sim.Env
 	db  *DB
 	m   *txn.Manager
 	run *Runner
 }
 
-func newRig(t *testing.T, mode wal.Mode) *rig {
+func newRig(t *testing.T, mode wal.Mode) *testRig {
 	t.Helper()
 	env := sim.NewEnv()
 	d1 := disk.New(env, diskParams("data1"))
@@ -97,7 +97,7 @@ func newRig(t *testing.T, mode wal.Mode) *rig {
 		m = txn.NewManager(env, l)
 	})
 	env.Run()
-	return &rig{env: env, db: db, m: m, run: NewRunner(db, m)}
+	return &testRig{env: env, db: db, m: m, run: NewRunner(db, m)}
 }
 
 func TestLoadPopulatesTables(t *testing.T) {

@@ -25,12 +25,11 @@
 package tracklog
 
 import (
-	"fmt"
-
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
 	"tracklog/internal/fault"
 	"tracklog/internal/geom"
+	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/stddisk"
@@ -129,128 +128,19 @@ func AttachFaults(d *Disk, rng *Rand, cfg FaultConfig) *FaultPlan {
 // "latent=3,timeout=1,failat=30s") into a FaultConfig.
 func ParseFaultScenario(s string) (FaultConfig, error) { return fault.ParseScenario(s) }
 
-// SystemConfig sizes a NewSystem.
-type SystemConfig struct {
-	// DataDisks is the number of data disks behind the Trail driver
-	// (default 1; the paper uses up to 3).
-	DataDisks int
-	// LogDisks is the number of log disks (default 1; more than one
-	// enables the paper's section 5.1 repositioning-hiding optimization).
-	LogDisks int
-	// LogDisk overrides the log disk profile (default ST41601N).
-	LogDisk *DiskParams
-	// DataDisk overrides the data disk profile (default WDCaviar).
-	DataDisk *DiskParams
-	// Trail tunes the driver (zero value = paper defaults).
-	Trail TrailConfig
-}
+// SystemConfig describes a NewSystem: disk counts and profiles, the Trail
+// configuration (or a baseline scheduler policy), an optional fault scenario
+// and an optional instruments bundle. The zero value is the paper's
+// standard system.
+type SystemConfig = rig.Config
 
-// System is an assembled Trail storage system on its own environment: the
-// paper's Figure 1 hardware in one value.
-type System struct {
-	Env       *Env
-	LogDisk   *Disk // the first log disk (see LogDisks for all)
-	LogDisks  []*Disk
-	DataDisks []*Disk
-	Trail     *Driver
-}
+// System is an assembled storage system on its own environment: the
+// paper's Figure 1 hardware in one value. Crash cuts power; Recover reboots
+// into a recovered System with the same configuration.
+type System = rig.Rig
 
-// NewSystem builds a freshly formatted Trail system.
-func NewSystem(cfg SystemConfig) (*System, error) {
-	if cfg.DataDisks <= 0 {
-		cfg.DataDisks = 1
-	}
-	logP := ST41601N()
-	if cfg.LogDisk != nil {
-		logP = *cfg.LogDisk
-	}
-	dataP := WDCaviar()
-	if cfg.DataDisk != nil {
-		dataP = *cfg.DataDisk
-	}
-	if cfg.LogDisks <= 0 {
-		cfg.LogDisks = 1
-	}
-	env := sim.NewEnv()
-	var logs []*Disk
-	for i := 0; i < cfg.LogDisks; i++ {
-		lg := disk.New(env, logP)
-		if err := trail.Format(lg); err != nil {
-			env.Close()
-			return nil, fmt.Errorf("tracklog: formatting log disk %d: %w", i, err)
-		}
-		logs = append(logs, lg)
-	}
-	var data []*Disk
-	for i := 0; i < cfg.DataDisks; i++ {
-		data = append(data, disk.New(env, dataP))
-	}
-	drv, err := trail.NewDriverMulti(env, logs, data, cfg.Trail)
-	if err != nil {
-		env.Close()
-		return nil, fmt.Errorf("tracklog: starting driver: %w", err)
-	}
-	return &System{Env: env, LogDisk: logs[0], LogDisks: logs, DataDisks: data, Trail: drv}, nil
-}
-
-// Go spawns a simulated process (sugar over Env.Go).
-func (s *System) Go(name string, fn func(p *Proc)) { s.Env.Go(name, fn) }
-
-// Run drives the simulation until idle and returns the final virtual time.
-func (s *System) Run() Time { return s.Env.Run() }
-
-// RunUntil drives the simulation up to the deadline.
-func (s *System) RunUntil(t Time) Time { return s.Env.RunUntil(t) }
-
-// Close unwinds the environment (always call when done).
-func (s *System) Close() { s.Env.Close() }
-
-// Crash cuts power: every in-flight operation and the driver's host-memory
-// state (staging buffer, queues) are lost, media survive. The system is
-// unusable afterwards; call Recover to reboot into a recovered system.
-func (s *System) Crash() {
-	s.Env.Close()
-	s.Trail.PowerCut()
-}
-
-// Recover reboots a crashed system: it reattaches the surviving disks to a
-// fresh environment, runs Trail recovery (replaying pending records to the
-// data disks), and returns the recovered system alongside the recovery
-// report.
-func (s *System) Recover(opts RecoverOptions) (*System, *RecoverReport, error) {
-	env := sim.NewEnv()
-	for _, lg := range s.LogDisks {
-		lg.Reattach(env)
-	}
-	devs := map[DevID]Device{}
-	for i, d := range s.DataDisks {
-		d.Reattach(env)
-		id := DevID{Major: 8, Minor: uint8(i)}
-		devs[id] = stddisk.New(env, d, id, sched.LOOK)
-	}
-	var rep *RecoverReport
-	var err error
-	env.Go("recovery", func(p *Proc) {
-		rep, err = trail.RecoverLogs(p, s.LogDisks, devs, opts)
-	})
-	env.Run()
-	if err != nil {
-		env.Close()
-		return nil, nil, fmt.Errorf("tracklog: recovery: %w", err)
-	}
-	if opts.SkipWriteBack && !rep.Clean {
-		// The log still holds the pending records; a driver cannot start
-		// until they are propagated. Return the report only.
-		env.Close()
-		return nil, rep, nil
-	}
-	drv, err := trail.NewDriverMulti(env, s.LogDisks, s.DataDisks, trail.Default())
-	if err != nil {
-		env.Close()
-		return nil, rep, fmt.Errorf("tracklog: restarting driver: %w", err)
-	}
-	return &System{Env: env, LogDisk: s.LogDisks[0], LogDisks: s.LogDisks, DataDisks: s.DataDisks, Trail: drv}, rep, nil
-}
+// NewSystem builds and starts a freshly formatted system.
+func NewSystem(cfg SystemConfig) (*System, error) { return rig.New(cfg) }
 
 // SectorSize is the fixed sector size in bytes.
 const SectorSize = geom.SectorSize

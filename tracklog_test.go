@@ -225,3 +225,41 @@ func TestSystemMultiLog(t *testing.T) {
 		t.Errorf("read after multi-log recovery: %v", err)
 	}
 }
+
+// A recovered system restarts with the crashed system's own TrailConfig, not
+// the defaults: with batching disabled, concurrent writers on the rebooted
+// driver still get one record per write.
+func TestRecoverKeepsTrailConfig(t *testing.T) {
+	cfg := tracklog.DefaultTrailConfig()
+	cfg.DisableBatching = true
+	sys, err := tracklog.NewSystem(tracklog.SystemConfig{Trail: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Go("client", func(p *tracklog.Proc) {
+		if err := sys.Trail.Dev(0).Write(p, 0, 1, make([]byte, tracklog.SectorSize)); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	sys.RunUntil(sys.Env.Now().Add(5 * time.Millisecond))
+	sys.Crash()
+	recovered, _, err := sys.Recover(tracklog.RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	const writers, per = 6, 10
+	for w := 0; w < writers; w++ {
+		recovered.Go("writer", func(p *tracklog.Proc) {
+			for i := 0; i < per; i++ {
+				if err := recovered.Trail.Dev(0).Write(p, int64(w*per+i)*64, 1, make([]byte, tracklog.SectorSize)); err != nil {
+					t.Errorf("write: %v", err)
+				}
+			}
+		})
+	}
+	recovered.Run()
+	if s := recovered.Trail.Stats(); s.Writes != writers*per || s.Records != s.Writes {
+		t.Errorf("%d records for %d writes on the recovered system; DisableBatching was dropped", s.Records, s.Writes)
+	}
+}
