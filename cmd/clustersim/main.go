@@ -155,18 +155,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if reg != nil {
-		if err := writeFile(*metricsOut, promOrJSON(*metricsOut, reg)); err != nil {
+		if err := reg.WriteFile(*metricsOut); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "metrics: %d series -> %s\n", reg.Len(), *metricsOut)
 	}
 	if agg != nil {
 		agg.Finish(int64(env.Now()))
-		write := agg.WriteCSV
-		if strings.HasSuffix(*tlOut, ".json") {
-			write = agg.WriteJSON
-		}
-		if err := writeFile(*tlOut, write); err != nil {
+		if err := agg.WriteFile(*tlOut); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "timeline: bucket %v -> %s\n", time.Duration(agg.BucketNS()), *tlOut)
@@ -199,23 +195,4 @@ func parseCounts(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty -sweep")
 	}
 	return counts, nil
-}
-
-func promOrJSON(path string, reg *telemetry.Registry) func(io.Writer) error {
-	if strings.HasSuffix(path, ".prom") {
-		return reg.WriteProm
-	}
-	return reg.WriteJSON
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

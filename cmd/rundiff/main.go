@@ -575,13 +575,17 @@ func compareProm(rep *Report, base, cur map[string]float64, tol float64) {
 }
 
 // relDelta computes the signed relative change in percent and whether it
-// clears the tolerance. Equal values never report; a change from zero
-// always does (the relative change is unbounded).
+// clears the tolerance. Equal values never report, and NaN on both sides
+// counts as equal; a change from zero, or to or from NaN, always does (the
+// relative change is unbounded).
 func relDelta(base, cur, tol float64) (pct float64, over bool) {
-	if base == cur {
+	bNaN, cNaN := math.IsNaN(base), math.IsNaN(cur)
+	switch {
+	case base == cur || bNaN && cNaN:
 		return 0, false
-	}
-	if base == 0 {
+	case bNaN || cNaN:
+		return math.Inf(1), true
+	case base == 0:
 		return math.Inf(sign(cur)), true
 	}
 	pct = (cur - base) / math.Abs(base) * 100

@@ -200,6 +200,37 @@ func TestBareBenchFiles(t *testing.T) {
 	})
 }
 
+// A telemetry series that is NaN on exactly one side is a finding (NaN
+// compares false against every tolerance, so it has to be asked for by
+// name); NaN on both sides is equal, which keeps self-compare empty.
+func TestTelemetryNaN(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		base, cur string // metrics.prom
+		code      int
+		want      []string // substrings of stdout
+	}{
+		{"gauge turned NaN", "g 5\n", "g NaN\n", 1, []string{"telemetry g", "5 ->          NaN", "+Inf%"}},
+		{"gauge recovered from NaN", "g NaN\n", "g 5\n", 1, []string{"telemetry g", "NaN ->            5", "+Inf%"}},
+		{"NaN on both sides", "g NaN\n", "g NaN\n", 0, []string{"verdict: ok"}},
+		{"finite change still goes by tolerance", "g 100\n", "g 101\n", 0, []string{"verdict: ok"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := writeDir(t, map[string]string{"metrics.prom": tc.base})
+			cur := writeDir(t, map[string]string{"metrics.prom": tc.cur})
+			code, out, _ := runDiff(t, base, cur)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d; output:\n%s", code, tc.code, out)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("output missing %q:\n%s", want, out)
+				}
+			}
+		})
+	}
+}
+
 func TestSpanPhaseAttribution(t *testing.T) {
 	base := writeDir(t, map[string]string{"spans.json": spanJSON(2000000)}) // 2% of latency
 	cur := writeDir(t, map[string]string{"spans.json": spanJSON(12000000)}) // 12%

@@ -235,11 +235,11 @@ func gridPoint(system string, mode workload.Mode, sizeKB int, seed uint64, art a
 	}
 	e := latencyEntry(fmt.Sprintf("sync-write/%s/%v/%dKB", system, mode, sizeKB), res.Latency)
 	if drv != nil {
-		e.Counters = drv.Stats().Counters().Snapshot()
+		e.Counters = drv.Stats().Counters()
 	}
 	if agg != nil {
 		agg.Finish(int64(env.Now()))
-		if err := writeTimeline(artifactPath(art.tlBase, e.Name), agg); err != nil {
+		if err := agg.WriteFile(artifactPath(art.tlBase, e.Name)); err != nil {
 			return benchfmt.Entry{}, err
 		}
 	}
@@ -308,18 +308,13 @@ func worldPoint(name string, art artifacts) (benchfmt.Entry, error) {
 		"probe_events":      ks.ProbeEvents,
 	}
 	if reg != nil {
-		path := artifactPath(art.telemetryBase, name)
-		write := reg.WriteJSON
-		if strings.HasSuffix(path, ".prom") {
-			write = reg.WriteProm
-		}
-		if err := writeFile(path, write); err != nil {
+		if err := reg.WriteFile(artifactPath(art.telemetryBase, name)); err != nil {
 			return benchfmt.Entry{}, err
 		}
 	}
 	if agg != nil {
 		agg.Finish(int64(env.Now()))
-		if err := writeTimeline(artifactPath(art.tlBase, name), agg); err != nil {
+		if err := agg.WriteFile(artifactPath(art.tlBase, name)); err != nil {
 			return benchfmt.Entry{}, err
 		}
 	}
@@ -336,28 +331,6 @@ func artifactPath(base, name string) string {
 		return base[:i] + "-" + name + base[i:]
 	}
 	return base + "-" + name
-}
-
-// writeTimeline exports the finished aggregator to path: JSON for .json,
-// the CSV exposition otherwise. Both forms are byte-deterministic.
-func writeTimeline(path string, agg *timeline.Aggregator) error {
-	write := agg.WriteCSV
-	if strings.HasSuffix(path, ".json") {
-		write = agg.WriteJSON
-	}
-	return writeFile(path, write)
-}
-
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // latencyEntry starts a gate entry from a latency distribution.

@@ -34,8 +34,10 @@
 //	                       print the head-position prediction audit
 //	-trace-cap N           trace ring capacity in events
 //	-sample-interval D     sample per-device gauges every D of virtual time
-//	-sample-out FILE       time-series destination (.json for JSON, .prom for
-//	                       Prometheus text exposition, else CSV)
+//	-sample-out FILE       time-series destination (.json for JSON, else CSV)
+//	-metrics FILE          write the telemetry registry at exit: kernel, driver
+//	                       counters and per-disk series (.prom for Prometheus
+//	                       text exposition, else JSON)
 //	-spans                 print the per-request span budget: each phase's
 //	                       share of end-to-end latency, per driver and kind
 //	-span-out FILE         write every request's span tree as deterministic
@@ -64,7 +66,6 @@ import (
 	"tracklog/internal/disk"
 	"tracklog/internal/experiments"
 	"tracklog/internal/fault"
-	"tracklog/internal/metrics"
 	"tracklog/internal/qos"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
@@ -100,7 +101,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
 	traceCap := flag.Int("trace-cap", trace.DefaultCapacity, "trace ring capacity in events")
 	sampleInterval := flag.Duration("sample-interval", 0, "sample per-device gauges every interval of virtual time (0 disables)")
-	sampleOut := flag.String("sample-out", "samples.csv", "time-series output file for -sample-interval (.json for JSON, .prom for Prometheus)")
+	sampleOut := flag.String("sample-out", "samples.csv", "time-series output file for -sample-interval (.json for JSON, else CSV)")
 	metricsOut := flag.String("metrics", "", "write the unified telemetry registry at exit (.prom for Prometheus text, .json otherwise); kernel + component series, byte-deterministic")
 	spans := flag.Bool("spans", false, "print the per-request span budget (critical-path latency breakdown)")
 	spanOut := flag.String("span-out", "", "write every request's span tree as deterministic JSON")
@@ -111,6 +112,10 @@ func main() {
 	seekDerate := flag.Int64("seek-derate", 0, "slow the log disk's actual seek arm by this many parts per million while driver predictions keep the spec curve (perturbation knob for cmd/rundiff walkthroughs)")
 	benchOut := flag.String("bench-out", "", "write a single-entry benchfmt summary of the run's latency distribution (for cmd/rundiff)")
 	flag.Parse()
+	if strings.HasSuffix(*sampleOut, ".prom") {
+		fmt.Fprintln(os.Stderr, "trailsim: -sample-out writes CSV or .json; for Prometheus text exposition use -metrics FILE.prom")
+		os.Exit(2)
+	}
 	if *faultSeed == 0 {
 		*faultSeed = *seed
 	}
@@ -165,10 +170,6 @@ type observer struct {
 	spans    bool
 	spanOut  string
 	tailFrac float64
-	// counters snapshots the driver's counter set at finish time, for the
-	// Prometheus exposition (nil when no driver is attached).
-	counters func() map[string]int64
-
 	// Unified telemetry registry (nil unless -metrics asked for it); the
 	// kernel and components register into it at attach time.
 	metricsOut string
@@ -225,15 +226,11 @@ func (o *observer) instruments() rig.Instruments {
 }
 
 // attach wires what the bundle does not carry into a freshly built rig: the
-// counter snapshot for the Prometheus exposition, the clock finish() closes
-// the timeline at, and a daemon process (which never keeps the simulation
-// alive) sampling the gauges.
+// clock finish() closes the timeline at, and a daemon process (which never
+// keeps the simulation alive) sampling the gauges.
 func (o *observer) attach(r *rig.Rig) {
 	env, drv := r.Env, r.Trail
 	o.env = env
-	if drv != nil {
-		o.counters = func() map[string]int64 { return drv.Stats().Counters().Snapshot() }
-	}
 	if o.interval <= 0 {
 		return
 	}
@@ -292,15 +289,8 @@ func (o *observer) finish() error {
 	}
 	if o.sampler != nil {
 		write := o.sampler.WriteCSV
-		switch {
-		case strings.HasSuffix(o.sampleOut, ".json"):
+		if strings.HasSuffix(o.sampleOut, ".json") {
 			write = o.sampler.WriteJSON
-		case strings.HasSuffix(o.sampleOut, ".prom"):
-			var counters map[string]int64
-			if o.counters != nil {
-				counters = o.counters()
-			}
-			write = func(w io.Writer) error { return o.sampler.WriteProm(w, counters) }
 		}
 		if err := writeFile(o.sampleOut, write); err != nil {
 			return err
@@ -308,22 +298,14 @@ func (o *observer) finish() error {
 		fmt.Printf("samples: %d rows -> %s\n", o.sampler.Rows(), o.sampleOut)
 	}
 	if o.reg != nil {
-		write := o.reg.WriteJSON
-		if strings.HasSuffix(o.metricsOut, ".prom") {
-			write = o.reg.WriteProm
-		}
-		if err := writeFile(o.metricsOut, write); err != nil {
+		if err := o.reg.WriteFile(o.metricsOut); err != nil {
 			return err
 		}
 		fmt.Printf("metrics: %d series -> %s\n", o.reg.Len(), o.metricsOut)
 	}
 	if o.agg != nil {
 		o.agg.Finish(int64(o.env.Now()))
-		write := o.agg.WriteCSV
-		if strings.HasSuffix(o.timelineOut, ".json") {
-			write = o.agg.WriteJSON
-		}
-		if err := writeFile(o.timelineOut, write); err != nil {
+		if err := o.agg.WriteFile(o.timelineOut); err != nil {
 			return err
 		}
 		fmt.Printf("timeline: bucket %v -> %s\n", time.Duration(o.agg.BucketNS()), o.timelineOut)
@@ -536,7 +518,7 @@ func run(system, mode string, size, procs, writes int, seed uint64, scenario str
 		return err
 	}
 	defer r.Close()
-	env, dev, drv, plans := r.Env, r.Dev(0), r.Trail, r.Plans
+	env, dev, drv := r.Env, r.Dev(0), r.Trail
 
 	m := workload.Sparse
 	if mode == "clustered" {
@@ -570,22 +552,32 @@ func run(system, mode string, size, procs, writes int, seed uint64, scenario str
 		s := drv.Stats()
 		fmt.Printf("trail: %d records for %d writes (batching %.2fx), %d repositions, avg track util %.1f%%\n",
 			s.Records, s.Writes, float64(s.Writes)/float64(s.Records), s.Repositions, 100*s.AvgTrackUtilization())
-		fmt.Printf("counters: %s\n", s.Counters())
 	}
-	if len(plans) > 0 {
-		agg := metrics.NewCounters()
-		for _, pl := range plans {
-			agg.Merge(pl.Stats().Counters())
-		}
-		if drv != nil {
-			agg.Merge(drv.Stats().FaultCounters())
-		}
-		fmt.Printf("faults (%s):\n%s\n", scenario, agg)
-	}
+	printCounters(r, scenario)
 	if verifySnap {
 		return verifyWorldSnapshot(world)
 	}
 	return nil
+}
+
+// printCounters prints the Trail driver's counter line and, under a fault
+// scenario, every plan's trigger counts merged with the driver's own
+// fault-handling counters.
+func printCounters(r *rig.Rig, scenario string) {
+	if r.Trail != nil {
+		fmt.Printf("counters: %s\n", r.Trail.Stats().Counters())
+	}
+	if len(r.Plans) == 0 {
+		return
+	}
+	agg := telemetry.Counts{}
+	for _, pl := range r.Plans {
+		agg.Merge(pl.Stats().Counters())
+	}
+	if r.Trail != nil {
+		agg.Merge(r.Trail.Stats().FaultCounters())
+	}
+	fmt.Printf("faults (%s):\n%s\n", scenario, agg)
 }
 
 // ackedWrite is one acknowledged write retained for the -verify audit.
@@ -606,7 +598,7 @@ func runOpenLoop(system string, size, writes int, rate float64, seed uint64, sce
 		return err
 	}
 	defer r.Close()
-	env, dev, drv, plans := r.Env, r.Dev(0), r.Trail, r.Plans
+	env, dev := r.Env, r.Dev(0)
 
 	// survivors holds, per target, every acknowledged write: concurrent
 	// acked writes to one slot race in the device, so readback must match
@@ -633,19 +625,7 @@ func runOpenLoop(system string, size, writes int, rate float64, seed uint64, sce
 		res.Acked, res.Shed, res.Expired, res.OtherErrors)
 	fmt.Printf("acked latency: %v\n", res.Latency)
 	fmt.Printf("elapsed: %v\n", res.Elapsed)
-	if drv != nil {
-		fmt.Printf("counters: %s\n", drv.Stats().Counters())
-	}
-	if len(plans) > 0 {
-		agg := metrics.NewCounters()
-		for _, pl := range plans {
-			agg.Merge(pl.Stats().Counters())
-		}
-		if drv != nil {
-			agg.Merge(drv.Stats().FaultCounters())
-		}
-		fmt.Printf("faults (%s):\n%s\n", scenario, agg)
-	}
+	printCounters(r, scenario)
 	if !verify {
 		return nil
 	}

@@ -14,6 +14,7 @@ import (
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 )
 
 // faultRegion bounds the workload (and, by default, the sampled fault
@@ -35,7 +36,7 @@ type FaultRow struct {
 	MeanWrite    time.Duration
 	// Counters merges the injection plan's trigger counts with the system's
 	// own fault-handling telemetry.
-	Counters *metrics.Counters
+	Counters telemetry.Counts
 }
 
 // FaultToleranceResult compares how the standard subsystem, Trail, and a
@@ -78,7 +79,7 @@ func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config)
 	var sys *rig.Rig
 	var dev blockdev.Device
 	var plans []*fault.Plan
-	var sysCounters func() *metrics.Counters
+	var sysCounters func() telemetry.Counts
 	var err error
 	switch system {
 	case "standard":
@@ -86,19 +87,16 @@ func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config)
 			return nil, err
 		}
 		dev = sys.Dev(0)
-		sysCounters = func() *metrics.Counters {
-			c := metrics.NewCounters()
+		sysCounters = func() telemetry.Counts {
 			s := sys.Std[0].Stats()
-			c.Set("stddisk.retries", s.Retries)
-			c.Set("stddisk.failures", s.Failures)
-			return c
+			return telemetry.Counts{"stddisk.retries": s.Retries, "stddisk.failures": s.Failures}
 		}
 	case "trail":
 		if sys, err = rig.New(rig.Config{Faults: &cfg, FaultSeed: seed}); err != nil {
 			return nil, err
 		}
 		dev = sys.Dev(0)
-		sysCounters = func() *metrics.Counters { return sys.Trail.Stats().FaultCounters() }
+		sysCounters = func() telemetry.Counts { return sys.Trail.Stats().FaultCounters() }
 	case "raid5":
 		// Only member 0 is faulty: the array must mask one bad disk.
 		if sys, err = rig.New(rig.Config{Baseline: sched.LOOK, Major: 9, DataDisks: 4}); err != nil {
@@ -111,7 +109,7 @@ func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config)
 			return nil, err
 		}
 		dev = raidDevice{a}
-		sysCounters = func() *metrics.Counters { return a.Stats().Counters() }
+		sysCounters = func() telemetry.Counts { return a.Stats().Counters() }
 	default:
 		return nil, fmt.Errorf("unknown system %q", system)
 	}
@@ -158,11 +156,10 @@ func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config)
 	env.Run()
 
 	row.MeanWrite = lat.Mean()
-	row.Counters = metrics.NewCounters()
+	row.Counters = sysCounters()
 	for _, plan := range plans {
 		row.Counters.Merge(plan.Stats().Counters())
 	}
-	row.Counters.Merge(sysCounters())
 	return row, nil
 }
 

@@ -26,7 +26,7 @@ func TestFaultToleranceDeterministic(t *testing.T) {
 
 	var fired int64
 	for _, row := range first.Rows {
-		fired += row.Counters.Get("fault.media_errors") + row.Counters.Get("fault.timeouts")
+		fired += row.Counters["fault.media_errors"] + row.Counters["fault.timeouts"]
 		if row.WriteErrors != 0 {
 			t.Errorf("%s: %d writes failed under a retryable scenario", row.System, row.WriteErrors)
 		}

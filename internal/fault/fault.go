@@ -34,8 +34,8 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
-	"tracklog/internal/metrics"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 )
 
 // Config describes one device's fault scenario. The zero value injects
@@ -111,16 +111,16 @@ type Stats struct {
 	Repaired int64
 }
 
-// Counters renders the stats as a metrics counter set (sorted, deterministic).
-func (s Stats) Counters() *metrics.Counters {
-	c := metrics.NewCounters()
-	c.Set("fault.commands", s.Commands)
-	c.Set("fault.media_errors", s.MediaErrors)
-	c.Set("fault.growth_errors", s.GrowthErrors)
-	c.Set("fault.timeouts", s.Timeouts)
-	c.Set("fault.device_rejects", s.DeviceRejects)
-	c.Set("fault.repaired", s.Repaired)
-	return c
+// Counters renders the stats as a counter set.
+func (s Stats) Counters() telemetry.Counts {
+	return telemetry.Counts{
+		"fault.commands":       s.Commands,
+		"fault.media_errors":   s.MediaErrors,
+		"fault.growth_errors":  s.GrowthErrors,
+		"fault.timeouts":       s.Timeouts,
+		"fault.device_rejects": s.DeviceRejects,
+		"fault.repaired":       s.Repaired,
+	}
 }
 
 // Plan is a fully sampled fault scenario bound to one device. It implements

@@ -79,69 +79,6 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
-// Counters must be usable as a zero value and as a nil pointer: optional
-// telemetry is threaded through layers that may never initialize it.
-func TestCountersZeroValue(t *testing.T) {
-	var c Counters
-	c.Add("a", 2)
-	c.Add("a", 3)
-	c.Set("b", 7)
-	if c.Get("a") != 5 || c.Get("b") != 7 {
-		t.Fatalf("zero-value counters: a=%d b=%d", c.Get("a"), c.Get("b"))
-	}
-}
-
-func TestCountersNilSafe(t *testing.T) {
-	var c *Counters
-	c.Add("a", 1)
-	c.Set("b", 2)
-	c.Merge(NewCounters())
-	if c.Get("a") != 0 || c.Get("b") != 0 {
-		t.Fatal("nil counters accumulated state")
-	}
-	if c.Names() != nil {
-		t.Fatalf("nil Names = %v", c.Names())
-	}
-	if got := c.Snapshot(); len(got) != 0 {
-		t.Fatalf("nil Snapshot = %v", got)
-	}
-	if c.String() != "(none)" {
-		t.Fatalf("nil String = %q", c.String())
-	}
-}
-
-func TestCountersZeroValueMerge(t *testing.T) {
-	other := NewCounters()
-	other.Set("x", 4)
-	var c Counters
-	c.Merge(other)
-	if c.Get("x") != 4 {
-		t.Fatalf("merge into zero value: x=%d", c.Get("x"))
-	}
-}
-
-func TestCountersSnapshotIsCopy(t *testing.T) {
-	c := NewCounters()
-	c.Set("x", 1)
-	snap := c.Snapshot()
-	snap["x"] = 99
-	snap["y"] = 1
-	if c.Get("x") != 1 || c.Get("y") != 0 {
-		t.Fatal("Snapshot aliases the counter map")
-	}
-}
-
-// String renders sorted by name so output is comparable across runs.
-func TestCountersStringSorted(t *testing.T) {
-	c := NewCounters()
-	c.Set("zeta", 1)
-	c.Set("alpha", 2)
-	c.Set("mid", 3)
-	if got, want := c.String(), "alpha=2 mid=3 zeta=1"; got != want {
-		t.Fatalf("String = %q, want %q", got, want)
-	}
-}
-
 // AsciiPlot must render identically for identical input: the experiment
 // harness diffs plots across runs.
 func TestAsciiPlotDeterministic(t *testing.T) {

@@ -15,10 +15,10 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/qos"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/timeline"
 	"tracklog/internal/trace"
 )
@@ -100,22 +100,21 @@ type Stats struct {
 	ScrubYields int64
 }
 
-// Counters exports the array's fault/repair telemetry as a metrics counter
-// set (deterministic rendering order).
-func (s Stats) Counters() *metrics.Counters {
-	c := metrics.NewCounters()
-	c.Set("raid.degraded_reads", s.DegradedReads)
-	c.Set("raid.reconstructions", s.Reconstructions)
-	c.Set("raid.media_error_reads", s.MediaErrorReads)
-	c.Set("raid.media_error_writes", s.MediaErrorWrites)
-	c.Set("raid.device_failures", s.DeviceFailures)
-	c.Set("raid.scrub_passes", s.ScrubPasses)
-	c.Set("raid.scrub_repaired", s.ScrubRepaired)
-	c.Set("raid.scrub_unrepairable", s.ScrubUnrepairable)
-	c.Set("raid.shed", s.Shed)
-	c.Set("raid.expired", s.Expired)
-	c.Set("raid.scrub_yields", s.ScrubYields)
-	return c
+// Counters exports the array's fault/repair telemetry as a counter set.
+func (s Stats) Counters() telemetry.Counts {
+	return telemetry.Counts{
+		"raid.degraded_reads":     s.DegradedReads,
+		"raid.reconstructions":    s.Reconstructions,
+		"raid.media_error_reads":  s.MediaErrorReads,
+		"raid.media_error_writes": s.MediaErrorWrites,
+		"raid.device_failures":    s.DeviceFailures,
+		"raid.scrub_passes":       s.ScrubPasses,
+		"raid.scrub_repaired":     s.ScrubRepaired,
+		"raid.scrub_unrepairable": s.ScrubUnrepairable,
+		"raid.shed":               s.Shed,
+		"raid.expired":            s.Expired,
+		"raid.scrub_yields":       s.ScrubYields,
+	}
 }
 
 // New builds an array over devs (>= 3, equal sizes) with the given chunk

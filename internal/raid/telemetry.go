@@ -1,21 +1,18 @@
 package raid
 
-import (
-	"tracklog/internal/metrics"
-	"tracklog/internal/telemetry"
-)
+import "tracklog/internal/telemetry"
 
 // RegisterMetrics registers the array's workload counters, fault/repair
-// telemetry (via the metrics bridge, matching the existing "raid.*"
-// exposition names), and degradation gauges on reg, labeled array=name.
-// Member devices are registered by the caller — the array only sees the
-// blockdev interface. A nil registry registers nothing.
+// telemetry (under the "raid.*" names Stats.Counters reports), and
+// degradation gauges on reg, labeled array=name. Member devices are
+// registered by the caller — the array only sees the blockdev interface. A
+// nil registry registers nothing.
 func (a *Array) RegisterMetrics(reg *telemetry.Registry, name string) {
 	if reg == nil {
 		return
 	}
 	l := telemetry.Label{Key: "array", Value: name}
-	metrics.RegisterCounters(reg, func() *metrics.Counters { return a.stats.Counters() }, l)
+	reg.CounterFuncs(func() telemetry.Counts { return a.stats.Counters() }, l)
 	reg.CounterFunc(telemetry.Prefix+"raid_reads_total",
 		"Logical reads served by the array.",
 		func() int64 { return a.stats.Reads }, l)

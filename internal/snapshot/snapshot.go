@@ -16,8 +16,10 @@
 // stream), ErrMismatch (a snapshot of some other component or geometry), or
 // ErrNotQuiescent (a valid snapshot that cannot be adopted because it — or
 // the target — has operations in flight; restore such worlds by replay
-// instead). FuzzSnapshotRestore in this package's tests enforces the
-// no-panic half of that contract.
+// instead). This package's tests hold the codec primitives to the no-panic
+// half of that contract (every truncation, hostile lengths);
+// FuzzSnapshotRestore in internal/crashexplore/stacks holds every
+// component's Restore to it.
 package snapshot
 
 import (

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/metrics"
+	"tracklog/internal/telemetry"
 )
 
 // Tail-latency explainer: for the slowest k% of requests, name the dominant
@@ -30,13 +30,13 @@ type TailReport struct {
 	Frac    float64 // requested tail fraction (0.01 = slowest 1%)
 	Total   int     // requests considered
 	Entries []TailEntry
-	Causes  *metrics.Counters // cause string → occurrences in the tail
+	Causes  telemetry.Counts // cause string → occurrences in the tail
 }
 
 // ExplainTail explains the slowest frac of reqs (at least one request when
 // any exist). Ordering is deterministic: latency descending, then id.
 func ExplainTail(reqs []*Request, frac float64) *TailReport {
-	rep := &TailReport{Frac: frac, Total: len(reqs), Causes: metrics.NewCounters()}
+	rep := &TailReport{Frac: frac, Total: len(reqs), Causes: telemetry.Counts{}}
 	if len(reqs) == 0 {
 		return rep
 	}
@@ -58,7 +58,7 @@ func ExplainTail(reqs []*Request, frac float64) *TailReport {
 	for _, r := range sorted[:k] {
 		e := explain(r)
 		rep.Entries = append(rep.Entries, e)
-		rep.Causes.Add(e.Cause, 1)
+		rep.Causes[e.Cause]++
 	}
 	return rep
 }

@@ -207,7 +207,7 @@ func TestExplainTailCauses(t *testing.T) {
 	if got := rep.Entries[1].Cause; got != "queued behind write-back burst (4 writes ahead)" {
 		t.Fatalf("entry 1 cause = %q", got)
 	}
-	if rep.Causes.Get("rotational miss after misprediction") != 1 {
+	if rep.Causes["rotational miss after misprediction"] != 1 {
 		t.Fatalf("cause histogram: %s", rep.Causes)
 	}
 	if !strings.Contains(rep.String(), "misprediction") {
@@ -289,7 +289,7 @@ func TestExplainTailQoSCauses(t *testing.T) {
 			t.Errorf("request %d cause = %q, want %q", id, got, want)
 		}
 	}
-	if got := rep.Causes.Get("shed at admission (overload)"); got != 1 {
+	if got := rep.Causes["shed at admission (overload)"]; got != 1 {
 		t.Errorf("cause histogram shed count = %d, want 1", got)
 	}
 	// The shed request's story is the overload even though no phase has any
@@ -360,7 +360,7 @@ func TestExplainTailClusterCauses(t *testing.T) {
 	if byID[1].Dominant != PSubRead {
 		t.Errorf("failover dominant = %v, want subread", byID[1].Dominant)
 	}
-	if got := rep.Causes.Get("failed over to replica after shard failure"); got != 1 {
+	if got := rep.Causes["failed over to replica after shard failure"]; got != 1 {
 		t.Errorf("cause histogram failover count = %d, want 1", got)
 	}
 }

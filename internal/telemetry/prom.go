@@ -9,10 +9,9 @@ import (
 )
 
 // Prometheus text exposition. This file is the single place in the module
-// that knows the text format: name sanitization, HELP escaping, label
-// escaping, and value formatting. internal/trace and internal/metrics
-// build transient registries and render through here rather than
-// hand-rolling format strings.
+// that knows the text format — name sanitization, HELP escaping, label
+// escaping, value formatting — and holds its only writer (WriteProm) and
+// parser (ParseProm); CI greps that no other package defines either.
 
 // PromName maps an internal metric name onto the Prometheus identifier
 // charset [a-zA-Z0-9_]; every other rune becomes '_'.
@@ -152,7 +151,10 @@ func ParseProm(r io.Reader) (map[string]float64, error) {
 		}
 		vals[name] = f
 	}
-	return vals, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("prom line %d: %w", line+1, err)
+	}
+	return vals, nil
 }
 
 // splitPromSample splits one sample line into its key (name plus optional

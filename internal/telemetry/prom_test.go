@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -184,4 +186,42 @@ func TestWriteJSON(t *testing.T) {
 	if !strings.HasSuffix(out, "\n") {
 		t.Error("JSON export missing trailing newline")
 	}
+}
+
+// FuzzParseProm holds the one writer and the one parser to each other: a
+// series with an arbitrary name, label and help text round-trips through
+// WriteProm and ParseProm to the same key and value, and hostile bytes come
+// back as an error or a map, never a panic.
+func FuzzParseProm(f *testing.F) {
+	f.Add("trail.writes", "disk", "log0", "plain help", 3.5, []byte("x{k=\"a\"} 1\nx{k=\"b\"} 2\n"))
+	f.Add("weird name/slash", "k\"ey", "a\"b\\c\nd}", "help with \\ and\nnewline", math.NaN(), []byte(`x{k="v" 1`))
+	f.Add("", "", "", "", math.Inf(-1), []byte("# HELP only\n\n{} 1\nm NaN\nm 2\n"))
+	f.Add("n", "le", "+Inf", "#", -0.0, []byte("just_a_name\nx notanumber\n\\\"{\\"))
+	f.Add("n", "k", "v", "h", 1.0, append([]byte("x 1\n"), bytes.Repeat([]byte("y"), 70000)...)) // past the scanner's token limit
+	f.Fuzz(func(t *testing.T, name, key, value, help string, v float64, raw []byte) {
+		if vals, err := ParseProm(bytes.NewReader(raw)); (err == nil) == (vals == nil) {
+			t.Fatalf("hostile input: vals %v, err %v — want exactly one", vals, err)
+		}
+		if len(name)+len(key)+len(value) > 4096 {
+			t.Skip("sample line past the scanner's token limit")
+		}
+		r := NewRegistry()
+		r.GaugeFunc(name, help, func() float64 { return v }, Label{Key: key, Value: value})
+		var sb strings.Builder
+		if err := r.WriteProm(&sb); err != nil {
+			t.Fatal(err)
+		}
+		vals, err := ParseProm(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("own export does not parse: %v\n%s", err, sb.String())
+		}
+		want := seriesKey(PromName(name), []Label{{Key: PromName(key), Value: value}})
+		got, ok := vals[want]
+		if !ok || len(vals) != 1 {
+			t.Fatalf("parsed %v, want the one key %q\n%s", vals, want, sb.String())
+		}
+		if got != v && !(math.IsNaN(got) && math.IsNaN(v)) {
+			t.Fatalf("value %v came back as %v", v, got)
+		}
+	})
 }

@@ -11,21 +11,26 @@
 //  2. Exposition is byte-deterministic. Series render in sorted
 //     (name, labels) order, numbers use shortest-exact float formatting,
 //     and name sanitization plus help/label escaping happen in exactly one
-//     place (prom.go) — the exporters in internal/trace and
-//     internal/metrics route through here instead of hand-rolling the
-//     format.
+//     place (prom.go), the module's only Prometheus writer and parser.
 //  3. The registry holds only virtual-time state. Wall-clock measurements
 //     (events/sec, ns/event, allocs/event — see wall.go) never enter a
 //     Registry, so every registry export is safe to include in the two-run
 //     byte-compare CI jobs.
+//
+// The package also holds the module's one counter-set type, Counts: the
+// sorted "name=value" snapshot every layer's Stats renders reports from, and
+// (through Registry.CounterFuncs) registers as live series.
 //
 // The package imports only the standard library, so internal/sim and every
 // storage layer can depend on it without cycles.
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"sort"
+	"strings"
 )
 
 // Prefix namespaces every metric exported by this module.
@@ -63,7 +68,6 @@ func (t metricType) String() string {
 // metric is one registered series.
 type metric struct {
 	name   string // sanitized
-	raw    string // as registered, before sanitization (WriteKV exposition)
 	help   string
 	typ    metricType
 	labels []Label // keys sanitized, sorted
@@ -137,7 +141,7 @@ func newMetric(name, help string, typ metricType, labels []Label, backing any) *
 		ls[i] = Label{Key: PromName(l.Key), Value: l.Value}
 	}
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	m := &metric{name: PromName(name), raw: name, help: help, typ: typ, labels: ls}
+	m := &metric{name: PromName(name), help: help, typ: typ, labels: ls}
 	switch b := backing.(type) {
 	case *Counter:
 		m.counter = b
@@ -221,6 +225,24 @@ func (r *Registry) sorted() []*metric {
 		return labelSig(out[i].labels) < labelSig(out[j].labels)
 	})
 	return out
+}
+
+// WriteFile exports the registry to path: Prometheus text exposition when
+// the name ends in ".prom", the JSON form otherwise. A nil registry writes
+// no file.
+func (r *Registry) WriteFile(path string) error {
+	if r == nil {
+		return nil
+	}
+	write := r.WriteJSON
+	if strings.HasSuffix(path, ".prom") {
+		write = r.WriteProm
+	}
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // Counter is a monotonically increasing series. A nil *Counter is a valid

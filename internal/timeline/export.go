@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -106,6 +107,24 @@ func (a *Aggregator) WriteJSON(w io.Writer) error {
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
+}
+
+// WriteFile exports the finished aggregator to path: the JSON document when
+// the name ends in ".json", the CSV exposition otherwise. A nil aggregator
+// writes no file.
+func (a *Aggregator) WriteFile(path string) error {
+	if a == nil {
+		return nil
+	}
+	write := a.WriteCSV
+	if strings.HasSuffix(path, ".json") {
+		write = a.WriteJSON
+	}
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // Timeline is a parsed export: what rundiff aligns and diffs.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +34,13 @@ func TestNilDisabled(t *testing.T) {
 	}
 	if err := a.WriteJSON(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "nil.csv")
+	if err := a.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("nil aggregator wrote %s", path)
 	}
 }
 
@@ -207,6 +216,19 @@ func TestExportDeterministicAndSorted(t *testing.T) {
 	}
 	if !bytes.Equal(j1.Bytes(), j2.Bytes()) {
 		t.Fatal("JSON export not deterministic")
+	}
+
+	// WriteFile picks the form from the file name: JSON for .json, CSV for
+	// anything else.
+	dir := t.TempDir()
+	for name, want := range map[string][]byte{"t.csv": b1.Bytes(), "t.json": j1.Bytes(), "t": b1.Bytes()} {
+		path := filepath.Join(dir, name)
+		if err := build().WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: err %v, holds\n%s\nwant\n%s", name, err, got, want)
+		}
 	}
 }
 

@@ -106,15 +106,6 @@ func (r *AuditReport) MissRate() float64 {
 	return float64(r.Mispredictions) / float64(r.Predictions)
 }
 
-// Counters exports the audit as a sorted counter set.
-func (r *AuditReport) Counters() *metrics.Counters {
-	c := metrics.NewCounters()
-	c.Set("audit.predictions", r.Predictions)
-	c.Set("audit.mispredictions", r.Mispredictions)
-	c.Set("audit.unaudited", r.Unaudited)
-	return c
-}
-
 // String renders the audit report, with the slack histogram in sorted order
 // so output is deterministic.
 func (r *AuditReport) String() string {

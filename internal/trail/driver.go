@@ -10,11 +10,11 @@ import (
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/qos"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/timeline"
 	"tracklog/internal/trace"
 )
@@ -161,41 +161,39 @@ type Stats struct {
 	MaxLogQueue      int
 }
 
-// FaultCounters exports the driver's fault/retry telemetry as a metrics
-// counter set (deterministic rendering order).
-func (s Stats) FaultCounters() *metrics.Counters {
-	c := metrics.NewCounters()
-	c.Set("trail.log_write_retries", s.LogWriteRetries)
-	c.Set("trail.log_media_errors", s.LogMediaErrors)
-	c.Set("trail.log_ref_retries", s.LogRefRetries)
-	c.Set("trail.log_disk_failures", s.LogDiskFailures)
-	c.Set("trail.read_retries", s.ReadRetries)
-	c.Set("trail.writeback_retries", s.WritebackRetries)
-	c.Set("trail.abandoned_writebacks", s.AbandonedWritebacks)
-	c.Set("trail.failed_writes", s.FailedWrites)
-	return c
+// FaultCounters exports the driver's fault/retry telemetry as a counter set.
+func (s Stats) FaultCounters() telemetry.Counts {
+	return telemetry.Counts{
+		"trail.log_write_retries":    s.LogWriteRetries,
+		"trail.log_media_errors":     s.LogMediaErrors,
+		"trail.log_ref_retries":      s.LogRefRetries,
+		"trail.log_disk_failures":    s.LogDiskFailures,
+		"trail.read_retries":         s.ReadRetries,
+		"trail.writeback_retries":    s.WritebackRetries,
+		"trail.abandoned_writebacks": s.AbandonedWritebacks,
+		"trail.failed_writes":        s.FailedWrites,
+	}
 }
 
 // Counters exports the full driver telemetry (activity and fault handling)
-// as a metrics counter set. Rendering a Counters set is deterministic —
-// String() sorts by name — so every stats report built from it is
-// byte-stable across runs.
-func (s Stats) Counters() *metrics.Counters {
+// as a counter set. Rendering one is deterministic — String() sorts by name
+// — so every stats report built from it is byte-stable across runs.
+func (s Stats) Counters() telemetry.Counts {
 	c := s.FaultCounters()
-	c.Set("trail.writes", s.Writes)
-	c.Set("trail.records", s.Records)
-	c.Set("trail.logged_sectors", s.LoggedSectors)
-	c.Set("trail.repositions", s.Repositions)
-	c.Set("trail.reposition_time_us", s.RepositionTime.Microseconds())
-	c.Set("trail.log_full_stalls", s.LogFullStalls)
-	c.Set("trail.writebacks", s.WriteBacks)
-	c.Set("trail.superseded_writebacks", s.SupersededWriteBacks)
-	c.Set("trail.reads_from_staging", s.ReadsFromStaging)
-	c.Set("trail.idle_refreshes", s.IdleRefreshes)
-	c.Set("trail.shed_writes", s.ShedWrites)
-	c.Set("trail.deadline_exceeded", s.DeadlineExceeded)
-	c.Set("trail.throttle_stalls", s.ThrottleStalls)
-	c.Set("trail.max_log_queue", int64(s.MaxLogQueue))
+	c["trail.writes"] = s.Writes
+	c["trail.records"] = s.Records
+	c["trail.logged_sectors"] = s.LoggedSectors
+	c["trail.repositions"] = s.Repositions
+	c["trail.reposition_time_us"] = s.RepositionTime.Microseconds()
+	c["trail.log_full_stalls"] = s.LogFullStalls
+	c["trail.writebacks"] = s.WriteBacks
+	c["trail.superseded_writebacks"] = s.SupersededWriteBacks
+	c["trail.reads_from_staging"] = s.ReadsFromStaging
+	c["trail.idle_refreshes"] = s.IdleRefreshes
+	c["trail.shed_writes"] = s.ShedWrites
+	c["trail.deadline_exceeded"] = s.DeadlineExceeded
+	c["trail.throttle_stalls"] = s.ThrottleStalls
+	c["trail.max_log_queue"] = int64(s.MaxLogQueue)
 	return c
 }
 

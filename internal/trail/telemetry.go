@@ -3,20 +3,19 @@ package trail
 import (
 	"fmt"
 
-	"tracklog/internal/metrics"
 	"tracklog/internal/telemetry"
 )
 
 // RegisterMetrics registers the driver's full telemetry on reg: every
-// Stats counter (via the metrics bridge, so names match the existing
-// "trail.*" exposition), live queue/staging gauges, and every member disk
-// — log disks as log0..logN, data disks as data0..dataN — including their
-// virtual-time utilization. A nil registry registers nothing.
+// Stats counter (under the "trail.*" names the report lines print), live
+// queue/staging gauges, and every member disk — log disks as log0..logN,
+// data disks as data0..dataN — including their virtual-time utilization. A
+// nil registry registers nothing.
 func (d *Driver) RegisterMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	metrics.RegisterCounters(reg, func() *metrics.Counters { return d.stats.Counters() })
+	reg.CounterFuncs(func() telemetry.Counts { return d.stats.Counters() })
 	reg.GaugeFunc(telemetry.Prefix+"trail_log_queue_depth",
 		"Client writes currently queued for the log disks.",
 		func() float64 { return float64(d.LogQueueLen()) })

@@ -93,40 +93,14 @@ func WDCaviar() DiskParams { return disk.WDCaviar() }
 // NewDisk creates a drive on env.
 func NewDisk(env *Env, params DiskParams) *Disk { return disk.New(env, params) }
 
-// FormatLogDisk initializes a drive as a Trail log disk.
-func FormatLogDisk(d *Disk) error { return trail.Format(d) }
-
 // DefaultTrailConfig returns the paper's Trail configuration.
 func DefaultTrailConfig() TrailConfig { return trail.Default() }
-
-// NewTrail creates the Trail driver over a formatted log disk and data
-// disks. It returns trail.ErrNeedsRecovery after a crash; run Recover.
-func NewTrail(env *Env, log *Disk, data []*Disk, cfg TrailConfig) (*Driver, error) {
-	return trail.NewDriver(env, log, data, cfg)
-}
 
 // NewStandardDevice exposes a drive as the paper's baseline: synchronous
 // in-place I/O behind a LOOK elevator.
 func NewStandardDevice(env *Env, d *Disk, id DevID) Device {
 	return stddisk.New(env, d, id, sched.LOOK)
 }
-
-// Recover runs Trail crash recovery on a log disk, replaying pending
-// records onto devs.
-func Recover(p *Proc, log *Disk, devs map[DevID]Device, opts RecoverOptions) (*RecoverReport, error) {
-	return trail.Recover(p, log, devs, opts)
-}
-
-// AttachFaults samples a fault plan for d from rng and installs it on the
-// drive. The plan is fully sampled up front, so the same seed and config
-// reproduce the same faults at the same virtual instants.
-func AttachFaults(d *Disk, rng *Rand, cfg FaultConfig) *FaultPlan {
-	return fault.Attach(d, rng, cfg)
-}
-
-// ParseFaultScenario parses the compact key=value fault DSL (e.g.
-// "latent=3,timeout=1,failat=30s") into a FaultConfig.
-func ParseFaultScenario(s string) (FaultConfig, error) { return fault.ParseScenario(s) }
 
 // SystemConfig describes a NewSystem: disk counts and profiles, the Trail
 // configuration (or a baseline scheduler policy), an optional fault scenario
