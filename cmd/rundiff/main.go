@@ -74,15 +74,42 @@ type Report struct {
 	Findings    int          `json:"findings"`
 }
 
+// num is a report number that may be NaN or infinite. encoding/json refuses
+// both, so they encode as null: a NaN base or cur, and a pct whose row says
+// in "unbounded" which way it went.
+type num float64
+
+func (n num) MarshalJSON() ([]byte, error) {
+	if f := float64(n); math.IsNaN(f) || math.IsInf(f, 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(n))
+}
+
+// unbounded names a pct that JSON cannot carry: "+inf", "-inf", "nan", or ""
+// for a finite one.
+func unbounded(f float64) string {
+	switch {
+	case math.IsInf(f, 1):
+		return "+inf"
+	case math.IsInf(f, -1):
+		return "-inf"
+	case math.IsNaN(f):
+		return "nan"
+	}
+	return ""
+}
+
 // BenchDelta is one benchmark metric change (benchfmt.Delta, stripped to
 // the report schema).
 type BenchDelta struct {
-	Name      string  `json:"name"`
-	Metric    string  `json:"metric"`
-	Base      float64 `json:"base"`
-	Cur       float64 `json:"cur"`
-	Pct       float64 `json:"pct"` // signed, positive = worse
-	Regressed bool    `json:"regressed"`
+	Name      string `json:"name"`
+	Metric    string `json:"metric"`
+	Base      num    `json:"base"`
+	Cur       num    `json:"cur"`
+	Pct       num    `json:"pct"` // signed, positive = worse; null when Unbounded
+	Unbounded string `json:"unbounded,omitempty"`
+	Regressed bool   `json:"regressed"`
 	// HigherIsBetter marks rate metrics: Base/Cur are rates, not latencies.
 	HigherIsBetter bool `json:"higher_is_better,omitempty"`
 }
@@ -106,11 +133,16 @@ type Attrib struct {
 // series average, or a telemetry metric that moved beyond the relative
 // tolerance.
 type Support struct {
-	Kind   string  `json:"kind"` // "count", "level", "telemetry"
-	Series string  `json:"series"`
-	Base   float64 `json:"base"`
-	Cur    float64 `json:"cur"`
-	Pct    float64 `json:"pct"` // signed relative change
+	Kind      string `json:"kind"` // "count", "level", "telemetry"
+	Series    string `json:"series"`
+	Base      num    `json:"base"`
+	Cur       num    `json:"cur"`
+	Pct       num    `json:"pct"` // signed relative change; null when Unbounded
+	Unbounded string `json:"unbounded,omitempty"`
+}
+
+func supportRow(kind, series string, base, cur, pct float64) Support {
+	return Support{Kind: kind, Series: series, Base: num(base), Cur: num(cur), Pct: num(pct), Unbounded: unbounded(pct)}
 }
 
 // artifacts is one side's loaded run.
@@ -265,7 +297,7 @@ func compare(base, cur *artifacts, tol tolerances) *Report {
 	})
 	sort.SliceStable(rep.Support, func(i, j int) bool {
 		si, sj := rep.Support[i], rep.Support[j]
-		if d := math.Abs(si.Pct) - math.Abs(sj.Pct); d != 0 {
+		if d := math.Abs(float64(si.Pct)) - math.Abs(float64(sj.Pct)); d != 0 {
 			return d > 0
 		}
 		if si.Kind != sj.Kind {
@@ -277,7 +309,7 @@ func compare(base, cur *artifacts, tol tolerances) *Report {
 	rep.Findings = len(rep.Missing) + len(rep.Attribution) + len(rep.Support)
 	regressions := 0
 	worstBench := ""
-	worstPct := 0.0
+	worstPct := num(0)
 	for _, d := range rep.Bench {
 		if d.Regressed {
 			regressions++
@@ -331,8 +363,8 @@ func compareBench(rep *Report, base, cur *artifacts, tol benchfmt.Tolerance) boo
 	regressed := false
 	for _, d := range deltas {
 		rep.Bench = append(rep.Bench, BenchDelta{
-			Name: d.Name, Metric: d.Metric, Base: d.Base, Cur: d.Cur,
-			Pct: d.Pct, Regressed: d.Regressed, HigherIsBetter: d.HigherIsBetter,
+			Name: d.Name, Metric: d.Metric, Base: num(d.Base), Cur: num(d.Cur),
+			Pct: num(d.Pct), Unbounded: unbounded(d.Pct), Regressed: d.Regressed, HigherIsBetter: d.HigherIsBetter,
 		})
 		regressed = regressed || d.Regressed
 	}
@@ -367,12 +399,12 @@ func compareTimelines(rep *Report, base, cur *timeline.Timeline, tol tolerances)
 		case "count":
 			b, c := seriesTotal(bs), seriesTotal(cs)
 			if pct, over := relDelta(b, c, tol.support); over {
-				rep.Support = append(rep.Support, Support{Kind: "count", Series: key, Base: b, Cur: c, Pct: pct})
+				rep.Support = append(rep.Support, supportRow("count", key, b, c, pct))
 			}
 		case "mean":
 			b, c := seriesAvg(bs, base.Buckets()), seriesAvg(cs, cur.Buckets())
 			if pct, over := relDelta(b, c, tol.support); over {
-				rep.Support = append(rep.Support, Support{Kind: "level", Series: key, Base: b, Cur: c, Pct: pct})
+				rep.Support = append(rep.Support, supportRow("level", key, b, c, pct))
 			}
 		}
 	}
@@ -569,7 +601,7 @@ func compareProm(rep *Report, base, cur map[string]float64, tol float64) {
 	sort.Strings(names)
 	for _, n := range names {
 		if pct, over := relDelta(base[n], cur[n], tol); over {
-			rep.Support = append(rep.Support, Support{Kind: "telemetry", Series: n, Base: base[n], Cur: cur[n], Pct: pct})
+			rep.Support = append(rep.Support, supportRow("telemetry", n, base[n], cur[n], pct))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -202,29 +203,45 @@ func TestBareBenchFiles(t *testing.T) {
 
 // A telemetry series that is NaN on exactly one side is a finding (NaN
 // compares false against every tolerance, so it has to be asked for by
-// name); NaN on both sides is equal, which keeps self-compare empty.
+// name); NaN on both sides is equal, which keeps self-compare empty. The JSON
+// report carries the same rows and exit status: a number JSON has no spelling
+// for is null, and the row's "unbounded" says what its pct was.
 func TestTelemetryNaN(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		base, cur string // metrics.prom
 		code      int
 		want      []string // substrings of stdout
+		wantJSON  []string // substrings of -json stdout
 	}{
-		{"gauge turned NaN", "g 5\n", "g NaN\n", 1, []string{"telemetry g", "5 ->          NaN", "+Inf%"}},
-		{"gauge recovered from NaN", "g NaN\n", "g 5\n", 1, []string{"telemetry g", "NaN ->            5", "+Inf%"}},
-		{"NaN on both sides", "g NaN\n", "g NaN\n", 0, []string{"verdict: ok"}},
-		{"finite change still goes by tolerance", "g 100\n", "g 101\n", 0, []string{"verdict: ok"}},
+		{"gauge turned NaN", "g 5\n", "g NaN\n", 1, []string{"telemetry g", "5 ->          NaN", "+Inf%"},
+			[]string{`"base": 5`, `"cur": null`, `"pct": null`, `"unbounded": "+inf"`}},
+		{"gauge recovered from NaN", "g NaN\n", "g 5\n", 1, []string{"telemetry g", "NaN ->            5", "+Inf%"},
+			[]string{`"base": null`, `"cur": 5`, `"pct": null`, `"unbounded": "+inf"`}},
+		{"gauge fell from zero", "g 0\n", "g -2\n", 1, []string{"telemetry g", "-Inf%"},
+			[]string{`"base": 0`, `"cur": -2`, `"pct": null`, `"unbounded": "-inf"`}},
+		{"NaN on both sides", "g NaN\n", "g NaN\n", 0, []string{"verdict: ok"}, []string{`"findings": 0`}},
+		{"finite change still goes by tolerance", "g 100\n", "g 150\n", 1, []string{"+50.0%"}, []string{`"pct": 50`}},
+		{"finite change inside tolerance", "g 100\n", "g 101\n", 0, []string{"verdict: ok"}, []string{`"findings": 0`}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := writeDir(t, map[string]string{"metrics.prom": tc.base})
 			cur := writeDir(t, map[string]string{"metrics.prom": tc.cur})
-			code, out, _ := runDiff(t, base, cur)
-			if code != tc.code {
-				t.Fatalf("exit %d, want %d; output:\n%s", code, tc.code, out)
-			}
-			for _, want := range tc.want {
-				if !strings.Contains(out, want) {
-					t.Errorf("output missing %q:\n%s", want, out)
+			for _, mode := range []struct {
+				flags []string
+				want  []string
+			}{{nil, tc.want}, {[]string{"-json"}, tc.wantJSON}} {
+				code, out, stderr := runDiff(t, append(mode.flags, base, cur)...)
+				if code != tc.code {
+					t.Fatalf("%v: exit %d, want %d; output:\n%s%s", mode.flags, code, tc.code, out, stderr)
+				}
+				for _, want := range mode.want {
+					if !strings.Contains(out, want) {
+						t.Errorf("%v: output missing %q:\n%s", mode.flags, want, out)
+					}
+				}
+				if mode.flags != nil && (strings.Contains(out, `"unbounded"`) != strings.Contains(out, `"pct": null`) || !json.Valid([]byte(out))) {
+					t.Errorf("-json: a null pct and an unbounded field go together, in valid JSON:\n%s", out)
 				}
 			}
 		})

@@ -121,8 +121,8 @@ func BenchmarkScan(b *testing.B) {
 }
 
 // TestAllocations pins what the engine allocates per operation once pages
-// are cached: a Get its returned copy, a Put that does not split and a Scan
-// nothing.
+// are cached: a Get its returned copy, a GetAppend into a buffer that has
+// room, a Put that does not split and a Scan nothing.
 func TestAllocations(t *testing.T) {
 	const n = 40_000
 	tr, in := benchTree(t, n)
@@ -137,6 +137,7 @@ func TestAllocations(t *testing.T) {
 			panic(fmt.Sprintf("tree of %d keys is %d levels deep, want 3", n, depth+1))
 		}
 		k, v := benchKey(7), make([]byte, 100)
+		buf := make([]byte, 0, len(v))
 		left := 0
 		count := func(k, v []byte) bool { left--; return left > 0 }
 		for _, tc := range []struct {
@@ -145,6 +146,7 @@ func TestAllocations(t *testing.T) {
 			call func() error
 		}{
 			{"Get", 1, func() error { _, err := tr.Get(p, k); return err }},
+			{"GetAppend", 0, func() error { _, err := tr.GetAppend(p, buf, k); return err }},
 			{"Put replacing a value", 0, func() error { return tr.Put(p, k, v, len(v)) }},
 			{"Scan of 1000 entries", 0, func() error { left = 1000; return tr.Scan(p, k, count) }},
 		} {

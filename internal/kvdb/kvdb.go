@@ -396,23 +396,26 @@ func (t *Tree) descend(p *sim.Proc, key []byte, path *[maxDepth]step) (leaf node
 }
 
 // Get returns a copy of the value stored at key.
-func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) {
+func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) { return t.GetAppend(p, nil, key) }
+
+// GetAppend appends the value stored at key to dst and returns the extended
+// slice, dst itself with an error: the value leaves the pinned page by this
+// one copy, into memory the caller owns and may reuse (DESIGN.md §16).
+func (t *Tree) GetAppend(p *sim.Proc, dst, key []byte) ([]byte, error) {
 	leaf, _, err := t.descend(p, key, nil)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer t.store.unpin(leaf)
 	sp, err := leaf.seek(key, false)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if !sp.found() {
-		return nil, ErrNotFound
+		return dst, ErrNotFound
 	}
 	_, v, _, _, _ := cell(leaf.pg.Data, true, sp.off)
-	val := make([]byte, len(v))
-	copy(val, v)
-	return val, nil
+	return append(dst, v...), nil
 }
 
 // Put inserts or replaces key with value. logicalSize is the page-fill cost

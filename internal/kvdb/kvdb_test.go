@@ -79,6 +79,42 @@ func TestPutGet(t *testing.T) {
 	})
 }
 
+// TestGetCopiesOut: what Get and GetAppend return is the caller's. Writing to
+// it changes neither the page nor a later read, GetAppend extends the buffer
+// it is given and leaves what was in it, and a miss hands the buffer back.
+func TestGetCopiesOut(t *testing.T) {
+	env, s := newRig(t, 100)
+	defer env.Close()
+	run(env, func(p *sim.Proc) {
+		tree, err := s.CreateTree(p)
+		if err == nil {
+			err = tree.Put(p, []byte("k"), []byte("value"), 5)
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got, err := tree.Get(p, []byte("k"))
+		if err != nil || string(got) != "value" {
+			t.Errorf("Get = %q, %v", got, err)
+			return
+		}
+		clear(got)
+		buf := append(make([]byte, 0, 16), "row:"...)
+		got, err = tree.GetAppend(p, buf, []byte("k"))
+		if err != nil || string(got) != "row:value" || &got[0] != &buf[0] {
+			t.Errorf("GetAppend = %q, %v, want row:value in the buffer given", got, err)
+		}
+		clear(got)
+		if again, _ := tree.Get(p, []byte("k")); string(again) != "value" {
+			t.Errorf("a caller's write reached the page: %q", again)
+		}
+		if got, err = tree.GetAppend(p, buf, []byte("absent")); !errors.Is(err, ErrNotFound) || len(got) != len(buf) {
+			t.Errorf("miss = %q, %v, want the buffer back and ErrNotFound", got, err)
+		}
+	})
+}
+
 func TestUpdateReplaces(t *testing.T) {
 	env, s := newRig(t, 100)
 	defer env.Close()

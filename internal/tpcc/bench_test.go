@@ -1,0 +1,66 @@
+package tpcc
+
+import (
+	"errors"
+	"testing"
+
+	"tracklog/internal/blockdev"
+	"tracklog/internal/disk"
+	"tracklog/internal/sim"
+	"tracklog/internal/txn"
+	"tracklog/internal/wal"
+)
+
+// TPC-C's rungs of the per-layer benchmark ladder (ROADMAP): the host cost
+// of one transaction of the type that dominates the mix and of the one that
+// reads the most rows, on devices that take no virtual time — keys, rows,
+// locks, redo records and tree operations, with no disk behind them. Run with
+//
+//	go test -run '^$' -bench . -benchmem ./internal/tpcc
+
+// benchRunner is a loaded database and a runner on instant devices.
+func benchRunner(b *testing.B) (*sim.Env, *Runner) {
+	env := sim.NewEnv()
+	b.Cleanup(env.Close)
+	dev := func(minor uint8) blockdev.Device {
+		return disk.NewInstantDev(disk.New(env, disk.WDCaviar()), blockdev.DevID{Major: 3, Minor: minor})
+	}
+	cfg := smallCfg()
+	cfg.CustomersPerDistrict, cfg.Items, cfg.InitialOrdersPerDistrict, cfg.CachePages = 300, 2000, 100, 1<<15
+	var run *Runner
+	var err error
+	env.Go("load", func(p *sim.Proc) {
+		var db *DB
+		if db, err = Load(p, cfg, []blockdev.Device{dev(1), dev(2)}); err != nil {
+			return
+		}
+		var l *wal.Log
+		if l, err = wal.New(env, wal.Config{Dev: dev(0), Sectors: dev(0).Sectors(), Mode: wal.SyncEveryCommit}); err == nil {
+			run = NewRunner(db, txn.NewManager(env, l))
+		}
+	})
+	env.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return env, run
+}
+
+func benchTransaction(b *testing.B, one func(r *Runner, p *sim.Proc, rng *sim.Rand) error) {
+	env, r := benchRunner(b)
+	rng := sim.NewRand(5)
+	env.Go("terminal", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			if err := one(r, p, rng); err != nil && !errors.Is(err, errRollback) {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+}
+
+func BenchmarkNewOrder(b *testing.B)   { benchTransaction(b, (*Runner).newOrder) }
+func BenchmarkStockLevel(b *testing.B) { benchTransaction(b, (*Runner).stockLevel) }

@@ -71,7 +71,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 		}
 		runner = NewRunner(db, txn.NewManager(env, l))
 		for d := 1; d <= cfg.Districts; d++ {
-			row, _ := db.Tree(District).Get(p, dKey(1, d))
+			row, _ := db.Tree(District).Get(p, dKey(nil, 1, d))
 			initialNext = append(initialNext, int(getU32(row, 0)))
 		}
 	})
@@ -148,7 +148,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 		// Audit: committed new-orders are all visible.
 		totalNew := 0
 		for d := 1; d <= cfg.Districts; d++ {
-			row, err := db.Tree(District).Get(p, dKey(1, d))
+			row, err := db.Tree(District).Get(p, dKey(nil, 1, d))
 			if err != nil {
 				t.Fatalf("district %d: %v", d, err)
 			}
@@ -157,14 +157,14 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 			// Structural invariant: every order below next_o_id exists
 			// with all of its lines.
 			for o := initialNext[d-1]; o < nextOID; o++ {
-				oRow, err := db.Tree(Order).Get(p, oKey(1, d, o))
+				oRow, err := db.Tree(Order).Get(p, oKey(nil, 1, d, o))
 				if err != nil {
 					t.Errorf("district %d order %d missing after recovery", d, o)
 					continue
 				}
 				olCnt := int(getU32(oRow, 1))
 				for l := 1; l <= olCnt; l++ {
-					if _, err := db.Tree(OrderLine).Get(p, olKey(1, d, o, l)); err != nil {
+					if _, err := db.Tree(OrderLine).Get(p, olKey(nil, 1, d, o, l)); err != nil {
 						t.Errorf("order (%d,%d) missing line %d after recovery", d, o, l)
 					}
 				}

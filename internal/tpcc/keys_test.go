@@ -23,34 +23,34 @@ func TestKeyBuildersMatchSprintf(t *testing.T) {
 		}
 	}
 	for _, w := range edge(4) {
-		check("wKey", wKey(w), "w:%04d", w)
+		check("wKey", wKey(nil, w), "w:%04d", w)
 		for _, d := range edge(2) {
-			check("dKey", dKey(w, d), "d:%04d:%02d", w, d)
-			check("noPrefix", noPrefix(w, d), "n:%04d:%02d:", w, d)
+			check("dKey", dKey(nil, w, d), "d:%04d:%02d", w, d)
+			check("noPrefix", noPrefix(nil, w, d), "n:%04d:%02d:", w, d)
 			for _, c := range edge(5) {
-				check("cKey", cKey(w, d, c), "c:%04d:%02d:%05d", w, d, c)
-				check("ocPrefix", ocPrefix(w, d, c), "x:%04d:%02d:%05d:", w, d, c)
+				check("cKey", cKey(nil, w, d, c), "c:%04d:%02d:%05d", w, d, c)
+				check("ocPrefix", ocPrefix(nil, w, d, c), "x:%04d:%02d:%05d:", w, d, c)
 				for _, o := range edge(8) {
-					check("ocKey", ocKey(w, d, c, o), "x:%04d:%02d:%05d:%08d", w, d, c, o)
+					check("ocKey", ocKey(nil, w, d, c, o), "x:%04d:%02d:%05d:%08d", w, d, c, o)
 				}
 			}
 			for _, o := range edge(8) {
-				check("oKey", oKey(w, d, o), "o:%04d:%02d:%08d", w, d, o)
-				check("noKey", noKey(w, d, o), "n:%04d:%02d:%08d", w, d, o)
+				check("oKey", oKey(nil, w, d, o), "o:%04d:%02d:%08d", w, d, o)
+				check("noKey", noKey(nil, w, d, o), "n:%04d:%02d:%08d", w, d, o)
 				for _, l := range edge(2) {
-					check("olKey", olKey(w, d, o, l), "l:%04d:%02d:%08d:%02d", w, d, o, l)
+					check("olKey", olKey(nil, w, d, o, l), "l:%04d:%02d:%08d:%02d", w, d, o, l)
 				}
 			}
 		}
 		for _, i := range edge(6) {
-			check("sKey", sKey(w, i), "s:%04d:%06d", w, i)
+			check("sKey", sKey(nil, w, i), "s:%04d:%06d", w, i)
 		}
 		for _, seq := range []int64{0, 1, 999999999999, 1000000000000, 1 << 40, -1} {
-			check("hKey", hKey(w, seq), "h:%04d:%012d", w, seq)
+			check("hKey", hKey(nil, w, seq), "h:%04d:%012d", w, seq)
 		}
 	}
 	for _, i := range edge(6) {
-		check("iKey", iKey(i), "i:%06d", i)
+		check("iKey", iKey(nil, i), "i:%06d", i)
 	}
 }
 
@@ -58,14 +58,14 @@ func TestKeyBuildersMatchSprintf(t *testing.T) {
 // keys the builders write, including a field grown past its width.
 func TestKeySuffix(t *testing.T) {
 	for _, o := range []int{0, 7, 99999999, 100000000} {
-		if got, ok := keySuffix(noKey(3, 4, o), noPrefix(3, 4)); !ok || got != o {
+		if got, ok := keySuffix(noKey(nil, 3, 4, o), noPrefix(nil, 3, 4)); !ok || got != o {
 			t.Errorf("new-order key %d parsed as %d, %v", o, got, ok)
 		}
-		if got, ok := keySuffix(ocKey(3, 4, 5, o), ocPrefix(3, 4, 5)); !ok || got != o {
+		if got, ok := keySuffix(ocKey(nil, 3, 4, 5, o), ocPrefix(nil, 3, 4, 5)); !ok || got != o {
 			t.Errorf("customer-order key %d parsed as %d, %v", o, got, ok)
 		}
 	}
-	if _, ok := keySuffix([]byte("n:0001:01:"), noPrefix(1, 1)); ok {
+	if _, ok := keySuffix([]byte("n:0001:01:"), noPrefix(nil, 1, 1)); ok {
 		t.Error("empty suffix parsed")
 	}
 }

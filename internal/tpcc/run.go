@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strconv"
+	"slices"
 	"time"
 
 	"tracklog/internal/kvdb"
@@ -286,8 +286,10 @@ func (r *Runner) execute(p *sim.Proc, rng *sim.Rand, t TxType, cpuScale float64)
 	}
 }
 
-// get, getForUpdate, put and del run one row operation of tx on table t.
-// A row's lock is named by its key, which each builds once per operation.
+// get, getForUpdate, put and del run one row operation of tx on table t. A
+// row's lock is named by its key; neither the name nor the key outlives the
+// call (txn copies what it keeps), so both stay on the caller's stack. A row
+// read is valid until tx's next read.
 
 func (r *Runner) get(p *sim.Proc, tx *txn.Txn, t Table, key []byte) ([]byte, error) {
 	return tx.Get(p, r.db.trees[t], uint16(t), key, string(key))
@@ -312,21 +314,22 @@ func (r *Runner) newOrder(p *sim.Proc, rng *sim.Rand) error {
 	d := rng.IntRange(1, cfg.Districts)
 	c := rng.NURand(1023, 1, cfg.CustomersPerDistrict)
 	tx := r.m.Begin()
+	var kb, rb scratch
 
-	if _, err := r.get(p, tx, Warehouse, wKey(w)); err != nil {
+	if _, err := r.get(p, tx, Warehouse, wKey(kb[:0], w)); err != nil {
 		return r.fail(p, tx, err)
 	}
-	dk := dKey(w, d)
+	dk := dKey(kb[:0], w, d)
 	dRow, err := r.getForUpdate(p, tx, District, dk)
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
 	oID := int(getU32(dRow, 0))
 	if err := r.put(p, tx, District, dk,
-		districtRow(uint32(oID+1), getU32(dRow, 1), getU32(dRow, 2)), District.logicalSize()); err != nil {
+		districtRow(rb[:0], uint32(oID+1), getU32(dRow, 1), getU32(dRow, 2)), District.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
-	if _, err := r.get(p, tx, Customer, cKey(w, d, c)); err != nil {
+	if _, err := r.get(p, tx, Customer, cKey(kb[:0], w, d, c)); err != nil {
 		return r.fail(p, tx, err)
 	}
 
@@ -339,12 +342,12 @@ func (r *Runner) newOrder(p *sim.Proc, rng *sim.Rand) error {
 			tx.Abort(p)
 			return errRollback
 		}
-		iRow, err := r.get(p, tx, Item, iKey(item))
+		iRow, err := r.get(p, tx, Item, iKey(kb[:0], item))
 		if err != nil {
 			return r.fail(p, tx, err)
 		}
 		price := getU32(iRow, 0)
-		sk := sKey(w, item)
+		sk := sKey(kb[:0], w, item)
 		sRow, err := r.getForUpdate(p, tx, Stock, sk)
 		if err != nil {
 			return r.fail(p, tx, err)
@@ -357,24 +360,24 @@ func (r *Runner) newOrder(p *sim.Proc, rng *sim.Rand) error {
 			qty = qty - orderQty + 91
 		}
 		if err := r.put(p, tx, Stock, sk,
-			stockRow(qty, getU32(sRow, 1)+orderQty, getU32(sRow, 2)+1, getU32(sRow, 3)), Stock.logicalSize()); err != nil {
+			stockRow(rb[:0], qty, getU32(sRow, 1)+orderQty, getU32(sRow, 2)+1, getU32(sRow, 3)), Stock.logicalSize()); err != nil {
 			return r.fail(p, tx, err)
 		}
 		amount := orderQty * price
 		total += amount
-		if err := r.put(p, tx, OrderLine, olKey(w, d, oID, l),
-			orderLineRow(uint32(item), orderQty, amount, 0), OrderLine.logicalSize()); err != nil {
+		if err := r.put(p, tx, OrderLine, olKey(kb[:0], w, d, oID, l),
+			orderLineRow(rb[:0], uint32(item), orderQty, amount, 0), OrderLine.logicalSize()); err != nil {
 			return r.fail(p, tx, err)
 		}
 	}
-	if err := r.put(p, tx, Order, oKey(w, d, oID),
-		orderRow(uint32(c), uint32(olCnt), 0, 0), Order.logicalSize()); err != nil {
+	if err := r.put(p, tx, Order, oKey(kb[:0], w, d, oID),
+		orderRow(rb[:0], uint32(c), uint32(olCnt), 0, 0), Order.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
-	if err := r.put(p, tx, Order, ocKey(w, d, c, oID), []byte{1}, 8); err != nil {
+	if err := r.put(p, tx, Order, ocKey(kb[:0], w, d, c, oID), []byte{1}, 8); err != nil {
 		return r.fail(p, tx, err)
 	}
-	if err := r.put(p, tx, NewOrder, noKey(w, d, oID), []byte{1}, NewOrder.logicalSize()); err != nil {
+	if err := r.put(p, tx, NewOrder, noKey(kb[:0], w, d, oID), []byte{1}, NewOrder.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
 	return tx.Commit(p)
@@ -388,39 +391,40 @@ func (r *Runner) payment(p *sim.Proc, rng *sim.Rand) error {
 	c := rng.NURand(1023, 1, cfg.CustomersPerDistrict)
 	amount := uint32(rng.IntRange(100, 500000))
 	tx := r.m.Begin()
+	var kb, rb scratch
 
-	wk := wKey(w)
+	wk := wKey(kb[:0], w)
 	wRow, err := r.getForUpdate(p, tx, Warehouse, wk)
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
 	if err := r.put(p, tx, Warehouse, wk,
-		warehouseRow(getU32(wRow, 0)+amount, getU32(wRow, 1)), Warehouse.logicalSize()); err != nil {
+		warehouseRow(rb[:0], getU32(wRow, 0)+amount, getU32(wRow, 1)), Warehouse.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
-	dk := dKey(w, d)
+	dk := dKey(kb[:0], w, d)
 	dRow, err := r.getForUpdate(p, tx, District, dk)
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
 	if err := r.put(p, tx, District, dk,
-		districtRow(getU32(dRow, 0), getU32(dRow, 1)+amount, getU32(dRow, 2)), District.logicalSize()); err != nil {
+		districtRow(rb[:0], getU32(dRow, 0), getU32(dRow, 1)+amount, getU32(dRow, 2)), District.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
-	ck := cKey(w, d, c)
+	ck := cKey(kb[:0], w, d, c)
 	cRow, err := r.getForUpdate(p, tx, Customer, ck)
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
 	bal := customerBalance(cRow) - int64(amount)
 	if err := r.put(p, tx, Customer, ck,
-		customerRow(bal, getU32(cRow, 1)+amount, getU32(cRow, 2)+1, getU32(cRow, 3), getU32(cRow, 4)),
+		customerRow(rb[:0], bal, getU32(cRow, 1)+amount, getU32(cRow, 2)+1, getU32(cRow, 3), getU32(cRow, 4)),
 		Customer.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
 	r.db.hSeq++
-	if err := r.put(p, tx, History, hKey(w, r.db.hSeq),
-		historyRow(uint32(c), amount), History.logicalSize()); err != nil {
+	if err := r.put(p, tx, History, hKey(kb[:0], w, r.db.hSeq),
+		historyRow(rb[:0], uint32(c), amount), History.logicalSize()); err != nil {
 		return r.fail(p, tx, err)
 	}
 	return tx.Commit(p)
@@ -434,12 +438,13 @@ func (r *Runner) orderStatus(p *sim.Proc, rng *sim.Rand) error {
 	d := rng.IntRange(1, cfg.Districts)
 	c := rng.NURand(1023, 1, cfg.CustomersPerDistrict)
 	tx := r.m.Begin()
+	var kb, pb scratch
 
-	if _, err := r.get(p, tx, Customer, cKey(w, d, c)); err != nil {
+	if _, err := r.get(p, tx, Customer, cKey(kb[:0], w, d, c)); err != nil {
 		return r.fail(p, tx, err)
 	}
 	// Latest order via the customer-order index.
-	prefix := ocPrefix(w, d, c)
+	prefix := ocPrefix(pb[:0], w, d, c)
 	lastOID := -1
 	err := r.db.trees[Order].Scan(p, prefix, func(k, v []byte) bool {
 		if !bytes.HasPrefix(k, prefix) {
@@ -454,11 +459,11 @@ func (r *Runner) orderStatus(p *sim.Proc, rng *sim.Rand) error {
 		return r.fail(p, tx, err)
 	}
 	if lastOID >= 0 {
-		oRow, err := r.get(p, tx, Order, oKey(w, d, lastOID))
+		oRow, err := r.get(p, tx, Order, oKey(kb[:0], w, d, lastOID))
 		if err == nil {
 			olCnt := int(getU32(oRow, 1))
 			for l := 1; l <= olCnt; l++ {
-				if _, err := r.get(p, tx, OrderLine, olKey(w, d, lastOID, l)); err != nil && !errors.Is(err, kvdb.ErrNotFound) {
+				if _, err := r.get(p, tx, OrderLine, olKey(kb[:0], w, d, lastOID, l)); err != nil && !errors.Is(err, kvdb.ErrNotFound) {
 					return r.fail(p, tx, err)
 				}
 			}
@@ -476,14 +481,15 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 	w := rng.IntRange(1, cfg.Warehouses)
 	carrier := uint32(rng.IntRange(1, 10))
 	tx := r.m.Begin()
+	var kb, pb, rb scratch
 
 	for d := 1; d <= cfg.Districts; d++ {
 		// Serialize per-district queue consumption.
-		qLock := "noq:" + strconv.Itoa(w) + ":" + strconv.Itoa(d)
-		if err := tx.Lock(p, qLock, txn.Exclusive); err != nil {
+		qLock := append(keyBuf(kb[:0]), "noq"...).num(w, 0).num(d, 0) // "noq:W:D"
+		if err := tx.Lock(p, string(qLock), txn.Exclusive); err != nil {
 			return r.fail(p, tx, err)
 		}
-		prefix := noPrefix(w, d)
+		prefix := noPrefix(pb[:0], w, d)
 		oldest := -1
 		err := r.db.trees[NewOrder].Scan(p, prefix, func(k, v []byte) bool {
 			if bytes.HasPrefix(k, prefix) {
@@ -499,10 +505,10 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 		if oldest < 0 {
 			continue // district queue empty
 		}
-		if err := r.del(p, tx, NewOrder, noKey(w, d, oldest)); err != nil {
+		if err := r.del(p, tx, NewOrder, noKey(kb[:0], w, d, oldest)); err != nil {
 			return r.fail(p, tx, err)
 		}
-		orderKey := oKey(w, d, oldest)
+		orderKey := oKey(kb[:0], w, d, oldest)
 		oRow, err := r.getForUpdate(p, tx, Order, orderKey)
 		if err != nil {
 			if errors.Is(err, kvdb.ErrNotFound) {
@@ -513,12 +519,12 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 		cID := int(getU32(oRow, 0))
 		olCnt := int(getU32(oRow, 1))
 		if err := r.put(p, tx, Order, orderKey,
-			orderRow(uint32(cID), uint32(olCnt), carrier, 1), Order.logicalSize()); err != nil {
+			orderRow(rb[:0], uint32(cID), uint32(olCnt), carrier, 1), Order.logicalSize()); err != nil {
 			return r.fail(p, tx, err)
 		}
 		var total int64
 		for l := 1; l <= olCnt; l++ {
-			olRow, err := r.get(p, tx, OrderLine, olKey(w, d, oldest, l))
+			olRow, err := r.get(p, tx, OrderLine, olKey(kb[:0], w, d, oldest, l))
 			if err != nil {
 				if errors.Is(err, kvdb.ErrNotFound) {
 					continue
@@ -527,13 +533,13 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 			}
 			total += int64(getU32(olRow, 2))
 		}
-		ck := cKey(w, d, cID)
+		ck := cKey(kb[:0], w, d, cID)
 		cRow, err := r.getForUpdate(p, tx, Customer, ck)
 		if err != nil {
 			return r.fail(p, tx, err)
 		}
 		if err := r.put(p, tx, Customer, ck,
-			customerRow(customerBalance(cRow)+total, getU32(cRow, 1), getU32(cRow, 2), getU32(cRow, 3)+1, getU32(cRow, 4)),
+			customerRow(rb[:0], customerBalance(cRow)+total, getU32(cRow, 1), getU32(cRow, 2), getU32(cRow, 3)+1, getU32(cRow, 4)),
 			Customer.logicalSize()); err != nil {
 			return r.fail(p, tx, err)
 		}
@@ -549,20 +555,23 @@ func (r *Runner) stockLevel(p *sim.Proc, rng *sim.Rand) error {
 	d := rng.IntRange(1, cfg.Districts)
 	threshold := uint32(rng.IntRange(10, 20))
 	tx := r.m.Begin()
+	var kb, rb scratch
 
-	dRow, err := r.get(p, tx, District, dKey(w, d))
+	dRow, err := r.get(p, tx, District, dKey(kb[:0], w, d))
 	if err != nil {
 		return r.fail(p, tx, err)
 	}
 	nextOID := int(getU32(dRow, 0))
 	low := 0
-	seen := map[uint32]bool{}
+	// The distinct items of the last 20 orders, 15 lines at most each.
+	var seenSpace [20 * 15]uint32
+	seen := seenSpace[:0]
 	for o := nextOID - 20; o < nextOID; o++ {
 		if o < 1 {
 			continue
 		}
 		for l := 1; l <= 15; l++ {
-			olRow, err := r.db.trees[OrderLine].Get(p, olKey(w, d, o, l))
+			olRow, err := r.db.trees[OrderLine].GetAppend(p, rb[:0], olKey(kb[:0], w, d, o, l))
 			if errors.Is(err, kvdb.ErrNotFound) {
 				break
 			}
@@ -570,11 +579,11 @@ func (r *Runner) stockLevel(p *sim.Proc, rng *sim.Rand) error {
 				return r.fail(p, tx, err)
 			}
 			item := getU32(olRow, 0)
-			if seen[item] {
+			if slices.Contains(seen, item) {
 				continue
 			}
-			seen[item] = true
-			sRow, err := r.get(p, tx, Stock, sKey(w, int(item)))
+			seen = append(seen, item)
+			sRow, err := r.get(p, tx, Stock, sKey(kb[:0], w, int(item)))
 			if err != nil {
 				return r.fail(p, tx, err)
 			}

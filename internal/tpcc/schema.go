@@ -74,12 +74,17 @@ func (t Table) String() string {
 
 // Key builders. Fixed-width decimal fields keep byte order == numeric order
 // for B+tree scans: a key is its table's tag letter, then ':' and a
-// zero-padded number per field, as fmt's "t:%04d:%02d" wrote them.
+// zero-padded number per field, as fmt's "t:%04d:%02d" wrote them. A builder
+// appends to the buffer it is given and allocates only when that is too
+// small: a transaction builds its keys and rows in scratch arrays on its
+// stack, the next over the last once that is dead, and whoever keeps one
+// (txn.Put, the lock table) copies it.
 
-// keyBuf is a key under construction; 24 bytes hold the longest one.
-type keyBuf []byte
-
-func newKey(tag byte) keyBuf { return append(make(keyBuf, 0, 24), tag) }
+// keyBuf is a key under construction; scratch holds the longest key or row.
+type (
+	keyBuf  []byte
+	scratch [24]byte
+)
 
 // num appends ':' and v in at least width digits.
 func (k keyBuf) num(v, width int) keyBuf { return appendPadded(append(k, ':'), int64(v), width) }
@@ -98,26 +103,30 @@ func appendPadded(b []byte, v int64, width int) []byte {
 	return append(b, digits...)
 }
 
-func wKey(w int) []byte           { return newKey('w').num(w, 4) }
-func dKey(w, d int) []byte        { return newKey('d').num(w, 4).num(d, 2) }
-func cKey(w, d, c int) []byte     { return newKey('c').num(w, 4).num(d, 2).num(c, 5) }
-func iKey(i int) []byte           { return newKey('i').num(i, 6) }
-func sKey(w, i int) []byte        { return newKey('s').num(w, 4).num(i, 6) }
-func oKey(w, d, o int) []byte     { return newKey('o').num(w, 4).num(d, 2).num(o, 8) }
-func noKey(w, d, o int) []byte    { return newKey('n').num(w, 4).num(d, 2).num(o, 8) }
-func olKey(w, d, o, l int) []byte { return newKey('l').num(w, 4).num(d, 2).num(o, 8).num(l, 2) }
-func hKey(w int, seq int64) []byte {
-	return appendPadded(append(newKey('h').num(w, 4), ':'), seq, 12)
+func wKey(k keyBuf, w int) []byte        { return append(k, 'w').num(w, 4) }
+func dKey(k keyBuf, w, d int) []byte     { return append(k, 'd').num(w, 4).num(d, 2) }
+func cKey(k keyBuf, w, d, c int) []byte  { return append(k, 'c').num(w, 4).num(d, 2).num(c, 5) }
+func iKey(k keyBuf, i int) []byte        { return append(k, 'i').num(i, 6) }
+func sKey(k keyBuf, w, i int) []byte     { return append(k, 's').num(w, 4).num(i, 6) }
+func oKey(k keyBuf, w, d, o int) []byte  { return append(k, 'o').num(w, 4).num(d, 2).num(o, 8) }
+func noKey(k keyBuf, w, d, o int) []byte { return append(k, 'n').num(w, 4).num(d, 2).num(o, 8) }
+func olKey(k keyBuf, w, d, o, l int) []byte {
+	return append(k, 'l').num(w, 4).num(d, 2).num(o, 8).num(l, 2)
+}
+func hKey(k keyBuf, w int, seq int64) []byte {
+	return appendPadded(append(append(k, 'h').num(w, 4), ':'), seq, 12)
 }
 
 // noPrefix is the scan prefix for a district's new-order queue.
-func noPrefix(w, d int) []byte { return append(newKey('n').num(w, 4).num(d, 2), ':') }
+func noPrefix(k keyBuf, w, d int) []byte { return append(append(k, 'n').num(w, 4).num(d, 2), ':') }
 
 // ocKey indexes a customer's orders for Order-Status.
-func ocKey(w, d, c, o int) []byte {
-	return newKey('x').num(w, 4).num(d, 2).num(c, 5).num(o, 8)
+func ocKey(k keyBuf, w, d, c, o int) []byte {
+	return append(k, 'x').num(w, 4).num(d, 2).num(c, 5).num(o, 8)
 }
-func ocPrefix(w, d, c int) []byte { return append(newKey('x').num(w, 4).num(d, 2).num(c, 5), ':') }
+func ocPrefix(k keyBuf, w, d, c int) []byte {
+	return append(append(k, 'x').num(w, 4).num(d, 2).num(c, 5), ':')
+}
 
 // keySuffix parses the decimal field that follows prefix in a scanned key.
 // It converts in place and keeps nothing: k may alias a pinned page.
@@ -126,12 +135,12 @@ func keySuffix(k, prefix []byte) (int, bool) {
 	return v, err == nil
 }
 
-// Row codecs: compact little-endian structs of just the computed fields.
+// Row codecs: compact little-endian structs of just the computed fields,
+// appended to the caller's buffer as keys are.
 
-func putU32s(vals ...uint32) []byte {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b[4*i:], v)
+func appendU32s(b []byte, vals ...uint32) []byte {
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint32(b, v)
 	}
 	return b
 }
@@ -139,39 +148,43 @@ func putU32s(vals ...uint32) []byte {
 func getU32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[4*i:]) }
 
 // warehouseRow: [ytdCents, taxBP].
-func warehouseRow(ytd, tax uint32) []byte { return putU32s(ytd, tax) }
+func warehouseRow(b []byte, ytd, tax uint32) []byte { return appendU32s(b, ytd, tax) }
 
 // districtRow: [nextOID, ytdCents, taxBP].
-func districtRow(nextOID, ytd, tax uint32) []byte { return putU32s(nextOID, ytd, tax) }
+func districtRow(b []byte, nextOID, ytd, tax uint32) []byte {
+	return appendU32s(b, nextOID, ytd, tax)
+}
 
 // customerRow: [balanceCents(offset 5M to stay unsigned), ytdPayment,
 // paymentCnt, deliveryCnt, creditBad].
 const balanceOffset = 500_000_000
 
-func customerRow(balance int64, ytdPayment, paymentCnt, deliveryCnt, creditBad uint32) []byte {
-	return putU32s(uint32(balance+balanceOffset), ytdPayment, paymentCnt, deliveryCnt, creditBad)
+func customerRow(b []byte, balance int64, ytdPayment, paymentCnt, deliveryCnt, creditBad uint32) []byte {
+	return appendU32s(b, uint32(balance+balanceOffset), ytdPayment, paymentCnt, deliveryCnt, creditBad)
 }
 
 func customerBalance(row []byte) int64 { return int64(getU32(row, 0)) - balanceOffset }
 
 // itemRow: [priceCents, imID].
-func itemRow(price, imID uint32) []byte { return putU32s(price, imID) }
+func itemRow(b []byte, price, imID uint32) []byte { return appendU32s(b, price, imID) }
 
 // stockRow: [quantity, ytd, orderCnt, remoteCnt].
-func stockRow(qty, ytd, orderCnt, remoteCnt uint32) []byte {
-	return putU32s(qty, ytd, orderCnt, remoteCnt)
+func stockRow(b []byte, qty, ytd, orderCnt, remoteCnt uint32) []byte {
+	return appendU32s(b, qty, ytd, orderCnt, remoteCnt)
 }
 
 // orderRow: [cID, olCnt, carrierID, entryDay].
-func orderRow(cID, olCnt, carrier, entry uint32) []byte { return putU32s(cID, olCnt, carrier, entry) }
+func orderRow(b []byte, cID, olCnt, carrier, entry uint32) []byte {
+	return appendU32s(b, cID, olCnt, carrier, entry)
+}
 
 // orderLineRow: [iID, qty, amountCents, deliveryDay].
-func orderLineRow(iID, qty, amount, delivery uint32) []byte {
-	return putU32s(iID, qty, amount, delivery)
+func orderLineRow(b []byte, iID, qty, amount, delivery uint32) []byte {
+	return appendU32s(b, iID, qty, amount, delivery)
 }
 
 // historyRow: [cID, amountCents].
-func historyRow(cID, amount uint32) []byte { return putU32s(cID, amount) }
+func historyRow(b []byte, cID, amount uint32) []byte { return appendU32s(b, cID, amount) }
 
 // Config sizes the database. Zero fields take TPC-C spec defaults for one
 // warehouse; tests shrink them.
@@ -304,26 +317,28 @@ func (db *DB) Config() Config { return db.cfg }
 func (db *DB) populate(p *sim.Proc) error {
 	cfg := db.cfg
 	rng := sim.NewRand(cfg.Seed + 1)
+	var kb, rb scratch
+	k, row := kb[:0], rb[:0]
 	put := func(t Table, key, val []byte) error {
 		return db.trees[t].Put(p, key, val, t.logicalSize())
 	}
 	for i := 1; i <= cfg.Items; i++ {
-		if err := put(Item, iKey(i), itemRow(uint32(rng.IntRange(100, 10000)), uint32(rng.Intn(10000)))); err != nil {
+		if err := put(Item, iKey(k, i), itemRow(row, uint32(rng.IntRange(100, 10000)), uint32(rng.Intn(10000)))); err != nil {
 			return err
 		}
 	}
 	for w := 1; w <= cfg.Warehouses; w++ {
-		if err := put(Warehouse, wKey(w), warehouseRow(30000000, uint32(rng.Intn(2000)))); err != nil {
+		if err := put(Warehouse, wKey(k, w), warehouseRow(row, 30000000, uint32(rng.Intn(2000)))); err != nil {
 			return err
 		}
 		for i := 1; i <= cfg.Items; i++ {
-			if err := put(Stock, sKey(w, i), stockRow(uint32(rng.IntRange(10, 100)), 0, 0, 0)); err != nil {
+			if err := put(Stock, sKey(k, w, i), stockRow(row, uint32(rng.IntRange(10, 100)), 0, 0, 0)); err != nil {
 				return err
 			}
 		}
 		for d := 1; d <= cfg.Districts; d++ {
 			nextOID := cfg.InitialOrdersPerDistrict + 1
-			if err := put(District, dKey(w, d), districtRow(uint32(nextOID), 3000000, uint32(rng.Intn(2000)))); err != nil {
+			if err := put(District, dKey(k, w, d), districtRow(row, uint32(nextOID), 3000000, uint32(rng.Intn(2000)))); err != nil {
 				return err
 			}
 			for c := 1; c <= cfg.CustomersPerDistrict; c++ {
@@ -331,7 +346,7 @@ func (db *DB) populate(p *sim.Proc) error {
 				if rng.Intn(10) == 0 {
 					bad = 1 // 10% BC credit
 				}
-				if err := put(Customer, cKey(w, d, c), customerRow(-1000, 1000, 1, 0, bad)); err != nil {
+				if err := put(Customer, cKey(k, w, d, c), customerRow(row, -1000, 1000, 1, 0, bad)); err != nil {
 					return err
 				}
 			}
@@ -342,20 +357,19 @@ func (db *DB) populate(p *sim.Proc) error {
 				undelivered := o > cfg.InitialOrdersPerDistrict*2/3
 				if undelivered {
 					carrier = 0
-					if err := put(NewOrder, noKey(w, d, o), []byte{1}); err != nil {
+					if err := put(NewOrder, noKey(k, w, d, o), []byte{1}); err != nil {
 						return err
 					}
 				}
-				if err := put(Order, oKey(w, d, o), orderRow(uint32(cID), uint32(olCnt), carrier, 0)); err != nil {
+				if err := put(Order, oKey(k, w, d, o), orderRow(row, uint32(cID), uint32(olCnt), carrier, 0)); err != nil {
 					return err
 				}
-				if err := put(Order, ocKey(w, d, cID, o), []byte{1}); err != nil {
+				if err := put(Order, ocKey(k, w, d, cID, o), []byte{1}); err != nil {
 					return err
 				}
 				for l := 1; l <= olCnt; l++ {
 					item := rng.IntRange(1, cfg.Items)
-					row := orderLineRow(uint32(item), 5, uint32(rng.Intn(999900)), carrier)
-					if err := put(OrderLine, olKey(w, d, o, l), row); err != nil {
+					if err := put(OrderLine, olKey(k, w, d, o, l), orderLineRow(row, uint32(item), 5, uint32(rng.Intn(999900)), carrier)); err != nil {
 						return err
 					}
 				}

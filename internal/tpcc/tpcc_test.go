@@ -105,11 +105,11 @@ func TestLoadPopulatesTables(t *testing.T) {
 	defer r.env.Close()
 	cfg := smallCfg()
 	r.env.Go("check", func(p *sim.Proc) {
-		if _, err := r.db.Tree(Warehouse).Get(p, wKey(1)); err != nil {
+		if _, err := r.db.Tree(Warehouse).Get(p, wKey(nil, 1)); err != nil {
 			t.Errorf("warehouse missing: %v", err)
 		}
 		for d := 1; d <= cfg.Districts; d++ {
-			row, err := r.db.Tree(District).Get(p, dKey(1, d))
+			row, err := r.db.Tree(District).Get(p, dKey(nil, 1, d))
 			if err != nil {
 				t.Fatalf("district %d: %v", d, err)
 			}
@@ -117,18 +117,18 @@ func TestLoadPopulatesTables(t *testing.T) {
 				t.Errorf("district %d nextOID = %d", d, got)
 			}
 		}
-		if _, err := r.db.Tree(Customer).Get(p, cKey(1, 2, cfg.CustomersPerDistrict)); err != nil {
+		if _, err := r.db.Tree(Customer).Get(p, cKey(nil, 1, 2, cfg.CustomersPerDistrict)); err != nil {
 			t.Errorf("last customer missing: %v", err)
 		}
-		if _, err := r.db.Tree(Item).Get(p, iKey(cfg.Items)); err != nil {
+		if _, err := r.db.Tree(Item).Get(p, iKey(nil, cfg.Items)); err != nil {
 			t.Errorf("last item missing: %v", err)
 		}
-		if _, err := r.db.Tree(Stock).Get(p, sKey(1, 1)); err != nil {
+		if _, err := r.db.Tree(Stock).Get(p, sKey(nil, 1, 1)); err != nil {
 			t.Errorf("stock missing: %v", err)
 		}
 		// Undelivered orders exist in the new-order queue.
 		found := false
-		r.db.Tree(NewOrder).Scan(p, noPrefix(1, 1), func(k, v []byte) bool {
+		r.db.Tree(NewOrder).Scan(p, noPrefix(nil, 1, 1), func(k, v []byte) bool {
 			found = true
 			return false
 		})
@@ -146,7 +146,7 @@ func TestNewOrderAdvancesDistrict(t *testing.T) {
 		rng := sim.NewRand(7)
 		beforeRows := map[int]int{}
 		for d := 1; d <= smallCfg().Districts; d++ {
-			row, _ := r.db.Tree(District).Get(p, dKey(1, d))
+			row, _ := r.db.Tree(District).Get(p, dKey(nil, 1, d))
 			beforeRows[d] = int(getU32(row, 0))
 		}
 		for i := 0; i < 5; i++ {
@@ -156,7 +156,7 @@ func TestNewOrderAdvancesDistrict(t *testing.T) {
 		}
 		total := 0
 		for d := 1; d <= smallCfg().Districts; d++ {
-			row, _ := r.db.Tree(District).Get(p, dKey(1, d))
+			row, _ := r.db.Tree(District).Get(p, dKey(nil, 1, d))
 			total += int(getU32(row, 0)) - beforeRows[d]
 		}
 		if total == 0 {
@@ -170,12 +170,12 @@ func TestPaymentUpdatesBalances(t *testing.T) {
 	r := newRig(t, wal.SyncEveryCommit)
 	defer r.env.Close()
 	r.env.Go("tx", func(p *sim.Proc) {
-		before, _ := r.db.Tree(Warehouse).Get(p, wKey(1))
+		before, _ := r.db.Tree(Warehouse).Get(p, wKey(nil, 1))
 		rng := sim.NewRand(11)
 		if err := r.run.payment(p, rng); err != nil {
 			t.Fatalf("payment: %v", err)
 		}
-		after, _ := r.db.Tree(Warehouse).Get(p, wKey(1))
+		after, _ := r.db.Tree(Warehouse).Get(p, wKey(nil, 1))
 		if getU32(after, 0) <= getU32(before, 0) {
 			t.Error("warehouse YTD did not grow")
 		}
@@ -189,8 +189,8 @@ func TestDeliveryDrainsQueue(t *testing.T) {
 	r.env.Go("tx", func(p *sim.Proc) {
 		count := func() int {
 			n := 0
-			r.db.Tree(NewOrder).Scan(p, noPrefix(1, 1), func(k, v []byte) bool {
-				if string(k[:8]) != string(noPrefix(1, 1)[:8]) {
+			r.db.Tree(NewOrder).Scan(p, noPrefix(nil, 1, 1), func(k, v []byte) bool {
+				if string(k[:8]) != string(noPrefix(nil, 1, 1)[:8]) {
 					return false
 				}
 				n++
@@ -274,10 +274,10 @@ func TestReopenSharesNothingWithLoad(t *testing.T) {
 	defer r.env.Close()
 	r.env.Go("check", func(p *sim.Proc) {
 		// Item lives on store 0, customer on store 1.
-		if _, err := r.db.Tree(Item).Get(p, iKey(1)); err != nil {
+		if _, err := r.db.Tree(Item).Get(p, iKey(nil, 1)); err != nil {
 			t.Errorf("item tree misplaced: %v", err)
 		}
-		if _, err := r.db.Tree(Customer).Get(p, cKey(1, 1, 1)); err != nil {
+		if _, err := r.db.Tree(Customer).Get(p, cKey(nil, 1, 1, 1)); err != nil {
 			t.Errorf("customer tree misplaced: %v", err)
 		}
 	})

@@ -12,7 +12,7 @@ import (
 // ErrBadRedo reports a malformed redo record.
 var ErrBadRedo = errors.New("txn: malformed redo record")
 
-// decodeRedo parses a record produced by encodeRedo. The trailing padding
+// decodeRedo parses a record produced by appendRedo. The trailing padding
 // (to the row's logical width) determines the logical size to re-apply.
 func decodeRedo(rec []byte) (tag uint16, del bool, key, value []byte, logical int, err error) {
 	if len(rec) < 8 {

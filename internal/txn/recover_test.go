@@ -10,13 +10,7 @@ import (
 )
 
 func TestDecodeRedoRoundTrip(t *testing.T) {
-	w := writeOp{
-		treeTag: 7,
-		key:     []byte("the-key"),
-		value:   []byte("the-value"),
-		logical: 120,
-	}
-	rec := encodeRedo(w)
+	rec := appendRedo(nil, 7, false, []byte("the-key"), []byte("the-value"), 120)
 	tag, del, key, value, logical, err := decodeRedo(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +22,7 @@ func TestDecodeRedoRoundTrip(t *testing.T) {
 		t.Errorf("logical = %d, want 120", logical)
 	}
 	// Deletes round-trip too.
-	rec = encodeRedo(writeOp{treeTag: 3, key: []byte("k"), delete: true})
+	rec = appendRedo(nil, 3, true, []byte("k"), nil, 0)
 	_, del, _, _, _, err = decodeRedo(rec)
 	if err != nil || !del {
 		t.Errorf("delete flag lost: %v %v", del, err)
@@ -55,12 +49,12 @@ func TestRecoverDBReplaysInOrder(t *testing.T) {
 	// Three versions of one key plus a delete of another: final state is
 	// the last version and the deletion.
 	records := [][]byte{
-		encodeRedo(writeOp{treeTag: 1, key: []byte("a"), value: []byte("v1"), logical: 50}),
-		encodeRedo(writeOp{treeTag: 1, key: []byte("b"), value: []byte("keep"), logical: 50}),
-		encodeRedo(writeOp{treeTag: 1, key: []byte("a"), value: []byte("v2"), logical: 50}),
-		encodeRedo(writeOp{treeTag: 1, key: []byte("c"), value: []byte("gone"), logical: 50}),
-		encodeRedo(writeOp{treeTag: 1, key: []byte("c"), delete: true}),
-		encodeRedo(writeOp{treeTag: 1, key: []byte("a"), value: []byte("v3"), logical: 50}),
+		appendRedo(nil, 1, false, []byte("a"), []byte("v1"), 50),
+		appendRedo(nil, 1, false, []byte("b"), []byte("keep"), 50),
+		appendRedo(nil, 1, false, []byte("a"), []byte("v2"), 50),
+		appendRedo(nil, 1, false, []byte("c"), []byte("gone"), 50),
+		appendRedo(nil, 1, true, []byte("c"), nil, 0),
+		appendRedo(nil, 1, false, []byte("a"), []byte("v3"), 50),
 	}
 	r.env.Go("recover", func(p *sim.Proc) {
 		applied, err := RecoverDB(p, records, func(tag uint16) *kvdb.Tree {
@@ -92,7 +86,7 @@ func TestRecoverDBReplaysInOrder(t *testing.T) {
 func TestRecoverDBUnknownTag(t *testing.T) {
 	r := newRig(t, wal.SyncEveryCommit)
 	defer r.env.Close()
-	records := [][]byte{encodeRedo(writeOp{treeTag: 9, key: []byte("x"), value: []byte("y")})}
+	records := [][]byte{appendRedo(nil, 9, false, []byte("x"), []byte("y"), 0)}
 	r.env.Go("recover", func(p *sim.Proc) {
 		if _, err := RecoverDB(p, records, func(uint16) *kvdb.Tree { return nil }); err == nil {
 			t.Error("unknown tag accepted")

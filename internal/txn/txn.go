@@ -6,10 +6,12 @@
 package txn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"tracklog/internal/kvdb"
@@ -48,17 +50,18 @@ type Stats struct {
 	CommitIOTime time.Duration
 }
 
-// lockState is the per-key lock table entry.
-type lockState struct {
-	holders map[int64]LockMode
-	queue   []*lockWaiter
-}
-
-// lockWaiter is a parked lock request.
-type lockWaiter struct {
+// hold is one transaction's grip on a key.
+type hold struct {
 	txnID int64
 	mode  LockMode
-	ev    *sim.Event
+}
+
+// lockState is the per-key lock table entry: the few holders, and the parked
+// requests in arrival order. An emptied entry is kept for the next new key.
+type lockState struct {
+	name    string // the entry's key in the table, which its holders share
+	holders []hold
+	queue   sim.FIFO[*Txn]
 }
 
 // Manager coordinates transactions over one write-ahead log.
@@ -71,6 +74,10 @@ type Manager struct {
 	// deadlock detection.
 	waitingOn map[int64]string
 	stats     Stats
+	// Recycled memory, not state: emptied lock table entries and the emptied
+	// buffers of finished transactions.
+	freeLocks sim.FIFO[*lockState]
+	spare     sim.FIFO[buffers]
 }
 
 // NewManager returns a manager logging through log.
@@ -89,242 +96,261 @@ func (m *Manager) Stats() Stats { return m.stats }
 // Log returns the manager's write-ahead log.
 func (m *Manager) Log() *wal.Log { return m.log }
 
-// writeOp is a deferred tree modification.
+// writeOp is a deferred tree modification: redo[off:end] is its redo record.
 type writeOp struct {
-	tree    *kvdb.Tree
-	treeTag uint16
-	key     []byte
-	value   []byte
-	logical int
-	delete  bool
+	tree     *kvdb.Tree
+	off, end int
+}
+
+// buffers is the memory a transaction fills, handed on when it finishes: a
+// transaction in steady state allocates itself and the names of the locks it
+// is first to take.
+type buffers struct {
+	locks  []string // the keys held, by their table entries' names
+	writes []writeOp
+	// redo holds the deferred writes as the records that will be logged: the
+	// one copy of a written key and row the transaction keeps.
+	redo []byte
+	row  []byte // what the last Get or GetForUpdate returned
 }
 
 // Txn is one transaction. Use it from a single simulated process.
 type Txn struct {
-	id     int64
-	m      *Manager
-	locks  map[string]LockMode
-	writes []writeOp
-	done   bool
+	id int64
+	m  *Manager
+	buffers
+	// The one lock request t can be parked on.
+	wantMode LockMode
+	granted  sim.Event
+	done     bool
 }
 
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn {
 	m.nextID++
 	m.stats.Begun++
-	return &Txn{id: m.nextID, m: m, locks: make(map[string]LockMode)}
+	t := &Txn{id: m.nextID, m: m}
+	if m.spare.Len() > 0 {
+		t.buffers = m.spare.Pop()
+	}
+	return t
 }
 
 // ID returns the transaction identifier.
 func (t *Txn) ID() int64 { return t.id }
 
+// held returns the mode txn holds the key in, 0 when it holds none.
+func (ls *lockState) held(txnID int64) LockMode {
+	for _, h := range ls.holders {
+		if h.txnID == txnID {
+			return h.mode
+		}
+	}
+	return 0
+}
+
 // compatible reports whether txn can hold key in mode given current holders.
 func (ls *lockState) compatible(txnID int64, mode LockMode) bool {
-	for holder, hmode := range ls.holders {
-		if holder == txnID {
-			continue // self; upgrade checked against others below
-		}
-		if mode == Exclusive || hmode == Exclusive {
+	for _, h := range ls.holders {
+		// Self does not conflict: an upgrade is checked against the others.
+		if h.txnID != txnID && (mode == Exclusive || h.mode == Exclusive) {
 			return false
 		}
 	}
 	return true
 }
 
+// grant makes txn a holder in mode, or raises the hold it has to mode.
+func (ls *lockState) grant(txnID int64, mode LockMode) {
+	for i := range ls.holders {
+		if ls.holders[i].txnID == txnID {
+			ls.holders[i].mode = mode
+			return
+		}
+	}
+	ls.holders = append(ls.holders, hold{txnID, mode})
+}
+
 // Lock acquires key in the given mode, blocking until granted. It returns
-// ErrDeadlock (and aborts t) if waiting would create a cycle.
+// ErrDeadlock (and aborts t) if waiting would create a cycle. The table
+// copies a name it does not have: key may live in a buffer the caller reuses.
 func (t *Txn) Lock(p *sim.Proc, key string, mode LockMode) error {
 	if t.done {
 		return ErrDone
 	}
-	if held, ok := t.locks[key]; ok && (held == Exclusive || held == mode) {
-		return nil // already strong enough
-	}
 	m := t.m
 	ls := m.locks[key]
 	if ls == nil {
-		ls = &lockState{holders: make(map[int64]LockMode)}
-		m.locks[key] = ls
+		if m.freeLocks.Len() > 0 {
+			ls = m.freeLocks.Pop()
+		} else {
+			ls = new(lockState)
+		}
+		ls.name = strings.Clone(key)
+		m.locks[ls.name] = ls
 	}
-	// Fast path: grant immediately when compatible and no earlier waiter
-	// needs the lock (honor FIFO among waiters).
-	if len(ls.queue) == 0 && ls.compatible(t.id, mode) {
-		ls.holders[t.id] = mode
-		t.locks[key] = mode
-		return nil
+	held := ls.held(t.id)
+	if held == Exclusive || held == mode {
+		return nil // already strong enough
 	}
-	// Would waiting deadlock?
-	if m.wouldDeadlock(t.id, key) {
-		m.stats.Deadlocks++
-		t.Abort(p)
-		return ErrDeadlock
+	// Grant immediately when compatible and no earlier waiter needs the lock
+	// (honor FIFO among waiters).
+	if ls.queue.Len() == 0 && ls.compatible(t.id, mode) {
+		ls.grant(t.id, mode)
+	} else {
+		if m.waitsOn(ls, t.id, map[int64]bool{t.id: true}) {
+			m.stats.Deadlocks++
+			t.Abort(p)
+			return ErrDeadlock
+		}
+		t.wantMode = mode
+		t.granted.Init(m.env)
+		ls.queue.Push(t)
+		m.waitingOn[t.id] = ls.name
+		m.stats.LockWaits++
+		start := p.Now()
+		t.granted.Wait(p) // whoever releases the key grants, then wakes
+		m.stats.LockWaitTime += p.Now().Sub(start)
+		delete(m.waitingOn, t.id)
 	}
-	w := &lockWaiter{txnID: t.id, mode: mode, ev: sim.NewEvent(m.env)}
-	ls.queue = append(ls.queue, w)
-	m.waitingOn[t.id] = key
-	m.stats.LockWaits++
-	start := p.Now()
-	w.ev.Wait(p)
-	m.stats.LockWaitTime += p.Now().Sub(start)
-	delete(m.waitingOn, t.id)
-	t.locks[key] = mode
+	if held == 0 {
+		t.locks = append(t.locks, ls.name)
+	}
 	return nil
 }
 
-// wouldDeadlock checks whether txn waiting on key closes a waits-for cycle.
-func (m *Manager) wouldDeadlock(txnID int64, key string) bool {
-	// DFS over: waiter -> holders of the key it waits for.
-	seen := map[int64]bool{}
-	var stack []int64
-	for holder := range m.locks[key].holders {
-		if holder != txnID {
-			stack = append(stack, holder)
+// waitsOn reports whether some holder of ls not yet seen waits for txn: it is
+// parked on a key that txn holds, or whose holders wait for txn in turn.
+// Parking txn on ls would then close a waits-for cycle.
+func (m *Manager) waitsOn(ls *lockState, txnID int64, seen map[int64]bool) bool {
+	for _, h := range ls.holders {
+		if seen[h.txnID] {
+			continue
 		}
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur == txnID {
+		seen[h.txnID] = true
+		k, waiting := m.waitingOn[h.txnID]
+		if waiting && (m.locks[k].held(txnID) != 0 || m.waitsOn(m.locks[k], txnID, seen)) {
 			return true
-		}
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		k, waiting := m.waitingOn[cur]
-		if !waiting {
-			continue
-		}
-		for holder := range m.locks[k].holders {
-			stack = append(stack, holder)
 		}
 	}
 	return false
 }
 
-// releaseAll frees every lock held by t and grants waiting requests, in key
-// order: waiters on different keys wake at one instant, and the order of
-// their wake-ups is the order they run in.
+// releaseAll marks t done, frees every lock it holds and grants waiting
+// requests, in key order: waiters on different keys wake at one instant, and
+// the order of their wake-ups is the order they run in. t's buffers go to
+// the manager.
 func (t *Txn) releaseAll() {
 	m := t.m
-	keys := make([]string, 0, len(t.locks))
-	for key := range t.locks {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	t.done = true
+	slices.Sort(t.locks)
+	for _, key := range t.locks {
 		ls := m.locks[key]
-		if ls == nil {
-			continue
-		}
-		delete(ls.holders, t.id)
+		ls.holders = slices.DeleteFunc(ls.holders, func(h hold) bool { return h.txnID == t.id })
 		// Grant the longest-waiting compatible prefix.
-		for len(ls.queue) > 0 {
-			w := ls.queue[0]
-			if !ls.compatible(w.txnID, w.mode) {
+		for ls.queue.Len() > 0 {
+			w := ls.queue.Live()[0]
+			if !ls.compatible(w.id, w.wantMode) {
 				break
 			}
-			ls.holders[w.txnID] = w.mode
-			ls.queue = ls.queue[1:]
-			w.ev.Trigger()
+			ls.grant(w.id, w.wantMode)
+			ls.queue.Pop()
+			w.granted.Trigger()
 		}
-		if len(ls.holders) == 0 && len(ls.queue) == 0 {
+		if len(ls.holders) == 0 && ls.queue.Len() == 0 {
 			delete(m.locks, key)
+			ls.name = ""
+			m.freeLocks.Push(ls)
 		}
 	}
-	clear(t.locks)
+	m.spare.Push(buffers{t.locks[:0], t.writes[:0], t.redo[:0], t.row[:0]})
+	t.buffers = buffers{}
 }
 
-// findWrite returns t's buffered write for (tag, key), newest first.
-func (t *Txn) findWrite(tag uint16, key []byte) (writeOp, bool) {
-	for i := len(t.writes) - 1; i >= 0; i-- {
-		w := t.writes[i]
-		if w.treeTag == tag && string(w.key) == string(key) {
-			return w, true
-		}
+// read returns the value of (tag, key) as t sees it, its own buffered writes
+// first (newest first), then the tree, under a lock in mode. The value is
+// copied into t's row buffer, which the next read overwrites.
+func (t *Txn) read(p *sim.Proc, tree *kvdb.Tree, tag uint16, key []byte, lockKey string, mode LockMode) ([]byte, error) {
+	if t.done {
+		return nil, ErrDone
 	}
-	return writeOp{}, false
+	if err := t.Lock(p, lockKey, mode); err != nil {
+		return nil, err
+	}
+	for i := len(t.writes) - 1; i >= 0; i-- {
+		wtag, del, wkey, value, _, _ := decodeRedo(t.redo[t.writes[i].off:t.writes[i].end])
+		if wtag != tag || !bytes.Equal(wkey, key) {
+			continue
+		}
+		if del {
+			return nil, kvdb.ErrNotFound
+		}
+		t.row = append(t.row[:0], value...)
+		return t.row, nil
+	}
+	var err error
+	if t.row, err = tree.GetAppend(p, t.row[:0], key); err != nil {
+		return nil, err
+	}
+	return t.row, nil
 }
 
 // Get reads (tag, key) from tree under a shared lock, observing the
-// transaction's own buffered writes.
+// transaction's own buffered writes. The returned row is a copy the caller
+// may change, valid until the next Get or GetForUpdate on this transaction
+// or until it commits or aborts.
 func (t *Txn) Get(p *sim.Proc, tree *kvdb.Tree, tag uint16, key []byte, lockKey string) ([]byte, error) {
-	if t.done {
-		return nil, ErrDone
-	}
-	if err := t.Lock(p, lockKey, Shared); err != nil {
-		return nil, err
-	}
-	if w, ok := t.findWrite(tag, key); ok {
-		if w.delete {
-			return nil, kvdb.ErrNotFound
-		}
-		return w.value, nil
-	}
-	return tree.Get(p, key)
+	return t.read(p, tree, tag, key, lockKey, Shared)
 }
 
-// GetForUpdate reads under an exclusive lock.
+// GetForUpdate reads under an exclusive lock; the row is Get's.
 func (t *Txn) GetForUpdate(p *sim.Proc, tree *kvdb.Tree, tag uint16, key []byte, lockKey string) ([]byte, error) {
+	return t.read(p, tree, tag, key, lockKey, Exclusive)
+}
+
+// write buffers one tree modification under an exclusive lock as its redo
+// record, which copies key and value: both are the caller's to reuse.
+func (t *Txn) write(p *sim.Proc, tree *kvdb.Tree, tag uint16, del bool, key, value []byte, logical int, lockKey string) error {
 	if t.done {
-		return nil, ErrDone
+		return ErrDone
 	}
 	if err := t.Lock(p, lockKey, Exclusive); err != nil {
-		return nil, err
+		return err
 	}
-	if w, ok := t.findWrite(tag, key); ok {
-		if w.delete {
-			return nil, kvdb.ErrNotFound
-		}
-		return w.value, nil
-	}
-	return tree.Get(p, key)
+	off := len(t.redo)
+	t.redo = appendRedo(t.redo, tag, del, key, value, logical)
+	t.writes = append(t.writes, writeOp{tree, off, len(t.redo)})
+	return nil
 }
 
 // Put buffers an insert/update of (tag, key) under an exclusive lock; it is
 // applied at commit, after the redo record is durable.
 func (t *Txn) Put(p *sim.Proc, tree *kvdb.Tree, tag uint16, key, value []byte, logical int, lockKey string) error {
-	if t.done {
-		return ErrDone
-	}
-	if err := t.Lock(p, lockKey, Exclusive); err != nil {
-		return err
-	}
-	t.writes = append(t.writes, writeOp{tree: tree, treeTag: tag, key: key, value: value, logical: logical})
-	return nil
+	return t.write(p, tree, tag, false, key, value, logical, lockKey)
 }
 
 // Delete buffers a deletion.
 func (t *Txn) Delete(p *sim.Proc, tree *kvdb.Tree, tag uint16, key []byte, lockKey string) error {
-	if t.done {
-		return ErrDone
-	}
-	if err := t.Lock(p, lockKey, Exclusive); err != nil {
-		return err
-	}
-	t.writes = append(t.writes, writeOp{tree: tree, treeTag: tag, key: key, delete: true})
-	return nil
+	return t.write(p, tree, tag, true, key, nil, 0, lockKey)
 }
 
-// encodeRedo builds the redo log record for one write. The record is padded
-// to the row's logical width so the log fills at the same rate as a
+// appendRedo appends the redo log record for one write to b. The record is
+// padded to the row's logical width so the log fills at the same rate as a
 // production system writing full rows.
-func encodeRedo(w writeOp) []byte {
-	size := 8 + len(w.key) + len(w.value)
-	pad := 0
-	if w.logical > len(w.value) {
-		pad = w.logical - len(w.value)
-	}
-	rec := make([]byte, size+pad)
-	binary.LittleEndian.PutUint16(rec, w.treeTag)
-	if w.delete {
+func appendRedo(b []byte, tag uint16, del bool, key, value []byte, logical int) []byte {
+	size := 8 + len(key) + max(len(value), logical)
+	b = slices.Grow(b, size)
+	rec := b[len(b) : len(b)+size]
+	clear(rec) // a recycled buffer: the spare header byte and the padding are zero
+	binary.LittleEndian.PutUint16(rec, tag)
+	if del {
 		rec[2] = 1
 	}
-	binary.LittleEndian.PutUint16(rec[3:], uint16(len(w.key)))
-	binary.LittleEndian.PutUint16(rec[5:], uint16(len(w.value)))
-	copy(rec[8:], w.key)
-	copy(rec[8+len(w.key):], w.value)
-	return rec
+	binary.LittleEndian.PutUint16(rec[3:], uint16(len(key)))
+	binary.LittleEndian.PutUint16(rec[5:], uint16(len(value)))
+	copy(rec[8:], key)
+	copy(rec[8+len(key):], value)
+	return b[:len(b)+size]
 }
 
 // Commit logs the transaction's writes, forces the log per the configured
@@ -336,7 +362,7 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	var lsn int64
 	var err error
 	for _, w := range t.writes {
-		if lsn, err = t.m.log.Append(p, encodeRedo(w)); err != nil {
+		if lsn, err = t.m.log.Append(p, t.redo[w.off:w.end]); err != nil {
 			t.Abort(p)
 			return fmt.Errorf("txn %d: logging: %w", t.id, err)
 		}
@@ -350,17 +376,17 @@ func (t *Txn) Commit(p *sim.Proc) error {
 		t.m.stats.CommitIOTime += p.Now().Sub(start)
 	}
 	for _, w := range t.writes {
-		if w.delete {
-			if err := w.tree.Delete(p, w.key); err != nil && !errors.Is(err, kvdb.ErrNotFound) {
+		_, del, key, value, logical, _ := decodeRedo(t.redo[w.off:w.end])
+		if del {
+			if err := w.tree.Delete(p, key); err != nil && !errors.Is(err, kvdb.ErrNotFound) {
 				panic(fmt.Sprintf("txn %d: applying delete after durable log: %v", t.id, err))
 			}
 			continue
 		}
-		if err := w.tree.Put(p, w.key, w.value, w.logical); err != nil {
+		if err := w.tree.Put(p, key, value, logical); err != nil {
 			panic(fmt.Sprintf("txn %d: applying write after durable log: %v", t.id, err))
 		}
 	}
-	t.done = true
 	t.m.stats.Committed++
 	t.releaseAll()
 	return nil
@@ -371,8 +397,6 @@ func (t *Txn) Abort(p *sim.Proc) {
 	if t.done {
 		return
 	}
-	t.done = true
-	t.writes = nil
 	t.m.stats.Aborted++
 	t.releaseAll()
 }

@@ -18,9 +18,10 @@ import (
 
 // rig bundles a manager, a store and a tree on simulated disks.
 type rig struct {
-	env  *sim.Env
-	m    *Manager
-	tree *kvdb.Tree
+	env    *sim.Env
+	m      *Manager
+	tree   *kvdb.Tree
+	logDev blockdev.Device
 }
 
 func newRig(t *testing.T, mode wal.Mode) *rig {
@@ -42,11 +43,12 @@ func newRig(t *testing.T, mode wal.Mode) *rig {
 		})
 		return stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
 	}
-	l, err := wal.New(env, wal.Config{Dev: mk("wal"), Sectors: 100000, Mode: mode})
+	logDev := mk("wal")
+	l, err := wal.New(env, wal.Config{Dev: logDev, Sectors: 100000, Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{env: env, m: NewManager(env, l)}
+	r := &rig{env: env, m: NewManager(env, l), logDev: logDev}
 	env.Go("setup", func(p *sim.Proc) {
 		s, err := kvdb.Open(p, mk("data"), 500)
 		if err != nil {
