@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tracklog/internal/sim"
-	"tracklog/internal/snapshot"
 )
 
 // Options shapes one exploration.
@@ -118,52 +117,35 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // Explorer enumerates the interesting events of one seeded run and audits a
-// power cut at each. Branches run in event order, one Step at a time, so an
-// exploration can be snapshotted mid-way and resumed elsewhere.
+// power cut at each.
 type Explorer struct {
-	stack   Stack
-	opts    Options
-	planned bool
-	events  []EventInfo // branch candidates, ascending index
-	next    int         // position in events of the next branch
-	report  Report
+	stack Stack
+	opts  Options
 }
 
-// New returns an explorer over the stack. Call Run, or Plan followed by
-// Step, to explore.
+// New returns an explorer over the stack; Run explores.
 func New(st Stack, opts Options) *Explorer {
 	return &Explorer{stack: st, opts: opts}
 }
 
-// Report returns the exploration's accumulated report. Branches explored so
-// far are final; the tallies grow as Step proceeds.
-func (x *Explorer) Report() *Report { return &x.report }
-
-// Remaining returns the number of branches not yet explored (0 before Plan).
-func (x *Explorer) Remaining() int { return len(x.events) - x.next }
-
-// Plan runs the census: one straight-through run of the seeded workload to
-// the horizon, recording every probe event. Events inside the window (and of
-// a wanted kind) become branch candidates. Plan is idempotent.
-func (x *Explorer) Plan() error {
-	if x.planned {
-		return nil
-	}
+// Run runs the census — one straight-through run of the seeded workload to
+// the horizon, recording every probe event; events inside the window (and
+// of a wanted kind) become branch candidates — then explores every branch in
+// event order and returns the report.
+func (x *Explorer) Run() (*Report, error) {
 	env := sim.NewEnv()
-	defer env.Close()
 	write, err := x.stack.Build(env)
 	if err != nil {
-		return fmt.Errorf("crashexplore: census build: %w", err)
+		env.Close()
+		return nil, fmt.Errorf("crashexplore: census build: %w", err)
 	}
+	var events []EventInfo
 	end := x.opts.Skip + x.opts.Window
 	env.SetProbeHook(func(ev sim.ProbeEvent) bool {
-		if ev.Index < x.opts.Skip || (x.opts.Window > 0 && ev.Index >= end) {
+		if ev.Index < x.opts.Skip || (x.opts.Window > 0 && ev.Index >= end) || !x.opts.wantKind(ev.Kind) {
 			return false
 		}
-		if !x.opts.wantKind(ev.Kind) {
-			return false
-		}
-		x.events = append(x.events, EventInfo{
+		events = append(events, EventInfo{
 			Index: ev.Index, Kind: ev.Kind.String(), At: int64(ev.At),
 			Dev: ev.Dev, LBA: ev.LBA, Count: ev.Count,
 		})
@@ -171,59 +153,33 @@ func (x *Explorer) Plan() error {
 	})
 	launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
 	env.RunUntil(x.opts.horizon())
-
-	x.planned = true
-	x.report = Report{
+	rep := &Report{
 		Seed:         x.opts.Seed,
 		Slots:        x.stack.Slots,
 		TotalProbes:  env.ProbeCount(),
-		Candidates:   len(x.events),
+		Candidates:   len(events),
 		FirstFailing: -1,
 	}
-	return nil
-}
+	env.Close()
 
-// Step explores the next branch: replay to its event, cut power there,
-// recover, audit. It returns the branch and whether any branches remain.
-// Step after the last branch returns (nil, false, nil).
-func (x *Explorer) Step() (*Branch, bool, error) {
-	if err := x.Plan(); err != nil {
-		return nil, false, err
-	}
-	if x.next >= len(x.events) {
-		return nil, false, nil
-	}
-	ev := x.events[x.next]
-	x.next++
-	b := x.runBranch(ev)
-	x.report.Branches = append(x.report.Branches, b)
-	x.report.Explored++
-	if b.Lost > 0 {
-		x.report.LostBranches++
-	}
-	if b.Torn > 0 {
-		x.report.TornBranches++
-	}
-	if b.Err != "" {
-		x.report.ErrorBranches++
-	}
-	if b.Failed() && (x.report.FirstFailing == -1 || ev.Index < x.report.FirstFailing) {
-		x.report.FirstFailing = ev.Index
-	}
-	return &x.report.Branches[len(x.report.Branches)-1], x.next < len(x.events), nil
-}
-
-// Run explores every branch and returns the report.
-func (x *Explorer) Run() (*Report, error) {
-	for {
-		_, more, err := x.Step()
-		if err != nil {
-			return nil, err
+	for _, ev := range events {
+		b := x.runBranch(ev)
+		rep.Branches = append(rep.Branches, b)
+		rep.Explored++
+		if b.Lost > 0 {
+			rep.LostBranches++
 		}
-		if !more {
-			return &x.report, nil
+		if b.Torn > 0 {
+			rep.TornBranches++
+		}
+		if b.Err != "" {
+			rep.ErrorBranches++
+		}
+		if b.Failed() && rep.FirstFailing == -1 {
+			rep.FirstFailing = ev.Index
 		}
 	}
+	return rep, nil
 }
 
 // runBranch replays the seeded world from scratch, pauses it at the target
@@ -269,135 +225,4 @@ func (x *Explorer) runBranch(ev EventInfo) Branch {
 		}
 	}
 	return b
-}
-
-// explorerSnapKind versions the explorer's resumable state.
-const explorerSnapKind = "crashexplore.Explorer"
-
-// Snapshot encodes the exploration's full progress — options, census,
-// position, and the report so far — so a paused exploration resumes
-// elsewhere to the byte-identical final report.
-func (x *Explorer) Snapshot() []byte {
-	w := snapshot.NewWriter(explorerSnapKind, 1)
-	w.U64(x.opts.Seed)
-	w.I64(x.opts.Skip)
-	w.I64(x.opts.Window)
-	w.I64(int64(x.opts.Horizon))
-	w.U32(uint32(len(x.opts.Kinds)))
-	for _, k := range x.opts.Kinds {
-		w.U8(uint8(k))
-	}
-	w.Bool(x.planned)
-	w.U32(uint32(len(x.events)))
-	for _, ev := range x.events {
-		encodeEvent(w, ev)
-	}
-	w.Int(x.next)
-
-	w.U64(x.report.Seed)
-	w.Int(x.report.Slots)
-	w.I64(x.report.TotalProbes)
-	w.Int(x.report.Candidates)
-	w.Int(x.report.Explored)
-	w.Int(x.report.LostBranches)
-	w.Int(x.report.TornBranches)
-	w.Int(x.report.ErrorBranches)
-	w.I64(x.report.FirstFailing)
-	w.U32(uint32(len(x.report.Branches)))
-	for _, b := range x.report.Branches {
-		encodeEvent(w, b.Event)
-		w.Int(b.Surviving)
-		w.Int(b.Lost)
-		w.Int(b.Torn)
-		w.U32(uint32(len(b.Failures)))
-		for _, a := range b.Failures {
-			w.Int(a.Slot)
-			w.Int(a.Acked)
-			w.Int(a.Found)
-			w.Bool(a.Torn)
-		}
-		w.String(b.Err)
-	}
-	return w.Bytes()
-}
-
-// NewFromSnapshot resumes an exploration from a Snapshot over the same stack
-// (the stack itself is code, not state, and is supplied fresh).
-func NewFromSnapshot(st Stack, data []byte) (*Explorer, error) {
-	r, err := snapshot.NewReader(data, explorerSnapKind, 1)
-	if err != nil {
-		return nil, err
-	}
-	x := &Explorer{stack: st}
-	x.opts.Seed = r.U64()
-	x.opts.Skip = r.I64()
-	x.opts.Window = r.I64()
-	x.opts.Horizon = time.Duration(r.I64())
-	nk := r.Len()
-	for i := 0; i < nk; i++ {
-		x.opts.Kinds = append(x.opts.Kinds, sim.ProbeKind(r.U8()))
-	}
-	x.planned = r.Bool()
-	ne := r.Len()
-	for i := 0; i < ne; i++ {
-		x.events = append(x.events, decodeEvent(r))
-	}
-	x.next = r.Int()
-
-	x.report.Seed = r.U64()
-	x.report.Slots = r.Int()
-	x.report.TotalProbes = r.I64()
-	x.report.Candidates = r.Int()
-	x.report.Explored = r.Int()
-	x.report.LostBranches = r.Int()
-	x.report.TornBranches = r.Int()
-	x.report.ErrorBranches = r.Int()
-	x.report.FirstFailing = r.I64()
-	nb := r.Len()
-	for i := 0; i < nb; i++ {
-		var b Branch
-		b.Event = decodeEvent(r)
-		b.Surviving = r.Int()
-		b.Lost = r.Int()
-		b.Torn = r.Int()
-		nf := r.Len()
-		for j := 0; j < nf; j++ {
-			var a SlotAudit
-			a.Slot = r.Int()
-			a.Acked = r.Int()
-			a.Found = r.Int()
-			a.Torn = r.Bool()
-			b.Failures = append(b.Failures, a)
-		}
-		b.Err = r.StringVal()
-		x.report.Branches = append(x.report.Branches, b)
-	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	if x.next < 0 || x.next > len(x.events) {
-		return nil, fmt.Errorf("%w: resume position %d of %d events",
-			snapshot.ErrCorrupt, x.next, len(x.events))
-	}
-	return x, nil
-}
-
-func encodeEvent(w *snapshot.Writer, ev EventInfo) {
-	w.I64(ev.Index)
-	w.String(ev.Kind)
-	w.I64(ev.At)
-	w.String(ev.Dev)
-	w.I64(ev.LBA)
-	w.Int(ev.Count)
-}
-
-func decodeEvent(r *snapshot.Reader) EventInfo {
-	var ev EventInfo
-	ev.Index = r.I64()
-	ev.Kind = r.StringVal()
-	ev.At = r.I64()
-	ev.Dev = r.StringVal()
-	ev.LBA = r.I64()
-	ev.Count = r.Int()
-	return ev
 }

@@ -126,71 +126,6 @@ func TestExploreDeterminism(t *testing.T) {
 	}
 }
 
-// TestExploreSnapshotResume pauses an exploration mid-way, snapshots it,
-// resumes from the snapshot on a fresh explorer, and requires the final
-// report to be byte-identical to a straight-through exploration.
-func TestExploreSnapshotResume(t *testing.T) {
-	straight := func() []byte {
-		durable := map[int]int{}
-		rep, err := crashexplore.New(memStack(durable, false), memOptions()).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
-
-	durable := map[int]int{}
-	x := crashexplore.New(memStack(durable, false), memOptions())
-	for i := 0; i < 5; i++ {
-		if _, more, err := x.Step(); err != nil || !more {
-			t.Fatalf("step %d: more=%v err=%v", i, more, err)
-		}
-	}
-	snap := x.Snapshot()
-
-	durable2 := map[int]int{}
-	y, err := crashexplore.NewFromSnapshot(memStack(durable2, false), snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y.Remaining() != x.Remaining() {
-		t.Fatalf("resumed explorer has %d branches remaining, want %d", y.Remaining(), x.Remaining())
-	}
-	rep, err := y.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(straight, buf.Bytes()) {
-		t.Fatalf("resumed report differs from straight-through report:\n%s\n---\n%s", straight, buf.Bytes())
-	}
-}
-
-// TestExplorerSnapshotRejectsGarbage checks the resume path surfaces codec
-// sentinels instead of panicking.
-func TestExplorerSnapshotRejectsGarbage(t *testing.T) {
-	durable := map[int]int{}
-	st := memStack(durable, false)
-	if _, err := crashexplore.NewFromSnapshot(st, []byte("not a snapshot")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	x := crashexplore.New(st, memOptions())
-	if err := x.Plan(); err != nil {
-		t.Fatal(err)
-	}
-	snap := x.Snapshot()
-	if _, err := crashexplore.NewFromSnapshot(st, snap[:len(snap)-3]); err == nil {
-		t.Fatal("truncated snapshot accepted")
-	}
-}
-
 // TestParseKind round-trips every probe-kind name.
 func TestParseKind(t *testing.T) {
 	for k := sim.ProbeAck; k <= sim.ProbeCommit; k++ {

@@ -2,7 +2,9 @@ package stacks_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"tracklog/internal/blockdev"
@@ -94,6 +96,62 @@ func pinnedStagingSnapshot(tb testing.TB) []byte {
 	return drv.Snapshot()
 }
 
+// disordered returns, by target and corruption, the sorted-key sections
+// snapshot.SortedMap must refuse: a fault plan's latent errors (LBA, onset,
+// two flags) and the first RAID member's bad sectors (LBAs), each with its
+// first two keys swapped, its first key repeated, and its last key moved
+// past the end of the device. The plan covers fuzzTargets' data disk and the
+// array has fuzzTargets' shape, so only the keys are wrong.
+func disordered(tb testing.TB) map[string][]byte {
+	g := worldDataParams().Geom
+	plan := fault.NewPlan(sim.NewRand(3), g.TotalSectors(), fault.Config{LatentReadErrors: 3}).Snapshot()
+	raid := evolved(tb, 0)["raid"].Snapshot()
+	out := map[string][]byte{}
+	for _, sec := range []struct {
+		target string
+		snap   []byte
+		off    int // of the section's count, past the header and the fields before it
+		size   int // of one entry, key first
+	}{
+		{"fault", plan, len("fault.Plan") + 10 + 8 + 10*8, 8 + 8 + 2},
+		{"raid", raid, len("raid.Array") + 10 + 3*8, 8},
+	} {
+		n := int(binary.LittleEndian.Uint32(sec.snap[sec.off:]))
+		if n < 2 {
+			tb.Fatalf("%s: %d keys in the section, want at least two", sec.target, n)
+		}
+		first, second, last := sec.off+4, sec.off+4+sec.size, sec.off+4+(n-1)*sec.size
+		swapped := bytes.Clone(sec.snap)
+		copy(swapped[first:], sec.snap[second:second+sec.size])
+		copy(swapped[second:], sec.snap[first:second])
+		repeated := bytes.Clone(sec.snap)
+		copy(repeated[second:second+8], sec.snap[first:first+8])
+		past := bytes.Clone(sec.snap)
+		binary.LittleEndian.PutUint64(past[last:], 1<<40)
+		out[sec.target+"/swapped"], out[sec.target+"/repeated"], out[sec.target+"/past-the-end"] = swapped, repeated, past
+	}
+	return out
+}
+
+// TestRestoreRejectsDisorderedKeys: a sorted-key section with keys swapped,
+// repeated or past the device is corrupt. At 5cdd678 the plan adopted all
+// three (latents [900, 100, 1<<40] came back as three latent errors) and so
+// did the array.
+func TestRestoreRejectsDisorderedKeys(t *testing.T) {
+	env, targets := fuzzTargets(t)
+	defer env.Close()
+	for name, data := range disordered(t) {
+		target, _, _ := strings.Cut(name, "/")
+		before := targets[target].Snapshot()
+		if err := targets[target].Restore(data); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: Restore = %v, want ErrCorrupt", name, err)
+		}
+		if !bytes.Equal(targets[target].Snapshot(), before) {
+			t.Errorf("%s: a rejected Restore changed the %s", name, target)
+		}
+	}
+}
+
 // FuzzSnapshotRestore throws arbitrary bytes at every component's Restore.
 // The contract: never panic, and every rejection is a wrapped codec sentinel
 // (ErrCorrupt, ErrMismatch, or ErrNotQuiescent) so callers can triage.
@@ -128,6 +186,9 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(v1)
 	f.Add([]byte{})
 	f.Add([]byte("TLSS"))
+	for _, data := range disordered(f) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, targets := fuzzTargets(t)

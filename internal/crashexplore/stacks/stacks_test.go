@@ -41,8 +41,7 @@ func TestExploreTrailWindow(t *testing.T) {
 }
 
 // TestExploreTrailDeterminism runs the same small trail exploration twice
-// and requires byte-identical reports — the gate behind resumable
-// exploration and CI byte-comparison.
+// and requires byte-identical reports — the gate behind CI byte-comparison.
 func TestExploreTrailDeterminism(t *testing.T) {
 	render := func() []byte {
 		st, err := stacks.TrailStack("", 0)

@@ -233,7 +233,7 @@ func TestComponentRoundTrips(t *testing.T) {
 		if err := c.s.Restore([]byte("garbage")); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("%s: garbage restore err = %v, want ErrCorrupt", c.name, err)
 		}
-		other := snapshot.NewWriter(fmt.Sprintf("other.%s", c.name), 1).Bytes()
+		other := snapshot.Encode(fmt.Sprintf("other.%s", c.name), 1, func(*snapshot.Codec) {})
 		if err := c.s.Restore(other); !errors.Is(err, snapshot.ErrMismatch) {
 			t.Fatalf("%s: wrong-kind restore err = %v, want ErrMismatch", c.name, err)
 		}

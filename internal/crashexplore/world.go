@@ -41,20 +41,34 @@ func (w *World) Register(name string, s snapshot.Snapshotter) {
 // Env returns the world's kernel.
 func (w *World) Env() *sim.Env { return w.env }
 
-// Snapshot encodes the kernel and every component, in sorted name order.
+// section is one component's part of a world checkpoint.
+type section struct {
+	name  string
+	state []byte
+}
+
+// walkWorld is the world checkpoint format: the kernel's snapshot, then each
+// component's under its name, in sorted name order.
+func walkWorld(c *snapshot.Codec, env *[]byte, comps *[]section) {
+	c.View(env)
+	snapshot.Slice(c, comps, func(c *snapshot.Codec, s *section) {
+		c.String(&s.name)
+		c.View(&s.state)
+	})
+}
+
+// Snapshot encodes the kernel and every component (see walkWorld).
 // Components must be quiescent (each component's Snapshot enforces its own
 // policy, by panic or via its Quiescent accessor).
 func (w *World) Snapshot() []byte {
-	enc := snapshot.NewWriter(worldSnapKind, 1)
-	enc.Bytes32(w.env.Snapshot())
+	env := w.env.Snapshot()
 	names := append([]string(nil), w.names...)
 	sort.Strings(names)
-	enc.U32(uint32(len(names)))
-	for _, name := range names {
-		enc.String(name)
-		enc.Bytes32(w.comps[name].Snapshot())
+	comps := make([]section, len(names))
+	for i, name := range names {
+		comps[i] = section{name, w.comps[name].Snapshot()}
 	}
-	return enc.Bytes()
+	return snapshot.Encode(worldSnapKind, 1, func(c *snapshot.Codec) { walkWorld(c, &env, &comps) })
 }
 
 // Digest returns a compact fingerprint of the world's current snapshot.
@@ -66,43 +80,31 @@ func (w *World) Digest() uint64 { return snapshot.Digest(w.Snapshot()) }
 // rig replayed to the same instant — goroutine stacks cannot be
 // deserialized, so the kernel is reproduced by replay and checked here).
 func (w *World) Restore(data []byte) error {
-	r, err := snapshot.NewReader(data, worldSnapKind, 1)
-	if err != nil {
+	var env []byte
+	var comps []section
+	if err := snapshot.Decode(data, worldSnapKind, 1, func(c *snapshot.Codec) { walkWorld(c, &env, &comps) }); err != nil {
 		return err
 	}
-	envState := r.Bytes32()
-	n := r.Len()
-	names := make([]string, 0, n)
-	states := make(map[string][]byte, n)
-	for i := 0; i < n; i++ {
-		name := r.StringVal()
-		state := r.Bytes32()
-		if r.Err() != nil {
-			break
-		}
-		names = append(names, name)
-		states[name] = state
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-	if len(names) != len(w.comps) {
+	if len(comps) != len(w.comps) {
 		return fmt.Errorf("%w: snapshot has %d components, world has %d",
-			snapshot.ErrMismatch, len(names), len(w.comps))
+			snapshot.ErrMismatch, len(comps), len(w.comps))
 	}
-	for _, name := range names {
-		if _, ok := w.comps[name]; !ok {
-			return fmt.Errorf("%w: snapshot component %q not registered", snapshot.ErrMismatch, name)
+	for i, s := range comps {
+		if i > 0 && s.name <= comps[i-1].name {
+			return fmt.Errorf("%w: component %q after %q", snapshot.ErrCorrupt, s.name, comps[i-1].name)
+		}
+		if _, ok := w.comps[s.name]; !ok {
+			return fmt.Errorf("%w: snapshot component %q not registered", snapshot.ErrMismatch, s.name)
 		}
 	}
 	// Components first (they adopt state), kernel last (it verifies): a
 	// component failure leaves the kernel untouched either way.
-	for _, name := range names {
-		if err := w.comps[name].Restore(states[name]); err != nil {
-			return fmt.Errorf("component %q: %w", name, err)
+	for _, s := range comps {
+		if err := w.comps[s.name].Restore(s.state); err != nil {
+			return fmt.Errorf("component %q: %w", s.name, err)
 		}
 	}
-	if err := w.env.Restore(envState); err != nil {
+	if err := w.env.Restore(env); err != nil {
 		return fmt.Errorf("kernel: %w", err)
 	}
 	return nil

@@ -684,18 +684,25 @@ func newSectorStore(sizeHint int) sectorStore {
 
 // write stores one sector at lba.
 func (s *sectorStore) write(lba int64, data []byte) {
-	sec, ok := s.sectors[lba]
-	if !ok {
-		if len(s.spare) == 0 {
-			n := min(max(len(s.sectors), minSlabSectors), maxSlabSectors)
-			s.spare = make([]byte, n*geom.SectorSize)
-		}
-		// Capacity capped so no append through one sector can reach the next.
-		sec = s.spare[:geom.SectorSize:geom.SectorSize]
-		s.spare = s.spare[geom.SectorSize:]
-		s.sectors[lba] = sec
+	if sec, ok := s.sectors[lba]; ok {
+		copy(sec, data)
+		return
 	}
+	s.sectors[lba] = s.carve(data)
+}
+
+// carve copies one sector into the newest slab and returns it, for the
+// caller to file under its LBA.
+func (s *sectorStore) carve(data []byte) []byte {
+	if len(s.spare) == 0 {
+		n := min(max(len(s.sectors), minSlabSectors), maxSlabSectors)
+		s.spare = make([]byte, n*geom.SectorSize)
+	}
+	// Capacity capped so no append through one sector can reach the next.
+	sec := s.spare[:geom.SectorSize:geom.SectorSize]
+	s.spare = s.spare[geom.SectorSize:]
 	copy(sec, data)
+	return sec
 }
 
 // read copies the sector at lba into into; never-written sectors read zero.

@@ -2,140 +2,79 @@ package fault
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
-	"tracklog/internal/sim"
 	"tracklog/internal/snapshot"
 )
 
 const planSnapKind = "fault.Plan"
 
-// Snapshot encodes the plan's full scenario state: the (defaulted) config,
-// the sampled latent errors with their repair status, the not-yet-fired
-// timeout ordinals, the growing-defect origin, the command counter, and the
-// trigger stats. Maps are rendered in sorted key order, so two plans in the
-// same state snapshot identically.
-func (p *Plan) Snapshot() []byte {
-	w := snapshot.NewWriter(planSnapKind, 1)
-	w.I64(p.sectors)
-
-	w.Int(p.cfg.LatentReadErrors)
-	w.Int(p.cfg.LatentWriteErrors)
-	w.I64(int64(p.cfg.LatentOnsetWindow))
-	w.Int(p.cfg.Timeouts)
-	w.Int(p.cfg.TimeoutWindow)
-	w.I64(int64(p.cfg.TimeoutDelay))
-	w.Int(p.cfg.GrowingRegion)
-	w.I64(int64(p.cfg.GrowthInterval))
-	w.I64(int64(p.cfg.FailAt))
-	w.I64(p.cfg.MaxLBA)
-
-	lbas := make([]int64, 0, len(p.latents))
-	for lba := range p.latents {
-		lbas = append(lbas, lba)
-	}
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
-	w.U32(uint32(len(lbas)))
-	for _, lba := range lbas {
-		l := p.latents[lba]
-		w.I64(l.lba)
-		w.I64(int64(l.onset))
-		w.Bool(l.write)
-		w.Bool(l.repaired)
+// walk is the plan's snapshot format: the device size it was sampled for,
+// the (defaulted) config, the sampled latent errors with their repair status,
+// the not-yet-fired timeout ordinals, the growing-defect origin, the command
+// counter, and the trigger stats.
+func (p *Plan) walk(c *snapshot.Codec) {
+	sectors := p.sectors
+	snapshot.I64(c, &sectors)
+	if sectors != p.sectors {
+		c.Fail(fmt.Errorf("%w: snapshot for a %d-sector device, plan covers %d",
+			snapshot.ErrMismatch, sectors, p.sectors))
 	}
 
-	ords := make([]int64, 0, len(p.timeouts))
-	for ord := range p.timeouts {
-		ords = append(ords, ord)
-	}
-	sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
-	w.U32(uint32(len(ords)))
-	for _, ord := range ords {
-		w.I64(ord)
-	}
+	c.Int(&p.cfg.LatentReadErrors)
+	c.Int(&p.cfg.LatentWriteErrors)
+	snapshot.I64(c, &p.cfg.LatentOnsetWindow)
+	c.Int(&p.cfg.Timeouts)
+	c.Int(&p.cfg.TimeoutWindow)
+	snapshot.I64(c, &p.cfg.TimeoutDelay)
+	c.Int(&p.cfg.GrowingRegion)
+	snapshot.I64(c, &p.cfg.GrowthInterval)
+	snapshot.I64(c, &p.cfg.FailAt)
+	snapshot.I64(c, &p.cfg.MaxLBA)
 
-	w.I64(p.growLBA)
-	w.I64(p.cmds)
+	snapshot.SortedMap(c, &p.latents, func(c *snapshot.Codec, lba int64, l **latent) {
+		if c.Decoding() {
+			*l = &latent{lba: lba}
+			if lba >= p.sectors {
+				c.Fail(fmt.Errorf("%w: latent error at sector %d of %d", snapshot.ErrCorrupt, lba, p.sectors))
+			}
+		}
+		snapshot.I64(c, &(*l).onset)
+		c.Bool(&(*l).write)
+		c.Bool(&(*l).repaired)
+	})
+	// Timeouts are sampled from command ordinals 1..TimeoutWindow.
+	snapshot.SortedMap(c, &p.timeouts, func(c *snapshot.Codec, ord int64, pending *bool) {
+		*pending = true
+		if ord < 1 || ord > int64(p.cfg.TimeoutWindow) {
+			c.Fail(fmt.Errorf("%w: timeout at command %d of a %d-command window",
+				snapshot.ErrCorrupt, ord, p.cfg.TimeoutWindow))
+		}
+	})
 
-	w.I64(p.stats.Commands)
-	w.I64(p.stats.MediaErrors)
-	w.I64(p.stats.GrowthErrors)
-	w.I64(p.stats.Timeouts)
-	w.I64(p.stats.DeviceRejects)
-	w.I64(p.stats.Repaired)
-	return w.Bytes()
+	snapshot.I64(c, &p.growLBA)
+	snapshot.I64(c, &p.cmds)
+
+	snapshot.I64(c, &p.stats.Commands)
+	snapshot.I64(c, &p.stats.MediaErrors)
+	snapshot.I64(c, &p.stats.GrowthErrors)
+	snapshot.I64(c, &p.stats.Timeouts)
+	snapshot.I64(c, &p.stats.DeviceRejects)
+	snapshot.I64(c, &p.stats.Repaired)
 }
 
+// Snapshot encodes the plan's full scenario state (see walk). Maps are
+// rendered in sorted key order, so two plans in the same state snapshot
+// identically.
+func (p *Plan) Snapshot() []byte { return snapshot.Encode(planSnapKind, 1, p.walk) }
+
 // Restore adopts a state produced by Snapshot on a plan for a device of the
-// same size. All scenario state is deep-copied, so the restored plan shares
-// nothing with the snapshot's source.
+// same size. The walk decodes into a copy of the plan with maps of its own,
+// so the restored plan shares nothing with the snapshot's source.
 func (p *Plan) Restore(data []byte) error {
-	r, err := snapshot.NewReader(data, planSnapKind, 1)
-	if err != nil {
+	s := *p
+	if err := snapshot.Decode(data, planSnapKind, 1, s.walk); err != nil {
 		return err
 	}
-	sectors := r.I64()
-
-	var cfg Config
-	cfg.LatentReadErrors = r.Int()
-	cfg.LatentWriteErrors = r.Int()
-	cfg.LatentOnsetWindow = time.Duration(r.I64())
-	cfg.Timeouts = r.Int()
-	cfg.TimeoutWindow = r.Int()
-	cfg.TimeoutDelay = time.Duration(r.I64())
-	cfg.GrowingRegion = r.Int()
-	cfg.GrowthInterval = time.Duration(r.I64())
-	cfg.FailAt = time.Duration(r.I64())
-	cfg.MaxLBA = r.I64()
-
-	nl := r.Len()
-	latents := make(map[int64]*latent, nl)
-	for i := 0; i < nl; i++ {
-		l := &latent{
-			lba:   r.I64(),
-			onset: sim.Time(r.I64()),
-		}
-		l.write = r.Bool()
-		l.repaired = r.Bool()
-		if r.Err() != nil {
-			break
-		}
-		latents[l.lba] = l
-	}
-
-	nt := r.Len()
-	timeouts := make(map[int64]bool, nt)
-	for i := 0; i < nt; i++ {
-		ord := r.I64()
-		if r.Err() != nil {
-			break
-		}
-		timeouts[ord] = true
-	}
-
-	growLBA := r.I64()
-	cmds := r.I64()
-
-	var st Stats
-	st.Commands = r.I64()
-	st.MediaErrors = r.I64()
-	st.GrowthErrors = r.I64()
-	st.Timeouts = r.I64()
-	st.DeviceRejects = r.I64()
-	st.Repaired = r.I64()
-	if err := r.Close(); err != nil {
-		return err
-	}
-	if sectors != p.sectors {
-		return fmt.Errorf("%w: snapshot for a %d-sector device, plan covers %d",
-			snapshot.ErrMismatch, sectors, p.sectors)
-	}
-	p.cfg = cfg
-	p.latents = latents
-	p.timeouts = timeouts
-	p.growLBA = growLBA
-	p.cmds = cmds
-	p.stats = st
+	*p = s
 	return nil
 }

@@ -2,124 +2,81 @@ package raid
 
 import (
 	"fmt"
-	"sort"
 
 	"tracklog/internal/snapshot"
 )
 
 const arraySnapKind = "raid.Array"
 
-// Snapshot encodes the array's fault state: geometry identity, the failed
-// device, per-device known-bad sector sets in sorted order, and the activity
-// counters. The member devices snapshot separately. The array must be
+// walk is the array's snapshot format: geometry identity, the failed device,
+// per-device known-bad sector sets in sorted order, and the activity
+// counters. The member devices snapshot separately.
+func (a *Array) walk(c *snapshot.Codec) {
+	nDevs, chunk := len(a.devs), a.chunk
+	c.Int(&nDevs)
+	c.Int(&chunk)
+	if nDevs != len(a.devs) || chunk != a.chunk {
+		// Shape first: the per-device sections below depend on it.
+		c.Fail(fmt.Errorf("%w: snapshot of a %d-dev chunk-%d array, restoring into %d-dev chunk-%d",
+			snapshot.ErrMismatch, nDevs, chunk, len(a.devs), a.chunk))
+		return
+	}
+	c.Int(&a.failed)
+	if a.failed < -1 || a.failed >= nDevs {
+		c.Fail(fmt.Errorf("%w: failed device %d of %d", snapshot.ErrCorrupt, a.failed, nDevs))
+	}
+	if c.Decoding() {
+		a.bad = make([]map[int64]bool, nDevs)
+	}
+	for dev := range a.bad {
+		snapshot.SortedMap(c, &a.bad[dev], func(c *snapshot.Codec, lba int64, bad *bool) {
+			*bad = true
+			if lba >= a.devs[dev].Sectors() {
+				c.Fail(fmt.Errorf("%w: bad sector %d past the end of device %d", snapshot.ErrCorrupt, lba, dev))
+			}
+		})
+	}
+
+	snapshot.I64(c, &a.stats.Reads)
+	snapshot.I64(c, &a.stats.Writes)
+	snapshot.I64(c, &a.stats.SmallWrites)
+	snapshot.I64(c, &a.stats.FullStripes)
+	snapshot.I64(c, &a.stats.DeviceReads)
+	snapshot.I64(c, &a.stats.DeviceWrites)
+	snapshot.I64(c, &a.stats.DegradedReads)
+	snapshot.I64(c, &a.stats.Reconstructions)
+	snapshot.I64(c, &a.stats.MediaErrorReads)
+	snapshot.I64(c, &a.stats.MediaErrorWrites)
+	snapshot.I64(c, &a.stats.DeviceFailures)
+	snapshot.I64(c, &a.stats.ScrubPasses)
+	snapshot.I64(c, &a.stats.ScrubRepaired)
+	snapshot.I64(c, &a.stats.ScrubUnrepairable)
+	snapshot.I64(c, &a.stats.Shed)
+	snapshot.I64(c, &a.stats.Expired)
+	snapshot.I64(c, &a.stats.ScrubYields)
+}
+
+// Snapshot encodes the array's fault state (see walk). The array must be
 // quiescent: no operation may hold a stripe lock.
 func (a *Array) Snapshot() []byte {
 	if len(a.locked) > 0 {
 		panic("raid: snapshot with stripe locks held")
 	}
-	w := snapshot.NewWriter(arraySnapKind, 1)
-	w.Int(len(a.devs))
-	w.Int(a.chunk)
-	w.Int(a.failed)
-
-	for _, m := range a.bad {
-		lbas := make([]int64, 0, len(m))
-		for lba := range m {
-			lbas = append(lbas, lba)
-		}
-		sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
-		w.U32(uint32(len(lbas)))
-		for _, lba := range lbas {
-			w.I64(lba)
-		}
-	}
-
-	w.I64(a.stats.Reads)
-	w.I64(a.stats.Writes)
-	w.I64(a.stats.SmallWrites)
-	w.I64(a.stats.FullStripes)
-	w.I64(a.stats.DeviceReads)
-	w.I64(a.stats.DeviceWrites)
-	w.I64(a.stats.DegradedReads)
-	w.I64(a.stats.Reconstructions)
-	w.I64(a.stats.MediaErrorReads)
-	w.I64(a.stats.MediaErrorWrites)
-	w.I64(a.stats.DeviceFailures)
-	w.I64(a.stats.ScrubPasses)
-	w.I64(a.stats.ScrubRepaired)
-	w.I64(a.stats.ScrubUnrepairable)
-	w.I64(a.stats.Shed)
-	w.I64(a.stats.Expired)
-	w.I64(a.stats.ScrubYields)
-	return w.Bytes()
+	return snapshot.Encode(arraySnapKind, 1, a.walk)
 }
 
 // Restore adopts a state produced by Snapshot on an array of the same shape.
-// The bad-sector sets are deep-copied, so a restored array shares nothing
-// with the snapshot's source. Both the snapshot and the target must be
-// quiescent (no stripe locks held).
+// The walk decodes into a copy of the array with bad-sector sets of its own,
+// so a restored array shares nothing with the snapshot's source. Both the
+// snapshot and the target must be quiescent (no stripe locks held).
 func (a *Array) Restore(data []byte) error {
-	r, err := snapshot.NewReader(data, arraySnapKind, 1)
-	if err != nil {
+	s := *a
+	if err := snapshot.Decode(data, arraySnapKind, 1, s.walk); err != nil {
 		return err
-	}
-	nDevs := r.Int()
-	chunk := r.Int()
-	failed := r.Int()
-	if nDevs != len(a.devs) || chunk != a.chunk {
-		// Shape first: the per-device sections below depend on it.
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("%w: snapshot of a %d-dev chunk-%d array, restoring into %d-dev chunk-%d",
-			snapshot.ErrMismatch, nDevs, chunk, len(a.devs), a.chunk)
-	}
-	bad := make([]map[int64]bool, nDevs)
-	for dev := 0; dev < nDevs; dev++ {
-		n := r.Len()
-		if n == 0 {
-			continue
-		}
-		m := make(map[int64]bool, n)
-		for i := 0; i < n; i++ {
-			lba := r.I64()
-			if r.Err() != nil {
-				break
-			}
-			m[lba] = true
-		}
-		bad[dev] = m
-	}
-
-	var st Stats
-	st.Reads = r.I64()
-	st.Writes = r.I64()
-	st.SmallWrites = r.I64()
-	st.FullStripes = r.I64()
-	st.DeviceReads = r.I64()
-	st.DeviceWrites = r.I64()
-	st.DegradedReads = r.I64()
-	st.Reconstructions = r.I64()
-	st.MediaErrorReads = r.I64()
-	st.MediaErrorWrites = r.I64()
-	st.DeviceFailures = r.I64()
-	st.ScrubPasses = r.I64()
-	st.ScrubRepaired = r.I64()
-	st.ScrubUnrepairable = r.I64()
-	st.Shed = r.I64()
-	st.Expired = r.I64()
-	st.ScrubYields = r.I64()
-	if err := r.Close(); err != nil {
-		return err
-	}
-	if failed < -1 || failed >= nDevs {
-		return fmt.Errorf("%w: failed device %d of %d", snapshot.ErrCorrupt, failed, nDevs)
 	}
 	if len(a.locked) > 0 {
 		return fmt.Errorf("%w: raid array has %d stripe locks held", snapshot.ErrNotQuiescent, len(a.locked))
 	}
-	a.failed = failed
-	a.bad = bad
-	a.stats = st
+	*a = s
 	return nil
 }

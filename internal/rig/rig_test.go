@@ -105,11 +105,12 @@ func TestCrashRecoverReadBack(t *testing.T) {
 
 // planDigest fingerprints a rig's fault plans in attach order.
 func planDigest(plans []*fault.Plan) uint64 {
-	w := snapshot.NewWriter("rig.test.plans", 1)
-	for _, p := range plans {
-		w.Bytes32(p.Snapshot())
-	}
-	return snapshot.Digest(w.Bytes())
+	return snapshot.Digest(snapshot.Encode("rig.test.plans", 1, func(c *snapshot.Codec) {
+		for _, p := range plans {
+			state := p.Snapshot()
+			c.Bytes(&state)
+		}
+	}))
 }
 
 // The same scenario and seed sample the same plans as the hand-attached

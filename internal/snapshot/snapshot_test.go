@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 )
+
+// dur stands for the int64-shaped types I64 carries (time.Duration, sim.Time).
+type dur int64
 
 // sample is one value of every primitive the codec carries.
 type sample struct {
@@ -15,6 +19,7 @@ type sample struct {
 	u32   uint32
 	u64   uint64
 	i64   int64
+	d     dur
 	n     int
 	f     float64
 	yes   bool
@@ -23,71 +28,45 @@ type sample struct {
 	view  []byte
 	empty []byte
 	s     string
-	count int // written as a Len-checked collection of single bytes
+	list  []uint16
+	set   map[int64]string
 }
 
 var golden = sample{
 	u8: 0xA5, u16: 0xBEEF, u32: 0xDEADBEEF, u64: math.MaxUint64,
-	i64: math.MinInt64, n: -42, f: math.Copysign(0, -1),
+	i64: math.MinInt64, d: -7, n: -42, f: math.Copysign(0, -1),
 	yes: true, no: false,
 	blob: []byte{1, 2, 3, 0, 255}, view: []byte("viewed"), empty: nil,
-	s: "disk.Disk/é", count: 3,
+	s: "disk.Disk/é", list: []uint16{3, 1, 2},
+	set: map[int64]string{900: "c", 0: "a", 100: "b"},
 }
 
-func (v sample) encode(kind string, version uint16) []byte {
-	w := NewWriter(kind, version)
-	w.U8(v.u8)
-	w.U16(v.u16)
-	w.U32(v.u32)
-	w.U64(v.u64)
-	w.I64(v.i64)
-	w.Int(v.n)
-	w.F64(v.f)
-	w.Bool(v.yes)
-	w.Bool(v.no)
-	w.Bytes32(v.blob)
-	w.Bytes32(v.view)
-	w.Bytes32(v.empty)
-	w.String(v.s)
-	w.U32(uint32(v.count))
-	for i := 0; i < v.count; i++ {
-		w.U8(uint8(i))
-	}
-	return w.Bytes()
+// walk is sample's one format, the shape every Snapshotter in the repo has.
+func (v *sample) walk(c *Codec) {
+	c.U8(&v.u8)
+	c.U16(&v.u16)
+	c.U32(&v.u32)
+	c.U64(&v.u64)
+	I64(c, &v.i64)
+	I64(c, &v.d)
+	c.Int(&v.n)
+	c.F64(&v.f)
+	c.Bool(&v.yes)
+	c.Bool(&v.no)
+	c.Bytes(&v.blob)
+	c.View(&v.view)
+	c.Bytes(&v.empty)
+	c.String(&v.s)
+	Slice(c, &v.list, func(c *Codec, x *uint16) { c.U16(x) })
+	SortedMap(c, &v.set, func(c *Codec, _ int64, s *string) { c.String(s) })
 }
 
-// decode reads what encode wrote, straight-line, and checks once at the end
-// — the shape every Restore in the repo has.
+func (v sample) encode(kind string, version uint16) []byte { return Encode(kind, version, v.walk) }
+
 func decode(data []byte, kind string, version uint16) (sample, error) {
-	r, err := NewReader(data, kind, version)
-	if err != nil {
-		return sample{}, err
-	}
 	var v sample
-	v.u8 = r.U8()
-	v.u16 = r.U16()
-	v.u32 = r.U32()
-	v.u64 = r.U64()
-	v.i64 = r.I64()
-	v.n = r.Int()
-	v.f = r.F64()
-	v.yes = r.Bool()
-	v.no = r.Bool()
-	v.blob = r.Bytes32()
-	v.view = r.View32()
-	v.empty = r.Bytes32()
-	v.s = r.StringVal()
-	v.count = r.Len()
-	for i := 0; i < v.count; i++ {
-		r.U8()
-	}
-	sticky := r.Err()
-	if err := r.Close(); sticky != nil && err != sticky {
-		return sample{}, errors.New("Close does not report the sticky Err")
-	} else if err != nil {
-		return sample{}, err
-	}
-	return v, nil
+	err := Decode(data, kind, version, v.walk)
+	return v, err
 }
 
 func TestRoundTripEveryPrimitive(t *testing.T) {
@@ -96,16 +75,15 @@ func TestRoundTripEveryPrimitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.u8 != golden.u8 || got.u16 != golden.u16 || got.u32 != golden.u32 || got.u64 != golden.u64 ||
-		got.i64 != golden.i64 || got.n != golden.n || got.yes != golden.yes || got.no != golden.no ||
-		got.s != golden.s || got.count != golden.count {
-		t.Errorf("scalars: got %+v, want %+v", got, golden)
-	}
 	if math.Float64bits(got.f) != math.Float64bits(golden.f) {
 		t.Errorf("F64 lost bits: %x, want %x (negative zero)", math.Float64bits(got.f), math.Float64bits(golden.f))
 	}
-	if !bytes.Equal(got.blob, golden.blob) || !bytes.Equal(got.view, golden.view) || len(got.empty) != 0 {
-		t.Errorf("byte fields: %v %q %v", got.blob, got.view, got.empty)
+	if len(got.empty) != 0 {
+		t.Errorf("empty slice decoded as %v", got.empty)
+	}
+	got.f, got.empty = golden.f, nil
+	if !reflect.DeepEqual(got, golden) {
+		t.Errorf("round trip: got %+v, want %+v", got, golden)
 	}
 	if !bytes.Equal(data, golden.encode("test.Kind", 7)) {
 		t.Error("encoding the same value twice gave different bytes")
@@ -130,9 +108,10 @@ func TestHeaderClassification(t *testing.T) {
 		{"magic only", data[:4], "test.Kind", 7, ErrCorrupt},
 		{"kind cut short", data[:10], "test.Kind", 7, ErrCorrupt},
 	} {
-		r, err := NewReader(tc.data, tc.kind, tc.version)
-		if !errors.Is(err, tc.want) || r != nil {
-			t.Errorf("%s: reader %v, err %v, want %v", tc.name, r, err, tc.want)
+		walked := false
+		err := Decode(tc.data, tc.kind, tc.version, func(*Codec) { walked = true })
+		if !errors.Is(err, tc.want) || walked {
+			t.Errorf("%s: walked %v, err %v, want %v", tc.name, walked, err, tc.want)
 		}
 		for _, other := range []error{ErrCorrupt, ErrMismatch, ErrNotQuiescent} {
 			if other != tc.want && errors.Is(err, other) {
@@ -143,8 +122,7 @@ func TestHeaderClassification(t *testing.T) {
 }
 
 // Every proper prefix of a valid snapshot is a truncation: it must come back
-// as ErrCorrupt from NewReader or from Err/Close, never as a value and never
-// as a panic.
+// as ErrCorrupt, never as a value and never as a panic.
 func TestEveryPrefixIsCorrupt(t *testing.T) {
 	data := golden.encode("test.Kind", 7)
 	for n := 0; n < len(data); n++ {
@@ -154,66 +132,116 @@ func TestEveryPrefixIsCorrupt(t *testing.T) {
 	}
 }
 
-func TestCloseFlagsTrailingBytes(t *testing.T) {
+func TestTrailingBytesAreCorrupt(t *testing.T) {
 	data := append(golden.encode("test.Kind", 7), 0)
 	if _, err := decode(data, "test.Kind", 7); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("one trailing byte: err %v, want ErrCorrupt", err)
 	}
-	r, err := NewReader(NewWriter("k", 1).Bytes(), "k", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Err() != nil || r.Close() != nil {
-		t.Errorf("empty body: Err %v, Close %v, want nil", r.Err(), r.Close())
+	if err := Decode(Encode("k", 1, func(*Codec) {}), "k", 1, func(*Codec) {}); err != nil {
+		t.Errorf("empty body: err %v, want nil", err)
 	}
 }
 
-// After the first failure every read returns a zero value and the error
-// stays the first one.
+// After the first failure every primitive leaves its target alone, a later
+// Fail does not replace the error, and Decode reports the first one.
 func TestErrorIsSticky(t *testing.T) {
-	w := NewWriter("k", 1)
-	w.U8(2) // not a boolean
-	w.U64(99)
-	r, err := NewReader(w.Bytes(), "k", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Bool() {
-		t.Error("Bool(2) = true")
-	}
-	first := r.Err()
+	data := Encode("k", 1, func(c *Codec) {
+		two, n := uint8(2), uint64(99)
+		c.U8(&two) // not a boolean
+		c.U64(&n)
+	})
+	var first error
+	v := sample{u64: 7, s: "kept", blob: []byte("kept"), list: []uint16{1}}
+	err := Decode(data, "k", 1, func(c *Codec) {
+		var b bool
+		c.Bool(&b)
+		first = c.Err()
+		c.U64(&v.u64)
+		c.String(&v.s)
+		c.Bytes(&v.blob)
+		c.F64(&v.f)
+		if n := c.Len(5); n != 0 {
+			t.Errorf("Len after a failure = %d", n)
+		}
+		c.Fail(ErrMismatch)
+	})
 	if !errors.Is(first, ErrCorrupt) {
 		t.Fatalf("Bool(2): Err %v, want ErrCorrupt", first)
 	}
-	if r.U64() != 0 || r.StringVal() != "" || r.Bytes32() != nil || r.View32() != nil || r.Len() != 0 || r.F64() != 0 {
-		t.Error("reads after a failure returned data")
+	if v.u64 != 7 || v.s != "kept" || string(v.blob) != "kept" || v.f != 0 {
+		t.Errorf("primitives after a failure changed their targets: %+v", v)
 	}
-	if r.Err() != first || r.Close() != first {
-		t.Errorf("error changed: Err %v, Close %v, first %v", r.Err(), r.Close(), first)
+	if err != first {
+		t.Errorf("Decode returned %v, first error %v", err, first)
 	}
 }
 
-func TestView32AliasesBytes32Copies(t *testing.T) {
-	w := NewWriter("k", 1)
-	w.Bytes32([]byte("copy"))
-	w.Bytes32([]byte("view"))
-	data := w.Bytes()
-	r, err := NewReader(data, "k", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copied, viewed := r.Bytes32(), r.View32()
-	if err := r.Close(); err != nil {
+// A walk that fails while encoding is a bug in its component.
+func TestEncodeFailurePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Encode returned bytes from a failed walk")
+		}
+	}()
+	Encode("k", 1, func(c *Codec) { c.Fail(ErrCorrupt) })
+}
+
+func TestViewAliasesBytesCopies(t *testing.T) {
+	data := Encode("k", 1, func(c *Codec) {
+		cp, vw := []byte("copy"), []byte("view")
+		c.Bytes(&cp)
+		c.Bytes(&vw)
+	})
+	var copied, viewed []byte
+	if err := Decode(data, "k", 1, func(c *Codec) {
+		c.Bytes(&copied)
+		c.View(&viewed)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
 		data[i] = 'X'
 	}
 	if string(copied) != "copy" {
-		t.Errorf("Bytes32 aliases the input: %q", copied)
+		t.Errorf("Bytes aliases the input: %q", copied)
 	}
 	if string(viewed) != "XXXX" {
-		t.Errorf("View32 copied instead of aliasing: %q", viewed)
+		t.Errorf("View copied instead of aliasing: %q", viewed)
+	}
+}
+
+// SortedMap writes keys in increasing order whatever the map's iteration
+// order, and reads back only such streams: a key that repeats, goes
+// backwards or is negative is corrupt.
+func TestSortedMapOrder(t *testing.T) {
+	stream := func(keys ...int64) []byte {
+		return Encode("k", 1, func(c *Codec) {
+			c.Len(len(keys))
+			for _, k := range keys {
+				I64(c, &k)
+			}
+		})
+	}
+	walk := func(m *map[int64]bool) func(*Codec) {
+		return func(c *Codec) { SortedMap(c, m, func(*Codec, int64, *bool) {}) }
+	}
+	set := map[int64]bool{900: true, 100: true, 1 << 40: true}
+	if got := Encode("k", 1, walk(&set)); !bytes.Equal(got, stream(100, 900, 1<<40)) {
+		t.Error("SortedMap did not encode in key order")
+	}
+	for name, data := range map[string][]byte{
+		"swapped":  stream(900, 100, 1<<40),
+		"repeated": stream(100, 100, 900),
+		"negative": stream(-1, 100),
+	} {
+		var m map[int64]bool
+		if err := Decode(data, "k", 1, walk(&m)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s keys: err %v, want ErrCorrupt", name, err)
+		}
+	}
+	var m map[int64]bool
+	if err := Decode(stream(0, 100, 1<<40), "k", 1, walk(&m)); err != nil || len(m) != 3 {
+		t.Errorf("increasing keys: %d decoded, err %v", len(m), err)
 	}
 }
 
@@ -221,26 +249,35 @@ func TestView32AliasesBytes32Copies(t *testing.T) {
 // anything of that size is allocated.
 func TestHostileLengthIsRefusedWithoutAllocating(t *testing.T) {
 	const claimed = 1 << 28
-	reads := map[string]func(*Reader) bool{
-		"Bytes32":   func(r *Reader) bool { return r.Bytes32() == nil },
-		"View32":    func(r *Reader) bool { return r.View32() == nil },
-		"StringVal": func(r *Reader) bool { return r.StringVal() == "" },
-		"Len":       func(r *Reader) bool { return r.Len() == 0 },
+	data := Encode("k", 1, func(c *Codec) {
+		n, pad := uint32(claimed), uint64(0)
+		c.U32(&n)
+		c.U64(&pad) // eight bytes follow, not 256 MiB
+	})
+	reads := map[string]func(*Codec) bool{
+		"Bytes":  func(c *Codec) bool { var b []byte; c.Bytes(&b); return b == nil },
+		"View":   func(c *Codec) bool { var b []byte; c.View(&b); return b == nil },
+		"String": func(c *Codec) bool { var s string; c.String(&s); return s == "" },
+		"Len":    func(c *Codec) bool { return c.Len(0) == 0 },
+		"Slice": func(c *Codec) bool {
+			var s []uint64
+			Slice(c, &s, func(c *Codec, x *uint64) { c.U64(x) })
+			return len(s) == 0
+		},
+		"SortedMap": func(c *Codec) bool {
+			var m map[int64]uint64
+			SortedMap(c, &m, func(c *Codec, _ int64, x *uint64) { c.U64(x) })
+			return len(m) == 0
+		},
 	}
 	for name, read := range reads {
-		w := NewWriter("k", 1)
-		w.U32(claimed)
-		w.U64(0) // eight bytes follow, not 256 MiB
-		r, err := NewReader(w.Bytes(), "k", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var before, after runtime.MemStats
+		var empty bool
 		runtime.ReadMemStats(&before)
-		empty := read(r)
+		err := Decode(data, "k", 1, func(c *Codec) { empty = read(c) })
 		runtime.ReadMemStats(&after)
-		if !empty || !errors.Is(r.Err(), ErrCorrupt) {
-			t.Errorf("%s: accepted a %d-byte claim over 8 bytes of input (Err %v)", name, claimed, r.Err())
+		if !empty || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: accepted a %d-byte claim over 8 bytes of input (err %v)", name, claimed, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > claimed/2 {
 			t.Errorf("%s: allocated %d bytes refusing the claim", name, grew)
@@ -248,12 +285,19 @@ func TestHostileLengthIsRefusedWithoutAllocating(t *testing.T) {
 	}
 	// A claim that fits is the boundary: Len accepts exactly the remaining
 	// byte count.
-	w := NewWriter("k", 1)
-	w.U32(2)
-	w.U16(0)
-	r, _ := NewReader(w.Bytes(), "k", 1)
-	if n := r.Len(); n != 2 || r.Err() != nil {
-		t.Errorf("Len at the boundary = %d, Err %v", n, r.Err())
+	fits := Encode("k", 1, func(c *Codec) {
+		n, pad := 2, uint16(0)
+		c.Len(n)
+		c.U16(&pad)
+	})
+	if err := Decode(fits, "k", 1, func(c *Codec) {
+		var pad uint16
+		if n := c.Len(0); n != 2 {
+			t.Errorf("Len at the boundary = %d", n)
+		}
+		c.U16(&pad)
+	}); err != nil {
+		t.Errorf("Len at the boundary: err %v", err)
 	}
 }
 

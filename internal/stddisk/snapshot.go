@@ -8,43 +8,36 @@ import (
 
 const devSnapKind = "stddisk.Device"
 
-// Snapshot encodes the device's identity and fault-handling counters. The
-// drive behind the device snapshots separately (disk.Disk); this layer owns
-// only the retry bookkeeping.
-func (d *Device) Snapshot() []byte {
-	w := snapshot.NewWriter(devSnapKind, 1)
-	w.U8(d.id.Major)
-	w.U8(d.id.Minor)
-	w.I64(d.size)
-	w.I64(d.stats.Retries)
-	w.I64(d.stats.Failures)
-	return w.Bytes()
+// walk is the device's snapshot format: identity and fault-handling counters.
+// The drive behind the device snapshots separately (disk.Disk); this layer
+// owns only the retry bookkeeping.
+func (d *Device) walk(c *snapshot.Codec) {
+	id, size := d.id, d.size
+	c.U8(&id.Major)
+	c.U8(&id.Minor)
+	snapshot.I64(c, &size)
+	if id != d.id || size != d.size {
+		c.Fail(fmt.Errorf("%w: snapshot of %v %d sectors, restoring into %v %d sectors",
+			snapshot.ErrMismatch, id, size, d.id, d.size))
+	}
+	snapshot.I64(c, &d.stats.Retries)
+	snapshot.I64(c, &d.stats.Failures)
 }
+
+// Snapshot encodes the device's state (see walk).
+func (d *Device) Snapshot() []byte { return snapshot.Encode(devSnapKind, 1, d.walk) }
 
 // Restore adopts a state produced by Snapshot on a device with the same
 // identity and capacity. The device must be quiescent: no request may be in
 // the scheduler queue.
 func (d *Device) Restore(data []byte) error {
-	r, err := snapshot.NewReader(data, devSnapKind, 1)
-	if err != nil {
+	s := *d
+	if err := snapshot.Decode(data, devSnapKind, 1, s.walk); err != nil {
 		return err
-	}
-	major := r.U8()
-	minor := r.U8()
-	size := r.I64()
-	var st Stats
-	st.Retries = r.I64()
-	st.Failures = r.I64()
-	if err := r.Close(); err != nil {
-		return err
-	}
-	if major != d.id.Major || minor != d.id.Minor || size != d.size {
-		return fmt.Errorf("%w: snapshot of dev(%d,%d) %d sectors, restoring into %v %d sectors",
-			snapshot.ErrMismatch, major, minor, size, d.id, d.size)
 	}
 	if n := d.queue.Depth(); n > 0 {
 		return fmt.Errorf("%w: stddisk %v has %d queued requests", snapshot.ErrNotQuiescent, d.id, n)
 	}
-	d.stats = st
+	*d = s
 	return nil
 }

@@ -1,6 +1,7 @@
 package trail
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -66,10 +67,20 @@ func TestRestoreRebuildsStagedBytes(t *testing.T) {
 	}
 	snap := src.drv.Snapshot()
 
+	// dst has a write-back of its own queued: Restore replaces its queue with
+	// the snapshot's rather than adding to it.
 	dst := newRig(t, 1, Config{})
 	defer dst.env.Close()
+	dld := dst.drv.logs[0]
+	drec := &record{seq: 1, log: dld, blocks: 1}
+	dld.outstanding = append(dld.outstanding, drec)
+	dld.busyCount[0]++
+	dst.drv.stage(&pendingWrite{lba: 200, count: 1, data: fill(0xCC, 1)}, drec)
 	if err := dst.drv.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
+	}
+	if !bytes.Equal(dst.drv.Snapshot(), snap) {
+		t.Error("the restored driver does not snapshot to the bytes it was restored from")
 	}
 	if got := dst.drv.StagedBytes(); got != want {
 		t.Errorf("StagedBytes = %d after Restore, want %d", got, want)

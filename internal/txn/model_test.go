@@ -32,7 +32,6 @@ const (
 	granted verdict = iota
 	waits
 	deadlock
-	stuck // an upgrade queued behind a waiter for the same key: see TestLockTableModel
 )
 
 // held returns the mode id holds the key in, 0 when it does not.
@@ -90,13 +89,14 @@ func (r *refTable) request(id int64, key string, mode LockMode) verdict {
 		k.holders = append(k.holders, refHold{id, mode})
 		return granted
 	}
+	// An upgrade behind a queued request: the queue waits for id's hold.
+	if held != 0 && len(k.queue) > 0 {
+		return deadlock
+	}
 	for _, h := range k.holders {
 		if h.id != id && r.reaches(h.id, id, map[int64]bool{}) {
 			return deadlock
 		}
-	}
-	if held != 0 && len(k.queue) > 0 {
-		return stuck
 	}
 	k.queue = append(k.queue, refHold{id, mode})
 	r.waiting[id] = key
@@ -128,13 +128,9 @@ func (r *refTable) release(id int64) {
 // holders may ever be observed, and at the end the table is empty and
 // snapshots. Entries come and go hundreds of times per seed, so a recycled
 // one carrying a stale holder or waiter shows as a grant the reference parks,
-// or a park the reference grants.
-//
-// One request is never made: an upgrade while another transaction is queued
-// for the key. Deadlock detection follows waiter -> holder edges only, so the
-// upgrader queues behind a waiter that is waiting for the upgrader, and both
-// park for ever. The reference reports it as stuck and the process commits
-// instead (ROADMAP item 1).
+// or a park the reference grants. An upgrade requested while another
+// transaction is queued for the key is a deadlock victim: the queue's head
+// waits for the upgrader's own hold.
 func TestLockTableModel(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		if err := runLockModel(seed, nil); err != nil {
@@ -173,36 +169,33 @@ func runLockModel(seed uint64, inspect func(*Manager)) (err error) {
 				if op < 8 {
 					key, mode := lk(rng.Intn(keys)), LockMode(1+rng.Intn(2))
 					want := ref.request(tx.ID(), key, mode)
-					if want != stuck {
-						parked := m.Stats().LockWaits
-						got := tx.Lock(p, key, mode)
-						switch {
-						case (want == deadlock) != errors.Is(got, ErrDeadlock), want != deadlock && got != nil:
-							fail("txn %d %s mode %d: got %v, reference says %d", tx.ID(), key, mode, got, want)
-						case want == granted && m.Stats().LockWaits != parked:
-							fail("txn %d %s mode %d: parked, reference grants at once", tx.ID(), key, mode)
-						case want == waits && ref.keys[key].held(tx.ID()) < mode:
-							fail("txn %d %s mode %d: woken before the reference granted it", tx.ID(), key, mode)
+					parked := m.Stats().LockWaits
+					got := tx.Lock(p, key, mode)
+					switch {
+					case (want == deadlock) != errors.Is(got, ErrDeadlock), want != deadlock && got != nil:
+						fail("txn %d %s mode %d: got %v, reference says %d", tx.ID(), key, mode, got, want)
+					case want == granted && m.Stats().LockWaits != parked:
+						fail("txn %d %s mode %d: parked, reference grants at once", tx.ID(), key, mode)
+					case want == waits && ref.keys[key].held(tx.ID()) < mode:
+						fail("txn %d %s mode %d: woken before the reference granted it", tx.ID(), key, mode)
+					}
+					if got == nil {
+						if observed[key] == nil {
+							observed[key] = map[int64]LockMode{}
 						}
-						if got == nil {
-							if observed[key] == nil {
-								observed[key] = map[int64]LockMode{}
+						observed[key][tx.ID()] = max(mode, observed[key][tx.ID()])
+						for other, omode := range observed[key] {
+							if other != tx.ID() && (omode == Exclusive || observed[key][tx.ID()] == Exclusive) {
+								fail("%s held by %d (mode %d) and %d (mode %d)", key, other, omode, tx.ID(), mode)
 							}
-							observed[key][tx.ID()] = max(mode, observed[key][tx.ID()])
-							for other, omode := range observed[key] {
-								if other != tx.ID() && (omode == Exclusive || observed[key][tx.ID()] == Exclusive) {
-									fail("%s held by %d (mode %d) and %d (mode %d)", key, other, omode, tx.ID(), mode)
-								}
-							}
-							continue
 						}
-						// Deadlock victim: the manager aborted tx.
-						ref.release(tx.ID())
-						forget(tx.ID())
-						tx = m.Begin()
 						continue
 					}
-					op = 8 // stuck: commit instead
+					// Deadlock victim: the manager aborted tx.
+					ref.release(tx.ID())
+					forget(tx.ID())
+					tx = m.Begin()
+					continue
 				}
 				ref.release(tx.ID())
 				forget(tx.ID())

@@ -2,56 +2,46 @@ package txn
 
 import (
 	"fmt"
-	"time"
 
 	"tracklog/internal/snapshot"
 )
 
 const mgrSnapKind = "txn.Manager"
 
-// Snapshot encodes the manager's transaction counter and activity stats. The
-// manager must be quiescent: no locks held, no transaction waiting — the
-// state between client requests, which is where the crash explorer cuts.
+// walk is the manager's snapshot format: the transaction counter and the
+// activity stats.
+func (m *Manager) walk(c *snapshot.Codec) {
+	snapshot.I64(c, &m.nextID)
+	snapshot.I64(c, &m.stats.Begun)
+	snapshot.I64(c, &m.stats.Committed)
+	snapshot.I64(c, &m.stats.Aborted)
+	snapshot.I64(c, &m.stats.Deadlocks)
+	snapshot.I64(c, &m.stats.LockWaits)
+	snapshot.I64(c, &m.stats.LockWaitTime)
+	snapshot.I64(c, &m.stats.CommitIOTime)
+}
+
+// Snapshot encodes the manager's state (see walk). The manager must be
+// quiescent: no locks held, no transaction waiting — the state between
+// client requests, which is where the crash explorer cuts.
 func (m *Manager) Snapshot() []byte {
 	if len(m.locks) > 0 || len(m.waitingOn) > 0 {
 		panic("txn: snapshot with locks held or waiters parked")
 	}
-	w := snapshot.NewWriter(mgrSnapKind, 1)
-	w.I64(m.nextID)
-	w.I64(m.stats.Begun)
-	w.I64(m.stats.Committed)
-	w.I64(m.stats.Aborted)
-	w.I64(m.stats.Deadlocks)
-	w.I64(m.stats.LockWaits)
-	w.I64(int64(m.stats.LockWaitTime))
-	w.I64(int64(m.stats.CommitIOTime))
-	return w.Bytes()
+	return snapshot.Encode(mgrSnapKind, 1, m.walk)
 }
 
 // Restore adopts a state produced by Snapshot. The manager must be quiescent
 // (no locks held, no waiters).
 func (m *Manager) Restore(data []byte) error {
-	r, err := snapshot.NewReader(data, mgrSnapKind, 1)
-	if err != nil {
-		return err
-	}
-	nextID := r.I64()
-	var st Stats
-	st.Begun = r.I64()
-	st.Committed = r.I64()
-	st.Aborted = r.I64()
-	st.Deadlocks = r.I64()
-	st.LockWaits = r.I64()
-	st.LockWaitTime = time.Duration(r.I64())
-	st.CommitIOTime = time.Duration(r.I64())
-	if err := r.Close(); err != nil {
+	s := *m
+	if err := snapshot.Decode(data, mgrSnapKind, 1, s.walk); err != nil {
 		return err
 	}
 	if len(m.locks) > 0 || len(m.waitingOn) > 0 {
 		return fmt.Errorf("%w: txn manager has %d locked keys, %d waiters",
 			snapshot.ErrNotQuiescent, len(m.locks), len(m.waitingOn))
 	}
-	m.nextID = nextID
-	m.stats = st
+	*m = s
 	return nil
 }

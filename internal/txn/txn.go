@@ -198,7 +198,10 @@ func (t *Txn) Lock(p *sim.Proc, key string, mode LockMode) error {
 	if ls.queue.Len() == 0 && ls.compatible(t.id, mode) {
 		ls.grant(t.id, mode)
 	} else {
-		if m.waitsOn(ls, t.id, map[int64]bool{t.id: true}) {
+		// An upgrade behind a queued request closes a cycle waitsOn cannot
+		// see: the queue's head conflicts with every hold, t's included, and
+		// FIFO would park t behind it.
+		if held != 0 && ls.queue.Len() > 0 || m.waitsOn(ls, t.id, map[int64]bool{t.id: true}) {
 			m.stats.Deadlocks++
 			t.Abort(p)
 			return ErrDeadlock

@@ -2,80 +2,66 @@ package wal
 
 import (
 	"fmt"
-	"time"
 
 	"tracklog/internal/snapshot"
 )
 
 const logSnapKind = "wal.Log"
 
-// Snapshot encodes the log's buffered records, durability cursors, and
-// counters, preceded by the configuration identity (region bounds, commit
-// discipline, buffer size). The device holding the log snapshots separately.
-// The log must be quiescent: no flush may be in progress.
+// walk is the log's snapshot format: the configuration identity (region
+// bounds, commit discipline, buffer size), then the buffered records,
+// durability cursors, and counters. The device holding the log snapshots
+// separately.
+func (l *Log) walk(c *snapshot.Codec) {
+	id := l.cfg
+	mode := int(id.Mode)
+	snapshot.I64(c, &id.StartLBA)
+	snapshot.I64(c, &id.Sectors)
+	c.Int(&mode)
+	c.Int(&id.BufferBytes)
+	c.Bool(&id.MetadataWrites)
+	if id.StartLBA != l.cfg.StartLBA || id.Sectors != l.cfg.Sectors || Mode(mode) != l.cfg.Mode ||
+		id.BufferBytes != l.cfg.BufferBytes || id.MetadataWrites != l.cfg.MetadataWrites {
+		c.Fail(fmt.Errorf("%w: snapshot of a differently configured log region", snapshot.ErrMismatch))
+	}
+
+	buf := l.bufs[l.cur][segHeader:]
+	c.View(&buf)
+	if c.Decoding() {
+		l.bufs[l.cur] = append(make([]byte, segHeader, segHeader+len(buf)), buf...)
+	}
+	snapshot.I64(c, &l.nextLSN)
+	snapshot.I64(c, &l.flushedTo)
+	snapshot.I64(c, &l.headSect)
+
+	snapshot.I64(c, &l.stats.Appends)
+	snapshot.I64(c, &l.stats.AppendedBytes)
+	snapshot.I64(c, &l.stats.Flushes)
+	snapshot.I64(c, &l.stats.FlushedSectors)
+	snapshot.I64(c, &l.stats.IOTime)
+}
+
+// Snapshot encodes the log's state (see walk). The log must be quiescent: no
+// flush may be in progress.
 func (l *Log) Snapshot() []byte {
 	if l.flushing {
 		panic("wal: snapshot with a flush in progress")
 	}
-	w := snapshot.NewWriter(logSnapKind, 1)
-	w.I64(l.cfg.StartLBA)
-	w.I64(l.cfg.Sectors)
-	w.Int(int(l.cfg.Mode))
-	w.Int(l.cfg.BufferBytes)
-	w.Bool(l.cfg.MetadataWrites)
-
-	w.Bytes32(l.bufs[l.cur][segHeader:])
-	w.I64(l.nextLSN)
-	w.I64(l.flushedTo)
-	w.I64(l.headSect)
-
-	w.I64(l.stats.Appends)
-	w.I64(l.stats.AppendedBytes)
-	w.I64(l.stats.Flushes)
-	w.I64(l.stats.FlushedSectors)
-	w.I64(int64(l.stats.IOTime))
-	return w.Bytes()
+	return snapshot.Encode(logSnapKind, 1, l.walk)
 }
 
 // Restore adopts a state produced by Snapshot on a log with the same
-// configuration. The buffer is deep-copied (Bytes32 copies), so a restored
-// log shares nothing with the snapshot's source. The log must be quiescent.
+// configuration. The walk decodes into a copy of the log with a buffer of
+// its own, so a restored log shares nothing with the snapshot's source. The
+// log must be quiescent.
 func (l *Log) Restore(data []byte) error {
-	r, err := snapshot.NewReader(data, logSnapKind, 1)
-	if err != nil {
+	s := *l
+	if err := snapshot.Decode(data, logSnapKind, 1, s.walk); err != nil {
 		return err
-	}
-	startLBA := r.I64()
-	sectors := r.I64()
-	mode := Mode(r.Int())
-	bufferBytes := r.Int()
-	metadataWrites := r.Bool()
-
-	buf := r.Bytes32()
-	nextLSN := r.I64()
-	flushedTo := r.I64()
-	headSect := r.I64()
-
-	var st Stats
-	st.Appends = r.I64()
-	st.AppendedBytes = r.I64()
-	st.Flushes = r.I64()
-	st.FlushedSectors = r.I64()
-	st.IOTime = time.Duration(r.I64())
-	if err := r.Close(); err != nil {
-		return err
-	}
-	if startLBA != l.cfg.StartLBA || sectors != l.cfg.Sectors || mode != l.cfg.Mode ||
-		bufferBytes != l.cfg.BufferBytes || metadataWrites != l.cfg.MetadataWrites {
-		return fmt.Errorf("%w: snapshot of a differently configured log region", snapshot.ErrMismatch)
 	}
 	if l.flushing {
 		return fmt.Errorf("%w: wal flush in progress", snapshot.ErrNotQuiescent)
 	}
-	l.bufs[l.cur] = append(l.bufs[l.cur][:segHeader], buf...)
-	l.nextLSN = nextLSN
-	l.flushedTo = flushedTo
-	l.headSect = headSect
-	l.stats = st
+	*l = s
 	return nil
 }
