@@ -330,7 +330,9 @@ func (d *Disk) Injector() Injector { return d.inj }
 // command, and registers a head-position ground-truth probe with the tracer
 // so the prediction audit can compare the Trail driver's predicted landing
 // sector with where the head really is. The probe is deliberately reachable
-// only through the tracer: driver code keeps predicting blind.
+// only through the tracer: driver code keeps predicting blind. Closing the
+// environment the tracer is bound to (sim.Env.SetTracer) drops the probe
+// again, so a kept tracer does not keep the drive.
 func (d *Disk) SetTracer(tr *trace.Tracer, name string) {
 	if d.tr != nil && (tr == nil || name != d.trName) {
 		d.tr.RegisterProbe(d.trName, nil)

@@ -58,8 +58,9 @@ type Config struct {
 	// Env is the environment to build on (default: a fresh one, which
 	// Prepare closes again if the build fails).
 	Env *sim.Env
-	// Instruments are attached to the kernel and to every layer at Start,
-	// and again to the rebooted rig by Recover.
+	// Instruments are attached to the kernel and to every layer at Start;
+	// Recover hands the rebooted rig the Tracer and Recorder again (see
+	// RecoverOn).
 	Instruments Instruments
 }
 
@@ -240,9 +241,18 @@ func (r *Rig) Recover(opts trail.RecoverOptions) (*Rig, *trail.RecoverReport, er
 // restarts with the crashed rig's own Config. A baseline rig has no recovery
 // pass and a nil report. When opts.SkipWriteBack leaves records pending, no
 // driver can start: the rig is nil and only the report is returned.
+//
+// Of the crashed rig's Instruments the restarted system keeps the Tracer and
+// the Recorder only. The Registry and the Timeline belong to the crashed
+// world: its series and lanes are registered under the names the restarted
+// layers would use, the registry's read functions were released when the
+// crashed environment closed, and the timeline runs on the old clock. A
+// caller who wants the recovered rig observed calls AttachKernel on env and
+// Attach on the returned rig with a fresh bundle.
 func (r *Rig) RecoverOn(env *sim.Env, opts trail.RecoverOptions) (*Rig, *trail.RecoverReport, error) {
 	n := &Rig{Env: env, LogDisk: r.LogDisk, LogDisks: r.LogDisks, DataDisks: r.DataDisks, Plans: r.Plans, cfg: r.cfg}
 	n.cfg.Env = env
+	n.cfg.Instruments = Instruments{Tracer: r.cfg.Instruments.Tracer, Recorder: r.cfg.Instruments.Recorder}
 	for _, d := range n.LogDisks {
 		d.Reattach(env)
 	}

@@ -191,6 +191,62 @@ func TestZeroInstrumentsAttachNothing(t *testing.T) {
 	}
 }
 
+// A rig observed by the full bundle crashes and recovers without
+// re-registering the crashed world's series and lanes: the registry exports
+// after Recover what it exported at Crash, and the rebooted rig still
+// records into the carried-over Tracer and Recorder.
+func TestRecoverObservedRig(t *testing.T) {
+	for _, cfg := range []Config{{}, {Baseline: sched.LOOK}} {
+		cfg.LogDisk, cfg.DataDisk = smallLog(), smallData()
+		cfg.Instruments = Instruments{Tracer: trace.New(0), Recorder: span.NewRecorder(0),
+			Timeline: timeline.New(time.Millisecond), Registry: telemetry.NewRegistry()}
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const writes = 20
+		r.Go("client", func(p *sim.Proc) {
+			for i := 0; i < writes; i++ {
+				if err := r.Dev(0).Write(p, int64(i)*64, 4, block(i)); err != nil {
+					t.Errorf("write %d: %v", i, err)
+					return
+				}
+			}
+		})
+		r.Run()
+		r.Crash()
+		export := func() string {
+			var b bytes.Buffer
+			if err := cfg.Instruments.Registry.WriteProm(&b); err != nil {
+				t.Fatal(err)
+			}
+			return b.String()
+		}
+		atCrash := export()
+		n, _, err := r.Recover(trail.RecoverOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := export(); got != atCrash {
+			t.Errorf("baseline=%v: registry export moved across Recover:\nat crash:\n%s\nafter:\n%s", cfg.Baseline != 0, atCrash, got)
+		}
+		if in := n.cfg.Instruments; in.Registry != nil || in.Timeline != nil || in.Tracer != cfg.Instruments.Tracer || in.Recorder != cfg.Instruments.Recorder {
+			t.Errorf("baseline=%v: rebooted rig carries %+v", cfg.Baseline != 0, in)
+		}
+		events, requests := cfg.Instruments.Tracer.Len(), len(cfg.Instruments.Recorder.Requests())
+		n.Go("reader", func(p *sim.Proc) {
+			if _, err := n.Dev(0).Read(p, 0, 4); err != nil {
+				t.Error(err)
+			}
+		})
+		n.Run()
+		n.Close()
+		if cfg.Instruments.Tracer.Len() == events || len(cfg.Instruments.Recorder.Requests()) == requests {
+			t.Errorf("baseline=%v: the rebooted rig's read reached neither the tracer nor the recorder", cfg.Baseline != 0)
+		}
+	}
+}
+
 // The two-phase build: data put on the drives through instant devices after
 // Prepare (running the environment to do so) is what Dev(i) reads after Start.
 func TestPopulateBeforeStart(t *testing.T) {

@@ -74,7 +74,13 @@ func (e *Env) KernelStats() KernelStats {
 // deterministic virtual-time state, so any export of reg is safe for
 // two-run byte compares. A nil registry detaches the histogram and
 // registers nothing — the instrumented hot path costs one nil check.
+//
+// reg becomes the registry Close releases (telemetry.Registry.Release), so
+// every func-backed series on it — the kernel's and every layer's — stops
+// referencing its component when this environment closes. A nil registry
+// unbinds it.
 func (e *Env) SetMetrics(reg *telemetry.Registry) {
+	e.reg = reg
 	e.mDispatchDepth = reg.Histogram(
 		telemetry.Prefix+"sim_dispatch_queue_depth",
 		"Event-queue depth observed at each dispatch.",

@@ -109,10 +109,12 @@ type Env struct {
 	// kstats counts the kernel's own work (see kernelstats.go). Always on:
 	// the counters are deterministic functions of the event schedule.
 	// mDispatchDepth, when non-nil, receives the queue depth at each
-	// dispatch (attached via SetMetrics).
+	// dispatch (attached via SetMetrics); reg is the registry SetMetrics
+	// bound, released by Close.
 	//lint:allow snapshotguard kstats is host-side self-observability, deliberately outside the replay fingerprint (restore is verify-by-byte-compare)
 	kstats         KernelStats
 	mDispatchDepth *telemetry.Histogram
+	reg            *telemetry.Registry
 	// tlDispatch, when non-nil, counts dispatched events per virtual-time
 	// bucket (attached via SetTimeline).
 	tlDispatch *timeline.Mark
@@ -136,7 +138,8 @@ func (e *Env) Now() Time { return e.now }
 
 // SetTracer attaches (or with nil, detaches) an event tracer. The kernel
 // emits process schedule/block events; tracing is purely observational and
-// never changes virtual-time behaviour.
+// never changes virtual-time behaviour. Close releases the tracer's drive
+// probes (trace.Tracer.Release).
 func (e *Env) SetTracer(tr *trace.Tracer) { e.tracer = tr }
 
 // SetTimeline attaches the kernel's own dispatch activity to a
@@ -329,9 +332,12 @@ func (e *Env) transfer(n *Proc) {
 	n.resume <- struct{}{}
 }
 
-// Close unwinds every live process so no goroutines are leaked. After Close
-// the environment must not be used. It is safe to call from the goroutine
-// that called Run (not from inside a simulated process).
+// Close unwinds every live process so no goroutines are leaked, then
+// releases the instruments bound by SetTracer and SetMetrics so that neither
+// references the world afterwards: the tracer drops its drives' head probes,
+// and the registry's func-backed series keep the values they read here.
+// After Close the environment must not be used. It is safe to call from the
+// goroutine that called Run (not from inside a simulated process).
 func (e *Env) Close() {
 	if e.run.closed {
 		return
@@ -348,6 +354,8 @@ func (e *Env) Close() {
 	e.procs = map[int64]*Proc{}
 	e.queue = nil
 	e.liveQueued = 0
+	e.tracer.Release()
+	e.reg.Release()
 }
 
 // yield gives up control from the running process p, whose caller has

@@ -16,6 +16,12 @@
 //     (events/sec, ns/event, allocs/event — see wall.go) never enter a
 //     Registry, so every registry export is safe to include in the two-run
 //     byte-compare CI jobs.
+//  4. A registry references the world it observes only until the sim.Env
+//     bound by Env.SetMetrics closes. Func-backed series (CounterFunc,
+//     GaugeFunc, CounterFuncs) close over the components they read; Close
+//     calls Release, which freezes each at its last value and drops the
+//     function, so a caller that keeps the registry past Close keeps its
+//     exports and not the drives, queues and staging behind them.
 //
 // The package also holds the module's one counter-set type, Counts: the
 // sorted "name=value" snapshot every layer's Stats renders reports from, and
@@ -72,12 +78,14 @@ type metric struct {
 	typ    metricType
 	labels []Label // keys sanitized, sorted
 
-	// Exactly one of the following backs the series.
+	// Exactly one of the following backs the series, until Release turns a
+	// read function into the final value it read.
 	counter   *Counter
 	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() int64
 	gaugeFn   func() float64
+	final     float64
 }
 
 // value reads the series' current value (counters and gauges only).
@@ -92,7 +100,7 @@ func (m *metric) value() float64 {
 	case m.gaugeFn != nil:
 		return m.gaugeFn()
 	default:
-		return 0
+		return m.final
 	}
 }
 
@@ -208,6 +216,25 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	h := newHistogram(buckets)
 	r.add(newMetric(name, help, typeHistogram, labels, h))
 	return h
+}
+
+// Release reads every function-backed series once, keeps what it read as the
+// series' final value, and drops the function — and with it the reference to
+// the component the function read. Exports before and after print the same
+// bytes; handle-backed series are untouched and keep exporting their live
+// values. sim.Env.Close calls it on the registry SetMetrics bound, so a
+// registry references its world only until that world is closed. Releasing
+// twice, or a nil registry, is a no-op.
+func (r *Registry) Release() {
+	if r == nil {
+		return
+	}
+	for _, m := range r.metrics {
+		if m.counterFn != nil || m.gaugeFn != nil {
+			m.final = m.value()
+			m.counterFn, m.gaugeFn = nil, nil
+		}
+	}
 }
 
 // sorted returns the registered series in deterministic exposition order:

@@ -150,6 +150,62 @@ func TestFuncMetricsReadLive(t *testing.T) {
 	}
 }
 
+// Release freezes every func-backed series at the value it reads and never
+// calls the function again; both exports print the same bytes before and
+// after, for every series kind. Handle-backed series stay live, and a second
+// Release, like Release on a nil registry, changes nothing.
+func TestReleaseKeepsExports(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("ops", "h", Label{Key: "disk", Value: "log0"})
+	g := r.Gauge("depth", "h")
+	h := r.Histogram("lat", "h", []float64{1, 10})
+	c.Add(3)
+	g.Set(2.5)
+	h.Observe(4)
+	n, depth, calls := int64(7), 0.75, 0
+	r.CounterFunc("events", "h", func() int64 { calls++; return n })
+	r.GaugeFunc("queue", "h", func() float64 { calls++; return depth })
+	r.CounterFuncs(func() Counts { calls++; return Counts{"writes": n, "reads": 2 * n} }, Label{Key: "disk", Value: "data0"})
+	exports := func() (prom, json string) {
+		var p, j strings.Builder
+		if err := r.WriteProm(&p); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		return p.String(), j.String()
+	}
+	prom, json := exports()
+
+	r.Release()
+	n, depth, calls = 100, 9, 0
+	for round := 1; round <= 2; round++ {
+		if p, j := exports(); p != prom || j != json {
+			t.Errorf("release %d changed the exports:\nprom before:\n%s\nafter:\n%s\njson before:\n%s\nafter:\n%s", round, prom, p, json, j)
+		}
+		if calls != 0 {
+			t.Errorf("release %d: read functions called %d times after Release", round, calls)
+		}
+		r.Release()
+	}
+	var nilReg *Registry
+	nilReg.Release()
+
+	c.Inc()
+	g.Set(-1)
+	h.Observe(20)
+	vals := mustParse(t, r)
+	for key, want := range map[string]float64{
+		`ops{disk="log0"}`: 4, "depth": -1, "lat_count": 2, "lat_sum": 24,
+		"events": 7, "queue": 0.75, `tracklog_writes_total{disk="data0"}`: 7,
+	} {
+		if vals[key] != want {
+			t.Errorf("%s = %v after Release, want %v", key, vals[key], want)
+		}
+	}
+}
+
 func mustParse(t *testing.T, r *Registry) map[string]float64 {
 	t.Helper()
 	var sb strings.Builder

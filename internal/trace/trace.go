@@ -224,6 +224,18 @@ func (t *Tracer) RegisterProbe(track string, p HeadProbe) {
 	t.probes[track] = p
 }
 
+// Release drops every registered probe. A probe closes over the drive it
+// reads, so a tracer kept after its world is gone would keep the drives;
+// sim.Env.Close calls Release on the tracer SetTracer bound. Buffered events
+// and the audit so far are kept, and a drive attached afterwards (a rebooted
+// rig's) registers its probe again.
+func (t *Tracer) Release() {
+	if t == nil {
+		return
+	}
+	clear(t.probes)
+}
+
 // RecordPrediction audits one Trail landing-sector prediction: the driver
 // predicted that a write starting its media phase at `at` should land on
 // sector `target` of track (cyl, head) of device `track`. The tracer asks

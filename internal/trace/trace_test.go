@@ -19,6 +19,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Emit(Event{At: 1, Kind: KSeek, Track: "d"})
 	tr.RegisterProbe("d", func(at int64, cyl, head, target int) (int64, int, int) { return 0, 0, 0 })
 	tr.RecordPrediction("d", 0, 0, 0, 0)
+	tr.Release()
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatalf("nil tracer has state: len=%d dropped=%d", tr.Len(), tr.Dropped())
 	}
@@ -138,6 +139,15 @@ func TestAuditScoring(t *testing.T) {
 	rep.SlackHist[1] = 999
 	if tr.Audit().SlackHist[1] != 3 {
 		t.Fatal("AuditReport aliases tracer state")
+	}
+	// Release drops the probe and keeps what was gathered: a later
+	// prediction on the device goes unaudited.
+	events := tr.Len()
+	tr.Release()
+	tr.RecordPrediction("log0", 5, 0, 0, 10)
+	if rep := tr.Audit(); rep.Predictions != 4 || rep.Unaudited != 2 || tr.Len() != events {
+		t.Fatalf("after Release: %d predictions, %d unaudited, %d events; want 4, 2, %d",
+			rep.Predictions, rep.Unaudited, tr.Len(), events)
 	}
 }
 

@@ -7,14 +7,17 @@ import (
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
 	"tracklog/internal/geom"
+	"tracklog/internal/sched"
 	"tracklog/internal/sim"
+	"tracklog/internal/stddisk"
 )
 
 // The Trail driver's rungs of the per-layer benchmark ladder (ROADMAP): host
 // cost of sealing one record image, and of one 4 KB synchronous write whose
 // write-back drains before the next, so that no cost depends on a backlog —
 // the shapes of the benchmark's trail.build_record and trail.write_drained
-// probes. Run with
+// probes — and of recovering a crashed backlog, trail_burst's recovery in
+// small. Run with
 //
 //	go test -run '^$' -bench . -benchmem ./internal/trail
 
@@ -82,4 +85,82 @@ func BenchmarkWriteDrained4K(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	env.Run()
+}
+
+// Recovery of ~1 000 pending records on the paper's drives: four writers cut
+// off at their last acknowledgement, then locate, rebuild and write-back onto
+// a LOOK-scheduled data disk. Each iteration reboots the same crashed media;
+// the crashed log header is put back between iterations, untimed, and every
+// iteration must find the same records. SetBytes is the data the driver had
+// outstanding at the cut.
+func BenchmarkRecoverBacklog(b *testing.B) {
+	const writers, perWriter = 4, 1000
+	env := sim.NewEnv()
+	log := disk.New(env, disk.ST41601N())
+	if err := Format(log); err != nil {
+		b.Fatal(err)
+	}
+	data := disk.New(env, disk.WDCaviar())
+	drv, err := NewDriver(env, log, []*disk.Disk{data}, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := drv.Dev(0)
+	blocks := uint64(dev.Sectors()/benchSectors - 1)
+	acks := 0
+	for w := 0; w < writers; w++ {
+		env.Go("writer", func(p *sim.Proc) {
+			buf := make([]byte, benchSectors*geom.SectorSize)
+			for i := 0; i < perWriter; i++ {
+				lba := int64(uint64(w*perWriter+i+1)*0x9E3779B97F4A7C15%blocks) * benchSectors
+				if err := dev.Write(p, lba, benchSectors, buf); err != nil {
+					b.Error(err)
+					return
+				}
+				acks++
+			}
+		})
+	}
+	for acks < writers*perWriter && !b.Failed() {
+		env.RunUntil(env.Now().Add(time.Millisecond))
+	}
+	pending := drv.OutstandingRecords()
+	env.Close()
+	crashed, err := ReadHeader(log)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.SetBytes(int64(pending) * benchSectors * geom.SectorSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	found := 0
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnv()
+		log.Reattach(env)
+		data.Reattach(env)
+		id := blockdev.DevID{Major: 8}
+		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env, data, id, sched.LOOK)}
+		var rep *RecoverReport
+		env.Go("recovery", func(p *sim.Proc) {
+			rep, err = Recover(p, log, devs, RecoverOptions{})
+		})
+		env.Run()
+		env.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			found = rep.RecordsFound
+		}
+		if rep.Clean || rep.RecordsFound != found {
+			b.Fatalf("iteration %d recovered %d records, the first %d", i, rep.RecordsFound, found)
+		}
+		b.StopTimer()
+		hdr := *crashed
+		if err := writeHeaderAll(log, &hdr); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

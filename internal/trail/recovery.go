@@ -207,18 +207,17 @@ type loadedRecord struct {
 // is skipped, leaving zeroes in its place — zero bytes can never decode as a
 // record header, and any record image spanning the hole fails its CRC, so
 // the scan treats the damage as torn space rather than aborting recovery.
+// Each read lands in the image directly: Access never writes the sector that
+// failed, so the hole stays zero.
 func readTrackSalvage(p *sim.Proc, log *disk.Disk, base int64, spt int, rep *RecoverReport) ([]byte, error) {
 	out := make([]byte, spt*geom.SectorSize)
 	lba := base
 	end := base + int64(spt)
 	retries := 0
 	for lba < end {
-		req := disk.Request{LBA: lba, Count: int(end - lba)}
+		req := disk.Request{LBA: lba, Count: int(end - lba), Data: out[(lba-base)*geom.SectorSize:]}
 		res := log.Access(p, &req)
-		if res.Transferred > 0 {
-			copy(out[(lba-base)*geom.SectorSize:], req.Data[:res.Transferred*geom.SectorSize])
-			lba += int64(res.Transferred)
-		}
+		lba += int64(res.Transferred)
 		switch {
 		case res.Err == nil:
 			// Full extent transferred; the loop condition ends the scan.
@@ -365,13 +364,19 @@ func locateYoungest(p *sim.Proc, log *disk.Disk, g *geom.Geometry, usable []int,
 // rebuildChain walks prev_sect pointers from the youngest record back to
 // its log_head (or the epoch start), loading each pending record.
 // Consecutive records cluster on a few tracks, so the walk reads whole
-// tracks and caches them rather than issuing two small reads per record.
+// tracks rather than issuing two small reads per record, and holds one: the
+// image of the track it is on (§3.3 reads the log a track at a time). A
+// pending chain never returns to a track it has left — a track is reused
+// only after its records are written back — so the window loses nothing.
+// The one walk that can return is the IgnoreLogHead ablation on a log that
+// wrapped within its epoch; it reads that track again and finds the same
+// bytes.
 func rebuildChain(p *sim.Proc, log *disk.Disk, epoch uint32, youngest *loadedRecord, ignoreLogHead bool, rep *RecoverReport) ([]*loadedRecord, int, error) {
 	stopLBA := youngest.hdr.LogHead
 	records := []*loadedRecord{youngest}
 	torn := 0
 	cur := youngest
-	cache := make(map[int][]byte) // track index -> full-track image
+	win := trackWindow{track: -1}
 	for {
 		if !ignoreLogHead && cur.hdr.HeaderLBA == stopLBA {
 			break // reached the oldest uncommitted record
@@ -380,7 +385,7 @@ func rebuildChain(p *sim.Proc, log *disk.Disk, epoch uint32, youngest *loadedRec
 		if prev < 0 {
 			break // first record of the epoch
 		}
-		rec, err := loadRecord(p, log, prev, epoch, cache, rep)
+		rec, err := loadRecord(p, log, prev, epoch, &win, rep)
 		if errors.Is(err, ErrNotRecord) || errors.Is(err, ErrTornRecord) {
 			if errors.Is(err, ErrTornRecord) {
 				torn++
@@ -396,22 +401,27 @@ func rebuildChain(p *sim.Proc, log *disk.Disk, epoch uint32, youngest *loadedRec
 	return records, torn, nil
 }
 
-// loadRecord reads and validates one record at the given header LBA,
-// reading (and caching) the full track that holds it.
-func loadRecord(p *sim.Proc, log *disk.Disk, headerLBA int64, epoch uint32, cache map[int][]byte, rep *RecoverReport) (*loadedRecord, error) {
+// trackWindow is the one full-track image the chain walk holds: track is its
+// index, or -1 before the first read.
+type trackWindow struct {
+	track int
+	img   []byte
+}
+
+// loadRecord reads and validates one record at the given header LBA, from
+// win when the record lies on its track, else from a fresh read of the full
+// track that holds it, which becomes the window.
+func loadRecord(p *sim.Proc, log *disk.Disk, headerLBA int64, epoch uint32, win *trackWindow, rep *RecoverReport) (*loadedRecord, error) {
 	g := log.Geom()
 	a := g.ToCHS(headerLBA)
-	track := g.TrackIndex(a.Cyl, a.Head)
-	img, ok := cache[track]
-	if !ok {
-		spt := g.SPTAt(a.Cyl)
-		var err error
-		img, err = readTrackSalvage(p, log, g.TrackStartLBA(a.Cyl, a.Head), spt, rep)
+	if track := g.TrackIndex(a.Cyl, a.Head); track != win.track {
+		img, err := readTrackSalvage(p, log, g.TrackStartLBA(a.Cyl, a.Head), g.SPTAt(a.Cyl), rep)
 		if err != nil {
 			return nil, err
 		}
-		cache[track] = img
+		win.track, win.img = track, img
 	}
+	img := win.img
 	off := a.Sector * geom.SectorSize
 	hdr, err := DecodeRecordHeader(img[off : off+geom.SectorSize])
 	if err != nil {

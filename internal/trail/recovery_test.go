@@ -345,3 +345,64 @@ func TestRecoveredDataMatchesExactPayload(t *testing.T) {
 		t.Error("recovered payload differs from written payload")
 	}
 }
+
+// salvageFaults times out the first command and fails every read of one
+// sector with a media error.
+type salvageFaults struct {
+	bad      int64
+	timedOut bool
+}
+
+func (f *salvageFaults) CommandFault(sim.Time, bool, int64, int) disk.CommandFault {
+	if f.timedOut {
+		return disk.CommandFault{}
+	}
+	f.timedOut = true
+	return disk.CommandFault{Err: blockdev.ErrTimeout}
+}
+
+func (f *salvageFaults) SectorFault(_ sim.Time, write bool, lba int64) error {
+	if !write && lba == f.bad {
+		return blockdev.ErrMediaError
+	}
+	return nil
+}
+
+func (f *salvageFaults) SectorWritten(int64) {}
+
+// A track read salvages around failures in place: the timed-out command is
+// retried, the unreadable sector stays zero, and every other sector —
+// including those the reads after the hole bring in — sits at its own offset
+// in the image.
+func TestReadTrackSalvageKeepsSectorOffsets(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	log := disk.New(env, testLogParams())
+	g := log.Geom()
+	base, spt := g.TrackStartLBA(3, 1), g.SPTAt(3)
+	want := make([]byte, spt*geom.SectorSize)
+	for i := range want {
+		want[i] = byte(i/geom.SectorSize + 1)
+	}
+	log.MediaWrite(base, want)
+	bad := spt / 3
+	clear(want[bad*geom.SectorSize : (bad+1)*geom.SectorSize])
+	log.SetInjector(&salvageFaults{bad: base + int64(bad)})
+
+	rep := &RecoverReport{}
+	var img []byte
+	var err error
+	env.Go("scan", func(p *sim.Proc) { img, err = readTrackSalvage(p, log, base, spt, rep) })
+	env.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < spt; s++ {
+		if got := img[s*geom.SectorSize : (s+1)*geom.SectorSize]; !bytes.Equal(got, want[s*geom.SectorSize:(s+1)*geom.SectorSize]) {
+			t.Fatalf("sector %d of the image holds %#x..., want %#x...", s, got[0], want[s*geom.SectorSize])
+		}
+	}
+	if rep.RetriedReads != 1 || rep.MediaErrorSectors != 1 {
+		t.Errorf("%d retried reads, %d media-error sectors; want 1 and 1", rep.RetriedReads, rep.MediaErrorSectors)
+	}
+}
