@@ -5,7 +5,6 @@
 package bufcache
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 
@@ -27,7 +26,8 @@ type Page struct {
 	Data  []byte
 	dirty bool
 	pins  int
-	elem  *list.Element
+	// prev and next link the page into its cache's LRU ring.
+	prev, next *Page
 }
 
 // Stats counts cache activity.
@@ -44,8 +44,10 @@ type Cache struct {
 	dev      blockdev.Device
 	capacity int
 	pages    map[int64]*Page
-	lru      *list.List // front = most recent
-	stats    Stats
+	// lru is the sentinel of a ring of the resident pages: lru.next is the
+	// most recently used, lru.prev the least.
+	lru   Page
+	stats Stats
 }
 
 // New returns a cache of capacity pages over dev.
@@ -53,12 +55,9 @@ func New(dev blockdev.Device, capacity int) *Cache {
 	if capacity < 1 {
 		panic("bufcache: capacity must be >= 1")
 	}
-	return &Cache{
-		dev:      dev,
-		capacity: capacity,
-		pages:    make(map[int64]*Page),
-		lru:      list.New(),
-	}
+	c := &Cache{dev: dev, capacity: capacity, pages: make(map[int64]*Page)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Capacity returns the cache size in pages.
@@ -79,7 +78,7 @@ func (c *Cache) Get(p *sim.Proc, id int64) (*Page, error) {
 	if pg, ok := c.pages[id]; ok {
 		c.stats.Hits++
 		pg.pins++
-		c.lru.MoveToFront(pg.elem)
+		c.touch(pg)
 		return pg, nil
 	}
 	c.stats.Misses++
@@ -94,11 +93,11 @@ func (c *Cache) Get(p *sim.Proc, id int64) (*Page, error) {
 	// page in meanwhile.
 	if pg, ok := c.pages[id]; ok {
 		pg.pins++
-		c.lru.MoveToFront(pg.elem)
+		c.touch(pg)
 		return pg, nil
 	}
 	pg := &Page{ID: id, Data: data, pins: 1}
-	pg.elem = c.lru.PushFront(pg)
+	c.touch(pg)
 	c.pages[id] = pg
 	return pg, nil
 }
@@ -108,14 +107,14 @@ func (c *Cache) Get(p *sim.Proc, id int64) (*Page, error) {
 func (c *Cache) GetZero(p *sim.Proc, id int64) (*Page, error) {
 	if pg, ok := c.pages[id]; ok {
 		pg.pins++
-		c.lru.MoveToFront(pg.elem)
+		c.touch(pg)
 		return pg, nil
 	}
 	if err := c.makeRoom(p); err != nil {
 		return nil, err
 	}
 	pg := &Page{ID: id, Data: make([]byte, PageSize), pins: 1}
-	pg.elem = c.lru.PushFront(pg)
+	c.touch(pg)
 	c.pages[id] = pg
 	return pg, nil
 }
@@ -133,7 +132,7 @@ func (c *Cache) makeRoom(p *sim.Proc) error {
 			}
 		}
 		c.stats.Evictions++
-		c.lru.Remove(victim.elem)
+		victim.unlink()
 		delete(c.pages, victim.ID)
 	}
 	return nil
@@ -141,13 +140,29 @@ func (c *Cache) makeRoom(p *sim.Proc) error {
 
 // lruVictim returns the least recently used unpinned page, or nil.
 func (c *Cache) lruVictim() *Page {
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		pg := e.Value.(*Page)
+	for pg := c.lru.prev; pg != &c.lru; pg = pg.prev {
 		if pg.pins == 0 {
 			return pg
 		}
 	}
 	return nil
+}
+
+// touch makes pg, resident or new, the most recently used page.
+func (c *Cache) touch(pg *Page) {
+	pg.unlink()
+	pg.prev, pg.next = &c.lru, c.lru.next
+	c.lru.next.prev, c.lru.next = pg, pg
+}
+
+// unlink takes pg off its LRU ring, if it is on one: two processes may evict
+// the same page when its write-back yields.
+func (pg *Page) unlink() {
+	if pg.next == nil {
+		return
+	}
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil
 }
 
 func (c *Cache) writePage(p *sim.Proc, pg *Page) error {

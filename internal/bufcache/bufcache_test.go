@@ -242,3 +242,62 @@ func TestConcurrentFaultsSamePage(t *testing.T) {
 		t.Error("same page faulted into multiple frames")
 	}
 }
+
+// TestMissAllocations: a miss in a full cache evicts a page and faults one in
+// without allocating anything beyond the new page and the data its device
+// returns; the LRU links live in the pages.
+func TestMissAllocations(t *testing.T) {
+	env, _, d := newRig(1)
+	defer env.Close()
+	c := New(disk.NewInstantDev(d, blockdev.DevID{Major: 3}), 4)
+	var perMiss float64
+	run(env, func(p *sim.Proc) {
+		id := int64(0)
+		perMiss = testing.AllocsPerRun(100, func() {
+			pg, err := c.Get(p, id%50)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c.Release(pg)
+			id++
+		})
+	})
+	if s := c.Stats(); s.Hits != 0 || s.Evictions != s.Misses-4 {
+		t.Fatalf("stats %+v, want every Get a miss that evicts", s)
+	}
+	if perMiss > 2 {
+		t.Errorf("a miss allocates %v times, want <= 2 (the page and its data)", perMiss)
+	}
+}
+
+// TestConcurrentEvictionOfOneDirtyPage: two misses in a full cache pick the
+// same dirty victim and both write it back; the write yields, so the second
+// to resume finds the victim already evicted.
+func TestConcurrentEvictionOfOneDirtyPage(t *testing.T) {
+	env, c, d := newRig(1)
+	defer env.Close()
+	run(env, func(p *sim.Proc) {
+		pg, _ := c.Get(p, 1)
+		pg.Data[0] = 0x55
+		c.MarkDirty(pg)
+		c.Release(pg)
+	})
+	for _, id := range []int64{2, 3} {
+		env.Go("miss", func(p *sim.Proc) {
+			pg, err := c.Get(p, id)
+			if err != nil {
+				t.Errorf("get %d: %v", id, err)
+				return
+			}
+			c.Release(pg)
+		})
+	}
+	env.Run()
+	if got := d.MediaRead(PageSectors, 1); got[0] != 0x55 {
+		t.Error("dirty page not written back")
+	}
+	if s := c.Stats(); s.DirtyWrites != 2 || s.Evictions != 2 {
+		t.Errorf("stats %+v, want both misses to write and evict the one victim", s)
+	}
+}

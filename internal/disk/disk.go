@@ -599,7 +599,7 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 				}
 			}
 			if req.Write {
-				d.media.write(cur, buf[off:off+geom.SectorSize])
+				copy(d.media.at(cur)[:], buf[off:off+geom.SectorSize])
 				if d.inj != nil {
 					d.inj.SectorWritten(cur)
 				}
@@ -665,13 +665,13 @@ func (d *Disk) accumulate(req *Request, res Result) {
 	d.stats.TransferTime += res.Transfer
 }
 
-// sectorStore holds a drive's written sectors: one 512-byte slice per LBA,
+// sectorStore holds a drive's written sectors, one 512-byte array per LBA,
 // carved out of shared slabs so that a new sector costs a map insert, not an
 // allocation. Sectors are never freed singly (MediaZero drops the whole
 // store), so a slab lives exactly as long as the drive contents it backs.
 type sectorStore struct {
-	sectors map[int64][]byte
-	spare   []byte // unused tail of the newest slab
+	sectors map[int64]*[geom.SectorSize]byte
+	spare   [][geom.SectorSize]byte // unused tail of the newest slab
 }
 
 // Slab bounds, in sectors. A slab is as large as the store already is, within
@@ -681,36 +681,27 @@ type sectorStore struct {
 const minSlabSectors, maxSlabSectors = 8, 128
 
 func newSectorStore(sizeHint int) sectorStore {
-	return sectorStore{sectors: make(map[int64][]byte, sizeHint)}
+	return sectorStore{sectors: make(map[int64]*[geom.SectorSize]byte, sizeHint)}
 }
 
-// write stores one sector at lba.
-func (s *sectorStore) write(lba int64, data []byte) {
-	if sec, ok := s.sectors[lba]; ok {
-		copy(sec, data)
-		return
+// at returns the sector at lba for writing, carving it out of the newest slab
+// the first time lba is written.
+func (s *sectorStore) at(lba int64) *[geom.SectorSize]byte {
+	sec := s.sectors[lba]
+	if sec == nil {
+		if len(s.spare) == 0 {
+			s.spare = make([][geom.SectorSize]byte, min(max(len(s.sectors), minSlabSectors), maxSlabSectors))
+		}
+		sec, s.spare = &s.spare[0], s.spare[1:]
+		s.sectors[lba] = sec
 	}
-	s.sectors[lba] = s.carve(data)
-}
-
-// carve copies one sector into the newest slab and returns it, for the
-// caller to file under its LBA.
-func (s *sectorStore) carve(data []byte) []byte {
-	if len(s.spare) == 0 {
-		n := min(max(len(s.sectors), minSlabSectors), maxSlabSectors)
-		s.spare = make([]byte, n*geom.SectorSize)
-	}
-	// Capacity capped so no append through one sector can reach the next.
-	sec := s.spare[:geom.SectorSize:geom.SectorSize]
-	s.spare = s.spare[geom.SectorSize:]
-	copy(sec, data)
 	return sec
 }
 
 // read copies the sector at lba into into; never-written sectors read zero.
 func (s *sectorStore) read(lba int64, into []byte) {
 	if sec, ok := s.sectors[lba]; ok {
-		copy(into, sec)
+		copy(into, sec[:])
 		return
 	}
 	clear(into)
@@ -734,7 +725,7 @@ func (d *Disk) MediaWrite(lba int64, data []byte) {
 		panic("disk: MediaWrite data not sector-aligned")
 	}
 	for i := 0; i < len(data)/geom.SectorSize; i++ {
-		d.media.write(lba+int64(i), data[i*geom.SectorSize:(i+1)*geom.SectorSize])
+		copy(d.media.at(lba + int64(i))[:], data[i*geom.SectorSize:(i+1)*geom.SectorSize])
 	}
 }
 

@@ -40,16 +40,18 @@ func (d *Disk) walk(c *snapshot.Codec) {
 	snapshot.I64(c, &d.stats.TransferTime)
 	snapshot.I64(c, &d.stats.Errors)
 
-	snapshot.SortedMap(c, &d.media.sectors, func(c *snapshot.Codec, lba int64, sec *[]byte) {
-		c.View(sec)
+	snapshot.SortedMap(c, &d.media.sectors, func(c *snapshot.Codec, lba int64, sec **[geom.SectorSize]byte) {
+		*sec = d.media.at(lba) // decoding: a sector of the receiver's own store
+		b := (*sec)[:]
+		c.View(&b)
 		switch {
 		case !c.Decoding() || c.Err() != nil:
-		case len(*sec) != geom.SectorSize:
-			c.Fail(fmt.Errorf("%w: sector %d has %d bytes", snapshot.ErrCorrupt, lba, len(*sec)))
+		case len(b) != geom.SectorSize:
+			c.Fail(fmt.Errorf("%w: sector %d has %d bytes", snapshot.ErrCorrupt, lba, len(b)))
 		case lba >= total:
 			c.Fail(fmt.Errorf("%w: sector %d outside drive", snapshot.ErrCorrupt, lba))
 		default:
-			*sec = d.media.carve(*sec)
+			copy((*sec)[:], b)
 		}
 	})
 }

@@ -54,27 +54,39 @@ func BenchmarkBuildRecord(b *testing.B) {
 	}
 }
 
-// One sparse writer on the paper's drives: caller's buffer to staging chunk,
-// chunk to record image, image to the log slab, chunk to the data slab.
-func BenchmarkWriteDrained4K(b *testing.B) {
+// paperRig is a Trail driver over the paper's drives, one log disk and one
+// data disk.
+func paperRig(tb testing.TB) (*sim.Env, *Driver) {
 	env := sim.NewEnv()
-	defer env.Close()
 	log := disk.New(env, disk.ST41601N())
 	if err := Format(log); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	data := disk.New(env, disk.WDCaviar())
-	drv, err := NewDriver(env, log, []*disk.Disk{data}, Config{})
+	drv, err := NewDriver(env, log, []*disk.Disk{disk.New(env, disk.WDCaviar())}, Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	dev := drv.Dev(0)
+	return env, drv
+}
+
+// spreadLBA scatters the i-th 4 KB block over dev deterministically.
+func spreadLBA(i int, dev *DataDev) int64 {
 	blocks := uint64(dev.Sectors()/benchSectors - 1)
+	return int64(uint64(i+1)*0x9E3779B97F4A7C15%blocks) * benchSectors
+}
+
+// One sparse writer on the paper's drives: caller's buffer to staging chunk,
+// chunk to record image, image to the log slab, chunk to the data slab. The
+// request's bookkeeping is recycled, so the staged chunk and a share of a
+// media slab are all a write allocates (TestRequestPathAllocations).
+func BenchmarkWriteDrained4K(b *testing.B) {
+	env, drv := paperRig(b)
+	defer env.Close()
+	dev := drv.Dev(0)
 	buf := make([]byte, benchSectors*geom.SectorSize)
 	env.Go("writer", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			lba := int64(uint64(i+1)*0x9E3779B97F4A7C15%blocks) * benchSectors
-			if err := dev.Write(p, lba, benchSectors, buf); err != nil {
+			if err := dev.Write(p, spreadLBA(i, dev), benchSectors, buf); err != nil {
 				b.Error(err)
 				return
 			}
@@ -85,6 +97,43 @@ func BenchmarkWriteDrained4K(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	env.Run()
+}
+
+// A staging hit on the paper's drives with a backlog of other staged 4 KB
+// extents beside the one read: the read walks the whole staging map
+// (stagedOver), so this is what that walk costs at an idle driver, a busy one,
+// and trail_burst's ~13 000 entries at the cut.
+func BenchmarkReadStaged(b *testing.B) {
+	for _, bl := range []struct {
+		name    string
+		backlog int
+	}{{"0", 0}, {"1k", 1000}, {"13k", 13000}} {
+		b.Run("backlog="+bl.name, func(b *testing.B) {
+			env, drv := paperRig(b)
+			defer env.Close()
+			dev := drv.Dev(0)
+			chunk := make([]byte, benchSectors*geom.SectorSize)
+			for i := 0; i <= bl.backlog; i++ {
+				lba := spreadLBA(i, dev)
+				drv.staging[bufKey{lba: lba, count: benchSectors}] = &bufEntry{data: chunk, lba: lba, count: benchSectors}
+			}
+			env.Go("reader", func(p *sim.Proc) {
+				for i := 0; i < b.N; i++ {
+					if _, err := dev.Read(p, spreadLBA(bl.backlog, dev), benchSectors); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.SetBytes(int64(len(chunk)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			env.Run()
+			if got := drv.Stats().ReadsFromStaging; got != int64(b.N) {
+				b.Fatalf("%d of %d reads served from staging", got, b.N)
+			}
+		})
+	}
 }
 
 // Recovery of ~1 000 pending records on the paper's drives: four writers cut

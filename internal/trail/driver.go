@@ -255,20 +255,22 @@ type logDisk struct {
 	busyCount  []int
 	spaceFreed *sim.Cond
 
-	// Head position prediction.
+	// Head position prediction; refBuf takes what a reference read returns.
 	pred       *Predictor
 	refCHS     geom.CHS
 	lastCmdEnd sim.Time
+	refBuf     []byte
 
 	// Per-disk record chain (prev_sect pointers stay on one disk so
 	// recovery can walk each disk independently).
-	outstanding   []*record
+	outstanding   sim.FIFO[*record]
 	lastRecordLBA int64
 
-	// img and blocks are the record image and block list of the one writer
-	// process this disk has: sealed in place, reused for every record.
+	// img, blocks and batch are this disk's one writer's record image (sealed
+	// in place), block list and batch: reused for every record.
 	img    []byte
 	blocks []BlockRef
+	batch  []*pendingWrite
 
 	writerBusy bool
 	// dead marks a log disk lost to blockdev.ErrDeviceFailed; its writer
@@ -322,6 +324,15 @@ type Driver struct {
 	// failed holds the terminal error once every log disk has died; all
 	// subsequent writes fail with it immediately.
 	failed error
+
+	// free is recycled request bookkeeping (DESIGN.md §4): memory, not state,
+	// so a snapshot carries none of it and a restored driver starts empty.
+	free struct {
+		writes  freeList[pendingWrite]
+		entries freeList[bufEntry]
+		records freeList[record]
+		reads   freeList[sched.Request]
+	}
 
 	// tr observes driver decisions when tracing is enabled (nil otherwise);
 	// dataNames are the tracer track names of the data disks.
@@ -410,6 +421,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 			spaceFreed:    sim.NewCond(env),
 			pred:          NewPredictor(lg.Params().RotPeriod()),
 			lastRecordLBA: -1,
+			refBuf:        make([]byte, geom.SectorSize),
 			img:           make([]byte, geom.SectorSize, (1+cfg.MaxBatchSectors)*geom.SectorSize),
 			blocks:        make([]BlockRef, 0, cfg.MaxBatchSectors),
 		}
@@ -538,7 +550,7 @@ func (d *Driver) DataQueue(idx int) *sched.Queue { return d.dataQueues[idx] }
 func (d *Driver) OutstandingRecords() int {
 	n := 0
 	for _, ld := range d.logs {
-		for _, r := range ld.outstanding {
+		for _, r := range ld.outstanding.Live() {
 			if !r.done {
 				n++
 			}
@@ -726,7 +738,8 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 		}
 		chunk := make([]byte, n*geom.SectorSize)
 		copy(chunk, data[off*geom.SectorSize:(off+n)*geom.SectorSize])
-		pw := &pendingWrite{
+		pw := d.free.writes.get()
+		*pw = pendingWrite{
 			devIdx:   devIdx,
 			lba:      lba + int64(off),
 			count:    n,
@@ -755,6 +768,7 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 		if pw.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("trail %v write: %w", d.devIDs[devIdx], pw.err)
 		}
+		d.free.writes.put(pw) // its writer is awake: nothing else holds it
 	}
 	return firstErr
 }
@@ -770,7 +784,8 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 	opts.Deadline = d.cfg.QoS.Deadline(p.Now(), opts.Deadline)
 	// The newest staged extent holding the whole request makes the platter
 	// irrelevant: serve it, with any newer overlapping extents laid on top.
-	over := d.stagedOver(devIdx, lba, count)
+	var spill [4]*bufEntry // room for the staged extents nearly every read overlaps
+	over := d.stagedOver(spill[:0], devIdx, lba, count)
 	for i := len(over) - 1; i >= 0; i-- {
 		if e := over[i]; e.lba <= lba && e.lba+int64(e.count) >= lba+int64(count) {
 			d.stats.ReadsFromStaging++
@@ -787,8 +802,10 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		rq = d.rec.Start(span.KRead, "trail", d.spanNames[devIdx], lba, count, cursor)
 	}
 	retryBudget := d.cfg.QoS.RetryBudget(opts.Class, maxReadRetries+1) - 1
+	req := d.free.reads.get()
+	defer d.free.reads.put(req) // runs once the result is taken
 	for attempt := 0; ; attempt++ {
-		req := &sched.Request{LBA: lba, Count: count, Deadline: opts.Deadline, Class: opts.Class}
+		*req = sched.Request{LBA: lba, Count: count, Deadline: opts.Deadline, Class: opts.Class}
 		d.dataQueues[devIdx].Do(p, req)
 		res := req.Result
 		rq.ChildAB(span.PQueue, cursor, int64(res.Start),
@@ -796,7 +813,7 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		if req.Err == nil {
 			rq.Command(span.FromResult(&res, d.dataDisks[devIdx].Params().RotPeriod()))
 			rq.Finish(int64(res.End), false)
-			overlay(req.Data, lba, d.stagedOver(devIdx, lba, count))
+			overlay(req.Data, lba, d.stagedOver(spill[:0], devIdx, lba, count))
 			return req.Data, nil
 		}
 		if blockdev.IsExpired(req.Err) {
@@ -840,10 +857,9 @@ func (d *Driver) recordStagingHit(p *sim.Proc, devIdx int, lba int64, count int)
 	rq.Finish(now, false)
 }
 
-// stagedOver returns the staged extents of dev overlapping [lba, lba+count),
-// oldest first: by stamp, whichever way the staging map iterates.
-func (d *Driver) stagedOver(devIdx int, lba int64, count int) []*bufEntry {
-	var over []*bufEntry
+// stagedOver appends to over the staged extents of dev overlapping [lba,
+// lba+count), oldest first: by stamp, whichever way the staging map iterates.
+func (d *Driver) stagedOver(over []*bufEntry, devIdx int, lba int64, count int) []*bufEntry {
 	for k, e := range d.staging {
 		if k.dev == devIdx && k.lba < lba+int64(count) && k.lba+int64(e.count) > lba {
 			over = append(over, e)
@@ -892,7 +908,7 @@ func (ld *logDisk) estimateMediaStart(now sim.Time) sim.Time {
 func (ld *logDisk) refRead(p *sim.Proc, sector int) disk.Result {
 	cyl, head, _ := ld.tailTrack()
 	lba := ld.g.TrackStartLBA(cyl, head) + int64(sector)
-	res := ld.disk.Access(p, &disk.Request{LBA: lba, Count: 1})
+	res := ld.disk.Access(p, &disk.Request{LBA: lba, Count: 1, Data: ld.refBuf})
 	ld.lastCmdEnd = res.End
 	if res.Err != nil {
 		ld.pred.Invalidate()
@@ -984,7 +1000,8 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
 	ld.usedOnTail = 0
 
 	cyl, head, nspt := ld.tailTrack()
-	ld.trackUsed = make([]bool, nspt)
+	ld.trackUsed = slices.Grow(ld.trackUsed[:0], nspt)[:nspt]
+	clear(ld.trackUsed)
 	landing := 0
 	if ld.pred.Valid() {
 		pp := ld.disk.Params()
@@ -1043,7 +1060,8 @@ func (d *Driver) logWriterLoop(p *sim.Proc, ld *logDisk) {
 		if run-1 < capacity {
 			capacity = run - 1
 		}
-		batch := d.takeBatch(p.Now(), capacity)
+		batch := d.takeBatch(p.Now(), capacity, ld.batch[:0])
+		ld.batch = batch
 		if len(batch) == 0 {
 			continue // another writer took the queue first (or it expired)
 		}
@@ -1120,12 +1138,11 @@ func (pw *pendingWrite) expired(now sim.Time) bool {
 	return pw.deadline != 0 && now >= pw.deadline
 }
 
-// takeBatch removes up to capacity data sectors' worth of requests from the
-// log queue (at least the first request, if any remain). Requests whose
-// deadline passed while queued are completed with ErrDeadlineExceeded and
-// never reach the log disk.
-func (d *Driver) takeBatch(now sim.Time, capacity int) []*pendingWrite {
-	var batch []*pendingWrite
+// takeBatch appends up to capacity data sectors' worth of requests from the
+// log queue to batch (at least the first request, if any remain). Requests
+// whose deadline passed while queued are completed with ErrDeadlineExceeded
+// and never reach the log disk.
+func (d *Driver) takeBatch(now sim.Time, capacity int, batch []*pendingWrite) []*pendingWrite {
 	total := 0
 	for d.logQ.Len() > 0 {
 		nxt := d.logQ.Live()[0]
@@ -1231,14 +1248,15 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	ld.pred.SetRef(res.End, ld.g, lastCHS)
 	ld.refCHS = lastCHS
 
-	rec := &record{
+	rec := d.free.records.get()
+	*rec = record{
 		seq:       hdr.Seq,
 		headerLBA: headerLBA,
 		log:       ld,
 		trackIdx:  ld.posIdx,
 		blocks:    total,
 	}
-	ld.outstanding = append(ld.outstanding, rec)
+	ld.outstanding.Push(rec)
 	ld.busyCount[ld.posIdx]++
 	ld.lastRecordLBA = headerLBA
 	for s := target; s < target+1+total; s++ {

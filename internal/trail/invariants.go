@@ -27,7 +27,7 @@ func (d *Driver) CheckInvariants() error {
 	live := map[trackKey]int{}
 	for li, ld := range d.logs {
 		var prevSeq uint64
-		for i, r := range ld.outstanding {
+		for i, r := range ld.outstanding.Live() {
 			if r.log != ld {
 				return fmt.Errorf("trail: record seq %d filed under wrong log disk", r.seq)
 			}

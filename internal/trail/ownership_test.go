@@ -119,7 +119,7 @@ func TestStageReplacesNeverMutates(t *testing.T) {
 	defer r.env.Close()
 	ld := r.drv.logs[0]
 	rec := &record{seq: 1, log: ld, blocks: 4}
-	ld.outstanding = append(ld.outstanding, rec)
+	ld.outstanding.Push(rec)
 	ld.busyCount[0]++
 	older, newer := fill(0x11, 2), fill(0x22, 2)
 	r.drv.stage(&pendingWrite{lba: 8, count: 2, data: older}, rec)

@@ -1,0 +1,347 @@
+package trail
+
+// Who owns a request's bookkeeping (DESIGN.md §4): pending writes, staging
+// entries, records and platter-read requests come off the driver's free lists
+// and go back where their lifecycle ends. These tests drive every list through
+// the rare paths of that lifecycle, and pin what a request still allocates.
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"tracklog/internal/blockdev"
+	"tracklog/internal/crashexplore"
+	"tracklog/internal/disk"
+	"tracklog/internal/geom"
+	"tracklog/internal/qos"
+	"tracklog/internal/sched"
+	"tracklog/internal/sim"
+	"tracklog/internal/stddisk"
+)
+
+// stepFault is a fault plan re-armed between steps: the next timeouts write
+// commands time out, every command finds the device failed once dead is set,
+// and a write reaching sector badLBA hits a media error.
+type stepFault struct {
+	timeouts int
+	dead     bool
+	badLBA   int64
+}
+
+func (f *stepFault) CommandFault(_ sim.Time, write bool, _ int64, _ int) disk.CommandFault {
+	switch {
+	case f.dead:
+		return disk.CommandFault{Err: fmt.Errorf("injected: %w", blockdev.ErrDeviceFailed)}
+	case f.timeouts > 0 && write:
+		f.timeouts--
+		return disk.CommandFault{Err: fmt.Errorf("injected: %w", blockdev.ErrTimeout), Delay: time.Millisecond}
+	}
+	return disk.CommandFault{}
+}
+
+func (f *stepFault) SectorWritten(int64) {}
+
+func (f *stepFault) SectorFault(_ sim.Time, write bool, lba int64) error {
+	if write && lba == f.badLBA {
+		return fmt.Errorf("injected at lba %d: %w", lba, blockdev.ErrMediaError)
+	}
+	return nil
+}
+
+// Slot s is the slotSectors-sector extent at LBA 64*s; version v of it is
+// crashexplore.Payload(s, v, slotSectors).
+const (
+	slots       = 16
+	slotSectors = 4
+)
+
+func slotLBA(s int) int64 { return int64(s * 64) }
+
+// ledger is a driver under test and the newest acknowledged version of every
+// slot. Each slot has at most one writer at a time, so acks arrive in version
+// order.
+type ledger struct {
+	t      *testing.T
+	env    *sim.Env
+	drv    *Driver
+	dev    *DataDev
+	issued [slots]int
+	acked  [slots]int
+}
+
+func newLedger(t *testing.T, env *sim.Env, drv *Driver) *ledger {
+	return &ledger{t: t, env: env, drv: drv, dev: drv.Dev(0)}
+}
+
+// burst starts one writer process per slot in ss, each writing the slot's
+// next n versions with opts, a gap apart. An acknowledged version becomes the
+// one every later read must return; a failed write is not acknowledged.
+func (l *ledger) burst(ss []int, n int, gap time.Duration, opts blockdev.Options) {
+	for _, s := range ss {
+		l.env.Go(fmt.Sprintf("slot-%d", s), func(p *sim.Proc) {
+			for range n {
+				l.issued[s]++
+				v := l.issued[s]
+				if l.dev.WriteOpts(p, slotLBA(s), slotSectors, crashexplore.Payload(s, v, slotSectors), opts) == nil {
+					l.acked[s] = v
+				}
+				p.Sleep(gap)
+			}
+		})
+	}
+}
+
+// check audits the driver after a step: its invariants hold, a read of every
+// slot returns exactly the newest acknowledged version, and every object on
+// its free lists is zero and listed once.
+func (l *ledger) check(step string) {
+	l.t.Helper()
+	if err := l.drv.CheckInvariants(); err != nil {
+		l.t.Fatalf("%s: %v", step, err)
+	}
+	l.env.Go("readback", func(p *sim.Proc) {
+		for s := range slots {
+			buf, err := l.dev.Read(p, slotLBA(s), slotSectors)
+			if err != nil {
+				l.t.Errorf("%s: read slot %d: %v", step, s, err)
+				continue
+			}
+			if v, ok := crashexplore.ParseVersion(buf, s, slotSectors); !ok || v != l.acked[s] {
+				l.t.Errorf("%s: slot %d reads version %d (consistent %v), newest acknowledged is %d", step, s, v, ok, l.acked[s])
+			}
+		}
+	})
+	l.env.Run()
+	auditFree(l.t, step, l.drv)
+}
+
+// auditFree fails t unless every object on d's free lists is zero and listed
+// once.
+func auditFree(t *testing.T, step string, d *Driver) {
+	t.Helper()
+	auditList(t, step+": pending writes", &d.free.writes)
+	auditList(t, step+": staging entries", &d.free.entries)
+	auditList(t, step+": records", &d.free.records)
+	auditList(t, step+": read requests", &d.free.reads)
+}
+
+func auditList[T any](t *testing.T, what string, l *freeList[T]) {
+	t.Helper()
+	seen := map[*T]bool{}
+	for _, x := range l.free.Live() {
+		if seen[x] {
+			t.Errorf("%s: %p is on the free list twice", what, x)
+		}
+		seen[x] = true
+		if !reflect.ValueOf(x).Elem().IsZero() {
+			t.Errorf("%s: free %p is not zero", what, x)
+		}
+	}
+}
+
+// TestRecycledBookkeepingSurvivesRarePaths takes one driver through the paths
+// where a pooled object's lifecycle ends early or runs twice: a version
+// acknowledged while the previous one is being written back, a write-back
+// abandoned on a media fault (its record references go back on the entry), a
+// write whose deadline passes in the log queue, log writes retried and
+// requeued until one writer's retry budget runs out, and every log disk
+// failing under queued writes. A second driver is cut off by a power failure
+// mid-burst and recovered.
+func TestRecycledBookkeepingSurvivesRarePaths(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	log := disk.New(env, testLogParams())
+	if err := Format(log); err != nil {
+		t.Fatal(err)
+	}
+	slow := testDataParams("data")
+	slow.RPM = 600 // 100 ms a revolution: a write-back outlasts several log writes
+	data := disk.New(env, slow)
+	// Background writes get one retry; the rest keep the driver's default.
+	drv, err := NewDriver(env, log, []*disk.Disk{data}, Config{QoS: &qos.Policy{BackgroundRetries: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logFault, dataFault := &stepFault{badLBA: -1}, &stepFault{badLBA: -1}
+	log.SetInjector(logFault)
+	data.SetInjector(dataFault)
+	l := newLedger(t, env, drv)
+
+	// Acks that land while a write-back of the same extent is in flight.
+	inFlight, midFlightAcks := map[int64]int{}, 0
+	env.SetProbeHook(func(ev sim.ProbeEvent) bool {
+		switch ev.Kind {
+		case sim.ProbeWBStart:
+			inFlight[ev.LBA]++
+		case sim.ProbeWBEnd:
+			inFlight[ev.LBA]--
+		case sim.ProbeAck:
+			if inFlight[ev.LBA] > 0 {
+				midFlightAcks++
+			}
+		}
+		return false
+	})
+	l.burst([]int{0, 1, 2, 3}, 6, 0, blockdev.Options{})
+	env.Run()
+	if midFlightAcks == 0 {
+		t.Fatal("supersede: no version was acknowledged during its predecessor's write-back")
+	}
+	l.check("supersede mid-flight")
+	if d := &drv.free; d.writes.free.Len() == 0 || d.entries.free.Len() == 0 ||
+		d.records.free.Len() == 0 || d.reads.free.Len() == 0 {
+		t.Fatal("a free list is still empty after the first step")
+	}
+
+	// The write-back of slot 4 fails on the platter and is abandoned; the
+	// version stays staged, pinned, and readable. Once the sector heals, the
+	// next version commits both records.
+	dataFault.badLBA = slotLBA(4)
+	l.burst([]int{4, 5}, 1, 0, blockdev.Options{})
+	env.Run()
+	if drv.Stats().AbandonedWritebacks == 0 {
+		t.Fatal("write-back fault: nothing abandoned")
+	}
+	l.check("abandoned write-back")
+	dataFault.badLBA = -1
+	l.burst([]int{4}, 2, 0, blockdev.Options{})
+	env.Run()
+	if drv.StagedBytes() != 0 {
+		t.Fatalf("healed write-back: %d bytes still staged", drv.StagedBytes())
+	}
+	l.check("healed write-back")
+
+	// Slot 6 occupies the log writer; slots 7-9 queue behind it with
+	// deadlines that pass before it is done.
+	l.burst([]int{6}, 1, 0, blockdev.Options{})
+	env.Go("late", func(p *sim.Proc) {
+		p.Sleep(100 * time.Microsecond)
+		l.burst([]int{7, 8, 9}, 1, 0, blockdev.Options{Deadline: p.Now().Add(200 * time.Microsecond)})
+	})
+	expired := drv.Stats().DeadlineExceeded
+	env.Run()
+	if drv.Stats().DeadlineExceeded-expired != 3 {
+		t.Fatalf("deadline: %d writes expired in the log queue, want 3", drv.Stats().DeadlineExceeded-expired)
+	}
+	l.check("deadline expiry")
+
+	// Record writes time out under a queue of writers: batches are retried
+	// and requeued ahead of the writers behind them, and slot 13's background
+	// write, first in the queue, fails on its second timeout.
+	logFault.timeouts = 3
+	retries, failed := drv.Stats().LogWriteRetries, drv.Stats().FailedWrites
+	l.burst([]int{13}, 3, 0, blockdev.Options{Class: blockdev.ClassBackground})
+	l.burst([]int{10, 11, 12}, 3, 0, blockdev.Options{})
+	env.Run()
+	if drv.Stats().LogWriteRetries-retries != 3 || drv.Stats().FailedWrites-failed != 1 {
+		t.Fatalf("log retry: %d record writes retried and %d writes failed, want 3 and 1",
+			drv.Stats().LogWriteRetries-retries, drv.Stats().FailedWrites-failed)
+	}
+	l.check("log-write retry")
+
+	// The only log disk dies with writers queued: the queued writes fail.
+	failed = drv.Stats().FailedWrites
+	l.burst([]int{14, 15, 0}, 2, 0, blockdev.Options{})
+	env.Go("killer", func(p *sim.Proc) {
+		p.Sleep(500 * time.Microsecond)
+		logFault.dead = true
+	})
+	env.Run()
+	if drv.Stats().LogDiskFailures != 1 || drv.Stats().FailedWrites == failed {
+		t.Fatalf("log death: %d log disks failed, %d writes failed", drv.Stats().LogDiskFailures, drv.Stats().FailedWrites-failed)
+	}
+	l.check("all log disks failed")
+
+	t.Run("power cut mid-burst", func(t *testing.T) {
+		env := sim.NewEnv()
+		log := disk.New(env, testLogParams())
+		if err := Format(log); err != nil {
+			t.Fatal(err)
+		}
+		data := disk.New(env, testDataParams("data"))
+		drv, err := NewDriver(env, log, []*disk.Disk{data}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := newLedger(t, env, drv)
+		l.burst([]int{0, 1, 2, 3, 4, 5, 6, 7}, 1000, 300*time.Microsecond, blockdev.Options{})
+		env.RunUntil(sim.Time(60 * time.Millisecond))
+		env.Close()
+		if drv.OutstandingRecords() == 0 || drv.LogQueueLen() == 0 {
+			t.Fatalf("cut with %d records outstanding and %d writes queued, want both", drv.OutstandingRecords(), drv.LogQueueLen())
+		}
+		drv.PowerCut()
+		if err := drv.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		auditFree(t, "power cut", drv)
+
+		env2 := sim.NewEnv()
+		defer env2.Close()
+		log.Reattach(env2)
+		data.Reattach(env2)
+		id := blockdev.DevID{Major: 8}
+		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.LOOK)}
+		var rerr error
+		env2.Go("recover", func(p *sim.Proc) { _, rerr = Recover(p, log, devs, RecoverOptions{}) })
+		env2.Run()
+		if rerr != nil {
+			t.Fatalf("recover: %v", rerr)
+		}
+		for s := range slots {
+			v, ok := crashexplore.ParseVersion(data.MediaRead(slotLBA(s), slotSectors), s, slotSectors)
+			if !ok || v < l.acked[s] {
+				t.Errorf("slot %d recovered version %d (consistent %v), newest acknowledged is %d", s, v, ok, l.acked[s])
+			}
+		}
+	})
+}
+
+// TestRequestPathAllocations pins what a request allocates once its
+// bookkeeping is recycled, on the paper's drives: a drained 4 KB write its
+// staged copy and a share of a media slab, and a platter read or a staging
+// hit only the buffer it returns.
+func TestRequestPathAllocations(t *testing.T) {
+	env, drv := paperRig(t)
+	defer env.Close()
+	dev := drv.Dev(0)
+	buf := make([]byte, benchSectors*geom.SectorSize)
+	var write, platter, staged float64
+	env.Go("client", func(p *sim.Proc) {
+		i := 0
+		write = testing.AllocsPerRun(200, func() {
+			i++
+			if err := dev.Write(p, spreadLBA(i, dev), benchSectors, buf); err != nil {
+				t.Error(err)
+			}
+			p.Sleep(40 * time.Millisecond) // the write-back lands; staging empties
+		})
+		platter = testing.AllocsPerRun(200, func() {
+			i++
+			if _, err := dev.Read(p, spreadLBA(i, dev), benchSectors); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := dev.Write(p, 0, benchSectors, buf); err != nil {
+			t.Error(err)
+		}
+		staged = testing.AllocsPerRun(200, func() {
+			if _, err := dev.Read(p, 0, benchSectors); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	env.Run()
+	if got := drv.Stats().ReadsFromStaging; got != 201 {
+		t.Fatalf("%d reads served from staging, want the 201 staging hits", got)
+	}
+	t.Logf("allocations: drained write %v, platter read %v, staging hit %v", write, platter, staged)
+	if write > 2 {
+		t.Errorf("a drained 4 KB write allocates %v times, want <= 2 (staged copy, media slab share)", write)
+	}
+	if platter > 1 || staged > 1 {
+		t.Errorf("a platter read allocates %v times and a staging hit %v, want <= 1 (the returned buffer)", platter, staged)
+	}
+}

@@ -68,7 +68,7 @@ func (d *Driver) walk(c *snapshot.Codec) {
 	recPos := make(map[*record][2]int)
 	for li, ld := range d.logs {
 		ld.walk(c)
-		for ri, rec := range ld.outstanding {
+		for ri, rec := range ld.outstanding.Live() {
 			recPos[rec] = [2]int{li, ri}
 		}
 	}
@@ -105,11 +105,11 @@ func (d *Driver) walk(c *snapshot.Codec) {
 			if !c.Decoding() || c.Err() != nil {
 				return
 			}
-			if pos[0] < 0 || pos[0] >= nLogs || pos[1] < 0 || pos[1] >= len(d.logs[pos[0]].outstanding) {
+			if pos[0] < 0 || pos[0] >= nLogs || pos[1] < 0 || pos[1] >= d.logs[pos[0]].outstanding.Len() {
 				c.Fail(fmt.Errorf("%w: staged reference to record %d/%d", snapshot.ErrCorrupt, pos[0], pos[1]))
 				return
 			}
-			ref.rec = d.logs[pos[0]].outstanding[pos[1]]
+			ref.rec = d.logs[pos[0]].outstanding.Live()[pos[1]]
 		})
 		snapshot.Slice(c, &e.spanIDs, snapshot.I64[int64])
 		staged += e.bytes()
@@ -152,7 +152,8 @@ func (ld *logDisk) walk(c *snapshot.Codec) {
 	c.Bool(&ld.dead)
 	snapshot.I64(c, &ld.lastRepoStart)
 	snapshot.I64(c, &ld.lastRepoEnd)
-	snapshot.Slice(c, &ld.outstanding, func(c *snapshot.Codec, r **record) {
+	recs := ld.outstanding.Live()
+	snapshot.Slice(c, &recs, func(c *snapshot.Codec, r **record) {
 		if c.Decoding() {
 			*r = new(record)
 		}
@@ -163,6 +164,9 @@ func (ld *logDisk) walk(c *snapshot.Codec) {
 		c.Int(&(*r).committed)
 		c.Bool(&(*r).done)
 	})
+	if c.Decoding() {
+		ld.outstanding.Reset(recs)
+	}
 }
 
 func walkKey(c *snapshot.Codec, k *bufKey) {
@@ -258,7 +262,7 @@ func (d *Driver) Restore(data []byte) error {
 		ld.refCHS, ld.lastCmdEnd, ld.lastRecordLBA = sl.refCHS, sl.lastCmdEnd, sl.lastRecordLBA
 		ld.dead, ld.lastRepoStart, ld.lastRepoEnd = sl.dead, sl.lastRepoStart, sl.lastRepoEnd
 		ld.outstanding = sl.outstanding
-		for _, rec := range ld.outstanding {
+		for _, rec := range ld.outstanding.Live() {
 			rec.log = ld
 		}
 	}

@@ -57,7 +57,7 @@ func TestRestoreRebuildsStagedBytes(t *testing.T) {
 	defer src.env.Close()
 	ld := src.drv.logs[0]
 	rec := &record{seq: 1, log: ld, blocks: 3}
-	ld.outstanding = append(ld.outstanding, rec)
+	ld.outstanding.Push(rec)
 	ld.busyCount[0]++
 	src.drv.stage(&pendingWrite{lba: 8, count: 2, data: fill(0xAA, 2)}, rec)
 	src.drv.stage(&pendingWrite{lba: 64, count: 1, data: fill(0xBB, 1)}, rec)
@@ -73,7 +73,7 @@ func TestRestoreRebuildsStagedBytes(t *testing.T) {
 	defer dst.env.Close()
 	dld := dst.drv.logs[0]
 	drec := &record{seq: 1, log: dld, blocks: 1}
-	dld.outstanding = append(dld.outstanding, drec)
+	dld.outstanding.Push(drec)
 	dld.busyCount[0]++
 	dst.drv.stage(&pendingWrite{lba: 200, count: 1, data: fill(0xCC, 1)}, drec)
 	if err := dst.drv.Restore(snap); err != nil {

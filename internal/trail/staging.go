@@ -1,6 +1,8 @@
 package trail
 
 import (
+	"slices"
+
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 	"tracklog/internal/sched"
@@ -53,8 +55,10 @@ type bufEntry struct {
 	// names the version, and where extents overlap the higher one is newer.
 	stamp int64
 	// refs lists the log records whose reclamation is waiting on this
-	// buffer reaching the data disk.
+	// buffer reaching the data disk; it starts out in ref0, which holds the
+	// one reference of a write that supersedes nothing.
 	refs []recordRef
+	ref0 [1]recordRef
 	// inQueue is true while a write-back for this key is queued (only one
 	// queued write-back per buffer: duplicate requests are skipped, §4.2).
 	inQueue bool
@@ -67,7 +71,7 @@ type bufEntry struct {
 // oldestOutstanding returns the log disk's oldest not-yet-committed record,
 // or nil.
 func (ld *logDisk) oldestOutstanding() *record {
-	for _, r := range ld.outstanding {
+	for _, r := range ld.outstanding.Live() {
 		if !r.done {
 			return r
 		}
@@ -83,7 +87,8 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 	key := bufKey{dev: pw.devIdx, lba: pw.lba, count: pw.count}
 	e := d.staging[key]
 	if e == nil {
-		e = &bufEntry{lba: pw.lba, count: pw.count}
+		e = d.free.entries.get()
+		e.lba, e.count, e.refs = pw.lba, pw.count, e.ref0[:0]
 		d.staging[key] = e
 		d.stagedBytes += e.bytes()
 	} else if len(e.refs) > 0 || e.inQueue {
@@ -117,7 +122,7 @@ type wbFlight struct {
 	entry *bufEntry
 	refs  []recordRef
 	ver   int64
-	req   *sched.Request
+	req   sched.Request
 	tries int
 
 	// rq is the flight's span tree (nil while recording is disabled); cursor
@@ -131,9 +136,13 @@ type wbFlight struct {
 // Reads pre-empt these writes in the data disk scheduler.
 func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 	q := d.wbQueues[devIdx]
+	// Every flight of a window completes before the next window is taken, so
+	// one set of keys and flights, each with its own refs, serves them all.
+	var window [wbWindow]wbFlight
+	keys := make([]bufKey, 0, wbWindow)
 	for {
 		// Collect a window: block for the first key, drain extras.
-		keys := []bufKey{q.Pop(p)}
+		keys = append(keys[:0], q.Pop(p))
 		for len(keys) < wbWindow {
 			k, ok := q.TryPop()
 			if !ok {
@@ -141,17 +150,19 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			}
 			keys = append(keys, k)
 		}
-		var flights []*wbFlight
+		flights := window[:0]
 		for _, key := range keys {
 			e := d.staging[key]
 			if e == nil || !e.inQueue {
 				continue
 			}
 			e.inQueue = false
-			f := &wbFlight{key: key, entry: e, refs: e.refs, ver: e.stamp}
-			e.refs = nil
+			flights = flights[:len(flights)+1]
+			f := &flights[len(flights)-1]
 			// No copy: a superseding write replaces e.data, never writes through it.
-			f.req = &sched.Request{Write: true, LBA: key.lba, Count: e.count, Data: e.data}
+			*f = wbFlight{key: key, entry: e, refs: append(f.refs[:0], e.refs...), ver: e.stamp,
+				req: sched.Request{Write: true, LBA: key.lba, Count: e.count, Data: e.data}}
+			e.refs = e.refs[:0]
 			if d.rec != nil {
 				f.cursor = int64(p.Now())
 				f.rq = d.rec.Start(span.KWriteback, "trail", d.spanNames[devIdx],
@@ -163,12 +174,11 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 				}
 				e.spanIDs = nil
 			}
-			d.dataQueues[devIdx].Submit(f.req)
+			d.dataQueues[devIdx].Submit(&f.req)
 			d.tlFlights.Add(1, int64(p.Now()))
 			// A write-back flight has left staging for the data disk's
 			// scheduler: a crash-exploration flight boundary.
 			d.env.EmitProbe(p, sim.ProbeWBStart, d.probeNames[devIdx], key.lba, e.count)
-			flights = append(flights, f)
 		}
 		if len(flights) > 0 {
 			d.tlStagingFlush.Add(int64(len(flights)), int64(p.Now()))
@@ -177,7 +187,8 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KStagingFlush,
 				Track: d.dataNames[devIdx], Count: len(flights), A: int64(len(d.staging))})
 		}
-		for _, f := range flights {
+		for i := range flights {
+			f := &flights[i]
 			f.req.Done.Wait(p)
 			f.attributeWait()
 			// Transient faults get a bounded number of re-issues; each is a
@@ -190,10 +201,9 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 						Track: d.dataNames[devIdx], LBA: f.key.lba, Count: f.req.Count, A: int64(f.tries)})
 				}
 				f.attributeRetry(int64(f.tries))
-				req := &sched.Request{Write: true, LBA: f.key.lba, Count: f.req.Count, Data: f.req.Data}
-				d.dataQueues[devIdx].Submit(req)
-				req.Done.Wait(p)
-				f.req = req
+				f.req = sched.Request{Write: true, LBA: f.key.lba, Count: f.req.Count, Data: f.req.Data}
+				d.dataQueues[devIdx].Submit(&f.req)
+				f.req.Done.Wait(p)
 				f.attributeWait()
 			}
 			if f.req.Err != nil {
@@ -205,7 +215,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 				// overlays reads) and crash-recoverable (from the log).
 				d.stats.AbandonedWritebacks++
 				e := f.entry
-				e.refs = append(f.refs, e.refs...)
+				e.refs = slices.Insert(e.refs, 0, f.refs...)
 				d.tlFlights.Add(-1, int64(p.Now()))
 				continue
 			}
@@ -228,6 +238,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 				delete(d.staging, f.key)
 				d.stagedBytes -= e.bytes()
 				d.tlStaged.Set(float64(d.StagedBytes()), int64(p.Now()))
+				d.free.entries.put(e)
 			}
 			d.tlFlights.Add(-1, int64(p.Now()))
 			// Write-back progress: wake foreground writes throttled on the
@@ -275,9 +286,10 @@ func (d *Driver) commitRef(ref recordRef) {
 	if ld.busyCount[r.trackIdx] == 0 {
 		ld.spaceFreed.Broadcast()
 	}
-	// Advance the FIFO head past committed records.
-	for len(ld.outstanding) > 0 && ld.outstanding[0].done {
-		ld.outstanding = ld.outstanding[1:]
+	// Advance the FIFO head past committed records: no reference to one
+	// remains, so it is free.
+	for ld.outstanding.Len() > 0 && ld.outstanding.Live()[0].done {
+		d.free.records.put(ld.outstanding.Pop())
 	}
 	d.maybeAllIdle()
 }
@@ -287,3 +299,19 @@ func (d *Driver) StagedBytes() int64 { return d.stagedBytes }
 
 // bytes is the memory e pins while staged.
 func (e *bufEntry) bytes() int64 { return int64(e.count) * geom.SectorSize }
+
+// freeList recycles objects of one type: get returns a zeroed *T, and put
+// zeroes x before keeping it, so a free object pins no chunk, record or span.
+type freeList[T any] struct{ free sim.FIFO[*T] }
+
+func (l *freeList[T]) get() *T {
+	if l.free.Len() == 0 {
+		return new(T)
+	}
+	return l.free.Pop()
+}
+
+func (l *freeList[T]) put(x *T) {
+	*x = *new(T)
+	l.free.Push(x)
+}
