@@ -1,9 +1,9 @@
 // Trailcheck is the repo's invariant checker: a multichecker for the
 // custom analyzers in internal/lint (virtualtime, determinism,
-// errtaxonomy, nilguard, snapshotguard, sharedstate, probeguard). The
-// last three — and the indirect halves of virtualtime and determinism —
-// are whole-program: they link every package's summaries into one call
-// graph, so run trailcheck over the full tree (./...) for real answers.
+// errtaxonomy, nilguard, sharedstate, probeguard). The last two — and the
+// indirect halves of virtualtime and determinism — are whole-program: they
+// link every package's summaries into one call graph, so run trailcheck
+// over the full tree (./...) for real answers.
 // It runs standalone:
 //
 //	go run ./cmd/trailcheck ./...             # plain, vet-style output
@@ -12,9 +12,8 @@
 //
 // or as a vet tool, sharing go vet's caching and per-package scheduling.
 // Vet's one-unit-at-a-time view truncates call-graph closures at package
-// boundaries, so the closure-absence analyzers (snapshotguard, probeguard)
-// are skipped in that mode; the standalone ./... run is the authoritative
-// gate:
+// boundaries, so the closure-absence analyzer (probeguard) is skipped in
+// that mode; the standalone ./... run is the authoritative gate:
 //
 //	go build -o trailcheck ./cmd/trailcheck
 //	go vet -vettool=$(pwd)/trailcheck ./...
@@ -35,7 +34,7 @@ import (
 
 // version is the fingerprint go vet uses as its cache key; bump it whenever
 // analyzer behaviour changes so stale vet caches cannot hide new findings.
-const version = "trailcheck version 6"
+const version = "trailcheck version 7"
 
 func main() {
 	os.Exit(run())

@@ -10,6 +10,7 @@
 //	trailsim -replay FILE                                        # replay a trace file
 //	trailsim -faults latent=3,timeout=1 [-fault-seed N]          # inject media faults
 //	trailsim -faulttol [-faults SCENARIO]                        # 3-system fault comparison
+//	trailsim -verify-snapshot                                    # final world's checkpoint digest, on stderr
 //
 // Overload (composable with -faults and the observability flags):
 //
@@ -79,42 +80,49 @@ import (
 	"tracklog/internal/workload"
 )
 
-func main() {
-	system := flag.String("system", "trail", "storage system: trail or std")
-	mode := flag.String("mode", "sparse", "arrival mode: sparse or clustered")
-	size := flag.Int("size", 1024, "write size in bytes (sector multiple)")
-	procs := flag.Int("procs", 1, "concurrent writer processes")
-	writes := flag.Int("writes", 200, "writes per process")
-	seed := flag.Uint64("seed", 1, "random seed")
-	replayFile := flag.String("replay", "", "replay an I/O trace file instead of the synthetic workload")
-	pattern := flag.String("pattern", "", "synthesize-and-replay with this target pattern: uniform, sequential, zipf")
-	writeRatio := flag.Float64("write-ratio", 0.7, "write fraction for -pattern traces")
-	faults := flag.String("faults", "", "fault scenario to inject on every drive (key=value terms, e.g. latent=3,timeout=1; see internal/fault)")
-	faultSeed := flag.Uint64("fault-seed", 0, "seed for fault sampling (default: -seed)")
-	faultTol := flag.Bool("faulttol", false, "run the standard/trail/raid5 fault-tolerance comparison under -faults")
-	verifySnapshot := flag.Bool("verify-snapshot", false, "after the run, checkpoint the world, restore it, and verify byte-identity (status on stderr)")
-	qosOn := flag.Bool("qos", false, "enable the default overload policy (admission bounds, retry budgets, throttling)")
-	deadline := flag.Duration("deadline", 0, "per-request deadline: issue time + D (0 disables)")
-	maxDepth := flag.Int("max-depth", 0, "bound the disk scheduler queue depth (0 = unbounded)")
-	offeredLoad := flag.Float64("offered-load", 0, "open-loop write arrival rate per second of virtual time (0 = closed-loop)")
-	verify := flag.Bool("verify", false, "with -offered-load, audit acknowledged-write survival and exit nonzero on loss")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
-	traceCap := flag.Int("trace-cap", trace.DefaultCapacity, "trace ring capacity in events")
-	sampleInterval := flag.Duration("sample-interval", 0, "sample per-device gauges every interval of virtual time (0 disables)")
-	sampleOut := flag.String("sample-out", "samples.csv", "time-series output file for -sample-interval (.json for JSON, else CSV)")
-	metricsOut := flag.String("metrics", "", "write the unified telemetry registry at exit (.prom for Prometheus text, .json otherwise); kernel + component series, byte-deterministic")
-	spans := flag.Bool("spans", false, "print the per-request span budget (critical-path latency breakdown)")
-	spanOut := flag.String("span-out", "", "write every request's span tree as deterministic JSON")
-	explainTail := flag.Float64("explain-tail", 0, "explain the slowest FRAC of requests (e.g. 0.01; 0 disables)")
-	spanCap := flag.Int("span-cap", span.DefaultCapacity, "span recorder ring capacity in requests")
-	timelineBucket := flag.Duration("timeline", 0, "aggregate per-layer state occupancy into virtual-time buckets of this width (0 disables)")
-	timelineOut := flag.String("timeline-out", "timeline.csv", "timeline export file for -timeline (.json for JSON, else CSV)")
-	seekDerate := flag.Int64("seek-derate", 0, "slow the log disk's actual seek arm by this many parts per million while driver predictions keep the spec curve (perturbation knob for cmd/rundiff walkthroughs)")
-	benchOut := flag.String("bench-out", "", "write a single-entry benchfmt summary of the run's latency distribution (for cmd/rundiff)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run parses args, runs the chosen scenario and returns the exit status.
+// Errors and the -verify-snapshot status line go to stderr; everything else
+// goes to stdout.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trailsim", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	system := fs.String("system", "trail", "storage system: trail or std")
+	mode := fs.String("mode", "sparse", "arrival mode: sparse or clustered")
+	size := fs.Int("size", 1024, "write size in bytes (sector multiple)")
+	procs := fs.Int("procs", 1, "concurrent writer processes")
+	writes := fs.Int("writes", 200, "writes per process")
+	seed := fs.Uint64("seed", 1, "random seed")
+	replayFile := fs.String("replay", "", "replay an I/O trace file instead of the synthetic workload")
+	pattern := fs.String("pattern", "", "synthesize-and-replay with this target pattern: uniform, sequential, zipf")
+	writeRatio := fs.Float64("write-ratio", 0.7, "write fraction for -pattern traces")
+	faults := fs.String("faults", "", "fault scenario to inject on every drive (key=value terms, e.g. latent=3,timeout=1; see internal/fault)")
+	faultSeed := fs.Uint64("fault-seed", 0, "seed for fault sampling (default: -seed)")
+	faultTol := fs.Bool("faulttol", false, "run the standard/trail/raid5 fault-tolerance comparison under -faults")
+	verifySnapshot := fs.Bool("verify-snapshot", false, "after the run, print the size and FNV digest of the world checkpoint (kernel plus every stateful component) on stderr")
+	qosOn := fs.Bool("qos", false, "enable the default overload policy (admission bounds, retry budgets, throttling)")
+	deadline := fs.Duration("deadline", 0, "per-request deadline: issue time + D (0 disables)")
+	maxDepth := fs.Int("max-depth", 0, "bound the disk scheduler queue depth (0 = unbounded)")
+	offeredLoad := fs.Float64("offered-load", 0, "open-loop write arrival rate per second of virtual time (0 = closed-loop)")
+	verify := fs.Bool("verify", false, "with -offered-load, audit acknowledged-write survival and exit nonzero on loss")
+	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file of the run")
+	traceCap := fs.Int("trace-cap", trace.DefaultCapacity, "trace ring capacity in events")
+	sampleInterval := fs.Duration("sample-interval", 0, "sample per-device gauges every interval of virtual time (0 disables)")
+	sampleOut := fs.String("sample-out", "samples.csv", "time-series output file for -sample-interval (.json for JSON, else CSV)")
+	metricsOut := fs.String("metrics", "", "write the unified telemetry registry at exit (.prom for Prometheus text, .json otherwise); kernel + component series, byte-deterministic")
+	spans := fs.Bool("spans", false, "print the per-request span budget (critical-path latency breakdown)")
+	spanOut := fs.String("span-out", "", "write every request's span tree as deterministic JSON")
+	explainTail := fs.Float64("explain-tail", 0, "explain the slowest FRAC of requests (e.g. 0.01; 0 disables)")
+	spanCap := fs.Int("span-cap", span.DefaultCapacity, "span recorder ring capacity in requests")
+	timelineBucket := fs.Duration("timeline", 0, "aggregate per-layer state occupancy into virtual-time buckets of this width (0 disables)")
+	timelineOut := fs.String("timeline-out", "timeline.csv", "timeline export file for -timeline (.json for JSON, else CSV)")
+	seekDerate := fs.Int64("seek-derate", 0, "slow the log disk's actual seek arm by this many parts per million while driver predictions keep the spec curve (perturbation knob for cmd/rundiff walkthroughs)")
+	benchOut := fs.String("bench-out", "", "write a single-entry benchfmt summary of the run's latency distribution (for cmd/rundiff)")
+	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
 	if strings.HasSuffix(*sampleOut, ".prom") {
-		fmt.Fprintln(os.Stderr, "trailsim: -sample-out writes CSV or .json; for Prometheus text exposition use -metrics FILE.prom")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "trailsim: -sample-out writes CSV or .json; for Prometheus text exposition use -metrics FILE.prom")
+		return 2
 	}
 	if *faultSeed == 0 {
 		*faultSeed = *seed
@@ -143,15 +151,20 @@ func main() {
 	case *offeredLoad > 0:
 		err = runOpenLoop(*system, *size, *writes, *offeredLoad, *seed, *faults, *faultSeed, pol, *seekDerate, *verify, obs)
 	default:
-		err = run(*system, *mode, *size, *procs, *writes, *seed, *faults, *faultSeed, pol, *seekDerate, *verifySnapshot, obs)
+		var snapOut io.Writer
+		if *verifySnapshot {
+			snapOut = stderr
+		}
+		err = runSync(*system, *mode, *size, *procs, *writes, *seed, *faults, *faultSeed, pol, *seekDerate, snapOut, obs)
 	}
 	if err == nil {
 		err = obs.finish()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "trailsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "trailsim:", err)
+		return 1
 	}
+	return 0
 }
 
 // observer bundles the run's optional telemetry: the event tracer (Chrome
@@ -386,14 +399,13 @@ func qosPolicy(on bool, deadline time.Duration, maxDepth int) *qos.Policy {
 
 // buildRig assembles the chosen storage system on a fresh environment with
 // the observer attached, optionally with the fault scenario on every drive
-// and the overload policy on the driver. Every stateful component is also
-// registered in a checkpointable World (for -verify-snapshot).
-func buildRig(system, scenario string, faultSeed uint64, pol *qos.Policy, seekDeratePPM int64, obs *observer) (*rig.Rig, *crashexplore.World, error) {
+// and the overload policy on the driver.
+func buildRig(system, scenario string, faultSeed uint64, pol *qos.Policy, seekDeratePPM int64, obs *observer) (*rig.Rig, error) {
 	cfg := rig.Config{FaultSeed: faultSeed, Instruments: obs.instruments()}
 	if scenario != "" {
 		fcfg, err := fault.ParseScenario(scenario)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cfg.Faults = &fcfg
 	}
@@ -410,47 +422,38 @@ func buildRig(system, scenario string, faultSeed uint64, pol *qos.Policy, seekDe
 		cfg.DataDisk = &dp
 		cfg.Baseline = sched.LOOK
 	default:
-		return nil, nil, fmt.Errorf("unknown system %q", system)
+		return nil, fmt.Errorf("unknown system %q", system)
 	}
 	r, err := rig.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	w := crashexplore.NewWorld(r.Env)
-	if r.Trail != nil {
-		w.Register("disk.log", r.LogDisk)
-		w.Register("disk.data0", r.DataDisks[0])
-		w.Register("trail", r.Trail)
-	} else {
-		if pol != nil {
-			r.Std[0].SetQoS(pol)
-		}
-		w.Register("disk.0", r.DataDisks[0])
-		w.Register("stddisk", r.Std[0])
-	}
-	for i, pl := range r.Plans {
-		w.Register(fmt.Sprintf("fault.%d", i), pl)
+	if r.Trail == nil && pol != nil {
+		r.Std[0].SetQoS(pol)
 	}
 	obs.attach(r)
-	return r, w, nil
+	return r, nil
 }
 
-// verifyWorldSnapshot checkpoints the (now quiescent) world, restores the
-// checkpoint in place, and re-snapshots: the restored world must be
-// byte-identical. Status goes to stderr so stdout stays byte-comparable
-// across runs with and without the flag.
-func verifyWorldSnapshot(w *crashexplore.World) error {
-	s1 := w.Snapshot()
-	if err := w.Restore(s1); err != nil {
-		return fmt.Errorf("verify-snapshot: restore: %w", err)
+// printWorldDigest checkpoints the (now quiescent) world — the kernel plus
+// every stateful component — and prints the checkpoint's size and digest, a
+// fingerprint of the run's final state, to w. run passes stderr, so stdout
+// stays byte-comparable across runs with and without -verify-snapshot.
+func printWorldDigest(w io.Writer, r *rig.Rig) {
+	world := crashexplore.NewWorld(r.Env)
+	if r.Trail != nil {
+		world.Register("disk.log", r.LogDisk)
+		world.Register("disk.data0", r.DataDisks[0])
+		world.Register("trail", r.Trail)
+	} else {
+		world.Register("disk.0", r.DataDisks[0])
+		world.Register("stddisk", r.Std[0])
 	}
-	s2 := w.Snapshot()
-	if !bytes.Equal(s1, s2) {
-		return fmt.Errorf("verify-snapshot: world differs after restoring its own checkpoint")
+	for i, pl := range r.Plans {
+		world.Register(fmt.Sprintf("fault.%d", i), pl)
 	}
-	fmt.Fprintf(os.Stderr, "verify-snapshot: %d-byte world checkpoint, digest %016x, restored world byte-identical\n",
-		len(s1), snapshot.Digest(s1))
-	return nil
+	s := world.Snapshot()
+	fmt.Fprintf(w, "verify-snapshot: %d-byte world checkpoint, digest %016x\n", len(s), snapshot.Digest(s))
 }
 
 // runReplayFile replays a trace file against the chosen system.
@@ -464,7 +467,7 @@ func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, obs *
 	if err != nil {
 		return err
 	}
-	r, _, err := buildRig(system, "", 0, pol, seekDerate, obs)
+	r, err := buildRig(system, "", 0, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}
@@ -479,7 +482,7 @@ func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, obs *
 
 // runPattern synthesizes a trace with the named pattern and replays it.
 func runPattern(system, pattern string, ops, size int, writeRatio float64, seed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
-	r, _, err := buildRig(system, "", 0, pol, seekDerate, obs)
+	r, err := buildRig(system, "", 0, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}
@@ -512,8 +515,10 @@ func printReplay(system, source string, res *workload.ReplayResult) {
 	fmt.Printf("elapsed %v, %d ops issued late\n", res.Elapsed, res.Lagged)
 }
 
-func run(system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verifySnap bool, obs *observer) error {
-	r, world, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
+// runSync runs the closed-loop synchronous-write workload; a non-nil snapOut
+// receives the final world's checkpoint digest (see printWorldDigest).
+func runSync(system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, snapOut io.Writer, obs *observer) error {
+	r, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}
@@ -554,8 +559,8 @@ func run(system, mode string, size, procs, writes int, seed uint64, scenario str
 			s.Records, s.Writes, float64(s.Writes)/float64(s.Records), s.Repositions, 100*s.AvgTrackUtilization())
 	}
 	printCounters(r, scenario)
-	if verifySnap {
-		return verifyWorldSnapshot(world)
+	if snapOut != nil {
+		printWorldDigest(snapOut, r)
 	}
 	return nil
 }
@@ -593,7 +598,7 @@ type ackedWrite struct {
 // after the run: an acknowledged write that cannot be read back intact is
 // data loss and fails the run.
 func runOpenLoop(system string, size, writes int, rate float64, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verify bool, obs *observer) error {
-	r, _, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
+	r, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}

@@ -183,10 +183,14 @@ func Payload(slot, version, sectors int) []byte {
 	return buf
 }
 
-// ParseVersion extracts the version from a slot's on-media payload and
-// checks all sectors agree (no torn mixes). Version 0 with consistent=true
-// means "never written".
+// ParseVersion extracts the version from a slot's on-media payload of
+// exactly sectors sectors and checks all sectors agree (no torn mixes).
+// Version 0 with consistent=true means "never written"; a buffer of any
+// other length is inconsistent.
 func ParseVersion(buf []byte, slot, sectors int) (int, bool) {
+	if sectors < 1 || len(buf) != sectors*geom.SectorSize {
+		return 0, false
+	}
 	allZero := true
 	for _, b := range buf {
 		if b != 0 {

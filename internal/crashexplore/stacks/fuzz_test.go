@@ -12,15 +12,19 @@ import (
 	"tracklog/internal/disk"
 	"tracklog/internal/fault"
 	"tracklog/internal/geom"
-	"tracklog/internal/raid"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/snapshot"
 	"tracklog/internal/stddisk"
 	"tracklog/internal/trail"
-	"tracklog/internal/txn"
-	"tracklog/internal/wal"
 )
+
+// restorer is a format that a reader decodes: a drive's media and a fault
+// plan's state, the durable state a power cut leaves behind.
+type restorer interface {
+	snapshot.Snapshotter
+	Restore(data []byte) error
+}
 
 // fuzzTargets assembles one instance of every Snapshotter in the tree on a
 // fresh environment. Kept cheap: no workload, just construction.
@@ -36,32 +40,18 @@ func fuzzTargets(tb testing.TB) (*sim.Env, map[string]snapshot.Snapshotter) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var members []blockdev.Device
+	// Three scheduled devices, as when the kernel's pin was recorded: each
+	// starts a scheduler worker that the kernel's snapshot lists.
+	var devs []*stddisk.Device
 	for i := 0; i < 3; i++ {
-		members = append(members, stddisk.New(env, disk.New(env, worldDataParams()),
+		devs = append(devs, stddisk.New(env, disk.New(env, worldDataParams()),
 			blockdev.DevID{Major: 9, Minor: uint8(i)}, sched.LOOK))
-	}
-	arr, err := raid.New(members, 8)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	wlog, err := wal.New(env, wal.Config{
-		Dev:     disk.NewInstantDev(disk.New(env, worldDataParams()), blockdev.DevID{Major: 3, Minor: 0}),
-		Sectors: 512,
-		Mode:    wal.SyncEveryCommit,
-	})
-	if err != nil {
-		tb.Fatal(err)
 	}
 	return env, map[string]snapshot.Snapshotter{
 		"disk":    log,
 		"fault":   plan,
 		"trail":   drv,
-		"stddisk": members[0].(snapshot.Snapshotter),
-		"raid":    arr,
-		"wal":     wlog,
-		"txn":     txn.NewManager(env, wlog),
-		"rand":    sim.NewRand(99),
+		"stddisk": devs[0],
 		"env":     env,
 	}
 }
@@ -98,14 +88,14 @@ func pinnedStagingSnapshot(tb testing.TB) []byte {
 
 // disordered returns, by target and corruption, the sorted-key sections
 // snapshot.SortedMap must refuse: a fault plan's latent errors (LBA, onset,
-// two flags) and the first RAID member's bad sectors (LBAs), each with its
-// first two keys swapped, its first key repeated, and its last key moved
+// two flags) and a drive's written sectors (LBA, length, bytes), each with
+// its first two keys swapped, its first key repeated, and its last key moved
 // past the end of the device. The plan covers fuzzTargets' data disk and the
-// array has fuzzTargets' shape, so only the keys are wrong.
+// drive is a log disk like fuzzTargets' own, so only the keys are wrong.
 func disordered(tb testing.TB) map[string][]byte {
 	g := worldDataParams().Geom
 	plan := fault.NewPlan(sim.NewRand(3), g.TotalSectors(), fault.Config{LatentReadErrors: 3}).Snapshot()
-	raid := evolved(tb, 0)["raid"].Snapshot()
+	drive := evolved(tb, 0)["disk"].Snapshot()
 	out := map[string][]byte{}
 	for _, sec := range []struct {
 		target string
@@ -114,7 +104,7 @@ func disordered(tb testing.TB) map[string][]byte {
 		size   int // of one entry, key first
 	}{
 		{"fault", plan, len("fault.Plan") + 10 + 8 + 10*8, 8 + 8 + 2},
-		{"raid", raid, len("raid.Array") + 10 + 3*8, 8},
+		{"disk", drive, len("disk.Disk") + 10 + 4 + len(worldLogParams().Name) + 5*8 + 9*8, 8 + 4 + geom.SectorSize},
 	} {
 		n := int(binary.LittleEndian.Uint32(sec.snap[sec.off:]))
 		if n < 2 {
@@ -135,26 +125,26 @@ func disordered(tb testing.TB) map[string][]byte {
 
 // TestRestoreRejectsDisorderedKeys: a sorted-key section with keys swapped,
 // repeated or past the device is corrupt. At 5cdd678 the plan adopted all
-// three (latents [900, 100, 1<<40] came back as three latent errors) and so
-// did the array.
+// three (latents [900, 100, 1<<40] came back as three latent errors).
 func TestRestoreRejectsDisorderedKeys(t *testing.T) {
 	env, targets := fuzzTargets(t)
 	defer env.Close()
 	for name, data := range disordered(t) {
 		target, _, _ := strings.Cut(name, "/")
-		before := targets[target].Snapshot()
-		if err := targets[target].Restore(data); !errors.Is(err, snapshot.ErrCorrupt) {
+		r := targets[target].(restorer)
+		before := r.Snapshot()
+		if err := r.Restore(data); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("%s: Restore = %v, want ErrCorrupt", name, err)
 		}
-		if !bytes.Equal(targets[target].Snapshot(), before) {
+		if !bytes.Equal(r.Snapshot(), before) {
 			t.Errorf("%s: a rejected Restore changed the %s", name, target)
 		}
 	}
 }
 
-// FuzzSnapshotRestore throws arbitrary bytes at every component's Restore.
-// The contract: never panic, and every rejection is a wrapped codec sentinel
-// (ErrCorrupt, ErrMismatch, or ErrNotQuiescent) so callers can triage.
+// FuzzSnapshotRestore throws arbitrary bytes at both Restores. The contract:
+// never panic, and every rejection is a wrapped codec sentinel (ErrCorrupt,
+// ErrMismatch, or ErrNotQuiescent) so callers can triage.
 func FuzzSnapshotRestore(f *testing.F) {
 	// Corpus: the real snapshot of every component, plus a World checkpoint
 	// of a rig that has done real work.
@@ -163,8 +153,9 @@ func FuzzSnapshotRestore(f *testing.F) {
 		f.Add(s.Snapshot())
 	}
 	// A drive snapshot ends with its sector entries (LBA, length, 512 bytes)
-	// in increasing LBA order; one with the last two swapped, and one with
-	// the last LBA repeated, are corrupt.
+	// in increasing LBA order; one with the last two swapped, one with the
+	// last LBA repeated, and one whose last sector is a byte short are
+	// corrupt.
 	const entry = 8 + 4 + geom.SectorSize
 	drive := targets["disk"].Snapshot()
 	last, prev := len(drive)-entry, len(drive)-2*entry
@@ -173,17 +164,22 @@ func FuzzSnapshotRestore(f *testing.F) {
 	repeated := bytes.Clone(drive)
 	copy(repeated[last:last+8], drive[prev:prev+8])
 	f.Add(repeated)
+	short := bytes.Clone(drive[:len(drive)-1])
+	binary.LittleEndian.PutUint32(short[last+8:], geom.SectorSize-1)
+	f.Add(short)
+	// Well-formed snapshots of another drive and of a plan for another
+	// device size: the header matches, the identity does not.
+	f.Add(disk.New(env, worldDataParams()).Snapshot())
+	f.Add(fault.NewPlan(sim.NewRand(3), 1000, fault.Config{LatentReadErrors: 3}).Snapshot())
 	env.Close()
-	w, _ := buildTrailWorld(f, 12)
+	w := buildTrailWorld(f, 12)
 	f.Add(w.Snapshot())
-	// A driver snapshot whose staging buffer is not empty, so the per-entry
-	// stage stamps (codec version 2) are in the corpus, and the same bytes
-	// under the version-1 header they no longer parse under.
-	pinned := pinnedStagingSnapshot(f)
-	f.Add(pinned)
-	v1 := bytes.Clone(pinned)
-	v1[bytes.Index(v1, []byte("trail.Driver"))+len("trail.Driver")] = 1
-	f.Add(v1)
+	f.Add(pinnedStagingSnapshot(f))
+	// Both formats after a workload that leaves real state behind: many
+	// sectors, healed latent errors, pending timeouts.
+	ev := evolved(f, 0)
+	f.Add(ev["disk"].Snapshot())
+	f.Add(ev["fault"].Snapshot())
 	f.Add([]byte{})
 	f.Add([]byte("TLSS"))
 	for _, data := range disordered(f) {
@@ -193,30 +189,17 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, targets := fuzzTargets(t)
 		defer env.Close()
-		world := crashexplore.NewWorld(env)
-		names := make([]string, 0, len(targets))
-		for name := range targets {
-			names = append(names, name)
-		}
-		for _, name := range names {
-			if name == "env" {
-				continue // the kernel is the World's own section
+		for name, s := range targets {
+			r, ok := s.(restorer)
+			if !ok {
+				continue
 			}
-			world.Register(name, targets[name])
-		}
-		check := func(name string, err error) {
-			if err == nil {
-				return
-			}
-			if !errors.Is(err, snapshot.ErrCorrupt) &&
+			err := r.Restore(data)
+			if err != nil && !errors.Is(err, snapshot.ErrCorrupt) &&
 				!errors.Is(err, snapshot.ErrMismatch) &&
 				!errors.Is(err, snapshot.ErrNotQuiescent) {
 				t.Fatalf("%s: non-sentinel restore error: %v", name, err)
 			}
 		}
-		for name, s := range targets {
-			check(name, s.Restore(data))
-		}
-		check("world", world.Restore(data))
 	})
 }

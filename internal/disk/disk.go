@@ -227,10 +227,8 @@ type Injector interface {
 // helpers, which are timeless test/recovery-verification accessors).
 type Disk struct {
 	params Params
-	//lint:allow snapshotguard env is kernel wiring rebound by Reattach, not drive state
-	env *sim.Env
-	//lint:allow snapshotguard arm is a kernel resource recreated by Reattach; idle whenever a snapshot is legal
-	arm *sim.Resource
+	env    *sim.Env
+	arm    *sim.Resource
 
 	armCyl, armHead int
 	lastCmdEnd      sim.Time
@@ -239,7 +237,6 @@ type Disk struct {
 	// seek curve coefficients over sqrt(d) basis; derived by fitSeekCurve
 	// from the calibration points in params, so a restored drive refits to
 	// identical values from the identity-checked params.
-	//lint:allow snapshotguard seekA/B/C are refit from params at construction; the mid-run SeekDeratePPM knob is snapshotted
 	seekA, seekB, seekC float64
 
 	media sectorStore

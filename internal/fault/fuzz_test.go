@@ -40,3 +40,33 @@ func FuzzParseScenario(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseShardScenario holds the cluster chaos DSL to the same contract:
+// never panic, and a scenario it accepts names real shards at positive
+// instants with a non-negative derate, in (At, Shard) order.
+func FuzzParseShardScenario(f *testing.F) {
+	for _, seed := range []string{
+		"shardkill=1@250ms",
+		"slowshard=0@100ms:2000000",
+		"shardkill=1@1s,shardkill=2@2s",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, err := ParseShardScenario(s)
+		if err != nil {
+			return
+		}
+		for i, e := range sc.Events {
+			if e.Shard < 0 || e.At <= 0 || e.DeratePPM < 0 {
+				t.Fatalf("ParseShardScenario(%q): event %d is %+v", s, i, e)
+			}
+			if i > 0 {
+				if p := sc.Events[i-1]; p.At > e.At || p.At == e.At && p.Shard > e.Shard {
+					t.Fatalf("ParseShardScenario(%q): event %d %+v after %+v", s, i, e, p)
+				}
+			}
+		}
+	})
+}

@@ -62,7 +62,7 @@ func FuzzParseAllowDirective(f *testing.F) {
 		"//lint:allow",
 		"//lint:allow ",
 		"//lint:allow  ",
-		"//lint:allow snapshotguard",
+		"//lint:allow sharedstate",
 		"//lint:allowed not our directive",
 		"//lint:allow\tdeterminism\ttabbed reason",
 		"// an ordinary comment",

@@ -18,13 +18,12 @@ import (
 // can be represented by two distinct types.Object universes (source-checked
 // in its home package, export-imported everywhere else). The graph therefore
 // keys everything by *normalized string identity* — universe-independent
-// function, type, field and variable IDs built from NormalizePath-ed import
-// paths — instead of object pointers:
+// function, type and variable IDs built from NormalizePath-ed import paths —
+// instead of object pointers:
 //
 //	tracklog/internal/sim.(Env).EmitProbe    method
 //	tracklog/internal/trail.writeRecord      function
 //	tracklog/internal/trail.Driver           named type
-//	tracklog/internal/trail.Driver.seq       field
 //	tracklog/internal/wal.ErrLogFull         package-level var
 //	tracklog/internal/trail.(Driver).flushLog.func@412  function literal
 //
@@ -32,9 +31,9 @@ import (
 // method resolves to every named type in the analyzed program whose method
 // set structurally implements the interface (method names plus normalized
 // signature strings, so implementations match across type-checker
-// universes). That covers the repo's own dispatch points — snapshot.
-// Snapshotter, trace/span/telemetry handles, blockdev.Device, qos hooks —
-// without ever comparing types.Object identities across packages.
+// universes). That covers the repo's own dispatch points — trace/span/
+// telemetry handles, blockdev.Device, qos hooks — without ever comparing
+// types.Object identities across packages.
 //
 // In `go vet -vettool` unit mode only one compilation unit has source, so
 // the graph degrades to that package's own functions; the whole-program
@@ -112,10 +111,6 @@ type FuncInfo struct {
 	// passes to sim.Env.Go / GoDaemon — each is an event-handler root.
 	SpawnTargets []string
 
-	// FieldRefs records every struct field selection (including each step
-	// of promoted/embedded chains and composite-literal keys).
-	FieldRefs []FieldRef
-
 	// VarMuts records mutations of package-level variables: direct
 	// assignment, assignment through a selector/index chain rooted at the
 	// variable, and ++/--.
@@ -155,15 +150,6 @@ type DynCall struct {
 	Pos    token.Pos
 }
 
-// A FieldRef is one struct-field touch, attributed to the named type that
-// declares the field.
-type FieldRef struct {
-	Type  string // normalized type ID of the declaring type
-	Field string
-	Pos   token.Pos
-	Write bool
-}
-
 // A VarMut is one package-level variable mutation.
 type VarMut struct {
 	Var string // normalized "pkg.Name"
@@ -196,10 +182,6 @@ type TypeInfo struct {
 	Obj  *types.TypeName
 	Name string
 
-	// Fields lists the struct's own fields in declaration order (empty for
-	// non-struct types). Embedded fields appear under their type name.
-	Fields []FieldDecl
-
 	// Methods maps method name to the normalized ID of the declared or
 	// promoted method body, over the method set of *T.
 	Methods map[string]string
@@ -207,18 +189,6 @@ type TypeInfo struct {
 	// MethodSigs maps method name to its normalized signature string, for
 	// structural interface checks across type-checker universes.
 	MethodSigs map[string]string
-}
-
-// A FieldDecl is one struct field declaration.
-type FieldDecl struct {
-	Name     string
-	Pos      token.Pos
-	Embedded bool
-
-	// Wiring marks fields whose type can never round-trip through a codec
-	// byte-for-byte — functions, channels and interfaces — and which
-	// snapshotguard therefore treats as non-state.
-	Wiring bool
 }
 
 // normQualifier renders package paths in universe-independent form, so
@@ -309,18 +279,6 @@ func recvTypeName(t types.Type) string {
 	return ""
 }
 
-// typeID returns the normalized ID of a named type, "" for others.
-func typeID(t types.Type) string {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return NormalizePath(named.Obj().Pkg().Path()) + "." + named.Obj().Name()
-}
-
 // spawn APIs: passing a function here starts a new simulated process, i.e.
 // a new event-handler root.
 var spawnFuncs = map[string]bool{
@@ -406,25 +364,6 @@ func (prog *Program) addTypes(pkg *Package) {
 					Methods:    make(map[string]string),
 					MethodSigs: make(map[string]string),
 				}
-				if st, ok := ts.Type.(*ast.StructType); ok {
-					for _, f := range st.Fields.List {
-						if len(f.Names) == 0 {
-							ti.Fields = append(ti.Fields, FieldDecl{
-								Name:     embeddedFieldName(f.Type),
-								Pos:      f.Type.Pos(),
-								Embedded: true,
-							})
-							continue
-						}
-						wiring := false
-						if tv, ok := pkg.Info.Types[f.Type]; ok {
-							wiring = isWiringType(tv.Type)
-						}
-						for _, name := range f.Names {
-							ti.Fields = append(ti.Fields, FieldDecl{Name: name.Name, Pos: name.Pos(), Wiring: wiring})
-						}
-					}
-				}
 				mset := types.NewMethodSet(types.NewPointer(named))
 				for i := 0; i < mset.Len(); i++ {
 					m, ok := mset.At(i).Obj().(*types.Func)
@@ -445,31 +384,6 @@ func (prog *Program) addTypes(pkg *Package) {
 			}
 		}
 	}
-}
-
-// embeddedFieldName extracts the field name of an embedded type expression.
-func embeddedFieldName(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.StarExpr:
-		return embeddedFieldName(e.X)
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return e.Sel.Name
-	case *ast.IndexExpr:
-		return embeddedFieldName(e.X)
-	}
-	return ""
-}
-
-// isWiringType reports whether a field of this type is inherently
-// non-snapshotable wiring: functions, channels, and interface handles.
-func isWiringType(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Signature, *types.Chan, *types.Interface:
-		return true
-	}
-	return false
 }
 
 // summarize walks one function body, filling fi and creating child
@@ -501,8 +415,6 @@ func (prog *Program) summarize(fi *FuncInfo, body *ast.BlockStmt) {
 			prog.recordIdent(fi, n)
 		case *ast.SelectorExpr:
 			prog.recordSelector(fi, n)
-		case *ast.CompositeLit:
-			prog.recordComposite(fi, n)
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				prog.recordMutation(fi, lhs)
@@ -533,7 +445,7 @@ func (prog *Program) recordIdent(fi *FuncInfo, id *ast.Ident) {
 }
 
 // recordSelector registers selector-reached references: qualified function
-// uses, banned time/rand symbols, interface dispatch, and field touches.
+// uses, banned time/rand symbols and interface dispatch.
 func (prog *Program) recordSelector(fi *FuncInfo, sel *ast.SelectorExpr) {
 	info := fi.Pkg.Info
 	obj := info.Uses[sel.Sel]
@@ -561,94 +473,23 @@ func (prog *Program) recordSelector(fi *FuncInfo, sel *ast.SelectorExpr) {
 		// math/rand global source values (rand.Reader lives in crypto/rand).
 		fi.RandRefs = append(fi.RandRefs, sel.Pos())
 	}
-	// Field selection: attribute every step of the (possibly promoted)
-	// chain to its declaring type.
-	if selection, ok := info.Selections[sel]; ok && selection.Kind() == types.FieldVal {
-		prog.recordFieldChain(fi, sel, selection, false)
-	}
-}
-
-// recordFieldChain walks a field selection's index path, attributing each
-// traversed field to the named type it belongs to.
-func (prog *Program) recordFieldChain(fi *FuncInfo, sel *ast.SelectorExpr, selection *types.Selection, write bool) {
-	t := selection.Recv()
-	for _, idx := range selection.Index() {
-		st, ok := derefStruct(t)
-		if !ok || idx >= st.NumFields() {
-			return
-		}
-		f := st.Field(idx)
-		if id := typeID(t); id != "" {
-			fi.FieldRefs = append(fi.FieldRefs, FieldRef{Type: id, Field: f.Name(), Pos: sel.Pos(), Write: write})
-		}
-		t = f.Type()
-	}
-}
-
-// derefStruct unwraps pointers and named types down to a struct.
-func derefStruct(t types.Type) (*types.Struct, bool) {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	return st, ok
-}
-
-// recordComposite registers composite-literal field initializations as
-// writes: keyed literals per named key, unkeyed literals for every field.
-func (prog *Program) recordComposite(fi *FuncInfo, lit *ast.CompositeLit) {
-	info := fi.Pkg.Info
-	tv, ok := info.Types[lit]
-	if !ok {
-		return
-	}
-	t := tv.Type
-	st, ok := derefStruct(t)
-	if !ok {
-		return
-	}
-	id := typeID(t)
-	if id == "" {
-		return
-	}
-	keyed := false
-	for _, elt := range lit.Elts {
-		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			keyed = true
-			if key, ok := kv.Key.(*ast.Ident); ok {
-				fi.FieldRefs = append(fi.FieldRefs, FieldRef{Type: id, Field: key.Name, Pos: key.Pos(), Write: true})
-			}
-		}
-	}
-	if !keyed && len(lit.Elts) > 0 {
-		for i := 0; i < st.NumFields(); i++ {
-			fi.FieldRefs = append(fi.FieldRefs, FieldRef{Type: id, Field: st.Field(i).Name(), Pos: lit.Pos(), Write: true})
-		}
-	}
 }
 
 // recordMutation classifies one assignment/incdec target: a write to a
-// package-level variable (directly or through a selector/index/star chain
-// rooted at one), and field writes for each selector on the chain.
+// package-level variable, directly or through a selector/index/star chain
+// rooted at one.
 func (prog *Program) recordMutation(fi *FuncInfo, lhs ast.Expr) {
-	info := fi.Pkg.Info
 	e := ast.Unparen(lhs)
 	for {
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
-			if selection, ok := info.Selections[x]; ok && selection.Kind() == types.FieldVal {
-				prog.recordFieldChain(fi, x, selection, true)
-			}
 			e = ast.Unparen(x.X)
-			continue
 		case *ast.IndexExpr:
 			e = ast.Unparen(x.X)
-			continue
 		case *ast.StarExpr:
 			e = ast.Unparen(x.X)
-			continue
 		case *ast.Ident:
-			if v, ok := info.Uses[x].(*types.Var); ok && isPackageVar(v) {
+			if v, ok := fi.Pkg.Info.Uses[x].(*types.Var); ok && isPackageVar(v) {
 				fi.VarMuts = append(fi.VarMuts, VarMut{
 					Var: NormalizePath(v.Pkg().Path()) + "." + v.Name(),
 					Pos: lhs.Pos(),

@@ -52,8 +52,7 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 
 	// NeedWholeProgram marks analyzers whose findings assert the *absence*
-	// of something in a call-graph closure (a field never encoded, a probe
-	// never emitted). On a partial program — go vet's one-unit-at-a-time
+	// of something in a call-graph closure (a probe never emitted). On a partial program — go vet's one-unit-at-a-time
 	// view — the closure is truncated at package boundaries and absence
 	// becomes a false positive, so unit mode skips these; run trailcheck
 	// standalone over ./... for the full suite. Analyzers that only *trace*
@@ -66,7 +65,7 @@ type Analyzer struct {
 // per-package passes of PR 5, then the whole-program analyzers built on the
 // call-graph engine (callgraph.go).
 func All() []*Analyzer {
-	return []*Analyzer{VirtualTime, Determinism, ErrTaxonomy, NilGuard, SnapshotGuard, SharedState, ProbeGuard}
+	return []*Analyzer{VirtualTime, Determinism, ErrTaxonomy, NilGuard, SharedState, ProbeGuard}
 }
 
 // ByName resolves a comma-separated analyzer list ("virtualtime,nilguard").
@@ -116,7 +115,7 @@ type Pass struct {
 	Path string
 
 	// Prog is the whole-program view over every package of this Run. The
-	// whole-program analyzers (snapshotguard, sharedstate, probeguard) and
+	// whole-program analyzers (sharedstate, probeguard) and
 	// the interprocedural halves of virtualtime/determinism resolve
 	// cross-function facts through it; per-package analyzers may ignore it.
 	// Each analyzer still runs once per package and must only report

@@ -28,7 +28,7 @@ func TestByName(t *testing.T) {
 	}{
 		{name: "subset keeps request order", arg: "virtualtime,nilguard", want: []string{"virtualtime", "nilguard"}},
 		{name: "whitespace tolerated", arg: " determinism , probeguard ", want: []string{"determinism", "probeguard"}},
-		{name: "single analyzer", arg: "snapshotguard", want: []string{"snapshotguard"}},
+		{name: "single analyzer", arg: "sharedstate", want: []string{"sharedstate"}},
 		{name: "empty list", arg: "", errSub: "empty analyzer list"},
 		{name: "only separators", arg: " , ,", errSub: "empty analyzer list"},
 		{name: "unknown analyzer", arg: "nosuch", errSub: `unknown analyzer "nosuch"`},

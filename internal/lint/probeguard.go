@@ -85,6 +85,19 @@ func runProbeGuard(pass *Pass) error {
 	return nil
 }
 
+// sortedTypeIDs returns the IDs of every named type declared in pkg, in
+// deterministic order.
+func sortedTypeIDs(prog *Program, pkg *Package) []string {
+	var out []string
+	for id, ti := range prog.Types {
+		if ti.Pkg == pkg {
+			out = append(out, id)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // methodRoots returns the closure roots of a type: every declared or
 // promoted method body, in deterministic order.
 func methodRoots(ti *TypeInfo) []string {

@@ -115,6 +115,17 @@ func (prog *Program) sharedSites() []sharedSite {
 	return prog.shared
 }
 
+// sortedFuncIDs returns every function ID in the program in deterministic
+// order.
+func sortedFuncIDs(prog *Program) []string {
+	out := make([]string, 0, len(prog.Funcs))
+	for id := range prog.Funcs {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // sharedStateInScope reports whether a package-level variable participates
 // in the shared-state audit: module-owned, and not the simulation kernel's
 // own serialized state.

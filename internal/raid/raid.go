@@ -54,8 +54,7 @@ type Array struct {
 	// parity-consistent stripe. locked holds the stripe indices currently
 	// owned by an in-flight operation; lockC wakes the waiters.
 	locked map[int64]bool
-	//lint:allow snapshotguard lockC is a lazily created kernel condition; no waiters exist at any quiescent snapshot point
-	lockC *sim.Cond
+	lockC  *sim.Cond
 
 	// QoS admission gate (nil = unbounded). Client traffic admits through
 	// ctl before touching member devices; the scrubber admits at Background

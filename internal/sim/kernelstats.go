@@ -13,10 +13,8 @@ import "tracklog/internal/telemetry"
 // values are safe to include in byte-compared artifacts.
 //
 // The counters are deliberately NOT part of the snapshot codec
-// (env_snapshot.go): they are observer state, not simulated state. A
-// restored world replays the same schedule and regenerates them, and the
-// snapshot byte-compare must not depend on whether an observer was
-// attached.
+// (env_snapshot.go): they are observer state, not simulated state, and a
+// kernel's fingerprint must not depend on whether an observer was attached.
 //
 // Wall-clock cost (events/sec, ns/event, allocs/event) is measured from
 // outside the module by bench/ and never appears here.

@@ -78,8 +78,7 @@ type Env struct {
 	driver chan struct{} // hand-off: dispatch loop -> the goroutine in RunUntil or Close
 	procs  map[int64]*Proc
 	nextID int64
-	//lint:allow snapshotguard run is host-side control state of the RunUntil in progress: between runs cur is nil and deadline is dead, a paused proc is the snapshotting hook's own caller, and a closed kernel cannot be snapshotted at all
-	run struct {
+	run    struct {
 		// cur is the running process; nil while the driver has control.
 		cur *Proc
 		// paused, when non-nil, is a process parked in place by a probe
@@ -111,7 +110,6 @@ type Env struct {
 	// mDispatchDepth, when non-nil, receives the queue depth at each
 	// dispatch (attached via SetMetrics); reg is the registry SetMetrics
 	// bound, released by Close.
-	//lint:allow snapshotguard kstats is host-side self-observability, deliberately outside the replay fingerprint (restore is verify-by-byte-compare)
 	kstats         KernelStats
 	mDispatchDepth *telemetry.Histogram
 	reg            *telemetry.Registry

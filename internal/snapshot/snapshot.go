@@ -1,30 +1,31 @@
 // Package snapshot defines the world checkpoint contract of the simulation:
-// a Snapshotter turns a component's durable/replayable state into a
-// byte-deterministic blob and can adopt such a blob back. The encoding is a
-// fixed little-endian stream behind a per-component header (magic, component
-// kind, format version), with every map rendered in sorted key order, so two
-// worlds in the same state produce byte-identical snapshots — the property
-// the crash explorer and the restored-world CI gate compare on.
+// a Snapshotter turns a component's state into a byte-deterministic blob.
+// The encoding is a fixed little-endian stream behind a per-component header
+// (magic, component kind, format version), with every map rendered in sorted
+// key order, so two worlds in the same state produce byte-identical
+// snapshots — the property trailsim -verify-snapshot's world digest and the
+// golden-digest tests compare on.
 //
 // Each format is written once, as a walk: a function that hands every
 // snapshotted field, in stream order, to a Codec. Encode runs the walk over
-// the component's own fields; Decode runs the same walk over a shadow the
+// the component's own fields. Only the formats a reader decodes — a drive's
+// media (disk.Disk) and a fault plan's state (fault.Plan), the durable state
+// a power cut leaves behind — also run it under Decode, over a shadow the
 // component then validates and adopts. The walk is the format — there is no
 // second list of fields to drift from it.
 //
 // The package deliberately imports nothing from the rest of the repository:
-// internal/sim implements Snapshotter for its kernel types using this codec,
-// and every layer above (disk, fault, trail, stddisk, raid, wal, txn) does
-// the same, without import cycles.
+// internal/sim implements Snapshotter for its kernel using this codec, and
+// the layers above (disk, fault, trail, stddisk) do the same, without import
+// cycles.
 //
-// Restore is defensive by contract: feeding it arbitrary or corrupted bytes
-// must never panic — it returns an error wrapping ErrCorrupt (malformed
-// stream), ErrMismatch (a snapshot of some other component or geometry), or
-// ErrNotQuiescent (a valid snapshot that cannot be adopted because it — or
-// the target — has operations in flight; restore such worlds by replay
-// instead). This package's tests hold the codec to the no-panic half of that
-// contract (every truncation, hostile lengths); FuzzSnapshotRestore in
-// internal/crashexplore/stacks holds every component's Restore to it.
+// Decoding is defensive by contract: feeding a Restore arbitrary or
+// corrupted bytes must never panic — it returns an error wrapping ErrCorrupt
+// (malformed stream), ErrMismatch (a snapshot of some other component or
+// geometry), or ErrNotQuiescent (the target has operations in flight). This
+// package's tests hold the codec to the no-panic half of that contract
+// (every truncation, hostile lengths); FuzzSnapshotRestore in
+// internal/crashexplore/stacks holds both Restores to it.
 package snapshot
 
 import (
@@ -44,19 +45,17 @@ var (
 	// different kind, format version, or component identity (e.g. a snapshot
 	// of one drive restored into a drive with different geometry).
 	ErrMismatch = errors.New("snapshot: component mismatch")
-	// ErrNotQuiescent means the snapshot (or the restore target) has
-	// operations in flight that data-only restore cannot reproduce; restore
-	// that world by deterministic replay instead.
+	// ErrNotQuiescent means a component has operations in flight that a
+	// data snapshot cannot carry, so it can neither be captured nor adopt
+	// one.
 	ErrNotQuiescent = errors.New("snapshot: not quiescent")
 )
 
 // Snapshotter is implemented by every component whose state participates in
 // a world checkpoint. Snapshot must be a pure, byte-deterministic function
-// of the component's state; Restore must never panic on arbitrary input, and
-// keeps nothing that aliases data.
+// of the component's state.
 type Snapshotter interface {
 	Snapshot() []byte
-	Restore(data []byte) error
 }
 
 // magic marks the start of every component snapshot.
