@@ -19,7 +19,7 @@ import (
 //	go test -run '^$' -bench . -benchmem ./internal/tpcc
 
 // benchRunner is a loaded database and a runner on instant devices.
-func benchRunner(b *testing.B) (*sim.Env, *Runner) {
+func benchRunner(b testing.TB) (*sim.Env, *Runner) {
 	env := sim.NewEnv()
 	b.Cleanup(env.Close)
 	dev := func(minor uint8) blockdev.Device {
@@ -64,3 +64,34 @@ func benchTransaction(b *testing.B, one func(r *Runner, p *sim.Proc, rng *sim.Ra
 
 func BenchmarkNewOrder(b *testing.B)   { benchTransaction(b, (*Runner).newOrder) }
 func BenchmarkStockLevel(b *testing.B) { benchTransaction(b, (*Runner).stockLevel) }
+
+// TestTransactionAllocations pins what a new-order and a stock-level
+// transaction allocate on a warm cache: the Txn and little else. Neither a
+// key, a row nor a lock name reaches the heap.
+func TestTransactionAllocations(t *testing.T) {
+	env, r := benchRunner(t)
+	rng := sim.NewRand(5)
+	env.Go("terminal", func(p *sim.Proc) {
+		for _, c := range []struct {
+			name string
+			max  float64
+			one  func(r *Runner, p *sim.Proc, rng *sim.Rand) error
+		}{
+			{"newOrder", 3, (*Runner).newOrder},
+			{"stockLevel", 2, (*Runner).stockLevel},
+		} {
+			var err error
+			got := testing.AllocsPerRun(200, func() {
+				if e := c.one(r, p, rng); e != nil && !errors.Is(e, errRollback) {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			} else if got > c.max {
+				t.Errorf("%s: %v allocations, want at most %v", c.name, got, c.max)
+			}
+		}
+	})
+	env.Run()
+}

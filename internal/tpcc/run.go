@@ -288,8 +288,9 @@ func (r *Runner) execute(p *sim.Proc, rng *sim.Rand, t TxType, cpuScale float64)
 
 // get, getForUpdate, put and del run one row operation of tx on table t. A
 // row's lock is named by its key; neither the name nor the key outlives the
-// call (txn copies what it keeps), so both stay on the caller's stack. A row
-// read is valid until tx's next read.
+// call (txn copies the key into its redo record and the name into its
+// fixed-width lock table key), so both stay on the caller's stack. A row read
+// is valid until tx's next read.
 
 func (r *Runner) get(p *sim.Proc, tx *txn.Txn, t Table, key []byte) ([]byte, error) {
 	return tx.Get(p, r.db.trees[t], uint16(t), key, string(key))

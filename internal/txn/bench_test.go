@@ -110,10 +110,10 @@ func BenchmarkGetHit(b *testing.B) {
 }
 
 // TestSteadyStateAllocations pins what a transaction allocates once the
-// manager has seen its shape: itself and one name per lock it is first to
-// take. Taking a lock again, reading a cached row, buffering a write and
-// logging it allocate nothing (the instant devices leave a rare media slab,
-// which AllocsPerRun's integral average rounds away).
+// manager has seen its shape: itself. Taking a lock, new or held, reading a
+// cached row, buffering a write and logging it allocate nothing (the instant
+// devices leave a rare media slab, which AllocsPerRun's integral average
+// rounds away).
 func TestSteadyStateAllocations(t *testing.T) {
 	r := instantRig(t, 1000)
 	keys := benchKeys(30)
@@ -128,7 +128,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 				t.Errorf("%s: %v allocations, want at most %v", what, got, max)
 			}
 		}
-		measure("30 fresh locks, 30 reads, 10 writes, commit", 31, func() error { return lockCommit30(p, r, keys) })
+		measure("30 fresh locks, 30 reads, 10 writes, commit", 1, func() error { return lockCommit30(p, r, keys) })
 
 		tx := r.m.Begin()
 		key, name := keys[0], string(keys[0])
@@ -143,8 +143,8 @@ func TestSteadyStateAllocations(t *testing.T) {
 		})
 		tx.Abort(p)
 
-		// Ten writes and their ten log records beyond the locks they need.
-		measure("10 locks, 10 writes, commit", 11, func() error {
+		// Ten locks, ten writes and their ten log records.
+		measure("10 locks, 10 writes, commit", 1, func() error {
 			tx := r.m.Begin()
 			for _, key := range keys[:10] {
 				if err := tx.Put(p, r.tree, 1, key, []byte("a row of 16 byte"), 100, string(key)); err != nil {

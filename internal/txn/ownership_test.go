@@ -2,9 +2,9 @@ package txn
 
 // A transaction copies what it keeps and nothing else (DESIGN.md §4, "Who
 // owns a block's bytes"): Put and Delete copy key and row once, into the redo
-// record that is later logged and applied; the lock table copies a name it
-// does not have; Get copies the row out into a buffer of the transaction's.
-// These tests scribble on everything a caller hands in or gets back.
+// record that is later logged and applied; the lock table copies the name
+// into its fixed-width key; Get copies the row out into a buffer of the
+// transaction's. These tests scribble on everything a caller hands in or gets back.
 
 import (
 	"bytes"
@@ -54,7 +54,7 @@ func TestPutAndDeleteCopyKeyRowAndLockName(t *testing.T) {
 		clear(key)
 		clear(row)
 		clear(nameBuf)
-		if _, held := r.m.locks["lock-1"]; !held || len(r.m.locks) != 3 {
+		if _, held := r.m.locks[nameOf("lock-1")]; !held || len(r.m.locks) != 3 {
 			t.Errorf("lock table holds %d names, lock-1 among them: %v", len(r.m.locks), held)
 		}
 		if err := tx.Commit(p); err != nil {
@@ -183,8 +183,8 @@ func TestRecycledLockEntriesAreEmpty(t *testing.T) {
 			t.Fatalf("seed %d: nothing was recycled", seed)
 		}
 		for _, ls := range free {
-			if ls.name != "" || len(ls.holders) != 0 || ls.queue.Len() != 0 {
-				t.Errorf("seed %d: recycled entry %q with %d holders, %d waiters", seed, ls.name, len(ls.holders), ls.queue.Len())
+			if ls.name != (lockName{}) || len(ls.holders) != 0 || ls.queue.Len() != 0 {
+				t.Errorf("seed %d: recycled entry %q with %d holders, %d waiters", seed, ls.name.bytes(), len(ls.holders), ls.queue.Len())
 			}
 		}
 	}

@@ -18,6 +18,9 @@ func decodeRedo(rec []byte) (tag uint16, del bool, key, value []byte, logical in
 	if len(rec) < 8 {
 		return 0, false, nil, nil, 0, fmt.Errorf("%w: %d bytes", ErrBadRedo, len(rec))
 	}
+	if rec[2] > 1 {
+		return 0, false, nil, nil, 0, fmt.Errorf("%w: flag %d", ErrBadRedo, rec[2])
+	}
 	le := binary.LittleEndian
 	tag = le.Uint16(rec)
 	del = rec[2] == 1

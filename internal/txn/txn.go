@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"tracklog/internal/kvdb"
@@ -26,7 +25,22 @@ var (
 	ErrDeadlock = errors.New("txn: deadlock, transaction aborted")
 	// ErrDone means the transaction has already committed or aborted.
 	ErrDone = errors.New("txn: transaction already finished")
+	// ErrLockName refuses a lock name longer than lockNameWidth bytes.
+	ErrLockName = errors.New("txn: lock name too long")
 )
+
+// lockNameWidth is the longest lock name the table keeps. TPC-C's longest,
+// an order line's key, is 21 bytes.
+const lockNameWidth = 31
+
+// lockName is a lock's name held in place, so keying the table by it copies
+// the caller's string and allocates nothing.
+type lockName struct {
+	n uint8
+	b [lockNameWidth]byte
+}
+
+func (k *lockName) bytes() []byte { return k.b[:k.n] }
 
 // LockMode is a lock strength.
 type LockMode int
@@ -59,7 +73,7 @@ type hold struct {
 // lockState is the per-key lock table entry: the few holders, and the parked
 // requests in arrival order. An emptied entry is kept for the next new key.
 type lockState struct {
-	name    string // the entry's key in the table, which its holders share
+	name    lockName // the entry's key in the table
 	holders []hold
 	queue   sim.FIFO[*Txn]
 }
@@ -69,10 +83,10 @@ type Manager struct {
 	env    *sim.Env
 	log    *wal.Log
 	nextID int64
-	locks  map[string]*lockState
-	// waitingOn maps a blocked transaction to the key it waits for, for
+	locks  map[lockName]*lockState
+	// waitingOn maps a blocked transaction to the entry it waits on, for
 	// deadlock detection.
-	waitingOn map[int64]string
+	waitingOn map[int64]*lockState
 	stats     Stats
 	// Recycled memory, not state: emptied lock table entries and the emptied
 	// buffers of finished transactions.
@@ -85,8 +99,8 @@ func NewManager(env *sim.Env, log *wal.Log) *Manager {
 	return &Manager{
 		env:       env,
 		log:       log,
-		locks:     make(map[string]*lockState),
-		waitingOn: make(map[int64]string),
+		locks:     make(map[lockName]*lockState),
+		waitingOn: make(map[int64]*lockState),
 	}
 }
 
@@ -103,10 +117,9 @@ type writeOp struct {
 }
 
 // buffers is the memory a transaction fills, handed on when it finishes: a
-// transaction in steady state allocates itself and the names of the locks it
-// is first to take.
+// transaction in steady state allocates only itself.
 type buffers struct {
-	locks  []string // the keys held, by their table entries' names
+	locks  []*lockState // the entries of the keys held
 	writes []writeOp
 	// redo holds the deferred writes as the records that will be logged: the
 	// one copy of a written key and row the transaction keeps.
@@ -172,22 +185,28 @@ func (ls *lockState) grant(txnID int64, mode LockMode) {
 }
 
 // Lock acquires key in the given mode, blocking until granted. It returns
-// ErrDeadlock (and aborts t) if waiting would create a cycle. The table
-// copies a name it does not have: key may live in a buffer the caller reuses.
+// ErrDeadlock (and aborts t) if waiting would create a cycle, and ErrLockName
+// (changing nothing) if key is longer than lockNameWidth bytes. The table
+// copies the name: key may live in a buffer the caller reuses.
 func (t *Txn) Lock(p *sim.Proc, key string, mode LockMode) error {
 	if t.done {
 		return ErrDone
 	}
+	if len(key) > lockNameWidth {
+		return fmt.Errorf("%w: %d bytes, at most %d", ErrLockName, len(key), lockNameWidth)
+	}
+	name := lockName{n: uint8(len(key))}
+	copy(name.b[:], key)
 	m := t.m
-	ls := m.locks[key]
+	ls := m.locks[name]
 	if ls == nil {
 		if m.freeLocks.Len() > 0 {
 			ls = m.freeLocks.Pop()
 		} else {
 			ls = new(lockState)
 		}
-		ls.name = strings.Clone(key)
-		m.locks[ls.name] = ls
+		ls.name = name
+		m.locks[name] = ls
 	}
 	held := ls.held(t.id)
 	if held == Exclusive || held == mode {
@@ -209,7 +228,7 @@ func (t *Txn) Lock(p *sim.Proc, key string, mode LockMode) error {
 		t.wantMode = mode
 		t.granted.Init(m.env)
 		ls.queue.Push(t)
-		m.waitingOn[t.id] = ls.name
+		m.waitingOn[t.id] = ls
 		m.stats.LockWaits++
 		start := p.Now()
 		t.granted.Wait(p) // whoever releases the key grants, then wakes
@@ -217,7 +236,7 @@ func (t *Txn) Lock(p *sim.Proc, key string, mode LockMode) error {
 		delete(m.waitingOn, t.id)
 	}
 	if held == 0 {
-		t.locks = append(t.locks, ls.name)
+		t.locks = append(t.locks, ls)
 	}
 	return nil
 }
@@ -231,8 +250,8 @@ func (m *Manager) waitsOn(ls *lockState, txnID int64, seen map[int64]bool) bool 
 			continue
 		}
 		seen[h.txnID] = true
-		k, waiting := m.waitingOn[h.txnID]
-		if waiting && (m.locks[k].held(txnID) != 0 || m.waitsOn(m.locks[k], txnID, seen)) {
+		w, waiting := m.waitingOn[h.txnID]
+		if waiting && (w.held(txnID) != 0 || m.waitsOn(w, txnID, seen)) {
 			return true
 		}
 	}
@@ -246,9 +265,8 @@ func (m *Manager) waitsOn(ls *lockState, txnID int64, seen map[int64]bool) bool 
 func (t *Txn) releaseAll() {
 	m := t.m
 	t.done = true
-	slices.Sort(t.locks)
-	for _, key := range t.locks {
-		ls := m.locks[key]
+	slices.SortFunc(t.locks, func(a, b *lockState) int { return bytes.Compare(a.name.bytes(), b.name.bytes()) })
+	for _, ls := range t.locks {
 		ls.holders = slices.DeleteFunc(ls.holders, func(h hold) bool { return h.txnID == t.id })
 		// Grant the longest-waiting compatible prefix.
 		for ls.queue.Len() > 0 {
@@ -261,8 +279,8 @@ func (t *Txn) releaseAll() {
 			w.granted.Trigger()
 		}
 		if len(ls.holders) == 0 && ls.queue.Len() == 0 {
-			delete(m.locks, key)
-			ls.name = ""
+			delete(m.locks, ls.name)
+			ls.name = lockName{}
 			m.freeLocks.Push(ls)
 		}
 	}

@@ -3,6 +3,8 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,5 +283,70 @@ func TestRedoRecordsPaddedToLogical(t *testing.T) {
 	r.env.Run()
 	if got := r.m.Log().Stats().AppendedBytes; got < 650 {
 		t.Errorf("appended %d bytes, want >= logical 650", got)
+	}
+}
+
+// nameOf is the lock table's key for name.
+func nameOf(name string) lockName {
+	k := lockName{n: uint8(len(name))}
+	copy(k.b[:], name)
+	return k
+}
+
+func TestLockNameWidth(t *testing.T) {
+	r := newRig(t, wal.SyncEveryCommit)
+	defer r.env.Close()
+	r.env.Go("t", func(p *sim.Proc) {
+		tx := r.m.Begin()
+		widest := strings.Repeat("w", lockNameWidth)
+		if err := tx.Lock(p, widest, Exclusive); err != nil {
+			t.Errorf("%d-byte name: %v", len(widest), err)
+		}
+		if err := tx.Lock(p, widest+"!", Exclusive); !errors.Is(err, ErrLockName) {
+			t.Errorf("%d-byte name: %v, want ErrLockName", len(widest)+1, err)
+		}
+		if _, held := r.m.locks[nameOf(widest)]; !held || len(r.m.locks) != 1 || len(tx.locks) != 1 {
+			t.Errorf("after a refused name: %d entries, %d held, widest held %v", len(r.m.locks), len(tx.locks), held)
+		}
+		// The refusal leaves the transaction going.
+		if err := tx.Commit(p); err != nil {
+			t.Errorf("commit after a refused name: %v", err)
+		}
+	})
+	r.env.Run()
+}
+
+// TestPrefixNamesAreDistinctAndWakeInByteOrder: "k:1" and "k:10" are two
+// locks, and waiters parked on them wake in the names' byte order, not in the
+// order they were taken or waited for.
+func TestPrefixNamesAreDistinctAndWakeInByteOrder(t *testing.T) {
+	r := newRig(t, wal.SyncEveryCommit)
+	defer r.env.Close()
+	var woke []string
+	r.env.Go("holder", func(p *sim.Proc) {
+		tx := r.m.Begin()
+		tx.Lock(p, "k:10", Exclusive)
+		tx.Lock(p, "k:1", Exclusive)
+		if len(r.m.locks) != 2 {
+			t.Errorf("%d lock entries for k:10 and k:1, want 2", len(r.m.locks))
+		}
+		p.Sleep(10 * time.Millisecond)
+		tx.Commit(p)
+	})
+	for i, name := range []string{"k:10", "k:1"} {
+		r.env.Go("waiter", func(p *sim.Proc) {
+			p.Sleep(time.Duration(i+1) * time.Millisecond)
+			tx := r.m.Begin()
+			if err := tx.Lock(p, name, Exclusive); err != nil {
+				t.Errorf("lock %s: %v", name, err)
+				return
+			}
+			woke = append(woke, name)
+			tx.Commit(p)
+		})
+	}
+	r.env.Run()
+	if want := []string{"k:1", "k:10"}; !slices.Equal(woke, want) {
+		t.Errorf("woke %v, want %v", woke, want)
 	}
 }
