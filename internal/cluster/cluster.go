@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"time"
 
 	"tracklog/internal/blockdev"
@@ -129,6 +130,12 @@ type ringEntry struct {
 	shard int
 }
 
+// procNames are a tenant's request process names, copies primary first.
+type procNames struct {
+	write, read [2]string
+	hedge       string
+}
+
 // slot is the cluster's bookkeeping for one (tenant, block) address: the
 // acked version count, the issue counter feeding payload generation, and the
 // sequence number of every acknowledged write, in ack order: payloadFor turns
@@ -170,8 +177,12 @@ type Cluster struct {
 	slots  [][]slot
 	spb    int // sectors per block
 	stats  Stats
-	// spanNames are the shards' span device names ("shardN"), built once.
+	// spanNames are the shards' span device names ("shardN"), and names
+	// each tenant's request process names, built once.
 	spanNames []string
+	names     []procNames
+	// freeWrites holds write ops whose copies have completed.
+	freeWrites []*writeOp
 
 	rec *span.Recorder
 	agg *timeline.Aggregator
@@ -223,8 +234,15 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 	}
 
 	c.slots = make([][]slot, cfg.Tenants)
+	c.names = make([]procNames, cfg.Tenants)
 	for t := range c.slots {
 		c.slots[t] = make([]slot, cfg.BlocksPerTenant)
+		n := &c.names[t]
+		for i, s := range [2]int{c.place[t].Primary, c.place[t].Replica} {
+			n.write[i] = fmt.Sprintf("cluster/w-t%d-s%d", t, s)
+			n.read[i] = fmt.Sprintf("cluster/r-t%d-s%d", t, s)
+		}
+		n.hedge = fmt.Sprintf("cluster/hedge-t%d", t)
 	}
 
 	for i := 0; i < cfg.Shards; i++ {
@@ -330,12 +348,19 @@ func (c *Cluster) slotLBA(t, block, shardIdx int) int64 {
 	return base + int64(block*c.spb)
 }
 
-// payloadFor generates the deterministic payload for one write attempt.
-func payloadFor(tenant, block int, seq int64, size int) []byte {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "t%d/b%d/s%d", tenant, block, seq)
+// payloadFor fills buf with the deterministic payload of one write attempt,
+// seeded by the FNV-1a hash of "t<tenant>/b<block>/s<seq>", and returns it.
+func payloadFor(buf []byte, tenant, block int, seq int64) []byte {
+	var name [64]byte
+	b := append(name[:0], 't')
+	b = strconv.AppendInt(b, int64(tenant), 10)
+	b = append(b, "/b"...)
+	b = strconv.AppendInt(b, int64(block), 10)
+	b = append(b, "/s"...)
+	b = strconv.AppendInt(b, seq, 10)
+	h := fnv.New64a() // inlined: the hash state stays on the stack
+	h.Write(b)
 	x := h.Sum64()
-	buf := make([]byte, size)
 	for i := range buf {
 		// xorshift64* keeps the fill cheap and seed-determined.
 		x ^= x >> 12
@@ -474,6 +499,7 @@ func (c *Cluster) runMixRequest(p *sim.Proc, r workload.MixRequest, o *ReqOutcom
 // the number lost (unreadable or mismatched) — the kill-one-shard
 // acceptance bar is lost == 0.
 func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
+	want := make([]byte, c.cfg.WriteSize)
 	for t := range c.slots {
 		for b := range c.slots[t] {
 			sl := &c.slots[t][b]
@@ -486,7 +512,7 @@ func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
 				lost++
 				continue
 			}
-			if !c.matchesAcked(data, t, b) {
+			if !c.matchesAcked(data, want, t, b) {
 				lost++
 			}
 		}
@@ -495,11 +521,11 @@ func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
 }
 
 // matchesAcked reports whether data is the payload of one of the slot's
-// acknowledged writes, trying the newest first.
-func (c *Cluster) matchesAcked(data []byte, tenant, block int) bool {
+// acknowledged writes, generating each into scratch, newest first.
+func (c *Cluster) matchesAcked(data, scratch []byte, tenant, block int) bool {
 	cands := c.slots[tenant][block].cands
 	for i := len(cands) - 1; i >= 0; i-- {
-		if bytes.Equal(data, payloadFor(tenant, block, cands[i], c.cfg.WriteSize)) {
+		if bytes.Equal(data, payloadFor(scratch, tenant, block, cands[i])) {
 			return true
 		}
 	}

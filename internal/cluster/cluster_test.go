@@ -35,7 +35,7 @@ func TestClusterWriteReadRoundTrip(t *testing.T) {
 				t.Errorf("read tenant %d: %v", tn, err)
 				continue
 			}
-			if !c.matchesAcked(data, tn, 0) {
+			if !c.matchesAcked(data, make([]byte, c.cfg.WriteSize), tn, 0) {
 				t.Errorf("tenant %d read back wrong data", tn)
 			}
 		}

@@ -57,12 +57,12 @@ func TestVerifyAckedMatchesAnyAcknowledgedPayloadAndNoOther(t *testing.T) {
 		t.Fatalf("untouched cluster: checked %d lost %d, want 4 and 0", checked, lost)
 	}
 	for seq := int64(0); seq < 3; seq++ {
-		overwriteBothCopies(c, thrice, 0, payloadFor(thrice, 0, seq, c.cfg.WriteSize))
+		overwriteBothCopies(c, thrice, 0, payloadFor(make([]byte, c.cfg.WriteSize), thrice, 0, seq))
 		if _, lost := verify(env, c); lost != 0 {
 			t.Errorf("slot holds its acknowledged write %d of 3: lost %d, want 0", seq, lost)
 		}
 	}
-	overwriteBothCopies(c, thrice, 0, payloadFor(thrice, 0, 3, c.cfg.WriteSize))
+	overwriteBothCopies(c, thrice, 0, payloadFor(make([]byte, c.cfg.WriteSize), thrice, 0, 3))
 	if checked, lost := verify(env, c); checked != 4 || lost != 1 {
 		t.Errorf("slot holds a payload nobody acknowledged: checked %d lost %d, want 4 and 1", checked, lost)
 	}

@@ -17,19 +17,60 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
 )
 
-// copyAttempt is one shard write's outcome.
-type copyAttempt struct {
-	shard      int
-	start, end sim.Time
-	err        error
-	skipped    bool // shard was Dead; never attempted
+// writeOp is one write-both request's bookkeeping: its payload and one copy
+// per shard, primary first. Ops come off Cluster.freeWrites and go back once
+// both copies have completed, which is safe because a shard write keeps no
+// reference to the payload (blockdev.Device.Write).
+type writeOp struct {
+	payload []byte
+	copies  [2]shardCopy
+}
+
+// shardCopy is one shard's write of a writeOp. Its process body, run, is
+// bound once, when the op is made.
+type shardCopy struct {
+	c       *Cluster
+	payload []byte
+	run     func(*sim.Proc)
+
+	sh    *Shard
+	shard int
+	lba   int64
+	class blockdev.Class
+	err   error
+	end   sim.Time
+	done  sim.Event
+}
+
+// write is a copy's process body.
+func (w *shardCopy) write(wp *sim.Proc) {
+	w.err = w.sh.dev.WriteOpts(wp, w.lba, w.c.spb, w.payload, blockdev.Options{Class: w.class})
+	w.end = wp.Now()
+	if w.err != nil {
+		w.c.observeRequestError(w.sh, w.err, wp.Now())
+	}
+	w.done.Trigger()
+}
+
+// newWriteOp takes an op off the free list, or makes one.
+func (c *Cluster) newWriteOp() *writeOp {
+	if n := len(c.freeWrites); n > 0 {
+		op := c.freeWrites[n-1]
+		c.freeWrites = c.freeWrites[:n-1]
+		return op
+	}
+	op := &writeOp{payload: make([]byte, c.cfg.WriteSize)}
+	for i := range op.copies {
+		w := &op.copies[i]
+		w.c, w.payload, w.run = c, op.payload, w.write
+	}
+	return op
 }
 
 // Write routes one block write: payload generation, cluster-edge admission,
@@ -43,7 +84,6 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	sl := &c.slots[tenant][block]
 	seq := sl.issued
 	sl.issued++
-	payload := payloadFor(tenant, block, seq, c.cfg.WriteSize)
 
 	start := p.Now()
 	rq := c.rec.Start(span.KWrite, "cluster", c.spanNames[pl.Primary],
@@ -60,41 +100,28 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 		return fmt.Errorf("cluster: background write shed while capacity lost: %w", blockdev.ErrOverload)
 	}
 
-	attempts := make([]copyAttempt, 0, 2)
-	for _, shardIdx := range [2]int{pl.Primary, pl.Replica} {
-		sh := c.shards[shardIdx]
-		a := copyAttempt{shard: shardIdx, start: start}
-		if !sh.writable() {
-			a.skipped = true
-			a.err = fmt.Errorf("cluster: shard %d dead: %w", shardIdx, blockdev.ErrDeviceFailed)
-		}
-		attempts = append(attempts, a)
-	}
+	op := c.newWriteOp()
+	defer func() { c.freeWrites = append(c.freeWrites, op) }()
+	payloadFor(op.payload, tenant, block, seq)
 
 	// Launch the live copies in parallel and join on their events. Spawn
-	// order and event wakeup order are deterministic.
-	var evs []*sim.Event
-	for i := range attempts {
-		if attempts[i].skipped {
-			continue
-		}
-		i := i
+	// order and event wakeup order are deterministic. A dead shard's copy
+	// is never attempted: it fails at once, so waiting on it never blocks.
+	attempts := &op.copies
+	for i, shardIdx := range [2]int{pl.Primary, pl.Replica} {
 		a := &attempts[i]
-		sh := c.shards[a.shard]
-		lba := c.slotLBA(tenant, block, a.shard)
-		ev := sim.NewEvent(c.env)
-		evs = append(evs, ev)
-		c.env.Go(fmt.Sprintf("cluster/w-t%d-s%d", tenant, a.shard), func(wp *sim.Proc) {
-			a.err = sh.dev.WriteOpts(wp, lba, c.spb, payload, blockdev.Options{Class: class})
-			a.end = wp.Now()
-			if a.err != nil {
-				c.observeRequestError(sh, a.err, wp.Now())
-			}
-			ev.Trigger()
-		})
+		a.sh, a.shard, a.class = c.shards[shardIdx], shardIdx, class
+		a.lba, a.err = c.slotLBA(tenant, block, shardIdx), nil
+		a.done.Init(c.env)
+		if a.sh.writable() {
+			c.env.Go(c.names[tenant].write[i], a.run)
+		} else {
+			a.err = fmt.Errorf("cluster: shard %d dead: %w", shardIdx, blockdev.ErrDeviceFailed)
+			a.done.Trigger()
+		}
 	}
-	for _, ev := range evs {
-		ev.Wait(p)
+	for i := range attempts {
+		attempts[i].done.Wait(p)
 	}
 	end := p.Now()
 
@@ -137,24 +164,16 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	}
 
 	// Acknowledged. Tile the copy window into exact PSubWrite segments by
-	// sorted completion: [start, firstEnd] is both copies in flight
-	// (charged to the first finisher), [firstEnd, lastEnd] the straggler.
-	done := attempts[:0:0]
-	for _, a := range attempts {
-		if !a.skipped && a.err == nil {
-			done = append(done, a)
-		}
+	// completion (ties to the lower shard): [start, firstEnd] is both copies
+	// in flight, charged to the first finisher, and [firstEnd, lastEnd] the
+	// straggler; a failed or skipped copy has none.
+	first, last := &attempts[0], &attempts[1]
+	if first.err != nil || (last.err == nil && (last.end < first.end || (last.end == first.end && last.shard < first.shard))) {
+		first, last = last, first
 	}
-	sort.Slice(done, func(i, j int) bool {
-		if done[i].end != done[j].end {
-			return done[i].end < done[j].end
-		}
-		return done[i].shard < done[j].shard
-	})
-	segStart := start
-	for _, a := range done {
-		rq.ChildAB(span.PSubWrite, int64(segStart), int64(a.end), int64(a.shard), 0)
-		segStart = a.end
+	rq.ChildAB(span.PSubWrite, int64(start), int64(first.end), int64(first.shard), 0)
+	if last.err == nil {
+		rq.ChildAB(span.PSubWrite, int64(first.end), int64(last.end), int64(last.shard), 0)
 	}
 
 	sl.version++
@@ -169,7 +188,7 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 
 // readRace is the shared state of one read's primary/hedge/failover race.
 type readRace struct {
-	done      *sim.Event
+	done      sim.Event
 	won       bool
 	data      []byte
 	from      int  // winning shard
@@ -201,7 +220,9 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]
 	rq := c.rec.Start(span.KRead, "cluster", c.spanNames[pl.Primary],
 		c.slotLBA(tenant, block, pl.Primary), c.spb, int64(start))
 
-	race := &readRace{done: sim.NewEvent(c.env)}
+	race := &readRace{}
+	race.done.Init(c.env)
+	names := &c.names[tenant]
 
 	launchReplica := func(at sim.Time, hedge bool) {
 		if race.replicaOn || !rep.serving() {
@@ -216,7 +237,7 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]
 			race.failover = true
 			race.failAt = at
 		}
-		c.env.Go(fmt.Sprintf("cluster/r-t%d-s%d", tenant, pl.Replica), func(rp *sim.Proc) {
+		c.env.Go(names.read[1], func(rp *sim.Proc) {
 			race.repStart = rp.Now()
 			data, err := rep.dev.ReadOpts(rp, c.slotLBA(tenant, block, pl.Replica), c.spb,
 				blockdev.Options{Class: class})
@@ -227,7 +248,7 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]
 
 	if pri.serving() {
 		race.started++
-		c.env.Go(fmt.Sprintf("cluster/r-t%d-s%d", tenant, pl.Primary), func(rp *sim.Proc) {
+		c.env.Go(names.read[0], func(rp *sim.Proc) {
 			race.priStart = rp.Now()
 			data, err := pri.dev.ReadOpts(rp, c.slotLBA(tenant, block, pl.Primary), c.spb,
 				blockdev.Options{Class: class})
@@ -251,7 +272,7 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]
 		// Hedge timer: a daemon (it must not keep the simulation alive on
 		// its own) that fires the replica if the primary is still out.
 		if c.cfg.HedgeAfter > 0 && rep.serving() {
-			c.env.GoDaemon(fmt.Sprintf("cluster/hedge-t%d", tenant), func(hp *sim.Proc) {
+			c.env.GoDaemon(names.hedge, func(hp *sim.Proc) {
 				hp.Sleep(c.cfg.HedgeAfter)
 				if !race.done.Fired() && !race.won {
 					launchReplica(hp.Now(), true)

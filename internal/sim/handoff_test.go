@@ -241,12 +241,8 @@ func TestCloseAfterHandoffChainLeaksNoGoroutines(t *testing.T) {
 	if started {
 		t.Error("Close ran a process that had never been dispatched")
 	}
-	// An unwound goroutine signals Close just before it returns; give the
-	// last ones a few scheduler turns to finish exiting.
-	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
-	}
-	if n := runtime.NumGoroutine(); n > before {
+	// An unwound goroutine signals Close just before it returns.
+	if n := settleGoroutines(before); n > before {
 		t.Errorf("%d goroutines after Close, %d before NewEnv", n, before)
 	}
 }

@@ -36,7 +36,7 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // procState tracks where a process is in its lifecycle.
-type procState int
+type procState uint8
 
 const (
 	// procReady means the process is scheduled in the event queue.
@@ -51,12 +51,14 @@ const (
 )
 
 // Proc is a simulated process. All blocking operations are methods on Proc so
-// that the kernel always knows which process is yielding.
+// that the kernel always knows which process is yielding. A Proc is never
+// reused, so that Done keeps answering after the process exits.
 type Proc struct {
 	env    *Env
 	name   string
 	id     int64
-	resume chan struct{}
+	resume chan *Proc // its goroutine's; every hand-off to p sends p
+	fn     func(p *Proc)
 	state  procState
 	killed bool
 	// daemon processes (samplers, background observers) do not keep the
@@ -78,6 +80,7 @@ type Env struct {
 	driver chan struct{} // hand-off: dispatch loop -> the goroutine in RunUntil or Close
 	procs  map[int64]*Proc
 	nextID int64
+	idle   []chan *Proc // goroutines whose process returned (see work)
 	run    struct {
 		// cur is the running process; nil while the driver has control.
 		cur *Proc
@@ -170,12 +173,20 @@ func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	if e.run.closed {
 		panic("sim: Go on closed Env")
 	}
+	var resume chan *Proc
+	if n := len(e.idle); n > 0 {
+		resume, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		resume = make(chan *Proc)
+		go e.work(resume)
+	}
 	e.nextID++
 	p := &Proc{
 		env:    e,
 		name:   name,
 		id:     e.nextID,
-		resume: make(chan struct{}),
+		resume: resume,
+		fn:     fn,
 		state:  procReady,
 		daemon: daemon,
 		done:   Event{env: e},
@@ -188,36 +199,44 @@ func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{At: int64(e.now), Kind: trace.KProcStart, Track: name})
 	}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				p.state = procDone
-				delete(e.procs, p.id)
-				if kp, ok := r.(killedPanic); !ok || kp.p != p {
-					// Re-panicking here would crash the whole program from a
-					// bare goroutine with a confusing trace. Surface the panic
-					// on the driver's side instead.
-					e.kernelPanic = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				}
-				// Unwound by Env.Close or panicked: either way the run is
-				// over, so control goes straight back without dispatching.
-				e.transfer(nil)
+	e.schedule(e.now, p)
+	return p
+}
+
+// work runs processes one after another on one goroutine: each receive in
+// the loop is a new process's first dispatch. When its function returns, the
+// goroutine goes on the idle list before dispatching the next event; a
+// process that panics or is killed ends it, and so does Close.
+func (e *Env) work(resume chan *Proc) {
+	var p *Proc
+	defer func() {
+		if r := recover(); r != nil {
+			p.state = procDone
+			delete(e.procs, p.id)
+			if kp, ok := r.(killedPanic); !ok || kp.p != p {
+				// Re-panicking here would crash the whole program from a
+				// bare goroutine with a confusing trace. Surface the panic
+				// on the driver's side instead.
+				e.kernelPanic = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
-		}()
-		<-p.resume
+			// Unwound by Env.Close or panicked: either way the run is
+			// over, so control goes straight back without dispatching.
+			e.transfer(nil)
+		}
+	}()
+	for p = range resume {
 		p.resumed()
-		fn(p)
-		p.state = procDone
+		p.fn(p)
+		p.state, p.fn = procDone, nil
 		delete(e.procs, p.id)
 		e.kstats.ProcsFinished++
 		if e.tracer != nil {
 			e.tracer.Emit(trace.Event{At: int64(e.now), Kind: trace.KProcEnd, Track: p.name})
 		}
 		p.done.Trigger()
+		e.idle = append(e.idle, resume)
 		e.transfer(e.next())
-	}()
-	e.schedule(e.now, p)
-	return p
+	}
 }
 
 // schedule puts p into the event queue at time t.
@@ -327,10 +346,10 @@ func (e *Env) transfer(n *Proc) {
 		e.driver <- struct{}{}
 		return
 	}
-	n.resume <- struct{}{}
+	n.resume <- n
 }
 
-// Close unwinds every live process so no goroutines are leaked, then
+// Close unwinds every live process and idle goroutine so none leaks, then
 // releases the instruments bound by SetTracer and SetMetrics so that neither
 // references the world afterwards: the tracer drops its drives' head probes,
 // and the registry's func-backed series keep the values they read here.
@@ -348,6 +367,9 @@ func (e *Env) Close() {
 			e.transfer(p)
 			<-e.driver
 		}
+	}
+	for _, resume := range e.idle {
+		close(resume)
 	}
 	e.procs = map[int64]*Proc{}
 	e.queue = nil
@@ -381,8 +403,12 @@ func (p *Proc) resumed() {
 	p.state = procRunning
 }
 
-// park blocks the calling process until something calls env.ready(p).
+// park blocks the calling process until something calls env.ready(p). Only
+// p may: its goroutine may by now run another process.
 func (p *Proc) park() {
+	if p.env.run.cur != p {
+		panic(fmt.Sprintf("sim: %q blocked from outside its own process", p.name))
+	}
 	if p.env.tracer != nil {
 		p.env.tracer.Emit(trace.Event{At: int64(p.env.now), Kind: trace.KBlock, Track: p.name})
 	}
