@@ -39,7 +39,6 @@ import (
 	"tracklog/internal/crashexplore"
 	"tracklog/internal/crashexplore/stacks"
 	"tracklog/internal/experiments"
-	"tracklog/internal/metrics"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
@@ -183,7 +182,7 @@ func explorePoint(seed uint64) (benchfmt.Entry, error) {
 	if rep.Failed() {
 		return benchfmt.Entry{}, fmt.Errorf("crash-explore bench: durability contract violated (first failing event %d)", rep.FirstFailing)
 	}
-	cuts := metrics.NewSummary()
+	cuts := telemetry.NewSummary()
 	var replayed time.Duration
 	for _, b := range rep.Branches {
 		at := time.Duration(b.Event.At)
@@ -278,7 +277,7 @@ func worldPoint(name string, art artifacts) (benchfmt.Entry, error) {
 	// measure the bench phase as a delta from here.
 	base := env.KernelStats()
 	vstart := env.Now()
-	lat := metrics.NewSummary()
+	lat := telemetry.NewSummary()
 	var werr error
 	env.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < worldWrites; i++ {
@@ -334,7 +333,7 @@ func artifactPath(base, name string) string {
 }
 
 // latencyEntry starts a gate entry from a latency distribution.
-func latencyEntry(name string, lat *metrics.Summary) benchfmt.Entry {
+func latencyEntry(name string, lat *telemetry.Summary) benchfmt.Entry {
 	return benchfmt.Entry{
 		Name:   name,
 		Count:  lat.Count(),

@@ -34,8 +34,6 @@
 //	                       (load in ui.perfetto.dev or chrome://tracing) and
 //	                       print the head-position prediction audit
 //	-trace-cap N           trace ring capacity in events
-//	-sample-interval D     sample per-device gauges every D of virtual time
-//	-sample-out FILE       time-series destination (.json for JSON, else CSV)
 //	-metrics FILE          write the telemetry registry at exit: kernel, driver
 //	                       counters and per-disk series (.prom for Prometheus
 //	                       text exposition, else JSON)
@@ -49,7 +47,8 @@
 //	-span-cap N            span recorder ring capacity in requests
 //
 // Traced runs are bit-identical in virtual time to untraced runs of the same
-// seed, and trace/sample/span files are byte-identical across repeated runs.
+// seed, and trace/span/metrics/timeline files are byte-identical across
+// repeated runs.
 package main
 
 import (
@@ -59,7 +58,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"tracklog/internal/benchfmt"
@@ -80,12 +78,12 @@ import (
 	"tracklog/internal/workload"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run parses args, runs the chosen scenario and returns the exit status.
 // Errors and the -verify-snapshot status line go to stderr; everything else
 // goes to stdout.
-func run(args []string, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trailsim", flag.ExitOnError)
 	fs.SetOutput(stderr)
 	system := fs.String("system", "trail", "storage system: trail or std")
@@ -108,8 +106,6 @@ func run(args []string, stderr io.Writer) int {
 	verify := fs.Bool("verify", false, "with -offered-load, audit acknowledged-write survival and exit nonzero on loss")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file of the run")
 	traceCap := fs.Int("trace-cap", trace.DefaultCapacity, "trace ring capacity in events")
-	sampleInterval := fs.Duration("sample-interval", 0, "sample per-device gauges every interval of virtual time (0 disables)")
-	sampleOut := fs.String("sample-out", "samples.csv", "time-series output file for -sample-interval (.json for JSON, else CSV)")
 	metricsOut := fs.String("metrics", "", "write the unified telemetry registry at exit (.prom for Prometheus text, .json otherwise); kernel + component series, byte-deterministic")
 	spans := fs.Bool("spans", false, "print the per-request span budget (critical-path latency breakdown)")
 	spanOut := fs.String("span-out", "", "write every request's span tree as deterministic JSON")
@@ -120,15 +116,11 @@ func run(args []string, stderr io.Writer) int {
 	seekDerate := fs.Int64("seek-derate", 0, "slow the log disk's actual seek arm by this many parts per million while driver predictions keep the spec curve (perturbation knob for cmd/rundiff walkthroughs)")
 	benchOut := fs.String("bench-out", "", "write a single-entry benchfmt summary of the run's latency distribution (for cmd/rundiff)")
 	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
-	if strings.HasSuffix(*sampleOut, ".prom") {
-		fmt.Fprintln(stderr, "trailsim: -sample-out writes CSV or .json; for Prometheus text exposition use -metrics FILE.prom")
-		return 2
-	}
 	if *faultSeed == 0 {
 		*faultSeed = *seed
 	}
 
-	obs := newObserver(*traceOut, *traceCap, *sampleOut, *sampleInterval)
+	obs := newObserver(*traceOut, *traceCap)
 	if *spans || *spanOut != "" || *explainTail > 0 {
 		obs.setSpans(*spanCap, *spans, *spanOut, *explainTail)
 	}
@@ -143,22 +135,22 @@ func run(args []string, stderr io.Writer) int {
 	var err error
 	switch {
 	case *faultTol:
-		err = runFaultTol(*faults, *writes, *faultSeed)
+		err = runFaultTol(stdout, *faults, *writes, *faultSeed)
 	case *replayFile != "":
-		err = runReplayFile(*system, *replayFile, pol, *seekDerate, obs)
+		err = runReplayFile(stdout, *system, *replayFile, pol, *seekDerate, obs)
 	case *pattern != "":
-		err = runPattern(*system, *pattern, *writes, *size, *writeRatio, *seed, pol, *seekDerate, obs)
+		err = runPattern(stdout, *system, *pattern, *writes, *size, *writeRatio, *seed, pol, *seekDerate, obs)
 	case *offeredLoad > 0:
-		err = runOpenLoop(*system, *size, *writes, *offeredLoad, *seed, *faults, *faultSeed, pol, *seekDerate, *verify, obs)
+		err = runOpenLoop(stdout, *system, *size, *writes, *offeredLoad, *seed, *faults, *faultSeed, pol, *seekDerate, *verify, obs)
 	default:
 		var snapOut io.Writer
 		if *verifySnapshot {
 			snapOut = stderr
 		}
-		err = runSync(*system, *mode, *size, *procs, *writes, *seed, *faults, *faultSeed, pol, *seekDerate, snapOut, obs)
+		err = runSync(stdout, *system, *mode, *size, *procs, *writes, *seed, *faults, *faultSeed, pol, *seekDerate, snapOut, obs)
 	}
 	if err == nil {
-		err = obs.finish()
+		err = obs.finish(stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "trailsim:", err)
@@ -168,14 +160,11 @@ func run(args []string, stderr io.Writer) int {
 }
 
 // observer bundles the run's optional telemetry: the event tracer (Chrome
-// trace export plus prediction audit) and the periodic gauge sampler.
+// trace export plus prediction audit), spans, registry, timeline and bench
+// summary.
 type observer struct {
 	traceOut string
 	tr       *trace.Tracer
-
-	sampleOut string
-	interval  time.Duration
-	sampler   *trace.Sampler
 
 	// Span attribution (nil unless a -spans/-span-out/-explain-tail flag
 	// asked for it).
@@ -201,8 +190,8 @@ type observer struct {
 	benchEntry *benchfmt.Entry
 }
 
-func newObserver(traceOut string, traceCap int, sampleOut string, interval time.Duration) *observer {
-	o := &observer{traceOut: traceOut, sampleOut: sampleOut, interval: interval}
+func newObserver(traceOut string, traceCap int) *observer {
+	o := &observer{traceOut: traceOut}
 	if traceOut != "" {
 		o.tr = trace.New(traceCap)
 	}
@@ -238,48 +227,8 @@ func (o *observer) instruments() rig.Instruments {
 	return rig.Instruments{Tracer: o.tr, Recorder: o.rec, Timeline: o.agg, Registry: o.reg}
 }
 
-// attach wires what the bundle does not carry into a freshly built rig: the
-// clock finish() closes the timeline at, and a daemon process (which never
-// keeps the simulation alive) sampling the gauges.
-func (o *observer) attach(r *rig.Rig) {
-	env, drv := r.Env, r.Trail
-	o.env = env
-	if o.interval <= 0 {
-		return
-	}
-	switch {
-	case drv != nil:
-		o.sampler = trace.NewSampler(
-			"log_queue", "data_queue", "staged_bytes", "outstanding_records", "log_cyl")
-		env.GoDaemon("telemetry-sampler", func(p *sim.Proc) {
-			for {
-				cyl, _ := drv.LogDisk(0).ArmPosition()
-				o.sampler.Record(int64(p.Now()),
-					float64(drv.LogQueueLen()),
-					float64(drv.DataQueue(0).Depth()),
-					float64(drv.StagedBytes()),
-					float64(drv.OutstandingRecords()),
-					float64(cyl))
-				p.Sleep(o.interval)
-			}
-		})
-	default:
-		std := r.Std[0]
-		o.sampler = trace.NewSampler("queue_depth", "arm_cyl")
-		env.GoDaemon("telemetry-sampler", func(p *sim.Proc) {
-			for {
-				cyl, _ := std.Queue().Disk().ArmPosition()
-				o.sampler.Record(int64(p.Now()),
-					float64(std.Queue().Depth()),
-					float64(cyl))
-				p.Sleep(o.interval)
-			}
-		})
-	}
-}
-
-// finish writes the collected telemetry files and prints the audit.
-func (o *observer) finish() error {
+// finish writes the collected telemetry files and prints the audit to w.
+func (o *observer) finish(w io.Writer) error {
 	if o.tr != nil {
 		write := o.tr.WriteChrome
 		if o.rec != nil {
@@ -295,54 +244,44 @@ func (o *observer) finish() error {
 		if err := writeFile(o.traceOut, write); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d events -> %s (%d dropped)\n", o.tr.Len(), o.traceOut, o.tr.Dropped())
+		fmt.Fprintf(w, "trace: %d events -> %s (%d dropped)\n", o.tr.Len(), o.traceOut, o.tr.Dropped())
 		if rep := o.tr.Audit(); rep.Predictions > 0 || rep.Unaudited > 0 {
-			fmt.Print(rep)
+			fmt.Fprint(w, rep)
 		}
-	}
-	if o.sampler != nil {
-		write := o.sampler.WriteCSV
-		if strings.HasSuffix(o.sampleOut, ".json") {
-			write = o.sampler.WriteJSON
-		}
-		if err := writeFile(o.sampleOut, write); err != nil {
-			return err
-		}
-		fmt.Printf("samples: %d rows -> %s\n", o.sampler.Rows(), o.sampleOut)
 	}
 	if o.reg != nil {
 		if err := o.reg.WriteFile(o.metricsOut); err != nil {
 			return err
 		}
-		fmt.Printf("metrics: %d series -> %s\n", o.reg.Len(), o.metricsOut)
+		fmt.Fprintf(w, "metrics: %d series -> %s\n", o.reg.Len(), o.metricsOut)
 	}
 	if o.agg != nil {
 		o.agg.Finish(int64(o.env.Now()))
 		if err := o.agg.WriteFile(o.timelineOut); err != nil {
 			return err
 		}
-		fmt.Printf("timeline: bucket %v -> %s\n", time.Duration(o.agg.BucketNS()), o.timelineOut)
+		fmt.Fprintf(w, "timeline: bucket %v -> %s\n", time.Duration(o.agg.BucketNS()), o.timelineOut)
 	}
 	if o.benchOut != "" && o.benchEntry != nil {
 		bf := &benchfmt.File{Experiments: []benchfmt.Entry{*o.benchEntry}}
 		if err := bf.WriteFile(o.benchOut); err != nil {
 			return err
 		}
-		fmt.Printf("bench summary -> %s\n", o.benchOut)
+		fmt.Fprintf(w, "bench summary -> %s\n", o.benchOut)
 	}
 	if o.rec != nil {
 		reqs := o.rec.Requests()
 		if o.spans {
-			fmt.Print(span.Analyze(reqs))
+			fmt.Fprint(w, span.Analyze(reqs))
 		}
 		if o.tailFrac > 0 {
-			fmt.Print(span.ExplainTail(reqs, o.tailFrac))
+			fmt.Fprint(w, span.ExplainTail(reqs, o.tailFrac))
 		}
 		if o.spanOut != "" {
 			if err := writeFile(o.spanOut, o.rec.WriteJSON); err != nil {
 				return err
 			}
-			fmt.Printf("spans: %d requests -> %s (%d dropped)\n", len(reqs), o.spanOut, o.rec.Dropped())
+			fmt.Fprintf(w, "spans: %d requests -> %s (%d dropped)\n", len(reqs), o.spanOut, o.rec.Dropped())
 		}
 	}
 	return nil
@@ -362,7 +301,7 @@ func writeFile(path string, write func(w io.Writer) error) error {
 
 // runFaultTol runs the three-system comparison under the scenario (the
 // ISSUE's default when none is given).
-func runFaultTol(scenario string, writes int, seed uint64) error {
+func runFaultTol(w io.Writer, scenario string, writes int, seed uint64) error {
 	if scenario == "" {
 		scenario = "latent=3,timeout=1"
 	}
@@ -374,7 +313,7 @@ func runFaultTol(scenario string, writes int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(res)
+	fmt.Fprint(w, res)
 	return nil
 }
 
@@ -431,7 +370,7 @@ func buildRig(system, scenario string, faultSeed uint64, pol *qos.Policy, seekDe
 	if r.Trail == nil && pol != nil {
 		r.Std[0].SetQoS(pol)
 	}
-	obs.attach(r)
+	obs.env = r.Env
 	return r, nil
 }
 
@@ -457,7 +396,7 @@ func printWorldDigest(w io.Writer, r *rig.Rig) {
 }
 
 // runReplayFile replays a trace file against the chosen system.
-func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, obs *observer) error {
+func runReplayFile(w io.Writer, system, path string, pol *qos.Policy, seekDerate int64, obs *observer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -476,12 +415,12 @@ func runReplayFile(system, path string, pol *qos.Policy, seekDerate int64, obs *
 	if err != nil {
 		return err
 	}
-	printReplay(system, path, res)
+	printReplay(w, system, path, res)
 	return nil
 }
 
 // runPattern synthesizes a trace with the named pattern and replays it.
-func runPattern(system, pattern string, ops, size int, writeRatio float64, seed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
+func runPattern(w io.Writer, system, pattern string, ops, size int, writeRatio float64, seed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
 	r, err := buildRig(system, "", 0, pol, seekDerate, obs)
 	if err != nil {
 		return err
@@ -504,20 +443,20 @@ func runPattern(system, pattern string, ops, size int, writeRatio float64, seed 
 	if err != nil {
 		return err
 	}
-	printReplay(system, pat.String(), res)
+	printReplay(w, system, pat.String(), res)
 	return nil
 }
 
-func printReplay(system, source string, res *workload.ReplayResult) {
-	fmt.Printf("%s / trace %s\n", system, source)
-	fmt.Printf("reads:  %v\n", res.Reads)
-	fmt.Printf("writes: %v\n", res.Writes)
-	fmt.Printf("elapsed %v, %d ops issued late\n", res.Elapsed, res.Lagged)
+func printReplay(w io.Writer, system, source string, res *workload.ReplayResult) {
+	fmt.Fprintf(w, "%s / trace %s\n", system, source)
+	fmt.Fprintf(w, "reads:  %v\n", res.Reads)
+	fmt.Fprintf(w, "writes: %v\n", res.Writes)
+	fmt.Fprintf(w, "elapsed %v, %d ops issued late\n", res.Elapsed, res.Lagged)
 }
 
 // runSync runs the closed-loop synchronous-write workload; a non-nil snapOut
 // receives the final world's checkpoint digest (see printWorldDigest).
-func runSync(system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, snapOut io.Writer, obs *observer) error {
+func runSync(w io.Writer, system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, snapOut io.Writer, obs *observer) error {
 	r, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
 	if err != nil {
 		return err
@@ -542,8 +481,8 @@ func runSync(system, mode string, size, procs, writes int, seed uint64, scenario
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s / %s / %dB x %d writes x %d procs\n", system, mode, size, writes, procs)
-	fmt.Printf("latency: %v\n", res.Latency)
+	fmt.Fprintf(w, "%s / %s / %dB x %d writes x %d procs\n", system, mode, size, writes, procs)
+	fmt.Fprintf(w, "latency: %v\n", res.Latency)
 	obs.benchEntry = &benchfmt.Entry{
 		Name:   fmt.Sprintf("sync-write/%s/%s/%dB", system, mode, size),
 		Count:  res.Latency.Count(),
@@ -551,14 +490,14 @@ func runSync(system, mode string, size, procs, writes int, seed uint64, scenario
 		P50US:  float64(res.Latency.Quantile(0.50).Nanoseconds()) / 1000,
 		P99US:  float64(res.Latency.Quantile(0.99).Nanoseconds()) / 1000,
 	}
-	fmt.Printf("elapsed: %v  throughput: %.0f writes/s\n",
+	fmt.Fprintf(w, "elapsed: %v  throughput: %.0f writes/s\n",
 		res.Elapsed, float64(res.Latency.Count())/res.Elapsed.Seconds())
 	if drv != nil {
 		s := drv.Stats()
-		fmt.Printf("trail: %d records for %d writes (batching %.2fx), %d repositions, avg track util %.1f%%\n",
+		fmt.Fprintf(w, "trail: %d records for %d writes (batching %.2fx), %d repositions, avg track util %.1f%%\n",
 			s.Records, s.Writes, float64(s.Writes)/float64(s.Records), s.Repositions, 100*s.AvgTrackUtilization())
 	}
-	printCounters(r, scenario)
+	printCounters(w, r, scenario)
 	if snapOut != nil {
 		printWorldDigest(snapOut, r)
 	}
@@ -568,9 +507,9 @@ func runSync(system, mode string, size, procs, writes int, seed uint64, scenario
 // printCounters prints the Trail driver's counter line and, under a fault
 // scenario, every plan's trigger counts merged with the driver's own
 // fault-handling counters.
-func printCounters(r *rig.Rig, scenario string) {
+func printCounters(w io.Writer, r *rig.Rig, scenario string) {
 	if r.Trail != nil {
-		fmt.Printf("counters: %s\n", r.Trail.Stats().Counters())
+		fmt.Fprintf(w, "counters: %s\n", r.Trail.Stats().Counters())
 	}
 	if len(r.Plans) == 0 {
 		return
@@ -582,7 +521,7 @@ func printCounters(r *rig.Rig, scenario string) {
 	if r.Trail != nil {
 		agg.Merge(r.Trail.Stats().FaultCounters())
 	}
-	fmt.Printf("faults (%s):\n%s\n", scenario, agg)
+	fmt.Fprintf(w, "faults (%s):\n%s\n", scenario, agg)
 }
 
 // ackedWrite is one acknowledged write retained for the -verify audit.
@@ -597,7 +536,7 @@ type ackedWrite struct {
 // deadline outcomes. With verify, every acknowledged write is read back
 // after the run: an acknowledged write that cannot be read back intact is
 // data loss and fails the run.
-func runOpenLoop(system string, size, writes int, rate float64, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verify bool, obs *observer) error {
+func runOpenLoop(w io.Writer, system string, size, writes int, rate float64, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verify bool, obs *observer) error {
 	r, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
 	if err != nil {
 		return err
@@ -625,12 +564,12 @@ func runOpenLoop(system string, size, writes int, rate float64, seed uint64, sce
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s / open-loop / %dB x %d writes at %.0f/s\n", system, size, writes, rate)
-	fmt.Printf("acked %d  shed %d  expired %d  other-errors %d\n",
+	fmt.Fprintf(w, "%s / open-loop / %dB x %d writes at %.0f/s\n", system, size, writes, rate)
+	fmt.Fprintf(w, "acked %d  shed %d  expired %d  other-errors %d\n",
 		res.Acked, res.Shed, res.Expired, res.OtherErrors)
-	fmt.Printf("acked latency: %v\n", res.Latency)
-	fmt.Printf("elapsed: %v\n", res.Elapsed)
-	printCounters(r, scenario)
+	fmt.Fprintf(w, "acked latency: %v\n", res.Latency)
+	fmt.Fprintf(w, "elapsed: %v\n", res.Elapsed)
+	printCounters(w, r, scenario)
 	if !verify {
 		return nil
 	}
@@ -645,7 +584,7 @@ func runOpenLoop(system string, size, writes int, rate float64, seed uint64, sce
 			cands := survivors[lba]
 			got, rerr := dev.Read(p, lba, cands[0].sectors)
 			if rerr != nil {
-				fmt.Printf("verify: lba %d: read failed: %v\n", lba, rerr)
+				fmt.Fprintf(w, "verify: lba %d: read failed: %v\n", lba, rerr)
 				lost++
 				continue
 			}
@@ -657,7 +596,7 @@ func runOpenLoop(system string, size, writes int, rate float64, seed uint64, sce
 				}
 			}
 			if !ok {
-				fmt.Printf("verify: lba %d: acknowledged data lost\n", lba)
+				fmt.Fprintf(w, "verify: lba %d: acknowledged data lost\n", lba)
 				lost++
 			}
 		}
@@ -666,6 +605,6 @@ func runOpenLoop(system string, size, writes int, rate float64, seed uint64, sce
 	if lost > 0 {
 		return fmt.Errorf("verify: %d of %d acknowledged writes lost", lost, len(lbas))
 	}
-	fmt.Printf("verify: all %d acknowledged targets intact\n", len(lbas))
+	fmt.Fprintf(w, "verify: all %d acknowledged targets intact\n", len(lbas))
 	return nil
 }

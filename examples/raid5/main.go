@@ -13,10 +13,10 @@ import (
 	"time"
 
 	"tracklog"
-	"tracklog/internal/metrics"
 	"tracklog/internal/raid"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 )
 
 const (
@@ -59,7 +59,7 @@ func run(useTrail bool) (time.Duration, bool, error) {
 		return 0, false, err
 	}
 
-	lat := metrics.NewSummary()
+	lat := telemetry.NewSummary()
 	reconstructed := false
 	var ferr error
 	env.Go("workload", func(p *sim.Proc) {

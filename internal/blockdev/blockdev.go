@@ -174,7 +174,7 @@ type Device interface {
 
 // CheckRange validates an access against a device size.
 func CheckRange(sectors, lba int64, count int) error {
-	if lba < 0 || count <= 0 || lba+int64(count) > sectors {
+	if lba < 0 || count <= 0 || lba > sectors-int64(count) {
 		return fmt.Errorf("%w: [%d,+%d) of %d", ErrOutOfRange, lba, count, sectors)
 	}
 	return nil

@@ -119,7 +119,9 @@ func (c *Cache) GetZero(p *sim.Proc, id int64) (*Page, error) {
 	return pg, nil
 }
 
-// makeRoom evicts LRU unpinned pages until a frame is free.
+// makeRoom evicts LRU unpinned pages until a frame is free. A dirty victim
+// is written back first and evicted only if it is still resident and
+// unpinned once the write returns.
 func (c *Cache) makeRoom(p *sim.Proc) error {
 	for len(c.pages) >= c.capacity {
 		victim := c.lruVictim()
@@ -129,6 +131,11 @@ func (c *Cache) makeRoom(p *sim.Proc) error {
 		if victim.dirty {
 			if err := c.writePage(p, victim); err != nil {
 				return err
+			}
+			// The write yielded: another process may have evicted or pinned
+			// the victim meanwhile. Pick again if so.
+			if c.pages[victim.ID] != victim || victim.pins > 0 {
+				continue
 			}
 		}
 		c.stats.Evictions++
@@ -155,8 +162,7 @@ func (c *Cache) touch(pg *Page) {
 	c.lru.next.prev, c.lru.next = pg, pg
 }
 
-// unlink takes pg off its LRU ring, if it is on one: two processes may evict
-// the same page when its write-back yields.
+// unlink takes pg off its LRU ring, if it is on one (touch passes new pages).
 func (pg *Page) unlink() {
 	if pg.next == nil {
 		return

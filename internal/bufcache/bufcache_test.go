@@ -273,7 +273,7 @@ func TestMissAllocations(t *testing.T) {
 
 // TestConcurrentEvictionOfOneDirtyPage: two misses in a full cache pick the
 // same dirty victim and both write it back; the write yields, so the second
-// to resume finds the victim already evicted.
+// to resume finds the victim already evicted and does not count it again.
 func TestConcurrentEvictionOfOneDirtyPage(t *testing.T) {
 	env, c, d := newRig(1)
 	defer env.Close()
@@ -297,7 +297,75 @@ func TestConcurrentEvictionOfOneDirtyPage(t *testing.T) {
 	if got := d.MediaRead(PageSectors, 1); got[0] != 0x55 {
 		t.Error("dirty page not written back")
 	}
-	if s := c.Stats(); s.DirtyWrites != 2 || s.Evictions != 2 {
-		t.Errorf("stats %+v, want both misses to write and evict the one victim", s)
+	if s := c.Stats(); s.DirtyWrites != 2 || s.Evictions != 1 {
+		t.Errorf("stats %+v, want both misses to write the one victim and one to evict it", s)
+	}
+}
+
+// dirtyVictimRig fills a two-page cache with page 1, dirty and least recently
+// used, and page 9, clean, then starts process A faulting page 2 in: A picks
+// page 1 as its victim and yields in the write-back.
+func dirtyVictimRig(t *testing.T) (*sim.Env, *Cache, *disk.Disk) {
+	env, c, d := newRig(2)
+	run(env, func(p *sim.Proc) {
+		for _, id := range []int64{1, 9} {
+			pg, _ := c.Get(p, id)
+			if id == 1 {
+				pg.Data[0] = 0x55
+				c.MarkDirty(pg)
+			}
+			c.Release(pg)
+		}
+	})
+	env.Go("A", func(p *sim.Proc) {
+		pg, err := c.Get(p, 2)
+		if err != nil {
+			t.Errorf("A: get 2: %v", err)
+			return
+		}
+		c.Release(pg)
+	})
+	return env, c, d
+}
+
+// TestVictimPinnedDuringWriteBack: while A writes back its victim, B pins
+// that page and edits it, still holding the pin when A's write completes. A
+// must pick another victim; B's frame stays the resident page 1 with B's
+// edit, and B's edit reaches the device at the next flush.
+func TestVictimPinnedDuringWriteBack(t *testing.T) {
+	env, c, d := dirtyVictimRig(t)
+	defer env.Close()
+	env.Go("B", func(p *sim.Proc) {
+		pg, err := c.Get(p, 1)
+		if err != nil {
+			t.Errorf("B: get 1: %v", err)
+			return
+		}
+		pg.Data[0] = 0x66
+		c.MarkDirty(pg)
+		p.Sleep(100 * time.Millisecond) // past A's write-back
+		if c.pages[1] != pg {
+			t.Error("page 1 evicted while B held a pin on it")
+		}
+		c.Release(pg)
+		again, err := c.Get(p, 1)
+		if err != nil {
+			t.Errorf("B: get 1 again: %v", err)
+			return
+		}
+		if again != pg || again.Data[0] != 0x66 {
+			t.Errorf("page 1 came back as another frame or without B's edit (%#x)", again.Data[0])
+		}
+		c.Release(again)
+		if err := c.FlushAll(p); err != nil {
+			t.Errorf("flush: %v", err)
+		}
+	})
+	env.Run()
+	if got := d.MediaRead(PageSectors, 1); got[0] != 0x66 {
+		t.Errorf("page 1 on the device holds %#x, want B's edit 0x66", got[0])
+	}
+	if s := c.Stats(); s.Evictions != 1 || s.PagesResident != 2 {
+		t.Errorf("stats %+v, want page 9 evicted instead of page 1", s)
 	}
 }

@@ -359,12 +359,6 @@ func (d *Disk) SetTimeline(a *timeline.Aggregator, name string) {
 	d.lane = a.Lane("disk", name, laneStates)
 }
 
-// ArmPosition returns the arm's resting cylinder and head after the last
-// completed command. Telemetry accessor for the periodic sampler — the
-// rotational phase stays hidden, so this gives drivers nothing the LBA of
-// their own last command didn't already.
-func (d *Disk) ArmPosition() (cyl, head int) { return d.armCyl, d.armHead }
-
 // Reattach rebinds the drive to a fresh environment after a simulated crash
 // and reboot. Media contents survive; arm position is arbitrary (we keep it)
 // and any in-flight command is lost, exactly like a power cut.

@@ -7,11 +7,11 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/stddisk"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/trail"
 	"tracklog/internal/workload"
 )
@@ -110,7 +110,7 @@ func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
 		}
 		dev := sys.Trail.Dev(0)
 		rng := sim.NewRand(seed)
-		lat := metrics.NewSummary()
+		lat := telemetry.NewSummary()
 
 		// Writer: a continuous stream of staged writes keeps the
 		// write-back path busy on the data disk.

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/rig"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/trail"
 )
 
@@ -54,7 +54,7 @@ func DeltaCalibration(deltas []int, writesPerPoint int) (*DeltaResult, error) {
 			res.RotPeriod = sys.LogDisk.Params().RotPeriod()
 		}
 		dev := sys.Trail.Dev(0)
-		lat := metrics.NewSummary()
+		lat := telemetry.NewSummary()
 		sys.Env.Go("calib", func(p *sim.Proc) {
 			dev.Write(p, 0, 1, make([]byte, geom.SectorSize)) // establish reference
 			for i := 1; i <= writesPerPoint; i++ {
@@ -128,7 +128,7 @@ func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 		}
 		defer sys.Env.Close()
 		dev := sys.Trail.Dev(0)
-		lat := metrics.NewSummary()
+		lat := telemetry.NewSummary()
 		sys.Env.Go("anatomy", func(p *sim.Proc) {
 			dev.Write(p, 0, sectors, make([]byte, sectors*geom.SectorSize))
 			for i := 1; i <= writes; i++ {

@@ -15,9 +15,9 @@ import (
 
 	"tracklog/internal/cluster"
 	"tracklog/internal/fault"
-	"tracklog/internal/metrics"
 	"tracklog/internal/qos"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/workload"
 )
 
@@ -106,7 +106,7 @@ func clusterCell(shards, tenants, requests int, seed uint64) (*ClusterPoint, err
 	env.Run()
 
 	pt := &ClusterPoint{Shards: shards}
-	w, r := metrics.NewSummary(), metrics.NewSummary()
+	w, r := telemetry.NewSummary(), telemetry.NewSummary()
 	var firstAt, lastAt time.Duration
 	for _, o := range res.Outcomes {
 		if o.Read {
@@ -244,7 +244,7 @@ func ClusterKillOneShard(cfg ClusterKillConfig) (*ClusterKillResult, error) {
 	env.Run()
 
 	out := &ClusterKillResult{Cfg: cfg}
-	survPre, survPost, invPost := metrics.NewSummary(), metrics.NewSummary(), metrics.NewSummary()
+	survPre, survPost, invPost := telemetry.NewSummary(), telemetry.NewSummary(), telemetry.NewSummary()
 	for _, o := range res.Outcomes {
 		if o.Read {
 			continue

@@ -7,9 +7,9 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/fslite"
-	"tracklog/internal/metrics"
 	"tracklog/internal/rig"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/wal"
 )
 
@@ -43,7 +43,7 @@ func DirectLogging(commits int, seed uint64) (*DirectLogResult, error) {
 		env := sys.Env
 
 		name := "raw trail device (direct)"
-		lat := metrics.NewSummary()
+		lat := telemetry.NewSummary()
 		var flushes int64
 		var ferr error
 		env.Go("bench", func(p *sim.Proc) {

@@ -9,7 +9,6 @@ import (
 	"tracklog/internal/blockdev"
 	"tracklog/internal/fault"
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/raid"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
@@ -117,7 +116,7 @@ func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config)
 	defer env.Close()
 
 	row := &FaultRow{System: system}
-	lat := metrics.NewSummary()
+	lat := telemetry.NewSummary()
 	rng := sim.NewRand(seed + 1)
 	const extent = 8
 	slots := int64(faultRegion / extent)

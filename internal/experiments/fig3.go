@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/metrics"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/workload"
@@ -125,17 +124,17 @@ func (r *Fig3Result) String() string {
 
 // Plot renders the panel as an ASCII chart (the paper's figure form).
 func (r *Fig3Result) Plot() string {
-	mk := func(name string, pick func(Fig3Row) time.Duration) metrics.Series {
-		s := metrics.Series{Name: name}
+	mk := func(name string, pick func(Fig3Row) time.Duration) Series {
+		s := Series{Name: name}
 		for _, row := range r.Rows {
 			s.Points = append(s.Points, [2]float64{float64(row.SizeKB), pick(row).Seconds() * 1000})
 		}
 		return s
 	}
-	return metrics.AsciiPlot(
+	return AsciiPlot(
 		fmt.Sprintf("Figure 3 (%d process(es)): sync write latency", r.Processes),
 		"write size KB", "ms",
-		[]metrics.Series{
+		[]Series{
 			mk("Trail sparse", func(r Fig3Row) time.Duration { return r.TrailSparse }),
 			mk("Trail clustered", func(r Fig3Row) time.Duration { return r.TrailClustered }),
 			mk("Linux sparse", func(r Fig3Row) time.Duration { return r.LinuxSparse }),

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/rig"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
@@ -171,17 +170,17 @@ func (r *Fig4Result) String() string {
 
 // Plot renders the recovery breakdown as an ASCII chart.
 func (r *Fig4Result) Plot() string {
-	mk := func(name string, pick func(Fig4Row) time.Duration) metrics.Series {
-		s := metrics.Series{Name: name}
+	mk := func(name string, pick func(Fig4Row) time.Duration) Series {
+		s := Series{Name: name}
 		for _, row := range r.Rows {
 			s.Points = append(s.Points, [2]float64{float64(row.Q), pick(row).Seconds() * 1000})
 		}
 		return s
 	}
-	return metrics.AsciiPlot(
+	return AsciiPlot(
 		"Figure 4: recovery time vs pending records",
 		"Q (pending records)", "ms",
-		[]metrics.Series{
+		[]Series{
 			mk("total", Fig4Row.Total),
 			mk("write-back", func(r Fig4Row) time.Duration { return r.WriteBack }),
 			mk("locate", func(r Fig4Row) time.Duration { return r.Locate }),

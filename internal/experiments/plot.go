@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"fmt"

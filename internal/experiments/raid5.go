@@ -6,11 +6,11 @@ import (
 	"time"
 
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/raid"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 )
 
 // RAID5Row is one configuration of the small-write experiment.
@@ -52,7 +52,7 @@ func RAID5SmallWrites(writes int, seed uint64) (*RAID5Result, error) {
 			env.Close()
 			return nil, err
 		}
-		lat := metrics.NewSummary()
+		lat := telemetry.NewSummary()
 		rng := sim.NewRand(seed)
 		var ferr error
 		env.Go("writer", func(p *sim.Proc) {

@@ -61,8 +61,9 @@ type Proc struct {
 	fn     func(p *Proc)
 	state  procState
 	killed bool
-	// daemon processes (samplers, background observers) do not keep the
-	// simulation alive: Run returns once only daemon events remain queued.
+	// daemon processes (heartbeats, timers, background observers) do not
+	// keep the simulation alive: Run returns once only daemon events remain
+	// queued.
 	daemon bool
 	done   Event // triggered when the process function returns
 }
@@ -162,8 +163,8 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, false)
 }
 
-// GoDaemon spawns a daemon process: a background observer (telemetry
-// sampler, watchdog) that must not keep the simulation alive. Run returns
+// GoDaemon spawns a daemon process: a background observer (heartbeat,
+// timer, watchdog) that must not keep the simulation alive. Run returns
 // as soon as every event left in the queue belongs to a daemon.
 func (e *Env) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(name, fn, true)
@@ -276,7 +277,7 @@ func (e *Env) ready(p *Proc) {
 func (e *Env) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil drives the simulation until the event queue is empty (daemon
-// processes excluded — a periodic sampler alone does not keep the clock
+// processes excluded — a periodic heartbeat alone does not keep the clock
 // advancing) or the next event would be after deadline. The clock never
 // passes deadline.
 //

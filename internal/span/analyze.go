@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/metrics"
+	"tracklog/internal/telemetry"
 )
 
 // Critical-path analyzer: aggregates span trees into a per-component
@@ -25,7 +25,7 @@ type GroupBudget struct {
 	Key     string // "driver/kind", e.g. "trail/write"
 	Count   int64
 	Errors  int64
-	Latency *metrics.Summary
+	Latency *telemetry.Summary
 	// Phases present in this group, in Phase declaration order.
 	Phases []*PhaseBudget
 	// Unattributed is total request time not covered by any child span
@@ -42,7 +42,7 @@ type PhaseBudget struct {
 	Total time.Duration
 	// PerReq is the distribution of per-request totals of this phase, over
 	// the requests where the phase occurs.
-	PerReq *metrics.Summary
+	PerReq *telemetry.Summary
 }
 
 // Share returns the phase's fraction of the group's total latency.
@@ -63,7 +63,7 @@ func Analyze(reqs []*Request) *Budget {
 		key := r.Driver + "/" + r.Kind.String()
 		g := byKey[key]
 		if g == nil {
-			g = &GroupBudget{Key: key, Latency: metrics.NewSummary()}
+			g = &GroupBudget{Key: key, Latency: telemetry.NewSummary()}
 			byKey[key] = g
 			keys = append(keys, key)
 		}
@@ -109,7 +109,7 @@ func (g *GroupBudget) phase(p Phase) *PhaseBudget {
 			return pb
 		}
 	}
-	pb := &PhaseBudget{Phase: p, PerReq: metrics.NewSummary()}
+	pb := &PhaseBudget{Phase: p, PerReq: telemetry.NewSummary()}
 	g.Phases = append(g.Phases, pb)
 	return pb
 }

@@ -1,7 +1,4 @@
-// Package metrics provides streaming latency statistics for the benchmark
-// harness: mean/min/max plus percentile estimates from a log-scaled
-// histogram, with no per-sample storage.
-package metrics
+package telemetry
 
 import (
 	"fmt"
@@ -25,7 +22,10 @@ const minTracked = time.Microsecond
 // log-bucket histogram estimate.
 const exactSamples = 1024
 
-// Summary accumulates duration samples.
+// Summary accumulates duration samples: count, sum, extremes, and quantiles
+// that are exact up to exactSamples samples and log-bucket estimates past
+// it. It is the latency distribution every experiment, command and bench
+// entry reports; unlike a Histogram it is not a registry series.
 type Summary struct {
 	count    int64
 	sum      time.Duration

@@ -25,7 +25,8 @@
 //
 // The package also holds the module's one counter-set type, Counts: the
 // sorted "name=value" snapshot every layer's Stats renders reports from, and
-// (through Registry.CounterFuncs) registers as live series.
+// (through Registry.CounterFuncs) registers as live series; and its one
+// latency distribution, Summary, behind every reported mean and percentile.
 //
 // The package imports only the standard library, so internal/sim and every
 // storage layer can depend on it without cycles.

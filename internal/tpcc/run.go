@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"tracklog/internal/kvdb"
-	"tracklog/internal/metrics"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/txn"
 	"tracklog/internal/wal"
 )
@@ -109,7 +109,7 @@ type Result struct {
 	// Elapsed is the measured-phase virtual time.
 	Elapsed time.Duration
 	// Response summarizes per-transaction response times.
-	Response *metrics.Summary
+	Response *telemetry.Summary
 	// LogIOTime is the log-disk I/O time attributable to the measured
 	// phase (Table 2's "Disk I/O Time for Logging").
 	LogIOTime time.Duration
@@ -158,7 +158,7 @@ func (r *Runner) Run(env *sim.Env, cfg RunConfig) (*Result, error) {
 	}
 	r.cfg = cfg
 
-	res := &Result{Response: metrics.NewSummary()}
+	res := &Result{Response: telemetry.NewSummary()}
 	var issued int
 	var measuring bool
 	var startLogStats wal.Stats

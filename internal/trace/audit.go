@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/metrics"
+	"tracklog/internal/telemetry"
 )
 
 // The prediction audit measures the paper's central claim directly: Trail's
@@ -29,9 +29,9 @@ type auditState struct {
 	predictions    int64
 	mispredictions int64
 	unaudited      int64
-	rotWait        *metrics.Summary // rotational wait of every audited write
-	missCost       *metrics.Summary // rotational wait of mispredicted writes
-	slackHist      map[int]int64    // slack sectors -> count (clamped)
+	rotWait        *telemetry.Summary // rotational wait of every audited write
+	missCost       *telemetry.Summary // rotational wait of mispredicted writes
+	slackHist      map[int]int64      // slack sectors -> count (clamped)
 }
 
 // slackHistMax clamps the slack histogram domain; anything larger lands in
@@ -40,8 +40,8 @@ const slackHistMax = 64
 
 func newAuditState() auditState {
 	return auditState{
-		rotWait:   metrics.NewSummary(),
-		missCost:  metrics.NewSummary(),
+		rotWait:   telemetry.NewSummary(),
+		missCost:  telemetry.NewSummary(),
 		slackHist: make(map[int]int64),
 	}
 }
@@ -69,8 +69,8 @@ func (a *auditState) report() *AuditReport {
 		Predictions:    a.predictions,
 		Mispredictions: a.mispredictions,
 		Unaudited:      a.unaudited,
-		RotWait:        metrics.NewSummary(),
-		MissCost:       metrics.NewSummary(),
+		RotWait:        telemetry.NewSummary(),
+		MissCost:       telemetry.NewSummary(),
 		SlackHist:      make(map[int]int64, len(a.slackHist)),
 	}
 	rep.RotWait.Merge(a.rotWait)
@@ -92,8 +92,8 @@ type AuditReport struct {
 	// RotWait summarizes the true rotational wait of every audited write;
 	// MissCost the wait of mispredicted writes only (the miss-cost
 	// histogram: each miss costs a near-full rotation).
-	RotWait  *metrics.Summary
-	MissCost *metrics.Summary
+	RotWait  *telemetry.Summary
+	MissCost *telemetry.Summary
 	// SlackHist maps slack sectors (clamped at 64) to write counts.
 	SlackHist map[int]int64
 }

@@ -1,8 +1,8 @@
 // Package trace implements deterministic, virtual-time event tracing for the
 // whole storage stack: a ring-buffered structured tracer with typed events,
 // a prediction-accuracy audit for the Trail driver's head-position scheme,
-// and machine-readable exporters (Chrome trace-event JSON for Perfetto, and
-// CSV/JSON time series from the periodic sampler).
+// and the Chrome trace-event JSON exporter (for Perfetto) that span shares.
+// Gauges over virtual time are timeline meters, not trace events.
 //
 // Design constraints, in order:
 //

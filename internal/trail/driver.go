@@ -536,9 +536,6 @@ func (d *Driver) Epoch() uint32 { return d.epoch }
 // NumLogDisks returns the number of log disks behind the driver.
 func (d *Driver) NumLogDisks() int { return len(d.logs) }
 
-// LogDisk returns log disk idx, for telemetry (arm position sampling).
-func (d *Driver) LogDisk(idx int) *disk.Disk { return d.logs[idx].disk }
-
 // LogQueueLen returns the number of client writes waiting for a log writer.
 func (d *Driver) LogQueueLen() int { return d.logQ.Len() }
 

@@ -10,10 +10,16 @@ package trail
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 
 	"tracklog/internal/blockdev"
+	"tracklog/internal/disk"
 	"tracklog/internal/geom"
+	"tracklog/internal/sched"
+	"tracklog/internal/sim"
+	"tracklog/internal/stddisk"
 )
 
 // FuzzDecodeRecordHeader throws arbitrary sectors at the record-header
@@ -108,5 +114,103 @@ func FuzzDecodeDiskHeader(f *testing.F) {
 				t.Fatalf("round trip changed zone %d", i)
 			}
 		}
+	})
+}
+
+// FuzzRecoverLog runs crash recovery over a crashed log disk one of whose
+// tracks (header replicas included) holds arbitrary bytes: media damage,
+// stale garbage, or records whose header fields were rewritten — the header
+// carries no checksum of its own, so a record image with an edited prev_sect,
+// seq or block list still passes its data CRC. Recovery must return a report
+// or an error wrapping one of trail's or blockdev's sentinels, never panic,
+// and read a bounded number of tracks, so a looping chain cannot hang it.
+func FuzzRecoverLog(f *testing.F) {
+	crashed := crashAfterWrites(f, 8)
+	snap := crashed.log.Snapshot()
+	g := crashed.log.Geom()
+	hdr, err := ReadHeader(crashed.log)
+	if err != nil {
+		f.Fatal(err)
+	}
+	usable := UsableTracks(g)
+	trackImage := func(track int) (base int64, spt int) {
+		cyl, head := g.TrackOf(track)
+		return g.TrackStartLBA(cyl, head), g.SPTAt(cyl)
+	}
+	for _, track := range usable[:3] {
+		base, spt := trackImage(track)
+		f.Add(uint8(track), crashed.log.MediaRead(base, spt))
+	}
+	f.Add(uint8(usable[0]), []byte{})
+	f.Add(uint8(HeaderTracks(g)[0]), []byte("not a header"))
+
+	// Forged records on the first usable track, newer than any real one, so
+	// the locate phase's binary search stays on that track and picks the
+	// first as the youngest. Record i sits at sector 2i and carries one
+	// block.
+	first := usable[0]
+	base, spt := trackImage(first)
+	at := func(i int) int64 { return base + int64(2*i) }
+	forge := func(recs ...RecordHeader) []byte {
+		img := make([]byte, spt*geom.SectorSize)
+		for i, h := range recs {
+			h.Epoch, h.Seq, h.HeaderLBA, h.LogHead = hdr.Epoch, uint64(1000-i), at(i), -1
+			if h.Blocks == nil {
+				h.Blocks = []BlockRef{{Dev: blockdev.DevID{Major: 8}, DataLBA: 7}}
+			}
+			if err := sealRecord(&h, img[2*i*geom.SectorSize:(2*i+2)*geom.SectorSize]); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return img
+	}
+	f.Add(uint8(first), forge(RecordHeader{PrevSect: at(0)}))                                // points at itself
+	f.Add(uint8(first), forge(RecordHeader{PrevSect: at(1)}, RecordHeader{PrevSect: at(0)})) // two-record loop
+	f.Add(uint8(first), forge(RecordHeader{PrevSect: g.TotalSectors() + 7}))                 // off the disk
+	f.Add(uint8(first), forge(RecordHeader{PrevSect: -1, Blocks: []BlockRef{{Dev: blockdev.DevID{Major: 9, Minor: 9}}}}))
+	f.Add(uint8(first), forge(RecordHeader{PrevSect: -1, Blocks: []BlockRef{{Dev: blockdev.DevID{Major: 8}, DataLBA: math.MaxInt64}}}))
+
+	// The locate phase scans at most every usable track plus the binary
+	// search's probes. The chain walk moves strictly back in sequence, so it
+	// reads each genuine track at most once (sequence follows allocation
+	// order) and enters the damaged track at most twice.
+	maxReads := int64(2*len(usable) + 8)
+	sentinels := []error{ErrNotTrailDisk, ErrNotRecord, ErrTornRecord,
+		blockdev.ErrOutOfRange, blockdev.ErrMediaError}
+
+	f.Fuzz(func(t *testing.T, track uint8, img []byte) {
+		env := sim.NewEnv()
+		defer env.Close()
+		log := disk.New(env, testLogParams())
+		if err := log.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		base, spt := trackImage(int(track) % g.TotalTracks())
+		damaged := make([]byte, spt*geom.SectorSize)
+		copy(damaged, img)
+		log.MediaWrite(base, damaged)
+		id := blockdev.DevID{Major: 8}
+		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env, disk.New(env, testDataParams("data")), id, sched.FIFO)}
+
+		reads := log.Stats().Reads
+		var rep *RecoverReport
+		var rerr error
+		env.Go("recovery", func(p *sim.Proc) { rep, rerr = Recover(p, log, devs, RecoverOptions{}) })
+		env.Run()
+		if reads = log.Stats().Reads - reads; reads > maxReads {
+			t.Fatalf("recovery read %d tracks, bound %d", reads, maxReads)
+		}
+		if rerr == nil {
+			if rep == nil {
+				t.Fatal("recovery returned neither a report nor an error")
+			}
+			return
+		}
+		for _, s := range sentinels {
+			if errors.Is(rerr, s) {
+				return
+			}
+		}
+		t.Fatalf("recovery error wraps no sentinel: %v", rerr)
 	})
 }

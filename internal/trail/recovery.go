@@ -362,7 +362,9 @@ func locateYoungest(p *sim.Proc, log *disk.Disk, g *geom.Geometry, usable []int,
 }
 
 // rebuildChain walks prev_sect pointers from the youngest record back to
-// its log_head (or the epoch start), loading each pending record.
+// its log_head (or the epoch start), loading each pending record. Sequence
+// numbers fall strictly along a genuine chain, so the walk ends at the first
+// record that is not older than its successor and cannot loop.
 // Consecutive records cluster on a few tracks, so the walk reads whole
 // tracks rather than issuing two small reads per record, and holds one: the
 // image of the track it is on (§3.3 reads the log a track at a time). A
@@ -395,6 +397,9 @@ func rebuildChain(p *sim.Proc, log *disk.Disk, epoch uint32, youngest *loadedRec
 		if err != nil {
 			return nil, torn, err
 		}
+		if rec.hdr.Seq >= cur.hdr.Seq {
+			break // a newer record reuses the space, so the chain ends here
+		}
 		records = append(records, rec)
 		cur = rec
 	}
@@ -413,6 +418,9 @@ type trackWindow struct {
 // track that holds it, which becomes the window.
 func loadRecord(p *sim.Proc, log *disk.Disk, headerLBA int64, epoch uint32, win *trackWindow, rep *RecoverReport) (*loadedRecord, error) {
 	g := log.Geom()
+	if headerLBA >= g.TotalSectors() {
+		return nil, fmt.Errorf("%w: prev_sect %d is off the disk", ErrNotRecord, headerLBA)
+	}
 	a := g.ToCHS(headerLBA)
 	if track := g.TrackIndex(a.Cyl, a.Head); track != win.track {
 		img, err := readTrackSalvage(p, log, g.TrackStartLBA(a.Cyl, a.Head), g.SPTAt(a.Cyl), rep)
@@ -456,7 +464,7 @@ func replay(p *sim.Proc, devs map[blockdev.DevID]blockdev.Device, records []*loa
 			}
 			dev, ok := devs[blocks[i].Dev]
 			if !ok {
-				return n, fmt.Errorf("trail: recovery references unknown device %v", blocks[i].Dev)
+				return n, fmt.Errorf("%w: record %d references unknown device %v", ErrNotRecord, rec.hdr.Seq, blocks[i].Dev)
 			}
 			run := rec.data[i*geom.SectorSize : j*geom.SectorSize]
 			if err := dev.Write(p, blocks[i].DataLBA, j-i, run); err != nil {

@@ -24,7 +24,7 @@ type crashRig struct {
 // crashAfterWrites runs n single-sector writes (block i at LBA 100*i with
 // payload byte i+1, plus a rewrite of block 1) and crashes right after the
 // last log write completes, before the write-back drains.
-func crashAfterWrites(t *testing.T, n int) *crashRig {
+func crashAfterWrites(t testing.TB, n int) *crashRig {
 	t.Helper()
 	env := sim.NewEnv()
 	log := disk.New(env, testLogParams())

@@ -6,8 +6,8 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 )
 
 // Open-loop load generation: unlike the closed-loop §5.1 workloads (where
@@ -59,7 +59,7 @@ func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
 // design and would make an overloaded system look fast.
 type OpenLoopResult struct {
 	Config  OpenLoopConfig
-	Latency *metrics.Summary
+	Latency *telemetry.Summary
 	// Acked counts successful writes; Shed counts blockdev.ErrOverload
 	// outcomes; Expired counts blockdev.ErrDeadlineExceeded; OtherErrors is
 	// everything else (media faults, device failure).
@@ -78,7 +78,7 @@ func RunOpenLoopWrites(env *sim.Env, dev blockdev.Device, cfg OpenLoopConfig) (*
 		return nil, fmt.Errorf("workload: write size %d not sector-aligned", cfg.WriteSize)
 	}
 	sectors := cfg.WriteSize / geom.SectorSize
-	res := &OpenLoopResult{Config: cfg, Latency: metrics.NewSummary()}
+	res := &OpenLoopResult{Config: cfg, Latency: telemetry.NewSummary()}
 	rng := sim.NewRand(cfg.Seed)
 	var firstIssue, lastDone sim.Time
 	env.Go("open-loop-arrivals", func(p *sim.Proc) {

@@ -10,8 +10,8 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 )
 
 // TraceOp is one record of an I/O trace: issue a request `At` after trace
@@ -126,7 +126,7 @@ func SynthesizeTrace(n int, pattern Pattern, writeRatio float64, sectors int, me
 
 // ReplayResult reports a trace replay.
 type ReplayResult struct {
-	Reads, Writes *metrics.Summary
+	Reads, Writes *telemetry.Summary
 	// Elapsed is the virtual time from the first issue to the last
 	// completion.
 	Elapsed time.Duration
@@ -141,7 +141,7 @@ type ReplayResult struct {
 // running behind). Run the environment to completion before reading the
 // result.
 func Replay(env *sim.Env, dev blockdev.Device, t *Trace) (*ReplayResult, error) {
-	res := &ReplayResult{Reads: metrics.NewSummary(), Writes: metrics.NewSummary()}
+	res := &ReplayResult{Reads: telemetry.NewSummary(), Writes: telemetry.NewSummary()}
 	var failed error
 	env.Go("trace-replay", func(p *sim.Proc) {
 		start := p.Now()

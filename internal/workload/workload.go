@@ -10,8 +10,8 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
-	"tracklog/internal/metrics"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 )
 
 // Mode selects the request arrival pattern of §5.1.
@@ -75,7 +75,7 @@ func (c SyncWriteConfig) withDefaults() SyncWriteConfig {
 // SyncWriteResult is the outcome of one run.
 type SyncWriteResult struct {
 	Config  SyncWriteConfig
-	Latency *metrics.Summary
+	Latency *telemetry.Summary
 	// Elapsed is the wall (virtual) time from first issue to last
 	// completion.
 	Elapsed time.Duration
@@ -90,7 +90,7 @@ func RunSyncWrites(env *sim.Env, dev blockdev.Device, cfg SyncWriteConfig) (*Syn
 		return nil, fmt.Errorf("workload: write size %d not sector-aligned", cfg.WriteSize)
 	}
 	sectors := cfg.WriteSize / geom.SectorSize
-	res := &SyncWriteResult{Config: cfg, Latency: metrics.NewSummary()}
+	res := &SyncWriteResult{Config: cfg, Latency: telemetry.NewSummary()}
 	var firstIssue, lastDone sim.Time
 	var failed error
 	for i := 0; i < cfg.Processes; i++ {
