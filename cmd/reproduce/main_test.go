@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -43,6 +45,27 @@ func TestFailedSectionExitsNonzeroAfterFinishing(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "broken: injected failure") || !strings.Contains(stderr, "1 of 3 sections failed") {
 		t.Errorf("stderr does not name the failure:\n%s", stderr)
+	}
+}
+
+// digest is an artefact's length and FNV-64a, the form the golden pins use.
+func digest(b string) string {
+	h := fnv.New64a()
+	h.Write([]byte(b))
+	return fmt.Sprintf("%d bytes %016x", len(b), h.Sum64())
+}
+
+// TestQuickReportGolden pins the whole -quick report, recorded at d00f98d:
+// every section of the catalogue at its smoke sizing, each a same-seed
+// artefact of the layers below it. A change that moves any byte here on
+// purpose updates the pin and says so.
+func TestQuickReportGolden(t *testing.T) {
+	code, out, stderr := reproduce(t, experiments.Select, "-quick")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	if got, want := digest(out), "12310 bytes 43c524235b9a7649"; got != want {
+		t.Errorf("reproduce -quick: %s, want %s", got, want)
 	}
 }
 

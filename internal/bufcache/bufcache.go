@@ -26,6 +26,10 @@ type Page struct {
 	Data  []byte
 	dirty bool
 	pins  int
+	// Offsets is kvdb's table of an internal node's cell offsets, kept
+	// while the page is cached. The cache never reads it and never recycles
+	// a Page, so a page read again starts without one.
+	Offsets []uint16
 	// prev and next link the page into its cache's LRU ring.
 	prev, next *Page
 }

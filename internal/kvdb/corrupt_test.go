@@ -1,6 +1,7 @@
 package kvdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -97,6 +98,58 @@ func TestCheckNamesTheCorruption(t *testing.T) {
 	}
 }
 
+// lastCellDamaged returns a copy of an internal node's page whose last cell
+// claims a key that runs past the page.
+func lastCellDamaged(page []byte) []byte {
+	d := bytes.Clone(page)
+	off := nodeHeader
+	for i := 1; i < int(binary.LittleEndian.Uint16(d[1:])); i++ {
+		_, _, _, off, _ = cell(d, false, off)
+	}
+	binary.LittleEndian.PutUint16(d[off:], 0xffff)
+	return d
+}
+
+// TestGetThroughMalformedLastCell reads a store whose root's last cell is
+// malformed, far past the separator a Get of the leftmost leaf stops at. The
+// root's offset table is built by walking every cell, so the Get returns
+// ErrCorrupt.
+func TestGetThroughMalformedLastCell(t *testing.T) {
+	env, s := instantStore(t, 64)
+	defer env.Close()
+	runErr(t, env, func(p *sim.Proc) error {
+		tr, err := s.CreateTree(p)
+		if err != nil {
+			return err
+		}
+		root, _, err := twoLevels(p, s, tr)
+		if err == nil {
+			err = s.Cache().FlushAll(p)
+		}
+		if err != nil {
+			return err
+		}
+		page, err := s.Device().Read(p, root*bufcache.PageSectors, bufcache.PageSectors)
+		if err == nil {
+			err = s.Device().Write(p, root*bufcache.PageSectors, bufcache.PageSectors, lastCellDamaged(page))
+		}
+		if err != nil {
+			return err
+		}
+		reopened, err := Open(p, s.Device(), 64)
+		if err != nil {
+			return err
+		}
+		if tr, err = reopened.Tree(0); err != nil {
+			return err
+		}
+		if _, err := tr.Get(p, key(0)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "runs past the page") {
+			t.Errorf("Get = %v, want an ErrCorrupt naming the cell that runs past the page", err)
+		}
+		return nil
+	})
+}
+
 func TestOpenRejectsCorruptMeta(t *testing.T) {
 	for name, damage := range map[string]func(meta []byte){
 		"negative page count": func(m []byte) { m[7] = 0x80 },
@@ -181,7 +234,8 @@ func FuzzPageOps(f *testing.F) {
 	pages := len(healthy) / bufcache.PageSize
 
 	// Seeds: the meta page, the root and the leftmost leaf, as they are and
-	// with one byte of the header or the first cell changed.
+	// with one byte of the header or the first cell changed, and the root
+	// with its last cell malformed.
 	for _, at := range []int64{0, root, leaf} {
 		page := healthy[at*bufcache.PageSize:][:bufcache.PageSize]
 		f.Add(uint8(at), page)
@@ -191,6 +245,7 @@ func FuzzPageOps(f *testing.F) {
 			f.Add(uint8(at), damaged)
 		}
 	}
+	f.Add(uint8(root), lastCellDamaged(healthy[root*bufcache.PageSize:][:bufcache.PageSize]))
 
 	f.Fuzz(func(t *testing.T, at uint8, image []byte) {
 		store := append([]byte(nil), healthy...)

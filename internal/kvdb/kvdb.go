@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/bufcache"
@@ -235,7 +236,12 @@ func (s *Store) newNode(p *sim.Proc, leaf bool) (node, error) {
 
 func (nd node) link() int64 { return int64(binary.LittleEndian.Uint64(nd.pg.Data[3:])) }
 
-func (nd node) setCount(n int) { binary.LittleEndian.PutUint16(nd.pg.Data[1:], uint16(n)) }
+// setCount sets the node's cell count. Every edit of an internal node passes
+// here, so it drops the node's offset table.
+func (nd node) setCount(n int) {
+	binary.LittleEndian.PutUint16(nd.pg.Data[1:], uint16(n))
+	nd.pg.Offsets = nd.pg.Offsets[:0]
+}
 
 // write replaces the node's whole content: n cells, already encoded.
 func (nd node) write(n int, link int64, cells []byte) {
@@ -294,31 +300,31 @@ type spot struct {
 	idx      int    // index of the cell at off
 	off, end int    // the key's cell is d[off:end]; end == off when the key is absent
 	size     int    // accounting bytes of that cell, 0 when absent
-	before   []byte // payload of the cell before off, the node's link at the first
-	used     int    // offset past the last cell (whole walks only)
-	fill     int    // accounting bytes of all cells (whole walks only)
+	before   []byte // in an internal node, the child before off: the node's link at the first
+	used     int    // offset past the last cell (internal nodes and whole walks)
+	fill     int    // accounting bytes of all cells (internal nodes and whole walks)
 }
 
 func (sp spot) found() bool { return sp.end > sp.off }
 
-// seek walks the cells to the first whose key is >= key, in an internal
-// node > key: the child before that cell is the one covering key. A whole
-// walk carries on to the last cell for the node's fill.
+// seek finds the first cell whose key is >= key, in an internal node > key:
+// the child before that cell is the one covering key. A leaf's cells are
+// walked, and a whole walk carries on to the last cell for the leaf's fill;
+// an internal node is bisected over its offset table, which gives its fill.
 func (nd node) seek(key []byte, whole bool) (spot, error) {
-	d := nd.pg.Data
-	sp := spot{idx: -1, before: d[3:nodeHeader]}
-	stop := 1 // the bytes.Compare result the walk stops at
-	if nd.leaf {
-		stop = 0
+	if !nd.leaf {
+		return nd.bisect(key)
 	}
+	d := nd.pg.Data
+	sp := spot{idx: -1}
 	off := nodeHeader
 	for i := 0; i < nd.n; i++ {
-		k, v, size, end, ok := cell(d, nd.leaf, off)
+		k, _, size, end, ok := cell(d, true, off)
 		if !ok {
 			return sp, corruptf(nd.pg.ID, "cell %d of %d runs past the page", i, nd.n)
 		}
 		if sp.idx < 0 {
-			if c := bytes.Compare(k, key); c >= stop {
+			if c := bytes.Compare(k, key); c >= 0 {
 				sp.idx, sp.off, sp.end = i, off, off
 				if c == 0 {
 					sp.end, sp.size = end, size
@@ -326,8 +332,6 @@ func (nd node) seek(key []byte, whole bool) (spot, error) {
 				if !whole {
 					return sp, nil
 				}
-			} else {
-				sp.before = v
 			}
 		}
 		sp.fill += size
@@ -338,6 +342,42 @@ func (nd node) seek(key []byte, whole bool) (spot, error) {
 	}
 	sp.used = off
 	return sp, nil
+}
+
+// bisect seeks in an internal node over its offset table. An internal cell
+// ends in its child and the node's link ends at nodeHeader, so the 8 bytes
+// before the cell found are the child covering key.
+func (nd node) bisect(key []byte) (spot, error) {
+	offs, err := nd.offsets()
+	if err != nil {
+		return spot{}, err
+	}
+	d := nd.pg.Data
+	i := sort.Search(nd.n, func(i int) bool {
+		k, _, _, _, _ := cell(d, false, int(offs[i]))
+		return bytes.Compare(k, key) > 0
+	})
+	off, used := int(offs[i]), int(offs[nd.n])
+	return spot{idx: i, off: off, end: off, before: d[off-8 : off], used: used, fill: used - nodeHeader}, nil
+}
+
+// offsets returns where an internal node's cells start, then its used
+// offset. One checked walk finds them the first time the node is sought
+// after its page was read or edited; they stay on the page until setCount.
+func (nd node) offsets() ([]uint16, error) {
+	offs, off := nd.pg.Offsets, nodeHeader
+	if len(offs) > 0 {
+		return offs, nil
+	}
+	for i := 0; i < nd.n; i++ {
+		_, _, _, end, ok := cell(nd.pg.Data, false, off)
+		if !ok {
+			return nil, corruptf(nd.pg.ID, "cell %d of %d runs past the page", i, nd.n)
+		}
+		offs, off = append(offs, uint16(off)), end
+	}
+	nd.pg.Offsets = append(offs, uint16(off))
+	return nd.pg.Offsets, nil
 }
 
 // child returns the child that covers the key sp was sought for in an
@@ -373,7 +413,7 @@ type step struct {
 
 // descend walks from the root to the leaf covering key, one pin at a time,
 // and returns that leaf pinned. With path set it records the internal nodes
-// passed, each walked whole; depth is their count.
+// passed; depth is their count.
 func (t *Tree) descend(p *sim.Proc, key []byte, path *[maxDepth]step) (leaf node, depth int, err error) {
 	s := t.store
 	id := t.root()
@@ -382,7 +422,7 @@ func (t *Tree) descend(p *sim.Proc, key []byte, path *[maxDepth]step) (leaf node
 		if err != nil || nd.leaf {
 			return nd, depth, err
 		}
-		sp, err := nd.seek(key, path != nil)
+		sp, err := nd.bisect(key)
 		s.unpin(nd)
 		if err != nil {
 			return node{}, 0, err

@@ -167,6 +167,164 @@ func modelOps(p *sim.Proc, s *Store, ops, universe int) error {
 	return scan(nil, len(oracle)+1)
 }
 
+// linearSeek is the walk internal nodes were sought by before they kept an
+// offset table: the oracle TestBisectionMatchesWalk holds the bisection to.
+func linearSeek(nd node, key []byte) (spot, error) {
+	d := nd.pg.Data
+	sp := spot{idx: -1, before: d[3:nodeHeader]}
+	off := nodeHeader
+	for i := 0; i < nd.n; i++ {
+		k, v, size, end, ok := cell(d, false, off)
+		if !ok {
+			return sp, corruptf(nd.pg.ID, "cell %d of %d runs past the page", i, nd.n)
+		}
+		if sp.idx < 0 {
+			if bytes.Compare(k, key) > 0 {
+				sp.idx, sp.off, sp.end = i, off, off
+			} else {
+				sp.before = v
+			}
+		}
+		sp.fill += size
+		off = end
+	}
+	if sp.idx < 0 {
+		sp.idx, sp.off, sp.end = nd.n, off, off
+	}
+	sp.used = off
+	return sp, nil
+}
+
+// longKey is key id of TestBisectionMatchesWalk: ordered by id and 400-599
+// bytes long, so that a few hundred keys make a tree four levels deep.
+func longKey(id int) []byte {
+	k := fmt.Appendf(nil, "%08d", id)
+	for len(k) < 400+id%200 {
+		k = append(k, byte('a'+len(k)%26))
+	}
+	return k
+}
+
+// TestBisectionMatchesWalk drives a seeded mix of ascending appends, random
+// inserts, replacements and deletes, and after every operation seeks in every
+// internal node by bisection and by the linear walk, at each separator, just
+// above each, below the first and above the last: the spots must be equal.
+// On a 6-page cache internal pages are evicted and read again between
+// operations; on a large one an offset table lives through every edit that
+// must drop it.
+func TestBisectionMatchesWalk(t *testing.T) {
+	for _, cachePages := range []int{6, 4096} {
+		t.Run(fmt.Sprintf("cache=%d", cachePages), func(t *testing.T) {
+			env, s := instantStore(t, cachePages)
+			defer env.Close()
+			runErr(t, env, func(p *sim.Proc) error { return bisectionOps(p, s, 2000) })
+		})
+	}
+}
+
+func bisectionOps(p *sim.Proc, s *Store, ops int) error {
+	tr, err := s.CreateTree(p)
+	if err != nil {
+		return err
+	}
+	rng := sim.NewRand(uint64(s.Cache().Capacity()))
+	var keys [][]byte // what the tree holds
+	held := map[string]bool{}
+	put := func(k []byte) error {
+		if !held[string(k)] {
+			held[string(k)] = true
+			keys = append(keys, k)
+		}
+		return tr.Put(p, k, k[:1+rng.Intn(16)], 0)
+	}
+	next, depth := 1_000_000, 0 // ascending appends count up from above the random ids
+	for i := 1; i <= ops; i++ {
+		switch op := rng.Intn(10); {
+		case op < 3:
+			err = put(longKey(next))
+			next++
+		case op < 6:
+			err = put(longKey(rng.Intn(next)))
+		case len(keys) == 0:
+		case op < 8:
+			err = put(keys[rng.Intn(len(keys))])
+		default:
+			j := rng.Intn(len(keys))
+			k := keys[j]
+			keys[j], keys = keys[len(keys)-1], keys[:len(keys)-1]
+			delete(held, string(k))
+			err = tr.Delete(p, k)
+		}
+		if err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
+		}
+		if depth, err = sameSeeks(p, s, tr); err != nil {
+			return fmt.Errorf("after op %d: %w", i, err)
+		}
+	}
+	if depth < 3 {
+		return fmt.Errorf("%d internal levels, want at least 3", depth)
+	}
+	return tr.Check(p)
+}
+
+// sameSeeks compares bisection and walk in every internal node of tr, level
+// by level, and returns the number of internal levels.
+func sameSeeks(p *sim.Proc, s *Store, tr *Tree) (int, error) {
+	level := []int64{tr.root()}
+	for depth := 0; ; depth++ {
+		var below []int64
+		for _, id := range level {
+			nd, err := s.pin(p, id)
+			if err != nil {
+				return depth, err
+			}
+			if nd.leaf {
+				s.unpin(nd)
+				return depth, nil
+			}
+			below, err = sameSeeksIn(nd, below)
+			s.unpin(nd)
+			if err != nil {
+				return depth, err
+			}
+		}
+		level = below
+	}
+}
+
+// sameSeeksIn compares bisection and walk in one internal node, at each
+// separator, just above each, below the first and above the last, and
+// appends the node's children to below.
+func sameSeeksIn(nd node, below []int64) ([]int64, error) {
+	d, off := nd.pg.Data, nodeHeader
+	probes := [][]byte{nil, {0xff}}
+	below = append(below, nd.link())
+	for i := 0; i < nd.n; i++ {
+		k, v, _, end, _ := cell(d, false, off)
+		probes = append(probes, k, append(bytes.Clone(k), 0))
+		below = append(below, int64(binary.LittleEndian.Uint64(v)))
+		off = end
+	}
+	where := func(sp spot) [7]int {
+		return [7]int{sp.idx, sp.off, sp.end, sp.size, sp.used, sp.fill, cap(d) - cap(sp.before)}
+	}
+	for _, key := range probes {
+		got, err := nd.seek(key, false)
+		if err != nil {
+			return below, err
+		}
+		want, err := linearSeek(nd, key)
+		if err != nil {
+			return below, err
+		}
+		if where(got) != where(want) {
+			return below, fmt.Errorf("page %d at %.12q: bisection %v, walk %v (idx off end size used fill before)", nd.pg.ID, key, where(got), where(want))
+		}
+	}
+	return below, nil
+}
+
 // goldenState is what TestGoldenBehaviour pins.
 type goldenState struct {
 	nextPage int64

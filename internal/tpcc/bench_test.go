@@ -18,24 +18,27 @@ import (
 //
 //	go test -run '^$' -bench . -benchmem ./internal/tpcc
 
+// instantDev is a device that takes no virtual time.
+func instantDev(env *sim.Env, minor uint8) blockdev.Device {
+	return disk.NewInstantDev(disk.New(env, disk.WDCaviar()), blockdev.DevID{Major: 3, Minor: minor})
+}
+
 // benchRunner is a loaded database and a runner on instant devices.
 func benchRunner(b testing.TB) (*sim.Env, *Runner) {
 	env := sim.NewEnv()
 	b.Cleanup(env.Close)
-	dev := func(minor uint8) blockdev.Device {
-		return disk.NewInstantDev(disk.New(env, disk.WDCaviar()), blockdev.DevID{Major: 3, Minor: minor})
-	}
 	cfg := smallCfg()
 	cfg.CustomersPerDistrict, cfg.Items, cfg.InitialOrdersPerDistrict, cfg.CachePages = 300, 2000, 100, 1<<15
 	var run *Runner
 	var err error
 	env.Go("load", func(p *sim.Proc) {
 		var db *DB
-		if db, err = Load(p, cfg, []blockdev.Device{dev(1), dev(2)}); err != nil {
+		if db, err = Load(p, cfg, []blockdev.Device{instantDev(env, 1), instantDev(env, 2)}); err != nil {
 			return
 		}
 		var l *wal.Log
-		if l, err = wal.New(env, wal.Config{Dev: dev(0), Sectors: dev(0).Sectors(), Mode: wal.SyncEveryCommit}); err == nil {
+		logDev := instantDev(env, 0)
+		if l, err = wal.New(env, wal.Config{Dev: logDev, Sectors: logDev.Sectors(), Mode: wal.SyncEveryCommit}); err == nil {
 			run = NewRunner(db, txn.NewManager(env, l))
 		}
 	})
@@ -64,6 +67,38 @@ func benchTransaction(b *testing.B, one func(r *Runner, p *sim.Proc, rng *sim.Ra
 
 func BenchmarkNewOrder(b *testing.B)   { benchTransaction(b, (*Runner).newOrder) }
 func BenchmarkStockLevel(b *testing.B) { benchTransaction(b, (*Runner).stockLevel) }
+
+// BenchmarkLoad loads and flushes the database of the tpcc_trail benchmark
+// workload on instant devices: 1 warehouse, 10 districts, 600 customers a
+// district, 10 000 items, 300 orders a district and 700 cache pages a store.
+// It is that workload's set-up cost, nearly all of it kvdb.Tree.Put.
+func BenchmarkLoad(b *testing.B) {
+	cfg := Config{
+		Warehouses:               1,
+		Districts:                10,
+		CustomersPerDistrict:     600,
+		Items:                    10000,
+		InitialOrdersPerDistrict: 300,
+		CachePages:               700,
+		Seed:                     2,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnv()
+		var err error
+		env.Go("load", func(p *sim.Proc) {
+			var db *DB
+			if db, err = Load(p, cfg, []blockdev.Device{instantDev(env, 1), instantDev(env, 2)}); err == nil {
+				err = db.FlushAll(p)
+			}
+		})
+		env.Run()
+		env.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // TestTransactionAllocations pins what a new-order and a stock-level
 // transaction allocate on a warm cache: the Txn and little else. Neither a
