@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,33 +28,39 @@ import (
 	"tracklog/internal/sim"
 )
 
-func main() {
-	stackName := flag.String("stack", "trail", "stack under test: trail, raid5, or wal")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	skip := flag.Int64("skip", 0, "first probe index to explore")
-	window := flag.Int64("window", 100, "number of probe indices to scan from -skip")
-	horizon := flag.Duration("horizon", crashexplore.DefaultHorizon, "virtual-time budget per branch")
-	kindsFlag := flag.String("kinds", "", "comma-separated probe kinds to branch on (default: all)")
-	faults := flag.String("faults", "", "fault scenario on the data disk (trail stack only), e.g. latent=2,timeout=2")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault plan seed")
-	jsonOut := flag.Bool("json", false, "write the full report as JSON to stdout")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "crashexplore:", err)
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("crashexplore", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	stackName := fs.String("stack", "trail", "stack under test: trail, raid5, or wal")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	skip := fs.Int64("skip", 0, "first probe index to explore")
+	window := fs.Int64("window", 100, "number of probe indices to scan from -skip")
+	horizon := fs.Duration("horizon", crashexplore.DefaultHorizon, "virtual-time budget per branch")
+	kindsFlag := fs.String("kinds", "", "comma-separated probe kinds to branch on (default: all)")
+	faults := fs.String("faults", "", "fault scenario on the data disk (trail stack only), e.g. latent=2,timeout=2")
+	faultSeed := fs.Uint64("fault-seed", 1, "fault plan seed")
+	jsonOut := fs.Bool("json", false, "write the full report as JSON to stdout")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "crashexplore:", err)
+		return 2
 	}
 
 	st, err := stacks.ByName(*stackName, *faults, *faultSeed)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	opts := crashexplore.Options{Seed: *seed, Skip: *skip, Window: *window, Horizon: *horizon}
 	if *kindsFlag != "" {
 		for _, name := range strings.Split(*kindsFlag, ",") {
 			k, err := crashexplore.ParseKind(strings.TrimSpace(name))
 			if err != nil {
-				fail(err)
+				return fail(err)
 			}
 			opts.Kinds = append(opts.Kinds, k)
 		}
@@ -61,47 +68,48 @@ func main() {
 
 	rep, err := crashexplore.New(st.Stack, opts).Run()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	if *jsonOut {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fail(err)
+		if err := rep.WriteJSON(stdout); err != nil {
+			return fail(err)
 		}
 	} else {
-		printSummary(rep)
+		printSummary(stdout, rep)
 	}
 	if rep.Failed() {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func printSummary(rep *crashexplore.Report) {
-	fmt.Printf("stack seed %d: %d probes observed, %d candidate events in window, %d branches explored\n",
+func printSummary(w io.Writer, rep *crashexplore.Report) {
+	fmt.Fprintf(w, "stack seed %d: %d probes observed, %d candidate events in window, %d branches explored\n",
 		rep.Seed, rep.TotalProbes, rep.Candidates, rep.Explored)
 	if !rep.Failed() {
-		fmt.Printf("PASS: all %d branches uphold the durability contract\n", rep.Explored)
+		fmt.Fprintf(w, "PASS: all %d branches uphold the durability contract\n", rep.Explored)
 		return
 	}
-	fmt.Printf("FAIL: %d lost, %d torn, %d error branches; first failing event index %d\n",
+	fmt.Fprintf(w, "FAIL: %d lost, %d torn, %d error branches; first failing event index %d\n",
 		rep.LostBranches, rep.TornBranches, rep.ErrorBranches, rep.FirstFailing)
 	for _, b := range rep.Branches {
 		if len(b.Failures) == 0 && b.Err == "" {
 			continue
 		}
-		fmt.Printf("  event %d (%s %s lba=%d n=%d at=%s):",
+		fmt.Fprintf(w, "  event %d (%s %s lba=%d n=%d at=%s):",
 			b.Event.Index, b.Event.Kind, b.Event.Dev, b.Event.LBA, b.Event.Count,
 			sim.Time(b.Event.At).Sub(sim.Time(0)))
 		if b.Err != "" {
-			fmt.Printf(" recovery error: %s", b.Err)
+			fmt.Fprintf(w, " recovery error: %s", b.Err)
 		}
 		for _, f := range b.Failures {
 			if f.Torn {
-				fmt.Printf(" slot %d torn", f.Slot)
+				fmt.Fprintf(w, " slot %d torn", f.Slot)
 			} else {
-				fmt.Printf(" slot %d acked v%d found v%d", f.Slot, f.Acked, f.Found)
+				fmt.Fprintf(w, " slot %d acked v%d found v%d", f.Slot, f.Acked, f.Found)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -120,40 +120,3 @@ func TestAnalyzerSubset(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0 (fixture has no determinism findings)\n%s", code, out)
 	}
 }
-
-// TestVersionFlag: go vet probes -V=full for its cache key.
-func TestVersionFlag(t *testing.T) {
-	bin := buildTrailcheck(t)
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	if len(out) == 0 {
-		t.Fatal("-V=full printed nothing")
-	}
-}
-
-// TestVetToolProtocol: the binary works as `go vet -vettool` on a clean
-// package (shares go vet's per-package scheduling and caching).
-func TestVetToolProtocol(t *testing.T) {
-	bin := buildTrailcheck(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/geom")
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go vet -vettool failed on a clean package: %v\n%s", err, out)
-	}
-}
-
-// TestVetToolFindings: and reports findings (nonzero exit) on the bad
-// fixture package.
-func TestVetToolFindings(t *testing.T) {
-	bin := buildTrailcheck(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin,
-		"./internal/lint/testdata/src/tracklog/internal/trail")
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed on the bad fixture\n%s", out)
-	}
-}

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,26 +23,32 @@ import (
 	"tracklog/internal/trail"
 )
 
-func main() {
-	writes := flag.Int("writes", 8, "writes to run before inspecting")
-	crash := flag.Bool("crash", false, "cut power before write-back completes")
-	verbose := flag.Bool("v", false, "dump every record's block list")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := run(*writes, *crash, *verbose); err != nil {
-		fmt.Fprintln(os.Stderr, "trailfmt:", err)
-		os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trailfmt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	writes := fs.Int("writes", 8, "writes to run before inspecting")
+	crash := fs.Bool("crash", false, "cut power before write-back completes")
+	verbose := fs.Bool("v", false, "dump every record's block list")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	if err := demo(stdout, *writes, *crash, *verbose); err != nil {
+		fmt.Fprintln(stderr, "trailfmt:", err)
+		return 1
+	}
+	return 0
 }
 
-func run(writes int, crash, verbose bool) error {
+func demo(w io.Writer, writes int, crash, verbose bool) error {
 	sys, err := rig.Prepare(rig.Config{})
 	if err != nil {
 		return err
 	}
 	defer sys.Close()
 	env, log := sys.Env, sys.LogDisk
-	fmt.Printf("formatted %s: %d tracks, %.2f GiB, header replicas on tracks %v\n",
+	fmt.Fprintf(w, "formatted %s: %d tracks, %.2f GiB, header replicas on tracks %v\n",
 		log.Params().Name, log.Geom().TotalTracks(),
 		float64(log.Geom().Capacity())/(1<<30), trail.HeaderTracks(log.Geom()))
 
@@ -72,23 +79,23 @@ func run(writes int, crash, verbose bool) error {
 		for done < writes {
 			env.RunUntil(env.Now().Add(time.Millisecond))
 		}
-		fmt.Printf("power cut with %d records outstanding\n\n", drv.OutstandingRecords())
+		fmt.Fprintf(w, "power cut with %d records outstanding\n\n", drv.OutstandingRecords())
 	} else {
 		env.Run()
-		fmt.Printf("workload drained cleanly\n\n")
+		fmt.Fprintf(w, "workload drained cleanly\n\n")
 	}
 
-	return inspect(log, verbose)
+	return inspect(w, log, verbose)
 }
 
 // inspect reads the media directly (as an offline tool would) and prints
 // the on-disk structures.
-func inspect(log *disk.Disk, verbose bool) error {
+func inspect(w io.Writer, log *disk.Disk, verbose bool) error {
 	hdr, err := trail.ReadHeader(log)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("log disk header: epoch=%d cleanShutdown=%v geometry=%dx%d cylinders/heads\n",
+	fmt.Fprintf(w, "log disk header: epoch=%d cleanShutdown=%v geometry=%dx%d cylinders/heads\n",
 		hdr.Epoch, hdr.CleanShutdown, hdr.Geom.Cylinders, hdr.Geom.Heads)
 
 	g := log.Geom()
@@ -119,7 +126,7 @@ func inspect(log *disk.Disk, verbose bool) error {
 			records = append(records, found{hdr: rh})
 		}
 	}
-	fmt.Printf("write records on media: %d\n", len(records))
+	fmt.Fprintf(w, "write records on media: %d\n", len(records))
 	var youngest *trail.RecordHeader
 	for _, r := range records {
 		if r.hdr.Epoch != hdr.Epoch {
@@ -129,15 +136,15 @@ func inspect(log *disk.Disk, verbose bool) error {
 			youngest = r.hdr
 		}
 		if verbose {
-			fmt.Printf("  seq=%-6d lba=%-8d prev=%-8d logHead=%-8d blocks=%d\n",
+			fmt.Fprintf(w, "  seq=%-6d lba=%-8d prev=%-8d logHead=%-8d blocks=%d\n",
 				r.hdr.Seq, r.hdr.HeaderLBA, r.hdr.PrevSect, r.hdr.LogHead, len(r.hdr.Blocks))
 			for _, b := range r.hdr.Blocks {
-				fmt.Printf("      -> %v lba %d\n", b.Dev, b.DataLBA)
+				fmt.Fprintf(w, "      -> %v lba %d\n", b.Dev, b.DataLBA)
 			}
 		}
 	}
 	if youngest != nil {
-		fmt.Printf("youngest active record: seq=%d at lba=%d, log head at lba=%d\n",
+		fmt.Fprintf(w, "youngest active record: seq=%d at lba=%d, log head at lba=%d\n",
 			youngest.Seq, youngest.HeaderLBA, youngest.LogHead)
 	}
 	return nil

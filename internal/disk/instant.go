@@ -11,8 +11,6 @@ import (
 // populating a database before a benchmark, verifying media contents in
 // tests — mirroring how a real experiment prepares its disks before the
 // clock that matters starts.
-//
-//lint:allow probeguard setup-only device outside the measured world; its writes are not durability edges crashexplore can cut at
 type InstantDev struct {
 	d  *Disk
 	id blockdev.DevID

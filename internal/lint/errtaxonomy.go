@@ -30,7 +30,7 @@ var ErrTaxonomy = &Analyzer{
 }
 
 func runErrTaxonomy(pass *Pass) error {
-	if !strings.HasPrefix(pass.Path, "tracklog") {
+	if !inModule(pass.Path) {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -69,7 +69,7 @@ func sentinelOf(pass *Pass, e ast.Expr) *types.Var {
 	if !strings.HasPrefix(v.Name(), "Err") {
 		return nil
 	}
-	if !strings.HasPrefix(NormalizePath(v.Pkg().Path()), "tracklog") {
+	if !inModule(NormalizePath(v.Pkg().Path())) {
 		return nil
 	}
 	if v.Parent() != v.Pkg().Scope() {
@@ -142,8 +142,8 @@ func checkSentinelSwitch(pass *Pass, sw *ast.SwitchStmt) {
 // checkSentinelWrap flags fmt.Errorf calls that pass a sentinel but whose
 // format string has no %w verb, which erases the sentinel from the chain.
 func checkSentinelWrap(pass *Pass, call *ast.CallExpr) {
-	fn := pass.calleeFunc(call)
-	if fn == nil || !isPkgFunc(fn, "fmt", "Errorf") || len(call.Args) < 2 {
+	fn := calleeOf(pass.Info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" || len(call.Args) < 2 {
 		return
 	}
 	var sentinel *types.Var

@@ -2,277 +2,62 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
-// NilGuard machine-checks the nil-is-disabled contract of the
-// observability handles: a nil *trace.Tracer, *span.Recorder or *span.Req
-// means "tracing off", and the instrumented layers call methods on those
-// handles unguarded on every hot path. The contract has two halves:
+// NilGuard keeps instrumentation where setup put it. A nil *trace.Tracer,
+// *span.Recorder, telemetry or timeline handle means "disabled", and each
+// layer holds the handles it was given for the whole run. A handle field
+// assigned anywhere but a Set*/New* accessor — say, a tracer nilled in a
+// power cut — silently drops the rest of the run's events and spans, and
+// no test notices, because every layer works the same with instruments off.
 //
-// Home packages (internal/trace, internal/span): every exported method
-// with a pointer receiver on a handle type must be nil-receiver safe — it
-// either opens with an `if recv == nil` guard (possibly `recv == nil ||
-// ...`, short-circuit makes the rest safe), or it never touches receiver
-// state directly (only calls other, equally checked, methods). A new
-// method that dereferences an unguarded receiver would crash every
-// tracing-disabled run the moment a layer calls it.
-//
-// Consumer packages (everything else): handles are installed only through
-// Set*/New* accessors — an unexported handle field assigned anywhere else
-// (say, nilling a tracer mid-run) would silently change behaviour between
-// two same-seed runs — and a handle is never dereferenced with *, because
-// nil is a legal, common value.
+// The handles' own nil-receiver safety is not checked here: an exported
+// method that forgets its nil guard panics in every untraced test run.
 var NilGuard = &Analyzer{
 	Name: "nilguard",
-	Doc:  "enforce the nil-is-disabled contract of trace.Tracer / span.Recorder handles",
+	Doc:  "install instrumentation handles (tracer, recorder, registry, timeline) only through Set*/New* accessors",
 	Run:  runNilGuard,
 }
 
-// handleTypes maps home package path -> nil-is-disabled type names.
-var handleTypes = map[string]map[string]bool{
-	"tracklog/internal/trace":     {"Tracer": true},
-	"tracklog/internal/span":      {"Recorder": true, "Req": true},
-	"tracklog/internal/telemetry": {"Registry": true, "Counter": true, "Gauge": true, "Histogram": true},
-	"tracklog/internal/timeline":  {"Aggregator": true, "Lane": true, "Meter": true, "Mark": true},
-}
-
-// installedHandles is the subset of handle types with instance lifetime:
-// installed once at setup and expected to stay put for the whole run. The
-// Set*/New*-only store rule applies to these. span.Req is deliberately
-// excluded — it is a request-lifetime handle that layers legitimately stash
-// on in-flight request state.
+// installedHandles names the handle types with instance lifetime: installed
+// once at setup and expected to stay put for the whole run. span.Req is
+// deliberately absent — it is a request-lifetime handle that layers
+// legitimately stash on in-flight request state.
 var installedHandles = map[string]bool{
-	"trace.Tracer":        true,
-	"span.Recorder":       true,
-	"telemetry.Registry":  true,
-	"telemetry.Counter":   true,
-	"telemetry.Gauge":     true,
-	"telemetry.Histogram": true,
-	"timeline.Aggregator": true,
-	"timeline.Lane":       true,
-	"timeline.Meter":      true,
-	"timeline.Mark":       true,
+	"tracklog/internal/trace.Tracer":        true,
+	"tracklog/internal/span.Recorder":       true,
+	"tracklog/internal/telemetry.Registry":  true,
+	"tracklog/internal/telemetry.Counter":   true,
+	"tracklog/internal/telemetry.Gauge":     true,
+	"tracklog/internal/telemetry.Histogram": true,
+	"tracklog/internal/timeline.Aggregator": true,
+	"tracklog/internal/timeline.Lane":       true,
+	"tracklog/internal/timeline.Meter":      true,
+	"tracklog/internal/timeline.Mark":       true,
 }
 
 func runNilGuard(pass *Pass) error {
-	if !strings.HasPrefix(pass.Path, "tracklog") {
+	if !inModule(pass.Path) {
 		return nil
 	}
-	if names, ok := handleTypes[pass.Path]; ok {
-		checkHomeMethods(pass, names)
-	}
-	checkConsumers(pass)
-	return nil
-}
-
-// checkHomeMethods verifies nil-receiver safety of exported handle methods.
-func checkHomeMethods(pass *Pass, names map[string]bool) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || !fd.Name.IsExported() || fd.Body == nil {
-				continue
-			}
-			tname, recv := recvInfo(fd)
-			if tname == "" || !names[tname] {
-				continue
-			}
-			if recv == nil {
-				continue // anonymous receiver: state is unreachable
-			}
-			if hasLeadingNilGuard(pass, fd.Body, recv) {
-				continue
-			}
-			if pos, found := unguardedStateUse(pass, fd.Body, recv); found {
-				use := pass.Fset.Position(pos)
-				pass.Reportf(fd.Name.Pos(),
-					"exported method (*%s).%s touches receiver state without a nil guard (first at line %d), breaking the nil-is-disabled contract; open with `if %s == nil { ... }`",
-					tname, fd.Name.Name, use.Line, recv.Name)
-			}
-		}
-	}
-}
-
-// recvInfo extracts the receiver base type name and the receiver variable
-// (nil for `func (*T) M()`), for pointer receivers only.
-func recvInfo(fd *ast.FuncDecl) (string, *ast.Ident) {
-	if len(fd.Recv.List) != 1 {
-		return "", nil
-	}
-	field := fd.Recv.List[0]
-	star, ok := field.Type.(*ast.StarExpr)
-	if !ok {
-		return "", nil // value receiver: a copy, nil cannot reach it
-	}
-	base, ok := star.X.(*ast.Ident)
-	if !ok {
-		return "", nil
-	}
-	var recv *ast.Ident
-	if len(field.Names) == 1 && field.Names[0].Name != "_" {
-		recv = field.Names[0]
-	}
-	return base.Name, recv
-}
-
-// hasLeadingNilGuard reports whether the first statement of body is
-//
-//	if recv == nil { return ... }   or   if recv == nil || ... { return ... }
-//
-// whose then-branch terminates (return or panic).
-func hasLeadingNilGuard(pass *Pass, body *ast.BlockStmt, recv *ast.Ident) bool {
-	if len(body.List) == 0 {
-		return false
-	}
-	ifs, ok := body.List[0].(*ast.IfStmt)
-	if !ok || ifs.Init != nil {
-		return false
-	}
-	if !leftmostIsRecvNil(pass, ifs.Cond, recv, token.EQL, token.LOR) {
-		return false
-	}
-	return blockTerminates(ifs.Body)
-}
-
-// leftmostIsRecvNil walks the leftmost spine of or/and chains (chainOp) and
-// reports whether it bottoms out at `recv <op> nil`.
-func leftmostIsRecvNil(pass *Pass, cond ast.Expr, recv *ast.Ident, op, chainOp token.Token) bool {
-	for {
-		be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-		if !ok {
-			return false
-		}
-		if be.Op == chainOp {
-			cond = be.X
-			continue
-		}
-		if be.Op != op {
-			return false
-		}
-		return (isRecvIdent(pass, be.X, recv) && isNilExpr(pass, be.Y)) ||
-			(isRecvIdent(pass, be.Y, recv) && isNilExpr(pass, be.X))
-	}
-}
-
-func isRecvIdent(pass *Pass, e ast.Expr, recv *ast.Ident) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	return pass.Info.Uses[id] != nil && pass.Info.Uses[id] == pass.Info.Defs[recv]
-}
-
-func blockTerminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := last.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		return ok && id.Name == "panic"
-	}
-	return false
-}
-
-// unguardedStateUse finds the first direct use of receiver state — a field
-// selection or a * dereference — that is not inside an `if recv != nil`
-// region. Method calls on the receiver are fine: each callee is itself
-// checked.
-func unguardedStateUse(pass *Pass, body *ast.BlockStmt, recv *ast.Ident) (token.Pos, bool) {
-	var found token.Pos
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		stack = append(stack, n)
-		if found.IsValid() {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if !isRecvIdent(pass, n.X, recv) {
-				return true
-			}
-			sel, ok := pass.Info.Selections[n]
-			if !ok || sel.Kind() != types.FieldVal {
-				return true
-			}
-			if !guardedByStack(pass, stack, recv) {
-				found = n.Pos()
-			}
-		case *ast.StarExpr:
-			if isRecvIdent(pass, n.X, recv) && !guardedByStack(pass, stack, recv) {
-				found = n.Pos()
-			}
-		}
-		return true
-	})
-	return found, found.IsValid()
-}
-
-// guardedByStack reports whether any enclosing if-statement on the inspect
-// stack guards with `recv != nil` (leftmost && operand).
-func guardedByStack(pass *Pass, stack []ast.Node, recv *ast.Ident) bool {
-	for _, n := range stack {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		if leftmostIsRecvNil(pass, ifs.Cond, recv, token.NEQ, token.LAND) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkConsumers applies the consumer half of the contract in every module
-// package: unexported handle fields are written only inside Set*/New*
-// functions, and handle values are never dereferenced.
-func checkConsumers(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				for _, lhs := range as.Lhs {
 					checkHandleFieldStore(pass, file, lhs)
-				}
-			case *ast.StarExpr:
-				if isHandleType(pass.typeOf(n.X)) {
-					pass.Reportf(n.Pos(),
-						"dereferencing a %s handle defeats the nil-is-disabled contract (nil is a legal value); call its nil-safe methods instead",
-						handleTypeName(pass.typeOf(n.X)))
 				}
 			}
 			return true
 		})
 	}
-}
-
-func (p *Pass) typeOf(e ast.Expr) types.Type {
-	if tv, ok := p.Info.Types[e]; ok {
-		return tv.Type
-	}
 	return nil
 }
 
-// isHandleType reports whether t is a pointer to one of the nil-is-disabled
-// handle types.
-func isHandleType(t types.Type) bool {
-	return handleTypeName(t) != ""
-}
-
-func handleTypeName(t types.Type) string {
+// handleName returns "pkg.Type" when t is a pointer to an installed handle
+// type, else "".
+func handleName(t types.Type) string {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return ""
@@ -281,11 +66,11 @@ func handleTypeName(t types.Type) string {
 	if !ok || named.Obj().Pkg() == nil {
 		return ""
 	}
-	home := NormalizePath(named.Obj().Pkg().Path())
-	if names, ok := handleTypes[home]; ok && names[named.Obj().Name()] {
-		return named.Obj().Pkg().Name() + "." + named.Obj().Name()
+	pkg := named.Obj().Pkg()
+	if !installedHandles[NormalizePath(pkg.Path())+"."+named.Obj().Name()] {
+		return ""
 	}
-	return ""
+	return pkg.Name() + "." + named.Obj().Name()
 }
 
 // checkHandleFieldStore flags `x.field = handle` when field is an
@@ -300,7 +85,8 @@ func checkHandleFieldStore(pass *Pass, file *ast.File, lhs ast.Expr) {
 	if !ok || selection.Kind() != types.FieldVal {
 		return
 	}
-	if !installedHandles[handleTypeName(selection.Obj().Type())] {
+	handle := handleName(selection.Obj().Type())
+	if handle == "" {
 		return
 	}
 	fn := enclosingFuncName(file, lhs.Pos())
@@ -310,5 +96,5 @@ func checkHandleFieldStore(pass *Pass, file *ast.File, lhs ast.Expr) {
 	}
 	pass.Reportf(lhs.Pos(),
 		"handle field %s (%s) is assigned outside a Set*/New* accessor; swapping instrumentation mid-run breaks run-to-run determinism",
-		sel.Sel.Name, handleTypeName(selection.Obj().Type()))
+		sel.Sel.Name, handle)
 }

@@ -1,26 +1,12 @@
-// Package detind is the interprocedural determinism fixture: banned rand is
-// reached across a package boundary, and a map-range body reaches an output
-// sink only through a helper call — both invisible to the old
-// intraprocedural pass.
+// Package detind is the helper-mediated determinism fixture: a map-range
+// body reaches an output sink only through a helper call, which the call
+// graph traces.
 package detind
 
 import (
 	"fmt"
 	"sort"
-
-	"tracklog/internal/lint/testdata/src/tracklog/internal/detind/entropy"
 )
-
-// pick has no rand reference of its own; its call graph crosses into the
-// entropy package to reach one.
-func pick() int {
-	return entropy.Roll() // want `call reaches a banned rand package \(banned rand\)`
-}
-
-// jitter is two hops from the leaf; the witness chain names the path.
-func jitter() int {
-	return pick() // want `call reaches a banned rand package \(entropy\.Roll -> banned rand\)`
-}
 
 // dump is the helper that hides the sink from the range body.
 func dump(k string, v int) {
@@ -32,6 +18,15 @@ func emit(m map[string]int) {
 		dump(k, v)
 	}
 }
+
+// report is one more hop away: the witness chain names the path.
+func report(m map[string]int) {
+	for k := range m { // want `reaches output sink via helper \(detind\.dump -> fmt\.Printf\)`
+		line(k)
+	}
+}
+
+func line(k string) { dump(k, 0) }
 
 // emitSorted ranges a sorted slice: same helper, no map-order dependence.
 func emitSorted(m map[string]int) {

@@ -7,7 +7,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 )
@@ -59,12 +58,4 @@ func aggregate(m map[string]int) int {
 		total += v
 	}
 	return total
-}
-
-func suppressed(m map[string]int) {
-	// The counters here are all-or-nothing; order is cosmetic:
-	//lint:allow determinism debug helper never ships bytes into artifacts
-	for k := range m {
-		fmt.Fprintln(os.Stderr, k)
-	}
 }

@@ -1,6 +1,5 @@
-// Package stddisk is the nilguard consumer fixture: it imports the real
-// observability packages and exercises the install-through-accessors and
-// never-dereference rules.
+// Package stddisk is the nilguard fixture: it imports the real
+// observability packages and exercises the install-through-accessors rule.
 package stddisk
 
 import (
@@ -39,15 +38,4 @@ func (d *Device) disableTracing() {
 // swapRecorder likewise.
 func (d *Device) swapRecorder(rec *span.Recorder) {
 	d.rec = rec // want `handle field rec \(span\.Recorder\) is assigned outside a Set\*/New\* accessor`
-}
-
-// deref defeats the nil-is-disabled contract outright.
-func deref(tr *trace.Tracer) trace.Tracer {
-	return *tr // want `dereferencing a trace\.Tracer handle defeats the nil-is-disabled contract`
-}
-
-// suppressedSwap documents a deliberate exception.
-func (d *Device) suppressedSwap() {
-	//lint:allow nilguard fixture demonstrates the escape hatch
-	d.tr = nil
 }

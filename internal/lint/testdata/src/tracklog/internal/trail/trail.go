@@ -23,10 +23,3 @@ func badValues() {
 	t := time.NewTicker(window) // want `time\.NewTicker reads the wall clock`
 	t.Stop()
 }
-
-func suppressed() {
-	// A justified escape hatch is honored:
-	//lint:allow virtualtime fixture demonstrates the escape hatch
-	_ = time.Now()
-	_ = time.Now() //lint:allow virtualtime trailing-comment style works too
-}

@@ -49,12 +49,6 @@ func wrapGood(sector int) error {
 	return fmt.Errorf("wal: sector %d: %w", sector, blockdev.ErrMediaError)
 }
 
-func wrapSuppressed() error {
-	// Deliberately flattening the sentinel into an opaque message:
-	//lint:allow errtaxonomy message intentionally erases the sentinel
-	return fmt.Errorf("wal: giving up (%v)", ErrLogFull)
-}
-
 // nonSentinel errors are untouched: local dynamic errors may be compared.
 func nonSentinel(err error) bool {
 	var sentinel = errors.New("scratch")

@@ -1,11 +1,8 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
-// VirtualTime forbids wall-clock time in simulated-path packages.
+// VirtualTime forbids wall-clock time anywhere in the module.
 //
 // The rotational model is microsecond-exact: the Trail driver predicts the
 // sector under the head from virtual timestamps, and one stray time.Now in
@@ -15,16 +12,9 @@ import (
 // constants (time.Millisecond, ...) remain legal — only the wall-clock
 // entry points are banned, whether called or passed as function values.
 //
-// There are no exceptions: the module has one clock. Host cost (wall time,
-// allocations) is measured from outside the linted tree by bench/.
-//
-// The check is whole-program: beyond direct time.* references, any function
-// that *reaches* the wall clock through the call graph is flagged at its
-// first offending call edge, with the witness chain. A //lint:allow
-// sanctions the site it covers, not the functions that call it — a helper
-// may carry an escape, but a simulated-path package calling that helper is
-// still a finding. Functions with their own direct time.* references are
-// the direct half's territory and are not re-reported indirectly.
+// There are no exceptions and no scope list: the module has one clock.
+// Host cost (wall time, allocations) is measured from outside the linted
+// tree by bench/.
 var VirtualTime = &Analyzer{
 	Name: "virtualtime",
 	Doc:  "forbid wall-clock time (time.Now, time.Sleep, ...) in simulated-path packages",
@@ -45,24 +35,8 @@ var wallClockBanned = map[string]bool{
 	"NewTicker": true,
 }
 
-// simulatedPathPrefixes marks the packages whose time must be virtual. The
-// whole library tree qualifies: every internal package either runs under
-// the simulator or produces deterministic artifacts from virtual
-// timestamps. Binaries under cmd/ are covered too, so a new tool cannot
-// quietly mix clocks.
-var simulatedPathPrefixes = []string{
-	"tracklog",
-}
-
 func runVirtualTime(pass *Pass) error {
-	inScope := false
-	for _, prefix := range simulatedPathPrefixes {
-		if pass.Path == prefix || strings.HasPrefix(pass.Path, prefix+"/") {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+	if !inModule(pass.Path) {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -84,40 +58,5 @@ func runVirtualTime(pass *Pass) error {
 			return true
 		})
 	}
-	reportIndirectTime(pass)
 	return nil
-}
-
-// reportIndirectTime is the whole-program half: functions with no direct
-// time.* reference whose call graph still reaches the wall clock are
-// flagged at their first offending call edge.
-func reportIndirectTime(pass *Pass) {
-	chains := pass.Prog.timeTaint()
-	for _, fid := range pass.Prog.FuncsOfPackage(pass.CurPkg) {
-		fi := pass.Prog.Funcs[fid]
-		if len(fi.TimeRefs) > 0 {
-			continue // a leaf: the direct half reported it
-		}
-		if c := firstTaintedCall(fi, chains); c != nil {
-			pass.Reportf(c.Pos,
-				"call reaches the wall clock (%s) from a simulated-path package; route timing through the virtual clock",
-				renderChain(chains[c.ID]))
-		}
-	}
-}
-
-// timeTaint seeds the caller-ward taint closure with every banned time.*
-// reference — sanctioned or not: an escape covers the site, never its
-// callers.
-func (prog *Program) timeTaint() map[string][]string {
-	if prog.timeChains == nil {
-		seeds := make(map[string]string)
-		for id, fi := range prog.Funcs {
-			if len(fi.TimeRefs) > 0 {
-				seeds[id] = "time." + fi.TimeRefs[0].Name
-			}
-		}
-		prog.timeChains = prog.taintCallers(seeds)
-	}
-	return prog.timeChains
 }

@@ -6,12 +6,6 @@ func TestVirtualTimeFixture(t *testing.T) {
 	RunFixture(t, "testdata/src/tracklog/internal/trail", VirtualTime)
 }
 
-func TestVirtualTimeIndirectFixture(t *testing.T) {
-	// The wall clock behind a sanctioned helper: callers with no time.*
-	// reference of their own are flagged with the witness chain.
-	RunFixture(t, "testdata/src/tracklog/internal/vthelper", VirtualTime)
-}
-
 func TestVirtualTimeOutOfScope(t *testing.T) {
 	// A package outside the simulated-path set is never flagged, whatever
 	// it does with the wall clock.

@@ -569,8 +569,6 @@ func (d *Driver) Dev(idx int) *DataDev {
 // DataDev exposes one Trail data disk through the standard block device
 // interface. Writes are durable on return (logged); reads come from the
 // staging buffer or the data disk.
-//
-//lint:allow probeguard acks are emitted by the log-writer daemon consuming the queue this facade feeds (writeRecord), a relay the call graph cannot follow
 type DataDev struct {
 	drv  *Driver
 	idx  int
