@@ -10,7 +10,6 @@
 //	trailsim -replay FILE                                        # replay a trace file
 //	trailsim -faults latent=3,timeout=1 [-fault-seed N]          # inject media faults
 //	trailsim -faulttol [-faults SCENARIO]                        # 3-system fault comparison
-//	trailsim -verify-snapshot                                    # final world's checkpoint digest, on stderr
 //
 // Overload (composable with -faults and the observability flags):
 //
@@ -61,15 +60,14 @@ import (
 	"time"
 
 	"tracklog/internal/benchfmt"
-	"tracklog/internal/crashexplore"
 	"tracklog/internal/disk"
 	"tracklog/internal/experiments"
 	"tracklog/internal/fault"
+	"tracklog/internal/geom"
 	"tracklog/internal/qos"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/snapshot"
 	"tracklog/internal/span"
 	"tracklog/internal/telemetry"
 	"tracklog/internal/timeline"
@@ -81,8 +79,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run parses args, runs the chosen scenario and returns the exit status.
-// Errors and the -verify-snapshot status line go to stderr; everything else
-// goes to stdout.
+// Errors go to stderr; everything else goes to stdout.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trailsim", flag.ExitOnError)
 	fs.SetOutput(stderr)
@@ -98,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faults := fs.String("faults", "", "fault scenario to inject on every drive (key=value terms, e.g. latent=3,timeout=1; see internal/fault)")
 	faultSeed := fs.Uint64("fault-seed", 0, "seed for fault sampling (default: -seed)")
 	faultTol := fs.Bool("faulttol", false, "run the standard/trail/raid5 fault-tolerance comparison under -faults")
-	verifySnapshot := fs.Bool("verify-snapshot", false, "after the run, print the size and FNV digest of the world checkpoint (kernel plus every stateful component) on stderr")
 	qosOn := fs.Bool("qos", false, "enable the default overload policy (admission bounds, retry budgets, throttling)")
 	deadline := fs.Duration("deadline", 0, "per-request deadline: issue time + D (0 disables)")
 	maxDepth := fs.Int("max-depth", 0, "bound the disk scheduler queue depth (0 = unbounded)")
@@ -143,11 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *offeredLoad > 0:
 		err = runOpenLoop(stdout, *system, *size, *writes, *offeredLoad, *seed, *faults, *faultSeed, pol, *seekDerate, *verify, obs)
 	default:
-		var snapOut io.Writer
-		if *verifySnapshot {
-			snapOut = stderr
-		}
-		err = runSync(stdout, *system, *mode, *size, *procs, *writes, *seed, *faults, *faultSeed, pol, *seekDerate, snapOut, obs)
+		err = runSync(stdout, *system, *mode, *size, *procs, *writes, *seed, *faults, *faultSeed, pol, *seekDerate, obs)
 	}
 	if err == nil {
 		err = obs.finish(stdout)
@@ -374,27 +366,6 @@ func buildRig(system, scenario string, faultSeed uint64, pol *qos.Policy, seekDe
 	return r, nil
 }
 
-// printWorldDigest checkpoints the (now quiescent) world — the kernel plus
-// every stateful component — and prints the checkpoint's size and digest, a
-// fingerprint of the run's final state, to w. run passes stderr, so stdout
-// stays byte-comparable across runs with and without -verify-snapshot.
-func printWorldDigest(w io.Writer, r *rig.Rig) {
-	world := crashexplore.NewWorld(r.Env)
-	if r.Trail != nil {
-		world.Register("disk.log", r.LogDisk)
-		world.Register("disk.data0", r.DataDisks[0])
-		world.Register("trail", r.Trail)
-	} else {
-		world.Register("disk.0", r.DataDisks[0])
-		world.Register("stddisk", r.Std[0])
-	}
-	for i, pl := range r.Plans {
-		world.Register(fmt.Sprintf("fault.%d", i), pl)
-	}
-	s := world.Snapshot()
-	fmt.Fprintf(w, "verify-snapshot: %d-byte world checkpoint, digest %016x\n", len(s), snapshot.Digest(s))
-}
-
 // runReplayFile replays a trace file against the chosen system.
 func runReplayFile(w io.Writer, system, path string, pol *qos.Policy, seekDerate int64, obs *observer) error {
 	f, err := os.Open(path)
@@ -421,6 +392,9 @@ func runReplayFile(w io.Writer, system, path string, pol *qos.Policy, seekDerate
 
 // runPattern synthesizes a trace with the named pattern and replays it.
 func runPattern(w io.Writer, system, pattern string, ops, size int, writeRatio float64, seed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
+	if size <= 0 || size%geom.SectorSize != 0 {
+		return fmt.Errorf("write size %d not a positive sector multiple", size)
+	}
 	r, err := buildRig(system, "", 0, pol, seekDerate, obs)
 	if err != nil {
 		return err
@@ -438,7 +412,7 @@ func runPattern(w io.Writer, system, pattern string, ops, size int, writeRatio f
 	default:
 		return fmt.Errorf("unknown pattern %q", pattern)
 	}
-	tr := workload.SynthesizeTrace(ops, pat, writeRatio, size/512, 3*time.Millisecond, dev.Sectors(), seed)
+	tr := workload.SynthesizeTrace(ops, pat, writeRatio, size/geom.SectorSize, 3*time.Millisecond, dev.Sectors(), seed)
 	res, err := workload.Replay(env, dev, tr)
 	if err != nil {
 		return err
@@ -454,9 +428,8 @@ func printReplay(w io.Writer, system, source string, res *workload.ReplayResult)
 	fmt.Fprintf(w, "elapsed %v, %d ops issued late\n", res.Elapsed, res.Lagged)
 }
 
-// runSync runs the closed-loop synchronous-write workload; a non-nil snapOut
-// receives the final world's checkpoint digest (see printWorldDigest).
-func runSync(w io.Writer, system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, snapOut io.Writer, obs *observer) error {
+// runSync runs the closed-loop synchronous-write workload.
+func runSync(w io.Writer, system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
 	r, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
 	if err != nil {
 		return err
@@ -481,10 +454,11 @@ func runSync(w io.Writer, system, mode string, size, procs, writes int, seed uin
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s / %s / %dB x %d writes x %d procs\n", system, mode, size, writes, procs)
+	c := res.Config
+	fmt.Fprintf(w, "%s / %s / %dB x %d writes x %d procs\n", system, c.Mode, c.WriteSize, c.WritesPerProcess, c.Processes)
 	fmt.Fprintf(w, "latency: %v\n", res.Latency)
 	obs.benchEntry = &benchfmt.Entry{
-		Name:   fmt.Sprintf("sync-write/%s/%s/%dB", system, mode, size),
+		Name:   fmt.Sprintf("sync-write/%s/%s/%dB", system, c.Mode, c.WriteSize),
 		Count:  res.Latency.Count(),
 		MeanUS: float64(res.Latency.Mean().Nanoseconds()) / 1000,
 		P50US:  float64(res.Latency.Quantile(0.50).Nanoseconds()) / 1000,
@@ -498,9 +472,6 @@ func runSync(w io.Writer, system, mode string, size, procs, writes int, seed uin
 			s.Records, s.Writes, float64(s.Writes)/float64(s.Records), s.Repositions, 100*s.AvgTrackUtilization())
 	}
 	printCounters(w, r, scenario)
-	if snapOut != nil {
-		printWorldDigest(snapOut, r)
-	}
 	return nil
 }
 
@@ -564,7 +535,7 @@ func runOpenLoop(w io.Writer, system string, size, writes int, rate float64, see
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s / open-loop / %dB x %d writes at %.0f/s\n", system, size, writes, rate)
+	fmt.Fprintf(w, "%s / open-loop / %dB x %d writes at %.0f/s\n", system, res.Config.WriteSize, res.Config.Requests, rate)
 	fmt.Fprintf(w, "acked %d  shed %d  expired %d  other-errors %d\n",
 		res.Acked, res.Shed, res.Expired, res.OtherErrors)
 	fmt.Fprintf(w, "acked latency: %v\n", res.Latency)

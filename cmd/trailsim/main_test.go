@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -94,32 +95,40 @@ func TestTraceSmokeGolden(t *testing.T) {
 	}
 }
 
-// TestVerifySnapshotDigests pins the world checkpoint -verify-snapshot
-// fingerprints after `-writes 50 -seed 7`: its length and FNV digest, for a
-// Trail run, a baseline run and a Trail run under faults, recorded at
-// 8a571dc. The status line goes to stderr, so stdout must match the same run
-// without the flag byte for byte. A deliberate format change updates these
-// and TestSnapshotGoldenDigests together.
-func TestVerifySnapshotDigests(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"trail", []string{"-system", "trail"}, "419298-byte world checkpoint, digest 6b9ebce6d394851f"},
-		{"std", []string{"-system", "std"}, "52760-byte world checkpoint, digest 0f8e4f37fc39a2e0"},
-		{"faults", []string{"-faults", "latent=3,timeout=1"}, "419812-byte world checkpoint, digest 03bcbe5d5f49cfb1"},
+// TestBadSizeExitsWithError: a write size that is not a positive sector
+// multiple is refused with exit status 1 and an error on stderr, on every
+// path that takes -size. Each of these once panicked (a negative make, a
+// negative Int64n bound, a division by a zero sector count) or, for 1000
+// bytes under -pattern, silently wrote one sector.
+func TestBadSizeExitsWithError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-size", "-512"},
+		{"-offered-load", "1000", "-size", "-512"},
+		{"-pattern", "uniform", "-size", "0"},
+		{"-pattern", "zipf", "-size", "0"},
+		{"-pattern", "sequential", "-size", "-512"},
+		{"-pattern", "uniform", "-size", "1000"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			args := append([]string{"-writes", "50", "-seed", "7"}, tc.args...)
-			plain, _, _ := runIn(t, args...)
-			verified, stderr, _ := runIn(t, append(args, "-verify-snapshot")...)
-			if got, want := string(stderr), "verify-snapshot: "+tc.want+"\n"; got != want {
-				t.Errorf("trailsim %v: stderr %q, want %q", args, got, want)
-			}
-			if !bytes.Equal(plain, verified) {
-				t.Errorf("trailsim %v: -verify-snapshot changed stdout:\n%s\nwithout the flag:\n%s", args, verified, plain)
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("trailsim %v panicked: %v", args, r)
+				}
+			}()
+			var out, errOut bytes.Buffer
+			code := run(append([]string{"-writes", "5"}, args...), &out, &errOut)
+			if code != 1 || !strings.Contains(errOut.String(), "trailsim: ") {
+				t.Errorf("trailsim %v: exit %d, stderr %q; want exit 1 and an error", args, code, &errOut)
 			}
 		})
+	}
+}
+
+// The header reports the configuration that ran, defaults filled in, not the
+// flag values.
+func TestHeaderShowsDefaultedConfig(t *testing.T) {
+	out, _, _ := runIn(t, "-procs", "0", "-writes", "0", "-size", "0")
+	if want := "trail / sparse / 1024B x 100 writes x 1 procs\n"; !strings.HasPrefix(string(out), want) {
+		t.Errorf("header %q, want %q", strings.SplitAfter(string(out), "\n")[0], want)
 	}
 }

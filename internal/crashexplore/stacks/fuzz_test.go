@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"strings"
 	"testing"
+	"time"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/crashexplore"
@@ -19,71 +21,100 @@ import (
 	"tracklog/internal/trail"
 )
 
+// snapshotter is a component with a checkpoint format: the drive, the fault
+// plan and the kernel.
+type snapshotter interface {
+	Snapshot() []byte
+}
+
 // restorer is a format that a reader decodes: a drive's media and a fault
 // plan's state, the durable state a power cut leaves behind.
 type restorer interface {
-	snapshot.Snapshotter
+	snapshotter
 	Restore(data []byte) error
 }
 
-// fuzzTargets assembles one instance of every Snapshotter in the tree on a
-// fresh environment. Kept cheap: no workload, just construction.
-func fuzzTargets(tb testing.TB) (*sim.Env, map[string]snapshot.Snapshotter) {
-	env := sim.NewEnv()
-	log := disk.New(env, worldLogParams())
-	if err := trail.Format(log); err != nil {
-		tb.Fatal(err)
-	}
-	data := disk.New(env, worldDataParams())
-	plan := fault.Attach(data, sim.NewRand(17), fault.Config{LatentReadErrors: 1})
-	drv, err := trail.NewDriver(env, log, []*disk.Disk{data}, trail.Config{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	// Three scheduled devices, as when the kernel's pin was recorded: each
-	// starts a scheduler worker that the kernel's snapshot lists.
-	var devs []*stddisk.Device
-	for i := 0; i < 3; i++ {
-		devs = append(devs, stddisk.New(env, disk.New(env, worldDataParams()),
-			blockdev.DevID{Major: 9, Minor: uint8(i)}, sched.LOOK))
-	}
-	return env, map[string]snapshot.Snapshotter{
-		"disk":    log,
-		"fault":   plan,
-		"trail":   drv,
-		"stddisk": devs[0],
-		"env":     env,
+// digest is a snapshot's FNV-64a, the form the golden pins use.
+func digest(data []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64()
+}
+
+func logParams() disk.Params {
+	g := geom.Uniform(12, 2, 60)
+	g.TrackSkew = 4
+	g.CylSkew = 8
+	return disk.Params{
+		Name:            "traillog",
+		RPM:             6000,
+		Geom:            g,
+		SeekT2T:         800 * time.Microsecond,
+		SeekAvg:         4 * time.Millisecond,
+		SeekMax:         8 * time.Millisecond,
+		HeadSwitch:      400 * time.Microsecond,
+		ReadOverhead:    200 * time.Microsecond,
+		WriteOverhead:   500 * time.Microsecond,
+		WriteSettle:     100 * time.Microsecond,
+		WriteTurnaround: 600 * time.Microsecond,
 	}
 }
 
-// pinnedStagingSnapshot snapshots a quiescent driver that still holds staged
-// blocks: every sector of their extents fails its write-back, so the two
-// overlapping extents stay pinned in staging with their log references.
-func pinnedStagingSnapshot(tb testing.TB) []byte {
-	env := sim.NewEnv()
-	defer env.Close()
-	log := disk.New(env, worldLogParams())
+func dataParams() disk.Params {
+	p := logParams()
+	p.Name = "d"
+	p.Geom = geom.Uniform(100, 2, 60)
+	return p
+}
+
+// trailRig builds a Trail driver over a formatted log drive and one data
+// drive under a fault plan with one latent read error.
+func trailRig(tb testing.TB, env *sim.Env) (log, data *disk.Disk, plan *fault.Plan, drv *trail.Driver) {
+	log = disk.New(env, logParams())
 	if err := trail.Format(log); err != nil {
 		tb.Fatal(err)
 	}
-	data := disk.New(env, worldDataParams())
-	fault.Attach(data, sim.NewRand(5), fault.Config{LatentWriteErrors: 16, MaxLBA: 16})
+	data = disk.New(env, dataParams())
+	plan = fault.Attach(data, sim.NewRand(17), fault.Config{LatentReadErrors: 1})
 	drv, err := trail.NewDriver(env, log, []*disk.Disk{data}, trail.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return log, data, plan, drv
+}
+
+// fuzzTargets assembles one instance of every format on a fresh environment.
+// Kept cheap: no workload, just construction. The Trail driver and the three
+// scheduled devices are built as when the kernel's pin was recorded: each
+// starts processes that the kernel's snapshot lists.
+func fuzzTargets(tb testing.TB) (*sim.Env, map[string]snapshotter) {
+	env := sim.NewEnv()
+	log, _, plan, _ := trailRig(tb, env)
+	for i := 0; i < 3; i++ {
+		stddisk.New(env, disk.New(env, dataParams()), blockdev.DevID{Major: 9, Minor: uint8(i)}, sched.LOOK)
+	}
+	return env, map[string]snapshotter{"disk": log, "fault": plan, "env": env}
+}
+
+// burstSnapshots runs a deterministic write burst through a Trail rig to
+// quiescence and returns what is left to snapshot: the kernel, the log
+// drive, the data drive and its fault plan.
+func burstSnapshots(tb testing.TB, writes int) [][]byte {
+	env := sim.NewEnv()
+	defer env.Close()
+	log, data, plan, drv := trailRig(tb, env)
 	env.Go("writer", func(p *sim.Proc) {
-		for _, w := range [][2]int{{0, 16}, {8, 8}} {
-			if err := drv.Dev(0).Write(p, int64(w[0]), w[1], crashexplore.Payload(w[0], 1, w[1])); err != nil {
-				tb.Errorf("write: %v", err)
+		for i := 0; i < writes; i++ {
+			buf := crashexplore.Payload(i%8, i/8+1, 2)
+			if err := drv.Dev(0).Write(p, int64((i%8)*64), 2, buf); err != nil {
+				tb.Errorf("write %d: %v", i, err)
+				return
 			}
+			p.Sleep(300 * time.Microsecond)
 		}
 	})
 	env.Run()
-	if drv.StagedBytes() != 24*geom.SectorSize {
-		tb.Fatalf("%d bytes pinned in staging, want both extents", drv.StagedBytes())
-	}
-	return drv.Snapshot()
+	return [][]byte{env.Snapshot(), log.Snapshot(), data.Snapshot(), plan.Snapshot()}
 }
 
 // disordered returns, by target and corruption, the sorted-key sections
@@ -93,7 +124,7 @@ func pinnedStagingSnapshot(tb testing.TB) []byte {
 // past the end of the device. The plan covers fuzzTargets' data disk and the
 // drive is a log disk like fuzzTargets' own, so only the keys are wrong.
 func disordered(tb testing.TB) map[string][]byte {
-	g := worldDataParams().Geom
+	g := dataParams().Geom
 	plan := fault.NewPlan(sim.NewRand(3), g.TotalSectors(), fault.Config{LatentReadErrors: 3}).Snapshot()
 	drive := evolved(tb, 0)["disk"].Snapshot()
 	out := map[string][]byte{}
@@ -104,7 +135,7 @@ func disordered(tb testing.TB) map[string][]byte {
 		size   int // of one entry, key first
 	}{
 		{"fault", plan, len("fault.Plan") + 10 + 8 + 10*8, 8 + 8 + 2},
-		{"disk", drive, len("disk.Disk") + 10 + 4 + len(worldLogParams().Name) + 5*8 + 9*8, 8 + 4 + geom.SectorSize},
+		{"disk", drive, len("disk.Disk") + 10 + 4 + len(logParams().Name) + 5*8 + 9*8, 8 + 4 + geom.SectorSize},
 	} {
 		n := int(binary.LittleEndian.Uint32(sec.snap[sec.off:]))
 		if n < 2 {
@@ -146,8 +177,7 @@ func TestRestoreRejectsDisorderedKeys(t *testing.T) {
 // never panic, and every rejection is a wrapped codec sentinel (ErrCorrupt,
 // ErrMismatch, or ErrNotQuiescent) so callers can triage.
 func FuzzSnapshotRestore(f *testing.F) {
-	// Corpus: the real snapshot of every component, plus a World checkpoint
-	// of a rig that has done real work.
+	// Corpus: the real snapshot of every format.
 	env, targets := fuzzTargets(f)
 	for _, s := range targets {
 		f.Add(s.Snapshot())
@@ -169,12 +199,14 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(short)
 	// Well-formed snapshots of another drive and of a plan for another
 	// device size: the header matches, the identity does not.
-	f.Add(disk.New(env, worldDataParams()).Snapshot())
+	f.Add(disk.New(env, dataParams()).Snapshot())
 	f.Add(fault.NewPlan(sim.NewRand(3), 1000, fault.Config{LatentReadErrors: 3}).Snapshot())
 	env.Close()
-	w := buildTrailWorld(f, 12)
-	f.Add(w.Snapshot())
-	f.Add(pinnedStagingSnapshot(f))
+	// Every format after a Trail rig has done real work: a log drive holding
+	// records, a data drive holding written-back blocks.
+	for _, data := range burstSnapshots(f, 12) {
+		f.Add(data)
+	}
 	// Both formats after a workload that leaves real state behind: many
 	// sectors, healed latent errors, pending timeouts.
 	ev := evolved(f, 0)

@@ -3,6 +3,7 @@ package rig
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -103,14 +104,17 @@ func TestCrashRecoverReadBack(t *testing.T) {
 	}
 }
 
-// planDigest fingerprints a rig's fault plans in attach order.
+// planDigest fingerprints a rig's fault plans in attach order: the FNV-64a
+// of their snapshots, each length-prefixed, in one snapshot stream.
 func planDigest(plans []*fault.Plan) uint64 {
-	return snapshot.Digest(snapshot.Encode("rig.test.plans", 1, func(c *snapshot.Codec) {
+	h := fnv.New64a()
+	h.Write(snapshot.Encode("rig.test.plans", 1, func(c *snapshot.Codec) {
 		for _, p := range plans {
 			state := p.Snapshot()
-			c.Bytes(&state)
+			c.View(&state)
 		}
 	}))
+	return h.Sum64()
 }
 
 // The same scenario and seed sample the same plans as the hand-attached

@@ -223,14 +223,6 @@ func (q *Queue[T]) TryPop() (T, bool) {
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Items returns a copy of the queued items, oldest first, without removing
-// them (used by state snapshots).
-func (q *Queue[T]) Items() []T {
-	out := make([]T, q.items.Len())
-	copy(out, q.items.Live())
-	return out
-}
-
 // Drain removes and returns up to max items (all items if max <= 0).
 func (q *Queue[T]) Drain(max int) []T {
 	n := q.items.Len()

@@ -1,23 +1,22 @@
-// Package snapshot defines the world checkpoint contract of the simulation:
-// a Snapshotter turns a component's state into a byte-deterministic blob.
-// The encoding is a fixed little-endian stream behind a per-component header
-// (magic, component kind, format version), with every map rendered in sorted
-// key order, so two worlds in the same state produce byte-identical
-// snapshots — the property trailsim -verify-snapshot's world digest and the
-// golden-digest tests compare on.
+// Package snapshot is the codec of the simulation's three checkpoint
+// formats, each a byte-deterministic blob of one component's state. Two
+// decode, because they are the durable state a power cut leaves behind: a
+// drive's media (disk.Disk) and a fault plan's state (fault.Plan). The third,
+// the kernel's scheduler state (sim.Env), is encode-only; the kernel's cut
+// and pause equivalence tests compare its bytes at every probe. The encoding
+// is a fixed little-endian stream behind a per-component header (magic,
+// component kind, format version), with every map rendered in sorted key
+// order, so two components in the same state produce byte-identical
+// snapshots — the property the golden-digest tests compare on.
 //
 // Each format is written once, as a walk: a function that hands every
 // snapshotted field, in stream order, to a Codec. Encode runs the walk over
-// the component's own fields. Only the formats a reader decodes — a drive's
-// media (disk.Disk) and a fault plan's state (fault.Plan), the durable state
-// a power cut leaves behind — also run it under Decode, over a shadow the
+// the component's own fields; Restore runs it under Decode, over a shadow the
 // component then validates and adopts. The walk is the format — there is no
 // second list of fields to drift from it.
 //
-// The package deliberately imports nothing from the rest of the repository:
-// internal/sim implements Snapshotter for its kernel using this codec, and
-// the layers above (disk, fault, trail, stddisk) do the same, without import
-// cycles.
+// The package deliberately imports nothing from the rest of the repository,
+// so internal/sim can use it for its kernel without an import cycle.
 //
 // Decoding is defensive by contract: feeding a Restore arbitrary or
 // corrupted bytes must never panic — it returns an error wrapping ErrCorrupt
@@ -32,7 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -46,17 +44,9 @@ var (
 	// of one drive restored into a drive with different geometry).
 	ErrMismatch = errors.New("snapshot: component mismatch")
 	// ErrNotQuiescent means a component has operations in flight that a
-	// data snapshot cannot carry, so it can neither be captured nor adopt
-	// one.
+	// data snapshot cannot carry, so it cannot adopt one.
 	ErrNotQuiescent = errors.New("snapshot: not quiescent")
 )
-
-// Snapshotter is implemented by every component whose state participates in
-// a world checkpoint. Snapshot must be a pure, byte-deterministic function
-// of the component's state.
-type Snapshotter interface {
-	Snapshot() []byte
-}
 
 // magic marks the start of every component snapshot.
 const magic = 0x544C5353 // "TLSS"
@@ -216,13 +206,6 @@ func (c *Codec) Int(v *int) {
 	*v = int(x)
 }
 
-// F64 carries a float64 as its IEEE-754 bits.
-func (c *Codec) F64(v *float64) {
-	u := math.Float64bits(*v)
-	c.U64(&u)
-	*v = math.Float64frombits(u)
-}
-
 // Bool carries a boolean as one byte; any byte other than 0 or 1 is a
 // corruption.
 func (c *Codec) Bool(v *bool) {
@@ -253,15 +236,6 @@ func (c *Codec) View(v *[]byte) {
 		*v = b
 	default:
 		copy(b, *v)
-	}
-}
-
-// Bytes carries a length-prefixed byte slice; decoding copies it out of the
-// input.
-func (c *Codec) Bytes(v *[]byte) {
-	c.View(v)
-	if c.decoding && c.err == nil {
-		*v = append([]byte{}, *v...)
 	}
 }
 
@@ -341,19 +315,4 @@ func SortedMap[V any](c *Codec, m *map[int64]V, entry func(c *Codec, key int64, 
 		entry(c, k, &v)
 		(*m)[k] = v
 	}
-}
-
-// Digest returns a compact FNV-1a fingerprint of a snapshot, for cheap
-// equality checks and mismatch reporting.
-func Digest(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
 }

@@ -8,9 +8,11 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
+	"tracklog/internal/fault"
 	"tracklog/internal/geom"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 )
 
 func newDev(env *sim.Env) (*Device, *disk.Disk) {
@@ -98,5 +100,45 @@ func TestID(t *testing.T) {
 	dev, _ := newDev(env)
 	if dev.ID() != (blockdev.DevID{Major: 3, Minor: 0}) {
 		t.Errorf("ID = %v", dev.ID())
+	}
+}
+
+// A transient timeout is retried and counted in Retries, a media error
+// surfaces at once and is counted in Failures, and the device's registry
+// series read the same counters.
+func TestRetryAndFailureCounters(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	dev, d := newDev(env)
+	// The first command times out; sector 0 holds a latent read error.
+	fault.Attach(d, sim.NewRand(1), fault.Config{Timeouts: 1, TimeoutWindow: 1, LatentReadErrors: 1, MaxLBA: 1})
+	reg := telemetry.NewRegistry()
+	dev.RegisterMetrics(reg, "disk0")
+	env.Go("client", func(p *sim.Proc) {
+		if err := dev.Write(p, 100, 2, make([]byte, 2*geom.SectorSize)); err != nil {
+			t.Errorf("write through one timeout: %v", err)
+		}
+		if _, err := dev.Read(p, 0, 1); !errors.Is(err, blockdev.ErrMediaError) {
+			t.Errorf("read of the latent sector: %v, want a media error", err)
+		}
+	})
+	env.Run()
+
+	if got := dev.Stats(); got != (Stats{Retries: 1, Failures: 1}) {
+		t.Errorf("Stats() = %+v, want one retry and one failure", got)
+	}
+	var prom bytes.Buffer
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := telemetry.ParseProm(&prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"stddisk_retries_total", "stddisk_failures_total"} {
+		key := telemetry.Prefix + name + `{disk="disk0"}`
+		if got, ok := vals[key]; !ok || got != 1 {
+			t.Errorf("%s = %v (exported %v), want 1", key, got, ok)
+		}
 	}
 }

@@ -39,6 +39,16 @@ const (
 	maxRefReadAttempts = 4
 )
 
+// Landing margins, in sectors, added to a predicted head position to cover
+// prediction rounding: safetySectors when a record lands on the current
+// track, repositionMargin when the head moves to the next one. The
+// positioning cost itself is accounted for by predicting the head angle at the
+// media-ready time, so only rounding slack is needed.
+const (
+	safetySectors    = 1
+	repositionMargin = 2
+)
+
 // Config tunes the Trail driver. The zero value selects the paper's
 // parameters via Default.
 type Config struct {
@@ -48,13 +58,6 @@ type Config struct {
 	// MaxBatchSectors caps the data sectors aggregated into one write
 	// record (paper: MAX_TRAIL_BATCH).
 	MaxBatchSectors int
-	// SafetySectors is the margin added to the predicted head position
-	// when choosing a landing sector, covering prediction rounding.
-	SafetySectors int
-	// RepositionMargin is the extra sector margin used when landing on the
-	// next track, covering the head-switch/seek time; <= 0 derives it from
-	// the drive parameters.
-	RepositionMargin int
 	// FixedDelta, when > 0, disables the driver's command-overhead
 	// modelling and applies the paper's raw prediction formula with a
 	// fixed delta of this many sectors (ablation: small values land behind
@@ -81,7 +84,6 @@ func Default() Config {
 	return Config{
 		UtilizationThreshold: 0.30,
 		MaxBatchSectors:      MaxBatch,
-		SafetySectors:        1,
 		DataPolicy:           sched.ReadPriorityLOOK,
 	}
 }
@@ -94,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchSectors <= 0 || c.MaxBatchSectors > MaxBatch {
 		c.MaxBatchSectors = d.MaxBatchSectors
-	}
-	if c.SafetySectors <= 0 {
-		c.SafetySectors = d.SafetySectors
 	}
 	if c.DataPolicy == 0 {
 		c.DataPolicy = d.DataPolicy
@@ -325,8 +324,7 @@ type Driver struct {
 	// subsequent writes fail with it immediately.
 	failed error
 
-	// free is recycled request bookkeeping (DESIGN.md §4): memory, not state,
-	// so a snapshot carries none of it and a restored driver starts empty.
+	// free is recycled request bookkeeping (DESIGN.md §4): memory, not state.
 	free struct {
 		writes  freeList[pendingWrite]
 		entries freeList[bufEntry]
@@ -958,17 +956,6 @@ func (ld *logDisk) positioningCost(toCyl int) time.Duration {
 	return pp.SeekAvg
 }
 
-// repositionMargin returns the safety margin (in sectors) added to the
-// predicted landing sector on a new track. The positioning cost itself is
-// accounted by predicting the head angle at the media-ready time, so only
-// rounding slack is needed.
-func (d *Driver) repositionMargin() int {
-	if d.cfg.RepositionMargin > 0 {
-		return d.cfg.RepositionMargin
-	}
-	return 2
-}
-
 // advanceTrack moves the log disk's tail to the next usable track: it waits
 // for the track to be free, then repositions the head onto it with a
 // one-sector read at the closest reachable sector, refreshing the
@@ -1001,7 +988,7 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
 	if ld.pred.Valid() {
 		pp := ld.disk.Params()
 		angle := ld.pred.AngleAt(p.Now().Add(pp.ReadOverhead + posCost))
-		landing = ld.g.ClosestSectorOnTrack(cyl, head, angle, d.repositionMargin())
+		landing = ld.g.ClosestSectorOnTrack(cyl, head, angle, repositionMargin)
 	}
 	start := p.Now()
 	ld.refRead(p, landing)
@@ -1087,7 +1074,7 @@ func (d *Driver) chooseTarget(now sim.Time, ld *logDisk, need int) (target, run 
 		// command-overhead modelling.
 		predicted = ld.pred.PredictSector(now, ld.refCHS.Sector, spt, d.cfg.FixedDelta)
 	} else {
-		predicted = ld.pred.TargetSector(ld.estimateMediaStart(now), ld.g, cyl, head, d.cfg.SafetySectors)
+		predicted = ld.pred.TargetSector(ld.estimateMediaStart(now), ld.g, cyl, head, safetySectors)
 	}
 	// Walk sectors in rotational order from the predicted position,
 	// looking for the first free run of >= need sectors that does not

@@ -74,8 +74,8 @@ type OpenLoopResult struct {
 // idle apart from the device's own processes.
 func RunOpenLoopWrites(env *sim.Env, dev blockdev.Device, cfg OpenLoopConfig) (*OpenLoopResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.WriteSize%geom.SectorSize != 0 {
-		return nil, fmt.Errorf("workload: write size %d not sector-aligned", cfg.WriteSize)
+	if cfg.WriteSize < 0 || cfg.WriteSize%geom.SectorSize != 0 {
+		return nil, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
 	}
 	sectors := cfg.WriteSize / geom.SectorSize
 	res := &OpenLoopResult{Config: cfg, Latency: telemetry.NewSummary()}

@@ -86,8 +86,8 @@ type SyncWriteResult struct {
 // to completion; env must be otherwise idle.
 func RunSyncWrites(env *sim.Env, dev blockdev.Device, cfg SyncWriteConfig) (*SyncWriteResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.WriteSize%geom.SectorSize != 0 {
-		return nil, fmt.Errorf("workload: write size %d not sector-aligned", cfg.WriteSize)
+	if cfg.WriteSize < 0 || cfg.WriteSize%geom.SectorSize != 0 {
+		return nil, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
 	}
 	sectors := cfg.WriteSize / geom.SectorSize
 	res := &SyncWriteResult{Config: cfg, Latency: telemetry.NewSummary()}
