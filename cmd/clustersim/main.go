@@ -14,11 +14,11 @@
 //
 // Usage:
 //
-//	clustersim [-shards N] [-tenants N] [-requests N] [-seed N]
+//	clustersim [-shards N>=2] [-tenants N] [-requests N] [-seed N]
 //	           [-read-frac F] [-zipf S] [-chaos SCENARIO] [-verify]
-//	           [-explain-tail F] [-metrics FILE[.prom|.json]]
+//	           [-explain-tail F] [-metrics FILE]
 //	           [-timeline DUR] [-timeline-out FILE]
-//	           [-sweep N,N,...]
+//	           [-sweep N,N,...]   (each N >= 2)
 package main
 
 import (
@@ -46,7 +46,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	shards := fs.Int("shards", 4, "shard count")
+	shards := fs.Int("shards", 4, "shard count (at least 2)")
 	tenants := fs.Int("tenants", 48, "tenant population")
 	requests := fs.Int("requests", 1200, "mix arrivals")
 	seed := fs.Uint64("seed", 1, "workload and fault seed")
@@ -55,10 +55,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chaos := fs.String("chaos", "", `fault scenario, e.g. "shardkill=1@250ms" or "slowshard=0@100ms:500000"`)
 	verify := fs.Bool("verify", false, "read back every acked slot; exit 1 on any loss")
 	tailFrac := fs.Float64("explain-tail", 0, "explain the slowest fraction of requests (0 disables)")
-	metricsOut := fs.String("metrics", "", "telemetry export (.prom for Prometheus text, else JSON)")
+	metricsOut := fs.String("metrics", "", "telemetry export (Prometheus text)")
 	tlBucket := fs.Duration("timeline", 0, "timeline bucket width (0 disables)")
-	tlOut := fs.String("timeline-out", "cluster-timeline.csv", "timeline export path for -timeline (.json for JSON, else CSV)")
-	sweep := fs.String("sweep", "", "comma-separated shard counts: run the scale-out sweep instead of a chaos run")
+	tlOut := fs.String("timeline-out", "cluster-timeline.csv", "timeline export path for -timeline (CSV)")
+	sweep := fs.String("sweep", "", "comma-separated shard counts, each at least 2: run the scale-out sweep instead of a chaos run")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -80,6 +80,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if *shards < 2 {
+		return fail(fmt.Errorf("-shards %d: a cluster needs at least 2 shards", *shards))
+	}
 	scenario, err := fault.ParseShardScenario(*chaos)
 	if err != nil {
 		return fail(err)
@@ -188,6 +191,9 @@ func parseCounts(s string) ([]int, error) {
 		n, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, fmt.Errorf("bad shard count %q: %w", part, err)
+		}
+		if n < 2 {
+			return nil, fmt.Errorf("shard count %d in -sweep: a cluster needs at least 2 shards", n)
 		}
 		counts = append(counts, n)
 	}

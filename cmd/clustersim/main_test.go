@@ -97,3 +97,28 @@ func TestSlowShardGolden(t *testing.T) {
 		t.Errorf("slow-shard run lost acknowledged writes:\n%s", out)
 	}
 }
+
+// TestShardCountBelowTwoExitsWithError: a chaos run or a sweep cell with
+// fewer than two shards is refused with exit status 1 and an error on
+// stderr. -shards 0 once ran the default four-shard cluster under a "0
+// shards" header, and a sweep's 0 row printed a four-shard run's numbers.
+func TestShardCountBelowTwoExitsWithError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shards", "0"},
+		{"-shards", "1"},
+		{"-shards", "-2"},
+		{"-sweep", "0,2"},
+		{"-sweep", "2,1"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			code := run(append([]string{"-requests", "50"}, args...), &out, &errOut)
+			if code != 1 || !strings.Contains(errOut.String(), "clustersim: ") {
+				t.Errorf("clustersim %v: exit %d, stderr %q; want exit 1 and an error", args, code, &errOut)
+			}
+			if out.Len() != 0 {
+				t.Errorf("clustersim %v printed a result:\n%s", args, &out)
+			}
+		})
+	}
+}

@@ -18,11 +18,12 @@
 //
 // Usage:
 //
-//	trailbench [-json FILE] [-seed N] [-telemetry FILE[.prom|.json]]
+//	trailbench [-json FILE] [-seed N] [-telemetry FILE]
 //	           [-timeline DUR] [-timeline-out FILE]
 //
-// -telemetry exports each world's unified registry, one file per world with
-// the world name inserted before the extension (sb.prom -> sb-trail.prom).
+// -telemetry exports each world's unified registry as Prometheus text, one
+// file per world with the world name inserted before the extension (sb.prom
+// -> sb-trail.prom).
 // -timeline exports per-layer state occupancy, one file per sync-write
 // configuration and per world, named the same way.
 package main
@@ -72,9 +73,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.String("json", "BENCH_trail.json", "benchfmt gate file to write (empty disables)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	telemetryOut := fs.String("telemetry", "", "telemetry export base path; one file per world, world name inserted before the .prom/.json extension")
+	telemetryOut := fs.String("telemetry", "", "telemetry export base path (Prometheus text); one file per world, world name inserted before the extension")
 	tlBucket := fs.Duration("timeline", 0, "aggregate per-layer state occupancy into virtual-time buckets of this width (0 disables)")
-	tlOut := fs.String("timeline-out", "timeline.csv", "timeline export base path for -timeline; one file per sync-write configuration and per world, the slash-mangled name inserted before the extension (.json for JSON, else CSV)")
+	tlOut := fs.String("timeline-out", "timeline.csv", "timeline export base path for -timeline; one file per sync-write configuration and per world, the slash-mangled name inserted before the extension (CSV)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

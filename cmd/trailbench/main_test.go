@@ -40,8 +40,8 @@ func runIn(t *testing.T, dir string) (stdout string, files map[string][]byte) {
 }
 
 // Two same-seed runs must produce byte-identical deterministic artifacts:
-// the gate file, stdout, and every per-world telemetry export. This is the
-// first half of the CI bench-gate job.
+// the gate file, stdout, and every per-world telemetry export. CI's
+// bench-gate job is this test and TestDefaultRunReproducesBaseline.
 func TestTwoRunByteIdenticalArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole gate twice")
@@ -85,7 +85,7 @@ func TestDefaultRunReproducesBaseline(t *testing.T) {
 	dir := t.TempDir()
 	for _, extra := range [][]string{
 		nil,
-		{"-telemetry", filepath.Join(dir, "sb.json"), "-timeline", "5ms", "-timeline-out", filepath.Join(dir, "tl.csv")},
+		{"-telemetry", filepath.Join(dir, "sb.prom"), "-timeline", "5ms", "-timeline-out", filepath.Join(dir, "tl.csv")},
 	} {
 		path := filepath.Join(dir, "bench.json")
 		var out, errb bytes.Buffer

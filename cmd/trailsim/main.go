@@ -34,8 +34,8 @@
 //	                       print the head-position prediction audit
 //	-trace-cap N           trace ring capacity in events
 //	-metrics FILE          write the telemetry registry at exit: kernel, driver
-//	                       counters and per-disk series (.prom for Prometheus
-//	                       text exposition, else JSON)
+//	                       counters and per-disk series (Prometheus text
+//	                       exposition)
 //	-spans                 print the per-request span budget: each phase's
 //	                       share of end-to-end latency, per driver and kind
 //	-span-out FILE         write every request's span tree as deterministic
@@ -102,13 +102,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verify := fs.Bool("verify", false, "with -offered-load, audit acknowledged-write survival and exit nonzero on loss")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file of the run")
 	traceCap := fs.Int("trace-cap", trace.DefaultCapacity, "trace ring capacity in events")
-	metricsOut := fs.String("metrics", "", "write the unified telemetry registry at exit (.prom for Prometheus text, .json otherwise); kernel + component series, byte-deterministic")
+	metricsOut := fs.String("metrics", "", "write the unified telemetry registry at exit (Prometheus text); kernel + component series, byte-deterministic")
 	spans := fs.Bool("spans", false, "print the per-request span budget (critical-path latency breakdown)")
 	spanOut := fs.String("span-out", "", "write every request's span tree as deterministic JSON")
 	explainTail := fs.Float64("explain-tail", 0, "explain the slowest FRAC of requests (e.g. 0.01; 0 disables)")
 	spanCap := fs.Int("span-cap", span.DefaultCapacity, "span recorder ring capacity in requests")
 	timelineBucket := fs.Duration("timeline", 0, "aggregate per-layer state occupancy into virtual-time buckets of this width (0 disables)")
-	timelineOut := fs.String("timeline-out", "timeline.csv", "timeline export file for -timeline (.json for JSON, else CSV)")
+	timelineOut := fs.String("timeline-out", "timeline.csv", "timeline export file for -timeline (CSV)")
 	seekDerate := fs.Int64("seek-derate", 0, "slow the log disk's actual seek arm by this many parts per million while driver predictions keep the spec curve (perturbation knob for cmd/rundiff walkthroughs)")
 	benchOut := fs.String("bench-out", "", "write a single-entry benchfmt summary of the run's latency distribution (for cmd/rundiff)")
 	fs.Parse(args) // ExitOnError: a bad flag exits with status 2

@@ -95,11 +95,23 @@ func TestTraceSmokeGolden(t *testing.T) {
 	}
 }
 
+// TestFaultTolGolden pins the stdout of the default three-system fault
+// comparison (`-faulttol`: table and per-system counter lines) to its length
+// and digest. Recorded when the RAID counters lost the scrubber's and the
+// admission gate's always-zero names; nothing else in the output moved.
+func TestFaultTolGolden(t *testing.T) {
+	out, _, _ := runIn(t, "-faulttol")
+	if got, want := digest(out), "1065 bytes cb9a1deef284dd9c"; got != want {
+		t.Errorf("stdout: %s, want %s\n%s", got, want, out)
+	}
+}
+
 // TestBadSizeExitsWithError: a write size that is not a positive sector
-// multiple is refused with exit status 1 and an error on stderr, on every
-// path that takes -size. Each of these once panicked (a negative make, a
-// negative Int64n bound, a division by a zero sector count) or, for 1000
-// bytes under -pattern, silently wrote one sector.
+// multiple, or a negative process or write count, is refused with exit
+// status 1 and an error on stderr, on every path that takes it. Each of the
+// sizes once panicked (a negative make, a negative Int64n bound, a division
+// by a zero sector count) or, for 1000 bytes under -pattern, silently wrote
+// one sector; each of the counts ran no write and printed NaN throughput.
 func TestBadSizeExitsWithError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-size", "-512"},
@@ -108,6 +120,9 @@ func TestBadSizeExitsWithError(t *testing.T) {
 		{"-pattern", "zipf", "-size", "0"},
 		{"-pattern", "sequential", "-size", "-512"},
 		{"-pattern", "uniform", "-size", "1000"},
+		{"-procs", "-1"},
+		{"-writes", "-3"},
+		{"-offered-load", "1000", "-writes", "-3"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			defer func() {

@@ -26,9 +26,8 @@ var (
 	// ErrMediaError reports a latent sector error: the addressed sector is
 	// unreadable (or unwritable) while the rest of the device keeps working.
 	// Reads of other sectors succeed; a successful rewrite of the sector
-	// (after reconstructing its contents elsewhere) typically repairs it,
-	// which is what RAID scrubbing exploits. Persistent for an LBA until
-	// repaired.
+	// (after reconstructing its contents elsewhere) typically repairs it.
+	// Persistent for an LBA until repaired.
 	ErrMediaError = errors.New("blockdev: unrecoverable media error")
 	// ErrTimeout reports a transient command failure: the command was lost
 	// (no media effect for writes, no data for reads) but the device is
@@ -73,7 +72,7 @@ const (
 	// special treatment.
 	ClassNormal Class = iota
 	// ClassBackground marks deferrable internal traffic — write-back,
-	// scrubbing — shed first under pressure.
+	// shard rebuild — shed first under pressure.
 	ClassBackground
 	// ClassInteractive marks latency-sensitive traffic, shed last.
 	ClassInteractive

@@ -532,21 +532,6 @@ func (c *Cluster) matchesAcked(data, scratch []byte, tenant, block int) bool {
 	return false
 }
 
-// Shutdown drains every serving shard's driver. Dead or recovering shards
-// are skipped — their drivers are gone or mid-rebuild.
-func (c *Cluster) Shutdown(p *sim.Proc) error {
-	var firstErr error
-	for _, sh := range c.shards {
-		if sh.state == Dead || sh.state == Recovering {
-			continue
-		}
-		if err := sh.drv.Shutdown(p); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: shard %d shutdown: %w", sh.idx, err)
-		}
-	}
-	return firstErr
-}
-
 // errAllCopiesFailed wraps device failure for the no-surviving-copy case.
 func errAllCopiesFailed(op string, tenant, block int) error {
 	return fmt.Errorf("cluster: %s tenant %d block %d: all copies failed: %w",

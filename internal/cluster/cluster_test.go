@@ -12,6 +12,7 @@ import (
 	"tracklog/internal/qos"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/trace"
 	"tracklog/internal/workload"
 )
@@ -91,11 +92,11 @@ func killMix(t *testing.T, env *sim.Env, seed uint64) (*Cluster, []workload.MixR
 func TestClusterKillOneShardZeroAckedWriteLoss(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	c, mix, _ := killMix(t, env, 11)
+	c, mix, killAt := killMix(t, env, 11)
 	rec := span.NewRecorder(0)
 	c.SetRecorder(rec)
 
-	c.RunMix(mix)
+	res := c.RunMix(mix)
 	env.Run()
 
 	st := c.Stats()
@@ -122,6 +123,31 @@ func TestClusterKillOneShardZeroAckedWriteLoss(t *testing.T) {
 	}
 	if st.WritesAcked == 0 {
 		t.Fatal("nothing acked")
+	}
+
+	// The blast-radius bound: acked writes that touch neither copy on the
+	// killed shard may slow while the cluster absorbs the failure, but their
+	// p99 stays within an order of magnitude of the healthy tail.
+	pre, post := telemetry.NewSummary(), telemetry.NewSummary()
+	for _, o := range res.Outcomes {
+		if o.Read || !o.OK || c.Involved(o.Tenant, 1) {
+			continue
+		}
+		if o.At < killAt {
+			pre.Add(o.Latency)
+		} else {
+			post.Add(o.Latency)
+		}
+	}
+	if pre.Count() == 0 || post.Count() == 0 {
+		t.Fatalf("uninvolved acked writes: %d before the kill, %d after", pre.Count(), post.Count())
+	}
+	preP99, postP99 := pre.Quantile(0.99), post.Quantile(0.99)
+	if postP99 > 10*preP99 {
+		t.Errorf("uninvolved write p99 blew up: pre-kill %v, post-kill %v", preP99, postP99)
+	}
+	if postP99 > 500*time.Millisecond {
+		t.Errorf("uninvolved write p99 unbounded: %v", postP99)
 	}
 
 	// Surviving shards must not grow unbounded queues: the QoS bound is the

@@ -22,9 +22,6 @@ import (
 // SetRecorder attaches (or with nil, detaches) the cluster's span recorder.
 func (c *Cluster) SetRecorder(rec *span.Recorder) { c.rec = rec }
 
-// Recorder returns the attached span recorder (nil when detached).
-func (c *Cluster) Recorder() *span.Recorder { return c.rec }
-
 // SetTimeline attaches the cluster to a utilization-timeline aggregator:
 // one health-state lane per shard (states healthy/suspect/dead/recovering —
 // the recovering window is the rebuild's distinct lane), cluster marks for

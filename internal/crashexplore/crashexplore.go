@@ -125,16 +125,6 @@ type SingleResult struct {
 	Audits []SlotAudit   // every slot, in slot order
 }
 
-// Failed reports whether any slot violates the durability contract.
-func (r *SingleResult) Failed() bool {
-	for _, a := range r.Audits {
-		if a.Failed() {
-			return true
-		}
-	}
-	return false
-}
-
 // RunSingle executes one seeded crash trial against the stack: build, run
 // the slot writers until the seed-dependent cut instant, cut power, recover
 // on a fresh environment, audit every slot, then run the stack's Post

@@ -311,16 +311,10 @@ func (d *Disk) Geom() *geom.Geometry { return &d.params.Geom }
 // Stats returns a copy of the accumulated activity counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// ResetStats zeroes the activity counters.
-func (d *Disk) ResetStats() { d.stats = Stats{} }
-
 // SetInjector attaches (or with nil, detaches) a fault injector. Injected
 // faults are media/device state, so like media contents they survive
 // Reattach across a simulated crash.
 func (d *Disk) SetInjector(inj Injector) { d.inj = inj }
-
-// Injector returns the attached fault injector, or nil.
-func (d *Disk) Injector() Injector { return d.inj }
 
 // SetTracer attaches the drive to a tracer under the given track name (nil
 // detaches). The drive emits one event per service-time phase of every

@@ -372,10 +372,6 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.Busy == 0 || s.TransferTime == 0 {
 		t.Error("busy/transfer time not accounted")
 	}
-	d.ResetStats()
-	if d.Stats().Writes != 0 {
-		t.Error("ResetStats did not clear")
-	}
 }
 
 func TestRotateWaitProperty(t *testing.T) {

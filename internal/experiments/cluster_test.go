@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestClusterSweep(t *testing.T) {
@@ -30,45 +29,5 @@ func TestClusterSweep(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "Cluster scale-out") {
 		t.Error("table header missing")
-	}
-}
-
-func TestClusterKillOneShardExperiment(t *testing.T) {
-	res, err := ClusterKillOneShard(ClusterKillConfig{
-		Tenants:  32,
-		Requests: 800,
-		Seed:     11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Lost != 0 {
-		t.Fatalf("lost %d acked slots:\n%s", res.Lost, res)
-	}
-	if res.Checked == 0 {
-		t.Fatal("verification checked nothing")
-	}
-	if res.RebuildCopies == 0 || res.Failovers == 0 {
-		t.Fatalf("failure machinery idle:\n%s", res)
-	}
-	for i, s := range res.FinalStates {
-		if s != "healthy" {
-			t.Errorf("shard %d final state %q, want healthy", i, s)
-		}
-	}
-	if res.KilledShardGen != 1 {
-		t.Errorf("killed shard generation = %d, want 1", res.KilledShardGen)
-	}
-	// The blast-radius bound: uninvolved writes' p99 may move while the
-	// cluster absorbs the failure, but must stay within an order of
-	// magnitude of the healthy tail.
-	if res.SurvivorP99Post > 10*res.SurvivorP99Pre {
-		t.Errorf("survivor p99 blew up: pre %v post %v", res.SurvivorP99Pre, res.SurvivorP99Post)
-	}
-	if res.SurvivorP99Post > 500*time.Millisecond {
-		t.Errorf("survivor p99 unbounded: %v", res.SurvivorP99Post)
-	}
-	if !strings.Contains(res.String(), "0 lost") {
-		t.Errorf("rendered verdict should report zero loss:\n%s", res)
 	}
 }

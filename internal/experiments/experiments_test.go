@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"tracklog/internal/rig"
 	"tracklog/internal/tpcc"
+	"tracklog/internal/trace"
+	"tracklog/internal/workload"
 )
 
 // smallTPCC returns a fast configuration preserving the experiments'
@@ -207,5 +210,38 @@ func TestFigure4Shape(t *testing.T) {
 	// Binary search scans a logarithmic number of tracks (35714 usable).
 	if small.TracksScanned > 40 {
 		t.Errorf("scanned %d tracks; binary search inactive", small.TracksScanned)
+	}
+}
+
+// A traced Trail run must report exactly the same client-visible latency as
+// an untraced run of the same seed: tracing is observation only.
+func TestTracingDoesNotPerturbWorkload(t *testing.T) {
+	run := func(traced bool) (elapsed, mean int64) {
+		sys, err := rig.New(rig.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Env.Close()
+		if traced {
+			tr := trace.New(0)
+			sys.Env.SetTracer(tr)
+			sys.Trail.SetTracer(tr)
+		}
+		res, err := workload.RunSyncWrites(sys.Env, sys.Trail.Dev(0), workload.SyncWriteConfig{
+			Mode:             workload.Sparse,
+			WriteSize:        2048,
+			Processes:        2,
+			WritesPerProcess: 25,
+			Seed:             7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(res.Elapsed), int64(res.Latency.Mean())
+	}
+	e0, m0 := run(false)
+	e1, m1 := run(true)
+	if e0 != e1 || m0 != m1 {
+		t.Fatalf("traced run diverged: elapsed %d vs %d, mean %d vs %d", e0, e1, m0, m1)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"tracklog/internal/qos"
@@ -149,23 +148,4 @@ func overloadCell(multiplier float64, withQoS bool, svc time.Duration, requests 
 		P99:         wres.Latency.Quantile(0.99),
 		MaxLogQueue: st.MaxLogQueue,
 	}, nil
-}
-
-// String renders the sweep as a table.
-func (r *OverloadResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Overload: latency vs offered load (1KB sync writes, saturation service time %s ms)\n",
-		fmtMS(r.ServiceTime))
-	fmt.Fprintf(&b, "%6s %5s %7s %6s %8s %9s %8s %8s %7s\n",
-		"load", "qos", "acked", "shed", "expired", "mean ms", "p50 ms", "p99 ms", "maxq")
-	for _, row := range r.Rows {
-		qosStr := "off"
-		if row.QoS {
-			qosStr = "on"
-		}
-		fmt.Fprintf(&b, "%5.1fx %5s %7d %6d %8d %9s %8s %8s %7d\n",
-			row.Multiplier, qosStr, row.Acked, row.Shed, row.Expired,
-			fmtMS(row.Mean), fmtMS(row.P50), fmtMS(row.P99), row.MaxLogQueue)
-	}
-	return b.String()
 }

@@ -14,7 +14,7 @@
 //   - Latent sector errors (blockdev.ErrMediaError): a specific LBA becomes
 //     unreadable at a sampled onset time. Reads of that sector abort the
 //     command at the sector; a successful rewrite of the sector repairs it
-//     (drive remapping), which is what RAID scrubbing exploits. Latent
+//     (drive remapping). Latent
 //     *write* errors fail writes to the sector instead and do not self-heal.
 //   - Transient timeouts (blockdev.ErrTimeout): sampled command ordinals are
 //     lost after a fixed expiry delay, with no media effect. A retry of the
@@ -186,11 +186,8 @@ func Attach(d *disk.Disk, rng *sim.Rand, cfg Config) *Plan {
 // Stats returns a copy of the trigger counters.
 func (p *Plan) Stats() Stats { return p.stats }
 
-// Config returns the (defaulted) scenario configuration.
-func (p *Plan) Config() Config { return p.cfg }
-
 // LatentLBAs returns the LBAs of all injected latent errors (read and
-// write kinds), sorted-free; intended for tests and scrub verification.
+// write kinds), sorted-free; intended for tests.
 func (p *Plan) LatentLBAs() []int64 {
 	out := make([]int64, 0, len(p.latents))
 	for lba := range p.latents {

@@ -87,39 +87,6 @@ func (fs *FS) addDirEntry(p *sim.Proc, name string, ino int64) error {
 	return fs.syncInode(p, 0)
 }
 
-// removeDirEntry zeroes the entry for name (synchronous metadata write).
-func (fs *FS) removeDirEntry(p *sim.Proc, name string) error {
-	root, err := fs.loadInode(p, 0)
-	if err != nil {
-		return err
-	}
-	for off := int64(0); off < root.size; off += BlockSize {
-		blk, err := fs.blockAt(p, root, off, false)
-		if err != nil {
-			return err
-		}
-		if blk == 0 {
-			continue
-		}
-		buf, err := fs.readBlockRaw(p, blk, true)
-		if err != nil {
-			return err
-		}
-		n := int(minI64(BlockSize, root.size-off)) / dirEntSize
-		for i := 0; i < n; i++ {
-			e := buf[i*dirEntSize:]
-			nameLen := int(e[4])
-			if binary.LittleEndian.Uint32(e) != 0 && nameLen > 0 && string(e[5:5+nameLen]) == name {
-				for j := 0; j < dirEntSize; j++ {
-					e[j] = 0
-				}
-				return fs.writeBlock(p, blk, buf, true)
-			}
-		}
-	}
-	return ErrNotFound
-}
-
 // blockAt maps a byte offset in a file to its data block, allocating the
 // block (and the indirect block) when alloc is set. Allocation writes the
 // bitmap and any new indirect block synchronously.
@@ -235,59 +202,6 @@ func (fs *FS) Open(p *sim.Proc, name string) (*File, error) {
 		return nil, err
 	}
 	return &File{fs: fs, ino: ino, name: name}, nil
-}
-
-// List returns the names in the root directory.
-func (fs *FS) List(p *sim.Proc) ([]string, error) {
-	ents, err := fs.loadDir(p)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.name)
-	}
-	return names, nil
-}
-
-// Remove deletes a file and frees its blocks (synchronous metadata writes).
-func (fs *FS) Remove(p *sim.Proc, name string) error {
-	ino, err := fs.Lookup(p, name)
-	if err != nil {
-		return err
-	}
-	in, err := fs.loadInode(p, ino)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < directs; i++ {
-		if in.direct[i] != 0 {
-			if err := fs.freeBlock(p, in.direct[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if in.indirect != 0 {
-		buf, err := fs.readBlockRaw(p, in.indirect, true)
-		if err != nil {
-			return err
-		}
-		for s := 0; s < indirectSlots; s++ {
-			if b := int64(binary.LittleEndian.Uint64(buf[s*8:])); b != 0 {
-				if err := fs.freeBlock(p, b); err != nil {
-					return err
-				}
-			}
-		}
-		if err := fs.freeBlock(p, in.indirect); err != nil {
-			return err
-		}
-	}
-	*in = inode{}
-	if err := fs.syncInode(p, ino); err != nil {
-		return err
-	}
-	return fs.removeDirEntry(p, name)
 }
 
 // Size returns the file's length in bytes.

@@ -279,15 +279,6 @@ func (fs *FS) allocBlock(p *sim.Proc) (int64, error) {
 	return 0, ErrNoSpace
 }
 
-// freeBlock releases a block and writes the bitmap through.
-func (fs *FS) freeBlock(p *sim.Proc, b int64) error {
-	if err := fs.loadBitmap(p); err != nil {
-		return err
-	}
-	fs.bitmap[b] = false
-	return fs.syncBitmapBlock(p, b)
-}
-
 // Inode management.
 
 func (fs *FS) loadInode(p *sim.Proc, ino int64) (*inode, error) {

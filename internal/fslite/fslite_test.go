@@ -125,57 +125,26 @@ func TestDirectoryOperations(t *testing.T) {
 	env, fs := newFS(t)
 	defer env.Close()
 	run(env, func(p *sim.Proc) {
+		inos := map[int64]string{}
 		for i := 0; i < 10; i++ {
-			if _, err := fs.Create(p, fmt.Sprintf("f%02d", i)); err != nil {
+			name := fmt.Sprintf("f%02d", i)
+			if _, err := fs.Create(p, name); err != nil {
 				t.Fatal(err)
 			}
-		}
-		names, err := fs.List(p)
-		if err != nil || len(names) != 10 {
-			t.Fatalf("list: %v %v", names, err)
+			ino, err := fs.Lookup(p, name)
+			if err != nil {
+				t.Fatalf("lookup %s: %v", name, err)
+			}
+			if prev, dup := inos[ino]; dup {
+				t.Fatalf("%s and %s share inode %d", prev, name, ino)
+			}
+			inos[ino] = name
 		}
 		if _, err := fs.Create(p, "f03"); !errors.Is(err, ErrExists) {
 			t.Errorf("duplicate create: %v", err)
 		}
-		if err := fs.Remove(p, "f03"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fs.Open(p, "f03"); !errors.Is(err, ErrNotFound) {
-			t.Errorf("open removed: %v", err)
-		}
-		names, _ = fs.List(p)
-		if len(names) != 9 {
-			t.Errorf("list after remove: %v", names)
-		}
-	})
-}
-
-func TestRemoveFreesBlocks(t *testing.T) {
-	env, fs := newFS(t)
-	defer env.Close()
-	run(env, func(p *sim.Proc) {
-		f, _ := fs.Create(p, "big")
-		if err := f.WriteAt(p, 0, make([]byte, 20*BlockSize)); err != nil {
-			t.Fatal(err)
-		}
-		used := 0
-		for _, b := range fs.bitmap {
-			if b {
-				used++
-			}
-		}
-		if err := fs.Remove(p, "big"); err != nil {
-			t.Fatal(err)
-		}
-		after := 0
-		for _, b := range fs.bitmap {
-			if b {
-				after++
-			}
-		}
-		// 20 data blocks + 1 indirect freed.
-		if used-after != 21 {
-			t.Errorf("freed %d blocks, want 21", used-after)
+		if _, err := fs.Open(p, "f10"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("open missing: %v", err)
 		}
 	})
 }

@@ -30,7 +30,6 @@ var installedHandles = map[string]bool{
 	"tracklog/internal/span.Recorder":       true,
 	"tracklog/internal/telemetry.Registry":  true,
 	"tracklog/internal/telemetry.Counter":   true,
-	"tracklog/internal/telemetry.Gauge":     true,
 	"tracklog/internal/telemetry.Histogram": true,
 	"tracklog/internal/timeline.Aggregator": true,
 	"tracklog/internal/timeline.Lane":       true,

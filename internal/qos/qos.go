@@ -1,6 +1,8 @@
-// Package qos implements overload protection for the storage stack:
-// bounded admission with explicit shedding, per-request virtual-time
-// deadlines, and per-class retry budgets.
+// Package qos is the overload policy the storage stack reads: bounded
+// admission with explicit shedding, per-request virtual-time deadlines, and
+// per-class retry budgets. The Trail driver (alone or as a cluster shard)
+// and stddisk (and through it each sched.Queue's depth bound) enforce it;
+// this package holds only the knobs and the rules that resolve them.
 //
 // The stack without QoS is an open funnel — sched.Queue and the Trail log
 // queue grow without bound, so offered load beyond what the disks absorb
@@ -30,9 +32,9 @@ import (
 // Policy is the knob set for one driver stack. The zero value of every
 // field means "no limit"; a nil *Policy means QoS is off.
 type Policy struct {
-	// MaxQueue bounds the driver's admission queue (Trail's log queue, a
-	// RAID controller's waiter list). Arrivals beyond the bound are shed
-	// with blockdev.ErrOverload. 0 = unbounded.
+	// MaxQueue bounds the driver's admission queue (Trail's log queue).
+	// Arrivals beyond the bound are shed with blockdev.ErrOverload.
+	// 0 = unbounded.
 	MaxQueue int
 
 	// MaxDepth bounds each sched.Queue's pending-request depth. When full,
@@ -77,9 +79,6 @@ func Default() *Policy {
 		LowWater:           1 << 19,
 	}
 }
-
-// Enabled reports whether p imposes any policy at all.
-func (p *Policy) Enabled() bool { return p != nil }
 
 // QueueBound returns the admission-queue bound, 0 if unbounded.
 func (p *Policy) QueueBound() int {
@@ -156,123 +155,5 @@ func (p *Policy) ClassBound(c blockdev.Class) int {
 			b = 1
 		}
 		return b
-	}
-}
-
-// Stats counts a controller's admission decisions.
-type Stats struct {
-	Admitted   int64
-	Shed       int64 // refused with ErrOverload
-	Expired    int64 // refused or abandoned with ErrDeadlineExceeded
-	MaxWaiters int   // high-water mark of the waiter list
-}
-
-// waiter is one blocked admission request, granted in priority order.
-type waiter struct {
-	class blockdev.Class
-	opts  blockdev.Options
-	seq   int64
-	grant *sim.Event
-	err   error
-}
-
-// Controller is a bounded admission gate: at most MaxInFlight requests
-// proceed concurrently, at most Policy.MaxQueue wait, and waiters are
-// granted in class-priority order (FIFO within a class). RAID uses one
-// per array so that under overload the scrubber (Background) starves
-// before client traffic does.
-type Controller struct {
-	env *sim.Env
-	pol *Policy
-
-	// MaxInFlight bounds concurrent admitted requests. Must be > 0.
-	maxInFlight int
-
-	inFlight int
-	waiters  []*waiter
-	seq      int64
-	stats    Stats
-}
-
-// NewController creates an admission gate over pol admitting at most
-// maxInFlight concurrent requests. pol may be nil (unbounded queue,
-// concurrency still bounded).
-func NewController(env *sim.Env, pol *Policy, maxInFlight int) *Controller {
-	if maxInFlight <= 0 {
-		maxInFlight = 1
-	}
-	return &Controller{env: env, pol: pol, maxInFlight: maxInFlight}
-}
-
-// Stats returns a copy of the admission counters.
-func (c *Controller) Stats() Stats { return c.stats }
-
-// Waiting returns the current waiter-list length.
-func (c *Controller) Waiting() int { return len(c.waiters) }
-
-// Admit blocks p until the request may proceed, or fails it:
-// blockdev.ErrOverload when the waiter list is at the class's bound,
-// blockdev.ErrDeadlineExceeded when the deadline passes before a slot
-// frees. A nil return must be paired with exactly one Release.
-func (c *Controller) Admit(p *sim.Proc, opts blockdev.Options) error {
-	now := p.Now()
-	if opts.Expired(now) {
-		c.stats.Expired++
-		return blockdev.ErrDeadlineExceeded
-	}
-	if bound := c.pol.ClassBound(opts.Class); bound > 0 && len(c.waiters) >= bound {
-		c.stats.Shed++
-		return blockdev.ErrOverload
-	}
-	if c.inFlight < c.maxInFlight && len(c.waiters) == 0 {
-		c.inFlight++
-		c.stats.Admitted++
-		return nil
-	}
-	w := &waiter{class: opts.Class, opts: opts, seq: c.seq, grant: sim.NewEvent(c.env)}
-	c.seq++
-	c.insert(w)
-	if n := len(c.waiters); n > c.stats.MaxWaiters {
-		c.stats.MaxWaiters = n
-	}
-	w.grant.Wait(p)
-	return w.err
-}
-
-// insert places w in grant order: higher shed-order (higher priority)
-// first, FIFO within equal priority.
-func (c *Controller) insert(w *waiter) {
-	i := len(c.waiters)
-	for i > 0 {
-		prev := c.waiters[i-1]
-		if prev.class.ShedOrder() >= w.class.ShedOrder() {
-			break
-		}
-		i--
-	}
-	c.waiters = append(c.waiters, nil)
-	copy(c.waiters[i+1:], c.waiters[i:])
-	c.waiters[i] = w
-}
-
-// Release returns an admitted slot and grants it to the highest-priority
-// waiter whose deadline still holds; waiters found expired complete with
-// ErrDeadlineExceeded without consuming the slot.
-func (c *Controller) Release() {
-	c.inFlight--
-	now := c.env.Now()
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		if w.opts.Expired(now) {
-			c.stats.Expired++
-			w.err = blockdev.ErrDeadlineExceeded
-			w.grant.Trigger()
-			continue
-		}
-		c.inFlight++
-		c.stats.Admitted++
-		w.grant.Trigger()
-		return
 	}
 }

@@ -1,7 +1,6 @@
 package qos
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -11,9 +10,6 @@ import (
 
 func TestNilPolicyIsPermissive(t *testing.T) {
 	var p *Policy
-	if p.Enabled() {
-		t.Error("nil policy reports enabled")
-	}
 	if p.QueueBound() != 0 || p.DepthBound() != 0 {
 		t.Error("nil policy has bounds")
 	}
@@ -62,130 +58,4 @@ func TestClassBoundsOrderShedding(t *testing.T) {
 	if in != 64 {
 		t.Errorf("interactive bound = %d, want MaxQueue", in)
 	}
-}
-
-func TestControllerAdmitsUpToLimit(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	c := NewController(env, &Policy{MaxQueue: 8}, 2)
-	var order []string
-	env.Go("ops", func(p *sim.Proc) {
-		for i := 0; i < 2; i++ {
-			if err := c.Admit(p, blockdev.Options{}); err != nil {
-				t.Errorf("admit %d: %v", i, err)
-			}
-		}
-		order = append(order, "two-in-flight")
-	})
-	env.Run()
-	if len(order) != 1 {
-		t.Fatal("admissions blocked below the concurrency limit")
-	}
-	st := c.Stats()
-	if st.Admitted != 2 || st.Shed != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestControllerGrantsByClassPriority(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	c := NewController(env, &Policy{MaxQueue: 8}, 1)
-	var got []string
-	env.Go("holder", func(p *sim.Proc) {
-		if err := c.Admit(p, blockdev.Options{}); err != nil {
-			t.Errorf("holder admit: %v", err)
-		}
-		p.Sleep(time.Millisecond)
-		c.Release()
-	})
-	wait := func(name string, class blockdev.Class) {
-		env.Go(name, func(p *sim.Proc) {
-			if err := c.Admit(p, blockdev.Options{Class: class}); err != nil {
-				t.Errorf("%s admit: %v", name, err)
-				return
-			}
-			got = append(got, name)
-			c.Release()
-		})
-	}
-	// Submitted background first, interactive last: priority must win.
-	wait("background", blockdev.ClassBackground)
-	wait("normal", blockdev.ClassNormal)
-	wait("interactive", blockdev.ClassInteractive)
-	env.Run()
-	want := []string{"interactive", "normal", "background"}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Errorf("grant order = %v, want %v", got, want)
-	}
-}
-
-func TestControllerShedsLowClassFirst(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	// MaxQueue 4: background bound 1, normal bound 3, interactive bound 4.
-	c := NewController(env, &Policy{MaxQueue: 4}, 1)
-	env.Go("ops", func(p *sim.Proc) {
-		if err := c.Admit(p, blockdev.Options{}); err != nil { // occupies the slot
-			t.Fatalf("first admit: %v", err)
-		}
-		// Fill the waiter list to the background bound.
-		for i := 0; i < 1; i++ {
-			env.Go("w", func(p *sim.Proc) {
-				if err := c.Admit(p, blockdev.Options{}); err == nil {
-					c.Release()
-				}
-			})
-		}
-		p.Sleep(time.Microsecond) // let the waiter park
-		if err := c.Admit(p, blockdev.Options{Class: blockdev.ClassBackground}); !errors.Is(err, blockdev.ErrOverload) {
-			t.Errorf("background admit with 1 waiter = %v, want ErrOverload", err)
-		}
-		c.Release()
-	})
-	env.Run()
-	if c.Stats().Shed != 1 {
-		t.Errorf("shed = %d, want 1", c.Stats().Shed)
-	}
-}
-
-func TestControllerExpiresWaiters(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	c := NewController(env, &Policy{MaxQueue: 8}, 1)
-	var waiterErr error
-	env.Go("holder", func(p *sim.Proc) {
-		if err := c.Admit(p, blockdev.Options{}); err != nil {
-			t.Errorf("holder admit: %v", err)
-		}
-		p.Sleep(10 * time.Millisecond) // hold past the waiter's deadline
-		c.Release()
-	})
-	env.Go("waiter", func(p *sim.Proc) {
-		waiterErr = c.Admit(p, blockdev.Options{Deadline: p.Now().Add(time.Millisecond)})
-		if waiterErr == nil {
-			c.Release()
-		}
-	})
-	env.Run()
-	if !errors.Is(waiterErr, blockdev.ErrDeadlineExceeded) {
-		t.Errorf("waiter error = %v, want ErrDeadlineExceeded", waiterErr)
-	}
-	if c.Stats().Expired != 1 {
-		t.Errorf("expired = %d, want 1", c.Stats().Expired)
-	}
-}
-
-func TestControllerRejectsExpiredAtAdmission(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	c := NewController(env, nil, 1)
-	env.Go("op", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		err := c.Admit(p, blockdev.Options{Deadline: p.Now().Add(-time.Microsecond)})
-		if !errors.Is(err, blockdev.ErrDeadlineExceeded) {
-			t.Errorf("admit past deadline = %v, want ErrDeadlineExceeded", err)
-		}
-	})
-	env.Run()
 }

@@ -8,45 +8,10 @@ import (
 	"time"
 
 	"tracklog/internal/blockdev"
-	"tracklog/internal/disk"
 	"tracklog/internal/fault"
 	"tracklog/internal/geom"
-	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
 )
-
-// newSmallArray builds a RAID-5 over tiny disks (512 sectors per device) so
-// a full scrub pass — which reads every sector of every device — completes
-// in simulated seconds rather than minutes.
-func newSmallArray(t *testing.T, n, chunk int) (*sim.Env, *Array, []*disk.Disk) {
-	t.Helper()
-	env := sim.NewEnv()
-	var devs []blockdev.Device
-	var raw []*disk.Disk
-	for i := 0; i < n; i++ {
-		d := disk.New(env, disk.Params{
-			Name:            "r",
-			RPM:             7200,
-			Geom:            geom.Uniform(4, 2, 64),
-			SeekT2T:         time.Millisecond,
-			SeekAvg:         2 * time.Millisecond,
-			SeekMax:         4 * time.Millisecond,
-			HeadSwitch:      500 * time.Microsecond,
-			ReadOverhead:    200 * time.Microsecond,
-			WriteOverhead:   400 * time.Microsecond,
-			WriteSettle:     100 * time.Microsecond,
-			WriteTurnaround: time.Millisecond,
-		})
-		raw = append(raw, d)
-		devs = append(devs, stddisk.New(env, d, blockdev.DevID{Major: 9, Minor: uint8(i)}, sched.LOOK))
-	}
-	a, err := New(devs, chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env, a, raw
-}
 
 // pattern fills count sectors with a deterministic byte stream derived from
 // the logical LBA, so any slice of the array can be checked independently.
@@ -200,106 +165,5 @@ func TestWriteMediaErrorCoveredByParity(t *testing.T) {
 	}
 	if a.Stats().MediaErrorWrites == 0 {
 		t.Error("MediaErrorWrites not counted")
-	}
-}
-
-// TestScrubRepairsLatentErrorsBeforeSecondFailure is the ISSUE's RAID
-// acceptance scenario: latent read errors accumulate on the surviving
-// devices while one device is about to die; a scrub pass must repair every
-// surfaced latent error so that, when the device failure hits, degraded
-// reads (which need every remaining copy readable) still return all data.
-func TestScrubRepairsLatentErrorsBeforeSecondFailure(t *testing.T) {
-	env, a, raw := newSmallArray(t, 4, 8)
-	defer env.Close()
-	rng := sim.NewRand(99)
-	// Latent read errors on the devices that will survive. Onsets land in
-	// the first 5ms, long before the scrub runs.
-	var plans []*fault.Plan
-	for _, dev := range []int{1, 2, 3} {
-		plans = append(plans, fault.Attach(raw[dev], rng, fault.Config{
-			LatentReadErrors:  4,
-			LatentOnsetWindow: 5 * time.Millisecond,
-			MaxLBA:            400,
-		}))
-	}
-
-	const count = 240 // covers device rows [0, 80) on each device: 10 stripes
-	var scrubEnd sim.Time
-	run(env, func(p *sim.Proc) {
-		if err := a.Write(p, 0, count, pattern(0, count)); err != nil {
-			t.Errorf("fill: %v", err)
-			return
-		}
-		if p.Now() < sim.Time(5*time.Millisecond) {
-			p.Sleep(sim.Time(5 * time.Millisecond).Sub(p.Now()))
-		}
-		// Scrub while full redundancy still exists.
-		rep, err := a.Scrub(p)
-		if err != nil {
-			t.Errorf("scrub: %v", err)
-			return
-		}
-		scrubEnd = p.Now()
-		if rep.Repaired == 0 {
-			t.Error("scrub repaired nothing despite injected latents")
-		}
-		if rep.Unrepairable != 0 {
-			t.Errorf("scrub left %d sectors unrepairable", rep.Unrepairable)
-		}
-	})
-	if t.Failed() {
-		return
-	}
-
-	// Acceptance: every surfaced latent read error is repaired.
-	for i, plan := range plans {
-		if left := plan.UnrepairedReadErrors(scrubEnd); len(left) != 0 {
-			t.Errorf("device %d: %d latent errors unrepaired after scrub: %v", i+1, len(left), left)
-		}
-	}
-
-	// Now the device failure: every read must still succeed via
-	// reconstruction, which touches every surviving copy.
-	if err := a.Fail(0); err != nil {
-		t.Fatal(err)
-	}
-	env.Go("degraded-audit", func(p *sim.Proc) {
-		got, err := a.Read(p, 0, count)
-		if err != nil {
-			t.Errorf("degraded read after scrub: %v", err)
-			return
-		}
-		if !bytes.Equal(got, pattern(0, count)) {
-			t.Error("data lost despite scrubbed redundancy")
-		}
-	})
-	env.Run()
-}
-
-// TestScrubberBackground checks the periodic scrubber repairs damage on its
-// own schedule.
-func TestScrubberBackground(t *testing.T) {
-	env, a, raw := newSmallArray(t, 3, 8)
-	defer env.Close()
-	plan := fault.Attach(raw[0], sim.NewRand(12), fault.Config{
-		LatentReadErrors:  5,
-		LatentOnsetWindow: 20 * time.Millisecond,
-		MaxLBA:            160,
-	})
-	// A full pass over three 512-sector devices takes well under a second of
-	// simulated time, so 5 simulated seconds fits several passes.
-	a.StartScrubber(env, 500*time.Millisecond)
-	const count = 64
-	env.Go("fill", func(p *sim.Proc) {
-		if err := a.Write(p, 0, count, pattern(0, count)); err != nil {
-			t.Errorf("fill: %v", err)
-		}
-	})
-	env.RunUntil(sim.Time(5 * time.Second))
-	if left := plan.UnrepairedReadErrors(sim.Time(5 * time.Second)); len(left) != 0 {
-		t.Errorf("background scrubber left latents unrepaired: %v", left)
-	}
-	if a.Stats().ScrubPasses == 0 {
-		t.Error("no scrub passes ran")
 	}
 }

@@ -7,6 +7,10 @@
 // write parity), two of them synchronous writes. Building the array over
 // Trail data devices turns both writes into fast log appends, which is the
 // effect the RAID5SmallWrites experiment measures.
+//
+// Besides parity, the array serializes each stripe's update, reads a failed
+// member or a sector whose last write failed back from parity, and drops a
+// member that answers blockdev.ErrDeviceFailed.
 package raid
 
 import (
@@ -15,12 +19,9 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
-	"tracklog/internal/qos"
 	"tracklog/internal/sim"
-	"tracklog/internal/span"
 	"tracklog/internal/telemetry"
 	"tracklog/internal/timeline"
-	"tracklog/internal/trace"
 )
 
 // Errors.
@@ -44,8 +45,7 @@ type Array struct {
 	failed int // index of the failed device, or -1
 	// bad tracks per-device sectors whose last write failed with a media
 	// error: the platter holds stale data there, so reads of those sectors
-	// must reconstruct from parity and the scrubber keeps trying to repair
-	// them by rewrite.
+	// must reconstruct from parity until a later write of the sector succeeds.
 	bad   []map[int64]bool
 	stats Stats
 	// Per-stripe serialization. A small write's parity read-modify-write is
@@ -56,22 +56,9 @@ type Array struct {
 	locked map[int64]bool
 	lockC  *sim.Cond
 
-	// QoS admission gate (nil = unbounded). Client traffic admits through
-	// ctl before touching member devices; the scrubber admits at Background
-	// class, so under overload it is shed first.
-	pol *qos.Policy
-	ctl *qos.Controller
-
-	tr     *trace.Tracer
-	trName string
-
-	rec     *span.Recorder
-	recName string
-
-	// Timeline instruments (nil = disabled): stripe-lock occupancy as a
-	// time-weighted level and scrubber activity per bucket.
-	tlLocks                                   *timeline.Meter
-	tlScrubPasses, tlScrubRepairs, tlScrubYld *timeline.Mark
+	// tlLocks is stripe-lock occupancy as a time-weighted timeline level
+	// (nil = disabled).
+	tlLocks *timeline.Meter
 }
 
 // Stats counts array activity.
@@ -83,20 +70,10 @@ type Stats struct {
 	// Fault handling: MediaErrorReads/MediaErrorWrites count device
 	// commands that hit unreadable/unwritable sectors; DeviceFailures
 	// counts devices dropped from the array (manually or on
-	// blockdev.ErrDeviceFailed). Scrub* count background scrubber work.
-	MediaErrorReads   int64
-	MediaErrorWrites  int64
-	DeviceFailures    int64
-	ScrubPasses       int64
-	ScrubRepaired     int64
-	ScrubUnrepairable int64
-	// QoS (all zero without SetQoS): Shed counts operations refused at
-	// admission with ErrOverload; Expired counts operations abandoned past
-	// their deadline; ScrubYields counts scrub chunks skipped because the
-	// admission gate preferred foreground traffic.
-	Shed        int64
-	Expired     int64
-	ScrubYields int64
+	// blockdev.ErrDeviceFailed).
+	MediaErrorReads  int64
+	MediaErrorWrites int64
+	DeviceFailures   int64
 }
 
 // Counters exports the array's fault/repair telemetry as a counter set.
@@ -107,12 +84,6 @@ func (s Stats) Counters() telemetry.Counts {
 		"raid.media_error_reads":  s.MediaErrorReads,
 		"raid.media_error_writes": s.MediaErrorWrites,
 		"raid.device_failures":    s.DeviceFailures,
-		"raid.scrub_passes":       s.ScrubPasses,
-		"raid.scrub_repaired":     s.ScrubRepaired,
-		"raid.scrub_unrepairable": s.ScrubUnrepairable,
-		"raid.shed":               s.Shed,
-		"raid.expired":            s.Expired,
-		"raid.scrub_yields":       s.ScrubYields,
 	}
 }
 
@@ -146,95 +117,12 @@ func (a *Array) Sectors() int64 {
 // Stats returns a copy of the counters.
 func (a *Array) Stats() Stats { return a.stats }
 
-// SetTracer attaches the array's repair activity (reconstructions, device
-// drops, scrub repairs) to a tracer under the given track name. The member
-// devices are traced separately by whoever built them. Pass nil to detach.
-func (a *Array) SetTracer(tr *trace.Tracer, name string) {
-	a.tr = tr
-	a.trName = name
-}
-
-// SetRecorder attaches a span recorder under the given device name (nil
-// detaches): each array read or write becomes one span tree whose children —
-// stripe-lock waits and member-device sub-operations (A = member index) —
-// exactly tile its latency. Member devices built over recorded drivers record
-// their own trees; the array tree sits above them, tied by timestamps.
-func (a *Array) SetRecorder(rec *span.Recorder, name string) {
-	a.rec = rec
-	a.recName = name
-}
-
 // SetTimeline attaches the array to a utilization-timeline aggregator under
-// the given track: stripe-lock occupancy as a time-weighted level, plus
-// per-bucket scrub passes, repairs, and yields. Member devices attach their
-// own lanes through whoever built them. A nil aggregator disables all of
-// it. Call once per aggregator, before the run.
+// the given track: stripe-lock occupancy as a time-weighted level. Member
+// devices attach their own lanes through whoever built them. A nil
+// aggregator disables it. Call once per aggregator, before the run.
 func (a *Array) SetTimeline(tl *timeline.Aggregator, name string) {
 	a.tlLocks = tl.Meter("raid", name, "stripe_locks_held")
-	a.tlScrubPasses = tl.Mark("raid", name, "scrub_passes")
-	a.tlScrubRepairs = tl.Mark("raid", name, "scrub_repairs")
-	a.tlScrubYld = tl.Mark("raid", name, "scrub_yields")
-}
-
-// SetQoS applies an overload policy to the array: client operations admit
-// through a bounded gate (at most one in flight per member device, waiters
-// bounded by the policy, lowest class shed first), deadlines propagate into
-// member devices, and the scrubber yields to foreground traffic. nil
-// restores unbounded admission.
-func (a *Array) SetQoS(env *sim.Env, pol *qos.Policy) {
-	a.pol = pol
-	if pol.Enabled() {
-		a.ctl = qos.NewController(env, pol, len(a.devs))
-	} else {
-		a.ctl = nil
-	}
-}
-
-// admit passes one array operation through the QoS gate. It returns a
-// non-nil release func on success; on shed or expiry it records the outcome
-// (stats, trace, span) and returns the classified error.
-func (a *Array) admit(p *sim.Proc, kind span.Kind, lba int64, count int, opts blockdev.Options) (func(), error) {
-	if a.ctl == nil {
-		return func() {}, nil
-	}
-	err := a.ctl.Admit(p, opts)
-	if err == nil {
-		return a.ctl.Release, nil
-	}
-	now := int64(p.Now())
-	rq := a.rec.Start(kind, "raid", a.recName, lba, count, now)
-	switch {
-	case blockdev.IsShed(err):
-		a.stats.Shed++
-		if a.tr != nil {
-			a.tr.Emit(trace.Event{At: now, Kind: trace.KShed, Track: a.trName,
-				LBA: lba, Count: count, A: int64(a.ctl.Waiting())})
-		}
-		rq.Point(span.PShed, now, int64(a.ctl.Waiting()), 0)
-	default:
-		a.stats.Expired++
-		if a.tr != nil {
-			a.tr.Emit(trace.Event{At: now, Kind: trace.KDeadline, Track: a.trName,
-				LBA: lba, Count: count})
-		}
-		rq.Point(span.PDeadline, now, 0, 0)
-	}
-	rq.Finish(now, true)
-	return nil, fmt.Errorf("raid %s [%d,+%d): %w", kind, lba, count, err)
-}
-
-// expire fails an in-progress operation whose deadline passed between
-// chunks: remaining chunks are never issued.
-func (a *Array) expire(p *sim.Proc, rq *span.Req, lba int64, count int, opts blockdev.Options) error {
-	a.stats.Expired++
-	if a.tr != nil {
-		a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KDeadline, Track: a.trName,
-			LBA: lba, Count: count})
-	}
-	rq.Point(span.PDeadline, int64(p.Now()), int64(p.Now().Sub(opts.Deadline)), 0)
-	rq.Finish(int64(p.Now()), true)
-	return fmt.Errorf("raid [%d,+%d): deadline passed mid-operation: %w",
-		lba, count, blockdev.ErrDeadlineExceeded)
 }
 
 // Fail marks one device as dead; reads reconstruct from the survivors. The
@@ -347,10 +235,6 @@ func (a *Array) devRead(p *sim.Proc, dev int, devChunk int64, off, count int, op
 	case err == nil:
 		return buf, nil
 	case errors.Is(err, blockdev.ErrDeviceFailed):
-		if a.tr != nil {
-			a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KFault,
-				Track: a.trName, LBA: lba, Count: count, A: int64(dev)})
-		}
 		if ferr := a.Fail(dev); ferr != nil {
 			return nil, ferr
 		}
@@ -370,10 +254,6 @@ func (a *Array) devRead(p *sim.Proc, dev int, devChunk int64, off, count int, op
 // surfaces as an error.
 func (a *Array) reconstruct(p *sim.Proc, dev int, lba int64, count int, opts blockdev.Options) ([]byte, error) {
 	a.stats.Reconstructions++
-	if a.tr != nil {
-		a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KReconstruct,
-			Track: a.trName, LBA: lba, Count: count, A: int64(dev)})
-	}
 	out := make([]byte, count*geom.SectorSize)
 	for i, d := range a.devs {
 		if i == dev {
@@ -398,8 +278,7 @@ func (a *Array) reconstruct(p *sim.Proc, dev int, lba int64, count int, opts blo
 // devWrite writes a chunk-relative sector range to one device. A failed
 // device's writes are dropped silently — parity carries the information. A
 // media error triggers a per-sector probe: writable sectors are persisted,
-// unwritable ones are marked bad so reads reconstruct them from parity (and
-// the scrubber keeps retrying them).
+// unwritable ones are marked bad so reads reconstruct them from parity.
 func (a *Array) devWrite(p *sim.Proc, dev int, devChunk int64, off int, data []byte, opts blockdev.Options) error {
 	if dev == a.failed {
 		return nil
@@ -413,10 +292,6 @@ func (a *Array) devWrite(p *sim.Proc, dev int, devChunk int64, off int, data []b
 		a.clearBad(dev, lba, n)
 		return nil
 	case errors.Is(err, blockdev.ErrDeviceFailed):
-		if a.tr != nil {
-			a.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KFault,
-				Track: a.trName, LBA: lba, Count: n, A: int64(dev)})
-		}
 		if ferr := a.Fail(dev); ferr != nil {
 			return ferr
 		}
@@ -452,55 +327,16 @@ func xorInto(dst, src []byte) {
 	}
 }
 
-// subRead runs devRead as a timed child of rq: the interval covers the whole
-// member operation, including any reconstruction reads it triggers.
-func (a *Array) subRead(p *sim.Proc, rq *span.Req, dev int, devChunk int64, off, count int, opts blockdev.Options) ([]byte, error) {
-	start := int64(p.Now())
-	buf, err := a.devRead(p, dev, devChunk, off, count, opts)
-	rq.ChildAB(span.PSubRead, start, int64(p.Now()), int64(dev), int64(count))
-	return buf, err
-}
-
-// subWrite runs devWrite as a timed child of rq.
-func (a *Array) subWrite(p *sim.Proc, rq *span.Req, dev int, devChunk int64, off int, data []byte, opts blockdev.Options) error {
-	start := int64(p.Now())
-	err := a.devWrite(p, dev, devChunk, off, data, opts)
-	rq.ChildAB(span.PSubWrite, start, int64(p.Now()), int64(dev), int64(len(data)/geom.SectorSize))
-	return err
-}
-
-// lockChild acquires the stripe lock as a queue-wait child of rq.
-func (a *Array) lockChild(p *sim.Proc, rq *span.Req, stripe int64) {
-	start := int64(p.Now())
-	a.lockStripe(p, stripe)
-	rq.ChildAB(span.PQueue, start, int64(p.Now()), stripe, 0)
-}
-
-// Read returns count logical sectors at lba.
+// Read returns count logical sectors at lba. Member reads go out at
+// Interactive class.
 func (a *Array) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
-	return a.ReadOpts(p, lba, count, blockdev.Options{Class: blockdev.ClassInteractive})
-}
-
-// ReadOpts reads with per-request QoS options: the operation admits through
-// the array's gate (when SetQoS is active), the deadline rides into member
-// devices, and a deadline passing between chunks abandons the remainder.
-func (a *Array) ReadOpts(p *sim.Proc, lba int64, count int, opts blockdev.Options) ([]byte, error) {
 	if err := blockdev.CheckRange(a.Sectors(), lba, count); err != nil {
 		return nil, err
 	}
-	opts.Deadline = a.pol.Deadline(p.Now(), opts.Deadline)
+	opts := blockdev.Options{Class: blockdev.ClassInteractive}
 	a.stats.Reads++
-	release, err := a.admit(p, span.KRead, lba, count, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rq := a.rec.Start(span.KRead, "raid", a.recName, lba, count, int64(p.Now()))
 	out := make([]byte, 0, count*geom.SectorSize)
 	for count > 0 {
-		if opts.Expired(p.Now()) {
-			return nil, a.expire(p, rq, lba, count, opts)
-		}
 		logical := lba / int64(a.chunk)
 		off := int(lba % int64(a.chunk))
 		n := a.chunk - off
@@ -508,18 +344,16 @@ func (a *Array) ReadOpts(p *sim.Proc, lba int64, count int, opts blockdev.Option
 			n = count
 		}
 		dev, devChunk, stripe := a.chunkLoc(logical)
-		a.lockChild(p, rq, stripe)
-		buf, err := a.subRead(p, rq, dev, devChunk, off, n, opts)
+		a.lockStripe(p, stripe)
+		buf, err := a.devRead(p, dev, devChunk, off, n, opts)
 		a.unlockStripe(p, stripe)
 		if err != nil {
-			rq.Finish(int64(p.Now()), true)
 			return nil, err
 		}
 		out = append(out, buf...)
 		lba += int64(n)
 		count -= n
 	}
-	rq.Finish(int64(p.Now()), false)
 	return out, nil
 }
 
@@ -528,34 +362,18 @@ func (a *Array) ReadOpts(p *sim.Proc, lba int64, count int, opts blockdev.Option
 // ("small") writes pay the classic read-modify-write: read old data and old
 // parity, then write new data and new parity.
 func (a *Array) Write(p *sim.Proc, lba int64, count int, data []byte) error {
-	return a.WriteOpts(p, lba, count, data, blockdev.Options{})
-}
-
-// WriteOpts writes with per-request QoS options (see ReadOpts). A deadline
-// passing between stripes abandons the remainder — already-written stripes
-// stay parity-consistent because the stripe lock was held for each.
-func (a *Array) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts blockdev.Options) error {
 	if err := blockdev.CheckRange(a.Sectors(), lba, count); err != nil {
 		return err
 	}
 	if len(data) < count*geom.SectorSize {
 		return fmt.Errorf("%w: %d bytes for %d sectors", ErrBadArray, len(data), count)
 	}
-	opts.Deadline = a.pol.Deadline(p.Now(), opts.Deadline)
+	var opts blockdev.Options
 	a.stats.Writes++
-	release, err := a.admit(p, span.KWrite, lba, count, opts)
-	if err != nil {
-		return err
-	}
-	defer release()
 	ackLBA, ackCount := lba, count
-	rq := a.rec.Start(span.KWrite, "raid", a.recName, lba, count, int64(p.Now()))
 	n := int64(len(a.devs))
 	stripeData := int64(a.chunk) * (n - 1) // logical sectors per stripe
 	for count > 0 {
-		if opts.Expired(p.Now()) {
-			return a.expire(p, rq, lba, count, opts)
-		}
 		stripe := lba / stripeData
 		inStripe := lba % stripeData
 		this := int(stripeData - inStripe)
@@ -563,23 +381,21 @@ func (a *Array) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts b
 			this = count
 		}
 		var err error
-		a.lockChild(p, rq, stripe)
+		a.lockStripe(p, stripe)
 		if inStripe == 0 && int64(this) == stripeData {
-			err = a.fullStripeWrite(p, rq, stripe, data, opts)
+			err = a.fullStripeWrite(p, stripe, data, opts)
 		} else {
 			// Small write(s): read-modify-write per touched chunk.
-			err = a.smallWrite(p, rq, lba, this, data[:this*geom.SectorSize], opts)
+			err = a.smallWrite(p, lba, this, data[:this*geom.SectorSize], opts)
 		}
 		a.unlockStripe(p, stripe)
 		if err != nil {
-			rq.Finish(int64(p.Now()), true)
 			return err
 		}
 		data = data[this*geom.SectorSize:]
 		lba += int64(this)
 		count -= this
 	}
-	rq.Finish(int64(p.Now()), false)
 	// Data and parity are on the members and the write is about to be
 	// acknowledged to the client: a crash-exploration interesting event.
 	p.Env().EmitProbe(p, sim.ProbeAck, "raid", ackLBA, ackCount)
@@ -588,7 +404,7 @@ func (a *Array) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts b
 
 // fullStripeWrite writes one complete stripe, computing parity from the new
 // data alone (no reads). Caller holds the stripe lock.
-func (a *Array) fullStripeWrite(p *sim.Proc, rq *span.Req, stripe int64, data []byte, opts blockdev.Options) error {
+func (a *Array) fullStripeWrite(p *sim.Proc, stripe int64, data []byte, opts blockdev.Options) error {
 	n := int64(len(a.devs))
 	chunkBytes := int64(a.chunk) * geom.SectorSize
 	parity := make([]byte, chunkBytes)
@@ -597,11 +413,11 @@ func (a *Array) fullStripeWrite(p *sim.Proc, rq *span.Req, stripe int64, data []
 		part := data[i*chunkBytes : (i+1)*chunkBytes]
 		xorInto(parity, part)
 		dev, devChunk, _ := a.chunkLoc(stripe*(n-1) + i)
-		if err := a.subWrite(p, rq, dev, devChunk, 0, part, opts); err != nil {
+		if err := a.devWrite(p, dev, devChunk, 0, part, opts); err != nil {
 			return err
 		}
 	}
-	if err := a.subWrite(p, rq, pDev, stripe, 0, parity, opts); err != nil {
+	if err := a.devWrite(p, pDev, stripe, 0, parity, opts); err != nil {
 		return err
 	}
 	a.stats.FullStripes++
@@ -610,7 +426,7 @@ func (a *Array) fullStripeWrite(p *sim.Proc, rq *span.Req, stripe int64, data []
 
 // smallWrite updates up to a stripe's worth of sectors with read-modify-
 // write parity maintenance. Caller holds the stripe lock.
-func (a *Array) smallWrite(p *sim.Proc, rq *span.Req, lba int64, count int, data []byte, opts blockdev.Options) error {
+func (a *Array) smallWrite(p *sim.Proc, lba int64, count int, data []byte, opts blockdev.Options) error {
 	for count > 0 {
 		logical := lba / int64(a.chunk)
 		off := int(lba % int64(a.chunk))
@@ -623,11 +439,11 @@ func (a *Array) smallWrite(p *sim.Proc, rq *span.Req, lba int64, count int, data
 		newData := data[:nSect*geom.SectorSize]
 
 		// Read old data and old parity (2 reads).
-		oldData, err := a.subRead(p, rq, dev, devChunk, off, nSect, opts)
+		oldData, err := a.devRead(p, dev, devChunk, off, nSect, opts)
 		if err != nil {
 			return err
 		}
-		oldParity, err := a.subRead(p, rq, pDev, stripe, off, nSect, opts)
+		oldParity, err := a.devRead(p, pDev, stripe, off, nSect, opts)
 		if err != nil {
 			return err
 		}
@@ -638,10 +454,10 @@ func (a *Array) smallWrite(p *sim.Proc, rq *span.Req, lba int64, count int, data
 		xorInto(parity, newData)
 
 		// Write new data and new parity (2 writes).
-		if err := a.subWrite(p, rq, dev, devChunk, off, newData, opts); err != nil {
+		if err := a.devWrite(p, dev, devChunk, off, newData, opts); err != nil {
 			return err
 		}
-		if err := a.subWrite(p, rq, pDev, stripe, off, parity, opts); err != nil {
+		if err := a.devWrite(p, pDev, stripe, off, parity, opts); err != nil {
 			return err
 		}
 		a.stats.SmallWrites++

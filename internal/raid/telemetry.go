@@ -40,6 +40,6 @@ func (a *Array) RegisterMetrics(reg *telemetry.Registry, name string) {
 			return 0
 		}, l)
 	reg.GaugeFunc(telemetry.Prefix+"raid_bad_sectors",
-		"Member sectors currently known-bad (awaiting scrub repair).",
+		"Member sectors currently known-bad (read back from parity until rewritten).",
 		func() float64 { return float64(a.BadSectors()) }, l)
 }

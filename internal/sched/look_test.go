@@ -99,65 +99,6 @@ func TestPopLOOKMatchesReference(t *testing.T) {
 	}
 }
 
-// refPopSSTF is the SSTF pick as it stood before the in-place scan, in the
-// same concatenate-choose-search shape as refPopLOOK. Kept as the reference
-// popSSTF is held to.
-func refPopSSTF(q *Queue) *Request {
-	all := make([]*Request, 0, q.Depth())
-	all = append(all, q.reads...)
-	all = append(all, q.writes...)
-	best := 0
-	for i, r := range all {
-		if absDelta(r.LBA, q.lastLBA) < absDelta(all[best].LBA, q.lastLBA) {
-			best = i
-		}
-	}
-	req := all[best]
-	for i, r := range q.reads {
-		if r == req {
-			return q.removeRead(i)
-		}
-	}
-	for i, r := range q.writes {
-		if r == req {
-			return q.removeWrite(i)
-		}
-	}
-	panic("reference SSTF picked unknown request")
-}
-
-// TestPopSSTFMatchesReference drains random queues pick by pick through the
-// in-place scan and through the concatenating reference, the head moving as
-// the worker moves it, over the same small LBA range as the LOOK drain so
-// that ties within and across the two lists occur.
-func TestPopSSTFMatchesReference(t *testing.T) {
-	rng := sim.NewRand(37)
-	for trial := 0; trial < 400; trial++ {
-		got, ref := &Queue{}, &Queue{}
-		got.lastLBA = int64(rng.Intn(24))
-		ref.lastLBA = got.lastLBA
-		for n := 1 + rng.Intn(40); n > 0; n-- {
-			r := &Request{Write: rng.Intn(2) == 0, LBA: int64(rng.Intn(24)), Count: 1 + rng.Intn(3)}
-			for _, q := range []*Queue{got, ref} {
-				if r.Write {
-					q.writes = append(q.writes, r)
-				} else {
-					q.reads = append(q.reads, r)
-				}
-			}
-		}
-		for step := 0; ref.Depth() > 0; step++ {
-			want, have := refPopSSTF(ref), got.popSSTF()
-			if have != want || got.Depth() != ref.Depth() {
-				t.Fatalf("trial %d step %d: picked LBA %d write=%v, reference LBA %d write=%v",
-					trial, step, have.LBA, have.Write, want.LBA, want.Write)
-			}
-			got.lastLBA = have.LBA + int64(have.Count) - 1
-			ref.lastLBA = got.lastLBA
-		}
-	}
-}
-
 // TestReadPriorityLOOKMatchesReference: the read-priority policy's picks —
 // LOOK over the reads while there are any, then over the writes — agree
 // with the reference's single-list choice.

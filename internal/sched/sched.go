@@ -1,12 +1,12 @@
-// Package sched implements disk request queues with pluggable scheduling
-// policies.
+// Package sched implements disk request queues with three scheduling
+// policies: FIFO, LOOK and read-priority LOOK.
 //
 // A Queue owns one drive: a dedicated worker process pulls requests off the
 // queue according to the policy and executes them on the drive one at a
 // time. The paper's two subsystems map onto two policies: the standard Linux
 // disk subsystem uses a LOOK elevator, and Trail's data disks use LOOK with
 // strict read priority ("data disk reads are given higher priority than data
-// disk writes", §4.1).
+// disk writes", §4.1). FIFO is the in-order baseline tests compare against.
 package sched
 
 import (
@@ -26,9 +26,6 @@ type Policy int
 const (
 	// FIFO serves requests in arrival order.
 	FIFO Policy = iota + 1
-	// SSTF serves the request with the shortest seek distance from the
-	// current head position (greedy; can starve distant requests).
-	SSTF
 	// LOOK is the classic elevator: serve the nearest request in the
 	// current sweep direction, reversing at the last request.
 	LOOK
@@ -41,8 +38,6 @@ func (p Policy) String() string {
 	switch p {
 	case FIFO:
 		return "fifo"
-	case SSTF:
-		return "sstf"
 	case LOOK:
 		return "look"
 	case ReadPriorityLOOK:
@@ -91,13 +86,6 @@ type Request struct {
 	// bounded: on a full queue the lowest-class queued request is shed to
 	// admit a higher-class newcomer.
 	Class blockdev.Class
-}
-
-// Wait blocks p until the request completes and returns its total latency
-// including queueing delay.
-func (r *Request) Wait(p *sim.Proc) time.Duration {
-	r.Done.Wait(p)
-	return r.Result.End.Sub(r.Queued)
 }
 
 // Stats aggregates queue behaviour.
@@ -381,8 +369,6 @@ func (q *Queue) pick() *Request {
 	switch q.policy {
 	case FIFO:
 		return q.popFIFO()
-	case SSTF:
-		return q.popSSTF()
 	case LOOK:
 		return q.popLOOK(q.reads, q.writes)
 	case ReadPriorityLOOK:
@@ -489,25 +475,4 @@ func (q *Queue) removeWrite(i int) *Request {
 	r := q.writes[i]
 	q.writes = append(q.writes[:i], q.writes[i+1:]...)
 	return r
-}
-
-// popSSTF picks the request with the shortest seek distance from the
-// current head position, regardless of direction (starvation-prone, which
-// is why LOOK exists; provided for comparison). On equal distance the first
-// seen wins, reads before writes. Both lists are scanned where they lie.
-func (q *Queue) popSSTF() *Request {
-	var write, ok bool
-	var i int
-	var best int64
-	for li, list := range [2][]*Request{q.reads, q.writes} {
-		for j, r := range list {
-			if d := absDelta(r.LBA, q.lastLBA); !ok || d < best {
-				write, i, ok, best = li == 1, j, true, d
-			}
-		}
-	}
-	if write {
-		return q.removeWrite(i)
-	}
-	return q.removeRead(i)
 }

@@ -199,28 +199,3 @@ func TestLOOKReducesSeekVsFIFO(t *testing.T) {
 		t.Errorf("LOOK seek time %v not better than FIFO %v", look, fifo)
 	}
 }
-
-func TestSSTFPicksNearest(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	d := testDisk(env)
-	q := New(env, d, SSTF)
-	var nearEnd, farEnd sim.Time
-	env.Go("submitter", func(p *sim.Proc) {
-		// Occupy the disk, then queue far and near; SSTF must pick near.
-		w0 := &Request{Write: true, LBA: 0, Count: 1, Data: sector(0)}
-		q.Submit(w0)
-		p.Sleep(100 * time.Microsecond)
-		far := &Request{Write: true, LBA: 9500, Count: 1, Data: sector(1)}
-		near := &Request{Write: true, LBA: 300, Count: 1, Data: sector(2)}
-		q.Submit(far)
-		q.Submit(near)
-		far.Done.Wait(p)
-		near.Done.Wait(p)
-		farEnd, nearEnd = far.Result.End, near.Result.End
-	})
-	env.Run()
-	if nearEnd >= farEnd {
-		t.Errorf("SSTF served far (end %v) before near (end %v)", farEnd, nearEnd)
-	}
-}

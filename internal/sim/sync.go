@@ -137,9 +137,6 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Waiting returns the number of processes blocked on the condition.
-func (c *Cond) Waiting() int { return c.waiters.Len() }
-
 // Resource is a counting semaphore with FIFO admission, used to model
 // exclusive hardware (capacity 1 models a disk arm).
 type Resource struct {

@@ -40,7 +40,7 @@ func CounterName(name string) string {
 }
 
 // FormatValue renders a sample value in shortest exact form, so the
-// Prometheus, JSON and timeline exports agree byte-for-byte.
+// Prometheus and timeline exports agree byte-for-byte.
 func FormatValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // escapeHelp escapes a HELP string per the exposition format: backslash

@@ -164,30 +164,6 @@ func TestParsePromAcceptsDistinctLabelSets(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("ops", "h", Label{Key: "d", Value: "0"})
-	c.Add(2)
-	h := r.Histogram("lat", "h", []float64{1})
-	h.Observe(0.5)
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`"name":"lat"`, `"type":"histogram"`, `{"le":1,"count":1}`, `{"le":"+Inf","count":1}`,
-		`"name":"ops"`, `"labels":{"d":"0"}`, `"value":2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("JSON missing %q:\n%s", want, out)
-		}
-	}
-	if !strings.HasSuffix(out, "\n") {
-		t.Error("JSON export missing trailing newline")
-	}
-}
-
 // FuzzParseProm holds the one writer and the one parser to each other: a
 // series with an arbitrary name, label and help text round-trips through
 // WriteProm and ParseProm to the same key and value, and hostile bytes come

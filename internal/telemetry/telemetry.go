@@ -1,11 +1,11 @@
 // Package telemetry is the unified metrics registry for the whole
 // reproduction: counters, gauges, and histograms with one shared,
-// byte-deterministic exposition path (Prometheus text and JSON).
+// byte-deterministic exposition path (Prometheus text).
 //
 // Design constraints, matching the trace.Tracer / span.Recorder discipline:
 //
 //  1. A disabled registry is a nil pointer. Every method on *Registry and on
-//     the metric handles (*Counter, *Gauge, *Histogram) is nil-receiver
+//     the metric handles (*Counter, *Histogram) is nil-receiver
 //     safe, so instrumented components register and update metrics
 //     unguarded; the disabled path costs one branch.
 //  2. Exposition is byte-deterministic. Series render in sorted
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 )
 
 // Prefix namespaces every metric exported by this module.
@@ -82,7 +81,6 @@ type metric struct {
 	// Exactly one of the following backs the series, until Release turns a
 	// read function into the final value it read.
 	counter   *Counter
-	gauge     *Gauge
 	hist      *Histogram
 	counterFn func() int64
 	gaugeFn   func() float64
@@ -94,8 +92,6 @@ func (m *metric) value() float64 {
 	switch {
 	case m.counter != nil:
 		return float64(m.counter.Value())
-	case m.gauge != nil:
-		return m.gauge.Value()
 	case m.counterFn != nil:
 		return float64(m.counterFn())
 	case m.gaugeFn != nil:
@@ -154,8 +150,6 @@ func newMetric(name, help string, typ metricType, labels []Label, backing any) *
 	switch b := backing.(type) {
 	case *Counter:
 		m.counter = b
-	case *Gauge:
-		m.gauge = b
 	case *Histogram:
 		m.hist = b
 	case func() int64:
@@ -186,17 +180,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Lab
 		return
 	}
 	r.add(newMetric(name, help, typeCounter, labels, fn))
-}
-
-// Gauge registers and returns a settable gauge. On a nil registry it
-// returns a nil (disabled) handle.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.add(newMetric(name, help, typeGauge, labels, g))
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at export time.
@@ -255,19 +238,14 @@ func (r *Registry) sorted() []*metric {
 	return out
 }
 
-// WriteFile exports the registry to path: Prometheus text exposition when
-// the name ends in ".prom", the JSON form otherwise. A nil registry writes
-// no file.
+// WriteFile exports the registry to path in the Prometheus text exposition.
+// A nil registry writes no file.
 func (r *Registry) WriteFile(path string) error {
 	if r == nil {
 		return nil
 	}
-	write := r.WriteJSON
-	if strings.HasSuffix(path, ".prom") {
-		write = r.WriteProm
-	}
 	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
+	if err := r.WriteProm(&buf); err != nil {
 		return err
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
@@ -277,14 +255,6 @@ func (r *Registry) WriteFile(path string) error {
 // disabled handle: updates are no-ops, reads return zero.
 type Counter struct {
 	v int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v++
 }
 
 // Add adds n (negative deltas are ignored; counters are monotonic).
@@ -301,35 +271,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a point-in-time series. A nil *Gauge is a valid disabled handle.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-}
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	g.v += d
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram accumulates observations into fixed buckets. A nil *Histogram

@@ -17,19 +17,10 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if c != nil {
 		t.Error("nil registry returned non-nil Counter")
 	}
-	c.Inc()
+	c.Add(1)
 	c.Add(3)
 	if c.Value() != 0 {
 		t.Error("nil Counter.Value != 0")
-	}
-	g := r.Gauge("g", "h")
-	if g != nil {
-		t.Error("nil registry returned non-nil Gauge")
-	}
-	g.Set(1)
-	g.Add(2)
-	if g.Value() != 0 {
-		t.Error("nil Gauge.Value != 0")
 	}
 	h := r.Histogram("h", "h", []float64{1, 2})
 	if h != nil {
@@ -51,33 +42,16 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if sb.Len() != 0 {
 		t.Errorf("nil registry exposition not empty: %q", sb.String())
 	}
-	sb.Reset()
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Errorf("nil Registry.WriteJSON: %v", err)
-	}
-	if got := sb.String(); got != "{\"metrics\":[]}\n" {
-		t.Errorf("nil registry JSON = %q", got)
-	}
 }
 
 func TestCounterSemantics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops", "help")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	c.Add(-2) // negative deltas ignored: counters are monotonic
 	if c.Value() != 5 {
 		t.Errorf("Value = %d, want 5", c.Value())
-	}
-}
-
-func TestGaugeSemantics(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("depth", "help")
-	g.Set(4)
-	g.Add(-1.5)
-	if g.Value() != 2.5 {
-		t.Errorf("Value = %v, want 2.5", g.Value())
 	}
 }
 
@@ -113,7 +87,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	// Same sanitized name and label set, registered as a different kind:
 	// still the same series identity.
-	r.Gauge("x", "other", Label{Key: "a", Value: "1"})
+	r.GaugeFunc("x", "other", func() float64 { return 0 }, Label{Key: "a", Value: "1"})
 }
 
 func TestDistinctLabelsAreDistinctSeries(t *testing.T) {
@@ -151,38 +125,33 @@ func TestFuncMetricsReadLive(t *testing.T) {
 }
 
 // Release freezes every func-backed series at the value it reads and never
-// calls the function again; both exports print the same bytes before and
+// calls the function again; the export prints the same bytes before and
 // after, for every series kind. Handle-backed series stay live, and a second
 // Release, like Release on a nil registry, changes nothing.
 func TestReleaseKeepsExports(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops", "h", Label{Key: "disk", Value: "log0"})
-	g := r.Gauge("depth", "h")
 	h := r.Histogram("lat", "h", []float64{1, 10})
 	c.Add(3)
-	g.Set(2.5)
 	h.Observe(4)
 	n, depth, calls := int64(7), 0.75, 0
 	r.CounterFunc("events", "h", func() int64 { calls++; return n })
 	r.GaugeFunc("queue", "h", func() float64 { calls++; return depth })
 	r.CounterFuncs(func() Counts { calls++; return Counts{"writes": n, "reads": 2 * n} }, Label{Key: "disk", Value: "data0"})
-	exports := func() (prom, json string) {
-		var p, j strings.Builder
+	export := func() string {
+		var p strings.Builder
 		if err := r.WriteProm(&p); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.WriteJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		return p.String(), j.String()
+		return p.String()
 	}
-	prom, json := exports()
+	prom := export()
 
 	r.Release()
 	n, depth, calls = 100, 9, 0
 	for round := 1; round <= 2; round++ {
-		if p, j := exports(); p != prom || j != json {
-			t.Errorf("release %d changed the exports:\nprom before:\n%s\nafter:\n%s\njson before:\n%s\nafter:\n%s", round, prom, p, json, j)
+		if p := export(); p != prom {
+			t.Errorf("release %d changed the export:\nbefore:\n%s\nafter:\n%s", round, prom, p)
 		}
 		if calls != 0 {
 			t.Errorf("release %d: read functions called %d times after Release", round, calls)
@@ -192,12 +161,11 @@ func TestReleaseKeepsExports(t *testing.T) {
 	var nilReg *Registry
 	nilReg.Release()
 
-	c.Inc()
-	g.Set(-1)
+	c.Add(1)
 	h.Observe(20)
 	vals := mustParse(t, r)
 	for key, want := range map[string]float64{
-		`ops{disk="log0"}`: 4, "depth": -1, "lat_count": 2, "lat_sum": 24,
+		`ops{disk="log0"}`: 4, "lat_count": 2, "lat_sum": 24,
 		"events": 7, "queue": 0.75, `tracklog_writes_total{disk="data0"}`: 7,
 	} {
 		if vals[key] != want {

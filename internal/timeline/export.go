@@ -67,61 +67,14 @@ func (a *Aggregator) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteJSON writes the same data as WriteCSV in a fixed-field-order JSON
-// document (hand-rolled, like every exposition in this repo, so the bytes
-// are deterministic). Points are [bucket, value] pairs.
-func (a *Aggregator) WriteJSON(w io.Writer) error {
-	if a == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"version\":1,\"bucket_ns\":%d,\"end_ns\":%d,\"series\":[", a.bucketNS, a.endNS)
-	first := true
-	for _, s := range a.sortedSeries() {
-		n := len(s.ints)
-		if s.kind == kindMean {
-			n = len(s.floats)
-		}
-		wrote := false
-		for i := 0; i < n; i++ {
-			v, ok := s.value(i, a.bucketNS)
-			if !ok {
-				continue
-			}
-			if !wrote {
-				if !first {
-					bw.WriteString(",")
-				}
-				first = false
-				fmt.Fprintf(bw, "\n{\"component\":%s,\"track\":%s,\"name\":%s,\"kind\":%q,\"points\":[",
-					strconv.Quote(s.component), strconv.Quote(s.track), strconv.Quote(s.name), s.kind)
-				wrote = true
-			} else {
-				bw.WriteString(",")
-			}
-			fmt.Fprintf(bw, "[%d,%s]", i, v)
-		}
-		if wrote {
-			bw.WriteString("]}")
-		}
-	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
-}
-
-// WriteFile exports the finished aggregator to path: the JSON document when
-// the name ends in ".json", the CSV exposition otherwise. A nil aggregator
-// writes no file.
+// WriteFile exports the finished aggregator to path in the CSV exposition.
+// A nil aggregator writes no file.
 func (a *Aggregator) WriteFile(path string) error {
 	if a == nil {
 		return nil
 	}
-	write := a.WriteCSV
-	if strings.HasSuffix(path, ".json") {
-		write = a.WriteJSON
-	}
 	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
+	if err := a.WriteCSV(&buf); err != nil {
 		return err
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)

@@ -310,9 +310,6 @@ func (db *DB) Tree(t Table) *kvdb.Tree { return db.trees[t] }
 // Stores returns the underlying stores (for cache stats / checkpointing).
 func (db *DB) Stores() []*kvdb.Store { return db.stores }
 
-// Config returns the database sizing.
-func (db *DB) Config() Config { return db.cfg }
-
 // populate fills the tables per the TPC-C population rules (scaled by cfg).
 func (db *DB) populate(p *sim.Proc) error {
 	cfg := db.cfg

@@ -51,10 +51,6 @@ const (
 	KStagingFlush // a write-back window was dispatched; A = buffers in window
 	KPredict      // prediction audit point; A = predicted sector, B = slack sectors
 
-	// RAID maintenance.
-	KScrubRepair // scrubber repaired a sector by reconstructing; A = device index
-	KReconstruct // degraded/bad-sector read reconstructed from parity
-
 	// Scheduler queues.
 	KEnqueue // request entered a queue; A = depth after, B=1 for writes
 	KDequeue // request left the queue for the drive; A = depth after, B = queue wait ns
@@ -95,8 +91,6 @@ var kindNames = [...]string{
 	KIdleRefresh:  "idle-refresh",
 	KStagingFlush: "staging-flush",
 	KPredict:      "predict",
-	KScrubRepair:  "scrub-repair",
-	KReconstruct:  "reconstruct",
 	KEnqueue:      "enqueue",
 	KDequeue:      "dequeue",
 	KProcStart:    "proc-start",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tracklog/internal/disk"
-	"tracklog/internal/geom"
 )
 
 // Format initializes d as a Trail log disk: it zeroes the media, writes the
@@ -51,10 +50,4 @@ func ReadHeader(d *disk.Disk) (*DiskHeader, error) {
 func Formatted(d *disk.Disk) bool {
 	_, err := ReadHeader(d)
 	return err == nil
-}
-
-// trackSPT returns the sectors-per-track of a dense track index.
-func trackSPT(g *geom.Geometry, track int) int {
-	cyl, _ := g.TrackOf(track)
-	return g.SPTAt(cyl)
 }

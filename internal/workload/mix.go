@@ -9,7 +9,6 @@ package workload
 // across runs regardless of how the cluster reorders completions.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -67,8 +66,7 @@ type MixRequest struct {
 }
 
 // GenerateMix materializes a deterministic request stream. The same config
-// (including seed) always yields the same stream, byte for byte under
-// EncodeMix — the cluster CI job leans on this for same-seed comparisons.
+// (including seed) always yields the same stream.
 func GenerateMix(cfg MixConfig) ([]MixRequest, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Tenants <= 0 {
@@ -111,28 +109,6 @@ func GenerateMix(cfg MixConfig) ([]MixRequest, error) {
 		reqs = append(reqs, r)
 	}
 	return reqs, nil
-}
-
-// EncodeMix serializes a request stream to a fixed little-endian layout.
-// Byte equality of two encodings is the determinism contract tested by
-// TestGenerateMixDeterministic and byte-compared across CI runs.
-func EncodeMix(reqs []MixRequest) []byte {
-	buf := make([]byte, 0, len(reqs)*26)
-	var w [8]byte
-	for _, r := range reqs {
-		binary.LittleEndian.PutUint64(w[:], uint64(r.At))
-		buf = append(buf, w[:]...)
-		binary.LittleEndian.PutUint64(w[:], uint64(r.Tenant))
-		buf = append(buf, w[:]...)
-		binary.LittleEndian.PutUint64(w[:], uint64(r.Block))
-		buf = append(buf, w[:]...)
-		var rd byte
-		if r.Read {
-			rd = 1
-		}
-		buf = append(buf, rd, byte(r.Class))
-	}
-	return buf
 }
 
 // zipfCDF returns the cumulative distribution over n ranks with exponent s.

@@ -77,6 +77,9 @@ func RunOpenLoopWrites(env *sim.Env, dev blockdev.Device, cfg OpenLoopConfig) (*
 	if cfg.WriteSize < 0 || cfg.WriteSize%geom.SectorSize != 0 {
 		return nil, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
 	}
+	if cfg.Requests < 0 {
+		return nil, fmt.Errorf("workload: negative request count %d", cfg.Requests)
+	}
 	sectors := cfg.WriteSize / geom.SectorSize
 	res := &OpenLoopResult{Config: cfg, Latency: telemetry.NewSummary()}
 	rng := sim.NewRand(cfg.Seed)

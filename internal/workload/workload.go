@@ -89,6 +89,9 @@ func RunSyncWrites(env *sim.Env, dev blockdev.Device, cfg SyncWriteConfig) (*Syn
 	if cfg.WriteSize < 0 || cfg.WriteSize%geom.SectorSize != 0 {
 		return nil, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
 	}
+	if cfg.Processes < 0 || cfg.WritesPerProcess < 0 {
+		return nil, fmt.Errorf("workload: negative count: %d processes x %d writes", cfg.Processes, cfg.WritesPerProcess)
+	}
 	sectors := cfg.WriteSize / geom.SectorSize
 	res := &SyncWriteResult{Config: cfg, Latency: telemetry.NewSummary()}
 	var firstIssue, lastDone sim.Time
