@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"tracklog/internal/geom"
 	"tracklog/internal/sim"
 )
 
@@ -103,8 +104,9 @@ func (c Class) ShedOrder() int {
 	}
 }
 
-// Options carries per-request QoS attributes through the stack. The zero
-// value means "no deadline, normal class" and is always valid.
+// Options carries per-request attributes through the stack: QoS (deadline
+// and class) and, for a read, the buffer to fill. The zero value means "no
+// deadline, normal class, a new buffer" and is always valid.
 type Options struct {
 	// Deadline is an absolute virtual time after which the request must not
 	// occupy the disk: drivers complete it with ErrDeadlineExceeded instead
@@ -112,6 +114,11 @@ type Options struct {
 	Deadline sim.Time
 	// Class selects the request's shed priority.
 	Class Class
+	// Into, when it holds a read's count sectors, is the buffer the read
+	// fills and returns (as Into[:count*SectorSize]) instead of allocating
+	// one. A device that takes no Options returns its own buffer, so a
+	// caller uses the returned slice either way.
+	Into []byte
 }
 
 // Expired reports whether the deadline (if any) has passed at now.
@@ -119,10 +126,20 @@ func (o Options) Expired(now sim.Time) bool {
 	return o.Deadline != 0 && now >= o.Deadline
 }
 
-// OptionedDevice is implemented by devices that accept per-request QoS
-// options. Plain Device callers keep working unchanged; QoS-aware clients
-// use ReadOpts/WriteOpts (directly or via the package-level helpers) to
-// propagate deadlines and classes.
+// Buffer returns Into[:count*SectorSize] when Into holds count sectors, and
+// nil otherwise.
+func (o Options) Buffer(count int) []byte {
+	if n := count * geom.SectorSize; len(o.Into) >= n {
+		return o.Into[:n]
+	}
+	return nil
+}
+
+// OptionedDevice is implemented by devices that accept per-request options.
+// Plain Device callers keep working unchanged; QoS-aware clients use
+// ReadOpts/WriteOpts (directly or via the package-level helpers) to
+// propagate deadlines and classes, and a reader that owns a buffer passes it
+// as Options.Into.
 type OptionedDevice interface {
 	Device
 	ReadOpts(p *sim.Proc, lba int64, count int, opts Options) ([]byte, error)

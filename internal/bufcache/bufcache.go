@@ -20,15 +20,20 @@ const PageSectors = 8
 const PageSize = PageSectors * geom.SectorSize
 
 // Page is a cached page frame. Callers must hold a pin (from Get) while
-// touching Data and must Release it afterwards.
+// touching Data and must Release it afterwards. Every miss makes a new Page,
+// so a stale one never takes on another page's identity; eviction hands its
+// Data to the next page faulted in and leaves it nil.
 type Page struct {
 	ID    int64
 	Data  []byte
 	dirty bool
 	pins  int
+	// writes counts device writes of Data in flight: until they return, an
+	// eviction gives Data to no other page.
+	writes int
 	// Offsets is kvdb's table of an internal node's cell offsets, kept
-	// while the page is cached. The cache never reads it and never recycles
-	// a Page, so a page read again starts without one.
+	// while the page is cached. The cache never reads it; a page faulted in
+	// takes its victim's array emptied, so it starts without a table.
 	Offsets []uint16
 	// prev and next link the page into its cache's LRU ring.
 	prev, next *Page
@@ -86,21 +91,22 @@ func (c *Cache) Get(p *sim.Proc, id int64) (*Page, error) {
 		return pg, nil
 	}
 	c.stats.Misses++
-	if err := c.makeRoom(p); err != nil {
+	pg, err := c.makeRoom(p)
+	if err != nil {
 		return nil, err
 	}
-	data, err := c.dev.Read(p, pageLBA(id), PageSectors)
+	data, err := blockdev.ReadOpts(p, c.dev, pageLBA(id), PageSectors, blockdev.Options{Into: pg.Data})
 	if err != nil {
 		return nil, fmt.Errorf("bufcache: page %d: %w", id, err)
 	}
 	// The read may have yielded; another process may have faulted the same
 	// page in meanwhile.
-	if pg, ok := c.pages[id]; ok {
-		pg.pins++
-		c.touch(pg)
-		return pg, nil
+	if resident, ok := c.pages[id]; ok {
+		resident.pins++
+		c.touch(resident)
+		return resident, nil
 	}
-	pg := &Page{ID: id, Data: data, pins: 1}
+	pg.ID, pg.Data, pg.pins = id, data, 1
 	c.touch(pg)
 	c.pages[id] = pg
 	return pg, nil
@@ -114,27 +120,37 @@ func (c *Cache) GetZero(p *sim.Proc, id int64) (*Page, error) {
 		c.touch(pg)
 		return pg, nil
 	}
-	if err := c.makeRoom(p); err != nil {
+	pg, err := c.makeRoom(p)
+	if err != nil {
 		return nil, err
 	}
-	pg := &Page{ID: id, Data: make([]byte, PageSize), pins: 1}
+	if pg.Data == nil {
+		pg.Data = make([]byte, PageSize)
+	} else {
+		clear(pg.Data)
+	}
+	pg.ID, pg.pins = id, 1
 	c.touch(pg)
 	c.pages[id] = pg
 	return pg, nil
 }
 
-// makeRoom evicts LRU unpinned pages until a frame is free. A dirty victim
-// is written back first and evicted only if it is still resident and
-// unpinned once the write returns.
-func (c *Cache) makeRoom(p *sim.Proc) error {
+// makeRoom evicts LRU unpinned pages until a frame is free and returns the
+// new page to fill it. A dirty victim is written back first and evicted only
+// if it is still resident and unpinned once the write returns. The new page
+// takes the last victim's data and emptied offset array, unless another
+// process's write of that data is still in flight; then it gets none, and
+// the caller allocates.
+func (c *Cache) makeRoom(p *sim.Proc) (*Page, error) {
+	pg := new(Page)
 	for len(c.pages) >= c.capacity {
 		victim := c.lruVictim()
 		if victim == nil {
-			return fmt.Errorf("bufcache: all %d pages pinned", c.capacity)
+			return nil, fmt.Errorf("bufcache: all %d pages pinned", c.capacity)
 		}
 		if victim.dirty {
 			if err := c.writePage(p, victim); err != nil {
-				return err
+				return nil, err
 			}
 			// The write yielded: another process may have evicted or pinned
 			// the victim meanwhile. Pick again if so.
@@ -145,8 +161,12 @@ func (c *Cache) makeRoom(p *sim.Proc) error {
 		c.stats.Evictions++
 		victim.unlink()
 		delete(c.pages, victim.ID)
+		if victim.writes == 0 {
+			pg.Data, pg.Offsets = victim.Data, victim.Offsets[:0]
+		}
+		victim.Data, victim.Offsets = nil, nil
 	}
-	return nil
+	return pg, nil
 }
 
 // lruVictim returns the least recently used unpinned page, or nil.
@@ -176,7 +196,10 @@ func (pg *Page) unlink() {
 }
 
 func (c *Cache) writePage(p *sim.Proc, pg *Page) error {
-	if err := c.dev.Write(p, pageLBA(pg.ID), PageSectors, pg.Data); err != nil {
+	pg.writes++
+	err := c.dev.Write(p, pageLBA(pg.ID), PageSectors, pg.Data)
+	pg.writes--
+	if err != nil {
 		return fmt.Errorf("bufcache: writing page %d: %w", pg.ID, err)
 	}
 	pg.dirty = false

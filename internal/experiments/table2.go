@@ -339,10 +339,3 @@ func (r *UtilizationResult) String() string {
 	b.WriteString("(paper: 12% at 4, 21% at 8, >30% at 12)\n")
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -192,13 +192,13 @@ func (d *Device) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 	return d.ReadOpts(p, lba, count, blockdev.Options{})
 }
 
-// ReadOpts reads with per-request QoS options.
+// ReadOpts reads with per-request options, into opts.Into when it fits.
 func (d *Device) ReadOpts(p *sim.Proc, lba int64, count int, opts blockdev.Options) ([]byte, error) {
 	if err := blockdev.CheckRange(d.size, lba, count); err != nil {
 		return nil, fmt.Errorf("stddisk %v read: %w", d.id, err)
 	}
 	req, err := d.do(p, "read", opts, func() *sched.Request {
-		return &sched.Request{LBA: lba, Count: count}
+		return &sched.Request{LBA: lba, Count: count, Data: opts.Buffer(count)}
 	})
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 	env.Go("terminal", func(p *sim.Proc) {
 		for i := 0; ; i++ {
 			tt := pickType(rng)
-			ok, err := runner.runOne(p, rng, tt, 1.0)
+			ok, err := runner.runOne(p, rng, tt)
 			if err != nil {
 				return // driver closed by the crash
 			}

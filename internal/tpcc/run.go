@@ -93,8 +93,6 @@ type RunConfig struct {
 	Warmup int
 	// Seed drives the transaction mix.
 	Seed uint64
-	// CPUScale multiplies per-transaction CPU cost (1.0 default).
-	CPUScale float64
 	// CheckpointEvery flushes all dirty pages to the table disks every N
 	// transactions (Berkeley DB's periodic checkpoint; 0 = every 100).
 	// Under the baseline these are in-place synchronous writes; under
@@ -150,9 +148,6 @@ func (r *Runner) Run(env *sim.Env, cfg RunConfig) (*Result, error) {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
-	if cfg.CPUScale == 0 {
-		cfg.CPUScale = 1.0
-	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 100
 	}
@@ -186,7 +181,7 @@ func (r *Runner) Run(env *sim.Env, cfg RunConfig) (*Result, error) {
 				}
 				t := pickType(rng)
 				start := p.Now()
-				committed, err := r.runOne(p, rng, t, cfg.CPUScale)
+				committed, err := r.runOne(p, rng, t)
 				if err != nil {
 					failure = err
 					return
@@ -243,10 +238,10 @@ func (r *Runner) Run(env *sim.Env, cfg RunConfig) (*Result, error) {
 // runOne executes one transaction with deadlock retries; it reports whether
 // the transaction ultimately committed. Intentional rollbacks (the 1%
 // new-order bad item) and deadlock-victim exhaustion report false.
-func (r *Runner) runOne(p *sim.Proc, rng *sim.Rand, t TxType, cpuScale float64) (bool, error) {
+func (r *Runner) runOne(p *sim.Proc, rng *sim.Rand, t TxType) (bool, error) {
 	const maxRetries = 4
 	for attempt := 0; ; attempt++ {
-		err := r.execute(p, rng, t, cpuScale)
+		err := r.execute(p, rng, t)
 		switch {
 		case err == nil:
 			return true, nil
@@ -266,8 +261,8 @@ func (r *Runner) runOne(p *sim.Proc, rng *sim.Rand, t TxType, cpuScale float64) 
 // errRollback marks the spec-mandated 1% new-order rollback.
 var errRollback = errors.New("tpcc: intentional rollback")
 
-func (r *Runner) execute(p *sim.Proc, rng *sim.Rand, t TxType, cpuScale float64) error {
-	cpu := time.Duration(float64(cpuCost(t)) * cpuScale)
+func (r *Runner) execute(p *sim.Proc, rng *sim.Rand, t TxType) error {
+	cpu := cpuCost(t)
 	p.Sleep(cpu / 2)
 	defer p.Sleep(cpu / 2)
 	switch t {

@@ -77,8 +77,8 @@ func spreadLBA(i int, dev *DataDev) int64 {
 
 // One sparse writer on the paper's drives: caller's buffer to staging chunk,
 // chunk to record image, image to the log slab, chunk to the data slab. The
-// request's bookkeeping is recycled, so the staged chunk and a share of a
-// media slab are all a write allocates (TestRequestPathAllocations).
+// request's bookkeeping and its chunk are recycled, so a share of a media
+// slab is all a write allocates (TestRequestPathAllocations).
 func BenchmarkWriteDrained4K(b *testing.B) {
 	env, drv := paperRig(b)
 	defer env.Close()

@@ -324,12 +324,14 @@ type Driver struct {
 	// subsequent writes fail with it immediately.
 	failed error
 
-	// free is recycled request bookkeeping (DESIGN.md §4): memory, not state.
+	// free is recycled request bookkeeping and staging chunks (DESIGN.md
+	// §4): memory, not state.
 	free struct {
 		writes  freeList[pendingWrite]
 		entries freeList[bufEntry]
 		records freeList[record]
 		reads   freeList[sched.Request]
+		chunks  [][]byte
 	}
 
 	// tr observes driver decisions when tracing is enabled (nil otherwise);
@@ -590,7 +592,7 @@ func (dv *DataDev) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 	return dv.ReadOpts(p, lba, count, blockdev.Options{})
 }
 
-// ReadOpts reads with per-request QoS options.
+// ReadOpts reads with per-request options, into opts.Into when it fits.
 func (dv *DataDev) ReadOpts(p *sim.Proc, lba int64, count int, opts blockdev.Options) ([]byte, error) {
 	if err := blockdev.CheckRange(dv.size, lba, count); err != nil {
 		return nil, fmt.Errorf("trail %v read: %w", dv.id, err)
@@ -729,7 +731,7 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 		if n > d.cfg.MaxBatchSectors {
 			n = d.cfg.MaxBatchSectors
 		}
-		chunk := make([]byte, n*geom.SectorSize)
+		chunk := d.chunk(n * geom.SectorSize)
 		copy(chunk, data[off*geom.SectorSize:(off+n)*geom.SectorSize])
 		pw := d.free.writes.get()
 		*pw = pendingWrite{
@@ -769,7 +771,8 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 // read serves a read from the staging buffer when possible, otherwise from
 // the data disk (with any staged sectors overlaid, since staged data is
 // newer than the platter). The request's deadline and class ride into the
-// data-disk scheduler; a retry never fires past the deadline.
+// data-disk scheduler; a retry never fires past the deadline. Either way the
+// data lands in opts.Into when it holds count sectors.
 func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockdev.Options) ([]byte, error) {
 	if d.closed {
 		return nil, ErrClosed
@@ -783,7 +786,10 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		if e := over[i]; e.lba <= lba && e.lba+int64(e.count) >= lba+int64(count) {
 			d.stats.ReadsFromStaging++
 			d.recordStagingHit(p, devIdx, lba, count)
-			out := make([]byte, count*geom.SectorSize)
+			out := opts.Buffer(count)
+			if out == nil {
+				out = make([]byte, count*geom.SectorSize)
+			}
 			overlay(out, lba, over[i:])
 			return out, nil
 		}
@@ -798,7 +804,7 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 	req := d.free.reads.get()
 	defer d.free.reads.put(req) // runs once the result is taken
 	for attempt := 0; ; attempt++ {
-		*req = sched.Request{LBA: lba, Count: count, Deadline: opts.Deadline, Class: opts.Class}
+		*req = sched.Request{LBA: lba, Count: count, Data: opts.Buffer(count), Deadline: opts.Deadline, Class: opts.Class}
 		d.dataQueues[devIdx].Do(p, req)
 		res := req.Result
 		rq.ChildAB(span.PQueue, cursor, int64(res.Start),
@@ -1452,13 +1458,15 @@ func (d *Driver) drained() bool {
 	return true
 }
 
-// PowerCut lets go of what a power cut destroys — the staging buffer and the
-// queues are host memory — so the staged blocks are collectable while
-// recovery builds the next world. Call it once the environment is closed: the
-// driver refuses I/O afterwards, its Stats stay readable.
+// PowerCut lets go of what a power cut destroys — the staging buffer, its
+// free chunks and the queues are host memory — so the staged blocks are
+// collectable while recovery builds the next world. Call it once the
+// environment is closed: the driver refuses I/O afterwards, its Stats stay
+// readable.
 func (d *Driver) PowerCut() {
 	d.closed = true
 	d.staging, d.stagedBytes = nil, 0
+	d.free.chunks = nil
 	d.logQ.Reset(nil)
 	d.wbQueues = nil
 }

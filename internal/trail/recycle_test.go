@@ -114,17 +114,42 @@ func (l *ledger) check(step string) {
 		}
 	})
 	l.env.Run()
-	auditFree(l.t, step, l.drv)
+	auditFree(l.t, step, l.drv, nil)
 }
 
 // auditFree fails t unless every object on d's free lists is zero and listed
-// once.
-func auditFree(t *testing.T, step string, d *Driver) {
+// once, and every free chunk is listed once and neither staged nor in flight
+// (inFlight maps a flight's LBA to its chunk).
+func auditFree(t *testing.T, step string, d *Driver, inFlight map[int64][]byte) {
 	t.Helper()
 	auditList(t, step+": pending writes", &d.free.writes)
 	auditList(t, step+": staging entries", &d.free.entries)
 	auditList(t, step+": records", &d.free.records)
 	auditList(t, step+": read requests", &d.free.reads)
+	auditChunks(t, step, d, inFlight)
+}
+
+// auditChunks fails t if a free chunk is listed twice, is a staged entry's
+// data, or is a write-back flight's data.
+func auditChunks(t *testing.T, step string, d *Driver, inFlight map[int64][]byte) {
+	t.Helper()
+	held := map[*byte]string{}
+	for k, e := range d.staging {
+		held[&e.data[0]] = fmt.Sprintf("staged at lba %d", k.lba)
+	}
+	for lba, c := range inFlight {
+		held[&c[0]] = fmt.Sprintf("in flight to lba %d", lba)
+	}
+	seen := map[*byte]bool{}
+	for _, c := range d.free.chunks {
+		if seen[&c[0]] {
+			t.Errorf("%s: chunk %p is on the free list twice", step, &c[0])
+		}
+		seen[&c[0]] = true
+		if why, ok := held[&c[0]]; ok {
+			t.Errorf("%s: free chunk %p is %s", step, &c[0], why)
+		}
+	}
 }
 
 func auditList[T any](t *testing.T, what string, l *freeList[T]) {
@@ -169,19 +194,24 @@ func TestRecycledBookkeepingSurvivesRarePaths(t *testing.T) {
 	data.SetInjector(dataFault)
 	l := newLedger(t, env, drv)
 
-	// Acks that land while a write-back of the same extent is in flight.
-	inFlight, midFlightAcks := map[int64]int{}, 0
+	// Acks that land while a write-back of the same extent is in flight. The
+	// hook follows the chunk each flight carries and audits the free chunks
+	// at every acknowledgement and flight boundary of every step.
+	inFlight, midFlightAcks := map[int64][]byte{}, 0
 	env.SetProbeHook(func(ev sim.ProbeEvent) bool {
 		switch ev.Kind {
 		case sim.ProbeWBStart:
-			inFlight[ev.LBA]++
+			inFlight[ev.LBA] = drv.staging[bufKey{lba: ev.LBA, count: ev.Count}].data
 		case sim.ProbeWBEnd:
-			inFlight[ev.LBA]--
+			delete(inFlight, ev.LBA)
 		case sim.ProbeAck:
-			if inFlight[ev.LBA] > 0 {
+			if _, ok := inFlight[ev.LBA]; ok {
 				midFlightAcks++
 			}
+		default:
+			return false
 		}
+		auditChunks(t, fmt.Sprintf("at %v", ev.At), drv, inFlight)
 		return false
 	})
 	l.burst([]int{0, 1, 2, 3}, 6, 0, blockdev.Options{})
@@ -191,7 +221,7 @@ func TestRecycledBookkeepingSurvivesRarePaths(t *testing.T) {
 	}
 	l.check("supersede mid-flight")
 	if d := &drv.free; d.writes.free.Len() == 0 || d.entries.free.Len() == 0 ||
-		d.records.free.Len() == 0 || d.reads.free.Len() == 0 {
+		d.records.free.Len() == 0 || d.reads.free.Len() == 0 || len(d.chunks) == 0 {
 		t.Fatal("a free list is still empty after the first step")
 	}
 
@@ -276,7 +306,7 @@ func TestRecycledBookkeepingSurvivesRarePaths(t *testing.T) {
 		if err := drv.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		auditFree(t, "power cut", drv)
+		auditFree(t, "power cut", drv, nil)
 
 		env2 := sim.NewEnv()
 		defer env2.Close()
@@ -300,15 +330,17 @@ func TestRecycledBookkeepingSurvivesRarePaths(t *testing.T) {
 }
 
 // TestRequestPathAllocations pins what a request allocates once its
-// bookkeeping is recycled, on the paper's drives: a drained 4 KB write its
-// staged copy and a share of a media slab, and a platter read or a staging
-// hit only the buffer it returns.
+// bookkeeping and staging chunks are recycled, on the paper's drives: a
+// drained 4 KB write nothing (its chunk is the last write's, a media slab
+// share rounds to 0), a platter read or a staging hit into the caller's
+// buffer nothing, and a plain one the buffer it returns.
 func TestRequestPathAllocations(t *testing.T) {
 	env, drv := paperRig(t)
 	defer env.Close()
 	dev := drv.Dev(0)
 	buf := make([]byte, benchSectors*geom.SectorSize)
-	var write, platter, staged float64
+	into := blockdev.Options{Into: make([]byte, benchSectors*geom.SectorSize)}
+	var write, platter, platterInto, staged, stagedInto float64
 	env.Go("client", func(p *sim.Proc) {
 		i := 0
 		write = testing.AllocsPerRun(200, func() {
@@ -318,30 +350,35 @@ func TestRequestPathAllocations(t *testing.T) {
 			}
 			p.Sleep(40 * time.Millisecond) // the write-back lands; staging empties
 		})
-		platter = testing.AllocsPerRun(200, func() {
-			i++
-			if _, err := dev.Read(p, spreadLBA(i, dev), benchSectors); err != nil {
+		read := func(lba int64, opts blockdev.Options) {
+			got, err := dev.ReadOpts(p, lba, benchSectors, opts)
+			if err != nil {
 				t.Error(err)
+			} else if opts.Into != nil && &got[0] != &opts.Into[0] {
+				t.Error("a read with Options.Into returned another buffer")
 			}
-		})
+		}
+		platter = testing.AllocsPerRun(200, func() { i++; read(spreadLBA(i, dev), blockdev.Options{}) })
+		platterInto = testing.AllocsPerRun(200, func() { i++; read(spreadLBA(i, dev), into) })
 		if err := dev.Write(p, 0, benchSectors, buf); err != nil {
 			t.Error(err)
 		}
-		staged = testing.AllocsPerRun(200, func() {
-			if _, err := dev.Read(p, 0, benchSectors); err != nil {
-				t.Error(err)
-			}
-		})
+		staged = testing.AllocsPerRun(200, func() { read(0, blockdev.Options{}) })
+		stagedInto = testing.AllocsPerRun(200, func() { read(0, into) })
 	})
 	env.Run()
-	if got := drv.Stats().ReadsFromStaging; got != 201 {
-		t.Fatalf("%d reads served from staging, want the 201 staging hits", got)
+	if got := drv.Stats().ReadsFromStaging; got != 402 {
+		t.Fatalf("%d reads served from staging, want the 402 staging hits", got)
 	}
-	t.Logf("allocations: drained write %v, platter read %v, staging hit %v", write, platter, staged)
-	if write > 2 {
-		t.Errorf("a drained 4 KB write allocates %v times, want <= 2 (staged copy, media slab share)", write)
+	t.Logf("allocations: drained write %v, platter read %v (into a buffer %v), staging hit %v (into a buffer %v)",
+		write, platter, platterInto, staged, stagedInto)
+	if write > 0 {
+		t.Errorf("a drained 4 KB write allocates %v times, want 0 (a recycled chunk, a media slab share)", write)
 	}
 	if platter > 1 || staged > 1 {
 		t.Errorf("a platter read allocates %v times and a staging hit %v, want <= 1 (the returned buffer)", platter, staged)
+	}
+	if platterInto > 0 || stagedInto > 0 {
+		t.Errorf("into the caller's buffer, a platter read allocates %v times and a staging hit %v, want 0", platterInto, stagedInto)
 	}
 }

@@ -46,7 +46,8 @@ type bufKey struct {
 
 // bufEntry is one staged write pinned in the driver's buffer memory. data is
 // replaced by stage and never written through: a write-back flight keeps
-// reading the slice it was handed while newer versions arrive.
+// reading the slice it was handed while newer versions arrive, and frees it
+// once it lands (writebackLoop).
 type bufEntry struct {
 	data  []byte
 	lba   int64
@@ -232,13 +233,21 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			for _, ref := range f.refs {
 				d.commitRef(ref)
 			}
-			// Release the buffer if no newer version arrived mid-flight.
+			// Release the buffer if no newer version arrived mid-flight. The
+			// flight's chunk is free if the entry goes, or if a newer version
+			// replaced it: reads copy staged data without yielding, and this
+			// was the key's one flight.
 			e := f.entry
-			if cur := d.staging[f.key]; cur == e && e.stamp == f.ver && len(e.refs) == 0 && !e.inQueue {
+			superseded := e.stamp != f.ver
+			released := d.staging[f.key] == e && !superseded && len(e.refs) == 0 && !e.inQueue
+			if released {
 				delete(d.staging, f.key)
 				d.stagedBytes -= e.bytes()
 				d.tlStaged.Set(float64(d.StagedBytes()), int64(p.Now()))
 				d.free.entries.put(e)
+			}
+			if released || superseded {
+				d.free.chunks = append(d.free.chunks, f.req.Data)
 			}
 			d.tlFlights.Add(-1, int64(p.Now()))
 			// Write-back progress: wake foreground writes throttled on the
@@ -299,6 +308,22 @@ func (d *Driver) StagedBytes() int64 { return d.stagedBytes }
 
 // bytes is the memory e pins while staged.
 func (e *bufEntry) bytes() int64 { return int64(e.count) * geom.SectorSize }
+
+// chunk returns an n-byte staging chunk: the last one freed, or a new one
+// when none is free or the last is too small (it is dropped then), so the
+// free chunks never pin more memory than staging did at its peak. Its bytes
+// are stale: the caller overwrites all n.
+func (d *Driver) chunk(n int) []byte {
+	if k := len(d.free.chunks) - 1; k >= 0 {
+		c := d.free.chunks[k]
+		d.free.chunks[k] = nil
+		d.free.chunks = d.free.chunks[:k]
+		if cap(c) >= n {
+			return c[:n]
+		}
+	}
+	return make([]byte, n)
+}
 
 // freeList recycles objects of one type: get returns a zeroed *T, and put
 // zeroes x before keeping it, so a free object pins no chunk, record or span.
