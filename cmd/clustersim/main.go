@@ -14,11 +14,13 @@
 //
 // Usage:
 //
-//	clustersim [-shards N>=2] [-tenants N] [-requests N] [-seed N]
-//	           [-read-frac F] [-zipf S] [-chaos SCENARIO] [-verify]
+//	clustersim [-shards N>=2] [-seed N] [-chaos SCENARIO] [-verify]
 //	           [-explain-tail F] [-metrics FILE]
 //	           [-timeline DUR] [-timeline-out FILE]
 //	           [-sweep N,N,...]   (each N >= 2)
+//
+// Both modes drive experiments.ClusterMix: 1200 requests (per sweep cell)
+// from 48 tenants, 30% reads, zipf-skewed tenant popularity.
 package main
 
 import (
@@ -41,17 +43,17 @@ import (
 	"tracklog/internal/workload"
 )
 
+// requests is the number of mix arrivals in a chaos run and in each sweep
+// cell.
+const requests = 1200
+
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	shards := fs.Int("shards", 4, "shard count (at least 2)")
-	tenants := fs.Int("tenants", 48, "tenant population")
-	requests := fs.Int("requests", 1200, "mix arrivals")
 	seed := fs.Uint64("seed", 1, "workload and fault seed")
-	readFrac := fs.Float64("read-frac", 0.3, "fraction of arrivals that read")
-	zipf := fs.Float64("zipf", 0.9, "tenant popularity skew (0 = uniform)")
 	chaos := fs.String("chaos", "", `fault scenario, e.g. "shardkill=1@250ms" or "slowshard=0@100ms:500000"`)
 	verify := fs.Bool("verify", false, "read back every acked slot; exit 1 on any loss")
 	tailFrac := fs.Float64("explain-tail", 0, "explain the slowest fraction of requests (0 disables)")
@@ -72,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		res, err := experiments.Cluster(counts, *tenants, *requests, *seed)
+		res, err := experiments.Cluster(counts, requests, *seed)
 		if err != nil {
 			return fail(err)
 		}
@@ -87,11 +89,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	mixCfg := experiments.ClusterMix(requests, *seed)
 	env := sim.NewEnv()
 	defer env.Close()
 	c, err := cluster.New(env, cluster.Config{
 		Shards:   *shards,
-		Tenants:  *tenants,
+		Tenants:  mixCfg.Tenants,
 		QoS:      qos.Default(),
 		Scenario: scenario,
 		Seed:     *seed,
@@ -118,16 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		c.SetRecorder(rec)
 	}
 
-	mix, err := workload.GenerateMix(workload.MixConfig{
-		Tenants:           *tenants,
-		Requests:          *requests,
-		ReadFraction:      *readFrac,
-		Interarrival:      400 * time.Microsecond,
-		ZipfS:             *zipf,
-		BackgroundWeight:  15,
-		InteractiveWeight: 10,
-		Seed:              *seed,
-	})
+	mix, err := workload.GenerateMix(mixCfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -136,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	st := c.Stats()
 	fmt.Fprintf(stdout, "cluster: %d shards, %d tenants, %d requests, seed %d, chaos %q\n",
-		*shards, *tenants, *requests, *seed, *chaos)
+		*shards, mixCfg.Tenants, requests, *seed, *chaos)
 	fmt.Fprintf(stdout, "writes: %d issued, %d acked (%d degraded), %d shed, %d failed\n",
 		st.Writes, st.WritesAcked, st.DegradedAcks, st.WritesShed, st.WritesFailed)
 	fmt.Fprintf(stdout, "reads: %d issued, %d ok, %d failed, %d failovers, %d hedges (%d won)\n",

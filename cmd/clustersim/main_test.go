@@ -112,7 +112,7 @@ func TestShardCountBelowTwoExitsWithError(t *testing.T) {
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var out, errOut bytes.Buffer
-			code := run(append([]string{"-requests", "50"}, args...), &out, &errOut)
+			code := run(args, &out, &errOut)
 			if code != 1 || !strings.Contains(errOut.String(), "clustersim: ") {
 				t.Errorf("clustersim %v: exit %d, stderr %q; want exit 1 and an error", args, code, &errOut)
 			}

@@ -7,13 +7,17 @@
 //
 // Usage:
 //
-//	crashexplore -stack trail|raid5|wal [-seed N] [-skip N] [-window N]
+//	crashexplore -stack trail|stddisk|raid5|wal [-seed N] [-skip N] [-window N]
 //	             [-horizon DUR] [-kinds ack,media-write,...]
 //	             [-faults SCENARIO] [-fault-seed N] [-json]
 //
-// The exit status is nonzero if any branch loses or tears an acknowledged
-// write — the first failing event index in the summary is the minimal
-// counterexample for bisection.
+// -window 0 scans every probe index from -skip to the horizon; -horizon 0
+// selects crashexplore.DefaultHorizon. A negative -skip, -window or
+// -horizon is a usage error.
+//
+// The exit status is 1 if any branch loses or tears an acknowledged write —
+// the first failing event index in the summary is the minimal counterexample
+// for bisection — and 2 on a usage or set-up error.
 package main
 
 import (
@@ -33,10 +37,10 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("crashexplore", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	stackName := fs.String("stack", "trail", "stack under test: trail, raid5, or wal")
+	stackName := fs.String("stack", "trail", "stack under test: trail, stddisk, raid5, or wal")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	skip := fs.Int64("skip", 0, "first probe index to explore")
-	window := fs.Int64("window", 100, "number of probe indices to scan from -skip")
+	window := fs.Int64("window", 100, "number of probe indices to scan from -skip (0 = every index to the horizon)")
 	horizon := fs.Duration("horizon", crashexplore.DefaultHorizon, "virtual-time budget per branch")
 	kindsFlag := fs.String("kinds", "", "comma-separated probe kinds to branch on (default: all)")
 	faults := fs.String("faults", "", "fault scenario on the data disk (trail stack only), e.g. latent=2,timeout=2")
@@ -49,6 +53,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "crashexplore:", err)
 		return 2
+	}
+	if *skip < 0 || *window < 0 || *horizon < 0 {
+		return fail(fmt.Errorf("-skip %d, -window %d, -horizon %v: none may be negative", *skip, *window, *horizon))
 	}
 
 	st, err := stacks.ByName(*stackName, *faults, *faultSeed)

@@ -43,3 +43,26 @@ func TestCIWindowsGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestBadArgumentsExit2: a negative -skip, -window or -horizon is refused
+// with exit status 2 and an error on stderr before anything runs. A
+// negative -window once scanned the whole horizon and a negative -horizon
+// ran the default one.
+func TestBadArgumentsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-skip", "-1"},
+		{"-window", "-5"},
+		{"-horizon", "-80ms"},
+		{"-stack", "nope"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			if code := run(args, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "crashexplore: ") {
+				t.Errorf("crashexplore %v: exit %d, stderr %q; want exit 2 and an error", args, code, &errOut)
+			}
+			if out.Len() != 0 {
+				t.Errorf("crashexplore %v printed a result:\n%s", args, &out)
+			}
+		})
+	}
+}

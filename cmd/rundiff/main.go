@@ -10,16 +10,23 @@
 //
 // Usage:
 //
-//	rundiff [flags] BASE CUR
+//	rundiff [-mean-tol F] [-p50-tol F] [-p99-tol F] [-rate-tol F]
+//	        [-occ-tol PP] [-json] BASE CUR
 //
 // BASE and CUR are either run-artifact directories or bare benchfmt JSON
 // files. A directory is probed for the conventional artifact names, all
 // optional (at least one must exist):
 //
 //	bench.json    benchfmt summary        (trailsim -bench-out, trailbench -json)
-//	timeline.csv  utilization timeline    (-timeline/-timeline-out)
-//	spans.json    span dump               (-span-out)
-//	metrics.prom  telemetry export        (-metrics)
+//	timeline.csv  utilization timeline    (trailsim -timeline/-timeline-out)
+//	spans.json    span dump               (trailsim -span-out)
+//	metrics.prom  telemetry export        (trailsim -metrics)
+//
+// -mean-tol, -p50-tol and -p99-tol bound the latency metrics, -rate-tol the
+// rates (all 0.10 by default), -occ-tol floors the attribution rows in
+// percentage points of run time (default 1), and -json prints the whole
+// report as JSON, every attribution row included (the text form prints the
+// top ten).
 //
 // The report has three layers. The bench section is the regression gate:
 // tolerances are relative (0.10 = a metric may be up to 10% worse before the
@@ -31,7 +38,7 @@
 // phases, both in percentage points of total run time, so they are directly
 // comparable — worst first; occupancy findings carry the contiguous bucket
 // window where the shift is largest. The support section lists count, level,
-// and telemetry value changes beyond the relative tolerance. The verdict
+// and telemetry value changes of 10% or more. The verdict
 // line names the worst bench regression and the top-ranked attribution; a
 // regression with no attribution above tolerance is flagged UNEXPLAINED.
 //
@@ -228,8 +235,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p99Tol := fs.Float64("p99-tol", 0.10, "relative p99-latency tolerance (negative disables)")
 	rateTol := fs.Float64("rate-tol", 0.10, "relative throughput-rate drop tolerance (negative disables)")
 	occTol := fs.Float64("occ-tol", 1.0, "attribution floor in percentage points of run time")
-	supTol := fs.Float64("support-tol", 0.10, "relative change floor for count/level/telemetry support rows")
-	top := fs.Int("top", 10, "attribution rows to print (the JSON report always carries all)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -249,11 +254,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	rep := compare(base, cur, tolerances{
-		bench:   benchfmt.Tolerance{Mean: *meanTol, P50: *p50Tol, P99: *p99Tol, Rate: *rateTol},
-		occPP:   *occTol,
-		support: *supTol,
-	})
+	rep := compare(base, cur, benchfmt.Tolerance{Mean: *meanTol, P50: *p50Tol, P99: *p99Tol, Rate: *rateTol}, *occTol)
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -263,7 +264,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		printReport(stdout, rep, *top)
+		printReport(stdout, rep)
 	}
 	if rep.Findings > 0 {
 		return 1
@@ -271,19 +272,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-type tolerances struct {
-	bench   benchfmt.Tolerance
-	occPP   float64
-	support float64
-}
+// supportTol is the relative change a count, level or telemetry series
+// must reach to become a support row (0.10 = 10%).
+const supportTol = 0.10
 
-// compare builds the full report for one artifact pair.
-func compare(base, cur *artifacts, tol tolerances) *Report {
+// topRows is how many attribution rows the text report prints; the JSON
+// report carries all of them.
+const topRows = 10
+
+// compare builds the full report for one artifact pair: bench gates the
+// benchmark summary, occPP (percentage points of run time) floors the
+// attribution rows.
+func compare(base, cur *artifacts, bench benchfmt.Tolerance, occPP float64) *Report {
 	rep := &Report{Base: base.path, Cur: cur.path}
-	benchRegressed := compareBench(rep, base, cur, tol.bench)
-	compareTimelines(rep, base.tl, cur.tl, tol)
-	compareSpans(rep, base.spans, cur.spans, tol.occPP)
-	compareProm(rep, base.prom, cur.prom, tol.support)
+	benchRegressed := compareBench(rep, base, cur, bench)
+	compareTimelines(rep, base.tl, cur.tl, occPP)
+	compareSpans(rep, base.spans, cur.spans, occPP)
+	compareProm(rep, base.prom, cur.prom)
 
 	sort.SliceStable(rep.Attribution, func(i, j int) bool {
 		ai, aj := rep.Attribution[i], rep.Attribution[j]
@@ -375,7 +380,7 @@ func compareBench(rep *Report, base, cur *artifacts, tol benchfmt.Tolerance) boo
 // compareTimelines aligns two timeline exports by series key and feeds
 // occupancy shares into the attribution ranking, count totals and level
 // averages into the support section.
-func compareTimelines(rep *Report, base, cur *timeline.Timeline, tol tolerances) {
+func compareTimelines(rep *Report, base, cur *timeline.Timeline, occPP float64) {
 	switch {
 	case base == nil && cur == nil:
 		return
@@ -395,15 +400,15 @@ func compareTimelines(rep *Report, base, cur *timeline.Timeline, tol tolerances)
 		kind := seriesKind(bs, cs)
 		switch kind {
 		case "occupancy_ns":
-			occupancyAttrib(rep, key, base, cur, bs, cs, tol.occPP)
+			occupancyAttrib(rep, key, base, cur, bs, cs, occPP)
 		case "count":
 			b, c := seriesTotal(bs), seriesTotal(cs)
-			if pct, over := relDelta(b, c, tol.support); over {
+			if pct, over := relDelta(b, c, supportTol); over {
 				rep.Support = append(rep.Support, supportRow("count", key, b, c, pct))
 			}
 		case "mean":
 			b, c := seriesAvg(bs, base.Buckets()), seriesAvg(cs, cur.Buckets())
-			if pct, over := relDelta(b, c, tol.support); over {
+			if pct, over := relDelta(b, c, supportTol); over {
 				rep.Support = append(rep.Support, supportRow("level", key, b, c, pct))
 			}
 		}
@@ -579,7 +584,7 @@ func compareSpans(rep *Report, base, cur *spanDump, occPP float64) {
 
 // compareProm diffs two telemetry exports by metric name, reporting values
 // whose relative change clears the support tolerance.
-func compareProm(rep *Report, base, cur map[string]float64, tol float64) {
+func compareProm(rep *Report, base, cur map[string]float64) {
 	switch {
 	case base == nil && cur == nil:
 		return
@@ -600,7 +605,7 @@ func compareProm(rep *Report, base, cur map[string]float64, tol float64) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if pct, over := relDelta(base[n], cur[n], tol); over {
+		if pct, over := relDelta(base[n], cur[n], supportTol); over {
 			rep.Support = append(rep.Support, supportRow("telemetry", n, base[n], cur[n], pct))
 		}
 	}
@@ -634,7 +639,7 @@ func sign(v float64) int {
 // printReport renders the text form: bench table, ranked attribution,
 // support rows, notes, verdict. Sections with no rows are omitted, so the
 // aligned-runs report is a single ok line.
-func printReport(w io.Writer, rep *Report, top int) {
+func printReport(w io.Writer, rep *Report) {
 	regressed := 0
 	for _, d := range rep.Bench {
 		if d.Regressed {
@@ -664,7 +669,7 @@ func printReport(w io.Writer, rep *Report, top int) {
 	if len(rep.Attribution) > 0 {
 		fmt.Fprintln(w, "== attribution (share of run) ==")
 		for i, a := range rep.Attribution {
-			if top >= 0 && i >= top {
+			if i >= topRows {
 				fmt.Fprintf(w, "... %d more (see -json)\n", len(rep.Attribution)-i)
 				break
 			}

@@ -341,7 +341,7 @@ func FuzzRunDiffLoad(f *testing.F) {
 		}
 		// Loaded cleanly: comparing the run with itself must not panic and
 		// must report zero findings.
-		if rep := compare(a, a, tolerances{occPP: 1, support: 0.1}); rep.Findings != 0 {
+		if rep := compare(a, a, benchfmt.Tolerance{}, 1); rep.Findings != 0 {
 			t.Fatalf("self-compare found %d findings", rep.Findings)
 		}
 	})

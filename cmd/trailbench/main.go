@@ -10,15 +10,16 @@
 //     uses), with the kernel's work counters and events per VIRTUAL second;
 //   - cluster/shards={2,4,8}: the scale-out sweep at 600 requests.
 //
-// The file is byte-deterministic for a given seed, so CI runs trailbench
-// twice, byte-compares the two files, and gates the result against the
-// checked-in baseline with `rundiff BENCH_trail.json BENCH_current.json`.
+// Every entry runs at seed 1, so the file is byte-deterministic: CI runs
+// trailbench twice, byte-compares the two files, and gates the result
+// against the checked-in baseline with `rundiff BENCH_trail.json
+// BENCH_current.json`.
 // Host cost (wall time, allocations) is measured from outside the module by
 // bench/ (`bash bench/run.sh`), never here.
 //
 // Usage:
 //
-//	trailbench [-json FILE] [-seed N] [-telemetry FILE]
+//	trailbench [-json FILE] [-telemetry FILE]
 //	           [-timeline DUR] [-timeline-out FILE]
 //
 // -telemetry exports each world's unified registry as Prometheus text, one
@@ -48,9 +49,10 @@ import (
 	"tracklog/internal/workload"
 )
 
-// The gate file's fixed sizes. Changing any of them re-baselines
+// The gate file's fixed seed and sizes. Changing any of them re-baselines
 // BENCH_trail.json.
 const (
+	seed            = 1
 	gridWrites      = 200
 	worldWrites     = 400
 	clusterRequests = 600
@@ -72,14 +74,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trailbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.String("json", "BENCH_trail.json", "benchfmt gate file to write (empty disables)")
-	seed := fs.Uint64("seed", 1, "random seed")
 	telemetryOut := fs.String("telemetry", "", "telemetry export base path (Prometheus text); one file per world, world name inserted before the extension")
 	tlBucket := fs.Duration("timeline", 0, "aggregate per-layer state occupancy into virtual-time buckets of this width (0 disables)")
 	tlOut := fs.String("timeline-out", "timeline.csv", "timeline export base path for -timeline; one file per sync-write configuration and per world, the slash-mangled name inserted before the extension (CSV)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	bf, err := measure(*seed, artifacts{telemetryBase: *telemetryOut, tlBucket: *tlBucket, tlBase: *tlOut})
+	bf, err := measure(artifacts{telemetryBase: *telemetryOut, tlBucket: *tlBucket, tlBase: *tlOut})
 	if err == nil && *jsonOut != "" {
 		err = bf.WriteFile(*jsonOut)
 	}
@@ -94,12 +95,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // measure runs every gate entry in file order.
-func measure(seed uint64, art artifacts) (*benchfmt.File, error) {
+func measure(art artifacts) (*benchfmt.File, error) {
 	bf := &benchfmt.File{Writes: gridWrites, Seed: seed}
 	for _, system := range []string{"trail", "std"} {
 		for _, mode := range []workload.Mode{workload.Sparse, workload.Clustered} {
 			for _, sizeKB := range []int{1, 8} {
-				e, err := gridPoint(system, mode, sizeKB, seed, art)
+				e, err := gridPoint(system, mode, sizeKB, art)
 				if err != nil {
 					return nil, err
 				}
@@ -129,7 +130,7 @@ func measure(seed uint64, art artifacts) (*benchfmt.File, error) {
 			},
 		})
 	}
-	xp, err := explorePoint(seed)
+	xp, err := explorePoint()
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +142,7 @@ func measure(seed uint64, art artifacts) (*benchfmt.File, error) {
 		}
 		bf.Experiments = append(bf.Experiments, e)
 	}
-	sweep, err := experiments.Cluster([]int{2, 4, 8}, 0, clusterRequests, seed)
+	sweep, err := experiments.Cluster([]int{2, 4, 8}, clusterRequests, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +172,7 @@ func measure(seed uint64, art artifacts) (*benchfmt.File, error) {
 // instants; branches_per_virtual_sec is explored branches over summed
 // replayed virtual time), so the entry is byte-deterministic and the gate
 // catches probe-schedule regressions exactly.
-func explorePoint(seed uint64) (benchfmt.Entry, error) {
+func explorePoint() (benchfmt.Entry, error) {
 	st, err := stacks.TrailStack("", 0)
 	if err != nil {
 		return benchfmt.Entry{}, err
@@ -208,7 +209,7 @@ func explorePoint(seed uint64) (benchfmt.Entry, error) {
 // gridPoint runs one sync-write configuration on a fresh rig. With a
 // timeline bucket it also attaches an aggregator to every layer of the rig
 // and exports the per-configuration occupancy timeline.
-func gridPoint(system string, mode workload.Mode, sizeKB int, seed uint64, art artifacts) (benchfmt.Entry, error) {
+func gridPoint(system string, mode workload.Mode, sizeKB int, art artifacts) (benchfmt.Entry, error) {
 	var agg *timeline.Aggregator
 	if art.tlBucket > 0 {
 		agg = timeline.New(art.tlBucket)

@@ -6,6 +6,7 @@
 //	go run ./cmd/trailcheck ./...             # plain, vet-style output
 //	go run ./cmd/trailcheck -json ./...       # machine-readable findings
 //	go run ./cmd/trailcheck -analyzers virtualtime ./internal/trail
+//	go run ./cmd/trailcheck -list             # name and describe each analyzer
 //
 // Exit status: 0 clean, 1 findings, 2 usage/load failure. There is no
 // suppression directive: a finding is fixed, not silenced.
@@ -29,7 +30,7 @@ func run() int {
 	names := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := flag.Bool("list", false, "list available analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: trailcheck [-json] [-analyzers a,b] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: trailcheck [-json] [-analyzers a,b] [-list] [packages]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

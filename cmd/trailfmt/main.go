@@ -1,12 +1,12 @@
 // Command trailfmt demonstrates the Trail log disk format: it formats a
-// simulated ST41601N, runs a small workload through the driver, and then
+// simulated ST41601N, runs eight small writes through the driver, and then
 // inspects the raw media the way the recovery scanner does — dumping the
-// disk header, walking tracks for write records, and following the
-// prev_sect chain from the youngest record.
+// disk header, walking tracks for write records, and naming the youngest
+// record of the current epoch, where recovery's prev_sect walk starts.
 //
 // Usage:
 //
-//	trailfmt [-writes N] [-crash] [-v]
+//	trailfmt [-crash]
 package main
 
 import (
@@ -28,20 +28,21 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trailfmt", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	writes := fs.Int("writes", 8, "writes to run before inspecting")
 	crash := fs.Bool("crash", false, "cut power before write-back completes")
-	verbose := fs.Bool("v", false, "dump every record's block list")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := demo(stdout, *writes, *crash, *verbose); err != nil {
+	if err := demo(stdout, *crash); err != nil {
 		fmt.Fprintln(stderr, "trailfmt:", err)
 		return 1
 	}
 	return 0
 }
 
-func demo(w io.Writer, writes int, crash, verbose bool) error {
+// writes is the demo workload's length.
+const writes = 8
+
+func demo(w io.Writer, crash bool) error {
 	sys, err := rig.Prepare(rig.Config{})
 	if err != nil {
 		return err
@@ -85,12 +86,12 @@ func demo(w io.Writer, writes int, crash, verbose bool) error {
 		fmt.Fprintf(w, "workload drained cleanly\n\n")
 	}
 
-	return inspect(w, log, verbose)
+	return inspect(w, log)
 }
 
 // inspect reads the media directly (as an offline tool would) and prints
 // the on-disk structures.
-func inspect(w io.Writer, log *disk.Disk, verbose bool) error {
+func inspect(w io.Writer, log *disk.Disk) error {
 	hdr, err := trail.ReadHeader(log)
 	if err != nil {
 		return err
@@ -99,10 +100,7 @@ func inspect(w io.Writer, log *disk.Disk, verbose bool) error {
 		hdr.Epoch, hdr.CleanShutdown, hdr.Geom.Cylinders, hdr.Geom.Heads)
 
 	g := log.Geom()
-	type found struct {
-		hdr *trail.RecordHeader
-	}
-	var records []found
+	var records []*trail.RecordHeader
 	for _, track := range trail.UsableTracks(g) {
 		cyl, head := g.TrackOf(track)
 		spt := g.SPTAt(cyl)
@@ -123,24 +121,14 @@ func inspect(w io.Writer, log *disk.Disk, verbose bool) error {
 			if err != nil || rh.HeaderLBA != base+int64(s) {
 				continue
 			}
-			records = append(records, found{hdr: rh})
+			records = append(records, rh)
 		}
 	}
 	fmt.Fprintf(w, "write records on media: %d\n", len(records))
 	var youngest *trail.RecordHeader
 	for _, r := range records {
-		if r.hdr.Epoch != hdr.Epoch {
-			continue
-		}
-		if youngest == nil || r.hdr.Seq > youngest.Seq {
-			youngest = r.hdr
-		}
-		if verbose {
-			fmt.Fprintf(w, "  seq=%-6d lba=%-8d prev=%-8d logHead=%-8d blocks=%d\n",
-				r.hdr.Seq, r.hdr.HeaderLBA, r.hdr.PrevSect, r.hdr.LogHead, len(r.hdr.Blocks))
-			for _, b := range r.hdr.Blocks {
-				fmt.Fprintf(w, "      -> %v lba %d\n", b.Dev, b.DataLBA)
-			}
+		if r.Epoch == hdr.Epoch && (youngest == nil || r.Seq > youngest.Seq) {
+			youngest = r
 		}
 	}
 	if youngest != nil {

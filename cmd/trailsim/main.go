@@ -4,12 +4,14 @@
 //
 // Usage:
 //
-//	trailsim [-system trail|std] [-mode sparse|clustered] [-size BYTES]
-//	         [-procs N] [-writes N] [-seed N]
-//	trailsim -pattern uniform|sequential|zipf [-write-ratio R]   # synthetic trace
-//	trailsim -replay FILE                                        # replay a trace file
-//	trailsim -faults latent=3,timeout=1 [-fault-seed N]          # inject media faults
-//	trailsim -faulttol [-faults SCENARIO]                        # 3-system fault comparison
+//	trailsim [-system trail|std] [-size BYTES] [-procs N] [-writes N] [-seed N]
+//	trailsim -pattern uniform|sequential|zipf    # synthetic trace, 70% writes
+//	trailsim -replay FILE                        # replay a trace file
+//	trailsim -faults latent=3,timeout=1          # inject media faults (sampled from -seed)
+//	trailsim -faulttol [-faults SCENARIO]        # 3-system fault comparison
+//
+// The closed-loop writers run the paper's sparse mode (§5.1): each waits
+// 5 ms after a completion before issuing its next write.
 //
 // Overload (composable with -faults and the observability flags):
 //
@@ -32,7 +34,6 @@
 //	-trace out.json        write a Chrome trace-event JSON file of the run
 //	                       (load in ui.perfetto.dev or chrome://tracing) and
 //	                       print the head-position prediction audit
-//	-trace-cap N           trace ring capacity in events
 //	-metrics FILE          write the telemetry registry at exit: kernel, driver
 //	                       counters and per-disk series (Prometheus text
 //	                       exposition)
@@ -43,7 +44,14 @@
 //	                       Chrome file as async spans tied by flow arrows
 //	-explain-tail FRAC     explain the slowest FRAC of requests (0.01 = the
 //	                       slowest 1%): dominant phase and root cause
-//	-span-cap N            span recorder ring capacity in requests
+//	-timeline D            aggregate per-layer state occupancy into virtual-time
+//	                       buckets of width D
+//	-timeline-out FILE     timeline export file for -timeline (CSV)
+//	-bench-out FILE        write a single-entry benchfmt summary of the run's
+//	                       latency distribution (for cmd/rundiff)
+//	-seek-derate PPM       slow the log disk's seek arm by PPM parts per million
+//	                       while the driver keeps predicting the spec curve (a
+//	                       perturbation for cmd/rundiff walkthroughs)
 //
 // Traced runs are bit-identical in virtual time to untraced runs of the same
 // seed, and trace/span/metrics/timeline files are byte-identical across
@@ -84,16 +92,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trailsim", flag.ExitOnError)
 	fs.SetOutput(stderr)
 	system := fs.String("system", "trail", "storage system: trail or std")
-	mode := fs.String("mode", "sparse", "arrival mode: sparse or clustered")
 	size := fs.Int("size", 1024, "write size in bytes (sector multiple)")
 	procs := fs.Int("procs", 1, "concurrent writer processes")
 	writes := fs.Int("writes", 200, "writes per process")
 	seed := fs.Uint64("seed", 1, "random seed")
 	replayFile := fs.String("replay", "", "replay an I/O trace file instead of the synthetic workload")
 	pattern := fs.String("pattern", "", "synthesize-and-replay with this target pattern: uniform, sequential, zipf")
-	writeRatio := fs.Float64("write-ratio", 0.7, "write fraction for -pattern traces")
 	faults := fs.String("faults", "", "fault scenario to inject on every drive (key=value terms, e.g. latent=3,timeout=1; see internal/fault)")
-	faultSeed := fs.Uint64("fault-seed", 0, "seed for fault sampling (default: -seed)")
 	faultTol := fs.Bool("faulttol", false, "run the standard/trail/raid5 fault-tolerance comparison under -faults")
 	qosOn := fs.Bool("qos", false, "enable the default overload policy (admission bounds, retry budgets, throttling)")
 	deadline := fs.Duration("deadline", 0, "per-request deadline: issue time + D (0 disables)")
@@ -101,24 +106,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	offeredLoad := fs.Float64("offered-load", 0, "open-loop write arrival rate per second of virtual time (0 = closed-loop)")
 	verify := fs.Bool("verify", false, "with -offered-load, audit acknowledged-write survival and exit nonzero on loss")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file of the run")
-	traceCap := fs.Int("trace-cap", trace.DefaultCapacity, "trace ring capacity in events")
 	metricsOut := fs.String("metrics", "", "write the unified telemetry registry at exit (Prometheus text); kernel + component series, byte-deterministic")
 	spans := fs.Bool("spans", false, "print the per-request span budget (critical-path latency breakdown)")
 	spanOut := fs.String("span-out", "", "write every request's span tree as deterministic JSON")
 	explainTail := fs.Float64("explain-tail", 0, "explain the slowest FRAC of requests (e.g. 0.01; 0 disables)")
-	spanCap := fs.Int("span-cap", span.DefaultCapacity, "span recorder ring capacity in requests")
 	timelineBucket := fs.Duration("timeline", 0, "aggregate per-layer state occupancy into virtual-time buckets of this width (0 disables)")
 	timelineOut := fs.String("timeline-out", "timeline.csv", "timeline export file for -timeline (CSV)")
 	seekDerate := fs.Int64("seek-derate", 0, "slow the log disk's actual seek arm by this many parts per million while driver predictions keep the spec curve (perturbation knob for cmd/rundiff walkthroughs)")
 	benchOut := fs.String("bench-out", "", "write a single-entry benchfmt summary of the run's latency distribution (for cmd/rundiff)")
 	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
-	if *faultSeed == 0 {
-		*faultSeed = *seed
-	}
 
-	obs := newObserver(*traceOut, *traceCap)
+	obs := newObserver(*traceOut)
 	if *spans || *spanOut != "" || *explainTail > 0 {
-		obs.setSpans(*spanCap, *spans, *spanOut, *explainTail)
+		obs.setSpans(*spans, *spanOut, *explainTail)
 	}
 	if *metricsOut != "" {
 		obs.setMetrics(*metricsOut)
@@ -131,15 +131,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var err error
 	switch {
 	case *faultTol:
-		err = runFaultTol(stdout, *faults, *writes, *faultSeed)
+		err = runFaultTol(stdout, *faults, *writes, *seed)
 	case *replayFile != "":
 		err = runReplayFile(stdout, *system, *replayFile, pol, *seekDerate, obs)
 	case *pattern != "":
-		err = runPattern(stdout, *system, *pattern, *writes, *size, *writeRatio, *seed, pol, *seekDerate, obs)
+		err = runPattern(stdout, *system, *pattern, *writes, *size, *seed, pol, *seekDerate, obs)
 	case *offeredLoad > 0:
-		err = runOpenLoop(stdout, *system, *size, *writes, *offeredLoad, *seed, *faults, *faultSeed, pol, *seekDerate, *verify, obs)
+		err = runOpenLoop(stdout, *system, *size, *writes, *offeredLoad, *seed, *faults, pol, *seekDerate, *verify, obs)
 	default:
-		err = runSync(stdout, *system, *mode, *size, *procs, *writes, *seed, *faults, *faultSeed, pol, *seekDerate, obs)
+		err = runSync(stdout, *system, *size, *procs, *writes, *seed, *faults, pol, *seekDerate, obs)
 	}
 	if err == nil {
 		err = obs.finish(stdout)
@@ -182,10 +182,10 @@ type observer struct {
 	benchEntry *benchfmt.Entry
 }
 
-func newObserver(traceOut string, traceCap int) *observer {
+func newObserver(traceOut string) *observer {
 	o := &observer{traceOut: traceOut}
 	if traceOut != "" {
-		o.tr = trace.New(traceCap)
+		o.tr = trace.New(trace.DefaultCapacity)
 	}
 	return o
 }
@@ -193,8 +193,8 @@ func newObserver(traceOut string, traceCap int) *observer {
 // setSpans installs the span recorder before the run starts. Installing
 // through a setter (rather than poking the fields) is the nilguard
 // invariant: instrumentation handles never change once the clock moves.
-func (o *observer) setSpans(capacity int, print bool, out string, tailFrac float64) {
-	o.rec = span.NewRecorder(capacity)
+func (o *observer) setSpans(print bool, out string, tailFrac float64) {
+	o.rec = span.NewRecorder(span.DefaultCapacity)
 	o.spans = print
 	o.spanOut = out
 	o.tailFrac = tailFrac
@@ -330,9 +330,9 @@ func qosPolicy(on bool, deadline time.Duration, maxDepth int) *qos.Policy {
 
 // buildRig assembles the chosen storage system on a fresh environment with
 // the observer attached, optionally with the fault scenario on every drive
-// and the overload policy on the driver.
-func buildRig(system, scenario string, faultSeed uint64, pol *qos.Policy, seekDeratePPM int64, obs *observer) (*rig.Rig, error) {
-	cfg := rig.Config{FaultSeed: faultSeed, Instruments: obs.instruments()}
+// (its plans sampled from seed) and the overload policy on the driver.
+func buildRig(system, scenario string, seed uint64, pol *qos.Policy, seekDeratePPM int64, obs *observer) (*rig.Rig, error) {
+	cfg := rig.Config{FaultSeed: seed, Instruments: obs.instruments()}
 	if scenario != "" {
 		fcfg, err := fault.ParseScenario(scenario)
 		if err != nil {
@@ -391,7 +391,7 @@ func runReplayFile(w io.Writer, system, path string, pol *qos.Policy, seekDerate
 }
 
 // runPattern synthesizes a trace with the named pattern and replays it.
-func runPattern(w io.Writer, system, pattern string, ops, size int, writeRatio float64, seed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
+func runPattern(w io.Writer, system, pattern string, ops, size int, seed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
 	if size <= 0 || size%geom.SectorSize != 0 {
 		return fmt.Errorf("write size %d not a positive sector multiple", size)
 	}
@@ -412,7 +412,7 @@ func runPattern(w io.Writer, system, pattern string, ops, size int, writeRatio f
 	default:
 		return fmt.Errorf("unknown pattern %q", pattern)
 	}
-	tr := workload.SynthesizeTrace(ops, pat, writeRatio, size/geom.SectorSize, 3*time.Millisecond, dev.Sectors(), seed)
+	tr := workload.SynthesizeTrace(ops, pat, 0.7, size/geom.SectorSize, 3*time.Millisecond, dev.Sectors(), seed)
 	res, err := workload.Replay(env, dev, tr)
 	if err != nil {
 		return err
@@ -429,23 +429,16 @@ func printReplay(w io.Writer, system, source string, res *workload.ReplayResult)
 }
 
 // runSync runs the closed-loop synchronous-write workload.
-func runSync(w io.Writer, system, mode string, size, procs, writes int, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
-	r, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
+func runSync(w io.Writer, system string, size, procs, writes int, seed uint64, scenario string, pol *qos.Policy, seekDerate int64, obs *observer) error {
+	r, err := buildRig(system, scenario, seed, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
 	env, dev, drv := r.Env, r.Dev(0), r.Trail
 
-	m := workload.Sparse
-	if mode == "clustered" {
-		m = workload.Clustered
-	} else if mode != "sparse" {
-		return fmt.Errorf("unknown mode %q", mode)
-	}
-
 	res, err := workload.RunSyncWrites(env, dev, workload.SyncWriteConfig{
-		Mode:             m,
+		Mode:             workload.Sparse,
 		WriteSize:        size,
 		Processes:        procs,
 		WritesPerProcess: writes,
@@ -507,8 +500,8 @@ type ackedWrite struct {
 // deadline outcomes. With verify, every acknowledged write is read back
 // after the run: an acknowledged write that cannot be read back intact is
 // data loss and fails the run.
-func runOpenLoop(w io.Writer, system string, size, writes int, rate float64, seed uint64, scenario string, faultSeed uint64, pol *qos.Policy, seekDerate int64, verify bool, obs *observer) error {
-	r, err := buildRig(system, scenario, faultSeed, pol, seekDerate, obs)
+func runOpenLoop(w io.Writer, system string, size, writes int, rate float64, seed uint64, scenario string, pol *qos.Policy, seekDerate int64, verify bool, obs *observer) error {
+	r, err := buildRig(system, scenario, seed, pol, seekDerate, obs)
 	if err != nil {
 		return err
 	}

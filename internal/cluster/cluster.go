@@ -43,36 +43,25 @@ type Config struct {
 	// tenant needs a primary and a distinct replica).
 	Shards int
 	// Tenants is the number of simulated tenants routed over the shards
-	// (default 64).
+	// (default 64), each with workload.BlocksPerTenant addressable blocks.
 	Tenants int
-	// BlocksPerTenant is each tenant's addressable block count (default 2).
-	BlocksPerTenant int
 	// WriteSize is the bytes per block write; must be a sector multiple
 	// (default 1024, the paper's small-write size).
 	WriteSize int
-	// VNodes is the number of ring points per shard (default 16); more
-	// vnodes smooth tenant placement.
-	VNodes int
 	// HeartbeatInterval is the gap between health probes per shard
 	// (default 20ms); ProbeTimeout is each probe's deadline (default 60ms).
 	HeartbeatInterval time.Duration
 	ProbeTimeout      time.Duration
-	// SuspectAfter / DeadAfter are the consecutive probe failures that move
-	// a shard to Suspect (default 2) and Dead (default 4). A hard
-	// device-failure error from any request marks the shard Dead at once.
-	SuspectAfter int
-	DeadAfter    int
 	// ReplaceAfter is how long after death a replacement shard is
 	// provisioned and rebuild starts (default 150ms).
 	ReplaceAfter time.Duration
 	// HedgeAfter is the read-hedging delay: if the primary has not answered
 	// by then, the replica is asked too and the first answer wins
-	// (default 25ms; 0 disables hedging).
+	// (0 selects the default 25ms; a negative value disables hedging).
 	HedgeAfter time.Duration
-	// QoS is each shard's admission policy (nil = fully permissive).
+	// QoS is each shard's admission policy (nil = fully permissive); the
+	// shard's Trail driver otherwise runs with the default trail.Config.
 	QoS *qos.Policy
-	// Trail is the per-shard Trail configuration (zero value = defaults).
-	Trail trail.Config
 	// Scenario schedules whole-shard chaos (kills, derates).
 	Scenario fault.ShardScenario
 	// Seed feeds the shards' fault plans.
@@ -86,26 +75,14 @@ func (c Config) withDefaults() Config {
 	if c.Tenants == 0 {
 		c.Tenants = 64
 	}
-	if c.BlocksPerTenant == 0 {
-		c.BlocksPerTenant = 2
-	}
 	if c.WriteSize == 0 {
 		c.WriteSize = 1024
-	}
-	if c.VNodes == 0 {
-		c.VNodes = 16
 	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 20 * time.Millisecond
 	}
 	if c.ProbeTimeout == 0 {
 		c.ProbeTimeout = 60 * time.Millisecond
-	}
-	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 2
-	}
-	if c.DeadAfter == 0 {
-		c.DeadAfter = 4
 	}
 	if c.ReplaceAfter == 0 {
 		c.ReplaceAfter = 150 * time.Millisecond
@@ -213,7 +190,7 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		env:  env,
 		cfg:  cfg,
-		ring: buildRing(cfg.Shards, cfg.VNodes),
+		ring: buildRing(cfg.Shards),
 		spb:  cfg.WriteSize / 512,
 	}
 
@@ -221,7 +198,7 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 	// primary and replica shards, in tenant order — pure slice arithmetic,
 	// so placement is identical across runs and immune to map ordering.
 	next := make([]int64, cfg.Shards)
-	region := int64(cfg.BlocksPerTenant * c.spb)
+	region := int64(workload.BlocksPerTenant * c.spb)
 	c.place = make([]Placement, cfg.Tenants)
 	for t := 0; t < cfg.Tenants; t++ {
 		pri, rep := placeTenant(c.ring, t)
@@ -236,7 +213,7 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 	c.slots = make([][]slot, cfg.Tenants)
 	c.names = make([]procNames, cfg.Tenants)
 	for t := range c.slots {
-		c.slots[t] = make([]slot, cfg.BlocksPerTenant)
+		c.slots[t] = make([]slot, workload.BlocksPerTenant)
 		n := &c.names[t]
 		for i, s := range [2]int{c.place[t].Primary, c.place[t].Replica} {
 			n.write[i] = fmt.Sprintf("cluster/w-t%d-s%d", t, s)
@@ -264,8 +241,7 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 // from the chaos scenario on both drives; replacement hardware is healthy by
 // construction.
 func (c *Cluster) provision(idx, gen int) (*Shard, error) {
-	hw := rig.Config{Env: c.env, Trail: c.cfg.Trail, FaultSeed: (c.cfg.Seed ^ 0xC10C0DE) + uint64(idx)}
-	hw.Trail.QoS = c.cfg.QoS
+	hw := rig.Config{Env: c.env, Trail: trail.Config{QoS: c.cfg.QoS}, FaultSeed: (c.cfg.Seed ^ 0xC10C0DE) + uint64(idx)}
 	if killAt := c.cfg.Scenario.KillFor(idx); gen == 0 && killAt > 0 {
 		hw.Faults = &fault.Config{FailAt: killAt}
 	}
@@ -371,9 +347,13 @@ func payloadFor(buf []byte, tenant, block int, seq int64) []byte {
 	return buf
 }
 
-// buildRing hashes VNodes points per shard onto a 64-bit ring, sorted by
+// vnodes is the number of ring points per shard; more vnodes smooth tenant
+// placement.
+const vnodes = 16
+
+// buildRing hashes vnodes points per shard onto a 64-bit ring, sorted by
 // (hash, shard) so ties cannot reorder across runs.
-func buildRing(shards, vnodes int) []ringEntry {
+func buildRing(shards int) []ringEntry {
 	ring := make([]ringEntry, 0, shards*vnodes)
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {

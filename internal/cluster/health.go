@@ -42,6 +42,13 @@ const (
 	numStates
 )
 
+// suspectAfter and deadAfter are the consecutive probe failures (missed
+// deadlines count as failures) that move a shard to Suspect and to Dead.
+const (
+	suspectAfter = 2
+	deadAfter    = 4
+)
+
 var stateNames = [numStates]string{"healthy", "suspect", "dead", "recovering"}
 
 func (s State) String() string {
@@ -126,9 +133,9 @@ func (c *Cluster) observeProbe(sh *Shard, err error, at sim.Time) {
 		return
 	}
 	sh.probeFails++
-	if sh.probeFails >= c.cfg.DeadAfter {
+	if sh.probeFails >= deadAfter {
 		c.markDead(sh, at)
-	} else if sh.probeFails >= c.cfg.SuspectAfter && sh.state == Healthy {
+	} else if sh.probeFails >= suspectAfter && sh.state == Healthy {
 		c.setState(sh, Suspect, at)
 	}
 }
@@ -142,7 +149,7 @@ func (c *Cluster) observeRequestError(sh *Shard, err error, at sim.Time) {
 		c.markDead(sh, at)
 	case blockdev.IsExpired(err):
 		sh.probeFails++
-		if sh.probeFails >= c.cfg.SuspectAfter && sh.state == Healthy {
+		if sh.probeFails >= suspectAfter && sh.state == Healthy {
 			c.setState(sh, Suspect, at)
 		}
 	}

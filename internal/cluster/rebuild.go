@@ -17,6 +17,7 @@ import (
 	"tracklog/internal/blockdev"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
+	"tracklog/internal/workload"
 )
 
 // rebuild replays sh's slots from their surviving copies. It runs inside
@@ -30,7 +31,7 @@ func (c *Cluster) rebuild(p *sim.Proc, sh *Shard) {
 		if other == sh.idx {
 			other = c.place[t].Replica
 		}
-		for b := 0; b < c.cfg.BlocksPerTenant; b++ {
+		for b := 0; b < workload.BlocksPerTenant; b++ {
 			c.rebuildSlot(p, sh, t, b, other)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tracklog/internal/sim"
+	"tracklog/internal/workload"
 )
 
 // The golden placement table pins the consistent-hash router's output for a
@@ -13,7 +14,7 @@ import (
 func TestPlacementGolden(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	c, err := New(env, Config{Shards: 4, Tenants: 16, VNodes: 16})
+	c, err := New(env, Config{Shards: 4, Tenants: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestRouterDeterministic(t *testing.T) {
 	build := func() ([]ringEntry, []Placement) {
 		env := sim.NewEnv()
 		defer env.Close()
-		c, err := New(env, Config{Shards: 5, Tenants: 300, VNodes: 16})
+		c, err := New(env, Config{Shards: 5, Tenants: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestPlacementShape(t *testing.T) {
 func TestPlacementRegionsDisjoint(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	cfg := Config{Shards: 4, Tenants: 128, BlocksPerTenant: 3, WriteSize: 1024}
+	cfg := Config{Shards: 4, Tenants: 128, WriteSize: 1024}
 	c, err := New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestPlacementRegionsDisjoint(t *testing.T) {
 		perShard[pl.Primary] = append(perShard[pl.Primary], region{tn, pl.PrimaryLBA})
 		perShard[pl.Replica] = append(perShard[pl.Replica], region{tn, pl.ReplicaLBA})
 	}
-	size := int64(cfg.BlocksPerTenant * cfg.WriteSize / 512)
+	size := int64(workload.BlocksPerTenant * cfg.WriteSize / 512)
 	for s, regs := range perShard {
 		for i := range regs {
 			for j := i + 1; j < len(regs); j++ {

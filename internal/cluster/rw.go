@@ -21,6 +21,7 @@ import (
 	"tracklog/internal/blockdev"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
+	"tracklog/internal/workload"
 )
 
 // writeOp is one write-both request's bookkeeping: its payload and one copy
@@ -355,8 +356,8 @@ func (c *Cluster) checkSlot(tenant, block int) error {
 	if tenant < 0 || tenant >= c.cfg.Tenants {
 		return fmt.Errorf("cluster: tenant %d out of range [0,%d)", tenant, c.cfg.Tenants)
 	}
-	if block < 0 || block >= c.cfg.BlocksPerTenant {
-		return fmt.Errorf("cluster: block %d out of range [0,%d)", block, c.cfg.BlocksPerTenant)
+	if block < 0 || block >= workload.BlocksPerTenant {
+		return fmt.Errorf("cluster: block %d out of range [0,%d)", block, workload.BlocksPerTenant)
 	}
 	return nil
 }

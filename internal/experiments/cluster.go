@@ -17,12 +17,12 @@ import (
 	"tracklog/internal/workload"
 )
 
-// defaultClusterMix is the multi-tenant mix every cluster experiment
-// drives: 30% reads, zipf-skewed tenants, 15% background and 10%
-// interactive traffic.
-func defaultClusterMix(tenants, requests int, seed uint64) (workload.MixConfig, error) {
-	cfg := workload.MixConfig{
-		Tenants:           tenants,
+// ClusterMix is the multi-tenant mix every cluster run drives (the sweep
+// here and clustersim's chaos run): 48 zipf-skewed tenants, 30% reads, 15%
+// background and 10% interactive traffic.
+func ClusterMix(requests int, seed uint64) workload.MixConfig {
+	return workload.MixConfig{
+		Tenants:           48,
 		Requests:          requests,
 		ReadFraction:      0.3,
 		Interarrival:      400 * time.Microsecond,
@@ -31,7 +31,6 @@ func defaultClusterMix(tenants, requests int, seed uint64) (workload.MixConfig, 
 		InteractiveWeight: 10,
 		Seed:              seed,
 	}
-	return cfg, nil
 }
 
 // ClusterPoint is one cell of the scale-out sweep.
@@ -54,22 +53,19 @@ type ClusterResult struct {
 	Points            []ClusterPoint
 }
 
-// Cluster sweeps shard counts under a fixed offered load. requests is the
-// arrivals per cell (default 1200), tenants the tenant population (default
-// 48).
-func Cluster(shardCounts []int, tenants, requests int, seed uint64) (*ClusterResult, error) {
+// Cluster sweeps shard counts under ClusterMix's offered load. requests is
+// the arrivals per cell (default 1200).
+func Cluster(shardCounts []int, requests int, seed uint64) (*ClusterResult, error) {
 	if len(shardCounts) == 0 {
 		shardCounts = []int{2, 4, 8}
-	}
-	if tenants == 0 {
-		tenants = 48
 	}
 	if requests == 0 {
 		requests = 1200
 	}
-	res := &ClusterResult{Tenants: tenants, Requests: requests}
+	mixCfg := ClusterMix(requests, seed)
+	res := &ClusterResult{Tenants: mixCfg.Tenants, Requests: requests}
 	for _, n := range shardCounts {
-		pt, err := clusterCell(n, tenants, requests, seed)
+		pt, err := clusterCell(n, mixCfg)
 		if err != nil {
 			return nil, fmt.Errorf("cluster %d shards: %w", n, err)
 		}
@@ -78,19 +74,15 @@ func Cluster(shardCounts []int, tenants, requests int, seed uint64) (*ClusterRes
 	return res, nil
 }
 
-func clusterCell(shards, tenants, requests int, seed uint64) (*ClusterPoint, error) {
+func clusterCell(shards int, mixCfg workload.MixConfig) (*ClusterPoint, error) {
 	env := sim.NewEnv()
 	defer env.Close()
 	c, err := cluster.New(env, cluster.Config{
 		Shards:  shards,
-		Tenants: tenants,
+		Tenants: mixCfg.Tenants,
 		QoS:     qos.Default(),
-		Seed:    seed,
+		Seed:    mixCfg.Seed,
 	})
-	if err != nil {
-		return nil, err
-	}
-	mixCfg, err := defaultClusterMix(tenants, requests, seed)
 	if err != nil {
 		return nil, err
 	}

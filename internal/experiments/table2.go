@@ -50,10 +50,7 @@ type TPCCConfig struct {
 	Concurrency  int
 	Warmup       int
 	LogBufferKB  int
-	// CheckpointEvery flushes dirty pages every N transactions
-	// (0 = runner default of 100; negative disables).
-	CheckpointEvery int
-	Seed            uint64
+	Seed         uint64
 }
 
 func (c TPCCConfig) withDefaults() TPCCConfig {
@@ -155,11 +152,10 @@ func Table2(cfg TPCCConfig) (*Table2Result, error) {
 			return nil, fmt.Errorf("table2 %v: %w", sys, err)
 		}
 		r, err := runner.Run(hw.Env, tpcc.RunConfig{
-			Transactions:    cfg.Transactions,
-			Concurrency:     cfg.Concurrency,
-			Warmup:          cfg.Warmup,
-			Seed:            cfg.Seed + 7,
-			CheckpointEvery: cfg.CheckpointEvery,
+			Transactions: cfg.Transactions,
+			Concurrency:  cfg.Concurrency,
+			Warmup:       cfg.Warmup,
+			Seed:         cfg.Seed + 7,
 		})
 		hw.Close()
 		if err != nil {
@@ -228,11 +224,10 @@ func Table3(cfg TPCCConfig, bufferKBs []int) (*Table3Result, error) {
 			return nil, fmt.Errorf("table3 %dKB: %w", kb, err)
 		}
 		r, err := runner.Run(hw.Env, tpcc.RunConfig{
-			Transactions:    c.Transactions,
-			Concurrency:     c.Concurrency,
-			Warmup:          c.Warmup,
-			Seed:            c.Seed + 13,
-			CheckpointEvery: c.CheckpointEvery,
+			Transactions: c.Transactions,
+			Concurrency:  c.Concurrency,
+			Warmup:       c.Warmup,
+			Seed:         c.Seed + 13,
 		})
 		hw.Close()
 		if err != nil {
@@ -298,11 +293,10 @@ func TrackUtilization(cfg TPCCConfig, concurrencies []int) (*UtilizationResult, 
 			return nil, fmt.Errorf("utilization conc=%d: %w", conc, err)
 		}
 		_, err = runner.Run(hw.Env, tpcc.RunConfig{
-			Transactions:    c.Transactions,
-			Concurrency:     conc,
-			Warmup:          c.Warmup,
-			Seed:            c.Seed + 17,
-			CheckpointEvery: c.CheckpointEvery,
+			Transactions: c.Transactions,
+			Concurrency:  conc,
+			Warmup:       c.Warmup,
+			Seed:         c.Seed + 17,
 		})
 		if err != nil {
 			hw.Close()

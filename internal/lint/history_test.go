@@ -62,7 +62,7 @@ var catches = []struct {
 	},
 	{
 		// A fault plan's device death arrives wrapped, so == misses it and
-		// the shard dies only after DeadAfter failed probes.
+		// the shard dies only after deadAfter failed probes.
 		name: "sentinel compared with ==", analyzer: "errtaxonomy",
 		file: "internal/cluster/health.go",
 		old:  "\tif errors.Is(err, blockdev.ErrDeviceFailed) {\n",

@@ -55,12 +55,11 @@ type Policy struct {
 	NormalRetries      int
 	InteractiveRetries int
 
-	// HighWater/LowWater throttle Trail foreground writes against
-	// write-back progress: when staged-but-unwritten bytes reach
-	// HighWater, new foreground writes stall until write-back drains
-	// staging below LowWater. 0 = no throttle.
+	// HighWater throttles Trail foreground writes against write-back
+	// progress: when staged-but-unwritten bytes reach HighWater, new
+	// foreground writes stall until write-back drains staging below
+	// HighWater/2. 0 = no throttle.
 	HighWater int
-	LowWater  int
 }
 
 // Default returns a policy with bounds sized for the simulated drives:
@@ -76,7 +75,6 @@ func Default() *Policy {
 		NormalRetries:      3,
 		InteractiveRetries: 5,
 		HighWater:          1 << 20,
-		LowWater:           1 << 19,
 	}
 }
 

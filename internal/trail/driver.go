@@ -636,7 +636,7 @@ func (d *Driver) shedWrite(p *sim.Proc, devIdx int, lba int64, count int) error 
 
 // throttleWrite stalls a foreground write against write-back progress when
 // staged-but-unwritten bytes exceed the policy's high-water mark, resuming
-// below the low-water mark (or failing with ErrDeadlineExceeded if the
+// below half of it (or failing with ErrDeadlineExceeded if the
 // request's deadline passes while throttled). The stall is attributed as a
 // PThrottle span child so ExplainTail can name log pressure as root cause.
 func (d *Driver) throttleWrite(p *sim.Proc, devIdx int, lba int64, count int, deadline sim.Time) error {
@@ -648,10 +648,7 @@ func (d *Driver) throttleWrite(p *sim.Proc, devIdx int, lba int64, count int, de
 	if stagedAtEntry < int64(pol.HighWater) {
 		return nil
 	}
-	low := int64(pol.LowWater)
-	if low <= 0 || low > int64(pol.HighWater) {
-		low = int64(pol.HighWater) / 2
-	}
+	low := int64(pol.HighWater) / 2
 	start := p.Now()
 	d.stats.ThrottleStalls++
 	d.tlThrottle.Inc(int64(start))

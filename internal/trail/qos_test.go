@@ -52,11 +52,9 @@ func TestQoSShedsBackgroundAtClassBound(t *testing.T) {
 
 func TestQoSThrottlesAgainstWritebackProgress(t *testing.T) {
 	// High water at 2 sectors of staging: the second write must stall until
-	// write-back progress drains the buffer, then complete successfully.
-	r := newRig(t, 1, Config{QoS: &qos.Policy{
-		HighWater: 2 * geom.SectorSize,
-		LowWater:  geom.SectorSize,
-	}})
+	// write-back progress drains the buffer below one sector, then complete
+	// successfully.
+	r := newRig(t, 1, Config{QoS: &qos.Policy{HighWater: 2 * geom.SectorSize}})
 	defer r.env.Close()
 	dev := r.drv.Dev(0)
 	r.env.Go("client", func(p *sim.Proc) {

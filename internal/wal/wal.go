@@ -50,19 +50,22 @@ const (
 type Config struct {
 	// Dev is the device holding the log (the dedicated log disk).
 	Dev blockdev.Device
-	// StartLBA and Sectors bound the log region on the device.
-	StartLBA int64
-	Sectors  int64
+	// Sectors bounds the log region, which starts at sector 0 of the
+	// device: sector 0 is the metadata sector, log data starts at 1.
+	Sectors int64
 	// Mode selects the commit discipline.
 	Mode Mode
 	// BufferBytes is the group-commit log buffer size (Table 3 sweeps 4 KB
 	// to 1200 KB; default 50 KB as in §5.2). Also used in SyncEveryCommit
 	// mode as the staging buffer, flushed at every commit.
 	BufferBytes int
-	// MetadataWrites models EXT2 O_SYNC semantics: every flush is followed
-	// by a synchronous one-sector metadata (inode) update at the start of
-	// the region. Trail-based configurations keep it on too — the write is
-	// simply cheap there, which is the point.
+	// MetadataWrites follows every flush with a synchronous one-sector
+	// metadata (inode) write to sector 0, as an EXT2 O_SYNC log file
+	// would. No program sets it: the experiments model O_SYNC file
+	// metadata with internal/fslite (reproduce -only ext-fsmeta). The TPC-C
+	// test rig (internal/tpcc's newRig) turns it on so the commit path
+	// carries that second write, and TestDeterministicRuns' concurrency-1
+	// and -4 pins were recorded with it.
 	MetadataWrites bool
 }
 
@@ -232,14 +235,14 @@ func (l *Log) Flush(p *sim.Proc) error {
 			return fmt.Errorf("%w: %d of %d sectors used", ErrLogFull, l.headSect, l.cfg.Sectors)
 		}
 		start := p.Now()
-		if err := l.cfg.Dev.Write(p, l.cfg.StartLBA+1+l.headSect, int(sectors), seg); err != nil {
+		if err := l.cfg.Dev.Write(p, 1+l.headSect, int(sectors), seg); err != nil {
 			return fmt.Errorf("wal: flushing: %w", err)
 		}
 		if l.cfg.MetadataWrites {
 			// EXT2 O_SYNC: the inode (file size/mtime) update is also
 			// synchronous.
 			binary.LittleEndian.PutUint64(l.meta[:], uint64(flushLSN))
-			if err := l.cfg.Dev.Write(p, l.cfg.StartLBA, 1, l.meta[:]); err != nil {
+			if err := l.cfg.Dev.Write(p, 0, 1, l.meta[:]); err != nil {
 				return fmt.Errorf("wal: metadata update: %w", err)
 			}
 		}

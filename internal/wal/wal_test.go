@@ -32,7 +32,7 @@ func newRig(t *testing.T, cfgMut func(*Config)) (*sim.Env, *Log, *disk.Disk) {
 		WriteTurnaround: time.Millisecond,
 	})
 	dev := stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
-	cfg := Config{Dev: dev, StartLBA: 0, Sectors: 10000, Mode: SyncEveryCommit, BufferBytes: 50 * 1024}
+	cfg := Config{Dev: dev, Sectors: 10000, Mode: SyncEveryCommit, BufferBytes: 50 * 1024}
 	if cfgMut != nil {
 		cfgMut(&cfg)
 	}

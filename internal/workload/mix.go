@@ -17,12 +17,15 @@ import (
 	"tracklog/internal/sim"
 )
 
+// BlocksPerTenant is each tenant's addressable block count: a mix draws
+// its requests' blocks from it, and the cluster allocates that many slots
+// per tenant.
+const BlocksPerTenant = 2
+
 // MixConfig describes a multi-tenant request stream.
 type MixConfig struct {
 	// Tenants is the number of simulated tenants (must be > 0).
 	Tenants int
-	// BlocksPerTenant is each tenant's addressable block count (default 2).
-	BlocksPerTenant int
 	// Requests is the total number of requests to generate.
 	Requests int
 	// ReadFraction is the probability a request is a read (default 0; the
@@ -44,9 +47,6 @@ type MixConfig struct {
 }
 
 func (c MixConfig) withDefaults() MixConfig {
-	if c.BlocksPerTenant == 0 {
-		c.BlocksPerTenant = 2
-	}
 	if c.Interarrival == 0 {
 		c.Interarrival = 500 * time.Microsecond
 	}
@@ -97,7 +97,7 @@ func GenerateMix(cfg MixConfig) ([]MixRequest, error) {
 		r := MixRequest{
 			At:     at,
 			Tenant: sampleCDF(cdf, rng.Float64()),
-			Block:  rng.Intn(cfg.BlocksPerTenant),
+			Block:  rng.Intn(BlocksPerTenant),
 			Read:   rng.Float64() < cfg.ReadFraction,
 		}
 		switch c := rng.Intn(100); {

@@ -11,7 +11,6 @@ import (
 func TestGenerateMixDeterministic(t *testing.T) {
 	cfg := MixConfig{
 		Tenants:           64,
-		BlocksPerTenant:   4,
 		Requests:          5000,
 		ReadFraction:      0.3,
 		ZipfS:             0.9,
@@ -70,7 +69,7 @@ func TestGenerateMixShape(t *testing.T) {
 		if r.Tenant < 0 || r.Tenant >= cfg.Tenants {
 			t.Fatalf("tenant %d out of range", r.Tenant)
 		}
-		if r.Block < 0 || r.Block >= 2 { // default BlocksPerTenant
+		if r.Block < 0 || r.Block >= BlocksPerTenant {
 			t.Fatalf("block %d out of range", r.Block)
 		}
 		perTenant[r.Tenant]++

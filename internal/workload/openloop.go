@@ -27,11 +27,6 @@ type OpenLoopConfig struct {
 	Requests int
 	// WriteSize is the size of each write in bytes (sector multiple).
 	WriteSize int
-	// Class tags every request (zero value = ClassNormal).
-	Class blockdev.Class
-	// Deadline, when nonzero, gives each request an absolute deadline of
-	// issue time + Deadline.
-	Deadline time.Duration
 	// Seed feeds the random target generator.
 	Seed uint64
 	// OnAck, when non-nil, is called for every acknowledged write with its
@@ -93,15 +88,11 @@ func RunOpenLoopWrites(env *sim.Env, dev blockdev.Device, cfg OpenLoopConfig) (*
 				for b := range data {
 					data[b] = byte(seq + b)
 				}
-				opts := blockdev.Options{Class: cfg.Class}
-				if cfg.Deadline > 0 {
-					opts.Deadline = p.Now().Add(cfg.Deadline)
-				}
 				start := p.Now()
 				if firstIssue == 0 {
 					firstIssue = start
 				}
-				err := blockdev.WriteOpts(p, dev, lba, sectors, data, opts)
+				err := dev.Write(p, lba, sectors, data)
 				switch {
 				case err == nil:
 					res.Acked++

@@ -21,11 +21,15 @@ const (
 	// Clustered issues each request immediately after the previous one
 	// completes.
 	Clustered Mode = iota + 1
-	// Sparse waits Gap after each completion before issuing the next
-	// request; the gap exceeds Trail's repositioning overhead, so track
-	// switches are masked.
+	// Sparse waits sparseGap after each completion before issuing the
+	// next request; the gap exceeds Trail's repositioning overhead, so
+	// track switches are masked.
 	Sparse
 )
+
+// sparseGap is the sparse-mode inter-request delay: "larger than the
+// repositioning overhead ... typical value is 1.5 msec".
+const sparseGap = 5 * time.Millisecond
 
 func (m Mode) String() string {
 	switch m {
@@ -42,9 +46,6 @@ func (m Mode) String() string {
 type SyncWriteConfig struct {
 	// Mode is sparse or clustered.
 	Mode Mode
-	// Gap is the sparse-mode inter-request delay (default 5 ms, "larger
-	// than the repositioning overhead ... typical value is 1.5 msec").
-	Gap time.Duration
 	// WriteSize is the size of each synchronous write in bytes (must be a
 	// sector multiple).
 	WriteSize int
@@ -57,9 +58,6 @@ type SyncWriteConfig struct {
 }
 
 func (c SyncWriteConfig) withDefaults() SyncWriteConfig {
-	if c.Gap == 0 {
-		c.Gap = 5 * time.Millisecond
-	}
 	if c.WriteSize == 0 {
 		c.WriteSize = 1024
 	}
@@ -118,7 +116,7 @@ func RunSyncWrites(env *sim.Env, dev blockdev.Device, cfg SyncWriteConfig) (*Syn
 					lastDone = p.Now()
 				}
 				if cfg.Mode == Sparse {
-					p.Sleep(cfg.Gap)
+					p.Sleep(sparseGap)
 				}
 			}
 		})
