@@ -106,6 +106,31 @@ func TestFaultTolGolden(t *testing.T) {
 	}
 }
 
+// TestChaosSoakGolden is the chaos soak: open-loop overload with QoS on, a
+// latent write error and a timeout injected, with and without a deadline.
+// Each run must exit 0 and read back every acknowledged write intact, and
+// its stdout is pinned to its length and digest, recorded at e3146b1.
+func TestChaosSoakGolden(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		acked  int
+		stdout string
+	}{
+		{[]string{"-seed", "11"}, 214, "1136 bytes ac0946d1b67c652c"},
+		{[]string{"-deadline", "200ms", "-seed", "12"}, 254, "1137 bytes 5303f82029ae9a70"},
+	} {
+		args := append([]string{"-offered-load", "3000", "-writes", "400", "-qos", "-verify",
+			"-faults", "wlatent=2,timeout=1"}, tc.args...)
+		out, _, _ := runIn(t, args...)
+		if want := fmt.Sprintf("verify: all %d acknowledged targets intact\n", tc.acked); !bytes.Contains(out, []byte(want)) {
+			t.Errorf("%v: no %q line in\n%s", tc.args, strings.TrimSpace(want), out)
+		}
+		if got := digest(out); got != tc.stdout {
+			t.Errorf("%v: stdout %s, want %s", tc.args, got, tc.stdout)
+		}
+	}
+}
+
 // TestBadSizeExitsWithError: a write size that is not a positive sector
 // multiple, or a negative process or write count, is refused with exit
 // status 1 and an error on stderr, on every path that takes it. Each of the

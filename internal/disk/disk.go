@@ -162,11 +162,44 @@ type Request struct {
 	Data  []byte
 }
 
+// Phase is one mechanical phase of a command. The phases are numbered in
+// service order, the order a command pays them in; Result.Phases, the
+// phases' trace event kinds and their timeline lane states all follow it.
+type Phase int
+
+const (
+	Turnaround Phase = iota // write-after-command turnaround delay
+	Overhead                // fixed command processing overhead
+	Seek                    // arm travel
+	HeadSwitch              // activating the head of another surface
+	Settle                  // write settle
+	RotWait                 // rotational latency
+	Transfer                // media transfer
+	NumPhases
+)
+
+// phases gives each phase its trace event kind and its timeline lane-state
+// name.
+var phases = [NumPhases]struct {
+	kind trace.Kind
+	lane string
+}{
+	Turnaround: {trace.KTurnaround, "turnaround"},
+	Overhead:   {trace.KOverhead, "overhead"},
+	Seek:       {trace.KSeek, "seek"},
+	HeadSwitch: {trace.KHeadSwitch, "head_switch"},
+	Settle:     {trace.KSettle, "settle"},
+	RotWait:    {trace.KRotWait, "rotate_wait"},
+	Transfer:   {trace.KTransfer, "transfer"},
+}
+
 // Result reports when a command ran and where its time went.
 type Result struct {
 	Start, End sim.Time
-	// Component breakdown; these sum (with Transfer) to End-Start.
-	Turnaround, Overhead, Seek, Switch, Settle, Rotate, Transfer time.Duration
+	// Phases holds the time spent in each mechanical phase. They sum to
+	// End-Start, except that a whole-command fault's discovery delay is in
+	// no phase.
+	Phases [NumPhases]time.Duration
 	// Err is non-nil when the command failed (fault injection): it wraps one
 	// of the blockdev sentinel errors (ErrMediaError, ErrTimeout,
 	// ErrDeviceFailed), classified via errors.Is. Timing fields still
@@ -256,24 +289,21 @@ type Disk struct {
 // Timeline lane states, in the order registered by SetTimeline. Lane states
 // tile the drive's virtual time exactly: at any instant the drive is idle,
 // discovering a fault, or in one mechanical phase of the current command.
+// Phase ph's state is laneFirstPhase+ph.
 const (
 	laneIdle = iota
 	laneFault
-	laneTurnaround
-	laneOverhead
-	laneSeek
-	laneHeadSwitch
-	laneSettle
-	laneRotWait
-	laneTransfer
+	laneFirstPhase
 )
 
-// laneStates names the lane states for the timeline export; index matches
-// the lane* constants.
-var laneStates = []string{
-	"idle", "fault", "turnaround", "overhead", "seek",
-	"head_switch", "settle", "rotate_wait", "transfer",
-}
+// laneStates names the lane states for the timeline export.
+var laneStates = func() []string {
+	s := []string{"idle", "fault"}
+	for _, ph := range phases {
+		s = append(s, ph.lane)
+	}
+	return s
+}()
 
 // New returns a drive with the given parameters bound to env. It panics on
 // invalid parameters (a construction bug, not a runtime condition).
@@ -466,11 +496,8 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 				d.lane.Enter(laneFault, int64(p.Now()))
 				p.Sleep(f.Delay)
 			}
-			d.lane.Enter(laneIdle, int64(p.Now()))
 			res.Err = fmt.Errorf("disk %s: %w", d.params.Name, f.Err)
-			res.End = p.Now()
-			d.lastCmdEnd = res.End
-			d.accumulate(req, res)
+			d.finish(p, req, &res)
 			if d.tr != nil {
 				d.tr.Emit(trace.Event{At: int64(res.Start), Dur: int64(res.Latency()), Kind: trace.KFault,
 					Track: d.trName, LBA: req.LBA, Count: req.Count, B: writeFlag(req.Write)})
@@ -482,13 +509,8 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 	// Write turnaround: the drive cannot begin processing a write until
 	// WriteTurnaround after the previous command completed.
 	if req.Write && d.lastCmdEnd > 0 {
-		earliest := d.lastCmdEnd.Add(d.params.WriteTurnaround)
-		if p.Now() < earliest {
-			w := earliest.Sub(p.Now())
-			d.phaseEvent(p.Now(), trace.KTurnaround, w, req)
-			d.lane.Enter(laneTurnaround, int64(p.Now()))
-			p.Sleep(w)
-			res.Turnaround = w
+		if earliest := d.lastCmdEnd.Add(d.params.WriteTurnaround); p.Now() < earliest {
+			d.step(p, req, &res, Turnaround, earliest.Sub(p.Now()))
 		}
 	}
 
@@ -497,10 +519,7 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 	if req.Write {
 		overhead = d.params.WriteOverhead
 	}
-	d.phaseEvent(p.Now(), trace.KOverhead, overhead, req)
-	d.lane.Enter(laneOverhead, int64(p.Now()))
-	p.Sleep(overhead)
-	res.Overhead = overhead
+	d.step(p, req, &res, Overhead, overhead)
 
 	// Media phase: walk the contiguous LBA range one track extent at a
 	// time. Each extent is positioned (seek + head switch + settle +
@@ -518,48 +537,31 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 			extent = remaining
 		}
 
-		// Seek.
 		if a.Cyl != d.armCyl {
 			dist := a.Cyl - d.armCyl
 			if dist < 0 {
 				dist = -dist
 			}
-			st := d.SeekTime(dist)
-			d.phaseEvent(p.Now(), trace.KSeek, st, req)
-			d.lane.Enter(laneSeek, int64(p.Now()))
-			p.Sleep(st)
-			res.Seek += st
+			d.step(p, req, &res, Seek, d.SeekTime(dist))
 			d.armCyl = a.Cyl
 		}
-		// Head switch.
 		if a.Head != d.armHead {
-			d.phaseEvent(p.Now(), trace.KHeadSwitch, d.params.HeadSwitch, req)
-			d.lane.Enter(laneHeadSwitch, int64(p.Now()))
-			p.Sleep(d.params.HeadSwitch)
-			res.Switch += d.params.HeadSwitch
+			d.step(p, req, &res, HeadSwitch, d.params.HeadSwitch)
 			d.armHead = a.Head
 		}
-		// Write settle.
 		if req.Write && d.params.WriteSettle > 0 {
-			d.phaseEvent(p.Now(), trace.KSettle, d.params.WriteSettle, req)
-			d.lane.Enter(laneSettle, int64(p.Now()))
-			p.Sleep(d.params.WriteSettle)
-			res.Settle += d.params.WriteSettle
+			d.step(p, req, &res, Settle, d.params.WriteSettle)
 		}
 		// Rotate to the start of the first sector of the extent.
-		rw := d.rotateWait(p.Now(), g.SectorAngle(a))
-		d.phaseEvent(p.Now(), trace.KRotWait, rw, req)
-		d.lane.Enter(laneRotWait, int64(p.Now()))
-		p.Sleep(rw)
-		res.Rotate += rw
+		d.step(p, req, &res, RotWait, d.rotateWait(p.Now(), g.SectorAngle(a)))
 
 		// Transfer (at the actual spindle speed, drift included).
 		secTime := d.rotPeriod / time.Duration(spt)
 		transferStart := p.Now()
-		d.lane.Enter(laneTransfer, int64(transferStart))
+		d.lane.Enter(laneFirstPhase+int(Transfer), int64(transferStart))
 		for i := 0; i < extent; i++ {
 			p.Sleep(secTime)
-			res.Transfer += secTime
+			res.Phases[Transfer] += secTime
 			off := (req.Count - remaining + i) * geom.SectorSize
 			cur := lba + int64(i)
 			// Latent sector errors surface as the head passes the sector;
@@ -568,15 +570,12 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 			// must tolerate).
 			if d.inj != nil {
 				if err := d.inj.SectorFault(p.Now(), req.Write, cur); err != nil {
-					d.lane.Enter(laneIdle, int64(p.Now()))
 					res.Err = fmt.Errorf("disk %s: lba %d: %w", d.params.Name, cur, err)
 					res.Transferred = req.Count - remaining + i
-					res.End = p.Now()
-					d.lastCmdEnd = res.End
-					d.accumulate(req, res)
+					d.finish(p, req, &res)
 					if d.tr != nil {
 						d.tr.Emit(trace.Event{At: int64(transferStart), Dur: int64(p.Now().Sub(transferStart)),
-							Kind: trace.KTransfer, Track: d.trName, LBA: lba, Count: i, B: writeFlag(req.Write)})
+							Kind: phases[Transfer].kind, Track: d.trName, LBA: lba, Count: i, B: writeFlag(req.Write)})
 						d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KFault, Track: d.trName,
 							LBA: cur, Count: 1, B: writeFlag(req.Write)})
 					}
@@ -597,17 +596,14 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 		}
 		if d.tr != nil && extent > 0 {
 			d.tr.Emit(trace.Event{At: int64(transferStart), Dur: int64(p.Now().Sub(transferStart)),
-				Kind: trace.KTransfer, Track: d.trName, LBA: lba, Count: extent, B: writeFlag(req.Write)})
+				Kind: phases[Transfer].kind, Track: d.trName, LBA: lba, Count: extent, B: writeFlag(req.Write)})
 		}
 		lba += int64(extent)
 		remaining -= extent
 	}
 
-	d.lane.Enter(laneIdle, int64(p.Now()))
 	res.Transferred = req.Count
-	res.End = p.Now()
-	d.lastCmdEnd = res.End
-	d.accumulate(req, res)
+	d.finish(p, req, &res)
 	if d.tr != nil {
 		d.tr.Emit(trace.Event{At: int64(res.Start), Dur: int64(res.Latency()), Kind: trace.KCommand,
 			Track: d.trName, LBA: req.LBA, Count: req.Count, A: int64(res.Transferred), B: writeFlag(req.Write)})
@@ -615,25 +611,25 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 	return res
 }
 
-// phaseEvent emits one service-time phase event when tracing is on. Phases
-// with zero duration are elided — they did not happen.
-func (d *Disk) phaseEvent(at sim.Time, kind trace.Kind, dur time.Duration, req *Request) {
-	if d.tr == nil || dur <= 0 {
-		return
+// step runs one mechanical phase of duration dur: it emits the phase's trace
+// event (none for a zero duration: the phase did not happen), charges the
+// lane to the phase's state, sleeps and tallies dur into res.
+func (d *Disk) step(p *sim.Proc, req *Request, res *Result, ph Phase, dur time.Duration) {
+	if d.tr != nil && dur > 0 {
+		d.tr.Emit(trace.Event{At: int64(p.Now()), Dur: int64(dur), Kind: phases[ph].kind,
+			Track: d.trName, LBA: req.LBA, Count: req.Count, B: writeFlag(req.Write)})
 	}
-	d.tr.Emit(trace.Event{At: int64(at), Dur: int64(dur), Kind: kind,
-		Track: d.trName, LBA: req.LBA, Count: req.Count, B: writeFlag(req.Write)})
+	d.lane.Enter(laneFirstPhase+int(ph), int64(p.Now()))
+	p.Sleep(dur)
+	res.Phases[ph] += dur
 }
 
-// writeFlag encodes a command direction into an event argument.
-func writeFlag(w bool) int64 {
-	if w {
-		return 1
-	}
-	return 0
-}
-
-func (d *Disk) accumulate(req *Request, res Result) {
+// finish ends the command now: the drive goes idle, and res is stamped and
+// added to the drive's counters.
+func (d *Disk) finish(p *sim.Proc, req *Request, res *Result) {
+	d.lane.Enter(laneIdle, int64(p.Now()))
+	res.End = p.Now()
+	d.lastCmdEnd = res.End
 	if res.Err != nil {
 		d.stats.Errors++
 	}
@@ -645,9 +641,17 @@ func (d *Disk) accumulate(req *Request, res Result) {
 		d.stats.SectorsRead += int64(res.Transferred)
 	}
 	d.stats.Busy += res.Latency()
-	d.stats.SeekTime += res.Seek + res.Switch
-	d.stats.RotateTime += res.Rotate
-	d.stats.TransferTime += res.Transfer
+	d.stats.SeekTime += res.Phases[Seek] + res.Phases[HeadSwitch]
+	d.stats.RotateTime += res.Phases[RotWait]
+	d.stats.TransferTime += res.Phases[Transfer]
+}
+
+// writeFlag encodes a command direction into an event argument.
+func writeFlag(w bool) int64 {
+	if w {
+		return 1
+	}
+	return 0
 }
 
 // sectorStore holds a drive's written sectors, one 512-byte array per LBA,

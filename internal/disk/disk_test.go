@@ -27,6 +27,9 @@ func smallParams() Params {
 	}
 }
 
+// SmallParams is smallParams for the package's external tests.
+var SmallParams = smallParams
+
 // runOne executes fn inside a one-process simulation and returns the final time.
 func runOne(t *testing.T, d *Disk, env *sim.Env, fn func(p *sim.Proc)) sim.Time {
 	t.Helper()
@@ -153,12 +156,12 @@ func TestFullTrackReadTakesOneRevolution(t *testing.T) {
 	runOne(t, d, env, func(proc *sim.Proc) {
 		res = d.Access(proc, &Request{LBA: 0, Count: 50})
 	})
-	if res.Transfer != d.rotPeriod {
-		t.Errorf("transfer of full track = %v, want one revolution %v", res.Transfer, d.rotPeriod)
+	if res.Phases[Transfer] != d.rotPeriod {
+		t.Errorf("transfer of full track = %v, want one revolution %v", res.Phases[Transfer], d.rotPeriod)
 	}
 	// Rotational wait must be under one revolution.
-	if res.Rotate >= d.rotPeriod {
-		t.Errorf("rotate wait %v >= revolution", res.Rotate)
+	if res.Phases[RotWait] >= d.rotPeriod {
+		t.Errorf("rotate wait %v >= revolution", res.Phases[RotWait])
 	}
 }
 
@@ -179,8 +182,8 @@ func TestImmediateRewriteCostsFullRotation(t *testing.T) {
 	// must wait almost a full revolution (minus the fixed overheads that
 	// elapse while it spins).
 	minRot := d.rotPeriod - p.WriteOverhead - p.WriteSettle - 2*d.params.SectorTime(0)
-	if r2.Rotate < minRot {
-		t.Errorf("rewrite rotational wait = %v, want >= %v", r2.Rotate, minRot)
+	if r2.Phases[RotWait] < minRot {
+		t.Errorf("rewrite rotational wait = %v, want >= %v", r2.Phases[RotWait], minRot)
 	}
 }
 
@@ -201,8 +204,8 @@ func TestSequentialNextSectorIsCheap(t *testing.T) {
 		r2 = d.Access(proc, &Request{Write: true, LBA: int64(1 + skip), Count: 1, Data: data})
 	})
 	_ = r1
-	if r2.Rotate > secTime {
-		t.Errorf("well-placed next write waited %v rotation, want <= one sector %v", r2.Rotate, secTime)
+	if r2.Phases[RotWait] > secTime {
+		t.Errorf("well-placed next write waited %v rotation, want <= one sector %v", r2.Phases[RotWait], secTime)
 	}
 }
 
@@ -219,11 +222,11 @@ func TestWriteTurnaroundApplies(t *testing.T) {
 		proc.Sleep(5 * time.Millisecond) // > turnaround
 		spaced = d.Access(proc, &Request{Write: true, LBA: 40, Count: 1, Data: data})
 	})
-	if back2back.Turnaround != p.WriteTurnaround {
-		t.Errorf("back-to-back write turnaround = %v, want %v", back2back.Turnaround, p.WriteTurnaround)
+	if back2back.Phases[Turnaround] != p.WriteTurnaround {
+		t.Errorf("back-to-back write turnaround = %v, want %v", back2back.Phases[Turnaround], p.WriteTurnaround)
 	}
-	if spaced.Turnaround != 0 {
-		t.Errorf("spaced write turnaround = %v, want 0", spaced.Turnaround)
+	if spaced.Phases[Turnaround] != 0 {
+		t.Errorf("spaced write turnaround = %v, want 0", spaced.Phases[Turnaround])
 	}
 }
 
@@ -237,8 +240,8 @@ func TestReadsSkipTurnaround(t *testing.T) {
 		d.Access(proc, &Request{Write: true, LBA: 0, Count: 1, Data: data})
 		read = d.Access(proc, &Request{LBA: 20, Count: 1})
 	})
-	if read.Turnaround != 0 {
-		t.Errorf("read paid turnaround %v", read.Turnaround)
+	if read.Phases[Turnaround] != 0 {
+		t.Errorf("read paid turnaround %v", read.Phases[Turnaround])
 	}
 }
 
@@ -260,7 +263,7 @@ func TestCrossTrackTransfer(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Error("cross-track write corrupted data")
 	}
-	if res.Switch == 0 {
+	if res.Phases[HeadSwitch] == 0 {
 		t.Error("cross-track transfer did not switch heads")
 	}
 }

@@ -5,12 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/stddisk"
 	"tracklog/internal/telemetry"
 	"tracklog/internal/trail"
 	"tracklog/internal/workload"
@@ -274,6 +272,3 @@ func (r *RecoveryAblationResult) String() string {
 	row("unbounded walk", r.NoLogHead)
 	return b.String()
 }
-
-var _ = blockdev.DevID{}
-var _ = stddisk.New

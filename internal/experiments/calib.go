@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/rig"
 	"tracklog/internal/sim"
@@ -119,8 +120,9 @@ func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 	}
 	res := &AnatomyResult{}
 	measure := func(sectors int) (time.Duration, time.Duration, error) {
-		// Low utilization threshold forces a reposition after every write
-		// so its cost is sampled continuously.
+		// The default driver: writes 10 ms apart wait neither for one
+		// another nor for a reposition, and the repositions the default
+		// utilization threshold triggers as tracks fill give their cost.
 		cfg := trail.Default()
 		sys, err := rig.New(rig.Config{Trail: cfg})
 		if err != nil {
@@ -157,21 +159,12 @@ func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 		return nil, err
 	}
 	res.Reposition = repos1
-	res.SectorTransfer = newParamsSectorTime()
+	res.SectorTransfer = disk.ST41601N().SectorTime(0)
 	cycle := res.OneSector + res.Reposition
 	if cycle > 0 {
 		res.WritesPerSecondOneSector = float64(time.Second) / float64(cycle)
 	}
 	return res, nil
-}
-
-func newParamsSectorTime() time.Duration {
-	sys, err := rig.New(rig.Config{})
-	if err != nil {
-		return 0
-	}
-	defer sys.Env.Close()
-	return sys.LogDisk.Params().SectorTime(0)
 }
 
 // String renders the anatomy.

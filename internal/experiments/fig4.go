@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/rig"
 	"tracklog/internal/sim"
@@ -81,11 +82,16 @@ func Figure4(qs []int, seed uint64) (*Fig4Result, error) {
 			}
 			row.WBWrites++
 			queue += rq.PhaseTotal(span.PQueue) + rq.PhaseTotal(span.PRetry)
-			mech += rq.PhaseTotal(span.PTurnaround) + rq.PhaseTotal(span.POverhead) +
-				rq.PhaseTotal(span.PSeek) + rq.PhaseTotal(span.PHeadSwitch) +
-				rq.PhaseTotal(span.PSettle)
-			rot += rq.PhaseTotal(span.PRotWait)
-			xfer += rq.PhaseTotal(span.PTransfer)
+			for ph := range disk.NumPhases {
+				switch t := rq.PhaseTotal(span.Mechanical(ph)); ph {
+				case disk.RotWait:
+					rot += t
+				case disk.Transfer:
+					xfer += t
+				default:
+					mech += t
+				}
+			}
 		}
 		row.WBQueue = time.Duration(queue)
 		row.WBMech = time.Duration(mech)

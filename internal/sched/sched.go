@@ -200,6 +200,18 @@ func (q *Queue) fail(req *Request, err error) {
 	req.Done.Trigger()
 }
 
+// shed refuses req, which is not (or no longer) queued, with err.
+func (q *Queue) shed(req *Request, err error) {
+	now := q.env.Now()
+	q.stats.Shed++
+	q.tlShed.Inc(int64(now))
+	if q.tr != nil {
+		q.tr.Emit(trace.Event{At: int64(now), Kind: trace.KShed, Track: q.trName,
+			LBA: req.LBA, Count: req.Count, A: int64(q.Depth()), B: writeFlag(req.Write)})
+	}
+	q.fail(req, err)
+}
+
 // shedVictim returns the queued request with the lowest shed order if it
 // ranks strictly below class, preferring the newest arrival among equals
 // (earlier arrivals keep their slot). Returns nil when nothing queued
@@ -253,23 +265,11 @@ func (q *Queue) Submit(req *Request) {
 		if victim == nil {
 			// Nothing queued ranks below the newcomer: shed the newcomer.
 			q.stats.Submitted++
-			q.stats.Shed++
-			if q.tr != nil {
-				q.tr.Emit(trace.Event{At: int64(req.Queued), Kind: trace.KShed, Track: q.trName,
-					LBA: req.LBA, Count: req.Count, A: int64(q.Depth()), B: writeFlag(req.Write)})
-			}
-			q.tlShed.Inc(int64(req.Queued))
-			q.fail(req, fmt.Errorf("sched: queue full (depth %d): %w", q.Depth(), blockdev.ErrOverload))
+			q.shed(req, fmt.Errorf("sched: queue full (depth %d): %w", q.Depth(), blockdev.ErrOverload))
 			return
 		}
 		q.remove(victim)
-		q.stats.Shed++
-		q.tlShed.Inc(int64(q.env.Now()))
-		if q.tr != nil {
-			q.tr.Emit(trace.Event{At: int64(q.env.Now()), Kind: trace.KShed, Track: q.trName,
-				LBA: victim.LBA, Count: victim.Count, A: int64(q.Depth()), B: writeFlag(victim.Write)})
-		}
-		q.fail(victim, fmt.Errorf("sched: evicted %s for %s arrival: %w",
+		q.shed(victim, fmt.Errorf("sched: evicted %s for %s arrival: %w",
 			victim.Class, req.Class, blockdev.ErrOverload))
 	}
 	req.DepthAtSubmit = q.Depth()

@@ -16,6 +16,12 @@
 // virtual clock, so traced and untraced runs are timestamp-identical.
 package span
 
+import (
+	"time"
+
+	"tracklog/internal/disk"
+)
+
 // Phase identifies what a child span's interval was spent on.
 type Phase uint8
 
@@ -295,43 +301,32 @@ func (q *Req) Flow(from int64) {
 	q.r.Flows = append(q.r.Flows, from)
 }
 
-// CommandBreakdown is the mechanical phase decomposition of one successful
-// disk command, as reported by the drive model. All values are ns; zero
-// phases are skipped. The phases are laid out consecutively from Start in
-// the drive's service order, so they exactly tile [Start, Start+sum).
-type CommandBreakdown struct {
-	Start      int64
-	Turnaround int64
-	Overhead   int64
-	Seek       int64
-	HeadSwitch int64
-	Settle     int64
-	RotWait    int64
-	Transfer   int64
-	// RotPeriod is the disk's rotation period, recorded on the rot-wait
-	// span so analyzers can classify full-rotation misses. 0 = unknown.
-	RotPeriod int64
-}
+// Mechanical returns the span phase of a drive's mechanical phase:
+// PTurnaround through PTransfer follow the drive's service order.
+func Mechanical(ph disk.Phase) Phase { return PTurnaround + Phase(ph) }
 
-// Command attributes one successful device command's mechanical phases.
-func (q *Req) Command(c CommandBreakdown) {
+// Command attributes one successful device command's mechanical phases: one
+// child per phase the command paid, laid end to end from res.Start in
+// service order, so they tile the command's service interval. rotPeriod, the
+// drive's revolution time (0 if unknown), is recorded on the rotational-wait
+// span so analyzers can classify full-rotation misses.
+func (q *Req) Command(res *disk.Result, rotPeriod time.Duration) {
 	if q == nil {
 		return
 	}
-	cur := c.Start
-	add := func(p Phase, d, a int64) {
-		if d > 0 {
-			q.r.Spans = append(q.r.Spans, Span{Phase: p, Start: cur, End: cur + d, A: a})
-			cur += d
+	cur := int64(res.Start)
+	for ph := range disk.NumPhases {
+		d := int64(res.Phases[ph])
+		if d <= 0 {
+			continue
 		}
+		var a int64
+		if ph == disk.RotWait {
+			a = int64(rotPeriod)
+		}
+		q.r.Spans = append(q.r.Spans, Span{Phase: Mechanical(ph), Start: cur, End: cur + d, A: a})
+		cur += d
 	}
-	add(PTurnaround, c.Turnaround, 0)
-	add(POverhead, c.Overhead, 0)
-	add(PSeek, c.Seek, 0)
-	add(PHeadSwitch, c.HeadSwitch, 0)
-	add(PSettle, c.Settle, 0)
-	add(PRotWait, c.RotWait, c.RotPeriod)
-	add(PTransfer, c.Transfer, 0)
 }
 
 // Finish closes the request at virtual instant end and commits it to the

@@ -4,7 +4,19 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
+
+	"tracklog/internal/disk"
+	"tracklog/internal/sim"
 )
+
+// phases is a disk command's per-phase time, keyed by disk.Phase.
+type phases = [disk.NumPhases]time.Duration
+
+// cmd is a successful disk command that started at start and spent ph.
+func cmd(start int64, ph phases) *disk.Result {
+	return &disk.Result{Start: sim.Time(start), Phases: ph}
+}
 
 // A disabled recorder is a nil pointer; every call must be a no-op.
 func TestNilRecorderSafe(t *testing.T) {
@@ -17,7 +29,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	q.ChildAB(PRotWait, 10, 20, 1, 2)
 	q.Point(PStaging, 5, 0, 0)
 	q.Flow(3)
-	q.Command(CommandBreakdown{Start: 0, Transfer: 100})
+	q.Command(cmd(0, phases{disk.Transfer: 100}), 0)
 	q.Finish(100, false)
 	if q.ID() != 0 {
 		t.Fatal("nil handle has an id")
@@ -40,9 +52,7 @@ func TestNilRecorderSafe(t *testing.T) {
 func record(r *Recorder, id int) {
 	q := r.Start(KWrite, "trail", "data0", int64(id)*8, 2, int64(id)*1000)
 	q.ChildAB(PQueue, int64(id)*1000, int64(id)*1000+200, 3, 0)
-	q.Command(CommandBreakdown{
-		Start: int64(id)*1000 + 200, Overhead: 50, RotWait: 100, Transfer: 150, RotPeriod: 11111,
-	})
+	q.Command(cmd(int64(id)*1000+200, phases{disk.Overhead: 50, disk.RotWait: 100, disk.Transfer: 150}), 11111)
 	q.Finish(int64(id)*1000+500, false)
 }
 
@@ -66,10 +76,7 @@ func TestCommandTiling(t *testing.T) {
 	r := NewRecorder(0)
 	q := r.Start(KWrite, "trail", "data0", 0, 2, 0)
 	q.Child(PQueue, 0, 70)
-	q.Command(CommandBreakdown{
-		Start: 70, Turnaround: 10, Overhead: 20, Seek: 0, HeadSwitch: 5,
-		Settle: 0, RotWait: 40, Transfer: 55,
-	})
+	q.Command(cmd(70, phases{disk.Turnaround: 10, disk.Overhead: 20, disk.HeadSwitch: 5, disk.RotWait: 40, disk.Transfer: 55}), 0)
 	q.Finish(200, false)
 	req := r.Requests()[0]
 	if got := req.Attributed(); got != 200 {
@@ -103,7 +110,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		wb := r.Start(KWriteback, "trail", "data0", 8, 2, 20000)
 		wb.Flow(3)
 		wb.Child(PQueue, 20000, 20100)
-		wb.Command(CommandBreakdown{Start: 20100, Seek: 300, RotWait: 200, Transfer: 100})
+		wb.Command(cmd(20100, phases{disk.Seek: 300, disk.RotWait: 200, disk.Transfer: 100}), 0)
 		wb.Finish(20700, false)
 		var buf bytes.Buffer
 		if err := r.WriteJSON(&buf); err != nil {
@@ -132,7 +139,7 @@ func TestAnalyzeBudget(t *testing.T) {
 	// One read on another driver to check grouping.
 	q := r.Start(KRead, "std", "disk0", 0, 8, 0)
 	q.ChildAB(PQueue, 0, 1000, 2, 1)
-	q.Command(CommandBreakdown{Start: 1000, Seek: 5000, RotWait: 3000, Transfer: 1000})
+	q.Command(cmd(1000, phases{disk.Seek: 5000, disk.RotWait: 3000, disk.Transfer: 1000}), 0)
 	q.Finish(10000, false)
 
 	b := Analyze(r.Requests())
@@ -174,23 +181,23 @@ func TestAnalyzeBudget(t *testing.T) {
 
 func TestExplainTailCauses(t *testing.T) {
 	r := NewRecorder(0)
-	rot := int64(11_111_111) // ~5400 RPM period
+	rot := time.Duration(11_111_111) // ~5400 RPM period
 	// 20 fast, well-predicted writes.
 	for i := 1; i <= 20; i++ {
 		q := r.Start(KWrite, "trail", "data0", int64(i), 2, int64(i)*100000)
 		q.Child(PQueue, int64(i)*100000, int64(i)*100000+100)
-		q.Command(CommandBreakdown{Start: int64(i)*100000 + 100, Overhead: 300, RotWait: 500, Transfer: 400, RotPeriod: rot})
+		q.Command(cmd(int64(i)*100000+100, phases{disk.Overhead: 300, disk.RotWait: 500, disk.Transfer: 400}), rot)
 		q.Finish(int64(i)*100000+1300, false)
 	}
 	// One misprediction: near-full rotation.
 	q := r.Start(KWrite, "trail", "data0", 99, 2, 5_000_000)
 	q.Child(PQueue, 5_000_000, 5_000_100)
-	q.Command(CommandBreakdown{Start: 5_000_100, Overhead: 300, RotWait: rot - 1000, Transfer: 400, RotPeriod: rot})
-	q.Finish(5_000_100+300+rot-1000+400, false)
+	q.Command(cmd(5_000_100, phases{disk.Overhead: 300, disk.RotWait: rot - 1000, disk.Transfer: 400}), rot)
+	q.Finish(5_000_100+300+int64(rot)-1000+400, false)
 	// One read stuck behind write-back.
 	qr := r.Start(KRead, "trail", "data0", 50, 8, 6_000_000)
 	qr.ChildAB(PQueue, 6_000_000, 6_020_000, 5, 4)
-	qr.Command(CommandBreakdown{Start: 6_020_000, Seek: 2000, RotWait: 1000, Transfer: 2000, RotPeriod: rot})
+	qr.Command(cmd(6_020_000, phases{disk.Seek: 2000, disk.RotWait: 1000, disk.Transfer: 2000}), rot)
 	qr.Finish(6_025_000, false)
 
 	rep := ExplainTail(r.Requests(), 0.10)
@@ -221,7 +228,7 @@ func TestExplainRetryAndErrorCauses(t *testing.T) {
 	q.Child(PQueue, 0, 100)
 	q.ChildAB(PRetry, 100, 5000, 1, 0)
 	q.Child(PQueue, 5000, 5100)
-	q.Command(CommandBreakdown{Start: 5100, Overhead: 300, Transfer: 400})
+	q.Command(cmd(5100, phases{disk.Overhead: 300, disk.Transfer: 400}), 0)
 	q.Finish(5800, false)
 	qe := r.Start(KRead, "std", "disk0", 4, 1, 0)
 	qe.Child(PQueue, 0, 50)
@@ -271,7 +278,7 @@ func TestExplainTailQoSCauses(t *testing.T) {
 	qc := r.Start(KWrite, "trail", "data0", 24, 2, 4000)
 	qc.ChildAB(PThrottle, 4000, 6_004_000, 1<<20, 0)
 	qc.Child(PQueue, 6_004_000, 6_004_100)
-	qc.Command(CommandBreakdown{Start: 6_004_100, Overhead: 300, RotWait: 500, Transfer: 400})
+	qc.Command(cmd(6_004_100, phases{disk.Overhead: 300, disk.RotWait: 500, disk.Transfer: 400}), 0)
 	qc.Finish(6_005_300, false)
 
 	rep := ExplainTail(r.Requests(), 1.0)
@@ -376,7 +383,7 @@ func TestWriteChromeDeterministic(t *testing.T) {
 		wb := r.Start(KWriteback, "trail", "data0", 8, 2, 9000)
 		wb.Flow(2)
 		wb.Child(PQueue, 9000, 9100)
-		wb.Command(CommandBreakdown{Start: 9100, Seek: 100, Transfer: 100})
+		wb.Command(cmd(9100, phases{disk.Seek: 100, disk.Transfer: 100}), 0)
 		wb.Finish(9300, false)
 		var buf bytes.Buffer
 		if err := r.WriteChrome(&buf); err != nil {

@@ -146,7 +146,7 @@ func (d *Device) do(p *sim.Proc, verb string, opts blockdev.Options, mk func() *
 		rq.ChildAB(span.PQueue, cursor, int64(res.Start),
 			int64(req.DepthAtSubmit), int64(req.WritesAhead))
 		if req.Err == nil {
-			rq.Command(span.FromResult(&res, d.rot))
+			rq.Command(&res, d.rot)
 			rq.Finish(int64(res.End), false)
 			return req, nil
 		}

@@ -276,9 +276,8 @@ type logDisk struct {
 	// has exited and the allocator never touches it again.
 	dead bool
 
-	// trName is the tracer track this disk's events land on ("logN");
-	// empty while tracing is detached.
-	trName string
+	// name is the disk's tracer track and timeline and metrics name ("logN").
+	name string
 
 	// lastRepoStart/End bound the most recent track reposition, so the span
 	// layer can carve the stall out of a pending write's queue time. Only the
@@ -334,19 +333,16 @@ type Driver struct {
 		chunks  [][]byte
 	}
 
-	// tr observes driver decisions when tracing is enabled (nil otherwise);
-	// dataNames are the tracer track names of the data disks.
-	tr        *trace.Tracer
-	dataNames []string
+	// tr observes driver decisions when tracing is enabled (nil otherwise).
+	tr *trace.Tracer
 
-	// rec records per-request span trees when attached (nil otherwise);
-	// spanNames are the span device names of the data disks.
-	rec       *span.Recorder
-	spanNames []string
+	// rec records per-request span trees when attached (nil otherwise).
+	rec *span.Recorder
 
-	// probeNames are the per-data-disk component names probe events report
-	// under (always populated, unlike the tracer/recorder name lists).
-	probeNames []string
+	// dataNames are the data disks' tracer track, span device, timeline and
+	// metrics names ("dataN"); probeNames are the component names their
+	// probe events report under ("trail-dataN").
+	dataNames, probeNames []string
 
 	// Timeline instruments (nil = disabled): driver-level levels and
 	// per-bucket event counts. Device lanes live on the disks and queues.
@@ -415,6 +411,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 	for i, lg := range logs {
 		ld := &logDisk{
 			idx:           i,
+			name:          fmt.Sprintf("log%d", i),
 			disk:          lg,
 			g:             lg.Geom(),
 			usable:        UsableTracks(lg.Geom()),
@@ -434,6 +431,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 		d.dataDisks = append(d.dataDisks, dd)
 		d.dataQueues = append(d.dataQueues, sched.New(env, dd, cfg.DataPolicy))
 		d.devIDs = append(d.devIDs, blockdev.DevID{Major: 8, Minor: uint8(i)})
+		d.dataNames = append(d.dataNames, fmt.Sprintf("data%d", i))
 		d.probeNames = append(d.probeNames, fmt.Sprintf("trail-data%d", i))
 		q := sim.NewQueue[bufKey](env)
 		d.wbQueues = append(d.wbQueues, q)
@@ -471,15 +469,11 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 func (d *Driver) SetTracer(tr *trace.Tracer) {
 	d.tr = tr
 	for _, ld := range d.logs {
-		ld.trName = fmt.Sprintf("log%d", ld.idx)
-		ld.disk.SetTracer(tr, ld.trName)
+		ld.disk.SetTracer(tr, ld.name)
 	}
-	d.dataNames = d.dataNames[:0]
 	for i, dd := range d.dataDisks {
-		name := fmt.Sprintf("data%d", i)
-		d.dataNames = append(d.dataNames, name)
-		dd.SetTracer(tr, name)
-		d.dataQueues[i].SetTracer(tr, name)
+		dd.SetTracer(tr, d.dataNames[i])
+		d.dataQueues[i].SetTracer(tr, d.dataNames[i])
 	}
 }
 
@@ -491,10 +485,6 @@ func (d *Driver) SetTracer(tr *trace.Tracer) {
 // Pass nil to detach.
 func (d *Driver) SetRecorder(rec *span.Recorder) {
 	d.rec = rec
-	d.spanNames = d.spanNames[:0]
-	for i := range d.dataDisks {
-		d.spanNames = append(d.spanNames, fmt.Sprintf("data%d", i))
-	}
 }
 
 // Recorder returns the attached span recorder (nil when detached).
@@ -518,12 +508,11 @@ func (d *Driver) SetTimeline(a *timeline.Aggregator) {
 	d.tlStagingFlush = a.Mark("trail", "driver", "staging_flush")
 	d.tlWriteBacks = a.Mark("trail", "driver", "writebacks")
 	for _, ld := range d.logs {
-		ld.disk.SetTimeline(a, fmt.Sprintf("log%d", ld.idx))
+		ld.disk.SetTimeline(a, ld.name)
 	}
 	for i, dd := range d.dataDisks {
-		name := fmt.Sprintf("data%d", i)
-		dd.SetTimeline(a, name)
-		d.dataQueues[i].SetTimeline(a, name)
+		dd.SetTimeline(a, d.dataNames[i])
+		d.dataQueues[i].SetTimeline(a, d.dataNames[i])
 	}
 }
 
@@ -626,7 +615,7 @@ func (d *Driver) shedWrite(p *sim.Proc, devIdx int, lba int64, count int) error 
 	}
 	if d.rec != nil {
 		now := int64(p.Now())
-		rq := d.rec.Start(span.KWrite, "trail", d.spanNames[devIdx], lba, count, now)
+		rq := d.rec.Start(span.KWrite, "trail", d.dataNames[devIdx], lba, count, now)
 		rq.Point(span.PShed, now, int64(d.logQ.Len()), 0)
 		rq.Finish(now, true)
 	}
@@ -679,7 +668,7 @@ func (d *Driver) recordThrottle(p *sim.Proc, devIdx int, lba int64, count int,
 	if d.rec != nil && expired {
 		// The write never reached the log queue: its whole story is the
 		// throttle stall ending at its deadline.
-		rq := d.rec.Start(span.KWrite, "trail", d.spanNames[devIdx], lba, count, int64(start))
+		rq := d.rec.Start(span.KWrite, "trail", d.dataNames[devIdx], lba, count, int64(start))
 		rq.ChildAB(span.PThrottle, int64(start), int64(p.Now()), staged, 0)
 		rq.Point(span.PDeadline, int64(p.Now()), int64(p.Now().Sub(deadline)), 0)
 		rq.Finish(int64(p.Now()), true)
@@ -744,7 +733,7 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 		if d.rec != nil {
 			pw.qdepth = d.logQ.Len()
 			pw.cursor = int64(pw.queued)
-			pw.rq = d.rec.Start(span.KWrite, "trail", d.spanNames[devIdx], pw.lba, n, pw.cursor)
+			pw.rq = d.rec.Start(span.KWrite, "trail", d.dataNames[devIdx], pw.lba, n, pw.cursor)
 		}
 		d.logQ.Push(pw)
 		waits = append(waits, pw)
@@ -795,7 +784,7 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 	var cursor int64
 	if d.rec != nil {
 		cursor = int64(p.Now())
-		rq = d.rec.Start(span.KRead, "trail", d.spanNames[devIdx], lba, count, cursor)
+		rq = d.rec.Start(span.KRead, "trail", d.dataNames[devIdx], lba, count, cursor)
 	}
 	retryBudget := d.cfg.QoS.RetryBudget(opts.Class, maxReadRetries+1) - 1
 	req := d.free.reads.get()
@@ -807,7 +796,7 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		rq.ChildAB(span.PQueue, cursor, int64(res.Start),
 			int64(req.DepthAtSubmit), int64(req.WritesAhead))
 		if req.Err == nil {
-			rq.Command(span.FromResult(&res, d.dataDisks[devIdx].Params().RotPeriod()))
+			rq.Command(&res, d.dataDisks[devIdx].Params().RotPeriod())
 			rq.Finish(int64(res.End), false)
 			overlay(req.Data, lba, d.stagedOver(spill[:0], devIdx, lba, count))
 			return req.Data, nil
@@ -848,7 +837,7 @@ func (d *Driver) recordStagingHit(p *sim.Proc, devIdx int, lba int64, count int)
 		return
 	}
 	now := int64(p.Now())
-	rq := d.rec.Start(span.KRead, "trail", d.spanNames[devIdx], lba, count, now)
+	rq := d.rec.Start(span.KRead, "trail", d.dataNames[devIdx], lba, count, now)
 	rq.Point(span.PStaging, now, 0, 0)
 	rq.Finish(now, false)
 }
@@ -978,7 +967,7 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
 	nextCyl, _ := ld.g.TrackOf(ld.usable[next])
 	posCost := ld.positioningCost(nextCyl)
 	if d.tr != nil {
-		d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KTrackSwitch, Track: ld.trName,
+		d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KTrackSwitch, Track: ld.name,
 			A: int64(ld.usable[ld.posIdx]), B: int64(ld.usable[next])})
 	}
 	ld.posIdx = next
@@ -1000,7 +989,7 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
 	d.stats.RepositionTime += p.Now().Sub(start)
 	if d.tr != nil {
 		d.tr.Emit(trace.Event{At: int64(start), Dur: int64(p.Now().Sub(start)),
-			Kind: trace.KReposition, Track: ld.trName, A: int64(landing)})
+			Kind: trace.KReposition, Track: ld.name, A: int64(landing)})
 	}
 }
 
@@ -1220,7 +1209,7 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	// it against the simulator's true head position via the disk's probe.
 	// The result never flows back to the driver.
 	if d.tr != nil {
-		d.tr.RecordPrediction(ld.trName, int64(ld.estimateMediaStart(p.Now())), cyl, head, target)
+		d.tr.RecordPrediction(ld.name, int64(ld.estimateMediaStart(p.Now())), cyl, head, target)
 	}
 	res := ld.disk.Access(p, &disk.Request{Write: true, LBA: headerLBA, Count: 1 + total, Data: img})
 	ld.lastCmdEnd = res.End
@@ -1256,7 +1245,7 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	for _, pw := range batch {
 		if pw.rq != nil {
 			d.attributeDispatch(pw, ld, int64(res.Start))
-			pw.rq.Command(span.FromResult(&res, ld.disk.Params().RotPeriod()))
+			pw.rq.Command(&res, ld.disk.Params().RotPeriod())
 			pw.rq.Finish(int64(res.End), false)
 		}
 		d.stage(pw, rec)
@@ -1302,7 +1291,7 @@ func (d *Driver) handleLogWriteFault(ld *logDisk, target int, batch []*pendingWr
 		d.stats.LogWriteRetries++
 	}
 	if d.tr != nil {
-		d.tr.Emit(trace.Event{At: int64(res.End), Kind: trace.KRetry, Track: ld.trName,
+		d.tr.Emit(trace.Event{At: int64(res.End), Kind: trace.KRetry, Track: ld.name,
 			Count: len(batch), A: int64(target)})
 	}
 	d.requeueOrFail(batch, err)
@@ -1421,7 +1410,7 @@ func (d *Driver) idleLoop(p *sim.Proc) {
 				d.stats.IdleRefreshes++
 				if d.tr != nil {
 					d.tr.Emit(trace.Event{At: int64(res.Start), Dur: int64(res.End.Sub(res.Start)),
-						Kind: trace.KIdleRefresh, Track: ld.trName, A: int64(sector)})
+						Kind: trace.KIdleRefresh, Track: ld.name, A: int64(sector)})
 				}
 			}
 		}

@@ -141,8 +141,8 @@ func TestPredictorMatchesDiskPhase(t *testing.T) {
 		target := pr.TargetSector(media, g, 0, 0, 1)
 		req2 := diskReq(int64(target), 1)
 		res := d.Access(p, req2)
-		if maxWait := 2 * pp.SectorTime(0); res.Rotate > maxWait {
-			t.Errorf("predicted read waited %v rotation, want <= %v", res.Rotate, maxWait)
+		if maxWait := 2 * pp.SectorTime(0); res.Phases[disk.RotWait] > maxWait {
+			t.Errorf("predicted read waited %v rotation, want <= %v", res.Phases[disk.RotWait], maxWait)
 		}
 	})
 	env.Run()

@@ -166,7 +166,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			e.refs = e.refs[:0]
 			if d.rec != nil {
 				f.cursor = int64(p.Now())
-				f.rq = d.rec.Start(span.KWriteback, "trail", d.spanNames[devIdx],
+				f.rq = d.rec.Start(span.KWriteback, "trail", d.dataNames[devIdx],
 					key.lba, e.count, f.cursor)
 				// Flow edges tie the flight back to the client writes whose
 				// data it commits.
@@ -222,7 +222,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			}
 			if f.rq != nil {
 				res := f.req.Result
-				f.rq.Command(span.FromResult(&res, d.dataDisks[devIdx].Params().RotPeriod()))
+				f.rq.Command(&res, d.dataDisks[devIdx].Params().RotPeriod())
 				f.rq.Finish(int64(res.End), false)
 			}
 			d.stats.WriteBacks++

@@ -1,10 +1,6 @@
 package trail
 
-import (
-	"fmt"
-
-	"tracklog/internal/telemetry"
-)
+import "tracklog/internal/telemetry"
 
 // RegisterMetrics registers the driver's full telemetry on reg: every
 // Stats counter (under the "trail.*" names the report lines print), live
@@ -28,10 +24,10 @@ func (d *Driver) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc(telemetry.Prefix+"trail_avg_track_utilization",
 		"Mean per-track space utilization over filled-and-left tracks.",
 		func() float64 { return d.stats.AvgTrackUtilization() })
-	for i, ld := range d.logs {
-		ld.disk.RegisterMetrics(reg, fmt.Sprintf("log%d", i))
+	for _, ld := range d.logs {
+		ld.disk.RegisterMetrics(reg, ld.name)
 	}
 	for i, q := range d.dataQueues {
-		q.RegisterMetrics(reg, fmt.Sprintf("data%d", i))
+		q.RegisterMetrics(reg, d.dataNames[i])
 	}
 }
