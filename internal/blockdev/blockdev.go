@@ -16,8 +16,14 @@ import (
 	"tracklog/internal/sim"
 )
 
-// ErrOutOfRange reports an access outside the device.
-var ErrOutOfRange = errors.New("blockdev: access outside device")
+// Request errors: the caller asked for something no device can do.
+var (
+	// ErrOutOfRange reports an access outside the device.
+	ErrOutOfRange = errors.New("blockdev: access outside device")
+	// ErrShortBuffer reports a write whose data holds fewer bytes than its
+	// sector count covers.
+	ErrShortBuffer = errors.New("blockdev: write data shorter than its sectors")
+)
 
 // Sentinel error taxonomy for device failures. Every layer wraps these with
 // context (device, LBA, attempt count) but callers MUST classify with
@@ -192,6 +198,18 @@ type Device interface {
 func CheckRange(sectors, lba int64, count int) error {
 	if lba < 0 || count <= 0 || lba > sectors-int64(count) {
 		return fmt.Errorf("%w: [%d,+%d) of %d", ErrOutOfRange, lba, count, sectors)
+	}
+	return nil
+}
+
+// CheckWrite validates a write: its range, as CheckRange does, and data
+// holding all count sectors.
+func CheckWrite(sectors, lba int64, count int, data []byte) error {
+	if err := CheckRange(sectors, lba, count); err != nil {
+		return err
+	}
+	if len(data) < count*geom.SectorSize {
+		return fmt.Errorf("%w: %d bytes for %d sectors", ErrShortBuffer, len(data), count)
 	}
 	return nil
 }

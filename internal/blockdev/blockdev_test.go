@@ -16,6 +16,7 @@ func TestSentinelsClassifyThroughWrapping(t *testing.T) {
 		transient, shed, expired bool
 	}{
 		{"ErrOutOfRange", ErrOutOfRange, false, false, false},
+		{"ErrShortBuffer", ErrShortBuffer, false, false, false},
 		{"ErrMediaError", ErrMediaError, false, false, false},
 		{"ErrTimeout", ErrTimeout, true, false, false},
 		{"ErrDeviceFailed", ErrDeviceFailed, false, false, false},
@@ -39,5 +40,14 @@ func TestSentinelsClassifyThroughWrapping(t *testing.T) {
 	}
 	if err := CheckRange(100, 92, 8); err != nil {
 		t.Errorf("CheckRange inside the device: %v", err)
+	}
+	if err := CheckWrite(100, 96, 8, make([]byte, 8*512)); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("CheckWrite past the end: %v, want ErrOutOfRange", err)
+	}
+	if err := CheckWrite(100, 92, 8, make([]byte, 8*512-1)); !errors.Is(err, ErrShortBuffer) {
+		t.Errorf("CheckWrite one byte short: %v, want ErrShortBuffer", err)
+	}
+	if err := CheckWrite(100, 92, 8, make([]byte, 8*512)); err != nil {
+		t.Errorf("CheckWrite of a full buffer: %v", err)
 	}
 }

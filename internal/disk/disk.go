@@ -16,8 +16,10 @@
 package disk
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"tracklog/internal/geom"
@@ -583,7 +585,7 @@ func (d *Disk) Access(p *sim.Proc, req *Request) Result {
 				}
 			}
 			if req.Write {
-				copy(d.media.at(cur)[:], buf[off:off+geom.SectorSize])
+				d.media.write(cur, buf[off:off+geom.SectorSize])
 				if d.inj != nil {
 					d.inj.SectorWritten(cur)
 				}
@@ -654,46 +656,80 @@ func writeFlag(w bool) int64 {
 	return 0
 }
 
-// sectorStore holds a drive's written sectors, one 512-byte array per LBA,
-// carved out of shared slabs so that a new sector costs a map insert, not an
-// allocation. Sectors are never freed singly (MediaZero drops the whole
+// sectorStore holds a drive's written sectors up to their last non-zero
+// byte, in slots carved out of shared slabs: a new sector costs a map insert,
+// not an allocation. A first slot is rounded up to 16 bytes, an overwrite that
+// does not fit moves to a full-sector one (so at most two), and an all-zero
+// sector has none. Slots are never freed singly (MediaZero drops the whole
 // store), so a slab lives exactly as long as the drive contents it backs.
 type sectorStore struct {
-	sectors map[int64]*[geom.SectorSize]byte
-	spare   [][geom.SectorSize]byte // unused tail of the newest slab
+	sectors map[int64]slot
+	slabs   [][]byte // every slab; the newest has free bytes past its length
 }
+
+// slot packs where a sector's held bytes live into 8 bytes with no pointer,
+// so the GC never scans the index: slab (bits 32-63), byte offset in it
+// (16-31), capacity in 16-byte units (10-15) and held length (0-9).
+type slot uint64
+
+func (h slot) capacity() int { return int(h>>10&0x3f) * 16 }
+func (h slot) len() int      { return int(h & 0x3ff) }
 
 // Slab bounds, in sectors. A slab is as large as the store already is, within
 // these bounds: a drive holding a handful of sectors (a crash-explorer branch,
-// a test fixture) wastes at most as much as it uses, and a busy one allocates
-// once per 128 new sectors.
+// a test fixture) wastes little, and a busy one allocates at most once per
+// 128 new sectors.
 const minSlabSectors, maxSlabSectors = 8, 128
 
 func newSectorStore(sizeHint int) sectorStore {
-	return sectorStore{sectors: make(map[int64]*[geom.SectorSize]byte, sizeHint)}
+	return sectorStore{sectors: make(map[int64]slot, sizeHint)}
 }
 
-// at returns the sector at lba for writing, carving it out of the newest slab
-// the first time lba is written.
-func (s *sectorStore) at(lba int64) *[geom.SectorSize]byte {
-	sec := s.sectors[lba]
-	if sec == nil {
-		if len(s.spare) == 0 {
-			s.spare = make([][geom.SectorSize]byte, min(max(len(s.sectors), minSlabSectors), maxSlabSectors))
+// held returns sec's length up to its last non-zero byte, scanning by words.
+func held(sec []byte) int {
+	for n := len(sec); n > 0; n -= 8 {
+		if w := binary.LittleEndian.Uint64(sec[n-8 : n]); w != 0 {
+			return n - bits.LeadingZeros64(w)/8
 		}
-		sec, s.spare = &s.spare[0], s.spare[1:]
-		s.sectors[lba] = sec
 	}
-	return sec
+	return 0
+}
+
+// bytes returns the held bytes h points at.
+func (s *sectorStore) bytes(h slot) []byte {
+	if h.len() == 0 {
+		return nil
+	}
+	return s.slabs[h>>32][h>>16&0xffff:][:h.len()]
+}
+
+// write stores the sector sec at lba, carving a slot when what it holds
+// outgrows the one it has, and returns the sector's handle.
+func (s *sectorStore) write(lba int64, sec []byte) slot {
+	n, h := held(sec), s.sectors[lba]
+	if n > h.capacity() {
+		size := geom.SectorSize
+		if h.capacity() == 0 {
+			size = (n + 15) &^ 15
+		}
+		last := len(s.slabs) - 1
+		if last < 0 || cap(s.slabs[last])-len(s.slabs[last]) < size {
+			s.slabs = append(s.slabs, make([]byte, 0, min(max(len(s.sectors), minSlabSectors), maxSlabSectors)*geom.SectorSize))
+			last++
+		}
+		off := len(s.slabs[last])
+		s.slabs[last] = s.slabs[last][:off+size]
+		h = slot(last)<<32 | slot(off)<<16 | slot(size/16)<<10
+	}
+	h = h&^0x3ff | slot(n)
+	copy(s.bytes(h), sec)
+	s.sectors[lba] = h
+	return h
 }
 
 // read copies the sector at lba into into; never-written sectors read zero.
 func (s *sectorStore) read(lba int64, into []byte) {
-	if sec, ok := s.sectors[lba]; ok {
-		copy(into, sec[:])
-		return
-	}
-	clear(into)
+	clear(into[copy(into, s.bytes(s.sectors[lba])):])
 }
 
 // MediaRead copies count sectors starting at lba out of the persistent media,
@@ -714,7 +750,7 @@ func (d *Disk) MediaWrite(lba int64, data []byte) {
 		panic("disk: MediaWrite data not sector-aligned")
 	}
 	for i := 0; i < len(data)/geom.SectorSize; i++ {
-		copy(d.media.at(lba + int64(i))[:], data[i*geom.SectorSize:(i+1)*geom.SectorSize])
+		d.media.write(lba+int64(i), data[i*geom.SectorSize:(i+1)*geom.SectorSize])
 	}
 }
 

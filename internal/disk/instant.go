@@ -39,7 +39,7 @@ func (v *InstantDev) Read(_ *sim.Proc, lba int64, count int) ([]byte, error) {
 
 // Write stores media contents with no simulated delay.
 func (v *InstantDev) Write(_ *sim.Proc, lba int64, count int, data []byte) error {
-	if err := blockdev.CheckRange(v.Sectors(), lba, count); err != nil {
+	if err := blockdev.CheckWrite(v.Sectors(), lba, count, data); err != nil {
 		return err
 	}
 	v.d.MediaWrite(lba, data[:count*geom.SectorSize])

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"testing"
@@ -15,12 +16,23 @@ import (
 // per written LBA, nothing shared.
 type mediaModel map[int64][geom.SectorSize]byte
 
-func (m mediaModel) write(lba int64, data []byte) {
+// write stores data at lba and counts the overwrites that grow and that
+// shrink a sector's held bytes, so a test can show it reached both.
+func (m mediaModel) write(lba int64, data []byte) (grew, shrank int) {
 	for i := 0; i < len(data)/geom.SectorSize; i++ {
 		var sec [geom.SectorSize]byte
 		copy(sec[:], data[i*geom.SectorSize:])
+		if old, ok := m[lba+int64(i)]; ok {
+			switch was, now := held(old[:]), held(sec[:]); {
+			case now > was:
+				grew++
+			case now < was:
+				shrank++
+			}
+		}
 		m[lba+int64(i)] = sec
 	}
+	return grew, shrank
 }
 
 func (m mediaModel) read(lba int64, count int) []byte {
@@ -40,6 +52,22 @@ func randomSectors(rng *sim.Rand, count int) []byte {
 	return data
 }
 
+// zeroTails are the zero-tail lengths tailedSectors draws from: a dense
+// sector, the edges of a 16-byte slot, a short stamp and an all-zero sector.
+var zeroTails = [...]int{0, 1, 15, 16, 17, 100, 511, 512}
+
+// tailedSectors is randomSectors with each sector's last bytes cleared, to a
+// length drawn per sector from zeroTails, so that overwrites of one LBA both
+// grow and shrink what the sector holds.
+func tailedSectors(rng *sim.Rand, count int) []byte {
+	data := randomSectors(rng, count)
+	for i := 0; i < count; i++ {
+		end := (i + 1) * geom.SectorSize
+		clear(data[end-zeroTails[rng.Intn(len(zeroTails))] : end])
+	}
+	return data
+}
+
 // access runs one timed command on d in a process of its own.
 func access(env *sim.Env, d *Disk, req *Request) Result {
 	var res Result
@@ -52,7 +80,9 @@ func access(env *sim.Env, d *Disk, req *Request) Result {
 // (MediaWrite, timed Access writes, overwrites, MediaZero, Snapshot into
 // Restore on a fresh drive) and holds every way out (MediaRead, timed reads,
 // WrittenSectors) to a plain map of sector values. The LBA range is narrow so
-// overwrites are common, and wide enough to carve slabs of every size.
+// overwrites are common, and wide enough to carve slabs of every size; every
+// sector has a zero tail drawn from zeroTails, so the store's short slots,
+// all-zero sectors and full-slot moves are all reached.
 func TestSectorStoreMatchesModel(t *testing.T) {
 	const span = 1500 // LBAs in play
 	rng := sim.NewRand(41)
@@ -60,6 +90,11 @@ func TestSectorStoreMatchesModel(t *testing.T) {
 	defer func() { env.Close() }()
 	d := New(env, smallParams())
 	model := mediaModel{}
+	grew, shrank := 0, 0
+	write := func(lba int64, data []byte) {
+		g, s := model.write(lba, data)
+		grew, shrank = grew+g, shrank+s
+	}
 
 	check := func(step int) {
 		t.Helper()
@@ -75,15 +110,15 @@ func TestSectorStoreMatchesModel(t *testing.T) {
 		lba, count := int64(rng.Intn(span)), 1+rng.Intn(16)
 		switch op := rng.Intn(100); {
 		case op < 55:
-			data := randomSectors(rng, count)
+			data := tailedSectors(rng, count)
 			d.MediaWrite(lba, data)
-			model.write(lba, data)
+			write(lba, data)
 		case op < 85:
-			data := randomSectors(rng, count)
+			data := tailedSectors(rng, count)
 			if res := access(env, d, &Request{Write: true, LBA: lba, Count: count, Data: data}); res.Err != nil {
 				t.Fatalf("step %d: write: %v", step, res.Err)
 			}
-			model.write(lba, data)
+			write(lba, data)
 			clear(data) // the drive keeps its own copy
 		case op < 93:
 			req := &Request{LBA: lba, Count: count}
@@ -113,16 +148,19 @@ func TestSectorStoreMatchesModel(t *testing.T) {
 			t.Fatalf("final: sector %d differs from the model", lba)
 		}
 	}
+	if grew == 0 || shrank == 0 {
+		t.Fatalf("overwrites grew %d and shrank %d sectors, want both", grew, shrank)
+	}
 }
 
-// goldenDrive builds the fixed drive state whose snapshot digest is pinned
-// below: random extents with overwrites through both write paths.
-func goldenDrive(env *sim.Env) *Disk {
+// goldenDrive builds a fixed drive state whose snapshot digest is pinned
+// below: random extents from sectors with overwrites through both write paths.
+func goldenDrive(env *sim.Env, sectors func(*sim.Rand, int) []byte) *Disk {
 	d := New(env, smallParams())
 	rng := sim.NewRand(7)
 	for i := 0; i < 200; i++ {
 		lba, count := int64(rng.Intn(3000)), 1+rng.Intn(12)
-		data := randomSectors(rng, count)
+		data := sectors(rng, count)
 		if i%5 == 0 {
 			access(env, d, &Request{Write: true, LBA: lba, Count: count, Data: data})
 		} else {
@@ -133,16 +171,25 @@ func goldenDrive(env *sim.Env) *Disk {
 }
 
 // TestSnapshotGoldenDigest pins Snapshot's bytes (their FNV-64a) across the
-// change of media representation: the digest was recorded with one heap
-// object per sector.
+// changes of media representation: the dense digest was recorded with one
+// heap object per sector, the zero-tail one with one 512-byte slab slot per
+// sector, before sectors were trimmed to their last non-zero byte.
 func TestSnapshotGoldenDigest(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Close()
-	const want = 0x88f698f0aebbfc25
-	h := fnv.New64a()
-	h.Write(goldenDrive(env).Snapshot())
-	if got := h.Sum64(); got != want {
-		t.Fatalf("snapshot digest = %#016x, want %#016x", got, uint64(want))
+	for _, tc := range []struct {
+		name    string
+		sectors func(*sim.Rand, int) []byte
+		want    uint64
+	}{
+		{"dense", randomSectors, 0x88f698f0aebbfc25},
+		{"zero tails", tailedSectors, 0x19f2baa2550a0f38},
+	} {
+		env := sim.NewEnv()
+		h := fnv.New64a()
+		h.Write(goldenDrive(env, tc.sectors).Snapshot())
+		env.Close()
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: snapshot digest = %#016x, want %#016x", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -152,7 +199,7 @@ func TestSnapshotGoldenDigest(t *testing.T) {
 func TestRestoredDrivesShareNothing(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	src := goldenDrive(env)
+	src := goldenDrive(env, tailedSectors)
 	snap := src.Snapshot()
 	pristine := bytes.Clone(snap)
 
@@ -216,11 +263,12 @@ func TestRestoreRejectsUnorderedSectors(t *testing.T) {
 	}
 }
 
-// TestAccessWriteAllocations: a 4 KB write to fresh sectors carves its eight
-// sectors out of a slab, so the store costs one allocation per 16 writes, not
-// eight per write. The per-LBA map is sized up front here: its growth is the
-// runtime's (table splits in bursts, about 0.07 a write when averaged over a
-// long run, the same as before the slabs) and would drown the number guarded.
+// TestAccessWriteAllocations: a dense 4 KB write to fresh sectors carves its
+// eight sectors out of a slab, so the store costs one allocation per 16
+// writes, not eight per write. The per-LBA map is sized up front here: its
+// growth is the runtime's (table splits in bursts, about 0.07 a write when
+// averaged over a long run, the same as before the slabs) and would drown
+// the number guarded.
 func TestAccessWriteAllocations(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -228,6 +276,9 @@ func TestAccessWriteAllocations(t *testing.T) {
 	const writes = 2000
 	d.media = newSectorStore(2 * writes * 8) // AllocsPerRun runs the body twice
 	data := make([]byte, 8*geom.SectorSize)
+	for i := range data {
+		data[i] = byte(i) | 1 // dense: an all-zero sector would carve nothing
+	}
 	next := int64(0)
 	perRun := testing.AllocsPerRun(1, func() {
 		env.Go("writer", func(p *sim.Proc) {
@@ -240,5 +291,65 @@ func TestAccessWriteAllocations(t *testing.T) {
 	})
 	if perWrite := perRun / writes; perWrite > 0.1 {
 		t.Fatalf("%.3f allocations per 4 KB write to fresh sectors, want <= 0.1", perWrite)
+	}
+}
+
+// slabBytes is what s's slabs hold, less the unused tail of the newest.
+func slabBytes(s *sectorStore) int {
+	n := 0
+	for _, slab := range s.slabs {
+		n += cap(slab)
+	}
+	if last := len(s.slabs) - 1; last >= 0 {
+		n -= cap(s.slabs[last]) - len(s.slabs[last])
+	}
+	return n
+}
+
+// TestMediaAllocationsFollowContent: the store holds a sector's bytes up to
+// its last non-zero one, so a drive of stamped client blocks (a 16-byte
+// stamp per sector, as the benchmark's workloads write) costs a small
+// fraction of one of dense blocks, and a sector rewritten again and again
+// with more bytes each time moves to a full slot once, not once a rewrite.
+func TestMediaAllocationsFollowContent(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	const writes = 10000
+	stamped, dense := New(env, WDCaviar()), New(env, WDCaviar())
+	buf := make([]byte, 8*geom.SectorSize)
+	for i := 0; i < writes; i++ {
+		lba := int64(i) * 8
+		clear(buf)
+		for s := 0; s < 8; s++ {
+			binary.LittleEndian.PutUint64(buf[s*geom.SectorSize:], uint64(lba)+uint64(s))
+			binary.LittleEndian.PutUint64(buf[s*geom.SectorSize+8:], uint64(i+1))
+		}
+		stamped.MediaWrite(lba, buf)
+		for j := range buf {
+			buf[j] = byte(i+j) | 1
+		}
+		dense.MediaWrite(lba, buf)
+	}
+	for _, tc := range []struct {
+		name  string
+		d     *Disk
+		bound int
+	}{{"stamped", stamped, 64}, {"dense", dense, geom.SectorSize}} {
+		if per := slabBytes(&tc.d.media) / tc.d.WrittenSectors(); per > tc.bound {
+			t.Errorf("%s 4 KB writes hold %d slab bytes a sector, want <= %d", tc.name, per, tc.bound)
+		}
+	}
+
+	grown := New(env, WDCaviar())
+	sec := make([]byte, geom.SectorSize)
+	for n := 1; n <= geom.SectorSize; n++ {
+		sec[n-1] = byte(n) | 1
+		grown.MediaWrite(7, sec)
+	}
+	if got, want := slabBytes(&grown.media), 16+geom.SectorSize; got > want {
+		t.Errorf("a sector rewritten 512 times, growing, holds %d slab bytes, want <= %d (two slots)", got, want)
+	}
+	if !bytes.Equal(grown.MediaRead(7, 1), sec) {
+		t.Error("the grown sector reads back wrong")
 	}
 }

@@ -11,9 +11,10 @@ const diskSnapKind = "disk.Disk"
 
 // walk is the drive's snapshot format: identity (model name, capacity), arm
 // position, last-command time, activity counters, and every written sector in
-// LBA order. Decoding carves each sector into the receiver's own store, so a
-// restored drive shares nothing with the snapshot's source or its bytes — the
-// isolation the crash explorer's branches rely on.
+// LBA order, each expanded to its full 512 bytes. Decoding writes each sector
+// into the receiver's own store, so a restored drive shares nothing with the
+// snapshot's source or its bytes — the isolation the crash explorer's
+// branches rely on.
 func (d *Disk) walk(c *snapshot.Codec) {
 	name, total := d.params.Name, d.params.Geom.TotalSectors()
 	c.String(&name)
@@ -40,9 +41,10 @@ func (d *Disk) walk(c *snapshot.Codec) {
 	snapshot.I64(c, &d.stats.TransferTime)
 	snapshot.I64(c, &d.stats.Errors)
 
-	snapshot.SortedMap(c, &d.media.sectors, func(c *snapshot.Codec, lba int64, sec **[geom.SectorSize]byte) {
-		*sec = d.media.at(lba) // decoding: a sector of the receiver's own store
-		b := (*sec)[:]
+	snapshot.SortedMap(c, &d.media.sectors, func(c *snapshot.Codec, lba int64, h *slot) {
+		var sec [geom.SectorSize]byte // encoding: the full sector, zeros and all
+		copy(sec[:], d.media.bytes(*h))
+		b := sec[:]
 		c.View(&b)
 		switch {
 		case !c.Decoding() || c.Err() != nil:
@@ -51,7 +53,7 @@ func (d *Disk) walk(c *snapshot.Codec) {
 		case lba >= total:
 			c.Fail(fmt.Errorf("%w: sector %d outside drive", snapshot.ErrCorrupt, lba))
 		default:
-			copy((*sec)[:], b)
+			*h = d.media.write(lba, b) // into the receiver's own store
 		}
 	})
 }

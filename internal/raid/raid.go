@@ -362,11 +362,8 @@ func (a *Array) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 // ("small") writes pay the classic read-modify-write: read old data and old
 // parity, then write new data and new parity.
 func (a *Array) Write(p *sim.Proc, lba int64, count int, data []byte) error {
-	if err := blockdev.CheckRange(a.Sectors(), lba, count); err != nil {
+	if err := blockdev.CheckWrite(a.Sectors(), lba, count, data); err != nil {
 		return err
-	}
-	if len(data) < count*geom.SectorSize {
-		return fmt.Errorf("%w: %d bytes for %d sectors", ErrBadArray, len(data), count)
 	}
 	var opts blockdev.Options
 	a.stats.Writes++

@@ -2,6 +2,7 @@ package rig
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"tracklog/internal/disk"
 	"tracklog/internal/fault"
 	"tracklog/internal/geom"
+	"tracklog/internal/raid"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/snapshot"
@@ -285,5 +287,47 @@ func TestPopulateBeforeStart(t *testing.T) {
 		})
 		r.Run()
 		r.Close()
+	}
+}
+
+// A write whose data is shorter than its sector count is refused with
+// blockdev.ErrShortBuffer by every device, not a panic in the caller or in
+// a driver process, and the device serves the same write with full data.
+func TestShortWriteBufferIsAnError(t *testing.T) {
+	tr, err := New(Config{LogDisk: smallLog(), DataDisk: smallData()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	std, err := New(Config{Baseline: sched.LOOK, DataDisks: 3, DataDisk: smallData()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer std.Close()
+	arr, err := raid.New(std.Devs(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		r    *Rig
+		dev  interface {
+			Write(p *sim.Proc, lba int64, count int, data []byte) error
+		}
+	}{
+		{"stddisk", std, std.Dev(0)},
+		{"trail", tr, tr.Dev(0)},
+		{"instant", std, disk.NewInstantDev(std.DataDisks[0], blockdev.DevID{Major: 3})},
+		{"raid", std, arr},
+	} {
+		tc.r.Go("writer", func(p *sim.Proc) {
+			if err := tc.dev.Write(p, 16, 8, block(0)[:geom.SectorSize]); !errors.Is(err, blockdev.ErrShortBuffer) {
+				t.Errorf("%s: write of 8 sectors with 512 bytes: %v, want ErrShortBuffer", tc.name, err)
+			}
+			if err := tc.dev.Write(p, 16, 8, bytes.Repeat(block(0), 2)); err != nil {
+				t.Errorf("%s: write with full data: %v", tc.name, err)
+			}
+		})
+		tc.r.Run()
 	}
 }

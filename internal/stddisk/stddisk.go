@@ -215,7 +215,7 @@ func (d *Device) Write(p *sim.Proc, lba int64, count int, data []byte) error {
 
 // WriteOpts writes with per-request QoS options.
 func (d *Device) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts blockdev.Options) error {
-	if err := blockdev.CheckRange(d.size, lba, count); err != nil {
+	if err := blockdev.CheckWrite(d.size, lba, count, data); err != nil {
 		return fmt.Errorf("stddisk %v write: %w", d.id, err)
 	}
 	_, err := d.do(p, "write", opts, func() *sched.Request {

@@ -597,7 +597,7 @@ func (dv *DataDev) Write(p *sim.Proc, lba int64, count int, data []byte) error {
 
 // WriteOpts writes with per-request QoS options.
 func (dv *DataDev) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts blockdev.Options) error {
-	if err := blockdev.CheckRange(dv.size, lba, count); err != nil {
+	if err := blockdev.CheckWrite(dv.size, lba, count, data); err != nil {
 		return fmt.Errorf("trail %v write: %w", dv.id, err)
 	}
 	return dv.drv.write(p, dv.idx, lba, count, data, opts)

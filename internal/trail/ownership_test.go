@@ -393,18 +393,20 @@ func TestSealingAllocations(t *testing.T) {
 }
 
 // TestWriteRecordAllocatesNothingPerBlock drives writeRecord itself, one
-// record a call on a log whose every sector already exists, and compares a
-// 1-block batch with a 16-block one: the count of allocations a record costs
-// must not depend on the batch, and the bytes must stay far below one copy of
-// the payload (the parent made three: data, image, write-back).
+// record a call on a log whose every sector already holds a full slot in the
+// media store (a non-zero filler: an all-zero sector holds none), and
+// compares a 1-block batch with a 16-block one: the count of allocations a
+// record costs must not depend on the batch, and the bytes must stay far
+// below one copy of the payload (the parent made three: data, image,
+// write-back).
 func TestWriteRecordAllocatesNothingPerBlock(t *testing.T) {
 	measure := func(blocks int) (allocs float64, bytesPerRecord uint64) {
 		r := newRig(t, 1, Config{})
 		defer r.env.Close()
-		zero := make([]byte, geom.SectorSize)
+		filler := bytes.Repeat([]byte{0xa5}, geom.SectorSize)
 		for lba := int64(0); lba < r.log.Geom().TotalSectors(); lba++ {
 			if _, err := DecodeDiskHeader(r.log.MediaRead(lba, 1)); err != nil {
-				r.log.MediaWrite(lba, zero)
+				r.log.MediaWrite(lba, filler)
 			}
 		}
 		payload := pattern(0x31, blocks)
