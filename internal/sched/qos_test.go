@@ -32,6 +32,10 @@ func TestBoundedQueueShedsNewcomer(t *testing.T) {
 		q.Submit(extra)
 		extra.Done.Wait(p)
 		shedErr = extra.Err
+		// The refused newcomer records the depth it was refused at.
+		if extra.DepthAtSubmit != 2 || extra.WritesAhead != 2 {
+			t.Errorf("shed newcomer saw depth %d, writes ahead %d; want 2, 2", extra.DepthAtSubmit, extra.WritesAhead)
+		}
 		first.Done.Wait(p)
 		for _, r := range reqs {
 			r.Done.Wait(p)
@@ -65,6 +69,10 @@ func TestBoundedQueueEvictsLowerClass(t *testing.T) {
 		// request, not be shed itself.
 		hot := &Request{LBA: 300, Count: 1, Class: blockdev.ClassInteractive}
 		q.Submit(hot)
+		// It is admitted behind what the eviction left: one write.
+		if hot.DepthAtSubmit != 1 || hot.WritesAhead != 1 {
+			t.Errorf("admitted newcomer saw depth %d, writes ahead %d; want 1, 1", hot.DepthAtSubmit, hot.WritesAhead)
+		}
 		bg.Done.Wait(p)
 		victimErr = bg.Err
 		hot.Done.Wait(p)

@@ -16,6 +16,7 @@ import (
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
 	"tracklog/internal/sim"
+	"tracklog/internal/span"
 	"tracklog/internal/timeline"
 	"tracklog/internal/trace"
 )
@@ -60,8 +61,8 @@ type Request struct {
 	Result disk.Result
 
 	// Err is the command's failure, if any, once Done fires. It wraps a
-	// blockdev sentinel error (classify with errors.Is); the queue itself
-	// never retries — retry policy belongs to the driver above it.
+	// blockdev sentinel error (classify with errors.Is); Serve re-issues a
+	// transient one within the budget its caller gives.
 	Err error
 
 	// Queued records when the request entered the queue, for queueing
@@ -260,7 +261,8 @@ func (q *Queue) remove(req *Request) {
 func (q *Queue) Submit(req *Request) {
 	req.Done.Init(q.env)
 	req.Queued = q.env.Now()
-	if q.maxDepth > 0 && q.Depth() >= q.maxDepth {
+	req.DepthAtSubmit, req.WritesAhead = q.Depth(), len(q.writes)
+	if q.maxDepth > 0 && req.DepthAtSubmit >= q.maxDepth {
 		victim := q.shedVictim(req.Class)
 		if victim == nil {
 			// Nothing queued ranks below the newcomer: shed the newcomer.
@@ -271,9 +273,8 @@ func (q *Queue) Submit(req *Request) {
 		q.remove(victim)
 		q.shed(victim, fmt.Errorf("sched: evicted %s for %s arrival: %w",
 			victim.Class, req.Class, blockdev.ErrOverload))
+		req.DepthAtSubmit, req.WritesAhead = q.Depth(), len(q.writes)
 	}
-	req.DepthAtSubmit = q.Depth()
-	req.WritesAhead = len(q.writes)
 	if req.Write {
 		q.writes = append(q.writes, req)
 	} else {
@@ -296,6 +297,58 @@ func (q *Queue) Do(p *sim.Proc, req *Request) disk.Result {
 	q.Submit(req)
 	req.Done.Wait(p)
 	return req.Result
+}
+
+// Serve waits for req, which the caller has submitted, and re-issues it
+// after a transient fault: at most retries times, and never once its deadline
+// has passed. Each re-issue is a full round trip through the queue, so the
+// head repositions onto the target again, as a real driver's retried command
+// would. Serve returns how many re-issues it made and the command's error.
+//
+// rq (nil while recording is off) gets, for each attempt, a queue child from
+// cursor to the command's start, then the command's mechanical phases or a
+// retry child numbered 1, 2, ...; a shed request ends in a shed point and an
+// expired one in a deadline point. rq is finished at the end of the last
+// attempt.
+func (q *Queue) Serve(p *sim.Proc, req *Request, retries int, rq *span.Req, cursor int64) (int, error) {
+	for n := 0; ; n++ {
+		req.Done.Wait(p)
+		res := &req.Result
+		rq.ChildAB(span.PQueue, cursor, int64(res.Start), int64(req.DepthAtSubmit), int64(req.WritesAhead))
+		switch err := req.Err; {
+		case err == nil:
+			rq.Command(res, q.disk.Params().RotPeriod())
+			rq.Finish(int64(res.End), false)
+			return n, nil
+		case blockdev.IsShed(err):
+			rq.Point(span.PShed, int64(res.End), int64(req.DepthAtSubmit), 0)
+			rq.Finish(int64(res.End), true)
+			return n, err
+		case blockdev.IsExpired(err):
+			rq.Point(span.PDeadline, int64(res.End), int64(p.Now().Sub(req.Deadline)), 0)
+			rq.Finish(int64(res.End), true)
+			return n, err
+		}
+		rq.ChildAB(span.PRetry, int64(res.Start), int64(res.End), int64(n+1), 0)
+		switch {
+		case !blockdev.IsTransient(req.Err) || n >= retries:
+			rq.Finish(int64(res.End), true)
+			return n, req.Err
+		case req.Deadline != 0 && p.Now() >= req.Deadline:
+			rq.Point(span.PDeadline, int64(res.End), int64(p.Now().Sub(req.Deadline)), 0)
+			rq.Finish(int64(res.End), true)
+			return n, fmt.Errorf("retry past deadline: %w", blockdev.ErrDeadlineExceeded)
+		}
+		cursor = int64(res.End)
+		if q.tr != nil {
+			q.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KRetry, Track: q.trName,
+				LBA: req.LBA, Count: req.Count, A: int64(n + 1)})
+		}
+		// A read keeps its buffer; nothing else of the failed attempt carries over.
+		*req = Request{Write: req.Write, LBA: req.LBA, Count: req.Count, Data: req.Data,
+			Deadline: req.Deadline, Class: req.Class}
+		q.Submit(req)
+	}
 }
 
 // expireStale completes every queued request whose deadline has passed

@@ -7,7 +7,6 @@ package stddisk
 
 import (
 	"fmt"
-	"time"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
@@ -44,12 +43,8 @@ type Device struct {
 	// write.
 	probeName string
 
-	tr     *trace.Tracer
-	trName string
-
 	rec     *span.Recorder
 	recName string
-	rot     time.Duration
 }
 
 var (
@@ -86,12 +81,10 @@ func (d *Device) SetQoS(pol *qos.Policy) {
 	d.queue.SetMaxDepth(pol.DepthBound())
 }
 
-// SetTracer attaches the device — its drive, its scheduler queue, and its
-// own retry decisions — to a tracer under the given track name. Pass nil to
-// detach.
+// SetTracer attaches the device — its drive and its scheduler queue, which
+// also traces the retries — to a tracer under the given track name. Pass nil
+// to detach.
 func (d *Device) SetTracer(tr *trace.Tracer, name string) {
-	d.tr = tr
-	d.trName = name
 	d.queue.SetTracer(tr, name)
 	d.queue.Disk().SetTracer(tr, name)
 }
@@ -115,74 +108,38 @@ func (d *Device) Stats() Stats { return d.stats }
 func (d *Device) SetRecorder(rec *span.Recorder, name string) {
 	d.rec = rec
 	d.recName = name
-	d.rot = d.queue.Disk().Params().RotPeriod()
 }
 
-// do issues one command with bounded retry on transient failures. Each
-// retry is a full re-issue through the scheduler, so the head repositions
-// onto the target again exactly as a real driver's retried command would.
+// do issues req with bounded retry on transient failures (sched.Queue.Serve).
 // With a QoS policy attached, the deadline rides into the scheduler (which
 // sheds and expires), a retry never fires past the deadline, and the retry
 // budget is the request class's.
-func (d *Device) do(p *sim.Proc, verb string, opts blockdev.Options, mk func() *sched.Request) (*sched.Request, error) {
-	opts.Deadline = d.pol.Deadline(p.Now(), opts.Deadline)
-	budget := d.pol.RetryBudget(opts.Class, maxRetries+1) - 1
+func (d *Device) do(p *sim.Proc, verb string, req *sched.Request, opts blockdev.Options) error {
+	req.Deadline = d.pol.Deadline(p.Now(), opts.Deadline)
+	req.Class = opts.Class
 	var rq *span.Req
 	var cursor int64 // attribution frontier: all time before it is accounted
-	for attempt := 0; ; attempt++ {
-		req := mk()
-		req.Deadline = opts.Deadline
-		req.Class = opts.Class
-		if d.rec != nil && attempt == 0 {
-			kind := span.KRead
-			if req.Write {
-				kind = span.KWrite
-			}
-			cursor = int64(p.Now())
-			rq = d.rec.Start(kind, "std", d.recName, req.LBA, req.Count, cursor)
+	if d.rec != nil {
+		kind := span.KRead
+		if req.Write {
+			kind = span.KWrite
 		}
-		d.queue.Do(p, req)
-		res := req.Result
-		rq.ChildAB(span.PQueue, cursor, int64(res.Start),
-			int64(req.DepthAtSubmit), int64(req.WritesAhead))
-		if req.Err == nil {
-			rq.Command(&res, d.rot)
-			rq.Finish(int64(res.End), false)
-			return req, nil
-		}
-		if blockdev.IsShed(req.Err) || blockdev.IsExpired(req.Err) {
-			// Overload outcome from the bounded scheduler: no retry.
-			d.stats.Failures++
-			if blockdev.IsShed(req.Err) {
-				rq.Point(span.PShed, int64(res.End), int64(req.DepthAtSubmit), 0)
-			} else {
-				rq.Point(span.PDeadline, int64(res.End), int64(p.Now().Sub(opts.Deadline)), 0)
-			}
-			rq.Finish(int64(res.End), true)
-			return nil, fmt.Errorf("stddisk %v %s: %w", d.id, verb, req.Err)
-		}
-		rq.ChildAB(span.PRetry, int64(res.Start), int64(res.End), int64(attempt+1), 0)
-		cursor = int64(res.End)
-		if blockdev.IsTransient(req.Err) && attempt < budget {
-			if opts.Expired(p.Now()) {
-				// The retry would fire past the deadline: abandon instead.
-				d.stats.Failures++
-				rq.Point(span.PDeadline, int64(res.End), int64(p.Now().Sub(opts.Deadline)), 0)
-				rq.Finish(int64(res.End), true)
-				return nil, fmt.Errorf("stddisk %v %s: retry past deadline: %w",
-					d.id, verb, blockdev.ErrDeadlineExceeded)
-			}
-			d.stats.Retries++
-			if d.tr != nil {
-				d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KRetry,
-					Track: d.trName, LBA: req.LBA, Count: req.Count, A: int64(attempt + 1)})
-			}
-			continue
-		}
-		d.stats.Failures++
-		rq.Finish(int64(res.End), true)
-		return nil, fmt.Errorf("stddisk %v %s (attempt %d): %w", d.id, verb, attempt+1, req.Err)
+		cursor = int64(p.Now())
+		rq = d.rec.Start(kind, "std", d.recName, req.LBA, req.Count, cursor)
 	}
+	d.queue.Submit(req)
+	n, err := d.queue.Serve(p, req, d.pol.RetryBudget(opts.Class, maxRetries+1)-1, rq, cursor)
+	d.stats.Retries += int64(n)
+	if err == nil {
+		return nil
+	}
+	d.stats.Failures++
+	if blockdev.IsShed(err) || blockdev.IsExpired(err) {
+		// Overload outcome from the bounded scheduler, or a retry that
+		// would have fired past the deadline.
+		return fmt.Errorf("stddisk %v %s: %w", d.id, verb, err)
+	}
+	return fmt.Errorf("stddisk %v %s (attempt %d): %w", d.id, verb, n+1, err)
 }
 
 // Read returns count sectors starting at lba, blocking p for queueing plus
@@ -197,10 +154,8 @@ func (d *Device) ReadOpts(p *sim.Proc, lba int64, count int, opts blockdev.Optio
 	if err := blockdev.CheckRange(d.size, lba, count); err != nil {
 		return nil, fmt.Errorf("stddisk %v read: %w", d.id, err)
 	}
-	req, err := d.do(p, "read", opts, func() *sched.Request {
-		return &sched.Request{LBA: lba, Count: count, Data: opts.Buffer(count)}
-	})
-	if err != nil {
+	req := &sched.Request{LBA: lba, Count: count, Data: opts.Buffer(count)}
+	if err := d.do(p, "read", req, opts); err != nil {
 		return nil, err
 	}
 	return req.Data, nil
@@ -218,9 +173,7 @@ func (d *Device) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts 
 	if err := blockdev.CheckWrite(d.size, lba, count, data); err != nil {
 		return fmt.Errorf("stddisk %v write: %w", d.id, err)
 	}
-	_, err := d.do(p, "write", opts, func() *sched.Request {
-		return &sched.Request{Write: true, LBA: lba, Count: count, Data: data}
-	})
+	err := d.do(p, "write", &sched.Request{Write: true, LBA: lba, Count: count, Data: data}, opts)
 	if err == nil {
 		// The in-place write is durable and about to be acknowledged to the
 		// client: a crash-exploration interesting event.

@@ -786,48 +786,21 @@ func (d *Driver) read(p *sim.Proc, devIdx int, lba int64, count int, opts blockd
 		cursor = int64(p.Now())
 		rq = d.rec.Start(span.KRead, "trail", d.dataNames[devIdx], lba, count, cursor)
 	}
-	retryBudget := d.cfg.QoS.RetryBudget(opts.Class, maxReadRetries+1) - 1
 	req := d.free.reads.get()
 	defer d.free.reads.put(req) // runs once the result is taken
-	for attempt := 0; ; attempt++ {
-		*req = sched.Request{LBA: lba, Count: count, Data: opts.Buffer(count), Deadline: opts.Deadline, Class: opts.Class}
-		d.dataQueues[devIdx].Do(p, req)
-		res := req.Result
-		rq.ChildAB(span.PQueue, cursor, int64(res.Start),
-			int64(req.DepthAtSubmit), int64(req.WritesAhead))
-		if req.Err == nil {
-			rq.Command(&res, d.dataDisks[devIdx].Params().RotPeriod())
-			rq.Finish(int64(res.End), false)
-			overlay(req.Data, lba, d.stagedOver(spill[:0], devIdx, lba, count))
-			return req.Data, nil
-		}
-		if blockdev.IsExpired(req.Err) {
+	*req = sched.Request{LBA: lba, Count: count, Data: opts.Buffer(count), Deadline: opts.Deadline, Class: opts.Class}
+	q := d.dataQueues[devIdx]
+	q.Submit(req)
+	n, err := q.Serve(p, req, d.cfg.QoS.RetryBudget(opts.Class, maxReadRetries+1)-1, rq, cursor)
+	d.stats.ReadRetries += int64(n)
+	if err != nil {
+		if blockdev.IsExpired(err) {
 			d.stats.DeadlineExceeded++
-			rq.Point(span.PDeadline, int64(res.End), int64(p.Now().Sub(opts.Deadline)), 0)
-			rq.Finish(int64(res.End), true)
-			return nil, fmt.Errorf("trail %v read: %w", d.devIDs[devIdx], req.Err)
 		}
-		rq.ChildAB(span.PRetry, int64(res.Start), int64(res.End), int64(attempt+1), 0)
-		cursor = int64(res.End)
-		if blockdev.IsTransient(req.Err) && attempt < retryBudget {
-			if opts.Expired(p.Now()) {
-				// The retry would fire past the deadline: abandon instead.
-				d.stats.DeadlineExceeded++
-				rq.Point(span.PDeadline, int64(res.End), int64(p.Now().Sub(opts.Deadline)), 0)
-				rq.Finish(int64(res.End), true)
-				return nil, fmt.Errorf("trail %v read: retry past deadline: %w",
-					d.devIDs[devIdx], blockdev.ErrDeadlineExceeded)
-			}
-			d.stats.ReadRetries++
-			if d.tr != nil {
-				d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KRetry,
-					Track: d.dataNames[devIdx], LBA: lba, Count: count, A: int64(attempt + 1)})
-			}
-			continue
-		}
-		rq.Finish(int64(res.End), true)
-		return nil, fmt.Errorf("trail %v read: %w", d.devIDs[devIdx], req.Err)
+		return nil, fmt.Errorf("trail %v read: %w", d.devIDs[devIdx], err)
 	}
+	overlay(req.Data, lba, d.stagedOver(spill[:0], devIdx, lba, count))
+	return req.Data, nil
 }
 
 // recordStagingHit records a read served from host memory: a zero-latency
@@ -1420,24 +1393,20 @@ func (d *Driver) idleLoop(p *sim.Proc) {
 
 // maybeAllIdle wakes Shutdown waiters when everything has drained.
 func (d *Driver) maybeAllIdle() {
-	if d.logQ.Len() > 0 || d.OutstandingRecords() > 0 {
-		return
+	if d.drained() {
+		d.allIdleCond.Broadcast()
 	}
-	for _, ld := range d.logs {
-		if ld.writerBusy {
-			return
-		}
-	}
-	d.allIdleCond.Broadcast()
 }
 
-// drained reports whether all queues, writers and records are idle.
+// drained reports whether all queues, writers and records are idle. A log
+// disk with outstanding records has one not yet committed: commitRef pops
+// committed records off the head, so the head never is.
 func (d *Driver) drained() bool {
-	if d.logQ.Len() > 0 || d.OutstandingRecords() > 0 {
+	if d.logQ.Len() > 0 {
 		return false
 	}
 	for _, ld := range d.logs {
-		if ld.writerBusy {
+		if ld.writerBusy || ld.outstanding.Len() > 0 {
 			return false
 		}
 	}

@@ -20,12 +20,17 @@ import (
 //     driver, and no fully committed record is still referenced.
 //  5. Committed counts never exceed block counts.
 //  6. The running StagedBytes counter equals the sum over the staging map.
+//  7. The oldest outstanding record is not committed: commitRef pops
+//     committed records off the head.
 func (d *Driver) CheckInvariants() error {
 	type trackKey struct {
 		log, track int
 	}
 	live := map[trackKey]int{}
 	for li, ld := range d.logs {
+		if out := ld.outstanding.Live(); len(out) > 0 && out[0].done {
+			return fmt.Errorf("trail: log %d oldest outstanding record seq %d is committed", li, out[0].seq)
+		}
 		var prevSeq uint64
 		for i, r := range ld.outstanding.Live() {
 			if r.log != ld {

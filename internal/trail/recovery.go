@@ -262,25 +262,13 @@ func scanTrack(p *sim.Proc, log *disk.Disk, g *geom.Geometry, track int, epoch u
 	}
 
 	for s := 0; s < spt; s++ {
-		sector := img[s*geom.SectorSize : (s+1)*geom.SectorSize]
-		hdr, err := DecodeRecordHeader(sector)
-		if err != nil || hdr.Epoch != epoch {
+		hdr, data, err := decodeRecord(img, base, s, epoch)
+		if hdr == nil {
 			continue
-		}
-		if hdr.HeaderLBA != base+int64(s) {
-			continue // stale copy relocated by a reformat; not this epoch's record
-		}
-		end := s + 1 + len(hdr.Blocks)
-		if end > spt {
-			continue // a record never crosses a track boundary
 		}
 		if !ts.any || hdr.Seq > ts.maxSeq {
 			ts.any, ts.maxSeq = true, hdr.Seq
 		}
-		rec := img[s*geom.SectorSize : end*geom.SectorSize]
-		imgCopy := make([]byte, len(rec))
-		copy(imgCopy, rec)
-		data, err := ExtractData(hdr, imgCopy)
 		if err != nil {
 			continue // torn record
 		}
@@ -289,6 +277,31 @@ func scanTrack(p *sim.Proc, log *disk.Disk, g *geom.Geometry, track int, epoch u
 		}
 	}
 	return ts, nil
+}
+
+// decodeRecord decodes the record whose header is sector s of img, the image
+// of the whole track starting at LBA base. The header is nil unless sector s
+// holds a header of epoch naming its own LBA (a stale copy relocated by a
+// reformat does not) whose record ends on the track, as every record does.
+// A torn record returns its header with the ExtractData error: torn traces
+// still prove the allocator reached the track.
+func decodeRecord(img []byte, base int64, s int, epoch uint32) (*RecordHeader, []byte, error) {
+	off := s * geom.SectorSize
+	hdr, err := DecodeRecordHeader(img[off : off+geom.SectorSize])
+	if err != nil {
+		return nil, nil, err
+	}
+	if hdr.Epoch != epoch || hdr.HeaderLBA != base+int64(s) {
+		return nil, nil, ErrNotRecord
+	}
+	end := off + (1+len(hdr.Blocks))*geom.SectorSize
+	if end > len(img) {
+		return nil, nil, fmt.Errorf("%w: record crosses track end", ErrNotRecord)
+	}
+	rec := make([]byte, end-off)
+	copy(rec, img[off:end])
+	data, err := ExtractData(hdr, rec)
+	return hdr, data, err
 }
 
 // locateYoungest finds the record with the highest sequence number of the
@@ -429,22 +442,7 @@ func loadRecord(p *sim.Proc, log *disk.Disk, headerLBA int64, epoch uint32, win 
 		}
 		win.track, win.img = track, img
 	}
-	img := win.img
-	off := a.Sector * geom.SectorSize
-	hdr, err := DecodeRecordHeader(img[off : off+geom.SectorSize])
-	if err != nil {
-		return nil, err
-	}
-	if hdr.Epoch != epoch || hdr.HeaderLBA != headerLBA {
-		return nil, ErrNotRecord
-	}
-	end := off + (1+len(hdr.Blocks))*geom.SectorSize
-	if end > len(img) {
-		return nil, fmt.Errorf("%w: record crosses track end", ErrNotRecord)
-	}
-	recImg := make([]byte, end-off)
-	copy(recImg, img[off:end])
-	data, err := ExtractData(hdr, recImg)
+	hdr, data, err := decodeRecord(win.img, headerLBA-int64(a.Sector), a.Sector, epoch)
 	if err != nil {
 		return nil, err
 	}

@@ -2,13 +2,32 @@ package trail
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
 	"tracklog/internal/fault"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
+	"tracklog/internal/trace"
 )
+
+// digest is an artefact's length and FNV-64a, the form the golden pins use.
+func digest(b []byte) string {
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%d bytes %016x", len(b), h.Sum64())
+}
+
+// eventList renders a tracer's events one per line, every field in order.
+func eventList(tr *trace.Tracer) []byte {
+	var b bytes.Buffer
+	for _, ev := range tr.Events() {
+		fmt.Fprintf(&b, "%d %d %s %s %d %d %d %d\n", ev.At, ev.Dur, ev.Kind, ev.Track, ev.LBA, ev.Count, ev.A, ev.B)
+	}
+	return b.Bytes()
+}
 
 // checkSpanInvariant enforces the span layer's core guarantee on every
 // recorded request: child spans are chronological, non-overlapping, stay
@@ -120,6 +139,8 @@ func TestSpanAttributionInvariant(t *testing.T) {
 
 // Under injected transient faults the invariant must still hold: failed
 // attempts become retry spans that tile with the queue time around them.
+// The run's span JSON and trace events are pinned: both data-disk retry
+// paths (client reads and write-backs) re-issue in it.
 func TestSpanAttributionInvariantUnderFaults(t *testing.T) {
 	r := newRig(t, 1, Config{UtilizationThreshold: 0.10})
 	defer r.env.Close()
@@ -127,8 +148,24 @@ func TestSpanAttributionInvariantUnderFaults(t *testing.T) {
 	fault.Attach(r.data[0], sim.NewRand(17), fault.Config{Timeouts: 2, TimeoutWindow: 40})
 	rec := span.NewRecorder(0)
 	r.drv.SetRecorder(rec)
+	tr := trace.New(0)
+	r.drv.SetTracer(tr)
 	spanWorkload(r)
 	r.env.Run()
+
+	if st := r.drv.Stats(); st.ReadRetries == 0 || st.WritebackRetries == 0 {
+		t.Errorf("read retries %d, write-back retries %d: want both > 0", st.ReadRetries, st.WritebackRetries)
+	}
+	var spans bytes.Buffer
+	if err := rec.WriteJSON(&spans); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := digest(spans.Bytes()), "162312 bytes d4ec1d6c7f0ab008"; got != want {
+		t.Errorf("span JSON: %s, want %s", got, want)
+	}
+	if got, want := digest(eventList(tr)), "107609 bytes d2011f79c13127fc"; got != want {
+		t.Errorf("trace events: %s, want %s", got, want)
+	}
 
 	reqs := rec.Requests()
 	checkSpanInvariant(t, reqs)

@@ -3,7 +3,6 @@ package trail
 import (
 	"slices"
 
-	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
@@ -70,12 +69,10 @@ type bufEntry struct {
 }
 
 // oldestOutstanding returns the log disk's oldest not-yet-committed record,
-// or nil.
+// or nil: the head of outstanding, since commitRef pops committed records.
 func (ld *logDisk) oldestOutstanding() *record {
-	for _, r := range ld.outstanding.Live() {
-		if !r.done {
-			return r
-		}
+	if live := ld.outstanding.Live(); len(live) > 0 {
+		return live[0]
 	}
 	return nil
 }
@@ -124,7 +121,6 @@ type wbFlight struct {
 	refs  []recordRef
 	ver   int64
 	req   sched.Request
-	tries int
 
 	// rq is the flight's span tree (nil while recording is disabled); cursor
 	// is its attribution frontier.
@@ -190,26 +186,9 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 		}
 		for i := range flights {
 			f := &flights[i]
-			f.req.Done.Wait(p)
-			f.attributeWait()
-			// Transient faults get a bounded number of re-issues; each is a
-			// full round trip through the scheduler, repositioning the head.
-			for f.req.Err != nil && blockdev.IsTransient(f.req.Err) && f.tries < maxWritebackTries {
-				f.tries++
-				d.stats.WritebackRetries++
-				if d.tr != nil {
-					d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KRetry,
-						Track: d.dataNames[devIdx], LBA: f.key.lba, Count: f.req.Count, A: int64(f.tries)})
-				}
-				f.attributeRetry(int64(f.tries))
-				f.req = sched.Request{Write: true, LBA: f.key.lba, Count: f.req.Count, Data: f.req.Data}
-				d.dataQueues[devIdx].Submit(&f.req)
-				f.req.Done.Wait(p)
-				f.attributeWait()
-			}
-			if f.req.Err != nil {
-				f.attributeRetry(int64(f.tries + 1))
-				f.rq.Finish(int64(f.req.Result.End), true)
+			n, err := d.dataQueues[devIdx].Serve(p, &f.req, maxWritebackTries, f.rq, f.cursor)
+			d.stats.WritebackRetries += int64(n)
+			if err != nil {
 				// Abandon the write-back: put the record references back on
 				// the staging entry uncommitted, so the log space stays
 				// pinned and the data remains both readable (staging
@@ -219,11 +198,6 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 				e.refs = slices.Insert(e.refs, 0, f.refs...)
 				d.tlFlights.Add(-1, int64(p.Now()))
 				continue
-			}
-			if f.rq != nil {
-				res := f.req.Result
-				f.rq.Command(&res, d.dataDisks[devIdx].Params().RotPeriod())
-				f.rq.Finish(int64(res.End), false)
 			}
 			d.stats.WriteBacks++
 			d.tlWriteBacks.Inc(int64(p.Now()))
@@ -255,29 +229,6 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			d.wbProgress.Broadcast()
 		}
 	}
-}
-
-// attributeWait attributes the flight's scheduler wait — from the frontier
-// to the moment the data disk started serving it — as queue time, carrying
-// the queue-state snapshot for blame.
-func (f *wbFlight) attributeWait() {
-	if f.rq == nil {
-		return
-	}
-	res := f.req.Result
-	f.rq.ChildAB(span.PQueue, f.cursor, int64(res.Start),
-		int64(f.req.DepthAtSubmit), int64(f.req.WritesAhead))
-	f.cursor = int64(res.Start)
-}
-
-// attributeRetry attributes one failed service attempt.
-func (f *wbFlight) attributeRetry(attempt int64) {
-	if f.rq == nil {
-		return
-	}
-	res := f.req.Result
-	f.rq.ChildAB(span.PRetry, int64(res.Start), int64(res.End), attempt, 0)
-	f.cursor = int64(res.End)
 }
 
 // commitRef credits a record with committed blocks; when a record is fully
