@@ -101,8 +101,8 @@ func inspect(w io.Writer, log *disk.Disk) error {
 
 	g := log.Geom()
 	var records []*trail.RecordHeader
-	for _, track := range trail.UsableTracks(g) {
-		cyl, head := g.TrackOf(track)
+	for i := range trail.NumUsableTracks(g) {
+		cyl, head := g.TrackOf(trail.UsableTrack(g, i))
 		spt := g.SPTAt(cyl)
 		base := g.TrackStartLBA(cyl, head)
 		img := log.MediaRead(base, spt)

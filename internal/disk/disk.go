@@ -421,7 +421,7 @@ func (d *Disk) fitSeekCurve() {
 			}
 			f := m[r][col] / m[col][col]
 			for k := col; k < 4; k++ {
-				m[r][k] -= f * m[col][k]
+				m[r][k] -= float64(f * m[col][k]) // rounded: never fused (see SeekTime)
 			}
 		}
 	}
@@ -441,7 +441,9 @@ func (d *Disk) SeekTime(dist int) time.Duration {
 	t := float64(d.params.SeekT2T)
 	if dist > 1 {
 		x := float64(dist)
-		t = d.seekA + d.seekB*math.Sqrt(x) + d.seekC*x
+		// Each product is rounded before it is added, so no platform
+		// fuses a multiply-add here and the curve is the same bits on all.
+		t = d.seekA + float64(d.seekB*math.Sqrt(x)) + float64(d.seekC*x)
 		if t < float64(d.params.SeekT2T) {
 			t = float64(d.params.SeekT2T)
 		}

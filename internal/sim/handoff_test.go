@@ -200,6 +200,38 @@ func TestPanicAfterHandoffSurfacesInRun(t *testing.T) {
 	t.Error("Run returned; the process panic was lost")
 }
 
+// A process that ends by runtime.Goexit (a t.Fatal inside it, say) fails the
+// run like a panic, naming the process, instead of leaving the driver blocked
+// for good; Close then leaves no goroutine behind.
+func TestGoexitInProcessFailsRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv()
+	ev := NewEvent(env)
+	env.Go("quitter", func(p *Proc) {
+		ev.Wait(p)
+		runtime.Goexit()
+	})
+	env.Go("waker", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		ev.Trigger()
+		ev.Wait(p)
+	})
+	func() {
+		defer func() {
+			err, ok := recover().(error)
+			if !ok || !strings.Contains(err.Error(), `process "quitter" panicked: runtime.Goexit`) {
+				t.Errorf("Run panicked with %v, want an error naming process \"quitter\" and runtime.Goexit", err)
+			}
+		}()
+		env.Run()
+		t.Error("Run returned; the Goexit was lost")
+	}()
+	env.Close()
+	if n := settleGoroutines(before); n > before {
+		t.Errorf("%d goroutines after Close, %d before NewEnv", n, before)
+	}
+}
+
 // Close unwinds every kind of live process left behind by a run that ended
 // mid-chain: parked, sleeping, spawned but never started, and one that
 // blocks again in a deferred call while unwinding.

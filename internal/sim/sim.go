@@ -207,11 +207,20 @@ func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 // work runs processes one after another on one goroutine: each receive in
 // the loop is a new process's first dispatch. When its function returns, the
 // goroutine goes on the idle list before dispatching the next event; a
-// process that panics or is killed ends it, and so does Close.
+// process that panics, is killed or calls runtime.Goexit ends it, and so does
+// Close.
 func (e *Env) work(resume chan *Proc) {
 	var p *Proc
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if r == nil && !returned {
+			// Neither returned nor panicked: runtime.Goexit, e.g. a t.Fatal
+			// inside a simulated process. Left alone it would strand the
+			// driver on <-e.driver for good.
+			r = "runtime.Goexit"
+		}
+		if r != nil {
 			p.state = procDone
 			delete(e.procs, p.id)
 			if kp, ok := r.(killedPanic); !ok || kp.p != p {
@@ -220,8 +229,8 @@ func (e *Env) work(resume chan *Proc) {
 				// on the driver's side instead.
 				e.kernelPanic = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
-			// Unwound by Env.Close or panicked: either way the run is
-			// over, so control goes straight back without dispatching.
+			// Unwound by Env.Close, panicked or exited: either way the run
+			// is over, so control goes straight back without dispatching.
 			e.transfer(nil)
 		}
 	}()
@@ -238,6 +247,7 @@ func (e *Env) work(resume chan *Proc) {
 		e.idle = append(e.idle, resume)
 		e.transfer(e.next())
 	}
+	returned = true
 }
 
 // schedule puts p into the event queue at time t.

@@ -172,7 +172,7 @@ func (a *Aggregator) chargeWeighted(s *series, from, to int64, v float64) {
 			edge = to
 		}
 		s.growTo(b)
-		s.floats[b] += v * float64(edge-from)
+		s.floats[b] += float64(v * float64(edge-from)) // rounded: never fused
 		from = edge
 	}
 }

@@ -243,15 +243,14 @@ type logDisk struct {
 	disk *disk.Disk
 	g    *geom.Geometry
 
-	// Allocator: usable lists tracks in circular allocation order; posIdx
-	// indexes the tail track; trackUsed marks sectors holding records this
-	// visit (a record lands at the closest free run at or after the
-	// predicted head position).
-	usable     []int
+	// Allocator: posIdx indexes the tail track in UsableTrack's order;
+	// trackUsed marks sectors holding records this visit (a record lands at
+	// the closest free run at or after the predicted head position);
+	// busyCount, grown as the tail reaches new tracks, counts live records.
 	posIdx     int
 	trackUsed  []bool
 	usedOnTail int
-	busyCount  []int
+	busyCount  []int32
 	spaceFreed *sim.Cond
 
 	// Head position prediction; refBuf takes what a reference read returns.
@@ -414,7 +413,6 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 			name:          fmt.Sprintf("log%d", i),
 			disk:          lg,
 			g:             lg.Geom(),
-			usable:        UsableTracks(lg.Geom()),
 			spaceFreed:    sim.NewCond(env),
 			pred:          NewPredictor(lg.Params().RotPeriod()),
 			lastRecordLBA: -1,
@@ -422,7 +420,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 			img:           make([]byte, geom.SectorSize, (1+cfg.MaxBatchSectors)*geom.SectorSize),
 			blocks:        make([]BlockRef, 0, cfg.MaxBatchSectors),
 		}
-		ld.busyCount = make([]int, len(ld.usable))
+		ld.busyCount = make([]int32, 1)
 		_, _, spt := ld.tailTrack()
 		ld.trackUsed = make([]bool, spt)
 		d.logs = append(d.logs, ld)
@@ -840,7 +838,7 @@ func overlay(buf []byte, lba int64, over []*bufEntry) {
 
 // tailTrack returns the log disk's current tail track (cyl, head, spt).
 func (ld *logDisk) tailTrack() (cyl, head, spt int) {
-	cyl, head = ld.g.TrackOf(ld.usable[ld.posIdx])
+	cyl, head = ld.g.TrackOf(UsableTrack(ld.g, ld.posIdx))
 	return cyl, head, ld.g.SPTAt(cyl)
 }
 
@@ -932,16 +930,19 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
 		d.stats.TrackUtilSum += float64(ld.usedOnTail) / float64(spt)
 		d.stats.TrackUtilTracks++
 	}
-	next := (ld.posIdx + 1) % len(ld.usable)
+	next := (ld.posIdx + 1) % NumUsableTracks(ld.g)
+	if next == len(ld.busyCount) {
+		ld.busyCount = append(ld.busyCount, 0) // the tail reaches a new track
+	}
 	for ld.busyCount[next] > 0 {
 		d.stats.LogFullStalls++
 		ld.spaceFreed.Wait(p)
 	}
-	nextCyl, _ := ld.g.TrackOf(ld.usable[next])
+	nextCyl, _ := ld.g.TrackOf(UsableTrack(ld.g, next))
 	posCost := ld.positioningCost(nextCyl)
 	if d.tr != nil {
 		d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KTrackSwitch, Track: ld.name,
-			A: int64(ld.usable[ld.posIdx]), B: int64(ld.usable[next])})
+			A: int64(UsableTrack(ld.g, ld.posIdx)), B: int64(UsableTrack(ld.g, next))})
 	}
 	ld.posIdx = next
 	ld.usedOnTail = 0

@@ -132,7 +132,10 @@ func FuzzRecoverLog(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	usable := UsableTracks(g)
+	usable := make([]int, NumUsableTracks(g))
+	for i := range usable {
+		usable[i] = UsableTrack(g, i)
+	}
 	trackImage := func(track int) (base int64, spt int) {
 		cyl, head := g.TrackOf(track)
 		return g.TrackStartLBA(cyl, head), g.SPTAt(cyl)

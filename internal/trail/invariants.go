@@ -13,7 +13,7 @@ import (
 // Invariants checked, per log disk:
 //
 //  1. busyCount[i] equals the number of not-yet-committed records on
-//     usable track i.
+//     usable track i, for every track the tail has reached.
 //  2. outstanding is ordered by ascending sequence number.
 //  3. The tail track's trackUsed population matches usedOnTail.
 //  4. Every staged buffer's record references point at records of this
@@ -48,7 +48,7 @@ func (d *Driver) CheckInvariants() error {
 			}
 		}
 		for i, busy := range ld.busyCount {
-			if want := live[trackKey{log: li, track: i}]; busy != want {
+			if want := live[trackKey{log: li, track: i}]; int(busy) != want {
 				return fmt.Errorf("trail: log %d track %d busyCount %d, want %d live records", li, i, busy, want)
 			}
 		}

@@ -339,12 +339,10 @@ func ExtractData(h *RecordHeader, img []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Reserved track layout: the primary header lives on the first track, with
-// replicas at the middle and last tracks ("replicated at several other
-// places on the disk to improve the robustness", §3.2).
-
 // HeaderTracks returns the reserved track indices holding the disk header
-// and its replicas, in preference order.
+// and its replicas, in preference order: the first, middle and last tracks
+// ("replicated at several other places on the disk to improve the
+// robustness", §3.2).
 func HeaderTracks(g *geom.Geometry) [3]int {
 	n := g.TotalTracks()
 	return [3]int{0, n / 2, n - 1}
@@ -361,18 +359,22 @@ func HeaderLBAs(g *geom.Geometry) [3]int64 {
 	return out
 }
 
-// UsableTracks returns the log-disk tracks available to the allocator, in
-// circular allocation order (ascending, skipping reserved header tracks).
-func UsableTracks(g *geom.Geometry) []int {
-	reserved := HeaderTracks(g)
-	isReserved := func(t int) bool {
-		return t == reserved[0] || t == reserved[1] || t == reserved[2]
-	}
-	out := make([]int, 0, g.TotalTracks()-3)
-	for t := 0; t < g.TotalTracks(); t++ {
-		if !isReserved(t) {
-			out = append(out, t)
+// UsableTrack returns the track at index i of the allocator's circular
+// order: every track but the header tracks, ascending. It and
+// NumUsableTracks are arithmetic, so no table the size of the disk is built.
+func UsableTrack(g *geom.Geometry, i int) int {
+	h := HeaderTracks(g)
+	for k, r := range h { // ascending; on a small disk they coincide
+		if (k == 0 || r != h[k-1]) && i >= r {
+			i++
 		}
 	}
-	return out
+	return i
+}
+
+// NumUsableTracks returns how many tracks the allocator cycles through:
+// mapping index n, past the last track, steps over every header track once.
+func NumUsableTracks(g *geom.Geometry) int {
+	n := g.TotalTracks()
+	return n - (UsableTrack(g, n) - n)
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tracklog/internal/blockdev"
+	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 )
 
@@ -231,11 +232,11 @@ func TestHeaderTracksReservedAndUsable(t *testing.T) {
 	if tracks[0] != 0 || tracks[1] != 12 || tracks[2] != 23 {
 		t.Errorf("header tracks = %v", tracks)
 	}
-	usable := UsableTracks(&g)
-	if len(usable) != g.TotalTracks()-3 {
-		t.Fatalf("usable = %d tracks, want %d", len(usable), g.TotalTracks()-3)
+	if n := NumUsableTracks(&g); n != g.TotalTracks()-3 {
+		t.Fatalf("usable = %d tracks, want %d", n, g.TotalTracks()-3)
 	}
-	for _, u := range usable {
+	for i := range NumUsableTracks(&g) {
+		u := UsableTrack(&g, i)
 		for _, r := range tracks {
 			if u == r {
 				t.Fatalf("reserved track %d in usable set", r)
@@ -248,6 +249,47 @@ func TestHeaderTracksReservedAndUsable(t *testing.T) {
 		cyl, head := g.TrackOf(tr)
 		if lbas[i] != g.TrackStartLBA(cyl, head) {
 			t.Errorf("header LBA %d = %d", i, lbas[i])
+		}
+	}
+}
+
+// enumerateUsableTracks is the allocator's order as a table: every track
+// that is not a header track, ascending. It is the oracle for UsableTrack
+// and NumUsableTracks, which compute the same order by arithmetic.
+func enumerateUsableTracks(g *geom.Geometry) []int {
+	reserved := HeaderTracks(g)
+	var out []int
+	for t := 0; t < g.TotalTracks(); t++ {
+		if t != reserved[0] && t != reserved[1] && t != reserved[2] {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// The track index gives exactly the enumeration's sequence and length on
+// both paper drives and on every geometry of 1-8 tracks, where the header
+// tracks coincide and fewer than three tracks are reserved.
+func TestUsableTrackMatchesEnumeration(t *testing.T) {
+	geoms := []geom.Geometry{disk.ST41601N().Geom, disk.WDCaviar().Geom}
+	for tracks := 1; tracks <= 8; tracks++ {
+		for heads := 1; heads <= tracks; heads++ {
+			if tracks%heads == 0 {
+				geoms = append(geoms, geom.Uniform(tracks/heads, heads, 60))
+			}
+		}
+	}
+	for _, g := range geoms {
+		want := enumerateUsableTracks(&g)
+		if n := NumUsableTracks(&g); n != len(want) {
+			t.Errorf("%dx%d: NumUsableTracks = %d, want %d", g.Cylinders, g.Heads, n, len(want))
+			continue
+		}
+		for i, tr := range want {
+			if got := UsableTrack(&g, i); got != tr {
+				t.Errorf("%dx%d: UsableTrack(%d) = %d, want %d", g.Cylinders, g.Heads, i, got, tr)
+				break
+			}
 		}
 	}
 }

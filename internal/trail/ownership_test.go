@@ -118,9 +118,9 @@ func TestStageReplacesNeverMutates(t *testing.T) {
 	r := newRig(t, 1, Config{})
 	defer r.env.Close()
 	ld := r.drv.logs[0]
-	rec := &record{seq: 1, log: ld, blocks: 4}
+	rec := &record{seq: 1, log: ld, trackIdx: ld.posIdx, blocks: 4}
 	ld.outstanding.Push(rec)
-	ld.busyCount[0]++
+	ld.busyCount[rec.trackIdx]++
 	older, newer := fill(0x11, 2), fill(0x22, 2)
 	r.drv.stage(&pendingWrite{lba: 8, count: 2, data: older}, rec)
 	e := r.drv.staging[bufKey{lba: 8, count: 2}]

@@ -3,6 +3,7 @@ package trail
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -100,6 +101,7 @@ func RecoverLogs(p *sim.Proc, logs []*disk.Disk, devs map[blockdev.DevID]blockde
 	var records []*loadedRecord
 	var crashed []*disk.Disk
 	var crashedHdrs []*DiskHeader
+	win := &trackWindow{}
 	for li, log := range logs {
 		hdr, err := ReadHeader(log)
 		if err != nil {
@@ -116,12 +118,9 @@ func RecoverLogs(p *sim.Proc, logs []*disk.Disk, devs map[blockdev.DevID]blockde
 		crashed = append(crashed, log)
 		crashedHdrs = append(crashedHdrs, hdr)
 
-		g := log.Geom()
-		usable := UsableTracks(g)
-
 		// Phase 1: locate the youngest active write record on this disk.
 		start := p.Now()
-		youngest, err := locateYoungest(p, log, g, usable, hdr.Epoch, opts.SequentialScan, rep)
+		youngest, err := locateYoungest(p, log, hdr.Epoch, opts.SequentialScan, win, rep)
 		rep.LocateTime += p.Now().Sub(start)
 		rq.ChildAB(span.PLocate, int64(start), int64(p.Now()), int64(li), 0)
 		if err != nil {
@@ -134,7 +133,7 @@ func RecoverLogs(p *sim.Proc, logs []*disk.Disk, devs map[blockdev.DevID]blockde
 
 		// Phase 2: rebuild the pending record chain back to log_head.
 		start = p.Now()
-		recs, torn, err := rebuildChain(p, log, hdr.Epoch, youngest, opts.IgnoreLogHead, rep)
+		recs, torn, err := rebuildChain(p, log, hdr.Epoch, youngest, opts.IgnoreLogHead, win, rep)
 		rep.RebuildTime += p.Now().Sub(start)
 		rq.ChildAB(span.PRebuild, int64(start), int64(p.Now()), int64(li), 0)
 		if err != nil {
@@ -202,20 +201,30 @@ type loadedRecord struct {
 	data []byte
 }
 
-// readTrackSalvage reads one full track, salvaging around unreadable
-// sectors: transient faults are retried (bounded), and a media-error sector
-// is skipped, leaving zeroes in its place — zero bytes can never decode as a
-// record header, and any record image spanning the hole fails its CRC, so
-// the scan treats the damage as torn space rather than aborting recovery.
-// Each read lands in the image directly: Access never writes the sector that
-// failed, so the hole stays zero.
-func readTrackSalvage(p *sim.Proc, log *disk.Disk, base int64, spt int, rep *RecoverReport) ([]byte, error) {
-	out := make([]byte, spt*geom.SectorSize)
-	lba := base
-	end := base + int64(spt)
-	retries := 0
+// trackWindow is the one track image a recovery reads into, for the locate
+// scans and the chain walk alike, so N tracks read allocate one image, not N.
+// track is the track img holds, or -1 when the chain walk must read afresh.
+type trackWindow struct {
+	track int
+	img   []byte
+}
+
+// readTrackSalvage reads one full track into the window, returning the LBA
+// it starts at, and salvages around unreadable sectors: transient faults are
+// retried (bounded), and a media-error sector is skipped, leaving zeroes in
+// its place — zero bytes never decode as a record header, and a record image
+// spanning the hole fails its CRC, so the scan sees torn space rather than
+// aborting. The image is cleared first and each read lands in it directly:
+// Access never writes the sector that failed, so the hole stays zero.
+func (w *trackWindow) readTrackSalvage(p *sim.Proc, log *disk.Disk, track int, rep *RecoverReport) (int64, error) {
+	g := log.Geom()
+	cyl, head := g.TrackOf(track)
+	base, spt := g.TrackStartLBA(cyl, head), g.SPTAt(cyl)
+	w.track, w.img = track, slices.Grow(w.img[:0], spt*geom.SectorSize)[:spt*geom.SectorSize]
+	clear(w.img)
+	lba, end, retries := base, base+int64(spt), 0
 	for lba < end {
-		req := disk.Request{LBA: lba, Count: int(end - lba), Data: out[(lba-base)*geom.SectorSize:]}
+		req := disk.Request{LBA: lba, Count: int(end - lba), Data: w.img[(lba-base)*geom.SectorSize:]}
 		res := log.Access(p, &req)
 		lba += int64(res.Transferred)
 		switch {
@@ -228,10 +237,10 @@ func readTrackSalvage(p *sim.Proc, log *disk.Disk, base int64, spt int, rep *Rec
 			rep.MediaErrorSectors++
 			lba++ // leave the unreadable sector zeroed and move on
 		default:
-			return nil, fmt.Errorf("trail: recovery read at lba %d: %w", lba, res.Err)
+			return 0, fmt.Errorf("trail: recovery read at lba %d: %w", lba, res.Err)
 		}
 	}
-	return out, nil
+	return base, nil
 }
 
 // trackScan is the result of scanning one track for records of an epoch.
@@ -249,20 +258,16 @@ type trackScan struct {
 	maxSeq uint64
 }
 
-// scanTrack reads one full track and reports the records of the target epoch
-// found on it.
-func scanTrack(p *sim.Proc, log *disk.Disk, g *geom.Geometry, track int, epoch uint32, rep *RecoverReport) (trackScan, error) {
-	cyl, head := g.TrackOf(track)
-	spt := g.SPTAt(cyl)
-	base := g.TrackStartLBA(cyl, head)
+// scanTrack reads one full track into win and reports the records of the
+// target epoch found on it.
+func scanTrack(p *sim.Proc, log *disk.Disk, track int, epoch uint32, win *trackWindow, rep *RecoverReport) (trackScan, error) {
 	var ts trackScan
-	img, err := readTrackSalvage(p, log, base, spt, rep)
+	base, err := win.readTrackSalvage(p, log, track, rep)
 	if err != nil {
 		return ts, err
 	}
-
-	for s := 0; s < spt; s++ {
-		hdr, data, err := decodeRecord(img, base, s, epoch)
+	for s := 0; s < len(win.img)/geom.SectorSize; s++ {
+		hdr, data, err := decodeRecord(win.img, base, s, epoch)
 		if hdr == nil {
 			continue
 		}
@@ -310,10 +315,11 @@ func decodeRecord(img []byte, base int64, s int, epoch uint32) (*RecordHeader, [
 // wrapped tail in very long runs); binary search finds the boundary in
 // O(lg N) track scans (§3.3, first optimization). If the structure is not a
 // clean prefix (e.g. the log wrapped), it falls back to a sequential scan.
-func locateYoungest(p *sim.Proc, log *disk.Disk, g *geom.Geometry, usable []int, epoch uint32, sequential bool, rep *RecoverReport) (*loadedRecord, error) {
+func locateYoungest(p *sim.Proc, log *disk.Disk, epoch uint32, sequential bool, win *trackWindow, rep *RecoverReport) (*loadedRecord, error) {
+	usable := NumUsableTracks(log.Geom())
 	scan := func(i int) (trackScan, error) {
 		rep.TracksScanned++
-		return scanTrack(p, log, g, usable[i], epoch, rep)
+		return scanTrack(p, log, UsableTrack(log.Geom(), i), epoch, win, rep)
 	}
 	if sequential {
 		// The unoptimized baseline: scan every track (no assumptions
@@ -346,9 +352,9 @@ func locateYoungest(p *sim.Proc, log *disk.Disk, g *geom.Geometry, usable []int,
 		// means the epoch wrote no records at all — but media faults can
 		// burn a track without leaving a decodable trace, so fall back to
 		// the sequential scan rather than silently dropping the epoch.
-		return locateYoungest(p, log, g, usable, epoch, true, rep)
+		return locateYoungest(p, log, epoch, true, win, rep)
 	}
-	lo, hi := 0, len(usable)-1 // invariant: track lo is written
+	lo, hi := 0, usable-1 // invariant: track lo is written
 	loScan := first
 	for lo < hi {
 		mid := lo + (hi-lo+1)/2
@@ -368,8 +374,8 @@ func locateYoungest(p *sim.Proc, log *disk.Disk, g *geom.Geometry, usable []int,
 	// structure no longer holds), and a last track whose records are all
 	// torn (the youngest intact record is then on an earlier track the
 	// search cannot identify).
-	if lo == len(usable)-1 || loScan.best == nil {
-		return locateYoungest(p, log, g, usable, epoch, true, rep)
+	if lo == usable-1 || loScan.best == nil {
+		return locateYoungest(p, log, epoch, true, win, rep)
 	}
 	return loScan.best, nil
 }
@@ -378,20 +384,20 @@ func locateYoungest(p *sim.Proc, log *disk.Disk, g *geom.Geometry, usable []int,
 // its log_head (or the epoch start), loading each pending record. Sequence
 // numbers fall strictly along a genuine chain, so the walk ends at the first
 // record that is not older than its successor and cannot loop.
-// Consecutive records cluster on a few tracks, so the walk reads whole
-// tracks rather than issuing two small reads per record, and holds one: the
-// image of the track it is on (§3.3 reads the log a track at a time). A
-// pending chain never returns to a track it has left — a track is reused
-// only after its records are written back — so the window loses nothing.
+// Consecutive records cluster on a few tracks, so the walk reads whole tracks
+// into win, starting afresh, rather than issuing two small reads per record
+// (§3.3 reads the log a track at a time). A pending chain never returns to a
+// track it has left — a track is reused only after its records are written
+// back — so the window loses nothing.
 // The one walk that can return is the IgnoreLogHead ablation on a log that
 // wrapped within its epoch; it reads that track again and finds the same
 // bytes.
-func rebuildChain(p *sim.Proc, log *disk.Disk, epoch uint32, youngest *loadedRecord, ignoreLogHead bool, rep *RecoverReport) ([]*loadedRecord, int, error) {
+func rebuildChain(p *sim.Proc, log *disk.Disk, epoch uint32, youngest *loadedRecord, ignoreLogHead bool, win *trackWindow, rep *RecoverReport) ([]*loadedRecord, int, error) {
 	stopLBA := youngest.hdr.LogHead
 	records := []*loadedRecord{youngest}
 	torn := 0
 	cur := youngest
-	win := trackWindow{track: -1}
+	win.track = -1
 	for {
 		if !ignoreLogHead && cur.hdr.HeaderLBA == stopLBA {
 			break // reached the oldest uncommitted record
@@ -400,7 +406,7 @@ func rebuildChain(p *sim.Proc, log *disk.Disk, epoch uint32, youngest *loadedRec
 		if prev < 0 {
 			break // first record of the epoch
 		}
-		rec, err := loadRecord(p, log, prev, epoch, &win, rep)
+		rec, err := loadRecord(p, log, prev, epoch, win, rep)
 		if errors.Is(err, ErrNotRecord) || errors.Is(err, ErrTornRecord) {
 			if errors.Is(err, ErrTornRecord) {
 				torn++
@@ -419,13 +425,6 @@ func rebuildChain(p *sim.Proc, log *disk.Disk, epoch uint32, youngest *loadedRec
 	return records, torn, nil
 }
 
-// trackWindow is the one full-track image the chain walk holds: track is its
-// index, or -1 before the first read.
-type trackWindow struct {
-	track int
-	img   []byte
-}
-
 // loadRecord reads and validates one record at the given header LBA, from
 // win when the record lies on its track, else from a fresh read of the full
 // track that holds it, which becomes the window.
@@ -436,11 +435,9 @@ func loadRecord(p *sim.Proc, log *disk.Disk, headerLBA int64, epoch uint32, win 
 	}
 	a := g.ToCHS(headerLBA)
 	if track := g.TrackIndex(a.Cyl, a.Head); track != win.track {
-		img, err := readTrackSalvage(p, log, g.TrackStartLBA(a.Cyl, a.Head), g.SPTAt(a.Cyl), rep)
-		if err != nil {
+		if _, err := win.readTrackSalvage(p, log, track, rep); err != nil {
 			return nil, err
 		}
-		win.track, win.img = track, img
 	}
 	hdr, data, err := decodeRecord(win.img, headerLBA-int64(a.Sector), a.Sector, epoch)
 	if err != nil {

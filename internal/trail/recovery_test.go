@@ -3,6 +3,7 @@ package trail
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -126,7 +127,7 @@ func TestRecoveryReplaysPendingWrites(t *testing.T) {
 		}
 	}
 	// Recovery must have used binary search: scans well below track count.
-	usable := len(UsableTracks(r.log.Geom()))
+	usable := NumUsableTracks(r.log.Geom())
 	if rep.TracksScanned >= usable {
 		t.Errorf("scanned %d of %d tracks; binary search inactive", rep.TracksScanned, usable)
 	}
@@ -291,6 +292,44 @@ func TestRecoverySequentialScanAblation(t *testing.T) {
 	}
 }
 
+// Recovery reads every track into one image, so what it allocates does not
+// grow with the tracks it reads: a sequential scan of all 21 usable tracks
+// allocates less than one track image more than the binary search's few
+// scans (524 KB more before the image was reused).
+func TestRecoveryAllocatesOneTrackImage(t *testing.T) {
+	r := crashAfterWrites(t, 8)
+	recoverBytes := func(opts RecoverOptions) (uint64, *RecoverReport) {
+		env := sim.NewEnv()
+		defer env.Close()
+		r.log.Reattach(env)
+		var rep *RecoverReport
+		var err error
+		opts.SkipWriteBack = true // leaves the log as it is for the next run
+		env.Go("recovery", func(p *sim.Proc) { rep, err = Recover(p, r.log, nil, opts) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		env.Run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, rep
+	}
+	search, few := recoverBytes(RecoverOptions{})
+	scan, all := recoverBytes(RecoverOptions{SequentialScan: true})
+	g := r.log.Geom()
+	if all.TracksScanned != NumUsableTracks(g) || few.TracksScanned > all.TracksScanned/2 ||
+		all.RecordsFound != few.RecordsFound || all.RecordsFound == 0 {
+		t.Fatalf("scanned %d and %d of %d tracks, found %d and %d records; the test needs a full scan and a short search that find the same records",
+			all.TracksScanned, few.TracksScanned, NumUsableTracks(g), all.RecordsFound, few.RecordsFound)
+	}
+	image := uint64(g.SPTAt(0) * geom.SectorSize)
+	if scan > search+image {
+		t.Errorf("reading %d tracks allocated %d B, reading %d allocated %d B: more than one %d B track image apart",
+			all.TracksScanned, scan, few.TracksScanned, search, image)
+	}
+}
+
 func TestRecoveryLogHeadBoundsWalk(t *testing.T) {
 	// With IgnoreLogHead, recovery walks to the epoch start and finds at
 	// least as many records (committed ones included); with the bound it
@@ -390,13 +429,15 @@ func TestReadTrackSalvageKeepsSectorOffsets(t *testing.T) {
 	log.SetInjector(&salvageFaults{bad: base + int64(bad)})
 
 	rep := &RecoverReport{}
-	var img []byte
+	// A stale image from an earlier read must not show through the hole.
+	win := &trackWindow{img: bytes.Repeat([]byte{0xA5}, spt*geom.SectorSize)}
 	var err error
-	env.Go("scan", func(p *sim.Proc) { img, err = readTrackSalvage(p, log, base, spt, rep) })
+	env.Go("scan", func(p *sim.Proc) { _, err = win.readTrackSalvage(p, log, g.TrackIndex(3, 1), rep) })
 	env.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	img := win.img
 	for s := 0; s < spt; s++ {
 		if got := img[s*geom.SectorSize : (s+1)*geom.SectorSize]; !bytes.Equal(got, want[s*geom.SectorSize:(s+1)*geom.SectorSize]) {
 			t.Fatalf("sector %d of the image holds %#x..., want %#x...", s, got[0], want[s*geom.SectorSize])

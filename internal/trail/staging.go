@@ -17,7 +17,7 @@ type record struct {
 	seq       uint64
 	headerLBA int64
 	log       *logDisk
-	trackIdx  int // index into log.usable
+	trackIdx  int // the track's index in the allocation order
 	blocks    int
 	committed int
 	done      bool
