@@ -24,17 +24,19 @@ const PageSize = PageSectors * geom.SectorSize
 // so a stale one never takes on another page's identity; eviction hands its
 // Data to the next page faulted in and leaves it nil.
 type Page struct {
-	ID    int64
-	Data  []byte
-	dirty bool
-	pins  int
+	ID   int64
+	Data []byte
+	pins int
 	// writes counts device writes of Data in flight: until they return, an
 	// eviction gives Data to no other page.
 	writes int
-	// Offsets is kvdb's table of an internal node's cell offsets, kept
-	// while the page is cached. The cache never reads it; a page faulted in
-	// takes its victim's array emptied, so it starts without a table.
+	// Offsets is kvdb's table of a node's cell offsets and Fill the cells'
+	// accounting bytes, kept while the page is cached and through kvdb's
+	// in-place edits. The cache never reads them; a page faulted in takes its
+	// victim's array emptied, so it starts without a table.
 	Offsets []uint16
+	Fill    int32
+	dirty   bool // beside Fill: a Page is 96 bytes, and every miss makes one
 	// prev and next link the page into its cache's LRU ring.
 	prev, next *Page
 }
@@ -138,8 +140,8 @@ func (c *Cache) GetZero(p *sim.Proc, id int64) (*Page, error) {
 // makeRoom evicts LRU unpinned pages until a frame is free and returns the
 // new page to fill it. A dirty victim is written back first and evicted only
 // if it is still resident and unpinned once the write returns. The new page
-// takes the last victim's data and emptied offset array, unless another
-// process's write of that data is still in flight; then it gets none, and
+// takes the last victim's emptied offset array and its data, unless another
+// process's write of that data is still in flight; then it gets no data, and
 // the caller allocates.
 func (c *Cache) makeRoom(p *sim.Proc) (*Page, error) {
 	pg := new(Page)
@@ -162,8 +164,9 @@ func (c *Cache) makeRoom(p *sim.Proc) (*Page, error) {
 		victim.unlink()
 		delete(c.pages, victim.ID)
 		if victim.writes == 0 {
-			pg.Data, pg.Offsets = victim.Data, victim.Offsets[:0]
+			pg.Data = victim.Data
 		}
+		pg.Offsets = victim.Offsets[:0]
 		victim.Data, victim.Offsets = nil, nil
 	}
 	return pg, nil

@@ -125,9 +125,11 @@ func BenchmarkScan(b *testing.B) {
 // are cached: a Get its returned copy, a GetAppend into a buffer that has
 // room, a Put that does not split and a Scan nothing. An ascending stream of
 // 16-byte keys and values splits a leaf every ~54 Puts and an internal node
-// every ~4 000: a split allocates the new page's frame and data and the
-// separator, and an offset table rebuilt after each separator its node takes
-// reuses its array, so the stream stays under 0.1 allocations a Put.
+// every ~4 000: a split allocates the new page's frame and data, the
+// separator and, on a cache that never evicts, the new page's offset table,
+// one array of the largest size that every later insert fits in. The stream
+// makes 73 allocations a thousand Puts (56 when only internal nodes kept a
+// table); tables that grew by append made 165.
 func TestAllocations(t *testing.T) {
 	const n = 40_000
 	tr, in := benchTree(t, n)

@@ -98,23 +98,23 @@ func TestCheckNamesTheCorruption(t *testing.T) {
 	}
 }
 
-// lastCellDamaged returns a copy of an internal node's page whose last cell
-// claims a key that runs past the page.
+// lastCellDamaged returns a copy of a node's page whose last cell claims a
+// key that runs past the page.
 func lastCellDamaged(page []byte) []byte {
 	d := bytes.Clone(page)
 	off := nodeHeader
 	for i := 1; i < int(binary.LittleEndian.Uint16(d[1:])); i++ {
-		_, _, _, off, _ = cell(d, false, off)
+		_, _, _, off, _ = cell(d, d[0] == leafType, off)
 	}
 	binary.LittleEndian.PutUint16(d[off:], 0xffff)
 	return d
 }
 
-// TestGetThroughMalformedLastCell reads a store whose root's last cell is
-// malformed, far past the separator a Get of the leftmost leaf stops at. The
-// root's offset table is built by walking every cell, so the Get returns
-// ErrCorrupt.
-func TestGetThroughMalformedLastCell(t *testing.T) {
+// getThroughMalformedLastCell damages the last cell of the root or of the
+// leftmost leaf of a two-level store on its device, reopens the store, and
+// expects a Get of its first key, whose cell lies far before the damage, to
+// return an ErrCorrupt naming the cell that runs past the page.
+func getThroughMalformedLastCell(t *testing.T, leaf bool) {
 	env, s := instantStore(t, 64)
 	defer env.Close()
 	runErr(t, env, func(p *sim.Proc) error {
@@ -122,16 +122,19 @@ func TestGetThroughMalformedLastCell(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		root, _, err := twoLevels(p, s, tr)
+		id, leftmost, err := twoLevels(p, s, tr)
 		if err == nil {
 			err = s.Cache().FlushAll(p)
+		}
+		if leaf {
+			id = leftmost
 		}
 		if err != nil {
 			return err
 		}
-		page, err := s.Device().Read(p, root*bufcache.PageSectors, bufcache.PageSectors)
+		page, err := s.Device().Read(p, id*bufcache.PageSectors, bufcache.PageSectors)
 		if err == nil {
-			err = s.Device().Write(p, root*bufcache.PageSectors, bufcache.PageSectors, lastCellDamaged(page))
+			err = s.Device().Write(p, id*bufcache.PageSectors, bufcache.PageSectors, lastCellDamaged(page))
 		}
 		if err != nil {
 			return err
@@ -149,6 +152,15 @@ func TestGetThroughMalformedLastCell(t *testing.T) {
 		return nil
 	})
 }
+
+// TestGetThroughMalformedLastCell: the root's offset table is built by
+// walking every cell, so the Get fails although its descent stops at the
+// first separator.
+func TestGetThroughMalformedLastCell(t *testing.T) { getThroughMalformedLastCell(t, false) }
+
+// TestGetThroughMalformedLastLeafCell: a leaf is sought over an offset table
+// built by the same walk, so the Get fails although the key's cell is whole.
+func TestGetThroughMalformedLastLeafCell(t *testing.T) { getThroughMalformedLastCell(t, true) }
 
 func TestOpenRejectsCorruptMeta(t *testing.T) {
 	for name, damage := range map[string]func(meta []byte){
@@ -234,8 +246,8 @@ func FuzzPageOps(f *testing.F) {
 	pages := len(healthy) / bufcache.PageSize
 
 	// Seeds: the meta page, the root and the leftmost leaf, as they are and
-	// with one byte of the header or the first cell changed, and the root
-	// with its last cell malformed.
+	// with one byte of the header or the first cell changed, and the root and
+	// the leaf with their last cells malformed.
 	for _, at := range []int64{0, root, leaf} {
 		page := healthy[at*bufcache.PageSize:][:bufcache.PageSize]
 		f.Add(uint8(at), page)
@@ -245,7 +257,9 @@ func FuzzPageOps(f *testing.F) {
 			f.Add(uint8(at), damaged)
 		}
 	}
-	f.Add(uint8(root), lastCellDamaged(healthy[root*bufcache.PageSize:][:bufcache.PageSize]))
+	for _, at := range []int64{root, leaf} {
+		f.Add(uint8(at), lastCellDamaged(healthy[at*bufcache.PageSize:][:bufcache.PageSize]))
+	}
 
 	f.Fuzz(func(t *testing.T, at uint8, image []byte) {
 		store := append([]byte(nil), healthy...)

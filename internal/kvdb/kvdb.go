@@ -236,14 +236,10 @@ func (s *Store) newNode(p *sim.Proc, leaf bool) (node, error) {
 
 func (nd node) link() int64 { return int64(binary.LittleEndian.Uint64(nd.pg.Data[3:])) }
 
-// setCount sets the node's cell count. Every edit of an internal node passes
-// here, so it drops the node's offset table.
-func (nd node) setCount(n int) {
-	binary.LittleEndian.PutUint16(nd.pg.Data[1:], uint16(n))
-	nd.pg.Offsets = nd.pg.Offsets[:0]
-}
+func (nd node) setCount(n int) { binary.LittleEndian.PutUint16(nd.pg.Data[1:], uint16(n)) }
 
-// write replaces the node's whole content: n cells, already encoded.
+// write replaces the node's whole content: n cells, already encoded. It is
+// the one edit that drops the node's offset table.
 func (nd node) write(n int, link int64, cells []byte) {
 	d := nd.pg.Data
 	d[0] = internalType
@@ -253,6 +249,7 @@ func (nd node) write(n int, link int64, cells []byte) {
 	nd.setCount(n)
 	binary.LittleEndian.PutUint64(d[3:], uint64(link))
 	clear(d[nodeHeader+copy(d[nodeHeader:], cells):])
+	nd.pg.Offsets, nd.pg.Fill = nd.pg.Offsets[:0], 0
 }
 
 // cell decodes the cell at d[off:] of a leaf or an internal node: its key,
@@ -301,82 +298,61 @@ type spot struct {
 	off, end int    // the key's cell is d[off:end]; end == off when the key is absent
 	size     int    // accounting bytes of that cell, 0 when absent
 	before   []byte // in an internal node, the child before off: the node's link at the first
-	used     int    // offset past the last cell (internal nodes and whole walks)
-	fill     int    // accounting bytes of all cells (internal nodes and whole walks)
+	used     int    // offset past the last cell
+	fill     int    // accounting bytes of all cells
 }
 
 func (sp spot) found() bool { return sp.end > sp.off }
 
-// seek finds the first cell whose key is >= key, in an internal node > key:
-// the child before that cell is the one covering key. A leaf's cells are
-// walked, and a whole walk carries on to the last cell for the leaf's fill;
-// an internal node is bisected over its offset table, which gives its fill.
-func (nd node) seek(key []byte, whole bool) (spot, error) {
-	if !nd.leaf {
-		return nd.bisect(key)
-	}
-	d := nd.pg.Data
-	sp := spot{idx: -1}
-	off := nodeHeader
-	for i := 0; i < nd.n; i++ {
-		k, _, size, end, ok := cell(d, true, off)
-		if !ok {
-			return sp, corruptf(nd.pg.ID, "cell %d of %d runs past the page", i, nd.n)
-		}
-		if sp.idx < 0 {
-			if c := bytes.Compare(k, key); c >= 0 {
-				sp.idx, sp.off, sp.end = i, off, off
-				if c == 0 {
-					sp.end, sp.size = end, size
-				}
-				if !whole {
-					return sp, nil
-				}
-			}
-		}
-		sp.fill += size
-		off = end
-	}
-	if sp.idx < 0 {
-		sp.idx, sp.off, sp.end = nd.n, off, off
-	}
-	sp.used = off
-	return sp, nil
-}
-
-// bisect seeks in an internal node over its offset table. An internal cell
-// ends in its child and the node's link ends at nodeHeader, so the 8 bytes
-// before the cell found are the child covering key.
-func (nd node) bisect(key []byte) (spot, error) {
+// seek bisects the node over its offset table for the first cell whose key
+// is >= key, in an internal node > key: the child before that cell is the
+// one covering key. An internal cell ends in its child and the node's link
+// ends at nodeHeader, so the 8 bytes before the cell found are that child.
+func (nd node) seek(key []byte) (spot, error) {
 	offs, err := nd.offsets()
 	if err != nil {
 		return spot{}, err
 	}
 	d := nd.pg.Data
 	i := sort.Search(nd.n, func(i int) bool {
-		k, _, _, _, _ := cell(d, false, int(offs[i]))
-		return bytes.Compare(k, key) > 0
+		k, _, _, _, _ := cell(d, nd.leaf, int(offs[i]))
+		c := bytes.Compare(k, key)
+		return c > 0 || c == 0 && nd.leaf
 	})
-	off, used := int(offs[i]), int(offs[nd.n])
-	return spot{idx: i, off: off, end: off, before: d[off-8 : off], used: used, fill: used - nodeHeader}, nil
+	off := int(offs[i])
+	sp := spot{idx: i, off: off, end: off, used: int(offs[nd.n]), fill: int(nd.pg.Fill)}
+	if !nd.leaf {
+		sp.before = d[off-8 : off]
+	} else if i < nd.n {
+		if k, _, size, end, _ := cell(d, true, off); bytes.Equal(k, key) {
+			sp.end, sp.size = end, size
+		}
+	}
+	return sp, nil
 }
 
-// offsets returns where an internal node's cells start, then its used
-// offset. One checked walk finds them the first time the node is sought
-// after its page was read or edited; they stay on the page until setCount.
+// maxCells bounds a node's cells: a leaf cell takes at least its overhead.
+const maxCells = capacity / leafEntryOverhead
+
+// offsets returns where the node's cells start, then its used offset, and
+// sets the page's Fill. One checked walk finds them the first time the node
+// is sought after its page was read or written whole; splice keeps them.
 func (nd node) offsets() ([]uint16, error) {
-	offs, off := nd.pg.Offsets, nodeHeader
+	offs, off, fill := nd.pg.Offsets, nodeHeader, 0
 	if len(offs) > 0 {
 		return offs, nil
 	}
+	if offs == nil {
+		offs = make([]uint16, 0, maxCells+1) // never grows: inserts stay within a page
+	}
 	for i := 0; i < nd.n; i++ {
-		_, _, _, end, ok := cell(nd.pg.Data, false, off)
+		_, _, size, end, ok := cell(nd.pg.Data, nd.leaf, off)
 		if !ok {
 			return nil, corruptf(nd.pg.ID, "cell %d of %d runs past the page", i, nd.n)
 		}
-		offs, off = append(offs, uint16(off)), end
+		offs, off, fill = append(offs, uint16(off)), end, fill+size
 	}
-	nd.pg.Offsets = append(offs, uint16(off))
+	nd.pg.Offsets, nd.pg.Fill = append(offs, uint16(off)), int32(fill)
 	return nd.pg.Offsets, nil
 }
 
@@ -384,15 +360,32 @@ func (nd node) offsets() ([]uint16, error) {
 // internal node: the one the cell before it points to.
 func (sp spot) child() int64 { return int64(binary.LittleEndian.Uint64(sp.before)) }
 
-// splice makes d[off:off+size] the place of d[off:end], moving the cells
-// behind it, which end at used, and zeroing what they vacate: the bytes
-// past a node's cells are always zero.
-func splice(d []byte, off, end, used, size int) {
-	newUsed := used + size - (end - off)
-	copy(d[off+size:], d[end:used])
-	if newUsed < used {
-		clear(d[newUsed:used])
+// splice makes room at sp for a cell of length bytes and size accounting
+// bytes, in place of the key's cell if sp found one; length 0 removes that
+// cell. The cells behind it move and what they vacate is zeroed: the bytes
+// past a node's cells are always zero. The node's count, fill and offset
+// table follow, the offsets behind the edit moving as their cells did.
+func (nd node) splice(sp spot, length, size int) {
+	d, offs := nd.pg.Data, nd.pg.Offsets
+	delta := length - (sp.end - sp.off)
+	copy(d[sp.off+length:], d[sp.end:sp.used])
+	if delta < 0 {
+		clear(d[sp.used+delta : sp.used])
 	}
+	from := sp.idx + 1
+	switch {
+	case !sp.found():
+		offs = append(offs, 0)
+		copy(offs[from:], offs[sp.idx:])
+		nd.setCount(nd.n + 1)
+	case length == 0:
+		offs, from = append(offs[:sp.idx], offs[from:]...), sp.idx
+		nd.setCount(nd.n - 1)
+	}
+	for i := from; i < len(offs); i++ {
+		offs[i] += uint16(delta)
+	}
+	nd.pg.Offsets, nd.pg.Fill = offs, nd.pg.Fill+int32(size-sp.size)
 }
 
 // Tree is a B+tree of byte-string keys and values.
@@ -422,7 +415,7 @@ func (t *Tree) descend(p *sim.Proc, key []byte, path *[maxDepth]step) (leaf node
 		if err != nil || nd.leaf {
 			return nd, depth, err
 		}
-		sp, err := nd.bisect(key)
+		sp, err := nd.seek(key)
 		s.unpin(nd)
 		if err != nil {
 			return node{}, 0, err
@@ -447,7 +440,7 @@ func (t *Tree) GetAppend(p *sim.Proc, dst, key []byte) ([]byte, error) {
 		return dst, err
 	}
 	defer t.store.unpin(leaf)
-	sp, err := leaf.seek(key, false)
+	sp, err := leaf.seek(key)
 	if err != nil {
 		return dst, err
 	}
@@ -499,7 +492,7 @@ func (t *Tree) Put(p *sim.Proc, key, value []byte, logicalSize int) error {
 // and the new right sibling for the parent.
 func (t *Tree) putLeaf(p *sim.Proc, leaf node, key, value []byte, logical int) ([]byte, int64, error) {
 	s := t.store
-	sp, err := leaf.seek(key, true)
+	sp, err := leaf.seek(key)
 	if err != nil {
 		s.unpin(leaf)
 		return nil, 0, err
@@ -514,12 +507,8 @@ func (t *Tree) putLeaf(p *sim.Proc, leaf node, key, value []byte, logical int) (
 		return nil, 0, err
 	}
 	defer s.unpin(leaf)
-	d := leaf.pg.Data
-	splice(d, sp.off, sp.end, sp.used, leafEntryOverhead+len(key)+len(value))
-	appendLeafCell(d[:sp.off], key, value, logical) // in place: splice made the room
-	if !sp.found() {
-		leaf.setCount(leaf.n + 1)
-	}
+	leaf.splice(sp, leafEntryOverhead+len(key)+len(value), leafEntryOverhead+len(key)+logical)
+	appendLeafCell(leaf.pg.Data[:sp.off], key, value, logical) // in place: splice made the room
 	return nil, 0, nil
 }
 
@@ -535,7 +524,7 @@ func (t *Tree) putSeparator(p *sim.Proc, at step, sep []byte, right int64) ([]by
 		if err != nil {
 			return nil, 0, err
 		}
-		sp, err := nd.seek(sep, true)
+		sp, err := nd.seek(sep)
 		if err == nil && nd.leaf {
 			err = corruptf(at.id, "internal node became a leaf")
 		}
@@ -544,10 +533,8 @@ func (t *Tree) putSeparator(p *sim.Proc, at step, sep []byte, right int64) ([]by
 			return nil, 0, err
 		}
 		if sp.used+size <= bufcache.PageSize {
-			d := nd.pg.Data
-			splice(d, sp.off, sp.off, sp.used, size)
-			appendInternalCell(d[:sp.off], sep, right) // in place: splice made the room
-			nd.setCount(nd.n + 1)
+			nd.splice(sp, size, size)
+			appendInternalCell(nd.pg.Data[:sp.off], sep, right) // in place: splice made the room
 			s.cache.MarkDirty(nd.pg)
 			s.unpin(nd)
 			return nil, 0, nil
@@ -590,7 +577,7 @@ func (t *Tree) split(p *sim.Proc, id int64, leaf bool, key, entry []byte) ([]byt
 	if left.leaf != leaf {
 		return nil, 0, corruptf(id, "node changed kind under a split")
 	}
-	sp, err := left.seek(key, true)
+	sp, err := left.seek(key)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -649,7 +636,7 @@ func (t *Tree) Delete(p *sim.Proc, key []byte) error {
 		return err
 	}
 	defer s.unpin(leaf)
-	sp, err := leaf.seek(key, true)
+	sp, err := leaf.seek(key)
 	if err != nil {
 		return err
 	}
@@ -660,8 +647,7 @@ func (t *Tree) Delete(p *sim.Proc, key []byte) error {
 		return err
 	}
 	defer s.unpin(leaf)
-	splice(leaf.pg.Data, sp.off, sp.end, sp.used, 0)
-	leaf.setCount(leaf.n - 1)
+	leaf.splice(sp, 0, 0)
 	return nil
 }
 
@@ -674,7 +660,7 @@ func (t *Tree) Scan(p *sim.Proc, from []byte, fn func(key, value []byte) bool) e
 	if err != nil {
 		return err
 	}
-	sp, err := leaf.seek(from, false)
+	sp, err := leaf.seek(from)
 	if err != nil {
 		s.unpin(leaf)
 		return err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"testing"
 
@@ -167,21 +168,30 @@ func modelOps(p *sim.Proc, s *Store, ops, universe int) error {
 	return scan(nil, len(oracle)+1)
 }
 
-// linearSeek is the walk internal nodes were sought by before they kept an
-// offset table: the oracle TestBisectionMatchesWalk holds the bisection to.
+// linearSeek is the walk nodes were sought by before they kept an offset
+// table: the oracle TestBisectionMatchesWalk holds the bisection to. It finds
+// the first cell whose key is >= key in a leaf, > key in an internal node,
+// and carries on to the last cell for the node's fill.
 func linearSeek(nd node, key []byte) (spot, error) {
 	d := nd.pg.Data
-	sp := spot{idx: -1, before: d[3:nodeHeader]}
+	sp := spot{idx: -1}
+	if !nd.leaf {
+		sp.before = d[3:nodeHeader]
+	}
 	off := nodeHeader
 	for i := 0; i < nd.n; i++ {
-		k, v, size, end, ok := cell(d, false, off)
+		k, v, size, end, ok := cell(d, nd.leaf, off)
 		if !ok {
 			return sp, corruptf(nd.pg.ID, "cell %d of %d runs past the page", i, nd.n)
 		}
 		if sp.idx < 0 {
-			if bytes.Compare(k, key) > 0 {
+			switch c := bytes.Compare(k, key); {
+			case c > 0 || c == 0 && nd.leaf:
 				sp.idx, sp.off, sp.end = i, off, off
-			} else {
+				if c == 0 {
+					sp.end, sp.size = end, size
+				}
+			case !nd.leaf:
 				sp.before = v
 			}
 		}
@@ -207,11 +217,13 @@ func longKey(id int) []byte {
 
 // TestBisectionMatchesWalk drives a seeded mix of ascending appends, random
 // inserts, replacements and deletes, and after every operation seeks in every
-// internal node by bisection and by the linear walk, at each separator, just
-// above each, below the first and above the last: the spots must be equal.
-// On a 6-page cache internal pages are evicted and read again between
-// operations; on a large one an offset table lives through every edit that
-// must drop it.
+// node by bisection and by the linear walk, at each key, just above each,
+// below the first and above the last: the spots must be equal. Before that it
+// holds every kept offset table and fill it can see, of pages resident since
+// the last walk and of each node the walk pins before seeking in it, to ones
+// rebuilt from the page's bytes. On a 6-page cache pages are evicted and read
+// again between operations; on a large one a table lives through every edit
+// that must keep it or drop it.
 func TestBisectionMatchesWalk(t *testing.T) {
 	for _, cachePages := range []int{6, 4096} {
 		t.Run(fmt.Sprintf("cache=%d", cachePages), func(t *testing.T) {
@@ -238,6 +250,7 @@ func bisectionOps(p *sim.Proc, s *Store, ops int) error {
 		return tr.Put(p, k, k[:1+rng.Intn(16)], 0)
 	}
 	next, depth := 1_000_000, 0 // ascending appends count up from above the random ids
+	seen := map[int64]*bufcache.Page{}
 	for i := 1; i <= ops; i++ {
 		switch op := rng.Intn(10); {
 		case op < 3:
@@ -258,7 +271,7 @@ func bisectionOps(p *sim.Proc, s *Store, ops int) error {
 		if err != nil {
 			return fmt.Errorf("op %d: %w", i, err)
 		}
-		if depth, err = sameSeeks(p, s, tr); err != nil {
+		if depth, err = sameSeeks(p, s, tr, seen); err != nil {
 			return fmt.Errorf("after op %d: %w", i, err)
 		}
 	}
@@ -268,9 +281,16 @@ func bisectionOps(p *sim.Proc, s *Store, ops int) error {
 	return tr.Check(p)
 }
 
-// sameSeeks compares bisection and walk in every internal node of tr, level
-// by level, and returns the number of internal levels.
-func sameSeeks(p *sim.Proc, s *Store, tr *Tree) (int, error) {
+// sameSeeks compares bisection and walk in every node of tr, level by level,
+// and returns the number of internal levels. seen holds the pages the last
+// walk pinned; those still resident have their tables checked first.
+func sameSeeks(p *sim.Proc, s *Store, tr *Tree, seen map[int64]*bufcache.Page) (int, error) {
+	for _, pg := range seen {
+		if err := keptTableHolds(pg); err != nil {
+			return 0, err
+		}
+	}
+	clear(seen)
 	level := []int64{tr.root()}
 	for depth := 0; ; depth++ {
 		var below []int64
@@ -279,38 +299,65 @@ func sameSeeks(p *sim.Proc, s *Store, tr *Tree) (int, error) {
 			if err != nil {
 				return depth, err
 			}
-			if nd.leaf {
-				s.unpin(nd)
-				return depth, nil
+			seen[id] = nd.pg
+			if err = keptTableHolds(nd.pg); err == nil {
+				below, err = sameSeeksIn(nd, below)
 			}
-			below, err = sameSeeksIn(nd, below)
 			s.unpin(nd)
 			if err != nil {
 				return depth, err
 			}
 		}
+		if len(below) == 0 {
+			return depth, nil
+		}
 		level = below
 	}
 }
 
-// sameSeeksIn compares bisection and walk in one internal node, at each
-// separator, just above each, below the first and above the last, and
-// appends the node's children to below.
+// keptTableHolds checks the offset table and fill kept on a resident page, if
+// it has one, against a table rebuilt from the page's bytes.
+func keptTableHolds(pg *bufcache.Page) error {
+	if pg.Data == nil || len(pg.Offsets) == 0 {
+		return nil // evicted, or no table since the page was read or written whole
+	}
+	nd := node{pg: pg, leaf: pg.Data[0] == leafType, n: int(binary.LittleEndian.Uint16(pg.Data[1:]))}
+	want, off, fill := []uint16{}, nodeHeader, 0
+	for i := 0; i < nd.n; i++ {
+		_, _, size, end, ok := cell(pg.Data, nd.leaf, off)
+		if !ok {
+			return corruptf(pg.ID, "cell %d of %d runs past the page", i, nd.n)
+		}
+		want, off, fill = append(want, uint16(off)), end, fill+size
+	}
+	if want = append(want, uint16(off)); !slices.Equal(pg.Offsets, want) || int(pg.Fill) != fill {
+		return fmt.Errorf("page %d keeps offsets %v fill %d, its bytes give %v fill %d", pg.ID, pg.Offsets, pg.Fill, want, fill)
+	}
+	return nil
+}
+
+// sameSeeksIn compares bisection and walk in one node, at each key, just
+// above each, below the first and above the last, and appends an internal
+// node's children to below.
 func sameSeeksIn(nd node, below []int64) ([]int64, error) {
 	d, off := nd.pg.Data, nodeHeader
 	probes := [][]byte{nil, {0xff}}
-	below = append(below, nd.link())
+	if !nd.leaf {
+		below = append(below, nd.link())
+	}
 	for i := 0; i < nd.n; i++ {
-		k, v, _, end, _ := cell(d, false, off)
+		k, v, _, end, _ := cell(d, nd.leaf, off)
 		probes = append(probes, k, append(bytes.Clone(k), 0))
-		below = append(below, int64(binary.LittleEndian.Uint64(v)))
+		if !nd.leaf {
+			below = append(below, int64(binary.LittleEndian.Uint64(v)))
+		}
 		off = end
 	}
 	where := func(sp spot) [7]int {
 		return [7]int{sp.idx, sp.off, sp.end, sp.size, sp.used, sp.fill, cap(d) - cap(sp.before)}
 	}
 	for _, key := range probes {
-		got, err := nd.seek(key, false)
+		got, err := nd.seek(key)
 		if err != nil {
 			return below, err
 		}

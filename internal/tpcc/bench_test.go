@@ -70,35 +70,71 @@ func benchTransaction(b *testing.B, one func(r *Runner, p *sim.Proc, rng *sim.Ra
 func BenchmarkNewOrder(b *testing.B)   { benchTransaction(b, (*Runner).newOrder) }
 func BenchmarkStockLevel(b *testing.B) { benchTransaction(b, (*Runner).stockLevel) }
 
-// BenchmarkLoad loads and flushes the database of the tpcc_trail benchmark
-// workload on instant devices: 1 warehouse, 10 districts, 600 customers a
-// district, 10 000 items, 300 orders a district and 700 cache pages a store.
-// It is that workload's set-up cost, nearly all of it kvdb.Tree.Put.
+// loadCfg is the database of the tpcc_trail benchmark workload: 1 warehouse,
+// 10 districts, 600 customers a district, 10 000 items, 300 orders a
+// district and 700 cache pages a store.
+var loadCfg = Config{
+	Warehouses:               1,
+	Districts:                10,
+	CustomersPerDistrict:     600,
+	Items:                    10000,
+	InitialOrdersPerDistrict: 300,
+	CachePages:               700,
+	Seed:                     2,
+}
+
+// smokeCfg is loadCfg at the workload's smoke size: 60 customers a
+// district, 1 000 items, 30 orders a district and 70 cache pages a store.
+var smokeCfg = Config{
+	Warehouses:               1,
+	Districts:                10,
+	CustomersPerDistrict:     60,
+	Items:                    1000,
+	InitialOrdersPerDistrict: 30,
+	CachePages:               70,
+	Seed:                     2,
+}
+
+// loadOnce loads and flushes loadCfg's database on instant devices, in a
+// world of its own.
+func loadOnce() error {
+	env := sim.NewEnv()
+	defer env.Close()
+	var err error
+	env.Go("load", func(p *sim.Proc) {
+		var db *DB
+		if db, err = Load(p, loadCfg, []blockdev.Device{instantDev(env, 1), instantDev(env, 2)}); err == nil {
+			err = db.FlushAll(p)
+		}
+	})
+	env.Run()
+	return err
+}
+
+// BenchmarkLoad is the tpcc_trail workload's set-up cost, nearly all of it
+// kvdb.Tree.Put.
 func BenchmarkLoad(b *testing.B) {
-	cfg := Config{
-		Warehouses:               1,
-		Districts:                10,
-		CustomersPerDistrict:     600,
-		Items:                    10000,
-		InitialOrdersPerDistrict: 300,
-		CachePages:               700,
-		Seed:                     2,
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		env := sim.NewEnv()
-		var err error
-		env.Go("load", func(p *sim.Proc) {
-			var db *DB
-			if db, err = Load(p, cfg, []blockdev.Device{instantDev(env, 1), instantDev(env, 2)}); err == nil {
-				err = db.FlushAll(p)
-			}
-		})
-		env.Run()
-		env.Close()
-		if err != nil {
+		if err := loadOnce(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestLoadAllocations holds BenchmarkLoad's load to at most 10 % above the
+// 11 746 allocations it made while only internal nodes kept offset tables.
+// Every node keeping one costs one full-size array a cache frame, 12 760
+// allocations; tables grown by append from empty made 18 093.
+func TestLoadAllocations(t *testing.T) {
+	var err error
+	got := testing.AllocsPerRun(1, func() { err = loadOnce() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.0f allocations", got)
+	if got > 11_746*1.10 {
+		t.Errorf("the load allocates %.0f times, want at most %.0f", got, 11_746*1.10)
 	}
 }
 
@@ -110,16 +146,7 @@ func BenchmarkLoad(b *testing.B) {
 // ~32 200 B a transaction, bounded here with ~25 % headroom. Before they were
 // recycled, this run allocated 29.56 times and 95 788 B a transaction.
 func TestTrailRunAllocations(t *testing.T) {
-	db := Config{
-		Warehouses:               1,
-		Districts:                10,
-		CustomersPerDistrict:     60,
-		Items:                    1000,
-		InitialOrdersPerDistrict: 30,
-		CachePages:               70,
-		Seed:                     2,
-	}
-	r, runner, err := Deploy(rig.Config{}, db, wal.Config{Mode: wal.SyncEveryCommit, BufferBytes: 50 * 1024})
+	r, runner, err := Deploy(rig.Config{}, smokeCfg, wal.Config{Mode: wal.SyncEveryCommit, BufferBytes: 50 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
