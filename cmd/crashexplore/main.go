@@ -1,9 +1,9 @@
 // Command crashexplore exhaustively explores crash points in a simulated
-// storage stack. It enumerates every interesting event in a window — each
-// write acknowledgement, each media sector write, each write-back flight
-// boundary, each commit — replays the world up to that event, cuts power
-// there, runs the stack's recovery, and audits the durability contract:
-// every acknowledged write survives, untorn.
+// storage stack. It runs the seeded workload once and pauses it at every
+// interesting event in a window — each write acknowledgement, each media
+// sector write, each write-back flight boundary, each commit — where it cuts
+// power on a clone of the drives, runs the stack's recovery on the clone, and
+// audits the durability contract: every acknowledged write survives, untorn.
 //
 // Usage:
 //
@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "workload seed")
 	skip := fs.Int64("skip", 0, "first probe index to explore")
 	window := fs.Int64("window", 100, "number of probe indices to scan from -skip (0 = every index to the horizon)")
-	horizon := fs.Duration("horizon", crashexplore.DefaultHorizon, "virtual-time budget per branch")
+	horizon := fs.Duration("horizon", crashexplore.DefaultHorizon, "virtual-time budget of the census run")
 	kindsFlag := fs.String("kinds", "", "comma-separated probe kinds to branch on (default: all)")
 	faults := fs.String("faults", "", "fault scenario on the data disk (trail stack only), e.g. latent=2,timeout=2")
 	faultSeed := fs.Uint64("fault-seed", 1, "fault plan seed")

@@ -32,6 +32,12 @@ func TestCIWindowsGolden(t *testing.T) {
 			"9387 bytes f670cedfcfd2ffa2"},
 		{[]string{"-stack", "wal", "-seed", "4", "-window", "30", "-horizon", "80ms"},
 			"7241 bytes 48ff559bb9e06174"},
+		// Whole censuses, recorded at ca10543, the last commit to replay
+		// every branch from time zero.
+		{[]string{"-stack", "stddisk", "-seed", "1", "-window", "0"},
+			"6702 bytes 7eb9cb6f091ae176"},
+		{[]string{"-stack", "trail", "-seed", "1", "-window", "0"},
+			"159117 bytes 78b388e1fcfc5eff"},
 	} {
 		name := strings.Join(tc.args[:2], " ")
 		var out, errOut bytes.Buffer
@@ -41,6 +47,26 @@ func TestCIWindowsGolden(t *testing.T) {
 		if got := digest(out.Bytes()); got != tc.want {
 			t.Errorf("%s -json: %s, want %s", name, got, tc.want)
 		}
+	}
+}
+
+// TestWindowPastEveryIndex: a window reaching past every probe index explores
+// what -window 0 does. Skip+Window once overflowed to a negative end, and
+// such a window explored nothing and passed.
+func TestWindowPastEveryIndex(t *testing.T) {
+	report := func(window string) string {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-stack", "stddisk", "-skip", "1", "-window", window, "-json"}, &out, &errOut); code != 0 {
+			t.Fatalf("-window %s: exit %d: %s", window, code, &errOut)
+		}
+		return out.String()
+	}
+	whole, past := report("0"), report("9223372036854775807")
+	if !strings.Contains(whole, `"candidates": 27,`) {
+		t.Fatalf("-window 0 report does not hold the 27 candidates past -skip 1:\n%s", whole)
+	}
+	if past != whole {
+		t.Errorf("-window 9223372036854775807 report:\n%s\nwant the -window 0 one:\n%s", past, whole)
 	}
 }
 

@@ -264,7 +264,7 @@ func worldPoint(name string, art artifacts) (benchfmt.Entry, error) {
 		in.Registry = telemetry.NewRegistry()
 		in.AttachKernel(env)
 	}
-	wf, err := st.Build(env)
+	wf, _, err := st.Build(env)
 	if err != nil {
 		return benchfmt.Entry{}, err
 	}

@@ -115,7 +115,7 @@ func TestNilRegistryIsNoOpInEveryWorld(t *testing.T) {
 			env := sim.NewEnv()
 			defer env.Close()
 			rig.Instruments{}.AttachKernel(env)
-			wf, err := st.Build(env)
+			wf, _, err := st.Build(env)
 			if err != nil {
 				t.Fatal(err)
 			}

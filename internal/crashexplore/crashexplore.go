@@ -4,17 +4,21 @@
 // fresh environment, and audits the durability contract. Its explorer
 // (New/Run) generalizes the one cut to an exhaustive sweep: it enumerates
 // every interesting event in a window — each acknowledgement, each media
-// sector write, each write-back flight boundary, each log-commit — branches
-// a fresh deterministic world, cuts power exactly at that event, runs
-// recovery, and audits the durability contract on every branch: an
-// ACKNOWLEDGED write never comes back lost or torn.
+// sector write, each write-back flight boundary, each log-commit — forks a
+// branch at that event, cuts power there, runs recovery, and audits the
+// durability contract on every branch: an ACKNOWLEDGED write never comes
+// back lost or torn.
 //
-// Worlds branch by deterministic replay: the simulation kernel numbers every
-// probe event globally (sim.EmitProbe), so re-running the same seeded
-// workload against a freshly built stack and pausing at probe index i
-// reproduces, bit for bit, the state the census run had at that event. A cut
-// is then env.Close() — in-flight processes die mid-write, and only platter
-// state (disk.Disk media) survives into recovery, exactly as in RunSingle.
+// Branches fork from the census, the one run of the seeded workload. The
+// kernel numbers every probe event globally (sim.EmitProbe) and can pause
+// the world at one (sim.ProbeHook); paused there, the census is what a power
+// cut at that event would interrupt. A cut keeps only the drives, so the
+// branch clones the drives the stack was built on (disk.Disk.Clone: media,
+// arm, counters, fault plan), recovers the clones on a fresh environment and
+// audits them against the writes acknowledged so far, and the census resumes.
+// The census's processes never see the branch, and the branch's recovery
+// never touches the census's drives. Only one branch's clones are alive at a
+// time.
 //
 // The minimal failing event index (Report.FirstFailing) is the bisection
 // handle: the earliest interesting event whose cut breaks recovery. Fixes are
@@ -23,10 +27,10 @@
 package crashexplore
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
+	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
 )
@@ -40,23 +44,25 @@ type WriteFunc func(p *sim.Proc, slot, version int) error
 // or mixed payload; version 0 with consistent=true means "never written".
 type ReadFunc func(p *sim.Proc, slot int) (version int, consistent bool)
 
-// Stack describes one storage stack under crash exploration. Build and
-// Recover are called once per branch, strictly in Build→Recover pairs: Build
-// must assemble a fresh stack (new drives, new driver) on the given
-// environment each call, and Recover reboots the stack most recently built —
-// the drives survive the cut; everything else is reconstructed.
+// Stack describes one storage stack under crash exploration. Build assembles
+// a fresh stack (new drives, new driver) on the given environment and names
+// the drives it made: they are what survives a power cut. Recover reboots the
+// stack on drives the harness passes back, the built ones themselves
+// (RunSingle) or clones of them taken at a cut (the explorer); everything
+// but the drives is reconstructed.
 type Stack struct {
 	// Slots is the number of concurrent writers (each owns one slot).
 	Slots int
 
 	// Build assembles the stack on a fresh environment and returns the
-	// writer the slot procs drive.
-	Build func(env *sim.Env) (WriteFunc, error)
+	// writer the slot procs drive and the stack's drives.
+	Build func(env *sim.Env) (WriteFunc, []*disk.Disk, error)
 
-	// Recover reboots the crashed stack on a second environment (the first
-	// has been power-cut) and returns the durable-state reader. It must run
-	// the recovery to completion (env.Run) before returning.
-	Recover func(env *sim.Env) (ReadFunc, error)
+	// Recover reboots the crashed stack on drives, in the order Build
+	// returned them, on a second environment (the first has been
+	// power-cut), and returns the durable-state reader. It must run the
+	// recovery to completion (env.Run) before returning.
+	Recover func(env *sim.Env, drives []*disk.Disk) (ReadFunc, error)
 
 	// Post, if non-nil, runs after the audit for restart checks (e.g. the
 	// recovered stack accepts new writes). Only RunSingle invokes it; the
@@ -131,7 +137,7 @@ type SingleResult struct {
 // restart check.
 func RunSingle(st Stack, seed uint64) (*SingleResult, error) {
 	env := sim.NewEnv()
-	write, err := st.Build(env)
+	write, drives, err := st.Build(env)
 	if err != nil {
 		env.Close()
 		return nil, fmt.Errorf("crashexplore: build: %w", err)
@@ -142,7 +148,7 @@ func RunSingle(st Stack, seed uint64) (*SingleResult, error) {
 
 	env2 := sim.NewEnv()
 	defer env2.Close()
-	read, err := st.Recover(env2)
+	read, err := st.Recover(env2, drives)
 	if err != nil {
 		return nil, fmt.Errorf("crashexplore: recover: %w", err)
 	}
@@ -154,10 +160,6 @@ func RunSingle(st Stack, seed uint64) (*SingleResult, error) {
 	}
 	return res, nil
 }
-
-// errEventNotReached reports a branch whose target probe index never fired
-// within the horizon — a determinism violation between census and branch.
-var errEventNotReached = errors.New("crashexplore: target event not reached in branch replay")
 
 // Payload builds a block payload whose every sector encodes (slot, version),
 // so mixing sectors from two versions is detectable on read-back.

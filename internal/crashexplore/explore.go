@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"tracklog/internal/disk"
 	"tracklog/internal/sim"
 )
 
@@ -20,11 +21,11 @@ type Options struct {
 	// region — and bisect a failure by re-exploring around it.
 	Skip   int64
 	Window int64
-	// Horizon bounds each run in virtual time (census and branches alike).
-	// Zero defaults to 150ms, past RunSingle's largest cut instant.
+	// Horizon bounds the census in virtual time. Zero defaults to 150ms,
+	// past RunSingle's largest cut instant.
 	Horizon time.Duration
 	// Kinds restricts branching to these probe kinds (nil = branch on all).
-	// The census still records every kind for the report.
+	// The census still counts every kind (Report.TotalProbes).
 	Kinds []sim.ProbeKind
 }
 
@@ -72,6 +73,13 @@ type EventInfo struct {
 	Count int    `json:"count"`
 }
 
+func eventInfo(ev sim.ProbeEvent) EventInfo {
+	return EventInfo{
+		Index: ev.Index, Kind: ev.Kind.String(), At: int64(ev.At),
+		Dev: ev.Dev, LBA: ev.LBA, Count: ev.Count,
+	}
+}
+
 // Branch is the audited outcome of cutting power at one event.
 type Branch struct {
 	Event     EventInfo   `json:"event"`
@@ -79,7 +87,7 @@ type Branch struct {
 	Lost      int         `json:"lost"`
 	Torn      int         `json:"torn"`
 	Failures  []SlotAudit `json:"failures,omitempty"` // only failing slots
-	Err       string      `json:"err,omitempty"`      // build/replay/recovery error
+	Err       string      `json:"err,omitempty"`      // recovery error
 }
 
 // Failed reports whether the branch violates the durability contract or
@@ -128,44 +136,32 @@ func New(st Stack, opts Options) *Explorer {
 	return &Explorer{stack: st, opts: opts}
 }
 
-// Run runs the census — one straight-through run of the seeded workload to
-// the horizon, recording every probe event; events inside the window (and
-// of a wanted kind) become branch candidates — then explores every branch in
-// event order and returns the report.
+// Run runs the census — one run of the seeded workload to the horizon,
+// counting every probe event — and pauses it at each event inside the window
+// (and of a wanted kind) to fork a branch there, in event order. It returns
+// the report.
 func (x *Explorer) Run() (*Report, error) {
 	env := sim.NewEnv()
-	write, err := x.stack.Build(env)
+	defer env.Close()
+	write, drives, err := x.stack.Build(env)
 	if err != nil {
-		env.Close()
 		return nil, fmt.Errorf("crashexplore: census build: %w", err)
 	}
-	var events []EventInfo
-	end := x.opts.Skip + x.opts.Window
+	var at EventInfo
 	env.SetProbeHook(func(ev sim.ProbeEvent) bool {
-		if ev.Index < x.opts.Skip || (x.opts.Window > 0 && ev.Index >= end) || !x.opts.wantKind(ev.Kind) {
+		// Index-Skip, not Skip+Window: the sum overflows for a window
+		// reaching past every index.
+		if ev.Index < x.opts.Skip || (x.opts.Window > 0 && ev.Index-x.opts.Skip >= x.opts.Window) || !x.opts.wantKind(ev.Kind) {
 			return false
 		}
-		events = append(events, EventInfo{
-			Index: ev.Index, Kind: ev.Kind.String(), At: int64(ev.At),
-			Dev: ev.Dev, LBA: ev.LBA, Count: ev.Count,
-		})
-		return false
+		at = eventInfo(ev)
+		return true
 	})
-	launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
-	env.RunUntil(x.opts.horizon())
-	rep := &Report{
-		Seed:         x.opts.Seed,
-		Slots:        x.stack.Slots,
-		TotalProbes:  env.ProbeCount(),
-		Candidates:   len(events),
-		FirstFailing: -1,
-	}
-	env.Close()
-
-	for _, ev := range events {
-		b := x.runBranch(ev)
+	acked, _ := launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
+	rep := &Report{Seed: x.opts.Seed, Slots: x.stack.Slots, FirstFailing: -1}
+	for env.RunUntil(x.opts.horizon()); env.Paused(); env.RunUntil(x.opts.horizon()) {
+		b := x.fork(at, drives, acked)
 		rep.Branches = append(rep.Branches, b)
-		rep.Explored++
 		if b.Lost > 0 {
 			rep.LostBranches++
 		}
@@ -176,43 +172,38 @@ func (x *Explorer) Run() (*Report, error) {
 			rep.ErrorBranches++
 		}
 		if b.Failed() && rep.FirstFailing == -1 {
-			rep.FirstFailing = ev.Index
+			rep.FirstFailing = at.Index
 		}
 	}
+	rep.TotalProbes = env.ProbeCount()
+	rep.Candidates = len(rep.Branches)
+	rep.Explored = len(rep.Branches)
 	return rep, nil
 }
 
-// runBranch replays the seeded world from scratch, pauses it at the target
-// probe index, cuts power, and audits recovery.
-func (x *Explorer) runBranch(ev EventInfo) Branch {
+// fork runs the branch at ev off the census paused there: it clones the
+// drives, recovers the clones and audits them against acked. The clones die
+// with the branch.
+func (x *Explorer) fork(ev EventInfo, drives []*disk.Disk, acked []int) Branch {
+	clones := make([]*disk.Disk, len(drives))
+	for i, d := range drives {
+		clones[i] = d.Clone()
+	}
+	return x.branch(ev, clones, acked)
+}
+
+// branch reboots the stack on drives on a fresh environment and audits every
+// slot against acked, the versions acknowledged before the cut at ev.
+func (x *Explorer) branch(ev EventInfo, drives []*disk.Disk, acked []int) Branch {
 	b := Branch{Event: ev}
 	env := sim.NewEnv()
-	write, err := x.stack.Build(env)
-	if err != nil {
-		env.Close()
-		b.Err = fmt.Sprintf("build: %v", err)
-		return b
-	}
-	env.SetProbeHook(func(pe sim.ProbeEvent) bool {
-		return pe.Index == ev.Index
-	})
-	acked, _ := launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
-	env.RunUntil(x.opts.horizon())
-	paused := env.Paused()
-	env.Close() // the power cut: every in-flight process dies here
-	if !paused {
-		b.Err = errEventNotReached.Error()
-		return b
-	}
-
-	env2 := sim.NewEnv()
-	defer env2.Close()
-	read, err := x.stack.Recover(env2)
+	defer env.Close()
+	read, err := x.stack.Recover(env, drives)
 	if err != nil {
 		b.Err = fmt.Sprintf("recover: %v", err)
 		return b
 	}
-	for _, a := range audit(env2, read, acked) {
+	for _, a := range audit(env, read, acked) {
 		switch {
 		case a.Torn:
 			b.Torn++

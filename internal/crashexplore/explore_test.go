@@ -6,18 +6,21 @@ import (
 	"time"
 
 	"tracklog/internal/crashexplore"
+	"tracklog/internal/disk"
 	"tracklog/internal/sim"
 )
 
 // memStack is a synthetic two-slot stack over an in-memory "platter" (the
-// durable map survives the power cut, everything else dies). Each write
+// durable map survives the power cut, everything else dies). It has no
+// drives to clone: its recovery only reads the map, so a branch reads it as
+// the census left it at the cut. Each write
 // emits a media-write probe just before persisting and an ack probe just
 // after, so the probe schedule is exactly known — which makes the expected
 // minimal failing index of a broken recovery computable by hand.
 func memStack(durable map[int]int, broken bool) crashexplore.Stack {
 	return crashexplore.Stack{
 		Slots: 2,
-		Build: func(env *sim.Env) (crashexplore.WriteFunc, error) {
+		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 			for k := range durable {
 				delete(durable, k) // fresh world, blank platter
 			}
@@ -27,9 +30,9 @@ func memStack(durable map[int]int, broken bool) crashexplore.Stack {
 				durable[slot] = version
 				env.EmitProbe(p, sim.ProbeAck, "mem", int64(slot), 1)
 				return nil
-			}, nil
+			}, nil, nil
 		},
-		Recover: func(env2 *sim.Env) (crashexplore.ReadFunc, error) {
+		Recover: func(env2 *sim.Env, _ []*disk.Disk) (crashexplore.ReadFunc, error) {
 			return func(p *sim.Proc, slot int) (int, bool) {
 				v := durable[slot]
 				if broken && v > 0 {

@@ -1,7 +1,6 @@
 package stacks_test
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -9,21 +8,46 @@ import (
 	"tracklog/internal/crashexplore"
 	"tracklog/internal/disk"
 	"tracklog/internal/fault"
+	"tracklog/internal/geom"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/stddisk"
 	"tracklog/internal/trail"
 )
 
-// evolved builds a Trail log drive and a fault plan after workloads that
-// leave real state behind: a log holding records whose blocks stay staged
-// because their write-backs fail, pending timeouts beside a healed latent
-// error. variant shifts every workload without changing either component's
-// identity or shape, so variant 1's drive and plan accept variant 0's bytes.
-func evolved(tb testing.TB, variant int) map[string]snapshotter {
+func logParams() disk.Params {
+	g := geom.Uniform(12, 2, 60)
+	g.TrackSkew = 4
+	g.CylSkew = 8
+	return disk.Params{
+		Name:            "traillog",
+		RPM:             6000,
+		Geom:            g,
+		SeekT2T:         800 * time.Microsecond,
+		SeekAvg:         4 * time.Millisecond,
+		SeekMax:         8 * time.Millisecond,
+		HeadSwitch:      400 * time.Microsecond,
+		ReadOverhead:    200 * time.Microsecond,
+		WriteOverhead:   500 * time.Microsecond,
+		WriteSettle:     100 * time.Microsecond,
+		WriteTurnaround: 600 * time.Microsecond,
+	}
+}
+
+func dataParams() disk.Params {
+	p := logParams()
+	p.Name = "d"
+	p.Geom = geom.Uniform(100, 2, 60)
+	return p
+}
+
+// evolved builds drives after workloads that leave real state behind: a Trail
+// log holding records whose blocks stay staged because their write-backs
+// fail on a data drive under a fault plan, and a lone drive whose plan has
+// pending timeouts beside a healed latent error. It returns the log, the
+// Trail data drive and the lone drive, on env.
+func evolved(tb testing.TB, env *sim.Env) []*disk.Disk {
 	tb.Helper()
-	env := sim.NewEnv()
-	tb.Cleanup(env.Close)
 	must := func(err error) {
 		if err != nil {
 			tb.Fatal(err)
@@ -34,7 +58,6 @@ func evolved(tb testing.TB, variant int) map[string]snapshotter {
 	// stay staged with their log references.
 	log := disk.New(env, logParams())
 	must(trail.Format(log))
-	log.SetSeekDeratePPM(int64(variant) * 250_000)
 	data := disk.New(env, dataParams())
 	fault.Attach(data, sim.NewRand(5), fault.Config{LatentWriteErrors: 16, MaxLBA: 16})
 	drv, err := trail.NewDriver(env, log, []*disk.Disk{data}, trail.Config{})
@@ -43,24 +66,19 @@ func evolved(tb testing.TB, variant int) map[string]snapshotter {
 	// A lone drive under a fault plan: two latent read errors that a write
 	// heals, and timeouts sampled over more commands than the workload issues.
 	plain := disk.New(env, dataParams())
-	plan := fault.Attach(plain, sim.NewRand(uint64(21+variant)),
+	plan := fault.Attach(plain, sim.NewRand(21),
 		fault.Config{LatentReadErrors: 2, Timeouts: 4, TimeoutWindow: 24, MaxLBA: 32})
 	sd := stddisk.New(env, plain, blockdev.DevID{Major: 4, Minor: 2}, sched.LOOK)
 
 	env.Go("trail", func(p *sim.Proc) {
-		extents := [][2]int{{0, 16}, {8, 8}, {64, 4}, {8, 8}}
-		for i := 0; i < variant; i++ {
-			extents = append(extents, [2]int{96 + 8*i, 8})
-		}
-		for _, w := range extents {
-			if err := drv.Dev(0).Write(p, int64(w[0]), w[1], crashexplore.Payload(w[0], 1+variant, w[1])); err != nil {
+		for _, w := range [][2]int{{0, 16}, {8, 8}, {64, 4}, {8, 8}} {
+			if err := drv.Dev(0).Write(p, int64(w[0]), w[1], crashexplore.Payload(w[0], 1, w[1])); err != nil {
 				tb.Errorf("trail write: %v", err)
 			}
-			p.Sleep(time.Duration(variant) * 700 * time.Microsecond)
 		}
 	})
 	env.Go("stddisk", func(p *sim.Proc) {
-		for i := 0; i < 6+variant; i++ {
+		for i := 0; i < 6; i++ {
 			sd.Write(p, int64(4*i), 4, crashexplore.Payload(i, 1, 4)) //nolint:errcheck // faults are the point
 		}
 	})
@@ -68,70 +86,85 @@ func evolved(tb testing.TB, variant int) map[string]snapshotter {
 
 	if drv.StagedBytes() == 0 || plan.Stats().Repaired == 0 || plan.Stats().Timeouts == 0 ||
 		plan.Stats().Timeouts == 4 {
-		tb.Fatalf("variant %d left too little state: staged %d, plan %+v", variant, drv.StagedBytes(), plan.Stats())
+		tb.Fatalf("too little state left: staged %d, plan %+v", drv.StagedBytes(), plan.Stats())
 	}
-	return map[string]snapshotter{"disk": log, "fault": plan}
+	return []*disk.Disk{log, data, plain}
 }
 
-// TestSnapshotGoldenDigests pins every snapshot format's bytes: the lengths
-// and digests were recorded at 5cdd678, before the codec became one walk per
-// component. A format change must bump the component's version and these
-// values together.
-func TestSnapshotGoldenDigests(t *testing.T) {
-	type pin struct {
-		n      int
-		digest uint64
-	}
-	want := map[string]pin{
-		"fuzz/disk":  {1719, 0xe9205c1f0fa43df8},
-		"fuzz/env":   {389, 0xd1ade53972eef01d},
-		"fuzz/fault": {198, 0x88b4448a8420a755},
-
-		"evolved/disk":  {22679, 0x38bf8427748f5f32},
-		"evolved/fault": {232, 0x94f2f0e79e0f5100},
-	}
-	got := map[string][]byte{}
-	env, targets := fuzzTargets(t)
+// TestDriveGoldenDigests pins what two Trail logs hold: one a driver has just
+// started on, and the evolved one. The digests were recorded at ca10543,
+// where these drives' snapshot bytes were still pinned (at 5cdd678), so the
+// media they fingerprint is the media those pins covered.
+func TestDriveGoldenDigests(t *testing.T) {
+	env := sim.NewEnv()
 	defer env.Close()
-	for name, s := range targets {
-		got["fuzz/"+name] = s.Snapshot()
+	started := disk.New(env, logParams())
+	if err := trail.Format(started); err != nil {
+		t.Fatal(err)
 	}
-	for name, s := range evolved(t, 0) {
-		got["evolved/"+name] = s.Snapshot()
+	if _, err := trail.NewDriver(env, started, []*disk.Disk{disk.New(env, dataParams())}, trail.Config{}); err != nil {
+		t.Fatal(err)
 	}
-	for name, data := range got {
-		p, ok := want[name]
-		if !ok {
-			t.Errorf("%s: %d bytes, digest %016x: no pinned value", name, len(data), digest(data))
-			continue
-		}
-		if len(data) != p.n || digest(data) != p.digest {
-			t.Errorf("%s: %d bytes, digest %016x; pinned %d bytes, %016x", name, len(data), digest(data), p.n, p.digest)
+	for _, tc := range []struct {
+		name string
+		d    *disk.Disk
+		want uint64
+	}{
+		{"started log", started, 0x9f1ba94228259051},
+		{"evolved log", evolved(t, env)[0], 0x93d47da51135d0c9},
+	} {
+		if got := tc.d.Digest(); got != tc.want {
+			t.Errorf("%s: media digest %#016x, want %#016x", tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestRestoreAcrossInstances restores the drive's and the plan's bytes into
-// a second, differently evolved instance of the same shape: everything the
-// walk reads must be adopted, so the second instance then snapshots to the
-// first one's bytes. A Restore that decodes into a shadow and forgets to
-// adopt a field fails here, where a round trip in place cannot see it.
-func TestRestoreAcrossInstances(t *testing.T) {
-	a, b := evolved(t, 0), evolved(t, 1)
-	for _, name := range []string{"disk", "fault"} {
-		want := a[name].Snapshot()
-		dst := b[name].(restorer)
-		if bytes.Equal(dst.Snapshot(), want) {
-			t.Errorf("%s: the two variants snapshot alike; the check would be vacuous", name)
-			continue
+// planStats is a drive's fault-plan counters (zero for a fault-free drive).
+func planStats(d *disk.Disk) fault.Stats {
+	if pl, ok := d.Injector().(*fault.Plan); ok {
+		return pl.Stats()
+	}
+	return fault.Stats{}
+}
+
+// TestCloneMatchesSource holds each clone of the evolved drives to its
+// source: the same media digest, drive counters and plan counters, and the
+// same result for the same next timed command, run side by side; the plans
+// then still agree. A second clone then reads and overwrites the whole
+// working set, through its plan's latent errors and pending timeouts, and
+// the source must not see any of it.
+func TestCloneMatchesSource(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	for i, src := range evolved(t, env) {
+		c := src.Clone()
+		if c.Digest() != src.Digest() || c.Stats() != src.Stats() || planStats(c) != planStats(src) {
+			t.Fatalf("drive %d: clone digest %#x, stats %+v, plan %+v; source %#x, %+v, %+v", i,
+				c.Digest(), c.Stats(), planStats(c), src.Digest(), src.Stats(), planStats(src))
 		}
-		if err := dst.Restore(want); err != nil {
-			t.Errorf("%s: restore into the other variant: %v", name, err)
-			continue
+		var rs, rc disk.Result
+		env.Go("source", func(p *sim.Proc) { rs = src.Access(p, &disk.Request{LBA: 0, Count: 32}) })
+		env.Go("clone", func(p *sim.Proc) { rc = c.Access(p, &disk.Request{LBA: 0, Count: 32}) })
+		env.Run()
+		if rs != rc || planStats(c) != planStats(src) {
+			t.Errorf("drive %d: next read on the source %+v (plan %+v), on the clone %+v (plan %+v)",
+				i, rs, planStats(src), rc, planStats(c))
 		}
-		if got := dst.Snapshot(); !bytes.Equal(got, want) {
-			t.Errorf("%s: restored instance snapshots to %d bytes (%016x), source %d bytes (%016x)",
-				name, len(got), digest(got), len(want), digest(want))
+
+		digest, stats, plan := src.Digest(), src.Stats(), planStats(src)
+		c = src.Clone()
+		env.Go("clone", func(p *sim.Proc) {
+			for lba := int64(0); lba < 128; lba += 8 {
+				c.Access(p, &disk.Request{LBA: lba, Count: 8})
+				c.Access(p, &disk.Request{Write: true, LBA: lba, Count: 8, Data: crashexplore.Payload(int(lba), 9, 8)})
+			}
+		})
+		env.Run()
+		if c.Digest() == digest || (c.Injector() != nil && planStats(c) == plan) {
+			t.Fatalf("drive %d: the clone's workload left its media or its plan as they were", i)
+		}
+		if src.Digest() != digest || src.Stats() != stats || planStats(src) != plan {
+			t.Errorf("drive %d: a clone's workload changed its source", i)
 		}
 	}
 }

@@ -23,8 +23,9 @@ import (
 // The stack recipes below are the crash rigs every tool and test shares: the
 // Trail driver, a plain standard disk, a RAID-5 array of standard disks, and
 // the WAL+transaction database over Trail devices. Each Build call assembles
-// a fresh rig (internal/rig); Recover reboots the most recent one (the drives
-// survive the cut).
+// a fresh rig (internal/rig) and returns its drives; Recover reboots that
+// rig's system on the drives it is given (rig.Rig.RecoverOn), the built ones
+// or clones of them.
 
 // Stack is a recipe: the harness's Build/Recover/Post triple, plus the one
 // hook instrumented callers use.
@@ -90,29 +91,30 @@ func TrailStack(scenario string, faultSeed uint64) (Stack, error) {
 	return Stack{
 		Stack: crashexplore.Stack{
 			Slots: slots,
-			Build: func(env *sim.Env) (crashexplore.WriteFunc, error) {
+			Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 				var err error
 				if sys, err = rig.Prepare(rig.Config{Env: env, LogDisk: &logP, DataDisk: &dataP}); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				if scenario != "" {
 					// The data disk only: the log disk stays healthy.
 					fault.Attach(sys.DataDisks[0], sim.NewRand(faultSeed), fcfg)
 				}
 				if err := sys.Start(); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				dev := sys.Dev(0)
 				return func(p *sim.Proc, slot, version int) error {
 					buf := crashexplore.Payload(slot, version, sectorsPer)
 					return dev.Write(p, int64(slot*slotSpacing), sectorsPer, buf)
-				}, nil
+				}, sys.Drives(), nil
 			},
-			Recover: func(env2 *sim.Env) (crashexplore.ReadFunc, error) {
-				if _, _, err := sys.RecoverOn(env2, trail.RecoverOptions{}); err != nil {
+			Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
+				rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
+				if err != nil {
 					return nil, err
 				}
-				data := sys.DataDisks[0]
+				data := rebooted.DataDisks[0]
 				return func(p *sim.Proc, slot int) (int, bool) {
 					got := data.MediaRead(int64(slot*slotSpacing), sectorsPer)
 					return crashexplore.ParseVersion(got, slot, sectorsPer)
@@ -159,24 +161,24 @@ func RAID5Stack() Stack {
 	return Stack{
 		Stack: crashexplore.Stack{
 			Slots: slots,
-			Build: func(env *sim.Env) (crashexplore.WriteFunc, error) {
+			Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 				var err error
 				sys, err = rig.New(rig.Config{Env: env, DataDisks: members, DataDisk: &memberP, Baseline: sched.LOOK, Major: 9, Name: "r"})
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				if arr, err = raid.New(sys.Devs(), chunk); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				return func(p *sim.Proc, slot, version int) error {
 					buf := crashexplore.Payload(slot, version, 1)
 					return arr.Write(p, int64(slot*slotSpacing), 1, buf)
-				}, nil
+				}, sys.Drives(), nil
 			},
-			Recover: func(env2 *sim.Env) (crashexplore.ReadFunc, error) {
+			Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
 				// RAID has no recovery pass: reboot the members and assemble a
 				// fresh array over them.
-				rebooted, _, err := sys.RecoverOn(env2, trail.RecoverOptions{})
+				rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
 				if err != nil {
 					return nil, err
 				}
@@ -227,23 +229,24 @@ func StdStack() Stack {
 	return Stack{
 		Stack: crashexplore.Stack{
 			Slots: slots,
-			Build: func(env *sim.Env) (crashexplore.WriteFunc, error) {
+			Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 				var err error
 				if sys, err = rig.New(rig.Config{Env: env, DataDisk: &dataP, Baseline: sched.LOOK}); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				dev := sys.Dev(0)
 				return func(p *sim.Proc, slot, version int) error {
 					buf := crashexplore.Payload(slot, version, 1)
 					return dev.Write(p, int64(slot*slotSpacing), 1, buf)
-				}, nil
+				}, sys.Drives(), nil
 			},
-			Recover: func(env2 *sim.Env) (crashexplore.ReadFunc, error) {
+			Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
 				// No recovery pass: the platter is the whole durable state.
-				if _, _, err := sys.RecoverOn(env2, trail.RecoverOptions{}); err != nil {
+				rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
+				if err != nil {
 					return nil, err
 				}
-				raw := sys.DataDisks[0]
+				raw := rebooted.DataDisks[0]
 				return func(p *sim.Proc, slot int) (int, bool) {
 					got := raw.MediaRead(int64(slot*slotSpacing), 1)
 					return crashexplore.ParseVersion(got, slot, 1)
@@ -283,12 +286,12 @@ func WALStack() Stack {
 	return Stack{
 		Stack: crashexplore.Stack{
 			Slots: slots,
-			Build: func(env *sim.Env) (crashexplore.WriteFunc, error) {
+			Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 				// Data disk 0 holds the WAL, data disk 1 the B-tree store; the
 				// two drives differ only in the name their probe events carry.
 				var err error
 				if sys, err = rig.Prepare(rig.Config{Env: env, LogDisk: &logP, DataDisks: 2, DataDisk: &walP}); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				sys.DataDisks[1] = disk.New(env, exploreDataParams("treedev"))
 
@@ -310,10 +313,10 @@ func WALStack() Stack {
 				})
 				env.Run()
 				if buildErr != nil {
-					return nil, buildErr
+					return nil, nil, buildErr
 				}
 				if err := sys.Start(); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 
 				var tree *kvdb.Tree
@@ -333,7 +336,7 @@ func WALStack() Stack {
 				})
 				env.Run()
 				if buildErr != nil {
-					return nil, buildErr
+					return nil, nil, buildErr
 				}
 
 				return func(p *sim.Proc, slot, version int) error {
@@ -344,10 +347,10 @@ func WALStack() Stack {
 						return err
 					}
 					return tx.Commit(p)
-				}, nil
+				}, sys.Drives(), nil
 			},
-			Recover: func(env2 *sim.Env) (crashexplore.ReadFunc, error) {
-				rebooted, _, err := sys.RecoverOn(env2, trail.RecoverOptions{})
+			Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
+				rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
 				if err != nil {
 					return nil, fmt.Errorf("trail recovery: %w", err)
 				}

@@ -99,26 +99,3 @@ func BenchmarkAccessRead4K(b *testing.B) {
 		return Request{LBA: spreadLBA(i%extents, d), Count: benchSectors, Data: data}
 	})
 }
-
-// Snapshot of a drive holding 4 MB in scattered 4 KB extents, restored into
-// a second drive: what one crash-explorer branch pays per drive.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	for _, c := range benchContents {
-		b.Run(c.name, func(b *testing.B) {
-			env := sim.NewEnv()
-			defer env.Close()
-			src, dst := New(env, WDCaviar()), New(env, WDCaviar())
-			data := benchData(c.fill)
-			for i := 0; i < 1024; i++ {
-				src.MediaWrite(spreadLBA(i, src), data)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := dst.Restore(src.Snapshot()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -16,10 +16,14 @@
 package disk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"maps"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"tracklog/internal/geom"
@@ -255,6 +259,9 @@ type Injector interface {
 	// SectorWritten reports a successfully persisted sector, letting the
 	// plan model write-heals of latent read errors (sector remapping).
 	SectorWritten(lba int64)
+	// Clone returns an injector in the same state that shares nothing with
+	// this one: faults are device state, so a cloned drive carries its own.
+	Clone() Injector
 }
 
 // Disk is a simulated drive. Create with New; all methods must be called
@@ -270,8 +277,7 @@ type Disk struct {
 
 	rotPeriod time.Duration
 	// seek curve coefficients over sqrt(d) basis; derived by fitSeekCurve
-	// from the calibration points in params, so a restored drive refits to
-	// identical values from the identity-checked params.
+	// from the calibration points in params.
 	seekA, seekB, seekC float64
 
 	media sectorStore
@@ -348,6 +354,9 @@ func (d *Disk) Stats() Stats { return d.stats }
 // Reattach across a simulated crash.
 func (d *Disk) SetInjector(inj Injector) { d.inj = inj }
 
+// Injector returns the attached fault injector (nil for a fault-free drive).
+func (d *Disk) Injector() Injector { return d.inj }
+
 // SetTracer attaches the drive to a tracer under the given track name (nil
 // detaches). The drive emits one event per service-time phase of every
 // command, and registers a head-position ground-truth probe with the tracer
@@ -392,6 +401,43 @@ func (d *Disk) Reattach(env *sim.Env) {
 	d.env = env
 	d.arm = sim.NewResource(env, 1)
 	d.lastCmdEnd = 0
+}
+
+// Clone returns a drive in this one's state that shares nothing with it: the
+// media, arm position and last-command time, parameters (seek derate
+// included), counters and a clone of the injector. That is everything a
+// power cut leaves behind, so recovering the clone is recovering this drive
+// as it stands now. The clone is bound to the same environment with an idle
+// arm of its own (Reattach moves it); no tracer or timeline lane is carried
+// over.
+func (d *Disk) Clone() *Disk {
+	c := New(d.env, d.params)
+	c.armCyl, c.armHead, c.lastCmdEnd = d.armCyl, d.armHead, d.lastCmdEnd
+	c.media, c.stats = d.media.clone(), d.stats
+	if d.inj != nil {
+		c.inj = d.inj.Clone()
+	}
+	return c
+}
+
+// Digest fingerprints the media: the FNV-64a of every sector the drive holds,
+// in LBA order, each as its LBA (8 bytes, little-endian) and its 512 bytes.
+// Two drives holding the same sectors digest alike, however the store laid
+// them out.
+func (d *Disk) Digest() uint64 {
+	lbas := make([]int64, 0, len(d.media.sectors))
+	for lba := range d.media.sectors {
+		lbas = append(lbas, lba)
+	}
+	slices.Sort(lbas)
+	h := fnv.New64a()
+	var sec [8 + geom.SectorSize]byte
+	for _, lba := range lbas {
+		binary.LittleEndian.PutUint64(sec[:8], uint64(lba))
+		d.media.read(lba, sec[8:])
+		h.Write(sec[:])
+	}
+	return h.Sum64()
 }
 
 // fitSeekCurve solves t(d) = a + b*sqrt(d) + c*d through the three calibration
@@ -727,6 +773,15 @@ func (s *sectorStore) write(lba int64, sec []byte) slot {
 	copy(s.bytes(h), sec)
 	s.sectors[lba] = h
 	return h
+}
+
+// clone copies the store: the index and every slab.
+func (s *sectorStore) clone() sectorStore {
+	c := sectorStore{sectors: maps.Clone(s.sectors), slabs: make([][]byte, len(s.slabs))}
+	for i, slab := range s.slabs {
+		c.slabs[i] = bytes.Clone(slab)
+	}
+	return c
 }
 
 // read copies the sector at lba into into; never-written sectors read zero.

@@ -3,13 +3,10 @@ package disk
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"hash/fnv"
 	"testing"
 
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
-	"tracklog/internal/snapshot"
 )
 
 // mediaModel is the reference the slab-backed store is held to: one value
@@ -77,8 +74,8 @@ func access(env *sim.Env, d *Disk, req *Request) Result {
 }
 
 // TestSectorStoreMatchesModel drives the drive's media through every way in
-// (MediaWrite, timed Access writes, overwrites, MediaZero, Snapshot into
-// Restore on a fresh drive) and holds every way out (MediaRead, timed reads,
+// (MediaWrite, timed Access writes, overwrites, MediaZero, carrying on with
+// a clone) and holds every way out (MediaRead, timed reads,
 // WrittenSectors) to a plain map of sector values. The LBA range is narrow so
 // overwrites are common, and wide enough to carve slabs of every size; every
 // sector has a zero tail drawn from zeroTails, so the store's short slots,
@@ -129,14 +126,11 @@ func TestSectorStoreMatchesModel(t *testing.T) {
 				t.Fatalf("step %d: timed read (%d,%d) differs from the model", step, lba, count)
 			}
 		case op < 99:
-			// Carry on with a drive restored from this one's snapshot.
-			env2 := sim.NewEnv()
-			d2 := New(env2, smallParams())
-			if err := d2.Restore(d.Snapshot()); err != nil {
-				t.Fatalf("step %d: Restore: %v", step, err)
-			}
-			env.Close()
-			env, d = env2, d2
+			// Carry on with a clone, and overwrite the whole range on the
+			// source: a clone sharing the source's slabs would see it.
+			src := d
+			d = d.Clone()
+			src.MediaWrite(0, randomSectors(rng, span))
 		default:
 			d.MediaZero()
 			model = mediaModel{}
@@ -153,8 +147,8 @@ func TestSectorStoreMatchesModel(t *testing.T) {
 	}
 }
 
-// goldenDrive builds a fixed drive state whose snapshot digest is pinned
-// below: random extents from sectors with overwrites through both write paths.
+// goldenDrive builds a fixed drive state whose media digest is pinned below:
+// random extents from sectors with overwrites through both write paths.
 func goldenDrive(env *sim.Env, sectors func(*sim.Rand, int) []byte) *Disk {
 	d := New(env, smallParams())
 	rng := sim.NewRand(7)
@@ -170,96 +164,95 @@ func goldenDrive(env *sim.Env, sectors func(*sim.Rand, int) []byte) *Disk {
 	return d
 }
 
-// TestSnapshotGoldenDigest pins Snapshot's bytes (their FNV-64a) across the
-// changes of media representation: the dense digest was recorded with one
-// heap object per sector, the zero-tail one with one 512-byte slab slot per
-// sector, before sectors were trimmed to their last non-zero byte.
-func TestSnapshotGoldenDigest(t *testing.T) {
+// TestMediaGoldenDigest pins what the golden drives hold across changes of
+// media representation. The digests were recorded at ca10543, whose media
+// store is the one the drive's former snapshot pins were last checked
+// against, so the state they fingerprint is the one those pinned.
+func TestMediaGoldenDigest(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		sectors func(*sim.Rand, int) []byte
 		want    uint64
 	}{
-		{"dense", randomSectors, 0x88f698f0aebbfc25},
-		{"zero tails", tailedSectors, 0x19f2baa2550a0f38},
+		{"dense", randomSectors, 0xd56c9dce2a1ae85b},
+		{"zero tails", tailedSectors, 0x0f74b210dfd63adf},
 	} {
 		env := sim.NewEnv()
-		h := fnv.New64a()
-		h.Write(goldenDrive(env, tc.sectors).Snapshot())
-		env.Close()
-		if got := h.Sum64(); got != tc.want {
-			t.Errorf("%s: snapshot digest = %#016x, want %#016x", tc.name, got, tc.want)
+		if got := goldenDrive(env, tc.sectors).Digest(); got != tc.want {
+			t.Errorf("%s: media digest = %#016x, want %#016x", tc.name, got, tc.want)
 		}
+		env.Close()
 	}
 }
 
-// TestRestoredDrivesShareNothing: writing to a restored drive changes neither
-// the source, nor a sibling restored from the same bytes, and none of them
-// keeps a reference into the snapshot bytes it was restored from.
-func TestRestoredDrivesShareNothing(t *testing.T) {
+// TestClonesShareNothing: writing to a clone changes neither its source nor
+// a sibling cloned alongside it, and writing to the source changes no clone.
+// The writes overwrite every sector the drives hold, in place and moved to
+// full slots, and add fresh ones beyond them.
+func TestClonesShareNothing(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	src := goldenDrive(env, tailedSectors)
-	snap := src.Snapshot()
-	pristine := bytes.Clone(snap)
-
-	a, b := New(env, smallParams()), New(env, smallParams())
-	for _, d := range []*Disk{a, b} {
-		if err := d.Restore(snap); err != nil {
-			t.Fatalf("Restore: %v", err)
-		}
+	pristine := src.Digest()
+	a, b := src.Clone(), src.Clone()
+	if a.Digest() != pristine || b.Digest() != pristine {
+		t.Fatal("a clone does not hold its source's media")
 	}
-	// Overwrite everything a holds, then some fresh sectors beyond it.
 	rng := sim.NewRand(3)
 	a.MediaWrite(0, randomSectors(rng, 3200))
-	if !bytes.Equal(src.Snapshot(), pristine) {
-		t.Fatal("writing to a restored drive changed its source")
+	if src.Digest() != pristine {
+		t.Fatal("writing to a clone changed its source")
 	}
-	if !bytes.Equal(b.Snapshot(), pristine) {
-		t.Fatal("writing to a restored drive changed its sibling")
+	if b.Digest() != pristine {
+		t.Fatal("writing to a clone changed its sibling")
 	}
-	if !bytes.Equal(snap, pristine) {
-		t.Fatal("writing to a restored drive changed the snapshot bytes")
-	}
-	clear(snap)
-	if !bytes.Equal(b.Snapshot(), pristine) {
-		t.Fatal("a restored drive aliases the bytes it was restored from")
+	src.MediaWrite(0, tailedSectors(rng, 3200))
+	if b.Digest() != pristine {
+		t.Fatal("writing to the source changed a clone")
 	}
 }
 
-// TestRestoreRejectsUnorderedSectors: Snapshot writes sectors in strictly
-// increasing LBA order, so a stream that repeats an LBA or runs backwards is
-// corrupt — and a rejected Restore leaves the drive as it was.
-func TestRestoreRejectsUnorderedSectors(t *testing.T) {
+// TestCloneCarriesSeekDerate: SeekDeratePPM is the one Params knob mutable
+// mid-run (SetSeekDeratePPM models aging hardware), so a clone must seek at
+// its source's derated speed, not at the factory's, and keep the source's
+// arm, counters and last-command time: its next timed command costs what the
+// source's does.
+func TestCloneCarriesSeekDerate(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	src := New(env, smallParams())
-	src.MediaWrite(10, randomSectors(sim.NewRand(1), 3))
-	good := src.Snapshot()
-
-	// A sector entry is its LBA (8 bytes), a length (4) and the data; the
-	// snapshot ends with them.
-	const entry = 8 + 4 + geom.SectorSize
-	last, prev := len(good)-entry, len(good)-2*entry
-	backwards := bytes.Clone(good)
-	copy(backwards[prev:last], good[last:])
-	copy(backwards[last:], good[prev:last])
-	repeated := bytes.Clone(good)
-	copy(repeated[last:last+8], good[prev:prev+8])
-
-	dst := New(env, smallParams())
-	dst.MediaWrite(500, randomSectors(sim.NewRand(2), 2))
-	before := dst.Snapshot()
-	for name, bad := range map[string][]byte{"backwards": backwards, "repeated": repeated} {
-		if err := dst.Restore(bad); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("%s LBAs: Restore = %v, want ErrCorrupt", name, err)
-		}
-		if !bytes.Equal(dst.Snapshot(), before) {
-			t.Errorf("%s LBAs: rejected Restore changed the drive", name)
-		}
+	d := New(env, smallParams())
+	data := make([]byte, 4*geom.SectorSize)
+	if res := access(env, d, &Request{Write: true, LBA: 0, Count: 4, Data: data}); res.Err != nil {
+		t.Fatalf("write: %v", res.Err)
 	}
-	if err := dst.Restore(good); err != nil {
-		t.Fatalf("Restore of the unmodified snapshot: %v", err)
+	d.SetSeekDeratePPM(250_000)
+	c := d.Clone()
+	if got := c.Params().SeekDeratePPM; got != 250_000 {
+		t.Fatalf("clone's SeekDeratePPM = %d, want 250000", got)
+	}
+	if c.Stats() != d.Stats() {
+		t.Fatalf("clone's stats %+v, source's %+v", c.Stats(), d.Stats())
+	}
+
+	// The derate must be mechanically effective, not just recorded: the
+	// clone's long seek costs what the derated source's does, and more than
+	// a factory-fresh drive's.
+	dist := smallParams().Geom.Cylinders - 1
+	if s1, s2 := d.SeekTime(dist), c.SeekTime(dist); s1 != s2 {
+		t.Fatalf("seek time diverged after clone: source %v, clone %v", s1, s2)
+	}
+	if fresh := New(env, smallParams()); c.SeekTime(dist) <= fresh.SeekTime(dist) {
+		t.Fatalf("clone's seek %v not slower than factory %v despite 25%% derate",
+			c.SeekTime(dist), fresh.SeekTime(dist))
+	}
+	g := smallParams().Geom
+	far := g.TotalSectors() - 4
+	var rd, rc Result
+	env.Go("source", func(p *sim.Proc) { rd = d.Access(p, &Request{Write: true, LBA: far, Count: 4, Data: data}) })
+	env.Go("clone", func(p *sim.Proc) { rc = c.Access(p, &Request{Write: true, LBA: far, Count: 4, Data: data}) })
+	env.Run()
+	if rd.Err != nil || rd != rc {
+		t.Fatalf("next timed write: source %+v, clone %+v", rd, rc)
 	}
 }
 

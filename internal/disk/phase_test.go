@@ -47,6 +47,8 @@ func (f sectorFault) SectorFault(_ sim.Time, _ bool, lba int64) error {
 
 func (sectorFault) SectorWritten(int64) {}
 
+func (f sectorFault) Clone() disk.Injector { return f }
+
 // TestPhaseViewsAgree runs a command on a drive with a tracer and a timeline
 // attached and checks that the four views of its mechanical phases agree,
 // phase by phase: the trace events, the lane occupancy and Result.Phases,

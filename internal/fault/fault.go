@@ -28,6 +28,7 @@ package fault
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"time"
@@ -185,6 +186,20 @@ func Attach(d *disk.Disk, rng *sim.Rand, cfg Config) *Plan {
 
 // Stats returns a copy of the trigger counters.
 func (p *Plan) Stats() Stats { return p.stats }
+
+// Clone returns a plan in this one's state that shares nothing with it: its
+// own latent errors, pending timeouts and counters. A cloned drive carries
+// it (disk.Disk.Clone).
+func (p *Plan) Clone() disk.Injector {
+	c := *p
+	c.latents = make(map[int64]*latent, len(p.latents))
+	for lba, l := range p.latents {
+		lc := *l
+		c.latents[lba] = &lc
+	}
+	c.timeouts = maps.Clone(p.timeouts)
+	return &c
+}
 
 // LatentLBAs returns the LBAs of all injected latent errors (read and
 // write kinds), sorted-free; intended for tests.

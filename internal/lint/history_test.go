@@ -28,8 +28,8 @@ var catches = []struct {
 		// on how fast the host is.
 		name: "wall-clock budget", analyzer: "virtualtime",
 		file: "internal/crashexplore/explore.go",
-		old:  "\tfor _, ev := range events {\n\t\tb := x.runBranch(ev)\n",
-		new:  "\tstart := time.Now()\n\tfor _, ev := range events {\n\t\tif time.Since(start) > 10*time.Minute {\n\t\t\tbreak\n\t\t}\n\t\tb := x.runBranch(ev)\n",
+		old:  "\tfor env.RunUntil(x.opts.horizon()); env.Paused(); env.RunUntil(x.opts.horizon()) {\n\t\tb := x.fork(at, drives, acked)\n",
+		new:  "\tstart := time.Now()\n\tfor env.RunUntil(x.opts.horizon()); env.Paused(); env.RunUntil(x.opts.horizon()) {\n\t\tif time.Since(start) > 10*time.Minute {\n\t\t\tbreak\n\t\t}\n\t\tb := x.fork(at, drives, acked)\n",
 		want: `time\.Now reads the wall clock`,
 	},
 	{

@@ -224,23 +224,33 @@ func (r *Rig) Crash() {
 	}
 }
 
-// Recover reboots a crashed rig on a fresh environment; see RecoverOn.
+// Drives returns the rig's drives, log disks first, then data disks: what a
+// power cut leaves behind, in the order RecoverOn takes them.
+func (r *Rig) Drives() []*disk.Disk {
+	return append(append([]*disk.Disk(nil), r.LogDisks...), r.DataDisks...)
+}
+
+// Recover reboots a crashed rig on its own drives and a fresh environment;
+// see RecoverOn.
 func (r *Rig) Recover(opts trail.RecoverOptions) (*Rig, *trail.RecoverReport, error) {
 	env := sim.NewEnv()
-	n, rep, err := r.RecoverOn(env, opts)
+	n, rep, err := r.RecoverOn(env, r.Drives(), opts)
 	if n == nil {
 		env.Close()
 	}
 	return n, rep, err
 }
 
-// RecoverOn reboots a crashed rig on env, which it runs to completion: every
-// surviving drive is reattached, Trail recovery replays the pending records
-// onto the data disks through LOOK-scheduled stddisk devices (which record
-// their commands into Config.Instruments.Recorder as dataN), and the system
-// restarts with the crashed rig's own Config. A baseline rig has no recovery
-// pass and a nil report. When opts.SkipWriteBack leaves records pending, no
-// driver can start: the rig is nil and only the report is returned.
+// RecoverOn reboots a crashed rig's system on drives, in Drives order: the
+// rig's own, or clones of them (disk.Disk.Clone) taken at the instant of a
+// cut. It runs env to completion: every drive is reattached to env, Trail
+// recovery replays the pending records onto the data disks through
+// LOOK-scheduled stddisk devices (which record their commands into
+// Config.Instruments.Recorder as dataN), and the system restarts with the
+// crashed rig's own Config. The rebooted rig's Plans are the fault plans the
+// given drives carry. A baseline rig has no recovery pass and a nil report.
+// When opts.SkipWriteBack leaves records pending, no driver can start: the
+// rig is nil and only the report is returned.
 //
 // Of the crashed rig's Instruments the restarted system keeps the Tracer and
 // the Recorder only. The Registry and the Timeline belong to the crashed
@@ -249,15 +259,19 @@ func (r *Rig) Recover(opts trail.RecoverOptions) (*Rig, *trail.RecoverReport, er
 // crashed environment closed, and the timeline runs on the old clock. A
 // caller who wants the recovered rig observed calls AttachKernel on env and
 // Attach on the returned rig with a fresh bundle.
-func (r *Rig) RecoverOn(env *sim.Env, opts trail.RecoverOptions) (*Rig, *trail.RecoverReport, error) {
-	n := &Rig{Env: env, LogDisk: r.LogDisk, LogDisks: r.LogDisks, DataDisks: r.DataDisks, Plans: r.Plans, cfg: r.cfg}
+func (r *Rig) RecoverOn(env *sim.Env, drives []*disk.Disk, opts trail.RecoverOptions) (*Rig, *trail.RecoverReport, error) {
+	logs := len(r.LogDisks)
+	n := &Rig{Env: env, DataDisks: drives[logs:], cfg: r.cfg}
+	if logs > 0 {
+		n.LogDisks, n.LogDisk = drives[:logs:logs], drives[0]
+	}
 	n.cfg.Env = env
 	n.cfg.Instruments = Instruments{Tracer: r.cfg.Instruments.Tracer, Recorder: r.cfg.Instruments.Recorder}
-	for _, d := range n.LogDisks {
+	for _, d := range drives {
 		d.Reattach(env)
-	}
-	for _, d := range n.DataDisks {
-		d.Reattach(env)
+		if r.cfg.Faults != nil {
+			n.Plans = append(n.Plans, d.Injector().(*fault.Plan))
+		}
 	}
 	var rep *trail.RecoverReport
 	if len(n.LogDisks) > 0 {

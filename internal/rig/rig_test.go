@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,7 +15,6 @@ import (
 	"tracklog/internal/raid"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/snapshot"
 	"tracklog/internal/span"
 	"tracklog/internal/telemetry"
 	"tracklog/internal/timeline"
@@ -106,32 +105,18 @@ func TestCrashRecoverReadBack(t *testing.T) {
 	}
 }
 
-// planDigest fingerprints a rig's fault plans in attach order: the FNV-64a
-// of their snapshots, each length-prefixed, in one snapshot stream.
-func planDigest(plans []*fault.Plan) uint64 {
-	h := fnv.New64a()
-	h.Write(snapshot.Encode("rig.test.plans", 1, func(c *snapshot.Codec) {
-		for _, p := range plans {
-			state := p.Snapshot()
-			c.View(&state)
-		}
-	}))
-	return h.Sum64()
-}
-
-// The same scenario and seed sample the same plans as the hand-attached
-// sites did at 614bac6 (log disk first, then the data disk, one stream): the
-// digests were recorded there from cmd/trailsim's buildDevice order and from
-// experiments.FaultTolerance's trail system.
+// The same scenario and seed sample the same plans as the hand-attached sites
+// did before the rig owned fault attachment (cmd/trailsim's buildDevice and
+// experiments.FaultTolerance's trail system): a log disk first, then the data
+// disk, from one stream.
 func TestFaultPlansMatchHandAttachedOrder(t *testing.T) {
 	for _, tc := range []struct {
 		scenario string
 		maxLBA   int64
 		seed     uint64
-		want     uint64
 	}{
-		{"latent=3,timeout=1", 0, 5, 0x053a994921a468ed},
-		{"wlatent=2,latent=4,timeout=2", 4096, 9, 0x3bb27a2813497b7a},
+		{"latent=3,timeout=1", 0, 5},
+		{"wlatent=2,latent=4,timeout=2", 4096, 9},
 	} {
 		fcfg, err := fault.ParseScenario(tc.scenario)
 		if err != nil {
@@ -143,11 +128,65 @@ func TestFaultPlansMatchHandAttachedOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Close()
-		if len(r.Plans) != 2 {
-			t.Fatalf("%d plans for 1 log + 1 data disk", len(r.Plans))
+		env := sim.NewEnv()
+		rng := sim.NewRand(tc.seed)
+		want := []*fault.Plan{
+			fault.Attach(disk.New(env, disk.ST41601N()), rng, fcfg),
+			fault.Attach(disk.New(env, disk.WDCaviar()), rng, fcfg),
 		}
-		if got := planDigest(r.Plans); got != tc.want {
-			t.Errorf("%s seed %d: plan digest %#016x, want %#016x", tc.scenario, tc.seed, got, tc.want)
+		env.Close()
+		if !reflect.DeepEqual(r.Plans, want) {
+			t.Errorf("%s seed %d: the rig's plans differ from the hand-attached ones", tc.scenario, tc.seed)
+		}
+	}
+}
+
+// A rig rebooted on clones of its drives runs on the clones and reports
+// their plans: recovery and the restarted system leave the crashed rig's
+// drives and plans as they were at the cut.
+func TestRecoverOnClones(t *testing.T) {
+	fcfg, err := fault.ParseScenario("latent=2,timeout=2,twindow=40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfg.MaxLBA = 256
+	r, err := New(Config{LogDisk: smallLog(), DataDisk: smallData(), Faults: &fcfg, FaultSeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Go("client", func(p *sim.Proc) {
+		for i := 0; i < 12; i++ {
+			r.Dev(0).Write(p, int64(i)*16, 4, block(i)) //nolint:errcheck // faults are the point
+		}
+	})
+	r.RunUntil(sim.Time(40 * time.Millisecond))
+	r.Crash()
+	var clones []*disk.Disk
+	var digests []uint64
+	var stats []fault.Stats
+	for _, d := range r.Drives() {
+		clones = append(clones, d.Clone())
+		digests = append(digests, d.Digest())
+	}
+	for _, pl := range r.Plans {
+		stats = append(stats, pl.Stats())
+	}
+	n, _, err := r.RecoverOn(sim.NewEnv(), clones, trail.RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for i, d := range clones {
+		if n.Drives()[i] != d {
+			t.Errorf("drive %d: the rebooted rig does not run on the clone", i)
+		}
+		if n.Plans[i] != d.Injector() || n.Plans[i] == r.Plans[i] {
+			t.Errorf("plan %d: the rebooted rig reports %p, want the clone's %p", i, n.Plans[i], d.Injector())
+		}
+	}
+	for i, d := range r.Drives() {
+		if d.Digest() != digests[i] || r.Plans[i].Stats() != stats[i] {
+			t.Errorf("drive %d: recovering its clone changed it", i)
 		}
 	}
 }

@@ -43,6 +43,8 @@ func (s *scripted) SectorFault(_ sim.Time, write bool, lba int64) error {
 
 func (s *scripted) SectorWritten(int64) {}
 
+func (s *scripted) Clone() disk.Injector { c := *s; return &c }
+
 // shape renders a request's span children: a run of mechanical phases as
 // "cmd", a retry as "retryN", anything else as "phase(A,B)".
 func shape(r *span.Request) string {

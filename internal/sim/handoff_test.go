@@ -1,9 +1,11 @@
 package sim
 
 import (
-	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +49,30 @@ func TestYieldKeepsSameInstantFIFO(t *testing.T) {
 	if !reflect.DeepEqual(order, want) {
 		t.Errorf("order = %v, want %v", order, want)
 	}
+}
+
+// fingerprint renders the kernel's scheduler state: clock, sequence
+// counters, the pending queue in (at, seq) order and the process table in id
+// order. Two kernels at the same instant of the same run render alike;
+// diverged ones do not.
+func fingerprint(e *Env) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=%d seq=%d next=%d probes=%d live=%d;", e.now, e.seq, e.nextID, e.probeSeq, e.liveQueued)
+	queue := slices.Clone(e.queue)
+	sort.Slice(queue, queue.less)
+	for _, q := range queue {
+		fmt.Fprintf(&b, " q(%d,%d,%d)", q.at, q.seq, q.proc.id)
+	}
+	ids := make([]int64, 0, len(e.procs))
+	for id := range e.procs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		p := e.procs[id]
+		fmt.Fprintf(&b, " p(%d,%s,%d,%t)", id, p.name, p.state, p.daemon)
+	}
+	return b.String()
 }
 
 // chainWorld mixes self-wakes (a lone sleeper), direct hand-offs (an event
@@ -118,34 +144,34 @@ func TestRunUntilMidChainMatchesUninterruptedRun(t *testing.T) {
 	if got, want := cut.KernelStats(), whole.KernelStats(); got != want {
 		t.Errorf("kernel stats diverged:\n got %+v\nwant %+v", got, want)
 	}
-	if !bytes.Equal(cut.Snapshot(), whole.Snapshot()) {
-		t.Error("final Env.Snapshot differs from the uninterrupted run's")
+	if got, want := fingerprint(cut), fingerprint(whole); got != want {
+		t.Errorf("final kernel state differs from the uninterrupted run's:\n got %s\nwant %s", got, want)
 	}
 }
 
 // A probe hook pausing a process that another process resumed (so a process,
 // not the driver, holds the dispatch loop) hands control to the driver, and
 // resuming replays the never-paused run byte for byte — including the
-// snapshot a non-pausing hook takes at each probe index.
+// kernel state a non-pausing hook fingerprints at each probe index.
 func TestProbePauseUnderProcessDispatchMatchesNeverPaused(t *testing.T) {
 	var wantTrace []string
-	var wantSnaps [][]byte
+	var wantStates []string
 	plain := NewEnv()
 	defer plain.Close()
 	chainWorld(plain, &wantTrace)
 	plain.SetProbeHook(func(ProbeEvent) bool {
-		wantSnaps = append(wantSnaps, plain.Snapshot())
+		wantStates = append(wantStates, fingerprint(plain))
 		return false
 	})
 	plain.Run()
 
 	var gotTrace []string
-	var gotSnaps [][]byte
+	var gotStates []string
 	paused := NewEnv()
 	defer paused.Close()
 	chainWorld(paused, &gotTrace)
 	paused.SetProbeHook(func(ProbeEvent) bool {
-		gotSnaps = append(gotSnaps, paused.Snapshot())
+		gotStates = append(gotStates, fingerprint(paused))
 		return true
 	})
 	pauses := 0
@@ -159,14 +185,14 @@ func TestProbePauseUnderProcessDispatchMatchesNeverPaused(t *testing.T) {
 	if !reflect.DeepEqual(gotTrace, wantTrace) {
 		t.Errorf("trace diverged:\n got %v\nwant %v", gotTrace, wantTrace)
 	}
-	if !reflect.DeepEqual(gotSnaps, wantSnaps) {
-		t.Error("per-probe Env.Snapshot bytes differ between the paused and the never-paused run")
+	if !reflect.DeepEqual(gotStates, wantStates) {
+		t.Error("per-probe kernel state differs between the paused and the never-paused run")
 	}
 	if got, want := paused.KernelStats(), plain.KernelStats(); got != want {
 		t.Errorf("kernel stats diverged:\n got %+v\nwant %+v", got, want)
 	}
-	if !bytes.Equal(paused.Snapshot(), plain.Snapshot()) {
-		t.Error("final Env.Snapshot differs from the never-paused run's")
+	if got, want := fingerprint(paused), fingerprint(plain); got != want {
+		t.Errorf("final kernel state differs from the never-paused run's:\n got %s\nwant %s", got, want)
 	}
 }
 

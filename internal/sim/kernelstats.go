@@ -12,9 +12,9 @@ import "tracklog/internal/telemetry"
 // schedule, so two same-seed runs produce identical KernelStats and the
 // values are safe to include in byte-compared artifacts.
 //
-// The counters are deliberately NOT part of the snapshot codec
-// (env_snapshot.go): they are observer state, not simulated state, and a
-// kernel's fingerprint must not depend on whether an observer was attached.
+// The counters are observer state, not simulated state: reading them never
+// changes the schedule, so a run with an observer attached pops the same
+// events as one without.
 //
 // Wall-clock cost (events/sec, ns/event, allocs/event) is measured from
 // outside the module by bench/ and never appears here.

@@ -36,23 +36,24 @@ func runCrashTrial(t *testing.T, seed uint64) {
 	var log, data *disk.Disk
 	res, err := crashexplore.RunSingle(crashexplore.Stack{
 		Slots: slots,
-		Build: func(env *sim.Env) (crashexplore.WriteFunc, error) {
-			log = disk.New(env, testLogParams())
+		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
+			log := disk.New(env, testLogParams())
 			if err := Format(log); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			data = disk.New(env, testDataParams("d"))
+			data := disk.New(env, testDataParams("d"))
 			drv, err := NewDriver(env, log, []*disk.Disk{data}, Config{})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			dev := drv.Dev(0)
 			return func(p *sim.Proc, slot, version int) error {
 				buf := crashexplore.Payload(slot, version, sectorsPer)
 				return dev.Write(p, int64(slot*slotSpacing), sectorsPer, buf)
-			}, nil
+			}, []*disk.Disk{log, data}, nil
 		},
-		Recover: func(env2 *sim.Env) (crashexplore.ReadFunc, error) {
+		Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
+			log, data = drives[0], drives[1]
 			log.Reattach(env2)
 			data.Reattach(env2)
 			id := blockdev.DevID{Major: 8, Minor: 0}

@@ -126,7 +126,6 @@ func FuzzDecodeDiskHeader(f *testing.F) {
 // and read a bounded number of tracks, so a looping chain cannot hang it.
 func FuzzRecoverLog(f *testing.F) {
 	crashed := crashAfterWrites(f, 8)
-	snap := crashed.log.Snapshot()
 	g := crashed.log.Geom()
 	hdr, err := ReadHeader(crashed.log)
 	if err != nil {
@@ -184,10 +183,8 @@ func FuzzRecoverLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, track uint8, img []byte) {
 		env := sim.NewEnv()
 		defer env.Close()
-		log := disk.New(env, testLogParams())
-		if err := log.Restore(snap); err != nil {
-			t.Fatal(err)
-		}
+		log := crashed.log.Clone()
+		log.Reattach(env)
 		base, spt := trackImage(int(track) % g.TotalTracks())
 		damaged := make([]byte, spt*geom.SectorSize)
 		copy(damaged, img)

@@ -260,7 +260,8 @@ type nthSectorFault struct{ n, seen int }
 func (f *nthSectorFault) CommandFault(sim.Time, bool, int64, int) disk.CommandFault {
 	return disk.CommandFault{}
 }
-func (f *nthSectorFault) SectorWritten(int64) {}
+func (f *nthSectorFault) SectorWritten(int64)  {}
+func (f *nthSectorFault) Clone() disk.Injector { c := *f; return &c }
 func (f *nthSectorFault) SectorFault(_ sim.Time, write bool, lba int64) error {
 	if !write {
 		return nil

@@ -409,6 +409,8 @@ func (f *salvageFaults) SectorFault(_ sim.Time, write bool, lba int64) error {
 
 func (f *salvageFaults) SectorWritten(int64) {}
 
+func (f *salvageFaults) Clone() disk.Injector { c := *f; return &c }
+
 // A track read salvages around failures in place: the timed-out command is
 // retried, the unreadable sector stays zero, and every other sector —
 // including those the reads after the hole bring in — sits at its own offset

@@ -43,6 +43,8 @@ func (f *stepFault) CommandFault(_ sim.Time, write bool, _ int64, _ int) disk.Co
 
 func (f *stepFault) SectorWritten(int64) {}
 
+func (f *stepFault) Clone() disk.Injector { c := *f; return &c }
+
 func (f *stepFault) SectorFault(_ sim.Time, write bool, lba int64) error {
 	if write && lba == f.badLBA {
 		return fmt.Errorf("injected at lba %d: %w", lba, blockdev.ErrMediaError)
