@@ -6,7 +6,7 @@ package bufcache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
@@ -54,7 +54,11 @@ type Stats struct {
 type Cache struct {
 	dev      blockdev.Device
 	capacity int
-	pages    map[int64]*Page
+	// pages is the page table: the resident page of each ID, nil for the
+	// rest. It grows to the highest ID faulted in (kvdb's IDs are dense from
+	// 0), and resident counts its pages.
+	pages    []*Page
+	resident int
 	// lru is the sentinel of a ring of the resident pages: lru.next is the
 	// most recently used, lru.prev the least.
 	lru   Page
@@ -66,7 +70,7 @@ func New(dev blockdev.Device, capacity int) *Cache {
 	if capacity < 1 {
 		panic("bufcache: capacity must be >= 1")
 	}
-	c := &Cache{dev: dev, capacity: capacity, pages: make(map[int64]*Page)}
+	c := &Cache{dev: dev, capacity: capacity}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
 }
@@ -77,7 +81,7 @@ func (c *Cache) Capacity() int { return c.capacity }
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats {
 	s := c.stats
-	s.PagesResident = len(c.pages)
+	s.PagesResident = c.resident
 	return s
 }
 
@@ -85,56 +89,59 @@ func (c *Cache) Stats() Stats {
 func pageLBA(id int64) int64 { return id * PageSectors }
 
 // Get pins and returns the page, reading it from the device on a miss.
-func (c *Cache) Get(p *sim.Proc, id int64) (*Page, error) {
-	if pg, ok := c.pages[id]; ok {
-		c.stats.Hits++
-		pg.pins++
-		c.touch(pg)
-		return pg, nil
-	}
-	c.stats.Misses++
-	pg, err := c.makeRoom(p)
-	if err != nil {
-		return nil, err
-	}
-	data, err := blockdev.ReadOpts(p, c.dev, pageLBA(id), PageSectors, blockdev.Options{Into: pg.Data})
-	if err != nil {
-		return nil, fmt.Errorf("bufcache: page %d: %w", id, err)
-	}
-	// The read may have yielded; another process may have faulted the same
-	// page in meanwhile.
-	if resident, ok := c.pages[id]; ok {
-		resident.pins++
-		c.touch(resident)
-		return resident, nil
-	}
-	pg.ID, pg.Data, pg.pins = id, data, 1
-	c.touch(pg)
-	c.pages[id] = pg
-	return pg, nil
-}
+func (c *Cache) Get(p *sim.Proc, id int64) (*Page, error) { return c.get(p, id, true) }
 
 // GetZero pins a page frame without reading the device, for pages about to
-// be fully overwritten (new allocations).
-func (c *Cache) GetZero(p *sim.Proc, id int64) (*Page, error) {
-	if pg, ok := c.pages[id]; ok {
-		pg.pins++
-		c.touch(pg)
-		return pg, nil
+// be fully overwritten (new allocations). It counts neither hit nor miss.
+func (c *Cache) GetZero(p *sim.Proc, id int64) (*Page, error) { return c.get(p, id, false) }
+
+// get pins and returns page id: the resident page, or else a new one, read
+// from the device if read is set and zeroed if not. An ID outside the device
+// fails before it can grow the table (a resident page passed that check).
+func (c *Cache) get(p *sim.Proc, id int64, read bool) (*Page, error) {
+	if uint64(id) < uint64(len(c.pages)) && c.pages[id] != nil {
+		if read {
+			c.stats.Hits++
+		}
+		return c.pin(c.pages[id]), nil
+	}
+	if err := blockdev.CheckRange(c.dev.Sectors()/PageSectors, id, 1); err != nil {
+		return nil, fmt.Errorf("bufcache: page %d: %w", id, err)
+	}
+	if n := int(id) + 1; n > len(c.pages) {
+		c.pages = slices.Grow(c.pages, n-len(c.pages))[:n]
+	}
+	if read {
+		c.stats.Misses++
 	}
 	pg, err := c.makeRoom(p)
 	if err != nil {
 		return nil, err
 	}
-	if pg.Data == nil {
+	if read {
+		if pg.Data, err = blockdev.ReadOpts(p, c.dev, pageLBA(id), PageSectors, blockdev.Options{Into: pg.Data}); err != nil {
+			return nil, fmt.Errorf("bufcache: page %d: %w", id, err)
+		}
+	} else if pg.Data == nil {
 		pg.Data = make([]byte, PageSize)
 	} else {
 		clear(pg.Data)
 	}
-	pg.ID, pg.pins = id, 1
+	// An eviction's write or the read may have yielded; another process may
+	// have faulted the same page in meanwhile.
+	if resident := c.pages[id]; resident != nil {
+		return c.pin(resident), nil
+	}
+	pg.ID, c.pages[id] = id, pg
+	c.resident++
+	return c.pin(pg), nil
+}
+
+// pin pins pg and makes it the most recently used page.
+func (c *Cache) pin(pg *Page) *Page {
+	pg.pins++
 	c.touch(pg)
-	c.pages[id] = pg
-	return pg, nil
+	return pg
 }
 
 // makeRoom evicts LRU unpinned pages until a frame is free and returns the
@@ -145,7 +152,7 @@ func (c *Cache) GetZero(p *sim.Proc, id int64) (*Page, error) {
 // the caller allocates.
 func (c *Cache) makeRoom(p *sim.Proc) (*Page, error) {
 	pg := new(Page)
-	for len(c.pages) >= c.capacity {
+	for c.resident >= c.capacity {
 		victim := c.lruVictim()
 		if victim == nil {
 			return nil, fmt.Errorf("bufcache: all %d pages pinned", c.capacity)
@@ -162,7 +169,8 @@ func (c *Cache) makeRoom(p *sim.Proc) (*Page, error) {
 		}
 		c.stats.Evictions++
 		victim.unlink()
-		delete(c.pages, victim.ID)
+		c.pages[victim.ID] = nil
+		c.resident--
 		if victim.writes == 0 {
 			pg.Data = victim.Data
 		}
@@ -226,17 +234,16 @@ func (c *Cache) Release(pg *Page) {
 	pg.pins--
 }
 
-// FlushAll writes every dirty page to the device (checkpoint), in page-ID
-// order: the writes block, so their order is the device's seek pattern and
-// must not depend on map iteration.
+// FlushAll writes every page dirty at the call to the device (checkpoint), in
+// page-ID order, the table's: the writes block, so their order is the
+// device's seek pattern.
 func (c *Cache) FlushAll(p *sim.Proc) error {
 	var dirty []*Page
 	for _, pg := range c.pages {
-		if pg.dirty {
+		if pg != nil && pg.dirty {
 			dirty = append(dirty, pg)
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].ID < dirty[j].ID })
 	for _, pg := range dirty {
 		// An eviction by another process may have written pg meanwhile.
 		if pg.dirty {
@@ -251,7 +258,7 @@ func (c *Cache) FlushAll(p *sim.Proc) error {
 // DirtyPages returns the number of dirty resident pages.
 func (c *Cache) DirtyPages() int {
 	n := 0
-	for _, pg := range c.pages {
+	for pg := c.lru.next; pg != &c.lru; pg = pg.next {
 		if pg.dirty {
 			n++
 		}

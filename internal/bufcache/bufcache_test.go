@@ -2,6 +2,7 @@ package bufcache
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -411,5 +412,40 @@ func TestVictimPinnedDuringWriteBack(t *testing.T) {
 	}
 	if s := c.Stats(); s.Evictions != 1 || s.PagesResident != 2 {
 		t.Errorf("stats %+v, want page 9 evicted instead of page 1", s)
+	}
+}
+
+// TestPageOutsideDeviceIsOutOfRange: Get and GetZero of a page past the
+// device's last one, or of a negative page, fail at once with an error
+// wrapping blockdev.ErrOutOfRange, instead of taking a frame (and a slot in
+// the page table) whose write-back could only fail at eviction. The last
+// page is in range.
+func TestPageOutsideDeviceIsOutOfRange(t *testing.T) {
+	env, c, d := newRig(4)
+	defer env.Close()
+	last := d.Geom().TotalSectors()/PageSectors - 1
+	run(env, func(p *sim.Proc) {
+		for _, get := range []struct {
+			name string
+			fn   func(*sim.Proc, int64) (*Page, error)
+		}{{"Get", c.Get}, {"GetZero", c.GetZero}} {
+			for _, id := range []int64{last + 1, last + 1000, 1 << 61, -1, -last} {
+				pg, err := get.fn(p, id)
+				if !errors.Is(err, blockdev.ErrOutOfRange) {
+					t.Errorf("%s(%d): %v, want an error wrapping ErrOutOfRange", get.name, id, err)
+				}
+				if pg != nil {
+					c.Release(pg)
+				}
+			}
+			if pg, err := get.fn(p, last); err != nil {
+				t.Errorf("%s of the last page: %v", get.name, err)
+			} else {
+				c.Release(pg)
+			}
+		}
+	})
+	if s := c.Stats(); s.PagesResident != 1 || s.Evictions != 0 {
+		t.Errorf("stats %+v, want only the last page resident", s)
 	}
 }

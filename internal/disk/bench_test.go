@@ -38,9 +38,9 @@ func benchAccess(b *testing.B, d *Disk, env *sim.Env, req func(i int) Request) {
 }
 
 // benchContents are the sector contents the write rungs split on, by how far
-// the media store's trim scan walks back: an all-zero sector (64 words, and
-// no slot), a 16-byte stamp as the benchmark's workloads write (62 words),
-// and a dense sector (one word).
+// the media store's trim scan walks back: an all-zero sector (eight 64-byte
+// blocks, and no slot), a 16-byte stamp as the benchmark's workloads write
+// (eight blocks, then seven words), and a dense sector (one block, one word).
 var benchContents = []struct {
 	name string
 	fill func(sec []byte)
@@ -51,11 +51,14 @@ var benchContents = []struct {
 			sec[i] = byte(i) | 0x80
 		}
 	}},
-	{"dense", func(sec []byte) {
-		for i := range sec {
-			sec[i] = byte(i) | 1
-		}
-	}},
+	{"dense", denseFill},
+}
+
+// denseFill fills a sector with no zero byte.
+func denseFill(sec []byte) {
+	for i := range sec {
+		sec[i] = byte(i) | 1
+	}
 }
 
 // benchData is one 4 KB extent of sectors filled by fill.
@@ -68,8 +71,8 @@ func benchData(fill func([]byte)) []byte {
 }
 
 // Random 4 KB writes, nearly all to sectors never written before: eight
-// per-sector sleeps, eight map inserts and, unless the sectors are zero,
-// eight slots carved from a slab.
+// per-sector sleeps, a new group of 16 sectors and, unless the sectors are
+// zero, eight slots carved from a slab.
 func BenchmarkAccessWrite4K(b *testing.B) {
 	for _, c := range benchContents {
 		b.Run(c.name, func(b *testing.B) {
@@ -98,4 +101,46 @@ func BenchmarkAccessRead4K(b *testing.B) {
 	benchAccess(b, d, env, func(i int) Request {
 		return Request{LBA: spreadLBA(i%extents, d), Count: benchSectors, Data: data}
 	})
+}
+
+// mediaPages is how many 4 KB pages the media rungs cycle over: 16 MB.
+const mediaPages = 4096
+
+// pageSink keeps the compiler from dropping a page read.
+var pageSink []byte
+
+// Dense 4 KB pages written through MediaWrite to consecutive pages, the path
+// a database load's evicted pages take to the media through an InstantDev.
+// The drive is reformatted whenever the pages wrap, so nearly every write is
+// to sectors never written.
+func BenchmarkMediaWritePage(b *testing.B) {
+	env := sim.NewEnv()
+	defer env.Close()
+	d := New(env, WDCaviar())
+	data := benchData(denseFill)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%mediaPages == 0 {
+			d.MediaZero()
+		}
+		d.MediaWrite(int64(i%mediaPages)*benchSectors, data)
+	}
+}
+
+// Dense 4 KB pages read through MediaRead from a drive holding 16 MB of them,
+// the path a database's page faults take through an InstantDev.
+func BenchmarkMediaReadPage(b *testing.B) {
+	env := sim.NewEnv()
+	defer env.Close()
+	d := New(env, WDCaviar())
+	data := benchData(denseFill)
+	for i := 0; i < mediaPages; i++ {
+		d.MediaWrite(int64(i)*benchSectors, data)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pageSink = d.MediaRead(int64(i%mediaPages)*benchSectors, benchSectors)
+	}
 }

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -328,7 +327,7 @@ func New(env *sim.Env, params Params) *Disk {
 		env:       env,
 		arm:       sim.NewResource(env, 1),
 		rotPeriod: rot,
-		media:     newSectorStore(0),
+		media:     newSectorStore(),
 	}
 	d.fitSeekCurve()
 	return d
@@ -425,17 +424,21 @@ func (d *Disk) Clone() *Disk {
 // Two drives holding the same sectors digest alike, however the store laid
 // them out.
 func (d *Disk) Digest() uint64 {
-	lbas := make([]int64, 0, len(d.media.sectors))
-	for lba := range d.media.sectors {
-		lbas = append(lbas, lba)
+	keys := make([]int64, 0, len(d.media.groups))
+	for key := range d.media.groups {
+		keys = append(keys, key)
 	}
-	slices.Sort(lbas)
+	slices.Sort(keys)
 	h := fnv.New64a()
 	var sec [8 + geom.SectorSize]byte
-	for _, lba := range lbas {
-		binary.LittleEndian.PutUint64(sec[:8], uint64(lba))
-		d.media.read(lba, sec[8:])
-		h.Write(sec[:])
+	for _, key := range keys {
+		for i, at := range d.media.groups[key] {
+			if at&present != 0 {
+				binary.LittleEndian.PutUint64(sec[:8], uint64(key*groupSectors+int64(i)))
+				clear(sec[8+copy(sec[8:], d.media.bytes(at)):])
+				h.Write(sec[:])
+			}
+		}
 	}
 	return h.Sum64()
 }
@@ -704,39 +707,56 @@ func writeFlag(w bool) int64 {
 	return 0
 }
 
-// sectorStore holds a drive's written sectors up to their last non-zero
-// byte, in slots carved out of shared slabs: a new sector costs a map insert,
-// not an allocation. A first slot is rounded up to 16 bytes, an overwrite that
-// does not fit moves to a full-sector one (so at most two), and an all-zero
-// sector has none. Slots are never freed singly (MediaZero drops the whole
-// store), so a slab lives exactly as long as the drive contents it backs.
+// sectorStore holds a drive's written sectors up to their last non-zero byte,
+// in slots carved out of shared slabs: a first slot is rounded up to 16 bytes,
+// an overwrite that does not fit moves to a full-sector one (so at most two),
+// and an all-zero sector has none. Slots sit in groups of 16 sectors keyed by
+// lba/16; the last group found is kept, so a sector costs an array index.
+// Nothing is freed singly (MediaZero drops the whole store).
 type sectorStore struct {
-	sectors map[int64]slot
+	groups  map[int64]*group
+	batch   []group  // the newest batch's unused groups
 	slabs   [][]byte // every slab; the newest has free bytes past its length
+	n       int      // sectors held
+	last    *group   // the group found last, keyed lastKey
+	lastKey int64
 }
 
+const groupSectors = 16 // small, as sparse 4 KB writes fill half a group each
+
+type group [groupSectors]slot
+
 // slot packs where a sector's held bytes live into 8 bytes with no pointer,
-// so the GC never scans the index: slab (bits 32-63), byte offset in it
-// (16-31), capacity in 16-byte units (10-15) and held length (0-9).
+// so the GC never scans a group: presence (bit 63; zero for a sector never
+// written), slab (32-62), byte offset in it (16-31), capacity in 16-byte
+// units (10-15) and held length (0-9).
 type slot uint64
+
+const present slot = 1 << 63
 
 func (h slot) capacity() int { return int(h>>10&0x3f) * 16 }
 func (h slot) len() int      { return int(h & 0x3ff) }
 
-// Slab bounds, in sectors. A slab is as large as the store already is, within
-// these bounds: a drive holding a handful of sectors (a crash-explorer branch,
-// a test fixture) wastes little, and a busy one allocates at most once per
-// 128 new sectors.
+// A slab holds as many sectors, and a batch as many groups, as the store
+// already does, within these bounds: a small drive (a crash-explorer branch,
+// a test fixture) wastes little, and a busy one allocates once per 128.
 const minSlabSectors, maxSlabSectors = 8, 128
 
-func newSectorStore(sizeHint int) sectorStore {
-	return sectorStore{sectors: make(map[int64]slot, sizeHint)}
-}
+func newSectorStore() sectorStore { return sectorStore{groups: map[int64]*group{}} }
 
-// held returns sec's length up to its last non-zero byte, scanning by words.
+// held returns sec's length up to its last non-zero byte. It skips zero
+// 64-byte blocks, eight words ORed at a time, before its word scan.
 func held(sec []byte) int {
-	for n := len(sec); n > 0; n -= 8 {
-		if w := binary.LittleEndian.Uint64(sec[n-8 : n]); w != 0 {
+	le, n := binary.LittleEndian, len(sec)
+	for ; n >= 64; n -= 64 {
+		b := (*[64]byte)(sec[n-64 : n])
+		if le.Uint64(b[:])|le.Uint64(b[8:])|le.Uint64(b[16:])|le.Uint64(b[24:])|
+			le.Uint64(b[32:])|le.Uint64(b[40:])|le.Uint64(b[48:])|le.Uint64(b[56:]) != 0 {
+			break
+		}
+	}
+	for ; n > 0; n -= 8 {
+		if w := le.Uint64(sec[n-8 : n]); w != 0 {
 			return n - bits.LeadingZeros64(w)/8
 		}
 	}
@@ -748,45 +768,79 @@ func (s *sectorStore) bytes(h slot) []byte {
 	if h.len() == 0 {
 		return nil
 	}
-	return s.slabs[h>>32][h>>16&0xffff:][:h.len()]
+	return s.slabs[h>>32&0x7fffffff][h>>16&0xffff:][:h.len()]
 }
 
-// write stores the sector sec at lba, carving a slot when what it holds
-// outgrows the one it has, and returns the sector's handle.
-func (s *sectorStore) write(lba int64, sec []byte) slot {
-	n, h := held(sec), s.sectors[lba]
-	if n > h.capacity() {
-		size := geom.SectorSize
-		if h.capacity() == 0 {
-			size = (n + 15) &^ 15
+// find returns lba's slot, or nil for a group never written unless add is
+// set, which adds the group.
+func (s *sectorStore) find(lba int64, add bool) *slot {
+	if key := lba / groupSectors; s.last == nil || key != s.lastKey {
+		s.last, s.lastKey = s.groups[key], key
+		if s.last == nil && !add {
+			return nil
+		} else if s.last == nil {
+			if len(s.batch) == 0 {
+				s.batch = make([]group, min(max(len(s.groups), minSlabSectors), maxSlabSectors))
+			}
+			s.last, s.batch = &s.batch[0], s.batch[1:]
+			s.groups[key] = s.last
 		}
-		last := len(s.slabs) - 1
-		if last < 0 || cap(s.slabs[last])-len(s.slabs[last]) < size {
-			s.slabs = append(s.slabs, make([]byte, 0, min(max(len(s.sectors), minSlabSectors), maxSlabSectors)*geom.SectorSize))
-			last++
-		}
-		off := len(s.slabs[last])
-		s.slabs[last] = s.slabs[last][:off+size]
-		h = slot(last)<<32 | slot(off)<<16 | slot(size/16)<<10
 	}
-	h = h&^0x3ff | slot(n)
-	copy(s.bytes(h), sec)
-	s.sectors[lba] = h
-	return h
+	return &s.last[lba%groupSectors]
 }
 
-// clone copies the store: the index and every slab.
+// write stores the sectors of data from lba on, carving a slot for each whose
+// held bytes outgrow the one it has.
+func (s *sectorStore) write(lba int64, data []byte) {
+	for ; len(data) > 0; lba, data = lba+1, data[geom.SectorSize:] {
+		at := s.find(lba, true)
+		n, h := held(data[:geom.SectorSize]), *at
+		if n > h.capacity() {
+			size := geom.SectorSize
+			if h.capacity() == 0 {
+				size = (n + 15) &^ 15
+			}
+			last := len(s.slabs) - 1
+			if last < 0 || cap(s.slabs[last])-len(s.slabs[last]) < size {
+				s.slabs = append(s.slabs, make([]byte, 0, min(max(s.n, minSlabSectors), maxSlabSectors)*geom.SectorSize))
+				last++
+			}
+			off := len(s.slabs[last])
+			s.slabs[last] = s.slabs[last][:off+size]
+			h = slot(last)<<32 | slot(off)<<16 | slot(size/16)<<10
+		}
+		if *at == 0 {
+			s.n++
+		}
+		*at = h&^0x3ff | slot(n) | present
+		copy(s.bytes(*at), data)
+	}
+}
+
+// clone copies the store, every group and every slab; the group found last is
+// the source's, so it is not kept.
 func (s *sectorStore) clone() sectorStore {
-	c := sectorStore{sectors: maps.Clone(s.sectors), slabs: make([][]byte, len(s.slabs))}
+	c := sectorStore{groups: make(map[int64]*group, len(s.groups)), slabs: make([][]byte, len(s.slabs)), n: s.n}
+	batch := make([]group, 0, len(s.groups))
+	for key, g := range s.groups {
+		batch = append(batch, *g)
+		c.groups[key] = &batch[len(batch)-1]
+	}
 	for i, slab := range s.slabs {
 		c.slabs[i] = bytes.Clone(slab)
 	}
 	return c
 }
 
-// read copies the sector at lba into into; never-written sectors read zero.
+// read fills into with the sectors from lba on; never-written ones read zero.
 func (s *sectorStore) read(lba int64, into []byte) {
-	clear(into[copy(into, s.bytes(s.sectors[lba])):])
+	for ; len(into) > 0; lba, into = lba+1, into[geom.SectorSize:] {
+		n := 0
+		if at := s.find(lba, false); at != nil {
+			n = copy(into, s.bytes(*at))
+		}
+		clear(into[n:geom.SectorSize])
+	}
 }
 
 // MediaRead copies count sectors starting at lba out of the persistent media,
@@ -794,9 +848,7 @@ func (s *sectorStore) read(lba int64, into []byte) {
 // for driver code paths.
 func (d *Disk) MediaRead(lba int64, count int) []byte {
 	out := make([]byte, count*geom.SectorSize)
-	for i := 0; i < count; i++ {
-		d.media.read(lba+int64(i), out[i*geom.SectorSize:(i+1)*geom.SectorSize])
-	}
+	d.media.read(lba, out)
 	return out
 }
 
@@ -806,13 +858,11 @@ func (d *Disk) MediaWrite(lba int64, data []byte) {
 	if len(data)%geom.SectorSize != 0 {
 		panic("disk: MediaWrite data not sector-aligned")
 	}
-	for i := 0; i < len(data)/geom.SectorSize; i++ {
-		d.media.write(lba+int64(i), data[i*geom.SectorSize:(i+1)*geom.SectorSize])
-	}
+	d.media.write(lba, data)
 }
 
 // MediaZero discards all media contents (reformatting).
-func (d *Disk) MediaZero() { d.media = newSectorStore(0) }
+func (d *Disk) MediaZero() { d.media = newSectorStore() }
 
 // WrittenSectors returns how many distinct sectors hold data.
-func (d *Disk) WrittenSectors() int { return len(d.media.sectors) }
+func (d *Disk) WrittenSectors() int { return d.media.n }

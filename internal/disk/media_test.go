@@ -3,6 +3,9 @@ package disk
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
+	"runtime"
+	"slices"
 	"testing"
 
 	"tracklog/internal/geom"
@@ -30,6 +33,22 @@ func (m mediaModel) write(lba int64, data []byte) (grew, shrank int) {
 		m[lba+int64(i)] = sec
 	}
 	return grew, shrank
+}
+
+// digest is Disk.Digest computed from the model alone.
+func (m mediaModel) digest() uint64 {
+	lbas := make([]int64, 0, len(m))
+	for lba := range m {
+		lbas = append(lbas, lba)
+	}
+	slices.Sort(lbas)
+	h := fnv.New64a()
+	for _, lba := range lbas {
+		sec := m[lba]
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(lba)))
+		h.Write(sec[:])
+	}
+	return h.Sum64()
 }
 
 func (m mediaModel) read(lba int64, count int) []byte {
@@ -76,10 +95,12 @@ func access(env *sim.Env, d *Disk, req *Request) Result {
 // TestSectorStoreMatchesModel drives the drive's media through every way in
 // (MediaWrite, timed Access writes, overwrites, MediaZero, carrying on with
 // a clone) and holds every way out (MediaRead, timed reads,
-// WrittenSectors) to a plain map of sector values. The LBA range is narrow so
-// overwrites are common, and wide enough to carve slabs of every size; every
-// sector has a zero tail drawn from zeroTails, so the store's short slots,
-// all-zero sectors and full-slot moves are all reached.
+// WrittenSectors, Digest) to a plain map of sector values. The LBA range is
+// narrow so overwrites are common, and wide enough to carve slabs of every
+// size; extents of up to 40 sectors straddle the store's 16-sector groups;
+// every sector has a zero tail drawn from zeroTails, so the store's short
+// slots, all-zero sectors and full-slot moves are all reached; and all-zero
+// extents land on sectors never written, which must count as written.
 func TestSectorStoreMatchesModel(t *testing.T) {
 	const span = 1500 // LBAs in play
 	rng := sim.NewRand(41)
@@ -87,25 +108,38 @@ func TestSectorStoreMatchesModel(t *testing.T) {
 	defer func() { env.Close() }()
 	d := New(env, smallParams())
 	model := mediaModel{}
-	grew, shrank := 0, 0
+	grew, shrank, straddled, fresh := 0, 0, 0, 0
 	write := func(lba int64, data []byte) {
 		g, s := model.write(lba, data)
 		grew, shrank = grew+g, shrank+s
+		if lba/groupSectors != (lba+int64(len(data)/geom.SectorSize)-1)/groupSectors {
+			straddled++
+		}
 	}
+	nextFresh := int64(span) // sectors from here on are written once, all zero
 
 	check := func(step int) {
 		t.Helper()
 		if got := d.WrittenSectors(); got != len(model) {
 			t.Fatalf("step %d: WrittenSectors = %d, model holds %d", step, got, len(model))
 		}
-		lba, count := int64(rng.Intn(span)), 1+rng.Intn(16)
+		if got, want := d.Digest(), model.digest(); got != want {
+			t.Fatalf("step %d: Digest = %#x, the model's %#x", step, got, want)
+		}
+		lba, count := int64(rng.Intn(span)), 1+rng.Intn(40)
 		if got := d.MediaRead(lba, count); !bytes.Equal(got, model.read(lba, count)) {
 			t.Fatalf("step %d: MediaRead(%d,%d) differs from the model", step, lba, count)
 		}
 	}
 	for step := 0; step < 600; step++ {
-		lba, count := int64(rng.Intn(span)), 1+rng.Intn(16)
+		lba, count := int64(rng.Intn(span)), 1+rng.Intn(40)
 		switch op := rng.Intn(100); {
+		case op < 8:
+			data := make([]byte, count*geom.SectorSize)
+			d.MediaWrite(nextFresh, data)
+			write(nextFresh, data)
+			nextFresh += int64(count + rng.Intn(20))
+			fresh += count
 		case op < 55:
 			data := tailedSectors(rng, count)
 			d.MediaWrite(lba, data)
@@ -126,14 +160,35 @@ func TestSectorStoreMatchesModel(t *testing.T) {
 				t.Fatalf("step %d: timed read (%d,%d) differs from the model", step, lba, count)
 			}
 		case op < 99:
-			// Carry on with a clone, and overwrite the whole range on the
-			// source: a clone sharing the source's slabs would see it.
+			// Write an extent, carry on with a clone, overwrite every sector
+			// in play on the source, then read the extent's last sector from
+			// the clone: a clone sharing the source's slabs or groups, or
+			// the group the source found last, would see the overwrite.
+			data := tailedSectors(rng, count)
+			d.MediaWrite(lba, data)
+			write(lba, data)
 			src := d
 			d = d.Clone()
-			src.MediaWrite(0, randomSectors(rng, span))
+			src.MediaWrite(0, randomSectors(rng, span+40))
+			last := lba + int64(count) - 1
+			if !bytes.Equal(d.MediaRead(last, 1), model.read(last, 1)) {
+				t.Fatalf("step %d: the clone reads sector %d as its source holds it", step, last)
+			}
 		default:
+			// Write an extent, zero the drive, then read and write the
+			// extent's last sector: a store that kept the group found last
+			// across MediaZero would read the dropped contents back, and
+			// put the new ones in a group it no longer indexes.
+			d.MediaWrite(lba, tailedSectors(rng, count))
 			d.MediaZero()
 			model = mediaModel{}
+			last := lba + int64(count) - 1
+			if !bytes.Equal(d.MediaRead(last, 1), model.read(last, 1)) {
+				t.Fatalf("step %d: MediaZero left sector %d", step, last)
+			}
+			data := tailedSectors(rng, 1)
+			d.MediaWrite(last, data)
+			write(last, data)
 		}
 		check(step)
 	}
@@ -142,8 +197,9 @@ func TestSectorStoreMatchesModel(t *testing.T) {
 			t.Fatalf("final: sector %d differs from the model", lba)
 		}
 	}
-	if grew == 0 || shrank == 0 {
-		t.Fatalf("overwrites grew %d and shrank %d sectors, want both", grew, shrank)
+	if grew == 0 || shrank == 0 || straddled == 0 || fresh == 0 {
+		t.Fatalf("overwrites grew %d and shrank %d sectors, %d extents straddled groups and %d all-zero sectors were fresh, want all four",
+			grew, shrank, straddled, fresh)
 	}
 }
 
@@ -258,16 +314,15 @@ func TestCloneCarriesSeekDerate(t *testing.T) {
 
 // TestAccessWriteAllocations: a dense 4 KB write to fresh sectors carves its
 // eight sectors out of a slab, so the store costs one allocation per 16
-// writes, not eight per write. The per-LBA map is sized up front here: its
-// growth is the runtime's (table splits in bursts, about 0.07 a write when
-// averaged over a long run, the same as before the slabs) and would drown
-// the number guarded.
+// writes, not eight per write, and each write's group of 16 sectors out of
+// a batch. The test sizes nothing up front: the group index grows by one
+// entry per two writes, so the runtime's table splits stay inside the bound
+// (0.0725 a write in all; a per-LBA map made 0.064 sized up front, 0.129 not).
 func TestAccessWriteAllocations(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	d := New(env, WDCaviar())
 	const writes = 2000
-	d.media = newSectorStore(2 * writes * 8) // AllocsPerRun runs the body twice
 	data := make([]byte, 8*geom.SectorSize)
 	for i := range data {
 		data[i] = byte(i) | 1 // dense: an all-zero sector would carve nothing
@@ -344,5 +399,38 @@ func TestMediaAllocationsFollowContent(t *testing.T) {
 	}
 	if !bytes.Equal(grown.MediaRead(7, 1), sec) {
 		t.Error("the grown sector reads back wrong")
+	}
+}
+
+// TestSparseMediaAllocations bounds the heap a drive holds for sparse
+// writes: 20 000 stamped 4 KB writes at random blocks of a 10 GB drive, the
+// shape of the std_deepq benchmark workload, each write filling half of a
+// 16-sector group. The bound is what the same writes held, measured by this
+// test, when the store kept one index entry a sector (45.6 B a sector); the
+// groups hold 35.6. Groups of 128 sectors would hold about 140.
+func TestSparseMediaAllocations(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	d := New(env, WDCaviar())
+	rng := sim.NewRand(1)
+	blocks := d.Geom().TotalSectors() / 8
+	buf := make([]byte, 8*geom.SectorSize)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20000; i++ {
+		lba := rng.Int64n(blocks) * 8
+		for s := 0; s < 8; s++ {
+			binary.LittleEndian.PutUint64(buf[s*geom.SectorSize:], uint64(lba)+uint64(s))
+			binary.LittleEndian.PutUint64(buf[s*geom.SectorSize+8:], uint64(i+1))
+		}
+		d.MediaWrite(lba, buf)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(d.WrittenSectors())
+	runtime.KeepAlive(d)
+	if per > 45.6 {
+		t.Fatalf("sparse stamped 4 KB writes hold %.1f heap bytes a sector, want <= 45.6", per)
 	}
 }
