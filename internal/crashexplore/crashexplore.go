@@ -1,13 +1,9 @@
-// Package crashexplore is the one crash harness. Its seeded trial
-// (RunSingle) runs a concurrent slot-writer workload against a storage
-// stack, cuts power at one seed-dependent instant, recovers the stack on a
-// fresh environment, and audits the durability contract. Its explorer
-// (New/Run) generalizes the one cut to an exhaustive sweep: it enumerates
-// every interesting event in a window — each acknowledgement, each media
-// sector write, each write-back flight boundary, each log-commit — forks a
-// branch at that event, cuts power there, runs recovery, and audits the
-// durability contract on every branch: an ACKNOWLEDGED write never comes
-// back lost or torn.
+// Package crashexplore is the one crash harness. It runs a concurrent
+// slot-writer workload against a storage stack, enumerates every interesting
+// event of the run — each acknowledgement, each media sector write, each
+// write-back flight boundary, each log-commit — forks a branch at each, cuts
+// power there, runs recovery, and audits the durability contract on every
+// branch: an ACKNOWLEDGED write never comes back lost or torn.
 //
 // Branches fork from the census, the one run of the seeded workload. The
 // kernel numbers every probe event globally (sim.EmitProbe) and can pause
@@ -47,9 +43,8 @@ type ReadFunc func(p *sim.Proc, slot int) (version int, consistent bool)
 // Stack describes one storage stack under crash exploration. Build assembles
 // a fresh stack (new drives, new driver) on the given environment and names
 // the drives it made: they are what survives a power cut. Recover reboots the
-// stack on drives the harness passes back, the built ones themselves
-// (RunSingle) or clones of them taken at a cut (the explorer); everything
-// but the drives is reconstructed.
+// stack on clones of those drives taken at a cut; everything but the drives
+// is reconstructed.
 type Stack struct {
 	// Slots is the number of concurrent writers (each owns one slot).
 	Slots int
@@ -58,25 +53,19 @@ type Stack struct {
 	// writer the slot procs drive and the stack's drives.
 	Build func(env *sim.Env) (WriteFunc, []*disk.Disk, error)
 
-	// Recover reboots the crashed stack on drives, in the order Build
-	// returned them, on a second environment (the first has been
-	// power-cut), and returns the durable-state reader. It must run the
+	// Recover reboots the crashed stack on a fresh environment, over drives
+	// as a power cut at the branch's event left them, in the order Build
+	// returned them, and returns the durable-state reader. It must run the
 	// recovery to completion (env.Run) before returning.
 	Recover func(env *sim.Env, drives []*disk.Disk) (ReadFunc, error)
-
-	// Post, if non-nil, runs after the audit for restart checks (e.g. the
-	// recovered stack accepts new writes). Only RunSingle invokes it; the
-	// explorer skips it on every branch.
-	Post func(env *sim.Env) error
 }
 
 // launchWorkload starts the harness's slot writers on env: one process per
 // slot, writing monotonically increasing versions with a seeded think time.
-// It returns the per-slot acknowledged-version array (updated as writes
-// return) and RunSingle's seed-dependent cut instant, drawn after the think
-// times from the same random stream, so a seed names one trial for good.
-func launchWorkload(env *sim.Env, seed uint64, slots int, write WriteFunc) (acked []int, cut time.Duration) {
-	acked = make([]int, slots)
+// It returns the per-slot acknowledged-version array, updated as writes
+// return.
+func launchWorkload(env *sim.Env, seed uint64, slots int, write WriteFunc) []int {
+	acked := make([]int, slots)
 	rng := sim.NewRand(seed + 1000)
 	for s := 0; s < slots; s++ {
 		s := s
@@ -91,8 +80,7 @@ func launchWorkload(env *sim.Env, seed uint64, slots int, write WriteFunc) (acke
 			}
 		})
 	}
-	cut = time.Duration(5+rng.IntRange(0, 120)) * time.Millisecond
-	return acked, cut
+	return acked
 }
 
 // SlotAudit is one slot's recovery outcome against the acknowledged state at
@@ -107,9 +95,6 @@ type SlotAudit struct {
 // Lost reports whether an acknowledged write did not survive.
 func (a SlotAudit) Lost() bool { return !a.Torn && a.Found < a.Acked }
 
-// Failed reports whether the slot violates the durability contract.
-func (a SlotAudit) Failed() bool { return a.Torn || a.Lost() }
-
 // audit reads back every slot on the recovery environment and compares it
 // with the acknowledged state. It runs as one process named "audit", slot
 // order.
@@ -123,42 +108,6 @@ func audit(env *sim.Env, read ReadFunc, acked []int) []SlotAudit {
 	})
 	env.Run()
 	return out
-}
-
-// SingleResult is the outcome of one time-cut trial.
-type SingleResult struct {
-	Cut    time.Duration // the seed-dependent cut instant
-	Audits []SlotAudit   // every slot, in slot order
-}
-
-// RunSingle executes one seeded crash trial against the stack: build, run
-// the slot writers until the seed-dependent cut instant, cut power, recover
-// on a fresh environment, audit every slot, then run the stack's Post
-// restart check.
-func RunSingle(st Stack, seed uint64) (*SingleResult, error) {
-	env := sim.NewEnv()
-	write, drives, err := st.Build(env)
-	if err != nil {
-		env.Close()
-		return nil, fmt.Errorf("crashexplore: build: %w", err)
-	}
-	acked, cut := launchWorkload(env, seed, st.Slots, write)
-	env.RunUntil(sim.Time(cut))
-	env.Close()
-
-	env2 := sim.NewEnv()
-	defer env2.Close()
-	read, err := st.Recover(env2, drives)
-	if err != nil {
-		return nil, fmt.Errorf("crashexplore: recover: %w", err)
-	}
-	res := &SingleResult{Cut: cut, Audits: audit(env2, read, acked)}
-	if st.Post != nil {
-		if err := st.Post(env2); err != nil {
-			return nil, fmt.Errorf("crashexplore: post: %w", err)
-		}
-	}
-	return res, nil
 }
 
 // Payload builds a block payload whose every sector encodes (slot, version),

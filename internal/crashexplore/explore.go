@@ -21,15 +21,16 @@ type Options struct {
 	// region — and bisect a failure by re-exploring around it.
 	Skip   int64
 	Window int64
-	// Horizon bounds the census in virtual time. Zero defaults to 150ms,
-	// past RunSingle's largest cut instant.
+	// Horizon bounds the census in virtual time. Zero is DefaultHorizon.
 	Horizon time.Duration
 	// Kinds restricts branching to these probe kinds (nil = branch on all).
 	// The census still counts every kind (Report.TotalProbes).
 	Kinds []sim.ProbeKind
 }
 
-// DefaultHorizon bounds a run when Options.Horizon is zero.
+// DefaultHorizon bounds a run when Options.Horizon is zero. Every pinned
+// census (cmd/crashexplore's goldens, trailbench's crash-explore entry) was
+// recorded at it, so changing it moves them all.
 const DefaultHorizon = 150 * time.Millisecond
 
 func (o Options) horizon() sim.Time {
@@ -157,7 +158,7 @@ func (x *Explorer) Run() (*Report, error) {
 		at = eventInfo(ev)
 		return true
 	})
-	acked, _ := launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
+	acked := launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
 	rep := &Report{Seed: x.opts.Seed, Slots: x.stack.Slots, FirstFailing: -1}
 	for env.RunUntil(x.opts.horizon()); env.Paused(); env.RunUntil(x.opts.horizon()) {
 		b := x.fork(at, drives, acked)

@@ -27,8 +27,8 @@ import (
 // rig's system on the drives it is given (rig.Rig.RecoverOn), the built ones
 // or clones of them.
 
-// Stack is a recipe: the harness's Build/Recover/Post triple, plus the one
-// hook instrumented callers use.
+// Stack is a recipe: the harness's Build/Recover pair, plus the one hook
+// instrumented callers use.
 type Stack struct {
 	crashexplore.Stack
 
@@ -157,7 +157,7 @@ func RAID5Stack() Stack {
 	)
 	memberP := raidMemberParams()
 	var sys *rig.Rig
-	var arr, arr2 *raid.Array
+	var arr *raid.Array
 	return Stack{
 		Stack: crashexplore.Stack{
 			Slots: slots,
@@ -182,7 +182,8 @@ func RAID5Stack() Stack {
 				if err != nil {
 					return nil, err
 				}
-				if arr2, err = raid.New(rebooted.Devs(), chunk); err != nil {
+				arr2, err := raid.New(rebooted.Devs(), chunk)
+				if err != nil {
 					return nil, err
 				}
 				return func(p *sim.Proc, slot int) (int, bool) {
@@ -192,15 +193,6 @@ func RAID5Stack() Stack {
 					}
 					return crashexplore.ParseVersion(buf, slot, 1)
 				}, nil
-			},
-			Post: func(env2 *sim.Env) error {
-				// The reassembled array accepts new writes.
-				var werr error
-				env2.Go("post", func(p *sim.Proc) {
-					werr = arr2.Write(p, 4096, 1, crashexplore.Payload(0, 1, 1))
-				})
-				env2.Run()
-				return werr
 			},
 		},
 		Observe: func(in rig.Instruments) {

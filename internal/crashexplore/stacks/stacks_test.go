@@ -122,36 +122,38 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestCrashConsistency is the seeded sampling half of the harness: one
-// time-cut trial per (recipe, seed) through crashexplore.RunSingle, including
-// the recipe's Post restart check. Every ACKNOWLEDGED write must survive the
-// cut untorn. The trail recipe's trials live next to the driver
-// (internal/trail TestCrashConsistencyProperty).
+// TestCrashConsistency explores the whole census of every (recipe, seed)
+// pair: a power cut at every probe event of the seeded run, each recovered
+// and audited. Every ACKNOWLEDGED write must survive every cut untorn.
 func TestCrashConsistency(t *testing.T) {
 	for _, tc := range []struct {
-		stack  string
-		trials int
+		stack string
+		seeds int
 	}{
+		{"trail", 12},
 		{"stddisk", 8},
 		{"raid5", 8},
 		{"wal", 6},
 	} {
 		t.Run(tc.stack, func(t *testing.T) {
-			for trial := 0; trial < tc.trials; trial++ {
-				seed := uint64(trial)
-				t.Run(fmt.Sprintf("trial-%02d", trial), func(t *testing.T) {
+			for seed := 0; seed < tc.seeds; seed++ {
+				seed := uint64(seed)
+				t.Run(fmt.Sprintf("trial-%02d", seed), func(t *testing.T) {
+					t.Parallel()
 					st, err := stacks.ByName(tc.stack, "", 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := crashexplore.RunSingle(st.Stack, seed)
+					rep, err := crashexplore.New(st.Stack, crashexplore.Options{Seed: seed}).Run()
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, a := range res.Audits {
-						if a.Failed() {
-							t.Errorf("seed %d slot %d: acked v%d, recovered v%d (torn=%v)", seed, a.Slot, a.Acked, a.Found, a.Torn)
-						}
+					if rep.Explored == 0 {
+						t.Fatal("no branches explored")
+					}
+					if rep.Failed() {
+						t.Fatalf("seed %d, %d branches: %d lost, %d torn, %d errors (first failing event %d)",
+							seed, rep.Explored, rep.LostBranches, rep.TornBranches, rep.ErrorBranches, rep.FirstFailing)
 					}
 				})
 			}

@@ -44,20 +44,25 @@ func smallData() *disk.Params {
 func block(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 4*geom.SectorSize) }
 
 // Every acknowledged block survives write -> Crash -> Recover on a Trail rig
-// with one and two log disks and on a baseline rig, and the rebooted rig is
-// of the same kind and configuration as the one that crashed.
+// with one and two log disks and on a baseline rig, the rebooted rig is of
+// the same kind and configuration as the one that crashed, and it accepts
+// new writes and reads them back: on every device, and through a RAID-5
+// array assembled over a rebooted baseline rig's devices.
 func TestCrashRecoverReadBack(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		disks int
+		raid5 bool
 	}{
-		{"trail-1log", Config{}},
-		{"trail-2log", Config{LogDisks: 2, Trail: trail.Config{DisableBatching: true}}},
-		{"baseline", Config{Baseline: sched.LOOK}},
+		{"trail-1log", Config{}, 2, false},
+		{"trail-2log", Config{LogDisks: 2, Trail: trail.Config{DisableBatching: true}}, 2, false},
+		{"baseline", Config{Baseline: sched.LOOK}, 2, false},
+		{"baseline-raid5", Config{Baseline: sched.LOOK}, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.DataDisks, cfg.LogDisk, cfg.DataDisk = 2, smallLog(), smallData()
+			cfg.DataDisks, cfg.LogDisk, cfg.DataDisk = tc.disks, smallLog(), smallData()
 			r, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -92,11 +97,36 @@ func TestCrashRecoverReadBack(t *testing.T) {
 			if n.Trail != nil && n.Trail.NumLogDisks() != len(r.LogDisks) {
 				t.Errorf("rebooted driver has %d log disks, want %d", n.Trail.NumLogDisks(), len(r.LogDisks))
 			}
+			type rw interface {
+				Read(p *sim.Proc, lba int64, count int) ([]byte, error)
+				Write(p *sim.Proc, lba int64, count int, data []byte) error
+			}
+			var devs []rw
+			for _, d := range n.Devs() {
+				devs = append(devs, d)
+			}
+			if tc.raid5 {
+				arr, err := raid.New(n.Devs(), 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				devs = []rw{arr}
+			}
 			n.Go("reader", func(p *sim.Proc) {
 				for i := 0; i < writes; i++ {
 					got, err := n.Dev(i%2).Read(p, int64(i)*64, 4)
 					if err != nil || !bytes.Equal(got, block(i)) {
 						t.Errorf("block %d lost across the cut (err %v)", i, err)
+					}
+				}
+				for i, d := range devs {
+					lba, want := int64(writes+i)*64, block(writes+i)
+					if err := d.Write(p, lba, 4, want); err != nil {
+						t.Errorf("device %d: write after reboot: %v", i, err)
+						continue
+					}
+					if got, err := d.Read(p, lba, 4); err != nil || !bytes.Equal(got, want) {
+						t.Errorf("device %d: block written after reboot read back wrong (err %v)", i, err)
 					}
 				}
 			})
