@@ -10,10 +10,10 @@
 //     uses), with the kernel's work counters and events per VIRTUAL second;
 //   - cluster/shards={2,4,8}: the scale-out sweep at 600 requests.
 //
-// Every entry runs at seed 1, so the file is byte-deterministic: CI runs
-// trailbench twice, byte-compares the two files, and gates the result
-// against the checked-in baseline with `rundiff BENCH_trail.json
-// BENCH_current.json`.
+// Every entry runs at seed 1, so the file is byte-deterministic: the tests
+// run trailbench twice, byte-compare the two files, and require a default
+// run to reproduce the checked-in baseline; `rundiff BENCH_trail.json
+// BENCH_current.json` gates a run that differs.
 // Host cost (wall time, allocations) is measured from outside the module by
 // bench/ (`bash bench/run.sh`), never here.
 //

@@ -40,8 +40,8 @@ func runIn(t *testing.T, dir string) (stdout string, files map[string][]byte) {
 }
 
 // Two same-seed runs must produce byte-identical deterministic artifacts:
-// the gate file, stdout, and every per-world telemetry export. CI's
-// bench-gate job is this test and TestDefaultRunReproducesBaseline.
+// the gate file, stdout, and every per-world telemetry export. With
+// TestDefaultRunReproducesBaseline it is the bench gate.
 func TestTwoRunByteIdenticalArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole gate twice")

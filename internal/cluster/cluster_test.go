@@ -192,7 +192,7 @@ func TestClusterKillOneShardZeroAckedWriteLoss(t *testing.T) {
 }
 
 // Two same-seed kill-one-shard runs must agree on every outcome — the
-// property CI's cluster-chaos job byte-compares end to end — and on the
+// property cmd/clustersim's golden test byte-compares end to end — and on the
 // outcome stream recorded when RunMix still spawned every request up front:
 // spawning at arrival changes what the kernel carries, not what a client sees.
 func TestClusterKillRunDeterministic(t *testing.T) {

@@ -303,22 +303,7 @@ func (p *Plan) SectorWritten(lba int64) {
 // Example: "latent=3,timeout=1,failat=30s".
 func ParseScenario(s string) (Config, error) {
 	var cfg Config
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return cfg, nil
-	}
-	seen := make(map[string]bool)
-	for _, term := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(term), "=")
-		if !ok {
-			return cfg, fmt.Errorf("fault: term %q is not key=value", term)
-		}
-		if seen[k] {
-			// A repeated key is almost certainly a typo'd scenario; silently
-			// letting the last value win would hide it.
-			return cfg, fmt.Errorf("fault: term %q: duplicate key %q", term, k)
-		}
-		seen[k] = true
+	err := scanTerms(s, func(term, k, v string) error {
 		var err error
 		switch k {
 		case "latent":
@@ -342,11 +327,39 @@ func ParseScenario(s string) (Config, error) {
 		case "maxlba":
 			cfg.MaxLBA, err = strconv.ParseInt(v, 10, 64)
 		default:
-			return cfg, fmt.Errorf("fault: unknown scenario key %q", k)
+			return fmt.Errorf("fault: unknown scenario key %q", k)
 		}
 		if err != nil {
-			return cfg, fmt.Errorf("fault: term %q: %v", term, err)
+			return fmt.Errorf("fault: term %q: %v", term, err)
+		}
+		return nil
+	})
+	return cfg, err
+}
+
+// scanTerms splits a scenario into its comma-separated key=value terms and
+// hands each to apply, in order, with the term as written for error text.
+// It rejects a term that is not key=value and a repeated key: a repeated key
+// is almost certainly a typo'd scenario, and letting the last value win would
+// hide it.
+func scanTerms(s string, apply func(term, k, v string) error) error {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return nil
+	}
+	seen := make(map[string]bool)
+	for _, term := range strings.Split(s, ",") {
+		k, v, ok := strings.Cut(strings.TrimSpace(term), "=")
+		if !ok {
+			return fmt.Errorf("fault: term %q is not key=value", term)
+		}
+		if seen[k] {
+			return fmt.Errorf("fault: term %q: duplicate key %q", term, k)
+		}
+		seen[k] = true
+		if err := apply(term, k, v); err != nil {
+			return err
 		}
 	}
-	return cfg, nil
+	return nil
 }

@@ -59,48 +59,39 @@ func (s ShardScenario) KillFor(idx int) time.Duration {
 // grammar). The empty string parses to an empty scenario.
 func ParseShardScenario(s string) (ShardScenario, error) {
 	var sc ShardScenario
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return sc, nil
-	}
-	seen := make(map[string]bool)
-	for _, term := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(term), "=")
-		if !ok {
-			return sc, fmt.Errorf("fault: term %q is not key=value", term)
-		}
-		if seen[k] {
-			return sc, fmt.Errorf("fault: term %q: duplicate key %q", term, k)
-		}
-		seen[k] = true
+	err := scanTerms(s, func(term, k, v string) error {
 		switch k {
 		case "shardkill":
 			ev, err := parseShardAt(v)
 			if err != nil {
-				return sc, fmt.Errorf("fault: term %q: %v", term, err)
+				return fmt.Errorf("fault: term %q: %v", term, err)
 			}
 			sc.Events = append(sc.Events, ev)
 		case "slowshard":
 			at, ppmStr, ok := strings.Cut(v, ":")
 			if !ok {
-				return sc, fmt.Errorf("fault: term %q: want IDX@DUR:PPM", term)
+				return fmt.Errorf("fault: term %q: want IDX@DUR:PPM", term)
 			}
 			ev, err := parseShardAt(at)
 			if err != nil {
-				return sc, fmt.Errorf("fault: term %q: %v", term, err)
+				return fmt.Errorf("fault: term %q: %v", term, err)
 			}
 			ppm, err := strconv.ParseInt(ppmStr, 10, 64)
 			if err != nil {
-				return sc, fmt.Errorf("fault: term %q: bad ppm: %v", term, err)
+				return fmt.Errorf("fault: term %q: bad ppm: %v", term, err)
 			}
 			if ppm <= 0 {
-				return sc, fmt.Errorf("fault: term %q: derate ppm must be > 0", term)
+				return fmt.Errorf("fault: term %q: derate ppm must be > 0", term)
 			}
 			ev.DeratePPM = ppm
 			sc.Events = append(sc.Events, ev)
 		default:
-			return sc, fmt.Errorf("fault: unknown shard scenario key %q", k)
+			return fmt.Errorf("fault: unknown shard scenario key %q", k)
 		}
+		return nil
+	})
+	if err != nil {
+		return sc, err
 	}
 	sort.Slice(sc.Events, func(i, j int) bool {
 		if sc.Events[i].At != sc.Events[j].At {
