@@ -55,8 +55,9 @@ func runIn(t *testing.T, args ...string) (stdout, stderr []byte, files map[strin
 // TestTraceSmokeGolden pins every artefact of the traced `-writes 50 -seed 7`
 // run — Chrome trace, registry, timeline, span trees and stdout — to its
 // length and digest, for the Trail system and the baseline, recorded at
-// a713434. A change that moves any byte here on purpose updates the pin and
-// says so.
+// a713434; stdout re-pinned when Elapsed began counting a first issue at
+// t=0 (its elapsed and throughput line moved). A change that moves any byte
+// here on purpose updates the pin and says so.
 func TestTraceSmokeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		system string
@@ -67,14 +68,14 @@ func TestTraceSmokeGolden(t *testing.T) {
 			"metrics.prom": "10783 bytes 97bc52adf2102e70",
 			"timeline.csv": "71201 bytes 7609ac0cc505d305",
 			"spans.json":   "56802 bytes 23c55f7ca873ce28",
-			"stdout":       "3356 bytes 7f3563cc80f7613a",
+			"stdout":       "3356 bytes 3b49c569209c5a24",
 		}},
 		{"std", map[string]string{
 			"trace.json":   "128346 bytes b96de04d7a287c2c",
 			"metrics.prom": "6095 bytes 28b88897594c3a0a",
 			"timeline.csv": "36595 bytes 10356d28533041d7",
 			"spans.json":   "28191 bytes e3b88dca2268ca46",
-			"stdout":       "1325 bytes 527e03f375f54d46",
+			"stdout":       "1325 bytes d364dadc6deda3a5",
 		}},
 	} {
 		t.Run(tc.system, func(t *testing.T) {
@@ -109,15 +110,17 @@ func TestFaultTolGolden(t *testing.T) {
 // TestChaosSoakGolden is the chaos soak: open-loop overload with QoS on, a
 // latent write error and a timeout injected, with and without a deadline.
 // Each run must exit 0 and read back every acknowledged write intact, and
-// its stdout is pinned to its length and digest, recorded at e3146b1.
+// its stdout is pinned to its length and digest, recorded at e3146b1 and
+// re-pinned when Elapsed began counting a first issue at t=0 (its elapsed
+// line moved).
 func TestChaosSoakGolden(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
 		acked  int
 		stdout string
 	}{
-		{[]string{"-seed", "11"}, 214, "1136 bytes ac0946d1b67c652c"},
-		{[]string{"-deadline", "200ms", "-seed", "12"}, 254, "1137 bytes 5303f82029ae9a70"},
+		{[]string{"-seed", "11"}, 214, "1136 bytes b0b598d2e12ec68b"},
+		{[]string{"-deadline", "200ms", "-seed", "12"}, 254, "1136 bytes 785851722bbd2980"},
 	} {
 		args := append([]string{"-offered-load", "3000", "-writes", "400", "-qos", "-verify",
 			"-faults", "wlatent=2,timeout=1"}, tc.args...)

@@ -79,6 +79,7 @@ func RunOpenLoopWrites(env *sim.Env, dev blockdev.Device, cfg OpenLoopConfig) (*
 	res := &OpenLoopResult{Config: cfg, Latency: telemetry.NewSummary()}
 	rng := sim.NewRand(cfg.Seed)
 	var firstIssue, lastDone sim.Time
+	started := false // the first issue may be at t=0
 	env.Go("open-loop-arrivals", func(p *sim.Proc) {
 		for i := 0; i < cfg.Requests; i++ {
 			lba := alignedTarget(rng, dev.Sectors(), sectors)
@@ -89,8 +90,8 @@ func RunOpenLoopWrites(env *sim.Env, dev blockdev.Device, cfg OpenLoopConfig) (*
 					data[b] = byte(seq + b)
 				}
 				start := p.Now()
-				if firstIssue == 0 {
-					firstIssue = start
+				if !started {
+					firstIssue, started = start, true
 				}
 				err := dev.Write(p, lba, sectors, data)
 				switch {

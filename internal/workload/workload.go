@@ -93,6 +93,7 @@ func RunSyncWrites(env *sim.Env, dev blockdev.Device, cfg SyncWriteConfig) (*Syn
 	sectors := cfg.WriteSize / geom.SectorSize
 	res := &SyncWriteResult{Config: cfg, Latency: telemetry.NewSummary()}
 	var firstIssue, lastDone sim.Time
+	started := false // the first issue may be at t=0
 	var failed error
 	for i := 0; i < cfg.Processes; i++ {
 		rng := sim.NewRand(cfg.Seed + uint64(i)*7919)
@@ -104,8 +105,8 @@ func RunSyncWrites(env *sim.Env, dev blockdev.Device, cfg SyncWriteConfig) (*Syn
 					data[b] = byte(w + b)
 				}
 				start := p.Now()
-				if firstIssue == 0 {
-					firstIssue = start
+				if !started {
+					firstIssue, started = start, true
 				}
 				if err := dev.Write(p, lba, sectors, data); err != nil {
 					failed = err

@@ -81,6 +81,47 @@ func TestSyncWritesBaseline(t *testing.T) {
 	}
 }
 
+// Elapsed runs from the first issue, which on a fresh environment is at
+// t=0: one clustered writer's Elapsed is the sum of its latencies, and an
+// open-loop run's is its last acknowledgement time.
+func TestElapsedCountsFirstIssueAtZero(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dev  func(t *testing.T, env *sim.Env) blockdev.Device
+	}{
+		{"baseline", func(_ *testing.T, env *sim.Env) blockdev.Device { return baseline(env) }},
+		{"trail", trailDev},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			defer env.Close()
+			res, err := RunSyncWrites(env, tc.dev(t, env), SyncWriteConfig{
+				Mode: Clustered, WriteSize: 1024, Processes: 1, WritesPerProcess: 3, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Elapsed != res.Latency.Sum() {
+				t.Errorf("closed loop: Elapsed %v, sum of latencies %v", res.Elapsed, res.Latency.Sum())
+			}
+
+			env2 := sim.NewEnv()
+			defer env2.Close()
+			var lastAck sim.Time
+			ol, err := RunOpenLoopWrites(env2, tc.dev(t, env2), OpenLoopConfig{
+				Interarrival: 50 * time.Millisecond, Requests: 3, Seed: 1,
+				OnAck: func(_ int64, _ int, _ []byte, at sim.Time) { lastAck = max(lastAck, at) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ol.Acked != 3 || ol.Elapsed != time.Duration(lastAck) {
+				t.Errorf("open loop: %d acked, Elapsed %v, last ack at %v", ol.Acked, ol.Elapsed, time.Duration(lastAck))
+			}
+		})
+	}
+}
+
 func TestTrailBeatsBaseline(t *testing.T) {
 	envB := sim.NewEnv()
 	defer envB.Close()
