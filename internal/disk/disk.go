@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -744,25 +743,6 @@ const minSlabSectors, maxSlabSectors = 8, 128
 
 func newSectorStore() sectorStore { return sectorStore{groups: map[int64]*group{}} }
 
-// held returns sec's length up to its last non-zero byte. It skips zero
-// 64-byte blocks, eight words ORed at a time, before its word scan.
-func held(sec []byte) int {
-	le, n := binary.LittleEndian, len(sec)
-	for ; n >= 64; n -= 64 {
-		b := (*[64]byte)(sec[n-64 : n])
-		if le.Uint64(b[:])|le.Uint64(b[8:])|le.Uint64(b[16:])|le.Uint64(b[24:])|
-			le.Uint64(b[32:])|le.Uint64(b[40:])|le.Uint64(b[48:])|le.Uint64(b[56:]) != 0 {
-			break
-		}
-	}
-	for ; n > 0; n -= 8 {
-		if w := le.Uint64(sec[n-8 : n]); w != 0 {
-			return n - bits.LeadingZeros64(w)/8
-		}
-	}
-	return 0
-}
-
 // bytes returns the held bytes h points at.
 func (s *sectorStore) bytes(h slot) []byte {
 	if h.len() == 0 {
@@ -794,7 +774,7 @@ func (s *sectorStore) find(lba int64, add bool) *slot {
 func (s *sectorStore) write(lba int64, data []byte) {
 	for ; len(data) > 0; lba, data = lba+1, data[geom.SectorSize:] {
 		at := s.find(lba, true)
-		n, h := held(data[:geom.SectorSize]), *at
+		n, h := geom.Held(data[:geom.SectorSize]), *at
 		if n > h.capacity() {
 			size := geom.SectorSize
 			if h.capacity() == 0 {

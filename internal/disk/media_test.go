@@ -23,7 +23,7 @@ func (m mediaModel) write(lba int64, data []byte) (grew, shrank int) {
 		var sec [geom.SectorSize]byte
 		copy(sec[:], data[i*geom.SectorSize:])
 		if old, ok := m[lba+int64(i)]; ok {
-			switch was, now := held(old[:]), held(sec[:]); {
+			switch was, now := geom.Held(old[:]), geom.Held(sec[:]); {
 			case now > was:
 				grew++
 			case now < was:

@@ -10,11 +10,34 @@
 // prediction).
 package geom
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // SectorSize is the fixed sector payload size in bytes, as on every drive
 // the paper uses.
 const SectorSize = 512
+
+// Held returns sec's length up to its last non-zero byte (len(sec) a multiple
+// of 8). It first skips zero 64-byte blocks: the last word, then seven ORed.
+func Held(sec []byte) int {
+	le, n := binary.LittleEndian, len(sec)
+	for ; n >= 64 && le.Uint64(sec[n-8:n]) == 0; n -= 64 { // a dense sector: one test
+		b := (*[64]byte)(sec[n-64 : n])
+		if le.Uint64(b[:])|le.Uint64(b[8:])|le.Uint64(b[16:])|le.Uint64(b[24:])|
+			le.Uint64(b[32:])|le.Uint64(b[40:])|le.Uint64(b[48:]) != 0 {
+			break
+		}
+	}
+	for ; n > 0; n -= 8 {
+		if w := le.Uint64(sec[n-8 : n]); w != 0 {
+			return n - bits.LeadingZeros64(w)/8
+		}
+	}
+	return 0
+}
 
 // Zone is a contiguous range of cylinders that share a sectors-per-track
 // count. Modern drives record more sectors on outer (lower-numbered)

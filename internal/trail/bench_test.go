@@ -1,6 +1,7 @@
 package trail
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -22,6 +23,27 @@ import (
 //	go test -run '^$' -bench . -benchmem ./internal/trail
 
 const benchSectors = 8 // 4 KB
+
+// payloads are the 4 KB blocks the staging and recovery rungs carry, since
+// an image costs what its sectors hold: stamped, each sector's LBA and the
+// write's sequence number in its first 16 bytes as the benchmark's
+// workloads write, and dense, every byte non-zero.
+var payloads = []struct {
+	name string
+	fill func(buf []byte, lba int64, seq uint64)
+}{{"stamped", stampBlock}, {"dense", func(buf []byte, lba int64, seq uint64) {
+	for i := range buf {
+		buf[i] = byte(i) | 1
+	}
+	stampBlock(buf, lba, seq)
+}}}
+
+func stampBlock(buf []byte, lba int64, seq uint64) {
+	for s := range len(buf) / geom.SectorSize {
+		binary.LittleEndian.PutUint64(buf[s*geom.SectorSize:], uint64(lba)+uint64(s))
+		binary.LittleEndian.PutUint64(buf[s*geom.SectorSize+8:], seq)
+	}
+}
 
 // An 8-block record built, decoded and extracted again: the image is the one
 // allocation BuildRecord may make, the decoded header and its block list the
@@ -102,37 +124,40 @@ func BenchmarkWriteDrained4K(b *testing.B) {
 // A staging hit on the paper's drives with a backlog of other staged 4 KB
 // extents beside the one read: the read walks the whole staging map
 // (stagedOver), so this is what that walk costs at an idle driver, a busy one,
-// and trail_burst's ~13 000 entries at the cut.
+// and trail_burst's ~13 000 entries at the cut, and then expands the image.
 func BenchmarkReadStaged(b *testing.B) {
-	for _, bl := range []struct {
-		name    string
-		backlog int
-	}{{"0", 0}, {"1k", 1000}, {"13k", 13000}} {
-		b.Run("backlog="+bl.name, func(b *testing.B) {
-			env, drv := paperRig(b)
-			defer env.Close()
-			dev := drv.Dev(0)
-			chunk := make([]byte, benchSectors*geom.SectorSize)
-			for i := 0; i <= bl.backlog; i++ {
-				lba := spreadLBA(i, dev)
-				drv.staging[bufKey{lba: lba, count: benchSectors}] = &bufEntry{data: chunk, lba: lba, count: benchSectors}
-			}
-			env.Go("reader", func(p *sim.Proc) {
-				for i := 0; i < b.N; i++ {
-					if _, err := dev.Read(p, spreadLBA(bl.backlog, dev), benchSectors); err != nil {
-						b.Error(err)
-						return
+	for _, pl := range payloads {
+		for _, bl := range []struct {
+			name    string
+			backlog int
+		}{{"0", 0}, {"1k", 1000}, {"13k", 13000}} {
+			b.Run(pl.name+"/backlog="+bl.name, func(b *testing.B) {
+				env, drv := paperRig(b)
+				defer env.Close()
+				dev := drv.Dev(0)
+				block := make([]byte, benchSectors*geom.SectorSize)
+				for i := 0; i <= bl.backlog; i++ {
+					lba := spreadLBA(i, dev)
+					pl.fill(block, lba, uint64(i+1))
+					drv.staging[bufKey{lba: lba, count: benchSectors}] = &bufEntry{data: pack(nil, block), lba: lba, count: benchSectors}
+				}
+				env.Go("reader", func(p *sim.Proc) {
+					for i := 0; i < b.N; i++ {
+						if _, err := dev.Read(p, spreadLBA(bl.backlog, dev), benchSectors); err != nil {
+							b.Error(err)
+							return
+						}
 					}
+				})
+				b.SetBytes(int64(len(block)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				env.Run()
+				if got := drv.Stats().ReadsFromStaging; got != int64(b.N) {
+					b.Fatalf("%d of %d reads served from staging", got, b.N)
 				}
 			})
-			b.SetBytes(int64(len(chunk)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			env.Run()
-			if got := drv.Stats().ReadsFromStaging; got != int64(b.N) {
-				b.Fatalf("%d of %d reads served from staging", got, b.N)
-			}
-		})
+		}
 	}
 }
 
@@ -143,6 +168,12 @@ func BenchmarkReadStaged(b *testing.B) {
 // iteration must find the same records. SetBytes is the data the driver had
 // outstanding at the cut.
 func BenchmarkRecoverBacklog(b *testing.B) {
+	for _, pl := range payloads {
+		b.Run(pl.name, func(b *testing.B) { benchmarkRecoverBacklog(b, pl.fill) })
+	}
+}
+
+func benchmarkRecoverBacklog(b *testing.B, fill func(buf []byte, lba int64, seq uint64)) {
 	const writers, perWriter = 4, 1000
 	env := sim.NewEnv()
 	log := disk.New(env, disk.ST41601N())
@@ -161,7 +192,9 @@ func BenchmarkRecoverBacklog(b *testing.B) {
 		env.Go("writer", func(p *sim.Proc) {
 			buf := make([]byte, benchSectors*geom.SectorSize)
 			for i := 0; i < perWriter; i++ {
-				lba := int64(uint64(w*perWriter+i+1)*0x9E3779B97F4A7C15%blocks) * benchSectors
+				seq := uint64(w*perWriter + i + 1)
+				lba := int64(seq*0x9E3779B97F4A7C15%blocks) * benchSectors
+				fill(buf, lba, seq)
 				if err := dev.Write(p, lba, benchSectors, buf); err != nil {
 					b.Error(err)
 					return

@@ -309,6 +309,7 @@ type Driver struct {
 	stagedBytes  int64 // sum of bytes() over staging, kept where entries come and go
 	stageStamp   int64 // stage calls so far; orders overlapping staged extents
 	wbQueues     []*sim.Queue[bufKey]
+	windows      [][wbWindow]wbFlight // each data disk's write-back window
 	allIdleCond  *sim.Cond
 	lastActivity sim.Time
 
@@ -322,14 +323,14 @@ type Driver struct {
 	// subsequent writes fail with it immediately.
 	failed error
 
-	// free is recycled request bookkeeping and staging chunks (DESIGN.md
+	// free is recycled request bookkeeping and staged images (DESIGN.md
 	// §4): memory, not state.
 	free struct {
 		writes  freeList[pendingWrite]
 		entries freeList[bufEntry]
 		records freeList[record]
 		reads   freeList[sched.Request]
-		chunks  [][]byte
+		images  freeImages
 	}
 
 	// tr observes driver decisions when tracing is enabled (nil otherwise).
@@ -404,6 +405,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 		epoch:       epoch,
 		logQCond:    sim.NewCond(env),
 		staging:     make(map[bufKey]*bufEntry),
+		windows:     make([][wbWindow]wbFlight, len(data)),
 		allIdleCond: sim.NewCond(env),
 		wbProgress:  sim.NewCond(env),
 	}
@@ -715,14 +717,12 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 		if n > d.cfg.MaxBatchSectors {
 			n = d.cfg.MaxBatchSectors
 		}
-		chunk := d.chunk(n * geom.SectorSize)
-		copy(chunk, data[off*geom.SectorSize:(off+n)*geom.SectorSize])
 		pw := d.free.writes.get()
 		*pw = pendingWrite{
 			devIdx:   devIdx,
 			lba:      lba + int64(off),
 			count:    n,
-			data:     chunk,
+			data:     pack(&d.free.images, data[off*geom.SectorSize:(off+n)*geom.SectorSize]),
 			queued:   p.Now(),
 			deadline: deadline,
 			class:    opts.Class,
@@ -825,14 +825,13 @@ func (d *Driver) stagedOver(over []*bufEntry, devIdx int, lba int64, count int) 
 	return over
 }
 
-// overlay copies the parts of the extents in over that fall inside buf, which
-// starts at lba, in slice order: a later extent overwrites an earlier one.
+// overlay expands into buf, which starts at lba, the parts of the extents in
+// over inside it, in slice order: a later extent overwrites an earlier one.
 func overlay(buf []byte, lba int64, over []*bufEntry) {
 	end := lba + int64(len(buf)/geom.SectorSize)
 	for _, e := range over {
 		from, to := max(e.lba, lba), min(e.lba+int64(e.count), end)
-		copy(buf[(from-lba)*geom.SectorSize:(to-lba)*geom.SectorSize],
-			e.data[(from-e.lba)*geom.SectorSize:(to-e.lba)*geom.SectorSize])
+		unpack(buf[(from-lba)*geom.SectorSize:(to-lba)*geom.SectorSize], e.data, e.count, int(from-e.lba))
 	}
 }
 
@@ -1147,11 +1146,12 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	cyl, head, _ := ld.tailTrack()
 	headerLBA := ld.g.TrackStartLBA(cyl, head) + int64(target)
 
-	// Each chunk is copied once, into this log disk's image buffer; only this
-	// writer touches it and disk.Access does not keep it, so it is reused.
+	// Each image is expanded once, into this log disk's record buffer; only
+	// this writer touches it and disk.Access does not keep it, so it is reused.
 	img, blocks := ld.img[:geom.SectorSize], ld.blocks[:0]
 	for _, pw := range batch {
-		img = append(img, pw.data...)
+		img = img[:len(img)+pw.count*geom.SectorSize]
+		unpack(img[len(img)-pw.count*geom.SectorSize:], pw.data, pw.count, 0)
 		for i := 0; i < pw.count; i++ {
 			blocks = append(blocks, BlockRef{
 				Dev:     d.devIDs[pw.devIdx],
@@ -1415,14 +1415,14 @@ func (d *Driver) drained() bool {
 }
 
 // PowerCut lets go of what a power cut destroys — the staging buffer, its
-// free chunks and the queues are host memory — so the staged blocks are
+// free images and the queues are host memory — so the staged blocks are
 // collectable while recovery builds the next world. Call it once the
 // environment is closed: the driver refuses I/O afterwards, its Stats stay
 // readable.
 func (d *Driver) PowerCut() {
 	d.closed = true
 	d.staging, d.stagedBytes = nil, 0
-	d.free.chunks = nil
+	d.free.images = freeImages{}
 	d.logQ.Reset(nil)
 	d.wbQueues = nil
 }

@@ -1,6 +1,7 @@
 package trail
 
 import (
+	"bytes"
 	"fmt"
 
 	"tracklog/internal/geom"
@@ -19,7 +20,8 @@ import (
 //  4. Every staged buffer's record references point at records of this
 //     driver, and no fully committed record is still referenced.
 //  5. Committed counts never exceed block counts.
-//  6. The running StagedBytes counter equals the sum over the staging map.
+//  6. The running StagedBytes counter equals the sum over the staging map,
+//     and every staged image is the one pack makes of its sectors.
 //  7. The oldest outstanding record is not committed: commitRef pops
 //     committed records off the head.
 func (d *Driver) CheckInvariants() error {
@@ -65,8 +67,9 @@ func (d *Driver) CheckInvariants() error {
 	var staged int64
 	for key, e := range d.staging {
 		staged += e.bytes()
-		if e.count <= 0 || len(e.data) < e.count*geom.SectorSize {
-			return fmt.Errorf("trail: staged %v has count %d with %d data bytes", key, e.count, len(e.data))
+		buf := make([]byte, max(e.count, 0)*geom.SectorSize)
+		if unpack(buf, e.data, e.count, 0); e.count <= 0 || !bytes.Equal(pack(nil, buf), e.data) {
+			return fmt.Errorf("trail: staged %v has count %d and a %d-byte image of other sectors", key, e.count, len(e.data))
 		}
 		for _, ref := range e.refs {
 			if ref.rec == nil {

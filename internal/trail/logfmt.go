@@ -327,16 +327,26 @@ func ExtractData(h *RecordHeader, img []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: image holds %d bytes for %d blocks", ErrTornRecord, len(img), n)
 	}
 	payload := img[geom.SectorSize : (n+1)*geom.SectorSize]
-	if crc32.ChecksumIEEE(payload) != h.DataCRC {
-		return nil, ErrTornRecord
+	if err := checkPayload(h, payload); err != nil {
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		if payload[i*geom.SectorSize] != dataFirstByte {
-			return nil, fmt.Errorf("%w: block %d marker byte %#x", ErrTornRecord, i, payload[i*geom.SectorSize])
-		}
 		payload[i*geom.SectorSize] = h.Blocks[i].FirstDataByte
 	}
 	return payload, nil
+}
+
+// checkPayload verifies a record's data sectors in place: checksum, markers.
+func checkPayload(h *RecordHeader, payload []byte) error {
+	if crc32.ChecksumIEEE(payload) != h.DataCRC {
+		return ErrTornRecord
+	}
+	for i := range h.Blocks {
+		if payload[i*geom.SectorSize] != dataFirstByte {
+			return fmt.Errorf("%w: block %d marker byte %#x", ErrTornRecord, i, payload[i*geom.SectorSize])
+		}
+	}
+	return nil
 }
 
 // HeaderTracks returns the reserved track indices holding the disk header

@@ -1,13 +1,16 @@
 package trail
 
-// Who owns a block's bytes (DESIGN.md §4): the caller's buffer is copied once
-// into a staging chunk, the chunk once into the log disk's reused record
-// image buffer and, as it is, down to the data disk. These tests scribble,
-// supersede, reuse and fault at every hand-over and then read the platters.
+// Who owns a block's bytes (DESIGN.md §4): the caller's buffer is packed once
+// into a staged image, the image expanded once into the log disk's reused
+// record buffer and once into a write-back flight's buffer. These tests
+// scribble, supersede, reuse and fault at every hand-over and then read the
+// platters.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"strings"
@@ -111,9 +114,69 @@ func TestCallerMayReuseBufferAfterWrite(t *testing.T) {
 	}
 }
 
-// TestStageReplacesNeverMutates pins the invariant the write-back path
-// relies on: a staged slice is immutable. stage swaps a newer version in;
-// whoever still holds the older slice keeps reading the older bytes.
+// zeroTails are the zero tails the staging tests' payloads give their
+// sectors in turn: every way a sector's held length can fall against the
+// image's 2-byte lengths and the media store's 8-byte words, 512 being an
+// all-zero sector.
+var zeroTails = []int{0, 1, 15, 16, 17, 100, 511, 512}
+
+// tailed returns sectors of version v: sector i ends in the zero tail
+// zeroTails[(i+shift)%8] and every byte before it is non-zero.
+func tailed(v byte, sectors, shift int) []byte {
+	buf := make([]byte, sectors*geom.SectorSize)
+	for i := range sectors {
+		sec := buf[i*geom.SectorSize : (i+1)*geom.SectorSize]
+		for j := range geom.SectorSize - zeroTails[(i+shift)%len(zeroTails)] {
+			sec[j] = (v + byte(j%7)) | 1
+		}
+	}
+	return buf
+}
+
+// TestImageRoundTrip packs every sector count a record holds, at each shift
+// of the zero tails and dense, into a stale free image of its class, to the
+// length the format gives it (whole when packing saves nothing), and expands
+// every sub-range back.
+func TestImageRoundTrip(t *testing.T) {
+	var free freeImages
+	for k := range free {
+		free.put(bytes.Repeat([]byte{0xEE}, 1<<k))
+	}
+	for count := 1; count <= MaxBatch; count++ {
+		for shift := range len(zeroTails) + 1 {
+			data := bytes.Repeat([]byte{0xA5}, count*geom.SectorSize)
+			if shift < len(zeroTails) {
+				data = tailed(byte(count), count, shift)
+			}
+			size := 0
+			for i := range count {
+				size += 2 + geom.SectorSize - zeroTails[(i+shift)%len(zeroTails)]
+			}
+			if shift == len(zeroTails) || size > len(data) {
+				size = len(data)
+			}
+			k := bits.Len(uint(size - 1))
+			img := pack(&free, data)
+			if len(img) != size || cap(img) != 1<<k {
+				t.Fatalf("%d sectors, shift %d: a %d-byte image of capacity %d, want %d of %d", count, shift, len(img), cap(img), size, 1<<k)
+			}
+			free.put(img)
+			for from := range count {
+				for to := from + 1; to <= count; to++ {
+					out := bytes.Repeat([]byte{0xEE}, (to-from)*geom.SectorSize)
+					unpack(out, img, count, from)
+					if !bytes.Equal(out, data[from*geom.SectorSize:to*geom.SectorSize]) {
+						t.Fatalf("%d sectors, shift %d: sectors %d-%d expand wrong", count, shift, from, to)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStageReplacesNeverMutates pins what the write-back path relies on: no
+// flight reads a staged image, so stage adopts the newer version's image and
+// puts the one it replaces, unwritten, on the free list at once.
 func TestStageReplacesNeverMutates(t *testing.T) {
 	r := newRig(t, 1, Config{})
 	defer r.env.Close()
@@ -121,16 +184,22 @@ func TestStageReplacesNeverMutates(t *testing.T) {
 	rec := &record{seq: 1, log: ld, trackIdx: ld.posIdx, blocks: 4}
 	ld.outstanding.Push(rec)
 	ld.busyCount[rec.trackIdx]++
-	older, newer := fill(0x11, 2), fill(0x22, 2)
+	older, newer := pack(nil, tailed(0x11, 2, 0)), pack(nil, tailed(0x22, 2, 5))
 	r.drv.stage(&pendingWrite{lba: 8, count: 2, data: older}, rec)
 	e := r.drv.staging[bufKey{lba: 8, count: 2}]
-	held := e.data
 	r.drv.stage(&pendingWrite{lba: 8, count: 2, data: newer}, rec)
-	if !bytes.Equal(held, fill(0x11, 2)) {
-		t.Error("stage wrote through the slice an earlier holder still reads")
+	if !bytes.Equal(older, pack(nil, tailed(0x11, 2, 0))) {
+		t.Error("stage wrote through the image it replaced")
 	}
 	if &e.data[0] != &newer[0] {
-		t.Error("stage copied the newer version instead of adopting its chunk")
+		t.Error("stage copied the newer version instead of adopting its image")
+	}
+	var free [][]byte
+	for _, class := range r.drv.free.images {
+		free = append(free, class...)
+	}
+	if len(free) != 1 || &free[0][0] != &older[0] {
+		t.Errorf("%d free images, want the replaced one alone", len(free))
 	}
 	if e.stamp != 2 || r.drv.staging[bufKey{lba: 8, count: 2}] != e {
 		t.Errorf("stamp = %d on entry %p, want 2 on the same entry", e.stamp, e)
@@ -159,7 +228,7 @@ func TestSupersedeDuringWriteBackTransfer(t *testing.T) {
 	}
 	dev := drv.Dev(0)
 	const lba, sectors = 480, 8
-	v1, v2 := pattern(0x10, sectors), pattern(0x90, sectors)
+	v1, v2 := tailed(0x10, sectors, 0), tailed(0x90, sectors, 3)
 
 	var order []string
 	var atFlightEnd []byte
@@ -318,60 +387,55 @@ func TestRetriedLogWriteLandsValidImage(t *testing.T) {
 
 // TestReadNewestOfOverlappingStagedExtents: two acknowledged writes whose
 // extents overlap are both staged; a read must see the newer bytes wherever
-// they overlap, whichever way the staging map iterates. Fresh rigs, because
-// the map's order is drawn per map.
+// they overlap, whichever way the staging map iterates, and every sector whole
+// whatever its zero tail. Reads start and end inside the extents. Fresh rigs,
+// because the map's order is drawn per map.
 func TestReadNewestOfOverlappingStagedExtents(t *testing.T) {
-	wide := func(p *sim.Proc, dev *DataDev) error { return dev.Write(p, 2000, 16, fill(0x11, 16)) }
-	tail := func(p *sim.Proc, dev *DataDev) error { return dev.Write(p, 2008, 8, fill(0x22, 8)) }
-	cases := []struct {
-		name                  string
-		first, second         func(*sim.Proc, *DataDev) error
-		contained, spanTail   byte // Read(2008,4); second half of Read(2004,8)
-		spanHead, wholeOfWide byte // first half of Read(2004,8); sector 15 of Read(2000,16)
-	}{
-		{"wide then tail", wide, tail, 0x22, 0x22, 0x11, 0x22},
-		{"tail then wide", tail, wide, 0x11, 0x11, 0x11, 0x11},
+	type extent struct {
+		lba  int64
+		data []byte
 	}
-	for _, tc := range cases {
+	wide, tail := extent{2000, tailed(0x11, 16, 0)}, extent{2008, tailed(0x22, 8, 3)}
+	reads := []struct {
+		lba     int64
+		sectors int
+	}{{2008, 4}, {2004, 8}, {2000, 16}, {2001, 3}, {2010, 5}, {2003, 12}, {2015, 1}}
+	for _, order := range [][2]extent{{wide, tail}, {tail, wide}} {
+		want := make([]byte, 16*geom.SectorSize) // sectors 2000-2015, newest last
+		for _, x := range order {
+			copy(want[(x.lba-2000)*geom.SectorSize:], x.data)
+		}
 		for run := 0; run < 40; run++ {
 			r := newRig(t, 1, Config{})
 			dev := r.drv.Dev(0)
-			var contained, span, whole []byte
+			got := make([][]byte, len(reads))
 			var err error
 			r.env.Go("client", func(p *sim.Proc) {
-				if err = tc.first(p, dev); err != nil {
-					return
+				for _, x := range order {
+					if err = dev.Write(p, x.lba, len(x.data)/geom.SectorSize, x.data); err != nil {
+						return
+					}
 				}
-				if err = tc.second(p, dev); err != nil {
-					return
+				for i, rd := range reads {
+					if got[i], err = dev.Read(p, rd.lba, rd.sectors); err != nil {
+						return
+					}
 				}
-				if contained, err = dev.Read(p, 2008, 4); err != nil {
-					return
-				}
-				if span, err = dev.Read(p, 2004, 8); err != nil {
-					return
-				}
-				whole, err = dev.Read(p, 2000, 16)
 			})
 			r.env.Run()
 			hits := r.drv.Stats().ReadsFromStaging
 			r.env.Close()
 			if err != nil {
-				t.Fatalf("%s run %d: %v", tc.name, run, err)
+				t.Fatalf("extent at %d first, run %d: %v", order[0].lba, run, err)
 			}
-			if hits != 3 {
-				t.Fatalf("%s run %d: %d reads served from staging, want 3", tc.name, run, hits)
+			if hits != int64(len(reads)) {
+				t.Fatalf("extent at %d first, run %d: %d reads served from staging, want %d", order[0].lba, run, hits, len(reads))
 			}
-			if !bytes.Equal(contained, fill(tc.contained, 4)) {
-				t.Fatalf("%s run %d: contained read returned %#x, want %#x", tc.name, run, contained[0], tc.contained)
-			}
-			if !bytes.Equal(span, append(fill(tc.spanHead, 4), fill(tc.spanTail, 4)...)) {
-				t.Fatalf("%s run %d: spanning read returned %#x..%#x, want %#x..%#x",
-					tc.name, run, span[0], span[len(span)-1], tc.spanHead, tc.spanTail)
-			}
-			if whole[0] != 0x11 || whole[15*geom.SectorSize] != tc.wholeOfWide {
-				t.Fatalf("%s run %d: exact-extent read returned %#x..%#x, want 0x11..%#x",
-					tc.name, run, whole[0], whole[15*geom.SectorSize], tc.wholeOfWide)
+			for i, rd := range reads {
+				off := (rd.lba - 2000) * geom.SectorSize
+				if !bytes.Equal(got[i], want[off:off+int64(rd.sectors)*geom.SectorSize]) {
+					t.Fatalf("extent at %d first, run %d: Read(%d, %d) is not the newest bytes", order[0].lba, run, rd.lba, rd.sectors)
+				}
 			}
 		}
 	}
@@ -455,5 +519,115 @@ func TestWriteRecordAllocatesNothingPerBlock(t *testing.T) {
 	}
 	if half := uint64(16 * geom.SectorSize / 2); b16 > b1+half {
 		t.Errorf("a 16-block record allocates %d B, a 1-block record %d B: a slice grows with the batch", b16, b1)
+	}
+}
+
+// heldBy returns the live heap bytes drop frees.
+func heldBy(drop func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	drop()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(before.HeapAlloc) - int64(after.HeapAlloc)
+}
+
+// TestStagedSectorHeapAllocations stages 1 500 4 KB writes behind a data disk
+// that turns once a minute, so no write-back lands, and weighs the heap the
+// staging map holds (itself, its entries and their images) by dropping it:
+// a stamped sector (an LBA and a sequence number in its first 16 bytes, as
+// the benchmark writes) may cost 64 B, a dense one 540 (its 512 bytes and a
+// share of the bookkeeping). The stamped log is then recovered up
+// to the records replay would write, which may cost 96 B a pending sector.
+func TestStagedSectorHeapAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		dense             bool
+		staged, recovered float64
+	}{{"stamped", false, 64, 96}, {"dense", true, 540, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			log := disk.New(env, disk.ST41601N())
+			if err := Format(log); err != nil {
+				t.Fatal(err)
+			}
+			stalled := disk.WDCaviar()
+			stalled.RPM = 1
+			drv, err := NewDriver(env, log, []*disk.Disk{disk.New(env, stalled)}, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev := drv.Dev(0)
+			const writes = 1500
+			acked := 0
+			env.Go("writer", func(p *sim.Proc) {
+				buf := make([]byte, benchSectors*geom.SectorSize)
+				for i := range writes {
+					if tc.dense {
+						for j := range buf {
+							buf[j] = byte(i+j) | 1
+						}
+					}
+					for s := range benchSectors {
+						binary.LittleEndian.PutUint64(buf[s*geom.SectorSize:], uint64(spreadLBA(i, dev))+uint64(s))
+						binary.LittleEndian.PutUint64(buf[s*geom.SectorSize+8:], uint64(i+1))
+					}
+					if err := dev.Write(p, spreadLBA(i, dev), benchSectors, buf); err != nil {
+						t.Error(err)
+						return
+					}
+					acked++
+				}
+			})
+			for acked < writes && !t.Failed() {
+				env.RunUntil(env.Now().Add(10 * time.Millisecond))
+			}
+			sectors := float64(drv.StagedBytes() / geom.SectorSize)
+			if sectors < writes*benchSectors*0.9 {
+				t.Fatalf("%v sectors staged of %d written: the data disk did not stall", sectors, writes*benchSectors)
+			}
+			perSector := float64(heldBy(func() { drv.staging = nil })) / sectors
+			t.Logf("%s: %.1f heap bytes a staged sector", tc.name, perSector)
+			if perSector > tc.staged {
+				t.Errorf("a staged %s sector holds %.1f heap bytes, want <= %v", tc.name, perSector, tc.staged)
+			}
+			env.Close()
+			if tc.recovered == 0 {
+				return
+			}
+			env = sim.NewEnv()
+			defer env.Close()
+			log.Reattach(env)
+			var recs []*loadedRecord
+			env.Go("recover", func(p *sim.Proc) {
+				hdr, err := ReadHeader(log)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				win, rep := &trackWindow{}, &RecoverReport{}
+				youngest, err := locateYoungest(p, log, hdr.Epoch, false, win, rep)
+				if err == nil {
+					recs, _, err = rebuildChain(p, log, hdr.Epoch, youngest, false, win, rep)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			})
+			env.Run()
+			pending := 0
+			for _, rec := range recs {
+				pending += len(rec.hdr.Blocks)
+			}
+			if pending < writes*benchSectors*0.9 {
+				t.Fatalf("%d sectors pending of %d written", pending, writes*benchSectors)
+			}
+			perSector = float64(heldBy(func() { recs = nil })) / float64(pending)
+			t.Logf("%s: %.1f heap bytes a recovered pending sector", tc.name, perSector)
+			if perSector > tc.recovered {
+				t.Errorf("a recovered %s sector holds %.1f heap bytes, want <= %v", tc.name, perSector, tc.recovered)
+			}
+		})
 	}
 }

@@ -158,11 +158,13 @@ func RecoverLogs(p *sim.Proc, logs []*disk.Disk, devs map[blockdev.DevID]blockde
 	start := p.Now()
 	if opts.SkipWriteBack {
 		for _, rec := range records {
+			data := make([]byte, len(rec.hdr.Blocks)*geom.SectorSize)
+			unpack(data, rec.data, len(rec.hdr.Blocks), 0)
 			for i, b := range rec.hdr.Blocks {
 				rep.Pending = append(rep.Pending, PendingBlock{
 					Dev:     b.Dev,
 					DataLBA: b.DataLBA,
-					Data:    rec.data[i*geom.SectorSize : (i+1)*geom.SectorSize],
+					Data:    data[i*geom.SectorSize : (i+1)*geom.SectorSize],
 					Seq:     rec.hdr.Seq,
 				})
 			}
@@ -195,7 +197,7 @@ func markClean(log *disk.Disk, hdr *DiskHeader) {
 	}
 }
 
-// loadedRecord pairs a parsed record header with its restored data.
+// loadedRecord pairs a parsed record header with its restored data's image.
 type loadedRecord struct {
 	hdr  *RecordHeader
 	data []byte
@@ -207,6 +209,20 @@ type loadedRecord struct {
 type trackWindow struct {
 	track int
 	img   []byte
+}
+
+// keep replaces rec's data, its payload checked in place in the window, with
+// its image, the one copy recovery makes: first bytes restored, then markers.
+func keep(rec *loadedRecord) *loadedRecord {
+	for i, b := range rec.hdr.Blocks {
+		rec.data[i*geom.SectorSize] = b.FirstDataByte
+	}
+	img := pack(nil, rec.data)
+	for i := range rec.hdr.Blocks {
+		rec.data[i*geom.SectorSize] = dataFirstByte
+	}
+	rec.data = img
+	return rec
 }
 
 // readTrackSalvage reads one full track into the window, returning the LBA
@@ -281,15 +297,18 @@ func scanTrack(p *sim.Proc, log *disk.Disk, track int, epoch uint32, win *trackW
 			ts.best = &loadedRecord{hdr: hdr, data: data}
 		}
 	}
+	if ts.best != nil {
+		keep(ts.best)
+	}
 	return ts, nil
 }
 
 // decodeRecord decodes the record whose header is sector s of img, the image
-// of the whole track starting at LBA base. The header is nil unless sector s
-// holds a header of epoch naming its own LBA (a stale copy relocated by a
-// reformat does not) whose record ends on the track, as every record does.
-// A torn record returns its header with the ExtractData error: torn traces
-// still prove the allocator reached the track.
+// of the whole track starting at LBA base, with its data sectors in img. The
+// header is nil unless sector s holds a header of epoch naming its own LBA (a
+// stale copy relocated by a reformat does not) whose record ends on the
+// track, as every record does. A torn record returns its header with the
+// checkPayload error: torn traces still prove the allocator reached it.
 func decodeRecord(img []byte, base int64, s int, epoch uint32) (*RecordHeader, []byte, error) {
 	off := s * geom.SectorSize
 	hdr, err := DecodeRecordHeader(img[off : off+geom.SectorSize])
@@ -303,10 +322,8 @@ func decodeRecord(img []byte, base int64, s int, epoch uint32) (*RecordHeader, [
 	if end > len(img) {
 		return nil, nil, fmt.Errorf("%w: record crosses track end", ErrNotRecord)
 	}
-	rec := make([]byte, end-off)
-	copy(rec, img[off:end])
-	data, err := ExtractData(hdr, rec)
-	return hdr, data, err
+	payload := img[off+geom.SectorSize : end]
+	return hdr, payload, checkPayload(hdr, payload)
 }
 
 // locateYoungest finds the record with the highest sequence number of the
@@ -443,13 +460,14 @@ func loadRecord(p *sim.Proc, log *disk.Disk, headerLBA int64, epoch uint32, win 
 	if err != nil {
 		return nil, err
 	}
-	return &loadedRecord{hdr: hdr, data: data}, nil
+	return keep(&loadedRecord{hdr: hdr, data: data}), nil
 }
 
 // replay writes the pending blocks to the data disks in record sequence
-// order, coalescing contiguous runs within each record into single writes.
+// order, coalescing contiguous runs within each record into single writes; a
+// packed image's runs are expanded into one buffer (Write keeps nothing).
 func replay(p *sim.Proc, devs map[blockdev.DevID]blockdev.Device, records []*loadedRecord) (int, error) {
-	n := 0
+	n, buf := 0, make([]byte, MaxBatch*geom.SectorSize)
 	for _, rec := range records {
 		blocks := rec.hdr.Blocks
 		for i := 0; i < len(blocks); {
@@ -461,7 +479,12 @@ func replay(p *sim.Proc, devs map[blockdev.DevID]blockdev.Device, records []*loa
 			if !ok {
 				return n, fmt.Errorf("%w: record %d references unknown device %v", ErrNotRecord, rec.hdr.Seq, blocks[i].Dev)
 			}
-			run := rec.data[i*geom.SectorSize : j*geom.SectorSize]
+			run := buf[:(j-i)*geom.SectorSize]
+			if len(rec.data) == len(blocks)*geom.SectorSize {
+				run = rec.data[i*geom.SectorSize : j*geom.SectorSize]
+			} else {
+				unpack(run, rec.data, len(blocks), i)
+			}
 			if err := dev.Write(p, blocks[i].DataLBA, j-i, run); err != nil {
 				return n, fmt.Errorf("trail: replaying block: %w", err)
 			}

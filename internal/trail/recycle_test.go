@@ -8,6 +8,7 @@ package trail
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -116,40 +117,50 @@ func (l *ledger) check(step string) {
 		}
 	})
 	l.env.Run()
-	auditFree(l.t, step, l.drv, nil)
+	auditFree(l.t, step, l.drv)
 }
 
 // auditFree fails t unless every object on d's free lists is zero and listed
-// once, and every free chunk is listed once and neither staged nor in flight
-// (inFlight maps a flight's LBA to its chunk).
-func auditFree(t *testing.T, step string, d *Driver, inFlight map[int64][]byte) {
+// once, and every free image is listed once and neither staged nor a
+// write-back flight's buffer.
+func auditFree(t *testing.T, step string, d *Driver) {
 	t.Helper()
 	auditList(t, step+": pending writes", &d.free.writes)
 	auditList(t, step+": staging entries", &d.free.entries)
 	auditList(t, step+": records", &d.free.records)
 	auditList(t, step+": read requests", &d.free.reads)
-	auditChunks(t, step, d, inFlight)
+	auditImages(t, step, d)
 }
 
-// auditChunks fails t if a free chunk is listed twice, is a staged entry's
-// data, or is a write-back flight's data.
-func auditChunks(t *testing.T, step string, d *Driver, inFlight map[int64][]byte) {
+// auditImages fails t if a free image is listed twice or is a staged entry's
+// image, or if a write-back slot's buffer, which its flights carry, is a free
+// or a staged image.
+func auditImages(t *testing.T, step string, d *Driver) {
 	t.Helper()
 	held := map[*byte]string{}
 	for k, e := range d.staging {
 		held[&e.data[0]] = fmt.Sprintf("staged at lba %d", k.lba)
 	}
-	for lba, c := range inFlight {
-		held[&c[0]] = fmt.Sprintf("in flight to lba %d", lba)
-	}
-	seen := map[*byte]bool{}
-	for _, c := range d.free.chunks {
-		if seen[&c[0]] {
-			t.Errorf("%s: chunk %p is on the free list twice", step, &c[0])
+	for k, class := range d.free.images {
+		for _, c := range class {
+			if held[&c[0]] == "free" {
+				t.Errorf("%s: image %p is on the free list twice", step, &c[0])
+			} else if why, ok := held[&c[0]]; ok {
+				t.Errorf("%s: free image %p is %s", step, &c[0], why)
+			} else if cap(c) < 1<<k {
+				t.Errorf("%s: free image %p of %d bytes is in class %d", step, &c[0], cap(c), k)
+			}
+			held[&c[0]] = "free"
 		}
-		seen[&c[0]] = true
-		if why, ok := held[&c[0]]; ok {
-			t.Errorf("%s: free chunk %p is %s", step, &c[0], why)
+	}
+	for dev, w := range d.windows {
+		for i, f := range w {
+			if cap(f.buf) == 0 {
+				continue
+			}
+			if why, ok := held[&f.buf[:1][0]]; ok {
+				t.Errorf("%s: data disk %d's write-back slot %d carries an image that is %s", step, dev, i, why)
+			}
 		}
 	}
 }
@@ -197,23 +208,23 @@ func TestRecycledBookkeepingSurvivesRarePaths(t *testing.T) {
 	l := newLedger(t, env, drv)
 
 	// Acks that land while a write-back of the same extent is in flight. The
-	// hook follows the chunk each flight carries and audits the free chunks
-	// at every acknowledgement and flight boundary of every step.
-	inFlight, midFlightAcks := map[int64][]byte{}, 0
+	// hook audits the free images and the write-back slots' buffers at every
+	// acknowledgement and flight boundary of every step.
+	inFlight, midFlightAcks := map[int64]bool{}, 0
 	env.SetProbeHook(func(ev sim.ProbeEvent) bool {
 		switch ev.Kind {
 		case sim.ProbeWBStart:
-			inFlight[ev.LBA] = drv.staging[bufKey{lba: ev.LBA, count: ev.Count}].data
+			inFlight[ev.LBA] = true
 		case sim.ProbeWBEnd:
 			delete(inFlight, ev.LBA)
 		case sim.ProbeAck:
-			if _, ok := inFlight[ev.LBA]; ok {
+			if inFlight[ev.LBA] {
 				midFlightAcks++
 			}
 		default:
 			return false
 		}
-		auditChunks(t, fmt.Sprintf("at %v", ev.At), drv, inFlight)
+		auditImages(t, fmt.Sprintf("at %v", ev.At), drv)
 		return false
 	})
 	l.burst([]int{0, 1, 2, 3}, 6, 0, blockdev.Options{})
@@ -223,7 +234,8 @@ func TestRecycledBookkeepingSurvivesRarePaths(t *testing.T) {
 	}
 	l.check("supersede mid-flight")
 	if d := &drv.free; d.writes.free.Len() == 0 || d.entries.free.Len() == 0 ||
-		d.records.free.Len() == 0 || d.reads.free.Len() == 0 || len(d.chunks) == 0 {
+		d.records.free.Len() == 0 || d.reads.free.Len() == 0 ||
+		!slices.ContainsFunc(d.images[:], func(class [][]byte) bool { return len(class) > 0 }) {
 		t.Fatal("a free list is still empty after the first step")
 	}
 
@@ -308,7 +320,7 @@ func TestRecycledBookkeepingSurvivesRarePaths(t *testing.T) {
 		if err := drv.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		auditFree(t, "power cut", drv, nil)
+		auditFree(t, "power cut", drv)
 
 		env2 := sim.NewEnv()
 		defer env2.Close()

@@ -1,6 +1,8 @@
 package trail
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"tracklog/internal/geom"
@@ -44,9 +46,8 @@ type bufKey struct {
 }
 
 // bufEntry is one staged write pinned in the driver's buffer memory. data is
-// replaced by stage and never written through: a write-back flight keeps
-// reading the slice it was handed while newer versions arrive, and frees it
-// once it lands (writebackLoop).
+// the write's image (pack); a write-back flight expands it into a buffer of
+// its own, so stage frees the image a newer version replaces.
 type bufEntry struct {
 	data  []byte
 	lba   int64
@@ -95,6 +96,9 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 		// commit every accumulated record reference.
 		d.stats.SupersededWriteBacks++
 	}
+	if e.data != nil {
+		d.free.images.put(e.data)
+	}
 	e.data = pw.data
 	d.stageStamp++
 	e.stamp = d.stageStamp
@@ -114,12 +118,13 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 // pre-empt.
 const wbWindow = 8
 
-// wbFlight is one in-flight write-back.
+// wbFlight is one in-flight write-back; buf, its slot's own, holds its data.
 type wbFlight struct {
 	key   bufKey
 	entry *bufEntry
 	refs  []recordRef
 	ver   int64
+	buf   []byte
 	req   sched.Request
 
 	// rq is the flight's span tree (nil while recording is disabled); cursor
@@ -133,9 +138,9 @@ type wbFlight struct {
 // Reads pre-empt these writes in the data disk scheduler.
 func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 	q := d.wbQueues[devIdx]
-	// Every flight of a window completes before the next window is taken, so
-	// one set of keys and flights, each with its own refs, serves them all.
-	var window [wbWindow]wbFlight
+	// Every flight of a window lands before the next window is taken, so one
+	// set of keys and flights, with their refs and buffers, serves them all.
+	window := &d.windows[devIdx]
 	keys := make([]bufKey, 0, wbWindow)
 	for {
 		// Collect a window: block for the first key, drain extras.
@@ -156,9 +161,10 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			e.inQueue = false
 			flights = flights[:len(flights)+1]
 			f := &flights[len(flights)-1]
-			// No copy: a superseding write replaces e.data, never writes through it.
-			*f = wbFlight{key: key, entry: e, refs: append(f.refs[:0], e.refs...), ver: e.stamp,
-				req: sched.Request{Write: true, LBA: key.lba, Count: e.count, Data: e.data}}
+			buf := slices.Grow(f.buf[:0], e.count*geom.SectorSize)[:e.count*geom.SectorSize]
+			unpack(buf, e.data, e.count, 0)
+			*f = wbFlight{key: key, entry: e, refs: append(f.refs[:0], e.refs...), ver: e.stamp, buf: buf,
+				req: sched.Request{Write: true, LBA: key.lba, Count: e.count, Data: buf}}
 			e.refs = e.refs[:0]
 			if d.rec != nil {
 				f.cursor = int64(p.Now())
@@ -207,21 +213,14 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			for _, ref := range f.refs {
 				d.commitRef(ref)
 			}
-			// Release the buffer if no newer version arrived mid-flight. The
-			// flight's chunk is free if the entry goes, or if a newer version
-			// replaced it: reads copy staged data without yielding, and this
-			// was the key's one flight.
-			e := f.entry
-			superseded := e.stamp != f.ver
-			released := d.staging[f.key] == e && !superseded && len(e.refs) == 0 && !e.inQueue
-			if released {
+			// Release the entry and its image if no newer version arrived
+			// mid-flight.
+			if e := f.entry; d.staging[f.key] == e && e.stamp == f.ver && len(e.refs) == 0 && !e.inQueue {
 				delete(d.staging, f.key)
 				d.stagedBytes -= e.bytes()
 				d.tlStaged.Set(float64(d.StagedBytes()), int64(p.Now()))
+				d.free.images.put(e.data)
 				d.free.entries.put(e)
-			}
-			if released || superseded {
-				d.free.chunks = append(d.free.chunks, f.req.Data)
 			}
 			d.tlFlights.Add(-1, int64(p.Now()))
 			// Write-back progress: wake foreground writes throttled on the
@@ -254,26 +253,67 @@ func (d *Driver) commitRef(ref recordRef) {
 	d.maybeAllIdle()
 }
 
-// StagedBytes returns the memory pinned by the staging buffer.
+// StagedBytes returns the logical data staged, count × 512 bytes an extent,
+// which the QoS throttle and trail.staged_mb_at_cut read; not its memory.
 func (d *Driver) StagedBytes() int64 { return d.stagedBytes }
 
-// bytes is the memory e pins while staged.
+// bytes is the data e stages.
 func (e *bufEntry) bytes() int64 { return int64(e.count) * geom.SectorSize }
 
-// chunk returns an n-byte staging chunk: the last one freed, or a new one
-// when none is free or the last is too small (it is dropped then), so the
-// free chunks never pin more memory than staging did at its peak. Its bytes
-// are stale: the caller overwrites all n.
-func (d *Driver) chunk(n int) []byte {
-	if k := len(d.free.chunks) - 1; k >= 0 {
-		c := d.free.chunks[k]
-		d.free.chunks[k] = nil
-		d.free.chunks = d.free.chunks[:k]
-		if cap(c) >= n {
-			return c[:n]
-		}
+// An image holds count sectors: each one's held length (geom.Held) in two
+// little-endian bytes, then those bytes, or, where that saves nothing, the
+// count × 512 bytes themselves, a length no packed image has. freeImages
+// holds the images staging let go, class k those of 1<<k bytes or more.
+type freeImages [15][][]byte // 1<<14 bytes: MaxBatch whole sectors
+
+func (f *freeImages) put(img []byte) {
+	k := bits.Len(uint(cap(img))) - 1
+	f[k] = append(f[k], img)
+}
+
+// pack returns the image of data's sectors (at most MaxBatch), in a free image
+// of its class or a new one of the class's capacity (f nil: of its size).
+func pack(f *freeImages, data []byte) []byte {
+	var lens [MaxBatch]uint16
+	size := 0
+	for i := range len(data) / geom.SectorSize {
+		lens[i] = uint16(geom.Held(data[i*geom.SectorSize : (i+1)*geom.SectorSize]))
+		size += 2 + int(lens[i])
 	}
-	return make([]byte, n)
+	size = min(size, len(data))
+	var img []byte
+	if k := bits.Len(uint(size - 1)); f == nil {
+		img = make([]byte, 0, size)
+	} else if n := len(f[k]) - 1; n >= 0 {
+		img, f[k][n], f[k] = f[k][n][:0], nil, f[k][:n]
+	} else {
+		img = make([]byte, 0, 1<<k)
+	}
+	if size == len(data) {
+		return append(img, data...)
+	}
+	for i := range len(data) / geom.SectorSize {
+		img = binary.LittleEndian.AppendUint16(img, lens[i])
+		img = append(img, data[i*geom.SectorSize:][:lens[i]]...)
+	}
+	return img
+}
+
+// unpack fills out, whole sectors, from img, an image of count sectors,
+// starting at sector from; the bytes past a sector's held length read zero.
+func unpack(out, img []byte, count, from int) {
+	if len(img) == count*geom.SectorSize {
+		copy(out, img[from*geom.SectorSize:])
+		return
+	}
+	for i := 0; len(out) > 0; i++ {
+		n := int(binary.LittleEndian.Uint16(img))
+		if i >= from {
+			clear(out[copy(out, img[2:2+n]):geom.SectorSize])
+			out = out[geom.SectorSize:]
+		}
+		img = img[2+n:]
+	}
 }
 
 // freeList recycles objects of one type: get returns a zeroed *T, and put
