@@ -94,11 +94,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	dir := filepath.Join(".bench_build", "ref")
-	git("worktree", "remove", "--force", dir) // a stale checkout from an interrupted run
+	// A checkout left by an interrupted run goes first; there usually is none,
+	// and then removing it fails harmlessly.
+	_, _ = git("worktree", "remove", "--force", dir)
 	if out, err := git("worktree", "add", "--detach", dir, *ref); err != nil {
 		return fail(fmt.Errorf("git worktree add %s: %v\n%s", *ref, err, out))
 	}
-	defer git("worktree", "remove", "--force", dir)
+	defer func() {
+		if out, err := git("worktree", "remove", "--force", dir); err != nil {
+			fmt.Fprintf(stderr, "benchpairs: git worktree remove %s: %v\n%s", dir, err, out)
+		}
+	}()
 
 	bench := []string{"bench/run.sh", "--workload", *workload, "--seed", fmt.Sprint(*seed), "--trace", "0"}
 	var refRuns, headRuns []result
