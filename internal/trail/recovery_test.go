@@ -449,3 +449,59 @@ func TestReadTrackSalvageKeepsSectorOffsets(t *testing.T) {
 		t.Errorf("%d retried reads, %d media-error sectors; want 1 and 1", rep.RetriedReads, rep.MediaErrorSectors)
 	}
 }
+
+// TestRecoverPackedRecords cuts power behind a data disk that turns once a
+// minute, with sectors of every zero tail logged and pending, and recovers
+// twice: SkipWriteBack's pending blocks are the written sectors whole, and a
+// full recovery replays them onto the data disk.
+func TestRecoverPackedRecords(t *testing.T) {
+	env := sim.NewEnv()
+	log := disk.New(env, testLogParams())
+	if err := Format(log); err != nil {
+		t.Fatal(err)
+	}
+	stalled := testDataParams("data")
+	stalled.RPM = 1
+	data := disk.New(env, stalled)
+	drv, err := NewDriver(env, log, []*disk.Disk{data}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := drv.Dev(0)
+	want, done := map[int64][]byte{}, false
+	env.Go("client", func(p *sim.Proc) {
+		for i := range len(zeroTails) {
+			lba, buf := int64(64*(i+1)), tailed(byte(0x30+i), 8, i)
+			if err := dev.Write(p, lba, 8, buf); err != nil {
+				t.Error(err)
+				return
+			}
+			for s := range 8 {
+				want[lba+int64(s)] = buf[s*geom.SectorSize : (s+1)*geom.SectorSize]
+			}
+		}
+		done = true
+	})
+	for !done && !t.Failed() {
+		env.RunUntil(env.Now().Add(time.Millisecond))
+	}
+	env.Close()
+	r := &crashRig{log: log, data: []*disk.Disk{data}}
+	rep := recoverRig(t, r, RecoverOptions{SkipWriteBack: true})
+	if len(rep.Pending) != len(want) {
+		t.Fatalf("%d blocks pending, want %d", len(rep.Pending), len(want))
+	}
+	for _, b := range rep.Pending {
+		if !bytes.Equal(b.Data, want[b.DataLBA]) {
+			t.Errorf("pending block at %d is not the sector written there", b.DataLBA)
+		}
+	}
+	if rep = recoverRig(t, r, RecoverOptions{}); rep.BlocksReplayed != len(want) {
+		t.Errorf("%d blocks replayed, want %d", rep.BlocksReplayed, len(want))
+	}
+	for lba, w := range want {
+		if !bytes.Equal(data.MediaRead(lba, 1), w) {
+			t.Errorf("data disk at %d does not hold the replayed sector", lba)
+		}
+	}
+}
