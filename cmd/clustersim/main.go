@@ -1,26 +1,21 @@
 // Command clustersim drives the sharded Trail cluster: a multi-tenant mix
 // over N shards with failure detection, write-both replication, hedged
-// reads, and background rebuild. Two modes:
-//
-//   - Chaos run (default): one cluster under an optional fault scenario
-//     (-chaos "shardkill=1@250ms" or "slowshard=0@100ms:500000"), with the
-//     run summary, health outcomes, and an optional acked-write readback
-//     (-verify — a nonzero exit if any acknowledged write is lost). All
-//     stdout and every export is byte-deterministic for a fixed seed, so
-//     CI byte-compares two same-seed runs end to end.
-//   - Sweep (-sweep "2,4,8"): the scale-out experiment — throughput and
-//     tail latency vs shard count. (cmd/trailbench writes the same sweep's
-//     cluster/shards=N rows into the benchfmt gate file.)
+// reads, and background rebuild, under an optional fault scenario (-chaos
+// "shardkill=1@250ms" or "slowshard=0@100ms:500000"). It prints the run
+// summary, health outcomes, and an optional acked-write readback (-verify —
+// a nonzero exit if any acknowledged write is lost). All stdout and every
+// export is byte-deterministic for a fixed seed, so CI byte-compares two
+// same-seed runs end to end. The scale-out sweep over shard counts is the
+// catalogue's cluster section (reproduce -only cluster).
 //
 // Usage:
 //
 //	clustersim [-shards N>=2] [-seed N] [-chaos SCENARIO] [-verify]
 //	           [-explain-tail F] [-metrics FILE]
 //	           [-timeline DUR] [-timeline-out FILE]
-//	           [-sweep N,N,...]   (each N >= 2)
 //
-// Both modes drive experiments.ClusterMix: 1200 requests (per sweep cell)
-// from 48 tenants, 30% reads, zipf-skewed tenant popularity.
+// It drives experiments.ClusterMix: 1200 requests from 48 tenants, 30%
+// reads, zipf-skewed tenant popularity.
 package main
 
 import (
@@ -28,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -43,8 +37,7 @@ import (
 	"tracklog/internal/workload"
 )
 
-// requests is the number of mix arrivals in a chaos run and in each sweep
-// cell.
+// requests is the number of mix arrivals in a run.
 const requests = 1200
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -60,26 +53,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metricsOut := fs.String("metrics", "", "telemetry export (Prometheus text)")
 	tlBucket := fs.Duration("timeline", 0, "timeline bucket width (0 disables)")
 	tlOut := fs.String("timeline-out", "cluster-timeline.csv", "timeline export path for -timeline (CSV)")
-	sweep := fs.String("sweep", "", "comma-separated shard counts, each at least 2: run the scale-out sweep instead of a chaos run")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "clustersim:", err)
 		return 1
-	}
-
-	if *sweep != "" {
-		counts, err := parseCounts(*sweep)
-		if err != nil {
-			return fail(err)
-		}
-		res, err := experiments.Cluster(counts, requests, *seed)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprint(stdout, res.String())
-		return 0
 	}
 
 	if *shards < 2 {
@@ -173,26 +152,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-func parseCounts(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad shard count %q: %w", part, err)
-		}
-		if n < 2 {
-			return nil, fmt.Errorf("shard count %d in -sweep: a cluster needs at least 2 shards", n)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("empty -sweep")
-	}
-	return counts, nil
 }

@@ -98,17 +98,14 @@ func TestSlowShardGolden(t *testing.T) {
 	}
 }
 
-// TestShardCountBelowTwoExitsWithError: a chaos run or a sweep cell with
-// fewer than two shards is refused with exit status 1 and an error on
-// stderr. -shards 0 once ran the default four-shard cluster under a "0
-// shards" header, and a sweep's 0 row printed a four-shard run's numbers.
+// TestShardCountBelowTwoExitsWithError: a run with fewer than two shards is
+// refused with exit status 1 and an error on stderr. -shards 0 once ran the
+// default four-shard cluster under a "0 shards" header.
 func TestShardCountBelowTwoExitsWithError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shards", "0"},
 		{"-shards", "1"},
 		{"-shards", "-2"},
-		{"-sweep", "0,2"},
-		{"-sweep", "2,1"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var out, errOut bytes.Buffer

@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	rep, err := crashexplore.New(st.Stack, opts).Run()
+	rep, err := crashexplore.New(st, opts).Run()
 	if err != nil {
 		return fail(err)
 	}

@@ -1,11 +1,12 @@
 // Command reproduce regenerates the paper's evaluation — every table,
-// figure, ablation and extension in internal/experiments.Catalogue — and
-// writes a self-contained markdown report to stdout. It is the only runner
-// of the catalogue: one section, a family of sections, or the whole paper.
+// figure, ablation and extension in internal/experiments.Catalogue, then the
+// gate sections — and writes a self-contained markdown report to stdout. It
+// is the only runner of the catalogue: one section, a family of sections, or
+// the whole paper.
 //
 // Usage:
 //
-//	reproduce [-only KEYS] [-quick|-paper] [-seed N] > report.md
+//	reproduce [-only KEYS] [-quick|-paper] [-seed N] [-json FILE] > report.md
 //
 // -only takes comma-separated section keys or key prefixes (fig3, table2,
 // ablate, ext-raid5, ...); without it everything runs. The default sizes are
@@ -14,8 +15,13 @@
 // (much slower). Every number is simulated (virtual-clock) time, so the
 // report is byte-identical for a given seed and sizing.
 //
+// -json also writes the selected sections' rows as one benchfmt file, in
+// catalogue order: the paper's tables (table2, table3, util, fig4) and the
+// gate sections, whose sizes and seed are fixed. BENCH_trail.json is
+// `reproduce -quick -json BENCH_trail.json`, and rundiff gates a run against it.
+//
 // Exit status: 0 when every selected section ran, 1 when any failed (the
-// remaining sections still run), 2 on usage errors.
+// remaining sections still run, and -json writes nothing), 2 on usage errors.
 package main
 
 import (
@@ -24,6 +30,7 @@ import (
 	"io"
 	"os"
 
+	"tracklog/internal/benchfmt"
 	"tracklog/internal/experiments"
 )
 
@@ -40,6 +47,7 @@ func run(args []string, stdout, stderr io.Writer, sel func(only string) ([]exper
 	quick := fs.Bool("quick", false, "shrink workloads for a fast smoke run")
 	paper := fs.Bool("paper", false, "run TPC-C at the paper's full w=1 scale (slow)")
 	seed := fs.Uint64("seed", 1, "random seed")
+	jsonOut := fs.String("json", "", "also write the sections' rows to this benchfmt file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -66,20 +74,28 @@ func run(args []string, stdout, stderr io.Writer, sel func(only string) ([]exper
 	fmt.Fprintln(stdout)
 
 	failed := 0
+	bf := &benchfmt.File{Seed: *seed, Experiments: []benchfmt.Entry{}}
 	for _, s := range sections {
 		fmt.Fprintf(stdout, "## %s\n\n```\n", s.Title)
-		text, err := s.Run(sz, *seed)
+		text, entries, err := s.Run(sz, *seed)
 		if err != nil {
 			failed++
 			text = fmt.Sprintf("ERROR: %v", err)
 			fmt.Fprintf(stderr, "reproduce: %s: %v\n", s.Key, err)
 		}
+		bf.Experiments = append(bf.Experiments, entries...)
 		fmt.Fprintln(stdout, text)
 		fmt.Fprint(stdout, "```\n\n")
 	}
 	if failed > 0 {
 		fmt.Fprintf(stderr, "reproduce: %d of %d sections failed\n", failed, len(sections))
 		return 1
+	}
+	if *jsonOut != "" {
+		if err := bf.WriteFile(*jsonOut); err != nil {
+			fmt.Fprintln(stderr, "reproduce:", err)
+			return 1
+		}
 	}
 	return 0
 }

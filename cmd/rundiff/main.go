@@ -17,7 +17,7 @@
 // files. A directory is probed for the conventional artifact names, all
 // optional (at least one must exist):
 //
-//	bench.json    benchfmt summary        (trailsim -bench-out, trailbench -json)
+//	bench.json    benchfmt summary        (trailsim -bench-out, reproduce -json)
 //	timeline.csv  utilization timeline    (trailsim -timeline/-timeline-out)
 //	spans.json    span dump               (trailsim -span-out)
 //	metrics.prom  telemetry export        (trailsim -metrics)

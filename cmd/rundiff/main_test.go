@@ -137,14 +137,14 @@ func TestUnexplainedRegression(t *testing.T) {
 // tolerance flags, exit 1 on any regression or missing entry.
 func TestBareBenchFiles(t *testing.T) {
 	latency := func(p99 float64) *benchfmt.File {
-		return &benchfmt.File{Writes: 200, Seed: 1, Experiments: []benchfmt.Entry{
+		return &benchfmt.File{Seed: 1, Experiments: []benchfmt.Entry{
 			{Name: "sync-write/trail/sparse/1KB", Count: 200, MeanUS: 2000, P50US: 1900, P99US: p99},
 			{Name: "sync-write/std/sparse/1KB", Count: 200, MeanUS: 21000, P50US: 20000, P99US: 41000},
 		}}
 	}
-	// A higher-is-better rate entry, as trailbench writes for simbench/*.
+	// A higher-is-better rate entry, as reproduce -json writes for simbench/*.
 	rate := func(r float64) *benchfmt.File {
-		return &benchfmt.File{Writes: 100, Seed: 1, Experiments: []benchfmt.Entry{{
+		return &benchfmt.File{Seed: 1, Experiments: []benchfmt.Entry{{
 			Name: "simbench/trail", Count: 100, MeanUS: 2000, P50US: 1900, P99US: 4000,
 			Rates: map[string]float64{"events_per_virtual_sec": r},
 		}}}

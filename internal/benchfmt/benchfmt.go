@@ -1,6 +1,6 @@
 // Package benchfmt defines the machine-readable benchmark summary schema
-// shared by the benchmark writers (cmd/trailbench) and the regression gate
-// (cmd/rundiff). The on-disk form is JSON with struct fields in
+// shared by its writers (cmd/reproduce -json, trailsim -bench-out) and the
+// regression gate (cmd/rundiff). The on-disk form is JSON with struct fields in
 // declaration order and map keys sorted, so a file is byte-deterministic for
 // a given simulation seed — two runs of the same tree produce identical
 // bytes, and any diff is a real behaviour change.
@@ -33,7 +33,6 @@ type Entry struct {
 
 // File is the benchmark summary schema (BENCH_trail.json).
 type File struct {
-	Writes      int     `json:"writes_per_process"`
 	Seed        uint64  `json:"seed"`
 	Experiments []Entry `json:"experiments"`
 }

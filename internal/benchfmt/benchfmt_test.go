@@ -10,8 +10,7 @@ import (
 func files(baseRate, curRate, baseP99, curP99 float64) (*File, *File) {
 	mk := func(rate, p99 float64) *File {
 		return &File{
-			Writes: 100,
-			Seed:   1,
+			Seed: 1,
 			Experiments: []Entry{{
 				Name:   "x",
 				Count:  100,
@@ -109,7 +108,7 @@ func TestDroppedRateFailsGate(t *testing.T) {
 
 func TestMissingExperimentReported(t *testing.T) {
 	base, _ := files(1000, 1000, 4000, 4000)
-	cur := &File{Writes: 100, Seed: 1}
+	cur := &File{Seed: 1}
 	_, missing := Compare(base, cur, Tolerance{})
 	if len(missing) != 1 || missing[0] != "x" {
 		t.Errorf("missing = %v, want [x]", missing)

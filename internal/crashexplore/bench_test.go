@@ -20,7 +20,7 @@ func BenchmarkBranch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x := crashexplore.New(st.Stack, crashexplore.Options{Seed: 1})
+	x := crashexplore.New(st, crashexplore.Options{Seed: 1})
 	census, err := x.Run()
 	if err != nil {
 		b.Fatal(err)

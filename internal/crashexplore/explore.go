@@ -29,7 +29,7 @@ type Options struct {
 }
 
 // DefaultHorizon bounds a run when Options.Horizon is zero. Every pinned
-// census (cmd/crashexplore's goldens, trailbench's crash-explore entry) was
+// census (cmd/crashexplore's goldens, the crash-explore gate section) was
 // recorded at it, so changing it moves them all.
 const DefaultHorizon = 150 * time.Millisecond
 

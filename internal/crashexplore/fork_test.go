@@ -48,7 +48,7 @@ func TestForkEqualsReplay(t *testing.T) {
 				states = append(states, append(s, stateOf(drives)...))
 				return read, err
 			}
-			x := crashexplore.New(st.Stack, tc.opts)
+			x := crashexplore.New(st, tc.opts)
 			rep, err := x.Run()
 			if err != nil {
 				t.Fatal(err)

@@ -27,21 +27,6 @@ import (
 // rig's system on the drives it is given (rig.Rig.RecoverOn), the built ones
 // or clones of them.
 
-// Stack is a recipe: the harness's Build/Recover pair, plus the one hook
-// instrumented callers use.
-type Stack struct {
-	crashexplore.Stack
-
-	// Observe attaches the instruments bundle to every layer of the most
-	// recently Built rig (driver counters and levels, per-disk lanes and
-	// utilization, queue depths, and the layers stacked on top); the kernel
-	// is the caller's to attach (Instruments.AttachKernel). Callers that
-	// want component telemetry (cmd/trailbench) invoke it right after
-	// Build; the explorer never does. The zero bundle is a no-op, matching
-	// the nil-is-disabled contract of every handle in it.
-	Observe func(in rig.Instruments)
-}
-
 func exploreLogParams() disk.Params {
 	g := geom.Uniform(12, 2, 60)
 	g.TrackSkew = 4
@@ -73,7 +58,7 @@ func exploreDataParams(name string) disk.Params {
 // sector to the data disk itself. scenario, when non-empty, attaches a fault
 // plan (internal/fault DSL) to the data disk with the given seed; Trail must
 // uphold the durability contract under those faults too.
-func TrailStack(scenario string, faultSeed uint64) (Stack, error) {
+func TrailStack(scenario string, faultSeed uint64) (crashexplore.Stack, error) {
 	const (
 		slots       = 8
 		sectorsPer  = 4
@@ -83,48 +68,41 @@ func TrailStack(scenario string, faultSeed uint64) (Stack, error) {
 	if scenario != "" {
 		var err error
 		if fcfg, err = fault.ParseScenario(scenario); err != nil {
-			return Stack{}, err
+			return crashexplore.Stack{}, err
 		}
 	}
 	logP, dataP := exploreLogParams(), exploreDataParams("d")
 	var sys *rig.Rig
-	return Stack{
-		Stack: crashexplore.Stack{
-			Slots: slots,
-			Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
-				var err error
-				if sys, err = rig.Prepare(rig.Config{Env: env, LogDisk: &logP, DataDisk: &dataP}); err != nil {
-					return nil, nil, err
-				}
-				if scenario != "" {
-					// The data disk only: the log disk stays healthy.
-					fault.Attach(sys.DataDisks[0], sim.NewRand(faultSeed), fcfg)
-				}
-				if err := sys.Start(); err != nil {
-					return nil, nil, err
-				}
-				dev := sys.Dev(0)
-				return func(p *sim.Proc, slot, version int) error {
-					buf := crashexplore.Payload(slot, version, sectorsPer)
-					return dev.Write(p, int64(slot*slotSpacing), sectorsPer, buf)
-				}, sys.Drives(), nil
-			},
-			Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
-				rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
-				if err != nil {
-					return nil, err
-				}
-				data := rebooted.DataDisks[0]
-				return func(p *sim.Proc, slot int) (int, bool) {
-					got := data.MediaRead(int64(slot*slotSpacing), sectorsPer)
-					return crashexplore.ParseVersion(got, slot, sectorsPer)
-				}, nil
-			},
-		},
-		Observe: func(in rig.Instruments) {
-			if sys != nil {
-				sys.Attach(in)
+	return crashexplore.Stack{
+		Slots: slots,
+		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
+			var err error
+			if sys, err = rig.Prepare(rig.Config{Env: env, LogDisk: &logP, DataDisk: &dataP}); err != nil {
+				return nil, nil, err
 			}
+			if scenario != "" {
+				// The data disk only: the log disk stays healthy.
+				fault.Attach(sys.DataDisks[0], sim.NewRand(faultSeed), fcfg)
+			}
+			if err := sys.Start(); err != nil {
+				return nil, nil, err
+			}
+			dev := sys.Dev(0)
+			return func(p *sim.Proc, slot, version int) error {
+				buf := crashexplore.Payload(slot, version, sectorsPer)
+				return dev.Write(p, int64(slot*slotSpacing), sectorsPer, buf)
+			}, sys.Drives(), nil
+		},
+		Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
+			rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
+			if err != nil {
+				return nil, err
+			}
+			data := rebooted.DataDisks[0]
+			return func(p *sim.Proc, slot int) (int, bool) {
+				got := data.MediaRead(int64(slot*slotSpacing), sectorsPer)
+				return crashexplore.ParseVersion(got, slot, sectorsPer)
+			}, nil
 		},
 	}, nil
 }
@@ -148,7 +126,7 @@ func raidMemberParams() disk.Params {
 // RAID5Stack is a 4-member RAID-5 array of standard disks. Slots are single
 // sectors: RAID-5 promises acknowledged-write survival only at the sector
 // atom (the write hole tears multi-sector overwrites legitimately).
-func RAID5Stack() Stack {
+func RAID5Stack() crashexplore.Stack {
 	const (
 		members     = 4
 		chunk       = 8
@@ -157,51 +135,41 @@ func RAID5Stack() Stack {
 	)
 	memberP := raidMemberParams()
 	var sys *rig.Rig
-	var arr *raid.Array
-	return Stack{
-		Stack: crashexplore.Stack{
-			Slots: slots,
-			Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
-				var err error
-				sys, err = rig.New(rig.Config{Env: env, DataDisks: members, DataDisk: &memberP, Baseline: sched.LOOK, Major: 9, Name: "r"})
-				if err != nil {
-					return nil, nil, err
-				}
-				if arr, err = raid.New(sys.Devs(), chunk); err != nil {
-					return nil, nil, err
-				}
-				return func(p *sim.Proc, slot, version int) error {
-					buf := crashexplore.Payload(slot, version, 1)
-					return arr.Write(p, int64(slot*slotSpacing), 1, buf)
-				}, sys.Drives(), nil
-			},
-			Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
-				// RAID has no recovery pass: reboot the members and assemble a
-				// fresh array over them.
-				rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
-				if err != nil {
-					return nil, err
-				}
-				arr2, err := raid.New(rebooted.Devs(), chunk)
-				if err != nil {
-					return nil, err
-				}
-				return func(p *sim.Proc, slot int) (int, bool) {
-					buf, err := arr2.Read(p, int64(slot*slotSpacing), 1)
-					if err != nil {
-						return 0, false
-					}
-					return crashexplore.ParseVersion(buf, slot, 1)
-				}, nil
-			},
-		},
-		Observe: func(in rig.Instruments) {
-			if sys == nil {
-				return
+	return crashexplore.Stack{
+		Slots: slots,
+		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
+			var err error
+			sys, err = rig.New(rig.Config{Env: env, DataDisks: members, DataDisk: &memberP, Baseline: sched.LOOK, Major: 9, Name: "r"})
+			if err != nil {
+				return nil, nil, err
 			}
-			sys.Attach(in)
-			arr.RegisterMetrics(in.Registry, "raid0")
-			arr.SetTimeline(in.Timeline, "raid0")
+			arr, err := raid.New(sys.Devs(), chunk)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func(p *sim.Proc, slot, version int) error {
+				buf := crashexplore.Payload(slot, version, 1)
+				return arr.Write(p, int64(slot*slotSpacing), 1, buf)
+			}, sys.Drives(), nil
+		},
+		Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
+			// RAID has no recovery pass: reboot the members and assemble a
+			// fresh array over them.
+			rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
+			if err != nil {
+				return nil, err
+			}
+			arr2, err := raid.New(rebooted.Devs(), chunk)
+			if err != nil {
+				return nil, err
+			}
+			return func(p *sim.Proc, slot int) (int, bool) {
+				buf, err := arr2.Read(p, int64(slot*slotSpacing), 1)
+				if err != nil {
+					return 0, false
+				}
+				return crashexplore.ParseVersion(buf, slot, 1)
+			}, nil
 		},
 	}
 }
@@ -210,45 +178,39 @@ func RAID5Stack() Stack {
 // no logging layer. Slots are single sectors — a plain disk acknowledges a
 // write only after the media transfer completes, but multi-sector writes
 // tear legitimately. It completes the four-way {trail, stddisk, raid5,
-// wal} comparison the explorer and cmd/trailbench share.
-func StdStack() Stack {
+// wal} comparison the explorer and the experiments' kernel-cost section
+// share.
+func StdStack() crashexplore.Stack {
 	const (
 		slots       = 8
 		slotSpacing = 64
 	)
 	dataP := exploreDataParams("std")
 	var sys *rig.Rig
-	return Stack{
-		Stack: crashexplore.Stack{
-			Slots: slots,
-			Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
-				var err error
-				if sys, err = rig.New(rig.Config{Env: env, DataDisk: &dataP, Baseline: sched.LOOK}); err != nil {
-					return nil, nil, err
-				}
-				dev := sys.Dev(0)
-				return func(p *sim.Proc, slot, version int) error {
-					buf := crashexplore.Payload(slot, version, 1)
-					return dev.Write(p, int64(slot*slotSpacing), 1, buf)
-				}, sys.Drives(), nil
-			},
-			Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
-				// No recovery pass: the platter is the whole durable state.
-				rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
-				if err != nil {
-					return nil, err
-				}
-				raw := rebooted.DataDisks[0]
-				return func(p *sim.Proc, slot int) (int, bool) {
-					got := raw.MediaRead(int64(slot*slotSpacing), 1)
-					return crashexplore.ParseVersion(got, slot, 1)
-				}, nil
-			},
-		},
-		Observe: func(in rig.Instruments) {
-			if sys != nil {
-				sys.Attach(in)
+	return crashexplore.Stack{
+		Slots: slots,
+		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
+			var err error
+			if sys, err = rig.New(rig.Config{Env: env, DataDisk: &dataP, Baseline: sched.LOOK}); err != nil {
+				return nil, nil, err
 			}
+			dev := sys.Dev(0)
+			return func(p *sim.Proc, slot, version int) error {
+				buf := crashexplore.Payload(slot, version, 1)
+				return dev.Write(p, int64(slot*slotSpacing), 1, buf)
+			}, sys.Drives(), nil
+		},
+		Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
+			// No recovery pass: the platter is the whole durable state.
+			rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
+			if err != nil {
+				return nil, err
+			}
+			raw := rebooted.DataDisks[0]
+			return func(p *sim.Proc, slot int) (int, bool) {
+				got := raw.MediaRead(int64(slot*slotSpacing), 1)
+				return crashexplore.ParseVersion(got, slot, 1)
+			}, nil
 		},
 	}
 }
@@ -264,167 +226,155 @@ func walSlotValue(slot, version int) []byte {
 // committed transaction, and recovery is two-level — Trail's block recovery
 // restores logged sectors and restarts the driver, then the database replays
 // its redo log through it.
-func WALStack() Stack {
+func WALStack() crashexplore.Stack {
 	const (
 		slots      = 8
 		cachePages = 32
 	)
 	logP, walP := exploreLogParams(), exploreDataParams("waldev")
-	var (
-		sys    *rig.Rig
-		walLog *wal.Log
-		mgr    *txn.Manager
-	)
-	return Stack{
-		Stack: crashexplore.Stack{
-			Slots: slots,
-			Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
-				// Data disk 0 holds the WAL, data disk 1 the B-tree store; the
-				// two drives differ only in the name their probe events carry.
-				var err error
-				if sys, err = rig.Prepare(rig.Config{Env: env, LogDisk: &logP, DataDisks: 2, DataDisk: &walP}); err != nil {
-					return nil, nil, err
-				}
-				sys.DataDisks[1] = disk.New(env, exploreDataParams("treedev"))
-
-				// Create the (empty) tree durably before the run, via an instant
-				// device, so recovery can reopen it by catalog.
-				var buildErr error
-				env.Go("load", func(p *sim.Proc) {
-					inst := disk.NewInstantDev(sys.DataDisks[1], blockdev.DevID{Major: 3, Minor: 1})
-					store, err := kvdb.Open(p, inst, cachePages)
-					if err != nil {
-						buildErr = err
-						return
-					}
-					if _, err := store.CreateTree(p); err != nil {
-						buildErr = err
-						return
-					}
-					buildErr = store.Cache().FlushAll(p)
-				})
-				env.Run()
-				if buildErr != nil {
-					return nil, nil, buildErr
-				}
-				if err := sys.Start(); err != nil {
-					return nil, nil, err
-				}
-
-				var tree *kvdb.Tree
-				env.Go("open", func(p *sim.Proc) {
-					walLog, err = wal.New(env, wal.Config{Dev: sys.Dev(0), Sectors: sys.Dev(0).Sectors(), Mode: wal.SyncEveryCommit})
-					if err != nil {
-						buildErr = err
-						return
-					}
-					mgr = txn.NewManager(env, walLog)
-					store, err := kvdb.Open(p, sys.Dev(1), cachePages)
-					if err != nil {
-						buildErr = err
-						return
-					}
-					tree, buildErr = store.Tree(0)
-				})
-				env.Run()
-				if buildErr != nil {
-					return nil, nil, buildErr
-				}
-
-				return func(p *sim.Proc, slot, version int) error {
-					tx := mgr.Begin()
-					key, val := walSlotKey(slot), walSlotValue(slot, version)
-					if err := tx.Put(p, tree, 0, key, val, len(val), string(key)); err != nil {
-						tx.Abort(p)
-						return err
-					}
-					return tx.Commit(p)
-				}, sys.Drives(), nil
-			},
-			Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
-				rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
-				if err != nil {
-					return nil, fmt.Errorf("trail recovery: %w", err)
-				}
-				var tree *kvdb.Tree
-				var rerr error
-				env2.Go("recover", func(p *sim.Proc) {
-					walDev := rebooted.Dev(0)
-					records, err := wal.ReadRecords(p, walDev, 0, walDev.Sectors())
-					if err != nil {
-						rerr = fmt.Errorf("wal scan: %w", err)
-						return
-					}
-					store, err := kvdb.Open(p, rebooted.Dev(1), cachePages)
-					if err != nil {
-						rerr = fmt.Errorf("reopen store: %w", err)
-						return
-					}
-					if tree, err = store.Tree(0); err != nil {
-						rerr = fmt.Errorf("reopen tree: %w", err)
-						return
-					}
-					if _, err := txn.RecoverDB(p, records, func(tag uint16) *kvdb.Tree {
-						return tree
-					}); err != nil {
-						rerr = fmt.Errorf("redo: %w", err)
-					}
-				})
-				env2.Run()
-				if rerr != nil {
-					return nil, rerr
-				}
-				return func(p *sim.Proc, slot int) (int, bool) {
-					val, err := tree.Get(p, walSlotKey(slot))
-					if errors.Is(err, kvdb.ErrNotFound) {
-						return 0, true // never committed
-					}
-					if err != nil {
-						return 0, false
-					}
-					var gotSlot, gotVer int
-					n, serr := fmt.Sscanf(string(val), "slot=%d version=%d", &gotSlot, &gotVer)
-					if serr != nil || n != 2 || gotSlot != slot {
-						return 0, false
-					}
-					return gotVer, true
-				}, nil
-			},
-		},
-		Observe: func(in rig.Instruments) {
-			if sys == nil {
-				return
+	var sys *rig.Rig
+	return crashexplore.Stack{
+		Slots: slots,
+		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
+			// Data disk 0 holds the WAL, data disk 1 the B-tree store; the
+			// two drives differ only in the name their probe events carry.
+			var err error
+			if sys, err = rig.Prepare(rig.Config{Env: env, LogDisk: &logP, DataDisks: 2, DataDisk: &walP}); err != nil {
+				return nil, nil, err
 			}
-			sys.Attach(in)
-			walLog.RegisterMetrics(in.Registry)
-			mgr.RegisterMetrics(in.Registry)
-			walLog.SetTimeline(in.Timeline, "wal0")
+			sys.DataDisks[1] = disk.New(env, exploreDataParams("treedev"))
+
+			// Create the (empty) tree durably before the run, via an instant
+			// device, so recovery can reopen it by catalog.
+			var buildErr error
+			env.Go("load", func(p *sim.Proc) {
+				inst := disk.NewInstantDev(sys.DataDisks[1], blockdev.DevID{Major: 3, Minor: 1})
+				store, err := kvdb.Open(p, inst, cachePages)
+				if err != nil {
+					buildErr = err
+					return
+				}
+				if _, err := store.CreateTree(p); err != nil {
+					buildErr = err
+					return
+				}
+				buildErr = store.Cache().FlushAll(p)
+			})
+			env.Run()
+			if buildErr != nil {
+				return nil, nil, buildErr
+			}
+			if err := sys.Start(); err != nil {
+				return nil, nil, err
+			}
+
+			var (
+				tree *kvdb.Tree
+				mgr  *txn.Manager
+			)
+			env.Go("open", func(p *sim.Proc) {
+				walLog, err := wal.New(env, wal.Config{Dev: sys.Dev(0), Sectors: sys.Dev(0).Sectors(), Mode: wal.SyncEveryCommit})
+				if err != nil {
+					buildErr = err
+					return
+				}
+				mgr = txn.NewManager(env, walLog)
+				store, err := kvdb.Open(p, sys.Dev(1), cachePages)
+				if err != nil {
+					buildErr = err
+					return
+				}
+				tree, buildErr = store.Tree(0)
+			})
+			env.Run()
+			if buildErr != nil {
+				return nil, nil, buildErr
+			}
+
+			return func(p *sim.Proc, slot, version int) error {
+				tx := mgr.Begin()
+				key, val := walSlotKey(slot), walSlotValue(slot, version)
+				if err := tx.Put(p, tree, 0, key, val, len(val), string(key)); err != nil {
+					tx.Abort(p)
+					return err
+				}
+				return tx.Commit(p)
+			}, sys.Drives(), nil
+		},
+		Recover: func(env2 *sim.Env, drives []*disk.Disk) (crashexplore.ReadFunc, error) {
+			rebooted, _, err := sys.RecoverOn(env2, drives, trail.RecoverOptions{})
+			if err != nil {
+				return nil, fmt.Errorf("trail recovery: %w", err)
+			}
+			var tree *kvdb.Tree
+			var rerr error
+			env2.Go("recover", func(p *sim.Proc) {
+				walDev := rebooted.Dev(0)
+				records, err := wal.ReadRecords(p, walDev, 0, walDev.Sectors())
+				if err != nil {
+					rerr = fmt.Errorf("wal scan: %w", err)
+					return
+				}
+				store, err := kvdb.Open(p, rebooted.Dev(1), cachePages)
+				if err != nil {
+					rerr = fmt.Errorf("reopen store: %w", err)
+					return
+				}
+				if tree, err = store.Tree(0); err != nil {
+					rerr = fmt.Errorf("reopen tree: %w", err)
+					return
+				}
+				if _, err := txn.RecoverDB(p, records, func(tag uint16) *kvdb.Tree {
+					return tree
+				}); err != nil {
+					rerr = fmt.Errorf("redo: %w", err)
+				}
+			})
+			env2.Run()
+			if rerr != nil {
+				return nil, rerr
+			}
+			return func(p *sim.Proc, slot int) (int, bool) {
+				val, err := tree.Get(p, walSlotKey(slot))
+				if errors.Is(err, kvdb.ErrNotFound) {
+					return 0, true // never committed
+				}
+				if err != nil {
+					return 0, false
+				}
+				var gotSlot, gotVer int
+				n, serr := fmt.Sscanf(string(val), "slot=%d version=%d", &gotSlot, &gotVer)
+				if serr != nil || n != 2 || gotSlot != slot {
+					return 0, false
+				}
+				return gotVer, true
+			}, nil
 		},
 	}
 }
 
 // ByName returns the named stack recipe: "trail", "stddisk", "raid5", or
 // "wal". scenario/faultSeed apply to the trail stack only.
-func ByName(name, scenario string, faultSeed uint64) (Stack, error) {
+func ByName(name, scenario string, faultSeed uint64) (crashexplore.Stack, error) {
 	switch name {
 	case "trail":
 		return TrailStack(scenario, faultSeed)
 	case "stddisk":
 		if scenario != "" {
-			return Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
+			return crashexplore.Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
 		}
 		return StdStack(), nil
 	case "raid5":
 		if scenario != "" {
-			return Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
+			return crashexplore.Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
 		}
 		return RAID5Stack(), nil
 	case "wal":
 		if scenario != "" {
-			return Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
+			return crashexplore.Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
 		}
 		return WALStack(), nil
 	default:
-		return Stack{}, fmt.Errorf("crashexplore: unknown stack %q (trail, stddisk, raid5, wal)", name)
+		return crashexplore.Stack{}, fmt.Errorf("crashexplore: unknown stack %q (trail, stddisk, raid5, wal)", name)
 	}
 }

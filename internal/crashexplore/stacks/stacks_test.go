@@ -24,7 +24,7 @@ func TestExploreTrailWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := crashexplore.New(st.Stack, crashexplore.Options{Seed: 3, Window: 200})
+	x := crashexplore.New(st, crashexplore.Options{Seed: 3, Window: 200})
 	rep, err := x.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestExploreTrailDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := crashexplore.New(st.Stack, crashexplore.Options{Seed: 5, Skip: 10, Window: 30}).Run()
+		rep, err := crashexplore.New(st, crashexplore.Options{Seed: 5, Skip: 10, Window: 30}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestExploreTrailDeterminism(t *testing.T) {
 
 // TestExploreRAID5Window sweeps a bounded window on the RAID-5 stack.
 func TestExploreRAID5Window(t *testing.T) {
-	rep, err := crashexplore.New(stacks.RAID5Stack().Stack, crashexplore.Options{Seed: 2, Window: 40}).Run()
+	rep, err := crashexplore.New(stacks.RAID5Stack(), crashexplore.Options{Seed: 2, Window: 40}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestExploreWALWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-level recovery per branch in -short mode")
 	}
-	rep, err := crashexplore.New(stacks.WALStack().Stack, crashexplore.Options{
+	rep, err := crashexplore.New(stacks.WALStack(), crashexplore.Options{
 		Seed: 4, Window: 30, Horizon: 80 * time.Millisecond,
 	}).Run()
 	if err != nil {
@@ -144,7 +144,7 @@ func TestCrashConsistency(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rep, err := crashexplore.New(st.Stack, crashexplore.Options{Seed: seed}).Run()
+					rep, err := crashexplore.New(st, crashexplore.Options{Seed: seed}).Run()
 					if err != nil {
 						t.Fatal(err)
 					}

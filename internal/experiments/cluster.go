@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"tracklog/internal/benchfmt"
 	"tracklog/internal/cluster"
 	"tracklog/internal/qos"
 	"tracklog/internal/sim"
@@ -54,14 +55,8 @@ type ClusterResult struct {
 }
 
 // Cluster sweeps shard counts under ClusterMix's offered load. requests is
-// the arrivals per cell (default 1200).
+// the arrivals per cell.
 func Cluster(shardCounts []int, requests int, seed uint64) (*ClusterResult, error) {
-	if len(shardCounts) == 0 {
-		shardCounts = []int{2, 4, 8}
-	}
-	if requests == 0 {
-		requests = 1200
-	}
 	mixCfg := ClusterMix(requests, seed)
 	res := &ClusterResult{Tenants: mixCfg.Tenants, Requests: requests}
 	for _, n := range shardCounts {
@@ -143,4 +138,27 @@ func (r *ClusterResult) String() string {
 			fmtMS(pt.WMean), fmtMS(pt.WP99), fmtMS(pt.RMean), fmtMS(pt.RP99), pt.AckedPerSec)
 	}
 	return b.String()
+}
+
+// Entries returns one gate entry per shard count: cluster/shards=N, with
+// acked-write latency and throughput.
+func (r *ClusterResult) Entries() []benchfmt.Entry {
+	var out []benchfmt.Entry
+	for _, pt := range r.Points {
+		out = append(out, benchfmt.Entry{
+			Name:   fmt.Sprintf("cluster/shards=%d", pt.Shards),
+			Count:  pt.Acked,
+			MeanUS: usFloat(pt.WMean),
+			P50US:  usFloat(pt.WP50),
+			P99US:  usFloat(pt.WP99),
+			Rates:  map[string]float64{"acked_per_sec": pt.AckedPerSec},
+			Counters: map[string]int64{
+				"acked":        pt.Acked,
+				"shed":         pt.Shed,
+				"write_failed": pt.Failed,
+				"reads_ok":     pt.ReadsOK,
+			},
+		})
+	}
+	return out
 }

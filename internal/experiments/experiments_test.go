@@ -6,6 +6,10 @@ import (
 	"time"
 
 	"tracklog/internal/rig"
+	"tracklog/internal/sched"
+	"tracklog/internal/span"
+	"tracklog/internal/telemetry"
+	"tracklog/internal/timeline"
 	"tracklog/internal/tpcc"
 	"tracklog/internal/trace"
 	"tracklog/internal/workload"
@@ -213,11 +217,14 @@ func TestFigure4Shape(t *testing.T) {
 	}
 }
 
-// A traced Trail run must report exactly the same client-visible latency as
-// an untraced run of the same seed: tracing is observation only.
+// An observed run must report exactly the same client-visible latency and
+// elapsed time as a bare run of the same seed: instruments only observe.
+// Trail is run bare, with a tracer handed to the env and the driver, and
+// with all four instruments attached through rig.Config.Instruments; the
+// baseline bare and with all four.
 func TestTracingDoesNotPerturbWorkload(t *testing.T) {
-	run := func(traced bool) (elapsed, mean int64) {
-		sys, err := rig.New(rig.Config{})
+	run := func(cfg rig.Config, traced bool) (elapsed, mean int64) {
+		sys, err := rig.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +234,7 @@ func TestTracingDoesNotPerturbWorkload(t *testing.T) {
 			sys.Env.SetTracer(tr)
 			sys.Trail.SetTracer(tr)
 		}
-		res, err := workload.RunSyncWrites(sys.Env, sys.Trail.Dev(0), workload.SyncWriteConfig{
+		res, err := workload.RunSyncWrites(sys.Env, sys.Dev(0), workload.SyncWriteConfig{
 			Mode:             workload.Sparse,
 			WriteSize:        2048,
 			Processes:        2,
@@ -239,9 +246,25 @@ func TestTracingDoesNotPerturbWorkload(t *testing.T) {
 		}
 		return int64(res.Elapsed), int64(res.Latency.Mean())
 	}
-	e0, m0 := run(false)
-	e1, m1 := run(true)
-	if e0 != e1 || m0 != m1 {
-		t.Fatalf("traced run diverged: elapsed %d vs %d, mean %d vs %d", e0, e1, m0, m1)
+	observed := func(cfg rig.Config) rig.Config {
+		cfg.Instruments = rig.Instruments{
+			Tracer:   trace.New(0),
+			Recorder: span.NewRecorder(0),
+			Timeline: timeline.New(5 * time.Millisecond),
+			Registry: telemetry.NewRegistry(),
+		}
+		return cfg
+	}
+	trail, std := rig.Config{}, rig.Config{Baseline: sched.LOOK}
+	e0, m0 := run(trail, false)
+	if e, m := run(trail, true); e != e0 || m != m0 {
+		t.Errorf("traced trail run diverged: elapsed %d vs %d, mean %d vs %d", e, e0, m, m0)
+	}
+	if e, m := run(observed(trail), false); e != e0 || m != m0 {
+		t.Errorf("observed trail run diverged: elapsed %d vs %d, mean %d vs %d", e, e0, m, m0)
+	}
+	e0, m0 = run(std, false)
+	if e, m := run(observed(std), false); e != e0 || m != m0 {
+		t.Errorf("observed baseline run diverged: elapsed %d vs %d, mean %d vs %d", e, e0, m, m0)
 	}
 }

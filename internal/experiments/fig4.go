@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"tracklog/internal/benchfmt"
 	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/rig"
@@ -172,6 +173,32 @@ func (r *Fig4Result) String() string {
 			fmtMS(row.WBRotWait), fmtMS(row.WBXfer))
 	}
 	return b.String()
+}
+
+// Entries returns one gate entry per Q: fig4/Q=N, with the whole recovery
+// time as its mean.
+func (r *Fig4Result) Entries() []benchfmt.Entry {
+	var out []benchfmt.Entry
+	for _, row := range r.Rows {
+		out = append(out, benchfmt.Entry{
+			Name:   fmt.Sprintf("fig4/Q=%d", row.Q),
+			MeanUS: usFloat(row.Total()),
+			Counters: map[string]int64{
+				"records":         int64(row.RecordsFound),
+				"tracks_scanned":  int64(row.TracksScanned),
+				"locate_ns":       row.Locate.Nanoseconds(),
+				"rebuild_ns":      row.Rebuild.Nanoseconds(),
+				"writeback_ns":    row.WriteBack.Nanoseconds(),
+				"no_writeback_ns": row.TotalSkip.Nanoseconds(),
+				"wb_writes":       int64(row.WBWrites),
+				"wb_queue_ns":     row.WBQueue.Nanoseconds(),
+				"wb_mech_ns":      row.WBMech.Nanoseconds(),
+				"wb_rotwait_ns":   row.WBRotWait.Nanoseconds(),
+				"wb_xfer_ns":      row.WBXfer.Nanoseconds(),
+			},
+		})
+	}
+	return out
 }
 
 // Plot renders the recovery breakdown as an ASCII chart.

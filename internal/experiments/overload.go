@@ -55,14 +55,8 @@ func overloadPolicy() *qos.Policy {
 
 // Overload calibrates saturation with a closed-loop run, then sweeps
 // offered-load multipliers with and without the QoS policy. requests is the
-// number of open-loop arrivals per cell (default 300).
+// number of open-loop arrivals per cell.
 func Overload(multipliers []float64, requests int, seed uint64) (*OverloadResult, error) {
-	if len(multipliers) == 0 {
-		multipliers = []float64{0.5, 1.0, 2.0}
-	}
-	if requests == 0 {
-		requests = 300
-	}
 	svc, err := calibrateSaturation(seed)
 	if err != nil {
 		return nil, fmt.Errorf("overload calibration: %w", err)

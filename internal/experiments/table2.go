@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"tracklog/internal/benchfmt"
 	"tracklog/internal/disk"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
@@ -191,6 +192,27 @@ func (r *Table2Result) String() string {
 	return b.String()
 }
 
+// Entries returns one gate entry per system: table2/trail, table2/ext2 and
+// table2/ext2-gc, each with its mean response time.
+func (r *Table2Result) Entries() []benchfmt.Entry {
+	slug := map[StorageSystem]string{Ext2Trail: "trail", Ext2: "ext2", Ext2GC: "ext2-gc"}
+	var out []benchfmt.Entry
+	for _, row := range r.Rows {
+		out = append(out, benchfmt.Entry{
+			Name:   "table2/" + slug[row.System],
+			Count:  row.Committed,
+			MeanUS: usFloat(row.AvgResponse),
+			Rates:  map[string]float64{"tpmC": row.TpmC},
+			Counters: map[string]int64{
+				"log_io_ns": row.LogIOTime.Nanoseconds(),
+				"committed": row.Committed,
+				"aborted":   row.Aborted,
+			},
+		})
+	}
+	return out
+}
+
 // Table3Row is one log-buffer-size point of Table 3.
 type Table3Row struct {
 	LogBufferKB  int
@@ -249,6 +271,18 @@ func (r *Table3Result) String() string {
 	}
 	b.WriteString("(paper at 10000 txns: 10960 / 448 / 113 / 57 / 39)\n")
 	return b.String()
+}
+
+// Entries returns one gate entry per buffer size: table3/buffer=NKB.
+func (r *Table3Result) Entries() []benchfmt.Entry {
+	var out []benchfmt.Entry
+	for _, row := range r.Rows {
+		out = append(out, benchfmt.Entry{
+			Name:     fmt.Sprintf("table3/buffer=%dKB", row.LogBufferKB),
+			Counters: map[string]int64{"group_commits": row.GroupCommits, "log_bytes": row.LogBytes},
+		})
+	}
+	return out
 }
 
 // UtilizationRow is one concurrency point of the §5.2 track-utilization
@@ -332,4 +366,17 @@ func (r *UtilizationResult) String() string {
 	}
 	b.WriteString("(paper: 12% at 4, 21% at 8, >30% at 12)\n")
 	return b.String()
+}
+
+// Entries returns one gate entry per concurrency: util/conc=N.
+func (r *UtilizationResult) Entries() []benchfmt.Entry {
+	var out []benchfmt.Entry
+	for _, row := range r.Rows {
+		out = append(out, benchfmt.Entry{
+			Name:     fmt.Sprintf("util/conc=%d", row.Concurrency),
+			Rates:    map[string]float64{"one_batch_util": row.OneBatchUtil, "measured_util": row.MeasuredUtil},
+			Counters: map[string]int64{"records": row.Records, "tracks": row.TracksUsed},
+		})
+	}
+	return out
 }

@@ -21,7 +21,6 @@ import (
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
 	"tracklog/internal/telemetry"
-	"tracklog/internal/timeline"
 )
 
 // Errors.
@@ -55,10 +54,6 @@ type Array struct {
 	// owned by an in-flight operation; lockC wakes the waiters.
 	locked map[int64]bool
 	lockC  *sim.Cond
-
-	// tlLocks is stripe-lock occupancy as a time-weighted timeline level
-	// (nil = disabled).
-	tlLocks *timeline.Meter
 }
 
 // Stats counts array activity.
@@ -116,14 +111,6 @@ func (a *Array) Sectors() int64 {
 
 // Stats returns a copy of the counters.
 func (a *Array) Stats() Stats { return a.stats }
-
-// SetTimeline attaches the array to a utilization-timeline aggregator under
-// the given track: stripe-lock occupancy as a time-weighted level. Member
-// devices attach their own lanes through whoever built them. A nil
-// aggregator disables it. Call once per aggregator, before the run.
-func (a *Array) SetTimeline(tl *timeline.Aggregator, name string) {
-	a.tlLocks = tl.Meter("raid", name, "stripe_locks_held")
-}
 
 // Fail marks one device as dead; reads reconstruct from the survivors. The
 // array also calls this itself when a device command returns
@@ -209,12 +196,10 @@ func (a *Array) lockStripe(p *sim.Proc, stripe int64) {
 		a.lockC.Wait(p)
 	}
 	a.locked[stripe] = true
-	a.tlLocks.Set(float64(len(a.locked)), int64(p.Now()))
 }
 
-func (a *Array) unlockStripe(p *sim.Proc, stripe int64) {
+func (a *Array) unlockStripe(stripe int64) {
 	delete(a.locked, stripe)
-	a.tlLocks.Set(float64(len(a.locked)), int64(p.Now()))
 	a.lockC.Broadcast()
 }
 
@@ -346,7 +331,7 @@ func (a *Array) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 		dev, devChunk, stripe := a.chunkLoc(logical)
 		a.lockStripe(p, stripe)
 		buf, err := a.devRead(p, dev, devChunk, off, n, opts)
-		a.unlockStripe(p, stripe)
+		a.unlockStripe(stripe)
 		if err != nil {
 			return nil, err
 		}
@@ -385,7 +370,7 @@ func (a *Array) Write(p *sim.Proc, lba int64, count int, data []byte) error {
 			// Small write(s): read-modify-write per touched chunk.
 			err = a.smallWrite(p, lba, this, data[:this*geom.SectorSize], opts)
 		}
-		a.unlockStripe(p, stripe)
+		a.unlockStripe(stripe)
 		if err != nil {
 			return err
 		}

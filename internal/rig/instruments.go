@@ -21,9 +21,8 @@ type Instruments struct {
 }
 
 // AttachKernel hands env the bundle's tracer, timeline and registry. Rig.Start
-// does this for Config.Instruments; a caller that wants the kernel observed
-// over a different span than the layers (cmd/trailbench's worlds) calls it on
-// the Env it made.
+// does this for Config.Instruments; a caller observing an Env the rig did not
+// start (a recovered rig's, a cluster's) calls it on that Env.
 func (in Instruments) AttachKernel(env *sim.Env) {
 	if in.Tracer != nil {
 		env.SetTracer(in.Tracer)

@@ -44,8 +44,8 @@ type KernelStats struct {
 }
 
 // Delta returns s minus an earlier baseline, for measuring one phase of a
-// run (e.g. cmd/trailbench subtracting world-construction cost). Peaks are
-// carried over unchanged: they are whole-run high-water marks.
+// run (e.g. the simbench gate section subtracting world-construction cost).
+// Peaks are carried over unchanged: they are whole-run high-water marks.
 func (s KernelStats) Delta(base KernelStats) KernelStats {
 	return KernelStats{
 		EventsDispatched: s.EventsDispatched - base.EventsDispatched,

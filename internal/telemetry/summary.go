@@ -101,8 +101,8 @@ func (s *Summary) Max() time.Duration { return s.max }
 //
 // While the summary holds at most exactSamples samples, the result is the
 // exact nearest-rank order statistic (rank = ceil(q*n)), so short runs —
-// including every committed BENCH_trail.json configuration — report exact
-// p50/p99. Larger summaries fall back to the log-bucket histogram: the
+// including every BENCH_trail.json row that reports quantiles — report
+// exact p50/p99. Larger summaries fall back to the log-bucket histogram: the
 // result is the upper bound of the bucket containing the target rank,
 // clamped to [Min, Max]. Buckets grow by 10^(1/bucketsPerDecade) ≈ 1.0491
 // per step, so the estimate never undershoots the true order statistic and
