@@ -4,7 +4,9 @@
 // --workload W --seed S --trace 0 there and in the working tree, alternately,
 // switching which side runs first each pair, and for every end-to-end metric
 // of BENCHMARK.json prints both medians, the parent's quartile distance, how
-// many pairs the change won and the verdict, then each pair's values.
+// many pairs the change won and the verdict, then each pair's values. One
+// ungated row follows the gated ones: host_cpu_us_per_op, read from the line
+// each run prints for it.
 //
 // Usage:
 //
@@ -37,6 +39,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -55,13 +58,20 @@ type metricSpec struct {
 	Bound  float64 `json:"bound"`
 }
 
-// result is the last line a benchmark run prints.
+// result is the last line a benchmark run prints, with cpuMetric added to its
+// metrics from the line the run prints for it.
 type result struct {
-	Correct bool `json:"correct"`
-	Metrics map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+	Correct bool                   `json:"correct"`
+	Metrics map[string]metricValue `json:"metrics"`
 }
+
+type metricValue struct {
+	Value float64 `json:"value"`
+}
+
+// cpuMetric is the host CPU time a run spends per operation. No bound gates
+// it, so the result line leaves it out.
+var cpuMetric = metricSpec{Name: "host_cpu_us_per_op", Unit: "us", Better: "lower", Bound: math.Inf(1)}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchpairs", flag.ContinueOnError)
@@ -126,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	fmt.Fprintf(stdout, "%s, seed %d, %d pairs: %s against the working tree\n", *workload, *seed, *n, *ref)
-	if report(stdout, sp.EndToEnd, refRuns, headRuns) {
+	if report(stdout, append(sp.EndToEnd, cpuMetric), refRuns, headRuns) {
 		return 1
 	}
 	return 0
@@ -149,7 +159,8 @@ func runBench(dir string, args []string, stderr io.Writer) (result, error) {
 	return parseResult(out)
 }
 
-// parseResult reads the result a run's output ends with.
+// parseResult reads the result a run's output ends with, and cpuMetric from
+// the line "<workload> host_cpu_us_per_op <value> us" before it.
 func parseResult(out []byte) (result, error) {
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
 	var res result
@@ -158,6 +169,15 @@ func parseResult(out []byte) (result, error) {
 	}
 	if !res.Correct {
 		return result{}, errors.New("the run reports an incorrect result")
+	}
+	for _, l := range lines[:len(lines)-1] {
+		if f := strings.Fields(string(l)); len(f) == 4 && f[1] == cpuMetric.Name {
+			v, err := strconv.ParseFloat(f[2], 64)
+			if err != nil {
+				return result{}, fmt.Errorf("%s: %w", cpuMetric.Name, err)
+			}
+			res.Metrics[cpuMetric.Name] = metricValue{v}
+		}
 	}
 	return res, nil
 }
@@ -219,6 +239,9 @@ func report(w io.Writer, metrics []metricSpec, refRuns, headRuns []result) bool 
 	for _, m := range metrics {
 		r := compare(m, values(refRuns, m.Name), values(headRuns, m.Name))
 		mark := ""
+		if math.IsInf(m.Bound, 1) {
+			mark = ", ungated"
+		}
 		if r.beyondBound {
 			mark, beyond = fmt.Sprintf(", BEYOND BOUND (%g%%)", 100*m.Bound), true
 		}

@@ -24,6 +24,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"tracklog/internal/blockdev"
@@ -158,8 +159,12 @@ type Cluster struct {
 	// each tenant's request process names, built once.
 	spanNames []string
 	names     []procNames
-	// freeWrites holds write ops whose copies have completed.
+	// freeWrites holds write ops whose copies have completed, freeReads
+	// read ops whose holders have all let go, and readOps counts the read
+	// ops made.
 	freeWrites []*writeOp
+	freeReads  []*readOp
+	readOps    int
 
 	rec *span.Recorder
 	agg *timeline.Aggregator
@@ -436,18 +441,56 @@ func (c *Cluster) RunMix(reqs []workload.MixRequest) *MixResult {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return reqs[order[a]].At < reqs[order[b]].At })
+	// Every request runs one body, bound once. A spawned process first runs
+	// in spawn order, so the body starting now serves the next arrival.
+	next := 0
+	body := func(p *sim.Proc) {
+		i := order[next]
+		next++
+		c.runMixRequest(p, reqs[i], &res.Outcomes[i])
+	}
+	names := reqNames(order)
 	c.env.Go("cluster/arrivals", func(p *sim.Proc) {
 		start := p.Now()
 		for _, i := range order {
 			if wait := start.Add(reqs[i].At).Sub(p.Now()); wait > 0 {
 				p.Sleep(wait)
 			}
-			c.env.Go(fmt.Sprintf("cluster/req%d", i), func(p *sim.Proc) {
-				c.runMixRequest(p, reqs[i], &res.Outcomes[i])
-			})
+			n := reqNameLen(i)
+			c.env.Go(names[:n], body)
+			names = names[n:]
 		}
 	})
 	return res
+}
+
+// reqPrefix begins every mix request's process name, cluster/req<i>.
+const reqPrefix = "cluster/req"
+
+// reqNames returns the process names of the requests in order, end to end in
+// one string, from which the arrivals process cuts each one.
+func reqNames(order []int) string {
+	size := 0
+	for _, i := range order {
+		size += reqNameLen(i)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var num [20]byte
+	for _, i := range order {
+		b.WriteString(reqPrefix)
+		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+	}
+	return b.String()
+}
+
+// reqNameLen returns the length of request i's process name.
+func reqNameLen(i int) int {
+	n := len(reqPrefix) + 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
 }
 
 // runMixRequest issues one mix request and records its outcome in o.

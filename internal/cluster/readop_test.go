@@ -1,0 +1,185 @@
+package cluster
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"tracklog/internal/blockdev"
+	"tracklog/internal/fault"
+	"tracklog/internal/sim"
+	"tracklog/internal/workload"
+)
+
+// A read op is shared by the read's caller, its attempts and its hedge
+// timer, and goes back to the free list only when the last of them lets go.
+// Each case issues reads back to back, so ops are reused while the previous
+// reads' losing attempts and hedge timers still hold theirs. For every read
+// the winning shard, whether a hedge won, and the latency are pinned as
+// recorded when every read built its own race; after Run every op must be
+// on the free list exactly once.
+func TestReadOpLifetime(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		// tenants picks the tenants read, in turn, given the cluster.
+		tenants func(c *Cluster) []int
+		reads   int
+		want    string
+	}{
+		{
+			// Shard 0's seeks run 7x slow, so hedges fire and often win,
+			// leaving the slow primary in flight when the next read starts.
+			name: "slow primary",
+			cfg: Config{Shards: 4, Tenants: 16, HedgeAfter: 2 * time.Millisecond, ProbeTimeout: time.Second,
+				Scenario: fault.ShardScenario{Events: []fault.ShardEvent{{Shard: 0, At: time.Millisecond, DeratePPM: 6_000_000}}}},
+			tenants: func(c *Cluster) []int { return primaryOn(c, 0) },
+			reads:   12,
+			want: `
+t5/b0 s0 529.1µs
+t9/b0 s0 11.322751ms
+t11/b0 s1 hedge 11.322751ms
+t15/b0 s0 11.746032ms
+t5/b1 s0 10.15873ms
+t9/b1 s0 11.322751ms
+t11/b1 s1 hedge 11.322751ms
+t15/b1 s0 11.746032ms
+t5/b0 s3 hedge 10.15873ms
+t9/b0 s2 hedge 11.534392ms
+t11/b0 s1 hedge 10.89947ms
+t15/b0 s2 hedge 12.380953ms
+`,
+		},
+		{
+			// Shard 1 dies at 40 ms: the next read's primary attempt fails
+			// after it was launched, with its hedge timer out, and the
+			// replica takes over; once the shard is dead, reads fail over
+			// at once.
+			name: "failover",
+			cfg: Config{Shards: 4, Tenants: 16, HedgeAfter: 2 * time.Millisecond,
+				Scenario: fault.ShardScenario{Events: []fault.ShardEvent{{Shard: 1, At: 40 * time.Millisecond}}}},
+			tenants: func(c *Cluster) []int { return primaryOn(c, 1) },
+			reads:   12,
+			want: `
+t14/b0 s1 1.164021ms
+t14/b1 s1 11.216931ms
+t14/b0 s1 11.005291ms
+t14/b1 s1 11.216931ms
+t14/b0 s1 11.005291ms
+t14/b1 s2 12.063491ms
+t14/b0 s2 11.005291ms
+t14/b1 s2 11.216931ms
+t14/b0 s2 11.005291ms
+t14/b1 s2 11.216931ms
+t14/b0 s2 11.005291ms
+t14/b1 s2 11.216931ms
+`,
+		},
+		{
+			name:    "tenant mix",
+			cfg:     Config{Shards: 4, Tenants: 16, HedgeAfter: 2 * time.Millisecond},
+			tenants: func(c *Cluster) []int { return []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15} },
+			reads:   32,
+			want: `
+t0/b0 s2 11.216931ms
+t1/b0 s0 11.322751ms
+t2/b0 s1 10.899471ms
+t3/b0 s1 11.322751ms
+t4/b0 s1 hedge 22.433862ms
+t5/b0 s0 11.111111ms
+t6/b0 s2 hedge 11.111111ms
+t7/b0 s1 11.322751ms
+t8/b0 s2 hedge 11.322751ms
+t9/b0 s0 10.899471ms
+t10/b0 s0 hedge 11.322751ms
+t11/b0 s1 hedge 11.111111ms
+t12/b0 s2 634.921µs
+t13/b0 s0 hedge 10.899471ms
+t14/b0 s1 10.899471ms
+t15/b0 s0 11.534391ms
+t0/b1 s2 9.73545ms
+t1/b1 s2 hedge 11.322751ms
+t2/b1 s1 10.899471ms
+t3/b1 s1 11.322751ms
+t4/b1 s1 hedge 11.322751ms
+t5/b1 s0 11.111111ms
+t6/b1 s2 hedge 11.111111ms
+t7/b1 s1 11.322751ms
+t8/b1 s2 hedge 11.322751ms
+t9/b1 s0 10.899471ms
+t10/b1 s0 hedge 11.322751ms
+t11/b1 s1 hedge 11.111111ms
+t12/b1 s2 634.921µs
+t13/b1 s0 hedge 10.899471ms
+t14/b1 s1 10.899471ms
+t15/b1 s0 11.534391ms
+`,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			defer env.Close()
+			c, err := New(env, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tenants := tc.tenants(c)
+			var got strings.Builder
+			env.Go("client", func(p *sim.Proc) {
+				for i := 0; i < tc.reads; i++ {
+					tn, b := tenants[i%len(tenants)], i/len(tenants)%workload.BlocksPerTenant
+					before, start := c.Stats(), p.Now()
+					_, err := c.Read(p, tn, b, blockdev.ClassNormal)
+					st := c.Stats()
+					pl, won, hedge := c.Placement(tn), "-", ""
+					switch {
+					case err != nil:
+					case st.Failovers > before.Failovers || st.HedgeWins > before.HedgeWins:
+						won = fmt.Sprint(pl.Replica)
+					default:
+						won = fmt.Sprint(pl.Primary)
+					}
+					if st.HedgeWins > before.HedgeWins {
+						hedge = " hedge"
+					}
+					fmt.Fprintf(&got, "t%d/b%d s%s%s %v\n", tn, b, won, hedge, p.Now().Sub(start))
+				}
+				// Outlive the last hedge timer, a daemon Run does not wait for.
+				p.Sleep(c.cfg.HedgeAfter)
+			})
+			env.Run()
+
+			if want := strings.TrimPrefix(tc.want, "\n"); got.String() != want {
+				t.Errorf("reads (tenant/block, winning shard, latency):\n%s\nwant:\n%s", got.String(), want)
+			}
+			seen := map[*readOp]bool{}
+			for _, op := range c.freeReads {
+				if seen[op] {
+					t.Errorf("op %p is on the free list twice", op)
+				}
+				seen[op] = true
+				if op.holders != 0 {
+					t.Errorf("free op %p has %d holders", op, op.holders)
+				}
+			}
+			if len(seen) != c.readOps {
+				t.Errorf("%d of %d read ops are on the free list", len(seen), c.readOps)
+			}
+		})
+	}
+}
+
+// primaryOn returns the tenants whose primary copy is on shard idx at a
+// different LBA from their replica: copies at the same LBA sit at the same
+// angle on shards built together, and a hedge could never win.
+func primaryOn(c *Cluster, idx int) []int {
+	var out []int
+	for tn := range c.place {
+		if pl := c.place[tn]; pl.Primary == idx && pl.PrimaryLBA != pl.ReplicaLBA {
+			out = append(out, tn)
+		}
+	}
+	return out
+}

@@ -25,9 +25,10 @@ import (
 )
 
 // writeOp is one write-both request's bookkeeping: its payload and one copy
-// per shard, primary first. Ops come off Cluster.freeWrites and go back once
-// both copies have completed, which is safe because a shard write keeps no
-// reference to the payload (blockdev.Device.Write).
+// per shard, primary first. Ops come off Cluster.freeWrites. The caller, which
+// waits for both copies, is an op's last holder and puts it back, which is
+// safe because a shard write keeps no reference to the payload
+// (blockdev.Device.Write).
 type writeOp struct {
 	payload []byte
 	copies  [2]shardCopy
@@ -172,9 +173,10 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	if first.err != nil || (last.err == nil && (last.end < first.end || (last.end == first.end && last.shard < first.shard))) {
 		first, last = last, first
 	}
-	rq.ChildAB(span.PSubWrite, int64(start), int64(first.end), int64(first.shard), 0)
 	if last.err == nil {
-		rq.ChildAB(span.PSubWrite, int64(first.end), int64(last.end), int64(last.shard), 0)
+		rq.ChildPair(span.PSubWrite, int64(start), int64(first.end), int64(last.end), int64(first.shard), int64(last.shard))
+	} else {
+		rq.ChildAB(span.PSubWrite, int64(start), int64(first.end), int64(first.shard), 0)
 	}
 
 	sl.version++
@@ -187,12 +189,30 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	return nil
 }
 
-// readRace is the shared state of one read's primary/hedge/failover race.
+// readOp is one read's bookkeeping: its race and the bodies of the
+// processes that run it (primary attempt, replica attempt, hedge timer),
+// bound once, when the op is made. Ops come off Cluster.freeReads. holders
+// counts the caller and every process still using the op; the last of them
+// to let go puts it back.
+type readOp struct {
+	readRace
+	c                       *Cluster
+	primary, replica, hedge func(*sim.Proc)
+	holders                 int
+}
+
+// readRace is one read's routing and the shared state of its
+// primary/hedge/failover race. Its shards are the ones routed to when the
+// read was issued.
 type readRace struct {
+	pri, rep       *Shard
+	priLBA, repLBA int64
+	class          blockdev.Class
+	names          *procNames
+
 	done      sim.Event
 	won       bool
 	data      []byte
-	from      int  // winning shard
 	viaHedge  bool // winner was the hedged replica attempt
 	started   int  // attempts launched
 	failed    int  // attempts failed
@@ -208,6 +228,29 @@ type readRace struct {
 	repEnd    sim.Time
 }
 
+// newReadOp takes an op off the free list, or makes one.
+func (c *Cluster) newReadOp() *readOp {
+	if n := len(c.freeReads); n > 0 {
+		op := c.freeReads[n-1]
+		c.freeReads = c.freeReads[:n-1]
+		return op
+	}
+	c.readOps++
+	op := &readOp{c: c}
+	op.primary, op.replica, op.hedge = op.readPrimary, op.readReplica, op.hedgeTimer
+	return op
+}
+
+// release drops one holder. The last one zeroes the race, so a free op pins
+// no buffer or shard, and puts the op back.
+func (op *readOp) release() {
+	op.holders--
+	if op.holders == 0 {
+		op.readRace = readRace{}
+		op.c.freeReads = append(op.c.freeReads, op)
+	}
+}
+
 // Read routes one block read through the primary with hedging and replica
 // failover.
 func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]byte, error) {
@@ -216,139 +259,160 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]
 	}
 	c.stats.Reads++
 	pl := c.place[tenant]
-	pri, rep := c.shards[pl.Primary], c.shards[pl.Replica]
 	start := p.Now()
 	rq := c.rec.Start(span.KRead, "cluster", c.spanNames[pl.Primary],
 		c.slotLBA(tenant, block, pl.Primary), c.spb, int64(start))
 
-	race := &readRace{}
-	race.done.Init(c.env)
-	names := &c.names[tenant]
-
-	launchReplica := func(at sim.Time, hedge bool) {
-		if race.replicaOn || !rep.serving() {
-			return
-		}
-		race.replicaOn = true
-		race.started++
-		if hedge {
-			race.hedged = true
-			race.hedgeAt = at
-		} else {
-			race.failover = true
-			race.failAt = at
-		}
-		c.env.Go(names.read[1], func(rp *sim.Proc) {
-			race.repStart = rp.Now()
-			data, err := rep.dev.ReadOpts(rp, c.slotLBA(tenant, block, pl.Replica), c.spb,
-				blockdev.Options{Class: class})
-			race.repEnd = rp.Now()
-			c.finishAttempt(race, pl.Replica, data, err, rep, rp.Now(), true)
-		})
+	op := c.newReadOp()
+	op.readRace = readRace{
+		pri: c.shards[pl.Primary], rep: c.shards[pl.Replica],
+		priLBA: c.slotLBA(tenant, block, pl.Primary), repLBA: c.slotLBA(tenant, block, pl.Replica),
+		class: class, names: &c.names[tenant],
 	}
+	op.done.Init(c.env)
+	op.holders = 1 // the caller
+	defer op.release()
 
-	if pri.serving() {
-		race.started++
-		c.env.Go(names.read[0], func(rp *sim.Proc) {
-			race.priStart = rp.Now()
-			data, err := pri.dev.ReadOpts(rp, c.slotLBA(tenant, block, pl.Primary), c.spb,
-				blockdev.Options{Class: class})
-			race.priEnd = rp.Now()
-			if err != nil {
-				// Primary failed mid-race: fail over immediately if the
-				// replica is not already being asked.
-				c.observeRequestError(pri, err, rp.Now())
-				if !race.won && !race.replicaOn {
-					race.failed++
-					race.lastErr = err
-					launchReplica(rp.Now(), false)
-					if !race.replicaOn { // replica unserving: race is over
-						race.done.Trigger()
-					}
-					return
-				}
-			}
-			c.finishAttempt(race, pl.Primary, data, err, pri, rp.Now(), false)
-		})
+	if op.pri.serving() {
+		op.started++
+		op.holders++
+		c.env.Go(op.names.read[0], op.primary)
 		// Hedge timer: a daemon (it must not keep the simulation alive on
 		// its own) that fires the replica if the primary is still out.
-		if c.cfg.HedgeAfter > 0 && rep.serving() {
-			c.env.GoDaemon(names.hedge, func(hp *sim.Proc) {
-				hp.Sleep(c.cfg.HedgeAfter)
-				if !race.done.Fired() && !race.won {
-					launchReplica(hp.Now(), true)
-				}
-			})
+		if c.cfg.HedgeAfter > 0 && op.rep.serving() {
+			op.holders++
+			c.env.GoDaemon(op.names.hedge, op.hedge)
 		}
 	} else {
 		// Primary not serving: straight failover.
-		launchReplica(start, false)
+		op.launchReplica(start, false)
 	}
 
-	if race.started == 0 {
+	if op.started == 0 {
 		rq.Finish(int64(start), true)
 		c.stats.ReadsFailed++
 		return nil, errAllCopiesFailed("read", tenant, block)
 	}
-	race.done.Wait(p)
+	op.done.Wait(p)
 	end := p.Now()
 
 	// Span assembly, deterministic regardless of which copy won.
-	if race.priEnd > race.priStart {
-		rq.ChildAB(span.PSubRead, int64(race.priStart), int64(race.priEnd), int64(pl.Primary), 0)
+	if op.priEnd > op.priStart {
+		rq.ChildAB(span.PSubRead, int64(op.priStart), int64(op.priEnd), int64(pl.Primary), 0)
 	}
-	if race.repEnd > race.repStart {
-		rq.ChildAB(span.PSubRead, int64(race.repStart), int64(race.repEnd), int64(pl.Replica), 0)
+	if op.repEnd > op.repStart {
+		rq.ChildAB(span.PSubRead, int64(op.repStart), int64(op.repEnd), int64(pl.Replica), 0)
 	}
-	if race.failover {
+	if op.failover {
 		c.stats.Failovers++
-		c.tlFailover.Inc(int64(race.failAt))
-		rq.Point(span.PFailover, int64(race.failAt), int64(pl.Replica), 0)
+		c.tlFailover.Inc(int64(op.failAt))
+		rq.Point(span.PFailover, int64(op.failAt), int64(pl.Replica), 0)
 	}
-	if race.hedged {
+	if op.hedged {
 		c.stats.Hedges++
-		c.tlHedge.Inc(int64(race.hedgeAt))
+		c.tlHedge.Inc(int64(op.hedgeAt))
 		won := int64(0)
-		if race.won && race.viaHedge {
+		if op.won && op.viaHedge {
 			won = 1
 			c.stats.HedgeWins++
 		}
-		rq.Point(span.PHedge, int64(race.hedgeAt), int64(pl.Replica), won)
+		rq.Point(span.PHedge, int64(op.hedgeAt), int64(pl.Replica), won)
 	}
 
-	if !race.won {
+	if !op.won {
 		c.stats.ReadsFailed++
 		rq.Finish(int64(end), true)
-		if race.lastErr != nil {
-			return nil, fmt.Errorf("cluster: read tenant %d block %d: %w", tenant, block, race.lastErr)
+		if op.lastErr != nil {
+			return nil, fmt.Errorf("cluster: read tenant %d block %d: %w", tenant, block, op.lastErr)
 		}
 		return nil, errAllCopiesFailed("read", tenant, block)
 	}
 	c.stats.ReadsOK++
 	rq.Finish(int64(end), false)
-	return race.data, nil
+	return op.data, nil
+}
+
+// launchReplica starts the replica attempt, as a hedge or a failover, unless
+// it is already out or the replica is not serving.
+func (op *readOp) launchReplica(at sim.Time, hedge bool) {
+	if op.replicaOn || !op.rep.serving() {
+		return
+	}
+	op.replicaOn = true
+	op.started++
+	if hedge {
+		op.hedged = true
+		op.hedgeAt = at
+	} else {
+		op.failover = true
+		op.failAt = at
+	}
+	op.holders++
+	op.c.env.Go(op.names.read[1], op.replica)
+}
+
+// readPrimary is the primary attempt's process body.
+func (op *readOp) readPrimary(rp *sim.Proc) {
+	op.priStart = rp.Now()
+	data, err := op.pri.dev.ReadOpts(rp, op.priLBA, op.c.spb, blockdev.Options{Class: op.class})
+	op.priEnd = rp.Now()
+	if err != nil {
+		// Primary failed mid-race: fail over immediately if the replica is
+		// not already being asked.
+		op.c.observeRequestError(op.pri, err, rp.Now())
+		if !op.won && !op.replicaOn {
+			op.failed++
+			op.lastErr = err
+			op.launchReplica(rp.Now(), false)
+			if !op.replicaOn { // replica unserving: race is over
+				op.done.Trigger()
+			}
+			op.release()
+			return
+		}
+	}
+	op.finishAttempt(data, err, op.pri, rp.Now(), false)
+	op.release()
+}
+
+// readReplica is the replica attempt's process body.
+func (op *readOp) readReplica(rp *sim.Proc) {
+	op.repStart = rp.Now()
+	data, err := op.rep.dev.ReadOpts(rp, op.repLBA, op.c.spb, blockdev.Options{Class: op.class})
+	op.repEnd = rp.Now()
+	op.finishAttempt(data, err, op.rep, rp.Now(), true)
+	op.release()
+}
+
+// hedgeTimer is the hedge timer's process body: it fires the replica if the
+// primary has not answered within HedgeAfter.
+func (op *readOp) hedgeTimer(hp *sim.Proc) {
+	hp.Sleep(op.c.cfg.HedgeAfter)
+	if !op.done.Fired() && !op.won {
+		op.launchReplica(hp.Now(), true)
+	}
+	op.release()
 }
 
 // finishAttempt resolves one read attempt against the race: first success
 // wins; when every launched attempt has failed, the race fails.
-func (c *Cluster) finishAttempt(race *readRace, shardIdx int, data []byte, err error, sh *Shard, at sim.Time, viaReplica bool) {
+func (op *readOp) finishAttempt(data []byte, err error, sh *Shard, at sim.Time, viaReplica bool) {
 	if err == nil {
-		if !race.won {
-			race.won = true
-			race.data = data
-			race.from = shardIdx
-			race.viaHedge = viaReplica && race.hedged && !race.failover
-			race.done.Trigger()
+		if !op.won {
+			op.won = true
+			op.data = data
+			op.viaHedge = viaReplica && op.hedged && !op.failover
+			op.done.Trigger()
 		}
 		return
 	}
 	if viaReplica {
-		c.observeRequestError(sh, err, at)
+		op.c.observeRequestError(sh, err, at)
 	}
-	race.failed++
-	race.lastErr = err
-	if race.failed >= race.started && !race.won {
-		race.done.Trigger()
+	op.failed++
+	op.lastErr = err
+	if op.failed >= op.started && !op.won {
+		op.done.Trigger()
 	}
 }
 

@@ -284,6 +284,24 @@ func (q *Req) ChildAB(p Phase, start, end, a, b int64) {
 	q.r.Spans = append(q.r.Spans, Span{Phase: p, Start: start, End: end, A: a, B: b})
 }
 
+// ChildPair records the adjacent intervals [start, mid] and [mid, end] of
+// phase p, with A set to a1 and a2, as two ChildAB calls would, but grows the
+// request's span list once for both.
+func (q *Req) ChildPair(p Phase, start, mid, end, a1, a2 int64) {
+	if q == nil {
+		return
+	}
+	switch {
+	case mid <= start:
+		q.ChildAB(p, mid, end, a2, 0)
+	case end <= mid:
+		q.ChildAB(p, start, mid, a1, 0)
+	default:
+		q.r.Spans = append(q.r.Spans, Span{Phase: p, Start: start, End: mid, A: a1},
+			Span{Phase: p, Start: mid, End: end, A: a2})
+	}
+}
+
 // Point records a zero-duration marker span (e.g. a staging-buffer hit).
 func (q *Req) Point(p Phase, at, a, b int64) {
 	if q == nil {

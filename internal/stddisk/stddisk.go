@@ -45,6 +45,10 @@ type Device struct {
 
 	rec     *span.Recorder
 	recName string
+
+	// free holds requests whose command has completed; each goes back once
+	// its caller has taken the result.
+	free []*sched.Request
 }
 
 var (
@@ -142,6 +146,22 @@ func (d *Device) do(p *sim.Proc, verb string, req *sched.Request, opts blockdev.
 	return fmt.Errorf("stddisk %v %s (attempt %d): %w", d.id, verb, n+1, err)
 }
 
+// get takes a request off the free list, or makes one.
+func (d *Device) get() *sched.Request {
+	if n := len(d.free); n > 0 {
+		req := d.free[n-1]
+		d.free = d.free[:n-1]
+		return req
+	}
+	return new(sched.Request)
+}
+
+// put zeroes a completed request, so it pins no buffer, and keeps it.
+func (d *Device) put(req *sched.Request) {
+	*req = sched.Request{}
+	d.free = append(d.free, req)
+}
+
 // Read returns count sectors starting at lba, blocking p for queueing plus
 // service time. Transient command failures are retried up to maxRetries;
 // other faults surface wrapping their blockdev sentinel.
@@ -154,7 +174,9 @@ func (d *Device) ReadOpts(p *sim.Proc, lba int64, count int, opts blockdev.Optio
 	if err := blockdev.CheckRange(d.size, lba, count); err != nil {
 		return nil, fmt.Errorf("stddisk %v read: %w", d.id, err)
 	}
-	req := &sched.Request{LBA: lba, Count: count, Data: opts.Buffer(count)}
+	req := d.get()
+	defer d.put(req) // runs once the result is taken
+	*req = sched.Request{LBA: lba, Count: count, Data: opts.Buffer(count)}
 	if err := d.do(p, "read", req, opts); err != nil {
 		return nil, err
 	}
@@ -173,7 +195,10 @@ func (d *Device) WriteOpts(p *sim.Proc, lba int64, count int, data []byte, opts 
 	if err := blockdev.CheckWrite(d.size, lba, count, data); err != nil {
 		return fmt.Errorf("stddisk %v write: %w", d.id, err)
 	}
-	err := d.do(p, "write", &sched.Request{Write: true, LBA: lba, Count: count, Data: data}, opts)
+	req := d.get()
+	*req = sched.Request{Write: true, LBA: lba, Count: count, Data: data}
+	err := d.do(p, "write", req, opts)
+	d.put(req)
 	if err == nil {
 		// The in-place write is durable and about to be acknowledged to the
 		// client: a crash-exploration interesting event.

@@ -142,3 +142,36 @@ func TestRetryAndFailureCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateAllocations pins what a command allocates once the device
+// has served one: a write nothing, a read the buffer it returns, and a read
+// into the caller's buffer nothing. The scheduler request is recycled.
+func TestSteadyStateAllocations(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	dev, _ := newDev(env)
+	data := make([]byte, 2*geom.SectorSize)
+	into := make([]byte, len(data))
+	env.Go("client", func(p *sim.Proc) {
+		measure := func(what string, want float64, fn func() error) {
+			got := testing.AllocsPerRun(100, func() {
+				if err := fn(); err != nil {
+					t.Error(err)
+				}
+			})
+			if got > want {
+				t.Errorf("%s: %v allocations, want at most %v", what, got, want)
+			}
+		}
+		measure("write", 0, func() error { return dev.Write(p, 100, 2, data) })
+		measure("read", 1, func() error {
+			_, err := dev.Read(p, 100, 2)
+			return err
+		})
+		measure("read into a buffer", 0, func() error {
+			_, err := dev.ReadOpts(p, 100, 2, blockdev.Options{Into: into})
+			return err
+		})
+	})
+	env.Run()
+}
