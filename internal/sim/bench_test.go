@@ -97,10 +97,10 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	}
 }
 
-// Process churn: spawn, first dispatch, exit. An exited process's goroutine
-// runs the next spawn, so the Proc is the one allocation (3 allocs/op and
-// ~1.2 us before goroutines were reused, 1 and ~0.5-0.7 us after, on a
-// 2-core Xeon).
+// Process churn: spawn, first dispatch, exit. An exited process's record and
+// goroutine run the next spawn, so nothing is allocated (3 allocs/op and
+// ~1.2 us before goroutines were reused, 1 and ~0.8-0.9 us before records
+// were, 0 and ~0.45-0.5 us since, on a 2-core Xeon).
 func BenchmarkSpawnExit(b *testing.B) {
 	env := NewEnv()
 	defer env.Close()

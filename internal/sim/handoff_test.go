@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -52,7 +53,7 @@ func TestYieldKeepsSameInstantFIFO(t *testing.T) {
 }
 
 // fingerprint renders the kernel's scheduler state: clock, sequence
-// counters, the pending queue in (at, seq) order and the process table in id
+// counters, the pending queue in (at, seq) order and the live processes in id
 // order. Two kernels at the same instant of the same run render alike;
 // diverged ones do not.
 func fingerprint(e *Env) string {
@@ -63,14 +64,10 @@ func fingerprint(e *Env) string {
 	for _, q := range queue {
 		fmt.Fprintf(&b, " q(%d,%d,%d)", q.at, q.seq, q.proc.id)
 	}
-	ids := make([]int64, 0, len(e.procs))
-	for id := range e.procs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		p := e.procs[id]
-		fmt.Fprintf(&b, " p(%d,%s,%d,%t)", id, p.name, p.state, p.daemon)
+	live := slices.Clone(e.live)
+	slices.SortFunc(live, func(x, y *Proc) int { return cmp.Compare(x.id, y.id) })
+	for _, p := range live {
+		fmt.Fprintf(&b, " p(%d,%s,%d,%t)", p.id, p.name, p.state, p.daemon)
 	}
 	return b.String()
 }

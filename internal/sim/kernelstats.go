@@ -115,7 +115,7 @@ func (e *Env) SetMetrics(reg *telemetry.Registry) {
 		func() float64 { return float64(e.kstats.QueuePeak) })
 	reg.GaugeFunc(telemetry.Prefix+"sim_procs_live",
 		"Processes currently spawned and not finished.",
-		func() float64 { return float64(len(e.procs)) })
+		func() float64 { return float64(len(e.live)) })
 	reg.GaugeFunc(telemetry.Prefix+"sim_procs_peak",
 		"Live-process high-water mark.",
 		func() float64 { return float64(e.kstats.ProcsPeak) })

@@ -11,7 +11,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"tracklog/internal/telemetry"
@@ -51,12 +53,14 @@ const (
 )
 
 // Proc is a simulated process. All blocking operations are methods on Proc so
-// that the kernel always knows which process is yielding. A Proc is never
-// reused, so that Done keeps answering after the process exits.
+// that the kernel always knows which process is yielding. The *Proc a process
+// function receives is valid until that function returns: the record then
+// goes, with its goroutine, to the next spawn.
 type Proc struct {
 	env    *Env
 	name   string
 	id     int64
+	slot   int        // index in env.live
 	resume chan *Proc // its goroutine's; every hand-off to p sends p
 	fn     func(p *Proc)
 	state  procState
@@ -65,7 +69,6 @@ type Proc struct {
 	// keep the simulation alive: Run returns once only daemon events remain
 	// queued.
 	daemon bool
-	done   Event // triggered when the process function returns
 }
 
 // killedPanic is the sentinel used to unwind processes on Env.Close.
@@ -79,9 +82,9 @@ type Env struct {
 	seq    int64
 	queue  eventQueue
 	driver chan struct{} // hand-off: dispatch loop -> the goroutine in RunUntil or Close
-	procs  map[int64]*Proc
+	live   []*Proc       // spawned and not finished, in no order
 	nextID int64
-	idle   []chan *Proc // goroutines whose process returned (see work)
+	free   []*Proc // records whose function returned, each with its goroutine (see work)
 	run    struct {
 		// cur is the running process; nil while the driver has control.
 		cur *Proc
@@ -129,10 +132,7 @@ type Env struct {
 
 // NewEnv returns an empty environment with the clock at 0.
 func NewEnv() *Env {
-	return &Env{
-		driver: make(chan struct{}),
-		procs:  make(map[int64]*Proc),
-	}
+	return &Env{driver: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -157,58 +157,43 @@ func (e *Env) Tracer() *trace.Tracer { return e.tracer }
 
 // Go spawns a new simulated process named name. The process starts when the
 // kernel next reaches the current virtual time in its queue (i.e. after the
-// spawning process yields). It returns the Proc, whose Done event can be
-// waited on.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	return e.spawn(name, fn, false)
-}
+// spawning process yields).
+func (e *Env) Go(name string, fn func(p *Proc)) { e.spawn(name, fn, false) }
 
 // GoDaemon spawns a daemon process: a background observer (heartbeat,
 // timer, watchdog) that must not keep the simulation alive. Run returns
 // as soon as every event left in the queue belongs to a daemon.
-func (e *Env) GoDaemon(name string, fn func(p *Proc)) *Proc {
-	return e.spawn(name, fn, true)
-}
+func (e *Env) GoDaemon(name string, fn func(p *Proc)) { e.spawn(name, fn, true) }
 
-func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
+func (e *Env) spawn(name string, fn func(p *Proc), daemon bool) {
 	if e.run.closed {
 		panic("sim: Go on closed Env")
 	}
-	var resume chan *Proc
-	if n := len(e.idle); n > 0 {
-		resume, e.idle = e.idle[n-1], e.idle[:n-1]
+	var p *Proc
+	if n := len(e.free); n > 0 {
+		p, e.free = e.free[n-1], e.free[:n-1]
 	} else {
-		resume = make(chan *Proc)
-		go e.work(resume)
+		p = &Proc{env: e, resume: make(chan *Proc)}
+		go e.work(p.resume)
 	}
 	e.nextID++
-	p := &Proc{
-		env:    e,
-		name:   name,
-		id:     e.nextID,
-		resume: resume,
-		fn:     fn,
-		state:  procReady,
-		daemon: daemon,
-		done:   Event{env: e},
-	}
-	e.procs[p.id] = p
+	p.name, p.id, p.fn, p.daemon, p.slot = name, e.nextID, fn, daemon, len(e.live)
+	e.live = append(e.live, p)
 	e.kstats.ProcsSpawned++
-	if n := len(e.procs); n > e.kstats.ProcsPeak {
+	if n := len(e.live); n > e.kstats.ProcsPeak {
 		e.kstats.ProcsPeak = n
 	}
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{At: int64(e.now), Kind: trace.KProcStart, Track: name})
 	}
 	e.schedule(e.now, p)
-	return p
 }
 
 // work runs processes one after another on one goroutine: each receive in
 // the loop is a new process's first dispatch. When its function returns, the
-// goroutine goes on the idle list before dispatching the next event; a
-// process that panics, is killed or calls runtime.Goexit ends it, and so does
-// Close.
+// record goes on the free list, goroutine and all, before dispatching the
+// next event; a process that panics, is killed or calls runtime.Goexit ends
+// the goroutine and retires its record, and so does Close.
 func (e *Env) work(resume chan *Proc) {
 	var p *Proc
 	returned := false
@@ -221,8 +206,7 @@ func (e *Env) work(resume chan *Proc) {
 			r = "runtime.Goexit"
 		}
 		if r != nil {
-			p.state = procDone
-			delete(e.procs, p.id)
+			e.exit(p)
 			if kp, ok := r.(killedPanic); !ok || kp.p != p {
 				// Re-panicking here would crash the whole program from a
 				// bare goroutine with a confusing trace. Surface the panic
@@ -237,17 +221,25 @@ func (e *Env) work(resume chan *Proc) {
 	for p = range resume {
 		p.resumed()
 		p.fn(p)
-		p.state, p.fn = procDone, nil
-		delete(e.procs, p.id)
+		p.fn = nil
+		e.exit(p)
 		e.kstats.ProcsFinished++
 		if e.tracer != nil {
 			e.tracer.Emit(trace.Event{At: int64(e.now), Kind: trace.KProcEnd, Track: p.name})
 		}
-		p.done.Trigger()
-		e.idle = append(e.idle, resume)
+		e.free = append(e.free, p)
 		e.transfer(e.next())
 	}
 	returned = true
+}
+
+// exit marks p done and swaps it out of the live list.
+func (e *Env) exit(p *Proc) {
+	p.state = procDone
+	last := e.live[len(e.live)-1]
+	e.live[p.slot], last.slot = last, p.slot
+	e.live[len(e.live)-1] = nil
+	e.live = e.live[:len(e.live)-1]
 }
 
 // schedule puts p into the event queue at time t.
@@ -372,17 +364,20 @@ func (e *Env) Close() {
 	}
 	e.run.closed = true
 	e.run.paused = nil // a probe-paused proc is parked; the loop kills it
-	for _, p := range e.procs {
+	// Killed processes unwind, deferred code and all, in spawn order.
+	procs := slices.Clone(e.live)
+	slices.SortFunc(procs, func(a, b *Proc) int { return cmp.Compare(a.id, b.id) })
+	for _, p := range procs {
 		if p.state == procParked || p.state == procReady {
 			p.killed = true
 			e.transfer(p)
 			<-e.driver
 		}
 	}
-	for _, resume := range e.idle {
-		close(resume)
+	for _, p := range e.free {
+		close(p.resume)
 	}
-	e.procs = map[int64]*Proc{}
+	e.live, e.free = nil, nil
 	e.queue = nil
 	e.liveQueued = 0
 	e.tracer.Release()
@@ -435,9 +430,6 @@ func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
-
-// Done returns an event triggered when the process function returns.
-func (p *Proc) Done() *Event { return &p.done }
 
 // Sleep blocks the process for d of virtual time. Non-positive durations
 // still yield control (the process re-runs at the same instant, after other

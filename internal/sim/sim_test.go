@@ -273,13 +273,19 @@ func TestProcessPanicSurfacesInRun(t *testing.T) {
 	env.Run()
 }
 
-func TestDoneEvent(t *testing.T) {
+// A process that waits on an event another process triggers as it exits
+// resumes at that instant.
+func TestExitEvent(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
-	p1 := env.Go("worker", func(p *Proc) { p.Sleep(2 * time.Millisecond) })
+	workerDone := NewEvent(env)
+	env.Go("worker", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		workerDone.Trigger()
+	})
 	var sawDone Time
 	env.Go("watcher", func(p *Proc) {
-		p1.Done().Wait(p)
+		workerDone.Wait(p)
 		sawDone = p.Now()
 	})
 	env.Run()
