@@ -3,16 +3,18 @@
 // reads, and background rebuild, under an optional fault scenario (-chaos
 // "shardkill=1@250ms" or "slowshard=0@100ms:500000"). It prints the run
 // summary, health outcomes, and an optional acked-write readback (-verify —
-// a nonzero exit if any acknowledged write is lost). All stdout and every
-// export is byte-deterministic for a fixed seed, so CI byte-compares two
-// same-seed runs end to end. The scale-out sweep over shard counts is the
+// a nonzero exit if any acknowledged write is lost). -out DIR writes the
+// run's artefact set into DIR, the files cmd/rundiff reads: trace.json,
+// metrics.prom, timeline.csv (10 ms buckets, per-shard health lanes
+// included) and spans.json. All stdout and every artefact is
+// byte-deterministic for a fixed seed, so CI byte-compares two same-seed
+// runs end to end. The scale-out sweep over shard counts is the
 // catalogue's cluster section (reproduce -only cluster).
 //
 // Usage:
 //
 //	clustersim [-shards N>=2] [-seed N] [-chaos SCENARIO] [-verify]
-//	           [-explain-tail F] [-metrics FILE]
-//	           [-timeline DUR] [-timeline-out FILE]
+//	           [-explain-tail F] [-out DIR]
 //
 // It drives experiments.ClusterMix: 1200 requests from 48 tenants, 30%
 // reads, zipf-skewed tenant popularity.
@@ -30,15 +32,17 @@ import (
 	"tracklog/internal/experiments"
 	"tracklog/internal/fault"
 	"tracklog/internal/qos"
+	"tracklog/internal/rig"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
-	"tracklog/internal/telemetry"
-	"tracklog/internal/timeline"
 	"tracklog/internal/workload"
 )
 
 // requests is the number of mix arrivals in a run.
 const requests = 1200
+
+// timelineBucket is the width of timeline.csv's virtual-time buckets.
+const timelineBucket = 10 * time.Millisecond
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -50,9 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chaos := fs.String("chaos", "", `fault scenario, e.g. "shardkill=1@250ms" or "slowshard=0@100ms:500000"`)
 	verify := fs.Bool("verify", false, "read back every acked slot; exit 1 on any loss")
 	tailFrac := fs.Float64("explain-tail", 0, "explain the slowest fraction of requests (0 disables)")
-	metricsOut := fs.String("metrics", "", "telemetry export (Prometheus text)")
-	tlBucket := fs.Duration("timeline", 0, "timeline bucket width (0 disables)")
-	tlOut := fs.String("timeline-out", "cluster-timeline.csv", "timeline export path for -timeline (CSV)")
+	out := fs.String("out", "", "write the run's artefact set (trace.json, metrics.prom, timeline.csv, spans.json) into this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -82,22 +84,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	var reg *telemetry.Registry
-	if *metricsOut != "" {
-		reg = telemetry.NewRegistry()
-		env.SetMetrics(reg)
-		c.RegisterMetrics(reg)
-	}
-	var agg *timeline.Aggregator
-	if *tlBucket > 0 {
-		agg = timeline.New(*tlBucket)
-		env.SetTimeline(agg)
-		c.SetTimeline(agg)
-	}
-	var rec *span.Recorder
-	if *tailFrac > 0 {
-		rec = span.NewRecorder(0)
-		c.SetRecorder(rec)
+	var in rig.Instruments
+	if *out != "" || *tailFrac > 0 {
+		in = rig.NewInstruments(timelineBucket)
+		in.AttachKernel(env)
+		c.RegisterMetrics(in.Registry)
+		c.SetTimeline(in.Timeline)
+		c.SetRecorder(in.Recorder)
 	}
 
 	mix, err := workload.GenerateMix(mixCfg)
@@ -130,21 +123,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "verify: %d acked slots read back, %d lost\n", checked, lost)
 	}
 
-	if reg != nil {
-		if err := reg.WriteFile(*metricsOut); err != nil {
+	if *out != "" {
+		if err := in.WriteDir(*out, env.Now(), nil, stdout); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "metrics: %d series -> %s\n", reg.Len(), *metricsOut)
 	}
-	if agg != nil {
-		agg.Finish(int64(env.Now()))
-		if err := agg.WriteFile(*tlOut); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "timeline: bucket %v -> %s\n", time.Duration(agg.BucketNS()), *tlOut)
-	}
-	if rec != nil {
-		fmt.Fprint(stdout, span.ExplainTail(rec.Requests(), *tailFrac))
+	if *tailFrac > 0 {
+		fmt.Fprint(stdout, span.ExplainTail(in.Recorder.Requests(), *tailFrac))
 	}
 
 	if lost > 0 {

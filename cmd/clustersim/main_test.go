@@ -54,20 +54,23 @@ func runIn(t *testing.T, args ...string) (stdout []byte, files map[string][]byte
 }
 
 // TestKillOneShardGolden pins every artefact of the kill-one-shard chaos run
-// to its length and digest, recorded at 8342e4c, and asserts the failure path
+// to its length and digest, recorded at 8342e4c (out.txt re-pinned, and the
+// trace and span dump pinned, when -out began writing them: out.txt gained
+// their two lines), and asserts the failure path
 // was exercised and fully recovered: one death, one recovery, the killed
 // shard back healthy on replacement hardware, no acknowledged write lost,
 // and a failover or hedge among the explained tail. A change that moves any
 // byte here on purpose updates the pin and says so.
 func TestKillOneShardGolden(t *testing.T) {
 	out, files := runIn(t, "-chaos", "shardkill=1@250ms", "-seed", "11", "-verify",
-		"-metrics", "metrics.prom", "-timeline", "10ms", "-timeline-out", "timeline.csv",
-		"-explain-tail", "0.05")
+		"-out", ".", "-explain-tail", "0.05")
 	files["out.txt"] = out
 	for name, want := range map[string]string{
-		"out.txt":      "2381 bytes 29483b5f55f170f1",
+		"out.txt":      "2474 bytes c54dc1d6ca7d0055",
 		"metrics.prom": "5922 bytes 4af492806889c21d",
 		"timeline.csv": "339202 bytes 2163ffc4740ef8a0",
+		"trace.json":   "2446609 bytes e8ed843577c30ea3",
+		"spans.json":   "312881 bytes b25d36585bd625e9",
 	} {
 		if got := digest(files[name]); got != want {
 			t.Errorf("%s: %s, want %s", name, got, want)

@@ -17,10 +17,10 @@
 // files. A directory is probed for the conventional artifact names, all
 // optional (at least one must exist):
 //
-//	bench.json    benchfmt summary        (trailsim -bench-out, reproduce -json)
-//	timeline.csv  utilization timeline    (trailsim -timeline/-timeline-out)
-//	spans.json    span dump               (trailsim -span-out)
-//	metrics.prom  telemetry export        (trailsim -metrics)
+//	bench.json    benchfmt summary        (trailsim -out, reproduce -json)
+//	timeline.csv  utilization timeline    (trailsim -out, clustersim -out)
+//	spans.json    span dump               (trailsim -out, clustersim -out)
+//	metrics.prom  telemetry export        (trailsim -out, clustersim -out)
 //
 // -mean-tol, -p50-tol and -p99-tol bound the latency metrics, -rate-tol the
 // rates (all 0.10 by default), -occ-tol floors the attribution rows in

@@ -12,9 +12,9 @@ import (
 	"testing"
 )
 
-// TestTrailsimPairGolden runs rundiff's end-to-end recipe: three
-// trailsim runs of 600 4 KB writes at seed 7 with every artefact exported,
-// the third with the log disk's seek arm derated, then rundiff on the
+// TestTrailsimPairGolden runs rundiff's end-to-end recipe: three trailsim
+// runs of 600 4 KB writes at seed 7, each writing its artefact set with
+// -out, the third with the log disk's seek arm derated, then rundiff on the
 // same-seed pair and on the perturbed pair. Both reports are pinned to their
 // length and FNV-64a, recorded at 18d5d33, with their exit statuses; a
 // change that moves either on purpose updates the pin and says so.
@@ -28,13 +28,7 @@ func TestTrailsimPairGolden(t *testing.T) {
 		name  string
 		extra []string
 	}{{"run-a", nil}, {"run-b", nil}, {"run-p", []string{"-seek-derate", "8000000"}}} {
-		if err := os.Mkdir(filepath.Join(dir, run.name), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		args := append([]string{"-writes", "600", "-size", "4096", "-seed", "7"}, run.extra...)
-		args = append(args, "-timeline", "5ms", "-timeline-out", run.name+"/timeline.csv",
-			"-bench-out", run.name+"/bench.json", "-metrics", run.name+"/metrics.prom",
-			"-span-out", run.name+"/spans.json")
+		args := append([]string{"-writes", "600", "-size", "4096", "-seed", "7", "-out", run.name}, run.extra...)
 		cmd := exec.Command(trailsim, args...)
 		cmd.Dir = dir
 		if out, err := cmd.CombinedOutput(); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // spanDump mirrors the deterministic span JSON written by span.WriteJSON
-// (trailsim -span-out): schema version, drop count, and every retained
+// (trailsim -out): schema version, drop count, and every retained
 // request with its attributed phase intervals.
 type spanDump struct {
 	Version  int           `json:"version"`

@@ -1,5 +1,5 @@
-// Command tracecheck validates a Chrome trace-event JSON file (as written by
-// trailsim -trace) against the parts of the trace-event format that Perfetto
+// Command tracecheck validates a Chrome trace-event JSON file (the trace.json
+// that trailsim -out and clustersim -out write) against the parts of the trace-event format that Perfetto
 // and chrome://tracing rely on: the top-level shape, per-event required
 // fields, known phase types, and non-negative durations. It exits non-zero
 // with a diagnostic on the first violation, so CI can assert that exported

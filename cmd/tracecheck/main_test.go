@@ -2,41 +2,42 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"tracklog/internal/rig"
-	"tracklog/internal/span"
-	"tracklog/internal/trace"
 	"tracklog/internal/workload"
 )
 
-// mergedExport runs a short traced Trail workload with the span recorder
-// attached and returns the Chrome file trailsim -trace -spans writes: kernel
-// and disk events from the Tracer, async request spans and flow arrows from
-// the Recorder, in one traceEvents array.
+// mergedExport runs a short Trail workload with every instrument attached
+// and returns the trace.json that trailsim -out writes: kernel and disk
+// events from the Tracer, async request spans and flow arrows from the
+// Recorder, in one traceEvents array.
 func mergedExport(t *testing.T) []byte {
 	t.Helper()
-	tr, rec := trace.New(trace.DefaultCapacity), span.NewRecorder(span.DefaultCapacity)
-	r, err := rig.New(rig.Config{Instruments: rig.Instruments{Tracer: tr, Recorder: rec}})
+	in := rig.NewInstruments(time.Millisecond)
+	r, err := rig.New(rig.Config{Instruments: in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	if _, err := workload.RunSyncWrites(r.Env, r.Dev(0), workload.SyncWriteConfig{
 		WriteSize: 1024, Processes: 2, WritesPerProcess: 10, Seed: 7,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	cw := trace.NewChromeWriter(&buf)
-	tr.EmitChrome(cw)
-	rec.EmitChrome(cw)
-	if err := cw.Close(); err != nil {
+	r.Close()
+	dir := t.TempDir()
+	if err := in.WriteDir(dir, r.Env.Now(), nil, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	b, err := os.ReadFile(filepath.Join(dir, "trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // checkBytes writes b to a temporary file and checks it.

@@ -29,37 +29,33 @@
 //	-verify                with -offered-load, read back every acknowledged
 //	                       write after the run and exit nonzero if any is lost
 //
-// Observability (composable with every mode above):
+// Observability (composable with every mode above except -faulttol, which
+// runs three systems):
 //
-//	-trace out.json        write a Chrome trace-event JSON file of the run
-//	                       (load in ui.perfetto.dev or chrome://tracing) and
-//	                       print the head-position prediction audit
-//	-metrics FILE          write the telemetry registry at exit: kernel, driver
-//	                       counters and per-disk series (Prometheus text
-//	                       exposition)
+//	-out DIR               write the run's artefact set into DIR, the files
+//	                       cmd/rundiff reads: trace.json (Chrome trace-event
+//	                       JSON, requests as async spans tied by flow arrows;
+//	                       load in ui.perfetto.dev), metrics.prom (the
+//	                       telemetry registry, Prometheus text), timeline.csv
+//	                       (per-layer state occupancy in 5 ms virtual-time
+//	                       buckets), bench.json (one benchfmt entry per latency
+//	                       summary printed) and spans.json (every request's
+//	                       span tree); prints the head-position prediction audit
 //	-spans                 print the per-request span budget: each phase's
 //	                       share of end-to-end latency, per driver and kind
-//	-span-out FILE         write every request's span tree as deterministic
-//	                       JSON; with -trace, requests also appear in the
-//	                       Chrome file as async spans tied by flow arrows
 //	-explain-tail FRAC     explain the slowest FRAC of requests (0.01 = the
 //	                       slowest 1%): dominant phase and root cause
-//	-timeline D            aggregate per-layer state occupancy into virtual-time
-//	                       buckets of width D
-//	-timeline-out FILE     timeline export file for -timeline (CSV)
-//	-bench-out FILE        write a single-entry benchfmt summary of the run's
-//	                       latency distribution (for cmd/rundiff)
 //	-seek-derate PPM       slow the log disk's seek arm by PPM parts per million
 //	                       while the driver keeps predicting the spec curve (a
 //	                       perturbation for cmd/rundiff walkthroughs)
 //
-// Traced runs are bit-identical in virtual time to untraced runs of the same
-// seed, and trace/span/metrics/timeline files are byte-identical across
-// repeated runs.
+// Observed runs are bit-identical in virtual time to unobserved runs of the
+// same seed, and every artefact is byte-identical across repeated runs.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -78,11 +74,12 @@ import (
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
 	"tracklog/internal/telemetry"
-	"tracklog/internal/timeline"
-	"tracklog/internal/trace"
 	"tracklog/internal/trail"
 	"tracklog/internal/workload"
 )
+
+// timelineBucket is the width of timeline.csv's virtual-time buckets.
+const timelineBucket = 5 * time.Millisecond
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -105,190 +102,63 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxDepth := fs.Int("max-depth", 0, "bound the disk scheduler queue depth (0 = unbounded)")
 	offeredLoad := fs.Float64("offered-load", 0, "open-loop write arrival rate per second of virtual time (0 = closed-loop)")
 	verify := fs.Bool("verify", false, "with -offered-load, audit acknowledged-write survival and exit nonzero on loss")
-	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file of the run")
-	metricsOut := fs.String("metrics", "", "write the unified telemetry registry at exit (Prometheus text); kernel + component series, byte-deterministic")
 	spans := fs.Bool("spans", false, "print the per-request span budget (critical-path latency breakdown)")
-	spanOut := fs.String("span-out", "", "write every request's span tree as deterministic JSON")
 	explainTail := fs.Float64("explain-tail", 0, "explain the slowest FRAC of requests (e.g. 0.01; 0 disables)")
-	timelineBucket := fs.Duration("timeline", 0, "aggregate per-layer state occupancy into virtual-time buckets of this width (0 disables)")
-	timelineOut := fs.String("timeline-out", "timeline.csv", "timeline export file for -timeline (CSV)")
 	seekDerate := fs.Int64("seek-derate", 0, "slow the log disk's actual seek arm by this many parts per million while driver predictions keep the spec curve (perturbation knob for cmd/rundiff walkthroughs)")
-	benchOut := fs.String("bench-out", "", "write a single-entry benchfmt summary of the run's latency distribution (for cmd/rundiff)")
+	out := fs.String("out", "", "write the run's artefact set (trace.json, metrics.prom, timeline.csv, bench.json, spans.json) into this directory")
 	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
 
-	obs := newObserver(*traceOut)
-	if *spans || *spanOut != "" || *explainTail > 0 {
-		obs.setSpans(*spans, *spanOut, *explainTail)
-	}
-	if *metricsOut != "" {
-		obs.setMetrics(*metricsOut)
-	}
-	if *timelineBucket > 0 {
-		obs.setTimeline(*timelineBucket, *timelineOut)
-	}
-	obs.benchOut = *benchOut
-	pol := qosPolicy(*qosOn, *deadline, *maxDepth)
-	var err error
-	switch {
-	case *faultTol:
-		err = runFaultTol(stdout, *faults, *writes, *seed)
-	case *replayFile != "":
-		err = runReplayFile(stdout, *system, *replayFile, pol, *seekDerate, obs)
-	case *pattern != "":
-		err = runPattern(stdout, *system, *pattern, *writes, *size, *seed, pol, *seekDerate, obs)
-	case *offeredLoad > 0:
-		err = runOpenLoop(stdout, *system, *size, *writes, *offeredLoad, *seed, *faults, pol, *seekDerate, *verify, obs)
-	default:
-		err = runSync(stdout, *system, *size, *procs, *writes, *seed, *faults, pol, *seekDerate, obs)
-	}
-	if err == nil {
-		err = obs.finish(stdout)
-	}
-	if err != nil {
+	fail := func(err error) int {
 		fmt.Fprintln(stderr, "trailsim:", err)
 		return 1
 	}
-	return 0
-}
-
-// observer bundles the run's optional telemetry: the event tracer (Chrome
-// trace export plus prediction audit), spans, registry, timeline and bench
-// summary.
-type observer struct {
-	traceOut string
-	tr       *trace.Tracer
-
-	// Span attribution (nil unless a -spans/-span-out/-explain-tail flag
-	// asked for it).
-	rec      *span.Recorder
-	spans    bool
-	spanOut  string
-	tailFrac float64
-	// Unified telemetry registry (nil unless -metrics asked for it); the
-	// kernel and components register into it at attach time.
-	metricsOut string
-	reg        *telemetry.Registry
-
-	// Virtual-time utilization timeline (nil unless -timeline asked for
-	// it); finish() closes the open intervals at the environment's final
-	// clock and exports.
-	timelineOut string
-	agg         *timeline.Aggregator
-	env         *sim.Env
-
-	// Single-entry benchfmt summary ("" disables); run() deposits the
-	// entry, finish() writes the file.
-	benchOut   string
-	benchEntry *benchfmt.Entry
-}
-
-func newObserver(traceOut string) *observer {
-	o := &observer{traceOut: traceOut}
-	if traceOut != "" {
-		o.tr = trace.New(trace.DefaultCapacity)
+	observed := *out != "" || *spans || *explainTail > 0
+	if *faultTol {
+		if observed {
+			return fail(errors.New("-faulttol runs three systems; -out, -spans and -explain-tail observe one"))
+		}
+		if err := runFaultTol(stdout, *faults, *writes, *seed); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
-	return o
-}
-
-// setSpans installs the span recorder before the run starts. Installing
-// through a setter (rather than poking the fields) is the nilguard
-// invariant: instrumentation handles never change once the clock moves.
-func (o *observer) setSpans(print bool, out string, tailFrac float64) {
-	o.rec = span.NewRecorder(span.DefaultCapacity)
-	o.spans = print
-	o.spanOut = out
-	o.tailFrac = tailFrac
-}
-
-// setMetrics installs the unified telemetry registry before the run starts
-// (same setter discipline as setSpans).
-func (o *observer) setMetrics(out string) {
-	o.metricsOut = out
-	o.reg = telemetry.NewRegistry()
-}
-
-// setTimeline installs the utilization-timeline aggregator before the run
-// starts (same setter discipline as setSpans).
-func (o *observer) setTimeline(bucket time.Duration, out string) {
-	o.timelineOut = out
-	o.agg = timeline.New(bucket)
-}
-
-// instruments is the bundle the rig attaches to the kernel and every layer.
-func (o *observer) instruments() rig.Instruments {
-	return rig.Instruments{Tracer: o.tr, Recorder: o.rec, Timeline: o.agg, Registry: o.reg}
-}
-
-// finish writes the collected telemetry files and prints the audit to w.
-func (o *observer) finish(w io.Writer) error {
-	if o.tr != nil {
-		write := o.tr.WriteChrome
-		if o.rec != nil {
-			// Merge the request spans into the same Chrome file: kernel
-			// events and per-request async spans share the timeline.
-			write = func(w io.Writer) error {
-				cw := trace.NewChromeWriter(w)
-				o.tr.EmitChrome(cw)
-				o.rec.EmitChrome(cw)
-				return cw.Close()
-			}
-		}
-		if err := writeFile(o.traceOut, write); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace: %d events -> %s (%d dropped)\n", o.tr.Len(), o.traceOut, o.tr.Dropped())
-		if rep := o.tr.Audit(); rep.Predictions > 0 || rep.Unaudited > 0 {
-			fmt.Fprint(w, rep)
-		}
+	var in rig.Instruments
+	if observed {
+		in = rig.NewInstruments(timelineBucket)
 	}
-	if o.reg != nil {
-		if err := o.reg.WriteFile(o.metricsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "metrics: %d series -> %s\n", o.reg.Len(), o.metricsOut)
+	scenario := *faults
+	if *replayFile != "" || *pattern != "" {
+		scenario = "" // a replayed trace runs fault-free
 	}
-	if o.agg != nil {
-		o.agg.Finish(int64(o.env.Now()))
-		if err := o.agg.WriteFile(o.timelineOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "timeline: bucket %v -> %s\n", time.Duration(o.agg.BucketNS()), o.timelineOut)
-	}
-	if o.benchOut != "" && o.benchEntry != nil {
-		bf := &benchfmt.File{Experiments: []benchfmt.Entry{*o.benchEntry}}
-		if err := bf.WriteFile(o.benchOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "bench summary -> %s\n", o.benchOut)
-	}
-	if o.rec != nil {
-		reqs := o.rec.Requests()
-		if o.spans {
-			fmt.Fprint(w, span.Analyze(reqs))
-		}
-		if o.tailFrac > 0 {
-			fmt.Fprint(w, span.ExplainTail(reqs, o.tailFrac))
-		}
-		if o.spanOut != "" {
-			if err := writeFile(o.spanOut, o.rec.WriteJSON); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "spans: %d requests -> %s (%d dropped)\n", len(reqs), o.spanOut, o.rec.Dropped())
-		}
-	}
-	return nil
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
+	r, err := buildRig(*system, scenario, *seed, qosPolicy(*qosOn, *deadline, *maxDepth), *seekDerate, in)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
+	var entries []benchfmt.Entry
+	switch {
+	case *replayFile != "":
+		entries, err = runReplayFile(stdout, r, *system, *replayFile)
+	case *pattern != "":
+		entries, err = runPattern(stdout, r, *system, *pattern, *writes, *size, *seed)
+	case *offeredLoad > 0:
+		entries, err = runOpenLoop(stdout, r, *system, *size, *writes, *offeredLoad, *seed, scenario, *verify)
+	default:
+		entries, err = runSync(stdout, r, *system, *size, *procs, *writes, *seed, scenario)
 	}
-	return f.Close()
+	r.Close()
+	if err == nil && *out != "" {
+		err = in.WriteDir(*out, r.Env.Now(), entries, stdout)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if *spans {
+		fmt.Fprint(stdout, span.Analyze(in.Recorder.Requests()))
+	}
+	if *explainTail > 0 {
+		fmt.Fprint(stdout, span.ExplainTail(in.Recorder.Requests(), *explainTail))
+	}
+	return 0
 }
 
 // runFaultTol runs the three-system comparison under the scenario (the
@@ -329,10 +199,10 @@ func qosPolicy(on bool, deadline time.Duration, maxDepth int) *qos.Policy {
 }
 
 // buildRig assembles the chosen storage system on a fresh environment with
-// the observer attached, optionally with the fault scenario on every drive
+// the instruments attached, optionally with the fault scenario on every drive
 // (its plans sampled from seed) and the overload policy on the driver.
-func buildRig(system, scenario string, seed uint64, pol *qos.Policy, seekDeratePPM int64, obs *observer) (*rig.Rig, error) {
-	cfg := rig.Config{FaultSeed: seed, Instruments: obs.instruments()}
+func buildRig(system, scenario string, seed uint64, pol *qos.Policy, seekDeratePPM int64, in rig.Instruments) (*rig.Rig, error) {
+	cfg := rig.Config{FaultSeed: seed, Instruments: in}
 	if scenario != "" {
 		fcfg, err := fault.ParseScenario(scenario)
 		if err != nil {
@@ -362,45 +232,28 @@ func buildRig(system, scenario string, seed uint64, pol *qos.Policy, seekDerateP
 	if r.Trail == nil && pol != nil {
 		r.Std[0].SetQoS(pol)
 	}
-	obs.env = r.Env
 	return r, nil
 }
 
-// runReplayFile replays a trace file against the chosen system.
-func runReplayFile(w io.Writer, system, path string, pol *qos.Policy, seekDerate int64, obs *observer) error {
+// runReplayFile replays a trace file against the rig.
+func runReplayFile(w io.Writer, r *rig.Rig, system, path string) ([]benchfmt.Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	tr, err := workload.ParseTrace(f)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r, err := buildRig(system, "", 0, pol, seekDerate, obs)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	res, err := workload.Replay(r.Env, r.Dev(0), tr)
-	if err != nil {
-		return err
-	}
-	printReplay(w, system, path, res)
-	return nil
+	return replay(w, r, system, path, tr)
 }
 
 // runPattern synthesizes a trace with the named pattern and replays it.
-func runPattern(w io.Writer, system, pattern string, ops, size int, seed uint64, pol *qos.Policy, seekDerate int64, obs *observer) error {
+func runPattern(w io.Writer, r *rig.Rig, system, pattern string, ops, size int, seed uint64) ([]benchfmt.Entry, error) {
 	if size <= 0 || size%geom.SectorSize != 0 {
-		return fmt.Errorf("write size %d not a positive sector multiple", size)
+		return nil, fmt.Errorf("write size %d not a positive sector multiple", size)
 	}
-	r, err := buildRig(system, "", 0, pol, seekDerate, obs)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	env, dev := r.Env, r.Dev(0)
 	var pat workload.Pattern
 	switch pattern {
 	case "uniform":
@@ -410,34 +263,36 @@ func runPattern(w io.Writer, system, pattern string, ops, size int, seed uint64,
 	case "zipf":
 		pat = workload.NewZipf(10000, 0.99)
 	default:
-		return fmt.Errorf("unknown pattern %q", pattern)
+		return nil, fmt.Errorf("unknown pattern %q", pattern)
 	}
-	tr := workload.SynthesizeTrace(ops, pat, 0.7, size/geom.SectorSize, 3*time.Millisecond, dev.Sectors(), seed)
-	res, err := workload.Replay(env, dev, tr)
-	if err != nil {
-		return err
-	}
-	printReplay(w, system, pat.String(), res)
-	return nil
+	tr := workload.SynthesizeTrace(ops, pat, 0.7, size/geom.SectorSize, 3*time.Millisecond, r.Dev(0).Sectors(), seed)
+	return replay(w, r, system, pat.String(), tr)
 }
 
-func printReplay(w io.Writer, system, source string, res *workload.ReplayResult) {
+// replay replays tr against the rig and prints its read and write latency,
+// returning an entry for each that has samples.
+func replay(w io.Writer, r *rig.Rig, system, source string, tr *workload.Trace) ([]benchfmt.Entry, error) {
+	res, err := workload.Replay(r.Env, r.Dev(0), tr)
+	if err != nil {
+		return nil, err
+	}
 	fmt.Fprintf(w, "%s / trace %s\n", system, source)
 	fmt.Fprintf(w, "reads:  %v\n", res.Reads)
 	fmt.Fprintf(w, "writes: %v\n", res.Writes)
 	fmt.Fprintf(w, "elapsed %v, %d ops issued late\n", res.Elapsed, res.Lagged)
+	var entries []benchfmt.Entry
+	if res.Writes.Count() > 0 {
+		entries = append(entries, benchfmt.Latency("replay/"+system+"/write", res.Writes))
+	}
+	if res.Reads.Count() > 0 {
+		entries = append(entries, benchfmt.Latency("replay/"+system+"/read", res.Reads))
+	}
+	return entries, nil
 }
 
 // runSync runs the closed-loop synchronous-write workload.
-func runSync(w io.Writer, system string, size, procs, writes int, seed uint64, scenario string, pol *qos.Policy, seekDerate int64, obs *observer) error {
-	r, err := buildRig(system, scenario, seed, pol, seekDerate, obs)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	env, dev, drv := r.Env, r.Dev(0), r.Trail
-
-	res, err := workload.RunSyncWrites(env, dev, workload.SyncWriteConfig{
+func runSync(w io.Writer, r *rig.Rig, system string, size, procs, writes int, seed uint64, scenario string) ([]benchfmt.Entry, error) {
+	res, err := workload.RunSyncWrites(r.Env, r.Dev(0), workload.SyncWriteConfig{
 		Mode:             workload.Sparse,
 		WriteSize:        size,
 		Processes:        procs,
@@ -445,27 +300,20 @@ func runSync(w io.Writer, system string, size, procs, writes int, seed uint64, s
 		Seed:             seed,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c := res.Config
 	fmt.Fprintf(w, "%s / %s / %dB x %d writes x %d procs\n", system, c.Mode, c.WriteSize, c.WritesPerProcess, c.Processes)
 	fmt.Fprintf(w, "latency: %v\n", res.Latency)
-	obs.benchEntry = &benchfmt.Entry{
-		Name:   fmt.Sprintf("sync-write/%s/%s/%dB", system, c.Mode, c.WriteSize),
-		Count:  res.Latency.Count(),
-		MeanUS: float64(res.Latency.Mean().Nanoseconds()) / 1000,
-		P50US:  float64(res.Latency.Quantile(0.50).Nanoseconds()) / 1000,
-		P99US:  float64(res.Latency.Quantile(0.99).Nanoseconds()) / 1000,
-	}
 	fmt.Fprintf(w, "elapsed: %v  throughput: %.0f writes/s\n",
 		res.Elapsed, float64(res.Latency.Count())/res.Elapsed.Seconds())
-	if drv != nil {
+	if drv := r.Trail; drv != nil {
 		s := drv.Stats()
 		fmt.Fprintf(w, "trail: %d records for %d writes (batching %.2fx), %d repositions, avg track util %.1f%%\n",
 			s.Records, s.Writes, float64(s.Writes)/float64(s.Records), s.Repositions, 100*s.AvgTrackUtilization())
 	}
 	printCounters(w, r, scenario)
-	return nil
+	return []benchfmt.Entry{benchfmt.Latency(fmt.Sprintf("sync-write/%s/%s/%dB", system, c.Mode, c.WriteSize), res.Latency)}, nil
 }
 
 // printCounters prints the Trail driver's counter line and, under a fault
@@ -500,12 +348,7 @@ type ackedWrite struct {
 // deadline outcomes. With verify, every acknowledged write is read back
 // after the run: an acknowledged write that cannot be read back intact is
 // data loss and fails the run.
-func runOpenLoop(w io.Writer, system string, size, writes int, rate float64, seed uint64, scenario string, pol *qos.Policy, seekDerate int64, verify bool, obs *observer) error {
-	r, err := buildRig(system, scenario, seed, pol, seekDerate, obs)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
+func runOpenLoop(w io.Writer, r *rig.Rig, system string, size, writes int, rate float64, seed uint64, scenario string, verify bool) ([]benchfmt.Entry, error) {
 	env, dev := r.Env, r.Dev(0)
 
 	// survivors holds, per target, every acknowledged write: concurrent
@@ -526,7 +369,7 @@ func runOpenLoop(w io.Writer, system string, size, writes int, rate float64, see
 	}
 	res, err := workload.RunOpenLoopWrites(env, dev, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%s / open-loop / %dB x %d writes at %.0f/s\n", system, res.Config.WriteSize, res.Config.Requests, rate)
 	fmt.Fprintf(w, "acked %d  shed %d  expired %d  other-errors %d\n",
@@ -534,8 +377,10 @@ func runOpenLoop(w io.Writer, system string, size, writes int, rate float64, see
 	fmt.Fprintf(w, "acked latency: %v\n", res.Latency)
 	fmt.Fprintf(w, "elapsed: %v\n", res.Elapsed)
 	printCounters(w, r, scenario)
+	e := benchfmt.Latency(fmt.Sprintf("open-loop/%s/%dB", system, res.Config.WriteSize), res.Latency)
+	e.Counters = map[string]int64{"acked": res.Acked, "shed": res.Shed, "expired": res.Expired, "other_errors": res.OtherErrors}
 	if !verify {
-		return nil
+		return []benchfmt.Entry{e}, nil
 	}
 	lbas := make([]int64, 0, len(survivors))
 	for lba := range survivors {
@@ -567,8 +412,8 @@ func runOpenLoop(w io.Writer, system string, size, writes int, rate float64, see
 	})
 	env.Run()
 	if lost > 0 {
-		return fmt.Errorf("verify: %d of %d acknowledged writes lost", lost, len(lbas))
+		return nil, fmt.Errorf("verify: %d of %d acknowledged writes lost", lost, len(lbas))
 	}
 	fmt.Fprintf(w, "verify: all %d acknowledged targets intact\n", len(lbas))
-	return nil
+	return []benchfmt.Entry{e}, nil
 }

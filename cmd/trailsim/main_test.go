@@ -5,8 +5,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"tracklog/internal/benchfmt"
 )
 
 // digest is an artefact's length and FNV-64a, the form the golden pins use.
@@ -52,12 +57,14 @@ func runIn(t *testing.T, args ...string) (stdout, stderr []byte, files map[strin
 	return out.Bytes(), errOut.Bytes(), files
 }
 
-// TestTraceSmokeGolden pins every artefact of the traced `-writes 50 -seed 7`
-// run — Chrome trace, registry, timeline, span trees and stdout — to its
-// length and digest, for the Trail system and the baseline, recorded at
-// a713434; stdout re-pinned when Elapsed began counting a first issue at
-// t=0 (its elapsed and throughput line moved). A change that moves any byte
-// here on purpose updates the pin and says so.
+// TestTraceSmokeGolden pins every artefact of the observed `-writes 50
+// -seed 7` run — Chrome trace, registry, timeline, span trees, bench summary
+// and stdout — to its length and digest, for the Trail system and the
+// baseline, recorded at a713434; stdout re-pinned when Elapsed began
+// counting a first issue at t=0 (its elapsed and throughput line moved), and
+// again when one -out flag replaced the per-file flags (a bench summary line
+// was added and the spans line moved ahead of the span budget). A change
+// that moves any byte here on purpose updates the pin and says so.
 func TestTraceSmokeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		system string
@@ -68,21 +75,21 @@ func TestTraceSmokeGolden(t *testing.T) {
 			"metrics.prom": "10783 bytes 97bc52adf2102e70",
 			"timeline.csv": "71201 bytes 7609ac0cc505d305",
 			"spans.json":   "56802 bytes 23c55f7ca873ce28",
-			"stdout":       "3356 bytes 3b49c569209c5a24",
+			"bench.json":   "197 bytes 12d21c8556a3748c",
+			"stdout":       "3384 bytes 08c24c0eb315b741",
 		}},
 		{"std", map[string]string{
 			"trace.json":   "128346 bytes b96de04d7a287c2c",
 			"metrics.prom": "6095 bytes 28b88897594c3a0a",
 			"timeline.csv": "36595 bytes 10356d28533041d7",
 			"spans.json":   "28191 bytes e3b88dca2268ca46",
-			"stdout":       "1325 bytes d364dadc6deda3a5",
+			"bench.json":   "197 bytes dc3bd0596f2cc0fd",
+			"stdout":       "1353 bytes a4a397aa510795fc",
 		}},
 	} {
 		t.Run(tc.system, func(t *testing.T) {
 			out, _, files := runIn(t, "-system", tc.system, "-writes", "50", "-seed", "7",
-				"-trace", "trace.json", "-metrics", "metrics.prom",
-				"-timeline", "5ms", "-timeline-out", "timeline.csv",
-				"-spans", "-span-out", "spans.json", "-explain-tail", "0.05")
+				"-out", ".", "-spans", "-explain-tail", "0.05")
 			files["stdout"] = out
 			if len(files) != len(tc.want) {
 				t.Errorf("wrote %d files, want %d", len(files)-1, len(tc.want)-1)
@@ -162,6 +169,79 @@ func TestBadSizeExitsWithError(t *testing.T) {
 			code := run(append([]string{"-writes", "5"}, args...), &out, &errOut)
 			if code != 1 || !strings.Contains(errOut.String(), "trailsim: ") {
 				t.Errorf("trailsim %v: exit %d, stderr %q; want exit 1 and an error", args, code, &errOut)
+			}
+		})
+	}
+}
+
+// TestFaultTolRefusesObservability: -faulttol runs three systems, so the
+// flags that observe one run are refused with exit status 1, an error on
+// stderr and no file written. -faulttol with -timeline once panicked, and
+// with -metrics or -trace it wrote an empty file.
+func TestFaultTolRefusesObservability(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-out", dir},
+		{"-spans"},
+		{"-explain-tail", "0.05"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			code := run(append([]string{"-faulttol", "-writes", "20"}, args...), &out, &errOut)
+			if code != 1 || !strings.Contains(errOut.String(), "trailsim: ") {
+				t.Errorf("trailsim -faulttol %v: exit %d, stderr %q; want exit 1 and an error", args, code, &errOut)
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+				t.Errorf("trailsim -faulttol %v wrote %d files (err %v)", args, len(entries), err)
+			}
+		})
+	}
+}
+
+// TestEveryModeWritesBench: each mode's -out bench.json holds one entry per
+// latency summary it prints, named after the mode and the system, whose
+// count is the n= that summary printed.
+func TestEveryModeWritesBench(t *testing.T) {
+	traceFile := filepath.Join(t.TempDir(), "trace.txt")
+	if err := os.WriteFile(traceFile, []byte("0 W 100 2\n1000 R 100 2\n2000 W 5000 8\n4000 W 9000 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want map[string]string // entry name -> stdout line prefix that precedes its n=
+	}{
+		{[]string{"-writes", "20"}, map[string]string{"sync-write/trail/sparse/1024B": "latency: "}},
+		{[]string{"-system", "std", "-offered-load", "2000", "-writes", "60", "-qos", "-max-depth", "2"},
+			map[string]string{"open-loop/std/1024B": "acked latency: "}},
+		{[]string{"-pattern", "zipf", "-writes", "40"},
+			map[string]string{"replay/trail/write": "writes: ", "replay/trail/read": "reads:  "}},
+		{[]string{"-system", "std", "-replay", traceFile},
+			map[string]string{"replay/std/write": "writes: ", "replay/std/read": "reads:  "}},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string{"-out", dir}, tc.args...)
+			var out, errOut bytes.Buffer
+			if code := run(args, &out, &errOut); code != 0 {
+				t.Fatalf("trailsim %v: exit %d: %s", args, code, &errOut)
+			}
+			bf, err := benchfmt.ReadFile(filepath.Join(dir, "bench.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bf.Experiments) != len(tc.want) {
+				t.Errorf("%d entries, want %d: %+v", len(bf.Experiments), len(tc.want), bf.Experiments)
+			}
+			for name, prefix := range tc.want {
+				e := bf.Entry(name)
+				if e == nil {
+					t.Errorf("no entry %s in %+v", name, bf.Experiments)
+					continue
+				}
+				m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(prefix) + `n=([0-9]+) `).FindStringSubmatch(out.String())
+				if m == nil || m[1] != strconv.FormatInt(e.Count, 10) || e.Count == 0 {
+					t.Errorf("%s: count %d, stdout %q line %v\n%s", name, e.Count, prefix, m, &out)
+				}
 			}
 		})
 	}

@@ -1,5 +1,5 @@
 // Package benchfmt defines the machine-readable benchmark summary schema
-// shared by its writers (cmd/reproduce -json, trailsim -bench-out) and the
+// shared by its writers (cmd/reproduce -json, trailsim -out) and the
 // regression gate (cmd/rundiff). The on-disk form is JSON with struct fields in
 // declaration order and map keys sorted, so a file is byte-deterministic for
 // a given simulation seed — two runs of the same tree produce identical
@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
+
+	"tracklog/internal/telemetry"
 )
 
 // Entry is one benchmark configuration's latency distribution plus an
@@ -30,6 +33,21 @@ type Entry struct {
 	Rates    map[string]float64 `json:"rates,omitempty"`
 	Counters map[string]int64   `json:"counters,omitempty"`
 }
+
+// Latency starts an entry from a latency distribution: its count, mean, p50
+// and p99.
+func Latency(name string, lat *telemetry.Summary) Entry {
+	return Entry{
+		Name:   name,
+		Count:  lat.Count(),
+		MeanUS: US(lat.Mean()),
+		P50US:  US(lat.Quantile(0.50)),
+		P99US:  US(lat.Quantile(0.99)),
+	}
+}
+
+// US converts a duration to the entries' microseconds.
+func US(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }
 
 // File is the benchmark summary schema (BENCH_trail.json).
 type File struct {

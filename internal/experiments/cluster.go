@@ -148,9 +148,9 @@ func (r *ClusterResult) Entries() []benchfmt.Entry {
 		out = append(out, benchfmt.Entry{
 			Name:   fmt.Sprintf("cluster/shards=%d", pt.Shards),
 			Count:  pt.Acked,
-			MeanUS: usFloat(pt.WMean),
-			P50US:  usFloat(pt.WP50),
-			P99US:  usFloat(pt.WP99),
+			MeanUS: benchfmt.US(pt.WMean),
+			P50US:  benchfmt.US(pt.WP50),
+			P99US:  benchfmt.US(pt.WP99),
 			Rates:  map[string]float64{"acked_per_sec": pt.AckedPerSec},
 			Counters: map[string]int64{
 				"acked":        pt.Acked,

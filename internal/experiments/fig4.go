@@ -182,7 +182,7 @@ func (r *Fig4Result) Entries() []benchfmt.Entry {
 	for _, row := range r.Rows {
 		out = append(out, benchfmt.Entry{
 			Name:   fmt.Sprintf("fig4/Q=%d", row.Q),
-			MeanUS: usFloat(row.Total()),
+			MeanUS: benchfmt.US(row.Total()),
 			Counters: map[string]int64{
 				"records":         int64(row.RecordsFound),
 				"tracks_scanned":  int64(row.TracksScanned),

@@ -79,7 +79,7 @@ func syncWriteGrid() ([]benchfmt.Entry, error) {
 					r.Close()
 					return nil, fmt.Errorf("sync-write %s/%v/%dKB: %w", system, mode, sizeKB, err)
 				}
-				e := latencyEntry(fmt.Sprintf("sync-write/%s/%v/%dKB", system, mode, sizeKB), res.Latency)
+				e := benchfmt.Latency(fmt.Sprintf("sync-write/%s/%v/%dKB", system, mode, sizeKB), res.Latency)
 				if r.Trail != nil {
 					e.Counters = r.Trail.Stats().Counters()
 				}
@@ -107,9 +107,9 @@ func overloadGate() ([]benchfmt.Entry, error) {
 		out = append(out, benchfmt.Entry{
 			Name:   fmt.Sprintf("overload/qos=%s/%.1fx", qos, row.Multiplier),
 			Count:  row.Acked,
-			MeanUS: usFloat(row.Mean),
-			P50US:  usFloat(row.P50),
-			P99US:  usFloat(row.P99),
+			MeanUS: benchfmt.US(row.Mean),
+			P50US:  benchfmt.US(row.P50),
+			P99US:  benchfmt.US(row.P99),
 			Counters: map[string]int64{
 				"shed":              row.Shed,
 				"deadline_exceeded": row.Expired,
@@ -143,7 +143,7 @@ func exploreGate() ([]benchfmt.Entry, error) {
 		cuts.Add(at)
 		replayed += at
 	}
-	e := latencyEntry(fmt.Sprintf("crash-explore/trail/window=%d", exploreWindow), cuts)
+	e := benchfmt.Latency(fmt.Sprintf("crash-explore/trail/window=%d", exploreWindow), cuts)
 	e.Counters = map[string]int64{
 		"candidates":   int64(rep.Candidates),
 		"total_probes": rep.TotalProbes,
@@ -203,7 +203,7 @@ func worldEntry(name string) (benchfmt.Entry, error) {
 		return benchfmt.Entry{}, werr
 	}
 	ks := env.KernelStats().Delta(base)
-	e := latencyEntry("simbench/"+name, lat)
+	e := benchfmt.Latency("simbench/"+name, lat)
 	e.Rates = map[string]float64{
 		"events_per_virtual_sec": float64(ks.EventsDispatched) / env.Now().Sub(vstart).Seconds(),
 	}
@@ -216,17 +216,3 @@ func worldEntry(name string) (benchfmt.Entry, error) {
 	}
 	return e, nil
 }
-
-// latencyEntry starts a gate entry from a latency distribution.
-func latencyEntry(name string, lat *telemetry.Summary) benchfmt.Entry {
-	return benchfmt.Entry{
-		Name:   name,
-		Count:  lat.Count(),
-		MeanUS: usFloat(lat.Mean()),
-		P50US:  usFloat(lat.Quantile(0.50)),
-		P99US:  usFloat(lat.Quantile(0.99)),
-	}
-}
-
-// usFloat converts a duration to microseconds.
-func usFloat(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }

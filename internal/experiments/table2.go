@@ -201,7 +201,7 @@ func (r *Table2Result) Entries() []benchfmt.Entry {
 		out = append(out, benchfmt.Entry{
 			Name:   "table2/" + slug[row.System],
 			Count:  row.Committed,
-			MeanUS: usFloat(row.AvgResponse),
+			MeanUS: benchfmt.US(row.AvgResponse),
 			Rates:  map[string]float64{"tpmC": row.TpmC},
 			Counters: map[string]int64{
 				"log_io_ns": row.LogIOTime.Nanoseconds(),

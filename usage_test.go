@@ -22,7 +22,7 @@ var flagCtors = map[string]bool{
 // TestUsageCommentsMatchFlags holds each command's package comment to the
 // flags its main.go defines: every flag appears in the comment as -name,
 // and every -name the comment mentions is defined. A -name that follows
-// another command's name on the same line ("trailsim -bench-out") is that
+// another command's name on the same line ("trailsim -out") is that
 // command's flag and must be defined there.
 func TestUsageCommentsMatchFlags(t *testing.T) {
 	files, err := filepath.Glob("cmd/*/main.go")
@@ -73,6 +73,35 @@ func TestUsageCommentsMatchFlags(t *testing.T) {
 		sort.Strings(missing)
 		if len(missing) > 0 {
 			t.Errorf("%s: flags missing from the usage comment: %s", cmd, strings.Join(missing, " "))
+		}
+	}
+}
+
+// flagPins is each command's flag count. A flag is surface every recipe,
+// doc and test must keep working, so the count only moves on purpose.
+var flagPins = map[string]int{
+	"benchpairs": 4, "clustersim": 6, "crashexplore": 9, "reproduce": 5,
+	"rundiff": 6, "tracecheck": 0, "trailcheck": 3, "trailfmt": 1, "trailsim": 18,
+}
+
+// TestFlagCountPinned holds every command's flag count to its pin, so the
+// flag census is a checked number.
+func TestFlagCountPinned(t *testing.T) {
+	files, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no commands found: %v", err)
+	}
+	if len(files) != len(flagPins) {
+		t.Errorf("%d commands, %d pinned; pin every command's flag count", len(files), len(flagPins))
+	}
+	for _, f := range files {
+		cmd := filepath.Base(filepath.Dir(f))
+		af, err := parser.ParseFile(token.NewFileSet(), f, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(flagsDefined(af)), flagPins[cmd]; got != want {
+			t.Errorf("%s defines %d flags, pinned at %d; a change that adds or removes a flag updates the pin and gives its reason in CHANGES.md", cmd, got, want)
 		}
 	}
 }
