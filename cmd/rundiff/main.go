@@ -312,12 +312,12 @@ func compare(base, cur *artifacts, bench benchfmt.Tolerance, occPP float64) *Rep
 	})
 
 	rep.Findings = len(rep.Missing) + len(rep.Attribution) + len(rep.Support)
-	regressions := 0
+	// The verdict names the worst regressed metric; a change from a zero
+	// baseline is +Inf, worse than any finite one.
 	worstBench := ""
-	worstPct := num(0)
+	worstPct := num(math.Inf(-1))
 	for _, d := range rep.Bench {
 		if d.Regressed {
-			regressions++
 			rep.Findings++
 			if d.Pct > worstPct {
 				worstPct = d.Pct

@@ -151,6 +151,12 @@ func TestBareBenchFiles(t *testing.T) {
 	}
 	stdOnly := latency(4000)
 	stdOnly.Experiments = stdOnly.Experiments[1:]
+	// An entry whose p50 is zero, as reproduce -json writes for table2/*.
+	zeroP50 := func(p50 float64) *benchfmt.File {
+		return &benchfmt.File{Seed: 1, Experiments: []benchfmt.Entry{
+			{Name: "table2/trail", Count: 199, MeanUS: 56372, P50US: p50},
+		}}
+	}
 
 	for _, tc := range []struct {
 		name      string
@@ -169,6 +175,12 @@ func TestBareBenchFiles(t *testing.T) {
 		{"rate drop within default -rate-tol passes", nil, rate(1000), rate(950), 0, nil},
 		{"tightened -rate-tol catches it", []string{"-rate-tol", "0.02"}, rate(1000), rate(950), 1, []string{"REGRESSION"}},
 		{"negative -rate-tol disables the rate gate", []string{"-rate-tol", "-1"}, rate(1000), rate(1), 0, nil},
+		{"regression from a zero baseline is unbounded and named", nil, zeroP50(0), zeroP50(3), 1,
+			[]string{"table2/trail", "p50", "0.0us ->        3.0us    +Inf%  REGRESSION",
+				"verdict: table2/trail p50 +Inf%: UNEXPLAINED"}},
+		{"a zero-baseline regression in -json", []string{"-json"}, zeroP50(0), zeroP50(3), 1,
+			[]string{`"metric": "p50"`, `"pct": null`, `"unbounded": "+inf"`, `"regressed": true`,
+				`"verdict": "table2/trail p50 +Inf%: UNEXPLAINED`}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -9,6 +9,7 @@ package benchfmt
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -106,7 +107,7 @@ type Delta struct {
 	Cur    float64 // current value
 	// Pct is the relative change in percent, signed so that positive
 	// always means worse: slower for latency metrics, lower throughput
-	// for rates.
+	// for rates. A change from a zero baseline is unbounded: ±Inf.
 	Pct float64
 	// HigherIsBetter marks rate metrics, where the regression direction
 	// is inverted.
@@ -137,10 +138,7 @@ func Compare(base, cur *File, tol Tolerance) (deltas []Delta, missing []string) 
 			{"p50", be.P50US, ce.P50US, tol.P50},
 			{"p99", be.P99US, ce.P99US, tol.P99},
 		} {
-			d := Delta{Name: be.Name, Metric: m.metric, Base: m.b, Cur: m.c}
-			if m.b > 0 {
-				d.Pct = (m.c - m.b) / m.b * 100
-			}
+			d := Delta{Name: be.Name, Metric: m.metric, Base: m.b, Cur: m.c, Pct: relPct(m.b, m.c-m.b)}
 			if m.tol >= 0 && m.c > m.b*(1+m.tol) {
 				d.Regressed = true
 			}
@@ -154,11 +152,8 @@ func Compare(base, cur *File, tol Tolerance) (deltas []Delta, missing []string) 
 		for _, rn := range rateNames {
 			b := be.Rates[rn]
 			c := ce.Rates[rn] // zero when absent: a dropped rate gates as a full regression
-			d := Delta{Name: be.Name, Metric: rn, Base: b, Cur: c, HigherIsBetter: true}
-			if b > 0 {
-				// Sign flipped so positive = worse, matching latency deltas.
-				d.Pct = (b - c) / b * 100
-			}
+			// Sign flipped so positive = worse, matching latency deltas.
+			d := Delta{Name: be.Name, Metric: rn, Base: b, Cur: c, HigherIsBetter: true, Pct: relPct(b, b-c)}
 			if tol.Rate >= 0 && c < b*(1-tol.Rate) {
 				d.Regressed = true
 			}
@@ -167,4 +162,19 @@ func Compare(base, cur *File, tol Tolerance) (deltas []Delta, missing []string) 
 	}
 	sort.Strings(missing)
 	return deltas, missing
+}
+
+// relPct expresses worse, a change from base signed positive-is-worse, in
+// percent of base. From a zero base any change is unbounded (±Inf); a
+// negative base reports 0.
+func relPct(base, worse float64) float64 {
+	switch {
+	case base > 0:
+		return worse / base * 100
+	case base == 0 && worse > 0:
+		return math.Inf(1)
+	case base == 0 && worse < 0:
+		return math.Inf(-1)
+	}
+	return 0
 }

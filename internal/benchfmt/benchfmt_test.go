@@ -2,6 +2,7 @@ package benchfmt
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,6 +104,32 @@ func TestDroppedRateFailsGate(t *testing.T) {
 	d := findDelta(t, deltas, "events_per_virtual_sec")
 	if !d.Regressed || d.Cur != 0 {
 		t.Errorf("dropped rate not gated: %+v", d)
+	}
+}
+
+// A change from a zero baseline has no finite relative size: it is +Inf
+// when worse and -Inf when better, so a regression from zero still ranks
+// and an unchanged zero stays 0.
+func TestZeroBaselineUnbounded(t *testing.T) {
+	tol := Tolerance{Mean: 0.10, P50: 0.10, P99: 0.10, Rate: 0.10}
+	for _, tc := range []struct {
+		name              string
+		baseP99, curP99   float64
+		baseRate, curRate float64
+		metric            string
+		pct               float64
+		regressed         bool
+	}{
+		{"latency up from zero", 0, 3, 1000, 1000, "p99", math.Inf(1), true},
+		{"latency stays zero", 0, 0, 1000, 1000, "p99", 0, false},
+		{"rate up from zero", 4000, 4000, 0, 5, "events_per_virtual_sec", math.Inf(-1), false},
+		{"rate stays zero", 4000, 4000, 0, 0, "events_per_virtual_sec", 0, false},
+	} {
+		base, cur := files(tc.baseRate, tc.curRate, tc.baseP99, tc.curP99)
+		deltas, _ := Compare(base, cur, tol)
+		if d := findDelta(t, deltas, tc.metric); d.Pct != tc.pct || d.Regressed != tc.regressed {
+			t.Errorf("%s: %+v, want Pct %v regressed %v", tc.name, d, tc.pct, tc.regressed)
+		}
 	}
 }
 

@@ -39,16 +39,6 @@ const (
 	maxRefReadAttempts = 4
 )
 
-// Landing margins, in sectors, added to a predicted head position to cover
-// prediction rounding: safetySectors when a record lands on the current
-// track, repositionMargin when the head moves to the next one. The
-// positioning cost itself is accounted for by predicting the head angle at the
-// media-ready time, so only rounding slack is needed.
-const (
-	safetySectors    = 1
-	repositionMargin = 2
-)
-
 // Config tunes the Trail driver. The zero value selects the paper's
 // parameters via Default.
 type Config struct {
@@ -233,11 +223,10 @@ type pendingWrite struct {
 	qdepth int
 }
 
-// logDisk is the per-log-disk state: the track allocator, the head-position
-// predictor, and the per-disk record chain. A Driver has one or more —
-// multiple log disks are the paper's §5.1 "final optimization", hiding the
-// repositioning overhead because another log disk accepts writes while one
-// switches tracks.
+// logDisk is the per-log-disk state: the track allocator, the head model,
+// and the per-disk record chain. A Driver has one or more — multiple log
+// disks are the paper's §5.1 "final optimization", hiding the repositioning
+// overhead because another log disk accepts writes while one switches tracks.
 type logDisk struct {
 	idx  int
 	disk *disk.Disk
@@ -253,11 +242,10 @@ type logDisk struct {
 	busyCount  []int32
 	spaceFreed *sim.Cond
 
-	// Head position prediction; refBuf takes what a reference read returns.
-	pred       *Predictor
-	refCHS     geom.CHS
-	lastCmdEnd sim.Time
-	refBuf     []byte
+	// head predicts the head position; refBuf takes what a reference read
+	// returns.
+	head   headModel
+	refBuf []byte
 
 	// Per-disk record chain (prev_sect pointers stay on one disk so
 	// recovery can walk each disk independently).
@@ -416,7 +404,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 			disk:          lg,
 			g:             lg.Geom(),
 			spaceFreed:    sim.NewCond(env),
-			pred:          NewPredictor(lg.Params().RotPeriod()),
+			head:          newHeadModel(lg.Params()),
 			lastRecordLBA: -1,
 			refBuf:        make([]byte, geom.SectorSize),
 			img:           make([]byte, geom.SectorSize, (1+cfg.MaxBatchSectors)*geom.SectorSize),
@@ -841,37 +829,18 @@ func (ld *logDisk) tailTrack() (cyl, head, spt int) {
 	return cyl, head, ld.g.SPTAt(cyl)
 }
 
-// estimateMediaStart predicts when a write command issued now would reach
-// the media, using the driver's knowledge of the drive's command processing
-// overheads (paper §3.1: prediction requires "detailed knowledge of ... the
-// disk controller and disk command processing overhead").
-func (ld *logDisk) estimateMediaStart(now sim.Time) sim.Time {
-	pp := ld.disk.Params()
-	start := now
-	if ld.lastCmdEnd > 0 {
-		if t := ld.lastCmdEnd.Add(pp.WriteTurnaround); t > start {
-			start = t
-		}
-	}
-	return start.Add(pp.WriteOverhead + pp.WriteSettle)
-}
-
 // refRead issues a one-sector read at the given sector of the tail track to
 // establish or refresh the prediction reference point. A faulted read leaves
-// the predictor invalidated: a reference taken from a failed command would
-// poison every subsequent landing prediction.
+// the head model without one.
 func (ld *logDisk) refRead(p *sim.Proc, sector int) disk.Result {
 	cyl, head, _ := ld.tailTrack()
 	lba := ld.g.TrackStartLBA(cyl, head) + int64(sector)
 	res := ld.disk.Access(p, &disk.Request{LBA: lba, Count: 1, Data: ld.refBuf})
-	ld.lastCmdEnd = res.End
 	if res.Err != nil {
-		ld.pred.Invalidate()
-		return res
+		ld.head.faulted(res.End)
+	} else {
+		ld.head.completed(res.End, ld.g, geom.CHS{Cyl: cyl, Head: head, Sector: sector})
 	}
-	a := geom.CHS{Cyl: cyl, Head: head, Sector: sector}
-	ld.pred.SetRef(res.End, ld.g, a)
-	ld.refCHS = a
 	return res
 }
 
@@ -896,35 +865,13 @@ func (d *Driver) reestablishRef(p *sim.Proc, ld *logDisk) (bool, error) {
 	return false, lastErr
 }
 
-// positioningCost returns the arm cost of moving from the current tail
-// track to the given cylinder: a head switch within a cylinder, or a seek
-// across cylinders. The driver knows the geometry, so it can predict this
-// exactly (paper §3.1: "knowing the number of sectors in the ith track,
-// Trail can calculate the target block address ... on track i+1").
-func (ld *logDisk) positioningCost(toCyl int) time.Duration {
-	fromCyl, _, _ := ld.tailTrack()
-	pp := ld.disk.Params()
-	if toCyl == fromCyl {
-		return pp.HeadSwitch
-	}
-	dist := toCyl - fromCyl
-	if dist < 0 {
-		dist = -dist
-	}
-	if dist == 1 {
-		return pp.SeekT2T
-	}
-	// Rare (wrap to the start of the disk); approximate with the average.
-	return pp.SeekAvg
-}
-
 // advanceTrack moves the log disk's tail to the next usable track: it waits
 // for the track to be free, then repositions the head onto it with a
 // one-sector read at the closest reachable sector, refreshing the
 // prediction reference (paper §3.1/§5.1: reposition by issuing a read;
 // typical cost ~1.5 ms).
 func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
-	_, _, spt := ld.tailTrack()
+	fromCyl, _, spt := ld.tailTrack()
 	if ld.usedOnTail > 0 {
 		d.stats.TrackUtilSum += float64(ld.usedOnTail) / float64(spt)
 		d.stats.TrackUtilTracks++
@@ -938,7 +885,7 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
 		ld.spaceFreed.Wait(p)
 	}
 	nextCyl, _ := ld.g.TrackOf(UsableTrack(ld.g, next))
-	posCost := ld.positioningCost(nextCyl)
+	move := ld.head.moveCost(fromCyl, nextCyl)
 	if d.tr != nil {
 		d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KTrackSwitch, Track: ld.name,
 			A: int64(UsableTrack(ld.g, ld.posIdx)), B: int64(UsableTrack(ld.g, next))})
@@ -949,12 +896,7 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
 	cyl, head, nspt := ld.tailTrack()
 	ld.trackUsed = slices.Grow(ld.trackUsed[:0], nspt)[:nspt]
 	clear(ld.trackUsed)
-	landing := 0
-	if ld.pred.Valid() {
-		pp := ld.disk.Params()
-		angle := ld.pred.AngleAt(p.Now().Add(pp.ReadOverhead + posCost))
-		landing = ld.g.ClosestSectorOnTrack(cyl, head, angle, repositionMargin)
-	}
+	landing := ld.head.readSector(p.Now(), move, ld.g, cyl, head, repositionMargin)
 	start := p.Now()
 	ld.refRead(p, landing)
 	ld.lastRepoStart, ld.lastRepoEnd = int64(start), int64(p.Now())
@@ -980,7 +922,7 @@ func (d *Driver) logWriterLoop(p *sim.Proc, ld *logDisk) {
 		}
 		ld.writerBusy = true
 
-		if !ld.pred.Valid() {
+		if !ld.head.valid {
 			ok, err := d.reestablishRef(p, ld)
 			if !ok {
 				ld.writerBusy = false
@@ -1033,14 +975,7 @@ func (d *Driver) logWriterLoop(p *sim.Proc, ld *logDisk) {
 // this track.
 func (d *Driver) chooseTarget(now sim.Time, ld *logDisk, need int) (target, run int, ok bool) {
 	cyl, head, spt := ld.tailTrack()
-	var predicted int
-	if d.cfg.FixedDelta > 0 {
-		// Ablation: the paper's raw formula with a fixed delta, no
-		// command-overhead modelling.
-		predicted = ld.pred.PredictSector(now, ld.refCHS.Sector, spt, d.cfg.FixedDelta)
-	} else {
-		predicted = ld.pred.TargetSector(ld.estimateMediaStart(now), ld.g, cyl, head, safetySectors)
-	}
+	predicted := ld.head.recordSector(now, ld.g, cyl, head, d.cfg.FixedDelta)
 	// Walk sectors in rotational order from the predicted position,
 	// looking for the first free run of >= need sectors that does not
 	// cross the end of the track (records are LBA-contiguous).
@@ -1183,18 +1118,16 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	// it against the simulator's true head position via the disk's probe.
 	// The result never flows back to the driver.
 	if d.tr != nil {
-		d.tr.RecordPrediction(ld.name, int64(ld.estimateMediaStart(p.Now())), cyl, head, target)
+		d.tr.RecordPrediction(ld.name, int64(ld.head.mediaStart(p.Now())), cyl, head, target)
 	}
 	res := ld.disk.Access(p, &disk.Request{Write: true, LBA: headerLBA, Count: 1 + total, Data: img})
-	ld.lastCmdEnd = res.End
 	d.lastActivity = res.End
 	if res.Err != nil {
+		ld.head.faulted(res.End)
 		d.handleLogWriteFault(ld, target, batch, res)
 		return false
 	}
-	lastCHS := geom.CHS{Cyl: cyl, Head: head, Sector: target + total}
-	ld.pred.SetRef(res.End, ld.g, lastCHS)
-	ld.refCHS = lastCHS
+	ld.head.completed(res.End, ld.g, geom.CHS{Cyl: cyl, Head: head, Sector: target + total})
 
 	rec := d.free.records.get()
 	*rec = record{
@@ -1219,7 +1152,7 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 	for _, pw := range batch {
 		if pw.rq != nil {
 			d.attributeDispatch(pw, ld, int64(res.Start))
-			pw.rq.Command(&res, ld.disk.Params().RotPeriod())
+			pw.rq.Command(&res, ld.head.rotPeriod)
 			pw.rq.Finish(int64(res.End), false)
 		}
 		d.stage(pw, rec)
@@ -1232,10 +1165,8 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 }
 
 // handleLogWriteFault classifies a failed record write and disposes of its
-// batch. The prediction reference is always invalidated — after a fault the
-// head position is unknown.
+// batch.
 func (d *Driver) handleLogWriteFault(ld *logDisk, target int, batch []*pendingWrite, res disk.Result) {
-	ld.pred.Invalidate()
 	for _, pw := range batch {
 		if pw.rq != nil {
 			d.attributeDispatch(pw, ld, int64(res.Start))
@@ -1374,12 +1305,7 @@ func (d *Driver) idleLoop(p *sim.Proc) {
 				continue
 			}
 			cyl, head, _ := ld.tailTrack()
-			sector := 0
-			if ld.pred.Valid() {
-				pp := ld.disk.Params()
-				angle := ld.pred.AngleAt(p.Now().Add(pp.ReadOverhead))
-				sector = ld.g.ClosestSectorOnTrack(cyl, head, angle, 1)
-			}
+			sector := ld.head.readSector(p.Now(), 0, ld.g, cyl, head, safetySectors)
 			if res := ld.refRead(p, sector); res.Err == nil {
 				d.stats.IdleRefreshes++
 				if d.tr != nil {
@@ -1438,7 +1364,7 @@ func (d *Driver) Shutdown(p *sim.Proc) error {
 	}
 	d.closed = true
 	for _, ld := range d.logs {
-		hdr := &DiskHeader{Epoch: d.epoch, CleanShutdown: true, Geom: ld.disk.Params().Geom}
+		hdr := &DiskHeader{Epoch: d.epoch, CleanShutdown: true, Geom: *ld.g}
 		if err := writeHeaderAll(ld.disk, hdr); err != nil {
 			return err
 		}

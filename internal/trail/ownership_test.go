@@ -481,7 +481,7 @@ func TestWriteRecordAllocatesNothingPerBlock(t *testing.T) {
 		r.env.Go("writer", func(p *sim.Proc) {
 			ld.writerBusy = true // the real writer is parked on an empty queue
 			one := func() {
-				for !ld.pred.Valid() {
+				for !ld.head.valid {
 					ld.refRead(p, 0)
 				}
 				target, _, ok := r.drv.chooseTarget(p.Now(), ld, 1+blocks)

@@ -24,38 +24,41 @@ func diskReq(lba int64, count int) *disk.Request {
 func TestPredictorRefAndAngle(t *testing.T) {
 	g := geom.Uniform(10, 2, 60)
 	rot := 10 * time.Millisecond
-	pr := NewPredictor(rot)
-	if pr.Valid() {
-		t.Error("fresh predictor claims valid")
+	m := headModel{rotPeriod: rot}
+	if m.valid {
+		t.Error("fresh head model claims a reference")
 	}
 	// Head just passed the end of sector 5 at t=0: angle = 6/60.
-	pr.SetRef(0, &g, geom.CHS{Cyl: 0, Head: 0, Sector: 5})
-	if !pr.Valid() {
-		t.Fatal("SetRef did not validate")
+	m.completed(0, &g, geom.CHS{Cyl: 0, Head: 0, Sector: 5})
+	if !m.valid {
+		t.Fatal("completed did not set a reference")
 	}
-	if got, want := pr.AngleAt(0), 6.0/60.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("AngleAt(0) = %v, want %v", got, want)
+	if got, want := m.angleAt(0), 6.0/60.0; math.Abs(got-want) > 1e-12 {
+		t.Errorf("angleAt(0) = %v, want %v", got, want)
 	}
 	// Half a revolution later: +0.5.
-	if got, want := pr.AngleAt(sim.Time(rot/2)), 6.0/60.0+0.5; math.Abs(got-want) > 1e-12 {
-		t.Errorf("AngleAt(half) = %v, want %v", got, want)
+	if got, want := m.angleAt(sim.Time(rot/2)), 6.0/60.0+0.5; math.Abs(got-want) > 1e-12 {
+		t.Errorf("angleAt(half) = %v, want %v", got, want)
 	}
 	// Full revolutions wrap.
-	if got, want := pr.AngleAt(sim.Time(3*rot)), 6.0/60.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("AngleAt(3 revs) = %v, want %v", got, want)
+	if got, want := m.angleAt(sim.Time(3*rot)), 6.0/60.0; math.Abs(got-want) > 1e-9 {
+		t.Errorf("angleAt(3 revs) = %v, want %v", got, want)
 	}
-	pr.Invalidate()
-	if pr.Valid() {
-		t.Error("Invalidate did not clear")
+	m.faulted(sim.Time(rot))
+	if m.valid {
+		t.Error("faulted did not clear the reference")
+	}
+	if m.lastEnd != sim.Time(rot) {
+		t.Errorf("faulted command's end = %v, want %v", m.lastEnd, rot)
 	}
 }
 
 func TestPredictorAngleInRange(t *testing.T) {
 	g := geom.Uniform(10, 2, 60)
-	pr := NewPredictor(11111 * time.Microsecond)
-	pr.SetRef(0, &g, geom.CHS{Cyl: 3, Head: 1, Sector: 59})
+	m := headModel{rotPeriod: 11111 * time.Microsecond}
+	m.completed(0, &g, geom.CHS{Cyl: 3, Head: 1, Sector: 59})
 	f := func(raw uint32) bool {
-		a := pr.AngleAt(sim.Time(raw))
+		a := m.angleAt(sim.Time(raw))
 		return a >= 0 && a < 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -67,34 +70,40 @@ func TestPredictSectorFormula(t *testing.T) {
 	// The paper's formula: S1 = elapsed/rot * SPT + S0 + delta (mod SPT).
 	g := geom.Uniform(10, 1, 60)
 	rot := 12 * time.Millisecond
-	pr := NewPredictor(rot)
-	pr.SetRef(0, &g, geom.CHS{Cyl: 0, Head: 0, Sector: 10})
+	m := headModel{rotPeriod: rot}
+	m.completed(0, &g, geom.CHS{Cyl: 0, Head: 0, Sector: 10})
 	// 1/4 revolution = 15 sectors; S0=10, delta=3 -> 28.
-	if got := pr.PredictSector(sim.Time(rot/4), 10, 60, 3); got != 28 {
-		t.Errorf("PredictSector = %d, want 28", got)
+	if got := m.predictSector(sim.Time(rot/4), 60, 3); got != 28 {
+		t.Errorf("predictSector = %d, want 28", got)
+	}
+	// recordSector takes the formula whenever FixedDelta is set.
+	if got := m.recordSector(sim.Time(rot/4), &g, 0, 0, 3); got != 28 {
+		t.Errorf("recordSector with fixed delta 3 = %d, want 28", got)
 	}
 	// Wraps mod SPT.
-	if got := pr.PredictSector(sim.Time(rot/2), 50, 60, 5); got != (30+50+5)%60 {
-		t.Errorf("PredictSector wrap = %d", got)
+	m.completed(0, &g, geom.CHS{Cyl: 0, Head: 0, Sector: 50})
+	if got := m.predictSector(sim.Time(rot/2), 60, 5); got != (30+50+5)%60 {
+		t.Errorf("predictSector wrap = %d", got)
 	}
 }
 
 func TestTargetSectorCatchable(t *testing.T) {
 	// Whatever the time, the chosen target's start must be at or after the
-	// predicted angle (catchable without an extra rotation).
+	// predicted angle (catchable without an extra rotation). With no read
+	// overhead and no arm move, a read's media phase begins when it is issued.
 	g := geom.Uniform(10, 2, 60)
 	g.TrackSkew = 4
 	rot := 10 * time.Millisecond
-	pr := NewPredictor(rot)
-	pr.SetRef(0, &g, geom.CHS{Cyl: 2, Head: 1, Sector: 17})
+	m := headModel{rotPeriod: rot}
+	m.completed(0, &g, geom.CHS{Cyl: 2, Head: 1, Sector: 17})
 	f := func(raw uint16, rawSafety uint8) bool {
 		at := sim.Time(raw) * 1000
 		safety := int(rawSafety % 4)
-		s := pr.TargetSector(at, &g, 2, 1, safety)
+		s := m.readSector(at, 0, &g, 2, 1, safety)
 		if s < 0 || s >= 60 {
 			return false
 		}
-		angle := pr.AngleAt(at)
+		angle := m.angleAt(at)
 		sa := g.SectorAngle(geom.CHS{Cyl: 2, Head: 1, Sector: s})
 		gap := sa - angle
 		if gap < 0 {
@@ -109,39 +118,96 @@ func TestTargetSectorCatchable(t *testing.T) {
 }
 
 func TestAngleAtPanicsWithoutRef(t *testing.T) {
-	pr := NewPredictor(time.Millisecond)
+	m := headModel{rotPeriod: time.Millisecond}
 	defer func() {
 		if recover() == nil {
-			t.Error("AngleAt without reference did not panic")
+			t.Error("angleAt without reference did not panic")
 		}
 	}()
-	pr.AngleAt(0)
+	m.angleAt(0)
+}
+
+// TestHeadModelTimingRules holds the head model's command-overhead and arm
+// rules to the datasheet it copied: a write reaches the media after the
+// write overhead and settle, and after the turnaround only when a previous
+// command (clean or faulted) ended recently; an arm move costs a head switch
+// on the same cylinder, the track-to-track seek one cylinder away and the
+// average seek farther.
+func TestHeadModelTimingRules(t *testing.T) {
+	pp := testLogParams() // overhead 500us, settle 100us, turnaround 600us
+	g := pp.Geom
+	us := func(n int64) sim.Time { return sim.Time(n * int64(time.Microsecond)) }
+	for _, tc := range []struct {
+		name    string
+		lastEnd sim.Time // 0: no previous command
+		fault   bool
+		now     sim.Time
+		want    sim.Time
+	}{
+		{"first command pays no turnaround", 0, false, us(1000), us(1600)},
+		{"first command at time zero", 0, false, 0, us(600)},
+		{"hot on the heels waits out the turnaround", us(1000), false, us(1100), us(2200)},
+		{"turnaround ends exactly at issue", us(1000), false, us(1600), us(2200)},
+		{"turnaround long past", us(1000), false, us(5000), us(5600)},
+		{"a faulted command counts too", us(1000), true, us(1000), us(2200)},
+	} {
+		t.Run("media start/"+tc.name, func(t *testing.T) {
+			m := newHeadModel(pp)
+			switch {
+			case tc.fault:
+				m.faulted(tc.lastEnd)
+			case tc.lastEnd > 0:
+				m.completed(tc.lastEnd, &g, geom.CHS{})
+			}
+			if got := m.mediaStart(tc.now); got != tc.want {
+				t.Errorf("mediaStart(%v) = %v, want %v", tc.now, got, tc.want)
+			}
+		})
+	}
+	m := newHeadModel(pp)
+	for _, tc := range []struct {
+		from, to int
+		want     time.Duration
+	}{
+		{5, 5, pp.HeadSwitch},
+		{5, 6, pp.SeekT2T},
+		{5, 4, pp.SeekT2T},
+		{5, 7, pp.SeekAvg},
+		{11, 0, pp.SeekAvg},
+		{0, 11, pp.SeekAvg},
+	} {
+		if got := m.moveCost(tc.from, tc.to); got != tc.want {
+			t.Errorf("moveCost(%d, %d) = %v, want %v", tc.from, tc.to, got, tc.want)
+		}
+	}
+	// Without a reference a reference read lands on sector 0.
+	if got := m.readSector(us(123), pp.SeekT2T, &g, 3, 1, repositionMargin); got != 0 {
+		t.Errorf("readSector without reference = %d, want 0", got)
+	}
 }
 
 func TestPredictorMatchesDiskPhase(t *testing.T) {
-	// End-to-end: after a real disk command, the predictor's angle must
+	// End-to-end: after a real disk command, the head model's angle must
 	// track the simulated spindle exactly (same rotation period).
 	env := sim.NewEnv()
 	defer env.Close()
 	d := newTestDisk(env)
-	pr := NewPredictor(d.Params().RotPeriod())
+	m := newHeadModel(d.Params())
 	g := d.Geom()
 	env.Go("probe", func(p *sim.Proc) {
 		// Read sector 7 of track (0,0); at completion the head is at the
 		// end of sector 7.
 		req := diskReq(7, 1)
 		d.Access(p, req)
-		pr.SetRef(p.Now(), g, geom.CHS{Cyl: 0, Head: 0, Sector: 7})
+		m.completed(p.Now(), g, geom.CHS{Cyl: 0, Head: 0, Sector: 7})
 		// Advance arbitrary time, then read exactly the sector the
-		// predictor says is next + margin; rotational wait must be under
+		// model says is next + margin; rotational wait must be under
 		// two sector times.
 		p.Sleep(7777 * time.Microsecond)
-		pp := d.Params()
-		media := p.Now().Add(pp.ReadOverhead)
-		target := pr.TargetSector(media, g, 0, 0, 1)
+		target := m.readSector(p.Now(), 0, g, 0, 0, safetySectors)
 		req2 := diskReq(int64(target), 1)
 		res := d.Access(p, req2)
-		if maxWait := 2 * pp.SectorTime(0); res.Phases[disk.RotWait] > maxWait {
+		if maxWait := 2 * d.Params().SectorTime(0); res.Phases[disk.RotWait] > maxWait {
 			t.Errorf("predicted read waited %v rotation, want <= %v", res.Phases[disk.RotWait], maxWait)
 		}
 	})
