@@ -185,7 +185,8 @@ func TestFaultTolRefusesObservability(t *testing.T) {
 		{"-spans"},
 		{"-explain-tail", "0.05"},
 	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
+		// The temporary directory's random name stays out of the subtest's.
+		t.Run(strings.ReplaceAll(strings.Join(args, " "), dir, "DIR"), func(t *testing.T) {
 			var out, errOut bytes.Buffer
 			code := run(append([]string{"-faulttol", "-writes", "20"}, args...), &out, &errOut)
 			if code != 1 || !strings.Contains(errOut.String(), "trailsim: ") {
@@ -218,7 +219,7 @@ func TestEveryModeWritesBench(t *testing.T) {
 		{[]string{"-system", "std", "-replay", traceFile},
 			map[string]string{"replay/std/write": "writes: ", "replay/std/read": "reads:  "}},
 	} {
-		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+		t.Run(strings.ReplaceAll(strings.Join(tc.args, " "), traceFile, "TRACE"), func(t *testing.T) {
 			dir := t.TempDir()
 			args := append([]string{"-out", dir}, tc.args...)
 			var out, errOut bytes.Buffer
