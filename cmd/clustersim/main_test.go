@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"tracklog/internal/trace"
 )
 
 // digest is an artefact's length and FNV-64a, the form the golden pins use.
@@ -60,7 +62,8 @@ func runIn(t *testing.T, args ...string) (stdout []byte, files map[string][]byte
 // was exercised and fully recovered: one death, one recovery, the killed
 // shard back healthy on replacement hardware, no acknowledged write lost,
 // and a failover or hedge among the explained tail. A change that moves any
-// byte here on purpose updates the pin and says so.
+// byte here on purpose updates the pin and says so. The trace is also read
+// back through trace.ReadChrome, so it stays loadable.
 func TestKillOneShardGolden(t *testing.T) {
 	out, files := runIn(t, "-chaos", "shardkill=1@250ms", "-seed", "11", "-verify",
 		"-out", ".", "-explain-tail", "0.05")
@@ -75,6 +78,9 @@ func TestKillOneShardGolden(t *testing.T) {
 		if got := digest(files[name]); got != want {
 			t.Errorf("%s: %s, want %s", name, got, want)
 		}
+	}
+	if _, err := trace.ReadChrome(bytes.NewReader(files["trace.json"])); err != nil {
+		t.Error(err)
 	}
 	text := string(out)
 	for _, re := range []string{

@@ -3,24 +3,20 @@
 // BENCH_trail.json BENCH_current.json); given two run-artifact directories
 // it also says *why*: it loads the full artifact set of a baseline and a
 // current run — benchmark summary, utilization timeline, span dump,
-// telemetry export — aligns them by component/phase/bucket, and emits a
-// ranked attribution report: which mechanical phase, queue, or counter
-// moved, by how many percentage points of the run, and in which bucket
-// window the shift concentrates.
+// telemetry export, event trace — aligns them by component/phase/bucket,
+// and emits a ranked attribution report: which mechanical phase, queue, or
+// counter moved, by how many percentage points of the run, and in which
+// bucket window the shift concentrates.
 //
 // Usage:
 //
 //	rundiff [-mean-tol F] [-p50-tol F] [-p99-tol F] [-rate-tol F]
 //	        [-occ-tol PP] [-json] BASE CUR
 //
-// BASE and CUR are either run-artifact directories or bare benchfmt JSON
-// files. A directory is probed for the conventional artifact names, all
-// optional (at least one must exist):
-//
-//	bench.json    benchfmt summary        (trailsim -out, reproduce -json)
-//	timeline.csv  utilization timeline    (trailsim -out, clustersim -out)
-//	spans.json    span dump               (trailsim -out, clustersim -out)
-//	metrics.prom  telemetry export        (trailsim -out, clustersim -out)
+// BASE and CUR are either bare benchfmt JSON files or directories that
+// trailsim -out or clustersim -out wrote. A directory is read by
+// rig.ReadDir, which validates each artifact through its own package's
+// reader; every artifact is optional, but at least one must exist.
 //
 // -mean-tol, -p50-tol and -p99-tol bound the latency metrics, -rate-tol the
 // rates (all 0.10 by default), -occ-tol floors the attribution rows in
@@ -41,6 +37,10 @@
 // and telemetry value changes of 10% or more. The verdict
 // line names the worst bench regression and the top-ranked attribution; a
 // regression with no attribution above tolerance is flagged UNEXPLAINED.
+// When both sides carry an event trace, a first-divergence line names the
+// first event where the two streams part (index, virtual instant, track,
+// and each side's event), or says they are identical; it is informational
+// and moves neither the findings nor the exit status.
 //
 // Exit status: 0 when every section is empty (the runs align within
 // tolerance), 1 when any finding survives, 2 on usage or artifact errors.
@@ -55,12 +55,14 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"tracklog/internal/benchfmt"
+	"tracklog/internal/rig"
+	"tracklog/internal/span"
 	"tracklog/internal/timeline"
+	"tracklog/internal/trace"
 )
 
 func main() {
@@ -77,8 +79,11 @@ type Report struct {
 	Attribution []Attrib     `json:"attribution,omitempty"`
 	Support     []Support    `json:"support,omitempty"`
 	Notes       []string     `json:"notes,omitempty"`
-	Verdict     string       `json:"verdict"`
-	Findings    int          `json:"findings"`
+	// FirstDivergence is where the two runs' trace event streams part,
+	// informational only: it is no finding and moves no exit status.
+	FirstDivergence string `json:"first_divergence,omitempty"`
+	Verdict         string `json:"verdict"`
+	Findings        int    `json:"findings"`
 }
 
 // num is a report number that may be NaN or infinite. encoding/json refuses
@@ -152,13 +157,11 @@ func supportRow(kind, series string, base, cur, pct float64) Support {
 	return Support{Kind: kind, Series: series, Base: num(base), Cur: num(cur), Pct: num(pct), Unbounded: unbounded(pct)}
 }
 
-// artifacts is one side's loaded run.
+// artifacts is one side's loaded run: a run directory, or a bare benchfmt
+// file as a run with only its Bench set.
 type artifacts struct {
-	path  string
-	bench *benchfmt.File
-	tl    *timeline.Timeline
-	spans *spanDump
-	prom  map[string]float64
+	path string
+	*rig.Run
 }
 
 // errBadRun is the sentinel every artifact-load failure wraps: the fuzz
@@ -166,65 +169,26 @@ type artifacts struct {
 // errors.Is(err, errBadRun), never a panic.
 var errBadRun = errors.New("rundiff: bad run artifacts")
 
-func badRun(path string, err error) error {
-	return fmt.Errorf("%s: %v: %w", path, err, errBadRun)
-}
-
 // loadArtifacts loads one side. A regular file is a bare benchfmt summary
-// (the CI bench-gate mode); a directory is probed for the conventional
-// names, and at least one artifact must be present.
+// (the CI bench-gate mode); a directory is read by rig.ReadDir, which
+// validates every artefact it finds.
 func loadArtifacts(path string) (*artifacts, error) {
 	st, err := os.Stat(path)
 	if err != nil {
-		return nil, badRun(path, err)
+		return nil, fmt.Errorf("%v: %w", err, errBadRun)
 	}
-	a := &artifacts{path: path}
 	if !st.IsDir() {
-		f, err := benchfmt.ReadFile(path)
+		bench, err := benchfmt.ReadFile(path)
 		if err != nil {
-			return nil, badRun(path, err)
+			return nil, fmt.Errorf("%s: %v: %w", path, err, errBadRun)
 		}
-		a.bench = f
-		return a, nil
+		return &artifacts{path: path, Run: &rig.Run{Bench: bench}}, nil
 	}
-	found := 0
-	if p := filepath.Join(path, "bench.json"); exists(p) {
-		f, err := benchfmt.ReadFile(p)
-		if err != nil {
-			return nil, badRun(p, err)
-		}
-		a.bench, found = f, found+1
+	run, err := rig.ReadDir(path)
+	if err != nil {
+		return nil, fmt.Errorf("%v: %w", err, errBadRun)
 	}
-	if p := filepath.Join(path, "timeline.csv"); exists(p) {
-		t, err := timeline.ParseFile(p)
-		if err != nil {
-			return nil, badRun(p, err)
-		}
-		a.tl, found = t, found+1
-	}
-	if p := filepath.Join(path, "spans.json"); exists(p) {
-		d, err := parseSpanFile(p)
-		if err != nil {
-			return nil, badRun(p, err)
-		}
-		a.spans, found = d, found+1
-	}
-	if p := filepath.Join(path, "metrics.prom"); exists(p) {
-		m, err := parsePromFile(p)
-		if err != nil {
-			return nil, badRun(p, err)
-		}
-		a.prom, found = m, found+1
-	}
-	if found == 0 {
-		return nil, badRun(path, errors.New("no run artifacts (bench.json, timeline.csv, spans.json, metrics.prom)"))
-	}
-	return a, nil
-}
-
-func exists(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && !st.IsDir()
+	return &artifacts{path: path, Run: run}, nil
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -259,6 +223,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
+		enc.SetEscapeHTML(false) // the first-divergence line's "->" stays readable
 		if err := enc.Encode(rep); err != nil {
 			fmt.Fprintln(stderr, "rundiff:", err)
 			return 2
@@ -286,9 +251,10 @@ const topRows = 10
 func compare(base, cur *artifacts, bench benchfmt.Tolerance, occPP float64) *Report {
 	rep := &Report{Base: base.path, Cur: cur.path}
 	benchRegressed := compareBench(rep, base, cur, bench)
-	compareTimelines(rep, base.tl, cur.tl, occPP)
-	compareSpans(rep, base.spans, cur.spans, occPP)
-	compareProm(rep, base.prom, cur.prom)
+	compareTimelines(rep, base.Timeline, cur.Timeline, occPP)
+	compareSpans(rep, base.Spans, cur.Spans, occPP)
+	compareProm(rep, base.Metrics, cur.Metrics)
+	compareTraces(rep, base.Trace, cur.Trace)
 
 	sort.SliceStable(rep.Attribution, func(i, j int) bool {
 		ai, aj := rep.Attribution[i], rep.Attribution[j]
@@ -358,13 +324,13 @@ func worstWindow(a Attrib) string {
 // It reports whether any metric regressed beyond tolerance.
 func compareBench(rep *Report, base, cur *artifacts, tol benchfmt.Tolerance) bool {
 	switch {
-	case base.bench == nil && cur.bench == nil:
+	case base.Bench == nil && cur.Bench == nil:
 		return false
-	case base.bench == nil || cur.bench == nil:
+	case base.Bench == nil || cur.Bench == nil:
 		rep.Notes = append(rep.Notes, "bench summary present on one side only; bench section skipped")
 		return false
 	}
-	deltas, missing := benchfmt.Compare(base.bench, cur.bench, tol)
+	deltas, missing := benchfmt.Compare(base.Bench, cur.Bench, tol)
 	regressed := false
 	for _, d := range deltas {
 		rep.Bench = append(rep.Bench, BenchDelta{
@@ -548,7 +514,7 @@ func lookupKey(t *timeline.Timeline, key string) *timeline.Series {
 // compareSpans aggregates each span dump into per-(kind, phase) shares of
 // total request latency and feeds the pp deltas into the attribution
 // ranking, directly comparable with occupancy shares.
-func compareSpans(rep *Report, base, cur *spanDump, occPP float64) {
+func compareSpans(rep *Report, base, cur []*span.Request, occPP float64) {
 	switch {
 	case base == nil && cur == nil:
 		return
@@ -556,8 +522,8 @@ func compareSpans(rep *Report, base, cur *spanDump, occPP float64) {
 		rep.Notes = append(rep.Notes, "span dump present on one side only; span section skipped")
 		return
 	}
-	bShares := base.phaseShares()
-	cShares := cur.phaseShares()
+	bShares := phaseShares(base)
+	cShares := phaseShares(cur)
 	seen := make(map[string]bool)
 	var keys []string
 	for k := range bShares {
@@ -580,6 +546,30 @@ func compareSpans(rep *Report, base, cur *spanDump, occPP float64) {
 			BasePct: bShares[k], CurPct: cShares[k], DeltaPP: deltaPP,
 		})
 	}
+}
+
+// phaseShares aggregates a span dump into per-"kind/phase" time shares: the
+// summed duration of that phase across all requests of that kind, as
+// percent of the summed end-to-end latency of every request. Shares are in
+// the same unit as timeline occupancy shares (percent of total observed
+// time), so rundiff ranks them in one list.
+func phaseShares(reqs []*span.Request) map[string]float64 {
+	var total int64
+	sums := make(map[string]int64)
+	for _, r := range reqs {
+		total += r.Latency()
+		for _, s := range r.Spans {
+			sums[r.Kind.String()+"/"+s.Phase.String()] += s.Dur()
+		}
+	}
+	shares := make(map[string]float64, len(sums))
+	if total == 0 {
+		return shares
+	}
+	for k, sum := range sums {
+		shares[k] = float64(sum) / float64(total) * 100
+	}
+	return shares
 }
 
 // compareProm diffs two telemetry exports by metric name, reporting values
@@ -609,6 +599,59 @@ func compareProm(rep *Report, base, cur map[string]float64) {
 			rep.Support = append(rep.Support, supportRow("telemetry", n, base[n], cur[n], pct))
 		}
 	}
+}
+
+// compareTraces walks both runs' trace events in lockstep and names the
+// first one where they part. Same-seed runs that differ in one knob share
+// an identical prefix, so that event is where the knob first shows.
+func compareTraces(rep *Report, base, cur []trace.ChromeEvent) {
+	switch {
+	case base == nil && cur == nil:
+		return
+	case base == nil || cur == nil:
+		rep.Notes = append(rep.Notes, "trace present on one side only; first divergence skipped")
+		return
+	}
+	i := 0
+	for i < len(base) && i < len(cur) && base[i] == cur[i] {
+		i++
+	}
+	if i == len(base) && i == len(cur) {
+		rep.FirstDivergence = "event streams identical"
+		return
+	}
+	var b, c *trace.ChromeEvent
+	if i < len(base) {
+		b = &base[i]
+	}
+	if i < len(cur) {
+		c = &cur[i]
+	}
+	head := b
+	if b == nil || c != nil && c.At < b.At {
+		head = c
+	}
+	rep.FirstDivergence = fmt.Sprintf("event %d at %sus on %s: %s -> %s",
+		i, trace.Usec(head.At), head.Track, describe(b, head), describe(c, head))
+}
+
+// describe renders one side's event at a divergence: its name, where and
+// when if that differs from the line's head, its duration and its args.
+func describe(ev, head *trace.ChromeEvent) string {
+	if ev == nil {
+		return "end of trace"
+	}
+	s := ev.Name
+	if ev.Track != head.Track || ev.At != head.At {
+		s += fmt.Sprintf(" on %s at %sus", ev.Track, trace.Usec(ev.At))
+	}
+	if ev.Ph == "X" {
+		s += " dur " + trace.Usec(ev.Dur) + "us"
+	}
+	if ev.Args != "" {
+		s += " " + ev.Args
+	}
+	return s
 }
 
 // relDelta computes the signed relative change in percent and whether it
@@ -686,6 +729,9 @@ func printReport(w io.Writer, rep *Report) {
 	}
 	for _, n := range rep.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
+	}
+	if rep.FirstDivergence != "" {
+		fmt.Fprintln(w, "first divergence:", rep.FirstDivergence)
 	}
 	fmt.Fprintln(w, "verdict:", rep.Verdict)
 }

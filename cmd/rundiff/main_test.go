@@ -325,6 +325,52 @@ func TestJSONReport(t *testing.T) {
 	}
 }
 
+// traceJSON is a trace.json on track log0 holding events, the bytes
+// trace.ChromeWriter writes.
+func traceJSON(events ...string) string {
+	return `{"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"tracklog-sim"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"log0"}}` + strings.Join(append([]string{""}, events...), ",\n") + `
+]}
+`
+}
+
+// enqueue is an instant event at t=0; seek(us) is a seek of us microseconds
+// at t=10us.
+const enqueue = `{"name":"enqueue","cat":"sim","ph":"i","ts":0.000,"pid":1,"tid":1,"s":"t","args":{"lba":8,"count":1,"a":1,"b":1}}`
+
+func seek(us string) string {
+	return `{"name":"seek","cat":"sim","ph":"X","ts":10.000,"dur":` + us + `,"pid":1,"tid":1,"args":{"lba":8,"count":1,"a":0,"b":0}}`
+}
+
+// The first-divergence line is informational: it names the first event
+// where the streams part, or says they are identical, and never moves the
+// exit status.
+func TestFirstDivergence(t *testing.T) {
+	base := writeDir(t, map[string]string{"trace.json": traceJSON(enqueue, seek("1.700"))})
+	for _, tc := range []struct {
+		name string
+		cur  map[string]string
+		want string
+	}{
+		{"identical", map[string]string{"trace.json": traceJSON(enqueue, seek("1.700"))},
+			"first divergence: event streams identical\n"},
+		{"seek derated", map[string]string{"trace.json": traceJSON(enqueue, seek("15.300"))},
+			`first divergence: event 1 at 10.000us on log0: seek dur 1.700us {"lba":8,"count":1,"a":0,"b":0} -> seek dur 15.300us {"lba":8,"count":1,"a":0,"b":0}` + "\n"},
+		{"one side ends early", map[string]string{"trace.json": traceJSON(enqueue)},
+			`first divergence: event 1 at 10.000us on log0: seek dur 1.700us {"lba":8,"count":1,"a":0,"b":0} -> end of trace` + "\n"},
+		{"trace on one side only", map[string]string{"metrics.prom": "m 1\n"},
+			"note: trace present on one side only; first divergence skipped\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, stderr := runDiff(t, base, writeDir(t, tc.cur))
+			if code != 0 || !strings.Contains(out, tc.want) {
+				t.Errorf("exit %d, want 0; output lacks %q:\n%s%s", code, tc.want, out, stderr)
+			}
+		})
+	}
+}
+
 // FuzzRunDiffLoad feeds arbitrary bytes through every artifact loader via
 // loadArtifacts: the contract is no panics, and every failure wraps the
 // errBadRun sentinel.
@@ -332,13 +378,14 @@ func FuzzRunDiffLoad(f *testing.F) {
 	f.Add([]byte("# tracklog-timeline v1 bucket_ns=10 end_ns=100\ncomponent,track,series,kind,bucket,value\n"),
 		[]byte(`{"version":1,"dropped":0,"requests":[]}`),
 		[]byte("m 1\n"),
-		[]byte(`{"writes_per_process":1,"seed":1,"experiments":[]}`))
-	f.Add([]byte("garbage"), []byte("{"), []byte("m 1\nm 2\n"), []byte("[]"))
-	f.Add([]byte(""), []byte(`{"version":2}`), []byte("novalue"), []byte("null"))
-	f.Fuzz(func(t *testing.T, tl, spans, prom, bench []byte) {
+		[]byte(`{"writes_per_process":1,"seed":1,"experiments":[]}`),
+		[]byte(traceJSON(enqueue, seek("1.700"))))
+	f.Add([]byte("garbage"), []byte("{"), []byte("m 1\nm 2\n"), []byte("[]"), []byte(`{"traceEvents":[]}`))
+	f.Add([]byte(""), []byte(`{"version":2}`), []byte("novalue"), []byte("null"), []byte(traceJSON(enqueue, seek("-1.700"))))
+	f.Fuzz(func(t *testing.T, tl, spans, prom, bench, trace []byte) {
 		dir := t.TempDir()
 		for name, data := range map[string][]byte{
-			"timeline.csv": tl, "spans.json": spans, "metrics.prom": prom, "bench.json": bench,
+			"timeline.csv": tl, "spans.json": spans, "metrics.prom": prom, "bench.json": bench, "trace.json": trace,
 		} {
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)

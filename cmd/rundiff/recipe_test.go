@@ -16,8 +16,10 @@ import (
 // runs of 600 4 KB writes at seed 7, each writing its artefact set with
 // -out, the third with the log disk's seek arm derated, then rundiff on the
 // same-seed pair and on the perturbed pair. Both reports are pinned to their
-// length and FNV-64a, recorded at 18d5d33, with their exit statuses; a
-// change that moves either on purpose updates the pin and says so.
+// length and FNV-64a with their exit statuses, recorded at 18d5d33 and
+// re-pinned once when the first-divergence line joined them; a change that
+// moves either on purpose updates the pin and says so. The derated seek is
+// where the perturbed run's event stream first parts from the base run's.
 func TestTrailsimPairGolden(t *testing.T) {
 	dir := t.TempDir()
 	trailsim := filepath.Join(dir, "trailsim")
@@ -56,13 +58,17 @@ func TestTrailsimPairGolden(t *testing.T) {
 		}
 		return out
 	}
-	same := report("run-a", "run-b", 0, "53 bytes 1d5139b9b96108f3")
-	if again := report("run-a", "run-b", 0, "53 bytes 1d5139b9b96108f3"); again != same {
+	same := report("run-a", "run-b", 0, "95 bytes 567b4a6e0787594d")
+	if again := report("run-a", "run-b", 0, "95 bytes 567b4a6e0787594d"); again != same {
 		t.Errorf("same-seed report not byte-identical across invocations")
 	}
-	perturbed := report("run-a", "run-p", 1, "752 bytes 13010eb7a3450a3b")
+	perturbed := report("run-a", "run-p", 1, "919 bytes 99eb6bb32e36661f")
 	if !regexp.MustCompile(`(?m)^ 1\. occupancy disk/log0/state/(seek|rotate_wait) `).MatchString(perturbed) ||
 		!strings.Contains(perturbed, "REGRESSION") {
 		t.Errorf("perturbed report lacks a REGRESSION with the log disk's seek or rotation on top:\n%s", perturbed)
+	}
+	if !strings.Contains(same, "first divergence: event streams identical\n") ||
+		!regexp.MustCompile(`(?m)^first divergence: event 866 at 373962\.693us on log0: seek dur 1700\.000us .* -> seek dur 15300\.000us `).MatchString(perturbed) {
+		t.Errorf("first-divergence lines: same-seed pair\n%s\nperturbed pair\n%s", same, perturbed)
 	}
 }

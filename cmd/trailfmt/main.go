@@ -1,8 +1,9 @@
 // Command trailfmt demonstrates the Trail log disk format: it formats a
 // simulated ST41601N, runs eight small writes through the driver, and then
 // inspects the raw media the way the recovery scanner does — dumping the
-// disk header, walking tracks for write records, and naming the youngest
-// record of the current epoch, where recovery's prev_sect walk starts.
+// disk header, walking tracks for the current epoch's intact write records
+// through trail.DecodeRecord, the decoder recovery's scan uses, and naming
+// the youngest of them, where recovery's prev_sect walk starts.
 //
 // Usage:
 //
@@ -100,37 +101,25 @@ func inspect(w io.Writer, log *disk.Disk) error {
 		hdr.Epoch, hdr.CleanShutdown, hdr.Geom.Cylinders, hdr.Geom.Heads)
 
 	g := log.Geom()
-	var records []*trail.RecordHeader
+	records := 0
+	var youngest *trail.RecordHeader
 	for i := range trail.NumUsableTracks(g) {
 		cyl, head := g.TrackOf(trail.UsableTrack(g, i))
 		spt := g.SPTAt(cyl)
 		base := g.TrackStartLBA(cyl, head)
 		img := log.MediaRead(base, spt)
-		empty := true
-		for _, b := range img {
-			if b != 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			continue
-		}
 		for s := 0; s < spt; s++ {
-			rh, err := trail.DecodeRecordHeader(img[s*geom.SectorSize : (s+1)*geom.SectorSize])
-			if err != nil || rh.HeaderLBA != base+int64(s) {
+			rh, _, err := trail.DecodeRecord(img, base, s, hdr.Epoch)
+			if err != nil {
 				continue
 			}
-			records = append(records, rh)
+			records++
+			if youngest == nil || rh.Seq > youngest.Seq {
+				youngest = rh
+			}
 		}
 	}
-	fmt.Fprintf(w, "write records on media: %d\n", len(records))
-	var youngest *trail.RecordHeader
-	for _, r := range records {
-		if r.Epoch == hdr.Epoch && (youngest == nil || r.Seq > youngest.Seq) {
-			youngest = r
-		}
-	}
+	fmt.Fprintf(w, "write records on media: %d\n", records)
 	if youngest != nil {
 		fmt.Fprintf(w, "youngest active record: seq=%d at lba=%d, log head at lba=%d\n",
 			youngest.Seq, youngest.HeaderLBA, youngest.LogHead)

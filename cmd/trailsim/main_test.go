@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"tracklog/internal/benchfmt"
+	"tracklog/internal/trace"
 )
 
 // digest is an artefact's length and FNV-64a, the form the golden pins use.
@@ -64,7 +65,8 @@ func runIn(t *testing.T, args ...string) (stdout, stderr []byte, files map[strin
 // counting a first issue at t=0 (its elapsed and throughput line moved), and
 // again when one -out flag replaced the per-file flags (a bench summary line
 // was added and the spans line moved ahead of the span budget). A change
-// that moves any byte here on purpose updates the pin and says so.
+// that moves any byte here on purpose updates the pin and says so. The
+// trace is also read back through trace.ReadChrome, so it stays loadable.
 func TestTraceSmokeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		system string
@@ -98,6 +100,9 @@ func TestTraceSmokeGolden(t *testing.T) {
 				if got := digest(files[name]); got != want {
 					t.Errorf("%s: %s, want %s", name, got, want)
 				}
+			}
+			if _, err := trace.ReadChrome(bytes.NewReader(files["trace.json"])); err != nil {
+				t.Error(err)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ package benchfmt
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -68,13 +69,23 @@ func (f *File) Entry(name string) *Entry {
 
 // ReadFile loads a benchmark summary.
 func ReadFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f)
+}
+
+// Read parses a benchmark summary.
+func Read(r io.Reader) (*File, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("benchfmt: parsing %s: %w", path, err)
+		return nil, fmt.Errorf("benchfmt: parsing: %w", err)
 	}
 	return &f, nil
 }

@@ -28,8 +28,10 @@ type Page struct {
 	Data []byte
 	pins int
 	// writes counts device writes of Data in flight: until they return, an
-	// eviction gives Data to no other page.
-	writes int
+	// eviction gives Data to no other page. edits counts MarkDirty calls, so
+	// a write-back knows whether the page was edited while it wrote.
+	writes int32
+	edits  uint32
 	// Offsets is kvdb's table of a node's cell offsets and Fill the cells'
 	// accounting bytes, kept while the page is cached and through kvdb's
 	// in-place edits. The cache never reads them; a page faulted in takes its
@@ -59,6 +61,11 @@ type Cache struct {
 	// 0), and resident counts its pages.
 	pages    []*Page
 	resident int
+	// filling counts frames makeRoom has handed out whose fill has not
+	// landed yet; they count against capacity. landed wakes a miss waiting
+	// for one of them.
+	filling int
+	landed  *sim.Cond
 	// lru is the sentinel of a ring of the resident pages: lru.next is the
 	// most recently used, lru.prev the least.
 	lru   Page
@@ -119,16 +126,21 @@ func (c *Cache) get(p *sim.Proc, id int64, read bool) (*Page, error) {
 		return nil, err
 	}
 	if read {
-		if pg.Data, err = blockdev.ReadOpts(p, c.dev, pageLBA(id), PageSectors, blockdev.Options{Into: pg.Data}); err != nil {
-			return nil, fmt.Errorf("bufcache: page %d: %w", id, err)
-		}
+		pg.Data, err = blockdev.ReadOpts(p, c.dev, pageLBA(id), PageSectors, blockdev.Options{Into: pg.Data})
 	} else if pg.Data == nil {
 		pg.Data = make([]byte, PageSize)
 	} else {
 		clear(pg.Data)
 	}
+	c.filling--
+	if c.landed != nil {
+		c.landed.Broadcast()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bufcache: page %d: %w", id, err)
+	}
 	// An eviction's write or the read may have yielded; another process may
-	// have faulted the same page in meanwhile.
+	// have faulted the same page in meanwhile. Its frame is then given back.
 	if resident := c.pages[id]; resident != nil {
 		return c.pin(resident), nil
 	}
@@ -145,25 +157,34 @@ func (c *Cache) pin(pg *Page) *Page {
 }
 
 // makeRoom evicts LRU unpinned pages until a frame is free and returns the
-// new page to fill it. A dirty victim is written back first and evicted only
-// if it is still resident and unpinned once the write returns. The new page
-// takes the last victim's emptied offset array and its data, unless another
+// new page to fill it, the frame reserved (filling) until the caller's fill
+// lands. While every frame is pinned or being filled, it waits for a fill to
+// land. A dirty victim is written back first and evicted only if it is still
+// resident, unpinned and clean once the write returns. The new page takes
+// the last victim's emptied offset array and its data, unless another
 // process's write of that data is still in flight; then it gets no data, and
 // the caller allocates.
 func (c *Cache) makeRoom(p *sim.Proc) (*Page, error) {
 	pg := new(Page)
-	for c.resident >= c.capacity {
+	for c.resident+c.filling >= c.capacity {
 		victim := c.lruVictim()
 		if victim == nil {
-			return nil, fmt.Errorf("bufcache: all %d pages pinned", c.capacity)
+			if c.filling == 0 {
+				return nil, fmt.Errorf("bufcache: all %d pages pinned", c.capacity)
+			}
+			if c.landed == nil {
+				c.landed = sim.NewCond(p.Env())
+			}
+			c.landed.Wait(p)
+			continue
 		}
 		if victim.dirty {
 			if err := c.writePage(p, victim); err != nil {
 				return nil, err
 			}
-			// The write yielded: another process may have evicted or pinned
-			// the victim meanwhile. Pick again if so.
-			if c.pages[victim.ID] != victim || victim.pins > 0 {
+			// The write yielded: another process may have evicted, pinned
+			// or edited the victim meanwhile. Pick again if so.
+			if c.pages[victim.ID] != victim || victim.pins > 0 || victim.dirty {
 				continue
 			}
 		}
@@ -177,6 +198,7 @@ func (c *Cache) makeRoom(p *sim.Proc) (*Page, error) {
 		pg.Offsets = victim.Offsets[:0]
 		victim.Data, victim.Offsets = nil, nil
 	}
+	c.filling++
 	return pg, nil
 }
 
@@ -206,14 +228,17 @@ func (pg *Page) unlink() {
 	pg.prev, pg.next = nil, nil
 }
 
+// writePage writes pg to the device. The page stays dirty if it was edited
+// while the write was in flight: the write may have missed the edit.
 func (c *Cache) writePage(p *sim.Proc, pg *Page) error {
+	edits := pg.edits
 	pg.writes++
 	err := c.dev.Write(p, pageLBA(pg.ID), PageSectors, pg.Data)
 	pg.writes--
 	if err != nil {
 		return fmt.Errorf("bufcache: writing page %d: %w", pg.ID, err)
 	}
-	pg.dirty = false
+	pg.dirty = pg.edits != edits
 	c.stats.DirtyWrites++
 	return nil
 }
@@ -224,6 +249,7 @@ func (c *Cache) MarkDirty(pg *Page) {
 		panic("bufcache: MarkDirty on unpinned page")
 	}
 	pg.dirty = true
+	pg.edits++
 }
 
 // Release drops one pin.

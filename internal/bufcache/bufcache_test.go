@@ -280,7 +280,9 @@ func TestMissAllocations(t *testing.T) {
 
 // TestConcurrentEvictionOfOneDirtyPage: two misses in a full cache pick the
 // same dirty victim and both write it back; the write yields, so the second
-// to resume finds the victim already evicted and does not count it again.
+// to resume finds the victim already evicted and does not count it again. It
+// then waits for the first miss's frame to land and evicts that page: two
+// misses into a full one-page cache take two evictions.
 func TestConcurrentEvictionOfOneDirtyPage(t *testing.T) {
 	env, c, d := newRig(1)
 	defer env.Close()
@@ -304,8 +306,8 @@ func TestConcurrentEvictionOfOneDirtyPage(t *testing.T) {
 	if got := d.MediaRead(PageSectors, 1); got[0] != 0x55 {
 		t.Error("dirty page not written back")
 	}
-	if s := c.Stats(); s.DirtyWrites != 2 || s.Evictions != 1 {
-		t.Errorf("stats %+v, want both misses to write the one victim and one to evict it", s)
+	if s := c.Stats(); s.DirtyWrites != 2 || s.Evictions != 2 || s.PagesResident != 1 || c.pages[3] == nil {
+		t.Errorf("stats %+v, want both misses to write the one victim, one to evict it and the other to evict page 2 for page 3", s)
 	}
 }
 
@@ -447,5 +449,65 @@ func TestPageOutsideDeviceIsOutOfRange(t *testing.T) {
 	})
 	if s := c.Stats(); s.PagesResident != 1 || s.Evictions != 0 {
 		t.Errorf("stats %+v, want only the last page resident", s)
+	}
+}
+
+// TestEditDuringWriteBackSurvives: while A writes back its victim, B pins
+// that page, edits it and releases it before A's write completes. The edit
+// may or may not be in what A wrote, so the page must stay dirty: A evicts
+// page 9 instead, and B's edit reaches the device at the next flush.
+func TestEditDuringWriteBackSurvives(t *testing.T) {
+	env, c, d := dirtyVictimRig(t)
+	defer env.Close()
+	env.Go("B", func(p *sim.Proc) {
+		pg, err := c.Get(p, 1)
+		if err != nil {
+			t.Errorf("B: get 1: %v", err)
+			return
+		}
+		pg.Data[0] = 0x66
+		c.MarkDirty(pg)
+		c.Release(pg)
+	})
+	env.Run()
+	if c.pages[1] == nil || c.DirtyPages() != 1 {
+		t.Errorf("page 1 resident %v, %d dirty pages; want page 1 resident and still dirty with B's edit", c.pages[1] != nil, c.DirtyPages())
+	}
+	run(env, func(p *sim.Proc) {
+		if err := c.FlushAll(p); err != nil {
+			t.Errorf("flush: %v", err)
+		}
+	})
+	if got := d.MediaRead(PageSectors, 1); got[0] != 0x66 {
+		t.Errorf("page 1 on the device holds %#x, want B's edit 0x66", got[0])
+	}
+}
+
+// TestFillReservesItsFrame: two misses in a full one-page cache. The first
+// evicts the resident page and reads; while that read is in flight its frame
+// is taken, so the second waits for it to land and then evicts it, and the
+// cache never holds more pages than its capacity.
+func TestFillReservesItsFrame(t *testing.T) {
+	env, c, _ := newRig(1)
+	defer env.Close()
+	run(env, func(p *sim.Proc) {
+		pg, _ := c.Get(p, 1)
+		c.Release(pg)
+	})
+	peak := 0
+	for _, id := range []int64{2, 3} {
+		env.Go("miss", func(p *sim.Proc) {
+			pg, err := c.Get(p, id)
+			if err != nil {
+				t.Errorf("get %d: %v", id, err)
+				return
+			}
+			peak = max(peak, c.Stats().PagesResident)
+			c.Release(pg)
+		})
+	}
+	env.Run()
+	if s := c.Stats(); peak > 1 || s.PagesResident != 1 || s.Evictions != 2 || s.Misses != 3 {
+		t.Errorf("peak %d resident, stats %+v; want at most the capacity, 1, resident and both misses to evict", peak, s)
 	}
 }

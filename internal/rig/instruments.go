@@ -38,21 +38,24 @@ func NewInstruments(bucket time.Duration) Instruments {
 	}
 }
 
+// The artefact set of a run directory: WriteDir writes it, ReadDir reads it.
+const (
+	traceFile    = "trace.json"   // Chrome trace: kernel events, requests as async spans
+	metricsFile  = "metrics.prom" // the registry (Prometheus text)
+	timelineFile = "timeline.csv" // the timeline, its open intervals closed at end
+	benchFile    = "bench.json"   // entries as a benchfmt file (only when there are entries)
+	spansFile    = "spans.json"   // every retained request's span tree
+)
+
 // WriteDir writes the artefact set of a bundle from NewInstruments into dir,
-// creating it, under the names cmd/rundiff reads, and prints a line per file
-// (and the tracer's prediction audit) to w:
-//
-//	trace.json    Chrome trace: kernel events, requests as async spans
-//	metrics.prom  the registry (Prometheus text)
-//	timeline.csv  the timeline, its open intervals closed at end
-//	bench.json    entries as a benchfmt file (only when there are entries)
-//	spans.json    every retained request's span tree
+// creating it, and prints a line per file (and the tracer's prediction
+// audit) to w.
 func (in Instruments) WriteDir(dir string, end sim.Time, entries []benchfmt.Entry, w io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	path := func(name string) string { return filepath.Join(dir, name) }
-	err := writeFile(path("trace.json"), func(w io.Writer) error {
+	err := writeFile(path(traceFile), func(w io.Writer) error {
 		cw := trace.NewChromeWriter(w)
 		in.Tracer.EmitChrome(cw)
 		in.Recorder.EmitChrome(cw)
@@ -61,29 +64,29 @@ func (in Instruments) WriteDir(dir string, end sim.Time, entries []benchfmt.Entr
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "trace: %d events -> %s (%d dropped)\n", in.Tracer.Len(), path("trace.json"), in.Tracer.Dropped())
+	fmt.Fprintf(w, "trace: %d events -> %s (%d dropped)\n", in.Tracer.Len(), path(traceFile), in.Tracer.Dropped())
 	if rep := in.Tracer.Audit(); rep.Predictions > 0 || rep.Unaudited > 0 {
 		fmt.Fprint(w, rep)
 	}
-	if err := in.Registry.WriteFile(path("metrics.prom")); err != nil {
+	if err := in.Registry.WriteFile(path(metricsFile)); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "metrics: %d series -> %s\n", in.Registry.Len(), path("metrics.prom"))
+	fmt.Fprintf(w, "metrics: %d series -> %s\n", in.Registry.Len(), path(metricsFile))
 	in.Timeline.Finish(int64(end))
-	if err := in.Timeline.WriteFile(path("timeline.csv")); err != nil {
+	if err := in.Timeline.WriteFile(path(timelineFile)); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "timeline: bucket %v -> %s\n", time.Duration(in.Timeline.BucketNS()), path("timeline.csv"))
+	fmt.Fprintf(w, "timeline: bucket %v -> %s\n", time.Duration(in.Timeline.BucketNS()), path(timelineFile))
 	if len(entries) > 0 {
-		if err := (&benchfmt.File{Experiments: entries}).WriteFile(path("bench.json")); err != nil {
+		if err := (&benchfmt.File{Experiments: entries}).WriteFile(path(benchFile)); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "bench summary -> %s\n", path("bench.json"))
+		fmt.Fprintf(w, "bench summary -> %s\n", path(benchFile))
 	}
-	if err := writeFile(path("spans.json"), in.Recorder.WriteJSON); err != nil {
+	if err := writeFile(path(spansFile), in.Recorder.WriteJSON); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "spans: %d requests -> %s (%d dropped)\n", in.Recorder.Len(), path("spans.json"), in.Recorder.Dropped())
+	fmt.Fprintf(w, "spans: %d requests -> %s (%d dropped)\n", in.Recorder.Len(), path(spansFile), in.Recorder.Dropped())
 	return nil
 }
 
@@ -97,6 +100,52 @@ func writeFile(path string, write func(w io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// Run is a run directory read back: each artefact WriteDir writes, parsed and
+// checked by its own package's reader, nil when its file is absent.
+type Run struct {
+	Trace    []trace.ChromeEvent
+	Metrics  map[string]float64
+	Timeline *timeline.Timeline
+	Bench    *benchfmt.File
+	Spans    []*span.Request
+}
+
+// ReadDir reads the artefacts WriteDir writes from dir. A directory holding
+// none of them is an error, and so is any artefact its reader rejects; the
+// error names the file.
+func ReadDir(dir string) (*Run, error) {
+	var run Run
+	found := 0
+	for _, a := range []struct {
+		name string
+		read func(r io.Reader) error
+	}{
+		{traceFile, func(r io.Reader) (err error) { run.Trace, err = trace.ReadChrome(r); return err }},
+		{metricsFile, func(r io.Reader) (err error) { run.Metrics, err = telemetry.ParseProm(r); return err }},
+		{timelineFile, func(r io.Reader) (err error) { run.Timeline, err = timeline.Parse(r); return err }},
+		{benchFile, func(r io.Reader) (err error) { run.Bench, err = benchfmt.Read(r); return err }},
+		{spansFile, func(r io.Reader) (err error) { run.Spans, _, err = span.ReadJSON(r); return err }},
+	} {
+		path := filepath.Join(dir, a.name)
+		if st, err := os.Stat(path); err != nil || st.IsDir() {
+			continue
+		}
+		f, err := os.Open(path)
+		if err == nil {
+			err = a.read(f)
+			f.Close()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		found++
+	}
+	if found == 0 {
+		return nil, fmt.Errorf("%s: no run artifacts (%s, %s, %s, %s, %s)", dir, traceFile, metricsFile, timelineFile, benchFile, spansFile)
+	}
+	return &run, nil
 }
 
 // AttachKernel hands env the bundle's tracer, timeline and registry. Rig.Start

@@ -2,7 +2,6 @@ package span
 
 import (
 	"fmt"
-	"io"
 
 	"tracklog/internal/trace"
 )
@@ -13,13 +12,6 @@ import (
 // draw flow arrows ("s"/"f") from each client write they commit — so
 // Perfetto shows a durable ack on the log disk flowing to its eventual
 // in-place commit.
-
-// WriteChrome writes the retained span trees as a standalone Chrome trace.
-func (r *Recorder) WriteChrome(w io.Writer) error {
-	cw := trace.NewChromeWriter(w)
-	r.EmitChrome(cw)
-	return cw.Close()
-}
 
 // EmitChrome emits the retained span trees into an existing ChromeWriter,
 // so spans can share a file with the flat event trace. Nil-safe.

@@ -10,6 +10,7 @@ import (
 
 	"tracklog/internal/disk"
 	"tracklog/internal/sim"
+	"tracklog/internal/trace"
 )
 
 // phases is a disk command's per-phase time, keyed by disk.Phase.
@@ -47,9 +48,21 @@ func TestNilRecorderSafe(t *testing.T) {
 	if !strings.Contains(buf.String(), `"requests":[`) {
 		t.Fatalf("nil recorder JSON invalid: %s", buf.String())
 	}
-	if err := r.WriteChrome(&buf); err != nil {
+	if evs, err := trace.ReadChrome(strings.NewReader(exportChrome(t, r))); err != nil || len(evs) != 0 {
+		t.Fatalf("nil recorder export: %d events, %v; want an empty valid trace", len(evs), err)
+	}
+}
+
+// exportChrome renders r's span trees the way a run's trace.json is written.
+func exportChrome(t *testing.T, r *Recorder) string {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := trace.NewChromeWriter(&buf)
+	r.EmitChrome(cw)
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.String()
 }
 
 func record(r *Recorder, id int) {
@@ -375,8 +388,8 @@ func TestExplainTailClusterCauses(t *testing.T) {
 	}
 }
 
-// Chrome export must be deterministic and structurally sound (async pairs
-// balance; tracecheck does the deeper validation in CI).
+// Chrome export must be deterministic and pass ReadChrome's checks, async
+// pairs and flow arrows included.
 func TestWriteChromeDeterministic(t *testing.T) {
 	mk := func() string {
 		r := NewRecorder(0)
@@ -388,18 +401,14 @@ func TestWriteChromeDeterministic(t *testing.T) {
 		wb.Child(PQueue, 9000, 9100)
 		wb.Command(cmd(9100, phases{disk.Seek: 100, disk.Transfer: 100}), 0)
 		wb.Finish(9300, false)
-		var buf bytes.Buffer
-		if err := r.WriteChrome(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		return exportChrome(t, r)
 	}
 	a, b := mk(), mk()
 	if a != b {
 		t.Fatal("chrome export differs across identical recordings")
 	}
-	if strings.Count(a, `"ph":"b"`) != strings.Count(a, `"ph":"e"`) {
-		t.Fatal("unbalanced async begin/end")
+	if _, err := trace.ReadChrome(strings.NewReader(a)); err != nil {
+		t.Fatalf("chrome export rejected: %v\n%s", err, a)
 	}
 	if strings.Count(a, `"ph":"s"`) != 1 || strings.Count(a, `"ph":"f"`) != 1 {
 		t.Fatalf("flow events wrong:\n%s", a)

@@ -227,13 +227,3 @@ func seriesLess(cur *Series, comp, track, name string) bool {
 	}
 	return cur.Name < name
 }
-
-// ParseFile reads and parses a timeline export from disk.
-func ParseFile(path string) (*Timeline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Parse(f)
-}

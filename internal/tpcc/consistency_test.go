@@ -168,8 +168,11 @@ func TestDeterministicRuns(t *testing.T) {
 	// The golden outcomes were recorded before the lock table's holders map
 	// became a slice and rows, keys and redo records stopped being allocated
 	// one by one (PR 23): a change to how txn or tpcc spend host memory moves
-	// nothing here, the 271 lock waits and the deadlock of the concurrency-4
-	// case included.
+	// nothing here, the lock waits and the deadlock of the concurrency-4 case
+	// included. The concurrency-4 outcome was re-recorded once when the page
+	// cache stopped losing an edit made during the page's own write-back and
+	// stopped exceeding its capacity while a fill is in flight (lock waits
+	// 271 -> 260, flushes 282 -> 280).
 	type outcome struct {
 		committed, aborted, flushes int64
 		stats                       txn.Stats
@@ -184,8 +187,8 @@ func TestDeterministicRuns(t *testing.T) {
 		{1, 300, 2, "{committed:300 aborted:0 flushes:269 stats:{Begun:300 Committed:300 Aborted:0 Deadlocks:0 LockWaits:0 LockWaitTime:0 CommitIOTime:3585430482} " +
 			"elapsed:11759846755 tpmC:668.3760565721759 sum:5826902641 p50:19166665 p99:37333331 max:107833329}"},
 		{2, 50, 2, ""},
-		{4, 300, 10, "{committed:300 aborted:0 flushes:282 stats:{Begun:301 Committed:300 Aborted:1 Deadlocks:1 LockWaits:271 LockWaitTime:4538902625 CommitIOTime:4557166546} " +
-			"elapsed:4445680381 tpmC:1795.0008358911755 sum:11384610767 p50:35833331 p99:122291665 max:162347218}"},
+		{4, 300, 10, "{committed:300 aborted:0 flushes:280 stats:{Begun:301 Committed:300 Aborted:1 Deadlocks:1 LockWaits:260 LockWaitTime:4242055412 CommitIOTime:4559680430} " +
+			"elapsed:4379013716 tpmC:1836.029873718715 sum:11093944105 p50:34833331 p99:122291665 max:162347218}"},
 	} {
 		run := func() outcome {
 			r := newRig(t, wal.SyncEveryCommit)

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 )
 
@@ -10,15 +9,8 @@ import (
 // (ui.perfetto.dev) and chrome://tracing. Each Track (device or kernel
 // process) becomes one named thread under a single process; events with a
 // duration become complete ("X") events, instants become instant ("i")
-// events. The byte-level formatting rules live in ChromeWriter.
-
-// WriteChrome writes the buffered events to w in Chrome trace-event JSON.
-// On a nil tracer it writes an empty but valid trace.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	cw := NewChromeWriter(w)
-	t.EmitChrome(cw)
-	return cw.Close()
-}
+// events. The byte-level formatting rules live in ChromeWriter, and
+// ReadChrome reads the file back.
 
 // EmitChrome emits the buffered events into an existing ChromeWriter, so the
 // event trace can share a file with other emitters (the span exporter).

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,14 +33,21 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if rep.Predictions != 0 || rep.MissRate() != 0 {
 		t.Fatalf("nil tracer audit non-empty: %+v", rep)
 	}
+	if evs, err := ReadChrome(bytes.NewReader(exportChrome(t, tr))); err != nil || len(evs) != 0 {
+		t.Fatalf("nil tracer export: %d events, %v; want an empty valid trace", len(evs), err)
+	}
+}
+
+// exportChrome renders tr's events the way a run's trace.json is written.
+func exportChrome(t *testing.T, tr *Tracer) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
-		t.Fatalf("nil WriteChrome: %v", err)
+	cw := NewChromeWriter(&buf)
+	tr.EmitChrome(cw)
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	var parsed map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatalf("nil WriteChrome output not JSON: %v", err)
-	}
+	return buf.Bytes()
 }
 
 // The ring must keep the newest events, evict the oldest, and report the
@@ -162,64 +169,32 @@ func TestAuditSlackHistClamp(t *testing.T) {
 	}
 }
 
-// Two exports of the same tracer must be byte-identical, and the output must
-// be valid JSON in the Chrome trace-event object shape.
+// Two exports of the same tracer must be byte-identical, and ReadChrome must
+// read back each event with its track and exact virtual times.
 func TestWriteChromeDeterministicAndValid(t *testing.T) {
 	tr := New(64)
 	tr.Emit(Event{At: 1_234_567, Dur: 500_000, Kind: KSeek, Track: "log0", LBA: 42, Count: 3})
 	tr.Emit(Event{At: 2_000_000, Kind: KEnqueue, Track: "data0", A: 2, B: 1})
 	tr.Emit(Event{At: 2_500_001, Dur: 1, Kind: KTransfer, Track: "log0"})
 
-	var a, b bytes.Buffer
-	if err := tr.WriteChrome(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteChrome(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	a, b := exportChrome(t, tr), exportChrome(t, tr)
+	if !bytes.Equal(a, b) {
 		t.Fatal("two exports of the same tracer differ")
 	}
-
-	var tf struct {
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-		TraceEvents     []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-			Pid  int     `json:"pid"`
-			Tid  int     `json:"tid"`
-		} `json:"traceEvents"`
+	got, err := ReadChrome(bytes.NewReader(a))
+	if err != nil {
+		t.Fatalf("export rejected: %v\n%s", err, a)
 	}
-	if err := json.Unmarshal(a.Bytes(), &tf); err != nil {
-		t.Fatalf("export is not valid JSON: %v\n%s", err, a.String())
+	want := []ChromeEvent{
+		{Name: "seek", Cat: "sim", Ph: "X", At: 1_234_567, Dur: 500_000, Track: "log0",
+			Args: `{"lba":42,"count":3,"a":0,"b":0}`},
+		{Name: "enqueue", Cat: "sim", Ph: "i", At: 2_000_000, Track: "data0",
+			Args: `{"lba":0,"count":0,"a":2,"b":1}`},
+		{Name: "transfer", Cat: "sim", Ph: "X", At: 2_500_001, Dur: 1, Track: "log0",
+			Args: `{"lba":0,"count":0,"a":0,"b":0}`},
 	}
-	// 1 process_name + 2 thread_name metadata + 3 events.
-	if len(tf.TraceEvents) != 6 {
-		t.Fatalf("exported %d events, want 6", len(tf.TraceEvents))
-	}
-	// The seek span: ts in microseconds with sub-µs decimals preserved.
-	var found bool
-	for _, ev := range tf.TraceEvents {
-		if ev.Name == "seek" {
-			found = true
-			if ev.Ph != "X" {
-				t.Fatalf("seek ph = %q, want X", ev.Ph)
-			}
-			if ev.Ts != 1234.567 {
-				t.Fatalf("seek ts = %v, want 1234.567", ev.Ts)
-			}
-			if ev.Dur != 500 {
-				t.Fatalf("seek dur = %v, want 500", ev.Dur)
-			}
-		}
-		if ev.Name == "enqueue" && ev.Ph != "i" {
-			t.Fatalf("zero-duration event ph = %q, want i", ev.Ph)
-		}
-	}
-	if !found {
-		t.Fatal("seek event missing from export")
+	if !slices.Equal(got, want) {
+		t.Fatalf("read back %+v\nwant %+v", got, want)
 	}
 }
 

@@ -283,7 +283,7 @@ func scanTrack(p *sim.Proc, log *disk.Disk, track int, epoch uint32, win *trackW
 		return ts, err
 	}
 	for s := 0; s < len(win.img)/geom.SectorSize; s++ {
-		hdr, data, err := decodeRecord(win.img, base, s, epoch)
+		hdr, data, err := DecodeRecord(win.img, base, s, epoch)
 		if hdr == nil {
 			continue
 		}
@@ -303,13 +303,13 @@ func scanTrack(p *sim.Proc, log *disk.Disk, track int, epoch uint32, win *trackW
 	return ts, nil
 }
 
-// decodeRecord decodes the record whose header is sector s of img, the image
+// DecodeRecord decodes the record whose header is sector s of img, the image
 // of the whole track starting at LBA base, with its data sectors in img. The
 // header is nil unless sector s holds a header of epoch naming its own LBA (a
 // stale copy relocated by a reformat does not) whose record ends on the
 // track, as every record does. A torn record returns its header with the
 // checkPayload error: torn traces still prove the allocator reached it.
-func decodeRecord(img []byte, base int64, s int, epoch uint32) (*RecordHeader, []byte, error) {
+func DecodeRecord(img []byte, base int64, s int, epoch uint32) (*RecordHeader, []byte, error) {
 	off := s * geom.SectorSize
 	hdr, err := DecodeRecordHeader(img[off : off+geom.SectorSize])
 	if err != nil {
@@ -456,7 +456,7 @@ func loadRecord(p *sim.Proc, log *disk.Disk, headerLBA int64, epoch uint32, win 
 			return nil, err
 		}
 	}
-	hdr, data, err := decodeRecord(win.img, headerLBA-int64(a.Sector), a.Sector, epoch)
+	hdr, data, err := DecodeRecord(win.img, headerLBA-int64(a.Sector), a.Sector, epoch)
 	if err != nil {
 		return nil, err
 	}

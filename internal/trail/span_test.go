@@ -196,7 +196,9 @@ func TestSpanDumpsDeterministic(t *testing.T) {
 		if err := rec.WriteJSON(&j); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.WriteChrome(&c); err != nil {
+		cw := trace.NewChromeWriter(&c)
+		rec.EmitChrome(cw)
+		if err := cw.Close(); err != nil {
 			t.Fatal(err)
 		}
 		return j.Bytes(), c.Bytes()
