@@ -1,7 +1,7 @@
 // Trailcheck is the repo's invariant checker: a multichecker for the
 // custom analyzers in internal/lint (virtualtime, determinism, errtaxonomy,
-// nilguard). determinism follows sinks through helpers over a call graph of
-// every loaded package, so run trailcheck over the full tree:
+// nilguard). Each analyzer reads one package at a time, so a package's
+// findings are the same whether it is checked alone or with the tree:
 //
 //	go run ./cmd/trailcheck ./...             # plain, vet-style output
 //	go run ./cmd/trailcheck -json ./...       # machine-readable findings

@@ -43,7 +43,7 @@ func main() {
 // crashAndRecover builds a fresh crashed system and recovers it with opts.
 func crashAndRecover(opts tracklog.RecoverOptions) (*tracklog.RecoverReport, error) {
 	cfg := tracklog.DefaultTrailConfig()
-	cfg.DisableBatching = true // one record per write, for a precise backlog
+	cfg.MaxBatchSectors = 2 // one 2-sector write per record, for a precise backlog
 	sys, err := tracklog.NewSystem(tracklog.SystemConfig{Trail: cfg})
 	if err != nil {
 		return nil, err

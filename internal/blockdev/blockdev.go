@@ -127,11 +127,6 @@ type Options struct {
 	Into []byte
 }
 
-// Expired reports whether the deadline (if any) has passed at now.
-func (o Options) Expired(now sim.Time) bool {
-	return o.Deadline != 0 && now >= o.Deadline
-}
-
 // Buffer returns Into[:count*SectorSize] when Into holds count sectors, and
 // nil otherwise.
 func (o Options) Buffer(count int) []byte {

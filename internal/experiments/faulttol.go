@@ -61,7 +61,7 @@ func FaultTolerance(writes int, seed uint64, cfg fault.Config) (*FaultToleranceR
 	if cfg.MaxLBA == 0 {
 		cfg.MaxLBA = faultRegion
 	}
-	res := &FaultToleranceResult{Scenario: scenarioString(cfg)}
+	res := &FaultToleranceResult{Scenario: cfg.String()}
 	for _, system := range []string{"standard", "trail", "raid5"} {
 		row, err := faultToleranceRun(system, writes, seed, cfg)
 		if err != nil {
@@ -188,32 +188,6 @@ func payload(lba int64, count int) []byte {
 		}
 	}
 	return buf
-}
-
-// scenarioString renders the scenario compactly for the report header.
-func scenarioString(cfg fault.Config) string {
-	var terms []string
-	add := func(k string, v interface{}) { terms = append(terms, fmt.Sprintf("%s=%v", k, v)) }
-	if cfg.LatentReadErrors > 0 {
-		add("latent", cfg.LatentReadErrors)
-	}
-	if cfg.LatentWriteErrors > 0 {
-		add("wlatent", cfg.LatentWriteErrors)
-	}
-	if cfg.LatentOnsetWindow > 0 {
-		add("onset", cfg.LatentOnsetWindow)
-	}
-	if cfg.Timeouts > 0 {
-		add("timeout", cfg.Timeouts)
-	}
-	if cfg.GrowingRegion > 0 {
-		add("grow", cfg.GrowingRegion)
-	}
-	if cfg.FailAt > 0 {
-		add("failat", cfg.FailAt)
-	}
-	add("maxlba", cfg.MaxLBA)
-	return strings.Join(terms, ",")
 }
 
 // String renders the comparison.

@@ -109,7 +109,7 @@ func Figure4(qs []int, seed uint64) (*Fig4Result, error) {
 // it and the write-back phase can be decomposed per device command.
 func crashWithBacklog(q int, seed uint64, opts trail.RecoverOptions, rec *span.Recorder) (*trail.RecoverReport, error) {
 	cfg := trail.Default()
-	cfg.DisableBatching = true // one record per write: backlog == Q records
+	cfg.MaxBatchSectors = 2 // one 2-sector write per record: backlog == Q records
 	sys, err := rig.New(rig.Config{Trail: cfg, Instruments: rig.Instruments{Recorder: rec}})
 	if err != nil {
 		return nil, err

@@ -43,9 +43,6 @@ func Table1(writes int, batchSizes []int) (*Table1Result, error) {
 	for _, bs := range batchSizes {
 		cfg := trail.Default()
 		cfg.MaxBatchSectors = bs
-		if bs == 1 {
-			cfg.DisableBatching = true
-		}
 		sys, err := rig.New(rig.Config{Trail: cfg})
 		if err != nil {
 			return nil, err

@@ -337,6 +337,33 @@ func ParseScenario(s string) (Config, error) {
 	return cfg, err
 }
 
+// String renders c as the scenario ParseScenario reads back into c: every
+// non-zero field under its key, in ParseScenario's key order.
+func (c Config) String() string {
+	var terms []string
+	num := func(k string, n int64) {
+		if n != 0 {
+			terms = append(terms, k+"="+strconv.FormatInt(n, 10))
+		}
+	}
+	dur := func(k string, d time.Duration) {
+		if d != 0 {
+			terms = append(terms, k+"="+d.String())
+		}
+	}
+	num("latent", int64(c.LatentReadErrors))
+	num("wlatent", int64(c.LatentWriteErrors))
+	dur("onset", c.LatentOnsetWindow)
+	num("timeout", int64(c.Timeouts))
+	num("twindow", int64(c.TimeoutWindow))
+	dur("tdelay", c.TimeoutDelay)
+	num("grow", int64(c.GrowingRegion))
+	dur("growint", c.GrowthInterval)
+	dur("failat", c.FailAt)
+	num("maxlba", c.MaxLBA)
+	return strings.Join(terms, ",")
+}
+
 // scanTerms splits a scenario into its comma-separated key=value terms and
 // hands each to apply, in order, with the term as written for error text.
 // It rejects a term that is not key=value and a repeated key: a repeated key

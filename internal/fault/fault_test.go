@@ -215,6 +215,13 @@ func TestParseScenario(t *testing.T) {
 	if cfg != want {
 		t.Errorf("parsed %+v, want %+v", cfg, want)
 	}
+	const canonical = "latent=3,wlatent=2,onset=5s,timeout=1,twindow=500,tdelay=10ms,grow=8,growint=2s,failat=30s,maxlba=4096"
+	if s := want.String(); s != canonical {
+		t.Errorf("String() = %q, want %q", s, canonical)
+	}
+	if back, err := ParseScenario(want.String()); err != nil || back != want {
+		t.Errorf("ParseScenario(String()) = %+v, %v; want %+v", back, err, want)
+	}
 	if cfg, err := ParseScenario(""); err != nil || cfg != (Config{}) {
 		t.Errorf("empty scenario: %+v, %v", cfg, err)
 	}

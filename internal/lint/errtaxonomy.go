@@ -75,20 +75,13 @@ func sentinelOf(pass *Pass, e ast.Expr) *types.Var {
 	if v.Parent() != v.Pkg().Scope() {
 		return nil
 	}
-	if !types.Implements(v.Type(), errorInterface()) {
+	if !types.Implements(v.Type(), errorInterface) {
 		return nil
 	}
 	return v
 }
 
-var errIface *types.Interface
-
-func errorInterface() *types.Interface {
-	if errIface == nil {
-		errIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-	}
-	return errIface
-}
+var errorInterface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 func isNilExpr(pass *Pass, e ast.Expr) bool {
 	tv, ok := pass.Info.Types[ast.Unparen(e)]
@@ -121,7 +114,7 @@ func checkSentinelSwitch(pass *Pass, sw *ast.SwitchStmt) {
 		return
 	}
 	tv, ok := pass.Info.Types[sw.Tag]
-	if !ok || !types.Implements(tv.Type, errorInterface()) {
+	if !ok || !types.Implements(tv.Type, errorInterface) {
 		return
 	}
 	for _, stmt := range sw.Body.List {

@@ -5,9 +5,10 @@
 //     A single stray time.Now silently breaks the microsecond-exact
 //     rotational model the head-position prediction depends on.
 //   - determinism: all output is byte-deterministic. math/rand is banned
-//     outside internal/sim's own deterministic generator, and iterating a
-//     Go map into an output sink or a kernel scheduling call — directly or
-//     through helpers — is flagged because map order is randomized.
+//     outside internal/sim's own deterministic generator, and a Go map
+//     range whose body calls an output sink or a kernel scheduling call,
+//     or keeps the first match it finds, is flagged because map order is
+//     randomized.
 //   - errtaxonomy: device errors flow through the sentinel taxonomy with
 //     errors.Is and %w wrapping, so retry/QoS budgets keep firing after a
 //     layer wraps an error.
@@ -27,11 +28,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -66,18 +68,12 @@ func ByName(names string) ([]*Analyzer, error) {
 		if picked[n] {
 			return nil, fmt.Errorf("duplicate analyzer %q", n)
 		}
-		found := false
-		for _, a := range All() {
-			if a.Name == n {
-				out = append(out, a)
-				picked[n] = true
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(All(), func(a *Analyzer) bool { return a.Name == n })
+		if i < 0 {
 			return nil, fmt.Errorf("unknown analyzer %q", n)
 		}
+		out = append(out, All()[i])
+		picked[n] = true
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty analyzer list")
@@ -96,11 +92,6 @@ type Pass struct {
 	// ".../testdata/src/" prefix stripped, so analysistest fixtures are
 	// matched against the same per-package configuration as the real tree.
 	Path string
-
-	// Prog is the call graph over every package of this Run, through which
-	// determinism finds sinks behind helpers. Each analyzer still runs once
-	// per package and reports only diagnostics anchored in that package.
-	Prog *Program
 
 	diags *[]Diagnostic
 }
@@ -144,10 +135,10 @@ func inModule(path string) bool {
 }
 
 // Run applies each analyzer to each package and returns the diagnostics in
-// deterministic order (file, line, column, analyzer, message). The call
-// graph over all of pkgs is built first and shared by every pass.
+// deterministic order (file, line, column, analyzer, message). No pass
+// reads beyond its own package, so a package's findings do not depend on
+// which other packages are loaded with it.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	prog := BuildProgram(pkgs)
 	var all []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -157,7 +148,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:    pkg.Files,
 				Info:     pkg.Info,
 				Path:     NormalizePath(pkg.ImportPath),
-				Prog:     prog,
 				diags:    &all,
 			}
 			if err := a.Run(pass); err != nil {
@@ -165,21 +155,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
+	slices.SortFunc(all, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Analyzer, b.Analyzer), strings.Compare(a.Message, b.Message))
 	})
 	return all, nil
 }

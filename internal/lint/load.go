@@ -125,7 +125,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Defs:       make(map[*ast.Ident]types.Object),
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Scopes:     make(map[ast.Node]*types.Scope),
 		}
 		conf := types.Config{
 			Importer: imp,

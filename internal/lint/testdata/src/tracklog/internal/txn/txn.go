@@ -35,19 +35,6 @@ func (t *txn) releaseAll() {
 	}
 }
 
-// grant hides the wake-up behind a helper.
-func (m *manager) grant(key string) {
-	for _, w := range m.queue[key] {
-		w.ev.Trigger()
-	}
-}
-
-func (t *txn) releaseViaHelper() {
-	for key := range t.locks { // want `reaches scheduling call via helper \(sim\.Event\.Trigger\)`
-		t.m.grant(key)
-	}
-}
-
 // The other scheduling calls: spawning, signalling, handing a slot on.
 func (m *manager) spawnAll(work map[string]func(*sim.Proc)) {
 	for name, fn := range work { // want `reaches scheduling call sim\.Env\.Go`
@@ -75,7 +62,9 @@ func (t *txn) releaseSorted() {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		t.m.grant(key)
+		for _, w := range t.m.queue[key] {
+			w.ev.Trigger()
+		}
 	}
 }
 

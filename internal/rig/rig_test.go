@@ -56,7 +56,7 @@ func TestCrashRecoverReadBack(t *testing.T) {
 		raid5 bool
 	}{
 		{"trail-1log", Config{}, 2, false},
-		{"trail-2log", Config{LogDisks: 2, Trail: trail.Config{DisableBatching: true}}, 2, false},
+		{"trail-2log", Config{LogDisks: 2, Trail: trail.Config{MaxBatchSectors: 1}}, 2, false},
 		{"baseline", Config{Baseline: sched.LOOK}, 2, false},
 		{"baseline-raid5", Config{Baseline: sched.LOOK}, 3, true},
 	} {

@@ -46,16 +46,14 @@ type Config struct {
 	// driver moves the head to the next track after a write (paper: 30%).
 	UtilizationThreshold float64
 	// MaxBatchSectors caps the data sectors aggregated into one write
-	// record (paper: MAX_TRAIL_BATCH).
+	// record (paper: MAX_TRAIL_BATCH). Set to the size of fixed-size
+	// requests, it gives one request per record (Table 1's batch of 1).
 	MaxBatchSectors int
 	// FixedDelta, when > 0, disables the driver's command-overhead
 	// modelling and applies the paper's raw prediction formula with a
 	// fixed delta of this many sectors (ablation: small values land behind
 	// the head and cost a full rotation per write).
 	FixedDelta int
-	// DisableBatching services one request per record (ablation for
-	// Table 1).
-	DisableBatching bool
 	// IdleReposition, when > 0, refreshes the prediction reference point
 	// after the log disk has been idle this long (paper §3.1: "periodically
 	// reposition the log disk head ... when the log disk is idle").
@@ -1032,12 +1030,6 @@ func (d *Driver) takeBatch(now sim.Time, capacity int, batch []*pendingWrite) []
 			d.logQ.Pop()
 			d.expireWrite(now, nxt)
 			continue
-		}
-		if d.cfg.DisableBatching {
-			if len(batch) == 0 {
-				batch = append(batch, d.logQ.Pop())
-			}
-			break
 		}
 		if len(batch) > 0 && total+nxt.count > capacity {
 			break

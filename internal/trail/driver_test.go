@@ -203,7 +203,7 @@ func TestBatchingAggregatesConcurrentWrites(t *testing.T) {
 }
 
 func TestDisableBatchingAblation(t *testing.T) {
-	r := newRig(t, 1, Config{DisableBatching: true})
+	r := newRig(t, 1, Config{MaxBatchSectors: 1})
 	defer r.env.Close()
 	dev := r.drv.Dev(0)
 	const writers = 5
@@ -213,7 +213,7 @@ func TestDisableBatchingAblation(t *testing.T) {
 	}
 	r.env.Run()
 	if s := r.drv.Stats(); s.Records != writers {
-		t.Errorf("records = %d, want %d with batching disabled", s.Records, writers)
+		t.Errorf("records = %d, want %d with one-sector batches", s.Records, writers)
 	}
 }
 

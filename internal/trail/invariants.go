@@ -2,7 +2,9 @@ package trail
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tracklog/internal/geom"
 )
@@ -24,6 +26,9 @@ import (
 //     and every staged image is the one pack makes of its sectors.
 //  7. The oldest outstanding record is not committed: commitRef pops
 //     committed records off the head.
+//
+// Staged extents are audited in key order, so the violation reported is the
+// same on every run.
 func (d *Driver) CheckInvariants() error {
 	type trackKey struct {
 		log, track int
@@ -64,8 +69,16 @@ func (d *Driver) CheckInvariants() error {
 			return fmt.Errorf("trail: log %d tail track bitmap has %d used sectors, usedOnTail %d", li, used, ld.usedOnTail)
 		}
 	}
+	keys := make([]bufKey, 0, len(d.staging))
+	for key := range d.staging {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b bufKey) int {
+		return cmp.Or(cmp.Compare(a.dev, b.dev), cmp.Compare(a.lba, b.lba), cmp.Compare(a.count, b.count))
+	})
 	var staged int64
-	for key, e := range d.staging {
+	for _, key := range keys {
+		e := d.staging[key]
 		staged += e.bytes()
 		buf := make([]byte, max(e.count, 0)*geom.SectorSize)
 		if unpack(buf, e.data, e.count, 0); e.count <= 0 || !bytes.Equal(pack(nil, buf), e.data) {

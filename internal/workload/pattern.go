@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"tracklog/internal/sim"
 )
@@ -60,33 +59,13 @@ func NewZipf(n int, s float64) *ZipfPattern {
 	if n < 1 {
 		n = 1
 	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &ZipfPattern{cdf: cdf, name: fmt.Sprintf("zipf(%d,%.2f)", n, s)}
+	return &ZipfPattern{cdf: zipfCDF(n, s), name: fmt.Sprintf("zipf(%d,%.2f)", n, s)}
 }
 
 // Next implements Pattern.
 func (z *ZipfPattern) Next(rng *sim.Rand, devSectors int64, sectors int) int64 {
-	u := rng.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	slots := devSectors / int64(sectors)
-	slot := int64(lo) % slots
+	slot := int64(sampleCDF(z.cdf, rng.Float64())) % slots
 	return slot * int64(sectors)
 }
 

@@ -227,11 +227,11 @@ func TestSystemMultiLog(t *testing.T) {
 }
 
 // A recovered system restarts with the crashed system's own TrailConfig, not
-// the defaults: with batching disabled, concurrent writers on the rebooted
-// driver still get one record per write.
+// the defaults: with one-sector batches, concurrent one-sector writers on the
+// rebooted driver still get one record per write.
 func TestRecoverKeepsTrailConfig(t *testing.T) {
 	cfg := tracklog.DefaultTrailConfig()
-	cfg.DisableBatching = true
+	cfg.MaxBatchSectors = 1
 	sys, err := tracklog.NewSystem(tracklog.SystemConfig{Trail: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +260,6 @@ func TestRecoverKeepsTrailConfig(t *testing.T) {
 	}
 	recovered.Run()
 	if s := recovered.Trail.Stats(); s.Writes != writers*per || s.Records != s.Writes {
-		t.Errorf("%d records for %d writes on the recovered system; DisableBatching was dropped", s.Records, s.Writes)
+		t.Errorf("%d records for %d writes on the recovered system; MaxBatchSectors was dropped", s.Records, s.Writes)
 	}
 }
