@@ -443,11 +443,13 @@ func (c *Cluster) RunMix(reqs []workload.MixRequest) *MixResult {
 	sort.SliceStable(order, func(a, b int) bool { return reqs[order[a]].At < reqs[order[b]].At })
 	// Every request runs one body, bound once. A spawned process first runs
 	// in spawn order, so the body starting now serves the next arrival.
+	// Reads land in one buffer, whose bytes nothing looks at.
 	next := 0
+	discard := make([]byte, c.cfg.WriteSize)
 	body := func(p *sim.Proc) {
 		i := order[next]
 		next++
-		c.runMixRequest(p, reqs[i], &res.Outcomes[i])
+		c.runMixRequest(p, reqs[i], &res.Outcomes[i], discard)
 	}
 	names := reqNames(order)
 	c.env.Go("cluster/arrivals", func(p *sim.Proc) {
@@ -493,12 +495,13 @@ func reqNameLen(i int) int {
 	return n
 }
 
-// runMixRequest issues one mix request and records its outcome in o.
-func (c *Cluster) runMixRequest(p *sim.Proc, r workload.MixRequest, o *ReqOutcome) {
+// runMixRequest issues one mix request, reading into discard, and records
+// its outcome in o.
+func (c *Cluster) runMixRequest(p *sim.Proc, r workload.MixRequest, o *ReqOutcome, discard []byte) {
 	start := p.Now()
 	var err error
 	if r.Read {
-		_, err = c.Read(p, r.Tenant, r.Block, r.Class)
+		_, err = c.Read(p, r.Tenant, r.Block, r.Class, discard)
 	} else {
 		err = c.Write(p, r.Tenant, r.Block, r.Class)
 	}
@@ -522,7 +525,7 @@ func (c *Cluster) runMixRequest(p *sim.Proc, r workload.MixRequest, o *ReqOutcom
 // the number lost (unreadable or mismatched) — the kill-one-shard
 // acceptance bar is lost == 0.
 func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
-	want := make([]byte, c.cfg.WriteSize)
+	got, want := make([]byte, c.cfg.WriteSize), make([]byte, c.cfg.WriteSize)
 	for t := range c.slots {
 		for b := range c.slots[t] {
 			sl := &c.slots[t][b]
@@ -530,7 +533,7 @@ func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
 				continue
 			}
 			checked++
-			data, err := c.Read(p, t, b, blockdev.ClassInteractive)
+			data, err := c.Read(p, t, b, blockdev.ClassInteractive, got)
 			if err != nil {
 				lost++
 				continue

@@ -31,7 +31,7 @@ func TestClusterWriteReadRoundTrip(t *testing.T) {
 			}
 		}
 		for tn := 0; tn < 8; tn++ {
-			data, err := c.Read(p, tn, 0, blockdev.ClassNormal)
+			data, err := c.Read(p, tn, 0, blockdev.ClassNormal, nil)
 			if err != nil {
 				t.Errorf("read tenant %d: %v", tn, err)
 				continue
@@ -314,7 +314,7 @@ func TestClusterDegradedModeShedsBackground(t *testing.T) {
 			t.Errorf("degraded background write err = %v, want shed", err)
 		}
 		// Reads on the victim tenant fail over to the surviving copy.
-		if _, err := c.Read(p, victim, 0, blockdev.ClassNormal); err != nil {
+		if _, err := c.Read(p, victim, 0, blockdev.ClassNormal, nil); err != nil {
 			t.Errorf("degraded read should fail over: %v", err)
 		}
 	})
@@ -381,7 +381,7 @@ func TestClusterSlowShardHedging(t *testing.T) {
 			t.Errorf("shard 1 data disk derate = %d, want 0", got)
 		}
 		for i := 0; i < 10; i++ {
-			if _, err := c.Read(p, victim, 0, blockdev.ClassNormal); err != nil {
+			if _, err := c.Read(p, victim, 0, blockdev.ClassNormal, nil); err != nil {
 				t.Errorf("read %d: %v", i, err)
 			}
 			p.Sleep(3 * time.Millisecond)

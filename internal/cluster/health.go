@@ -18,6 +18,7 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
+	"tracklog/internal/geom"
 	"tracklog/internal/sim"
 	"tracklog/internal/timeline"
 	"tracklog/internal/trail"
@@ -98,10 +99,12 @@ func (c *Cluster) setState(sh *Shard, st State, at sim.Time) {
 
 // startHeartbeats spawns one probe daemon per shard. Daemons do not keep
 // the simulation alive: health monitoring exists only while real work does.
+// A daemon's probes all land in one sector buffer, whose bytes nothing reads.
 func (c *Cluster) startHeartbeats() {
 	for i := range c.shards {
 		i := i
 		c.env.GoDaemon(fmt.Sprintf("cluster/hb%d", i), func(p *sim.Proc) {
+			probe := make([]byte, geom.SectorSize)
 			for {
 				p.Sleep(c.cfg.HeartbeatInterval)
 				sh := c.shards[i]
@@ -112,6 +115,7 @@ func (c *Cluster) startHeartbeats() {
 				_, err := sh.dev.ReadOpts(p, 0, 1, blockdev.Options{
 					Deadline: p.Now().Add(c.cfg.ProbeTimeout),
 					Class:    blockdev.ClassInteractive,
+					Into:     probe,
 				})
 				c.observeProbe(sh, err, p.Now())
 			}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -131,7 +132,7 @@ t15/b1 s0 11.534391ms
 				for i := 0; i < tc.reads; i++ {
 					tn, b := tenants[i%len(tenants)], i/len(tenants)%workload.BlocksPerTenant
 					before, start := c.Stats(), p.Now()
-					_, err := c.Read(p, tn, b, blockdev.ClassNormal)
+					_, err := c.Read(p, tn, b, blockdev.ClassNormal, nil)
 					st := c.Stats()
 					pl, won, hedge := c.Placement(tn), "-", ""
 					switch {
@@ -182,4 +183,122 @@ func primaryOn(c *Cluster, idx int) []int {
 		}
 	}
 	return out
+}
+
+// A read's attempts fill their op's buffers, and a losing attempt may land
+// after Read has returned and the op has served other reads. Each case reads
+// tenants whose primary is shard 0 back to back, half into a caller's buffer
+// and half with none, while hedges win against a slow primary, and in the
+// second case while the primary's shard dies under its attempts. The ops are
+// made up front with attempt bodies that count the attempts filling each
+// buffer and poison it first. No two attempts may fill one buffer at once, no
+// op on the free list may have a buffer being filled, an attempt that cannot
+// fail (no shard dies) must fill the buffer it was given, and after the run
+// every returned block must still hold an acknowledged payload of its slot.
+func TestReadBufferOwnership(t *testing.T) {
+	slow := fault.ShardEvent{Shard: 0, At: time.Millisecond, DeratePPM: 6_000_000}
+	const killAt = sim.Time(120 * time.Millisecond)
+	cases := []struct {
+		name   string
+		events []fault.ShardEvent
+	}{
+		{"slow primary", []fault.ShardEvent{slow}},
+		{"killed primary", []fault.ShardEvent{slow, {Shard: 0, At: time.Duration(killAt)}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			defer env.Close()
+			c, err := New(env, Config{Shards: 4, Tenants: 16, HedgeAfter: 2 * time.Millisecond,
+				ProbeTimeout: time.Second, Scenario: fault.ShardScenario{Events: tc.events}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			filling := map[*byte]int{}
+			killedMidAttempt, unfilled := false, 0
+			poison := bytes.Repeat([]byte{0xEE}, c.cfg.WriteSize)
+			track := func(buf []byte, body func(*sim.Proc)) func(*sim.Proc) {
+				return func(p *sim.Proc) {
+					if filling[&buf[0]]++; filling[&buf[0]] > 1 {
+						t.Errorf("two attempts fill buffer %p at once", &buf[0])
+					}
+					copy(buf, poison)
+					start := p.Now()
+					body(p)
+					filling[&buf[0]]--
+					killedMidAttempt = killedMidAttempt || start < killAt && p.Now() >= killAt
+					if bytes.Equal(buf, poison) {
+						unfilled++
+					}
+				}
+			}
+			const ops = 16
+			made := make([]*readOp, ops)
+			for i := range made {
+				op := c.newReadOp()
+				op.primary, op.replica = track(op.priBuf, op.primary), track(op.repBuf, op.replica)
+				made[i] = op
+			}
+			c.freeReads = append(c.freeReads, made...)
+
+			tenants := primaryOn(c, 0)
+			type result struct {
+				tenant, block int
+				data          []byte
+			}
+			var got []result
+			env.Go("client", func(p *sim.Proc) {
+				for _, tn := range tenants {
+					for b := range workload.BlocksPerTenant {
+						if err := c.Write(p, tn, b, blockdev.ClassNormal); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+				for i := 0; i < 24; i++ {
+					for _, op := range c.freeReads {
+						if filling[&op.priBuf[0]]+filling[&op.repBuf[0]] > 0 {
+							t.Errorf("read %d: free op %p has a buffer being filled", i, op)
+						}
+					}
+					tn, b := tenants[i%len(tenants)], i/len(tenants)%workload.BlocksPerTenant
+					var into []byte
+					if i%2 == 0 {
+						into = make([]byte, c.cfg.WriteSize)
+					}
+					data, err := c.Read(p, tn, b, blockdev.ClassNormal, into)
+					if err != nil {
+						t.Errorf("read %d of t%d/b%d: %v", i, tn, b, err)
+						continue
+					}
+					if into != nil && &data[0] != &into[0] {
+						t.Errorf("read %d returned a new slice, not the caller's buffer", i)
+					}
+					got = append(got, result{tn, b, data})
+				}
+				// Outlive the last hedge timer, a daemon Run does not wait for.
+				p.Sleep(c.cfg.HedgeAfter)
+			})
+			env.Run()
+
+			scratch := make([]byte, c.cfg.WriteSize)
+			for i, r := range got {
+				if !c.matchesAcked(r.data, scratch, r.tenant, r.block) {
+					t.Errorf("read %d of t%d/b%d no longer holds an acknowledged payload", i, r.tenant, r.block)
+				}
+			}
+			st := c.Stats()
+			if st.HedgeWins == 0 {
+				t.Error("no hedge won, so no losing primary landed after its read")
+			}
+			if killed := len(tc.events) > 1; killed && (st.ShardDeaths == 0 || !killedMidAttempt) {
+				t.Errorf("%d shard deaths, with an attempt in flight at the kill: %v; want both", st.ShardDeaths, killedMidAttempt)
+			} else if !killed && unfilled > 0 {
+				t.Errorf("%d attempts left the buffer they were given unfilled", unfilled)
+			}
+			if c.readOps != ops || len(c.freeReads) != ops {
+				t.Errorf("%d read ops made and %d free, want the %d made up front", c.readOps, len(c.freeReads), ops)
+			}
+		})
+	}
 }

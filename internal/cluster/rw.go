@@ -189,15 +189,19 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	return nil
 }
 
-// readOp is one read's bookkeeping: its race and the bodies of the
-// processes that run it (primary attempt, replica attempt, hedge timer),
-// bound once, when the op is made. Ops come off Cluster.freeReads. holders
-// counts the caller and every process still using the op; the last of them
-// to let go puts it back.
+// readOp is one read's bookkeeping: its race, the bodies of the processes
+// that run it (primary attempt, replica attempt, hedge timer), bound once,
+// and one buffer for each attempt to read into, made with the op. Ops come
+// off Cluster.freeReads. holders counts the caller and every process still
+// using the op; the last of them to let go puts it back. An attempt holds
+// the op until its read returns, so a losing attempt that lands after the
+// race fills its own buffer, and a recycled op's buffers are never being
+// filled.
 type readOp struct {
 	readRace
 	c                       *Cluster
 	primary, replica, hedge func(*sim.Proc)
+	priBuf, repBuf          []byte
 	holders                 int
 }
 
@@ -212,10 +216,10 @@ type readRace struct {
 
 	done      sim.Event
 	won       bool
-	data      []byte
-	viaHedge  bool // winner was the hedged replica attempt
-	started   int  // attempts launched
-	failed    int  // attempts failed
+	data      []byte // the winning attempt's bytes, in its op buffer
+	viaHedge  bool   // winner was the hedged replica attempt
+	started   int    // attempts launched
+	failed    int    // attempts failed
 	lastErr   error
 	replicaOn bool // replica attempt launched (failover or hedge)
 	failover  bool
@@ -236,7 +240,9 @@ func (c *Cluster) newReadOp() *readOp {
 		return op
 	}
 	c.readOps++
-	op := &readOp{c: c}
+	n := c.cfg.WriteSize
+	buf := make([]byte, 2*n)
+	op := &readOp{c: c, priBuf: buf[:n:n], repBuf: buf[n:]}
 	op.primary, op.replica, op.hedge = op.readPrimary, op.readReplica, op.hedgeTimer
 	return op
 }
@@ -252,8 +258,11 @@ func (op *readOp) release() {
 }
 
 // Read routes one block read through the primary with hedging and replica
-// failover.
-func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]byte, error) {
+// failover, and returns the block in into's array, or in a new slice when
+// into's capacity is short of a block. The winning attempt reads into its op's buffer, and
+// Read copies the bytes out: the op goes back to the free list once its
+// attempts are done with it.
+func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class, into []byte) ([]byte, error) {
 	if err := c.checkSlot(tenant, block); err != nil {
 		return nil, err
 	}
@@ -329,7 +338,7 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class) ([]
 	}
 	c.stats.ReadsOK++
 	rq.Finish(int64(end), false)
-	return op.data, nil
+	return append(into[:0], op.data...), nil
 }
 
 // launchReplica starts the replica attempt, as a hedge or a failover, unless
@@ -354,7 +363,7 @@ func (op *readOp) launchReplica(at sim.Time, hedge bool) {
 // readPrimary is the primary attempt's process body.
 func (op *readOp) readPrimary(rp *sim.Proc) {
 	op.priStart = rp.Now()
-	data, err := op.pri.dev.ReadOpts(rp, op.priLBA, op.c.spb, blockdev.Options{Class: op.class})
+	data, err := op.pri.dev.ReadOpts(rp, op.priLBA, op.c.spb, blockdev.Options{Class: op.class, Into: op.priBuf})
 	op.priEnd = rp.Now()
 	if err != nil {
 		// Primary failed mid-race: fail over immediately if the replica is
@@ -378,7 +387,7 @@ func (op *readOp) readPrimary(rp *sim.Proc) {
 // readReplica is the replica attempt's process body.
 func (op *readOp) readReplica(rp *sim.Proc) {
 	op.repStart = rp.Now()
-	data, err := op.rep.dev.ReadOpts(rp, op.repLBA, op.c.spb, blockdev.Options{Class: op.class})
+	data, err := op.rep.dev.ReadOpts(rp, op.repLBA, op.c.spb, blockdev.Options{Class: op.class, Into: op.repBuf})
 	op.repEnd = rp.Now()
 	op.finishAttempt(data, err, op.rep, rp.Now(), true)
 	op.release()

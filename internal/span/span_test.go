@@ -459,45 +459,125 @@ func retainedPerRequest(n int, add func(r *Recorder, at int64)) float64 {
 	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n)
 }
 
+// write and read record a cluster write-both, with its two copy children,
+// and a cluster read, with one, finished at once.
+func write(r *Recorder, at int64) {
+	q := r.Start(KWrite, "cluster", "shard0", at, 2, at)
+	q.ChildPair(PSubWrite, at, at+100, at+150, 0, 1)
+	q.Finish(at+150, false)
+}
+
+func read(r *Recorder, at int64) {
+	q := r.Start(KRead, "cluster", "shard0", at, 2, at)
+	q.ChildAB(PSubRead, at, at+100, 0, 0)
+	q.Finish(at+100, false)
+}
+
+// Retained bytes a request, 1 B over what was measured (a size class is at
+// least 16 B, so 1 B of slack lets no extra object pass): 228.6 B for a
+// write-both and 189.3 B for a read, each with its share of the ring, of a
+// slab and of an arena chunk. 233.0 and 201.0 while each request and its
+// spans were objects of their own.
+const writeBound, readBound = 229.6, 190.3
+
 // A recorder keeps every request it holds on the heap, and a benchmark or a
 // long traced run keeps the recorder, so the bytes a recorded request holds
-// must not grow: a cluster write-both with its two copy children, and a
-// read with one, hold what they did when each child was appended on its
-// own. A write-both's two children take one allocation.
+// must not grow. Recording a request allocates nothing of its own: requests
+// come from slabs, finished spans go to arena chunks and in-flight span
+// lists are reused. A caller that keeps no handle keeps it on its stack,
+// which holds only while Start is inlined.
 func TestRecorderRetainedAllocations(t *testing.T) {
 	const n = 10000
-	write := func(r *Recorder, at int64) {
-		q := r.Start(KWrite, "cluster", "shard0", at, 2, at)
-		q.ChildPair(PSubWrite, at, at+100, at+150, 0, 1)
-		q.Finish(at+150, false)
-	}
-	read := func(r *Recorder, at int64) {
-		q := r.Start(KRead, "cluster", "shard0", at, 2, at)
-		q.ChildAB(PSubRead, at, at+100, 0, 0)
-		q.Finish(at+100, false)
-	}
 	// The first measurement in a process reads a few bytes low: whatever
 	// the test binary left behind is swept in it.
 	retainedPerRequest(n, read)
 	w, rd := retainedPerRequest(n, write), retainedPerRequest(n, read)
-	// Measured with each child appended on its own: 233.0 B for a
-	// write-both and 201.0 B for a read, each with its 9 B share of the
-	// ring. A size class is at least 16 B, so 1 B of slack lets none pass.
-	if w > 234 || rd > 202 {
-		t.Errorf("a recorded request holds %.1f B (write-both) and %.1f B (read), want at most 234 and 202", w, rd)
+	if w > writeBound || rd > readBound {
+		t.Errorf("a recorded request holds %.1f B (write-both) and %.1f B (read), want at most %.1f and %.1f",
+			w, rd, writeBound, readBound)
 	}
 
 	r := NewRecorder(1)
-	allocs := func(children func(q *Req)) float64 {
-		return testing.AllocsPerRun(100, func() {
-			q := r.Start(KWrite, "cluster", "shard0", 0, 2, 0)
-			children(q)
-			q.Finish(150, false)
-		})
+	write(r, 0) // fills the span list free list
+	if allocs := testing.AllocsPerRun(1000, func() { write(r, 0) }); allocs != 0 {
+		t.Errorf("a recorded write-both allocates %v objects, want 0", allocs)
 	}
-	bare := allocs(func(*Req) {})
-	pair := allocs(func(q *Req) { q.ChildPair(PSubWrite, 0, 100, 150, 0, 1) })
-	if pair-bare != 1 {
-		t.Errorf("a write-both's two children take %v allocations, want 1", pair-bare)
+}
+
+// A recorder that has evicted most of what it recorded holds only what its
+// ring keeps: every slab and arena chunk whose requests were all evicted is
+// garbage. Live heap stays within the ring's requests at the write-both
+// bound, plus one part-used slab and arena chunk.
+func TestRecorderEvictionAllocationsDie(t *testing.T) {
+	const n = 2000
+	r := NewRecorder(n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10*n; i++ {
+		write(r, int64(i)*1000)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	const chunk = 32 << 10
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(n*writeBound) + 2*chunk; held > limit {
+		t.Errorf("a recorder of %d requests fed %d holds %d B, want at most %d", n, 10*n, held, limit)
+	}
+	if r.Len() != n || r.Dropped() != 9*n {
+		t.Errorf("len=%d dropped=%d, want %d/%d", r.Len(), r.Dropped(), n, 9*n)
+	}
+}
+
+// Finished requests' spans sit side by side in one arena chunk, and requests
+// in flight at once fill separate span lists. Each request must hold the
+// spans it was given, and appending to one returned request's Spans must
+// leave every other request's spans as recorded.
+func TestRecorderSpansDoNotAliasAllocations(t *testing.T) {
+	r := NewRecorder(0)
+	record(r, 1) // leaves a span list on the free list
+	// Two requests recorded at once, with more spans than a fresh
+	// in-flight list holds, then one with more spans than an arena chunk.
+	a := r.Start(KWrite, "trail", "data0", 0, 2, 0)
+	b := r.Start(KRead, "trail", "data0", 8, 2, 0)
+	var wantA, wantB []Span
+	for i := int64(0); i < 2*scratchSpans; i++ {
+		a.ChildAB(PQueue, 10*i, 10*i+10, i, 0)
+		b.Point(PStaging, 10*i, i, 1)
+		wantA = append(wantA, Span{Phase: PQueue, Start: 10 * i, End: 10*i + 10, A: i})
+		wantB = append(wantB, Span{Phase: PStaging, Start: 10 * i, End: 10 * i, A: i, B: 1})
+	}
+	b.Finish(20*scratchSpans, false)
+	a.Finish(20*scratchSpans, false)
+	for id := 4; id <= 8; id++ {
+		record(r, id)
+	}
+	big := r.Start(KRecover, "trail", "log0", 0, 0, 0)
+	for i := int64(0); i <= arenaSpans; i++ {
+		big.ChildAB(PLocate, i, i+1, i, 0)
+	}
+	big.Finish(arenaSpans+1, false)
+	record(r, 10)
+
+	reqs := r.Requests()
+	if got, want := fmt.Sprint(reqs[1].Spans, reqs[2].Spans), fmt.Sprint(wantB, wantA); got != want {
+		t.Fatalf("the two requests recorded at once hold %s, want %s", got, want)
+	}
+	if n := len(reqs[8].Spans); n != arenaSpans+1 {
+		t.Fatalf("the large request holds %d spans, want %d", n, arenaSpans+1)
+	}
+	recorded := make([]string, len(reqs))
+	for i, req := range reqs {
+		recorded[i] = fmt.Sprint(req.Spans)
+	}
+	for i := range reqs {
+		_ = append(reqs[i].Spans, Span{Phase: PHedge, Start: -1, End: -1, A: -1, B: -1})
+		for j, req := range reqs {
+			if got := fmt.Sprint(req.Spans); got != recorded[j] {
+				t.Fatalf("appending to request %d's spans changed request %d's: %s, want %s",
+					reqs[i].ID, req.ID, got, recorded[j])
+			}
+		}
 	}
 }
