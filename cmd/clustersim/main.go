@@ -6,15 +6,15 @@
 // a nonzero exit if any acknowledged write is lost). -out DIR writes the
 // run's artefact set into DIR, the files cmd/rundiff reads: trace.json,
 // metrics.prom, timeline.csv (10 ms buckets, per-shard health lanes
-// included) and spans.json. All stdout and every artefact is
+// included) and spans.json; rundiff DIR prints that run's span budget and
+// explains its slowest requests. All stdout and every artefact is
 // byte-deterministic for a fixed seed, so CI byte-compares two same-seed
 // runs end to end. The scale-out sweep over shard counts is the
 // catalogue's cluster section (reproduce -only cluster).
 //
 // Usage:
 //
-//	clustersim [-shards N>=2] [-seed N] [-chaos SCENARIO] [-verify]
-//	           [-explain-tail F] [-out DIR]
+//	clustersim [-shards N>=2] [-seed N] [-chaos SCENARIO] [-verify] [-out DIR]
 //
 // It drives experiments.ClusterMix: 1200 requests from 48 tenants, 30%
 // reads, zipf-skewed tenant popularity.
@@ -34,7 +34,6 @@ import (
 	"tracklog/internal/qos"
 	"tracklog/internal/rig"
 	"tracklog/internal/sim"
-	"tracklog/internal/span"
 	"tracklog/internal/workload"
 )
 
@@ -53,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "workload and fault seed")
 	chaos := fs.String("chaos", "", `fault scenario, e.g. "shardkill=1@250ms" or "slowshard=0@100ms:500000"`)
 	verify := fs.Bool("verify", false, "read back every acked slot; exit 1 on any loss")
-	tailFrac := fs.Float64("explain-tail", 0, "explain the slowest fraction of requests (0 disables)")
 	out := fs.String("out", "", "write the run's artefact set (trace.json, metrics.prom, timeline.csv, spans.json) into this directory")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -85,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var in rig.Instruments
-	if *out != "" || *tailFrac > 0 {
+	if *out != "" {
 		in = rig.NewInstruments(timelineBucket)
 		in.AttachKernel(env)
 		c.RegisterMetrics(in.Registry)
@@ -127,9 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := in.WriteDir(*out, env.Now(), nil, stdout); err != nil {
 			return fail(err)
 		}
-	}
-	if *tailFrac > 0 {
-		fmt.Fprint(stdout, span.ExplainTail(in.Recorder.Requests(), *tailFrac))
 	}
 
 	if lost > 0 {

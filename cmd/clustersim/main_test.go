@@ -58,18 +58,18 @@ func runIn(t *testing.T, args ...string) (stdout []byte, files map[string][]byte
 // TestKillOneShardGolden pins every artefact of the kill-one-shard chaos run
 // to its length and digest, recorded at 8342e4c (out.txt re-pinned, and the
 // trace and span dump pinned, when -out began writing them: out.txt gained
-// their two lines), and asserts the failure path
-// was exercised and fully recovered: one death, one recovery, the killed
-// shard back healthy on replacement hardware, no acknowledged write lost,
-// and a failover or hedge among the explained tail. A change that moves any
-// byte here on purpose updates the pin and says so. The trace is also read
-// back through trace.ReadChrome, so it stays loadable.
+// their two lines; re-pinned again when the tail explainer moved to `rundiff
+// DIR`, which cmd/rundiff's TestRunDirBlocks holds to a failover or hedge in
+// this run's tail), and asserts the failure path was exercised and fully
+// recovered: one death, one recovery, the killed shard back healthy on
+// replacement hardware and no acknowledged write lost. A change that moves
+// any byte here on purpose updates the pin and says so. The trace is also
+// read back through trace.ReadChrome, so it stays loadable.
 func TestKillOneShardGolden(t *testing.T) {
-	out, files := runIn(t, "-chaos", "shardkill=1@250ms", "-seed", "11", "-verify",
-		"-out", ".", "-explain-tail", "0.05")
+	out, files := runIn(t, "-chaos", "shardkill=1@250ms", "-seed", "11", "-verify", "-out", ".")
 	files["out.txt"] = out
 	for name, want := range map[string]string{
-		"out.txt":      "2474 bytes c54dc1d6ca7d0055",
+		"out.txt":      "540 bytes ab2303834b901c83",
 		"metrics.prom": "5922 bytes 4af492806889c21d",
 		"timeline.csv": "339202 bytes 2163ffc4740ef8a0",
 		"trace.json":   "2446609 bytes e8ed843577c30ea3",
@@ -87,7 +87,6 @@ func TestKillOneShardGolden(t *testing.T) {
 		`verify: [0-9]+ acked slots read back, 0 lost`,
 		`health: 1 deaths, 1 recoveries`,
 		`1:healthy/g1`,
-		`failed over to replica after shard failure|hedged to replica after slow primary`,
 	} {
 		if !regexp.MustCompile(re).MatchString(text) {
 			t.Errorf("stdout does not match %q:\n%s", re, text)

@@ -1,4 +1,5 @@
-// Command rundiff gates and explains the difference between two runs. Given
+// Command rundiff reads runs. Given one run-artifact directory it analyses
+// that run; given two runs it gates and explains their difference. Given
 // two bare benchfmt files it is the CI regression gate (rundiff
 // BENCH_trail.json BENCH_current.json); given two run-artifact directories
 // it also says *why*: it loads the full artifact set of a baseline and a
@@ -10,13 +11,21 @@
 //
 // Usage:
 //
+//	rundiff DIR
 //	rundiff [-mean-tol F] [-p50-tol F] [-p99-tol F] [-rate-tol F]
 //	        [-occ-tol PP] [-json] BASE CUR
 //
-// BASE and CUR are either bare benchfmt JSON files or directories that
-// trailsim -out or clustersim -out wrote. A directory is read by
-// rig.ReadDir, which validates each artifact through its own package's
-// reader; every artifact is optional, but at least one must exist.
+// DIR, BASE and CUR are directories that trailsim -out or clustersim -out
+// wrote; BASE and CUR may also be bare benchfmt JSON files. A directory is
+// read by rig.ReadDir, which validates each artifact through its own
+// package's reader; every artifact is optional, but at least one must exist.
+//
+// One directory prints, from its spans.json, the span budget (each phase's
+// share of end-to-end latency per driver and request kind) and the slowest
+// 5% of requests with their dominant phase and root cause, then, from its
+// trace.json, the Trail driver's head-position prediction audit (omitted
+// when the trace holds no predict event). The flags configure a comparison,
+// so -json with one directory is a usage error.
 //
 // -mean-tol, -p50-tol and -p99-tol bound the latency metrics, -rate-tol the
 // rates (all 0.10 by default), -occ-tol floors the attribution rows in
@@ -43,7 +52,8 @@
 // and moves neither the findings nor the exit status.
 //
 // Exit status: 0 when every section is empty (the runs align within
-// tolerance), 1 when any finding survives, 2 on usage or artifact errors.
+// tolerance) and after one directory's analysis, 1 when any finding
+// survives, 2 on usage or artifact errors.
 // Output is byte-deterministic for a given input pair.
 package main
 
@@ -203,8 +213,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 2 {
+	switch {
+	case fs.NArg() == 1 && *jsonOut:
+		fmt.Fprintln(stderr, "rundiff: -json reports a comparison; one run directory prints as text")
+		return 2
+	case fs.NArg() == 1:
+		return explain(fs.Arg(0), stdout, stderr)
+	case fs.NArg() != 2:
 		fmt.Fprintln(stderr, "usage: rundiff [flags] BASE CUR  (run-artifact directories or benchfmt files)")
+		fmt.Fprintln(stderr, "       rundiff DIR               (one run directory)")
 		return 2
 	}
 	base, err := loadArtifacts(fs.Arg(0))
@@ -233,6 +250,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if rep.Findings > 0 {
 		return 1
+	}
+	return 0
+}
+
+// tailFrac is the share of a run's requests, slowest first, that explain's
+// tail block covers.
+const tailFrac = 0.05
+
+// explain prints what one run directory says about itself: from spans.json
+// the span budget (each phase's share of latency per driver and kind) and
+// the slowest tailFrac of requests with their dominant phase and cause, and
+// from trace.json the prediction audit of the Trail driver's record writes.
+// A block whose artefact is absent or empty is left out.
+func explain(dir string, stdout, stderr io.Writer) int {
+	run, err := rig.ReadDir(dir)
+	var audit *trace.AuditReport
+	if err == nil {
+		audit, err = trace.AuditEvents(run.Trace)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "rundiff:", err)
+		return 2
+	}
+	if len(run.Spans) > 0 {
+		fmt.Fprint(stdout, span.Analyze(run.Spans))
+		fmt.Fprint(stdout, span.ExplainTail(run.Spans, tailFrac))
+	}
+	if audit.Predictions > 0 {
+		fmt.Fprint(stdout, audit)
 	}
 	return 0
 }

@@ -311,6 +311,48 @@ func TestUsageAndLoadErrors(t *testing.T) {
 	}
 }
 
+// One run directory prints its span budget, tail and prediction audit and
+// exits 0; -json, which reports a comparison, exits 2 with one directory, and
+// so do a bare benchfmt file, an empty directory and a predict event whose
+// args do not decode.
+func TestOneRunDirectory(t *testing.T) {
+	predict := `{"name":"predict","cat":"sim","ph":"i","ts":5.000,"pid":1,"tid":1,"s":"t","args":{"lba":12,"count":60,"a":1,"b":%d}}`
+	dir := writeDir(t, map[string]string{
+		"spans.json": spanJSON(2000000),
+		"trace.json": traceJSON(enqueue, fmt.Sprintf(predict, 300000), fmt.Sprintf(predict, 250000)),
+	})
+	code, out, stderr := runDiff(t, dir)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0: %s", code, stderr)
+	}
+	for _, want := range []string{
+		"span budget: trail/write — 1 requests, 0 errors\n",
+		"tail explainer: slowest 1 of 1 requests (5.0%)\n",
+		"prediction audit: 2 predictions, 0 mispredicted (0.00%)\n",
+		"  slack sectors:   1:2\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if i, j, k := strings.Index(out, "span budget:"), strings.Index(out, "tail explainer:"), strings.Index(out, "prediction audit:"); i != 0 || j < i || k < j {
+		t.Errorf("blocks out of order (budget, tail, audit):\n%s", out)
+	}
+	if code, out, _ := runDiff(t, "-json", dir); code != 2 || out != "" {
+		t.Errorf("-json DIR: exit %d, stdout %q; want 2 and nothing", code, out)
+	}
+	bare := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(bare, []byte(benchJSON(t, 12000)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := writeDir(t, map[string]string{"trace.json": traceJSON(strings.Replace(predict, `"b":%d`, `"b":"x"`, 1))})
+	for name, arg := range map[string]string{"bare file": bare, "empty dir": t.TempDir(), "bad predict": bad} {
+		if code, out, stderr := runDiff(t, arg); code != 2 || out != "" || !strings.Contains(stderr, "rundiff:") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want 2, nothing and an error", name, code, out, stderr)
+		}
+	}
+}
+
 func TestJSONReport(t *testing.T) {
 	base := writeDir(t, map[string]string{"bench.json": benchJSON(t, 12000), "timeline.csv": timelineCSV(200000)})
 	cur := writeDir(t, map[string]string{"bench.json": benchJSON(t, 23000), "timeline.csv": timelineCSV(1200000)})

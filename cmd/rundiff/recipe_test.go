@@ -72,3 +72,72 @@ func TestTrailsimPairGolden(t *testing.T) {
 		t.Errorf("first-divergence lines: same-seed pair\n%s\nperturbed pair\n%s", same, perturbed)
 	}
 }
+
+// TestRunDirBlocks runs `rundiff DIR` on three simulator run directories and
+// pins each block it prints to the length and FNV-64a of the block the
+// simulator itself printed at 60f2b3f, when trailsim's -spans and
+// -explain-tail 0.05 and clustersim's -explain-tail 0.05 made them from the
+// live run: the span budget, tail and prediction audit of `trailsim -system
+// trail -writes 50 -seed 7`, the budget and tail of the same run with
+// -system std, and the tail of `clustersim -chaos shardkill=1@250ms -seed 11
+// -verify`. The cluster run's budget, which no flag printed, was recorded
+// when `rundiff DIR` took these blocks over. The healthy Trail run predicts
+// every landing with one sector of slack, and the killed shard's failover or
+// a hedge around it shows among the cluster run's slowest requests.
+func TestRunDirBlocks(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
+		"tracklog/cmd/trailsim", "tracklog/cmd/clustersim").CombinedOutput(); err != nil {
+		t.Fatalf("building the simulators: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want [3]string // budget, tail, audit ("" when the block is absent)
+		re   string    // a line the output must hold
+	}{
+		{"trail", []string{"trailsim", "-system", "trail", "-writes", "50", "-seed", "7"},
+			[3]string{"1581 bytes 2b6ee09e728595e3", "663 bytes dc31bb7b5a5261ea", "161 bytes d79ce7ba22b37511"},
+			`(?m)^prediction audit: 50 predictions, 0 mispredicted \(0\.00%\)\n(.*\n)*  slack sectors:   1:50\n`},
+		{"std", []string{"trailsim", "-system", "std", "-writes", "50", "-seed", "7"},
+			[3]string{"702 bytes e8dedc3772fe9309", "294 bytes 443ca9c3f3d4bda0", ""},
+			`(?m)^span budget: std/write — 50 requests, 0 errors$`},
+		{"cluster", []string{"clustersim", "-chaos", "shardkill=1@250ms", "-seed", "11", "-verify"},
+			[3]string{"1175 bytes ff1705d4ab6eb2f7", "1934 bytes c100c7c649db3b7b", ""},
+			`(?m)^  #[0-9]+ .*(failed over to replica after shard failure|hedged to replica after slow primary)`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(dir, tc.name)
+			cmd := exec.Command(filepath.Join(dir, tc.args[0]), append(tc.args[1:], "-out", out)...)
+			if b, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("%v: %v\n%s", tc.args, err, b)
+			}
+			code, text, stderr := runDiff(t, out)
+			if code != 0 {
+				t.Fatalf("rundiff DIR: exit %d: %s", code, stderr)
+			}
+			tail := strings.Index(text, "tail explainer:")
+			audit := strings.Index(text, "prediction audit:")
+			if audit < 0 {
+				audit = len(text)
+			}
+			if tail < 0 || tail > audit {
+				t.Fatalf("no tail block before the audit:\n%s", text)
+			}
+			for i, block := range []string{text[:tail], text[tail:audit], text[audit:]} {
+				h := fnv.New64a()
+				h.Write([]byte(block))
+				got := fmt.Sprintf("%d bytes %016x", len(block), h.Sum64())
+				if block == "" {
+					got = ""
+				}
+				if got != tc.want[i] {
+					t.Errorf("%s block: %q, want %q\n%s", [3]string{"budget", "tail", "audit"}[i], got, tc.want[i], block)
+				}
+			}
+			if !regexp.MustCompile(tc.re).MatchString(text) {
+				t.Errorf("output does not match %q:\n%s", tc.re, text)
+			}
+		})
+	}
+}

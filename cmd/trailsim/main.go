@@ -40,11 +40,9 @@
 //	                       (per-layer state occupancy in 5 ms virtual-time
 //	                       buckets), bench.json (one benchfmt entry per latency
 //	                       summary printed) and spans.json (every request's
-//	                       span tree); prints the head-position prediction audit
-//	-spans                 print the per-request span budget: each phase's
-//	                       share of end-to-end latency, per driver and kind
-//	-explain-tail FRAC     explain the slowest FRAC of requests (0.01 = the
-//	                       slowest 1%): dominant phase and root cause
+//	                       span tree); rundiff DIR prints the run's span
+//	                       budget, its slowest requests explained and the
+//	                       head-position prediction audit
 //	-seek-derate PPM       slow the log disk's seek arm by PPM parts per million
 //	                       while the driver keeps predicting the spec curve (a
 //	                       perturbation for cmd/rundiff walkthroughs)
@@ -72,7 +70,6 @@ import (
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/span"
 	"tracklog/internal/telemetry"
 	"tracklog/internal/trail"
 	"tracklog/internal/workload"
@@ -102,8 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxDepth := fs.Int("max-depth", 0, "bound the disk scheduler queue depth (0 = unbounded)")
 	offeredLoad := fs.Float64("offered-load", 0, "open-loop write arrival rate per second of virtual time (0 = closed-loop)")
 	verify := fs.Bool("verify", false, "with -offered-load, audit acknowledged-write survival and exit nonzero on loss")
-	spans := fs.Bool("spans", false, "print the per-request span budget (critical-path latency breakdown)")
-	explainTail := fs.Float64("explain-tail", 0, "explain the slowest FRAC of requests (e.g. 0.01; 0 disables)")
 	seekDerate := fs.Int64("seek-derate", 0, "slow the log disk's actual seek arm by this many parts per million while driver predictions keep the spec curve (perturbation knob for cmd/rundiff walkthroughs)")
 	out := fs.String("out", "", "write the run's artefact set (trace.json, metrics.prom, timeline.csv, bench.json, spans.json) into this directory")
 	fs.Parse(args) // ExitOnError: a bad flag exits with status 2
@@ -112,10 +107,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "trailsim:", err)
 		return 1
 	}
-	observed := *out != "" || *spans || *explainTail > 0
 	if *faultTol {
-		if observed {
-			return fail(errors.New("-faulttol runs three systems; -out, -spans and -explain-tail observe one"))
+		if *out != "" {
+			return fail(errors.New("-faulttol runs three systems; -out observes one"))
 		}
 		if err := runFaultTol(stdout, *faults, *writes, *seed); err != nil {
 			return fail(err)
@@ -123,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	var in rig.Instruments
-	if observed {
+	if *out != "" {
 		in = rig.NewInstruments(timelineBucket)
 	}
 	scenario := *faults
@@ -151,12 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err != nil {
 		return fail(err)
-	}
-	if *spans {
-		fmt.Fprint(stdout, span.Analyze(in.Recorder.Requests()))
-	}
-	if *explainTail > 0 {
-		fmt.Fprint(stdout, span.ExplainTail(in.Recorder.Requests(), *explainTail))
 	}
 	return 0
 }

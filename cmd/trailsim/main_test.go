@@ -62,23 +62,26 @@ func runIn(t *testing.T, args ...string) (stdout, stderr []byte, files map[strin
 // -seed 7` run — Chrome trace, registry, timeline, span trees, bench summary
 // and stdout — to its length and digest, for the Trail system and the
 // baseline, recorded at a713434; stdout re-pinned when Elapsed began
-// counting a first issue at t=0 (its elapsed and throughput line moved), and
+// counting a first issue at t=0 (its elapsed and throughput line moved),
 // again when one -out flag replaced the per-file flags (a bench summary line
-// was added and the spans line moved ahead of the span budget). A change
-// that moves any byte here on purpose updates the pin and says so. The
-// trace is also read back through trace.ReadChrome, so it stays loadable.
+// was added and the spans line moved ahead of the span budget), and when the
+// span budget, tail explainer and prediction audit moved to `rundiff DIR`
+// (they left stdout; the Trail trace keeps its length, each predict event
+// now follows its record write's disk events). A change that moves any byte
+// here on purpose updates the pin and says so. The trace is also read back
+// through trace.ReadChrome, so it stays loadable.
 func TestTraceSmokeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		system string
 		want   map[string]string
 	}{
 		{"trail", map[string]string{
-			"trace.json":   "240532 bytes 66fb305ece6a6ae5",
+			"trace.json":   "240532 bytes 0c294704ef1bbdf1",
 			"metrics.prom": "10783 bytes 97bc52adf2102e70",
 			"timeline.csv": "71201 bytes 7609ac0cc505d305",
 			"spans.json":   "56802 bytes 23c55f7ca873ce28",
 			"bench.json":   "197 bytes 12d21c8556a3748c",
-			"stdout":       "3384 bytes 08c24c0eb315b741",
+			"stdout":       "979 bytes 0cf6d9e9e618dd00",
 		}},
 		{"std", map[string]string{
 			"trace.json":   "128346 bytes b96de04d7a287c2c",
@@ -86,12 +89,11 @@ func TestTraceSmokeGolden(t *testing.T) {
 			"timeline.csv": "36595 bytes 10356d28533041d7",
 			"spans.json":   "28191 bytes e3b88dca2268ca46",
 			"bench.json":   "197 bytes dc3bd0596f2cc0fd",
-			"stdout":       "1353 bytes a4a397aa510795fc",
+			"stdout":       "357 bytes fbb1970a51d29e85",
 		}},
 	} {
 		t.Run(tc.system, func(t *testing.T) {
-			out, _, files := runIn(t, "-system", tc.system, "-writes", "50", "-seed", "7",
-				"-out", ".", "-spans", "-explain-tail", "0.05")
+			out, _, files := runIn(t, "-system", tc.system, "-writes", "50", "-seed", "7", "-out", ".")
 			files["stdout"] = out
 			if len(files) != len(tc.want) {
 				t.Errorf("wrote %d files, want %d", len(files)-1, len(tc.want)-1)
@@ -179,16 +181,14 @@ func TestBadSizeExitsWithError(t *testing.T) {
 	}
 }
 
-// TestFaultTolRefusesObservability: -faulttol runs three systems, so the
-// flags that observe one run are refused with exit status 1, an error on
-// stderr and no file written. -faulttol with -timeline once panicked, and
-// with -metrics or -trace it wrote an empty file.
+// TestFaultTolRefusesObservability: -faulttol runs three systems, so -out,
+// which observes one run, is refused with exit status 1, an error on stderr
+// and no file written. -faulttol with -timeline once panicked, and with
+// -metrics or -trace it wrote an empty file.
 func TestFaultTolRefusesObservability(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-out", dir},
-		{"-spans"},
-		{"-explain-tail", "0.05"},
 	} {
 		// The temporary directory's random name stays out of the subtest's.
 		t.Run(strings.ReplaceAll(strings.Join(args, " "), dir, "DIR"), func(t *testing.T) {

@@ -357,29 +357,10 @@ func (d *Disk) Injector() Injector { return d.inj }
 
 // SetTracer attaches the drive to a tracer under the given track name (nil
 // detaches). The drive emits one event per service-time phase of every
-// command, and registers a head-position ground-truth probe with the tracer
-// so the prediction audit can compare the Trail driver's predicted landing
-// sector with where the head really is. The probe is deliberately reachable
-// only through the tracer: driver code keeps predicting blind. Closing the
-// environment the tracer is bound to (sim.Env.SetTracer) drops the probe
-// again, so a kept tracer does not keep the drive.
+// command; nothing flows from the tracer back to the drive.
 func (d *Disk) SetTracer(tr *trace.Tracer, name string) {
-	if d.tr != nil && (tr == nil || name != d.trName) {
-		d.tr.RegisterProbe(d.trName, nil)
-	}
 	d.tr = tr
 	d.trName = name
-	if tr == nil {
-		return
-	}
-	tr.RegisterProbe(name, func(at int64, cyl, head, target int) (int64, int, int) {
-		t := sim.Time(at)
-		spt := d.params.Geom.SPTAt(cyl)
-		wait := d.rotateWait(t, d.params.Geom.SectorAngle(geom.CHS{Cyl: cyl, Head: head, Sector: target}))
-		next := d.params.Geom.ClosestSectorOnTrack(cyl, head, d.phase(t), 0)
-		slack := ((target-next)%spt + spt) % spt
-		return int64(wait), slack, spt
-	})
 }
 
 // SetTimeline attaches the drive to a utilization-timeline aggregator under
@@ -502,15 +483,12 @@ func (d *Disk) SeekTime(dist int) time.Duration {
 	return time.Duration(t)
 }
 
-// phase returns the rotational position at t as a fraction of a revolution.
-func (d *Disk) phase(t sim.Time) float64 {
-	rp := int64(d.rotPeriod)
-	return float64(int64(t)%rp) / float64(rp)
-}
-
-// rotateWait returns how long from time t until the platter reaches angle.
+// rotateWait returns how long from time t until the platter reaches angle,
+// a fraction of a revolution: the platter is at angle 0 at every multiple of
+// the rotation period.
 func (d *Disk) rotateWait(t sim.Time, angle float64) time.Duration {
-	diff := angle - d.phase(t)
+	rp := int64(d.rotPeriod)
+	diff := angle - float64(int64(t)%rp)/float64(rp)
 	if diff < 0 {
 		diff++
 	}

@@ -107,7 +107,7 @@ func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config)
 			sys.Close()
 			return nil, err
 		}
-		dev = raidDevice{a}
+		dev = a
 		sysCounters = func() telemetry.Counts { return a.Stats().Counters() }
 	default:
 		return nil, fmt.Errorf("unknown system %q", system)
@@ -161,21 +161,6 @@ func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config)
 	}
 	return row, nil
 }
-
-// raidDevice adapts *raid.Array to the subset of blockdev.Device the
-// workload uses.
-type raidDevice struct{ a *raid.Array }
-
-func (r raidDevice) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
-	return r.a.Read(p, lba, count)
-}
-
-func (r raidDevice) Write(p *sim.Proc, lba int64, count int, data []byte) error {
-	return r.a.Write(p, lba, count, data)
-}
-
-func (r raidDevice) Sectors() int64     { return r.a.Sectors() }
-func (r raidDevice) ID() blockdev.DevID { return blockdev.DevID{Major: 9} }
 
 // payload derives a deterministic sector payload from the LBA so read-backs
 // can detect corruption without bookkeeping.

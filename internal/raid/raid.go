@@ -1,5 +1,5 @@
 // Package raid implements a block-interleaved distributed-parity disk array
-// (RAID-5) over block devices.
+// (RAID-5) over block devices; the array is itself a blockdev.Device.
 //
 // The paper's closing section names "using track-based logging to solve the
 // small write problem in RAID-5 disk arrays" as ongoing work: a small RAID-5
@@ -103,6 +103,12 @@ func New(devs []blockdev.Device, chunkSectors int) (*Array, error) {
 		bad:    make([]map[int64]bool, len(devs)),
 	}, nil
 }
+
+var _ blockdev.Device = (*Array)(nil)
+
+// ID returns the array's device identity: major 9, the block major of
+// Linux's md driver and the major its member devices are built with.
+func (a *Array) ID() blockdev.DevID { return blockdev.DevID{Major: 9} }
 
 // Sectors returns the logical capacity.
 func (a *Array) Sectors() int64 {

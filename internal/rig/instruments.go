@@ -48,8 +48,8 @@ const (
 )
 
 // WriteDir writes the artefact set of a bundle from NewInstruments into dir,
-// creating it, and prints a line per file (and the tracer's prediction
-// audit) to w.
+// creating it, and prints a line per file to w. What a run directory holds
+// is analysed by cmd/rundiff.
 func (in Instruments) WriteDir(dir string, end sim.Time, entries []benchfmt.Entry, w io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -65,9 +65,6 @@ func (in Instruments) WriteDir(dir string, end sim.Time, entries []benchfmt.Entr
 		return err
 	}
 	fmt.Fprintf(w, "trace: %d events -> %s (%d dropped)\n", in.Tracer.Len(), path(traceFile), in.Tracer.Dropped())
-	if rep := in.Tracer.Audit(); rep.Predictions > 0 || rep.Unaudited > 0 {
-		fmt.Fprint(w, rep)
-	}
 	if err := in.Registry.WriteFile(path(metricsFile)); err != nil {
 		return err
 	}

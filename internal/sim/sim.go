@@ -140,8 +140,7 @@ func (e *Env) Now() Time { return e.now }
 
 // SetTracer attaches (or with nil, detaches) an event tracer. The kernel
 // emits process schedule/block events; tracing is purely observational and
-// never changes virtual-time behaviour. Close releases the tracer's drive
-// probes (trace.Tracer.Release).
+// never changes virtual-time behaviour.
 func (e *Env) SetTracer(tr *trace.Tracer) { e.tracer = tr }
 
 // SetTimeline attaches the kernel's own dispatch activity to a
@@ -353,9 +352,9 @@ func (e *Env) transfer(n *Proc) {
 }
 
 // Close unwinds every live process and idle goroutine so none leaks, then
-// releases the instruments bound by SetTracer and SetMetrics so that neither
-// references the world afterwards: the tracer drops its drives' head probes,
-// and the registry's func-backed series keep the values they read here.
+// releases the registry bound by SetMetrics so that it does not reference
+// the world afterwards: its func-backed series keep the values they read
+// here. A tracer holds only the events it was handed, never the world.
 // After Close the environment must not be used. It is safe to call from the
 // goroutine that called Run (not from inside a simulated process).
 func (e *Env) Close() {
@@ -380,7 +379,6 @@ func (e *Env) Close() {
 	e.live, e.free = nil, nil
 	e.queue = nil
 	e.liveQueued = 0
-	e.tracer.Release()
 	e.reg.Release()
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,10 +13,12 @@ import (
 // The prediction audit measures the paper's central claim directly: Trail's
 // software-only head-position prediction lands writes just ahead of the head,
 // so the rotational wait of a log write should be a few sector times, not a
-// fraction of a rotation. At every audited log write the tracer compares the
-// driver's predicted landing sector with the simulator's true head position
-// (obtained through the drive's HeadProbe — ground truth the driver itself
-// can never see) and scores the slack between them.
+// fraction of a rotation. After every clean record write the Trail driver
+// scores its own prediction from what a SCSI target exposes, the command's
+// completion time: the time from the predicted media start to the
+// completion, less the record's transfer, is the rotational wait the write
+// paid. It emits one KPredict event with that wait; AuditEvents reads those
+// events back out of a run's trace.
 //
 // Slack is measured in sectors the head must still rotate through before
 // reaching the predicted landing sector at the moment the media phase
@@ -24,62 +27,9 @@ import (
 // slack close to a full track, i.e. a near-full-rotation wait, exactly the
 // failure mode the paper's §3.1 delta calibration maps out.
 
-// auditState accumulates the per-write audit samples.
-type auditState struct {
-	predictions    int64
-	mispredictions int64
-	unaudited      int64
-	rotWait        *telemetry.Summary // rotational wait of every audited write
-	missCost       *telemetry.Summary // rotational wait of mispredicted writes
-	slackHist      map[int]int64      // slack sectors -> count (clamped)
-}
-
 // slackHistMax clamps the slack histogram domain; anything larger lands in
 // the final bucket (they are all "missed by most of a track" anyway).
 const slackHistMax = 64
-
-func newAuditState() auditState {
-	return auditState{
-		rotWait:   telemetry.NewSummary(),
-		missCost:  telemetry.NewSummary(),
-		slackHist: make(map[int]int64),
-	}
-}
-
-// record scores one prediction. A prediction is a miss when the head must
-// travel more than half the track to reach the target: a correct prediction
-// deliberately lands a small safety margin ahead of the head, so genuine
-// hits cluster near the safety margin and genuine misses near SPT.
-func (a *auditState) record(waitNs int64, slack, spt int) {
-	a.predictions++
-	a.rotWait.Add(time.Duration(waitNs))
-	h := slack
-	if h > slackHistMax {
-		h = slackHistMax
-	}
-	a.slackHist[h]++
-	if spt > 0 && slack > spt/2 {
-		a.mispredictions++
-		a.missCost.Add(time.Duration(waitNs))
-	}
-}
-
-func (a *auditState) report() *AuditReport {
-	rep := &AuditReport{
-		Predictions:    a.predictions,
-		Mispredictions: a.mispredictions,
-		Unaudited:      a.unaudited,
-		RotWait:        telemetry.NewSummary(),
-		MissCost:       telemetry.NewSummary(),
-		SlackHist:      make(map[int]int64, len(a.slackHist)),
-	}
-	rep.RotWait.Merge(a.rotWait)
-	rep.MissCost.Merge(a.missCost)
-	for k, v := range a.slackHist {
-		rep.SlackHist[k] = v
-	}
-	return rep
-}
 
 // AuditReport is the prediction-accuracy audit of one traced run.
 type AuditReport struct {
@@ -87,8 +37,6 @@ type AuditReport struct {
 	// predicted landing sector was already behind the head (slack > SPT/2).
 	Predictions    int64
 	Mispredictions int64
-	// Unaudited counts predictions on devices with no registered probe.
-	Unaudited int64
 	// RotWait summarizes the true rotational wait of every audited write;
 	// MissCost the wait of mispredicted writes only (the miss-cost
 	// histogram: each miss costs a near-full rotation).
@@ -96,6 +44,44 @@ type AuditReport struct {
 	MissCost *telemetry.Summary
 	// SlackHist maps slack sectors (clamped at 64) to write counts.
 	SlackHist map[int]int64
+}
+
+// AuditEvents rebuilds the prediction audit from a trace as ReadChrome
+// returned it: one sample per predict event (args count = the track's SPT,
+// a = slack sectors, b = rotational wait in ns). It covers the events the
+// trace holds, so a ring that wrapped is audited over its newest events. A
+// predict event whose args do not decode is an error wrapping ErrBadChrome.
+func AuditEvents(events []ChromeEvent) (*AuditReport, error) {
+	rep := &AuditReport{
+		RotWait:   telemetry.NewSummary(),
+		MissCost:  telemetry.NewSummary(),
+		SlackHist: make(map[int]int64),
+	}
+	for i, ev := range events {
+		if ev.Name != KPredict.String() {
+			continue
+		}
+		var args struct{ Count, A, B *int64 }
+		if err := json.Unmarshal([]byte(ev.Args), &args); err != nil || args.Count == nil || args.A == nil || args.B == nil {
+			return nil, fmt.Errorf("%w: event %d: predict args %q", ErrBadChrome, i, ev.Args)
+		}
+		rep.record(*args.B, int(*args.A), int(*args.Count))
+	}
+	return rep, nil
+}
+
+// record scores one prediction. A prediction is a miss when the head must
+// travel more than half the track to reach the target: a correct prediction
+// deliberately lands a small safety margin ahead of the head, so genuine
+// hits cluster near the safety margin and genuine misses near SPT.
+func (r *AuditReport) record(waitNs int64, slack, spt int) {
+	r.Predictions++
+	r.RotWait.Add(time.Duration(waitNs))
+	r.SlackHist[min(slack, slackHistMax)]++
+	if spt > 0 && slack > spt/2 {
+		r.Mispredictions++
+		r.MissCost.Add(time.Duration(waitNs))
+	}
 }
 
 // MissRate returns the misprediction fraction (0 with no samples).
@@ -112,9 +98,6 @@ func (r *AuditReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "prediction audit: %d predictions, %d mispredicted (%.2f%%)",
 		r.Predictions, r.Mispredictions, 100*r.MissRate())
-	if r.Unaudited > 0 {
-		fmt.Fprintf(&b, ", %d unaudited", r.Unaudited)
-	}
 	b.WriteByte('\n')
 	if r.RotWait != nil && r.RotWait.Count() > 0 {
 		fmt.Fprintf(&b, "  rotational wait: %v\n", r.RotWait)

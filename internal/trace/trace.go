@@ -1,7 +1,8 @@
 // Package trace implements deterministic, virtual-time event tracing for the
 // whole storage stack: a ring-buffered structured tracer with typed events,
-// a prediction-accuracy audit for the Trail driver's head-position scheme,
-// and the Chrome trace-event JSON exporter (for Perfetto) that span shares.
+// the Chrome trace-event JSON exporter (for Perfetto) that span shares, its
+// reader, and the prediction-accuracy audit of the Trail driver's
+// head-position scheme, read back from a trace.
 // Gauges over virtual time are timeline meters, not trace events.
 //
 // Design constraints, in order:
@@ -49,7 +50,7 @@ const (
 	KReposition   // head repositioned via a reference read
 	KIdleRefresh  // idle-time prediction reference refresh
 	KStagingFlush // a write-back window was dispatched; A = buffers in window
-	KPredict      // prediction audit point; A = predicted sector, B = slack sectors
+	KPredict      // a record write scored; LBA = target sector, Count = SPT, A = slack sectors, B = wait ns
 
 	// Scheduler queues.
 	KEnqueue // request entered a queue; A = depth after, B=1 for writes
@@ -116,30 +117,17 @@ type Event struct {
 	A, B  int64
 }
 
-// HeadProbe reports, for a moment `at` (virtual ns) and a target sector on
-// track (cyl, head), the drive's ground truth: the rotational wait a media
-// access to that sector starting at `at` would incur, the slack in sectors
-// between the first catchable sector and the target, and the track's SPT.
-// Probes are registered by the disk model and are visible only to the
-// tracer — the Trail driver itself must keep predicting blind, exactly as on
-// real hardware.
-type HeadProbe func(at int64, cyl, head, target int) (waitNs int64, slack, spt int)
-
 // DefaultCapacity is the ring size used by New when capacity <= 0.
 const DefaultCapacity = 1 << 16
 
 // Tracer collects events into a fixed-capacity ring buffer (oldest events
-// are dropped once full) and maintains the prediction audit. The zero value
-// is not useful; create with New. A nil *Tracer is a valid disabled tracer:
-// every method is a no-op.
+// are dropped once full). The zero value is not useful; create with New. A
+// nil *Tracer is a valid disabled tracer: every method is a no-op.
 type Tracer struct {
 	buf     []Event
 	start   int // index of the oldest event
 	n       int // live events
 	dropped int64
-
-	probes map[string]HeadProbe
-	audit  auditState
 }
 
 // New returns a tracer with the given ring capacity (DefaultCapacity when
@@ -148,11 +136,7 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{
-		buf:    make([]Event, 0, capacity),
-		probes: make(map[string]HeadProbe),
-		audit:  newAuditState(),
-	}
+	return &Tracer{buf: make([]Event, 0, capacity)}
 }
 
 // Enabled reports whether the tracer is collecting (false on nil).
@@ -202,68 +186,6 @@ func (t *Tracer) Events() []Event {
 		out = append(out, t.buf[(t.start+i)%len(t.buf)])
 	}
 	return out
-}
-
-// RegisterProbe installs the head-position ground-truth probe for the named
-// device track. The disk model calls this from SetTracer; nothing else
-// should.
-func (t *Tracer) RegisterProbe(track string, p HeadProbe) {
-	if t == nil {
-		return
-	}
-	if p == nil {
-		delete(t.probes, track)
-		return
-	}
-	t.probes[track] = p
-}
-
-// Release drops every registered probe. A probe closes over the drive it
-// reads, so a tracer kept after its world is gone would keep the drives;
-// sim.Env.Close calls Release on the tracer SetTracer bound. Buffered events
-// and the audit so far are kept, and a drive attached afterwards (a rebooted
-// rig's) registers its probe again.
-func (t *Tracer) Release() {
-	if t == nil {
-		return
-	}
-	clear(t.probes)
-}
-
-// RecordPrediction audits one Trail landing-sector prediction: the driver
-// predicted that a write starting its media phase at `at` should land on
-// sector `target` of track (cyl, head) of device `track`. The tracer asks
-// the drive's probe where the head really is and scores the prediction; it
-// also emits a KPredict event. Unknown devices (no probe) are counted as
-// unaudited and otherwise ignored.
-func (t *Tracer) RecordPrediction(track string, at int64, cyl, head, target int) {
-	if t == nil {
-		return
-	}
-	probe, ok := t.probes[track]
-	if !ok {
-		t.audit.unaudited++
-		return
-	}
-	waitNs, slack, spt := probe(at, cyl, head, target)
-	t.audit.record(waitNs, slack, spt)
-	t.Emit(Event{
-		At:    at,
-		Kind:  KPredict,
-		Track: track,
-		LBA:   int64(target),
-		Count: spt,
-		A:     int64(slack),
-		B:     waitNs,
-	})
-}
-
-// Audit returns the accumulated prediction-audit report.
-func (t *Tracer) Audit() *AuditReport {
-	if t == nil {
-		return &AuditReport{}
-	}
-	return t.audit.report()
 }
 
 // Tracks returns the distinct Track names of buffered events in first-

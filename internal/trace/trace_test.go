@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -17,9 +18,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Fatal("nil tracer reports enabled")
 	}
 	tr.Emit(Event{At: 1, Kind: KSeek, Track: "d"})
-	tr.RegisterProbe("d", func(at int64, cyl, head, target int) (int64, int, int) { return 0, 0, 0 })
-	tr.RecordPrediction("d", 0, 0, 0, 0)
-	tr.Release()
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatalf("nil tracer has state: len=%d dropped=%d", tr.Len(), tr.Dropped())
 	}
@@ -29,12 +27,11 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if tracks := tr.Tracks(); tracks != nil {
 		t.Fatalf("nil tracer returned tracks: %v", tracks)
 	}
-	rep := tr.Audit()
-	if rep.Predictions != 0 || rep.MissRate() != 0 {
-		t.Fatalf("nil tracer audit non-empty: %+v", rep)
-	}
 	if evs, err := ReadChrome(bytes.NewReader(exportChrome(t, tr))); err != nil || len(evs) != 0 {
 		t.Fatalf("nil tracer export: %d events, %v; want an empty valid trace", len(evs), err)
+	}
+	if rep, err := AuditEvents(nil); err != nil || rep.Predictions != 0 || rep.MissRate() != 0 {
+		t.Fatalf("audit of no events: %+v, %v; want an empty report", rep, err)
 	}
 }
 
@@ -88,83 +85,74 @@ func TestTracksFirstAppearanceOrder(t *testing.T) {
 	}
 }
 
-// The audit must score hits vs misses by the half-track rule and track the
-// rotational wait of both populations.
-func TestAuditScoring(t *testing.T) {
+// auditOf exports events the way a run's trace.json is written, reads the
+// file back and audits it.
+func auditOf(t *testing.T, events ...Event) *AuditReport {
+	t.Helper()
 	tr := New(64)
-	spt := 60
-	// A probe whose answer we control per call.
-	var wait int64
-	var slack int
-	tr.RegisterProbe("log0", func(at int64, cyl, head, target int) (int64, int, int) {
-		return wait, slack, spt
-	})
-
-	// 3 hits (slack 1, well under spt/2=30), 1 miss (slack 55).
-	wait, slack = int64(100*time.Microsecond), 1
-	for i := 0; i < 3; i++ {
-		tr.RecordPrediction("log0", int64(i), 0, 0, 10)
+	for _, ev := range events {
+		tr.Emit(ev)
 	}
-	wait, slack = int64(12*time.Millisecond), 55
-	tr.RecordPrediction("log0", 3, 0, 0, 10)
-	// One prediction on an unprobed device.
-	tr.RecordPrediction("nosuch", 4, 0, 0, 10)
+	read, err := ReadChrome(bytes.NewReader(exportChrome(t, tr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := AuditEvents(read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
-	rep := tr.Audit()
+// predict is a predict event as the Trail driver emits it.
+func predict(at int64, slack, spt int, wait time.Duration) Event {
+	return Event{At: at, Kind: KPredict, Track: "log0", LBA: 10, Count: spt, A: int64(slack), B: int64(wait)}
+}
+
+// The audit must score hits vs misses by the half-track rule and track the
+// rotational wait of both populations, from the predict events alone.
+func TestAuditScoring(t *testing.T) {
+	spt := 60
+	// 3 hits (slack 1, well under spt/2=30), 1 miss (slack 55), and events
+	// of other kinds, which the audit skips.
+	var events []Event
+	for i := 0; i < 3; i++ {
+		events = append(events, Event{At: int64(i), Kind: KRotWait, Track: "log0", Dur: 1},
+			predict(int64(i), 1, spt, 100*time.Microsecond))
+	}
+	events = append(events, predict(3, 55, spt, 12*time.Millisecond))
+
+	rep := auditOf(t, events...)
 	if rep.Predictions != 4 {
 		t.Fatalf("Predictions = %d, want 4", rep.Predictions)
 	}
 	if rep.Mispredictions != 1 {
 		t.Fatalf("Mispredictions = %d, want 1", rep.Mispredictions)
 	}
-	if rep.Unaudited != 1 {
-		t.Fatalf("Unaudited = %d, want 1", rep.Unaudited)
-	}
 	if got, want := rep.MissRate(), 0.25; got != want {
 		t.Fatalf("MissRate = %v, want %v", got, want)
 	}
-	if rep.RotWait.Count() != 4 || rep.MissCost.Count() != 1 {
-		t.Fatalf("rotWait n=%d missCost n=%d, want 4 and 1", rep.RotWait.Count(), rep.MissCost.Count())
+	if rep.RotWait.Count() != 4 || rep.MissCost.Count() != 1 || rep.MissCost.Max() != 12*time.Millisecond {
+		t.Fatalf("rotWait n=%d missCost n=%d max %v, want 4, 1 and 12ms",
+			rep.RotWait.Count(), rep.MissCost.Count(), rep.MissCost.Max())
 	}
 	if rep.SlackHist[1] != 3 || rep.SlackHist[55] != 1 {
 		t.Fatalf("SlackHist = %v", rep.SlackHist)
 	}
-	// KPredict events were emitted for the audited predictions only.
-	var predicts int
-	for _, ev := range tr.Events() {
-		if ev.Kind == KPredict {
-			predicts++
-			if ev.Count != spt {
-				t.Fatalf("KPredict Count = %d, want spt %d", ev.Count, spt)
-			}
+}
+
+// A predict event whose args do not carry the score is a malformed trace.
+func TestAuditRejectsBadPredictArgs(t *testing.T) {
+	for _, args := range []string{``, `{"lba":1}`, `{"lba":1,"count":60,"a":1,"b":"x"}`} {
+		_, err := AuditEvents([]ChromeEvent{{Name: "predict", Cat: "sim", Ph: "i", Track: "log0", Args: args}})
+		if !errors.Is(err, ErrBadChrome) {
+			t.Errorf("args %q: err %v, want ErrBadChrome", args, err)
 		}
-	}
-	if predicts != 4 {
-		t.Fatalf("KPredict events = %d, want 4", predicts)
-	}
-	// The report must be a snapshot: mutating it must not corrupt the state.
-	rep.SlackHist[1] = 999
-	if tr.Audit().SlackHist[1] != 3 {
-		t.Fatal("AuditReport aliases tracer state")
-	}
-	// Release drops the probe and keeps what was gathered: a later
-	// prediction on the device goes unaudited.
-	events := tr.Len()
-	tr.Release()
-	tr.RecordPrediction("log0", 5, 0, 0, 10)
-	if rep := tr.Audit(); rep.Predictions != 4 || rep.Unaudited != 2 || tr.Len() != events {
-		t.Fatalf("after Release: %d predictions, %d unaudited, %d events; want 4, 2, %d",
-			rep.Predictions, rep.Unaudited, tr.Len(), events)
 	}
 }
 
 func TestAuditSlackHistClamp(t *testing.T) {
-	tr := New(8)
-	tr.RegisterProbe("d", func(at int64, cyl, head, target int) (int64, int, int) {
-		return 0, 500, 600
-	})
-	tr.RecordPrediction("d", 0, 0, 0, 0)
-	if got := tr.Audit().SlackHist[slackHistMax]; got != 1 {
+	if got := auditOf(t, predict(0, 500, 600, 0)).SlackHist[slackHistMax]; got != 1 {
 		t.Fatalf("clamped slack bucket = %d, want 1", got)
 	}
 }
@@ -229,12 +217,7 @@ func TestKindNamesComplete(t *testing.T) {
 }
 
 func TestAuditReportString(t *testing.T) {
-	tr := New(8)
-	tr.RegisterProbe("d", func(at int64, cyl, head, target int) (int64, int, int) {
-		return int64(time.Millisecond), 40, 60
-	})
-	tr.RecordPrediction("d", 0, 0, 0, 0)
-	out := tr.Audit().String()
+	out := auditOf(t, predict(0, 40, 60, time.Millisecond)).String()
 	for _, frag := range []string{"1 predictions", "1 mispredicted", "miss cost", "slack sectors"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("report missing %q:\n%s", frag, out)

@@ -447,11 +447,10 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 
 // SetTracer attaches tr to the driver and every device beneath it: log disks
 // trace as "logN", data disks and their scheduler queues as "dataN". Beyond
-// device-level events, the driver itself records its log-write placement
-// decisions: each record write emits a prediction-audit sample comparing the
-// driver's predicted landing sector against the simulator's true head
-// position (which the driver itself can never observe — the audit lives
-// entirely in the tracer). Pass nil to detach.
+// device-level events, the driver scores its own log-write placement: each
+// clean record write emits a predict event with the rotational wait its
+// completion time implies (trace.AuditEvents reads them back). Pass nil to
+// detach.
 func (d *Driver) SetTracer(tr *trace.Tracer) {
 	d.tr = tr
 	for _, ld := range d.logs {
@@ -1105,12 +1104,9 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 		panic(fmt.Sprintf("trail: building record: %v", err))
 	}
 
-	// Prediction audit: hand the tracer the driver's predicted landing
-	// (target sector at the estimated media-start time); the tracer checks
-	// it against the simulator's true head position via the disk's probe.
-	// The result never flows back to the driver.
+	var mediaStart sim.Time
 	if d.tr != nil {
-		d.tr.RecordPrediction(ld.name, int64(ld.head.mediaStart(p.Now())), cyl, head, target)
+		mediaStart = ld.head.mediaStart(p.Now())
 	}
 	res := ld.disk.Access(p, &disk.Request{Write: true, LBA: headerLBA, Count: 1 + total, Data: img})
 	d.lastActivity = res.End
@@ -1118,6 +1114,14 @@ func (d *Driver) writeRecord(p *sim.Proc, ld *logDisk, target int, batch []*pend
 		ld.head.faulted(res.End)
 		d.handleLogWriteFault(ld, target, batch, res)
 		return false
+	}
+	if d.tr != nil {
+		// Prediction audit: the driver scores its landing from the
+		// completion time alone, as a SCSI target reports it.
+		spt := ld.g.SPTAt(cyl)
+		wait, slack := ld.head.score(mediaStart, res.End, spt, 1+total)
+		d.tr.Emit(trace.Event{At: int64(mediaStart), Kind: trace.KPredict, Track: ld.name,
+			LBA: int64(target), Count: spt, A: int64(slack), B: int64(wait)})
 	}
 	ld.head.completed(res.End, ld.g, geom.CHS{Cyl: cyl, Head: head, Sector: target + total})
 

@@ -86,6 +86,16 @@ func (m *headModel) mediaStart(now sim.Time) sim.Time {
 	return start.Add(m.writeOverhead + m.writeSettle)
 }
 
+// score returns the rotational wait of a write of sectors sectors on a
+// track of spt sectors that the model predicted would reach the media at
+// start and that ended cleanly at end: the command's time on the media less
+// its transfer. Slack is that wait in whole sector times, the sectors the
+// head still had to pass before the landing sector came under it.
+func (m *headModel) score(start, end sim.Time, spt, sectors int) (wait time.Duration, slack int) {
+	wait = end.Sub(start) - time.Duration(sectors)*(m.rotPeriod/time.Duration(spt))
+	return wait, int(int64(wait) * int64(spt) / int64(m.rotPeriod))
+}
+
 // moveCost returns the arm cost of moving from cylinder from to cylinder to:
 // a head switch within a cylinder, or a seek across cylinders. The driver
 // knows the geometry, so it can predict this exactly (paper §3.1: "knowing

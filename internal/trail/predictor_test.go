@@ -9,6 +9,7 @@ import (
 	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
+	"tracklog/internal/trace"
 )
 
 // newTestDisk builds a small drive for predictor integration checks.
@@ -212,4 +213,102 @@ func TestPredictorMatchesDiskPhase(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// probeScore is the drive's ground truth for a media access to sector
+// target of track (cyl, head) starting at at: the rotational wait and the
+// slack in sectors between the first sector whose start the head can still
+// catch and the target. The disk model once handed this probe to the tracer
+// to audit the driver's predictions; it is kept here as the reference the
+// driver's completion-derived score is held to.
+func probeScore(pp disk.Params, at sim.Time, cyl, head, target int) (time.Duration, int) {
+	g := &pp.Geom
+	rp := int64(pp.RotPeriod())
+	phase := float64(int64(at)%rp) / float64(rp)
+	diff := g.SectorAngle(geom.CHS{Cyl: cyl, Head: head, Sector: target}) - phase
+	if diff < 0 {
+		diff++
+	}
+	spt := g.SPTAt(cyl)
+	next := g.ClosestSectorOnTrack(cyl, head, phase, 0)
+	return time.Duration(diff * float64(rp)), ((target-next)%spt + spt) % spt
+}
+
+// On a drift-free rig with one log disk and with two, the driver's score of
+// every clean record write, taken from the write's completion time alone,
+// is the drive's truth: its wait is the rotational wait the drive charged
+// the command, and wait and slack are what the drive's own probe reports
+// at the predicted media start. Writers that queue behind each other make
+// records that pay the write turnaround, and sizes of 1 to 8 sectors at
+// irregular gaps spread the landings over the track.
+func TestRecordScoreMatchesDrive(t *testing.T) {
+	for _, nLogs := range []int{1, 2} {
+		env, logs, _, drv := newMultiRig(t, nLogs, Config{})
+		tr := trace.New(0)
+		drv.SetTracer(tr)
+		dev := drv.Dev(0)
+		for w := 0; w < 3; w++ {
+			env.Go("writer", func(p *sim.Proc) {
+				rng := sim.NewRand(uint64(7 + w))
+				for i := 0; i < 150; i++ {
+					n := 1 + rng.Intn(8)
+					if err := dev.Write(p, int64(w*400+rng.Intn(300)), n, fill(byte(i), n)); err != nil {
+						t.Error(err)
+						return
+					}
+					p.Sleep(time.Duration(rng.Intn(3000)) * time.Microsecond)
+				}
+			})
+		}
+		env.Run()
+		env.Close()
+
+		pp := logs[0].Params()
+		type command struct {
+			rot, turn time.Duration
+			lba       int64
+			write     bool
+		}
+		open := map[string]*command{} // phases since each track's last command
+		last := map[string]command{}  // each track's last command
+		var scored, turned int64
+		for _, ev := range tr.Events() {
+			c := open[ev.Track]
+			if c == nil {
+				c = &command{}
+				open[ev.Track] = c
+			}
+			switch ev.Kind {
+			case trace.KTurnaround:
+				c.turn += time.Duration(ev.Dur)
+			case trace.KRotWait:
+				c.rot += time.Duration(ev.Dur)
+			case trace.KCommand:
+				c.lba, c.write = ev.LBA, ev.B == 1
+				last[ev.Track], *c = *c, command{}
+			case trace.KPredict:
+				cmd := last[ev.Track]
+				a := pp.Geom.ToCHS(cmd.lba)
+				if !cmd.write || a.Sector != int(ev.LBA) || ev.Count != pp.Geom.SPTAt(a.Cyl) {
+					t.Fatalf("%d logs: predict %+v does not follow its record write %+v", nLogs, ev, cmd)
+				}
+				wait, slack := probeScore(pp, sim.Time(ev.At), a.Cyl, a.Head, a.Sector)
+				if time.Duration(ev.B) != cmd.rot || time.Duration(ev.B) != wait || int(ev.A) != slack {
+					t.Errorf("%d logs: record at %v: scored wait %v slack %d; drive charged %v, probe says %v and %d",
+						nLogs, sim.Time(ev.At), time.Duration(ev.B), ev.A, cmd.rot, wait, slack)
+				}
+				scored++
+				if cmd.turn > 0 {
+					turned++
+				}
+			}
+		}
+		if st := drv.Stats(); scored != st.Records || tr.Dropped() != 0 {
+			t.Errorf("%d logs: %d records scored of %d (%d events dropped)", nLogs, scored, st.Records, tr.Dropped())
+		}
+		if turned == 0 {
+			t.Errorf("%d logs: no scored record paid the write turnaround", nLogs)
+		}
+		t.Logf("%d logs: %d records scored, %d after a turnaround", nLogs, scored, turned)
+	}
 }

@@ -125,10 +125,16 @@ func (l *ledger) check(step string) {
 // write-back flight's buffer.
 func auditFree(t *testing.T, step string, d *Driver) {
 	t.Helper()
-	auditList(t, step+": pending writes", &d.free.writes)
-	auditList(t, step+": staging entries", &d.free.entries)
-	auditList(t, step+": records", &d.free.records)
-	auditList(t, step+": read requests", &d.free.reads)
+	auditList(t, step+": pending writes", &d.free.writes, zero)
+	auditList(t, step+": staging entries", &d.free.entries, func(e *bufEntry) bool {
+		// A free entry may keep a grown refs array, empty and cleared.
+		rest := *e
+		rest.refs = nil
+		return zero(&rest) && len(e.refs) == 0 &&
+			!slices.ContainsFunc(e.refs[:cap(e.refs)], func(r recordRef) bool { return r != recordRef{} })
+	})
+	auditList(t, step+": records", &d.free.records, zero)
+	auditList(t, step+": read requests", &d.free.reads, zero)
 	auditImages(t, step, d)
 }
 
@@ -165,7 +171,9 @@ func auditImages(t *testing.T, step string, d *Driver) {
 	}
 }
 
-func auditList[T any](t *testing.T, what string, l *freeList[T]) {
+// auditList fails t unless every object on l is listed once and, by isZero,
+// holds nothing.
+func auditList[T any](t *testing.T, what string, l *freeList[T], isZero func(*T) bool) {
 	t.Helper()
 	seen := map[*T]bool{}
 	for _, x := range l.free.Live() {
@@ -173,11 +181,14 @@ func auditList[T any](t *testing.T, what string, l *freeList[T]) {
 			t.Errorf("%s: %p is on the free list twice", what, x)
 		}
 		seen[x] = true
-		if !reflect.ValueOf(x).Elem().IsZero() {
+		if !isZero(x) {
 			t.Errorf("%s: free %p is not zero", what, x)
 		}
 	}
 }
+
+// zero reports whether *x is its type's zero value.
+func zero[T any](x *T) bool { return reflect.ValueOf(x).Elem().IsZero() }
 
 // TestRecycledBookkeepingSurvivesRarePaths takes one driver through the paths
 // where a pooled object's lifecycle ends early or runs twice: a version
@@ -394,5 +405,53 @@ func TestRequestPathAllocations(t *testing.T) {
 	}
 	if platterInto > 0 || stagedInto > 0 {
 		t.Errorf("into the caller's buffer, a platter read allocates %v times and a staging hit %v, want 0", platterInto, stagedInto)
+	}
+}
+
+// TestSupersedingWriteSteadyStateAllocations: a write that supersedes a
+// staged extent whose write-back is still queued adds a second record
+// reference to its entry, which grows the entry's refs past ref0. A recycled
+// entry keeps that array, cleared, so once the free entries have each grown
+// one, rounds of superseding writes allocate nothing.
+func TestSupersedingWriteSteadyStateAllocations(t *testing.T) {
+	env, drv := paperRig(t)
+	defer env.Close()
+	dev := drv.Dev(0)
+	buf := make([]byte, benchSectors*geom.SectorSize)
+	var allocs float64
+	var superseded int64
+	env.Go("client", func(p *sim.Proc) {
+		write := func(i int) {
+			if err := dev.Write(p, spreadLBA(i, dev), benchSectors, buf); err != nil {
+				t.Error(err)
+			}
+		}
+		// Twelve writes back the data disk up behind its write-back window;
+		// the last four are written again while their write-backs queue.
+		round := func() {
+			for i := range 12 {
+				write(i)
+			}
+			for i := 11; i >= 8; i-- {
+				write(i)
+			}
+			p.Sleep(2 * time.Second) // the write-backs land; staging empties
+		}
+		for range 5 {
+			round()
+		}
+		before := drv.Stats().SupersededWriteBacks
+		allocs = testing.AllocsPerRun(20, round)
+		superseded = drv.Stats().SupersededWriteBacks - before
+	})
+	env.Run()
+	if superseded < 3*21 {
+		t.Fatalf("%d writes superseded a queued version in 21 rounds, want at least 3 a round", superseded)
+	}
+	if n := drv.free.entries.free.Len(); n == 0 || len(drv.staging) != 0 {
+		t.Fatalf("%d free entries, %d staged; want the staging drained onto the free list", n, len(drv.staging))
+	}
+	if allocs > 0 {
+		t.Errorf("a round of 16 writes, 4 of them superseding, allocates %v times, want 0", allocs)
 	}
 }

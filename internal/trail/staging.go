@@ -57,7 +57,8 @@ type bufEntry struct {
 	stamp int64
 	// refs lists the log records whose reclamation is waiting on this
 	// buffer reaching the data disk; it starts out in ref0, which holds the
-	// one reference of a write that supersedes nothing.
+	// one reference of a write that supersedes nothing. An array a
+	// superseding write grew stays with the entry when it is freed.
 	refs []recordRef
 	ref0 [1]recordRef
 	// inQueue is true while a write-back for this key is queued (only one
@@ -87,7 +88,10 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 	e := d.staging[key]
 	if e == nil {
 		e = d.free.entries.get()
-		e.lba, e.count, e.refs = pw.lba, pw.count, e.ref0[:0]
+		e.lba, e.count = pw.lba, pw.count
+		if e.refs == nil {
+			e.refs = e.ref0[:0]
+		}
 		d.staging[key] = e
 		d.stagedBytes += e.bytes()
 	} else if len(e.refs) > 0 || e.inQueue {
@@ -220,7 +224,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 				d.stagedBytes -= e.bytes()
 				d.tlStaged.Set(float64(d.StagedBytes()), int64(p.Now()))
 				d.free.images.put(e.data)
-				d.free.entries.put(e)
+				d.freeEntry(e)
 			}
 			d.tlFlights.Add(-1, int64(p.Now()))
 			// Write-back progress: wake foreground writes throttled on the
@@ -316,8 +320,21 @@ func unpack(out, img []byte, count, from int) {
 	}
 }
 
+// freeEntry puts e on the free list. The refs array a superseding write grew
+// past ref0 stays with it, cleared so a free entry pins no record, and the
+// next extent staged in e appends into it.
+func (d *Driver) freeEntry(e *bufEntry) {
+	refs := e.refs[:cap(e.refs)]
+	clear(refs)
+	d.free.entries.put(e)
+	if cap(refs) > len(e.ref0) {
+		e.refs = refs[:0]
+	}
+}
+
 // freeList recycles objects of one type: get returns a zeroed *T, and put
-// zeroes x before keeping it, so a free object pins no chunk, record or span.
+// zeroes x before keeping it, so a free object pins no chunk, record or span
+// (freeEntry then hands a staging entry back its grown refs array, cleared).
 type freeList[T any] struct{ free sim.FIFO[*T] }
 
 func (l *freeList[T]) get() *T {

@@ -80,8 +80,8 @@ func TestUsageCommentsMatchFlags(t *testing.T) {
 // flagPins is each command's flag count. A flag is surface every recipe,
 // doc and test must keep working, so the count only moves on purpose.
 var flagPins = map[string]int{
-	"benchpairs": 4, "clustersim": 6, "crashexplore": 9, "reproduce": 5,
-	"rundiff": 6, "trailcheck": 3, "trailfmt": 1, "trailsim": 18,
+	"benchpairs": 4, "clustersim": 5, "crashexplore": 9, "reproduce": 5,
+	"rundiff": 6, "trailcheck": 3, "trailfmt": 1, "trailsim": 16,
 }
 
 // TestFlagCountPinned holds every command's flag count to its pin, so the
