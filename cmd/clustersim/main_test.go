@@ -60,7 +60,9 @@ func runIn(t *testing.T, args ...string) (stdout []byte, files map[string][]byte
 // trace and span dump pinned, when -out began writing them: out.txt gained
 // their two lines; re-pinned again when the tail explainer moved to `rundiff
 // DIR`, which cmd/rundiff's TestRunDirBlocks holds to a failover or hedge in
-// this run's tail), and asserts the failure path was exercised and fully
+// this run's tail; trace and span dump re-pinned when a refused or degraded
+// write's copies and a hedge-won read's primary were charged subwrite and
+// subread time, so spans tile every request), and asserts the failure path was exercised and fully
 // recovered: one death, one recovery, the killed shard back healthy on
 // replacement hardware and no acknowledged write lost. A change that moves
 // any byte here on purpose updates the pin and says so. The trace is also
@@ -72,8 +74,8 @@ func TestKillOneShardGolden(t *testing.T) {
 		"out.txt":      "540 bytes ab2303834b901c83",
 		"metrics.prom": "5922 bytes 4af492806889c21d",
 		"timeline.csv": "339202 bytes 2163ffc4740ef8a0",
-		"trace.json":   "2446609 bytes e8ed843577c30ea3",
-		"spans.json":   "312881 bytes b25d36585bd625e9",
+		"trace.json":   "2447604 bytes 5fa15c98e3c4a082",
+		"spans.json":   "313462 bytes 27f7b6976377fd3c",
 	} {
 		if got := digest(files[name]); got != want {
 			t.Errorf("%s: %s, want %s", name, got, want)

@@ -4,16 +4,13 @@
 // BENCH_trail.json BENCH_current.json); given two run-artifact directories
 // it also says *why*: it loads the full artifact set of a baseline and a
 // current run — benchmark summary, utilization timeline, span dump,
-// telemetry export, event trace — aligns them by component/phase/bucket,
-// and emits a ranked attribution report: which mechanical phase, queue, or
-// counter moved, by how many percentage points of the run, and in which
-// bucket window the shift concentrates.
+// telemetry export, event trace — and takes each request class's change in
+// mean latency apart by span phase, in microseconds per request.
 //
 // Usage:
 //
 //	rundiff DIR
-//	rundiff [-mean-tol F] [-p50-tol F] [-p99-tol F] [-rate-tol F]
-//	        [-occ-tol PP] [-json] BASE CUR
+//	rundiff [-mean-tol F] [-p50-tol F] [-p99-tol F] [-rate-tol F] [-json] BASE CUR
 //
 // DIR, BASE and CUR are directories that trailsim -out or clustersim -out
 // wrote; BASE and CUR may also be bare benchfmt JSON files. A directory is
@@ -28,28 +25,29 @@
 // so -json with one directory is a usage error.
 //
 // -mean-tol, -p50-tol and -p99-tol bound the latency metrics, -rate-tol the
-// rates (all 0.10 by default), -occ-tol floors the attribution rows in
-// percentage points of run time (default 1), and -json prints the whole
-// report as JSON, every attribution row included (the text form prints the
-// top ten).
+// rates (all 0.10 by default), and -json prints the whole report as JSON.
 //
 // The report has three layers. The bench section is the regression gate:
 // tolerances are relative (0.10 = a metric may be up to 10% worse before the
 // gate fails, a negative tolerance disables that metric), rate metrics
 // (entries' "rates" map) are higher-is-better so -rate-tol bounds how far a
 // rate may DROP, a baseline entry missing from the current run fails, and
-// improvements never fail in either direction. The attribution
-// section ranks share-of-run deltas — timeline occupancy states and span
-// phases, both in percentage points of total run time, so they are directly
-// comparable — worst first; occupancy findings carry the contiguous bucket
-// window where the shift is largest. The support section lists count, level,
-// and telemetry value changes of 10% or more. The verdict
-// line names the worst bench regression and the top-ranked attribution; a
-// regression with no attribution above tolerance is flagged UNEXPLAINED.
-// When both sides carry an event trace, a first-divergence line names the
-// first event where the two streams part (index, virtual instant, track,
-// and each side's event), or says they are identical; it is informational
-// and moves neither the findings nor the exit status.
+// improvements never fail in either direction. The attribution section is
+// the difference of the two runs' span budgets (the budget rundiff DIR
+// prints): for each driver/kind group in both runs, its mean-latency change
+// and one row per phase, that phase's change in total time divided by the
+// group's request count, largest first. A residual, the change in time no
+// span covers, closes the sum, so the rows plus the residual equal the mean
+// change; it is zero wherever spans tile their requests. Client groups
+// (write and read) print first. The support section lists timeline
+// occupancy, count and level series and telemetry values that changed by
+// 10% or more. The verdict line names the worst bench regression and the
+// largest row of the client group whose mean moved most; a regression with
+// no span phase moved is flagged UNEXPLAINED. When both sides carry an
+// event trace, a first-divergence line names the first event where the two
+// streams part (index, virtual instant, track, and each side's event), or
+// says they are identical; it is informational and moves neither the
+// findings nor the exit status.
 //
 // Exit status: 0 when every section is empty (the runs align within
 // tolerance) and after one directory's analysis, 1 when any finding
@@ -67,6 +65,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"tracklog/internal/benchfmt"
 	"tracklog/internal/rig"
@@ -136,26 +135,34 @@ type BenchDelta struct {
 	HigherIsBetter bool `json:"higher_is_better,omitempty"`
 }
 
-// Attrib is one ranked share-of-run finding. BasePct/CurPct are percent of
-// the run horizon; DeltaPP their difference in percentage points. For
-// occupancy findings WorstLo/WorstHi bound the contiguous bucket window
-// [lo, hi) where the shift concentrates.
+// Attrib is one driver/kind group's change in mean latency, taken apart by
+// span phase: each row is the change in that phase's total time divided by
+// the group's request count (a phase absent on one side counts as zero
+// there), and ResidualUS is the same for the time no span covers, so the
+// rows plus the residual equal DeltaUS. All figures are microseconds per
+// request.
 type Attrib struct {
-	Kind     string  `json:"kind"` // "occupancy" or "span"
-	Series   string  `json:"series"`
-	BasePct  float64 `json:"base_pct"`
-	CurPct   float64 `json:"cur_pct"`
-	DeltaPP  float64 `json:"delta_pp"`
-	WorstLo  int64   `json:"worst_lo,omitempty"`
-	WorstHi  int64   `json:"worst_hi,omitempty"`
-	HasWorst bool    `json:"-"`
+	Group      string       `json:"group"` // "driver/kind", e.g. "trail/write"
+	BaseCount  int64        `json:"base_count"`
+	CurCount   int64        `json:"cur_count"`
+	BaseMeanUS float64      `json:"base_mean_us"`
+	CurMeanUS  float64      `json:"cur_mean_us"`
+	DeltaUS    float64      `json:"delta_us"`
+	ResidualUS float64      `json:"residual_us"`
+	Phases     []PhaseDelta `json:"phases,omitempty"` // nonzero rows, largest first
 }
 
-// Support is one secondary evidence row: a count series total, a level
-// series average, or a telemetry metric that moved beyond the relative
-// tolerance.
+// PhaseDelta is one span phase's change in time per request.
+type PhaseDelta struct {
+	Phase   string  `json:"name"`
+	DeltaUS float64 `json:"delta_us"`
+}
+
+// Support is one secondary evidence row: an occupancy or count series
+// total, a level series average, or a telemetry metric that moved beyond the
+// relative tolerance.
 type Support struct {
-	Kind      string `json:"kind"` // "count", "level", "telemetry"
+	Kind      string `json:"kind"` // "occupancy", "count", "level", "telemetry"
 	Series    string `json:"series"`
 	Base      num    `json:"base"`
 	Cur       num    `json:"cur"`
@@ -208,7 +215,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p50Tol := fs.Float64("p50-tol", 0.10, "relative p50-latency tolerance (negative disables)")
 	p99Tol := fs.Float64("p99-tol", 0.10, "relative p99-latency tolerance (negative disables)")
 	rateTol := fs.Float64("rate-tol", 0.10, "relative throughput-rate drop tolerance (negative disables)")
-	occTol := fs.Float64("occ-tol", 1.0, "attribution floor in percentage points of run time")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -235,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	rep := compare(base, cur, benchfmt.Tolerance{Mean: *meanTol, P50: *p50Tol, P99: *p99Tol, Rate: *rateTol}, *occTol)
+	rep := compare(base, cur, benchfmt.Tolerance{Mean: *meanTol, P50: *p50Tol, P99: *p99Tol, Rate: *rateTol})
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -283,35 +289,20 @@ func explain(dir string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// supportTol is the relative change a count, level or telemetry series
-// must reach to become a support row (0.10 = 10%).
+// supportTol is the relative change a series or telemetry value must reach
+// to become a support row (0.10 = 10%).
 const supportTol = 0.10
 
-// topRows is how many attribution rows the text report prints; the JSON
-// report carries all of them.
-const topRows = 10
-
-// compare builds the full report for one artifact pair: bench gates the
-// benchmark summary, occPP (percentage points of run time) floors the
-// attribution rows.
-func compare(base, cur *artifacts, bench benchfmt.Tolerance, occPP float64) *Report {
+// compare builds the full report for one artifact pair; bench gates the
+// benchmark summary.
+func compare(base, cur *artifacts, bench benchfmt.Tolerance) *Report {
 	rep := &Report{Base: base.path, Cur: cur.path}
 	benchRegressed := compareBench(rep, base, cur, bench)
-	compareTimelines(rep, base.Timeline, cur.Timeline, occPP)
-	compareSpans(rep, base.Spans, cur.Spans, occPP)
+	compareTimelines(rep, base.Timeline, cur.Timeline)
+	compareSpans(rep, base.Spans, cur.Spans)
 	compareProm(rep, base.Metrics, cur.Metrics)
 	compareTraces(rep, base.Trace, cur.Trace)
 
-	sort.SliceStable(rep.Attribution, func(i, j int) bool {
-		ai, aj := rep.Attribution[i], rep.Attribution[j]
-		if d := math.Abs(ai.DeltaPP) - math.Abs(aj.DeltaPP); d != 0 {
-			return d > 0
-		}
-		if ai.Series != aj.Series {
-			return ai.Series < aj.Series
-		}
-		return ai.Kind < aj.Kind
-	})
 	sort.SliceStable(rep.Support, func(i, j int) bool {
 		si, sj := rep.Support[i], rep.Support[j]
 		if d := math.Abs(float64(si.Pct)) - math.Abs(float64(sj.Pct)); d != 0 {
@@ -342,28 +333,20 @@ func compare(base, cur *artifacts, bench benchfmt.Tolerance, occPP float64) *Rep
 	case rep.Findings == 0:
 		rep.Verdict = "ok: runs aligned; no deltas above tolerance"
 	case benchRegressed && len(rep.Attribution) > 0:
-		a := rep.Attribution[0]
-		rep.Verdict = fmt.Sprintf("%s: top attribution %s %s %+.2fpp%s",
-			worstBench, a.Kind, a.Series, a.DeltaPP, worstWindow(a))
+		rep.Verdict = fmt.Sprintf("%s: top attribution %s", worstBench, lead(rep.Attribution))
 	case benchRegressed:
-		rep.Verdict = fmt.Sprintf("%s: UNEXPLAINED (no attribution above tolerance)", worstBench)
+		rep.Verdict = fmt.Sprintf("%s: UNEXPLAINED (no span phase moved)", worstBench)
 	case len(rep.Missing) > 0:
 		rep.Verdict = fmt.Sprintf("%d experiment(s) missing from current run", len(rep.Missing))
+		if len(rep.Attribution) > 0 {
+			rep.Verdict += "; top behavioral delta " + lead(rep.Attribution)
+		}
 	case len(rep.Attribution) > 0:
-		a := rep.Attribution[0]
-		rep.Verdict = fmt.Sprintf("no benchmark regression; top behavioral delta %s %s %+.2fpp%s",
-			a.Kind, a.Series, a.DeltaPP, worstWindow(a))
+		rep.Verdict = "no benchmark regression; top behavioral delta " + lead(rep.Attribution)
 	default:
 		rep.Verdict = fmt.Sprintf("no benchmark regression; %d support delta(s) above tolerance", len(rep.Support))
 	}
 	return rep
-}
-
-func worstWindow(a Attrib) string {
-	if !a.HasWorst {
-		return ""
-	}
-	return fmt.Sprintf(" in buckets [%d,%d)", a.WorstLo, a.WorstHi)
 }
 
 // compareBench runs the regression gate when both sides carry a summary.
@@ -389,10 +372,10 @@ func compareBench(rep *Report, base, cur *artifacts, tol benchfmt.Tolerance) boo
 	return regressed
 }
 
-// compareTimelines aligns two timeline exports by series key and feeds
-// occupancy shares into the attribution ranking, count totals and level
-// averages into the support section.
-func compareTimelines(rep *Report, base, cur *timeline.Timeline, occPP float64) {
+// compareTimelines aligns two timeline exports by series key and makes a
+// support row of every occupancy or count total and level average that
+// moved by supportTol or more.
+func compareTimelines(rep *Report, base, cur *timeline.Timeline) {
 	switch {
 	case base == nil && cur == nil:
 		return
@@ -409,97 +392,22 @@ func compareTimelines(rep *Report, base, cur *timeline.Timeline, occPP float64) 
 	for _, key := range unionKeys(base, cur) {
 		bs := lookupKey(base, key)
 		cs := lookupKey(cur, key)
-		kind := seriesKind(bs, cs)
-		switch kind {
+		var kind string
+		var b, c float64
+		switch seriesKind(bs, cs) {
 		case "occupancy_ns":
-			occupancyAttrib(rep, key, base, cur, bs, cs, occPP)
+			kind, b, c = "occupancy", seriesTotal(bs), seriesTotal(cs)
 		case "count":
-			b, c := seriesTotal(bs), seriesTotal(cs)
-			if pct, over := relDelta(b, c, supportTol); over {
-				rep.Support = append(rep.Support, supportRow("count", key, b, c, pct))
-			}
+			kind, b, c = "count", seriesTotal(bs), seriesTotal(cs)
 		case "mean":
-			b, c := seriesAvg(bs, base.Buckets()), seriesAvg(cs, cur.Buckets())
-			if pct, over := relDelta(b, c, supportTol); over {
-				rep.Support = append(rep.Support, supportRow("level", key, b, c, pct))
-			}
-		}
-	}
-}
-
-// occupancyAttrib turns one occupancy series pair into an attribution row
-// when the share-of-run delta clears the pp floor. The worst window is the
-// contiguous bucket range maximizing the accumulated shift in the delta's
-// direction (maximum-sum subarray over per-bucket occupancy differences).
-func occupancyAttrib(rep *Report, key string, base, cur *timeline.Timeline, bs, cs *timeline.Series, occPP float64) {
-	basePct := shareOf(bs, base.EndNS)
-	curPct := shareOf(cs, cur.EndNS)
-	deltaPP := curPct - basePct
-	if math.Abs(deltaPP) < occPP {
-		return
-	}
-	a := Attrib{Kind: "occupancy", Series: key, BasePct: basePct, CurPct: curPct, DeltaPP: deltaPP}
-	n := base.Buckets()
-	if cb := cur.Buckets(); cb > n {
-		n = cb
-	}
-	if lo, hi, ok := worstBuckets(bs, cs, n, deltaPP < 0); ok {
-		a.WorstLo, a.WorstHi, a.HasWorst = lo, hi, true
-	}
-	rep.Attribution = append(rep.Attribution, a)
-}
-
-// worstBuckets finds the contiguous bucket window [lo, hi) with the largest
-// accumulated occupancy shift from bs to cs (negated when negate is set, for
-// findings that shrank). Kadane over the dense per-bucket difference.
-func worstBuckets(bs, cs *timeline.Series, n int64, negate bool) (lo, hi int64, ok bool) {
-	diff := make([]float64, n)
-	for _, p := range points(bs) {
-		if p.Bucket < n {
-			diff[p.Bucket] -= p.Value
-		}
-	}
-	for _, p := range points(cs) {
-		if p.Bucket < n {
-			diff[p.Bucket] += p.Value
-		}
-	}
-	if negate {
-		for i := range diff {
-			diff[i] = -diff[i]
-		}
-	}
-	best, bestLo, bestHi := 0.0, int64(0), int64(0)
-	sum, start := 0.0, int64(0)
-	for i := int64(0); i < n; i++ {
-		sum += diff[i]
-		if sum <= 0 {
-			sum, start = 0, i+1
+			kind, b, c = "level", seriesAvg(bs, base.Buckets()), seriesAvg(cs, cur.Buckets())
+		default:
 			continue
 		}
-		if sum > best {
-			best, bestLo, bestHi = sum, start, i+1
+		if pct, over := relDelta(b, c, supportTol); over {
+			rep.Support = append(rep.Support, supportRow(kind, key, b, c, pct))
 		}
 	}
-	if best <= 0 {
-		return 0, 0, false
-	}
-	return bestLo, bestHi, true
-}
-
-func points(s *timeline.Series) []timeline.Point {
-	if s == nil {
-		return nil
-	}
-	return s.Points
-}
-
-// shareOf is a series' total occupancy as percent of the run horizon.
-func shareOf(s *timeline.Series, endNS int64) float64 {
-	if s == nil || endNS <= 0 {
-		return 0
-	}
-	return seriesTotal(s) / float64(endNS) * 100
 }
 
 func seriesTotal(s *timeline.Series) float64 {
@@ -557,10 +465,10 @@ func lookupKey(t *timeline.Timeline, key string) *timeline.Series {
 	return t.Lookup(parts[0], parts[1], parts[2])
 }
 
-// compareSpans aggregates each span dump into per-(kind, phase) shares of
-// total request latency and feeds the pp deltas into the attribution
-// ranking, directly comparable with occupancy shares.
-func compareSpans(rep *Report, base, cur []*span.Request, occPP float64) {
+// compareSpans takes the difference of the two runs' span budgets: one
+// Attrib for each driver/kind group present in both that moved, client
+// groups first. A group on one side only is a note.
+func compareSpans(rep *Report, base, cur []*span.Request) {
 	switch {
 	case base == nil && cur == nil:
 		return
@@ -568,54 +476,85 @@ func compareSpans(rep *Report, base, cur []*span.Request, occPP float64) {
 		rep.Notes = append(rep.Notes, "span dump present on one side only; span section skipped")
 		return
 	}
-	bShares := phaseShares(base)
-	cShares := phaseShares(cur)
-	seen := make(map[string]bool)
-	var keys []string
-	for k := range bShares {
-		seen[k] = true
-		keys = append(keys, k)
-	}
-	for k := range cShares {
-		if !seen[k] {
-			keys = append(keys, k)
+	bb, cb := span.Analyze(base), span.Analyze(cur)
+	for _, g := range bb.Groups {
+		if cb.Group(g.Key) == nil {
+			rep.Notes = append(rep.Notes, fmt.Sprintf("span group %s in base run only", g.Key))
 		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		deltaPP := cShares[k] - bShares[k]
-		if math.Abs(deltaPP) < occPP {
+	for _, c := range cb.Groups {
+		b := bb.Group(c.Key)
+		if b == nil {
+			rep.Notes = append(rep.Notes, fmt.Sprintf("span group %s in current run only", c.Key))
 			continue
 		}
-		rep.Attribution = append(rep.Attribution, Attrib{
-			Kind: "span", Series: k,
-			BasePct: bShares[k], CurPct: cShares[k], DeltaPP: deltaPP,
-		})
-	}
-}
-
-// phaseShares aggregates a span dump into per-"kind/phase" time shares: the
-// summed duration of that phase across all requests of that kind, as
-// percent of the summed end-to-end latency of every request. Shares are in
-// the same unit as timeline occupancy shares (percent of total observed
-// time), so rundiff ranks them in one list.
-func phaseShares(reqs []*span.Request) map[string]float64 {
-	var total int64
-	sums := make(map[string]int64)
-	for _, r := range reqs {
-		total += r.Latency()
-		for _, s := range r.Spans {
-			sums[r.Kind.String()+"/"+s.Phase.String()] += s.Dur()
+		if a := groupDelta(b, c); len(a.Phases) > 0 || a.ResidualUS != 0 {
+			rep.Attribution = append(rep.Attribution, a)
 		}
 	}
-	shares := make(map[string]float64, len(sums))
-	if total == 0 {
-		return shares
+	sort.SliceStable(rep.Attribution, func(i, j int) bool {
+		return client(rep.Attribution[i].Group) && !client(rep.Attribution[j].Group)
+	})
+}
+
+// groupDelta takes one group's change in mean latency apart by phase.
+func groupDelta(b, c *span.GroupBudget) Attrib {
+	a := Attrib{
+		Group: c.Key, BaseCount: b.Count, CurCount: c.Count,
+		BaseMeanUS: perReqUS(b.Latency.Sum(), b.Count), CurMeanUS: perReqUS(c.Latency.Sum(), c.Count),
+		ResidualUS: perReqUS(c.Unattributed, c.Count) - perReqUS(b.Unattributed, b.Count),
 	}
-	for k, sum := range sums {
-		shares[k] = float64(sum) / float64(total) * 100
+	a.DeltaUS = a.CurMeanUS - a.BaseMeanUS
+	d := make(map[span.Phase]float64)
+	for _, p := range c.Phases {
+		d[p.Phase] += perReqUS(p.Total, c.Count)
 	}
-	return shares
+	for _, p := range b.Phases {
+		d[p.Phase] -= perReqUS(p.Total, b.Count)
+	}
+	for ph, us := range d {
+		if us != 0 {
+			a.Phases = append(a.Phases, PhaseDelta{Phase: ph.String(), DeltaUS: us})
+		}
+	}
+	sort.Slice(a.Phases, func(i, j int) bool {
+		pi, pj := a.Phases[i], a.Phases[j]
+		if di, dj := math.Abs(pi.DeltaUS), math.Abs(pj.DeltaUS); di != dj {
+			return di > dj
+		}
+		return pi.Phase < pj.Phase
+	})
+	return a
+}
+
+// perReqUS is total spread over n requests, in microseconds.
+func perReqUS(total time.Duration, n int64) float64 {
+	return float64(total) / float64(n) / 1e3
+}
+
+// client reports whether a "driver/kind" group holds client requests, the
+// writes and reads a bench entry times, rather than write-backs or recovery.
+func client(group string) bool {
+	kind := group[strings.LastIndexByte(group, '/')+1:]
+	return kind == span.KWrite.String() || kind == span.KRead.String()
+}
+
+// lead names the largest row of the client group whose mean moved most, or
+// of the group whose mean moved most when no client group moved; attrib
+// lists client groups first.
+func lead(attrib []Attrib) string {
+	var top *Attrib
+	for i := range attrib {
+		a := &attrib[i]
+		if top == nil || client(a.Group) == client(top.Group) && math.Abs(a.DeltaUS) > math.Abs(top.DeltaUS) {
+			top = a
+		}
+	}
+	row := PhaseDelta{Phase: "residual", DeltaUS: top.ResidualUS}
+	if len(top.Phases) > 0 && math.Abs(top.Phases[0].DeltaUS) >= math.Abs(row.DeltaUS) {
+		row = top.Phases[0]
+	}
+	return fmt.Sprintf("%s %s %+.3fus of %+.3fus per request", top.Group, row.Phase, row.DeltaUS, top.DeltaUS)
 }
 
 // compareProm diffs two telemetry exports by metric name, reporting values
@@ -725,7 +664,7 @@ func sign(v float64) int {
 	return 1
 }
 
-// printReport renders the text form: bench table, ranked attribution,
+// printReport renders the text form: bench table, attribution by group,
 // support rows, notes, verdict. Sections with no rows are omitted, so the
 // aligned-runs report is a single ok line.
 func printReport(w io.Writer, rep *Report) {
@@ -756,14 +695,13 @@ func printReport(w io.Writer, rep *Report) {
 		}
 	}
 	if len(rep.Attribution) > 0 {
-		fmt.Fprintln(w, "== attribution (share of run) ==")
-		for i, a := range rep.Attribution {
-			if i >= topRows {
-				fmt.Fprintf(w, "... %d more (see -json)\n", len(rep.Attribution)-i)
-				break
+		fmt.Fprintln(w, "== attribution (us per request) ==")
+		for _, a := range rep.Attribution {
+			fmt.Fprintf(w, "%s: %d -> %d requests, mean %.3fus -> %.3fus, %+.3fus, residual %+.3fus\n",
+				a.Group, a.BaseCount, a.CurCount, a.BaseMeanUS, a.CurMeanUS, a.DeltaUS, a.ResidualUS)
+			for _, p := range a.Phases {
+				fmt.Fprintf(w, "    %-12s %+12.3fus\n", p.Phase, p.DeltaUS)
 			}
-			fmt.Fprintf(w, "%2d. %-9s %-36s %7.3f%% -> %7.3f%%  %+6.2fpp%s\n",
-				i+1, a.Kind, a.Series, a.BasePct, a.CurPct, a.DeltaPP, worstWindow(a))
 		}
 	}
 	if len(rep.Support) > 0 {

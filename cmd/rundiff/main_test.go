@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,11 +58,13 @@ func timelineCSV(occNS int64) string {
 	return b.String()
 }
 
+// spanJSON is a span dump of one trail write: a seek of seekNS, then a 1 ms
+// transfer, tiling the request.
 func spanJSON(seekNS int64) string {
 	return fmt.Sprintf(`{"version":1,"dropped":0,"requests":[
-{"id":1,"kind":"write","driver":"trail","dev":"data0","lba":0,"count":8,"start_ns":0,"end_ns":100000000,"err":0,"spans":[{"phase":"seek","start_ns":0,"end_ns":%d,"a":0,"b":0}]}
+{"id":1,"kind":"write","driver":"trail","dev":"data0","lba":0,"count":8,"start_ns":0,"end_ns":%[2]d,"err":0,"spans":[{"phase":"seek","start_ns":0,"end_ns":%[1]d,"a":0,"b":0},{"phase":"transfer","start_ns":%[1]d,"end_ns":%[2]d,"a":0,"b":0}]}
 ]}
-`, seekNS)
+`, seekNS, seekNS+1000000)
 }
 
 func runDiff(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -96,12 +99,14 @@ func TestIdenticalRunsEmptyReport(t *testing.T) {
 func TestPerturbedRunAttribution(t *testing.T) {
 	base := writeDir(t, map[string]string{
 		"bench.json":   benchJSON(t, 12000),
-		"timeline.csv": timelineCSV(200000), // 1% seek share
+		"timeline.csv": timelineCSV(200000),
+		"spans.json":   spanJSON(2000000),
 		"metrics.prom": "tracklog_disk_seek_ms 179.5\n",
 	})
 	cur := writeDir(t, map[string]string{
-		"bench.json":   benchJSON(t, 23000),  // p99 +91.7%
-		"timeline.csv": timelineCSV(1200000), // 6% seek share
+		"bench.json":   benchJSON(t, 23000), // p99 +91.7%
+		"timeline.csv": timelineCSV(1200000),
+		"spans.json":   spanJSON(12000000),
 		"metrics.prom": "tracklog_disk_seek_ms 329.1\n",
 	})
 	code, out, _ := runDiff(t, base, cur)
@@ -110,9 +115,11 @@ func TestPerturbedRunAttribution(t *testing.T) {
 	}
 	for _, want := range []string{
 		"p99", "REGRESSION",
-		" 1. occupancy disk/log0/state/seek",
-		"in buckets [0,50)",
-		"verdict: sync-write/trail/sparse/4096B p99 +91.7%: top attribution occupancy disk/log0/state/seek +5.00pp",
+		"== attribution (us per request) ==\n" +
+			"trail/write: 1 -> 1 requests, mean 3000.000us -> 13000.000us, +10000.000us, residual +0.000us\n" +
+			"    seek           +10000.000us\n== support ==\n",
+		"    occupancy disk/log0/state/seek                        1e+07 ->        6e+07  +500.0%\n",
+		"verdict: sync-write/trail/sparse/4096B p99 +91.7%: top attribution trail/write seek +10000.000us of +10000.000us per request\n",
 		"telemetry tracklog_disk_seek_ms",
 	} {
 		if !strings.Contains(out, want) {
@@ -260,36 +267,112 @@ func TestTelemetryNaN(t *testing.T) {
 	}
 }
 
+// spanDump is a span dump of the given requests, each "kind start end
+// phase:start:end ...", all on driver trail.
+func spanDump(reqs ...string) string {
+	var b strings.Builder
+	b.WriteString(`{"version":1,"dropped":0,"requests":[`)
+	for i, r := range reqs {
+		f := strings.Fields(r)
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"id":%d,"kind":%q,"driver":"trail","dev":"data0","lba":0,"count":8,"start_ns":%s,"end_ns":%s,"err":0,"spans":[`, i+1, f[0], f[1], f[2])
+		for j, s := range f[3:] {
+			p := strings.Split(s, ":")
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"phase":%q,"start_ns":%s,"end_ns":%s,"a":0,"b":0}`, p[0], p[1], p[2])
+		}
+		b.WriteString("]}")
+	}
+	b.WriteString("]}\n")
+	return b.String()
+}
+
+// The attribution is the difference of the two span budgets per request: a
+// phase's change in total over the group's count, a phase absent on one side
+// counted as zero there, and a residual for time no span covers, so the rows
+// and the residual add up to the change in mean latency. Client groups print
+// first, a group on one side only is a note, and the verdict names the
+// largest row of the client group whose mean moved most.
 func TestSpanPhaseAttribution(t *testing.T) {
-	base := writeDir(t, map[string]string{"spans.json": spanJSON(2000000)}) // 2% of latency
-	cur := writeDir(t, map[string]string{"spans.json": spanJSON(12000000)}) // 12%
+	base := writeDir(t, map[string]string{"spans.json": spanDump(
+		"write 0 3000 seek:0:2000 transfer:2000:3000",
+		"write 0 5000 queue:0:2000 seek:2000:4000 transfer:4000:5000",
+		"writeback 0 9000 seek:0:9000",
+		"recover 0 100 locate:0:100",
+	)})
+	cur := writeDir(t, map[string]string{"spans.json": spanDump(
+		"write 0 3000 seek:0:2000 transfer:2000:3000",
+		"write 0 4000 seek:0:2000 rotwait:2000:3000 transfer:3000:4000",
+		"write 0 11000 seek:0:10000 transfer:10000:11000",
+		"writeback 0 9000 seek:0:8000",
+		"read 0 7 staging:0:0",
+	)})
 	code, out, _ := runDiff(t, base, cur)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out)
 	}
-	if !strings.Contains(out, "span      write/seek") || !strings.Contains(out, "+10.00pp") {
-		t.Fatalf("span attribution missing:\n%s", out)
+	want := `== attribution (us per request) ==
+trail/write: 2 -> 3 requests, mean 4.000us -> 6.000us, +2.000us, residual +0.000us
+    seek               +2.667us
+    queue              -1.000us
+    rotwait            +0.333us
+trail/writeback: 1 -> 1 requests, mean 9.000us -> 9.000us, +0.000us, residual +1.000us
+    seek               -1.000us
+note: span group trail/recover in base run only
+note: span group trail/read in current run only
+verdict: no benchmark regression; top behavioral delta trail/write seek +2.667us of +2.000us per request
+`
+	if out != want {
+		t.Errorf("report:\n%s\nwant:\n%s", out, want)
+	}
+	code, out, _ = runDiff(t, "-json", base, cur)
+	var rep Report
+	if err := json.Unmarshal([]byte(out), &rep); code != 1 || err != nil || len(rep.Attribution) != 2 {
+		t.Fatalf("-json: exit %d, %v, %d groups:\n%s", code, err, len(rep.Attribution), out)
+	}
+	for _, a := range rep.Attribution {
+		sum := a.ResidualUS
+		for _, p := range a.Phases {
+			sum += p.DeltaUS
+		}
+		if math.Abs(sum-a.DeltaUS) > 1e-3 || math.Abs(a.CurMeanUS-a.BaseMeanUS-a.DeltaUS) > 1e-3 {
+			t.Errorf("%s: rows and residual sum to %.6fus, mean moved %.6fus", a.Group, sum, a.DeltaUS)
+		}
 	}
 }
 
 func TestBehavioralDeltaWithoutBench(t *testing.T) {
-	base := writeDir(t, map[string]string{"timeline.csv": timelineCSV(200000)})
-	cur := writeDir(t, map[string]string{"timeline.csv": timelineCSV(1200000)})
+	base := writeDir(t, map[string]string{"spans.json": spanJSON(2000000)})
+	cur := writeDir(t, map[string]string{"spans.json": spanJSON(12000000)})
 	code, out, _ := runDiff(t, base, cur)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; output:\n%s", code, out)
 	}
-	if !strings.Contains(out, "no benchmark regression; top behavioral delta occupancy disk/log0/state/seek") {
+	if !strings.Contains(out, "verdict: no benchmark regression; top behavioral delta trail/write seek +10000.000us of +10000.000us per request\n") {
 		t.Fatalf("verdict:\n%s", out)
 	}
 }
 
+// Timeline series are support rows under the 10% rule, occupancy included,
+// and a negative latency tolerance takes that metric out of the gate.
 func TestTolerancesDisableFindings(t *testing.T) {
 	base := writeDir(t, map[string]string{"timeline.csv": timelineCSV(200000)})
-	cur := writeDir(t, map[string]string{"timeline.csv": timelineCSV(1200000)})
-	// A 5pp shift passes under a 10pp floor.
-	if code, out, _ := runDiff(t, "-occ-tol", "10", base, cur); code != 0 {
-		t.Fatalf("occ-tol 10 should pass, got exit %d:\n%s", code, out)
+	if code, out, _ := runDiff(t, base, writeDir(t, map[string]string{"timeline.csv": timelineCSV(219000)})); code != 0 {
+		t.Errorf("a 9.5%% occupancy change: exit %d, want 0:\n%s", code, out)
+	}
+	code, out, _ := runDiff(t, base, writeDir(t, map[string]string{"timeline.csv": timelineCSV(220000)}))
+	if code != 1 || !strings.Contains(out, "    occupancy disk/log0/state/seek                        1e+07 ->      1.1e+07   +10.0%\n") ||
+		!strings.Contains(out, "verdict: no benchmark regression; 1 support delta(s) above tolerance\n") {
+		t.Errorf("a 10%% occupancy change: exit %d, want 1 and a support row:\n%s", code, out)
+	}
+	base = writeDir(t, map[string]string{"bench.json": benchJSON(t, 12000)})
+	cur := writeDir(t, map[string]string{"bench.json": benchJSON(t, 23000)})
+	if code, out, _ := runDiff(t, "-p99-tol", "-1", base, cur); code != 0 {
+		t.Errorf("-p99-tol -1: exit %d, want 0:\n%s", code, out)
 	}
 }
 
@@ -354,13 +437,14 @@ func TestOneRunDirectory(t *testing.T) {
 }
 
 func TestJSONReport(t *testing.T) {
-	base := writeDir(t, map[string]string{"bench.json": benchJSON(t, 12000), "timeline.csv": timelineCSV(200000)})
-	cur := writeDir(t, map[string]string{"bench.json": benchJSON(t, 23000), "timeline.csv": timelineCSV(1200000)})
+	base := writeDir(t, map[string]string{"bench.json": benchJSON(t, 12000), "timeline.csv": timelineCSV(200000), "spans.json": spanJSON(2000000)})
+	cur := writeDir(t, map[string]string{"bench.json": benchJSON(t, 23000), "timeline.csv": timelineCSV(1200000), "spans.json": spanJSON(12000000)})
 	code, out, _ := runDiff(t, "-json", base, cur)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
-	for _, want := range []string{`"metric": "p99"`, `"series": "disk/log0/state/seek"`, `"delta_pp": 5`, `"verdict"`} {
+	for _, want := range []string{`"metric": "p99"`, `"group": "trail/write"`, `"delta_us": 10000,`, `"residual_us": 0,`,
+		`"name": "seek"`, `"kind": "occupancy"`, `"series": "disk/log0/state/seek"`, `"verdict"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON report missing %q:\n%s", want, out)
 		}
@@ -442,7 +526,7 @@ func FuzzRunDiffLoad(f *testing.F) {
 		}
 		// Loaded cleanly: comparing the run with itself must not panic and
 		// must report zero findings.
-		if rep := compare(a, a, benchfmt.Tolerance{}, 1); rep.Findings != 0 {
+		if rep := compare(a, a, benchfmt.Tolerance{}); rep.Findings != 0 {
 			t.Fatalf("self-compare found %d findings", rep.Findings)
 		}
 	})

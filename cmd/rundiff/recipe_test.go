@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"tracklog/internal/benchfmt"
+	"tracklog/internal/span"
+	"tracklog/internal/trace"
 )
 
 // TestTrailsimPairGolden runs rundiff's end-to-end recipe: three trailsim
@@ -17,9 +23,12 @@ import (
 // -out, the third with the log disk's seek arm derated, then rundiff on the
 // same-seed pair and on the perturbed pair. Both reports are pinned to their
 // length and FNV-64a with their exit statuses, recorded at 18d5d33 and
-// re-pinned once when the first-divergence line joined them; a change that
-// moves either on purpose updates the pin and says so. The derated seek is
-// where the perturbed run's event stream first parts from the base run's.
+// re-pinned when the first-divergence line joined them and when the span
+// budget difference replaced the share-of-run ranking; a change that moves
+// either on purpose updates the pin and says so. The perturbed report is
+// README.md's worked example, byte for byte, and puts the log writer's track
+// switches first. The derated seek is where the perturbed run's event stream
+// first parts from the base run's.
 func TestTrailsimPairGolden(t *testing.T) {
 	dir := t.TempDir()
 	trailsim := filepath.Join(dir, "trailsim")
@@ -62,15 +71,36 @@ func TestTrailsimPairGolden(t *testing.T) {
 	if again := report("run-a", "run-b", 0, "95 bytes 567b4a6e0787594d"); again != same {
 		t.Errorf("same-seed report not byte-identical across invocations")
 	}
-	perturbed := report("run-a", "run-p", 1, "919 bytes 99eb6bb32e36661f")
-	if !regexp.MustCompile(`(?m)^ 1\. occupancy disk/log0/state/(seek|rotate_wait) `).MatchString(perturbed) ||
+	perturbed := report("run-a", "run-p", 1, "934 bytes 76b4f969d5dacb6e")
+	if !regexp.MustCompile(`(?m)^trail/write: .*\n    trackswitch `).MatchString(perturbed) ||
 		!strings.Contains(perturbed, "REGRESSION") {
-		t.Errorf("perturbed report lacks a REGRESSION with the log disk's seek or rotation on top:\n%s", perturbed)
+		t.Errorf("perturbed report lacks a REGRESSION with trail/write trackswitch on top:\n%s", perturbed)
+	}
+	if readme := readmeExample(t); readme != perturbed {
+		t.Errorf("README.md's worked example is not the perturbed report:\n%s\nwant:\n%s", readme, perturbed)
 	}
 	if !strings.Contains(same, "first divergence: event streams identical\n") ||
 		!regexp.MustCompile(`(?m)^first divergence: event 866 at 373962\.693us on log0: seek dur 1700\.000us .* -> seek dur 15300\.000us `).MatchString(perturbed) {
 		t.Errorf("first-divergence lines: same-seed pair\n%s\nperturbed pair\n%s", same, perturbed)
 	}
+}
+
+// readmeExample returns the text block README.md shows after its
+// `./rundiff base cur` command.
+func readmeExample(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(data)
+	i := strings.Index(readme, "./rundiff base cur")
+	j := strings.Index(readme[max(i, 0):], "```text\n")
+	if i < 0 || j < 0 {
+		t.Fatal("README.md has no text block after ./rundiff base cur")
+	}
+	block := readme[i+j+len("```text\n"):]
+	return block[:strings.Index(block, "```\n")]
 }
 
 // TestRunDirBlocks runs `rundiff DIR` on three simulator run directories and
@@ -81,9 +111,12 @@ func TestTrailsimPairGolden(t *testing.T) {
 // trail -writes 50 -seed 7`, the budget and tail of the same run with
 // -system std, and the tail of `clustersim -chaos shardkill=1@250ms -seed 11
 // -verify`. The cluster run's budget, which no flag printed, was recorded
-// when `rundiff DIR` took these blocks over. The healthy Trail run predicts
-// every landing with one sector of slack, and the killed shard's failover or
-// a hedge around it shows among the cluster run's slowest requests.
+// when `rundiff DIR` took these blocks over; the cluster budget and tail were
+// re-pinned once when a refused write's copies and a hedge-won read's primary
+// were charged, which left no budget with unattributed time. The healthy
+// Trail run predicts every landing with one sector of slack, and the killed
+// shard's failover or a hedge around it shows among the cluster run's slowest
+// requests.
 func TestRunDirBlocks(t *testing.T) {
 	dir := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
@@ -103,7 +136,7 @@ func TestRunDirBlocks(t *testing.T) {
 			[3]string{"702 bytes e8dedc3772fe9309", "294 bytes 443ca9c3f3d4bda0", ""},
 			`(?m)^span budget: std/write — 50 requests, 0 errors$`},
 		{"cluster", []string{"clustersim", "-chaos", "shardkill=1@250ms", "-seed", "11", "-verify"},
-			[3]string{"1175 bytes ff1705d4ab6eb2f7", "1934 bytes c100c7c649db3b7b", ""},
+			[3]string{"1090 bytes 67f5564123dfdf7a", "1934 bytes f15f7aa90f6510cb", ""},
 			`(?m)^  #[0-9]+ .*(failed over to replica after shard failure|hedged to replica after slow primary)`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,9 +168,99 @@ func TestRunDirBlocks(t *testing.T) {
 					t.Errorf("%s block: %q, want %q\n%s", [3]string{"budget", "tail", "audit"}[i], got, tc.want[i], block)
 				}
 			}
+			if strings.Contains(text[:tail], "UNATTRIBUTED") {
+				t.Errorf("a budget has unattributed time:\n%s", text[:tail])
+			}
 			if !regexp.MustCompile(tc.re).MatchString(text) {
 				t.Errorf("output does not match %q:\n%s", tc.re, text)
 			}
 		})
+	}
+}
+
+// TestAttributionCorpus holds the span-budget difference to four causes
+// whose answer is known: from `trailsim -writes 600 -size 4096 -seed 7`,
+// each perturbation must put its phase first among the trail/write rows,
+// with no residual, and in every trail group the rows plus the residual
+// must equal the change in mean latency to within 1 ns. The score is pinned
+// at 4 of 4; the share-of-run ranking this replaced named 1. The base run
+// also holds the prediction audit to the budget: the mean rotational wait
+// the driver scored is the trail/write rotwait time per request.
+func TestAttributionCorpus(t *testing.T) {
+	dir := t.TempDir()
+	trailsim := filepath.Join(dir, "trailsim")
+	if out, err := exec.Command("go", "build", "-o", trailsim, "tracklog/cmd/trailsim").CombinedOutput(); err != nil {
+		t.Fatalf("building trailsim: %v\n%s", err, out)
+	}
+	sim := func(name string, extra ...string) *artifacts {
+		t.Helper()
+		args := []string{"-writes", "600", "-size", "4096", "-seed", "7", "-out", name}
+		cmd := exec.Command(trailsim, append(args, extra...)...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("trailsim %v: %v\n%s", extra, err, out)
+		}
+		a, err := loadArtifacts(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	base := sim("base")
+
+	audit, err := trace.AuditEvents(base.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := span.Analyze(base.Spans).Group("trail/write")
+	var rotwait time.Duration
+	for _, p := range writes.Phases {
+		if p.Phase == span.PRotWait {
+			rotwait = p.Total
+		}
+	}
+	if audit.Predictions != writes.Count || audit.RotWait.Sum() != rotwait ||
+		audit.RotWait.Mean().Round(time.Microsecond) != 346*time.Microsecond {
+		t.Errorf("audit: %d predictions, %v scored wait; budget: %d writes, %v rotwait; want equal, 346us a write",
+			audit.Predictions, audit.RotWait.Sum(), writes.Count, rotwait)
+	}
+
+	score := 0
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-seek-derate", "8000000"}, "trackswitch"},
+		{[]string{"-procs", "4"}, "transfer"},
+		{[]string{"-size", "8192"}, "transfer"},
+		{[]string{"-faults", "timeout=3"}, "retry"},
+	} {
+		rep := compare(base, sim(strings.Join(tc.flags, ""), tc.flags...), benchfmt.Tolerance{})
+		named := false
+		for _, a := range rep.Attribution {
+			if !strings.HasPrefix(a.Group, "trail/") {
+				continue
+			}
+			sum := a.ResidualUS
+			for _, p := range a.Phases {
+				sum += p.DeltaUS
+			}
+			if math.Abs(sum-a.DeltaUS) > 1e-3 || a.ResidualUS != 0 {
+				t.Errorf("%v %s: rows sum to %+.6fus, residual %+.6fus, mean moved %+.6fus",
+					tc.flags, a.Group, sum-a.ResidualUS, a.ResidualUS, a.DeltaUS)
+			}
+			if a.Group == "trail/write" && len(a.Phases) > 0 {
+				named = a.Phases[0].Phase == tc.want
+				if !named {
+					t.Errorf("%v: trail/write's first row is %s %+.3fus, want %s", tc.flags, a.Phases[0].Phase, a.Phases[0].DeltaUS, tc.want)
+				}
+			}
+		}
+		if named {
+			score++
+		}
+	}
+	if score != 4 {
+		t.Errorf("the attribution names %d of 4 causes, want 4", score)
 	}
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,14 +59,22 @@ func killMix(t *testing.T, env *sim.Env, seed uint64) (*Cluster, []workload.MixR
 	t.Helper()
 	const killAtMS = 250
 	killAt := killAtMS * time.Millisecond
+	c, mix := clusterMix(t, env, seed, fault.ShardScenario{
+		Events: []fault.ShardEvent{{Shard: 1, At: killAt}},
+	})
+	return c, mix, killAt
+}
+
+// clusterMix builds the world clustersim runs: 4 shards under the default
+// QoS and the given scenario, a 1 200-request multi-tenant mix driving it.
+func clusterMix(t *testing.T, env *sim.Env, seed uint64, scenario fault.ShardScenario) (*Cluster, []workload.MixRequest) {
+	t.Helper()
 	c, err := New(env, Config{
-		Shards:  4,
-		Tenants: 48,
-		QoS:     qos.Default(),
-		Scenario: fault.ShardScenario{
-			Events: []fault.ShardEvent{{Shard: 1, At: killAt}},
-		},
-		Seed: seed,
+		Shards:   4,
+		Tenants:  48,
+		QoS:      qos.Default(),
+		Scenario: scenario,
+		Seed:     seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +92,59 @@ func killMix(t *testing.T, env *sim.Env, seed uint64) (*Cluster, []workload.MixR
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, mix, killAt
+	return c, mix
+}
+
+// Cluster spans tile their requests: in clustersim's seed-11 mix, healthy
+// and with shard 1 killed, every request's timed children lie inside it
+// without overlapping, and no group's budget has unattributed time. The
+// healthy run holds the two cases that once had none: writes one copy
+// refused while the other ran, and a read whose hedge won while the primary
+// was still out.
+func TestSpansTileRequests(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		scenario fault.ShardScenario
+	}{
+		{"healthy", fault.ShardScenario{}},
+		{"shardkill", fault.ShardScenario{Events: []fault.ShardEvent{{Shard: 1, At: 250 * time.Millisecond}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			defer env.Close()
+			c, mix := clusterMix(t, env, 11, tc.scenario)
+			rec := span.NewRecorder(0)
+			c.SetRecorder(rec)
+			c.RunMix(mix)
+			env.Run()
+			if st := c.Stats(); tc.name == "healthy" && (st.WritesShed == 0 || st.HedgeWins == 0) {
+				t.Fatalf("healthy run: %d writes shed, %d hedge wins; want both", st.WritesShed, st.HedgeWins)
+			}
+			reqs := rec.Requests()
+			for _, r := range reqs {
+				var timed []span.Span
+				for _, s := range r.Spans {
+					if s.Dur() > 0 {
+						timed = append(timed, s)
+					}
+				}
+				slices.SortFunc(timed, func(a, b span.Span) int { return cmp.Compare(a.Start, b.Start) })
+				at := r.Start
+				for _, s := range timed {
+					if s.Start < at || s.End > r.End {
+						t.Errorf("request #%d %s/%s [%d,%d]: %s [%d,%d] overlaps a sibling or leaves the request",
+							r.ID, r.Driver, r.Kind, r.Start, r.End, s.Phase, s.Start, s.End)
+					}
+					at = s.End
+				}
+			}
+			for _, g := range span.Analyze(reqs).Groups {
+				if g.Unattributed != 0 {
+					t.Errorf("%s: %v unattributed", g.Key, g.Unattributed)
+				}
+			}
+		})
+	}
 }
 
 // The robustness acceptance test: kill a shard mid-run; every acknowledged

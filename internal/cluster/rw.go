@@ -119,6 +119,7 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 			c.env.Go(c.names[tenant].write[i], a.run)
 		} else {
 			a.err = fmt.Errorf("cluster: shard %d dead: %w", shardIdx, blockdev.ErrDeviceFailed)
+			a.end = start
 			a.done.Trigger()
 		}
 	}
@@ -126,6 +127,17 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 		attempts[i].done.Wait(p)
 	}
 	end := p.Now()
+
+	// Tile the copy window into exact PSubWrite segments by completion
+	// (ties to the lower shard), whatever each copy's outcome: [start,
+	// firstEnd] is both copies in flight, charged to the first finisher, and
+	// [firstEnd, end] the straggler. A skipped copy ends at start, so it has
+	// none.
+	first, last := &attempts[0], &attempts[1]
+	if last.end < first.end || (last.end == first.end && last.shard < first.shard) {
+		first, last = last, first
+	}
+	rq.ChildPair(span.PSubWrite, int64(start), int64(first.end), int64(end), int64(first.shard), int64(last.shard))
 
 	// Ack decision: at least one durable copy, and every miss must be a
 	// device failure.
@@ -163,20 +175,6 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 		c.stats.WritesFailed++
 		rq.Finish(int64(end), true)
 		return errAllCopiesFailed("write", tenant, block)
-	}
-
-	// Acknowledged. Tile the copy window into exact PSubWrite segments by
-	// completion (ties to the lower shard): [start, firstEnd] is both copies
-	// in flight, charged to the first finisher, and [firstEnd, lastEnd] the
-	// straggler; a failed or skipped copy has none.
-	first, last := &attempts[0], &attempts[1]
-	if first.err != nil || (last.err == nil && (last.end < first.end || (last.end == first.end && last.shard < first.shard))) {
-		first, last = last, first
-	}
-	if last.err == nil {
-		rq.ChildPair(span.PSubWrite, int64(start), int64(first.end), int64(last.end), int64(first.shard), int64(last.shard))
-	} else {
-		rq.ChildAB(span.PSubWrite, int64(start), int64(first.end), int64(first.shard), 0)
 	}
 
 	sl.version++
@@ -305,13 +303,19 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class, int
 	op.done.Wait(p)
 	end := p.Now()
 
-	// Span assembly, deterministic regardless of which copy won.
-	if op.priEnd > op.priStart {
-		rq.ChildAB(span.PSubRead, int64(op.priStart), int64(op.priEnd), int64(pl.Primary), 0)
+	// Span assembly, deterministic regardless of which attempt won. The
+	// winner owns the time both attempts were out: a hedge that won charges
+	// the primary only up to the hedge, a primary still in flight included,
+	// and a primary that won charges the replica nothing.
+	priEnd, repEnd := op.priEnd, op.repEnd
+	switch {
+	case op.viaHedge:
+		priEnd = op.hedgeAt
+	case op.won && !op.failover:
+		repEnd = op.repStart
 	}
-	if op.repEnd > op.repStart {
-		rq.ChildAB(span.PSubRead, int64(op.repStart), int64(op.repEnd), int64(pl.Replica), 0)
-	}
+	rq.ChildAB(span.PSubRead, int64(op.priStart), int64(priEnd), int64(pl.Primary), 0)
+	rq.ChildAB(span.PSubRead, int64(op.repStart), int64(repEnd), int64(pl.Replica), 0)
 	if op.failover {
 		c.stats.Failovers++
 		c.tlFailover.Inc(int64(op.failAt))

@@ -66,7 +66,8 @@ type bufEntry struct {
 	inQueue bool
 	// spanIDs lists the client write spans whose data this buffer holds,
 	// awaiting a write-back flight to claim them as flow sources (empty while
-	// span recording is disabled).
+	// span recording is disabled). Its array, like refs', stays with the
+	// entry when it is freed.
 	spanIDs []int64
 }
 
@@ -179,7 +180,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 				for _, id := range e.spanIDs {
 					f.rq.Flow(id)
 				}
-				e.spanIDs = nil
+				e.spanIDs = e.spanIDs[:0]
 			}
 			d.dataQueues[devIdx].Submit(&f.req)
 			d.tlFlights.Add(1, int64(p.Now()))
@@ -321,20 +322,23 @@ func unpack(out, img []byte, count, from int) {
 }
 
 // freeEntry puts e on the free list. The refs array a superseding write grew
-// past ref0 stays with it, cleared so a free entry pins no record, and the
-// next extent staged in e appends into it.
+// past ref0 stays with it, cleared so a free entry pins no record, and so
+// does its spanIDs array; the next extent staged in e appends into them.
 func (d *Driver) freeEntry(e *bufEntry) {
 	refs := e.refs[:cap(e.refs)]
 	clear(refs)
+	ids := e.spanIDs[:0]
 	d.free.entries.put(e)
 	if cap(refs) > len(e.ref0) {
 		e.refs = refs[:0]
 	}
+	e.spanIDs = ids
 }
 
 // freeList recycles objects of one type: get returns a zeroed *T, and put
 // zeroes x before keeping it, so a free object pins no chunk, record or span
-// (freeEntry then hands a staging entry back its grown refs array, cleared).
+// (freeEntry then hands a staging entry back its grown refs and spanIDs
+// arrays, cleared).
 type freeList[T any] struct{ free sim.FIFO[*T] }
 
 func (l *freeList[T]) get() *T {
