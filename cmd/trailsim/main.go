@@ -260,7 +260,7 @@ func runPattern(w io.Writer, r *rig.Rig, system, pattern string, ops, size int, 
 // replay replays tr against the rig and prints its read and write latency,
 // returning an entry for each that has samples.
 func replay(w io.Writer, r *rig.Rig, system, source string, tr *workload.Trace) ([]benchfmt.Entry, error) {
-	res, err := workload.Replay(r.Env, r.Dev(0), tr)
+	res, err := workload.Run(r.Env, r.Dev(0), tr.Load())
 	if err != nil {
 		return nil, err
 	}
@@ -280,28 +280,32 @@ func replay(w io.Writer, r *rig.Rig, system, source string, tr *workload.Trace) 
 
 // runSync runs the closed-loop synchronous-write workload.
 func runSync(w io.Writer, r *rig.Rig, system string, size, procs, writes int, seed uint64, scenario string) ([]benchfmt.Entry, error) {
-	res, err := workload.RunSyncWrites(r.Env, r.Dev(0), workload.SyncWriteConfig{
+	c := workload.SyncWriteConfig{
 		Mode:             workload.Sparse,
 		WriteSize:        size,
 		Processes:        procs,
 		WritesPerProcess: writes,
 		Seed:             seed,
-	})
+	}.WithDefaults()
+	load, err := workload.SyncWrites(c, r.Dev(0).Sectors())
 	if err != nil {
 		return nil, err
 	}
-	c := res.Config
+	res, err := workload.Run(r.Env, r.Dev(0), load)
+	if err != nil {
+		return nil, err
+	}
 	fmt.Fprintf(w, "%s / %s / %dB x %d writes x %d procs\n", system, c.Mode, c.WriteSize, c.WritesPerProcess, c.Processes)
-	fmt.Fprintf(w, "latency: %v\n", res.Latency)
+	fmt.Fprintf(w, "latency: %v\n", res.Writes)
 	fmt.Fprintf(w, "elapsed: %v  throughput: %.0f writes/s\n",
-		res.Elapsed, float64(res.Latency.Count())/res.Elapsed.Seconds())
+		res.Elapsed, float64(res.Writes.Count())/res.Elapsed.Seconds())
 	if drv := r.Trail; drv != nil {
 		s := drv.Stats()
 		fmt.Fprintf(w, "trail: %d records for %d writes (batching %.2fx), %d repositions, avg track util %.1f%%\n",
 			s.Records, s.Writes, float64(s.Writes)/float64(s.Records), s.Repositions, 100*s.AvgTrackUtilization())
 	}
 	printCounters(w, r, scenario)
-	return []benchfmt.Entry{benchfmt.Latency(fmt.Sprintf("sync-write/%s/%s/%dB", system, c.Mode, c.WriteSize), res.Latency)}, nil
+	return []benchfmt.Entry{benchfmt.Latency(fmt.Sprintf("sync-write/%s/%s/%dB", system, c.Mode, c.WriteSize), res.Writes)}, nil
 }
 
 // printCounters prints the Trail driver's counter line and, under a fault
@@ -328,7 +332,6 @@ func printCounters(w io.Writer, r *rig.Rig, scenario string) {
 type ackedWrite struct {
 	sectors int
 	data    []byte
-	at      sim.Time
 }
 
 // runOpenLoop issues writes at a fixed arrival rate regardless of
@@ -348,25 +351,29 @@ func runOpenLoop(w io.Writer, r *rig.Rig, system string, size, writes int, rate 
 		Requests:     writes,
 		WriteSize:    size,
 		Seed:         seed,
-	}
-	if verify {
-		survivors = make(map[int64][]ackedWrite)
-		cfg.OnAck = func(lba int64, sectors int, data []byte, at sim.Time) {
-			survivors[lba] = append([]ackedWrite{{sectors: sectors, data: data, at: at}}, survivors[lba]...)
-		}
-	}
-	res, err := workload.RunOpenLoopWrites(env, dev, cfg)
+	}.WithDefaults()
+	load, err := workload.OpenLoop(cfg, dev.Sectors())
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(w, "%s / open-loop / %dB x %d writes at %.0f/s\n", system, res.Config.WriteSize, res.Config.Requests, rate)
+	if verify {
+		survivors = make(map[int64][]ackedWrite)
+		load.OnAck = func(lba int64, sectors int, data []byte, _ sim.Time) {
+			survivors[lba] = append([]ackedWrite{{sectors: sectors, data: data}}, survivors[lba]...)
+		}
+	}
+	res, err := workload.Run(env, dev, load)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "%s / open-loop / %dB x %d writes at %.0f/s\n", system, cfg.WriteSize, cfg.Requests, rate)
 	fmt.Fprintf(w, "acked %d  shed %d  expired %d  other-errors %d\n",
-		res.Acked, res.Shed, res.Expired, res.OtherErrors)
-	fmt.Fprintf(w, "acked latency: %v\n", res.Latency)
+		res.Writes.Count(), res.Shed, res.Expired, res.Failed)
+	fmt.Fprintf(w, "acked latency: %v\n", res.Writes)
 	fmt.Fprintf(w, "elapsed: %v\n", res.Elapsed)
 	printCounters(w, r, scenario)
-	e := benchfmt.Latency(fmt.Sprintf("open-loop/%s/%dB", system, res.Config.WriteSize), res.Latency)
-	e.Counters = map[string]int64{"acked": res.Acked, "shed": res.Shed, "expired": res.Expired, "other_errors": res.OtherErrors}
+	e := benchfmt.Latency(fmt.Sprintf("open-loop/%s/%dB", system, cfg.WriteSize), res.Writes)
+	e.Counters = map[string]int64{"acked": res.Writes.Count(), "shed": res.Shed, "expired": res.Expired, "other_errors": res.Failed}
 	if !verify {
 		return []benchfmt.Entry{e}, nil
 	}

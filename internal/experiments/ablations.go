@@ -46,12 +46,16 @@ func ThresholdSweep(thresholds []float64, writes int, seed uint64) (*ThresholdRe
 		if err != nil {
 			return nil, err
 		}
-		wres, err := workload.RunSyncWrites(sys.Env, sys.Trail.Dev(0), workload.SyncWriteConfig{
+		load, err := workload.SyncWrites(workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        1024,
 			WritesPerProcess: writes,
 			Seed:             seed,
-		})
+		}, sys.Dev(0).Sectors())
+		var wres *workload.Result
+		if err == nil {
+			wres, err = workload.Run(sys.Env, sys.Dev(0), load)
+		}
 		if err != nil {
 			sys.Env.Close()
 			return nil, fmt.Errorf("threshold %.2f: %w", th, err)
@@ -60,7 +64,7 @@ func ThresholdSweep(thresholds []float64, writes int, seed uint64) (*ThresholdRe
 		sys.Env.Close()
 		res.Rows = append(res.Rows, ThresholdRow{
 			Threshold:    th,
-			MeanLatency:  wres.Latency.Mean(),
+			MeanLatency:  wres.Writes.Mean(),
 			Repositions:  s.Repositions,
 			AvgTrackUtil: s.AvgTrackUtilization(),
 		})
@@ -193,19 +197,23 @@ func MultiLogAblation(counts []int, writes int, seed uint64) (*MultiLogResult, e
 			return nil, err
 		}
 		env := sys.Env
-		wres, err := workload.RunSyncWrites(env, sys.Dev(0), workload.SyncWriteConfig{
+		load, err := workload.SyncWrites(workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        2048,
 			WritesPerProcess: writes,
 			Seed:             seed,
-		})
+		}, sys.Dev(0).Sectors())
+		var wres *workload.Result
+		if err == nil {
+			wres, err = workload.Run(env, sys.Dev(0), load)
+		}
 		env.Close()
 		if err != nil {
 			return nil, fmt.Errorf("multi-log n=%d: %w", n, err)
 		}
 		res.Rows = append(res.Rows, MultiLogRow{
 			LogDisks:    n,
-			MeanLatency: wres.Latency.Mean(),
+			MeanLatency: wres.Writes.Mean(),
 			Elapsed:     wres.Elapsed,
 		})
 	}

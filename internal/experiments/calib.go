@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"tracklog/internal/disk"
-	"tracklog/internal/geom"
 	"tracklog/internal/rig"
-	"tracklog/internal/sim"
-	"tracklog/internal/telemetry"
 	"tracklog/internal/trail"
+	"tracklog/internal/workload"
 )
 
 // DeltaRow is one point of the §3.1 delta calibration sweep.
@@ -54,25 +52,15 @@ func DeltaCalibration(deltas []int, writesPerPoint int) (*DeltaResult, error) {
 		if res.RotPeriod == 0 {
 			res.RotPeriod = sys.LogDisk.Params().RotPeriod()
 		}
-		dev := sys.Trail.Dev(0)
-		lat := telemetry.NewSummary()
-		sys.Env.Go("calib", func(p *sim.Proc) {
-			dev.Write(p, 0, 1, make([]byte, geom.SectorSize)) // establish reference
-			for i := 1; i <= writesPerPoint; i++ {
-				p.Sleep(3 * time.Millisecond)
-				start := p.Now()
-				if err := dev.Write(p, int64(i*64), 1, make([]byte, geom.SectorSize)); err != nil {
-					panic(err)
-				}
-				lat.Add(p.Now().Sub(start))
-			}
-		})
-		sys.Env.Run()
+		run, err := workload.Run(sys.Env, sys.Dev(0), spacedWrites("calib", writesPerPoint, 64, 1, 3*time.Millisecond))
 		sys.Env.Close()
+		if err != nil {
+			return nil, fmt.Errorf("delta %d: %w", delta, err)
+		}
 		row := DeltaRow{
 			Delta:        delta,
-			Mean:         lat.Mean(),
-			FullRotation: lat.Mean() > res.RotPeriod/2,
+			Mean:         run.Writes.Mean(),
+			FullRotation: run.Writes.Mean() > res.RotPeriod/2,
 		}
 		res.Rows = append(res.Rows, row)
 		if !row.FullRotation && res.BestDelta == 0 {
@@ -129,26 +117,16 @@ func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 			return 0, 0, err
 		}
 		defer sys.Env.Close()
-		dev := sys.Trail.Dev(0)
-		lat := telemetry.NewSummary()
-		sys.Env.Go("anatomy", func(p *sim.Proc) {
-			dev.Write(p, 0, sectors, make([]byte, sectors*geom.SectorSize))
-			for i := 1; i <= writes; i++ {
-				p.Sleep(10 * time.Millisecond) // sparse: repositioning masked
-				start := p.Now()
-				if err := dev.Write(p, int64(i*256), sectors, make([]byte, sectors*geom.SectorSize)); err != nil {
-					panic(err)
-				}
-				lat.Add(p.Now().Sub(start))
-			}
-		})
-		sys.Env.Run()
+		run, err := workload.Run(sys.Env, sys.Dev(0), spacedWrites("anatomy", writes, 256, sectors, 10*time.Millisecond))
+		if err != nil {
+			return 0, 0, err
+		}
 		s := sys.Trail.Stats()
 		var repos time.Duration
 		if s.Repositions > 0 {
 			repos = s.RepositionTime / time.Duration(s.Repositions)
 		}
-		return lat.Mean(), repos, nil
+		return run.Writes.Mean(), repos, nil
 	}
 	var err error
 	var repos1 time.Duration
@@ -177,4 +155,15 @@ func (r *AnatomyResult) String() string {
 	fmt.Fprintf(&b, "reposition (track switch):%s ms   (paper ~1.5)\n", fmtMS(r.Reposition))
 	fmt.Fprintf(&b, "1-sector writes/sec incl. reposition: %.0f (paper ~333)\n", r.WritesPerSecondOneSector)
 	return b.String()
+}
+
+// spacedWrites is one stream of writes of the given size, gap apart: an
+// untimed reference write at LBA 0, then n timed writes at multiples of
+// stride.
+func spacedWrites(name string, n int, stride int64, sectors int, gap time.Duration) workload.Load {
+	ops := make([]workload.TraceOp, n+1)
+	for i := range ops {
+		ops[i] = workload.TraceOp{Write: true, LBA: int64(i) * stride, Sectors: sectors}
+	}
+	return workload.Load{Untimed: 1, Streams: []workload.Stream{{Name: name, Ops: ops, Gap: gap}}}
 }

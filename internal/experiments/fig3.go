@@ -75,32 +75,35 @@ func Figure3(cfg Figure3Config) (*Fig3Result, error) {
 				WritesPerProcess: cfg.WritesPerProcess,
 				Seed:             cfg.Seed + uint64(sizeKB),
 			}
-			// Trail.
+			// Trail, then the Linux baseline on the same targets.
 			tr, err := rig.New(rig.Config{})
 			if err != nil {
 				return nil, err
 			}
-			tres, err := workload.RunSyncWrites(tr.Env, tr.Trail.Dev(0), wcfg)
+			load, err := workload.SyncWrites(wcfg, tr.Dev(0).Sectors())
+			var tres *workload.Result
+			if err == nil {
+				tres, err = workload.Run(tr.Env, tr.Dev(0), load)
+			}
 			tr.Env.Close()
 			if err != nil {
 				return nil, fmt.Errorf("fig3 trail %dKB %v: %w", sizeKB, mode, err)
 			}
-			// Linux baseline.
 			lx, err := rig.New(rig.Config{Baseline: sched.LOOK})
 			if err != nil {
 				return nil, err
 			}
-			lres, err := workload.RunSyncWrites(lx.Env, lx.Dev(0), wcfg)
+			lres, err := workload.Run(lx.Env, lx.Dev(0), load)
 			lx.Env.Close()
 			if err != nil {
 				return nil, fmt.Errorf("fig3 linux %dKB %v: %w", sizeKB, mode, err)
 			}
 			if mode == workload.Sparse {
-				row.TrailSparse = tres.Latency.Mean()
-				row.LinuxSparse = lres.Latency.Mean()
+				row.TrailSparse = tres.Writes.Mean()
+				row.LinuxSparse = lres.Writes.Mean()
 			} else {
-				row.TrailClustered = tres.Latency.Mean()
-				row.LinuxClustered = lres.Latency.Mean()
+				row.TrailClustered = tres.Writes.Mean()
+				row.LinuxClustered = lres.Writes.Mean()
 			}
 		}
 		res.Rows = append(res.Rows, row)

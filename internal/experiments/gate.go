@@ -68,18 +68,22 @@ func syncWriteGrid() ([]benchfmt.Entry, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := workload.RunSyncWrites(r.Env, r.Dev(0), workload.SyncWriteConfig{
+				load, err := workload.SyncWrites(workload.SyncWriteConfig{
 					Mode:             mode,
 					WriteSize:        sizeKB * 1024,
 					Processes:        1,
 					WritesPerProcess: gridWrites,
 					Seed:             gateSeed,
-				})
+				}, r.Dev(0).Sectors())
+				var res *workload.Result
+				if err == nil {
+					res, err = workload.Run(r.Env, r.Dev(0), load)
+				}
 				if err != nil {
 					r.Close()
 					return nil, fmt.Errorf("sync-write %s/%v/%dKB: %w", system, mode, sizeKB, err)
 				}
-				e := benchfmt.Latency(fmt.Sprintf("sync-write/%s/%v/%dKB", system, mode, sizeKB), res.Latency)
+				e := benchfmt.Latency(fmt.Sprintf("sync-write/%s/%v/%dKB", system, mode, sizeKB), res.Writes)
 				if r.Trail != nil {
 					e.Counters = r.Trail.Stats().Counters()
 				}

@@ -88,17 +88,21 @@ func calibrateSaturation(seed uint64) (time.Duration, error) {
 	}
 	defer sys.Env.Close()
 	const writes = 200
-	wres, err := workload.RunOpenLoopWrites(sys.Env, sys.Trail.Dev(0), workload.OpenLoopConfig{
+	load, err := workload.OpenLoop(workload.OpenLoopConfig{
 		Interarrival: 50 * time.Microsecond,
 		Requests:     writes,
 		WriteSize:    1024,
 		Seed:         seed,
-	})
+	}, sys.Dev(0).Sectors())
 	if err != nil {
 		return 0, err
 	}
-	if wres.Acked != writes {
-		return 0, fmt.Errorf("probe lost writes: %d/%d acked", wres.Acked, writes)
+	wres, err := workload.Run(sys.Env, sys.Dev(0), load)
+	if err != nil {
+		return 0, err
+	}
+	if wres.Writes.Count() != writes {
+		return 0, fmt.Errorf("probe lost writes: %d/%d acked", wres.Writes.Count(), writes)
 	}
 	return wres.Elapsed / writes, nil
 }
@@ -118,28 +122,32 @@ func overloadCell(multiplier float64, withQoS bool, svc time.Duration, requests 
 	if interarrival <= 0 {
 		interarrival = time.Microsecond
 	}
-	wres, err := workload.RunOpenLoopWrites(sys.Env, sys.Trail.Dev(0), workload.OpenLoopConfig{
+	load, err := workload.OpenLoop(workload.OpenLoopConfig{
 		Interarrival: interarrival,
 		Requests:     requests,
 		WriteSize:    1024,
 		Seed:         seed,
-	})
+	}, sys.Dev(0).Sectors())
 	if err != nil {
 		return nil, err
 	}
-	if wres.OtherErrors > 0 {
-		return nil, fmt.Errorf("%d unexpected write errors", wres.OtherErrors)
+	wres, err := workload.Run(sys.Env, sys.Dev(0), load)
+	if err != nil {
+		return nil, err
+	}
+	if wres.Failed > 0 {
+		return nil, fmt.Errorf("%d unexpected write errors", wres.Failed)
 	}
 	st := sys.Trail.Stats()
 	return &OverloadRow{
 		Multiplier:  multiplier,
 		QoS:         withQoS,
-		Acked:       wres.Acked,
+		Acked:       wres.Writes.Count(),
 		Shed:        wres.Shed,
 		Expired:     wres.Expired,
-		Mean:        wres.Latency.Mean(),
-		P50:         wres.Latency.Quantile(0.50),
-		P99:         wres.Latency.Quantile(0.99),
+		Mean:        wres.Writes.Mean(),
+		P50:         wres.Writes.Quantile(0.50),
+		P99:         wres.Writes.Quantile(0.99),
 		MaxLogQueue: st.MaxLogQueue,
 	}, nil
 }

@@ -5,12 +5,11 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/geom"
 	"tracklog/internal/raid"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/telemetry"
+	"tracklog/internal/workload"
 )
 
 // RAID5Row is one configuration of the small-write experiment.
@@ -52,37 +51,23 @@ func RAID5SmallWrites(writes int, seed uint64) (*RAID5Result, error) {
 			env.Close()
 			return nil, err
 		}
-		lat := telemetry.NewSummary()
+		// One writer of one-chunk ("small") writes over the first 64th of
+		// the array, 2 ms apart.
 		rng := sim.NewRand(seed)
-		var ferr error
-		env.Go("writer", func(p *sim.Proc) {
-			region := a.Sectors() / 64
-			for i := 0; i < writes; i++ {
-				lba := rng.Int64n(region/8) * 8 // one chunk: a "small" write
-				start := p.Now()
-				if err := a.Write(p, lba, 8, make([]byte, 8*geom.SectorSize)); err != nil {
-					ferr = err
-					return
-				}
-				lat.Add(p.Now().Sub(start))
-				p.Sleep(2 * time.Millisecond)
-			}
-		})
-		deadline := sim.Time(10 * time.Minute)
-		for env.Now() < deadline && lat.Count() < int64(writes) && ferr == nil {
-			env.RunUntil(env.Now().Add(500 * time.Millisecond))
+		region := a.Sectors() / 64
+		ops := make([]workload.TraceOp, writes)
+		for i := range ops {
+			ops[i] = workload.TraceOp{Write: true, LBA: rng.Int64n(region/8) * 8, Sectors: 8}
 		}
+		run, err := workload.Run(env, a, workload.Load{Streams: []workload.Stream{{Name: "writer", Ops: ops, Gap: 2 * time.Millisecond}}})
 		s := a.Stats()
 		env.Close()
-		if ferr != nil {
-			return nil, fmt.Errorf("raid5 %s: %w", name, ferr)
-		}
-		if lat.Count() < int64(writes) {
-			return nil, fmt.Errorf("raid5 %s: only %d of %d writes completed", name, lat.Count(), writes)
+		if err != nil {
+			return nil, fmt.Errorf("raid5 %s: %w", name, err)
 		}
 		res.Rows = append(res.Rows, RAID5Row{
 			System:       name,
-			MeanWrite:    lat.Mean(),
+			MeanWrite:    run.Writes.Mean(),
 			SmallWrites:  s.SmallWrites,
 			DeviceReads:  s.DeviceReads,
 			DeviceWrites: s.DeviceWrites,

@@ -5,10 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/geom"
 	"tracklog/internal/rig"
-	"tracklog/internal/sim"
 	"tracklog/internal/trail"
+	"tracklog/internal/workload"
 )
 
 // Table1Row is one batch-size point of Table 1: total elapsed time to
@@ -47,44 +46,33 @@ func Table1(writes int, batchSizes []int) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		dev := sys.Trail.Dev(0)
 		// Warm the driver (establish the prediction reference point) so the
-		// measurement starts from steady state, as the paper's does.
-		sys.Env.Go("warmup", func(p *sim.Proc) {
-			if err := dev.Write(p, 1<<20, 1, make([]byte, geom.SectorSize)); err != nil {
-				panic(err)
-			}
-		})
-		sys.Env.Run()
-		warmRecords := sys.Trail.Stats().Records
-		var first, last sim.Time
-		done := 0
-		for i := 0; i < writes; i++ {
-			lba := int64(i * 64)
-			sys.Env.Go(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
-				if first == 0 {
-					first = p.Now()
-				}
-				if err := dev.Write(p, lba, 1, make([]byte, geom.SectorSize)); err != nil {
-					panic(err)
-				}
-				done++
-				if p.Now() > last {
-					last = p.Now()
-				}
-			})
+		// measurement starts from steady state, as the paper's does; then
+		// queue every write at once, one stream each.
+		oneSector := func(name string, lba int64) workload.Stream {
+			return workload.Stream{Name: name, Ops: []workload.TraceOp{{Write: true, LBA: lba, Sectors: 1}}}
 		}
-		sys.Env.Run()
-		if done != writes {
-			sys.Env.Close()
-			return nil, fmt.Errorf("table1 batch %d: %d of %d writes completed", bs, done, writes)
+		warm := workload.Load{Streams: []workload.Stream{oneSector("warmup", 1<<20)}}
+		load := workload.Load{Streams: make([]workload.Stream, writes)}
+		for i := range load.Streams {
+			load.Streams[i] = oneSector(fmt.Sprintf("w%d", i), int64(i*64))
+		}
+		_, err = workload.Run(sys.Env, sys.Dev(0), warm)
+		warmRecords := sys.Trail.Stats().Records
+		var run *workload.Result
+		if err == nil {
+			run, err = workload.Run(sys.Env, sys.Dev(0), load)
+		}
+		records := sys.Trail.Stats().Records - warmRecords
+		sys.Env.Close()
+		if err != nil {
+			return nil, fmt.Errorf("table1 batch %d: %w", bs, err)
 		}
 		res.Rows = append(res.Rows, Table1Row{
 			BatchSize: bs,
-			Elapsed:   last.Sub(first),
-			Records:   sys.Trail.Stats().Records - warmRecords,
+			Elapsed:   run.Elapsed,
+			Records:   records,
 		})
-		sys.Env.Close()
 	}
 	return res, nil
 }

@@ -22,9 +22,13 @@ func TestReadDirReadsWhatWriteDirWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.RunSyncWrites(r.Env, r.Dev(0), workload.SyncWriteConfig{
+	load, err := workload.SyncWrites(workload.SyncWriteConfig{
 		WriteSize: 1024, Processes: 2, WritesPerProcess: 10, Seed: 7,
-	}); err != nil {
+	}, r.Dev(0).Sectors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.Run(r.Env, r.Dev(0), load); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()

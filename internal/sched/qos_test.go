@@ -12,7 +12,7 @@ import (
 func TestBoundedQueueShedsNewcomer(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	q := New(env, testDisk(env), FIFO)
+	q := New(env, testDisk(env), LOOK)
 	q.SetMaxDepth(2)
 	var shedErr error
 	env.Go("submitter", func(p *sim.Proc) {
@@ -53,7 +53,7 @@ func TestBoundedQueueShedsNewcomer(t *testing.T) {
 func TestBoundedQueueEvictsLowerClass(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	q := New(env, testDisk(env), FIFO)
+	q := New(env, testDisk(env), LOOK)
 	q.SetMaxDepth(2)
 	var victimErr, newcomerErr error
 	env.Go("submitter", func(p *sim.Proc) {
@@ -93,7 +93,7 @@ func TestExpireStaleCompletesWithoutDisk(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	d := testDisk(env)
-	q := New(env, d, FIFO)
+	q := New(env, d, LOOK)
 	var staleErr error
 	env.Go("submitter", func(p *sim.Proc) {
 		// Occupy the disk long enough for the queued request's deadline to

@@ -1,12 +1,12 @@
-// Package sched implements disk request queues with three scheduling
-// policies: FIFO, LOOK and read-priority LOOK.
+// Package sched implements disk request queues with two scheduling
+// policies: LOOK and read-priority LOOK.
 //
 // A Queue owns one drive: a dedicated worker process pulls requests off the
 // queue according to the policy and executes them on the drive one at a
 // time. The paper's two subsystems map onto two policies: the standard Linux
 // disk subsystem uses a LOOK elevator, and Trail's data disks use LOOK with
 // strict read priority ("data disk reads are given higher priority than data
-// disk writes", §4.1). FIFO is the in-order baseline tests compare against.
+// disk writes", §4.1).
 package sched
 
 import (
@@ -25,11 +25,9 @@ import (
 type Policy int
 
 const (
-	// FIFO serves requests in arrival order.
-	FIFO Policy = iota + 1
 	// LOOK is the classic elevator: serve the nearest request in the
 	// current sweep direction, reversing at the last request.
-	LOOK
+	LOOK Policy = iota + 1
 	// ReadPriorityLOOK serves all queued reads (LOOK order) before any
 	// write, reads pre-empting queued writes on every dispatch decision.
 	ReadPriorityLOOK
@@ -37,8 +35,6 @@ const (
 
 func (p Policy) String() string {
 	switch p {
-	case FIFO:
-		return "fifo"
 	case LOOK:
 		return "look"
 	case ReadPriorityLOOK:
@@ -420,8 +416,6 @@ func (q *Queue) pick() *Request {
 		return urgent
 	}
 	switch q.policy {
-	case FIFO:
-		return q.popFIFO()
 	case LOOK:
 		return q.popLOOK(q.reads, q.writes)
 	case ReadPriorityLOOK:
@@ -451,20 +445,6 @@ func (q *Queue) pickUrgent(now sim.Time) *Request {
 		}
 	}
 	return best
-}
-
-func (q *Queue) popFIFO() *Request {
-	// Oldest across both lists.
-	switch {
-	case len(q.reads) == 0:
-		return q.removeWrite(0)
-	case len(q.writes) == 0:
-		return q.removeRead(0)
-	case q.reads[0].Queued <= q.writes[0].Queued:
-		return q.removeRead(0)
-	default:
-		return q.removeWrite(0)
-	}
 }
 
 // popLOOK removes and returns the next request per LOOK among reads and

@@ -156,7 +156,7 @@ func TestServe(t *testing.T) {
 			defer env.Close()
 			d := testDisk(env)
 			d.SetInjector(&tc.faults)
-			q := New(env, d, FIFO)
+			q := New(env, d, LOOK)
 			q.SetMaxDepth(tc.maxDepth)
 			tr := trace.New(0)
 			q.SetTracer(tr, "q")

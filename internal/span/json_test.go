@@ -19,9 +19,13 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.RunSyncWrites(r.Env, r.Dev(0), workload.SyncWriteConfig{
+	load, err := workload.SyncWrites(workload.SyncWriteConfig{
 		WriteSize: 4096, Processes: 3, WritesPerProcess: 20, Seed: 7,
-	}); err != nil {
+	}, r.Dev(0).Sectors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.Run(r.Env, r.Dev(0), load); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()

@@ -106,8 +106,15 @@ type Result struct {
 	NewOrders          int64
 	// Elapsed is the measured-phase virtual time.
 	Elapsed time.Duration
-	// Response summarizes per-transaction response times.
+	// Response summarizes per-transaction response times, from a
+	// transaction's first statement to its commit (to durability under
+	// group commit).
 	Response *telemetry.Summary
+	// CheckpointTime is the time spent in the checkpoints (FlushAll every
+	// CheckpointEvery transactions) that a terminal runs before a measured
+	// transaction: the terminal's user waits for it too. At concurrency 1
+	// under SyncEveryCommit, Response.Sum() + CheckpointTime == Elapsed.
+	CheckpointTime time.Duration
 	// LogIOTime is the log-disk I/O time attributable to the measured
 	// phase (Table 2's "Disk I/O Time for Logging").
 	LogIOTime time.Duration
@@ -174,9 +181,13 @@ func (r *Runner) Run(env *sim.Env, cfg RunConfig) (*Result, error) {
 					startLogStats = r.m.Log().Stats()
 				}
 				if cfg.CheckpointEvery > 0 && n > 0 && n%cfg.CheckpointEvery == 0 {
+					cp := p.Now()
 					if err := r.db.FlushAll(p); err != nil {
 						failure = err
 						return
+					}
+					if measured {
+						res.CheckpointTime += p.Now().Sub(cp)
 					}
 				}
 				t := pickType(rng)

@@ -25,9 +25,13 @@ func mergedExport(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.RunSyncWrites(r.Env, r.Dev(0), workload.SyncWriteConfig{
+	load, err := workload.SyncWrites(workload.SyncWriteConfig{
 		WriteSize: 1024, Processes: 2, WritesPerProcess: 10, Seed: 7,
-	}); err != nil {
+	}, r.Dev(0).Sectors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.Run(r.Env, r.Dev(0), load); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()

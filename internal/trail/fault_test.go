@@ -152,7 +152,7 @@ func runFaultyCrashTrial(t *testing.T, seed uint64) {
 	log.Reattach(env2)
 	data.Reattach(env2)
 	id := blockdev.DevID{Major: 8, Minor: 0}
-	devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.FIFO)}
+	devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.LOOK)}
 	var rerr error
 	env2.Go("recover", func(p *sim.Proc) {
 		_, rerr = Recover(p, log, devs, RecoverOptions{})
@@ -208,7 +208,7 @@ func TestRecoverySkipsUnreadableSectors(t *testing.T) {
 	// Sector decay discovered at reboot: plenty of latent read errors.
 	fault.Attach(log, sim.NewRand(9), fault.Config{LatentReadErrors: 200})
 	id := blockdev.DevID{Major: 8, Minor: 0}
-	devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.FIFO)}
+	devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.LOOK)}
 	var rep *RecoverReport
 	var rerr error
 	env2.Go("recover", func(p *sim.Proc) {
@@ -282,7 +282,7 @@ func runDoubleCrashTrial(t *testing.T, seed uint64) {
 	data.Reattach(env2)
 	id := blockdev.DevID{Major: 8, Minor: 0}
 	env2.Go("recover-1", func(p *sim.Proc) {
-		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.FIFO)}
+		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.LOOK)}
 		_, _ = Recover(p, log, devs, RecoverOptions{})
 	})
 	env2.RunUntil(sim.Time(time.Duration(rng.IntRange(1, 40)) * time.Millisecond))
@@ -295,7 +295,7 @@ func runDoubleCrashTrial(t *testing.T, seed uint64) {
 	data.Reattach(env3)
 	var rerr error
 	env3.Go("recover-2", func(p *sim.Proc) {
-		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env3, data, id, sched.FIFO)}
+		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env3, data, id, sched.LOOK)}
 		_, rerr = Recover(p, log, devs, RecoverOptions{})
 	})
 	env3.Run()

@@ -190,7 +190,7 @@ func FuzzRecoverLog(f *testing.F) {
 		copy(damaged, img)
 		log.MediaWrite(base, damaged)
 		id := blockdev.DevID{Major: 8}
-		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env, disk.New(env, testDataParams("data")), id, sched.FIFO)}
+		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env, disk.New(env, testDataParams("data")), id, sched.LOOK)}
 
 		reads := log.Stats().Reads
 		var rep *RecoverReport

@@ -146,7 +146,7 @@ func TestMultiLogCrashRecovery(t *testing.T) {
 	data.Reattach(env2)
 	id := blockdev.DevID{Major: 8, Minor: 0}
 	devs := map[blockdev.DevID]blockdev.Device{
-		id: stddisk.New(env2, data, id, sched.FIFO),
+		id: stddisk.New(env2, data, id, sched.LOOK),
 	}
 	var rep *RecoverReport
 	var err error

@@ -79,7 +79,7 @@ func recoverRig(t *testing.T, r *crashRig, opts RecoverOptions) *RecoverReport {
 	devs := map[blockdev.DevID]blockdev.Device{}
 	for i, dd := range r.data {
 		dd.Reattach(env)
-		devs[blockdev.DevID{Major: 8, Minor: uint8(i)}] = stddisk.New(env, dd, blockdev.DevID{Major: 8, Minor: uint8(i)}, sched.FIFO)
+		devs[blockdev.DevID{Major: 8, Minor: uint8(i)}] = stddisk.New(env, dd, blockdev.DevID{Major: 8, Minor: uint8(i)}, sched.LOOK)
 	}
 	var rep *RecoverReport
 	var err error

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
-	"tracklog/internal/telemetry"
 )
 
 // Open-loop load generation: unlike the closed-loop §5.1 workloads (where
@@ -15,9 +13,7 @@ import (
 // device can never be offered more than it serves), an open-loop generator
 // issues writes at a fixed arrival rate regardless of completions. Offered
 // load above the device's capacity is exactly the overload regime the QoS
-// layer exists for, so this runner tolerates per-request errors instead of
-// aborting on the first one: sheds and deadline misses are counted, not
-// fatal.
+// layer exists for, where sheds and deadline misses are outcomes to count.
 
 // OpenLoopConfig describes one fixed-rate run.
 type OpenLoopConfig struct {
@@ -29,14 +25,11 @@ type OpenLoopConfig struct {
 	WriteSize int
 	// Seed feeds the random target generator.
 	Seed uint64
-	// OnAck, when non-nil, is called for every acknowledged write with its
-	// target, payload, and acknowledgement time — callers use it to audit
-	// acknowledged-write survival after the run. The data slice must not be
-	// retained mutably by the workload after the call.
-	OnAck func(lba int64, sectors int, data []byte, at sim.Time)
 }
 
-func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
+// WithDefaults fills in the zero fields: 5 ms apart, 100 requests, 1 KB
+// writes.
+func (c OpenLoopConfig) WithDefaults() OpenLoopConfig {
 	if c.Interarrival <= 0 {
 		c.Interarrival = 5 * time.Millisecond
 	}
@@ -49,75 +42,23 @@ func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
 	return c
 }
 
-// OpenLoopResult is the outcome of one open-loop run. Latency covers only
-// acknowledged writes; shed and expired requests complete near-instantly by
-// design and would make an overloaded system look fast.
-type OpenLoopResult struct {
-	Config  OpenLoopConfig
-	Latency *telemetry.Summary
-	// Acked counts successful writes; Shed counts blockdev.ErrOverload
-	// outcomes; Expired counts blockdev.ErrDeadlineExceeded; OtherErrors is
-	// everything else (media faults, device failure).
-	Acked, Shed, Expired, OtherErrors int64
-	// Elapsed is first issue to last completion.
-	Elapsed time.Duration
-}
-
-// RunOpenLoopWrites issues cfg.Requests writes against dev at a fixed
-// arrival rate, each in its own process so a slow (or stalled) request never
-// delays later arrivals. It runs env to completion; env must be otherwise
-// idle apart from the device's own processes.
-func RunOpenLoopWrites(env *sim.Env, dev blockdev.Device, cfg OpenLoopConfig) (*OpenLoopResult, error) {
-	cfg = cfg.withDefaults()
+// OpenLoop builds the open load of one fixed-rate run: Requests
+// random-target writes, Interarrival apart, issued by the
+// open-loop-arrivals process.
+func OpenLoop(cfg OpenLoopConfig, devSectors int64) (Load, error) {
+	cfg = cfg.WithDefaults()
 	if cfg.WriteSize < 0 || cfg.WriteSize%geom.SectorSize != 0 {
-		return nil, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
+		return Load{}, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
 	}
 	if cfg.Requests < 0 {
-		return nil, fmt.Errorf("workload: negative request count %d", cfg.Requests)
+		return Load{}, fmt.Errorf("workload: negative request count %d", cfg.Requests)
 	}
 	sectors := cfg.WriteSize / geom.SectorSize
-	res := &OpenLoopResult{Config: cfg, Latency: telemetry.NewSummary()}
 	rng := sim.NewRand(cfg.Seed)
-	var firstIssue, lastDone sim.Time
-	started := false // the first issue may be at t=0
-	env.Go("open-loop-arrivals", func(p *sim.Proc) {
-		for i := 0; i < cfg.Requests; i++ {
-			lba := alignedTarget(rng, dev.Sectors(), sectors)
-			seq := i
-			env.Go(fmt.Sprintf("op-%d", seq), func(p *sim.Proc) {
-				data := make([]byte, cfg.WriteSize)
-				for b := range data {
-					data[b] = byte(seq + b)
-				}
-				start := p.Now()
-				if !started {
-					firstIssue, started = start, true
-				}
-				err := dev.Write(p, lba, sectors, data)
-				switch {
-				case err == nil:
-					res.Acked++
-					res.Latency.Add(p.Now().Sub(start))
-					if cfg.OnAck != nil {
-						cfg.OnAck(lba, sectors, data, p.Now())
-					}
-				case blockdev.IsShed(err):
-					res.Shed++
-				case blockdev.IsExpired(err):
-					res.Expired++
-				default:
-					res.OtherErrors++
-				}
-				if p.Now() > lastDone {
-					lastDone = p.Now()
-				}
-			})
-			if i < cfg.Requests-1 {
-				p.Sleep(cfg.Interarrival)
-			}
-		}
-	})
-	env.Run()
-	res.Elapsed = lastDone.Sub(firstIssue)
-	return res, nil
+	ops := make([]TraceOp, cfg.Requests)
+	for i := range ops {
+		ops[i] = TraceOp{At: time.Duration(i) * cfg.Interarrival, Write: true,
+			LBA: alignedTarget(rng, devSectors, sectors), Sectors: sectors}
+	}
+	return Load{Open: true, Streams: []Stream{{Name: "open-loop-arrivals", Ops: ops}}}, nil
 }

@@ -8,10 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/blockdev"
-	"tracklog/internal/geom"
 	"tracklog/internal/sim"
-	"tracklog/internal/telemetry"
 )
 
 // TraceOp is one record of an I/O trace: issue a request `At` after trace
@@ -24,7 +21,8 @@ type TraceOp struct {
 }
 
 // Trace is an ordered sequence of I/O operations, replayable against any
-// block device. Traces serialize to a simple text format, one op per line:
+// block device through its Load. Traces serialize to a simple text format,
+// one op per line:
 //
 //	<at_us> <R|W> <lba> <sectors>
 type Trace struct {
@@ -124,54 +122,9 @@ func SynthesizeTrace(n int, pattern Pattern, writeRatio float64, sectors int, me
 	return t
 }
 
-// ReplayResult reports a trace replay.
-type ReplayResult struct {
-	Reads, Writes *telemetry.Summary
-	// Elapsed is the virtual time from the first issue to the last
-	// completion.
-	Elapsed time.Duration
-	// Lagged counts operations that could not be issued at their trace
-	// time because the previous operation of the (single-threaded)
-	// replayer was still outstanding.
-	Lagged int
-}
-
-// Replay issues the trace against dev with open-loop timing: each operation
-// is issued at its trace offset (or immediately, if the replayer is
-// running behind). Run the environment to completion before reading the
-// result.
-func Replay(env *sim.Env, dev blockdev.Device, t *Trace) (*ReplayResult, error) {
-	res := &ReplayResult{Reads: telemetry.NewSummary(), Writes: telemetry.NewSummary()}
-	var failed error
-	env.Go("trace-replay", func(p *sim.Proc) {
-		start := p.Now()
-		for _, op := range t.Ops {
-			due := start.Add(op.At)
-			if p.Now() < due {
-				p.Sleep(due.Sub(p.Now()))
-			} else if p.Now() > due {
-				res.Lagged++
-			}
-			opStart := p.Now()
-			if op.Write {
-				if err := dev.Write(p, op.LBA, op.Sectors, make([]byte, op.Sectors*geom.SectorSize)); err != nil {
-					failed = err
-					return
-				}
-				res.Writes.Add(p.Now().Sub(opStart))
-			} else {
-				if _, err := dev.Read(p, op.LBA, op.Sectors); err != nil {
-					failed = err
-					return
-				}
-				res.Reads.Add(p.Now().Sub(opStart))
-			}
-		}
-		res.Elapsed = p.Now().Sub(start)
-	})
-	env.Run()
-	if failed != nil {
-		return nil, fmt.Errorf("workload: replay: %w", failed)
-	}
-	return res, nil
+// Load returns the trace as a closed load of one stream, trace-replay: each
+// op is issued at its trace offset or, when the previous op is still
+// outstanding, as soon as that completes.
+func (t *Trace) Load() Load {
+	return Load{Streams: []Stream{{Name: "trace-replay", Ops: t.Ops}}}
 }

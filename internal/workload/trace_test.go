@@ -156,7 +156,7 @@ func TestReplayAgainstBaseline(t *testing.T) {
 	defer env.Close()
 	dev := baseline(env)
 	tr := SynthesizeTrace(30, UniformPattern{}, 0.5, 4, 5*time.Millisecond, dev.Sectors(), 11)
-	res, err := Replay(env, dev, tr)
+	res, err := Run(env, dev, tr.Load())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestReplayOpenLoopTiming(t *testing.T) {
 			At: time.Duration(i) * 200 * time.Millisecond, Write: true, LBA: int64(i * 100), Sectors: 1,
 		})
 	}
-	res, err := Replay(env, dev, tr)
+	res, err := Run(env, dev, tr.Load())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,16 @@
-// Package workload implements the synchronous-write microbenchmark loads of
-// the paper's §5.1: user-level processes issuing random-target synchronous
-// writes against a block device, in sparse or clustered mode, at a given
-// multiprogramming level.
+// Package workload builds block request streams and issues them: Run is the
+// one loop that issues a stream against a block device; SyncWrites builds
+// the paper's §5.1 synchronous-write loads (random targets, sparse or
+// clustered, at a multiprogramming level), OpenLoop a fixed-rate load, and a
+// Trace its replay.
 package workload
 
 import (
 	"fmt"
 	"time"
 
-	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
-	"tracklog/internal/telemetry"
 )
 
 // Mode selects the request arrival pattern of §5.1.
@@ -57,7 +56,9 @@ type SyncWriteConfig struct {
 	Seed uint64
 }
 
-func (c SyncWriteConfig) withDefaults() SyncWriteConfig {
+// WithDefaults fills in the zero fields: 1 KB writes, one process, 100
+// writes each.
+func (c SyncWriteConfig) WithDefaults() SyncWriteConfig {
 	if c.WriteSize == 0 {
 		c.WriteSize = 1024
 	}
@@ -70,64 +71,32 @@ func (c SyncWriteConfig) withDefaults() SyncWriteConfig {
 	return c
 }
 
-// SyncWriteResult is the outcome of one run.
-type SyncWriteResult struct {
-	Config  SyncWriteConfig
-	Latency *telemetry.Summary
-	// Elapsed is the wall (virtual) time from first issue to last
-	// completion.
-	Elapsed time.Duration
-}
-
-// RunSyncWrites drives the workload against dev in env and returns latency
-// statistics. It spawns Processes writer processes and runs the environment
-// to completion; env must be otherwise idle.
-func RunSyncWrites(env *sim.Env, dev blockdev.Device, cfg SyncWriteConfig) (*SyncWriteResult, error) {
-	cfg = cfg.withDefaults()
+// SyncWrites builds the closed load of one run: Processes streams named
+// writer-N, each of WritesPerProcess random-target writes drawn from its own
+// generator, pausing the sparse gap after each completion in sparse mode.
+func SyncWrites(cfg SyncWriteConfig, devSectors int64) (Load, error) {
+	cfg = cfg.WithDefaults()
 	if cfg.WriteSize < 0 || cfg.WriteSize%geom.SectorSize != 0 {
-		return nil, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
+		return Load{}, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
 	}
 	if cfg.Processes < 0 || cfg.WritesPerProcess < 0 {
-		return nil, fmt.Errorf("workload: negative count: %d processes x %d writes", cfg.Processes, cfg.WritesPerProcess)
+		return Load{}, fmt.Errorf("workload: negative count: %d processes x %d writes", cfg.Processes, cfg.WritesPerProcess)
 	}
 	sectors := cfg.WriteSize / geom.SectorSize
-	res := &SyncWriteResult{Config: cfg, Latency: telemetry.NewSummary()}
-	var firstIssue, lastDone sim.Time
-	started := false // the first issue may be at t=0
-	var failed error
-	for i := 0; i < cfg.Processes; i++ {
+	var gap time.Duration
+	if cfg.Mode == Sparse {
+		gap = sparseGap
+	}
+	load := Load{Streams: make([]Stream, cfg.Processes)}
+	for i := range load.Streams {
 		rng := sim.NewRand(cfg.Seed + uint64(i)*7919)
-		env.Go(fmt.Sprintf("writer-%d", i), func(p *sim.Proc) {
-			data := make([]byte, cfg.WriteSize)
-			for w := 0; w < cfg.WritesPerProcess; w++ {
-				lba := alignedTarget(rng, dev.Sectors(), sectors)
-				for b := range data {
-					data[b] = byte(w + b)
-				}
-				start := p.Now()
-				if !started {
-					firstIssue, started = start, true
-				}
-				if err := dev.Write(p, lba, sectors, data); err != nil {
-					failed = err
-					return
-				}
-				res.Latency.Add(p.Now().Sub(start))
-				if p.Now() > lastDone {
-					lastDone = p.Now()
-				}
-				if cfg.Mode == Sparse {
-					p.Sleep(sparseGap)
-				}
-			}
-		})
+		ops := make([]TraceOp, cfg.WritesPerProcess)
+		for w := range ops {
+			ops[w] = TraceOp{Write: true, LBA: alignedTarget(rng, devSectors, sectors), Sectors: sectors}
+		}
+		load.Streams[i] = Stream{Name: fmt.Sprintf("writer-%d", i), Ops: ops, Gap: gap}
 	}
-	env.Run()
-	if failed != nil {
-		return nil, fmt.Errorf("workload: write failed: %w", failed)
-	}
-	res.Elapsed = lastDone.Sub(firstIssue)
-	return res, nil
+	return load, nil
 }
 
 // alignedTarget picks a random sector-aligned target with room for the

@@ -60,21 +60,30 @@ func trailDev(t *testing.T, env *sim.Env) blockdev.Device {
 	return drv.Dev(0)
 }
 
+// runSync builds cfg's load for dev and runs it.
+func runSync(env *sim.Env, dev blockdev.Device, cfg SyncWriteConfig) (*Result, error) {
+	load, err := SyncWrites(cfg, dev.Sectors())
+	if err != nil {
+		return nil, err
+	}
+	return Run(env, dev, load)
+}
+
 func TestSyncWritesBaseline(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	dev := baseline(env)
-	res, err := RunSyncWrites(env, dev, SyncWriteConfig{
+	res, err := runSync(env, dev, SyncWriteConfig{
 		Mode: Clustered, WriteSize: 1024, Processes: 1, WritesPerProcess: 50, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Latency.Count() != 50 {
-		t.Errorf("samples = %d", res.Latency.Count())
+	if res.Writes.Count() != 50 {
+		t.Errorf("samples = %d", res.Writes.Count())
 	}
-	if res.Latency.Mean() < 2*time.Millisecond {
-		t.Errorf("baseline mean %v suspiciously fast", res.Latency.Mean())
+	if res.Writes.Mean() < 2*time.Millisecond {
+		t.Errorf("baseline mean %v suspiciously fast", res.Writes.Mean())
 	}
 	if res.Elapsed <= 0 {
 		t.Error("no elapsed time")
@@ -95,28 +104,31 @@ func TestElapsedCountsFirstIssueAtZero(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv()
 			defer env.Close()
-			res, err := RunSyncWrites(env, tc.dev(t, env), SyncWriteConfig{
+			res, err := runSync(env, tc.dev(t, env), SyncWriteConfig{
 				Mode: Clustered, WriteSize: 1024, Processes: 1, WritesPerProcess: 3, Seed: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Elapsed != res.Latency.Sum() {
-				t.Errorf("closed loop: Elapsed %v, sum of latencies %v", res.Elapsed, res.Latency.Sum())
+			if res.Elapsed != res.Writes.Sum() {
+				t.Errorf("closed loop: Elapsed %v, sum of latencies %v", res.Elapsed, res.Writes.Sum())
 			}
 
 			env2 := sim.NewEnv()
 			defer env2.Close()
 			var lastAck sim.Time
-			ol, err := RunOpenLoopWrites(env2, tc.dev(t, env2), OpenLoopConfig{
-				Interarrival: 50 * time.Millisecond, Requests: 3, Seed: 1,
-				OnAck: func(_ int64, _ int, _ []byte, at sim.Time) { lastAck = max(lastAck, at) },
-			})
+			dev2 := tc.dev(t, env2)
+			load, err := OpenLoop(OpenLoopConfig{Interarrival: 50 * time.Millisecond, Requests: 3, Seed: 1}, dev2.Sectors())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ol.Acked != 3 || ol.Elapsed != time.Duration(lastAck) {
-				t.Errorf("open loop: %d acked, Elapsed %v, last ack at %v", ol.Acked, ol.Elapsed, time.Duration(lastAck))
+			load.OnAck = func(_ int64, _ int, _ []byte, at sim.Time) { lastAck = max(lastAck, at) }
+			ol, err := Run(env2, dev2, load)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ol.Writes.Count() != 3 || ol.Elapsed != time.Duration(lastAck) {
+				t.Errorf("open loop: %d acked, Elapsed %v, last ack at %v", ol.Writes.Count(), ol.Elapsed, time.Duration(lastAck))
 			}
 		})
 	}
@@ -125,7 +137,7 @@ func TestElapsedCountsFirstIssueAtZero(t *testing.T) {
 func TestTrailBeatsBaseline(t *testing.T) {
 	envB := sim.NewEnv()
 	defer envB.Close()
-	base, err := RunSyncWrites(envB, baseline(envB), SyncWriteConfig{
+	base, err := runSync(envB, baseline(envB), SyncWriteConfig{
 		Mode: Sparse, WriteSize: 1024, WritesPerProcess: 50, Seed: 2,
 	})
 	if err != nil {
@@ -133,14 +145,14 @@ func TestTrailBeatsBaseline(t *testing.T) {
 	}
 	envT := sim.NewEnv()
 	defer envT.Close()
-	tr, err := RunSyncWrites(envT, trailDev(t, envT), SyncWriteConfig{
+	tr, err := runSync(envT, trailDev(t, envT), SyncWriteConfig{
 		Mode: Sparse, WriteSize: 1024, WritesPerProcess: 50, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Latency.Mean()*3 > base.Latency.Mean() {
-		t.Errorf("trail %v vs baseline %v: expected >=3x win", tr.Latency.Mean(), base.Latency.Mean())
+	if tr.Writes.Mean()*3 > base.Writes.Mean() {
+		t.Errorf("trail %v vs baseline %v: expected >=3x win", tr.Writes.Mean(), base.Writes.Mean())
 	}
 }
 
@@ -148,13 +160,13 @@ func TestSparseVsClusteredOnTrail(t *testing.T) {
 	run := func(mode Mode) time.Duration {
 		env := sim.NewEnv()
 		defer env.Close()
-		res, err := RunSyncWrites(env, trailDev(t, env), SyncWriteConfig{
+		res, err := runSync(env, trailDev(t, env), SyncWriteConfig{
 			Mode: mode, WriteSize: 1024, WritesPerProcess: 60, Seed: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Latency.Mean()
+		return res.Writes.Mean()
 	}
 	sparse, clustered := run(Sparse), run(Clustered)
 	// Paper §5.1: clustered writes take longer than sparse on Trail
@@ -168,34 +180,34 @@ func TestMultipleProcessesQueue(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	dev := baseline(env)
-	res, err := RunSyncWrites(env, dev, SyncWriteConfig{
+	res, err := runSync(env, dev, SyncWriteConfig{
 		Mode: Clustered, WriteSize: 1024, Processes: 5, WritesPerProcess: 20, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Latency.Count() != 100 {
-		t.Errorf("samples = %d", res.Latency.Count())
+	if res.Writes.Count() != 100 {
+		t.Errorf("samples = %d", res.Writes.Count())
 	}
 	// With five concurrent writers the queueing delay must raise mean
 	// latency versus a single writer.
 	envS := sim.NewEnv()
 	defer envS.Close()
-	single, err := RunSyncWrites(envS, baseline(envS), SyncWriteConfig{
+	single, err := runSync(envS, baseline(envS), SyncWriteConfig{
 		Mode: Clustered, WriteSize: 1024, Processes: 1, WritesPerProcess: 20, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Latency.Mean() <= single.Latency.Mean() {
-		t.Errorf("5-process mean %v <= 1-process mean %v", res.Latency.Mean(), single.Latency.Mean())
+	if res.Writes.Mean() <= single.Writes.Mean() {
+		t.Errorf("5-process mean %v <= 1-process mean %v", res.Writes.Mean(), single.Writes.Mean())
 	}
 }
 
 func TestRejectsUnalignedSize(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	if _, err := RunSyncWrites(env, baseline(env), SyncWriteConfig{WriteSize: 1000}); err == nil {
+	if _, err := runSync(env, baseline(env), SyncWriteConfig{WriteSize: 1000}); err == nil {
 		t.Error("unaligned write size accepted")
 	}
 }
