@@ -4,9 +4,9 @@
 // --workload W --seed S --trace 0 there and in the working tree, alternately,
 // switching which side runs first each pair, and for every end-to-end metric
 // of BENCHMARK.json prints both medians, the parent's quartile distance, how
-// many pairs the change won and the verdict, then each pair's values. One
-// ungated row follows the gated ones: host_cpu_us_per_op, read from the line
-// each run prints for it.
+// many pairs the change won and the verdict, then each pair's values. Two
+// ungated rows follow the gated ones: host_cpu_us_per_op and
+// host_ops_per_sec, each read from the line each run prints for it.
 //
 // Usage:
 //
@@ -58,8 +58,8 @@ type metricSpec struct {
 	Bound  float64 `json:"bound"`
 }
 
-// result is the last line a benchmark run prints, with cpuMetric added to its
-// metrics from the line the run prints for it.
+// result is the last line a benchmark run prints, with the ungated metrics
+// added to its metrics from the lines the run prints for them.
 type result struct {
 	Correct bool                   `json:"correct"`
 	Metrics map[string]metricValue `json:"metrics"`
@@ -69,9 +69,13 @@ type metricValue struct {
 	Value float64 `json:"value"`
 }
 
-// cpuMetric is the host CPU time a run spends per operation. No bound gates
-// it, so the result line leaves it out.
-var cpuMetric = metricSpec{Name: "host_cpu_us_per_op", Unit: "us", Better: "lower", Bound: math.Inf(1)}
+// ungated are the host CPU time a run spends per operation and the operations
+// it completes per host second. No bound gates them, so the result line
+// leaves them out.
+var ungated = []metricSpec{
+	{Name: "host_cpu_us_per_op", Unit: "us", Better: "lower", Bound: math.Inf(1)},
+	{Name: "host_ops_per_sec", Unit: "1/s", Better: "higher", Bound: math.Inf(1)},
+}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchpairs", flag.ContinueOnError)
@@ -136,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	fmt.Fprintf(stdout, "%s, seed %d, %d pairs: %s against the working tree\n", *workload, *seed, *n, *ref)
-	if report(stdout, append(sp.EndToEnd, cpuMetric), refRuns, headRuns) {
+	if report(stdout, append(sp.EndToEnd, ungated...), refRuns, headRuns) {
 		return 1
 	}
 	return 0
@@ -159,8 +163,8 @@ func runBench(dir string, args []string, stderr io.Writer) (result, error) {
 	return parseResult(out)
 }
 
-// parseResult reads the result a run's output ends with, and cpuMetric from
-// the line "<workload> host_cpu_us_per_op <value> us" before it.
+// parseResult reads the result a run's output ends with, and each ungated
+// metric from the line "<workload> <metric> <value> <unit>" before it.
 func parseResult(out []byte) (result, error) {
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
 	var res result
@@ -171,13 +175,15 @@ func parseResult(out []byte) (result, error) {
 		return result{}, errors.New("the run reports an incorrect result")
 	}
 	for _, l := range lines[:len(lines)-1] {
-		if f := strings.Fields(string(l)); len(f) == 4 && f[1] == cpuMetric.Name {
-			v, err := strconv.ParseFloat(f[2], 64)
-			if err != nil {
-				return result{}, fmt.Errorf("%s: %w", cpuMetric.Name, err)
-			}
-			res.Metrics[cpuMetric.Name] = metricValue{v}
+		f := strings.Fields(string(l))
+		if len(f) != 4 || !slices.ContainsFunc(ungated, func(m metricSpec) bool { return m.Name == f[1] }) {
+			continue
 		}
+		v, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			return result{}, fmt.Errorf("%s: %w", f[1], err)
+		}
+		res.Metrics[f[1]] = metricValue{v}
 	}
 	return res, nil
 }

@@ -20,9 +20,10 @@ const PageSectors = 8
 const PageSize = PageSectors * geom.SectorSize
 
 // Page is a cached page frame. Callers must hold a pin (from Get) while
-// touching Data and must Release it afterwards. Every miss makes a new Page,
-// so a stale one never takes on another page's identity; eviction hands its
-// Data to the next page faulted in and leaves it nil.
+// touching Data and must Release it afterwards. Every miss gets a Page no one
+// has held before, carved from the cache's slab, so a stale one never takes
+// on another page's identity; eviction hands its Data to the next page
+// faulted in and leaves it nil.
 type Page struct {
 	ID   int64
 	Data []byte
@@ -38,7 +39,7 @@ type Page struct {
 	// victim's array emptied, so it starts without a table.
 	Offsets []uint16
 	Fill    int32
-	dirty   bool // beside Fill: a Page is 96 bytes, and every miss makes one
+	dirty   bool // beside Fill: a Page is 96 bytes, and every miss carves one
 	// prev and next link the page into its cache's LRU ring.
 	prev, next *Page
 }
@@ -70,6 +71,9 @@ type Cache struct {
 	// most recently used, lru.prev the least.
 	lru   Page
 	stats Stats
+	// frames is where every miss's Page comes from. A Page is never reused:
+	// an evicted one stays in its chunk, nil Data, for any stale handle.
+	frames sim.Slab[Page]
 }
 
 // New returns a cache of capacity pages over dev.
@@ -163,9 +167,11 @@ func (c *Cache) pin(pg *Page) *Page {
 // resident, unpinned and clean once the write returns. The new page takes
 // the last victim's emptied offset array and its data, unless another
 // process's write of that data is still in flight; then it gets no data, and
-// the caller allocates.
+// the caller allocates. The page is carved once a frame is free, so a failed
+// call carves none.
 func (c *Cache) makeRoom(p *sim.Proc) (*Page, error) {
-	pg := new(Page)
+	var data []byte
+	var offsets []uint16
 	for c.resident+c.filling >= c.capacity {
 		victim := c.lruVictim()
 		if victim == nil {
@@ -193,12 +199,14 @@ func (c *Cache) makeRoom(p *sim.Proc) (*Page, error) {
 		c.pages[victim.ID] = nil
 		c.resident--
 		if victim.writes == 0 {
-			pg.Data = victim.Data
+			data = victim.Data
 		}
-		pg.Offsets = victim.Offsets[:0]
+		offsets = victim.Offsets[:0]
 		victim.Data, victim.Offsets = nil, nil
 	}
 	c.filling++
+	pg := c.frames.New()
+	pg.Data, pg.Offsets = data, offsets
 	return pg, nil
 }
 

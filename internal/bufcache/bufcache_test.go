@@ -246,9 +246,11 @@ func TestConcurrentFaultsSamePage(t *testing.T) {
 	}
 }
 
-// TestMissAllocations: a miss in a full cache over a Trail data disk evicts a
-// page and faults one in without allocating anything beyond the new page: the
-// LRU links live in the pages, and the device reads into the victim's data.
+// TestMissAllocations holds misses on a full, Trail-backed cache to a share
+// of a page slab: each reads into its victim's data and carves its Page from
+// a chunk, so m misses cost at most m/8 allocations (one a miss while each
+// made its Page). A Page is still never handed out twice, and every evicted
+// one has given up its data, so a stale handle faults.
 func TestMissAllocations(t *testing.T) {
 	r, err := rig.New(rig.Config{})
 	if err != nil {
@@ -256,25 +258,46 @@ func TestMissAllocations(t *testing.T) {
 	}
 	defer r.Close()
 	c := New(r.Dev(0), 4)
-	var perMiss float64
+	const m = 10000
+	handed := make([]*Page, 0, 4+2*m) // AllocsPerRun runs once before it measures
+	var allocs float64
 	r.Go("test", func(p *sim.Proc) {
 		id := int64(0)
-		perMiss = testing.AllocsPerRun(100, func() {
+		miss := func() {
 			pg, err := c.Get(p, id%50)
 			if err != nil {
 				t.Error(err)
 				return
 			}
+			handed = append(handed, pg)
 			c.Release(pg)
 			id++
+		}
+		for range 4 {
+			miss()
+		}
+		allocs = testing.AllocsPerRun(1, func() {
+			for range m {
+				miss()
+			}
 		})
 	})
 	r.Run()
-	if s := c.Stats(); s.Hits != 0 || s.Evictions != s.Misses-4 {
-		t.Fatalf("stats %+v, want every Get a miss that evicts", s)
+	if s := c.Stats(); s.Hits != 0 || s.Evictions != s.Misses-4 || len(handed) != 4+2*m {
+		t.Fatalf("stats %+v after %d pages, want every Get a miss that evicts", s, len(handed))
 	}
-	if perMiss > 1 {
-		t.Errorf("a miss allocates %v times, want <= 1 (the page)", perMiss)
+	if allocs > m/8 {
+		t.Errorf("%d misses allocate %v times, want at most %d", m, allocs, m/8)
+	}
+	seen := make(map[*Page]bool, len(handed))
+	for _, pg := range handed {
+		if seen[pg] {
+			t.Fatalf("page %p (ID %d) was handed out twice", pg, pg.ID)
+		}
+		seen[pg] = true
+		if c.pages[pg.ID] != pg && pg.Data != nil {
+			t.Fatalf("evicted page %p (ID %d) still holds data", pg, pg.ID)
+		}
 	}
 }
 

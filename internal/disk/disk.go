@@ -692,7 +692,7 @@ func writeFlag(w bool) int64 {
 // Nothing is freed singly (MediaZero drops the whole store).
 type sectorStore struct {
 	groups  map[int64]*group
-	batch   []group  // the newest batch's unused groups
+	batch   sim.Slab[group]
 	slabs   [][]byte // every slab; the newest has free bytes past its length
 	n       int      // sectors held
 	last    *group   // the group found last, keyed lastKey
@@ -715,10 +715,7 @@ func (h slot) capacity() int { return int(h>>10&0x3f) * 16 }
 func (h slot) len() int      { return int(h & 0x3ff) }
 
 // A slab holds as many sectors, and a batch as many groups, as the store
-// already does, within these bounds: a small drive (a crash-explorer branch,
-// a test fixture) wastes little, and a busy one allocates once per 128.
-const minSlabSectors, maxSlabSectors = 8, 128
-
+// already does, by sim.ChunkLen.
 func newSectorStore() sectorStore { return sectorStore{groups: map[int64]*group{}} }
 
 // bytes returns the held bytes h points at.
@@ -737,10 +734,7 @@ func (s *sectorStore) find(lba int64, add bool) *slot {
 		if s.last == nil && !add {
 			return nil
 		} else if s.last == nil {
-			if len(s.batch) == 0 {
-				s.batch = make([]group, min(max(len(s.groups), minSlabSectors), maxSlabSectors))
-			}
-			s.last, s.batch = &s.batch[0], s.batch[1:]
+			s.last = s.batch.New()
 			s.groups[key] = s.last
 		}
 	}
@@ -760,7 +754,7 @@ func (s *sectorStore) write(lba int64, data []byte) {
 			}
 			last := len(s.slabs) - 1
 			if last < 0 || cap(s.slabs[last])-len(s.slabs[last]) < size {
-				s.slabs = append(s.slabs, make([]byte, 0, min(max(s.n, minSlabSectors), maxSlabSectors)*geom.SectorSize))
+				s.slabs = append(s.slabs, make([]byte, 0, sim.ChunkLen(s.n)*geom.SectorSize))
 				last++
 			}
 			off := len(s.slabs[last])
@@ -779,10 +773,12 @@ func (s *sectorStore) write(lba int64, data []byte) {
 // the source's, so it is not kept.
 func (s *sectorStore) clone() sectorStore {
 	c := sectorStore{groups: make(map[int64]*group, len(s.groups)), slabs: make([][]byte, len(s.slabs)), n: s.n}
-	batch := make([]group, 0, len(s.groups))
+	batch := c.batch.Carve(len(s.groups))
+	i := 0
 	for key, g := range s.groups {
-		batch = append(batch, *g)
-		c.groups[key] = &batch[len(batch)-1]
+		batch[i] = *g
+		c.groups[key] = &batch[i]
+		i++
 	}
 	for i, slab := range s.slabs {
 		c.slabs[i] = bytes.Clone(slab)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -115,13 +116,16 @@ func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
 		lat := telemetry.NewSummary()
 
 		// Writer: a continuous stream of staged writes keeps the
-		// write-back path busy on the data disk.
+		// write-back path busy on the data disk. The first device error
+		// either process meets stops both and fails the ablation.
 		writing := true
+		var ioErr error
 		sys.Env.Go("writer", func(p *sim.Proc) {
 			for writing {
 				lba := rng.Int64n(dev.Sectors()/8) * 8
 				if err := dev.Write(p, lba, 8, make([]byte, 8*geom.SectorSize)); err != nil {
-					panic(err)
+					ioErr, writing = cmp.Or(ioErr, err), false
+					return
 				}
 				p.Sleep(2 * time.Millisecond)
 			}
@@ -129,11 +133,12 @@ func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
 		// Reader: cold reads that must reach the data disk.
 		sys.Env.Go("reader", func(p *sim.Proc) {
 			p.Sleep(50 * time.Millisecond) // let the write-back queue build
-			for i := 0; i < reads; i++ {
+			for i := 0; i < reads && ioErr == nil; i++ {
 				lba := (rng.Int64n(dev.Sectors()/16) + dev.Sectors()/16) &^ 7
 				start := p.Now()
 				if _, err := dev.Read(p, lba, 8); err != nil {
-					panic(err)
+					ioErr = cmp.Or(ioErr, err)
+					break
 				}
 				lat.Add(p.Now().Sub(start))
 				p.Sleep(3 * time.Millisecond)
@@ -141,10 +146,13 @@ func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
 			writing = false
 		})
 		deadline := sim.Time(60 * time.Second)
-		for sys.Env.Now() < deadline && lat.Count() < int64(reads) {
+		for sys.Env.Now() < deadline && lat.Count() < int64(reads) && ioErr == nil {
 			sys.Env.RunUntil(sys.Env.Now().Add(100 * time.Millisecond))
 		}
 		sys.Env.Close()
+		if ioErr != nil {
+			return nil, fmt.Errorf("read-priority ablation (%s): %w", policy, ioErr)
+		}
 		if lat.Count() < int64(reads) {
 			return nil, fmt.Errorf("read-priority ablation: only %d of %d reads completed", lat.Count(), reads)
 		}

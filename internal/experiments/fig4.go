@@ -117,11 +117,13 @@ func crashWithBacklog(q int, seed uint64, opts trail.RecoverOptions, rec *span.R
 	dev := sys.Dev(0)
 	rng := sim.NewRand(seed + uint64(q))
 	stop := false
+	var loadErr error // the first write that failed; it stops the load
 	sys.Go("load", func(p *sim.Proc) {
 		for !stop {
 			lba := rng.Int64n(dev.Sectors()/8) * 8
 			if err := dev.Write(p, lba, 2, make([]byte, 2*geom.SectorSize)); err != nil {
-				panic(err)
+				loadErr = err
+				return
 			}
 		}
 	})
@@ -129,6 +131,10 @@ func crashWithBacklog(q int, seed uint64, opts trail.RecoverOptions, rec *span.R
 	for sys.Trail.OutstandingRecords() < q {
 		before := sys.Env.Now()
 		sys.RunUntil(before.Add(2 * time.Millisecond))
+		if loadErr != nil {
+			sys.Close()
+			return nil, fmt.Errorf("fig4 load q=%d: %w", q, loadErr)
+		}
 		if sys.Env.Now() == before {
 			sys.Close()
 			return nil, fmt.Errorf("fig4: backlog stalled at %d of %d", sys.Trail.OutstandingRecords(), q)

@@ -119,8 +119,8 @@ var catches = []struct {
 		// of the run traces and records nothing.
 		name: "tracer dropped at power cut", analyzer: "nilguard",
 		file: "internal/trail/driver.go",
-		old:  "\td.wbQueues = nil\n}\n",
-		new:  "\td.wbQueues = nil\n\td.tr, d.rec = nil, nil\n}\n",
+		old:  "\td.free = recycled{}\n",
+		new:  "\td.free = recycled{}\n\td.tr, d.rec = nil, nil\n",
 		want: `handle field tr \(trace\.Tracer\) is assigned outside a Set\*/New\* accessor`,
 	},
 }

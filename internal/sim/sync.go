@@ -104,6 +104,44 @@ func (f *FIFO[T]) Pop() T {
 	return v
 }
 
+// Slab hands out zeroed *T carved from chunks, so a layer that keeps many
+// objects of one type allocates once a chunk, not once an object. A new chunk
+// holds ChunkLen(objects handed out so far). Nothing is freed singly: a chunk
+// is garbage once none of its objects is referenced, so one object still held
+// keeps its whole chunk. Like FIFO it is plain data; the zero value is an
+// empty slab.
+type Slab[T any] struct {
+	chunk []T // the newest chunk's objects not yet handed out
+	n     int // objects handed out
+}
+
+// New returns a zeroed object from the newest chunk, starting a chunk when
+// that one is used up.
+func (s *Slab[T]) New() *T {
+	if len(s.chunk) == 0 {
+		s.chunk = make([]T, ChunkLen(s.n))
+	}
+	x := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	s.n++
+	return x
+}
+
+// Carve returns n zeroed objects side by side in a chunk of exactly n, for a
+// caller that fills a known number at once (a copy), and counts them as
+// handed out, so the next chunk New starts is sized as if New had made them.
+func (s *Slab[T]) Carve(n int) []T {
+	s.n += n
+	return make([]T, n)
+}
+
+// ChunkLen is how many objects a new chunk holds when n were handed out
+// before it: as many again, within [8, 128], so a small world (a
+// crash-explorer branch, a test fixture) wastes little and a busy one
+// allocates once per 128. Slab follows it, and so do the byte slabs that
+// carve variable-length pieces.
+func ChunkLen(n int) int { return min(max(n, 8), 128) }
+
 // Cond is a reusable condition: processes Wait on it and other processes
 // Signal (wake one, FIFO) or Broadcast (wake all). Unlike sync.Cond there is
 // no associated lock — the simulation is single-threaded, so the usual

@@ -134,13 +134,13 @@ func (s Span) Dur() int64 { return s.End - s.Start }
 type Request struct {
 	ID     int64
 	Kind   Kind
+	Err    bool   // beside Kind: a Request is 128 bytes
 	Driver string // "trail", "std", "raid"
 	Dev    string // device/track name, e.g. "data0"
 	LBA    int64
 	Count  int
-	Start  int64 // submit instant, virtual ns
-	End    int64 // ack instant, virtual ns
-	Err    bool
+	Start  int64   // submit instant, virtual ns
+	End    int64   // ack instant, virtual ns
 	Flows  []int64 // IDs of upstream requests this one commits (write-back)
 	Spans  []Span
 }
@@ -171,28 +171,34 @@ func (r *Request) PhaseTotal(p Phase) int64 {
 // DefaultCapacity is the recorder's default request ring size.
 const DefaultCapacity = 1 << 14
 
-// A recorder hands out requests from slabs and keeps finished requests'
-// spans in arena chunks, so a recorded request costs no allocation of its
-// own. Each is sized to fill the allocator's 32 KiB size class on a 64-bit
-// build: 240 requests of 136 B are 32 640 B, 819 spans of 40 B are 32 760 B.
-// A larger block would be rounded up to whole pages.
+// A recorder hands out requests, each inside its in-flight handle, from
+// slabs and keeps finished requests' spans and flow edges in arena chunks, so
+// a recorded request costs no allocation of its own. Each is sized to fill
+// the allocator's 32 KiB size class on a 64-bit build: 240 handles of 136 B
+// (a 128-byte Request and the recorder) are 32 640 B, 819 spans of 40 B are
+// 32 760 B, 4 096 flow edges of 8 B are 32 768 B. A larger block would be
+// rounded up to whole pages.
 const (
 	slabRequests = 240
 	arenaSpans   = 819
+	arenaFlows   = 4096
 	// scratchSpans is the capacity of a new in-flight span list: room for
-	// a queue child and a command's seven mechanical phases.
+	// a queue child and a command's seven mechanical phases; scratchFlows
+	// that of a flow list, a write-back window's worth of client writes.
 	scratchSpans = 8
+	scratchFlows = 8
 )
 
 // Recorder buffers completed request span trees in a fixed-size ring;
 // when full, the oldest completed request is evicted. A nil *Recorder is a
 // valid disabled recorder.
 //
-// A request in flight appends its spans to a scratch list from the
-// recorder's free list. Finish copies them into the current arena chunk and
-// puts the list back, so only a finished request's exact spans stay on the
-// heap. A slab or chunk lives while any request in it is referenced; once the
-// ring has evicted them all, it is garbage.
+// A request in flight appends its spans, and its flow edges once it has one,
+// to scratch lists from the recorder's free lists. Finish copies them into
+// the current arena chunks and puts the lists back, so only a finished
+// request's exact spans and edges stay on the heap. A slab or chunk lives
+// while any request in it is referenced; once the ring has evicted them all,
+// it is garbage.
 type Recorder struct {
 	capn    int
 	nextID  int64
@@ -201,9 +207,46 @@ type Recorder struct {
 	wrapped bool
 	dropped int64
 
-	slab    []Request // requests not yet handed out
-	arena   []Span    // the current chunk; finished requests' spans fill it
-	scratch [][]Span  // free in-flight span lists, each of length 0
+	slab  []Req // handles not yet handed out
+	spans arena[Span]
+	flows arena[int64]
+}
+
+// arena keeps finished requests' lists side by side in chunks, each capped at
+// its length so appending to one copies, and the emptied in-flight lists for
+// reuse.
+type arena[T any] struct {
+	chunk   []T   // the current chunk; finished requests' lists fill it
+	scratch [][]T // free in-flight lists, each of length 0
+}
+
+// list returns a free in-flight list, or a new one of capacity n.
+func (a *arena[T]) list(n int) []T {
+	if k := len(a.scratch); k > 0 {
+		l := a.scratch[k-1]
+		a.scratch = a.scratch[:k-1]
+		return l
+	}
+	return make([]T, 0, n)
+}
+
+// keep copies l into the current chunk, starting one of at least chunkLen
+// when l does not fit, puts l back on the free lists and returns the copy;
+// nil for an empty l.
+func (a *arena[T]) keep(l []T, chunkLen int) []T {
+	var kept []T
+	if n := len(l); n > 0 {
+		if cap(a.chunk)-len(a.chunk) < n {
+			a.chunk = make([]T, 0, max(chunkLen, n))
+		}
+		i := len(a.chunk)
+		a.chunk = append(a.chunk, l...)
+		kept = a.chunk[i : i+n : i+n]
+	}
+	if cap(l) > 0 {
+		a.scratch = append(a.scratch, l[:0])
+	}
+	return kept
 }
 
 // NewRecorder returns a recorder retaining up to capacity completed
@@ -257,54 +300,38 @@ func (r *Recorder) Requests() []*Request {
 // Start opens a new request span tree at virtual instant `at` and returns a
 // handle for attributing its phases. On a nil recorder it returns nil, and
 // every method on a nil handle is a no-op — callers never need to check.
-//
-// Start must stay within the compiler's inlining budget: inlined, the
-// handle it returns lives on a caller's stack unless the caller keeps it.
-// Its work is in open, which is not inlined.
+// The handle is the recorder's, carved from a slab with its request inside,
+// so a caller may keep it anywhere at no allocation. Start is inlined, so a
+// disabled recorder costs its callers a nil check; the work is in open.
 func (r *Recorder) Start(kind Kind, driver, dev string, lba int64, count int, at int64) *Req {
 	if r == nil {
 		return nil
 	}
-	return &Req{rec: r, r: r.open(kind, driver, dev, lba, count, at)}
+	return r.open(kind, driver, dev, lba, count, at)
 }
 
-// open hands out the slab's next request, filled in and holding a free
-// in-flight span list.
-func (r *Recorder) open(kind Kind, driver, dev string, lba int64, count int, at int64) *Request {
+// open hands out the slab's next handle, its request filled in and holding a
+// free in-flight span list.
+func (r *Recorder) open(kind Kind, driver, dev string, lba int64, count int, at int64) *Req {
 	if len(r.slab) == 0 {
-		r.slab = make([]Request, slabRequests)
+		r.slab = make([]Req, slabRequests)
 	}
-	req := &r.slab[0]
+	q := &r.slab[0]
 	r.slab = r.slab[1:]
-	var spans []Span
-	if n := len(r.scratch); n > 0 {
-		spans = r.scratch[n-1]
-		r.scratch = r.scratch[:n-1]
-	} else {
-		spans = make([]Span, 0, scratchSpans)
-	}
 	r.nextID++
-	*req = Request{
+	*q = Req{rec: r, r: Request{
 		ID: r.nextID, Kind: kind, Driver: driver, Dev: dev,
-		LBA: lba, Count: count, Start: at, Spans: spans,
-	}
-	return req
+		LBA: lba, Count: count, Start: at, Spans: r.spans.list(scratchSpans),
+	}}
+	return q
 }
 
-// add moves a finished request's spans into the arena, puts its in-flight
-// list back on the free list, and stores the request in the ring.
+// add moves a finished request's spans and flow edges into the arenas, puts
+// its in-flight lists back on the free lists, and stores the request in the
+// ring.
 func (r *Recorder) add(req *Request) {
-	spans := req.Spans
-	req.Spans = nil
-	if n := len(spans); n > 0 {
-		if cap(r.arena)-len(r.arena) < n {
-			r.arena = make([]Span, 0, max(arenaSpans, n))
-		}
-		i := len(r.arena)
-		r.arena = append(r.arena, spans...)
-		req.Spans = r.arena[i : i+n : i+n]
-	}
-	r.scratch = append(r.scratch, spans[:0])
+	req.Spans = r.spans.keep(req.Spans, arenaSpans)
+	req.Flows = r.flows.keep(req.Flows, arenaFlows)
 
 	if !r.wrapped && len(r.reqs) < r.capn {
 		r.reqs = append(r.reqs, req)
@@ -319,11 +346,11 @@ func (r *Recorder) add(req *Request) {
 	r.dropped++
 }
 
-// Req is the in-flight handle for one request being attributed. A nil *Req
-// (from a disabled recorder) absorbs every call.
+// Req is the in-flight handle for one request being attributed, and holds
+// the request. A nil *Req (from a disabled recorder) absorbs every call.
 type Req struct {
+	r   Request
 	rec *Recorder
-	r   *Request
 }
 
 // ID returns the request's id, or 0 on a nil handle.
@@ -378,6 +405,9 @@ func (q *Req) Flow(from int64) {
 	if q == nil || from == 0 {
 		return
 	}
+	if q.r.Flows == nil {
+		q.r.Flows = q.rec.flows.list(scratchFlows)
+	}
 	q.r.Flows = append(q.r.Flows, from)
 }
 
@@ -417,5 +447,5 @@ func (q *Req) Finish(end int64, err bool) {
 	}
 	q.r.End = end
 	q.r.Err = err
-	q.rec.add(q.r)
+	q.rec.add(&q.r)
 }

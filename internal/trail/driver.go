@@ -311,13 +311,7 @@ type Driver struct {
 
 	// free is recycled request bookkeeping and staged images (DESIGN.md
 	// §4): memory, not state.
-	free struct {
-		writes  freeList[pendingWrite]
-		entries freeList[bufEntry]
-		records freeList[record]
-		reads   freeList[sched.Request]
-		images  freeImages
-	}
+	free recycled
 
 	// tr observes driver decisions when tracing is enabled (nil otherwise).
 	tr *trace.Tracer
@@ -1336,17 +1330,22 @@ func (d *Driver) drained() bool {
 	return true
 }
 
-// PowerCut lets go of what a power cut destroys — the staging buffer, its
-// free images and the queues are host memory — so the staged blocks are
-// collectable while recovery builds the next world. Call it once the
+// PowerCut lets go of what a power cut destroys — the staging buffer, the
+// free lists and slabs, the queues and the write-back windows are host
+// memory — so the staged blocks are collectable while recovery builds the
+// next world: nothing the driver keeps points into a slab any more, and a
+// slab chunk pins every image its entries or writes hold. Call it once the
 // environment is closed: the driver refuses I/O afterwards, its Stats stay
 // readable.
 func (d *Driver) PowerCut() {
 	d.closed = true
 	d.staging, d.stagedBytes = nil, 0
-	d.free.images = freeImages{}
+	d.free = recycled{}
 	d.logQ.Reset(nil)
-	d.wbQueues = nil
+	d.wbQueues, d.windows = nil, nil
+	for _, ld := range d.logs {
+		ld.batch = nil
+	}
 }
 
 // Shutdown drains all pending log writes and write-backs, then marks every

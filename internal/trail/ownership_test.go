@@ -139,7 +139,7 @@ func tailed(v byte, sectors, shift int) []byte {
 // every sub-range back.
 func TestImageRoundTrip(t *testing.T) {
 	var free freeImages
-	for k := range free {
+	for k := range free.free {
 		free.put(bytes.Repeat([]byte{0xEE}, 1<<k))
 	}
 	for count := 1; count <= MaxBatch; count++ {
@@ -195,7 +195,7 @@ func TestStageReplacesNeverMutates(t *testing.T) {
 		t.Error("stage copied the newer version instead of adopting its image")
 	}
 	var free [][]byte
-	for _, class := range r.drv.free.images {
+	for _, class := range r.drv.free.images.free {
 		free = append(free, class...)
 	}
 	if len(free) != 1 || &free[0][0] != &older[0] {
@@ -629,5 +629,59 @@ func TestStagedSectorHeapAllocations(t *testing.T) {
 				t.Errorf("a recovered %s sector holds %.1f heap bytes, want <= %v", tc.name, perSector, tc.recovered)
 			}
 		})
+	}
+}
+
+// TestStagedExtentAllocations stages fresh extents behind a stalled data
+// disk, so each write keeps its staging entry, its log record and its image
+// until the end: carved from the driver's slabs, n of them cost at most n/8
+// allocations, where each was an object of its own before (three a write).
+func TestStagedExtentAllocations(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	log := disk.New(env, disk.ST41601N())
+	if err := Format(log); err != nil {
+		t.Fatal(err)
+	}
+	stalled := disk.WDCaviar()
+	stalled.RPM = 1
+	drv, err := NewDriver(env, log, []*disk.Disk{disk.New(env, stalled)}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := drv.Dev(0)
+	const warm, n = 256, 1024
+	var allocs float64
+	written, done := 0, false
+	env.Go("writer", func(p *sim.Proc) {
+		defer func() { done = true }()
+		buf := make([]byte, benchSectors*geom.SectorSize)
+		write := func() {
+			lba := spreadLBA(written, dev)
+			stampBlock(buf, lba, uint64(written+1))
+			if err := dev.Write(p, lba, benchSectors, buf); err != nil {
+				t.Error(err)
+			}
+			written++
+		}
+		// The warm-up grows the queues and the staging map part way;
+		// AllocsPerRun's own warm-up run stages n more before it measures.
+		for range warm {
+			write()
+		}
+		allocs = testing.AllocsPerRun(1, func() {
+			for range n {
+				write()
+			}
+		})
+	})
+	for !done && !t.Failed() {
+		env.RunUntil(env.Now().Add(10 * time.Millisecond))
+	}
+	if staged := len(drv.staging); staged < warm+n {
+		t.Fatalf("%d extents staged of %d written: the data disk did not stall", staged, written)
+	}
+	if allocs > n/8 {
+		t.Errorf("staging %d fresh extents allocates %v times, want at most %d", n, allocs, n/8)
 	}
 }

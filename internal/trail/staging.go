@@ -267,17 +267,46 @@ func (e *bufEntry) bytes() int64 { return int64(e.count) * geom.SectorSize }
 
 // An image holds count sectors: each one's held length (geom.Held) in two
 // little-endian bytes, then those bytes, or, where that saves nothing, the
-// count × 512 bytes themselves, a length no packed image has. freeImages
-// holds the images staging let go, class k those of 1<<k bytes or more.
-type freeImages [15][][]byte // 1<<14 bytes: MaxBatch whole sectors
+// count × 512 bytes themselves, a length no packed image has. Images are kept
+// by power-of-two class, class k those of 1<<k bytes or more: free holds
+// the images staging let go, and a new image of class k is carved from
+// chunk[k], which holds sim.ChunkLen(carved[k]) images of the class but
+// no more than imageChunk bytes, so a class used a few times in a world
+// wastes little, and one image held pins little.
+type freeImages struct {
+	free   [15][][]byte // 1<<14 bytes: MaxBatch whole sectors
+	chunk  [15][]byte
+	carved [15]int
+}
+
+// imageChunk is the allocator's largest small size class on a 64-bit build.
+const imageChunk = 32 << 10
 
 func (f *freeImages) put(img []byte) {
 	k := bits.Len(uint(cap(img))) - 1
-	f[k] = append(f[k], img)
+	f.free[k] = append(f.free[k], img)
 }
 
-// pack returns the image of data's sectors (at most MaxBatch), in a free image
-// of its class or a new one of the class's capacity (f nil: of its size).
+// get returns an empty image of class k's capacity: a free one, or one carved
+// from the class's chunk and capped, so appending to it never reaches the
+// next.
+func (f *freeImages) get(k int) []byte {
+	if n := len(f.free[k]) - 1; n >= 0 {
+		img := f.free[k][n][:0]
+		f.free[k][n], f.free[k] = nil, f.free[k][:n]
+		return img
+	}
+	if len(f.chunk[k]) == 0 {
+		f.chunk[k] = make([]byte, min(sim.ChunkLen(f.carved[k]), max(imageChunk>>k, 1))<<k)
+	}
+	img := f.chunk[k][: 0 : 1<<k]
+	f.chunk[k] = f.chunk[k][1<<k:]
+	f.carved[k]++
+	return img
+}
+
+// pack returns the image of data's sectors (at most MaxBatch), in an image of
+// its class from f (f nil: a new one of its size).
 func pack(f *freeImages, data []byte) []byte {
 	var lens [MaxBatch]uint16
 	size := 0
@@ -287,12 +316,10 @@ func pack(f *freeImages, data []byte) []byte {
 	}
 	size = min(size, len(data))
 	var img []byte
-	if k := bits.Len(uint(size - 1)); f == nil {
+	if f == nil {
 		img = make([]byte, 0, size)
-	} else if n := len(f[k]) - 1; n >= 0 {
-		img, f[k][n], f[k] = f[k][n][:0], nil, f[k][:n]
 	} else {
-		img = make([]byte, 0, 1<<k)
+		img = f.get(bits.Len(uint(size - 1)))
 	}
 	if size == len(data) {
 		return append(img, data...)
@@ -335,15 +362,27 @@ func (d *Driver) freeEntry(e *bufEntry) {
 	e.spanIDs = ids
 }
 
-// freeList recycles objects of one type: get returns a zeroed *T, and put
-// zeroes x before keeping it, so a free object pins no chunk, record or span
-// (freeEntry then hands a staging entry back its grown refs and spanIDs
-// arrays, cleared).
-type freeList[T any] struct{ free sim.FIFO[*T] }
+// recycled is a driver's free lists and the slabs behind them.
+type recycled struct {
+	writes  freeList[pendingWrite]
+	entries freeList[bufEntry]
+	records freeList[record]
+	reads   freeList[sched.Request]
+	images  freeImages
+}
+
+// freeList recycles objects of one type: get returns a zeroed *T, a free one
+// or one carved from the list's slab, and put zeroes x before keeping it, so
+// a free object pins no image, record or span (freeEntry then hands a staging
+// entry back its grown refs and spanIDs arrays, cleared).
+type freeList[T any] struct {
+	free sim.FIFO[*T]
+	slab sim.Slab[T]
+}
 
 func (l *freeList[T]) get() *T {
 	if l.free.Len() == 0 {
-		return new(T)
+		return l.slab.New()
 	}
 	return l.free.Pop()
 }

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -110,10 +111,10 @@ func BenchmarkGetHit(b *testing.B) {
 }
 
 // TestSteadyStateAllocations pins what a transaction allocates once the
-// manager has seen its shape: itself. Taking a lock, new or held, reading a
-// cached row, buffering a write and logging it allocate nothing (the instant
-// devices leave a rare media slab, which AllocsPerRun's integral average
-// rounds away).
+// manager has seen its shape: a share of a slab chunk for itself. Taking a
+// lock, new or held, reading a cached row, buffering a write and logging it
+// allocate nothing (the instant devices leave a rare media slab, which
+// AllocsPerRun's integral average rounds away).
 func TestSteadyStateAllocations(t *testing.T) {
 	r := instantRig(t, 1000)
 	keys := benchKeys(30)
@@ -153,6 +154,33 @@ func TestSteadyStateAllocations(t *testing.T) {
 			}
 			return tx.Commit(p)
 		})
+
+		// k transactions begun and committed carve their Txns from the
+		// manager's slab, at most one allocation in 8 (one each when Begin
+		// made its Txn). None is reused, so each still answers ErrDone.
+		const k = 1000
+		txns := make([]*Txn, 0, 2*k) // AllocsPerRun runs once before it measures
+		if got := testing.AllocsPerRun(1, func() {
+			for range k {
+				tx := r.m.Begin()
+				if err := tx.Commit(p); err != nil {
+					panic(err)
+				}
+				txns = append(txns, tx)
+			}
+		}); got > k/8 {
+			t.Errorf("%d Begin/Commit rounds: %v allocations, want at most %d", k, got, k/8)
+		}
+		seen := make(map[*Txn]bool, len(txns))
+		for _, tx := range txns {
+			if seen[tx] {
+				t.Fatalf("transaction %d's handle was handed out twice", tx.ID())
+			}
+			seen[tx] = true
+			if err := tx.Commit(p); !errors.Is(err, ErrDone) {
+				t.Fatalf("transaction %d committed again: %v, want ErrDone", tx.ID(), err)
+			}
+		}
 	})
 	r.env.Run()
 }

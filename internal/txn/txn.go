@@ -92,6 +92,9 @@ type Manager struct {
 	// buffers of finished transactions.
 	freeLocks sim.FIFO[*lockState]
 	spare     sim.FIFO[buffers]
+	// txns is where Begin carves each Txn. A Txn is never reused, so a
+	// finished one keeps answering ErrDone.
+	txns sim.Slab[Txn]
 }
 
 // NewManager returns a manager logging through log.
@@ -117,7 +120,7 @@ type writeOp struct {
 }
 
 // buffers is the memory a transaction fills, handed on when it finishes: a
-// transaction in steady state allocates only itself.
+// transaction in steady state allocates nothing of its own.
 type buffers struct {
 	locks  []*lockState // the entries of the keys held
 	writes []writeOp
@@ -142,7 +145,8 @@ type Txn struct {
 func (m *Manager) Begin() *Txn {
 	m.nextID++
 	m.stats.Begun++
-	t := &Txn{id: m.nextID, m: m}
+	t := m.txns.New()
+	t.id, t.m = m.nextID, m
 	if m.spare.Len() > 0 {
 		t.buffers = m.spare.Pop()
 	}
