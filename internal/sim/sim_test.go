@@ -183,46 +183,6 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-	q := NewQueue[int](env)
-	var got []int
-	env.Go("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Pop(p))
-		}
-	})
-	env.Go("producer", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Sleep(time.Millisecond)
-			q.Push(i)
-		}
-	})
-	env.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("got %v, want [1 2 3]", got)
-	}
-}
-
-func TestQueueDrain(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-	q := NewQueue[int](env)
-	for i := 0; i < 5; i++ {
-		q.Push(i)
-	}
-	if d := q.Drain(3); len(d) != 3 || d[0] != 0 || d[2] != 2 {
-		t.Errorf("Drain(3) = %v", d)
-	}
-	if d := q.Drain(0); len(d) != 2 {
-		t.Errorf("Drain(0) = %v, want remaining 2", d)
-	}
-	if q.Len() != 0 {
-		t.Errorf("Len = %d after draining all", q.Len())
-	}
-}
-
 func TestRunUntilStopsClock(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
@@ -404,35 +364,6 @@ func TestManyProcessesStress(t *testing.T) {
 	env.Run()
 	if total != 2000 {
 		t.Errorf("total = %d, want 2000", total)
-	}
-}
-
-func TestQueueMultipleConsumersFIFO(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-	q := NewQueue[int](env)
-	var got []int
-	for i := 0; i < 3; i++ {
-		env.Go("consumer", func(p *Proc) {
-			got = append(got, q.Pop(p))
-		})
-	}
-	env.Go("producer", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Sleep(time.Millisecond)
-			q.Push(i)
-		}
-	})
-	env.Run()
-	if len(got) != 3 {
-		t.Fatalf("consumed %d of 3", len(got))
-	}
-	// Consumers are woken FIFO, one per item, so values arrive in order.
-	for i, v := range got {
-		if v != i+1 {
-			t.Errorf("got %v", got)
-			break
-		}
 	}
 }
 

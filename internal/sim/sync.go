@@ -62,7 +62,7 @@ func (ev *Event) Wait(p *Proc) {
 // copies the list down nor gives up the front of the backing array the way
 // items = items[1:] does: a queue in steady state stops allocating once the
 // array has grown to its peak depth. It is plain data with no kernel
-// behaviour (Queue adds the blocking Pop); the zero value is an empty list.
+// behaviour; the zero value is an empty list.
 type FIFO[T any] struct {
 	items []T // items[head:] are live, items[:head] already popped and zeroed
 	head  int
@@ -217,56 +217,3 @@ func (r *Resource) Release() {
 
 // InUse returns the number of held units.
 func (r *Resource) InUse() int { return r.inUse }
-
-// Queue is an unbounded FIFO with blocking Pop, the kernel-level analogue of
-// a Go channel. Values are any; callers own the type discipline.
-type Queue[T any] struct {
-	env   *Env
-	items FIFO[T]
-	cond  *Cond
-}
-
-// NewQueue returns an empty queue bound to env.
-func NewQueue[T any](env *Env) *Queue[T] {
-	return &Queue[T]{env: env, cond: NewCond(env)}
-}
-
-// Push appends v and wakes one blocked Pop.
-func (q *Queue[T]) Push(v T) {
-	q.items.Push(v)
-	q.cond.Signal()
-}
-
-// Pop blocks p until an item is available, then removes and returns the
-// oldest one.
-func (q *Queue[T]) Pop(p *Proc) T {
-	for q.items.Len() == 0 {
-		q.cond.Wait(p)
-	}
-	return q.items.Pop()
-}
-
-// TryPop removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	if q.items.Len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items.Pop(), true
-}
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return q.items.Len() }
-
-// Drain removes and returns up to max items (all items if max <= 0).
-func (q *Queue[T]) Drain(max int) []T {
-	n := q.items.Len()
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = q.items.Pop()
-	}
-	return out
-}

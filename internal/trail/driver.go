@@ -291,10 +291,10 @@ type Driver struct {
 
 	// Record and staging bookkeeping.
 	seq          uint64
-	staging      map[bufKey]*bufEntry
-	stagedBytes  int64 // sum of bytes() over staging, kept where entries come and go
-	stageStamp   int64 // stage calls so far; orders overlapping staged extents
-	wbQueues     []*sim.Queue[bufKey]
+	staged       stripeIndex          // every staged entry
+	stagedBytes  int64                // sum of bytes() over staged, kept where entries come and go
+	stageStamp   int64                // stage calls so far; orders overlapping staged extents
+	wbQueues     []wbQueue            // each data disk's entries awaiting write-back
 	windows      [][wbWindow]wbFlight // each data disk's write-back window
 	allIdleCond  *sim.Cond
 	lastActivity sim.Time
@@ -384,7 +384,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 		cfg:         cfg,
 		epoch:       epoch,
 		logQCond:    sim.NewCond(env),
-		staging:     make(map[bufKey]*bufEntry),
+		wbQueues:    make([]wbQueue, len(data)),
 		windows:     make([][wbWindow]wbFlight, len(data)),
 		allIdleCond: sim.NewCond(env),
 		wbProgress:  sim.NewCond(env),
@@ -413,8 +413,7 @@ func NewDriverMulti(env *sim.Env, logs []*disk.Disk, data []*disk.Disk, cfg Conf
 		d.devIDs = append(d.devIDs, blockdev.DevID{Major: 8, Minor: uint8(i)})
 		d.dataNames = append(d.dataNames, fmt.Sprintf("data%d", i))
 		d.probeNames = append(d.probeNames, fmt.Sprintf("trail-data%d", i))
-		q := sim.NewQueue[bufKey](env)
-		d.wbQueues = append(d.wbQueues, q)
+		d.wbQueues[i].cond = sim.NewCond(env)
 		idx := i
 		env.Go(fmt.Sprintf("trail-writeback-%d", i), func(p *sim.Proc) { d.writebackLoop(p, idx) })
 	}
@@ -793,11 +792,16 @@ func (d *Driver) recordStagingHit(p *sim.Proc, devIdx int, lba int64, count int)
 }
 
 // stagedOver appends to over the staged extents of dev overlapping [lba,
-// lba+count), oldest first: by stamp, whichever way the staging map iterates.
+// lba+count), oldest first: by stamp, whatever order the index holds them in.
+// It probes the range's stripes and the one before, each in its bucket, which
+// stripes of other disks, or further along, may share.
 func (d *Driver) stagedOver(over []*bufEntry, devIdx int, lba int64, count int) []*bufEntry {
-	for k, e := range d.staging {
-		if k.dev == devIdx && k.lba < lba+int64(count) && k.lba+int64(e.count) > lba {
-			over = append(over, e)
+	x, end := &d.staged, lba+int64(count)
+	for s := lba/MaxBatch - 1; x.n > 0 && s <= (end-1)/MaxBatch; s++ {
+		for e := *x.bucket(devIdx, s); e != nil; e = e.chain {
+			if e.dev == devIdx && e.lba/MaxBatch == s && e.lba < end && e.lba+int64(e.count) > lba {
+				over = append(over, e)
+			}
 		}
 	}
 	slices.SortFunc(over, func(a, b *bufEntry) int { return cmp.Compare(a.stamp, b.stamp) })
@@ -1339,7 +1343,7 @@ func (d *Driver) drained() bool {
 // readable.
 func (d *Driver) PowerCut() {
 	d.closed = true
-	d.staging, d.stagedBytes = nil, 0
+	d.staged, d.stagedBytes = stripeIndex{}, 0
 	d.free = recycled{}
 	d.logQ.Reset(nil)
 	d.wbQueues, d.windows = nil, nil

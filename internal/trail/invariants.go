@@ -22,13 +22,16 @@ import (
 //  4. Every staged buffer's record references point at records of this
 //     driver, and no fully committed record is still referenced.
 //  5. Committed counts never exceed block counts.
-//  6. The running StagedBytes counter equals the sum over the staging map,
-//     and every staged image is the one pack makes of its sectors.
+//  6. The running StagedBytes counter equals the sum over the stripe index,
+//     every staged entry is filed under its own stripe, and every staged
+//     image is the one pack makes of its sectors.
 //  7. The oldest outstanding record is not committed: commitRef pops
 //     committed records off the head.
+//  8. Every entry a write-back queue or a flight not yet landed holds is
+//     staged, a queued one with inQueue set.
 //
-// Staged extents are audited in key order, so the violation reported is the
-// same on every run.
+// Staged extents are audited in (dev, lba, count) order, so the violation
+// reported is the same on every run.
 func (d *Driver) CheckInvariants() error {
 	type trackKey struct {
 		log, track int
@@ -69,32 +72,51 @@ func (d *Driver) CheckInvariants() error {
 			return fmt.Errorf("trail: log %d tail track bitmap has %d used sectors, usedOnTail %d", li, used, ld.usedOnTail)
 		}
 	}
-	keys := make([]bufKey, 0, len(d.staging))
-	for key := range d.staging {
-		keys = append(keys, key)
+	var entries []*bufEntry
+	for _, e := range d.staged.buckets {
+		for ; e != nil; e = e.chain {
+			entries = append(entries, e)
+		}
 	}
-	slices.SortFunc(keys, func(a, b bufKey) int {
+	slices.SortFunc(entries, func(a, b *bufEntry) int {
 		return cmp.Or(cmp.Compare(a.dev, b.dev), cmp.Compare(a.lba, b.lba), cmp.Compare(a.count, b.count))
 	})
+	if len(entries) != d.staged.n {
+		return fmt.Errorf("trail: stripe index counts %d entries, its buckets hold %d", d.staged.n, len(entries))
+	}
 	var staged int64
-	for _, key := range keys {
-		e := d.staging[key]
+	for _, e := range entries {
 		staged += e.bytes()
+		if d.staged.find(e.dev, e.lba, e.count) != e {
+			return fmt.Errorf("trail: staged dev %d lba %d count %d is not filed under its stripe", e.dev, e.lba, e.count)
+		}
 		buf := make([]byte, max(e.count, 0)*geom.SectorSize)
 		if unpack(buf, e.data, e.count, 0); e.count <= 0 || !bytes.Equal(pack(nil, buf), e.data) {
-			return fmt.Errorf("trail: staged %v has count %d and a %d-byte image of other sectors", key, e.count, len(e.data))
+			return fmt.Errorf("trail: staged dev %d lba %d has count %d and a %d-byte image of other sectors", e.dev, e.lba, e.count, len(e.data))
 		}
 		for _, ref := range e.refs {
 			if ref.rec == nil {
-				return fmt.Errorf("trail: staged %v holds nil record ref", key)
+				return fmt.Errorf("trail: staged dev %d lba %d holds nil record ref", e.dev, e.lba)
 			}
 			if ref.rec.done {
-				return fmt.Errorf("trail: staged %v references fully committed record seq %d", key, ref.rec.seq)
+				return fmt.Errorf("trail: staged dev %d lba %d references fully committed record seq %d", e.dev, e.lba, ref.rec.seq)
 			}
 		}
 	}
 	if staged != d.stagedBytes {
-		return fmt.Errorf("trail: stagedBytes counter %d, staging map holds %d", d.stagedBytes, staged)
+		return fmt.Errorf("trail: stagedBytes counter %d, stripe index holds %d", d.stagedBytes, staged)
+	}
+	for dev := range d.wbQueues {
+		for e := d.wbQueues[dev].head; e != nil; e = e.next {
+			if !e.inQueue || d.staged.find(dev, e.lba, e.count) != e {
+				return fmt.Errorf("trail: data disk %d queues a write-back of lba %d that is not staged and queued", dev, e.lba)
+			}
+		}
+		for _, f := range d.windows[dev] {
+			if e := f.entry; e != nil && d.staged.find(dev, e.lba, e.count) != e {
+				return fmt.Errorf("trail: data disk %d's write-back of lba %d is in flight for an entry no longer staged", dev, e.lba)
+			}
+		}
 	}
 	return nil
 }

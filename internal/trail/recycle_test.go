@@ -146,8 +146,10 @@ func auditFree(t *testing.T, step string, d *Driver) {
 func auditImages(t *testing.T, step string, d *Driver) {
 	t.Helper()
 	held := map[*byte]string{}
-	for k, e := range d.staging {
-		held[&e.data[0]] = fmt.Sprintf("staged at lba %d", k.lba)
+	for _, e := range d.staged.buckets {
+		for ; e != nil; e = e.chain {
+			held[&e.data[0]] = fmt.Sprintf("staged at lba %d", e.lba)
+		}
 	}
 	for k, class := range d.free.images.free {
 		for _, c := range class {
@@ -463,8 +465,8 @@ func TestSupersedingWriteSteadyStateAllocations(t *testing.T) {
 			if superseded < 3*(rounds+1) {
 				t.Fatalf("%d writes superseded a queued version in %d rounds, want at least 3 a round", superseded, rounds+1)
 			}
-			if n := drv.free.entries.free.Len(); n == 0 || len(drv.staging) != 0 {
-				t.Fatalf("%d free entries, %d staged; want the staging drained onto the free list", n, len(drv.staging))
+			if n := drv.free.entries.free.Len(); n == 0 || drv.staged.n != 0 {
+				t.Fatalf("%d free entries, %d staged; want the staging drained onto the free list", n, drv.staged.n)
 			}
 			// With a recorder, its handles, span lists and flow lists come
 			// from slabs, arenas and free lists: its chunks and ring growth

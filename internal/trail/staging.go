@@ -33,23 +33,18 @@ type recordRef struct {
 	sectors int
 }
 
-// bufKey identifies a staged write by data disk and extent. Writes to the
-// same extent supersede each other (the paper's buffer page semantics: only
-// the newest version of a buffer needs to reach the data disk). Extents that
-// merely overlap are staged separately; clients with page-granular I/O (the
-// file system, database, and all the paper's workloads) never produce
-// conflicting partial overlaps.
-type bufKey struct {
-	dev   int
-	lba   int64
-	count int
-}
-
-// bufEntry is one staged write pinned in the driver's buffer memory. data is
-// the write's image (pack); a write-back flight expands it into a buffer of
-// its own, so stage frees the image a newer version replaces.
+// bufEntry is one staged write pinned in the driver's buffer memory, of
+// data disk dev's extent [lba, lba+count). Writes to the same extent
+// supersede each other (the paper's buffer page semantics: only the newest
+// version of a buffer needs to reach the data disk). Extents that merely
+// overlap are staged separately; clients with page-granular I/O (the file
+// system, database, and all the paper's workloads) never produce conflicting
+// partial overlaps. data is the write's image (pack); a write-back flight
+// expands it into a buffer of its own, so stage frees the image a newer
+// version replaces.
 type bufEntry struct {
 	data  []byte
+	dev   int
 	lba   int64
 	count int
 	// stamp is the driver-wide stage count at which data was acknowledged: it
@@ -61,9 +56,12 @@ type bufEntry struct {
 	// superseding write grew stays with the entry when it is freed.
 	refs []recordRef
 	ref0 [1]recordRef
-	// inQueue is true while a write-back for this key is queued (only one
+	// inQueue is true while a write-back for this extent is queued (only one
 	// queued write-back per buffer: duplicate requests are skipped, §4.2).
 	inQueue bool
+	// chain is the next entry in the entry's stripeIndex bucket; next, while
+	// inQueue, the next in its data disk's wbQueue.
+	chain, next *bufEntry
 	// spanIDs lists the client write spans whose data this buffer holds,
 	// awaiting a write-back flight to claim them as flow sources (empty while
 	// span recording is disabled). Its array, like refs', stays with the
@@ -85,15 +83,14 @@ func (ld *logDisk) oldestOutstanding() *record {
 // version never needs its own data-disk write (its log records are freed
 // when the newer version commits).
 func (d *Driver) stage(pw *pendingWrite, rec *record) {
-	key := bufKey{dev: pw.devIdx, lba: pw.lba, count: pw.count}
-	e := d.staging[key]
+	e := d.staged.find(pw.devIdx, pw.lba, pw.count)
 	if e == nil {
 		e = d.free.entries.get()
-		e.lba, e.count = pw.lba, pw.count
+		e.dev, e.lba, e.count = pw.devIdx, pw.lba, pw.count
 		if e.refs == nil {
 			e.refs = e.ref0[:0]
 		}
-		d.staging[key] = e
+		d.staged.add(e)
 		d.stagedBytes += e.bytes()
 	} else if len(e.refs) > 0 || e.inQueue {
 		// A version of this buffer is already awaiting write-back; the
@@ -113,9 +110,109 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 	}
 	if !e.inQueue {
 		e.inQueue = true
-		d.wbQueues[pw.devIdx].Push(key)
+		d.wbQueues[pw.devIdx].push(e)
 	}
 	d.tlStaged.Set(float64(d.StagedBytes()), int64(d.env.Now()))
+}
+
+// stripeIndex files every staged entry under its stripe, (dev, lba /
+// MaxBatch), in a chained hash whose chains run through the entries' chain
+// links; its power-of-two bucket array doubles when the entries outnumber the
+// buckets and never shrinks. No staged extent is longer than MaxBatch sectors
+// (write splits at MaxBatchSectors), so the extents overlapping a range start
+// in its own stripes or in the one before.
+type stripeIndex struct {
+	buckets []*bufEntry
+	n       int // entries filed
+}
+
+// bucket returns the head of stripe s of data disk dev's bucket: a
+// splitmix64 finish of the pair, so neighbouring stripes spread out.
+func (x *stripeIndex) bucket(dev int, s int64) **bufEntry {
+	z := uint64(s) + uint64(dev)<<48 + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return &x.buckets[(z^z>>31)&uint64(len(x.buckets)-1)]
+}
+
+// find returns the entry staging dev's extent [lba, lba+count), or nil.
+func (x *stripeIndex) find(dev int, lba int64, count int) *bufEntry {
+	if x.n == 0 {
+		return nil
+	}
+	e := *x.bucket(dev, lba/MaxBatch)
+	for e != nil && (e.dev != dev || e.lba != lba || e.count != count) {
+		e = e.chain
+	}
+	return e
+}
+
+func (x *stripeIndex) add(e *bufEntry) {
+	if x.n++; x.n > len(x.buckets) {
+		old := x.buckets
+		x.buckets = make([]*bufEntry, max(2*len(old), 16))
+		for _, o := range old {
+			for o != nil {
+				next := o.chain
+				x.link(o)
+				o = next
+			}
+		}
+	}
+	x.link(e)
+}
+
+func (x *stripeIndex) link(e *bufEntry) {
+	b := x.bucket(e.dev, e.lba/MaxBatch)
+	e.chain, *b = *b, e
+}
+
+func (x *stripeIndex) remove(e *bufEntry) {
+	b := x.bucket(e.dev, e.lba/MaxBatch)
+	for *b != e {
+		b = &(*b).chain
+	}
+	*b, e.chain = e.chain, nil
+	x.n--
+}
+
+// wbQueue is one data disk's write-back queue, its entries linked through
+// next, oldest first: push wakes one waiting pop and pop waits while the
+// queue is empty, the pattern of a kernel queue, which holds no array.
+type wbQueue struct {
+	head, tail *bufEntry
+	cond       *sim.Cond
+}
+
+func (q *wbQueue) push(e *bufEntry) {
+	if q.tail == nil {
+		q.head = e
+	} else {
+		q.tail.next = e
+	}
+	q.tail = e
+	q.cond.Signal()
+}
+
+// pop removes and returns the oldest entry, waiting for one while the queue
+// is empty.
+func (q *wbQueue) pop(p *sim.Proc) *bufEntry {
+	for q.head == nil {
+		q.cond.Wait(p)
+	}
+	return q.tryPop()
+}
+
+// tryPop removes and returns the oldest entry, nil when there is none.
+func (q *wbQueue) tryPop() *bufEntry {
+	e := q.head
+	if e != nil {
+		q.head, e.next = e.next, nil
+		if q.head == nil {
+			q.tail = nil
+		}
+	}
+	return e
 }
 
 // wbWindow is the number of write-backs kept in flight per data disk, so
@@ -123,9 +220,9 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 // pre-empt.
 const wbWindow = 8
 
-// wbFlight is one in-flight write-back; buf, its slot's own, holds its data.
+// wbFlight is one write-back; buf, its slot's own, holds its data. entry is
+// the staged entry it writes until the flight lands or is abandoned, nil after.
 type wbFlight struct {
-	key   bufKey
 	entry *bufEntry
 	refs  []recordRef
 	ver   int64
@@ -142,39 +239,37 @@ type wbFlight struct {
 // locations, keeping up to wbWindow writes in the disk queue at once.
 // Reads pre-empt these writes in the data disk scheduler.
 func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
-	q := d.wbQueues[devIdx]
+	q := &d.wbQueues[devIdx]
 	// Every flight of a window lands before the next window is taken, so one
-	// set of keys and flights, with their refs and buffers, serves them all.
+	// set of flights, with their refs and buffers, serves them all; an entry
+	// leaves staging only when its own flight lands, so a queued one is
+	// staged still.
 	window := &d.windows[devIdx]
-	keys := make([]bufKey, 0, wbWindow)
 	for {
-		// Collect a window: block for the first key, drain extras.
-		keys = append(keys[:0], q.Pop(p))
-		for len(keys) < wbWindow {
-			k, ok := q.TryPop()
-			if !ok {
+		// Collect a window: block for the first entry, drain extras.
+		flights := window[:1]
+		flights[0].entry = q.pop(p)
+		for len(flights) < wbWindow {
+			e := q.tryPop()
+			if e == nil {
 				break
 			}
-			keys = append(keys, k)
-		}
-		flights := window[:0]
-		for _, key := range keys {
-			e := d.staging[key]
-			if e == nil || !e.inQueue {
-				continue
-			}
-			e.inQueue = false
 			flights = flights[:len(flights)+1]
-			f := &flights[len(flights)-1]
+			flights[len(flights)-1].entry = e
+		}
+		for i := range flights {
+			f := &flights[i]
+			e := f.entry
+			e.inQueue = false
 			buf := slices.Grow(f.buf[:0], e.count*geom.SectorSize)[:e.count*geom.SectorSize]
 			unpack(buf, e.data, e.count, 0)
-			*f = wbFlight{key: key, entry: e, refs: append(f.refs[:0], e.refs...), ver: e.stamp, buf: buf,
-				req: sched.Request{Write: true, LBA: key.lba, Count: e.count, Data: buf}}
+			*f = wbFlight{entry: e, refs: append(f.refs[:0], e.refs...), ver: e.stamp, buf: buf,
+				req: sched.Request{Write: true, LBA: e.lba, Count: e.count, Data: buf}}
 			e.refs = e.refs[:0]
 			if d.rec != nil {
 				f.cursor = int64(p.Now())
 				f.rq = d.rec.Start(span.KWriteback, "trail", d.dataNames[devIdx],
-					key.lba, e.count, f.cursor)
+					e.lba, e.count, f.cursor)
 				// Flow edges tie the flight back to the client writes whose
 				// data it commits.
 				for _, id := range e.spanIDs {
@@ -186,26 +281,25 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			d.tlFlights.Add(1, int64(p.Now()))
 			// A write-back flight has left staging for the data disk's
 			// scheduler: a crash-exploration flight boundary.
-			d.env.EmitProbe(p, sim.ProbeWBStart, d.probeNames[devIdx], key.lba, e.count)
+			d.env.EmitProbe(p, sim.ProbeWBStart, d.probeNames[devIdx], e.lba, e.count)
 		}
-		if len(flights) > 0 {
-			d.tlStagingFlush.Add(int64(len(flights)), int64(p.Now()))
-		}
-		if d.tr != nil && len(flights) > 0 {
+		d.tlStagingFlush.Add(int64(len(flights)), int64(p.Now()))
+		if d.tr != nil {
 			d.tr.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KStagingFlush,
-				Track: d.dataNames[devIdx], Count: len(flights), A: int64(len(d.staging))})
+				Track: d.dataNames[devIdx], Count: len(flights), A: int64(d.staged.n)})
 		}
 		for i := range flights {
 			f := &flights[i]
 			n, err := d.dataQueues[devIdx].Serve(p, &f.req, maxWritebackTries, f.rq, f.cursor)
 			d.stats.WritebackRetries += int64(n)
+			e := f.entry
+			f.entry = nil
 			if err != nil {
 				// Abandon the write-back: put the record references back on
 				// the staging entry uncommitted, so the log space stays
 				// pinned and the data remains both readable (staging
 				// overlays reads) and crash-recoverable (from the log).
 				d.stats.AbandonedWritebacks++
-				e := f.entry
 				e.refs = slices.Insert(e.refs, 0, f.refs...)
 				d.tlFlights.Add(-1, int64(p.Now()))
 				continue
@@ -214,14 +308,14 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			d.tlWriteBacks.Inc(int64(p.Now()))
 			// The flight's data is on the data disk; its log records are
 			// about to be credited: the closing flight boundary.
-			d.env.EmitProbe(p, sim.ProbeWBEnd, d.probeNames[devIdx], f.key.lba, f.req.Count)
+			d.env.EmitProbe(p, sim.ProbeWBEnd, d.probeNames[devIdx], f.req.LBA, f.req.Count)
 			for _, ref := range f.refs {
 				d.commitRef(ref)
 			}
 			// Release the entry and its image if no newer version arrived
 			// mid-flight.
-			if e := f.entry; d.staging[f.key] == e && e.stamp == f.ver && len(e.refs) == 0 && !e.inQueue {
-				delete(d.staging, f.key)
+			if e.stamp == f.ver && len(e.refs) == 0 && !e.inQueue {
+				d.staged.remove(e)
 				d.stagedBytes -= e.bytes()
 				d.tlStaged.Set(float64(d.StagedBytes()), int64(p.Now()))
 				d.free.images.put(e.data)
