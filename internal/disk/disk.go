@@ -820,3 +820,18 @@ func (d *Disk) MediaZero() { d.media = newSectorStore() }
 
 // WrittenSectors returns how many distinct sectors hold data.
 func (d *Disk) WrittenSectors() int { return d.media.n }
+
+// MediaBytes returns the slab bytes the media store holds for the sectors
+// written: each sector's slot, its held length rounded up to 16 bytes until
+// it grows to a whole sector. The unused tail of the newest slab is not
+// counted.
+func (d *Disk) MediaBytes() int {
+	n := 0
+	for _, slab := range d.media.slabs {
+		n += cap(slab)
+	}
+	if last := len(d.media.slabs) - 1; last >= 0 {
+		n -= cap(d.media.slabs[last]) - len(d.media.slabs[last])
+	}
+	return n
+}

@@ -342,18 +342,6 @@ func TestAccessWriteAllocations(t *testing.T) {
 	}
 }
 
-// slabBytes is what s's slabs hold, less the unused tail of the newest.
-func slabBytes(s *sectorStore) int {
-	n := 0
-	for _, slab := range s.slabs {
-		n += cap(slab)
-	}
-	if last := len(s.slabs) - 1; last >= 0 {
-		n -= cap(s.slabs[last]) - len(s.slabs[last])
-	}
-	return n
-}
-
 // TestMediaAllocationsFollowContent: the store holds a sector's bytes up to
 // its last non-zero one, so a drive of stamped client blocks (a 16-byte
 // stamp per sector, as the benchmark's workloads write) costs a small
@@ -383,7 +371,7 @@ func TestMediaAllocationsFollowContent(t *testing.T) {
 		d     *Disk
 		bound int
 	}{{"stamped", stamped, 64}, {"dense", dense, geom.SectorSize}} {
-		if per := slabBytes(&tc.d.media) / tc.d.WrittenSectors(); per > tc.bound {
+		if per := tc.d.MediaBytes() / tc.d.WrittenSectors(); per > tc.bound {
 			t.Errorf("%s 4 KB writes hold %d slab bytes a sector, want <= %d", tc.name, per, tc.bound)
 		}
 	}
@@ -394,7 +382,7 @@ func TestMediaAllocationsFollowContent(t *testing.T) {
 		sec[n-1] = byte(n) | 1
 		grown.MediaWrite(7, sec)
 	}
-	if got, want := slabBytes(&grown.media), 16+geom.SectorSize; got > want {
+	if got, want := grown.MediaBytes(), 16+geom.SectorSize; got > want {
 		t.Errorf("a sector rewritten 512 times, growing, holds %d slab bytes, want <= %d (two slots)", got, want)
 	}
 	if !bytes.Equal(grown.MediaRead(7, 1), sec) {

@@ -260,6 +260,9 @@ type logDisk struct {
 	// dead marks a log disk lost to blockdev.ErrDeviceFailed; its writer
 	// has exited and the allocator never touches it again.
 	dead bool
+	// parked marks a writer stalled on a track that write-backs pin which
+	// failed again when retried, while another log disk takes the queue.
+	parked bool
 
 	// name is the disk's tracer track and timeline and metrics name ("logN").
 	name string
@@ -296,6 +299,8 @@ type Driver struct {
 	stageStamp   int64                // stage calls so far; orders overlapping staged extents
 	wbQueues     []wbQueue            // each data disk's entries awaiting write-back
 	windows      [][wbWindow]wbFlight // each data disk's write-back window
+	abandoned    []abandonedWB        // entries whose write-back failed, oldest first
+	retryRounds  int                  // log stalls that queued abandoned entries again
 	allIdleCond  *sim.Cond
 	lastActivity sim.Time
 
@@ -864,20 +869,45 @@ func (d *Driver) reestablishRef(p *sim.Proc, ld *logDisk) (bool, error) {
 // for the track to be free, then repositions the head onto it with a
 // one-sector read at the closest reachable sector, refreshing the
 // prediction reference (paper §3.1/§5.1: reposition by issuing a read;
-// typical cost ~1.5 ms).
-func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk) {
-	fromCyl, _, spt := ld.tailTrack()
-	if ld.usedOnTail > 0 {
-		d.stats.TrackUtilSum += float64(ld.usedOnTail) / float64(spt)
-		d.stats.TrackUtilTracks++
-	}
+// typical cost ~1.5 ms). full says the tail track has no room for the next
+// record. A track that abandoned write-backs pin is not freed by waiting.
+// Short of full, the tail stays where it is; a full tail's stall queues
+// them again, once (retryPinning). If a retry fails too, the writes waiting
+// in the log queue fail with its error, unless another log disk's writer
+// can take them; then this one parks until the track frees.
+func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk, full bool) {
 	next := (ld.posIdx + 1) % NumUsableTracks(ld.g)
 	if next == len(ld.busyCount) {
 		ld.busyCount = append(ld.busyCount, 0) // the tail reaches a new track
 	}
+	round := 0
 	for ld.busyCount[next] > 0 {
+		if len(d.abandoned) > 0 {
+			if !full && d.pinnedByAbandoned(ld, next) {
+				return
+			}
+			if round == 0 {
+				d.retryRounds++
+				round = d.retryRounds
+			}
+			if err := d.retryPinning(ld, next, round); err != nil {
+				if !d.lastUnparked(ld) {
+					ld.parked = true
+				} else {
+					ld.parked = false
+					d.failQueue(fmt.Errorf("log track pinned by a failed write-back: %w", err))
+					return
+				}
+			}
+		}
 		d.stats.LogFullStalls++
 		ld.spaceFreed.Wait(p)
+	}
+	ld.parked = false
+	fromCyl, _, spt := ld.tailTrack()
+	if ld.usedOnTail > 0 {
+		d.stats.TrackUtilSum += float64(ld.usedOnTail) / float64(spt)
+		d.stats.TrackUtilTracks++
 	}
 	nextCyl, _ := ld.g.TrackOf(UsableTrack(ld.g, next))
 	move := ld.head.moveCost(fromCyl, nextCyl)
@@ -934,7 +964,7 @@ func (d *Driver) logWriterLoop(p *sim.Proc, ld *logDisk) {
 		// tail track has no such run, move to the next track.
 		target, run, ok := d.chooseTarget(p.Now(), ld, 1+first.count)
 		if !ok {
-			d.advanceTrack(p, ld)
+			d.advanceTrack(p, ld, true)
 			continue
 		}
 
@@ -957,7 +987,7 @@ func (d *Driver) logWriterLoop(p *sim.Proc, ld *logDisk) {
 
 		_, _, spt := ld.tailTrack()
 		if float64(ld.usedOnTail)/float64(spt) >= d.cfg.UtilizationThreshold {
-			d.advanceTrack(p, ld)
+			d.advanceTrack(p, ld, false)
 		}
 	}
 }
@@ -1249,6 +1279,11 @@ func (d *Driver) failLogDisk(ld *logDisk, err error) {
 	ld.dead = true
 	d.stats.LogDiskFailures++
 	for _, other := range d.logs {
+		if other.parked {
+			other.spaceFreed.Broadcast() // it may be the last writer now
+		}
+	}
+	for _, other := range d.logs {
 		if !other.dead {
 			d.logQCond.Broadcast() // surviving writers pick up the queue
 			return
@@ -1258,14 +1293,30 @@ func (d *Driver) failLogDisk(ld *logDisk, err error) {
 		err = blockdev.ErrDeviceFailed
 	}
 	d.failed = fmt.Errorf("all log disks failed: %w", err)
+	d.failQueue(d.failed)
+	d.allIdleCond.Broadcast()
+}
+
+// failQueue fails every write waiting in the log queue with err.
+func (d *Driver) failQueue(err error) {
 	for _, pw := range d.logQ.Live() {
-		pw.err = d.failed
+		pw.err = err
 		d.stats.FailedWrites++
 		d.finishFailed(pw)
 		pw.done.Trigger()
 	}
 	d.logQ.Reset(nil)
-	d.allIdleCond.Broadcast()
+}
+
+// lastUnparked reports whether ld is the only live log disk whose writer is
+// not parked: nobody else will take the log queue.
+func (d *Driver) lastUnparked(ld *logDisk) bool {
+	for _, other := range d.logs {
+		if other != ld && !other.dead && !other.parked {
+			return false
+		}
+	}
+	return true
 }
 
 // idleLoop periodically refreshes the prediction reference points while the
@@ -1346,7 +1397,7 @@ func (d *Driver) PowerCut() {
 	d.staged, d.stagedBytes = stripeIndex{}, 0
 	d.free = recycled{}
 	d.logQ.Reset(nil)
-	d.wbQueues, d.windows = nil, nil
+	d.wbQueues, d.windows, d.abandoned = nil, nil, nil
 	for _, ld := range d.logs {
 		ld.batch = nil
 	}

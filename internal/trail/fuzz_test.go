@@ -23,31 +23,24 @@ import (
 )
 
 // FuzzDecodeRecordHeader throws arbitrary sectors at the record-header
-// decoder. Anything accepted must survive a re-encode/re-decode round trip
-// unchanged — a decoder that "repairs" fields would corrupt recovery.
+// decoder. Anything accepted must re-encode to the same bytes: only the
+// encoder's canonical form passes, so a decoder that "repairs" fields or
+// reads a block list two ways would show here.
 func FuzzDecodeRecordHeader(f *testing.F) {
 	f.Add(make([]byte, geom.SectorSize))
 	f.Add([]byte{})
-	h := &RecordHeader{
-		Epoch:     3,
-		Seq:       41,
-		HeaderLBA: 1200,
-		PrevSect:  1100,
-		LogHead:   900,
-		Blocks: []BlockRef{
-			{Dev: blockdev.DevID{Major: 8, Minor: 1}, DataLBA: 5000, FirstDataByte: 0xA5},
-			{Dev: blockdev.DevID{Major: 8, Minor: 2}, DataLBA: 72, FirstDataByte: 0x00},
-		},
-	}
-	if sec, err := h.Encode(); err == nil {
-		f.Add(sec)
-		// Near-valid mutants: flipped signature byte, oversized batch.
-		mut := bytes.Clone(sec)
-		mut[1] ^= 0xFF
-		f.Add(mut)
-		mut = bytes.Clone(sec)
-		mut[rhOffBatch] = 0xFF
-		f.Add(mut)
+	valid, hostile := hostileHeaders()
+	f.Add(valid)
+	// Near-valid mutants: flipped signature byte, oversized batch, and every
+	// hostile run encoding.
+	mut := bytes.Clone(valid)
+	mut[1] ^= 0xFF
+	f.Add(mut)
+	mut = bytes.Clone(valid)
+	mut[rhOffBatch] = 0xFF
+	f.Add(reseal(mut))
+	for _, h := range hostile {
+		f.Add(h.sec)
 	}
 	f.Fuzz(func(t *testing.T, sector []byte) {
 		dec, err := DecodeRecordHeader(sector)
@@ -58,21 +51,8 @@ func FuzzDecodeRecordHeader(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted header does not re-encode: %v", err)
 		}
-		dec2, err := DecodeRecordHeader(re)
-		if err != nil {
-			t.Fatalf("re-encoded header rejected: %v", err)
-		}
-		if dec.Epoch != dec2.Epoch || dec.Seq != dec2.Seq ||
-			dec.HeaderLBA != dec2.HeaderLBA || dec.PrevSect != dec2.PrevSect ||
-			dec.LogHead != dec2.LogHead || dec.DataCRC != dec2.DataCRC ||
-			len(dec.Blocks) != len(dec2.Blocks) {
-			t.Fatalf("round trip changed header: %+v vs %+v", dec, dec2)
-		}
-		for i := range dec.Blocks {
-			if dec.Blocks[i] != dec2.Blocks[i] {
-				t.Fatalf("round trip changed block %d: %+v vs %+v",
-					i, dec.Blocks[i], dec2.Blocks[i])
-			}
+		if !bytes.Equal(re, sector[:geom.SectorSize]) {
+			t.Fatalf("accepted header re-encodes to other bytes:\n%x\n%x", sector[:geom.SectorSize], re)
 		}
 	})
 }
@@ -119,11 +99,11 @@ func FuzzDecodeDiskHeader(f *testing.F) {
 
 // FuzzRecoverLog runs crash recovery over a crashed log disk one of whose
 // tracks (header replicas included) holds arbitrary bytes: media damage,
-// stale garbage, or records whose header fields were rewritten — the header
-// carries no checksum of its own, so a record image with an edited prev_sect,
-// seq or block list still passes its data CRC. Recovery must return a report
-// or an error wrapping one of trail's or blockdev's sentinels, never panic,
-// and read a bounded number of tracks, so a looping chain cannot hang it.
+// stale garbage, or forged records whose headers carry valid CRCs over
+// hostile fields (a prev_sect loop, a device or LBA no data disk has).
+// Recovery must return a report or an error wrapping one of trail's or
+// blockdev's sentinels, never panic, and read a bounded number of tracks, so
+// a looping chain cannot hang it.
 func FuzzRecoverLog(f *testing.F) {
 	crashed := crashAfterWrites(f, 8)
 	g := crashed.log.Geom()
@@ -171,6 +151,9 @@ func FuzzRecoverLog(f *testing.F) {
 	f.Add(uint8(first), forge(RecordHeader{PrevSect: g.TotalSectors() + 7}))                 // off the disk
 	f.Add(uint8(first), forge(RecordHeader{PrevSect: -1, Blocks: []BlockRef{{Dev: blockdev.DevID{Major: 9, Minor: 9}}}}))
 	f.Add(uint8(first), forge(RecordHeader{PrevSect: -1, Blocks: []BlockRef{{Dev: blockdev.DevID{Major: 8}, DataLBA: math.MaxInt64}}}))
+	flipped := forge(RecordHeader{PrevSect: -1})
+	flipped[rhOffPrev] ^= 1 // the header CRC no longer matches: not a record
+	f.Add(uint8(first), flipped)
 
 	// The locate phase scans at most every usable track plus the binary
 	// search's probes. The chain walk moves strictly back in sequence, so it

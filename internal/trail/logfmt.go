@@ -17,13 +17,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 )
 
-// Log format constants. The on-disk encoding is little-endian with fixed
-// offsets; see RecordHeader.Encode for the layout.
+// Log format constants. The on-disk encoding is little-endian; the record
+// header's layout is given with its offsets, below RecordHeader.
 const (
 	// MaxBatch is the maximum number of data sectors in one write record,
 	// matching the paper's MAX_TRAIL_BATCH (Table 1 sweeps batch sizes up
@@ -109,20 +110,21 @@ func EncodeDiskHeader(h *DiskHeader) ([]byte, error) {
 		le.PutUint32(buf[off+8:], uint32(z.SPT))
 		off += 12
 	}
-	le.PutUint32(buf[14:], headerCRC(buf))
+	le.PutUint32(buf[14:], sectorCRC(buf, 14))
 	return buf, nil
 }
 
-// headerCRC computes the checksum of a header sector with its CRC field
-// treated as zero.
-func headerCRC(sector []byte) uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write(sector[:14])
-	var zero [4]byte
-	crc.Write(zero[:])
-	crc.Write(sector[18:])
-	return crc.Sum32()
+// sectorCRC computes the checksum of a header sector with its 4-byte CRC
+// field, at offset at, treated as zero.
+func sectorCRC(sector []byte, at int) uint32 {
+	crc := crc32.Update(0, crc32.IEEETable, sector[:at])
+	crc = crc32.Update(crc, crc32.IEEETable, zeroCRC[:])
+	return crc32.Update(crc, crc32.IEEETable, sector[at+4:])
 }
+
+// zeroCRC is a CRC field as sectorCRC reads it; a local array would escape
+// to the heap through crc32.Update.
+var zeroCRC [4]byte
 
 // DecodeDiskHeader parses a disk header sector.
 func DecodeDiskHeader(sector []byte) (*DiskHeader, error) {
@@ -133,7 +135,7 @@ func DecodeDiskHeader(sector []byte) (*DiskHeader, error) {
 		return nil, ErrNotTrailDisk
 	}
 	le := binary.LittleEndian
-	if le.Uint32(sector[14:]) != headerCRC(sector) {
+	if le.Uint32(sector[14:]) != sectorCRC(sector, 14) {
 		return nil, fmt.Errorf("%w: header checksum mismatch", ErrNotTrailDisk)
 	}
 	h := &DiskHeader{
@@ -198,7 +200,10 @@ type RecordHeader struct {
 	Blocks []BlockRef
 }
 
-// Record header layout offsets.
+// Record header layout: fixed fields, then the block list as extent runs in
+// log order, then one displaced first byte per block, then zeroes to the end
+// of the sector. A run is a maximal stretch of consecutive data LBAs on one
+// device; the header CRC covers the whole sector with its own field zeroed.
 const (
 	rhOffEpoch    = 9
 	rhOffSeq      = 13
@@ -206,15 +211,36 @@ const (
 	rhOffPrev     = 29
 	rhOffLogHead  = 37
 	rhOffBatch    = 45
-	rhOffCRC      = 49
-	rhOffEntries  = 53
-	rhEntrySize   = 10 // dataLBA(8) + major(1) + minor(1)
-	rhFirstBytes  = rhOffEntries + MaxBatch*rhEntrySize
-	rhEncodedSize = rhFirstBytes + MaxBatch // one displaced first byte per block
+	rhOffCRC      = 49 // DataCRC
+	rhOffHdrCRC   = 53
+	rhOffRuns     = 57 // run count, one byte
+	rhOffRunTable = 58
+	rhRunSize     = 11 // dataLBA(8) + major(1) + minor(1) + length(1)
+	// rhMaxSize is the encoded size of the largest header: MaxBatch blocks
+	// in as many one-block runs.
+	rhMaxSize = rhOffRunTable + MaxBatch*rhRunSize + MaxBatch
 )
 
 // compile-time check that the header fits in one sector
-var _ [geom.SectorSize - rhEncodedSize]byte
+var _ [geom.SectorSize - rhMaxSize]byte
+
+// encodedSize is how many bytes a header of the given runs and blocks
+// encodes into; the rest of its sector is zero.
+func encodedSize(runs, blocks int) int { return rhOffRunTable + runs*rhRunSize + blocks }
+
+// follows reports whether a block of dev at lba extends a run ending at b.
+func follows(b BlockRef, dev blockdev.DevID, lba int64) bool {
+	return dev == b.Dev && b.DataLBA < math.MaxInt64 && lba == b.DataLBA+1
+}
+
+// runLen returns the length of the run starting at blocks[0].
+func runLen(blocks []BlockRef) int {
+	n := 1
+	for n < len(blocks) && follows(blocks[n-1], blocks[n].Dev, blocks[n].DataLBA) {
+		n++
+	}
+	return n
+}
 
 // Encode serializes the header into a single sector.
 func (h *RecordHeader) Encode() ([]byte, error) {
@@ -226,7 +252,8 @@ func (h *RecordHeader) Encode() ([]byte, error) {
 }
 
 // encodeInto serializes the header over sector, which the caller may be
-// reusing: every byte is rewritten, the tail past rhEncodedSize with zeroes.
+// reusing: every byte is rewritten, the tail past the encoded size with
+// zeroes.
 func (h *RecordHeader) encodeInto(sector []byte) error {
 	if len(h.Blocks) == 0 || len(h.Blocks) > MaxBatch {
 		return fmt.Errorf("trail: record with %d blocks (max %d)", len(h.Blocks), MaxBatch)
@@ -243,30 +270,52 @@ func (h *RecordHeader) encodeInto(sector []byte) error {
 	le.PutUint64(buf[rhOffLogHead:], uint64(h.LogHead))
 	le.PutUint32(buf[rhOffBatch:], uint32(len(h.Blocks)))
 	le.PutUint32(buf[rhOffCRC:], h.DataCRC)
-	for i, b := range h.Blocks {
-		off := rhOffEntries + i*rhEntrySize
+	off, runs := rhOffRunTable, 0
+	for i := 0; i < len(h.Blocks); runs++ {
+		b, n := h.Blocks[i], runLen(h.Blocks[i:])
 		le.PutUint64(buf[off:], uint64(b.DataLBA))
-		buf[off+8] = b.Dev.Major
-		buf[off+9] = b.Dev.Minor
-		buf[rhFirstBytes+i] = b.FirstDataByte
+		buf[off+8], buf[off+9], buf[off+10] = b.Dev.Major, b.Dev.Minor, byte(n)
+		off += rhRunSize
+		i += n
 	}
+	buf[rhOffRuns] = byte(runs)
+	for i, b := range h.Blocks {
+		buf[off+i] = b.FirstDataByte
+	}
+	le.PutUint32(buf[rhOffHdrCRC:], sectorCRC(buf, rhOffHdrCRC))
 	return nil
 }
 
 // DecodeRecordHeader parses a record header sector. It returns ErrNotRecord
 // for sectors that are not record headers (data payload, stale garbage,
-// zeroes).
+// zeroes) and for headers whose CRC fails or whose encoding is not the one
+// encodeInto writes: runs that are empty, not maximal, overflow the LBA
+// space or do not add up to the batch, or bytes past the encoded size.
 func DecodeRecordHeader(sector []byte) (*RecordHeader, error) {
 	if len(sector) < geom.SectorSize {
 		return nil, fmt.Errorf("%w: short sector", ErrNotRecord)
 	}
+	sector = sector[:geom.SectorSize]
 	if sector[0] != recordFirstByte || string(sector[1:9]) != string(recordSignature[:]) {
 		return nil, ErrNotRecord
 	}
 	le := binary.LittleEndian
+	if le.Uint32(sector[rhOffHdrCRC:]) != sectorCRC(sector, rhOffHdrCRC) {
+		return nil, fmt.Errorf("%w: header checksum mismatch", ErrNotRecord)
+	}
 	n := int(le.Uint32(sector[rhOffBatch:]))
 	if n == 0 || n > MaxBatch {
 		return nil, fmt.Errorf("%w: batch size %d", ErrNotRecord, n)
+	}
+	runs := int(sector[rhOffRuns])
+	if runs == 0 || runs > n {
+		return nil, fmt.Errorf("%w: %d runs for %d blocks", ErrNotRecord, runs, n)
+	}
+	end := encodedSize(runs, n)
+	for _, c := range sector[end:] {
+		if c != 0 {
+			return nil, fmt.Errorf("%w: bytes past the encoded header", ErrNotRecord)
+		}
 	}
 	h := &RecordHeader{
 		Epoch:     le.Uint32(sector[rhOffEpoch:]),
@@ -277,13 +326,27 @@ func DecodeRecordHeader(sector []byte) (*RecordHeader, error) {
 		DataCRC:   le.Uint32(sector[rhOffCRC:]),
 		Blocks:    make([]BlockRef, n),
 	}
-	for i := 0; i < n; i++ {
-		off := rhOffEntries + i*rhEntrySize
-		h.Blocks[i] = BlockRef{
-			DataLBA:       int64(le.Uint64(sector[off:])),
-			Dev:           blockdev.DevID{Major: sector[off+8], Minor: sector[off+9]},
-			FirstDataByte: sector[rhFirstBytes+i],
+	first := sector[end-n : end]
+	i := 0
+	for r := range runs {
+		run := sector[rhOffRunTable+r*rhRunSize:]
+		lba, dev, length := int64(le.Uint64(run)), blockdev.DevID{Major: run[8], Minor: run[9]}, int(run[10])
+		if length == 0 || length > n-i {
+			return nil, fmt.Errorf("%w: run %d of %d blocks at block %d of %d", ErrNotRecord, r, length, i, n)
 		}
+		if lba > math.MaxInt64-int64(length-1) {
+			return nil, fmt.Errorf("%w: run %d overflows the LBA space", ErrNotRecord, r)
+		}
+		if i > 0 && follows(h.Blocks[i-1], dev, lba) {
+			return nil, fmt.Errorf("%w: run %d continues run %d", ErrNotRecord, r, r-1)
+		}
+		for k := range length {
+			h.Blocks[i] = BlockRef{Dev: dev, DataLBA: lba + int64(k), FirstDataByte: first[i]}
+			i++
+		}
+	}
+	if i != n {
+		return nil, fmt.Errorf("%w: runs cover %d of %d blocks", ErrNotRecord, i, n)
 	}
 	return h, nil
 }

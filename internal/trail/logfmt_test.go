@@ -2,7 +2,11 @@ package trail
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -223,6 +227,156 @@ func TestDecodeRecordHeaderRejectsGarbage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecordHeaderRuns: the encoder coalesces blocks into maximal runs of
+// consecutive LBAs on one device, and the decoder expands them back to the
+// same block list, across device changes, gaps, a run ending at the last
+// LBA and one of MaxBatch blocks.
+func TestRecordHeaderRuns(t *testing.T) {
+	a, b := blockdev.DevID{Major: 8}, blockdev.DevID{Major: 8, Minor: 1}
+	ref := func(dev blockdev.DevID, lba int64) BlockRef {
+		return BlockRef{Dev: dev, DataLBA: lba, FirstDataByte: byte(lba) | 1}
+	}
+	long := make([]BlockRef, MaxBatch)
+	for i := range long {
+		long[i] = ref(b, 1<<40+int64(i))
+	}
+	cases := []struct {
+		name   string
+		blocks []BlockRef
+		runs   int
+	}{
+		{"one block", []BlockRef{ref(a, 7)}, 1},
+		{"one extent", []BlockRef{ref(a, 8), ref(a, 9), ref(a, 10)}, 1},
+		{"device change", []BlockRef{ref(a, 8), ref(b, 9), ref(b, 10)}, 2},
+		{"gap and back", []BlockRef{ref(a, 8), ref(a, 10), ref(a, 9)}, 3},
+		{"last LBA", []BlockRef{ref(a, math.MaxInt64-1), ref(a, math.MaxInt64), ref(a, math.MinInt64)}, 2},
+		{"MaxBatch blocks", long, 1},
+	}
+	for _, tc := range cases {
+		h := &RecordHeader{Epoch: 2, Seq: 5, HeaderLBA: 99, PrevSect: -1, LogHead: 99, Blocks: tc.blocks}
+		sec, err := h.Encode()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := int(sec[rhOffRuns]); got != tc.runs {
+			t.Errorf("%s: %d runs, want %d", tc.name, got, tc.runs)
+		}
+		size := encodedSize(tc.runs, len(tc.blocks))
+		if geom.Held(sec) != size {
+			t.Errorf("%s: header holds %d bytes, want %d", tc.name, geom.Held(sec), size)
+		}
+		dec, err := DecodeRecordHeader(sec)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if !slices.Equal(dec.Blocks, tc.blocks) {
+			t.Errorf("%s: decoded blocks %v, want %v", tc.name, dec.Blocks, tc.blocks)
+		}
+	}
+}
+
+// reseal recomputes a header sector's CRC after a test edited it, so the
+// decoder judges the edit itself.
+func reseal(sec []byte) []byte {
+	binary.LittleEndian.PutUint32(sec[rhOffHdrCRC:], sectorCRC(sec, rhOffHdrCRC))
+	return sec
+}
+
+// hostileHeader is an encoding no encoder writes and the decoder's error
+// text for it.
+type hostileHeader struct {
+	name, want string
+	sec        []byte
+}
+
+// hostileHeaders edits a two-run header of four blocks, (8,1) 5000-5002 and
+// (8,2) 72, into encodings no encoder writes, each with a valid CRC but the
+// last; it returns the unedited header too.
+func hostileHeaders() (valid []byte, hostile []hostileHeader) {
+	h := &RecordHeader{Epoch: 3, Seq: 41, HeaderLBA: 1200, PrevSect: 1100, LogHead: 900, Blocks: []BlockRef{
+		{Dev: blockdev.DevID{Major: 8, Minor: 1}, DataLBA: 5000, FirstDataByte: 0xA5},
+		{Dev: blockdev.DevID{Major: 8, Minor: 1}, DataLBA: 5001, FirstDataByte: 0x01},
+		{Dev: blockdev.DevID{Major: 8, Minor: 1}, DataLBA: 5002, FirstDataByte: 0x02},
+		{Dev: blockdev.DevID{Major: 8, Minor: 2}, DataLBA: 72, FirstDataByte: 0x03},
+	}}
+	valid, err := h.Encode()
+	if err != nil {
+		panic(err)
+	}
+	run0, run1 := rhOffRunTable, rhOffRunTable+rhRunSize
+	edit := func(f func(s []byte)) []byte {
+		s := bytes.Clone(valid)
+		f(s)
+		return reseal(s)
+	}
+	return valid, []hostileHeader{
+		{"zero-length run", "run 0 of 0 blocks", edit(func(s []byte) { s[run0+10] = 0 })},
+		{"runs past the batch", "run 1 of 2 blocks at block 3 of 4", edit(func(s []byte) { s[run1+10] = 2 })},
+		{"runs short of the batch", "runs cover 3 of 4 blocks", edit(func(s []byte) { s[run0+10] = 2 })},
+		{"LBA range overflows", "run 0 overflows", edit(func(s []byte) { binary.LittleEndian.PutUint64(s[run0:], math.MaxInt64-1) })},
+		{"runs past MaxBatch", "33 runs for 4 blocks", edit(func(s []byte) { s[rhOffRuns] = MaxBatch + 1 })},
+		{"no runs", "0 runs for 4 blocks", edit(func(s []byte) { s[rhOffRuns] = 0 })},
+		{"non-maximal runs", "run 1 continues run 0", edit(func(s []byte) {
+			// (8,1) 5000-5001 and 5002 as two runs, then (8,2) 72.
+			copy(s[rhOffRunTable+2*rhRunSize:], s[run1:run1+rhRunSize+4])
+			copy(s[run1:], s[run0:run0+rhRunSize])
+			s[run0+10], s[run1+10] = 2, 1
+			binary.LittleEndian.PutUint64(s[run1:], 5002)
+			s[rhOffRuns] = 3
+		})},
+		{"byte past the header", "bytes past the encoded header", edit(func(s []byte) { s[geom.SectorSize-1] = 1 })},
+		{"stale CRC", "header checksum mismatch", func() []byte { s := bytes.Clone(valid); s[rhOffSeq] ^= 1; return s }()},
+	}
+}
+
+// TestDecodeRecordHeaderRejectsHostileRuns: every encoding hostileHeaders
+// lists ends in ErrNotRecord for its own reason, and the header they were
+// edited from decodes.
+func TestDecodeRecordHeaderRejectsHostileRuns(t *testing.T) {
+	valid, hostile := hostileHeaders()
+	if _, err := DecodeRecordHeader(valid); err != nil {
+		t.Fatalf("the unedited header: %v", err)
+	}
+	for _, tc := range hostile {
+		if h, err := DecodeRecordHeader(tc.sec); !errors.Is(err, ErrNotRecord) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decoded %+v, err %v; want ErrNotRecord: ...%s", tc.name, h, err, tc.want)
+		}
+	}
+}
+
+// TestRecordHeaderBitFlipsRejected flips every bit of the header sectors of
+// a one-block record, an 8-block one-run record and a 32-block record of
+// scattered blocks: the CRC rejects each flip, and none panics.
+func TestRecordHeaderBitFlipsRejected(t *testing.T) {
+	one, _ := sampleRecord(1)
+	scattered, _ := sampleRecord(MaxBatch) // LBAs 7 apart
+	oneRun := &RecordHeader{Epoch: 3, Seq: 7, HeaderLBA: 40, PrevSect: 20, LogHead: 20}
+	for i := range 8 {
+		oneRun.Blocks = append(oneRun.Blocks, BlockRef{Dev: blockdev.DevID{Major: 8}, DataLBA: 640 + int64(i)})
+	}
+	for _, tc := range []struct {
+		h    *RecordHeader
+		runs int
+	}{{one, 1}, {oneRun, 1}, {scattered, MaxBatch}} {
+		n := len(tc.h.Blocks)
+		img, err := BuildRecord(tc.h, pattern(0x11, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec := img[:geom.SectorSize]
+		if _, err := DecodeRecordHeader(sec); err != nil || int(sec[rhOffRuns]) != tc.runs {
+			t.Fatalf("%d blocks: %d runs, err %v; want %d runs", n, sec[rhOffRuns], err, tc.runs)
+		}
+		for bit := range geom.SectorSize * 8 {
+			sec[bit/8] ^= 1 << (bit % 8)
+			if dec, err := DecodeRecordHeader(sec); !errors.Is(err, ErrNotRecord) {
+				t.Fatalf("%d blocks, bit %d flipped: decoded %+v, err %v", n, bit, dec, err)
+			}
+			sec[bit/8] ^= 1 << (bit % 8)
+		}
 	}
 }
 

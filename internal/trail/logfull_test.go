@@ -1,9 +1,11 @@
 package trail
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"tracklog/internal/blockdev"
 	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
@@ -110,5 +112,67 @@ func TestLogWrapsManyTimesSafely(t *testing.T) {
 		if got[0] != last {
 			t.Errorf("slot %d = %#x, want %#x", slot, got[0], last)
 		}
+	}
+}
+
+// TestAbandonedWriteBackDoesNotHangTheLog: a write-back the data disk refuses
+// is abandoned and its log record stays pinned. When the tail wraps to that
+// record's track, the stall queues the write-back again; while the platter
+// still refuses it, every write waiting on the log returns an error wrapping
+// the media error instead of waiting forever, and once the platter heals the
+// retry lands, frees the track and writes succeed again.
+func TestAbandonedWriteBackDoesNotHangTheLog(t *testing.T) {
+	r := newRig(t, 2, Config{})
+	defer r.env.Close()
+	fault := &stepFault{badLBA: 0}
+	r.data[1].SetInjector(fault)
+	const failing, healed = 3, 20
+	var ok, errs []int
+	r.env.Go("client", func(p *sim.Proc) {
+		if err := r.drv.Dev(1).Write(p, 0, 8, fill(0xB1, 8)); err != nil {
+			t.Errorf("write to the bad extent: %v", err)
+		}
+		for i := 0; len(errs) < failing && i < 1000; i++ {
+			err := r.drv.Dev(0).Write(p, int64(i%64)*8, 8, fill(byte(i)|1, 8))
+			switch {
+			case err == nil:
+				ok = append(ok, i)
+			case errors.Is(err, blockdev.ErrMediaError):
+				errs = append(errs, i)
+			default:
+				t.Errorf("write %d: %v", i, err)
+				return
+			}
+		}
+		fault.badLBA = -1
+		for i := 0; i < healed; i++ {
+			if err := r.drv.Dev(0).Write(p, int64(i)*8, 8, fill(0xC1, 8)); err != nil {
+				t.Errorf("write %d after the platter healed: %v", i, err)
+			}
+			if len(r.drv.abandoned) != 0 {
+				t.Errorf("write %d after the platter healed: %d entries still listed abandoned", i, len(r.drv.abandoned))
+			}
+		}
+	})
+	r.env.Run()
+	if len(errs) != failing {
+		t.Fatalf("%d writes failed and %d succeeded before the client stopped; want %d failures",
+			len(errs), len(ok), failing)
+	}
+	if len(ok) != errs[0] || errs[len(errs)-1] != errs[0]+failing-1 {
+		t.Errorf("writes succeeded %v, failed %v: want every write before the first failure to succeed, none after", ok, errs)
+	}
+	// Each failed write waited for one retry of the refused write-back, and
+	// nothing else retried it.
+	if st := r.drv.Stats(); st.AbandonedWritebacks != 1+failing || st.FailedWrites != failing {
+		t.Errorf("%d abandoned write-backs, %d failed writes; want %d, %d",
+			st.AbandonedWritebacks, st.FailedWrites, 1+failing, failing)
+	}
+	if r.drv.OutstandingRecords() != 0 || r.drv.StagedBytes() != 0 {
+		t.Errorf("%d records outstanding, %d bytes staged after the drain",
+			r.drv.OutstandingRecords(), r.drv.StagedBytes())
+	}
+	if got := r.data[1].MediaRead(0, 1); got[0] != 0xB1 {
+		t.Errorf("the retried extent holds %#x on its platter, want 0xb1", got[0])
 	}
 }

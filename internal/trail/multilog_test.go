@@ -226,3 +226,53 @@ func TestMultiLogShutdownMarksAllClean(t *testing.T) {
 }
 
 var _ = geom.SectorSize
+
+// TestPinnedLogDiskParksWhileAnotherServes: with two log disks, the one whose
+// next track a refused write-back pins parks once the retry fails too, and
+// the other takes every write; when that one dies, the parked writer is the
+// last and fails the waiting writes with the write-back's error.
+func TestPinnedLogDiskParksWhileAnotherServes(t *testing.T) {
+	env, _, data, drv := newMultiRig(t, 2, Config{})
+	defer env.Close()
+	data.SetInjector(&stepFault{badLBA: 0})
+	dev := drv.Dev(0)
+	var failed error
+	env.Go("client", func(p *sim.Proc) {
+		if err := dev.Write(p, 0, 8, fill(0xB1, 8)); err != nil {
+			t.Errorf("write to the bad extent: %v", err)
+		}
+		var pinned *logDisk
+		for i := 0; i < 1000 && pinned == nil; i++ {
+			if err := dev.Write(p, 8+int64(i%64)*8, 8, fill(byte(i)|1, 8)); err != nil {
+				t.Errorf("write %d: %v", i, err)
+				return
+			}
+			for _, ld := range drv.logs {
+				if ld.parked {
+					pinned = ld
+				}
+			}
+		}
+		if pinned == nil {
+			t.Error("no log disk parked")
+			return
+		}
+		other := drv.logs[1-pinned.idx]
+		records := drv.Stats().Records
+		for i := 0; i < 100; i++ {
+			if err := dev.Write(p, 8+int64(i%64)*8, 8, fill(byte(i)|1, 8)); err != nil {
+				t.Errorf("write %d with log%d parked: %v", i, pinned.idx, err)
+				return
+			}
+		}
+		if !pinned.parked || drv.Stats().Records != records+100 {
+			t.Errorf("log%d parked %v; %d records logged, want 100", pinned.idx, pinned.parked, drv.Stats().Records-records)
+		}
+		other.disk.SetInjector(&stepFault{dead: true, badLBA: -1})
+		failed = dev.Write(p, 8, 8, fill(0xC1, 8))
+	})
+	env.Run()
+	if !errors.Is(failed, blockdev.ErrMediaError) {
+		t.Errorf("a write with only the parked log disk left: %v, want the media error", failed)
+	}
+}

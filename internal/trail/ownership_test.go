@@ -307,7 +307,8 @@ func TestImageBufferReuseAcrossRecordSizes(t *testing.T) {
 		if !bytes.Equal(recs[i].data, want) {
 			t.Errorf("record %d does not decode to its own payload", i)
 		}
-		if tail := recs[i].raw[rhEncodedSize:]; !bytes.Equal(tail, make([]byte, len(tail))) {
+		// Each record is one write, so its blocks are one run.
+		if tail := recs[i].raw[encodedSize(1, len(recs[i].hdr.Blocks)):]; !bytes.Equal(tail, make([]byte, len(tail))) {
 			t.Errorf("record %d: header sector not zero past its encoded size", i)
 		}
 	}
@@ -457,6 +458,47 @@ func TestSealingAllocations(t *testing.T) {
 	}
 }
 
+// TestRecordHeaderMediaAllocations: a record header costs the log's media
+// store its encoded bytes in the store's 16-byte steps, at most 80 for one
+// 8-sector write (one run) and 448 for 32 one-sector writes to scattered
+// blocks batched into one record (32 runs); each cost at least 374 while the
+// first bytes sat behind a fixed 32-entry table. Every client sector is zero
+// past a non-zero first byte, which the log copy displaces into the header,
+// so the log holds no data bytes and the header's last byte is not zero.
+func TestRecordHeaderMediaAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name                         string
+		writes, sectors, runs, bound int
+	}{
+		{"one extent of 8", 1, 8, 1, 80},
+		{"32 scattered blocks", MaxBatch, 1, MaxBatch, 448},
+	} {
+		r := newRig(t, 1, Config{})
+		before := r.log.MediaBytes()
+		for i := range tc.writes {
+			buf := make([]byte, tc.sectors*geom.SectorSize)
+			for s := range tc.sectors {
+				buf[s*geom.SectorSize] = byte(i+s) | 1
+			}
+			r.env.Go("client", func(p *sim.Proc) {
+				if err := r.drv.Dev(0).Write(p, 640+64*int64(i), tc.sectors, buf); err != nil {
+					t.Errorf("%s: write %d: %v", tc.name, i, err)
+				}
+			})
+		}
+		r.env.Run()
+		got := r.log.MediaBytes() - before
+		recs := mediaRecords(r.log)
+		r.env.Close()
+		if len(recs) != 1 || len(recs[0].hdr.Blocks) != tc.writes*tc.sectors || int(recs[0].raw[rhOffRuns]) != tc.runs {
+			t.Fatalf("%s: %d records on the log, want one of %d blocks in %d runs", tc.name, len(recs), tc.writes*tc.sectors, tc.runs)
+		}
+		if got > tc.bound {
+			t.Errorf("%s: the header costs the log's media store %d bytes, want <= %d", tc.name, got, tc.bound)
+		}
+	}
+}
+
 // TestWriteRecordAllocatesNothingPerBlock drives writeRecord itself, one
 // record a call on a log whose every sector already holds a full slot in the
 // media store (a non-zero filler: an all-zero sector holds none), and
@@ -486,7 +528,7 @@ func TestWriteRecordAllocatesNothingPerBlock(t *testing.T) {
 				}
 				target, _, ok := r.drv.chooseTarget(p.Now(), ld, 1+blocks)
 				if !ok {
-					r.drv.advanceTrack(p, ld)
+					r.drv.advanceTrack(p, ld, true)
 					target, _, _ = r.drv.chooseTarget(p.Now(), ld, 1+blocks)
 				}
 				pw := &pendingWrite{lba: 800, count: blocks, data: payload, queued: p.Now()}

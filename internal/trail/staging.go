@@ -111,6 +111,7 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 	if !e.inQueue {
 		e.inQueue = true
 		d.wbQueues[pw.devIdx].push(e)
+		d.forgetAbandoned(e)
 	}
 	d.tlStaged.Set(float64(d.StagedBytes()), int64(d.env.Now()))
 }
@@ -301,6 +302,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 				// overlays reads) and crash-recoverable (from the log).
 				d.stats.AbandonedWritebacks++
 				e.refs = slices.Insert(e.refs, 0, f.refs...)
+				d.abandon(e, err)
 				d.tlFlights.Add(-1, int64(p.Now()))
 				continue
 			}
@@ -312,6 +314,7 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			for _, ref := range f.refs {
 				d.commitRef(ref)
 			}
+			d.forgetAbandoned(e)
 			// Release the entry and its image if no newer version arrived
 			// mid-flight.
 			if e.stamp == f.ver && len(e.refs) == 0 && !e.inQueue {
@@ -327,6 +330,87 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			d.wbProgress.Broadcast()
 		}
 	}
+}
+
+// abandonedWB is a staged entry whose write-back the data disk refused, with
+// the error; its log records stay pinned until a write-back of it lands. It
+// is listed until then or until a client write queues the entry again. round
+// is the log stall that last queued it again (0: none).
+type abandonedWB struct {
+	e     *bufEntry
+	err   error
+	round int
+}
+
+// abandon files e, whose write-back failed with err, unless a newer write
+// already queued it. A stall that queued it is woken to see the retry fail.
+func (d *Driver) abandon(e *bufEntry, err error) {
+	i := d.abandonedIndex(e)
+	if i < 0 {
+		if !e.inQueue {
+			d.abandoned = append(d.abandoned, abandonedWB{e: e, err: err})
+		}
+		return
+	}
+	d.abandoned[i].err = err
+	if d.abandoned[i].round != 0 {
+		for _, ref := range e.refs {
+			ref.rec.log.spaceFreed.Broadcast()
+		}
+	}
+}
+
+// forgetAbandoned drops e from the abandoned list, if it is there: a write
+// queued it again, or a write-back of it landed.
+func (d *Driver) forgetAbandoned(e *bufEntry) {
+	if i := d.abandonedIndex(e); i >= 0 {
+		d.abandoned = slices.Delete(d.abandoned, i, i+1)
+	}
+}
+
+func (d *Driver) abandonedIndex(e *bufEntry) int {
+	for i := range d.abandoned {
+		if d.abandoned[i].e == e {
+			return i
+		}
+	}
+	return -1
+}
+
+// pinnedByAbandoned reports whether an abandoned entry that nothing has
+// queued again pins track (an index in ld's allocation order).
+func (d *Driver) pinnedByAbandoned(ld *logDisk, track int) bool {
+	return slices.ContainsFunc(d.abandoned, func(a abandonedWB) bool { return !a.e.inQueue && a.e.pins(ld, track) })
+}
+
+// retryPinning queues again, in round, the abandoned entries whose log
+// records pin track (an index in ld's allocation order) and that round has
+// not queued yet. It returns the error of one whose retry in round failed.
+func (d *Driver) retryPinning(ld *logDisk, track, round int) error {
+	for i := range d.abandoned {
+		a := &d.abandoned[i]
+		if a.e.inQueue || !a.e.pins(ld, track) {
+			continue // queued, in flight (its refs ride the flight) or elsewhere
+		}
+		if a.round == round {
+			return a.err
+		}
+		a.round = round
+		a.e.inQueue = true
+		d.wbQueues[a.e.dev].push(a.e)
+	}
+	return nil
+}
+
+// pins reports whether e references a record on track (an index in ld's
+// allocation order).
+func (e *bufEntry) pins(ld *logDisk, track int) bool {
+	for _, ref := range e.refs {
+		if ref.rec.log == ld && ref.rec.trackIdx == track {
+			return true
+		}
+	}
+	return false
 }
 
 // commitRef credits a record with committed blocks; when a record is fully
