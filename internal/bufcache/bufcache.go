@@ -30,7 +30,9 @@ type Page struct {
 	pins int
 	// writes counts device writes of Data in flight: until they return, an
 	// eviction gives Data to no other page. edits counts MarkDirty calls, so
-	// a write-back knows whether the page was edited while it wrote.
+	// a write-back knows whether the page was edited while it wrote, and
+	// kvdb's descent hint whether a node it searched before still holds the
+	// same bytes (Edits).
 	writes int32
 	edits  uint32
 	// Offsets is kvdb's table of a node's cell offsets and Fill the cells'
@@ -43,6 +45,11 @@ type Page struct {
 	// prev and next link the page into its cache's LRU ring.
 	prev, next *Page
 }
+
+// Edits returns how many times the page has been marked dirty. A caller that
+// marks every edit it makes, as kvdb does, knows Data unchanged while the
+// count is.
+func (pg *Page) Edits() uint32 { return pg.edits }
 
 // Stats counts cache activity.
 type Stats struct {

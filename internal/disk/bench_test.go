@@ -129,7 +129,8 @@ func BenchmarkMediaWritePage(b *testing.B) {
 }
 
 // Dense 4 KB pages read through MediaRead from a drive holding 16 MB of them,
-// the path a database's page faults take through an InstantDev.
+// the path a database's page faults take through an InstantDev, and pages of
+// the same drive never written, which read as zeroes.
 func BenchmarkMediaReadPage(b *testing.B) {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -138,9 +139,15 @@ func BenchmarkMediaReadPage(b *testing.B) {
 	for i := 0; i < mediaPages; i++ {
 		d.MediaWrite(int64(i)*benchSectors, data)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pageSink = d.MediaRead(int64(i%mediaPages)*benchSectors, benchSectors)
+	for _, tc := range []struct {
+		name  string
+		first int64
+	}{{"written", 0}, {"never-written", mediaPages}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pageSink = d.MediaRead((tc.first+int64(i%mediaPages))*benchSectors, benchSectors)
+			}
+		})
 	}
 }

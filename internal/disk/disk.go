@@ -688,14 +688,14 @@ func writeFlag(w bool) int64 {
 // in slots carved out of shared slabs: a first slot is rounded up to 16 bytes,
 // an overwrite that does not fit moves to a full-sector one (so at most two),
 // and an all-zero sector has none. Slots sit in groups of 16 sectors keyed by
-// lba/16; the last group found is kept, so a sector costs an array index.
-// Nothing is freed singly (MediaZero drops the whole store).
+// lba/16; the last group looked up is kept, found or not, so a sector costs
+// an array index. Nothing is freed singly (MediaZero drops the whole store).
 type sectorStore struct {
 	groups  map[int64]*group
 	batch   sim.Slab[group]
 	slabs   [][]byte // every slab; the newest has free bytes past its length
 	n       int      // sectors held
-	last    *group   // the group found last, keyed lastKey
+	last    *group   // groups[lastKey], the group looked up last: nil if never written
 	lastKey int64
 }
 
@@ -729,14 +729,15 @@ func (s *sectorStore) bytes(h slot) []byte {
 // find returns lba's slot, or nil for a group never written unless add is
 // set, which adds the group.
 func (s *sectorStore) find(lba int64, add bool) *slot {
-	if key := lba / groupSectors; s.last == nil || key != s.lastKey {
+	if key := lba / groupSectors; key != s.lastKey {
 		s.last, s.lastKey = s.groups[key], key
-		if s.last == nil && !add {
+	}
+	if s.last == nil {
+		if !add {
 			return nil
-		} else if s.last == nil {
-			s.last = s.batch.New()
-			s.groups[key] = s.last
 		}
+		s.last = s.batch.New()
+		s.groups[s.lastKey] = s.last
 	}
 	return &s.last[lba%groupSectors]
 }
@@ -769,8 +770,8 @@ func (s *sectorStore) write(lba int64, data []byte) {
 	}
 }
 
-// clone copies the store, every group and every slab; the group found last is
-// the source's, so it is not kept.
+// clone copies the store, every group and every slab; the group looked up
+// last is the source's, so the copy looks up its own.
 func (s *sectorStore) clone() sectorStore {
 	c := sectorStore{groups: make(map[int64]*group, len(s.groups)), slabs: make([][]byte, len(s.slabs)), n: s.n}
 	batch := c.batch.Carve(len(s.groups))
@@ -783,6 +784,7 @@ func (s *sectorStore) clone() sectorStore {
 	for i, slab := range s.slabs {
 		c.slabs[i] = bytes.Clone(slab)
 	}
+	c.last = c.groups[c.lastKey]
 	return c
 }
 

@@ -71,13 +71,16 @@ type Store struct {
 	cache    *bufcache.Cache
 	nextPage int64
 	roots    []int64
+	// scratch is where a split lays out a node's cells and the new one; it
+	// is used only while no process can yield, so the store's splits share it.
+	scratch []byte
 }
 
 // Open opens (or initializes) a store on dev with a cache of cachePages
 // pages. A device whose page 0 is all zeroes is treated as empty and
 // initialized.
 func Open(p *sim.Proc, dev blockdev.Device, cachePages int) (*Store, error) {
-	s := &Store{dev: dev, cache: bufcache.New(dev, cachePages)}
+	s := &Store{dev: dev, cache: bufcache.New(dev, cachePages), scratch: make([]byte, 0, 2*bufcache.PageSize)}
 	pg, err := s.cache.Get(p, 0)
 	if err != nil {
 		return nil, err
@@ -218,7 +221,8 @@ func (s *Store) edit(p *sim.Proc, nd node) error {
 }
 
 // newNode allocates a page and returns it pinned, dirty and formatted as an
-// empty node.
+// empty node. The page is new, so GetZero zeroes it and its frame comes
+// without an offset table: only the header needs writing.
 func (s *Store) newNode(p *sim.Proc, leaf bool) (node, error) {
 	id, err := s.alloc(p)
 	if err != nil {
@@ -229,7 +233,7 @@ func (s *Store) newNode(p *sim.Proc, leaf bool) (node, error) {
 		return node{}, err
 	}
 	nd := node{pg: pg, leaf: leaf}
-	nd.write(0, 0, nil)
+	nd.head(0, 0)
 	s.cache.MarkDirty(pg)
 	return nd, nil
 }
@@ -238,9 +242,8 @@ func (nd node) link() int64 { return int64(binary.LittleEndian.Uint64(nd.pg.Data
 
 func (nd node) setCount(n int) { binary.LittleEndian.PutUint16(nd.pg.Data[1:], uint16(n)) }
 
-// write replaces the node's whole content: n cells, already encoded. It is
-// the one edit that drops the node's offset table.
-func (nd node) write(n int, link int64, cells []byte) {
+// head writes the node's header: its type, n cells and its link.
+func (nd node) head(n int, link int64) {
 	d := nd.pg.Data
 	d[0] = internalType
 	if nd.leaf {
@@ -248,7 +251,18 @@ func (nd node) write(n int, link int64, cells []byte) {
 	}
 	nd.setCount(n)
 	binary.LittleEndian.PutUint64(d[3:], uint64(link))
-	clear(d[nodeHeader+copy(d[nodeHeader:], cells):])
+}
+
+// write replaces the node's whole content: n cells, already encoded. used is
+// the node's used offset before, nodeHeader for a new node: the bytes past a
+// node's cells are always zero, so only those the cells leave are cleared.
+// It is the one edit that drops the node's offset table.
+func (nd node) write(n int, link int64, cells []byte, used int) {
+	nd.head(n, link)
+	d := nd.pg.Data
+	if end := nodeHeader + copy(d[nodeHeader:], cells); end < used {
+		clear(d[end:used])
+	}
 	nd.pg.Offsets, nd.pg.Fill = nd.pg.Offsets[:0], 0
 }
 
@@ -276,6 +290,16 @@ func cell(d []byte, leaf bool, off int) (key, val []byte, size, end int, ok bool
 		return
 	}
 	return d[off : off+klen], d[off+klen : end], hdr + klen + logical, end, true
+}
+
+// keyAt returns the key of the cell at d[off:], a cell the checked walk of
+// node.offsets found inside d.
+func keyAt(d []byte, leaf bool, off int) []byte {
+	k := off + internalEntryOverhead - 8
+	if leaf {
+		k = off + leafEntryOverhead
+	}
+	return d[k : k+int(binary.LittleEndian.Uint16(d[off:]))]
 }
 
 // appendLeafCell encodes one leaf cell.
@@ -315,11 +339,26 @@ func (nd node) seek(key []byte) (spot, error) {
 	}
 	d := nd.pg.Data
 	i := sort.Search(nd.n, func(i int) bool {
-		k, _, _, _, _ := cell(d, nd.leaf, int(offs[i]))
-		c := bytes.Compare(k, key)
+		c := bytes.Compare(keyAt(d, nd.leaf, int(offs[i])), key)
 		return c > 0 || c == 0 && nd.leaf
 	})
-	off := int(offs[i])
+	return nd.at(offs, i, key), nil
+}
+
+// seekInsert is seek for a Put into a leaf: a key past the leaf's last one,
+// where an ascending stream of inserts lands, is placed there unbisected.
+func (nd node) seekInsert(key []byte) (spot, error) {
+	offs, err := nd.offsets()
+	if err != nil || nd.n == 0 || bytes.Compare(keyAt(nd.pg.Data, true, int(offs[nd.n-1])), key) >= 0 {
+		return nd.seek(key)
+	}
+	return nd.at(offs, nd.n, key), nil
+}
+
+// at returns the spot of cell i, the first whose key is >= key in a leaf,
+// > key in an internal node.
+func (nd node) at(offs []uint16, i int, key []byte) spot {
+	d, off := nd.pg.Data, int(offs[i])
 	sp := spot{idx: i, off: off, end: off, used: int(offs[nd.n]), fill: int(nd.pg.Fill)}
 	if !nd.leaf {
 		sp.before = d[off-8 : off]
@@ -328,7 +367,7 @@ func (nd node) seek(key []byte) (spot, error) {
 			sp.end, sp.size = end, size
 		}
 	}
-	return sp, nil
+	return sp
 }
 
 // maxCells bounds a node's cells: a leaf cell takes at least its overhead.
@@ -392,6 +431,9 @@ func (nd node) splice(sp spot, length, size int) {
 type Tree struct {
 	store *Store
 	idx   int
+	// last is what the last descent through each depth learnt there, for
+	// the next descent to reuse.
+	last [maxDepth]hop
 }
 
 // root returns the tree's root page ID.
@@ -404,9 +446,32 @@ type step struct {
 	used int
 }
 
+// hop is what a seek in an internal node found, and holds while the node is
+// still the Page pg with edits edits: every key from the key of the cell at
+// lo up to, not including, the key of the cell at hi lies under child, and
+// the node's used offset is used. lo or hi is 0 where the range is open.
+type hop struct {
+	pg     *bufcache.Page
+	edits  uint32
+	lo, hi uint16
+	used   int
+	child  int64
+}
+
+// covers reports whether h holds for key in nd. The fences are read where
+// they lie: a page that is the same Page with the same edit count still has
+// the bytes, and so the offset table, that h was found in.
+func (h *hop) covers(nd node, key []byte) bool {
+	d := nd.pg.Data
+	return h.pg == nd.pg && h.edits == nd.pg.Edits() &&
+		(h.lo == 0 || bytes.Compare(keyAt(d, false, int(h.lo)), key) <= 0) &&
+		(h.hi == 0 || bytes.Compare(keyAt(d, false, int(h.hi)), key) > 0)
+}
+
 // descend walks from the root to the leaf covering key, one pin at a time,
 // and returns that leaf pinned. With path set it records the internal nodes
-// passed; depth is their count.
+// passed; depth is their count. Each node is pinned as before, but searched
+// only when the tree's last descent through that depth does not cover key.
 func (t *Tree) descend(p *sim.Proc, key []byte, path *[maxDepth]step) (leaf node, depth int, err error) {
 	s := t.store
 	id := t.root()
@@ -415,15 +480,26 @@ func (t *Tree) descend(p *sim.Proc, key []byte, path *[maxDepth]step) (leaf node
 		if err != nil || nd.leaf {
 			return nd, depth, err
 		}
-		sp, err := nd.seek(key)
+		h := &t.last[depth]
+		if !h.covers(nd, key) {
+			sp, err := nd.seek(key)
+			if err != nil {
+				s.unpin(nd)
+				return node{}, 0, err
+			}
+			*h = hop{pg: nd.pg, edits: nd.pg.Edits(), used: sp.used, child: sp.child()}
+			if sp.idx > 0 {
+				h.lo = nd.pg.Offsets[sp.idx-1]
+			}
+			if sp.idx < nd.n {
+				h.hi = uint16(sp.off)
+			}
+		}
 		s.unpin(nd)
-		if err != nil {
-			return node{}, 0, err
-		}
 		if path != nil {
-			path[depth] = step{id, sp.used}
+			path[depth] = step{id, h.used}
 		}
-		id = sp.child()
+		id = h.child
 	}
 	return node{}, 0, corruptf(id, "more than %d levels down", maxDepth)
 }
@@ -481,7 +557,7 @@ func (t *Tree) Put(p *sim.Proc, key, value []byte, logicalSize int) error {
 		return err
 	}
 	var buf [internalEntryOverhead + maxEntry]byte
-	root.write(1, t.root(), appendInternalCell(buf[:0], sep, right))
+	root.write(1, t.root(), appendInternalCell(buf[:0], sep, right), nodeHeader)
 	s.unpin(root)
 	s.roots[t.idx] = root.pg.ID
 	return s.syncMeta(p)
@@ -492,7 +568,7 @@ func (t *Tree) Put(p *sim.Proc, key, value []byte, logicalSize int) error {
 // and the new right sibling for the parent.
 func (t *Tree) putLeaf(p *sim.Proc, leaf node, key, value []byte, logical int) ([]byte, int64, error) {
 	s := t.store
-	sp, err := leaf.seek(key)
+	sp, err := leaf.seekInsert(key)
 	if err != nil {
 		s.unpin(leaf)
 		return nil, 0, err
@@ -581,9 +657,8 @@ func (t *Tree) split(p *sim.Proc, id int64, leaf bool, key, entry []byte) ([]byt
 	if err != nil {
 		return nil, 0, err
 	}
-	var buf [2 * bufcache.PageSize]byte
 	d := left.pg.Data
-	cells := append(append(append(buf[:0], d[nodeHeader:sp.off]...), entry...), d[sp.end:sp.used]...)
+	cells := append(append(append(s.scratch[:0], d[nodeHeader:sp.off]...), entry...), d[sp.end:sp.used]...)
 	n := left.n
 	if !sp.found() {
 		n++
@@ -620,8 +695,8 @@ func (t *Tree) split(p *sim.Proc, id int64, leaf bool, key, entry []byte) ([]byt
 		return nil, 0, corruptf(id, "halves of %d and %d bytes", off, len(rcells))
 	}
 	sep := bytes.Clone(k)
-	right.write(rn, rlink, rcells)
-	left.write(cut, llink, cells[:off])
+	right.write(rn, rlink, rcells, nodeHeader)
+	left.write(cut, llink, cells[:off], sp.used)
 	s.cache.MarkDirty(right.pg)
 	s.cache.MarkDirty(left.pg)
 	return sep, right.pg.ID, nil

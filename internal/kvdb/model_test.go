@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"slices"
 	"sort"
@@ -221,7 +222,9 @@ func longKey(id int) []byte {
 // below the first and above the last: the spots must be equal. Before that it
 // holds every kept offset table and fill it can see, of pages resident since
 // the last walk and of each node the walk pins before seeking in it, to ones
-// rebuilt from the page's bytes. On a 6-page cache pages are evicted and read
+// rebuilt from the page's bytes. After it, at each internal node's probe
+// keys, a descent with the hint the tree has must reach the same leaf by the
+// same steps as one with none. On a 6-page cache pages are evicted and read
 // again between operations; on a large one a table lives through every edit
 // that must keep it or drop it.
 func TestBisectionMatchesWalk(t *testing.T) {
@@ -282,8 +285,9 @@ func bisectionOps(p *sim.Proc, s *Store, ops int) error {
 }
 
 // sameSeeks compares bisection and walk in every node of tr, level by level,
-// and returns the number of internal levels. seen holds the pages the last
-// walk pinned; those still resident have their tables checked first.
+// then, at the same probe keys, tr's descents with the hint it has and with
+// none, and returns the number of internal levels. seen holds the pages the
+// last walk pinned; those still resident have their tables checked first.
 func sameSeeks(p *sim.Proc, s *Store, tr *Tree, seen map[int64]*bufcache.Page) (int, error) {
 	for _, pg := range seen {
 		if err := keptTableHolds(pg); err != nil {
@@ -292,6 +296,7 @@ func sameSeeks(p *sim.Proc, s *Store, tr *Tree, seen map[int64]*bufcache.Page) (
 	}
 	clear(seen)
 	level := []int64{tr.root()}
+	var probes [][]byte
 	for depth := 0; ; depth++ {
 		var below []int64
 		for _, id := range level {
@@ -301,7 +306,7 @@ func sameSeeks(p *sim.Proc, s *Store, tr *Tree, seen map[int64]*bufcache.Page) (
 			}
 			seen[id] = nd.pg
 			if err = keptTableHolds(nd.pg); err == nil {
-				below, err = sameSeeksIn(nd, below)
+				below, probes, err = sameSeeksIn(nd, below, probes)
 			}
 			s.unpin(nd)
 			if err != nil {
@@ -309,7 +314,7 @@ func sameSeeks(p *sim.Proc, s *Store, tr *Tree, seen map[int64]*bufcache.Page) (
 			}
 		}
 		if len(below) == 0 {
-			return depth, nil
+			return depth, sameDescents(p, tr, probes)
 		}
 		level = below
 	}
@@ -337,11 +342,11 @@ func keptTableHolds(pg *bufcache.Page) error {
 }
 
 // sameSeeksIn compares bisection and walk in one node, at each key, just
-// above each, below the first and above the last, and appends an internal
-// node's children to below.
-func sameSeeksIn(nd node, below []int64) ([]int64, error) {
-	d, off := nd.pg.Data, nodeHeader
-	probes := [][]byte{nil, {0xff}}
+// above each, below the first and above the last, appends an internal
+// node's children to below and those probe keys to probes.
+func sameSeeksIn(nd node, below []int64, probes [][]byte) ([]int64, [][]byte, error) {
+	d, off, from := nd.pg.Data, nodeHeader, len(probes)
+	probes = append(probes, nil, []byte{0xff})
 	if !nd.leaf {
 		below = append(below, nd.link())
 	}
@@ -356,20 +361,48 @@ func sameSeeksIn(nd node, below []int64) ([]int64, error) {
 	where := func(sp spot) [7]int {
 		return [7]int{sp.idx, sp.off, sp.end, sp.size, sp.used, sp.fill, cap(d) - cap(sp.before)}
 	}
-	for _, key := range probes {
+	for _, key := range probes[from:] {
 		got, err := nd.seek(key)
 		if err != nil {
-			return below, err
+			return below, probes, err
 		}
 		want, err := linearSeek(nd, key)
 		if err != nil {
-			return below, err
+			return below, probes, err
 		}
 		if where(got) != where(want) {
-			return below, fmt.Errorf("page %d at %.12q: bisection %v, walk %v (idx off end size used fill before)", nd.pg.ID, key, where(got), where(want))
+			return below, probes, fmt.Errorf("page %d at %.12q: bisection %v, walk %v (idx off end size used fill before)", nd.pg.ID, key, where(got), where(want))
 		}
 	}
-	return below, nil
+	if nd.leaf {
+		probes = probes[:from] // descents differ only at the separators' bounds
+	}
+	return below, probes, nil
+}
+
+// sameDescents descends to each probe key twice, with the hint tr's
+// operations and earlier descents left and with none: both must reach the
+// same leaf through the same steps.
+func sameDescents(p *sim.Proc, tr *Tree, probes [][]byte) error {
+	cold := &Tree{store: tr.store, idx: tr.idx}
+	var hinted, unhinted [maxDepth]step
+	for _, key := range probes {
+		cold.last = [maxDepth]hop{}
+		got, depth, err := tr.descend(p, key, &hinted)
+		if err != nil {
+			return err
+		}
+		tr.store.unpin(got)
+		want, wantDepth, err := cold.descend(p, key, &unhinted)
+		if err != nil {
+			return err
+		}
+		tr.store.unpin(want)
+		if got.pg.ID != want.pg.ID || !slices.Equal(hinted[:depth], unhinted[:wantDepth]) {
+			return fmt.Errorf("descent to %.12q: hinted reached leaf %d by %v, unhinted leaf %d by %v", key, got.pg.ID, hinted[:depth], want.pg.ID, unhinted[:wantDepth])
+		}
+	}
+	return nil
 }
 
 // goldenState is what TestGoldenBehaviour pins.
@@ -396,50 +429,117 @@ var golden = goldenState{
 	pages:    8847695553602241017,
 }
 
-// TestGoldenBehaviour runs a fixed 5 000-operation sequence over three trees
-// on a 24-page cache and compares what the engine is contracted to keep:
-// which pages it allocates, how it walks the cache, and the bytes it leaves.
+// goldenAppends was recorded from the engine before descents reused their
+// last path and leaf appends skipped the bisection (commit 1f1fa8b), so it
+// holds those fast paths to the pages and pins of the searches they skip.
+var goldenAppends = goldenState{
+	nextPage: 637,
+	roots:    []int64{76, 65},
+	heights:  []int{3, 3},
+	stats:    bufcache.Stats{Hits: 15280, Misses: 2389, Evictions: 3001, DirtyWrites: 1313},
+	reads:    18382574025495530948,
+	pages:    6986665585640511619,
+}
+
+// TestGoldenBehaviour runs fixed sequences on a 24-page cache and compares
+// what the engine is contracted to keep: which pages it allocates, how it
+// walks the cache, and the bytes it leaves. "mixed" is 5 000 random
+// operations over three trees; "appends" is 4 000 operations over two trees,
+// most of them Puts of each tree's next ascending key, the rest Gets,
+// Deletes, Scans and replacements of keys already put.
 func TestGoldenBehaviour(t *testing.T) {
+	t.Run("mixed", func(t *testing.T) {
+		goldenRun(t, 3, golden, func(p *sim.Proc, trees []*Tree, reads hash.Hash64) error {
+			rng := sim.NewRand(2002)
+			for i := 0; i < 5000; i++ {
+				tr := trees[rng.Intn(3)]
+				k := genKey(rng.Intn(900))
+				if err := goldenOp(p, tr, rng.Intn(20), rng, k, reads); err != nil {
+					return fmt.Errorf("op %d: %w", i, err)
+				}
+			}
+			return nil
+		})
+	})
+	t.Run("appends", func(t *testing.T) {
+		goldenRun(t, 2, goldenAppends, func(p *sim.Proc, trees []*Tree, reads hash.Hash64) error {
+			rng := sim.NewRand(61)
+			next := make([]int, len(trees))
+			for i := 0; i < 4000; i++ {
+				j := rng.Intn(len(trees))
+				op, id := rng.Intn(40), next[j]
+				if op < 28 {
+					op, next[j] = 0, id+1 // a Put past the tree's last key
+				} else {
+					op, id = op-20, rng.Intn(id+1) // a Put, Delete, Get or Scan below it
+				}
+				if err := goldenOp(p, trees[j], op, rng, appendKey(id), reads); err != nil {
+					return fmt.Errorf("op %d: %w", i, err)
+				}
+			}
+			return nil
+		})
+	})
+}
+
+// appendKey is key id of the "appends" sequence: ordered by id, 9 to 208
+// bytes long, so that internal nodes hold few enough keys to split.
+func appendKey(id int) []byte {
+	k := fmt.Appendf(nil, "a%08d", id)
+	for len(k) < 9+id*37%200 {
+		k = append(k, byte('a'+len(k)%26))
+	}
+	return k
+}
+
+// goldenOp applies operation op of TestGoldenBehaviour's mix to key k: below
+// 12 a Put, then a Delete, below 19 a Get, else a Scan of up to 40 entries;
+// what the reads return goes into reads.
+func goldenOp(p *sim.Proc, tr *Tree, op int, rng *sim.Rand, k []byte, reads hash.Hash64) error {
+	var err error
+	switch {
+	case op < 12:
+		v, logical := genValue(rng, k, capacity/3)
+		err = tr.Put(p, k, v, logical)
+	case op < 15:
+		err = tr.Delete(p, k)
+	case op < 19:
+		var v []byte
+		v, err = tr.Get(p, k)
+		reads.Write(v)
+	default:
+		n := 0
+		err = tr.Scan(p, k, func(gk, gv []byte) bool {
+			reads.Write(gk)
+			reads.Write(gv)
+			n++
+			return n < 40
+		})
+	}
+	if errors.Is(err, ErrNotFound) {
+		return nil
+	}
+	return err
+}
+
+// goldenRun creates ntrees trees in a fresh store on a 24-page cache, runs
+// ops on them and compares the state it leaves with want.
+func goldenRun(t *testing.T, ntrees int, want goldenState, ops func(p *sim.Proc, trees []*Tree, reads hash.Hash64) error) {
 	env, s := instantStore(t, 24)
 	defer env.Close()
 	var got goldenState
 	runErr(t, env, func(p *sim.Proc) error {
 		var trees []*Tree
-		for i := 0; i < 3; i++ {
+		for i := 0; i < ntrees; i++ {
 			tr, err := s.CreateTree(p)
 			if err != nil {
 				return err
 			}
 			trees = append(trees, tr)
 		}
-		rng := sim.NewRand(2002)
 		reads := fnv.New64a()
-		for i := 0; i < 5000; i++ {
-			tr := trees[rng.Intn(3)]
-			k := genKey(rng.Intn(900))
-			var err error
-			switch op := rng.Intn(20); {
-			case op < 12:
-				v, logical := genValue(rng, k, capacity/3)
-				err = tr.Put(p, k, v, logical)
-			case op < 15:
-				err = tr.Delete(p, k)
-			case op < 19:
-				var v []byte
-				v, err = tr.Get(p, k)
-				reads.Write(v)
-			default:
-				n := 0
-				err = tr.Scan(p, k, func(gk, gv []byte) bool {
-					reads.Write(gk)
-					reads.Write(gv)
-					n++
-					return n < 40
-				})
-			}
-			if err != nil && !errors.Is(err, ErrNotFound) {
-				return fmt.Errorf("op %d: %w", i, err)
-			}
+		if err := ops(p, trees, reads); err != nil {
+			return err
 		}
 		got.nextPage, got.roots, got.stats = s.nextPage, s.roots, s.Cache().Stats()
 		got.stats.PagesResident = 0
@@ -476,7 +576,7 @@ func TestGoldenBehaviour(t *testing.T) {
 		got.pages = pages.Sum64()
 		return nil
 	})
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", golden) {
-		t.Errorf("behaviour moved:\n got %+v\nwant %+v", got, golden)
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Errorf("behaviour moved:\n got %+v\nwant %+v", got, want)
 	}
 }
