@@ -32,6 +32,7 @@ import (
 
 	"tracklog/internal/benchfmt"
 	"tracklog/internal/experiments"
+	"tracklog/internal/sim"
 )
 
 func main() {
@@ -73,18 +74,29 @@ func run(args []string, stdout, stderr io.Writer, sel func(only string) ([]exper
 	fmt.Fprintln(stdout, "see EXPERIMENTS.md for the paper-vs-measured discussion.")
 	fmt.Fprintln(stdout)
 
+	// The sections share nothing, so they run at once; each is printed, in
+	// catalogue order, once all have run.
+	type outcome struct {
+		text    string
+		entries []benchfmt.Entry
+		err     error
+	}
+	outcomes := sim.Parallel(len(sections), func(i int) outcome {
+		text, entries, err := sections[i].Run(sz, *seed)
+		return outcome{text, entries, err}
+	})
 	failed := 0
 	bf := &benchfmt.File{Seed: *seed, Experiments: []benchfmt.Entry{}}
-	for _, s := range sections {
+	for i, s := range sections {
+		o := outcomes[i]
 		fmt.Fprintf(stdout, "## %s\n\n```\n", s.Title)
-		text, entries, err := s.Run(sz, *seed)
-		if err != nil {
+		if o.err != nil {
 			failed++
-			text = fmt.Sprintf("ERROR: %v", err)
-			fmt.Fprintf(stderr, "reproduce: %s: %v\n", s.Key, err)
+			o.text = fmt.Sprintf("ERROR: %v", o.err)
+			fmt.Fprintf(stderr, "reproduce: %s: %v\n", s.Key, o.err)
 		}
-		bf.Experiments = append(bf.Experiments, entries...)
-		fmt.Fprintln(stdout, text)
+		bf.Experiments = append(bf.Experiments, o.entries...)
+		fmt.Fprintln(stdout, o.text)
 		fmt.Fprint(stdout, "```\n\n")
 	}
 	if failed > 0 {

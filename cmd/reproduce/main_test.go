@@ -8,9 +8,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tracklog/internal/benchfmt"
@@ -26,11 +28,12 @@ func reproduce(t *testing.T, sel func(string) ([]experiments.Section, error), ar
 
 // A failed section must not stop the report, must not exit 0, and must
 // leave no -json file behind: a gate file missing a section's rows would
-// read as those rows gone missing.
+// read as those rows gone missing. The sections run at once, so the count
+// of those that ran is atomic.
 func TestFailedSectionExitsNonzeroAfterFinishing(t *testing.T) {
-	ran := 0
+	var ran atomic.Int32
 	ok := func(experiments.Sizing, uint64) (string, []benchfmt.Entry, error) {
-		ran++
+		ran.Add(1)
 		return "fine\n", []benchfmt.Entry{{Name: "ok"}}, nil
 	}
 	injected := func(string) ([]experiments.Section, error) {
@@ -47,7 +50,7 @@ func TestFailedSectionExitsNonzeroAfterFinishing(t *testing.T) {
 	if code != 1 {
 		t.Errorf("exit %d with a failed section, want 1", code)
 	}
-	if ran != 2 {
+	if ran := ran.Load(); ran != 2 {
 		t.Errorf("%d healthy sections ran, want both (the one after the failure too)", ran)
 	}
 	for _, want := range []string{"## First", "## Broken", "ERROR: injected failure", "## Last"} {
@@ -191,5 +194,55 @@ func TestOnlyRunsTheSelectedSections(t *testing.T) {
 	}
 	if want := []string{"overload/qos=off/2.0x", "overload/qos=on/2.0x"}; !slices.Equal(rows, want) || bf.Seed != 3 {
 		t.Errorf("-json wrote seed %d, rows %q; want seed 3, rows %q", bf.Seed, rows, want)
+	}
+}
+
+// The sections run at once on GOMAXPROCS workers, and the bytes do not
+// depend on how many: -quick's report and -json file at 1, 2 and 4 workers
+// are those of the run above.
+func TestQuickRunIdenticalAtEveryWorkerCount(t *testing.T) {
+	quickRun(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		path := filepath.Join(t.TempDir(), "bench.json")
+		code, out, stderr := reproduce(t, experiments.Select, "-quick", "-json", path)
+		if code != 0 {
+			t.Fatalf("GOMAXPROCS=%d: exit %d\n%s", procs, code, stderr)
+		}
+		json, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != quick.out || !bytes.Equal(json, quick.json) || stderr != quick.stderr {
+			t.Errorf("GOMAXPROCS=%d: report, -json file or stderr differs from GOMAXPROCS=%d's", procs, runtime.GOMAXPROCS(0))
+		}
+	}
+}
+
+// Each failed section prints its ERROR in its own slot, whichever worker ran
+// it and whenever it finished.
+func TestFailedSectionsKeepTheirSlots(t *testing.T) {
+	section := func(key string, fail bool) experiments.Section {
+		return experiments.Section{Key: key, Title: strings.ToUpper(key), Run: func(experiments.Sizing, uint64) (string, []benchfmt.Entry, error) {
+			if fail {
+				return "", nil, errors.New(key + " failed")
+			}
+			return key + " ran", nil, nil
+		}}
+	}
+	sel := func(string) ([]experiments.Section, error) {
+		return []experiments.Section{section("a", true), section("b", false), section("c", true), section("d", false), section("e", false)}, nil
+	}
+	want := "## A\n\n```\nERROR: a failed\n```\n\n## B\n\n```\nb ran\n```\n\n## C\n\n```\nERROR: c failed\n```\n\n" +
+		"## D\n\n```\nd ran\n```\n\n## E\n\n```\ne ran\n```\n\n"
+	wantErr := "reproduce: a: a failed\nreproduce: c: c failed\nreproduce: 2 of 5 sections failed\n"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		code, out, stderr := reproduce(t, sel)
+		if code != 1 || !strings.HasSuffix(out, want) || stderr != wantErr {
+			t.Errorf("GOMAXPROCS=%d: exit %d, report ends\n%s\nstderr\n%s", procs, code, out[max(0, len(out)-len(want)):], stderr)
+		}
 	}
 }

@@ -71,7 +71,9 @@ type Cache struct {
 	resident int
 	// filling counts frames makeRoom has handed out whose fill has not
 	// landed yet; they count against capacity. landed wakes a miss waiting
-	// for one of them.
+	// for one of them. It exists only while a miss waits, made in that
+	// miss's world, so a cache used in one world and then another (a store
+	// loaded in a world of its own) holds nothing of the first.
 	filling int
 	landed  *sim.Cond
 	// lru is the sentinel of a ring of the resident pages: lru.next is the
@@ -146,6 +148,7 @@ func (c *Cache) get(p *sim.Proc, id int64, read bool) (*Page, error) {
 	c.filling--
 	if c.landed != nil {
 		c.landed.Broadcast()
+		c.landed = nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("bufcache: page %d: %w", id, err)

@@ -534,3 +534,46 @@ func TestFillReservesItsFrame(t *testing.T) {
 		t.Errorf("peak %d resident, stats %+v; want at most the capacity, 1, resident and both misses to evict", peak, s)
 	}
 }
+
+// sleepyDev serves a drive's media after a fixed delay on the caller's own
+// clock, so it works in whichever world calls it.
+type sleepyDev struct{ *disk.InstantDev }
+
+func (d sleepyDev) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
+	p.Sleep(time.Millisecond)
+	return d.InstantDev.Read(p, lba, count)
+}
+
+// A cache outlives the world it was used in: a miss that waits for a fill
+// to land waits in its own world, not in one closed before it.
+func TestWaitForFillInALaterWorld(t *testing.T) {
+	first := sim.NewEnv()
+	dev := sleepyDev{disk.NewInstantDev(disk.New(first, disk.WDCaviar()), blockdev.DevID{Major: 3})}
+	c := New(dev, 1)
+	for w, ids := range [][]int64{{1, 2}, {3, 4}} {
+		env := first
+		if w > 0 {
+			env = sim.NewEnv()
+		}
+		done := 0
+		for _, id := range ids {
+			env.Go("miss", func(p *sim.Proc) {
+				pg, err := c.Get(p, id)
+				if err != nil {
+					t.Errorf("world %d, get %d: %v", w, id, err)
+					return
+				}
+				c.Release(pg)
+				done++
+			})
+		}
+		env.Run()
+		env.Close()
+		if done != 2 {
+			t.Errorf("world %d: %d of 2 misses finished", w, done)
+		}
+	}
+	if s := c.Stats(); s.Misses != 4 || s.Evictions != 3 {
+		t.Errorf("stats %+v, want 4 misses and 3 evictions", s)
+	}
+}

@@ -71,8 +71,9 @@ type Store struct {
 	cache    *bufcache.Cache
 	nextPage int64
 	roots    []int64
-	// scratch is where a split lays out a node's cells and the new one; it
-	// is used only while no process can yield, so the store's splits share it.
+	// scratch is where a split lays out a node's cells and the entry that
+	// did not fit, and Put a new root's cell; it is used only while no
+	// process can yield, so the store's splits share it.
 	scratch []byte
 }
 
@@ -556,8 +557,7 @@ func (t *Tree) Put(p *sim.Proc, key, value []byte, logicalSize int) error {
 	if err != nil {
 		return err
 	}
-	var buf [internalEntryOverhead + maxEntry]byte
-	root.write(1, t.root(), appendInternalCell(buf[:0], sep, right), nodeHeader)
+	root.write(1, t.root(), appendInternalCell(s.scratch[:0], sep, right), nodeHeader)
 	s.unpin(root)
 	s.roots[t.idx] = root.pg.ID
 	return s.syncMeta(p)
@@ -575,8 +575,7 @@ func (t *Tree) putLeaf(p *sim.Proc, leaf node, key, value []byte, logical int) (
 	}
 	if sp.fill-sp.size+leafEntryOverhead+len(key)+logical > capacity {
 		s.unpin(leaf)
-		var buf [maxEntry]byte
-		return t.split(p, leaf.pg.ID, true, key, appendLeafCell(buf[:0], key, value, logical))
+		return t.split(p, leaf.pg.ID, true, entry{key: key, val: value, logical: logical}, sought{leaf.pg, leaf.pg.Edits(), sp})
 	}
 	defer s.unpin(leaf)
 	if err := s.edit(p, leaf); err != nil {
@@ -618,16 +617,41 @@ func (t *Tree) putSeparator(p *sim.Proc, at step, sep []byte, right int64) ([]by
 		// Another process filled the node while this one waited for a page
 		// below it.
 		s.unpin(nd)
+		return t.split(p, at.id, false, entry{key: sep, child: right}, sought{nd.pg, nd.pg.Edits(), sp})
 	}
-	var buf [internalEntryOverhead + maxEntry]byte
-	return t.split(p, at.id, false, sep, appendInternalCell(buf[:0], sep, right))
+	return t.split(p, at.id, false, entry{key: sep, child: right}, sought{})
+}
+
+// entry is the cell a split places: a leaf's key, value and logical size,
+// or an internal node's key and child. split encodes it into the store's
+// scratch, beside the node's cells, once nothing can yield.
+type entry struct {
+	key, val []byte
+	logical  int
+	child    int64
+}
+
+func (e entry) appendCell(b []byte, leaf bool) []byte {
+	if leaf {
+		return appendLeafCell(b, e.key, e.val, e.logical)
+	}
+	return appendInternalCell(b, e.key, e.child)
+}
+
+// sought is where a key was sought in a node that was then the Page pg with
+// edits edits. It holds, as the descent's hop does, while the node still is.
+type sought struct {
+	pg    *bufcache.Page
+	edits uint32
+	sp    spot
 }
 
 // split gives node id a new right sibling and divides between the two the
-// node's cells and entry, the encoded cell for key that did not fit. It
-// returns the separator and the sibling for the level above. The division is
-// worked out on a copy: the overfull node never exists in a page.
-func (t *Tree) split(p *sim.Proc, id int64, leaf bool, key, entry []byte) ([]byte, int64, error) {
+// node's cells and e, the entry that did not fit. It returns the separator
+// and the sibling for the level above. The division is worked out on a copy:
+// the overfull node never exists in a page. e's spot is sought again only
+// if the node changed since at was.
+func (t *Tree) split(p *sim.Proc, id int64, leaf bool, e entry, at sought) ([]byte, int64, error) {
 	s := t.store
 	right, err := s.newNode(p, leaf)
 	if err != nil {
@@ -653,12 +677,16 @@ func (t *Tree) split(p *sim.Proc, id int64, leaf bool, key, entry []byte) ([]byt
 	if left.leaf != leaf {
 		return nil, 0, corruptf(id, "node changed kind under a split")
 	}
-	sp, err := left.seek(key)
-	if err != nil {
-		return nil, 0, err
+	sp := at.sp
+	if at.pg != left.pg || at.edits != left.pg.Edits() {
+		if sp, err = left.seek(e.key); err != nil {
+			return nil, 0, err
+		}
 	}
 	d := left.pg.Data
-	cells := append(append(append(s.scratch[:0], d[nodeHeader:sp.off]...), entry...), d[sp.end:sp.used]...)
+	cells := e.appendCell(append(s.scratch[:0], d[nodeHeader:sp.off]...), leaf)
+	_, _, entrySize, _, _ := cell(cells, leaf, sp.off-nodeHeader)
+	cells = append(cells, d[sp.end:sp.used]...)
 	n := left.n
 	if !sp.found() {
 		n++
@@ -668,7 +696,6 @@ func (t *Tree) split(p *sim.Proc, id int64, leaf bool, key, entry []byte) ([]byt
 	// fill, an internal node's half the keys; either stops short of a cell
 	// that would put it over a page, which the halfway mark can lie past
 	// when entries exceed a third of a page.
-	_, _, entrySize, _, _ := cell(entry, leaf, 0)
 	half := (sp.fill - sp.size + entrySize) / 2
 	cut, off, run := 0, 0, 0
 	for cut < n && (leaf && run <= half || !leaf && cut < n/2) {

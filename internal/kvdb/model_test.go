@@ -97,6 +97,61 @@ func TestModel(t *testing.T) {
 	}
 }
 
+// TestSplitSeeksAgainAfterAnEdit: a put that splits a leaf waits, for the
+// new page, on the write-back of a dirty victim; meanwhile a second put
+// edits the same leaf in place. The split must place its entry by the leaf
+// as it is then, not where it was sought before the wait, and keep the
+// other put's key.
+func TestSplitSeeksAgainAfterAnEdit(t *testing.T) {
+	env, s := newRig(t, 3) // the meta page and two leaves: a new page evicts
+	defer env.Close()
+	var full, other *Tree
+	var keys []string
+	runErr(t, env, func(p *sim.Proc) (err error) {
+		if full, err = s.CreateTree(p); err != nil {
+			return err
+		}
+		for i := 0; i < 30; i++ { // ~3 000 of the leaf's 4 085 bytes
+			keys = append(keys, fmt.Sprintf("m%03d", i))
+			if err := full.Put(p, []byte(keys[i]), val(i), 90); err != nil {
+				return err
+			}
+		}
+		if other, err = s.CreateTree(p); err != nil {
+			return err
+		}
+		return other.Put(p, key(0), val(0), 0) // the least recently used page, dirty
+	})
+	split := false
+	env.Go("splitter", func(p *sim.Proc) {
+		if err := full.Put(p, []byte("z"), nil, 1500); err != nil {
+			t.Error(err)
+		}
+		split = true
+	})
+	env.Go("editor", func(p *sim.Proc) {
+		if split {
+			t.Error("the split did not wait for a page")
+		}
+		if err := full.Put(p, []byte("a"), val(1), 0); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run()
+	keys = append(append([]string{"a"}, keys...), "z")
+	runErr(t, env, func(p *sim.Proc) error {
+		if err := full.Check(p); err != nil {
+			return err
+		}
+		var got []string
+		err := full.Scan(p, nil, func(k, _ []byte) bool { got = append(got, string(k)); return true })
+		if fmt.Sprint(got) != fmt.Sprint(keys) {
+			return fmt.Errorf("tree holds %q, want %q", got, keys)
+		}
+		return err
+	})
+}
+
 func modelOps(p *sim.Proc, s *Store, ops, universe int) error {
 	tr, err := s.CreateTree(p)
 	if err != nil {

@@ -69,3 +69,23 @@ func TestKeySuffix(t *testing.T) {
 		t.Error("empty suffix parsed")
 	}
 }
+
+// TestAppendPaddedMatchesSprintf holds appendPadded to %0*d at every width
+// a key uses and past it: zero, one, the widest value that fits, the first
+// that does not, a value far wider, and negatives, each appended after a
+// prefix.
+func TestAppendPaddedMatchesSprintf(t *testing.T) {
+	for width := 0; width <= 12; width++ {
+		fits := int64(1)
+		for range width {
+			fits *= 10
+		}
+		fits--
+		for _, v := range []int64{0, 1, 7, fits, fits + 1, 123456789012345, 1<<63 - 1, -1, -fits, -fits - 1, -1 << 63} {
+			got := appendPadded([]byte("k:"), v, width)
+			if want := fmt.Sprintf("k:%0*d", width, v); string(got) != want {
+				t.Errorf("appendPadded(%d, width %d) = %q, want %q", v, width, got, want)
+			}
+		}
+	}
+}

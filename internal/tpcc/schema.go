@@ -12,6 +12,8 @@ package tpcc
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"tracklog/internal/blockdev"
@@ -90,8 +92,21 @@ type (
 func (k keyBuf) num(v, width int) keyBuf { return appendPadded(append(k, ':'), int64(v), width) }
 
 // appendPadded appends v as fmt's %0*d prints it: zero-padded to width,
-// the sign counted in the width, wider when v needs more digits.
+// the sign counted in the width, wider when v needs more digits. A
+// non-negative v that fits the width, as every key field does, is written
+// straight into its width of digits.
 func appendPadded(b []byte, v int64, width int) []byte {
+	if n := len(b); v >= 0 && width > 0 {
+		b = slices.Grow(b, width)[:n+width]
+		rest := uint64(v)
+		for i := n + width - 1; i >= n; i-- {
+			b[i], rest = byte('0'+rest%10), rest/10
+		}
+		if rest == 0 {
+			return b
+		}
+		b = b[:n]
+	}
 	var buf [20]byte
 	digits := strconv.AppendInt(buf[:0], v, 10)
 	if v < 0 {
@@ -250,31 +265,64 @@ func tablePlacement(t Table, stores int) int {
 	}
 }
 
-// Load populates a fresh TPC-C database on the given data devices
-// (typically instant devices for population, reopened later on timed ones).
-func Load(p *sim.Proc, cfg Config, dataDevs []blockdev.Device) (*DB, error) {
+// Load populates a fresh TPC-C database on the given data devices, which
+// must serve I/O without simulated time (instant devices, reopened later on
+// timed ones): each store loads in a world of its own, the stores at once
+// (sim.Parallel), and the caller's world does not advance. The stores hold
+// nothing of their worlds.
+func Load(_ *sim.Proc, cfg Config, dataDevs []blockdev.Device) (*DB, error) {
 	cfg = cfg.withDefaults()
 	if len(dataDevs) == 0 {
 		return nil, fmt.Errorf("tpcc: no data devices")
 	}
+	type loaded struct {
+		db  *DB
+		err error
+	}
+	parts := sim.Parallel(len(dataDevs), func(si int) loaded {
+		db, err := loadStore(cfg, si, dataDevs)
+		return loaded{db, err}
+	})
 	db := &DB{cfg: cfg, trees: make(map[Table]*kvdb.Tree)}
-	for _, dev := range dataDevs {
-		s, err := kvdb.Open(p, dev, cfg.CachePages)
-		if err != nil {
-			return nil, fmt.Errorf("tpcc: opening store: %w", err)
+	for _, part := range parts {
+		if part.err != nil {
+			return nil, part.err
 		}
-		db.stores = append(db.stores, s)
+		db.stores = append(db.stores, part.db.stores...)
+		maps.Copy(db.trees, part.db.trees)
 	}
-	// Create trees in fixed table order so a reopen finds them by index.
-	for t := Table(1); int(t) <= numTables; t++ {
-		s := db.stores[tablePlacement(t, len(db.stores))]
-		tree, err := s.CreateTree(p)
-		if err != nil {
-			return nil, fmt.Errorf("tpcc: creating %v tree: %w", t, err)
+	return db, nil
+}
+
+// loadStore opens store si on dataDevs[si] and populates its tables, in a
+// world it closes before returning. The DB it returns holds that store and
+// its trees only.
+func loadStore(cfg Config, si int, dataDevs []blockdev.Device) (*DB, error) {
+	env := sim.NewEnv()
+	defer env.Close()
+	db := &DB{cfg: cfg, trees: make(map[Table]*kvdb.Tree)}
+	err := fmt.Errorf("tpcc: store %d did not finish loading: a device waited in simulated time", si)
+	env.Go("load", func(p *sim.Proc) {
+		s, e := kvdb.Open(p, dataDevs[si], cfg.CachePages)
+		if e != nil {
+			err = fmt.Errorf("tpcc: opening store: %w", e)
+			return
 		}
-		db.trees[t] = tree
-	}
-	return db, db.populate(p)
+		db.stores = []*kvdb.Store{s}
+		// Create trees in fixed table order so a reopen finds them by index.
+		for t := Table(1); int(t) <= numTables; t++ {
+			if tablePlacement(t, len(dataDevs)) != si {
+				continue
+			}
+			if db.trees[t], e = s.CreateTree(p); e != nil {
+				err = fmt.Errorf("tpcc: creating %v tree: %w", t, e)
+				return
+			}
+		}
+		err = db.populate(p)
+	})
+	env.Run()
+	return db, err
 }
 
 // Reopen opens an already-populated database (after the stores were loaded
@@ -310,41 +358,55 @@ func (db *DB) Tree(t Table) *kvdb.Tree { return db.trees[t] }
 // Stores returns the underlying stores (for cache stats / checkpointing).
 func (db *DB) Stores() []*kvdb.Store { return db.stores }
 
-// populate fills the tables per the TPC-C population rules (scaled by cfg).
+// populate fills the tables per the TPC-C population rules (scaled by cfg)
+// that db holds a tree of. It draws every table's random values, in one
+// order whatever db holds, but builds keys and rows for its own tables only.
 func (db *DB) populate(p *sim.Proc) error {
 	cfg := db.cfg
 	rng := sim.NewRand(cfg.Seed + 1)
 	var kb, rb scratch
 	k, row := kb[:0], rb[:0]
+	has := func(t Table) bool { return db.trees[t] != nil }
 	put := func(t Table, key, val []byte) error {
 		return db.trees[t].Put(p, key, val, t.logicalSize())
 	}
 	for i := 1; i <= cfg.Items; i++ {
-		if err := put(Item, iKey(k, i), itemRow(row, uint32(rng.IntRange(100, 10000)), uint32(rng.Intn(10000)))); err != nil {
-			return err
+		price, imID := rng.IntRange(100, 10000), rng.Intn(10000)
+		if has(Item) {
+			if err := put(Item, iKey(k, i), itemRow(row, uint32(price), uint32(imID))); err != nil {
+				return err
+			}
 		}
 	}
 	for w := 1; w <= cfg.Warehouses; w++ {
-		if err := put(Warehouse, wKey(k, w), warehouseRow(row, 30000000, uint32(rng.Intn(2000)))); err != nil {
-			return err
+		if tax := rng.Intn(2000); has(Warehouse) {
+			if err := put(Warehouse, wKey(k, w), warehouseRow(row, 30000000, uint32(tax))); err != nil {
+				return err
+			}
 		}
 		for i := 1; i <= cfg.Items; i++ {
-			if err := put(Stock, sKey(k, w, i), stockRow(row, uint32(rng.IntRange(10, 100)), 0, 0, 0)); err != nil {
-				return err
+			if qty := rng.IntRange(10, 100); has(Stock) {
+				if err := put(Stock, sKey(k, w, i), stockRow(row, uint32(qty), 0, 0, 0)); err != nil {
+					return err
+				}
 			}
 		}
 		for d := 1; d <= cfg.Districts; d++ {
 			nextOID := cfg.InitialOrdersPerDistrict + 1
-			if err := put(District, dKey(k, w, d), districtRow(row, uint32(nextOID), 3000000, uint32(rng.Intn(2000)))); err != nil {
-				return err
+			if tax := rng.Intn(2000); has(District) {
+				if err := put(District, dKey(k, w, d), districtRow(row, uint32(nextOID), 3000000, uint32(tax))); err != nil {
+					return err
+				}
 			}
 			for c := 1; c <= cfg.CustomersPerDistrict; c++ {
 				bad := uint32(0)
 				if rng.Intn(10) == 0 {
 					bad = 1 // 10% BC credit
 				}
-				if err := put(Customer, cKey(k, w, d, c), customerRow(row, -1000, 1000, 1, 0, bad)); err != nil {
-					return err
+				if has(Customer) {
+					if err := put(Customer, cKey(k, w, d, c), customerRow(row, -1000, 1000, 1, 0, bad)); err != nil {
+						return err
+					}
 				}
 			}
 			for o := 1; o <= cfg.InitialOrdersPerDistrict; o++ {
@@ -354,20 +416,26 @@ func (db *DB) populate(p *sim.Proc) error {
 				undelivered := o > cfg.InitialOrdersPerDistrict*2/3
 				if undelivered {
 					carrier = 0
-					if err := put(NewOrder, noKey(k, w, d, o), []byte{1}); err != nil {
+					if has(NewOrder) {
+						if err := put(NewOrder, noKey(k, w, d, o), []byte{1}); err != nil {
+							return err
+						}
+					}
+				}
+				if has(Order) {
+					if err := put(Order, oKey(k, w, d, o), orderRow(row, uint32(cID), uint32(olCnt), carrier, 0)); err != nil {
+						return err
+					}
+					if err := put(Order, ocKey(k, w, d, cID, o), []byte{1}); err != nil {
 						return err
 					}
 				}
-				if err := put(Order, oKey(k, w, d, o), orderRow(row, uint32(cID), uint32(olCnt), carrier, 0)); err != nil {
-					return err
-				}
-				if err := put(Order, ocKey(k, w, d, cID, o), []byte{1}); err != nil {
-					return err
-				}
 				for l := 1; l <= olCnt; l++ {
-					item := rng.IntRange(1, cfg.Items)
-					if err := put(OrderLine, olKey(k, w, d, o, l), orderLineRow(row, uint32(item), 5, uint32(rng.Intn(999900)), carrier)); err != nil {
-						return err
+					item, amount := rng.IntRange(1, cfg.Items), rng.Intn(999900)
+					if has(OrderLine) {
+						if err := put(OrderLine, olKey(k, w, d, o, l), orderLineRow(row, uint32(item), 5, uint32(amount), carrier)); err != nil {
+							return err
+						}
 					}
 				}
 			}
