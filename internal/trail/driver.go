@@ -221,6 +221,25 @@ type pendingWrite struct {
 	qdepth int
 }
 
+// writerState is a log disk writer's state. Idle: the log queue is empty.
+// Writing: it holds work, placing and writing records or stalled in
+// advanceTrack until its next track frees. Parked: stalled on a track an
+// abandoned entry pins whose retry in this stall failed, while another live
+// writer takes the queue. Dead: lost to blockdev.ErrDeviceFailed; the writer
+// has exited. A stalled writer sleeps on spaceFreed until wake, which makes a
+// parked one writing again: when a commit empties a track of its disk, when
+// an entry pinning one of its tracks is abandoned or queued again, or when a
+// peer log disk dies. So a parked writer's next track is pinned by an
+// abandoned entry, and some live writer is never parked.
+type writerState uint8
+
+const (
+	idle writerState = iota
+	writing
+	parked
+	dead
+)
+
 // logDisk is the per-log-disk state: the track allocator, the head model,
 // and the per-disk record chain. A Driver has one or more — multiple log
 // disks are the paper's §5.1 "final optimization", hiding the repositioning
@@ -256,13 +275,8 @@ type logDisk struct {
 	blocks []BlockRef
 	batch  []*pendingWrite
 
-	writerBusy bool
-	// dead marks a log disk lost to blockdev.ErrDeviceFailed; its writer
-	// has exited and the allocator never touches it again.
-	dead bool
-	// parked marks a writer stalled on a track that write-backs pin which
-	// failed again when retried, while another log disk takes the queue.
-	parked bool
+	state writerState
+	wbErr error // the error of the latest write-back abandoned while pinning a track here
 
 	// name is the disk's tracer track and timeline and metrics name ("logN").
 	name string
@@ -299,8 +313,8 @@ type Driver struct {
 	stageStamp   int64                // stage calls so far; orders overlapping staged extents
 	wbQueues     []wbQueue            // each data disk's entries awaiting write-back
 	windows      [][wbWindow]wbFlight // each data disk's write-back window
-	abandoned    []abandonedWB        // entries whose write-back failed, oldest first
-	retryRounds  int                  // log stalls that queued abandoned entries again
+	abandoned    []*bufEntry          // the abandoned entries (see abandon), in the order they became so
+	retryRounds  int32                // log stalls that queued abandoned entries again
 	allIdleCond  *sim.Cond
 	lastActivity sim.Time
 
@@ -666,26 +680,23 @@ func (d *Driver) write(p *sim.Proc, devIdx int, lba int64, count int, data []byt
 	if d.closed {
 		return ErrClosed
 	}
-	if d.failed != nil {
-		d.stats.Writes++
-		d.stats.FailedWrites++
-		return fmt.Errorf("trail %v write: %w", d.devIDs[devIdx], d.failed)
-	}
 	d.stats.Writes++
 	pol := d.cfg.QoS
 	deadline := pol.Deadline(p.Now(), opts.Deadline)
-	if deadline != 0 && p.Now() >= deadline {
-		d.stats.DeadlineExceeded++
-		return fmt.Errorf("trail %v write: %w", d.devIDs[devIdx], blockdev.ErrDeadlineExceeded)
-	}
-	// Admission: shed when the log queue is at the class's bound.
-	if bound := pol.ClassBound(opts.Class); bound > 0 && d.logQ.Len() >= bound {
-		return d.shedWrite(p, devIdx, lba, count)
-	}
-	// Degradation: under log pressure, throttle foreground writes against
-	// write-back progress instead of growing staging without bound.
-	if err := d.throttleWrite(p, devIdx, lba, count, deadline); err != nil {
-		return err
+	if d.failed == nil {
+		if deadline != 0 && p.Now() >= deadline {
+			d.stats.DeadlineExceeded++
+			return fmt.Errorf("trail %v write: %w", d.devIDs[devIdx], blockdev.ErrDeadlineExceeded)
+		}
+		// Admission: shed when the log queue is at the class's bound.
+		if bound := pol.ClassBound(opts.Class); bound > 0 && d.logQ.Len() >= bound {
+			return d.shedWrite(p, devIdx, lba, count)
+		}
+		// Degradation: under log pressure, throttle foreground writes against
+		// write-back progress instead of growing staging without bound.
+		if err := d.throttleWrite(p, devIdx, lba, count, deadline); err != nil {
+			return err
+		}
 	}
 	if d.failed != nil {
 		d.stats.FailedWrites++
@@ -880,7 +891,7 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk, full bool) {
 	if next == len(ld.busyCount) {
 		ld.busyCount = append(ld.busyCount, 0) // the tail reaches a new track
 	}
-	round := 0
+	var round int32
 	for ld.busyCount[next] > 0 {
 		if len(d.abandoned) > 0 {
 			if !full && d.pinnedByAbandoned(ld, next) {
@@ -891,19 +902,16 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk, full bool) {
 				round = d.retryRounds
 			}
 			if err := d.retryPinning(ld, next, round); err != nil {
-				if !d.lastUnparked(ld) {
-					ld.parked = true
-				} else {
-					ld.parked = false
+				if d.lastUnparked(ld) {
 					d.failQueue(fmt.Errorf("log track pinned by a failed write-back: %w", err))
 					return
 				}
+				ld.state = parked
 			}
 		}
 		d.stats.LogFullStalls++
 		ld.spaceFreed.Wait(p)
 	}
-	ld.parked = false
 	fromCyl, _, spt := ld.tailTrack()
 	if ld.usedOnTail > 0 {
 		d.stats.TrackUtilSum += float64(ld.usedOnTail) / float64(spt)
@@ -941,16 +949,15 @@ func (d *Driver) advanceTrack(p *sim.Proc, ld *logDisk, full bool) {
 func (d *Driver) logWriterLoop(p *sim.Proc, ld *logDisk) {
 	for {
 		for d.logQ.Len() == 0 {
-			ld.writerBusy = false
+			ld.state = idle
 			d.maybeAllIdle()
 			d.logQCond.Wait(p)
 		}
-		ld.writerBusy = true
+		ld.state = writing
 
 		if !ld.head.valid {
 			ok, err := d.reestablishRef(p, ld)
 			if !ok {
-				ld.writerBusy = false
 				d.failLogDisk(ld, err)
 				d.maybeAllIdle()
 				return
@@ -979,8 +986,7 @@ func (d *Driver) logWriterLoop(p *sim.Proc, ld *logDisk) {
 		if len(batch) == 0 {
 			continue // another writer took the queue first (or it expired)
 		}
-		if !d.writeRecord(p, ld, target, batch) && ld.dead {
-			ld.writerBusy = false
+		if !d.writeRecord(p, ld, target, batch) && ld.state == dead {
 			d.maybeAllIdle()
 			return
 		}
@@ -1240,12 +1246,8 @@ func (d *Driver) requeueOrFail(batch []*pendingWrite, cause error) {
 			d.expireWrite(now, pw)
 			continue
 		}
-		budget := d.cfg.QoS.RetryBudget(pw.class, maxWriteRetries)
-		if d.failed != nil || pw.retries > budget {
-			pw.err = fmt.Errorf("after %d attempts: %w", pw.retries, cause)
-			d.stats.FailedWrites++
-			d.finishFailed(pw)
-			pw.done.Trigger()
+		if d.failed != nil || pw.retries > d.cfg.QoS.RetryBudget(pw.class, maxWriteRetries) {
+			d.fail(pw, fmt.Errorf("after %d attempts: %w", pw.retries, cause))
 			continue
 		}
 		retry = append(retry, pw)
@@ -1256,41 +1258,39 @@ func (d *Driver) requeueOrFail(batch []*pendingWrite, cause error) {
 	}
 }
 
-// finishFailed closes a failed pending write's span tree: whatever time
-// remains beyond the last recorded retry is queue wait (e.g. the reference
-// re-establishment attempts after the final fault), then the tree ends in
-// error at the instant the client is released.
-func (d *Driver) finishFailed(pw *pendingWrite) {
-	if pw.rq == nil {
-		return
+// fail completes pw with err, a failed write. Its span tree ends in error,
+// the time since its last recorded retry counted as queue wait.
+func (d *Driver) fail(pw *pendingWrite, err error) {
+	pw.err = err
+	d.stats.FailedWrites++
+	if pw.rq != nil {
+		now := int64(d.env.Now())
+		pw.rq.ChildAB(span.PQueue, pw.cursor, now, int64(pw.qdepth), 0)
+		pw.rq.Finish(now, true)
 	}
-	now := int64(d.env.Now())
-	pw.rq.ChildAB(span.PQueue, pw.cursor, now, int64(pw.qdepth), 0)
-	pw.rq.Finish(now, true)
+	pw.done.Trigger()
 }
 
-// failLogDisk marks ld permanently dead. When it was the last live log disk
-// the driver fails as a whole: queued and future writes surface the error
-// rather than waiting forever for a writer that no longer exists.
+// failLogDisk marks ld permanently dead; the batch it held was requeued or
+// failed. When it was the last live log disk the driver fails as a whole:
+// queued and future writes surface the error rather than waiting forever for
+// a writer that no longer exists.
 func (d *Driver) failLogDisk(ld *logDisk, err error) {
-	if ld.dead {
+	if ld.state == dead {
 		return
 	}
-	ld.dead = true
+	ld.state, ld.batch = dead, nil
 	d.stats.LogDiskFailures++
+	live := false
 	for _, other := range d.logs {
-		if other.parked {
-			other.spaceFreed.Broadcast() // it may be the last writer now
+		if other.state == parked {
+			other.wake() // it may be the last writer now
 		}
+		live = live || other.state != dead
 	}
-	for _, other := range d.logs {
-		if !other.dead {
-			d.logQCond.Broadcast() // surviving writers pick up the queue
-			return
-		}
-	}
-	if err == nil {
-		err = blockdev.ErrDeviceFailed
+	if live {
+		d.logQCond.Broadcast() // surviving writers pick up the queue
+		return
 	}
 	d.failed = fmt.Errorf("all log disks failed: %w", err)
 	d.failQueue(d.failed)
@@ -1300,10 +1300,7 @@ func (d *Driver) failLogDisk(ld *logDisk, err error) {
 // failQueue fails every write waiting in the log queue with err.
 func (d *Driver) failQueue(err error) {
 	for _, pw := range d.logQ.Live() {
-		pw.err = err
-		d.stats.FailedWrites++
-		d.finishFailed(pw)
-		pw.done.Trigger()
+		d.fail(pw, err)
 	}
 	d.logQ.Reset(nil)
 }
@@ -1311,12 +1308,7 @@ func (d *Driver) failQueue(err error) {
 // lastUnparked reports whether ld is the only live log disk whose writer is
 // not parked: nobody else will take the log queue.
 func (d *Driver) lastUnparked(ld *logDisk) bool {
-	for _, other := range d.logs {
-		if other != ld && !other.dead && !other.parked {
-			return false
-		}
-	}
-	return true
+	return !slices.ContainsFunc(d.logs, func(o *logDisk) bool { return o != ld && (o.state == idle || o.state == writing) })
 }
 
 // idleLoop periodically refreshes the prediction reference points while the
@@ -1328,17 +1320,7 @@ func (d *Driver) idleLoop(p *sim.Proc) {
 		if d.closed {
 			return
 		}
-		if d.logQ.Len() > 0 {
-			continue
-		}
-		busy := false
-		for _, ld := range d.logs {
-			if ld.writerBusy {
-				busy = true
-				break
-			}
-		}
-		if busy || p.Now().Sub(d.lastActivity) < d.cfg.IdleReposition {
+		if d.logQ.Len() > 0 || slices.ContainsFunc(d.logs, (*logDisk).busy) || p.Now().Sub(d.lastActivity) < d.cfg.IdleReposition {
 			continue
 		}
 		// Refresh each disk: read one sector just ahead of the predicted
@@ -1346,7 +1328,7 @@ func (d *Driver) idleLoop(p *sim.Proc) {
 		// do not disturb data). Dead disks are skipped; a faulted refresh
 		// is not counted (the writer re-establishes the reference itself).
 		for _, ld := range d.logs {
-			if ld.dead {
+			if ld.state == dead {
 				continue
 			}
 			cyl, head, _ := ld.tailTrack()
@@ -1361,6 +1343,17 @@ func (d *Driver) idleLoop(p *sim.Proc) {
 		}
 		d.lastActivity = p.Now()
 	}
+}
+
+// busy reports whether ld's writer holds work, stalled or not.
+func (ld *logDisk) busy() bool { return ld.state == writing || ld.state == parked }
+
+// wake wakes ld's writer if it is stalled (writerState).
+func (ld *logDisk) wake() {
+	if ld.state == parked {
+		ld.state = writing
+	}
+	ld.spaceFreed.Broadcast()
 }
 
 // maybeAllIdle wakes Shutdown waiters when everything has drained.
@@ -1378,7 +1371,7 @@ func (d *Driver) drained() bool {
 		return false
 	}
 	for _, ld := range d.logs {
-		if ld.writerBusy || ld.outstanding.Len() > 0 {
+		if ld.busy() || ld.outstanding.Len() > 0 {
 			return false
 		}
 	}

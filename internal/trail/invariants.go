@@ -29,6 +29,10 @@ import (
 //     committed records off the head.
 //  8. Every entry a write-back queue or a flight not yet landed holds is
 //     staged, a queued one with inQueue set.
+//  9. The abandoned list holds, once each, exactly the staged entries that
+//     are not queued yet hold record references; a parked writer's next
+//     track is pinned by one. Some live writer is not parked, or every log
+//     disk is dead, holds no batch, and the driver failed its queue.
 //
 // Staged extents are audited in (dev, lba, count) order, so the violation
 // reported is the same on every run.
@@ -71,6 +75,15 @@ func (d *Driver) CheckInvariants() error {
 		if used != ld.usedOnTail {
 			return fmt.Errorf("trail: log %d tail track bitmap has %d used sectors, usedOnTail %d", li, used, ld.usedOnTail)
 		}
+		if ld.state == parked && !d.pinnedByAbandoned(ld, (ld.posIdx+1)%NumUsableTracks(ld.g)) {
+			return fmt.Errorf("trail: log %d is parked on a track no abandoned entry pins", li)
+		}
+		if ld.state == dead && len(ld.batch) > 0 {
+			return fmt.Errorf("trail: dead log %d holds a batch of %d writes", li, len(ld.batch))
+		}
+	}
+	if live := slices.ContainsFunc(d.logs, func(ld *logDisk) bool { return ld.state != dead }); live && d.lastUnparked(nil) || !live && (d.failed == nil || d.logQ.Len() > 0) {
+		return fmt.Errorf("trail: no live log disk takes the log queue (%d writes queued, driver failed: %v)", d.logQ.Len(), d.failed)
 	}
 	var entries []*bufEntry
 	for _, e := range d.staged.buckets {
@@ -85,8 +98,14 @@ func (d *Driver) CheckInvariants() error {
 		return fmt.Errorf("trail: stripe index counts %d entries, its buckets hold %d", d.staged.n, len(entries))
 	}
 	var staged int64
+	abandoned := 0
 	for _, e := range entries {
 		staged += e.bytes()
+		if is := !e.inQueue && len(e.refs) > 0; is != slices.Contains(d.abandoned, e) {
+			return fmt.Errorf("trail: staged dev %d lba %d is abandoned %v, listed %v", e.dev, e.lba, is, !is)
+		} else if is {
+			abandoned++
+		}
 		if d.staged.find(e.dev, e.lba, e.count) != e {
 			return fmt.Errorf("trail: staged dev %d lba %d count %d is not filed under its stripe", e.dev, e.lba, e.count)
 		}
@@ -105,6 +124,9 @@ func (d *Driver) CheckInvariants() error {
 	}
 	if staged != d.stagedBytes {
 		return fmt.Errorf("trail: stagedBytes counter %d, stripe index holds %d", d.stagedBytes, staged)
+	}
+	if abandoned != len(d.abandoned) {
+		return fmt.Errorf("trail: %d staged entries are abandoned, the list holds %d", abandoned, len(d.abandoned))
 	}
 	for dev := range d.wbQueues {
 		for e := d.wbQueues[dev].head; e != nil; e = e.next {

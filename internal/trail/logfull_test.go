@@ -176,3 +176,58 @@ func TestAbandonedWriteBackDoesNotHangTheLog(t *testing.T) {
 		t.Errorf("the retried extent holds %#x on its platter, want 0xb1", got[0])
 	}
 }
+
+// TestStalledWriterWakesWhenTheDrivesDie: the one log disk's writer stalls on
+// a full log, then every drive dies. The write-backs pinning its next track
+// fail and are abandoned, which wakes the writer; their retry fails too, and
+// every write waiting in the log queue returns an error wrapping
+// ErrDeviceFailed instead of waiting forever.
+func TestStalledWriterWakesWhenTheDrivesDie(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	log := disk.New(env, tinyLogParams())
+	if err := Format(log); err != nil {
+		t.Fatal(err)
+	}
+	data := disk.New(env, slowDataParams())
+	drv, err := NewDriver(env, log, []*disk.Disk{data}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 8
+	var errs []error
+	for c := 0; c < clients; c++ {
+		env.Go("client", func(p *sim.Proc) {
+			for i := 0; ; i++ {
+				if err := drv.Dev(0).Write(p, int64(c*64+i%64)*8, 8, fill(byte(i)|1, 8)); err != nil {
+					errs = append(errs, err)
+					return
+				}
+			}
+		})
+	}
+	queued := 0
+	env.Go("killer", func(p *sim.Proc) {
+		for drv.Stats().LogFullStalls == 0 || drv.LogQueueLen() == 0 {
+			p.Sleep(100 * time.Microsecond)
+		}
+		queued = drv.LogQueueLen()
+		log.SetInjector(&stepFault{dead: true, badLBA: -1})
+		data.SetInjector(&stepFault{dead: true, badLBA: -1})
+	})
+	env.Run()
+	if queued == 0 {
+		t.Fatal("the drives died before the writer stalled")
+	}
+	if len(errs) != clients {
+		t.Fatalf("%d of %d clients' writes returned after the drives died (%d were queued)", len(errs), clients, queued)
+	}
+	for _, err := range errs {
+		if !errors.Is(err, blockdev.ErrDeviceFailed) {
+			t.Errorf("write after the drives died: %v, want ErrDeviceFailed", err)
+		}
+	}
+	if err := drv.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

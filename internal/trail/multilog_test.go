@@ -248,7 +248,7 @@ func TestPinnedLogDiskParksWhileAnotherServes(t *testing.T) {
 				return
 			}
 			for _, ld := range drv.logs {
-				if ld.parked {
+				if ld.state == parked {
 					pinned = ld
 				}
 			}
@@ -265,8 +265,8 @@ func TestPinnedLogDiskParksWhileAnotherServes(t *testing.T) {
 				return
 			}
 		}
-		if !pinned.parked || drv.Stats().Records != records+100 {
-			t.Errorf("log%d parked %v; %d records logged, want 100", pinned.idx, pinned.parked, drv.Stats().Records-records)
+		if pinned.state != parked || drv.Stats().Records != records+100 {
+			t.Errorf("log%d parked %v; %d records logged, want 100", pinned.idx, pinned.state == parked, drv.Stats().Records-records)
 		}
 		other.disk.SetInjector(&stepFault{dead: true, badLBA: -1})
 		failed = dev.Write(p, 8, 8, fill(0xC1, 8))

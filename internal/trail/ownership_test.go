@@ -521,7 +521,7 @@ func TestWriteRecordAllocatesNothingPerBlock(t *testing.T) {
 		ld := r.drv.logs[0]
 		const runs = 20
 		r.env.Go("writer", func(p *sim.Proc) {
-			ld.writerBusy = true // the real writer is parked on an empty queue
+			ld.state = writing // the real writer is parked on an empty queue
 			one := func() {
 				for !ld.head.valid {
 					ld.refRead(p, 0)
@@ -542,7 +542,7 @@ func TestWriteRecordAllocatesNothingPerBlock(t *testing.T) {
 			allocs = testing.AllocsPerRun(runs, one)
 			runtime.ReadMemStats(&after)
 			bytesPerRecord = (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-			ld.writerBusy = false
+			ld.state = idle
 		})
 		r.env.Run()
 		if err := r.drv.CheckInvariants(); err != nil {

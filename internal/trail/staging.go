@@ -59,6 +59,7 @@ type bufEntry struct {
 	// inQueue is true while a write-back for this extent is queued (only one
 	// queued write-back per buffer: duplicate requests are skipped, §4.2).
 	inQueue bool
+	round   int32 // the log stall that last queued it again (retryPinning); 0 once a write queues it
 	// chain is the next entry in the entry's stripeIndex bucket; next, while
 	// inQueue, the next in its data disk's wbQueue.
 	chain, next *bufEntry
@@ -109,9 +110,12 @@ func (d *Driver) stage(pw *pendingWrite, rec *record) {
 		e.spanIDs = append(e.spanIDs, id)
 	}
 	if !e.inQueue {
-		e.inQueue = true
+		e.inQueue, e.round = true, 0
 		d.wbQueues[pw.devIdx].push(e)
-		d.forgetAbandoned(e)
+		if len(e.refs) > 1 { // rare: it held references before this one, so it was abandoned
+			d.abandoned = slices.DeleteFunc(d.abandoned, func(a *bufEntry) bool { return a == e })
+			d.wakePinned(e)
+		}
 	}
 	d.tlStaged.Set(float64(d.StagedBytes()), int64(d.env.Now()))
 }
@@ -314,7 +318,6 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 			for _, ref := range f.refs {
 				d.commitRef(ref)
 			}
-			d.forgetAbandoned(e)
 			// Release the entry and its image if no newer version arrived
 			// mid-flight.
 			if e.stamp == f.ver && len(e.refs) == 0 && !e.inQueue {
@@ -332,74 +335,56 @@ func (d *Driver) writebackLoop(p *sim.Proc, devIdx int) {
 	}
 }
 
-// abandonedWB is a staged entry whose write-back the data disk refused, with
-// the error; its log records stay pinned until a write-back of it lands. It
-// is listed until then or until a client write queues the entry again. round
-// is the log stall that last queued it again (0: none).
-type abandonedWB struct {
-	e     *bufEntry
-	err   error
-	round int
-}
-
-// abandon files e, whose write-back failed with err, unless a newer write
-// already queued it. A stall that queued it is woken to see the retry fail.
+// abandon lists e, whose write-back failed with err, as abandoned unless a
+// newer write queued it again meanwhile: an entry is abandoned when it is
+// staged, neither queued nor in flight, and holds record references, which
+// stay pinned until a write-back of it lands. The writers of their disks wake.
 func (d *Driver) abandon(e *bufEntry, err error) {
-	i := d.abandonedIndex(e)
-	if i < 0 {
-		if !e.inQueue {
-			d.abandoned = append(d.abandoned, abandonedWB{e: e, err: err})
-		}
+	if e.inQueue {
 		return
 	}
-	d.abandoned[i].err = err
-	if d.abandoned[i].round != 0 {
-		for _, ref := range e.refs {
-			ref.rec.log.spaceFreed.Broadcast()
-		}
+	d.abandoned = append(d.abandoned, e)
+	for _, ref := range e.refs {
+		ref.rec.log.wbErr = err
+	}
+	d.wakePinned(e)
+}
+
+// wakePinned wakes the writers of the log disks holding e's records: e has
+// just been abandoned or queued again, which may free or pin their next track.
+func (d *Driver) wakePinned(e *bufEntry) {
+	for _, ref := range e.refs {
+		ref.rec.log.wake()
 	}
 }
 
-// forgetAbandoned drops e from the abandoned list, if it is there: a write
-// queued it again, or a write-back of it landed.
-func (d *Driver) forgetAbandoned(e *bufEntry) {
-	if i := d.abandonedIndex(e); i >= 0 {
-		d.abandoned = slices.Delete(d.abandoned, i, i+1)
-	}
-}
-
-func (d *Driver) abandonedIndex(e *bufEntry) int {
-	for i := range d.abandoned {
-		if d.abandoned[i].e == e {
-			return i
-		}
-	}
-	return -1
-}
-
-// pinnedByAbandoned reports whether an abandoned entry that nothing has
-// queued again pins track (an index in ld's allocation order).
+// pinnedByAbandoned reports whether an abandoned entry pins track (see pins).
 func (d *Driver) pinnedByAbandoned(ld *logDisk, track int) bool {
-	return slices.ContainsFunc(d.abandoned, func(a abandonedWB) bool { return !a.e.inQueue && a.e.pins(ld, track) })
+	return slices.ContainsFunc(d.abandoned, func(e *bufEntry) bool { return e.pins(ld, track) })
 }
 
-// retryPinning queues again, in round, the abandoned entries whose log
-// records pin track (an index in ld's allocation order) and that round has
-// not queued yet. It returns the error of one whose retry in round failed.
-func (d *Driver) retryPinning(ld *logDisk, track, round int) error {
-	for i := range d.abandoned {
-		a := &d.abandoned[i]
-		if a.e.inQueue || !a.e.pins(ld, track) {
-			continue // queued, in flight (its refs ride the flight) or elsewhere
+// retryPinning queues again the abandoned entries pinning track (an index in
+// ld's allocation order) that round has not queued yet, and returns ld's
+// write-back error if one that round queued is abandoned again.
+func (d *Driver) retryPinning(ld *logDisk, track int, round int32) error {
+	var err error
+	kept := d.abandoned[:0]
+	for _, e := range d.abandoned {
+		switch {
+		case !e.pins(ld, track):
+			kept = append(kept, e)
+		case e.round == round:
+			kept = append(kept, e)
+			err = ld.wbErr
+		default:
+			e.inQueue, e.round = true, round
+			d.wbQueues[e.dev].push(e)
+			d.wakePinned(e)
 		}
-		if a.round == round {
-			return a.err
-		}
-		a.round = round
-		a.e.inQueue = true
-		d.wbQueues[a.e.dev].push(a.e)
 	}
-	return nil
+	clear(d.abandoned[len(kept):])
+	d.abandoned = kept
+	return err
 }
 
 // pins reports whether e references a record on track (an index in ld's
@@ -426,7 +411,7 @@ func (d *Driver) commitRef(ref recordRef) {
 	ld := r.log
 	ld.busyCount[r.trackIdx]--
 	if ld.busyCount[r.trackIdx] == 0 {
-		ld.spaceFreed.Broadcast()
+		ld.wake()
 	}
 	// Advance the FIFO head past committed records: no reference to one
 	// remains, so it is free.
