@@ -8,7 +8,6 @@
 //	trailsim -pattern uniform|sequential|zipf    # synthetic trace, 70% writes
 //	trailsim -replay FILE                        # replay a trace file
 //	trailsim -faults latent=3,timeout=1          # inject media faults (sampled from -seed)
-//	trailsim -faulttol [-faults SCENARIO]        # 3-system fault comparison
 //
 // The closed-loop writers run the paper's sparse mode (§5.1): each waits
 // 5 ms after a completion before issuing its next write.
@@ -29,8 +28,11 @@
 //	-verify                with -offered-load, read back every acknowledged
 //	                       write after the run and exit nonzero if any is lost
 //
-// Observability (composable with every mode above except -faulttol, which
-// runs three systems):
+// A flag the chosen mode would ignore is refused: -faults with -pattern or
+// -replay (a replayed trace runs fault-free), and -verify without
+// -offered-load.
+//
+// Observability (composable with every mode above):
 //
 //	-out DIR               write the run's artefact set into DIR, the files
 //	                       cmd/rundiff reads: trace.json (Chrome trace-event
@@ -63,7 +65,6 @@ import (
 
 	"tracklog/internal/benchfmt"
 	"tracklog/internal/disk"
-	"tracklog/internal/experiments"
 	"tracklog/internal/fault"
 	"tracklog/internal/geom"
 	"tracklog/internal/qos"
@@ -93,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	replayFile := fs.String("replay", "", "replay an I/O trace file instead of the synthetic workload")
 	pattern := fs.String("pattern", "", "synthesize-and-replay with this target pattern: uniform, sequential, zipf")
 	faults := fs.String("faults", "", "fault scenario to inject on every drive (key=value terms, e.g. latent=3,timeout=1; see internal/fault)")
-	faultTol := fs.Bool("faulttol", false, "run the standard/trail/raid5 fault-tolerance comparison under -faults")
 	qosOn := fs.Bool("qos", false, "enable the default overload policy (admission bounds, retry budgets, throttling)")
 	deadline := fs.Duration("deadline", 0, "per-request deadline: issue time + D (0 disables)")
 	maxDepth := fs.Int("max-depth", 0, "bound the disk scheduler queue depth (0 = unbounded)")
@@ -107,24 +107,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "trailsim:", err)
 		return 1
 	}
-	if *faultTol {
-		if *out != "" {
-			return fail(errors.New("-faulttol runs three systems; -out observes one"))
-		}
-		if err := runFaultTol(stdout, *faults, *writes, *seed); err != nil {
-			return fail(err)
-		}
-		return 0
+	if *faults != "" && (*replayFile != "" || *pattern != "") {
+		return fail(errors.New("-faults does not apply to a replayed trace, which runs fault-free"))
+	}
+	if *verify && *offeredLoad <= 0 {
+		return fail(errors.New("-verify audits an open-loop run; give -offered-load"))
 	}
 	var in rig.Instruments
 	if *out != "" {
 		in = rig.NewInstruments(timelineBucket)
 	}
-	scenario := *faults
-	if *replayFile != "" || *pattern != "" {
-		scenario = "" // a replayed trace runs fault-free
-	}
-	r, err := buildRig(*system, scenario, *seed, qosPolicy(*qosOn, *deadline, *maxDepth), *seekDerate, in)
+	r, err := buildRig(*system, *faults, *seed, qosPolicy(*qosOn, *deadline, *maxDepth), *seekDerate, in)
 	if err != nil {
 		return fail(err)
 	}
@@ -135,9 +128,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *pattern != "":
 		entries, err = runPattern(stdout, r, *system, *pattern, *writes, *size, *seed)
 	case *offeredLoad > 0:
-		entries, err = runOpenLoop(stdout, r, *system, *size, *writes, *offeredLoad, *seed, scenario, *verify)
+		entries, err = runOpenLoop(stdout, r, *system, *size, *writes, *offeredLoad, *seed, *faults, *verify)
 	default:
-		entries, err = runSync(stdout, r, *system, *size, *procs, *writes, *seed, scenario)
+		entries, err = runSync(stdout, r, *system, *size, *procs, *writes, *seed, *faults)
 	}
 	r.Close()
 	if err == nil && *out != "" {
@@ -147,24 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	return 0
-}
-
-// runFaultTol runs the three-system comparison under the scenario (the
-// ISSUE's default when none is given).
-func runFaultTol(w io.Writer, scenario string, writes int, seed uint64) error {
-	if scenario == "" {
-		scenario = "latent=3,timeout=1"
-	}
-	cfg, err := fault.ParseScenario(scenario)
-	if err != nil {
-		return err
-	}
-	res, err := experiments.FaultTolerance(writes, seed, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, res)
-	return nil
 }
 
 // qosPolicy assembles the run's overload policy from the flags; nil when no

@@ -18,6 +18,10 @@ const pending = 64 // log records outstanding at the crash
 
 func main() {
 	fmt.Printf("Building a Trail system and crashing it with ~%d pending records...\n\n", pending)
+	sys, err := crash()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	variants := []struct {
 		name string
@@ -29,7 +33,7 @@ func main() {
 		{"skip write-back (Fig 4b)", tracklog.RecoverOptions{SkipWriteBack: true}},
 	}
 	for _, v := range variants {
-		rep, err := crashAndRecover(v.opts)
+		rep, err := recoverClones(sys, v.opts)
 		if err != nil {
 			log.Fatalf("%s: %v", v.name, err)
 		}
@@ -40,8 +44,9 @@ func main() {
 	}
 }
 
-// crashAndRecover builds a fresh crashed system and recovers it with opts.
-func crashAndRecover(opts tracklog.RecoverOptions) (*tracklog.RecoverReport, error) {
+// crash builds a Trail system, writes until pending records are outstanding
+// and cuts power.
+func crash() (*tracklog.System, error) {
 	cfg := tracklog.DefaultTrailConfig()
 	cfg.MaxBatchSectors = 2 // one 2-sector write per record, for a precise backlog
 	sys, err := tracklog.NewSystem(tracklog.SystemConfig{Trail: cfg})
@@ -63,7 +68,19 @@ func crashAndRecover(opts tracklog.RecoverOptions) (*tracklog.RecoverReport, err
 	}
 	stop = true
 	sys.Crash()
+	return sys, nil
+}
 
-	_, rep, err := sys.Recover(opts)
+// recoverClones recovers clones of the crashed system's drives with opts on
+// a fresh environment: recovery marks the log disk clean, so every variant
+// gets its own copy of the one crash state.
+func recoverClones(sys *tracklog.System, opts tracklog.RecoverOptions) (*tracklog.RecoverReport, error) {
+	drives := sys.Drives()
+	for i, d := range drives {
+		drives[i] = d.Clone()
+	}
+	env := tracklog.NewEnv()
+	defer env.Close()
+	_, rep, err := sys.RecoverOn(env, drives, opts)
 	return rep, err
 }

@@ -36,9 +36,6 @@ func ThresholdSweep(thresholds []float64, writes int, seed uint64) (*ThresholdRe
 	if len(thresholds) == 0 {
 		thresholds = []float64{0.05, 0.15, 0.30, 0.50, 0.80}
 	}
-	if writes == 0 {
-		writes = 200
-	}
 	res := &ThresholdResult{}
 	for _, th := range thresholds {
 		cfg := trail.Default()
@@ -100,9 +97,6 @@ type ReadPriorityResult struct {
 // write-back stream competes for the spindle, with reads prioritized
 // (paper) versus a plain elevator.
 func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
-	if reads == 0 {
-		reads = 100
-	}
 	res := &ReadPriorityResult{}
 	for _, policy := range []sched.Policy{sched.ReadPriorityLOOK, sched.LOOK} {
 		cfg := trail.Default()
@@ -191,9 +185,6 @@ func MultiLogAblation(counts []int, writes int, seed uint64) (*MultiLogResult, e
 	if len(counts) == 0 {
 		counts = []int{1, 2, 3}
 	}
-	if writes == 0 {
-		writes = 200
-	}
 	res := &MultiLogResult{}
 	for _, n := range counts {
 		cfg := trail.Default()
@@ -250,29 +241,22 @@ type RecoveryAblationResult struct {
 	NoLogHead *trail.RecoverReport
 }
 
-// RecoveryOptimizationsAblation builds identical crash states and recovers
-// each with one of the paper's two recovery optimizations disabled.
+// RecoveryOptimizationsAblation crashes one Trail system with q pending
+// records and recovers clones of its drives with each of the paper's two
+// recovery optimizations disabled in turn.
 func RecoveryOptimizationsAblation(q int, seed uint64) (*RecoveryAblationResult, error) {
-	if q == 0 {
-		q = 64
+	sys, err := crashWithBacklog(q, seed, nil)
+	if err != nil {
+		return nil, err
 	}
-	run := func(opts trail.RecoverOptions) (*trail.RecoverReport, error) {
+	var reps [3]*trail.RecoverReport
+	for i, opts := range []trail.RecoverOptions{{}, {SequentialScan: true}, {IgnoreLogHead: true}} {
 		opts.SkipWriteBack = true // isolate locate+rebuild
-		return crashWithBacklog(q, seed, opts, nil)
+		if reps[i], err = recoverClones(sys, opts); err != nil {
+			return nil, err
+		}
 	}
-	base, err := run(trail.RecoverOptions{})
-	if err != nil {
-		return nil, err
-	}
-	noBin, err := run(trail.RecoverOptions{SequentialScan: true})
-	if err != nil {
-		return nil, err
-	}
-	noHead, err := run(trail.RecoverOptions{IgnoreLogHead: true})
-	if err != nil {
-		return nil, err
-	}
-	return &RecoveryAblationResult{Baseline: base, NoBinarySearch: noBin, NoLogHead: noHead}, nil
+	return &RecoveryAblationResult{Baseline: reps[0], NoBinarySearch: reps[1], NoLogHead: reps[2]}, nil
 }
 
 // String renders the ablation.

@@ -38,9 +38,6 @@ func DeltaCalibration(deltas []int, writesPerPoint int) (*DeltaResult, error) {
 	if len(deltas) == 0 {
 		deltas = []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 20, 24}
 	}
-	if writesPerPoint == 0 {
-		writesPerPoint = 20
-	}
 	var res DeltaResult
 	for _, delta := range deltas {
 		cfg := trail.Default()
@@ -103,9 +100,6 @@ type AnatomyResult struct {
 
 // LatencyAnatomy reproduces §5.1's component analysis on the ST41601N.
 func LatencyAnatomy(writes int) (*AnatomyResult, error) {
-	if writes == 0 {
-		writes = 50
-	}
 	res := &AnatomyResult{}
 	measure := func(sectors int) (time.Duration, time.Duration, error) {
 		// The default driver: writes 10 ms apart wait neither for one

@@ -138,6 +138,9 @@ var Catalogue = []Section{
 	{"ext-directlog", "Extension — direct vs file-system database logging", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
 		return text(DirectLogging(sz.Writes/2, seed))
 	}},
+	{"ext-faulttol", "Extension — fault tolerance", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
+		return text(FaultTolerance(sz.Writes, seed))
+	}},
 	{"sync-write", "Gate — sync-write grid", func(Sizing, uint64) (string, []benchfmt.Entry, error) {
 		return entryTable(syncWriteGrid())
 	}},

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,12 +18,12 @@ func keysOf(secs []Section) []string {
 	return out
 }
 
-// The catalogue is the paper's 16 evaluation sections and the 5 gate
+// The catalogue is the paper's 17 evaluation sections and the 5 gate
 // sections, each under a unique key that is no other key's prefix (so an
 // exact key selects one section).
 func TestCatalogueKeysUnique(t *testing.T) {
-	if len(Catalogue) != 21 {
-		t.Errorf("catalogue has %d sections, want 21", len(Catalogue))
+	if len(Catalogue) != 22 {
+		t.Errorf("catalogue has %d sections, want 22", len(Catalogue))
 	}
 	for i, a := range Catalogue {
 		if a.Key == "" || a.Title == "" || a.Run == nil {
@@ -42,7 +46,7 @@ func TestSelect(t *testing.T) {
 		{"fig4", []string{"fig4"}},
 		{"fig3", []string{"fig3a", "fig3b"}},
 		{"ablate", []string{"ablate-threshold", "ablate-readprio", "ablate-recovery"}},
-		{"ext", []string{"ext-multilog", "ext-fsmeta", "ext-raid5", "ext-directlog"}},
+		{"ext", []string{"ext-multilog", "ext-fsmeta", "ext-raid5", "ext-directlog", "ext-faulttol"}},
 		// Catalogue order, whatever the order asked; duplicates collapse.
 		{"table2, delta,table2", []string{"delta", "table2"}},
 	} {
@@ -73,5 +77,57 @@ func TestDefaultSizingIsTheDocumentedOne(t *testing.T) {
 	}
 	if got := PaperSizing().TPCC; !reflect.DeepEqual(got, PaperScale()) {
 		t.Errorf("-paper TPC-C scale = %+v, want PaperScale()", got)
+	}
+}
+
+// Every experiment runs in the catalogue: an exported function of this
+// package returning (*R, error) is an experiment, and catalogue.go or
+// gate.go must call it, so cmd/reproduce stays the only runner of what the
+// package measures.
+func TestEveryExperimentIsCatalogued(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	var experiments []string
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		af, err := parser.ParseFile(token.NewFileSet(), f, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f == "catalogue.go" || f == "gate.go" {
+			ast.Inspect(af, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					named[id.Name] = true
+				}
+				return true
+			})
+		}
+		for _, d := range af.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil {
+				continue
+			}
+			res := fn.Type.Results.List
+			if len(res) != 2 {
+				continue
+			}
+			_, ptr := res[0].Type.(*ast.StarExpr)
+			if id, ok := res[1].Type.(*ast.Ident); ptr && ok && id.Name == "error" {
+				experiments = append(experiments, fn.Name.Name)
+			}
+		}
+	}
+	if len(experiments) == 0 {
+		t.Fatal("found no experiments")
+	}
+	for _, name := range experiments {
+		if !named[name] {
+			t.Errorf("%s is an experiment that neither catalogue.go nor gate.go runs", name)
+		}
 	}
 }

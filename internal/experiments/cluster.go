@@ -40,10 +40,10 @@ type ClusterPoint struct {
 	// Acked/Shed/Failed partition the writes; ReadsOK/ReadsFailed the reads.
 	Acked, Shed, Failed  int64
 	ReadsOK, ReadsFailed int64
-	// WMean/WP50/WP99 summarize acked-write latency, the R* series served
+	// WMean/WP50/WP99 summarize acked-write latency, RMean/RP99 served
 	// reads.
 	WMean, WP50, WP99 time.Duration
-	RMean, RP50, RP99 time.Duration
+	RMean, RP99       time.Duration
 	// AckedPerSec is acked-write throughput over the span of arrivals.
 	AckedPerSec float64
 }
@@ -118,7 +118,7 @@ func clusterCell(shards int, mixCfg workload.MixConfig) (*ClusterPoint, error) {
 		}
 	}
 	pt.WMean, pt.WP50, pt.WP99 = w.Mean(), w.Quantile(0.50), w.Quantile(0.99)
-	pt.RMean, pt.RP50, pt.RP99 = r.Mean(), r.Quantile(0.50), r.Quantile(0.99)
+	pt.RMean, pt.RP99 = r.Mean(), r.Quantile(0.99)
 	if span := lastAt - firstAt; span > 0 {
 		pt.AckedPerSec = float64(pt.Acked) / span.Seconds()
 	}

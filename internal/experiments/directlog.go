@@ -31,9 +31,6 @@ type DirectLogResult struct {
 // DirectLogging commits `commits` transactions' worth of log records (~2 KB
 // each) through both paths on identical Trail hardware.
 func DirectLogging(commits int, seed uint64) (*DirectLogResult, error) {
-	if commits == 0 {
-		commits = 100
-	}
 	res := &DirectLogResult{}
 	for _, direct := range []bool{true, false} {
 		sys, err := rig.New(rig.Config{})

@@ -16,10 +16,13 @@ import (
 	"tracklog/internal/telemetry"
 )
 
-// faultRegion bounds the workload (and, by default, the sampled fault
-// locations) so injected latent errors actually land in sectors the workload
-// touches.
+// faultRegion bounds the workload and the sampled fault locations, so
+// injected latent errors land in sectors the workload touches.
 const faultRegion = 4096
+
+// faultScenario is the comparison's fault scenario: three latent read errors
+// and one transient timeout per drive, within faultRegion.
+var faultScenario = fault.Config{LatentReadErrors: 3, Timeouts: 1, MaxLBA: faultRegion}
 
 // FaultRow is one system's outcome under an injected fault scenario.
 type FaultRow struct {
@@ -45,8 +48,8 @@ type FaultToleranceResult struct {
 	Rows     []FaultRow
 }
 
-// FaultTolerance runs a seeded mixed read/write workload against the three
-// systems while the same seeded fault scenario plays out on their drives:
+// FaultTolerance issues writes seeded writes, with read-backs mixed in,
+// against the three systems while faultScenario plays out on their drives:
 // the standard subsystem and Trail get the plan on their data disk (Trail
 // additionally on its log disk, since that is where its writes land), and
 // the RAID-5 array gets it on one member device.
@@ -54,16 +57,10 @@ type FaultToleranceResult struct {
 // Everything — workload addresses, payloads, fault locations, onset times —
 // derives from seed via sim.Rand in virtual time, so two runs with the same
 // arguments produce byte-identical results.
-func FaultTolerance(writes int, seed uint64, cfg fault.Config) (*FaultToleranceResult, error) {
-	if writes == 0 {
-		writes = 1000
-	}
-	if cfg.MaxLBA == 0 {
-		cfg.MaxLBA = faultRegion
-	}
-	res := &FaultToleranceResult{Scenario: cfg.String()}
+func FaultTolerance(writes int, seed uint64) (*FaultToleranceResult, error) {
+	res := &FaultToleranceResult{Scenario: faultScenario.String()}
 	for _, system := range []string{"standard", "trail", "raid5"} {
-		row, err := faultToleranceRun(system, writes, seed, cfg)
+		row, err := faultToleranceRun(system, writes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("fault tolerance %s: %w", system, err)
 		}
@@ -72,9 +69,10 @@ func FaultTolerance(writes int, seed uint64, cfg fault.Config) (*FaultToleranceR
 	return res, nil
 }
 
-// faultToleranceRun builds one system with the scenario attached and drives
-// the workload against it.
-func faultToleranceRun(system string, writes int, seed uint64, cfg fault.Config) (*FaultRow, error) {
+// faultToleranceRun builds one system with faultScenario attached and
+// drives the workload against it.
+func faultToleranceRun(system string, writes int, seed uint64) (*FaultRow, error) {
+	cfg := faultScenario
 	var sys *rig.Rig
 	var dev blockdev.Device
 	var plans []*fault.Plan

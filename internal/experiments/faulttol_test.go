@@ -1,19 +1,18 @@
 package experiments
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
-
-	"tracklog/internal/fault"
 )
 
 // TestFaultToleranceDeterministic is the acceptance scenario: the seeded
-// ISSUE workload (3 latent errors + 1 timeout over 1000 writes) must render
+// workload (3 latent errors + 1 timeout over 1000 writes) must render
 // byte-identical metrics across two runs, and the RAID-5 array must hide
 // the single-device damage completely.
 func TestFaultToleranceDeterministic(t *testing.T) {
-	cfg := fault.Config{LatentReadErrors: 3, Timeouts: 1}
 	run := func() *FaultToleranceResult {
-		res, err := FaultTolerance(1000, 42, cfg)
+		res, err := FaultTolerance(1000, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,5 +38,24 @@ func TestFaultToleranceDeterministic(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Error("no injected fault ever triggered; scenario is vacuous")
+	}
+}
+
+// TestFaultToleranceSectionGolden pins the ext-faulttol section's text at the
+// default sizing and seed to its length and digest, recorded when the RAID
+// counters lost the scrubber's and the admission gate's always-zero names.
+func TestFaultToleranceSectionGolden(t *testing.T) {
+	secs, err := Select("ext-faulttol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _, err := secs[0].Run(DefaultSizing(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(text))
+	if got, want := fmt.Sprintf("%d bytes %016x", len(text), h.Sum64()), "1065 bytes cb9a1deef284dd9c"; got != want {
+		t.Errorf("ext-faulttol: %s, want %s\n%s", got, want, text)
 	}
 }

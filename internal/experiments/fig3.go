@@ -7,6 +7,7 @@ import (
 
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/workload"
 )
 
@@ -40,30 +41,19 @@ type Figure3Config struct {
 	Processes int
 	// SizesKB are the request sizes to sweep (default 1..32 KB).
 	SizesKB []int
-	// WritesPerProcess per point (default 200).
+	// WritesPerProcess per point.
 	WritesPerProcess int
 	// Seed drives target selection.
 	Seed uint64
-}
-
-func (c Figure3Config) withDefaults() Figure3Config {
-	if c.Processes == 0 {
-		c.Processes = 1
-	}
-	if len(c.SizesKB) == 0 {
-		c.SizesKB = []int{1, 2, 4, 8, 16, 32}
-	}
-	if c.WritesPerProcess == 0 {
-		c.WritesPerProcess = 200
-	}
-	return c
 }
 
 // Figure3 reproduces one panel of Figure 3: average synchronous write
 // latency versus request size, for sparse and clustered arrivals, on Trail
 // and on the standard disk subsystem.
 func Figure3(cfg Figure3Config) (*Fig3Result, error) {
-	cfg = cfg.withDefaults()
+	if len(cfg.SizesKB) == 0 {
+		cfg.SizesKB = []int{1, 2, 4, 8, 16, 32}
+	}
 	res := &Fig3Result{Processes: cfg.Processes}
 	for _, sizeKB := range cfg.SizesKB {
 		row := Fig3Row{SizeKB: sizeKB}
@@ -76,25 +66,11 @@ func Figure3(cfg Figure3Config) (*Fig3Result, error) {
 				Seed:             cfg.Seed + uint64(sizeKB),
 			}
 			// Trail, then the Linux baseline on the same targets.
-			tr, err := rig.New(rig.Config{})
-			if err != nil {
-				return nil, err
-			}
-			load, err := workload.SyncWrites(wcfg, tr.Dev(0).Sectors())
-			var tres *workload.Result
-			if err == nil {
-				tres, err = workload.Run(tr.Env, tr.Dev(0), load)
-			}
-			tr.Env.Close()
+			tres, _, err := syncWriteCell("trail", wcfg)
 			if err != nil {
 				return nil, fmt.Errorf("fig3 trail %dKB %v: %w", sizeKB, mode, err)
 			}
-			lx, err := rig.New(rig.Config{Baseline: sched.LOOK})
-			if err != nil {
-				return nil, err
-			}
-			lres, err := workload.Run(lx.Env, lx.Dev(0), load)
-			lx.Env.Close()
+			lres, _, err := syncWriteCell("std", wcfg)
 			if err != nil {
 				return nil, fmt.Errorf("fig3 linux %dKB %v: %w", sizeKB, mode, err)
 			}
@@ -109,6 +85,35 @@ func Figure3(cfg Figure3Config) (*Fig3Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// syncWriteCell runs one sync-write load on a fresh rig of system, "trail"
+// or "std" (the baseline behind LOOK), and returns the load's result and,
+// on Trail, the driver's counters. A seed names the same targets on both
+// systems, since their data disks are alike.
+func syncWriteCell(system string, wcfg workload.SyncWriteConfig) (*workload.Result, telemetry.Counts, error) {
+	var cfg rig.Config
+	if system != "trail" {
+		cfg.Baseline = sched.LOOK
+	}
+	r, err := rig.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer r.Close()
+	load, err := workload.SyncWrites(wcfg, r.Dev(0).Sectors())
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := workload.Run(r.Env, r.Dev(0), load)
+	if err != nil {
+		return nil, nil, err
+	}
+	var counters telemetry.Counts
+	if r.Trail != nil {
+		counters = r.Trail.Stats().Counters()
+	}
+	return res, counters, nil
 }
 
 // String renders the panel as a table in milliseconds.

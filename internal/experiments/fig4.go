@@ -50,19 +50,20 @@ type Fig4Result struct {
 // records, recover, and report the three-phase breakdown (a) plus the
 // write-back-skipped total (b), for each Q.
 func Figure4(qs []int, seed uint64) (*Fig4Result, error) {
-	if len(qs) == 0 {
-		qs = []int{32, 64, 128, 256}
-	}
 	res := &Fig4Result{}
 	for _, q := range qs {
-		// Two identical crash states: recovery consumes one (it marks the
-		// disk clean), so the skip-write-back variant needs its own.
+		// One crash state, recovered twice: each recovery gets clones of
+		// its drives, since recovery marks the log disk clean.
 		rec := span.NewRecorder(0)
-		full, err := crashWithBacklog(q, seed, trail.RecoverOptions{Spans: rec}, rec)
+		sys, err := crashWithBacklog(q, seed, rec)
 		if err != nil {
 			return nil, err
 		}
-		skip, err := crashWithBacklog(q, seed, trail.RecoverOptions{SkipWriteBack: true}, nil)
+		full, err := recoverClones(sys, trail.RecoverOptions{Spans: rec})
+		if err != nil {
+			return nil, err
+		}
+		skip, err := recoverClones(sys, trail.RecoverOptions{SkipWriteBack: true})
 		if err != nil {
 			return nil, err
 		}
@@ -104,10 +105,10 @@ func Figure4(qs []int, seed uint64) (*Fig4Result, error) {
 }
 
 // crashWithBacklog builds a Trail system, runs writes until Q records are
-// outstanding, cuts power, reboots and recovers with opts. When rec is
-// non-nil the rig carries it, so the rebooted data disks record spans into
-// it and the write-back phase can be decomposed per device command.
-func crashWithBacklog(q int, seed uint64, opts trail.RecoverOptions, rec *span.Recorder) (*trail.RecoverReport, error) {
+// outstanding and cuts power, returning the crashed rig. When rec is non-nil
+// the rig carries it, so the data disks of a recovery record spans into it
+// and the write-back phase can be decomposed per device command.
+func crashWithBacklog(q int, seed uint64, rec *span.Recorder) (*rig.Rig, error) {
 	cfg := trail.Default()
 	cfg.MaxBatchSectors = 2 // one 2-sector write per record: backlog == Q records
 	sys, err := rig.New(rig.Config{Trail: cfg, Instruments: rig.Instruments{Recorder: rec}})
@@ -142,16 +143,21 @@ func crashWithBacklog(q int, seed uint64, opts trail.RecoverOptions, rec *span.R
 	}
 	stop = true
 	sys.Crash()
+	return sys, nil
+}
 
-	// Reboot: fresh environment, same media.
-	rebooted, rep, err := sys.Recover(opts)
-	if err != nil {
-		return nil, fmt.Errorf("fig4 recover q=%d: %w", q, err)
+// recoverClones reboots a crashed rig on clones of its drives and a fresh
+// environment and recovers with opts, leaving the crash state as it was for
+// the next recovery.
+func recoverClones(sys *rig.Rig, opts trail.RecoverOptions) (*trail.RecoverReport, error) {
+	drives := sys.Drives()
+	for i, d := range drives {
+		drives[i] = d.Clone()
 	}
-	if rebooted != nil {
-		rebooted.Close()
-	}
-	return rep, nil
+	env := sim.NewEnv()
+	defer env.Close()
+	_, rep, err := sys.RecoverOn(env, drives, opts)
+	return rep, err
 }
 
 // String renders both panels.

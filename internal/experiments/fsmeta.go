@@ -30,9 +30,6 @@ type FSMetaResult struct {
 // FSMetadata measures synchronous file appends through the EXT2-like file
 // system on the standard subsystem and on Trail.
 func FSMetadata(appends int, seed uint64) (*FSMetaResult, error) {
-	if appends == 0 {
-		appends = 50
-	}
 	res := &FSMetaResult{}
 	for _, useTrail := range []bool{false, true} {
 		name, cfg := "standard", rig.Config{Baseline: sched.LOOK}

@@ -15,8 +15,6 @@ import (
 	"tracklog/internal/benchfmt"
 	"tracklog/internal/crashexplore"
 	"tracklog/internal/crashexplore/stacks"
-	"tracklog/internal/rig"
-	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/telemetry"
 	"tracklog/internal/workload"
@@ -60,34 +58,18 @@ func syncWriteGrid() ([]benchfmt.Entry, error) {
 	for _, system := range []string{"trail", "std"} {
 		for _, mode := range []workload.Mode{workload.Sparse, workload.Clustered} {
 			for _, sizeKB := range []int{1, 8} {
-				var cfg rig.Config
-				if system != "trail" {
-					cfg.Baseline = sched.LOOK
-				}
-				r, err := rig.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				load, err := workload.SyncWrites(workload.SyncWriteConfig{
+				res, counters, err := syncWriteCell(system, workload.SyncWriteConfig{
 					Mode:             mode,
 					WriteSize:        sizeKB * 1024,
 					Processes:        1,
 					WritesPerProcess: gridWrites,
 					Seed:             gateSeed,
-				}, r.Dev(0).Sectors())
-				var res *workload.Result
-				if err == nil {
-					res, err = workload.Run(r.Env, r.Dev(0), load)
-				}
+				})
 				if err != nil {
-					r.Close()
 					return nil, fmt.Errorf("sync-write %s/%v/%dKB: %w", system, mode, sizeKB, err)
 				}
 				e := benchfmt.Latency(fmt.Sprintf("sync-write/%s/%v/%dKB", system, mode, sizeKB), res.Writes)
-				if r.Trail != nil {
-					e.Counters = r.Trail.Stats().Counters()
-				}
-				r.Close()
+				e.Counters = counters
 				out = append(out, e)
 			}
 		}
@@ -95,10 +77,10 @@ func syncWriteGrid() ([]benchfmt.Entry, error) {
 	return out, nil
 }
 
-// overloadGate is the overload sweep's 2.0x point, QoS off and on, at
-// gridWrites open-loop arrivals: overload/qos=<off|on>/2.0x.
+// overloadGate is the overload point, QoS off and on, at gridWrites
+// open-loop arrivals: overload/qos=<off|on>/2.0x.
 func overloadGate() ([]benchfmt.Entry, error) {
-	ov, err := Overload([]float64{2.0}, gridWrites, gateSeed)
+	ov, err := Overload(gridWrites, gateSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +91,7 @@ func overloadGate() ([]benchfmt.Entry, error) {
 			qos = "on"
 		}
 		out = append(out, benchfmt.Entry{
-			Name:   fmt.Sprintf("overload/qos=%s/%.1fx", qos, row.Multiplier),
+			Name:   fmt.Sprintf("overload/qos=%s/%.1fx", qos, overloadMultiplier),
 			Count:  row.Acked,
 			MeanUS: benchfmt.US(row.Mean),
 			P50US:  benchfmt.US(row.P50),

@@ -12,20 +12,18 @@ import (
 
 // Overload: the paper evaluates Trail at offered loads the log disk can
 // absorb; this experiment pushes past that point to measure what the QoS
-// layer buys. A closed-loop calibration run first finds the device's
-// saturation service time; the sweep then offers open-loop load at fixed
-// multiples of that rate, once with QoS disabled (the historical unbounded
-// driver) and once with the default overload policy. Under QoS the driver
-// sheds excess load explicitly and keeps the latency of what it does accept
-// bounded; without it the log queue and staging grow with every arrival and
-// tail latency follows.
+// layer buys. A saturating probe first finds the device's per-write service
+// time; open-loop load then arrives at overloadMultiplier times that rate,
+// once with QoS disabled (the historical unbounded driver) and once with the
+// default overload policy. Under QoS the driver sheds excess load explicitly
+// and keeps the latency of what it does accept bounded; without it the log
+// queue and staging grow with every arrival and tail latency follows.
 
-// OverloadRow is one cell of the sweep: one offered-load multiplier under
-// one policy.
+// overloadMultiplier is the offered load relative to calibrated saturation.
+const overloadMultiplier = 2.0
+
+// OverloadRow is one policy's cell at overloadMultiplier times saturation.
 type OverloadRow struct {
-	// Multiplier is offered load relative to calibrated saturation (1.0 =
-	// arrivals exactly at the calibrated service rate).
-	Multiplier float64
 	// QoS is whether the overload policy was active.
 	QoS bool
 	// Acked/Shed/Expired partition the issued requests by outcome.
@@ -37,39 +35,35 @@ type OverloadRow struct {
 	MaxLogQueue int
 }
 
-// OverloadResult is the full latency-vs-offered-load sweep.
+// OverloadResult is the overload point, QoS off and on.
 type OverloadResult struct {
-	// ServiceTime is the calibrated per-write service time at saturation.
-	ServiceTime time.Duration
-	Rows        []OverloadRow
+	Rows []OverloadRow
 }
 
-// overloadPolicy is the sweep's QoS configuration: the default policy with
-// a deadline comfortably above saturated-but-healthy latency, so expiry
-// marks genuine overload rather than ordinary queueing.
+// overloadPolicy is the overload cells' QoS configuration: the default
+// policy with a deadline comfortably above saturated-but-healthy latency, so
+// expiry marks genuine overload rather than ordinary queueing.
 func overloadPolicy() *qos.Policy {
 	pol := qos.Default()
 	pol.DefaultDeadline = 500 * time.Millisecond
 	return pol
 }
 
-// Overload calibrates saturation with a closed-loop run, then sweeps
-// offered-load multipliers with and without the QoS policy. requests is the
-// number of open-loop arrivals per cell.
-func Overload(multipliers []float64, requests int, seed uint64) (*OverloadResult, error) {
+// Overload calibrates saturation with a saturating probe, then offers
+// overloadMultiplier times that load with and without the QoS policy.
+// requests is the number of open-loop arrivals per cell.
+func Overload(requests int, seed uint64) (*OverloadResult, error) {
 	svc, err := calibrateSaturation(seed)
 	if err != nil {
 		return nil, fmt.Errorf("overload calibration: %w", err)
 	}
-	res := &OverloadResult{ServiceTime: svc}
-	for _, m := range multipliers {
-		for _, withQoS := range []bool{false, true} {
-			row, err := overloadCell(m, withQoS, svc, requests, seed)
-			if err != nil {
-				return nil, fmt.Errorf("overload %.1fx qos=%v: %w", m, withQoS, err)
-			}
-			res.Rows = append(res.Rows, *row)
+	res := &OverloadResult{}
+	for _, withQoS := range []bool{false, true} {
+		row, err := overloadCell(withQoS, svc, requests, seed)
+		if err != nil {
+			return nil, fmt.Errorf("overload %.1fx qos=%v: %w", overloadMultiplier, withQoS, err)
 		}
+		res.Rows = append(res.Rows, *row)
 	}
 	return res, nil
 }
@@ -107,8 +101,8 @@ func calibrateSaturation(seed uint64) (time.Duration, error) {
 	return wres.Elapsed / writes, nil
 }
 
-// overloadCell runs one open-loop cell of the sweep.
-func overloadCell(multiplier float64, withQoS bool, svc time.Duration, requests int, seed uint64) (*OverloadRow, error) {
+// overloadCell runs one open-loop cell.
+func overloadCell(withQoS bool, svc time.Duration, requests int, seed uint64) (*OverloadRow, error) {
 	cfg := trail.Default()
 	if withQoS {
 		cfg.QoS = overloadPolicy()
@@ -118,7 +112,7 @@ func overloadCell(multiplier float64, withQoS bool, svc time.Duration, requests 
 		return nil, err
 	}
 	defer sys.Env.Close()
-	interarrival := time.Duration(float64(svc) / multiplier)
+	interarrival := time.Duration(float64(svc) / overloadMultiplier)
 	if interarrival <= 0 {
 		interarrival = time.Microsecond
 	}
@@ -140,7 +134,6 @@ func overloadCell(multiplier float64, withQoS bool, svc time.Duration, requests 
 	}
 	st := sys.Trail.Stats()
 	return &OverloadRow{
-		Multiplier:  multiplier,
 		QoS:         withQoS,
 		Acked:       wres.Writes.Count(),
 		Shed:        wres.Shed,

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestOverloadQoSBoundsTail(t *testing.T) {
-	res, err := Overload([]float64{2.0}, 200, 7)
+	res, err := Overload(200, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

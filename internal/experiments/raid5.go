@@ -31,9 +31,6 @@ type RAID5Result struct {
 // RAID5SmallWrites runs random small writes against a 4-disk RAID-5 built
 // over the standard subsystem and over Trail data devices.
 func RAID5SmallWrites(writes int, seed uint64) (*RAID5Result, error) {
-	if writes == 0 {
-		writes = 100
-	}
 	res := &RAID5Result{}
 	for _, useTrail := range []bool{false, true} {
 		const nDevs = 4

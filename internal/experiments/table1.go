@@ -32,9 +32,6 @@ type Table1Result struct {
 // many are aggregated per physical log write, exactly the knob the paper
 // sweeps.
 func Table1(writes int, batchSizes []int) (*Table1Result, error) {
-	if writes == 0 {
-		writes = 32
-	}
 	if len(batchSizes) == 0 {
 		batchSizes = []int{1, 2, 4, 8, 16, 32}
 	}

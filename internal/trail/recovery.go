@@ -38,14 +38,6 @@ type RecoverOptions struct {
 	Spans *span.Recorder
 }
 
-// PendingBlock is one data sector reconstructed from the log.
-type PendingBlock struct {
-	Dev     blockdev.DevID
-	DataLBA int64
-	Data    []byte
-	Seq     uint64
-}
-
 // RecoverReport describes a completed recovery.
 type RecoverReport struct {
 	// Clean is true when the disk was shut down cleanly and nothing needed
@@ -66,8 +58,6 @@ type RecoverReport struct {
 	// counts transient read faults retried during recovery.
 	MediaErrorSectors int
 	RetriedReads      int
-	// Pending holds the reconstructed blocks when write-back was skipped.
-	Pending []PendingBlock
 	// Phase timings (paper Fig 4(a)): locating the youngest record,
 	// rebuilding the record chain, and writing blocks back.
 	LocateTime, RebuildTime, WriteBackTime time.Duration
@@ -156,20 +146,7 @@ func RecoverLogs(p *sim.Proc, logs []*disk.Disk, devs map[blockdev.DevID]blockde
 
 	// Phase 3: write pending blocks back to the data disks.
 	start := p.Now()
-	if opts.SkipWriteBack {
-		for _, rec := range records {
-			data := make([]byte, len(rec.hdr.Blocks)*geom.SectorSize)
-			unpack(data, rec.data, len(rec.hdr.Blocks), 0)
-			for i, b := range rec.hdr.Blocks {
-				rep.Pending = append(rep.Pending, PendingBlock{
-					Dev:     b.Dev,
-					DataLBA: b.DataLBA,
-					Data:    data[i*geom.SectorSize : (i+1)*geom.SectorSize],
-					Seq:     rec.hdr.Seq,
-				})
-			}
-		}
-	} else {
+	if !opts.SkipWriteBack {
 		n, err := replay(p, devs, records)
 		if err != nil {
 			rq.ChildAB(span.PWriteBack, int64(start), int64(p.Now()), int64(n), 0)

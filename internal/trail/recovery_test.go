@@ -70,6 +70,15 @@ func crashAfterWrites(t testing.TB, n int) *crashRig {
 	return &crashRig{log: log, data: []*disk.Disk{data}}
 }
 
+// clone copies the crash state onto drives that share nothing with r's.
+func (r *crashRig) clone() *crashRig {
+	c := &crashRig{log: r.log.Clone()}
+	for _, d := range r.data {
+		c.data = append(c.data, d.Clone())
+	}
+	return c
+}
+
 // recoverRig reboots: reattaches disks to a new env and runs recovery.
 func recoverRig(t *testing.T, r *crashRig, opts RecoverOptions) *RecoverReport {
 	t.Helper()
@@ -152,33 +161,20 @@ func TestRecoverySkipWriteBack(t *testing.T) {
 	if rep.BlocksReplayed != 0 {
 		t.Error("blocks replayed despite SkipWriteBack")
 	}
-	if len(rep.Pending) == 0 {
-		t.Fatal("no pending blocks returned")
+	if rep.RecordsFound == 0 {
+		t.Fatal("no pending records found")
 	}
 	if rep.WriteBackTime != 0 {
 		t.Errorf("write-back time %v with write-back skipped", rep.WriteBackTime)
-	}
-	// Pending blocks carry the data needed for later replay; the newest
-	// version of block 1 must appear with the highest seq.
-	var newest *PendingBlock
-	for i := range rep.Pending {
-		b := &rep.Pending[i]
-		if b.DataLBA == 100 && (newest == nil || b.Seq > newest.Seq) {
-			newest = b
-		}
-	}
-	if newest == nil || newest.Data[0] != 0xEE {
-		t.Error("pending blocks missing newest version of block 1")
 	}
 }
 
 func TestRecoverySkipWriteBackFaster(t *testing.T) {
 	r := crashAfterWrites(t, 20)
-	with := recoverRig(t, r, RecoverOptions{})
-	// Crash state is consumed by recovery (header marked clean), so build
-	// an identical crash for the second measurement.
-	r2 := crashAfterWrites(t, 20)
-	without := recoverRig(t, r2, RecoverOptions{SkipWriteBack: true})
+	// Recovery marks the log disk clean, so the first measurement recovers
+	// a clone of the crash state and the second the drives themselves.
+	with := recoverRig(t, r.clone(), RecoverOptions{})
+	without := recoverRig(t, r, RecoverOptions{SkipWriteBack: true})
 	if without.Total() >= with.Total() {
 		t.Errorf("skip write-back total %v not faster than full %v", without.Total(), with.Total())
 	}
@@ -451,9 +447,8 @@ func TestReadTrackSalvageKeepsSectorOffsets(t *testing.T) {
 }
 
 // TestRecoverPackedRecords cuts power behind a data disk that turns once a
-// minute, with sectors of every zero tail logged and pending, and recovers
-// twice: SkipWriteBack's pending blocks are the written sectors whole, and a
-// full recovery replays them onto the data disk.
+// minute, with sectors of every zero tail logged and pending, and recovers:
+// the replay writes every sector back whole onto the data disk.
 func TestRecoverPackedRecords(t *testing.T) {
 	env := sim.NewEnv()
 	log := disk.New(env, testLogParams())
@@ -487,16 +482,7 @@ func TestRecoverPackedRecords(t *testing.T) {
 	}
 	env.Close()
 	r := &crashRig{log: log, data: []*disk.Disk{data}}
-	rep := recoverRig(t, r, RecoverOptions{SkipWriteBack: true})
-	if len(rep.Pending) != len(want) {
-		t.Fatalf("%d blocks pending, want %d", len(rep.Pending), len(want))
-	}
-	for _, b := range rep.Pending {
-		if !bytes.Equal(b.Data, want[b.DataLBA]) {
-			t.Errorf("pending block at %d is not the sector written there", b.DataLBA)
-		}
-	}
-	if rep = recoverRig(t, r, RecoverOptions{}); rep.BlocksReplayed != len(want) {
+	if rep := recoverRig(t, r, RecoverOptions{}); rep.BlocksReplayed != len(want) {
 		t.Errorf("%d blocks replayed, want %d", rep.BlocksReplayed, len(want))
 	}
 	for lba, w := range want {
