@@ -13,7 +13,8 @@
 //
 // -window 0 scans every probe index from -skip to the horizon; -horizon 0
 // selects crashexplore.DefaultHorizon. A negative -skip, -window or
-// -horizon is a usage error.
+// -horizon is a usage error, and so is a flag the run would ignore:
+// -fault-seed without -faults, and -faults on a stack other than trail.
 //
 // The exit status is 1 if any branch loses or tears an acknowledged write —
 // the first failing event index in the summary is the minimal counterexample
@@ -56,6 +57,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *skip < 0 || *window < 0 || *horizon < 0 {
 		return fail(fmt.Errorf("-skip %d, -window %d, -horizon %v: none may be negative", *skip, *window, *horizon))
+	}
+	seeded := false
+	fs.Visit(func(f *flag.Flag) { seeded = seeded || f.Name == "fault-seed" })
+	if seeded && *faults == "" {
+		return fail(fmt.Errorf("-fault-seed seeds a fault scenario; give -faults"))
 	}
 
 	st, err := stacks.ByName(*stackName, *faults, *faultSeed)

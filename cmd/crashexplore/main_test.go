@@ -70,16 +70,20 @@ func TestWindowPastEveryIndex(t *testing.T) {
 	}
 }
 
-// TestBadArgumentsExit2: a negative -skip, -window or -horizon is refused
-// with exit status 2 and an error on stderr before anything runs. A
-// negative -window once scanned the whole horizon and a negative -horizon
-// ran the default one.
+// TestBadArgumentsExit2: a negative -skip, -window or -horizon, and a flag
+// the run would ignore, is refused with exit status 2 and an error on
+// stderr before anything runs. A negative -window once scanned the whole
+// horizon, a negative -horizon ran the default one, and -fault-seed
+// without -faults seeded nothing.
 func TestBadArgumentsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-skip", "-1"},
 		{"-window", "-5"},
 		{"-horizon", "-80ms"},
 		{"-stack", "nope"},
+		{"-fault-seed", "7"},
+		{"-stack", "raid5", "-faults", "latent=1"},
+		{"-stack", "wal", "-faults", "latent=1", "-fault-seed", "3"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var out, errOut bytes.Buffer

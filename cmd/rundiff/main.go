@@ -22,7 +22,7 @@
 // 5% of requests with their dominant phase and root cause, then, from its
 // trace.json, the Trail driver's head-position prediction audit (omitted
 // when the trace holds no predict event). The flags configure a comparison,
-// so -json with one directory is a usage error.
+// so any of them with one directory is a usage error.
 //
 // -mean-tol, -p50-tol and -p99-tol bound the latency metrics, -rate-tol the
 // rates (all 0.10 by default), and -json prints the whole report as JSON.
@@ -219,9 +219,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, "-"+f.Name) })
 	switch {
-	case fs.NArg() == 1 && *jsonOut:
-		fmt.Fprintln(stderr, "rundiff: -json reports a comparison; one run directory prints as text")
+	case fs.NArg() == 1 && len(set) > 0:
+		fmt.Fprintf(stderr, "rundiff: %s configure a comparison; one run directory prints as text\n", strings.Join(set, " "))
 		return 2
 	case fs.NArg() == 1:
 		return explain(fs.Arg(0), stdout, stderr)
@@ -260,13 +262,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// tailFrac is the share of a run's requests, slowest first, that explain's
-// tail block covers.
-const tailFrac = 0.05
-
 // explain prints what one run directory says about itself: from spans.json
 // the span budget (each phase's share of latency per driver and kind) and
-// the slowest tailFrac of requests with their dominant phase and cause, and
+// the slowest span.TailFrac of requests with their dominant phase and cause, and
 // from trace.json the prediction audit of the Trail driver's record writes.
 // A block whose artefact is absent or empty is left out.
 func explain(dir string, stdout, stderr io.Writer) int {
@@ -281,7 +279,7 @@ func explain(dir string, stdout, stderr io.Writer) int {
 	}
 	if len(run.Spans) > 0 {
 		fmt.Fprint(stdout, span.Analyze(run.Spans))
-		fmt.Fprint(stdout, span.ExplainTail(run.Spans, tailFrac))
+		fmt.Fprint(stdout, span.ExplainTail(run.Spans))
 	}
 	if audit.Predictions > 0 {
 		fmt.Fprint(stdout, audit)

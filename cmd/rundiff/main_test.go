@@ -395,8 +395,8 @@ func TestUsageAndLoadErrors(t *testing.T) {
 }
 
 // One run directory prints its span budget, tail and prediction audit and
-// exits 0; -json, which reports a comparison, exits 2 with one directory, and
-// so do a bare benchfmt file, an empty directory and a predict event whose
+// exits 0; each flag, which configures a comparison, exits 2 with one
+// directory (the tolerances once were silently ignored there), and so do a bare benchfmt file, an empty directory and a predict event whose
 // args do not decode.
 func TestOneRunDirectory(t *testing.T) {
 	predict := `{"name":"predict","cat":"sim","ph":"i","ts":5.000,"pid":1,"tid":1,"s":"t","args":{"lba":12,"count":60,"a":1,"b":%d}}`
@@ -421,8 +421,10 @@ func TestOneRunDirectory(t *testing.T) {
 	if i, j, k := strings.Index(out, "span budget:"), strings.Index(out, "tail explainer:"), strings.Index(out, "prediction audit:"); i != 0 || j < i || k < j {
 		t.Errorf("blocks out of order (budget, tail, audit):\n%s", out)
 	}
-	if code, out, _ := runDiff(t, "-json", dir); code != 2 || out != "" {
-		t.Errorf("-json DIR: exit %d, stdout %q; want 2 and nothing", code, out)
+	for _, flags := range [][]string{{"-json"}, {"-mean-tol", "0.2"}, {"-p50-tol", "0.2"}, {"-p99-tol", "0.2"}, {"-rate-tol", "0.2"}} {
+		if code, out, _ := runDiff(t, append(flags, dir)...); code != 2 || out != "" {
+			t.Errorf("%s DIR: exit %d, stdout %q; want 2 and nothing", flags[0], code, out)
+		}
 	}
 	bare := filepath.Join(t.TempDir(), "bench.json")
 	if err := os.WriteFile(bare, []byte(benchJSON(t, 12000)), 0o644); err != nil {

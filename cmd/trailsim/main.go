@@ -4,50 +4,32 @@
 //
 // Usage:
 //
-//	trailsim [-system trail|std] [-size BYTES] [-procs N] [-writes N] [-seed N]
-//	trailsim -pattern uniform|sequential|zipf    # synthetic trace, 70% writes
-//	trailsim -replay FILE                        # replay a trace file
-//	trailsim -faults latent=3,timeout=1          # inject media faults (sampled from -seed)
+//	trailsim [-size BYTES] [-procs N] [-writes N] [-seed N] [-faults SCENARIO]
+//	trailsim -offered-load R [-size BYTES] [-writes N] [-seed N] [-faults SCENARIO] [-verify]
+//	trailsim -pattern uniform|sequential|zipf [-size BYTES] [-writes N] [-seed N]
+//	trailsim -replay FILE
 //
-// The closed-loop writers run the paper's sparse mode (§5.1): each waits
-// 5 ms after a completion before issuing its next write.
-//
-// Overload (composable with -faults and the observability flags):
+// Each line is one mode and the flags it reads: the paper's sparse
+// closed-loop writers (§5.1; each waits 5 ms after a completion); an open
+// loop of R writes per virtual second whatever the completions, tolerating
+// shed and expired requests (-verify reads back every acknowledged write
+// and fails on a loss); a synthetic trace of 70% writes; and a trace file.
+// A flag outside its mode's list exits 1. Every mode also reads -system and
+// the overload and observability flags:
 //
 //	-qos                   enable the default overload policy: bounded log-queue
 //	                       admission, per-class retry budgets, write-back
 //	                       throttling, and scheduler queue bounds
 //	-deadline D            give every request a deadline of issue time + D
-//	                       (expired requests complete with ErrDeadlineExceeded
-//	                       instead of occupying the disk)
+//	                       (it then completes with ErrDeadlineExceeded)
 //	-max-depth N           bound the disk scheduler queue at N requests
 //	                       (excess sheds lowest-class-first with ErrOverload)
-//	-offered-load R        open-loop mode: issue writes at R per second of
-//	                       virtual time regardless of completions, tolerating
-//	                       per-request shed/deadline outcomes
-//	-verify                with -offered-load, read back every acknowledged
-//	                       write after the run and exit nonzero if any is lost
-//
-// A flag the chosen mode would ignore is refused: -faults with -pattern or
-// -replay (a replayed trace runs fault-free), and -verify without
-// -offered-load.
-//
-// Observability (composable with every mode above):
-//
-//	-out DIR               write the run's artefact set into DIR, the files
-//	                       cmd/rundiff reads: trace.json (Chrome trace-event
-//	                       JSON, requests as async spans tied by flow arrows;
-//	                       load in ui.perfetto.dev), metrics.prom (the
-//	                       telemetry registry, Prometheus text), timeline.csv
-//	                       (per-layer state occupancy in 5 ms virtual-time
-//	                       buckets), bench.json (one benchfmt entry per latency
-//	                       summary printed) and spans.json (every request's
-//	                       span tree); rundiff DIR prints the run's span
-//	                       budget, its slowest requests explained and the
-//	                       head-position prediction audit
+//	-out DIR               write the run's artefacts into DIR, the files
+//	                       cmd/rundiff reads: trace.json (Chrome trace events,
+//	                       for ui.perfetto.dev), metrics.prom, timeline.csv
+//	                       (5 ms buckets), bench.json and spans.json
 //	-seek-derate PPM       slow the log disk's seek arm by PPM parts per million
-//	                       while the driver keeps predicting the spec curve (a
-//	                       perturbation for cmd/rundiff walkthroughs)
+//	                       while the driver keeps predicting the spec curve
 //
 // Observed runs are bit-identical in virtual time to unobserved runs of the
 // same seed, and every artefact is byte-identical across repeated runs.
@@ -55,12 +37,13 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"tracklog/internal/benchfmt"
@@ -78,6 +61,17 @@ import (
 
 // timelineBucket is the width of timeline.csv's virtual-time buckets.
 const timelineBucket = 5 * time.Millisecond
+
+// everyMode lists the flags every mode reads, and modeFlags the further
+// flags each mode reads. A flag set outside its mode's lists is refused.
+const everyMode = "system qos deadline max-depth seek-derate out"
+
+var modeFlags = map[string]string{
+	"sync":         "size procs writes seed faults",
+	"offered-load": "offered-load size writes seed faults verify",
+	"pattern":      "pattern size writes seed",
+	"replay":       "replay",
+}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -107,11 +101,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "trailsim:", err)
 		return 1
 	}
-	if *faults != "" && (*replayFile != "" || *pattern != "") {
-		return fail(errors.New("-faults does not apply to a replayed trace, which runs fault-free"))
+	mode := "sync"
+	switch {
+	case *replayFile != "":
+		mode = "replay"
+	case *pattern != "":
+		mode = "pattern"
+	case *offeredLoad > 0:
+		mode = "offered-load"
 	}
-	if *verify && *offeredLoad <= 0 {
-		return fail(errors.New("-verify audits an open-loop run; give -offered-load"))
+	reads := strings.Fields(everyMode + " " + modeFlags[mode])
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return fail(fmt.Errorf("%s: not read by the %s mode, which reads -%s",
+			strings.Join(ignored, " "), mode, strings.Join(reads, " -")))
 	}
 	var in rig.Instruments
 	if *out != "" {
@@ -122,12 +130,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	var entries []benchfmt.Entry
-	switch {
-	case *replayFile != "":
+	switch mode {
+	case "replay":
 		entries, err = runReplayFile(stdout, r, *system, *replayFile)
-	case *pattern != "":
+	case "pattern":
 		entries, err = runPattern(stdout, r, *system, *pattern, *writes, *size, *seed)
-	case *offeredLoad > 0:
+	case "offered-load":
 		entries, err = runOpenLoop(stdout, r, *system, *size, *writes, *offeredLoad, *seed, *faults, *verify)
 	default:
 		entries, err = runSync(stdout, r, *system, *size, *procs, *writes, *seed, *faults)
@@ -224,11 +232,11 @@ func runPattern(w io.Writer, r *rig.Rig, system, pattern string, ops, size int, 
 	case "sequential":
 		pat = &workload.SequentialPattern{}
 	case "zipf":
-		pat = workload.NewZipf(10000, 0.99)
+		pat = workload.NewZipf()
 	default:
 		return nil, fmt.Errorf("unknown pattern %q", pattern)
 	}
-	tr := workload.SynthesizeTrace(ops, pat, 0.7, size/geom.SectorSize, 3*time.Millisecond, r.Dev(0).Sectors(), seed)
+	tr := workload.SynthesizeTrace(ops, pat, size/geom.SectorSize, r.Dev(0).Sectors(), seed)
 	return replay(w, r, system, pat.String(), tr)
 }
 

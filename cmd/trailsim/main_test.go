@@ -143,10 +143,16 @@ func TestChaosSoakGolden(t *testing.T) {
 // every path that takes it. Each of the sizes once panicked (a negative
 // make, a negative Int64n bound, a division by a zero sector count) or, for
 // 1000 bytes under -pattern, silently wrote one sector; each of the counts
-// ran no write and printed NaN throughput; -verify without -offered-load
-// once verified nothing, and -faults under -pattern ran fault-free, both
-// exiting 0.
+// ran no write and printed NaN throughput; and each ignored flag once
+// exited 0: -verify without -offered-load and under -pattern verified
+// nothing, -faults under -pattern ran fault-free, -procs outside the sync
+// mode and -pattern, -seed and -size under -replay changed nothing. The
+// -replay rows run without the -writes prefix, which -replay does not read.
 func TestBadSizeExitsWithError(t *testing.T) {
+	replayFile := filepath.Join(t.TempDir(), "trace.txt")
+	if err := os.WriteFile(replayFile, []byte("0 W 100 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-size", "-512"},
 		{"-offered-load", "1000", "-size", "-512"},
@@ -159,15 +165,23 @@ func TestBadSizeExitsWithError(t *testing.T) {
 		{"-offered-load", "1000", "-writes", "-3"},
 		{"-verify"},
 		{"-pattern", "uniform", "-faults", "latent=3,timeout=1"},
+		{"-offered-load", "1000", "-procs", "4"},
+		{"-pattern", "zipf", "-procs", "4"},
+		{"-pattern", "zipf", "-offered-load", "1000", "-verify"},
+		{"-replay", replayFile, "-pattern", "zipf"},
+		{"-replay", replayFile, "-seed", "9", "-size", "4096"},
 	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
+		t.Run(strings.ReplaceAll(strings.Join(args, " "), replayFile, "TRACE"), func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
 					t.Fatalf("trailsim %v panicked: %v", args, r)
 				}
 			}()
+			if args[0] != "-replay" {
+				args = append([]string{"-writes", "5"}, args...)
+			}
 			var out, errOut bytes.Buffer
-			code := run(append([]string{"-writes", "5"}, args...), &out, &errOut)
+			code := run(args, &out, &errOut)
 			if code != 1 || !strings.Contains(errOut.String(), "trailsim: ") {
 				t.Errorf("trailsim %v: exit %d, stderr %q; want exit 1 and an error", args, code, &errOut)
 			}

@@ -21,7 +21,6 @@ import (
 
 const (
 	nDisks = 4
-	chunk  = 8 // sectors
 	writes = 60
 )
 
@@ -54,7 +53,7 @@ func run(useTrail bool) (time.Duration, bool, error) {
 	defer sys.Close()
 	env := sys.Env
 
-	array, err := raid.New(sys.Devs(), chunk)
+	array, err := raid.New(sys.Devs())
 	if err != nil {
 		return 0, false, err
 	}
@@ -65,14 +64,14 @@ func run(useTrail bool) (time.Duration, bool, error) {
 	env.Go("workload", func(p *sim.Proc) {
 		rng := sim.NewRand(7)
 		region := array.Sectors() / 128
-		payload := make([]byte, chunk*tracklog.SectorSize)
+		payload := make([]byte, raid.Chunk*tracklog.SectorSize)
 		for i := 0; i < writes; i++ {
-			lba := rng.Int64n(region/chunk) * chunk
+			lba := rng.Int64n(region/raid.Chunk) * raid.Chunk
 			for j := range payload {
 				payload[j] = byte(i + j)
 			}
 			start := p.Now()
-			if err := array.Write(p, lba, chunk, payload); err != nil {
+			if err := array.Write(p, lba, raid.Chunk, payload); err != nil {
 				ferr = err
 				return
 			}
@@ -84,7 +83,7 @@ func run(useTrail bool) (time.Duration, bool, error) {
 			ferr = err
 			return
 		}
-		if _, err := array.Read(p, 0, chunk); err != nil {
+		if _, err := array.Read(p, 0, raid.Chunk); err != nil {
 			ferr = err
 			return
 		}

@@ -129,7 +129,6 @@ func raidMemberParams() disk.Params {
 func RAID5Stack() crashexplore.Stack {
 	const (
 		members     = 4
-		chunk       = 8
 		slots       = 8
 		slotSpacing = 64
 	)
@@ -143,7 +142,7 @@ func RAID5Stack() crashexplore.Stack {
 			if err != nil {
 				return nil, nil, err
 			}
-			arr, err := raid.New(sys.Devs(), chunk)
+			arr, err := raid.New(sys.Devs())
 			if err != nil {
 				return nil, nil, err
 			}
@@ -159,7 +158,7 @@ func RAID5Stack() crashexplore.Stack {
 			if err != nil {
 				return nil, err
 			}
-			arr2, err := raid.New(rebooted.Devs(), chunk)
+			arr2, err := raid.New(rebooted.Devs())
 			if err != nil {
 				return nil, err
 			}
@@ -310,7 +309,7 @@ func WALStack() crashexplore.Stack {
 			var rerr error
 			env2.Go("recover", func(p *sim.Proc) {
 				walDev := rebooted.Dev(0)
-				records, err := wal.ReadRecords(p, walDev, 0, walDev.Sectors())
+				records, err := wal.ReadRecords(p, walDev, walDev.Sectors())
 				if err != nil {
 					rerr = fmt.Errorf("wal scan: %w", err)
 					return
@@ -354,27 +353,18 @@ func WALStack() crashexplore.Stack {
 }
 
 // ByName returns the named stack recipe: "trail", "stddisk", "raid5", or
-// "wal". scenario/faultSeed apply to the trail stack only.
+// "wal". scenario/faultSeed apply to the trail stack only; a scenario given
+// to another stack is an error.
 func ByName(name, scenario string, faultSeed uint64) (crashexplore.Stack, error) {
-	switch name {
-	case "trail":
+	if name == "trail" {
 		return TrailStack(scenario, faultSeed)
-	case "stddisk":
-		if scenario != "" {
-			return crashexplore.Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
-		}
-		return StdStack(), nil
-	case "raid5":
-		if scenario != "" {
-			return crashexplore.Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
-		}
-		return RAID5Stack(), nil
-	case "wal":
-		if scenario != "" {
-			return crashexplore.Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
-		}
-		return WALStack(), nil
-	default:
-		return crashexplore.Stack{}, fmt.Errorf("crashexplore: unknown stack %q (trail, stddisk, raid5, wal)", name)
 	}
+	build, ok := map[string]func() crashexplore.Stack{"stddisk": StdStack, "raid5": RAID5Stack, "wal": WALStack}[name]
+	switch {
+	case !ok:
+		return crashexplore.Stack{}, fmt.Errorf("crashexplore: unknown stack %q (trail, stddisk, raid5, wal)", name)
+	case scenario != "":
+		return crashexplore.Stack{}, errors.New("crashexplore: fault scenarios are wired to the trail stack only")
+	}
+	return build(), nil
 }

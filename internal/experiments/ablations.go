@@ -32,12 +32,9 @@ type ThresholdResult struct {
 // fixed 30% track utilization threshold: low thresholds reposition after
 // nearly every record (latency pressure under clustered writes, poor space
 // use); high thresholds pack tracks but risk rotational waits for free runs.
-func ThresholdSweep(thresholds []float64, writes int, seed uint64) (*ThresholdResult, error) {
-	if len(thresholds) == 0 {
-		thresholds = []float64{0.05, 0.15, 0.30, 0.50, 0.80}
-	}
+func ThresholdSweep(writes int, seed uint64) (*ThresholdResult, error) {
 	res := &ThresholdResult{}
-	for _, th := range thresholds {
+	for _, th := range []float64{0.05, 0.15, 0.30, 0.50, 0.80} {
 		cfg := trail.Default()
 		cfg.UtilizationThreshold = th
 		sys, err := rig.New(rig.Config{Trail: cfg})
@@ -181,12 +178,9 @@ type MultiLogResult struct {
 // disks are added: with two or more, repositioning on one disk is hidden
 // behind writes to another ("it is possible to employ multiple log disks to
 // completely hide the disk re-positioning overhead", §5.1).
-func MultiLogAblation(counts []int, writes int, seed uint64) (*MultiLogResult, error) {
-	if len(counts) == 0 {
-		counts = []int{1, 2, 3}
-	}
+func MultiLogAblation(writes int, seed uint64) (*MultiLogResult, error) {
 	res := &MultiLogResult{}
-	for _, n := range counts {
+	for _, n := range []int{1, 2, 3} {
 		cfg := trail.Default()
 		// Aggressive threshold maximizes repositioning, the overhead under
 		// study.
@@ -255,6 +249,11 @@ func RecoveryOptimizationsAblation(q int, seed uint64) (*RecoveryAblationResult,
 		if reps[i], err = recoverClones(sys, opts); err != nil {
 			return nil, err
 		}
+	}
+	if err := fired("ablate-recovery", counter{"both optimizations records found", int64(reps[0].RecordsFound)},
+		counter{"sequential scan records found", int64(reps[1].RecordsFound)},
+		counter{"unbounded walk records found", int64(reps[2].RecordsFound)}); err != nil {
+		return nil, err
 	}
 	return &RecoveryAblationResult{Baseline: reps[0], NoBinarySearch: reps[1], NoLogHead: reps[2]}, nil
 }

@@ -7,11 +7,11 @@ import (
 )
 
 func TestThresholdSweepTradeoff(t *testing.T) {
-	res, err := ThresholdSweep([]float64{0.05, 0.50}, 80, 1)
+	res, err := ThresholdSweep(80, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := res.Rows[0], res.Rows[1]
+	lo, hi := res.Rows[0], res.Rows[3]
 	// Low threshold repositions far more often and wastes space.
 	if lo.Repositions <= hi.Repositions {
 		t.Errorf("repositions: 5%%=%d vs 50%%=%d", lo.Repositions, hi.Repositions)
@@ -40,7 +40,7 @@ func TestReadPriorityHelpsReads(t *testing.T) {
 }
 
 func TestMultiLogAblationHidesRepositioning(t *testing.T) {
-	res, err := MultiLogAblation([]int{1, 2}, 80, 3)
+	res, err := MultiLogAblation(80, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

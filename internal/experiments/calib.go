@@ -34,12 +34,9 @@ type DeltaResult struct {
 // S1 = elapsed + S0 + delta for increasing delta, and find the smallest
 // delta whose writes do not pay a full rotation. The rig uses the paper's
 // ST41601N log disk.
-func DeltaCalibration(deltas []int, writesPerPoint int) (*DeltaResult, error) {
-	if len(deltas) == 0 {
-		deltas = []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 20, 24}
-	}
+func DeltaCalibration(writesPerPoint int) (*DeltaResult, error) {
 	var res DeltaResult
-	for _, delta := range deltas {
+	for _, delta := range []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 20, 24} {
 		cfg := trail.Default()
 		cfg.FixedDelta = delta
 		sys, err := rig.New(rig.Config{Trail: cfg})

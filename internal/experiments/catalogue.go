@@ -57,6 +57,28 @@ type Section struct {
 	Run   func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error)
 }
 
+// counter is one named count that fired checks.
+type counter struct {
+	name string
+	n    int64
+}
+
+// fired fails a section whose mechanism never ran: its error names the
+// section and each counter that reads 0. A section with no mechanism, such
+// as Figure 3's raw latency, checks none.
+func fired(section string, counters ...counter) error {
+	var zero []string
+	for _, c := range counters {
+		if c.n == 0 {
+			zero = append(zero, c.name)
+		}
+	}
+	if len(zero) == 0 {
+		return nil
+	}
+	return fmt.Errorf("the %s section's mechanism never fired: %s read 0", section, strings.Join(zero, ", "))
+}
+
 // text adapts an experiment's (result, error) pair to Section.Run.
 func text[T fmt.Stringer](res T, err error) (string, []benchfmt.Entry, error) {
 	if err != nil {
@@ -91,7 +113,7 @@ func figure3(procs int) func(Sizing, uint64) (string, []benchfmt.Entry, error) {
 // cmd/reproduce is its only runner.
 var Catalogue = []Section{
 	{"delta", "Section 3.1 — delta calibration", func(sz Sizing, _ uint64) (string, []benchfmt.Entry, error) {
-		return text(DeltaCalibration(nil, sz.Writes/10+5))
+		return text(DeltaCalibration(sz.Writes/10 + 5))
 	}},
 	{"anatomy", "Section 5.1 — latency anatomy", func(sz Sizing, _ uint64) (string, []benchfmt.Entry, error) {
 		return text(LatencyAnatomy(sz.Writes / 4))
@@ -99,16 +121,16 @@ var Catalogue = []Section{
 	{"fig3a", "Figure 3(a) — sync write latency, 1 process", figure3(1)},
 	{"fig3b", "Figure 3(b) — sync write latency, 5 processes", figure3(5)},
 	{"table1", "Table 1 — batched writes", func(Sizing, uint64) (string, []benchfmt.Entry, error) {
-		return text(Table1(32, nil))
+		return text(Table1())
 	}},
 	{"table2", "Table 2 — TPC-C on three storage systems", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
 		return rows(Table2(sz.tpcc(seed)))
 	}},
 	{"table3", "Table 3 — group commits vs log buffer size", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
-		return rows(Table3(sz.tpcc(seed), nil))
+		return rows(Table3(sz.tpcc(seed)))
 	}},
 	{"util", "Section 5.2 — track utilization", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
-		return rows(TrackUtilization(sz.tpcc(seed), nil))
+		return rows(TrackUtilization(sz.tpcc(seed)))
 	}},
 	{"fig4", "Figure 4 — crash recovery", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
 		res, err := Figure4(sz.RecoveryQs, seed)
@@ -118,7 +140,7 @@ var Catalogue = []Section{
 		return res.String() + "\n" + res.Plot(), res.Entries(), nil
 	}},
 	{"ablate-threshold", "Ablation — track utilization threshold", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
-		return text(ThresholdSweep(nil, sz.Writes, seed))
+		return text(ThresholdSweep(sz.Writes, seed))
 	}},
 	{"ablate-readprio", "Ablation — read priority", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
 		return text(ReadPriorityAblation(sz.Writes/2, seed))
@@ -127,7 +149,7 @@ var Catalogue = []Section{
 		return text(RecoveryOptimizationsAblation(sz.AblateRecoveryQ, seed))
 	}},
 	{"ext-multilog", "Extension — multiple log disks", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
-		return text(MultiLogAblation(nil, sz.Writes, seed))
+		return text(MultiLogAblation(sz.Writes, seed))
 	}},
 	{"ext-fsmeta", "Extension — O_SYNC file metadata", func(sz Sizing, seed uint64) (string, []benchfmt.Entry, error) {
 		return text(FSMetadata(sz.Writes/4, seed))
@@ -154,7 +176,7 @@ var Catalogue = []Section{
 		return entryTable(worldGate())
 	}},
 	{"cluster", "Gate — cluster scale-out", func(Sizing, uint64) (string, []benchfmt.Entry, error) {
-		return rows(Cluster([]int{2, 4, 8}, clusterRequests, gateSeed))
+		return rows(Cluster([]int{2, 4, 8}))
 	}},
 }
 

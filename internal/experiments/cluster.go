@@ -54,11 +54,11 @@ type ClusterResult struct {
 	Points            []ClusterPoint
 }
 
-// Cluster sweeps shard counts under ClusterMix's offered load. requests is
-// the arrivals per cell.
-func Cluster(shardCounts []int, requests int, seed uint64) (*ClusterResult, error) {
-	mixCfg := ClusterMix(requests, seed)
-	res := &ClusterResult{Tenants: mixCfg.Tenants, Requests: requests}
+// Cluster sweeps shard counts under ClusterMix's offered load, at
+// clusterRequests arrivals per cell and the gate's seed.
+func Cluster(shardCounts []int) (*ClusterResult, error) {
+	mixCfg := ClusterMix(clusterRequests, gateSeed)
+	res := &ClusterResult{Tenants: mixCfg.Tenants, Requests: clusterRequests}
 	for _, n := range shardCounts {
 		pt, err := clusterCell(n, mixCfg)
 		if err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestClusterSweep(t *testing.T) {
-	res, err := Cluster([]int{2, 4}, 400, 7)
+	res, err := Cluster([]int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,11 +57,7 @@ func DirectLogging(commits int, seed uint64) (*DirectLogResult, error) {
 					ferr = err
 					return
 				}
-				dev, err = fslite.NewFileDevice(f, blockdev.DevID{Major: 7}, 2048)
-				if err != nil {
-					ferr = err
-					return
-				}
+				dev = fslite.NewFileDevice(f, blockdev.DevID{Major: 7})
 			}
 			l, err := wal.New(env, wal.Config{Dev: dev, Sectors: dev.Sectors(), Mode: wal.SyncEveryCommit})
 			if err != nil {

@@ -21,8 +21,9 @@ import (
 const faultRegion = 4096
 
 // faultScenario is the comparison's fault scenario: three latent read errors
-// and one transient timeout per drive, within faultRegion.
-var faultScenario = fault.Config{LatentReadErrors: 3, Timeouts: 1, MaxLBA: faultRegion}
+// per drive within faultRegion, and one transient timeout among each drive's
+// first 50 commands, so that it fires in a run of the section's size.
+var faultScenario = fault.Config{LatentReadErrors: 3, Timeouts: 1, TimeoutWindow: 50, MaxLBA: faultRegion}
 
 // FaultRow is one system's outcome under an injected fault scenario.
 type FaultRow struct {
@@ -66,6 +67,14 @@ func FaultTolerance(writes int, seed uint64) (*FaultToleranceResult, error) {
 		}
 		res.Rows = append(res.Rows, *row)
 	}
+	var counters []counter
+	for _, row := range res.Rows {
+		counters = append(counters, counter{row.System + " fault.media_errors", row.Counters["fault.media_errors"]},
+			counter{row.System + " fault.timeouts", row.Counters["fault.timeouts"]})
+	}
+	if err := fired("ext-faulttol", counters...); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -100,7 +109,7 @@ func faultToleranceRun(system string, writes int, seed uint64) (*FaultRow, error
 			return nil, err
 		}
 		plans = append(plans, fault.Attach(sys.DataDisks[0], sim.NewRand(seed), cfg))
-		a, err := raid.New(sys.Devs(), 8)
+		a, err := raid.New(sys.Devs())
 		if err != nil {
 			sys.Close()
 			return nil, err
@@ -119,6 +128,17 @@ func faultToleranceRun(system string, writes int, seed uint64) (*FaultRow, error
 	const extent = 8
 	slots := int64(faultRegion / extent)
 	written := make(map[int64]bool)
+	// readBack reads one slot, checking the bytes of a slot that was written.
+	readBack := func(p *sim.Proc, lba int64) {
+		row.Reads++
+		got, err := dev.Read(p, lba, extent)
+		switch {
+		case err != nil:
+			row.ReadErrors++
+		case written[lba] && !bytes.Equal(got, payload(lba, extent)):
+			row.CorruptReads++
+		}
+	}
 	env.Go("workload", func(p *sim.Proc) {
 		for i := 0; i < writes; i++ {
 			lba := rng.Int64n(slots) * extent
@@ -138,16 +158,13 @@ func faultToleranceRun(system string, writes int, seed uint64) (*FaultRow, error
 				if !written[rb] {
 					continue
 				}
-				row.Reads++
-				got, err := dev.Read(p, rb, extent)
-				switch {
-				case err != nil:
-					row.ReadErrors++
-				case !bytes.Equal(got, payload(rb, extent)):
-					row.CorruptReads++
-				}
+				readBack(p, rb)
 			}
 			p.Sleep(2 * time.Millisecond)
+		}
+		// Read every slot once, so that a latent error nothing read surfaces.
+		for lba := int64(0); lba < faultRegion; lba += extent {
+			readBack(p, lba)
 		}
 	})
 	env.Run()

@@ -6,13 +6,15 @@ import (
 	"testing"
 )
 
-// TestFaultToleranceDeterministic is the acceptance scenario: the seeded
-// workload (3 latent errors + 1 timeout over 1000 writes) must render
-// byte-identical metrics across two runs, and the RAID-5 array must hide
-// the single-device damage completely.
+// TestFaultToleranceDeterministic is the acceptance scenario at the
+// section's default sizing: the seeded workload (3 latent errors and 1
+// timeout per drive, which FaultTolerance fails without) must render
+// byte-identical metrics across two runs, no write may fail under a
+// retryable scenario, no read may return corrupt data, and the RAID-5 array
+// must hide the single-device damage completely.
 func TestFaultToleranceDeterministic(t *testing.T) {
 	run := func() *FaultToleranceResult {
-		res, err := FaultTolerance(1000, 42)
+		res, err := FaultTolerance(DefaultSizing().Writes, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -22,10 +24,7 @@ func TestFaultToleranceDeterministic(t *testing.T) {
 	if a, b := first.String(), second.String(); a != b {
 		t.Errorf("two seeded runs differ:\n--- run 1\n%s\n--- run 2\n%s", a, b)
 	}
-
-	var fired int64
 	for _, row := range first.Rows {
-		fired += row.Counters["fault.media_errors"] + row.Counters["fault.timeouts"]
 		if row.WriteErrors != 0 {
 			t.Errorf("%s: %d writes failed under a retryable scenario", row.System, row.WriteErrors)
 		}
@@ -36,14 +35,13 @@ func TestFaultToleranceDeterministic(t *testing.T) {
 			t.Errorf("raid5: %d read errors despite parity redundancy", row.ReadErrors)
 		}
 	}
-	if fired == 0 {
-		t.Error("no injected fault ever triggered; scenario is vacuous")
-	}
 }
 
 // TestFaultToleranceSectionGolden pins the ext-faulttol section's text at the
 // default sizing and seed to its length and digest, recorded when the RAID
-// counters lost the scrubber's and the admission gate's always-zero names.
+// counters lost the scrubber's and the admission gate's always-zero names and
+// re-pinned when the scenario's timeout window shrank to 50 commands and a
+// final pass began reading every slot, so that every fault kind fires.
 func TestFaultToleranceSectionGolden(t *testing.T) {
 	secs, err := Select("ext-faulttol")
 	if err != nil {
@@ -55,7 +53,7 @@ func TestFaultToleranceSectionGolden(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(text))
-	if got, want := fmt.Sprintf("%d bytes %016x", len(text), h.Sum64()), "1065 bytes cb9a1deef284dd9c"; got != want {
+	if got, want := fmt.Sprintf("%d bytes %016x", len(text), h.Sum64()), "1076 bytes 697b139ab64554f9"; got != want {
 		t.Errorf("ext-faulttol: %s, want %s\n%s", got, want, text)
 	}
 }

@@ -39,8 +39,6 @@ type Fig3Result struct {
 type Figure3Config struct {
 	// Processes is the multiprogramming level (panel a: 1, panel b: 5).
 	Processes int
-	// SizesKB are the request sizes to sweep (default 1..32 KB).
-	SizesKB []int
 	// WritesPerProcess per point.
 	WritesPerProcess int
 	// Seed drives target selection.
@@ -48,14 +46,11 @@ type Figure3Config struct {
 }
 
 // Figure3 reproduces one panel of Figure 3: average synchronous write
-// latency versus request size, for sparse and clustered arrivals, on Trail
-// and on the standard disk subsystem.
+// latency versus request size (the paper's 1 to 32 KB), for sparse and
+// clustered arrivals, on Trail and on the standard disk subsystem.
 func Figure3(cfg Figure3Config) (*Fig3Result, error) {
-	if len(cfg.SizesKB) == 0 {
-		cfg.SizesKB = []int{1, 2, 4, 8, 16, 32}
-	}
 	res := &Fig3Result{Processes: cfg.Processes}
-	for _, sizeKB := range cfg.SizesKB {
+	for _, sizeKB := range []int{1, 2, 4, 8, 16, 32} {
 		row := Fig3Row{SizeKB: sizeKB}
 		for _, mode := range []workload.Mode{workload.Sparse, workload.Clustered} {
 			wcfg := workload.SyncWriteConfig{
@@ -141,11 +136,11 @@ func (r *Fig3Result) Plot() string {
 	}
 	return AsciiPlot(
 		fmt.Sprintf("Figure 3 (%d process(es)): sync write latency", r.Processes),
-		"write size KB", "ms",
+		"write size KB",
 		[]Series{
 			mk("Trail sparse", func(r Fig3Row) time.Duration { return r.TrailSparse }),
 			mk("Trail clustered", func(r Fig3Row) time.Duration { return r.TrailClustered }),
 			mk("Linux sparse", func(r Fig3Row) time.Duration { return r.LinuxSparse }),
 			mk("Linux clustered", func(r Fig3Row) time.Duration { return r.LinuxClustered }),
-		}, 64, 16)
+		})
 }

@@ -100,6 +100,9 @@ func Figure4(qs []int, seed uint64) (*Fig4Result, error) {
 		row.WBRotWait = time.Duration(rot)
 		row.WBXfer = time.Duration(xfer)
 		res.Rows = append(res.Rows, row)
+		if err := fired("fig4", counter{fmt.Sprintf("Q=%d records found", q), int64(row.RecordsFound)}); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
@@ -224,11 +227,11 @@ func (r *Fig4Result) Plot() string {
 	}
 	return AsciiPlot(
 		"Figure 4: recovery time vs pending records",
-		"Q (pending records)", "ms",
+		"Q (pending records)",
 		[]Series{
 			mk("total", Fig4Row.Total),
 			mk("write-back", func(r Fig4Row) time.Duration { return r.WriteBack }),
 			mk("locate", func(r Fig4Row) time.Duration { return r.Locate }),
 			mk("no write-back", func(r Fig4Row) time.Duration { return r.TotalSkip }),
-		}, 64, 16)
+		})
 }

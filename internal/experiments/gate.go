@@ -80,7 +80,7 @@ func syncWriteGrid() ([]benchfmt.Entry, error) {
 // overloadGate is the overload point, QoS off and on, at gridWrites
 // open-loop arrivals: overload/qos=<off|on>/2.0x.
 func overloadGate() ([]benchfmt.Entry, error) {
-	ov, err := Overload(gridWrites, gateSeed)
+	ov, err := Overload()
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +121,9 @@ func exploreGate() ([]benchfmt.Entry, error) {
 	}
 	if rep.Failed() {
 		return nil, fmt.Errorf("crash-explore: durability contract violated (first failing event %d)", rep.FirstFailing)
+	}
+	if err := fired("crash-explore", counter{"branches explored", int64(rep.Explored)}); err != nil {
+		return nil, err
 	}
 	cuts := telemetry.NewSummary()
 	var replayed time.Duration

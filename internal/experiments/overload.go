@@ -50,20 +50,23 @@ func overloadPolicy() *qos.Policy {
 }
 
 // Overload calibrates saturation with a saturating probe, then offers
-// overloadMultiplier times that load with and without the QoS policy.
-// requests is the number of open-loop arrivals per cell.
-func Overload(requests int, seed uint64) (*OverloadResult, error) {
-	svc, err := calibrateSaturation(seed)
+// overloadMultiplier times that load with and without the QoS policy, at
+// gridWrites open-loop arrivals per cell and the gate's seed.
+func Overload() (*OverloadResult, error) {
+	svc, err := calibrateSaturation()
 	if err != nil {
 		return nil, fmt.Errorf("overload calibration: %w", err)
 	}
 	res := &OverloadResult{}
 	for _, withQoS := range []bool{false, true} {
-		row, err := overloadCell(withQoS, svc, requests, seed)
+		row, err := overloadCell(withQoS, svc)
 		if err != nil {
 			return nil, fmt.Errorf("overload %.1fx qos=%v: %w", overloadMultiplier, withQoS, err)
 		}
 		res.Rows = append(res.Rows, *row)
+	}
+	if err := fired("overload", counter{"qos=on shed", res.Rows[1].Shed}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -75,7 +78,7 @@ func Overload(requests int, seed uint64) (*OverloadResult, error) {
 // closed-loop probe would measure per-write *latency*, which is several
 // times higher than the batched service time and would make "2× load"
 // comfortably sustainable.)
-func calibrateSaturation(seed uint64) (time.Duration, error) {
+func calibrateSaturation() (time.Duration, error) {
 	sys, err := rig.New(rig.Config{})
 	if err != nil {
 		return 0, err
@@ -86,7 +89,7 @@ func calibrateSaturation(seed uint64) (time.Duration, error) {
 		Interarrival: 50 * time.Microsecond,
 		Requests:     writes,
 		WriteSize:    1024,
-		Seed:         seed,
+		Seed:         gateSeed,
 	}, sys.Dev(0).Sectors())
 	if err != nil {
 		return 0, err
@@ -102,7 +105,7 @@ func calibrateSaturation(seed uint64) (time.Duration, error) {
 }
 
 // overloadCell runs one open-loop cell.
-func overloadCell(withQoS bool, svc time.Duration, requests int, seed uint64) (*OverloadRow, error) {
+func overloadCell(withQoS bool, svc time.Duration) (*OverloadRow, error) {
 	cfg := trail.Default()
 	if withQoS {
 		cfg.QoS = overloadPolicy()
@@ -118,9 +121,9 @@ func overloadCell(withQoS bool, svc time.Duration, requests int, seed uint64) (*
 	}
 	load, err := workload.OpenLoop(workload.OpenLoopConfig{
 		Interarrival: interarrival,
-		Requests:     requests,
+		Requests:     gridWrites,
 		WriteSize:    1024,
-		Seed:         seed,
+		Seed:         gateSeed,
 	}, sys.Dev(0).Sectors())
 	if err != nil {
 		return nil, err

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestOverloadQoSBoundsTail(t *testing.T) {
-	res, err := Overload(200, 7)
+	res, err := Overload()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestOverloadQoSBoundsTail(t *testing.T) {
 		t.Errorf("p99: qos=%v vs off=%v", on.P99, off.P99)
 	}
 	// Nothing acknowledged was lost either way.
-	if off.Acked+off.Shed+off.Expired != 200 || on.Acked+on.Shed+on.Expired != 200 {
+	if off.Acked+off.Shed+off.Expired != gridWrites || on.Acked+on.Shed+on.Expired != gridWrites {
 		t.Errorf("request accounting: off=%+v on=%+v", off, on)
 	}
 }

@@ -14,16 +14,12 @@ type Series struct {
 	Points [][2]float64
 }
 
-// AsciiPlot renders series as a fixed-size ASCII chart, for figure-like
-// terminal output of the paper's graphs. X is linear over the union of
-// points; Y is linear from zero (or the minimum, if negative values occur).
-func AsciiPlot(title, xlabel, ylabel string, series []Series, width, height int) string {
-	if width < 20 {
-		width = 60
-	}
-	if height < 5 {
-		height = 16
-	}
+// AsciiPlot renders series in milliseconds as a 64x16 ASCII chart, for
+// figure-like terminal output of the paper's graphs. X is linear over the
+// union of points; Y is linear from zero (or the minimum, if negative values
+// occur).
+func AsciiPlot(title, xlabel string, series []Series) string {
+	const width, height = 64, 16
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := 0.0, math.Inf(-1)
 	for _, s := range series {
@@ -67,13 +63,13 @@ func AsciiPlot(title, xlabel, ylabel string, series []Series, width, height int)
 	for i, row := range grid {
 		label := strings.Repeat(" ", 10)
 		if i == height/2 {
-			label = fmt.Sprintf("%10s", ylabel)
+			label = fmt.Sprintf("%10s", "ms")
 		}
 		fmt.Fprintf(&b, "%s |%s\n", label, string(row))
 	}
 	fmt.Fprintf(&b, "%10.3g +%s\n", minY, strings.Repeat("-", width))
 	fmt.Fprintf(&b, "%10s  %-10.3g%s%10.3g  (%s)\n", "", minX,
-		strings.Repeat(" ", max(0, width-20)), maxX, xlabel)
+		strings.Repeat(" ", width-20), maxX, xlabel)
 	for si, s := range series {
 		fmt.Fprintf(&b, "%12c = %s\n", marks[si%len(marks)], s.Name)
 	}

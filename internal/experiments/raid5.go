@@ -43,7 +43,7 @@ func RAID5SmallWrites(writes int, seed uint64) (*RAID5Result, error) {
 			return nil, err
 		}
 		env := sys.Env
-		a, err := raid.New(sys.Devs(), 8)
+		a, err := raid.New(sys.Devs())
 		if err != nil {
 			env.Close()
 			return nil, err

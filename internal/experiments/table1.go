@@ -25,18 +25,16 @@ type Table1Result struct {
 }
 
 // Table1 reproduces Table 1: the total elapsed time for servicing a
-// sequence of `writes` one-sector synchronous writes as the write batch
-// size varies (paper: 32 writes, batch sizes 1..32, a ~15x spread).
+// sequence of 32 one-sector synchronous writes as the write batch size
+// varies over 1..32 (the paper's points; it reports a ~15x spread).
 //
 // All writes are queued at time zero; the driver's MaxBatchSectors caps how
 // many are aggregated per physical log write, exactly the knob the paper
 // sweeps.
-func Table1(writes int, batchSizes []int) (*Table1Result, error) {
-	if len(batchSizes) == 0 {
-		batchSizes = []int{1, 2, 4, 8, 16, 32}
-	}
+func Table1() (*Table1Result, error) {
+	const writes = 32
 	res := &Table1Result{Writes: writes}
-	for _, bs := range batchSizes {
+	for _, bs := range []int{1, 2, 4, 8, 16, 32} {
 		cfg := trail.Default()
 		cfg.MaxBatchSectors = bs
 		sys, err := rig.New(rig.Config{Trail: cfg})
@@ -82,12 +80,8 @@ func (r *Table1Result) String() string {
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%10d %14s %9d\n", row.BatchSize, fmtMS(row.Elapsed), row.Records)
 	}
-	if len(r.Rows) > 1 {
-		ratio := float64(r.Rows[0].Elapsed) / float64(r.Rows[len(r.Rows)-1].Elapsed)
-		fmt.Fprintf(&b, "spread (batch %d vs %d): %.1fx (paper: ~15x)\n",
-			r.Rows[0].BatchSize, r.Rows[len(r.Rows)-1].BatchSize, ratio)
-	}
+	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
+	fmt.Fprintf(&b, "spread (batch %d vs %d): %.1fx (paper: ~15x)\n",
+		first.BatchSize, last.BatchSize, float64(first.Elapsed)/float64(last.Elapsed))
 	return b.String()
 }
-
-var _ = trail.MaxBatch // document the cap the sweep tops out at

@@ -248,16 +248,13 @@ type Table3Result struct {
 // Table3 counts group commits (synchronous log writes) in a fixed TPC-C run
 // as the log buffer size varies (paper: 10000 txns, concurrency 4, buffers
 // 4..1200 KB, counts 10960 down to 39).
-func Table3(cfg TPCCConfig, bufferKBs []int) (*Table3Result, error) {
+func Table3(cfg TPCCConfig) (*Table3Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Concurrency < 2 {
 		cfg.Concurrency = 4
 	}
-	if len(bufferKBs) == 0 {
-		bufferKBs = []int{4, 100, 400, 800, 1200}
-	}
 	res := &Table3Result{Config: cfg}
-	for _, kb := range bufferKBs {
+	for _, kb := range []int{4, 100, 400, 800, 1200} {
 		c := cfg
 		c.LogBufferKB = kb
 		hw, runner, err := buildTPCC(Ext2GC, c)
@@ -327,13 +324,10 @@ type UtilizationResult struct {
 // TrackUtilization measures Trail's per-track log disk space utilization
 // under TPC-C at varying concurrency (paper: 12% at 4, 21% at 8, >30% at
 // 12 — batched writes grow with burstiness).
-func TrackUtilization(cfg TPCCConfig, concurrencies []int) (*UtilizationResult, error) {
+func TrackUtilization(cfg TPCCConfig) (*UtilizationResult, error) {
 	cfg = cfg.withDefaults()
-	if len(concurrencies) == 0 {
-		concurrencies = []int{4, 8, 12}
-	}
 	res := &UtilizationResult{}
-	for _, conc := range concurrencies {
+	for _, conc := range []int{4, 8, 12} {
 		c := cfg
 		c.Concurrency = conc
 		// Burstiness at the log disk is the object of study: the paper's

@@ -1,8 +1,6 @@
 package fslite
 
 import (
-	"fmt"
-
 	"tracklog/internal/blockdev"
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
@@ -18,33 +16,32 @@ import (
 // through the file system"): compare a WAL on a FileDevice against one on a
 // raw Trail device to measure what the file system detour costs.
 type FileDevice struct {
-	f       *File
-	id      blockdev.DevID
-	sectors int64
+	f  *File
+	id blockdev.DevID
 }
 
 var _ blockdev.Device = (*FileDevice)(nil)
 
-// NewFileDevice wraps f as a device of the given size in sectors. The file
+// FileDeviceSectors is a FileDevice's size in sectors, 1 MB.
+const FileDeviceSectors = 2048
+
+// NewFileDevice wraps f as a device of FileDeviceSectors sectors. The file
 // is switched to O_SYNC semantics; it need not be pre-extended (holes read
 // as zeroes).
-func NewFileDevice(f *File, id blockdev.DevID, sectors int64) (*FileDevice, error) {
-	if int64(sectors)*geom.SectorSize > MaxFileSize {
-		return nil, fmt.Errorf("fslite: %d sectors exceeds max file size", sectors)
-	}
+func NewFileDevice(f *File, id blockdev.DevID) *FileDevice {
 	f.Sync = true
-	return &FileDevice{f: f, id: id, sectors: sectors}, nil
+	return &FileDevice{f: f, id: id}
 }
 
 // ID returns the device identity.
 func (d *FileDevice) ID() blockdev.DevID { return d.id }
 
 // Sectors returns the device capacity.
-func (d *FileDevice) Sectors() int64 { return d.sectors }
+func (d *FileDevice) Sectors() int64 { return FileDeviceSectors }
 
 // Read returns count sectors at lba from the file.
 func (d *FileDevice) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
-	if err := blockdev.CheckRange(d.sectors, lba, count); err != nil {
+	if err := blockdev.CheckRange(FileDeviceSectors, lba, count); err != nil {
 		return nil, err
 	}
 	buf, err := d.f.ReadAt(p, lba*geom.SectorSize, int64(count)*geom.SectorSize)
@@ -64,7 +61,7 @@ func (d *FileDevice) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 // Write stores count sectors at lba into the file (O_SYNC: data plus the
 // file system's metadata updates are durable on return).
 func (d *FileDevice) Write(p *sim.Proc, lba int64, count int, data []byte) error {
-	if err := blockdev.CheckRange(d.sectors, lba, count); err != nil {
+	if err := blockdev.CheckRange(FileDeviceSectors, lba, count); err != nil {
 		return err
 	}
 	return d.f.WriteAt(p, lba*geom.SectorSize, data[:count*geom.SectorSize])

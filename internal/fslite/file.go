@@ -36,7 +36,7 @@ func (fs *FS) loadDir(p *sim.Proc) ([]dirEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := int(minI64(BlockSize, root.size-off)) / dirEntSize
+		n := int(min(BlockSize, root.size-off)) / dirEntSize
 		for i := 0; i < n; i++ {
 			e := buf[i*dirEntSize:]
 			ino := int64(binary.LittleEndian.Uint32(e))
@@ -48,13 +48,6 @@ func (fs *FS) loadDir(p *sim.Proc) ([]dirEntry, error) {
 		}
 	}
 	return out, nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // addDirEntry appends an entry to the root directory (synchronous metadata
@@ -294,7 +287,7 @@ func (f *File) ReadAt(p *sim.Proc, off, length int64) ([]byte, error) {
 			return nil, err
 		}
 		inBlock := BlockSize - pos%BlockSize
-		n := minI64(inBlock, length-int64(len(out)))
+		n := min(inBlock, length-int64(len(out)))
 		if blk == 0 {
 			out = append(out, make([]byte, n)...) // hole
 		} else {

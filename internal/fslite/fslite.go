@@ -123,7 +123,7 @@ func Mkfs(p *sim.Proc, dev blockdev.Device) (*FS, error) {
 	sb := superblock{
 		magic:        magic,
 		blocks:       blocks,
-		inodeBlocks:  maxI64(1, blocks/256),
+		inodeBlocks:  max(1, blocks/256),
 		bitmapBlocks: (blocks + BlockSize*8 - 1) / (BlockSize * 8),
 	}
 	fs := &FS{dev: dev, sb: sb, inodes: make(map[int64]*inode)}
@@ -184,13 +184,6 @@ func Mount(p *sim.Proc, dev blockdev.Device) (*FS, error) {
 
 // Stats returns a copy of the I/O counters.
 func (fs *FS) Stats() Stats { return fs.stats }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // Block I/O helpers (meta flag routes the accounting).
 

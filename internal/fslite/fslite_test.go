@@ -285,10 +285,7 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dev, err := NewFileDevice(f, blockdev.DevID{Major: 7}, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dev := NewFileDevice(f, blockdev.DevID{Major: 7})
 		want := bytes.Repeat([]byte{0x4E}, 3*geom.SectorSize)
 		if err := dev.Write(p, 10, 3, want); err != nil {
 			t.Fatal(err)
@@ -303,19 +300,8 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 			t.Errorf("hole: %v", err)
 		}
 		// Range checks.
-		if err := dev.Write(p, 256, 1, make([]byte, geom.SectorSize)); err == nil {
+		if err := dev.Write(p, FileDeviceSectors, 1, make([]byte, geom.SectorSize)); err == nil {
 			t.Error("write past device end accepted")
-		}
-	})
-}
-
-func TestFileDeviceTooLarge(t *testing.T) {
-	env, fs := newFS(t)
-	defer env.Close()
-	run(env, func(p *sim.Proc) {
-		f, _ := fs.Create(p, "big")
-		if _, err := NewFileDevice(f, blockdev.DevID{}, 1<<40); err == nil {
-			t.Error("oversized file device accepted")
 		}
 	})
 }

@@ -31,7 +31,7 @@ func pattern(lba int64, count int) []byte {
 // array, and checks the array degrades transparently: every operation keeps
 // succeeding and every read returns correct data.
 func TestAutoFailOnDeviceDeath(t *testing.T) {
-	env, a, raw := newArray(t, 4, 8)
+	env, a, raw := newArray(t, 4)
 	defer env.Close()
 	fault.Attach(raw[1], sim.NewRand(21), fault.Config{FailAt: 30 * time.Millisecond})
 
@@ -107,7 +107,7 @@ func TestAutoFailOnDeviceDeath(t *testing.T) {
 // TestSecondDeviceDeathRejected checks a second whole-device failure
 // surfaces ErrDegradedTwice instead of silently returning wrong data.
 func TestSecondDeviceDeathRejected(t *testing.T) {
-	env, a, raw := newArray(t, 4, 8)
+	env, a, raw := newArray(t, 4)
 	defer env.Close()
 	rng := sim.NewRand(5)
 	// Deaths land well after the initial write completes (a 16-sector small
@@ -132,7 +132,7 @@ func TestSecondDeviceDeathRejected(t *testing.T) {
 // checks the array hides them: the unwritable sectors go on the bad list,
 // reads reconstruct their contents from parity, and the data round-trips.
 func TestWriteMediaErrorCoveredByParity(t *testing.T) {
-	env, a, raw := newArray(t, 4, 8)
+	env, a, raw := newArray(t, 4)
 	defer env.Close()
 	// Dense write-latents on one device so a workload surely hits several.
 	plan := fault.Attach(raw[2], sim.NewRand(33), fault.Config{

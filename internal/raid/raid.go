@@ -40,7 +40,6 @@ var (
 // rotates right-to-left with the stripe number.
 type Array struct {
 	devs   []blockdev.Device
-	chunk  int // chunk size in sectors
 	failed int // index of the failed device, or -1
 	// bad tracks per-device sectors whose last write failed with a media
 	// error: the platter holds stale data there, so reads of those sectors
@@ -82,14 +81,13 @@ func (s Stats) Counters() telemetry.Counts {
 	}
 }
 
-// New builds an array over devs (>= 3, equal sizes) with the given chunk
-// size in sectors.
-func New(devs []blockdev.Device, chunkSectors int) (*Array, error) {
+// Chunk is the array's chunk size in sectors.
+const Chunk = 8
+
+// New builds an array over devs (>= 3, equal sizes).
+func New(devs []blockdev.Device) (*Array, error) {
 	if len(devs) < 3 {
 		return nil, fmt.Errorf("%w: %d devices (minimum 3)", ErrBadArray, len(devs))
-	}
-	if chunkSectors <= 0 {
-		return nil, fmt.Errorf("%w: chunk %d", ErrBadArray, chunkSectors)
 	}
 	for _, d := range devs[1:] {
 		if d.Sectors() != devs[0].Sectors() {
@@ -98,7 +96,6 @@ func New(devs []blockdev.Device, chunkSectors int) (*Array, error) {
 	}
 	return &Array{
 		devs:   devs,
-		chunk:  chunkSectors,
 		failed: -1,
 		bad:    make([]map[int64]bool, len(devs)),
 	}, nil
@@ -112,7 +109,7 @@ func (a *Array) ID() blockdev.DevID { return blockdev.DevID{Major: 9} }
 
 // Sectors returns the logical capacity.
 func (a *Array) Sectors() int64 {
-	return a.devs[0].Sectors() / int64(a.chunk) * int64(a.chunk) * int64(len(a.devs)-1)
+	return a.devs[0].Sectors() / Chunk * Chunk * int64(len(a.devs)-1)
 }
 
 // Stats returns a copy of the counters.
@@ -215,7 +212,7 @@ func (a *Array) unlockStripe(stripe int64) {
 // itself hits a media error. A device answering with
 // blockdev.ErrDeviceFailed is dropped from the array on the spot.
 func (a *Array) devRead(p *sim.Proc, dev int, devChunk int64, off, count int, opts blockdev.Options) ([]byte, error) {
-	lba := devChunk*int64(a.chunk) + int64(off)
+	lba := devChunk*Chunk + int64(off)
 	if dev == a.failed || a.anyBad(dev, lba, count) {
 		a.stats.DegradedReads++
 		return a.reconstruct(p, dev, lba, count, opts)
@@ -275,7 +272,7 @@ func (a *Array) devWrite(p *sim.Proc, dev int, devChunk int64, off int, data []b
 		return nil
 	}
 	a.stats.DeviceWrites++
-	lba := devChunk*int64(a.chunk) + int64(off)
+	lba := devChunk*Chunk + int64(off)
 	n := len(data) / geom.SectorSize
 	err := blockdev.WriteOpts(p, a.devs[dev], lba, n, data, opts)
 	switch {
@@ -328,9 +325,9 @@ func (a *Array) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
 	a.stats.Reads++
 	out := make([]byte, 0, count*geom.SectorSize)
 	for count > 0 {
-		logical := lba / int64(a.chunk)
-		off := int(lba % int64(a.chunk))
-		n := a.chunk - off
+		logical := lba / Chunk
+		off := int(lba % Chunk)
+		n := Chunk - off
 		if n > count {
 			n = count
 		}
@@ -360,7 +357,7 @@ func (a *Array) Write(p *sim.Proc, lba int64, count int, data []byte) error {
 	a.stats.Writes++
 	ackLBA, ackCount := lba, count
 	n := int64(len(a.devs))
-	stripeData := int64(a.chunk) * (n - 1) // logical sectors per stripe
+	stripeData := Chunk * (n - 1) // logical sectors per stripe
 	for count > 0 {
 		stripe := lba / stripeData
 		inStripe := lba % stripeData
@@ -394,7 +391,7 @@ func (a *Array) Write(p *sim.Proc, lba int64, count int, data []byte) error {
 // data alone (no reads). Caller holds the stripe lock.
 func (a *Array) fullStripeWrite(p *sim.Proc, stripe int64, data []byte, opts blockdev.Options) error {
 	n := int64(len(a.devs))
-	chunkBytes := int64(a.chunk) * geom.SectorSize
+	chunkBytes := int64(Chunk * geom.SectorSize)
 	parity := make([]byte, chunkBytes)
 	pDev := a.parityDev(stripe)
 	for i := int64(0); i < n-1; i++ {
@@ -416,9 +413,9 @@ func (a *Array) fullStripeWrite(p *sim.Proc, stripe int64, data []byte, opts blo
 // write parity maintenance. Caller holds the stripe lock.
 func (a *Array) smallWrite(p *sim.Proc, lba int64, count int, data []byte, opts blockdev.Options) error {
 	for count > 0 {
-		logical := lba / int64(a.chunk)
-		off := int(lba % int64(a.chunk))
-		nSect := a.chunk - off
+		logical := lba / Chunk
+		off := int(lba % Chunk)
+		nSect := Chunk - off
 		if nSect > count {
 			nSect = count
 		}

@@ -16,7 +16,7 @@ import (
 )
 
 // newArray builds a RAID-5 over n fast simulated disks.
-func newArray(t *testing.T, n, chunk int) (*sim.Env, *Array, []*disk.Disk) {
+func newArray(t *testing.T, n int) (*sim.Env, *Array, []*disk.Disk) {
 	t.Helper()
 	env := sim.NewEnv()
 	var devs []blockdev.Device
@@ -38,7 +38,7 @@ func newArray(t *testing.T, n, chunk int) (*sim.Env, *Array, []*disk.Disk) {
 		raw = append(raw, d)
 		devs = append(devs, stddisk.New(env, d, blockdev.DevID{Major: 9, Minor: uint8(i)}, sched.LOOK))
 	}
-	a, err := New(devs, chunk)
+	a, err := New(devs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +51,15 @@ func run(env *sim.Env, fn func(p *sim.Proc)) {
 }
 
 func TestBadConfigs(t *testing.T) {
-	env, _, _ := newArray(t, 3, 8)
+	env, _, _ := newArray(t, 3)
 	defer env.Close()
-	if _, err := New(nil, 8); !errors.Is(err, ErrBadArray) {
+	if _, err := New(nil); !errors.Is(err, ErrBadArray) {
 		t.Error("empty array accepted")
 	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	env, a, _ := newArray(t, 4, 8)
+	env, a, _ := newArray(t, 4)
 	defer env.Close()
 	want := make([]byte, 40*geom.SectorSize)
 	for i := range want {
@@ -80,7 +80,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestFullStripeAvoidsReads(t *testing.T) {
-	env, a, _ := newArray(t, 4, 8)
+	env, a, _ := newArray(t, 4)
 	defer env.Close()
 	stripe := 8 * 3 // chunk * (n-1) logical sectors
 	run(env, func(p *sim.Proc) {
@@ -102,7 +102,7 @@ func TestFullStripeAvoidsReads(t *testing.T) {
 }
 
 func TestSmallWriteCostsFourIOs(t *testing.T) {
-	env, a, _ := newArray(t, 4, 8)
+	env, a, _ := newArray(t, 4)
 	defer env.Close()
 	run(env, func(p *sim.Proc) {
 		before := a.Stats()
@@ -123,7 +123,7 @@ func TestSmallWriteCostsFourIOs(t *testing.T) {
 }
 
 func TestDegradedReadReconstructs(t *testing.T) {
-	env, a, _ := newArray(t, 4, 8)
+	env, a, _ := newArray(t, 4)
 	defer env.Close()
 	want := make([]byte, 30*geom.SectorSize)
 	for i := range want {
@@ -155,7 +155,7 @@ func TestDegradedReadReconstructs(t *testing.T) {
 }
 
 func TestWritesWhileDegradedSurviveRepair(t *testing.T) {
-	env, a, _ := newArray(t, 4, 8)
+	env, a, _ := newArray(t, 4)
 	defer env.Close()
 	run(env, func(p *sim.Proc) {
 		if err := a.Fail(2); err != nil {
@@ -173,7 +173,7 @@ func TestWritesWhileDegradedSurviveRepair(t *testing.T) {
 }
 
 func TestDoubleFailureRejected(t *testing.T) {
-	env, a, _ := newArray(t, 4, 8)
+	env, a, _ := newArray(t, 4)
 	defer env.Close()
 	if err := a.Fail(1); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestDoubleFailureRejected(t *testing.T) {
 func TestParityInvariantProperty(t *testing.T) {
 	// After arbitrary writes, every stripe's XOR across all devices is
 	// zero (parity invariant) — checked directly on the media.
-	env, a, raw := newArray(t, 4, 8)
+	env, a, raw := newArray(t, 4)
 	defer env.Close()
 	rng := sim.NewRand(4)
 	run(env, func(p *sim.Proc) {
@@ -231,7 +231,7 @@ func TestParityInvariantProperty(t *testing.T) {
 }
 
 func TestRangeChecks(t *testing.T) {
-	env, a, _ := newArray(t, 3, 8)
+	env, a, _ := newArray(t, 3)
 	defer env.Close()
 	run(env, func(p *sim.Proc) {
 		if _, err := a.Read(p, a.Sectors(), 1); err == nil {

@@ -106,7 +106,7 @@ func TestCrashRecoverReadBack(t *testing.T) {
 				devs = append(devs, d)
 			}
 			if tc.raid5 {
-				arr, err := raid.New(n.Devs(), 8)
+				arr, err := raid.New(n.Devs())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -373,7 +373,7 @@ func TestShortWriteBufferIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer std.Close()
-	arr, err := raid.New(std.Devs(), 8)
+	arr, err := raid.New(std.Devs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,16 +27,18 @@ type TailEntry struct {
 
 // TailReport is the explainer's output for one request population.
 type TailReport struct {
-	Frac    float64 // requested tail fraction (0.01 = slowest 1%)
-	Total   int     // requests considered
+	Total   int // requests considered
 	Entries []TailEntry
 	Causes  telemetry.Counts // cause string → occurrences in the tail
 }
 
-// ExplainTail explains the slowest frac of reqs (at least one request when
-// any exist). Ordering is deterministic: latency descending, then id.
-func ExplainTail(reqs []*Request, frac float64) *TailReport {
-	rep := &TailReport{Frac: frac, Total: len(reqs), Causes: telemetry.Counts{}}
+// TailFrac is the share of requests, slowest first, that ExplainTail explains.
+const TailFrac = 0.05
+
+// ExplainTail explains the slowest TailFrac of reqs (at least one request
+// when any exist). Ordering is deterministic: latency descending, then id.
+func ExplainTail(reqs []*Request) *TailReport {
+	rep := &TailReport{Total: len(reqs), Causes: telemetry.Counts{}}
 	if len(reqs) == 0 {
 		return rep
 	}
@@ -48,13 +50,7 @@ func ExplainTail(reqs []*Request, frac float64) *TailReport {
 		}
 		return sorted[i].ID < sorted[j].ID
 	})
-	k := int(frac * float64(len(sorted)))
-	if k < 1 {
-		k = 1
-	}
-	if k > len(sorted) {
-		k = len(sorted)
-	}
+	k := max(1, int(TailFrac*float64(len(sorted))))
 	for _, r := range sorted[:k] {
 		e := explain(r)
 		rep.Entries = append(rep.Entries, e)
@@ -209,7 +205,7 @@ func (t *TailReport) String() string {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "tail explainer: slowest %d of %d requests (%.1f%%)\n",
-		len(t.Entries), t.Total, 100*t.Frac)
+		len(t.Entries), t.Total, 100*TailFrac)
 	const maxRows = 16
 	for i, e := range t.Entries {
 		if i == maxRows {

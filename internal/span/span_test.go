@@ -198,8 +198,8 @@ func TestAnalyzeBudget(t *testing.T) {
 func TestExplainTailCauses(t *testing.T) {
 	r := NewRecorder(0)
 	rot := time.Duration(11_111_111) // ~5400 RPM period
-	// 20 fast, well-predicted writes.
-	for i := 1; i <= 20; i++ {
+	// 40 fast, well-predicted writes.
+	for i := 1; i <= 40; i++ {
 		q := r.Start(KWrite, "trail", "data0", int64(i), 2, int64(i)*100000)
 		q.Child(PQueue, int64(i)*100000, int64(i)*100000+100)
 		q.Command(cmd(int64(i)*100000+100, phases{disk.Overhead: 300, disk.RotWait: 500, disk.Transfer: 400}), rot)
@@ -216,7 +216,7 @@ func TestExplainTailCauses(t *testing.T) {
 	qr.Command(cmd(6_020_000, phases{disk.Seek: 2000, disk.RotWait: 1000, disk.Transfer: 2000}), rot)
 	qr.Finish(6_025_000, false)
 
-	rep := ExplainTail(r.Requests(), 0.10)
+	rep := ExplainTail(r.Requests())
 	if len(rep.Entries) != 2 {
 		t.Fatalf("tail entries = %d, want 2", len(rep.Entries))
 	}
@@ -251,10 +251,10 @@ func TestExplainRetryAndErrorCauses(t *testing.T) {
 	qe.ChildAB(PRetry, 50, 900, 1, 0)
 	qe.Finish(900, true)
 
-	rep := ExplainTail(r.Requests(), 1.0)
-	byID := map[int64]TailEntry{}
-	for _, e := range rep.Entries {
-		byID[e.Req.ID] = e
+	byID, causes := map[int64]TailEntry{}, map[string]int{}
+	for _, q := range r.Requests() {
+		byID[q.ID] = explain(q)
+		causes[byID[q.ID].Cause]++
 	}
 	if got := byID[1].Cause; got != "faulted: 1 command attempt(s) retried" {
 		t.Fatalf("retry cause = %q", got)
@@ -297,10 +297,10 @@ func TestExplainTailQoSCauses(t *testing.T) {
 	qc.Command(cmd(6_004_100, phases{disk.Overhead: 300, disk.RotWait: 500, disk.Transfer: 400}), 0)
 	qc.Finish(6_005_300, false)
 
-	rep := ExplainTail(r.Requests(), 1.0)
-	byID := map[int64]TailEntry{}
-	for _, e := range rep.Entries {
-		byID[e.Req.ID] = e
+	byID, causes := map[int64]TailEntry{}, map[string]int{}
+	for _, q := range r.Requests() {
+		byID[q.ID] = explain(q)
+		causes[byID[q.ID].Cause]++
 	}
 	for id, want := range map[int64]string{
 		1: "shed at admission (overload)",
@@ -312,7 +312,7 @@ func TestExplainTailQoSCauses(t *testing.T) {
 			t.Errorf("request %d cause = %q, want %q", id, got, want)
 		}
 	}
-	if got := rep.Causes["shed at admission (overload)"]; got != 1 {
+	if got := causes["shed at admission (overload)"]; got != 1 {
 		t.Errorf("cause histogram shed count = %d, want 1", got)
 	}
 	// The shed request's story is the overload even though no phase has any
@@ -361,10 +361,10 @@ func TestExplainTailClusterCauses(t *testing.T) {
 	cp.ChildAB(PSubRead, 6000, 4_006_000, 3, 0)
 	cp.Finish(4_006_000, false)
 
-	rep := ExplainTail(r.Requests(), 1.0)
-	byID := map[int64]TailEntry{}
-	for _, e := range rep.Entries {
-		byID[e.Req.ID] = e
+	byID, causes := map[int64]TailEntry{}, map[string]int{}
+	for _, q := range r.Requests() {
+		byID[q.ID] = explain(q)
+		causes[byID[q.ID].Cause]++
 	}
 	for id, want := range map[int64]string{
 		1: "failed over to replica after shard failure",
@@ -383,7 +383,7 @@ func TestExplainTailClusterCauses(t *testing.T) {
 	if byID[1].Dominant != PSubRead {
 		t.Errorf("failover dominant = %v, want subread", byID[1].Dominant)
 	}
-	if got := rep.Causes["failed over to replica after shard failure"]; got != 1 {
+	if got := causes["failed over to replica after shard failure"]; got != 1 {
 		t.Errorf("cause histogram failover count = %d, want 1", got)
 	}
 }

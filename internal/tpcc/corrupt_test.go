@@ -129,7 +129,7 @@ func TestFlippedWritesEndInErrCorrupt(t *testing.T) {
 // through flipDev, and checks every table.
 func redo(p *sim.Proc, rec *rig.Rig) error {
 	devs := flipped(rec.Devs())
-	records, err := wal.ReadRecords(p, devs[0], 0, devs[0].Sectors())
+	records, err := wal.ReadRecords(p, devs[0], devs[0].Sectors())
 	if err != nil {
 		return err
 	}

@@ -124,7 +124,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 
 	// Database-level redo: scan the WAL and replay onto the tables.
 	env2.Go("db-recovery", func(p *sim.Proc) {
-		records, err := wal.ReadRecords(p, stdDevs[0], 0, walSectors)
+		records, err := wal.ReadRecords(p, stdDevs[0], walSectors)
 		if err != nil {
 			t.Fatalf("wal scan: %v", err)
 		}

@@ -70,7 +70,7 @@ func TestPutAndDeleteCopyKeyRowAndLockName(t *testing.T) {
 			t.Errorf("deleted key: %v", err)
 		}
 		var err error
-		if records, err = wal.ReadRecords(p, r.logDev, 0, 100000); err != nil {
+		if records, err = wal.ReadRecords(p, r.logDev, 100000); err != nil {
 			t.Error(err)
 		}
 	})

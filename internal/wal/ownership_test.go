@@ -30,7 +30,7 @@ func readBack(t *testing.T, d *disk.Disk) [][]byte {
 	var got [][]byte
 	var err error
 	env.Go("read", func(p *sim.Proc) {
-		got, err = ReadRecords(p, stddisk.New(env, media, blockdev.DevID{Major: 3}, sched.LOOK), 0, 10000)
+		got, err = ReadRecords(p, stddisk.New(env, media, blockdev.DevID{Major: 3}, sched.LOOK), 10000)
 	})
 	env.Run()
 	if err != nil {

@@ -268,16 +268,15 @@ func (l *Log) Flush(p *sim.Proc) error {
 // BufferedBytes returns the size of the unflushed buffer.
 func (l *Log) BufferedBytes() int { return len(l.bufs[l.cur]) - segHeader }
 
-// ReadRecords scans the log region on the device and returns every durable
-// record in append order. Use it after a crash to drive redo recovery: the
+// ReadRecords scans the log region, the device's first sectors sectors, and
+// returns every durable record in append order. Use it after a crash to
+// drive redo recovery: the
 // block-level (Trail) recovery first restores the device contents, then the
 // database replays these records.
-func ReadRecords(p *sim.Proc, dev blockdev.Device, startLBA, sectors int64) ([][]byte, error) {
+func ReadRecords(p *sim.Proc, dev blockdev.Device, sectors int64) ([][]byte, error) {
 	var out [][]byte
 	le := binary.LittleEndian
-	at := startLBA + 1 // sector 0 of the region is the metadata block
-	end := startLBA + sectors
-	for at < end {
+	for at := int64(1); at < sectors; { // sector 0 of the region is the metadata block
 		hdr, err := dev.Read(p, at, 1)
 		if err != nil {
 			return nil, fmt.Errorf("wal: reading segment header: %w", err)
@@ -287,7 +286,7 @@ func ReadRecords(p *sim.Proc, dev blockdev.Device, startLBA, sectors int64) ([][
 		}
 		length := int64(le.Uint32(hdr[4:]))
 		segSectors := (segHeader + length + geom.SectorSize - 1) / geom.SectorSize
-		if length <= 0 || at+segSectors > end {
+		if length <= 0 || at+segSectors > sectors {
 			break // torn or corrupt tail segment
 		}
 		seg, err := dev.Read(p, at, int(segSectors))

@@ -253,7 +253,7 @@ func TestReadRecordsRoundTrip(t *testing.T) {
 	})
 	env.Go("read", func(p *sim.Proc) {
 		dev := stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
-		got, err := ReadRecords(p, dev, 0, 10000)
+		got, err := ReadRecords(p, dev, 10000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestReadRecordsEmptyLog(t *testing.T) {
 	defer env.Close()
 	env.Go("read", func(p *sim.Proc) {
 		dev := stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
-		got, err := ReadRecords(p, dev, 0, 10000)
+		got, err := ReadRecords(p, dev, 10000)
 		if err != nil || len(got) != 0 {
 			t.Errorf("empty log: %d records, %v", len(got), err)
 		}
@@ -299,7 +299,7 @@ func TestReadRecordsIgnoresTornTail(t *testing.T) {
 	d.MediaWrite(2, hdr)
 	env.Go("read", func(p *sim.Proc) {
 		dev := stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
-		got, err := ReadRecords(p, dev, 0, 10000)
+		got, err := ReadRecords(p, dev, 10000)
 		if err != nil {
 			t.Fatal(err)
 		}

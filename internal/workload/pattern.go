@@ -53,12 +53,10 @@ type ZipfPattern struct {
 	name string
 }
 
-// NewZipf builds a Zipf pattern over n slots with exponent s (s ~ 0.99 is
-// the classic choice).
-func NewZipf(n int, s float64) *ZipfPattern {
-	if n < 1 {
-		n = 1
-	}
+// NewZipf builds a Zipf pattern over 10 000 slots with the classic exponent
+// 0.99.
+func NewZipf() *ZipfPattern {
+	const n, s = 10000, 0.99
 	return &ZipfPattern{cdf: zipfCDF(n, s), name: fmt.Sprintf("zipf(%d,%.2f)", n, s)}
 }
 

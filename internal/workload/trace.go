@@ -103,10 +103,11 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 	return t, sc.Err()
 }
 
-// SynthesizeTrace builds a trace of n operations with the given pattern,
-// write ratio (0..1), request size and mean inter-arrival gap
-// (exponentially distributed, a Poisson arrival process).
-func SynthesizeTrace(n int, pattern Pattern, writeRatio float64, sectors int, meanGap time.Duration, devSectors int64, seed uint64) *Trace {
+// SynthesizeTrace builds a trace of n operations of the given size with the
+// given pattern: 70% writes, with exponentially distributed inter-arrival
+// gaps of mean 3 ms (a Poisson arrival process).
+func SynthesizeTrace(n int, pattern Pattern, sectors int, devSectors int64, seed uint64) *Trace {
+	const writeRatio, meanGap = 0.7, 3 * time.Millisecond
 	rng := sim.NewRand(seed)
 	t := &Trace{Ops: make([]TraceOp, 0, n)}
 	at := time.Duration(0)

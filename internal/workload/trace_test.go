@@ -11,7 +11,7 @@ import (
 
 func TestPatternsStayInBounds(t *testing.T) {
 	rng := sim.NewRand(1)
-	patterns := []Pattern{UniformPattern{}, &SequentialPattern{}, NewZipf(500, 0.99)}
+	patterns := []Pattern{UniformPattern{}, &SequentialPattern{}, NewZipf()}
 	const devSectors, sectors = 100000, 8
 	for _, pat := range patterns {
 		for i := 0; i < 5000; i++ {
@@ -39,24 +39,24 @@ func TestSequentialWraps(t *testing.T) {
 }
 
 func TestZipfSkew(t *testing.T) {
-	z := NewZipf(1000, 0.99)
+	z := NewZipf()
 	rng := sim.NewRand(7)
 	counts := map[int64]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		counts[z.Next(rng, 1000*8, 8)]++
+		counts[z.Next(rng, 10000*8, 8)]++
 	}
 	// The hottest slot should absorb far more than the uniform share.
 	if counts[0] < n/200 {
 		t.Errorf("slot 0 got %d of %d; zipf skew missing", counts[0], n)
 	}
-	if counts[0] <= counts[8*500] {
+	if counts[0] <= counts[8*5000] {
 		t.Error("hot slot not hotter than the middle")
 	}
 }
 
 func TestTraceSerializeRoundTrip(t *testing.T) {
-	tr := SynthesizeTrace(50, NewZipf(100, 0.9), 0.7, 8, time.Millisecond, 100000, 3)
+	tr := SynthesizeTrace(50, NewZipf(), 8, 100000, 3)
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestReplayAgainstBaseline(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	dev := baseline(env)
-	tr := SynthesizeTrace(30, UniformPattern{}, 0.5, 4, 5*time.Millisecond, dev.Sectors(), 11)
+	tr := SynthesizeTrace(30, UniformPattern{}, 4, dev.Sectors(), 11)
 	res, err := Run(env, dev, tr.Load())
 	if err != nil {
 		t.Fatal(err)

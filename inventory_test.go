@@ -80,3 +80,27 @@ func TestDesignInventoryMatchesTree(t *testing.T) {
 		}
 	}
 }
+
+// designWordCeiling is the most words DESIGN.md may hold. A change may only
+// lower it: DESIGN.md is a map of the code, and a new paragraph pays for
+// itself by cutting one.
+const designWordCeiling = 18205
+
+// TestDesignWordCeiling holds DESIGN.md to designWordCeiling words, counted
+// as `LC_ALL=C wc -w` counts them: a word is a run of bytes between ASCII
+// whitespace that holds at least one printable ASCII character.
+func TestDesignWordCeiling(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := 0
+	for _, w := range strings.FieldsFunc(string(doc), func(r rune) bool { return strings.ContainsRune(" \t\n\v\f\r", r) }) {
+		if strings.ContainsFunc(w, func(r rune) bool { return r > ' ' && r < 0x7f }) {
+			words++
+		}
+	}
+	if words > designWordCeiling {
+		t.Errorf("DESIGN.md has %d words, above its ceiling of %d; cut as many as you add", words, designWordCeiling)
+	}
+}
