@@ -36,13 +36,11 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -311,24 +309,13 @@ func printCounters(w io.Writer, r *rig.Rig, scenario string) {
 	fmt.Fprintf(w, "faults (%s):\n%s\n", scenario, agg)
 }
 
-// ackedWrite is one acknowledged write retained for the -verify audit.
-type ackedWrite struct {
-	sectors int
-	data    []byte
-}
-
 // runOpenLoop issues writes at a fixed arrival rate regardless of
 // completions — the overload regime — tolerating per-request shed and
 // deadline outcomes. With verify, every acknowledged write is read back
-// after the run: an acknowledged write that cannot be read back intact is
-// data loss and fails the run.
+// after the run (workload.Ledger): an acknowledged target that reads back
+// other bytes or fails to read is data loss and fails the run.
 func runOpenLoop(w io.Writer, r *rig.Rig, system string, size, writes int, rate float64, seed uint64, scenario string, verify bool) ([]benchfmt.Entry, error) {
 	env, dev := r.Env, r.Dev(0)
-
-	// survivors holds, per target, every acknowledged write: concurrent
-	// acked writes to one slot race in the device, so readback must match
-	// one of them (the newest acknowledgement is listed first).
-	var survivors map[int64][]ackedWrite
 	cfg := workload.OpenLoopConfig{
 		Interarrival: time.Duration(float64(time.Second) / rate),
 		Requests:     writes,
@@ -339,11 +326,9 @@ func runOpenLoop(w io.Writer, r *rig.Rig, system string, size, writes int, rate 
 	if err != nil {
 		return nil, err
 	}
+	var ledger workload.Ledger
 	if verify {
-		survivors = make(map[int64][]ackedWrite)
-		load.OnAck = func(lba int64, sectors int, data []byte, _ sim.Time) {
-			survivors[lba] = append([]ackedWrite{{sectors: sectors, data: data}}, survivors[lba]...)
-		}
+		load.OnAck = ledger.Record
 	}
 	res, err := workload.Run(env, dev, load)
 	if err != nil {
@@ -360,38 +345,24 @@ func runOpenLoop(w io.Writer, r *rig.Rig, system string, size, writes int, rate 
 	if !verify {
 		return []benchfmt.Entry{e}, nil
 	}
-	lbas := make([]int64, 0, len(survivors))
-	for lba := range survivors {
-		lbas = append(lbas, lba)
-	}
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
-	var lost int
-	env.Go("verify", func(p *sim.Proc) {
-		for _, lba := range lbas {
-			cands := survivors[lba]
-			got, rerr := dev.Read(p, lba, cands[0].sectors)
-			if rerr != nil {
-				fmt.Fprintf(w, "verify: lba %d: read failed: %v\n", lba, rerr)
-				lost++
-				continue
-			}
-			ok := false
-			for _, c := range cands {
-				if bytes.Equal(got, c.data) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				fmt.Fprintf(w, "verify: lba %d: acknowledged data lost\n", lba)
-				lost++
-			}
-		}
-	})
+	var checks []workload.Check
+	env.Go("verify", func(p *sim.Proc) { checks = ledger.ReadBack(p, dev) })
 	env.Run()
-	if lost > 0 {
-		return nil, fmt.Errorf("verify: %d of %d acknowledged writes lost", lost, len(lbas))
+	intact := 0
+	for _, c := range checks {
+		switch c.Outcome {
+		case workload.Intact:
+			intact++
+		case workload.ReadFailed:
+			fmt.Fprintf(w, "verify: lba %d: read failed: %v\n", c.LBA, c.Err)
+		case workload.OtherBytes:
+			fmt.Fprintf(w, "verify: lba %d: acknowledged data lost\n", c.LBA)
+		}
 	}
-	fmt.Fprintf(w, "verify: all %d acknowledged targets intact\n", len(lbas))
+	// A target the read-back never reached is lost too.
+	if n := ledger.Targets(); intact < n {
+		return nil, fmt.Errorf("verify: %d of %d acknowledged writes lost", n-intact, n)
+	}
+	fmt.Fprintf(w, "verify: all %d acknowledged targets intact\n", intact)
 	return []benchfmt.Entry{e}, nil
 }

@@ -2,7 +2,6 @@ package stacks_test
 
 import (
 	"testing"
-	"time"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/crashexplore"
@@ -16,28 +15,14 @@ import (
 )
 
 func logParams() disk.Params {
-	g := geom.Uniform(12, 2, 60)
-	g.TrackSkew = 4
-	g.CylSkew = 8
-	return disk.Params{
-		Name:            "traillog",
-		RPM:             6000,
-		Geom:            g,
-		SeekT2T:         800 * time.Microsecond,
-		SeekAvg:         4 * time.Millisecond,
-		SeekMax:         8 * time.Millisecond,
-		HeadSwitch:      400 * time.Microsecond,
-		ReadOverhead:    200 * time.Microsecond,
-		WriteOverhead:   500 * time.Microsecond,
-		WriteSettle:     100 * time.Microsecond,
-		WriteTurnaround: 600 * time.Microsecond,
-	}
+	p := disk.Small()
+	p.Name = "traillog"
+	return p
 }
 
 func dataParams() disk.Params {
-	p := logParams()
-	p.Name = "d"
-	p.Geom = geom.Uniform(100, 2, 60)
+	p := disk.Small()
+	p.Name, p.Geom = "d", geom.Uniform(100, 2, 60)
 	return p
 }
 

@@ -27,29 +27,17 @@ import (
 // rig's system on the drives it is given (rig.Rig.RecoverOn), the built ones
 // or clones of them.
 
+// exploreLogParams is the crash rigs' log disk: disk.Small, and
+// exploreDataParams(name) their data disk, 100 cylinders of it with no skew.
 func exploreLogParams() disk.Params {
-	g := geom.Uniform(12, 2, 60)
-	g.TrackSkew = 4
-	g.CylSkew = 8
-	return disk.Params{
-		Name:            "traillog",
-		RPM:             6000,
-		Geom:            g,
-		SeekT2T:         800 * time.Microsecond,
-		SeekAvg:         4 * time.Millisecond,
-		SeekMax:         8 * time.Millisecond,
-		HeadSwitch:      400 * time.Microsecond,
-		ReadOverhead:    200 * time.Microsecond,
-		WriteOverhead:   500 * time.Microsecond,
-		WriteSettle:     100 * time.Microsecond,
-		WriteTurnaround: 600 * time.Microsecond,
-	}
+	p := disk.Small()
+	p.Name = "traillog"
+	return p
 }
 
 func exploreDataParams(name string) disk.Params {
-	p := exploreLogParams()
-	p.Name = name
-	p.Geom = geom.Uniform(100, 2, 60)
+	p := disk.Small()
+	p.Name, p.Geom = name, geom.Uniform(100, 2, 60)
 	return p
 }
 

@@ -156,6 +156,23 @@ func WDCaviar() Params {
 	}
 }
 
+// Small returns parameters for a small, fast drive: 12 cylinders x 2 heads x
+// 60 sectors (24 tracks), 10 ms a revolution, the paper drives' timings
+// scaled down. Tests and crash explorations use it as a Trail log disk, and
+// with geom.Uniform(100, 2, 60) as a data disk, so that recovery's track
+// scans and whole-drive walks stay short; each renames it.
+func Small() Params {
+	g := geom.Uniform(12, 2, 60)
+	g.TrackSkew, g.CylSkew = 4, 8
+	return Params{
+		Name: "small", RPM: 6000, Geom: g,
+		SeekT2T: 800 * time.Microsecond, SeekAvg: 4 * time.Millisecond, SeekMax: 8 * time.Millisecond,
+		HeadSwitch: 400 * time.Microsecond, ReadOverhead: 200 * time.Microsecond,
+		WriteOverhead: 500 * time.Microsecond, WriteSettle: 100 * time.Microsecond,
+		WriteTurnaround: 600 * time.Microsecond,
+	}
+}
+
 // Request is one disk command: a read or write of Count contiguous sectors
 // starting at LBA. For writes, Data must hold Count*512 bytes; for reads,
 // Data is filled in by Access (allocated if nil).

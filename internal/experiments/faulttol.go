@@ -1,29 +1,35 @@
 package experiments
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
-	"tracklog/internal/blockdev"
 	"tracklog/internal/fault"
-	"tracklog/internal/geom"
-	"tracklog/internal/raid"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/telemetry"
+	"tracklog/internal/workload"
 )
 
 // faultRegion bounds the workload and the sampled fault locations, so
-// injected latent errors land in sectors the workload touches.
-const faultRegion = 4096
+// injected latent errors land in sectors the workload touches; each request
+// covers one faultExtent-sector slot of it.
+const (
+	faultRegion = 4096
+	faultExtent = 8
+)
 
 // faultScenario is the comparison's fault scenario: three latent read errors
 // per drive within faultRegion, and one transient timeout among each drive's
 // first 50 commands, so that it fires in a run of the section's size.
 var faultScenario = fault.Config{LatentReadErrors: 3, Timeouts: 1, TimeoutWindow: 50, MaxLBA: faultRegion}
+
+// faultGap spaces the load's ops: wider than a RAID-5 small write, so no
+// system's queue builds up.
+const faultGap = 50 * time.Millisecond
 
 // FaultRow is one system's outcome under an injected fault scenario.
 type FaultRow struct {
@@ -33,8 +39,8 @@ type FaultRow struct {
 	// retries/redundancy were exhausted.
 	Writes, Reads           int
 	WriteErrors, ReadErrors int
-	// CorruptReads counts reads that "succeeded" but returned wrong bytes —
-	// silent data loss, the worst outcome.
+	// CorruptReads counts acknowledged targets whose read-back "succeeded"
+	// but returned other bytes — silent data loss, the worst outcome.
 	CorruptReads int
 	MeanWrite    time.Duration
 	// Counters merges the injection plan's trigger counts with the system's
@@ -49,28 +55,27 @@ type FaultToleranceResult struct {
 	Rows     []FaultRow
 }
 
-// FaultTolerance issues writes seeded writes, with read-backs mixed in,
-// against the three systems while faultScenario plays out on their drives:
-// the standard subsystem and Trail get the plan on their data disk (Trail
-// additionally on its log disk, since that is where its writes land), and
-// the RAID-5 array gets it on one member device.
+// FaultTolerance runs writes seeded writes, with reads mixed in, against
+// the three systems while faultScenario plays out on their drives: the
+// standard subsystem and Trail get the plan on every drive (Trail's log disk
+// too, since that is where its writes land), and the RAID-5 array gets it on
+// member 0 only. Each system is one fault world (runFaultWorld), which then
+// reads back every acknowledged write.
 //
 // Everything — workload addresses, payloads, fault locations, onset times —
 // derives from seed via sim.Rand in virtual time, so two runs with the same
 // arguments produce byte-identical results.
 func FaultTolerance(writes int, seed uint64) (*FaultToleranceResult, error) {
 	res := &FaultToleranceResult{Scenario: faultScenario.String()}
+	var counters []counter
 	for _, system := range []string{"standard", "trail", "raid5"} {
 		row, err := faultToleranceRun(system, writes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("fault tolerance %s: %w", system, err)
 		}
 		res.Rows = append(res.Rows, *row)
-	}
-	var counters []counter
-	for _, row := range res.Rows {
-		counters = append(counters, counter{row.System + " fault.media_errors", row.Counters["fault.media_errors"]},
-			counter{row.System + " fault.timeouts", row.Counters["fault.timeouts"]})
+		counters = append(counters, counter{system + " fault.media_errors", row.Counters["fault.media_errors"]},
+			counter{system + " fault.timeouts", row.Counters["fault.timeouts"]})
 	}
 	if err := fired("ext-faulttol", counters...); err != nil {
 		return nil, err
@@ -78,116 +83,62 @@ func FaultTolerance(writes int, seed uint64) (*FaultToleranceResult, error) {
 	return res, nil
 }
 
-// faultToleranceRun builds one system with faultScenario attached and
-// drives the workload against it.
+// faultToleranceRun builds one system with faultScenario attached and runs
+// its fault world. A request that never completes or an acknowledged target
+// never read, an error that wraps no device sentinel or a failed driver
+// audit fails the run; failed reads and read-backs of other bytes are the
+// row's to count.
 func faultToleranceRun(system string, writes int, seed uint64) (*FaultRow, error) {
-	cfg := faultScenario
-	var sys *rig.Rig
-	var dev blockdev.Device
-	var plans []*fault.Plan
-	var sysCounters func() telemetry.Counts
-	var err error
+	scenario := faultScenario
+	cfg := rig.Config{Faults: &scenario, FaultSeed: seed}
 	switch system {
 	case "standard":
-		if sys, err = rig.New(rig.Config{Baseline: sched.LOOK, Faults: &cfg, FaultSeed: seed}); err != nil {
-			return nil, err
-		}
-		dev = sys.Dev(0)
-		sysCounters = func() telemetry.Counts {
-			s := sys.Std[0].Stats()
-			return telemetry.Counts{"stddisk.retries": s.Retries, "stddisk.failures": s.Failures}
-		}
-	case "trail":
-		if sys, err = rig.New(rig.Config{Faults: &cfg, FaultSeed: seed}); err != nil {
-			return nil, err
-		}
-		dev = sys.Dev(0)
-		sysCounters = func() telemetry.Counts { return sys.Trail.Stats().FaultCounters() }
+		cfg.Baseline = sched.LOOK
 	case "raid5":
+		cfg = rig.Config{Baseline: sched.LOOK, Major: 9, DataDisks: 4}
+	}
+	s, err := newFaultSystem(cfg, system == "raid5")
+	if err != nil {
+		return nil, err
+	}
+	if system == "raid5" {
 		// Only member 0 is faulty: the array must mask one bad disk.
-		if sys, err = rig.New(rig.Config{Baseline: sched.LOOK, Major: 9, DataDisks: 4}); err != nil {
-			return nil, err
-		}
-		plans = append(plans, fault.Attach(sys.DataDisks[0], sim.NewRand(seed), cfg))
-		a, err := raid.New(sys.Devs())
-		if err != nil {
-			sys.Close()
-			return nil, err
-		}
-		dev = a
-		sysCounters = func() telemetry.Counts { return a.Stats().Counters() }
-	default:
-		return nil, fmt.Errorf("unknown system %q", system)
+		s.plans = append(s.plans, fault.Attach(s.rig.DataDisks[0], sim.NewRand(seed), scenario))
 	}
-	env, plans := sys.Env, append(plans, sys.Plans...)
-	defer env.Close()
-
-	row := &FaultRow{System: system}
-	lat := telemetry.NewSummary()
-	rng := sim.NewRand(seed + 1)
-	const extent = 8
-	slots := int64(faultRegion / extent)
-	written := make(map[int64]bool)
-	// readBack reads one slot, checking the bytes of a slot that was written.
-	readBack := func(p *sim.Proc, lba int64) {
-		row.Reads++
-		got, err := dev.Read(p, lba, extent)
-		switch {
-		case err != nil:
-			row.ReadErrors++
-		case written[lba] && !bytes.Equal(got, payload(lba, extent)):
-			row.CorruptReads++
-		}
+	out := runFaultWorld(s, faultLoad(writes, seed+1))
+	errs := append(out.unclassified, out.runErr, out.invariants)
+	if out.unread > 0 {
+		errs = append(errs, fmt.Errorf("%d acknowledged targets never read back", out.unread))
 	}
-	env.Go("workload", func(p *sim.Proc) {
-		for i := 0; i < writes; i++ {
-			lba := rng.Int64n(slots) * extent
-			row.Writes++
-			start := p.Now()
-			err := dev.Write(p, lba, extent, payload(lba, extent))
-			lat.Add(p.Now().Sub(start))
-			if err != nil {
-				row.WriteErrors++
-			} else {
-				written[lba] = true
-			}
-			// Read back an earlier write every few operations so latent
-			// read errors on the data path actually surface.
-			if i%4 == 3 {
-				rb := rng.Int64n(slots) * extent
-				if !written[rb] {
-					continue
-				}
-				readBack(p, rb)
-			}
-			p.Sleep(2 * time.Millisecond)
-		}
-		// Read every slot once, so that a latent error nothing read surfaces.
-		for lba := int64(0); lba < faultRegion; lba += extent {
-			readBack(p, lba)
-		}
-	})
-	env.Run()
-
-	row.MeanWrite = lat.Mean()
-	row.Counters = sysCounters()
-	for _, plan := range plans {
-		row.Counters.Merge(plan.Stats().Counters())
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	return row, nil
+	reads := writes/4 + faultRegion/faultExtent
+	return &FaultRow{System: system, Writes: writes, WriteErrors: writes - int(out.res.Writes.Count()),
+		Reads: reads + out.targets, ReadErrors: reads - int(out.res.Reads.Count()) + out.readErrs,
+		CorruptReads: out.lost, MeanWrite: out.res.Writes.Mean(), Counters: out.counters}, nil
 }
 
-// payload derives a deterministic sector payload from the LBA so read-backs
-// can detect corruption without bookkeeping.
-func payload(lba int64, count int) []byte {
-	buf := make([]byte, count*geom.SectorSize)
-	for s := 0; s < count; s++ {
-		b := byte((lba+int64(s))*131 + 7)
-		for i := range buf[s*geom.SectorSize : (s+1)*geom.SectorSize] {
-			buf[s*geom.SectorSize+i] = b + byte(i)
+// faultLoad is the comparison's open load, one faultExtent-sector op every
+// faultGap inside faultRegion: writes writes to random slots with a read of
+// a random slot after every fourth, then one read of every slot, so that a
+// latent error nothing else read surfaces.
+func faultLoad(writes int, seed uint64) workload.Load {
+	rng := sim.NewRand(seed)
+	var ops []workload.TraceOp
+	add := func(write bool, slot int64) {
+		ops = append(ops, workload.TraceOp{At: time.Duration(len(ops)) * faultGap, Write: write, LBA: slot * faultExtent, Sectors: faultExtent})
+	}
+	for i := 0; i < writes; i++ {
+		add(true, rng.Int64n(faultRegion/faultExtent))
+		if i%4 == 3 {
+			add(false, rng.Int64n(faultRegion/faultExtent))
 		}
 	}
-	return buf
+	for slot := int64(0); slot < faultRegion/faultExtent; slot++ {
+		add(false, slot)
+	}
+	return workload.Load{Open: true, Streams: []workload.Stream{{Name: "workload", Ops: ops}}}
 }
 
 // String renders the comparison.

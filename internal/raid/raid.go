@@ -26,8 +26,9 @@ import (
 // Errors.
 var (
 	// ErrDegradedTwice means more than one device has failed; RAID-5
-	// cannot reconstruct.
-	ErrDegradedTwice = errors.New("raid: more than one failed device")
+	// cannot reconstruct, so to its client the array has failed
+	// (blockdev.ErrDeviceFailed).
+	ErrDegradedTwice = fmt.Errorf("raid: more than one failed device: %w", blockdev.ErrDeviceFailed)
 	// ErrBadArray reports an unusable configuration.
 	ErrBadArray = errors.New("raid: bad array configuration")
 )

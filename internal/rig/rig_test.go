@@ -24,19 +24,13 @@ import (
 
 // Small drives keep recovery's track scan short.
 func smallLog() *disk.Params {
-	g := geom.Uniform(12, 2, 60)
-	g.TrackSkew, g.CylSkew = 4, 8
-	return &disk.Params{
-		Name: "log", RPM: 6000, Geom: g,
-		SeekT2T: 800 * time.Microsecond, SeekAvg: 4 * time.Millisecond, SeekMax: 8 * time.Millisecond,
-		HeadSwitch: 400 * time.Microsecond, ReadOverhead: 200 * time.Microsecond,
-		WriteOverhead: 500 * time.Microsecond, WriteSettle: 100 * time.Microsecond,
-		WriteTurnaround: 600 * time.Microsecond,
-	}
+	p := disk.Small()
+	p.Name = "log"
+	return &p
 }
 
 func smallData() *disk.Params {
-	p := *smallLog()
+	p := disk.Small()
 	p.Name, p.Geom = "data", geom.Uniform(100, 2, 60)
 	return &p
 }

@@ -12,31 +12,16 @@ import (
 	"tracklog/internal/sim"
 )
 
-// testLogParams returns a small, fast log disk: 24 tracks (21 usable),
-// 10 ms/rev, 60 SPT.
+// testLogParams is disk.Small: 24 tracks (21 usable), 10 ms/rev, 60 SPT.
 func testLogParams() disk.Params {
-	g := geom.Uniform(12, 2, 60)
-	g.TrackSkew = 4
-	g.CylSkew = 8
-	return disk.Params{
-		Name:            "testlog",
-		RPM:             6000,
-		Geom:            g,
-		SeekT2T:         800 * time.Microsecond,
-		SeekAvg:         4 * time.Millisecond,
-		SeekMax:         8 * time.Millisecond,
-		HeadSwitch:      400 * time.Microsecond,
-		ReadOverhead:    200 * time.Microsecond,
-		WriteOverhead:   500 * time.Microsecond,
-		WriteSettle:     100 * time.Microsecond,
-		WriteTurnaround: 600 * time.Microsecond,
-	}
+	p := disk.Small()
+	p.Name = "testlog"
+	return p
 }
 
 func testDataParams(name string) disk.Params {
-	p := testLogParams()
-	p.Name = name
-	p.Geom = geom.Uniform(100, 2, 60)
+	p := disk.Small()
+	p.Name, p.Geom = name, geom.Uniform(100, 2, 60)
 	return p
 }
 

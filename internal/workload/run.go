@@ -25,9 +25,10 @@ type Load struct {
 	// but not timed (a reference write that sets the device up).
 	Untimed int
 	// OnAck, when non-nil, is called for every acknowledged write with its
-	// target, payload (its own; the runner never touches it again) and
-	// acknowledgement time, to audit acknowledged-write survival.
-	OnAck func(lba int64, sectors int, data []byte, at sim.Time)
+	// target, payload (its own; the runner never touches it again), issue
+	// time and acknowledgement time: a Ledger's Record, which audits
+	// acknowledged-write survival.
+	OnAck func(lba int64, data []byte, issued, acked sim.Time)
 }
 
 // Stream is the ops of one process of a load.
@@ -146,7 +147,7 @@ func (r *runner) issue(p *sim.Proc, i int, op TraceOp) error {
 		lat.Add(p.Now().Sub(start))
 	}
 	if op.Write && r.load.OnAck != nil {
-		r.load.OnAck(op.LBA, op.Sectors, data, p.Now())
+		r.load.OnAck(op.LBA, data, start, p.Now())
 	}
 	return nil
 }

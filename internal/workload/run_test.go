@@ -152,7 +152,7 @@ func TestOnAckPayload(t *testing.T) {
 	defer env.Close()
 	load := Load{Open: true, Streams: []Stream{writes("arrivals", 0, 0, 0, 0)}}
 	acks := 0
-	load.OnAck = func(lba int64, sectors int, data []byte, _ sim.Time) {
+	load.OnAck = func(lba int64, data []byte, _, _ sim.Time) {
 		for b, got := range data {
 			if got != byte(int(lba)+b) {
 				t.Fatalf("op %d: byte %d = %d", lba, b, got)

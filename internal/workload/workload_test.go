@@ -32,19 +32,8 @@ func baseline(env *sim.Env) blockdev.Device {
 
 func trailDev(t *testing.T, env *sim.Env) blockdev.Device {
 	t.Helper()
-	logP := disk.Params{
-		Name:            "log",
-		RPM:             6000,
-		Geom:            geom.Uniform(50, 2, 60),
-		SeekT2T:         800 * time.Microsecond,
-		SeekAvg:         4 * time.Millisecond,
-		SeekMax:         8 * time.Millisecond,
-		HeadSwitch:      400 * time.Microsecond,
-		ReadOverhead:    200 * time.Microsecond,
-		WriteOverhead:   500 * time.Microsecond,
-		WriteSettle:     100 * time.Microsecond,
-		WriteTurnaround: 600 * time.Microsecond,
-	}
+	logP := disk.Small()
+	logP.Name, logP.Geom = "log", geom.Uniform(50, 2, 60)
 	lg := disk.New(env, logP)
 	if err := trail.Format(lg); err != nil {
 		t.Fatal(err)
@@ -122,7 +111,7 @@ func TestElapsedCountsFirstIssueAtZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			load.OnAck = func(_ int64, _ int, _ []byte, at sim.Time) { lastAck = max(lastAck, at) }
+			load.OnAck = func(_ int64, _ []byte, _, at sim.Time) { lastAck = max(lastAck, at) }
 			ol, err := Run(env2, dev2, load)
 			if err != nil {
 				t.Fatal(err)
