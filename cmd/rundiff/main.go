@@ -10,7 +10,7 @@
 // Usage:
 //
 //	rundiff DIR
-//	rundiff [-mean-tol F] [-p50-tol F] [-p99-tol F] [-rate-tol F] [-json] BASE CUR
+//	rundiff [-json] BASE CUR
 //
 // DIR, BASE and CUR are directories that trailsim -out or clustersim -out
 // wrote; BASE and CUR may also be bare benchfmt JSON files. A directory is
@@ -21,18 +21,15 @@
 // share of end-to-end latency per driver and request kind) and the slowest
 // 5% of requests with their dominant phase and root cause, then, from its
 // trace.json, the Trail driver's head-position prediction audit (omitted
-// when the trace holds no predict event). The flags configure a comparison,
-// so any of them with one directory is a usage error.
-//
-// -mean-tol, -p50-tol and -p99-tol bound the latency metrics, -rate-tol the
-// rates (all 0.10 by default), and -json prints the whole report as JSON.
+// when the trace holds no predict event). -json, which prints the whole
+// report of a comparison as JSON, with one directory is a usage error.
 //
 // The report has three layers. The bench section is the regression gate:
-// tolerances are relative (0.10 = a metric may be up to 10% worse before the
-// gate fails, a negative tolerance disables that metric), rate metrics
-// (entries' "rates" map) are higher-is-better so -rate-tol bounds how far a
-// rate may DROP, a baseline entry missing from the current run fails, and
-// improvements never fail in either direction. The attribution section is
+// a latency metric (mean, p50, p99) may be up to benchfmt.Tolerance (10%)
+// worse before the gate fails; rate metrics (entries' "rates" map) are
+// higher-is-better, so the same bound limits how far a rate may DROP; a
+// baseline entry missing from the current run fails, and improvements never
+// fail in either direction. The attribution section is
 // the difference of the two runs' span budgets (the budget rundiff DIR
 // prints): for each driver/kind group in both runs, its mean-latency change
 // and one row per phase, that phase's change in total time divided by the
@@ -211,10 +208,6 @@ func loadArtifacts(path string) (*artifacts, error) {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rundiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	meanTol := fs.Float64("mean-tol", 0.10, "relative mean-latency tolerance (negative disables)")
-	p50Tol := fs.Float64("p50-tol", 0.10, "relative p50-latency tolerance (negative disables)")
-	p99Tol := fs.Float64("p99-tol", 0.10, "relative p99-latency tolerance (negative disables)")
-	rateTol := fs.Float64("rate-tol", 0.10, "relative throughput-rate drop tolerance (negative disables)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -243,7 +236,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	rep := compare(base, cur, benchfmt.Tolerance{Mean: *meanTol, P50: *p50Tol, P99: *p99Tol, Rate: *rateTol})
+	rep := compare(base, cur)
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -287,15 +280,10 @@ func explain(dir string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// supportTol is the relative change a series or telemetry value must reach
-// to become a support row (0.10 = 10%).
-const supportTol = 0.10
-
-// compare builds the full report for one artifact pair; bench gates the
-// benchmark summary.
-func compare(base, cur *artifacts, bench benchfmt.Tolerance) *Report {
+// compare builds the full report for one artifact pair.
+func compare(base, cur *artifacts) *Report {
 	rep := &Report{Base: base.path, Cur: cur.path}
-	benchRegressed := compareBench(rep, base, cur, bench)
+	benchRegressed := compareBench(rep, base, cur)
 	compareTimelines(rep, base.Timeline, cur.Timeline)
 	compareSpans(rep, base.Spans, cur.Spans)
 	compareProm(rep, base.Metrics, cur.Metrics)
@@ -348,8 +336,8 @@ func compare(base, cur *artifacts, bench benchfmt.Tolerance) *Report {
 }
 
 // compareBench runs the regression gate when both sides carry a summary.
-// It reports whether any metric regressed beyond tolerance.
-func compareBench(rep *Report, base, cur *artifacts, tol benchfmt.Tolerance) bool {
+// It reports whether any metric regressed beyond benchfmt.Tolerance.
+func compareBench(rep *Report, base, cur *artifacts) bool {
 	switch {
 	case base.Bench == nil && cur.Bench == nil:
 		return false
@@ -357,7 +345,7 @@ func compareBench(rep *Report, base, cur *artifacts, tol benchfmt.Tolerance) boo
 		rep.Notes = append(rep.Notes, "bench summary present on one side only; bench section skipped")
 		return false
 	}
-	deltas, missing := benchfmt.Compare(base.Bench, cur.Bench, tol)
+	deltas, missing := benchfmt.Compare(base.Bench, cur.Bench)
 	regressed := false
 	for _, d := range deltas {
 		rep.Bench = append(rep.Bench, BenchDelta{
@@ -372,7 +360,7 @@ func compareBench(rep *Report, base, cur *artifacts, tol benchfmt.Tolerance) boo
 
 // compareTimelines aligns two timeline exports by series key and makes a
 // support row of every occupancy or count total and level average that
-// moved by supportTol or more.
+// moved by benchfmt.Tolerance or more.
 func compareTimelines(rep *Report, base, cur *timeline.Timeline) {
 	switch {
 	case base == nil && cur == nil:
@@ -402,7 +390,7 @@ func compareTimelines(rep *Report, base, cur *timeline.Timeline) {
 		default:
 			continue
 		}
-		if pct, over := relDelta(b, c, supportTol); over {
+		if pct, over := relDelta(b, c); over {
 			rep.Support = append(rep.Support, supportRow(kind, key, b, c, pct))
 		}
 	}
@@ -556,7 +544,7 @@ func lead(attrib []Attrib) string {
 }
 
 // compareProm diffs two telemetry exports by metric name, reporting values
-// whose relative change clears the support tolerance.
+// whose relative change clears benchfmt.Tolerance.
 func compareProm(rep *Report, base, cur map[string]float64) {
 	switch {
 	case base == nil && cur == nil:
@@ -578,7 +566,7 @@ func compareProm(rep *Report, base, cur map[string]float64) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if pct, over := relDelta(base[n], cur[n], supportTol); over {
+		if pct, over := relDelta(base[n], cur[n]); over {
 			rep.Support = append(rep.Support, supportRow("telemetry", n, base[n], cur[n], pct))
 		}
 	}
@@ -638,10 +626,10 @@ func describe(ev, head *trace.ChromeEvent) string {
 }
 
 // relDelta computes the signed relative change in percent and whether it
-// clears the tolerance. Equal values never report, and NaN on both sides
+// clears benchfmt.Tolerance. Equal values never report, and NaN on both sides
 // counts as equal; a change from zero, or to or from NaN, always does (the
 // relative change is unbounded).
-func relDelta(base, cur, tol float64) (pct float64, over bool) {
+func relDelta(base, cur float64) (pct float64, over bool) {
 	bNaN, cNaN := math.IsNaN(base), math.IsNaN(cur)
 	switch {
 	case base == cur || bNaN && cNaN:
@@ -652,7 +640,7 @@ func relDelta(base, cur, tol float64) (pct float64, over bool) {
 		return math.Inf(sign(cur)), true
 	}
 	pct = (cur - base) / math.Abs(base) * 100
-	return pct, math.Abs(pct) >= tol*100
+	return pct, math.Abs(pct) >= benchfmt.Tolerance*100
 }
 
 func sign(v float64) int {

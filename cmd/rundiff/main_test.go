@@ -140,8 +140,8 @@ func TestUnexplainedRegression(t *testing.T) {
 	}
 }
 
-// TestBareBenchFiles is the CI bench gate: two bare benchfmt files, the
-// tolerance flags, exit 1 on any regression or missing entry.
+// TestBareBenchFiles is the CI bench gate: two bare benchfmt files, one 10%
+// bound, exit 1 on any regression or missing entry.
 func TestBareBenchFiles(t *testing.T) {
 	latency := func(p99 float64) *benchfmt.File {
 		return &benchfmt.File{Seed: 1, Experiments: []benchfmt.Entry{
@@ -175,13 +175,10 @@ func TestBareBenchFiles(t *testing.T) {
 		{"identical runs pass", nil, latency(4000), latency(4000), 0, []string{"verdict: ok"}},
 		{"injected p99 regression fails", nil, latency(4000), latency(4800), 1, []string{"REGRESSION", "p99"}},
 		{"within-tolerance regression passes", nil, latency(4000), latency(4300), 0, nil},
-		{"tightened -p99-tol catches it", []string{"-p99-tol", "0.05"}, latency(4000), latency(4300), 1, []string{"REGRESSION"}},
 		{"missing experiment fails", nil, latency(4000), stdOnly, 1, []string{"MISSING"}},
 		{"rate drop fails", nil, rate(1000), rate(800), 1, []string{"REGRESSION", "events_per_virtual_sec", "1000 ->          800   -20.0%"}},
-		{"rate rise passes", []string{"-rate-tol", "0.01"}, rate(1000), rate(1300), 0, nil},
+		{"rate rise passes", nil, rate(1000), rate(1300), 0, nil},
 		{"rate drop within default -rate-tol passes", nil, rate(1000), rate(950), 0, nil},
-		{"tightened -rate-tol catches it", []string{"-rate-tol", "0.02"}, rate(1000), rate(950), 1, []string{"REGRESSION"}},
-		{"negative -rate-tol disables the rate gate", []string{"-rate-tol", "-1"}, rate(1000), rate(1), 0, nil},
 		{"regression from a zero baseline is unbounded and named", nil, zeroP50(0), zeroP50(3), 1,
 			[]string{"table2/trail", "p50", "0.0us ->        3.0us    +Inf%  REGRESSION",
 				"verdict: table2/trail p50 +Inf%: UNEXPLAINED"}},
@@ -357,8 +354,8 @@ func TestBehavioralDeltaWithoutBench(t *testing.T) {
 	}
 }
 
-// Timeline series are support rows under the 10% rule, occupancy included,
-// and a negative latency tolerance takes that metric out of the gate.
+// Timeline series are support rows under the 10% rule, occupancy included:
+// a change inside the bound makes no finding.
 func TestTolerancesDisableFindings(t *testing.T) {
 	base := writeDir(t, map[string]string{"timeline.csv": timelineCSV(200000)})
 	if code, out, _ := runDiff(t, base, writeDir(t, map[string]string{"timeline.csv": timelineCSV(219000)})); code != 0 {
@@ -368,11 +365,6 @@ func TestTolerancesDisableFindings(t *testing.T) {
 	if code != 1 || !strings.Contains(out, "    occupancy disk/log0/state/seek                        1e+07 ->      1.1e+07   +10.0%\n") ||
 		!strings.Contains(out, "verdict: no benchmark regression; 1 support delta(s) above tolerance\n") {
 		t.Errorf("a 10%% occupancy change: exit %d, want 1 and a support row:\n%s", code, out)
-	}
-	base = writeDir(t, map[string]string{"bench.json": benchJSON(t, 12000)})
-	cur := writeDir(t, map[string]string{"bench.json": benchJSON(t, 23000)})
-	if code, out, _ := runDiff(t, "-p99-tol", "-1", base, cur); code != 0 {
-		t.Errorf("-p99-tol -1: exit %d, want 0:\n%s", code, out)
 	}
 }
 
@@ -395,9 +387,9 @@ func TestUsageAndLoadErrors(t *testing.T) {
 }
 
 // One run directory prints its span budget, tail and prediction audit and
-// exits 0; each flag, which configures a comparison, exits 2 with one
-// directory (the tolerances once were silently ignored there), and so do a bare benchfmt file, an empty directory and a predict event whose
-// args do not decode.
+// exits 0; -json, which configures a comparison, exits 2 with one
+// directory, and so do a bare benchfmt file, an empty directory and a
+// predict event whose args do not decode.
 func TestOneRunDirectory(t *testing.T) {
 	predict := `{"name":"predict","cat":"sim","ph":"i","ts":5.000,"pid":1,"tid":1,"s":"t","args":{"lba":12,"count":60,"a":1,"b":%d}}`
 	dir := writeDir(t, map[string]string{
@@ -421,10 +413,8 @@ func TestOneRunDirectory(t *testing.T) {
 	if i, j, k := strings.Index(out, "span budget:"), strings.Index(out, "tail explainer:"), strings.Index(out, "prediction audit:"); i != 0 || j < i || k < j {
 		t.Errorf("blocks out of order (budget, tail, audit):\n%s", out)
 	}
-	for _, flags := range [][]string{{"-json"}, {"-mean-tol", "0.2"}, {"-p50-tol", "0.2"}, {"-p99-tol", "0.2"}, {"-rate-tol", "0.2"}} {
-		if code, out, _ := runDiff(t, append(flags, dir)...); code != 2 || out != "" {
-			t.Errorf("%s DIR: exit %d, stdout %q; want 2 and nothing", flags[0], code, out)
-		}
+	if code, out, _ := runDiff(t, "-json", dir); code != 2 || out != "" {
+		t.Errorf("-json DIR: exit %d, stdout %q; want 2 and nothing", code, out)
 	}
 	bare := filepath.Join(t.TempDir(), "bench.json")
 	if err := os.WriteFile(bare, []byte(benchJSON(t, 12000)), 0o644); err != nil {
@@ -528,7 +518,7 @@ func FuzzRunDiffLoad(f *testing.F) {
 		}
 		// Loaded cleanly: comparing the run with itself must not panic and
 		// must report zero findings.
-		if rep := compare(a, a, benchfmt.Tolerance{}); rep.Findings != 0 {
+		if rep := compare(a, a); rep.Findings != 0 {
 			t.Fatalf("self-compare found %d findings", rep.Findings)
 		}
 	})

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"tracklog/internal/benchfmt"
 	"tracklog/internal/span"
 	"tracklog/internal/trace"
 )
@@ -113,7 +112,8 @@ func readmeExample(t *testing.T) string {
 // -verify`. The cluster run's budget, which no flag printed, was recorded
 // when `rundiff DIR` took these blocks over; the cluster budget and tail were
 // re-pinned once when a refused write's copies and a hedge-won read's primary
-// were charged, which left no budget with unattributed time. The healthy
+// were charged, which left no budget with unattributed time, and again when
+// the rebuild stopped copying a slot while a write to it was out. The healthy
 // Trail run predicts every landing with one sector of slack, and the killed
 // shard's failover or a hedge around it shows among the cluster run's slowest
 // requests.
@@ -136,7 +136,7 @@ func TestRunDirBlocks(t *testing.T) {
 			[3]string{"702 bytes e8dedc3772fe9309", "294 bytes 443ca9c3f3d4bda0", ""},
 			`(?m)^span budget: std/write — 50 requests, 0 errors$`},
 		{"cluster", []string{"clustersim", "-chaos", "shardkill=1@250ms", "-seed", "11", "-verify"},
-			[3]string{"1090 bytes 67f5564123dfdf7a", "1934 bytes f15f7aa90f6510cb", ""},
+			[3]string{"1091 bytes 6c9532ceac7a645b", "1930 bytes 777e9749bcf381cd", ""},
 			`(?m)^  #[0-9]+ .*(failed over to replica after shard failure|hedged to replica after slow primary)`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -235,7 +235,7 @@ func TestAttributionCorpus(t *testing.T) {
 		{[]string{"-size", "8192"}, "transfer"},
 		{[]string{"-faults", "timeout=3"}, "retry"},
 	} {
-		rep := compare(base, sim(strings.Join(tc.flags, ""), tc.flags...), benchfmt.Tolerance{})
+		rep := compare(base, sim(strings.Join(tc.flags, ""), tc.flags...))
 		named := false
 		for _, a := range rep.Attribution {
 			if !strings.HasPrefix(a.Group, "trail/") {

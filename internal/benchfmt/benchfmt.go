@@ -99,16 +99,11 @@ func (f *File) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// Tolerance sets the per-metric relative regression thresholds. For the
+// Tolerance is the relative regression bound of every metric. For the
 // latency metrics (lower is better) a current value above
-// base*(1+tolerance) is a regression; for rates (higher is better) a
-// current value below base*(1-tolerance) is. Metrics with tolerance < 0
-// are not gated.
-type Tolerance struct {
-	Mean, P50, P99 float64
-	// Rate gates every entry in Entry.Rates.
-	Rate float64
-}
+// base*(1+Tolerance) is a regression; for rates (higher is better) a
+// current value below base*(1-Tolerance) is.
+const Tolerance = 0.10
 
 // Delta is one metric's change between a baseline and a current run.
 type Delta struct {
@@ -123,7 +118,7 @@ type Delta struct {
 	// HigherIsBetter marks rate metrics, where the regression direction
 	// is inverted.
 	HigherIsBetter bool
-	// Regressed marks deltas beyond the metric's tolerance.
+	// Regressed marks deltas beyond Tolerance.
 	Regressed bool
 }
 
@@ -134,7 +129,7 @@ type Delta struct {
 // benchmark hides regressions. A rate present in the baseline but absent
 // from the current entry compares as zero, so dropping a rate metric also
 // fails the gate.
-func Compare(base, cur *File, tol Tolerance) (deltas []Delta, missing []string) {
+func Compare(base, cur *File) (deltas []Delta, missing []string) {
 	for _, be := range base.Experiments {
 		ce := cur.Entry(be.Name)
 		if ce == nil {
@@ -142,18 +137,15 @@ func Compare(base, cur *File, tol Tolerance) (deltas []Delta, missing []string) 
 			continue
 		}
 		for _, m := range []struct {
-			metric    string
-			b, c, tol float64
+			metric string
+			b, c   float64
 		}{
-			{"mean", be.MeanUS, ce.MeanUS, tol.Mean},
-			{"p50", be.P50US, ce.P50US, tol.P50},
-			{"p99", be.P99US, ce.P99US, tol.P99},
+			{"mean", be.MeanUS, ce.MeanUS},
+			{"p50", be.P50US, ce.P50US},
+			{"p99", be.P99US, ce.P99US},
 		} {
-			d := Delta{Name: be.Name, Metric: m.metric, Base: m.b, Cur: m.c, Pct: relPct(m.b, m.c-m.b)}
-			if m.tol >= 0 && m.c > m.b*(1+m.tol) {
-				d.Regressed = true
-			}
-			deltas = append(deltas, d)
+			deltas = append(deltas, Delta{Name: be.Name, Metric: m.metric, Base: m.b, Cur: m.c,
+				Pct: relPct(m.b, m.c-m.b), Regressed: m.c > m.b*(1+Tolerance)})
 		}
 		rateNames := make([]string, 0, len(be.Rates))
 		for rn := range be.Rates {
@@ -164,11 +156,8 @@ func Compare(base, cur *File, tol Tolerance) (deltas []Delta, missing []string) 
 			b := be.Rates[rn]
 			c := ce.Rates[rn] // zero when absent: a dropped rate gates as a full regression
 			// Sign flipped so positive = worse, matching latency deltas.
-			d := Delta{Name: be.Name, Metric: rn, Base: b, Cur: c, HigherIsBetter: true, Pct: relPct(b, b-c)}
-			if tol.Rate >= 0 && c < b*(1-tol.Rate) {
-				d.Regressed = true
-			}
-			deltas = append(deltas, d)
+			deltas = append(deltas, Delta{Name: be.Name, Metric: rn, Base: b, Cur: c, HigherIsBetter: true,
+				Pct: relPct(b, b-c), Regressed: c < b*(1-Tolerance)})
 		}
 	}
 	sort.Strings(missing)

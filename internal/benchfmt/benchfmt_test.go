@@ -39,17 +39,16 @@ func findDelta(t *testing.T, deltas []Delta, metric string) Delta {
 
 // Latency is lower-is-better: only an INCREASE beyond tolerance regresses.
 func TestLatencyDirection(t *testing.T) {
-	tol := Tolerance{Mean: 0.10, P50: 0.10, P99: 0.10, Rate: 0.10}
 
 	base, cur := files(1000, 1000, 4000, 4800) // p99 +20%
-	deltas, _ := Compare(base, cur, tol)
+	deltas, _ := Compare(base, cur)
 	d := findDelta(t, deltas, "p99")
 	if !d.Regressed || d.Pct <= 0 || d.HigherIsBetter {
 		t.Errorf("p99 +20%%: %+v", d)
 	}
 
 	base, cur = files(1000, 1000, 4000, 3200) // p99 -20%: an improvement
-	deltas, _ = Compare(base, cur, tol)
+	deltas, _ = Compare(base, cur)
 	if d := findDelta(t, deltas, "p99"); d.Regressed {
 		t.Errorf("p99 improvement flagged as regression: %+v", d)
 	}
@@ -58,10 +57,9 @@ func TestLatencyDirection(t *testing.T) {
 // Rates are higher-is-better: only a DROP beyond tolerance regresses, and
 // Pct stays signed positive-is-worse.
 func TestRateDirectionInverted(t *testing.T) {
-	tol := Tolerance{Mean: 0.10, P50: 0.10, P99: 0.10, Rate: 0.10}
 
 	base, cur := files(1000, 800, 4000, 4000) // rate -20%
-	deltas, _ := Compare(base, cur, tol)
+	deltas, _ := Compare(base, cur)
 	d := findDelta(t, deltas, "events_per_virtual_sec")
 	if !d.Regressed || !d.HigherIsBetter {
 		t.Errorf("rate -20%% not flagged: %+v", d)
@@ -71,7 +69,7 @@ func TestRateDirectionInverted(t *testing.T) {
 	}
 
 	base, cur = files(1000, 1200, 4000, 4000) // rate +20%: an improvement
-	deltas, _ = Compare(base, cur, tol)
+	deltas, _ = Compare(base, cur)
 	d = findDelta(t, deltas, "events_per_virtual_sec")
 	if d.Regressed {
 		t.Errorf("rate improvement flagged as regression: %+v", d)
@@ -81,17 +79,11 @@ func TestRateDirectionInverted(t *testing.T) {
 	}
 }
 
-func TestRateWithinToleranceAndDisabled(t *testing.T) {
+func TestRateWithinTolerance(t *testing.T) {
 	base, cur := files(1000, 950, 4000, 4000) // rate -5%, inside 10%
-	deltas, _ := Compare(base, cur, Tolerance{Mean: 0.10, P50: 0.10, P99: 0.10, Rate: 0.10})
+	deltas, _ := Compare(base, cur)
 	if d := findDelta(t, deltas, "events_per_virtual_sec"); d.Regressed {
 		t.Errorf("-5%% rate drop inside tolerance flagged: %+v", d)
-	}
-
-	base, cur = files(1000, 100, 4000, 4000) // rate -90%, gate disabled
-	deltas, _ = Compare(base, cur, Tolerance{Mean: 0.10, P50: 0.10, P99: 0.10, Rate: -1})
-	if d := findDelta(t, deltas, "events_per_virtual_sec"); d.Regressed {
-		t.Errorf("negative Rate tolerance must disable gating: %+v", d)
 	}
 }
 
@@ -100,7 +92,7 @@ func TestRateWithinToleranceAndDisabled(t *testing.T) {
 func TestDroppedRateFailsGate(t *testing.T) {
 	base, cur := files(1000, 1000, 4000, 4000)
 	cur.Experiments[0].Rates = nil
-	deltas, _ := Compare(base, cur, Tolerance{Mean: 0.10, P50: 0.10, P99: 0.10, Rate: 0.10})
+	deltas, _ := Compare(base, cur)
 	d := findDelta(t, deltas, "events_per_virtual_sec")
 	if !d.Regressed || d.Cur != 0 {
 		t.Errorf("dropped rate not gated: %+v", d)
@@ -111,7 +103,6 @@ func TestDroppedRateFailsGate(t *testing.T) {
 // when worse and -Inf when better, so a regression from zero still ranks
 // and an unchanged zero stays 0.
 func TestZeroBaselineUnbounded(t *testing.T) {
-	tol := Tolerance{Mean: 0.10, P50: 0.10, P99: 0.10, Rate: 0.10}
 	for _, tc := range []struct {
 		name              string
 		baseP99, curP99   float64
@@ -126,7 +117,7 @@ func TestZeroBaselineUnbounded(t *testing.T) {
 		{"rate stays zero", 4000, 4000, 0, 0, "events_per_virtual_sec", 0, false},
 	} {
 		base, cur := files(tc.baseRate, tc.curRate, tc.baseP99, tc.curP99)
-		deltas, _ := Compare(base, cur, tol)
+		deltas, _ := Compare(base, cur)
 		if d := findDelta(t, deltas, tc.metric); d.Pct != tc.pct || d.Regressed != tc.regressed {
 			t.Errorf("%s: %+v, want Pct %v regressed %v", tc.name, d, tc.pct, tc.regressed)
 		}
@@ -136,7 +127,7 @@ func TestZeroBaselineUnbounded(t *testing.T) {
 func TestMissingExperimentReported(t *testing.T) {
 	base, _ := files(1000, 1000, 4000, 4000)
 	cur := &File{Seed: 1}
-	_, missing := Compare(base, cur, Tolerance{})
+	_, missing := Compare(base, cur)
 	if len(missing) != 1 || missing[0] != "x" {
 		t.Errorf("missing = %v, want [x]", missing)
 	}

@@ -20,12 +20,12 @@ import (
 // The allocation guards below pin the same two requests at their real counts
 // (CI runs them without -race).
 
-// hotSlot builds a two-shard cluster whose heartbeats never fire inside a
-// measurement, writes tenant 0's block 0 once, and runs op as client's body.
+// hotSlot builds a two-shard cluster, writes tenant 0's block 0 once, and
+// runs op as client's body.
 func hotSlot(tb testing.TB, op func(c *Cluster, p *sim.Proc)) {
 	env := sim.NewEnv()
 	defer env.Close()
-	c, err := New(env, Config{Shards: 2, Tenants: 2, WriteSize: 4096, HeartbeatInterval: time.Hour})
+	c, err := New(env, Config{Shards: 2, Tenants: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -61,13 +61,13 @@ func readSettled(tb testing.TB, c *Cluster, p *sim.Proc, into []byte) {
 	if _, err := c.Read(p, 0, 0, blockdev.ClassNormal, into); err != nil {
 		tb.Error(err)
 	}
-	p.Sleep(c.cfg.HedgeAfter)
+	p.Sleep(hedgeAfter)
 }
 
 // 25 allocs/op before goroutines and write ops were reused and names built
 // once, 2 after (the two copy processes), 0 since Proc records are recycled.
 func BenchmarkWriteHotSlot(b *testing.B) {
-	b.SetBytes(4096)
+	b.SetBytes(blockSize)
 	b.ReportAllocs()
 	hotSlot(b, func(c *Cluster, p *sim.Proc) {
 		b.ResetTimer()
@@ -85,9 +85,9 @@ func BenchmarkWriteHotSlot(b *testing.B) {
 // returned), 0 since the winning attempt's bytes are copied into the
 // caller's buffer.
 func BenchmarkRead(b *testing.B) {
-	b.SetBytes(4096)
+	b.SetBytes(blockSize)
 	b.ReportAllocs()
-	into := make([]byte, 4096)
+	into := make([]byte, blockSize)
 	hotSlot(b, func(c *Cluster, p *sim.Proc) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -121,7 +121,7 @@ func TestWriteAllocations(t *testing.T) {
 // made its race and three closures, 3 while each process allocated its Proc,
 // 1 while Trail allocated the buffer the read returned.
 func TestReadAllocations(t *testing.T) {
-	into := make([]byte, 4096)
+	into := make([]byte, blockSize)
 	allocs, fresh := -1.0, -1.0
 	hotSlot(t, func(c *Cluster, p *sim.Proc) {
 		readSettled(t, c, p, into)
@@ -133,13 +133,13 @@ func TestReadAllocations(t *testing.T) {
 	}
 }
 
-// mixWorld builds a two-shard cluster with no instruments attached, whose
-// heartbeats never fire, and an open-loop mix of n requests over
+// mixWorld builds a two-shard cluster with no instruments attached and an
+// open-loop mix of n requests over
 // cluster_observed's 48 tenants at a rate at which Trail's write-back keeps
 // up: the workload's request path at a size a test can run.
 func mixWorld(tb testing.TB, n int) (*sim.Env, *Cluster, []workload.MixRequest) {
 	env := sim.NewEnv()
-	c, err := New(env, Config{Shards: 2, Tenants: 48, HeartbeatInterval: time.Hour})
+	c, err := New(env, Config{Shards: 2, Tenants: 48})
 	if err != nil {
 		tb.Fatal(err)
 	}

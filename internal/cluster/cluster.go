@@ -29,6 +29,7 @@ import (
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/fault"
+	"tracklog/internal/geom"
 	"tracklog/internal/qos"
 	"tracklog/internal/rig"
 	"tracklog/internal/sim"
@@ -46,20 +47,6 @@ type Config struct {
 	// Tenants is the number of simulated tenants routed over the shards
 	// (default 64), each with workload.BlocksPerTenant addressable blocks.
 	Tenants int
-	// WriteSize is the bytes per block write; must be a sector multiple
-	// (default 1024, the paper's small-write size).
-	WriteSize int
-	// HeartbeatInterval is the gap between health probes per shard
-	// (default 20ms); ProbeTimeout is each probe's deadline (default 60ms).
-	HeartbeatInterval time.Duration
-	ProbeTimeout      time.Duration
-	// ReplaceAfter is how long after death a replacement shard is
-	// provisioned and rebuild starts (default 150ms).
-	ReplaceAfter time.Duration
-	// HedgeAfter is the read-hedging delay: if the primary has not answered
-	// by then, the replica is asked too and the first answer wins
-	// (0 selects the default 25ms; a negative value disables hedging).
-	HedgeAfter time.Duration
 	// QoS is each shard's admission policy (nil = fully permissive); the
 	// shard's Trail driver otherwise runs with the default trail.Config.
 	QoS *qos.Policy
@@ -76,23 +63,15 @@ func (c Config) withDefaults() Config {
 	if c.Tenants == 0 {
 		c.Tenants = 64
 	}
-	if c.WriteSize == 0 {
-		c.WriteSize = 1024
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 20 * time.Millisecond
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = 60 * time.Millisecond
-	}
-	if c.ReplaceAfter == 0 {
-		c.ReplaceAfter = 150 * time.Millisecond
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = 25 * time.Millisecond
-	}
 	return c
 }
+
+// blockSize is the bytes of every block write, the paper's small-write
+// size; spb is its sectors.
+const (
+	blockSize = 1024
+	spb       = blockSize / geom.SectorSize
+)
 
 // Placement is one tenant's routing decision: the primary and replica
 // shards plus the tenant's base LBA on each (tenant regions are allocated
@@ -115,15 +94,27 @@ type procNames struct {
 }
 
 // slot is the cluster's bookkeeping for one (tenant, block) address: the
-// acked version count, the issue counter feeding payload generation, and the
-// sequence number of every acknowledged write, in ack order: payloadFor turns
-// each back into a payload a read may legally return. Overlapping writes to
-// a slot are acked in simulator order, but a concurrent pair's winner is
-// ambiguous, so verification matches any acked candidate like trailsim's.
+// acked version count, the issue counter feeding payload generation, the
+// writes issued and not yet finished, and the acknowledged writes a read may
+// legally return, in ack order: payloadFor turns each one's sequence number
+// back into its payload. It keeps workload.Ledger's rule: a write issued
+// after another's acknowledgement supersedes it, so an ack drops every
+// candidate acknowledged before its write was issued, and the writes that
+// raced all stay. cands is therefore bounded by the writes to the slot in
+// flight at once.
 type slot struct {
-	version int64
-	issued  int64
-	cands   []int64
+	version  int64
+	issued   int64
+	inflight int64
+	cands    []cand
+}
+
+// cand is one acknowledged write of a slot: its sequence number, and its ack
+// time on the slot's own clock, the issue counter: every write from sequence
+// number acked on was issued after this one was acknowledged. The counter
+// orders an ack and an issue at the same virtual instant as they happened.
+type cand struct {
+	seq, acked int64
 }
 
 // Stats are the cluster's cumulative counters.
@@ -153,7 +144,6 @@ type Cluster struct {
 	place  []Placement
 	shards []*Shard
 	slots  [][]slot
-	spb    int // sectors per block
 	stats  Stats
 	// spanNames are the shards' span device names ("shardN"), and names
 	// each tenant's request process names, built once.
@@ -183,9 +173,6 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 	if cfg.Shards < 2 {
 		return nil, fmt.Errorf("cluster: need at least 2 shards for replication, got %d", cfg.Shards)
 	}
-	if cfg.WriteSize%512 != 0 || cfg.WriteSize <= 0 {
-		return nil, fmt.Errorf("cluster: WriteSize %d is not a positive sector multiple", cfg.WriteSize)
-	}
 	for _, e := range cfg.Scenario.Events {
 		if e.Shard >= cfg.Shards {
 			return nil, fmt.Errorf("cluster: scenario targets shard %d of %d", e.Shard, cfg.Shards)
@@ -196,14 +183,13 @@ func New(env *sim.Env, cfg Config) (*Cluster, error) {
 		env:  env,
 		cfg:  cfg,
 		ring: buildRing(cfg.Shards),
-		spb:  cfg.WriteSize / 512,
 	}
 
 	// Route every tenant and allocate its contiguous block regions on the
 	// primary and replica shards, in tenant order — pure slice arithmetic,
 	// so placement is identical across runs and immune to map ordering.
 	next := make([]int64, cfg.Shards)
-	region := int64(workload.BlocksPerTenant * c.spb)
+	region := int64(workload.BlocksPerTenant * spb)
 	c.place = make([]Placement, cfg.Tenants)
 	for t := 0; t < cfg.Tenants; t++ {
 		pri, rep := placeTenant(c.ring, t)
@@ -326,7 +312,7 @@ func (c *Cluster) slotLBA(t, block, shardIdx int) int64 {
 	if shardIdx == pl.Replica {
 		base = pl.ReplicaLBA
 	}
-	return base + int64(block*c.spb)
+	return base + int64(block*spb)
 }
 
 // payloadFor fills buf with the deterministic payload of one write attempt,
@@ -445,7 +431,7 @@ func (c *Cluster) RunMix(reqs []workload.MixRequest) *MixResult {
 	// in spawn order, so the body starting now serves the next arrival.
 	// Reads land in one buffer, whose bytes nothing looks at.
 	next := 0
-	discard := make([]byte, c.cfg.WriteSize)
+	discard := make([]byte, blockSize)
 	body := func(p *sim.Proc) {
 		i := order[next]
 		next++
@@ -521,11 +507,11 @@ func (c *Cluster) runMixRequest(p *sim.Proc, r workload.MixRequest, o *ReqOutcom
 
 // VerifyAcked reads back every slot with at least one acknowledged write
 // through the normal routed read path and checks the data matches one of
-// the acked payloads. It returns the number of slots checked and
-// the number lost (unreadable or mismatched) — the kill-one-shard
-// acceptance bar is lost == 0.
+// the payloads no later write superseded. It returns the number of slots
+// checked and the number lost (unreadable or mismatched) — the
+// kill-one-shard acceptance bar is lost == 0.
 func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
-	got, want := make([]byte, c.cfg.WriteSize), make([]byte, c.cfg.WriteSize)
+	got, want := make([]byte, blockSize), make([]byte, blockSize)
 	for t := range c.slots {
 		for b := range c.slots[t] {
 			sl := &c.slots[t][b]
@@ -547,11 +533,11 @@ func (c *Cluster) VerifyAcked(p *sim.Proc) (checked, lost int64) {
 }
 
 // matchesAcked reports whether data is the payload of one of the slot's
-// acknowledged writes, generating each into scratch, newest first.
+// candidates, generating each into scratch, newest first.
 func (c *Cluster) matchesAcked(data, scratch []byte, tenant, block int) bool {
 	cands := c.slots[tenant][block].cands
 	for i := len(cands) - 1; i >= 0; i-- {
-		if bytes.Equal(data, payloadFor(scratch, tenant, block, cands[i])) {
+		if bytes.Equal(data, payloadFor(scratch, tenant, block, cands[i].seq)) {
 			return true
 		}
 	}

@@ -38,7 +38,7 @@ func TestClusterWriteReadRoundTrip(t *testing.T) {
 				t.Errorf("read tenant %d: %v", tn, err)
 				continue
 			}
-			if !c.matchesAcked(data, make([]byte, c.cfg.WriteSize), tn, 0) {
+			if !c.matchesAcked(data, make([]byte, blockSize), tn, 0) {
 				t.Errorf("tenant %d read back wrong data", tn)
 			}
 		}
@@ -257,6 +257,8 @@ func TestClusterKillOneShardZeroAckedWriteLoss(t *testing.T) {
 // property cmd/clustersim's golden test byte-compares end to end — and on the
 // outcome stream recorded when RunMix still spawned every request up front:
 // spawning at arrival changes what the kernel carries, not what a client sees.
+// The digest was re-recorded when the rebuild stopped copying a slot while a
+// write to it was out.
 func TestClusterKillRunDeterministic(t *testing.T) {
 	run := func() (string, Stats) {
 		env := sim.NewEnv()
@@ -280,7 +282,7 @@ func TestClusterKillRunDeterministic(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(sumA))
-	if got, want := h.Sum64(), uint64(0x7d044e25363ef9d2); got != want {
+	if got, want := h.Sum64(), uint64(0xad46994cb1e7de3d); got != want {
 		t.Fatalf("outcome stream digest %#016x, want %#016x (spawn-up-front RunMix, seed 23)", got, want)
 	}
 }
@@ -342,8 +344,6 @@ func TestClusterDegradedModeShedsBackground(t *testing.T) {
 		Scenario: fault.ShardScenario{
 			Events: []fault.ShardEvent{{Shard: 2, At: killAt}},
 		},
-		// Push the replacement out so the whole test runs degraded.
-		ReplaceAfter: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,9 +394,10 @@ func TestClusterDegradedModeShedsBackground(t *testing.T) {
 }
 
 // Hedged reads fire once the primary runs past the hedge deadline and the
-// replica can win the race. A 2ms hedge deadline sits well under the data
-// disk's ~11ms rotation, so platter reads routinely overrun it. The victim
-// tenant must have distinct primary/replica LBAs: all shard disks spin in
+// replica can win the race. Four more readers crowd the primary's queue, so
+// a read waits there well past the 25ms hedge deadline, while the replica
+// answers within the data disk's ~11ms rotation. The victim tenant must have
+// distinct primary/replica LBAs: all shard disks spin in
 // rotational lockstep (identical worlds built at t=0), so same-LBA copies
 // sit at the same angle and the hedge's head start can never be made up.
 // The slowshard scenario rides along to prove the mid-run derate actually
@@ -412,10 +413,6 @@ func TestClusterSlowShardHedging(t *testing.T) {
 		Scenario: fault.ShardScenario{
 			Events: []fault.ShardEvent{{Shard: 0, At: derateAt, DeratePPM: deratePPM}},
 		},
-		HedgeAfter: 2 * time.Millisecond,
-		// Keep the probe machinery from declaring the slow shard suspect:
-		// this test is about hedging, not failure detection.
-		ProbeTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -442,17 +439,20 @@ func TestClusterSlowShardHedging(t *testing.T) {
 		if got := c.shards[1].data.Params().SeekDeratePPM; got != 0 {
 			t.Errorf("shard 1 data disk derate = %d, want 0", got)
 		}
+		stop := false
+		crowd(c, primaryOn(c, 0), 4, &stop)
 		for i := 0; i < 10; i++ {
 			if _, err := c.Read(p, victim, 0, blockdev.ClassNormal, nil); err != nil {
 				t.Errorf("read %d: %v", i, err)
 			}
 			p.Sleep(3 * time.Millisecond)
 		}
+		stop = true
 	})
 	env.Run()
 	st := c.Stats()
 	if st.Hedges == 0 {
-		t.Fatalf("no hedged reads with a 2ms hedge deadline: %+v", st)
+		t.Fatalf("no hedged reads behind a crowded primary: %+v", st)
 	}
 	if st.HedgeWins == 0 {
 		t.Fatalf("hedges fired but the replica never won: %+v", st)

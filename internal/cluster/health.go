@@ -2,11 +2,11 @@ package cluster
 
 // Per-shard health state machine. Two signal sources feed it: a heartbeat
 // daemon that issues a small deadline-bounded probe read every
-// HeartbeatInterval, and the request path, which reports every error it
+// heartbeatInterval, and the request path, which reports every error it
 // sees. Hard device failures (blockdev.ErrDeviceFailed) kill a shard
 // immediately; soft failures (missed probe deadlines from a stuck-slow
 // shard) accumulate into Suspect and then Dead. Death schedules a
-// replacement: after ReplaceAfter a fresh disk pair and driver are
+// replacement: after replaceAfter a fresh disk pair and driver are
 // provisioned, the shard turns Recovering while the rebuild replays its
 // acked slots from the surviving replicas, and it returns to Healthy when
 // the copy completes.
@@ -48,6 +48,15 @@ const (
 const (
 	suspectAfter = 2
 	deadAfter    = 4
+)
+
+// heartbeatInterval is the gap between a shard's health probes and
+// probeTimeout each probe's deadline; replaceAfter is how long after death a
+// replacement shard is provisioned and its rebuild starts.
+const (
+	heartbeatInterval = 20 * time.Millisecond
+	probeTimeout      = 60 * time.Millisecond
+	replaceAfter      = 150 * time.Millisecond
 )
 
 var stateNames = [numStates]string{"healthy", "suspect", "dead", "recovering"}
@@ -106,14 +115,14 @@ func (c *Cluster) startHeartbeats() {
 		c.env.GoDaemon(fmt.Sprintf("cluster/hb%d", i), func(p *sim.Proc) {
 			probe := make([]byte, geom.SectorSize)
 			for {
-				p.Sleep(c.cfg.HeartbeatInterval)
+				p.Sleep(heartbeatInterval)
 				sh := c.shards[i]
 				if sh.state == Dead || sh.state == Recovering {
 					// The replacement path owns these states.
 					continue
 				}
 				_, err := sh.dev.ReadOpts(p, 0, 1, blockdev.Options{
-					Deadline: p.Now().Add(c.cfg.ProbeTimeout),
+					Deadline: p.Now().Add(probeTimeout),
 					Class:    blockdev.ClassInteractive,
 					Into:     probe,
 				})
@@ -170,7 +179,7 @@ func (c *Cluster) markDead(sh *Shard, at sim.Time) {
 	c.stats.ShardDeaths++
 	idx := sh.idx
 	c.env.Go(fmt.Sprintf("cluster/replace%d", idx), func(p *sim.Proc) {
-		p.Sleep(c.cfg.ReplaceAfter)
+		p.Sleep(replaceAfter)
 		old := c.shards[idx]
 		fresh, err := c.provision(idx, old.gen+1)
 		if err != nil {

@@ -1,12 +1,13 @@
 package cluster
 
 // The ack ledger keeps, per slot, the sequence numbers of the acknowledged
-// writes; VerifyAcked regenerates their payloads. These tests hold it to what
-// the retained-payload ledger promised: a block nobody acknowledged is lost,
-// any acknowledged one is fine, and the ledger's cost is linear.
+// writes no later write superseded; VerifyAcked regenerates their payloads.
+// These tests hold it to workload.Ledger's rule: a block nobody acknowledged
+// is lost, and so is a superseded one; each of the writes that raced is
+// fine; and a slot holds no more candidates than writes in flight to it.
 
 import (
-	"runtime"
+	"fmt"
 	"testing"
 
 	"tracklog/internal/blockdev"
@@ -28,6 +29,9 @@ func verify(env *sim.Env, c *Cluster) (checked, lost int64) {
 	return checked, lost
 }
 
+// The slot written three times in a row keeps only its last write: each was
+// issued after the one before was acknowledged, so seq 0 and 1 are
+// superseded and reading them back is a loss.
 func TestVerifyAckedMatchesAnyAcknowledgedPayloadAndNoOther(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -50,55 +54,50 @@ func TestVerifyAckedMatchesAnyAcknowledgedPayloadAndNoOther(t *testing.T) {
 		}
 	})
 	env.Run() // write-back drains: reads below come off the platters
-	if got := c.slots[thrice][0].cands; len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("ledger of the slot written three times = %v, want [0 1 2]", got)
+	if got := c.slots[thrice][0].cands; len(got) != 1 || got[0].seq != 2 {
+		t.Fatalf("ledger of the slot written three times = %v, want seq 2 alone", got)
 	}
 	if checked, lost := verify(env, c); checked != 4 || lost != 0 {
 		t.Fatalf("untouched cluster: checked %d lost %d, want 4 and 0", checked, lost)
 	}
-	for seq := int64(0); seq < 3; seq++ {
-		overwriteBothCopies(c, thrice, 0, payloadFor(make([]byte, c.cfg.WriteSize), thrice, 0, seq))
-		if _, lost := verify(env, c); lost != 0 {
-			t.Errorf("slot holds its acknowledged write %d of 3: lost %d, want 0", seq, lost)
+	for seq, want := range []int64{1, 1, 0, 1} {
+		overwriteBothCopies(c, thrice, 0, payloadFor(make([]byte, blockSize), thrice, 0, int64(seq)))
+		if checked, lost := verify(env, c); checked != 4 || lost != want {
+			t.Errorf("slot holds write %d (acknowledged writes 0-2, 2 the last): checked %d lost %d, want 4 and %d",
+				seq, checked, lost, want)
 		}
-	}
-	overwriteBothCopies(c, thrice, 0, payloadFor(make([]byte, c.cfg.WriteSize), thrice, 0, 3))
-	if checked, lost := verify(env, c); checked != 4 || lost != 1 {
-		t.Errorf("slot holds a payload nobody acknowledged: checked %d lost %d, want 4 and 1", checked, lost)
 	}
 }
 
-// TestLedgerCostIsLinearInWrites hammers one slot. Four times the writes
-// must allocate about four times the bytes; the prepend-a-copy ledger
-// allocated 7.5 times as much, and kept every payload alive besides.
-func TestLedgerCostIsLinearInWrites(t *testing.T) {
-	hammer := func(writes int) uint64 {
-		env := sim.NewEnv()
-		defer env.Close()
-		c, err := New(env, Config{Shards: 2, Tenants: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.Go("client", func(p *sim.Proc) {
+// TestHammeredSlotHoldsFewCandidates hammers one slot from four writers at
+// once: every ack drops the candidates its write superseded, so the slot
+// never holds more than the four writes in flight. The writes do race: some
+// ack finds another writer's candidate still standing.
+func TestHammeredSlotHoldsFewCandidates(t *testing.T) {
+	const writers, writes = 4, 500
+	env := sim.NewEnv()
+	defer env.Close()
+	c, err := New(env, Config{Shards: 2, Tenants: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	for w := 0; w < writers; w++ {
+		env.Go(fmt.Sprintf("client%d", w), func(p *sim.Proc) {
 			for i := 0; i < writes; i++ {
 				if err := c.Write(p, 0, 0, blockdev.ClassNormal); err != nil {
-					t.Errorf("write %d: %v", i, err)
+					t.Errorf("writer %d write %d: %v", w, i, err)
 					return
 				}
+				most = max(most, len(c.slots[0][0].cands))
 			}
 		})
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		env.Run()
-		runtime.ReadMemStats(&after)
-		if n := len(c.slots[0][0].cands); n != writes {
-			t.Errorf("ledger holds %d sequence numbers after %d acknowledged writes", n, writes)
-		}
-		return after.TotalAlloc - before.TotalAlloc
 	}
-	small, large := hammer(500), hammer(2000)
-	t.Logf("500 writes allocate %d B, 2000 writes %d B (x%.2f)", small, large, float64(large)/float64(small))
-	if large > 5*small {
-		t.Errorf("2000 writes allocate %d B, 500 writes %d B: more than linear", large, small)
+	env.Run()
+	if most < 2 || most > writers {
+		t.Errorf("the slot held at most %d candidates, want 2 to %d", most, writers)
+	}
+	if _, lost := verify(env, c); lost != 0 {
+		t.Errorf("hammered slot: lost %d, want 0", lost)
 	}
 }

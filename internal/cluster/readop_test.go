@@ -27,29 +27,31 @@ func TestReadOpLifetime(t *testing.T) {
 		// tenants picks the tenants read, in turn, given the cluster.
 		tenants func(c *Cluster) []int
 		reads   int
+		crowd   int // readers crowding the same tenants
 		want    string
 	}{
 		{
-			// Shard 0's seeks run 7x slow, so hedges fire and often win,
-			// leaving the slow primary in flight when the next read starts.
-			name: "slow primary",
-			cfg: Config{Shards: 4, Tenants: 16, HedgeAfter: 2 * time.Millisecond, ProbeTimeout: time.Second,
-				Scenario: fault.ShardScenario{Events: []fault.ShardEvent{{Shard: 0, At: time.Millisecond, DeratePPM: 6_000_000}}}},
+			// Two more readers crowd shard 0's queue, so hedges fire and
+			// often win, leaving the slow primary in flight when the next
+			// read starts.
+			name:    "slow primary",
+			cfg:     Config{Shards: 4, Tenants: 16},
 			tenants: func(c *Cluster) []int { return primaryOn(c, 0) },
 			reads:   12,
+			crowd:   2,
 			want: `
-t5/b0 s0 529.1µs
+t5/b0 s0 33.862433ms
 t9/b0 s0 11.322751ms
-t11/b0 s1 hedge 11.322751ms
+t11/b0 s1 hedge 33.544973ms
 t15/b0 s0 11.746032ms
-t5/b1 s0 10.15873ms
-t9/b1 s0 11.322751ms
-t11/b1 s1 hedge 11.322751ms
-t15/b1 s0 11.746032ms
-t5/b0 s3 hedge 10.15873ms
-t9/b0 s2 hedge 11.534392ms
-t11/b0 s1 hedge 10.89947ms
-t15/b0 s2 hedge 12.380953ms
+t5/b1 s3 hedge 32.592592ms
+t9/b1 s2 hedge 33.756614ms
+t11/b1 s1 hedge 33.121692ms
+t15/b1 s2 hedge 34.603175ms
+t5/b0 s3 hedge 31.746031ms
+t9/b0 s2 hedge 33.756614ms
+t11/b0 s1 hedge 33.121692ms
+t15/b0 s2 hedge 34.603175ms
 `,
 		},
 		{
@@ -58,7 +60,7 @@ t15/b0 s2 hedge 12.380953ms
 			// replica takes over; once the shard is dead, reads fail over
 			// at once.
 			name: "failover",
-			cfg: Config{Shards: 4, Tenants: 16, HedgeAfter: 2 * time.Millisecond,
+			cfg: Config{Shards: 4, Tenants: 16,
 				Scenario: fault.ShardScenario{Events: []fault.ShardEvent{{Shard: 1, At: 40 * time.Millisecond}}}},
 			tenants: func(c *Cluster) []int { return primaryOn(c, 1) },
 			reads:   12,
@@ -79,7 +81,7 @@ t14/b1 s2 11.216931ms
 		},
 		{
 			name:    "tenant mix",
-			cfg:     Config{Shards: 4, Tenants: 16, HedgeAfter: 2 * time.Millisecond},
+			cfg:     Config{Shards: 4, Tenants: 16},
 			tenants: func(c *Cluster) []int { return []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15} },
 			reads:   32,
 			want: `
@@ -87,33 +89,33 @@ t0/b0 s2 11.216931ms
 t1/b0 s0 11.322751ms
 t2/b0 s1 10.899471ms
 t3/b0 s1 11.322751ms
-t4/b0 s1 hedge 22.433862ms
+t4/b0 s3 11.322751ms
 t5/b0 s0 11.111111ms
-t6/b0 s2 hedge 11.111111ms
-t7/b0 s1 11.322751ms
-t8/b0 s2 hedge 11.322751ms
-t9/b0 s0 10.899471ms
-t10/b0 s0 hedge 11.322751ms
-t11/b0 s1 hedge 11.111111ms
-t12/b0 s2 634.921µs
-t13/b0 s0 hedge 10.899471ms
-t14/b0 s1 10.899471ms
+t6/b0 s3 11.534391ms
+t7/b0 s1 10.899471ms
+t8/b0 s3 11.534392ms
+t9/b0 s0 10.68783ms
+t10/b0 s2 634.921µs
+t11/b0 s0 10.899471ms
+t12/b0 s2 11.534391ms
+t13/b0 s2 11.322751ms
+t14/b0 s1 10.476191ms
 t15/b0 s0 11.534391ms
 t0/b1 s2 9.73545ms
-t1/b1 s2 hedge 11.322751ms
+t1/b1 s0 11.322751ms
 t2/b1 s1 10.899471ms
 t3/b1 s1 11.322751ms
-t4/b1 s1 hedge 11.322751ms
+t4/b1 s3 11.322751ms
 t5/b1 s0 11.111111ms
-t6/b1 s2 hedge 11.111111ms
-t7/b1 s1 11.322751ms
-t8/b1 s2 hedge 11.322751ms
-t9/b1 s0 10.899471ms
-t10/b1 s0 hedge 11.322751ms
-t11/b1 s1 hedge 11.111111ms
-t12/b1 s2 634.921µs
-t13/b1 s0 hedge 10.899471ms
-t14/b1 s1 10.899471ms
+t6/b1 s3 11.534391ms
+t7/b1 s1 10.899471ms
+t8/b1 s3 11.534392ms
+t9/b1 s0 10.68783ms
+t10/b1 s2 634.921µs
+t11/b1 s0 10.899471ms
+t12/b1 s2 11.534391ms
+t13/b1 s2 11.322751ms
+t14/b1 s1 10.476191ms
 t15/b1 s0 11.534391ms
 `,
 		},
@@ -127,6 +129,8 @@ t15/b1 s0 11.534391ms
 				t.Fatal(err)
 			}
 			tenants := tc.tenants(c)
+			stop := false
+			crowd(c, tenants, tc.crowd, &stop)
 			var got strings.Builder
 			env.Go("client", func(p *sim.Proc) {
 				for i := 0; i < tc.reads; i++ {
@@ -147,8 +151,9 @@ t15/b1 s0 11.534391ms
 					}
 					fmt.Fprintf(&got, "t%d/b%d s%s%s %v\n", tn, b, won, hedge, p.Now().Sub(start))
 				}
+				stop = true
 				// Outlive the last hedge timer, a daemon Run does not wait for.
-				p.Sleep(c.cfg.HedgeAfter)
+				p.Sleep(hedgeAfter)
 			})
 			env.Run()
 
@@ -172,6 +177,20 @@ t15/b1 s0 11.534391ms
 	}
 }
 
+// crowd starts n readers that read tenants' blocks in turn until *stop, so
+// that a read of one of those tenants waits in its primary's queue past
+// hedgeAfter: the replica, asked by the hedge, can then win the race.
+func crowd(c *Cluster, tenants []int, n int, stop *bool) {
+	for k := 0; k < n; k++ {
+		c.env.Go(fmt.Sprintf("crowd%d", k), func(p *sim.Proc) {
+			for i := k; !*stop; i++ {
+				c.Read(p, tenants[i%len(tenants)], i/len(tenants)%workload.BlocksPerTenant, blockdev.ClassNormal, nil)
+			}
+			p.Sleep(hedgeAfter) // outlive the last hedge timer
+		})
+	}
+}
+
 // primaryOn returns the tenants whose primary copy is on shard idx at a
 // different LBA from their replica: copies at the same LBA sit at the same
 // angle on shards built together, and a hedge could never win.
@@ -188,35 +207,34 @@ func primaryOn(c *Cluster, idx int) []int {
 // A read's attempts fill their op's buffers, and a losing attempt may land
 // after Read has returned and the op has served other reads. Each case reads
 // tenants whose primary is shard 0 back to back, half into a caller's buffer
-// and half with none, while hedges win against a slow primary, and in the
-// second case while the primary's shard dies under its attempts. The ops are
+// and half with none, while hedges win against a primary four more readers
+// crowd, and in the second case while the primary's shard dies under its
+// attempts. The ops are
 // made up front with attempt bodies that count the attempts filling each
 // buffer and poison it first. No two attempts may fill one buffer at once, no
 // op on the free list may have a buffer being filled, an attempt that cannot
 // fail (no shard dies) must fill the buffer it was given, and after the run
 // every returned block must still hold an acknowledged payload of its slot.
 func TestReadBufferOwnership(t *testing.T) {
-	slow := fault.ShardEvent{Shard: 0, At: time.Millisecond, DeratePPM: 6_000_000}
 	const killAt = sim.Time(120 * time.Millisecond)
 	cases := []struct {
 		name   string
 		events []fault.ShardEvent
 	}{
-		{"slow primary", []fault.ShardEvent{slow}},
-		{"killed primary", []fault.ShardEvent{slow, {Shard: 0, At: time.Duration(killAt)}}},
+		{"slow primary", nil},
+		{"killed primary", []fault.ShardEvent{{Shard: 0, At: time.Duration(killAt)}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv()
 			defer env.Close()
-			c, err := New(env, Config{Shards: 4, Tenants: 16, HedgeAfter: 2 * time.Millisecond,
-				ProbeTimeout: time.Second, Scenario: fault.ShardScenario{Events: tc.events}})
+			c, err := New(env, Config{Shards: 4, Tenants: 16, Scenario: fault.ShardScenario{Events: tc.events}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			filling := map[*byte]int{}
 			killedMidAttempt, unfilled := false, 0
-			poison := bytes.Repeat([]byte{0xEE}, c.cfg.WriteSize)
+			poison := bytes.Repeat([]byte{0xEE}, blockSize)
 			track := func(buf []byte, body func(*sim.Proc)) func(*sim.Proc) {
 				return func(p *sim.Proc) {
 					if filling[&buf[0]]++; filling[&buf[0]] > 1 {
@@ -232,7 +250,7 @@ func TestReadBufferOwnership(t *testing.T) {
 					}
 				}
 			}
-			const ops = 16
+			const ops = 32
 			made := make([]*readOp, ops)
 			for i := range made {
 				op := c.newReadOp()
@@ -247,6 +265,7 @@ func TestReadBufferOwnership(t *testing.T) {
 				data          []byte
 			}
 			var got []result
+			stop := false
 			env.Go("client", func(p *sim.Proc) {
 				for _, tn := range tenants {
 					for b := range workload.BlocksPerTenant {
@@ -255,6 +274,7 @@ func TestReadBufferOwnership(t *testing.T) {
 						}
 					}
 				}
+				crowd(c, tenants, 4, &stop)
 				for i := 0; i < 24; i++ {
 					for _, op := range c.freeReads {
 						if filling[&op.priBuf[0]]+filling[&op.repBuf[0]] > 0 {
@@ -264,7 +284,7 @@ func TestReadBufferOwnership(t *testing.T) {
 					tn, b := tenants[i%len(tenants)], i/len(tenants)%workload.BlocksPerTenant
 					var into []byte
 					if i%2 == 0 {
-						into = make([]byte, c.cfg.WriteSize)
+						into = make([]byte, blockSize)
 					}
 					data, err := c.Read(p, tn, b, blockdev.ClassNormal, into)
 					if err != nil {
@@ -276,12 +296,13 @@ func TestReadBufferOwnership(t *testing.T) {
 					}
 					got = append(got, result{tn, b, data})
 				}
+				stop = true
 				// Outlive the last hedge timer, a daemon Run does not wait for.
-				p.Sleep(c.cfg.HedgeAfter)
+				p.Sleep(hedgeAfter)
 			})
 			env.Run()
 
-			scratch := make([]byte, c.cfg.WriteSize)
+			scratch := make([]byte, blockSize)
 			for i, r := range got {
 				if !c.matchesAcked(r.data, scratch, r.tenant, r.block) {
 					t.Errorf("read %d of t%d/b%d no longer holds an acknowledged payload", i, r.tenant, r.block)
@@ -291,7 +312,7 @@ func TestReadBufferOwnership(t *testing.T) {
 			if st.HedgeWins == 0 {
 				t.Error("no hedge won, so no losing primary landed after its read")
 			}
-			if killed := len(tc.events) > 1; killed && (st.ShardDeaths == 0 || !killedMidAttempt) {
+			if killed := len(tc.events) > 0; killed && (st.ShardDeaths == 0 || !killedMidAttempt) {
 				t.Errorf("%d shard deaths, with an attempt in flight at the kill: %v; want both", st.ShardDeaths, killedMidAttempt)
 			} else if !killed && unfilled > 0 {
 				t.Errorf("%d attempts left the buffer they were given unfilled", unfilled)

@@ -9,9 +9,11 @@ package cluster
 // Foreground writes keep flowing to the Recovering shard while the rebuild
 // runs (write-both includes it), which opens a stale-overwrite race: the
 // rebuild could read an old survivor copy and land it after a newer
-// foreground write. The per-slot version counter closes it — each copy is
-// redone until the slot's version is unchanged across the read and the
-// write, so the last landed data always reflects the newest acked version.
+// foreground write, one issued during the copy or one still in flight when
+// it began. The slot's issue and in-flight counters close it: a copy starts
+// only while no write to the slot is out, and is redone until no write was
+// issued across the read and the write, so the last landed data is the
+// newest write's.
 
 import (
 	"tracklog/internal/blockdev"
@@ -51,32 +53,38 @@ func (c *Cluster) rebuildSlot(p *sim.Proc, sh *Shard, tenant, block, survivorIdx
 	dstLBA := c.slotLBA(tenant, block, sh.idx)
 	start := p.Now()
 	rq := c.rec.Start(span.KWriteback, "cluster", c.spanNames[sh.idx],
-		dstLBA, c.spb, int64(start))
+		dstLBA, spb, int64(start))
 
 	copied := false
 	for {
-		v := sl.version
-		data, err := survivor.dev.ReadOpts(p, srcLBA, c.spb, blockdev.Options{Class: blockdev.ClassBackground})
+		if sl.inflight > 0 {
+			// A write is out: its copy may land here before ours while the
+			// survivor still holds the older data. Wait for a quiet slot.
+			p.Sleep(retryBackoff)
+			continue
+		}
+		n := sl.issued
+		data, err := survivor.dev.ReadOpts(p, srcLBA, spb, blockdev.Options{Class: blockdev.ClassBackground})
 		if err != nil {
 			if !c.rebuildRetry(p, survivor, err) {
 				break
 			}
 			continue
 		}
-		if sl.version != v {
+		if sl.issued != n {
 			continue // raced a foreground write mid-read; take the newer data
 		}
-		if err := sh.dev.WriteOpts(p, dstLBA, c.spb, data, blockdev.Options{Class: blockdev.ClassBackground}); err != nil {
+		if err := sh.dev.WriteOpts(p, dstLBA, spb, data, blockdev.Options{Class: blockdev.ClassBackground}); err != nil {
 			if !c.rebuildRetry(p, sh, err) {
 				break
 			}
 			continue
 		}
-		if sl.version == v {
+		if sl.issued == n {
 			copied = true
 			break // landed data is current
 		}
-		// A foreground write acked mid-copy; redo with its data.
+		// A foreground write was issued mid-copy; redo with its data.
 	}
 
 	end := p.Now()

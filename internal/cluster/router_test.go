@@ -104,7 +104,7 @@ func TestPlacementShape(t *testing.T) {
 func TestPlacementRegionsDisjoint(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
-	cfg := Config{Shards: 4, Tenants: 128, WriteSize: 1024}
+	cfg := Config{Shards: 4, Tenants: 128}
 	c, err := New(env, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestPlacementRegionsDisjoint(t *testing.T) {
 		perShard[pl.Primary] = append(perShard[pl.Primary], region{tn, pl.PrimaryLBA})
 		perShard[pl.Replica] = append(perShard[pl.Replica], region{tn, pl.ReplicaLBA})
 	}
-	size := int64(workload.BlocksPerTenant * cfg.WriteSize / 512)
+	size := int64(workload.BlocksPerTenant * spb)
 	for s, regs := range perShard {
 		for i := range regs {
 			for j := i + 1; j < len(regs); j++ {

@@ -10,19 +10,25 @@ package cluster
 // a single copy whose loss the client was never told about.
 //
 // Reads are read-primary: the primary serves, a hedge fires the replica
-// after HedgeAfter if the primary is slow, and a primary failure (or a
+// after hedgeAfter if the primary is slow, and a primary failure (or a
 // primary already marked dead) fails over to the replica. First answer
 // wins; the race is resolved through a sim.Event, so it is deterministic.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"time"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/sim"
 	"tracklog/internal/span"
 	"tracklog/internal/workload"
 )
+
+// hedgeAfter is the read-hedging delay: if the primary has not answered by
+// then, the replica is asked too and the first answer wins.
+const hedgeAfter = 25 * time.Millisecond
 
 // writeOp is one write-both request's bookkeeping: its payload and one copy
 // per shard, primary first. Ops come off Cluster.freeWrites. The caller, which
@@ -52,7 +58,7 @@ type shardCopy struct {
 
 // write is a copy's process body.
 func (w *shardCopy) write(wp *sim.Proc) {
-	w.err = w.sh.dev.WriteOpts(wp, w.lba, w.c.spb, w.payload, blockdev.Options{Class: w.class})
+	w.err = w.sh.dev.WriteOpts(wp, w.lba, spb, w.payload, blockdev.Options{Class: w.class})
 	w.end = wp.Now()
 	if w.err != nil {
 		w.c.observeRequestError(w.sh, w.err, wp.Now())
@@ -67,7 +73,7 @@ func (c *Cluster) newWriteOp() *writeOp {
 		c.freeWrites = c.freeWrites[:n-1]
 		return op
 	}
-	op := &writeOp{payload: make([]byte, c.cfg.WriteSize)}
+	op := &writeOp{payload: make([]byte, blockSize)}
 	for i := range op.copies {
 		w := &op.copies[i]
 		w.c, w.payload, w.run = c, op.payload, w.write
@@ -86,10 +92,12 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	sl := &c.slots[tenant][block]
 	seq := sl.issued
 	sl.issued++
+	sl.inflight++
+	defer func() { sl.inflight-- }()
 
 	start := p.Now()
 	rq := c.rec.Start(span.KWrite, "cluster", c.spanNames[pl.Primary],
-		c.slotLBA(tenant, block, pl.Primary), c.spb, int64(start))
+		c.slotLBA(tenant, block, pl.Primary), spb, int64(start))
 
 	// Cluster-edge admission: while capacity is lost, Background traffic
 	// is shed before it touches any shard — the survivors' queues belong
@@ -137,7 +145,7 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	if last.end < first.end || (last.end == first.end && last.shard < first.shard) {
 		first, last = last, first
 	}
-	rq.ChildPair(span.PSubWrite, int64(start), int64(first.end), int64(end), int64(first.shard), int64(last.shard))
+	rq.ChildPair(int64(start), int64(first.end), int64(end), int64(first.shard), int64(last.shard))
 
 	// Ack decision: at least one durable copy, and every miss must be a
 	// device failure.
@@ -178,7 +186,7 @@ func (c *Cluster) Write(p *sim.Proc, tenant, block int, class blockdev.Class) er
 	}
 
 	sl.version++
-	sl.cands = append(sl.cands, seq)
+	sl.cands = append(slices.DeleteFunc(sl.cands, func(a cand) bool { return seq >= a.acked }), cand{seq, sl.issued})
 	c.stats.WritesAcked++
 	if hardFails > 0 {
 		c.stats.DegradedAcks++
@@ -238,9 +246,8 @@ func (c *Cluster) newReadOp() *readOp {
 		return op
 	}
 	c.readOps++
-	n := c.cfg.WriteSize
-	buf := make([]byte, 2*n)
-	op := &readOp{c: c, priBuf: buf[:n:n], repBuf: buf[n:]}
+	buf := make([]byte, 2*blockSize)
+	op := &readOp{c: c, priBuf: buf[:blockSize:blockSize], repBuf: buf[blockSize:]}
 	op.primary, op.replica, op.hedge = op.readPrimary, op.readReplica, op.hedgeTimer
 	return op
 }
@@ -268,7 +275,7 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class, int
 	pl := c.place[tenant]
 	start := p.Now()
 	rq := c.rec.Start(span.KRead, "cluster", c.spanNames[pl.Primary],
-		c.slotLBA(tenant, block, pl.Primary), c.spb, int64(start))
+		c.slotLBA(tenant, block, pl.Primary), spb, int64(start))
 
 	op := c.newReadOp()
 	op.readRace = readRace{
@@ -286,7 +293,7 @@ func (c *Cluster) Read(p *sim.Proc, tenant, block int, class blockdev.Class, int
 		c.env.Go(op.names.read[0], op.primary)
 		// Hedge timer: a daemon (it must not keep the simulation alive on
 		// its own) that fires the replica if the primary is still out.
-		if c.cfg.HedgeAfter > 0 && op.rep.serving() {
+		if op.rep.serving() {
 			op.holders++
 			c.env.GoDaemon(op.names.hedge, op.hedge)
 		}
@@ -367,7 +374,7 @@ func (op *readOp) launchReplica(at sim.Time, hedge bool) {
 // readPrimary is the primary attempt's process body.
 func (op *readOp) readPrimary(rp *sim.Proc) {
 	op.priStart = rp.Now()
-	data, err := op.pri.dev.ReadOpts(rp, op.priLBA, op.c.spb, blockdev.Options{Class: op.class, Into: op.priBuf})
+	data, err := op.pri.dev.ReadOpts(rp, op.priLBA, spb, blockdev.Options{Class: op.class, Into: op.priBuf})
 	op.priEnd = rp.Now()
 	if err != nil {
 		// Primary failed mid-race: fail over immediately if the replica is
@@ -391,16 +398,16 @@ func (op *readOp) readPrimary(rp *sim.Proc) {
 // readReplica is the replica attempt's process body.
 func (op *readOp) readReplica(rp *sim.Proc) {
 	op.repStart = rp.Now()
-	data, err := op.rep.dev.ReadOpts(rp, op.repLBA, op.c.spb, blockdev.Options{Class: op.class, Into: op.repBuf})
+	data, err := op.rep.dev.ReadOpts(rp, op.repLBA, spb, blockdev.Options{Class: op.class, Into: op.repBuf})
 	op.repEnd = rp.Now()
 	op.finishAttempt(data, err, op.rep, rp.Now(), true)
 	op.release()
 }
 
 // hedgeTimer is the hedge timer's process body: it fires the replica if the
-// primary has not answered within HedgeAfter.
+// primary has not answered within hedgeAfter.
 func (op *readOp) hedgeTimer(hp *sim.Proc) {
-	hp.Sleep(op.c.cfg.HedgeAfter)
+	hp.Sleep(hedgeAfter)
 	if !op.done.Fired() && !op.won {
 		op.launchReplica(hp.Now(), true)
 	}

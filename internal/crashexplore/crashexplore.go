@@ -40,15 +40,16 @@ type WriteFunc func(p *sim.Proc, slot, version int) error
 // or mixed payload; version 0 with consistent=true means "never written".
 type ReadFunc func(p *sim.Proc, slot int) (version int, consistent bool)
 
+// Slots is the number of concurrent writers the harness runs on every stack;
+// each owns one slot.
+const Slots = 8
+
 // Stack describes one storage stack under crash exploration. Build assembles
 // a fresh stack (new drives, new driver) on the given environment and names
 // the drives it made: they are what survives a power cut. Recover reboots the
 // stack on clones of those drives taken at a cut; everything but the drives
 // is reconstructed.
 type Stack struct {
-	// Slots is the number of concurrent writers (each owns one slot).
-	Slots int
-
 	// Build assembles the stack on a fresh environment and returns the
 	// writer the slot procs drive and the stack's drives.
 	Build func(env *sim.Env) (WriteFunc, []*disk.Disk, error)
@@ -64,10 +65,10 @@ type Stack struct {
 // slot, writing monotonically increasing versions with a seeded think time.
 // It returns the per-slot acknowledged-version array, updated as writes
 // return.
-func launchWorkload(env *sim.Env, seed uint64, slots int, write WriteFunc) []int {
-	acked := make([]int, slots)
+func launchWorkload(env *sim.Env, seed uint64, write WriteFunc) []int {
+	acked := make([]int, Slots)
 	rng := sim.NewRand(seed + 1000)
-	for s := 0; s < slots; s++ {
+	for s := 0; s < Slots; s++ {
 		s := s
 		gap := time.Duration(rng.IntRange(0, 4000)) * time.Microsecond
 		env.Go(fmt.Sprintf("slot-%d", s), func(p *sim.Proc) {

@@ -158,8 +158,8 @@ func (x *Explorer) Run() (*Report, error) {
 		at = eventInfo(ev)
 		return true
 	})
-	acked := launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
-	rep := &Report{Seed: x.opts.Seed, Slots: x.stack.Slots, FirstFailing: -1}
+	acked := launchWorkload(env, x.opts.Seed, write)
+	rep := &Report{Seed: x.opts.Seed, Slots: Slots, FirstFailing: -1}
 	for env.RunUntil(x.opts.horizon()); env.Paused(); env.RunUntil(x.opts.horizon()) {
 		b := x.fork(at, drives, acked)
 		rep.Branches = append(rep.Branches, b)

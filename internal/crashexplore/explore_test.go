@@ -10,7 +10,7 @@ import (
 	"tracklog/internal/sim"
 )
 
-// memStack is a synthetic two-slot stack over an in-memory "platter" (the
+// memStack is a synthetic stack over an in-memory "platter" (the
 // durable map survives the power cut, everything else dies). It has no
 // drives to clone: its recovery only reads the map, so a branch reads it as
 // the census left it at the cut. Each write
@@ -19,7 +19,6 @@ import (
 // minimal failing index of a broken recovery computable by hand.
 func memStack(durable map[int]int, broken bool) crashexplore.Stack {
 	return crashexplore.Stack{
-		Slots: 2,
 		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 			for k := range durable {
 				delete(durable, k) // fresh world, blank platter

@@ -23,7 +23,7 @@ func (x *Explorer) pauseAt(i int64) (env *sim.Env, ev EventInfo, drives []*disk.
 		ev = eventInfo(pe)
 		return true
 	})
-	acked = launchWorkload(env, x.opts.Seed, x.stack.Slots, write)
+	acked = launchWorkload(env, x.opts.Seed, write)
 	if env.RunUntil(x.opts.horizon()); !env.Paused() {
 		env.Close()
 		return nil, ev, nil, nil, fmt.Errorf("probe %d not reached within the horizon", i)

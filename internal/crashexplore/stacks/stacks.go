@@ -48,7 +48,6 @@ func exploreDataParams(name string) disk.Params {
 // uphold the durability contract under those faults too.
 func TrailStack(scenario string, faultSeed uint64) (crashexplore.Stack, error) {
 	const (
-		slots       = 8
 		sectorsPer  = 4
 		slotSpacing = 64
 	)
@@ -62,7 +61,6 @@ func TrailStack(scenario string, faultSeed uint64) (crashexplore.Stack, error) {
 	logP, dataP := exploreLogParams(), exploreDataParams("d")
 	var sys *rig.Rig
 	return crashexplore.Stack{
-		Slots: slots,
 		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 			var err error
 			if sys, err = rig.Prepare(rig.Config{Env: env, LogDisk: &logP, DataDisk: &dataP}); err != nil {
@@ -117,13 +115,11 @@ func raidMemberParams() disk.Params {
 func RAID5Stack() crashexplore.Stack {
 	const (
 		members     = 4
-		slots       = 8
 		slotSpacing = 64
 	)
 	memberP := raidMemberParams()
 	var sys *rig.Rig
 	return crashexplore.Stack{
-		Slots: slots,
 		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 			var err error
 			sys, err = rig.New(rig.Config{Env: env, DataDisks: members, DataDisk: &memberP, Baseline: sched.LOOK, Major: 9, Name: "r"})
@@ -169,13 +165,11 @@ func RAID5Stack() crashexplore.Stack {
 // share.
 func StdStack() crashexplore.Stack {
 	const (
-		slots       = 8
 		slotSpacing = 64
 	)
 	dataP := exploreDataParams("std")
 	var sys *rig.Rig
 	return crashexplore.Stack{
-		Slots: slots,
 		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 			var err error
 			if sys, err = rig.New(rig.Config{Env: env, DataDisk: &dataP, Baseline: sched.LOOK}); err != nil {
@@ -215,13 +209,11 @@ func walSlotValue(slot, version int) []byte {
 // its redo log through it.
 func WALStack() crashexplore.Stack {
 	const (
-		slots      = 8
 		cachePages = 32
 	)
 	logP, walP := exploreLogParams(), exploreDataParams("waldev")
 	var sys *rig.Rig
 	return crashexplore.Stack{
-		Slots: slots,
 		Build: func(env *sim.Env) (crashexplore.WriteFunc, []*disk.Disk, error) {
 			// Data disk 0 holds the WAL, data disk 1 the B-tree store; the
 			// two drives differ only in the name their probe events carry.

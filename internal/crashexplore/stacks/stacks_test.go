@@ -107,7 +107,7 @@ func TestByName(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if st.Slots == 0 || st.Build == nil || st.Recover == nil {
+		if st.Build == nil || st.Recover == nil {
 			t.Fatalf("%s: incomplete stack", name)
 		}
 	}

@@ -92,10 +92,10 @@ func (p Params) RotPeriod() time.Duration {
 	return time.Duration(int64(time.Minute) / int64(p.RPM))
 }
 
-// SectorTime returns the media transfer time of one sector at the given
-// cylinder.
-func (p Params) SectorTime(cyl int) time.Duration {
-	return p.RotPeriod() / time.Duration(p.Geom.SPTAt(cyl))
+// SectorTime returns the media transfer time of one sector on cylinder 0,
+// the outermost zone.
+func (p Params) SectorTime() time.Duration {
+	return p.RotPeriod() / time.Duration(p.Geom.SPTAt(0))
 }
 
 // ST41601N returns parameters for the paper's log disk: a Seagate 5400-RPM

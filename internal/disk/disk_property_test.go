@@ -61,9 +61,8 @@ func TestZoneCrossingTransfer(t *testing.T) {
 
 func TestZoneSectorTimesDiffer(t *testing.T) {
 	p := zonedParams()
-	if p.SectorTime(0) >= p.SectorTime(89) {
-		t.Errorf("outer zone sector time %v not faster than inner %v",
-			p.SectorTime(0), p.SectorTime(89))
+	if inner := p.RotPeriod() / time.Duration(p.Geom.SPTAt(89)); p.SectorTime() >= inner {
+		t.Errorf("outer zone sector time %v not faster than inner %v", p.SectorTime(), inner)
 	}
 }
 

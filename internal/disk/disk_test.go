@@ -181,7 +181,7 @@ func TestImmediateRewriteCostsFullRotation(t *testing.T) {
 	// After writing sector 5 the head is just past it; writing it again
 	// must wait almost a full revolution (minus the fixed overheads that
 	// elapse while it spins).
-	minRot := d.rotPeriod - p.WriteOverhead - p.WriteSettle - 2*d.params.SectorTime(0)
+	minRot := d.rotPeriod - p.WriteOverhead - p.WriteSettle - 2*d.params.SectorTime()
 	if r2.Phases[RotWait] < minRot {
 		t.Errorf("rewrite rotational wait = %v, want >= %v", r2.Phases[RotWait], minRot)
 	}
@@ -320,7 +320,7 @@ func TestCrashMidTransferTearsAtSectorBoundary(t *testing.T) {
 	})
 	// The op pays overhead + settle, then almost a full rotation back to
 	// sector 0, then 20 sector times of transfer. Cut power mid-transfer.
-	cut := p.WriteOverhead + p.WriteSettle + p.RotPeriod() + 5*p.SectorTime(0)
+	cut := p.WriteOverhead + p.WriteSettle + p.RotPeriod() + 5*p.SectorTime()
 	env.RunUntil(sim.Time(cut))
 	env.Close()
 	n := d.WrittenSectors()
@@ -403,7 +403,7 @@ func TestOneSectorWriteLatencyMatchesPaper(t *testing.T) {
 	p.WriteTurnaround = 0
 	d := New(env, p)
 	data := make([]byte, 2*geom.SectorSize)
-	secTime := p.SectorTime(0)
+	secTime := p.SectorTime()
 	skip := int((p.WriteOverhead+p.WriteSettle)/secTime) + 1
 	var r2 Result
 	runOne(t, d, env, func(proc *sim.Proc) {

@@ -177,7 +177,8 @@ type MultiLogResult struct {
 // MultiLogAblation measures clustered synchronous write performance as log
 // disks are added: with two or more, repositioning on one disk is hidden
 // behind writes to another ("it is possible to employ multiple log disks to
-// completely hide the disk re-positioning overhead", §5.1).
+// completely hide the disk re-positioning overhead", §5.1). Every log disk
+// must take records: its write count has to grow over the run.
 func MultiLogAblation(writes int, seed uint64) (*MultiLogResult, error) {
 	res := &MultiLogResult{}
 	for _, n := range []int{1, 2, 3} {
@@ -190,6 +191,10 @@ func MultiLogAblation(writes int, seed uint64) (*MultiLogResult, error) {
 			return nil, err
 		}
 		env := sys.Env
+		formatted := make([]int64, n)
+		for i, d := range sys.LogDisks {
+			formatted[i] = d.Stats().Writes
+		}
 		load, err := workload.SyncWrites(workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        2048,
@@ -203,6 +208,13 @@ func MultiLogAblation(writes int, seed uint64) (*MultiLogResult, error) {
 		env.Close()
 		if err != nil {
 			return nil, fmt.Errorf("multi-log n=%d: %w", n, err)
+		}
+		counters := make([]counter, n)
+		for i, d := range sys.LogDisks {
+			counters[i] = counter{fmt.Sprintf("%d log disks: log disk %d records", n, i), d.Stats().Writes - formatted[i]}
+		}
+		if err := fired("ext-multilog", counters...); err != nil {
+			return nil, err
 		}
 		res.Rows = append(res.Rows, MultiLogRow{
 			LogDisks:    n,

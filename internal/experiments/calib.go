@@ -128,7 +128,7 @@ func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 		return nil, err
 	}
 	res.Reposition = repos1
-	res.SectorTransfer = disk.ST41601N().SectorTime(0)
+	res.SectorTransfer = disk.ST41601N().SectorTime()
 	cycle := res.OneSector + res.Reposition
 	if cycle > 0 {
 		res.WritesPerSecondOneSector = float64(time.Second) / float64(cycle)

@@ -178,7 +178,7 @@ func worldEntry(name string) (benchfmt.Entry, error) {
 	var werr error
 	env.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < worldWrites; i++ {
-			slot, version := i%st.Slots, i/st.Slots+1
+			slot, version := i%crashexplore.Slots, i/crashexplore.Slots+1
 			t0 := p.Now()
 			if err := wf(p, slot, version); err != nil {
 				werr = fmt.Errorf("write %d: %w", i, err)

@@ -30,7 +30,7 @@ func (r *Recorder) EmitChrome(cw *trace.ChromeWriter) {
 		tid := cw.TID(track)
 		args := fmt.Sprintf(`{"id":%d,"lba":%d,"count":%d,"err":%t}`,
 			req.ID, req.LBA, req.Count, req.Err)
-		cw.AsyncBegin(req.Kind.String(), "req", req.ID, tid, req.Start, args)
+		cw.AsyncBegin(req.Kind.String(), req.ID, tid, req.Start, args)
 		for _, s := range req.Spans {
 			sargs := fmt.Sprintf(`{"req":%d,"a":%d,"b":%d}`, req.ID, s.A, s.B)
 			if s.Dur() > 0 {
@@ -39,15 +39,15 @@ func (r *Recorder) EmitChrome(cw *trace.ChromeWriter) {
 				cw.Instant(s.Phase.String(), "phase", tid, s.Start, sargs)
 			}
 		}
-		cw.AsyncEnd(req.Kind.String(), "req", req.ID, tid, req.End)
+		cw.AsyncEnd(req.Kind.String(), req.ID, tid, req.End)
 		for _, from := range req.Flows {
 			src, ok := seen[from]
 			if !ok {
 				continue
 			}
 			// One arrow per upstream write: ack instant → write-back start.
-			cw.FlowStart("commit", "flow", from, src.tid, src.end)
-			cw.FlowFinish("commit", "flow", from, tid, req.Start)
+			cw.FlowStart(from, src.tid, src.end)
+			cw.FlowFinish(from, tid, req.Start)
 		}
 		seen[req.ID] = endpoint{tid: tid, end: req.End}
 	}

@@ -182,11 +182,10 @@ const (
 	slabRequests = 240
 	arenaSpans   = 819
 	arenaFlows   = 4096
-	// scratchSpans is the capacity of a new in-flight span list: room for
-	// a queue child and a command's seven mechanical phases; scratchFlows
-	// that of a flow list, a write-back window's worth of client writes.
-	scratchSpans = 8
-	scratchFlows = 8
+	// scratchLen is the capacity of a new in-flight list: for spans, room
+	// for a queue child and a command's seven mechanical phases; for flow
+	// edges, a write-back window's worth of client writes.
+	scratchLen = 8
 )
 
 // Recorder buffers completed request span trees in a fixed-size ring;
@@ -220,14 +219,14 @@ type arena[T any] struct {
 	scratch [][]T // free in-flight lists, each of length 0
 }
 
-// list returns a free in-flight list, or a new one of capacity n.
-func (a *arena[T]) list(n int) []T {
+// list returns a free in-flight list, or a new one of capacity scratchLen.
+func (a *arena[T]) list() []T {
 	if k := len(a.scratch); k > 0 {
 		l := a.scratch[k-1]
 		a.scratch = a.scratch[:k-1]
 		return l
 	}
-	return make([]T, 0, n)
+	return make([]T, 0, scratchLen)
 }
 
 // keep copies l into the current chunk, starting one of at least chunkLen
@@ -321,7 +320,7 @@ func (r *Recorder) open(kind Kind, driver, dev string, lba int64, count int, at 
 	r.nextID++
 	*q = Req{rec: r, r: Request{
 		ID: r.nextID, Kind: kind, Driver: driver, Dev: dev,
-		LBA: lba, Count: count, Start: at, Spans: r.spans.list(scratchSpans),
+		LBA: lba, Count: count, Start: at, Spans: r.spans.list(),
 	}}
 	return q
 }
@@ -373,21 +372,21 @@ func (q *Req) ChildAB(p Phase, start, end, a, b int64) {
 	q.r.Spans = append(q.r.Spans, Span{Phase: p, Start: start, End: end, A: a, B: b})
 }
 
-// ChildPair records the adjacent intervals [start, mid] and [mid, end] of
-// phase p, with A set to a1 and a2, as two ChildAB calls would, but grows the
+// ChildPair records the adjacent PSubWrite intervals [start, mid] and [mid,
+// end], with A set to a1 and a2, as two ChildAB calls would, but grows the
 // request's span list once for both.
-func (q *Req) ChildPair(p Phase, start, mid, end, a1, a2 int64) {
+func (q *Req) ChildPair(start, mid, end, a1, a2 int64) {
 	if q == nil {
 		return
 	}
 	switch {
 	case mid <= start:
-		q.ChildAB(p, mid, end, a2, 0)
+		q.ChildAB(PSubWrite, mid, end, a2, 0)
 	case end <= mid:
-		q.ChildAB(p, start, mid, a1, 0)
+		q.ChildAB(PSubWrite, start, mid, a1, 0)
 	default:
-		q.r.Spans = append(q.r.Spans, Span{Phase: p, Start: start, End: mid, A: a1},
-			Span{Phase: p, Start: mid, End: end, A: a2})
+		q.r.Spans = append(q.r.Spans, Span{Phase: PSubWrite, Start: start, End: mid, A: a1},
+			Span{Phase: PSubWrite, Start: mid, End: end, A: a2})
 	}
 }
 
@@ -406,7 +405,7 @@ func (q *Req) Flow(from int64) {
 		return
 	}
 	if q.r.Flows == nil {
-		q.r.Flows = q.rec.flows.list(scratchFlows)
+		q.r.Flows = q.rec.flows.list()
 	}
 	q.r.Flows = append(q.r.Flows, from)
 }

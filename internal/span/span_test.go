@@ -30,7 +30,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 	q.Child(PQueue, 0, 10)
 	q.ChildAB(PRotWait, 10, 20, 1, 2)
-	q.ChildPair(PSubWrite, 20, 30, 40, 0, 1)
+	q.ChildPair(20, 30, 40, 0, 1)
 	q.Point(PStaging, 5, 0, 0)
 	q.Flow(3)
 	q.Command(cmd(0, phases{disk.Transfer: 100}), 0)
@@ -434,7 +434,7 @@ func TestChildPair(t *testing.T) {
 	r := NewRecorder(0)
 	for _, c := range []struct{ start, mid, end int64 }{{0, 10, 30}, {0, 0, 30}, {0, 30, 30}} {
 		pair, two := r.Start(KWrite, "cluster", "shard0", 0, 2, 0), r.Start(KWrite, "cluster", "shard0", 0, 2, 0)
-		pair.ChildPair(PSubWrite, c.start, c.mid, c.end, 3, 5)
+		pair.ChildPair(c.start, c.mid, c.end, 3, 5)
 		two.ChildAB(PSubWrite, c.start, c.mid, 3, 0)
 		two.ChildAB(PSubWrite, c.mid, c.end, 5, 0)
 		if got, want := fmt.Sprint(pair.r.Spans), fmt.Sprint(two.r.Spans); got != want {
@@ -463,7 +463,7 @@ func retainedPerRequest(n int, add func(r *Recorder, at int64)) float64 {
 // and a cluster read, with one, finished at once.
 func write(r *Recorder, at int64) {
 	q := r.Start(KWrite, "cluster", "shard0", at, 2, at)
-	q.ChildPair(PSubWrite, at, at+100, at+150, 0, 1)
+	q.ChildPair(at, at+100, at+150, 0, 1)
 	q.Finish(at+150, false)
 }
 
@@ -542,14 +542,14 @@ func TestRecorderSpansDoNotAliasAllocations(t *testing.T) {
 	a := r.Start(KWrite, "trail", "data0", 0, 2, 0)
 	b := r.Start(KRead, "trail", "data0", 8, 2, 0)
 	var wantA, wantB []Span
-	for i := int64(0); i < 2*scratchSpans; i++ {
+	for i := int64(0); i < 2*scratchLen; i++ {
 		a.ChildAB(PQueue, 10*i, 10*i+10, i, 0)
 		b.Point(PStaging, 10*i, i, 1)
 		wantA = append(wantA, Span{Phase: PQueue, Start: 10 * i, End: 10*i + 10, A: i})
 		wantB = append(wantB, Span{Phase: PStaging, Start: 10 * i, End: 10 * i, A: i, B: 1})
 	}
-	b.Finish(20*scratchSpans, false)
-	a.Finish(20*scratchSpans, false)
+	b.Finish(20*scratchLen, false)
+	a.Finish(20*scratchLen, false)
 	for id := 4; id <= 8; id++ {
 		record(r, id)
 	}

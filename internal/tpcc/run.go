@@ -93,12 +93,13 @@ type RunConfig struct {
 	Warmup int
 	// Seed drives the transaction mix.
 	Seed uint64
-	// CheckpointEvery flushes all dirty pages to the table disks every N
-	// transactions (Berkeley DB's periodic checkpoint; 0 = every 100).
-	// Under the baseline these are in-place synchronous writes; under
-	// Trail they ride the log disk, which is the point of the comparison.
-	CheckpointEvery int
 }
+
+// checkpointEvery is how many transactions pass between checkpoints, which
+// flush all dirty pages to the table disks (Berkeley DB's periodic
+// checkpoint). Under the baseline these are in-place synchronous writes;
+// under Trail they ride the log disk, which is the point of the comparison.
+const checkpointEvery = 100
 
 // Result reports the paper's Table 2/3 metrics.
 type Result struct {
@@ -111,7 +112,7 @@ type Result struct {
 	// group commit).
 	Response *telemetry.Summary
 	// CheckpointTime is the time spent in the checkpoints (FlushAll every
-	// CheckpointEvery transactions) that a terminal runs before a measured
+	// checkpointEvery transactions) that a terminal runs before a measured
 	// transaction: the terminal's user waits for it too. At concurrency 1
 	// under SyncEveryCommit, Response.Sum() + CheckpointTime == Elapsed.
 	CheckpointTime time.Duration
@@ -135,9 +136,8 @@ func (r *Result) TpmC() float64 {
 // Runner executes TPC-C transactions against a DB through a transaction
 // manager.
 type Runner struct {
-	db  *DB
-	m   *txn.Manager
-	cfg RunConfig
+	db *DB
+	m  *txn.Manager
 }
 
 // NewRunner pairs a database with a transaction manager.
@@ -155,10 +155,6 @@ func (r *Runner) Run(env *sim.Env, cfg RunConfig) (*Result, error) {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 100
-	}
-	r.cfg = cfg
 
 	res := &Result{Response: telemetry.NewSummary()}
 	var issued int
@@ -180,7 +176,7 @@ func (r *Runner) Run(env *sim.Env, cfg RunConfig) (*Result, error) {
 					measureStart = p.Now()
 					startLogStats = r.m.Log().Stats()
 				}
-				if cfg.CheckpointEvery > 0 && n > 0 && n%cfg.CheckpointEvery == 0 {
+				if n > 0 && n%checkpointEvery == 0 {
 					cp := p.Now()
 					if err := r.db.FlushAll(p); err != nil {
 						failure = err
@@ -310,8 +306,8 @@ func (r *Runner) put(p *sim.Proc, tx *txn.Txn, t Table, key, row []byte, logical
 	return tx.Put(p, r.db.trees[t], uint16(t), key, row, logical, string(key))
 }
 
-func (r *Runner) del(p *sim.Proc, tx *txn.Txn, t Table, key []byte) error {
-	return tx.Delete(p, r.db.trees[t], uint16(t), key, string(key))
+func (r *Runner) delNewOrder(p *sim.Proc, tx *txn.Txn, key []byte) error {
+	return tx.Delete(p, r.db.trees[NewOrder], uint16(NewOrder), key, string(key))
 }
 
 // newOrder implements TPC-C §2.4.
@@ -512,7 +508,7 @@ func (r *Runner) delivery(p *sim.Proc, rng *sim.Rand) error {
 		if oldest < 0 {
 			continue // district queue empty
 		}
-		if err := r.del(p, tx, NewOrder, noKey(kb[:0], w, d, oldest)); err != nil {
+		if err := r.delNewOrder(p, tx, noKey(kb[:0], w, d, oldest)); err != nil {
 			return r.fail(p, tx, err)
 		}
 		orderKey := oKey(kb[:0], w, d, oldest)

@@ -90,7 +90,7 @@ func newRig(t *testing.T, mode wal.Mode) *testRig {
 			t.Fatal(err)
 		}
 		logDev := stddisk.New(env, logd, blockdev.DevID{Major: 3, Minor: 2}, sched.LOOK)
-		l, err := wal.New(env, wal.Config{Dev: logDev, Sectors: logDev.Sectors(), Mode: mode, MetadataWrites: true})
+		l, err := wal.New(env, wal.Config{Dev: logDev, Sectors: logDev.Sectors(), Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,33 +71,33 @@ func (cw *ChromeWriter) Instant(name, cat string, tid int, atNS int64, args stri
 	cw.Emit(line + argsTail(args))
 }
 
-// AsyncBegin and AsyncEnd emit a nestable async ("b"/"e") pair; events with
-// the same (cat, id) form one async track entry.
-func (cw *ChromeWriter) AsyncBegin(name, cat string, id int64, tid int, atNS int64, args string) {
-	line := fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"b","id":%d,"ts":%s,"pid":1,"tid":%d`,
-		quoteJSON(name), quoteJSON(cat), id, Usec(atNS), tid)
+// AsyncBegin and AsyncEnd emit a nestable async ("b"/"e") pair of category
+// "req"; events with the same id form one async track entry.
+func (cw *ChromeWriter) AsyncBegin(name string, id int64, tid int, atNS int64, args string) {
+	line := fmt.Sprintf(`{"name":%s,"cat":"req","ph":"b","id":%d,"ts":%s,"pid":1,"tid":%d`,
+		quoteJSON(name), id, Usec(atNS), tid)
 	cw.Emit(line + argsTail(args))
 }
 
 // AsyncEnd closes the async event opened by AsyncBegin with the same id.
-func (cw *ChromeWriter) AsyncEnd(name, cat string, id int64, tid int, atNS int64) {
-	cw.Emit(fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"e","id":%d,"ts":%s,"pid":1,"tid":%d}`,
-		quoteJSON(name), quoteJSON(cat), id, Usec(atNS), tid))
+func (cw *ChromeWriter) AsyncEnd(name string, id int64, tid int, atNS int64) {
+	cw.Emit(fmt.Sprintf(`{"name":%s,"cat":"req","ph":"e","id":%d,"ts":%s,"pid":1,"tid":%d}`,
+		quoteJSON(name), id, Usec(atNS), tid))
 }
 
-// FlowStart and FlowFinish emit a flow arrow ("s"/"f") between two points;
-// viewers draw an arrow from each start to the finish with the same (cat,
-// id). The finish uses binding point "e" so it attaches to the enclosing
-// slice's end.
-func (cw *ChromeWriter) FlowStart(name, cat string, id int64, tid int, atNS int64) {
-	cw.Emit(fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"s","id":%d,"ts":%s,"pid":1,"tid":%d}`,
-		quoteJSON(name), quoteJSON(cat), id, Usec(atNS), tid))
+// FlowStart and FlowFinish emit a "commit" flow arrow ("s"/"f") of category
+// "flow" between two points; viewers draw an arrow from each start to the
+// finish with the same id. The finish uses binding point "e" so it attaches
+// to the enclosing slice's end.
+func (cw *ChromeWriter) FlowStart(id int64, tid int, atNS int64) {
+	cw.Emit(fmt.Sprintf(`{"name":"commit","cat":"flow","ph":"s","id":%d,"ts":%s,"pid":1,"tid":%d}`,
+		id, Usec(atNS), tid))
 }
 
 // FlowFinish terminates the flow arrow started with the same id.
-func (cw *ChromeWriter) FlowFinish(name, cat string, id int64, tid int, atNS int64) {
-	cw.Emit(fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"f","bp":"e","id":%d,"ts":%s,"pid":1,"tid":%d}`,
-		quoteJSON(name), quoteJSON(cat), id, Usec(atNS), tid))
+func (cw *ChromeWriter) FlowFinish(id int64, tid int, atNS int64) {
+	cw.Emit(fmt.Sprintf(`{"name":"commit","cat":"flow","ph":"f","bp":"e","id":%d,"ts":%s,"pid":1,"tid":%d}`,
+		id, Usec(atNS), tid))
 }
 
 // argsTail renders the optional trailing args field and closes the object.

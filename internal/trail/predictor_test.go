@@ -208,7 +208,7 @@ func TestPredictorMatchesDiskPhase(t *testing.T) {
 		target := m.readSector(p.Now(), 0, g, 0, 0, safetySectors)
 		req2 := diskReq(int64(target), 1)
 		res := d.Access(p, req2)
-		if maxWait := 2 * d.Params().SectorTime(0); res.Phases[disk.RotWait] > maxWait {
+		if maxWait := 2 * d.Params().SectorTime(); res.Phases[disk.RotWait] > maxWait {
 			t.Errorf("predicted read waited %v rotation, want <= %v", res.Phases[disk.RotWait], maxWait)
 		}
 	})

@@ -40,7 +40,7 @@ func readBack(t *testing.T, d *disk.Disk) [][]byte {
 }
 
 func TestAppendsDuringFlushLandInNextSegment(t *testing.T) {
-	env, l, d := newRig(t, func(c *Config) { c.MetadataWrites = true })
+	env, l, d := newRig(t, nil)
 	defer env.Close()
 	rec := func(i int) []byte { return bytes.Repeat([]byte{byte(0x10 + i)}, 150+90*i) }
 
@@ -105,10 +105,10 @@ func TestAppendsDuringFlushLandInNextSegment(t *testing.T) {
 
 // TestReusedBuffersLeaveNoStaleBytes: a long segment, a short one and a
 // shorter one again cycle through the two buffers. Each segment's padding
-// up to its sector boundary, and the inode sector past the LSN, are zero on
-// the media however much longer the buffer's previous tenant was.
+// up to its sector boundary is zero on the media however much longer the
+// buffer's previous tenant was, and the reserved sector 0 stays unwritten.
 func TestReusedBuffersLeaveNoStaleBytes(t *testing.T) {
-	env, l, d := newRig(t, func(c *Config) { c.MetadataWrites = true })
+	env, l, d := newRig(t, nil)
 	defer env.Close()
 	sizes := []int{1900, 40, 700, 9}
 	run(env, func(p *sim.Proc) {
@@ -135,9 +135,8 @@ func TestReusedBuffersLeaveNoStaleBytes(t *testing.T) {
 		}
 		at += int64(sectors)
 	}
-	meta := d.MediaRead(0, 1)
-	if binary.LittleEndian.Uint64(meta) != uint64(l.DurableLSN()) || !bytes.Equal(meta[8:], make([]byte, geom.SectorSize-8)) {
-		t.Error("inode sector is not the durable LSN followed by zeroes")
+	if !bytes.Equal(d.MediaRead(0, 1), make([]byte, geom.SectorSize)) {
+		t.Error("the reserved sector 0 was written")
 	}
 }
 
@@ -149,7 +148,7 @@ func TestSteadyStateAppendCommitDoesNotAllocate(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()
 	dev := disk.NewInstantDev(disk.New(env, disk.WDCaviar()), blockdev.DevID{Major: 3})
-	l, err := New(env, Config{Dev: dev, Sectors: dev.Sectors(), Mode: SyncEveryCommit, MetadataWrites: true})
+	l, err := New(env, Config{Dev: dev, Sectors: dev.Sectors(), Mode: SyncEveryCommit})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,11 @@
 // group-commit emulation ("log records in the log buffer are forced to disk
 // once the size of the log records exceeds the chosen log buffer size").
 //
-// On an EXT2-style baseline each synchronous log flush pays two physical
-// writes — the log data itself plus the file metadata (inode/size) update
-// that O_SYNC drags in — which is precisely the overhead Trail removes
-// transparently for all blocks.
+// On an EXT2-style baseline each synchronous log flush also pays the file
+// metadata (inode/size) update that O_SYNC drags in, which is precisely the
+// overhead Trail removes transparently for all blocks; internal/fslite
+// models that second write (reproduce -only ext-fsmeta), so this log writes
+// data only.
 package wal
 
 import (
@@ -51,7 +52,7 @@ type Config struct {
 	// Dev is the device holding the log (the dedicated log disk).
 	Dev blockdev.Device
 	// Sectors bounds the log region, which starts at sector 0 of the
-	// device: sector 0 is the metadata sector, log data starts at 1.
+	// device: sector 0 is reserved, log data starts at 1.
 	Sectors int64
 	// Mode selects the commit discipline.
 	Mode Mode
@@ -59,14 +60,6 @@ type Config struct {
 	// to 1200 KB; default 50 KB as in §5.2). Also used in SyncEveryCommit
 	// mode as the staging buffer, flushed at every commit.
 	BufferBytes int
-	// MetadataWrites follows every flush with a synchronous one-sector
-	// metadata (inode) write to sector 0, as an EXT2 O_SYNC log file
-	// would. No program sets it: the experiments model O_SYNC file
-	// metadata with internal/fslite (reproduce -only ext-fsmeta). The TPC-C
-	// test rig (internal/tpcc's newRig) turns it on so the commit path
-	// carries that second write, and TestDeterministicRuns' concurrency-1
-	// and -4 pins were recorded with it.
-	MetadataWrites bool
 }
 
 // Stats aggregates log activity for Table 2's "Disk I/O Time for Logging"
@@ -93,11 +86,9 @@ type Log struct {
 	// bufs[cur] is the next segment as it will lie on disk: segHeader bytes
 	// reserved, then the appended records. Flush frames and pads it in place
 	// and hands it to the device, which does not keep it; appends meanwhile
-	// go to the other buffer, so cur flips at every flush. meta is the inode
-	// sector of MetadataWrites.
+	// go to the other buffer, so cur flips at every flush.
 	bufs      [2][]byte
 	cur       int
-	meta      [geom.SectorSize]byte
 	nextLSN   int64 // byte offset of the end of the buffer
 	flushedTo int64 // byte offset durable on disk
 	headSect  int64 // next sector offset in the region to write
@@ -229,22 +220,13 @@ func (l *Log) Flush(p *sim.Proc) error {
 	sectors := int64((len(seg) + geom.SectorSize - 1) / geom.SectorSize)
 	seg = append(seg, zeroSector[:int(sectors)*geom.SectorSize-len(seg)]...)
 	err := func() error {
-		// Sector 0 of the region is the metadata (inode) block; log data
-		// starts at sector 1.
+		// Sector 0 of the region is reserved; log data starts at sector 1.
 		if 1+l.headSect+sectors > l.cfg.Sectors {
 			return fmt.Errorf("%w: %d of %d sectors used", ErrLogFull, l.headSect, l.cfg.Sectors)
 		}
 		start := p.Now()
 		if err := l.cfg.Dev.Write(p, 1+l.headSect, int(sectors), seg); err != nil {
 			return fmt.Errorf("wal: flushing: %w", err)
-		}
-		if l.cfg.MetadataWrites {
-			// EXT2 O_SYNC: the inode (file size/mtime) update is also
-			// synchronous.
-			binary.LittleEndian.PutUint64(l.meta[:], uint64(flushLSN))
-			if err := l.cfg.Dev.Write(p, 0, 1, l.meta[:]); err != nil {
-				return fmt.Errorf("wal: metadata update: %w", err)
-			}
 		}
 		l.stats.IOTime += p.Now().Sub(start)
 		l.headSect += sectors
@@ -276,7 +258,7 @@ func (l *Log) BufferedBytes() int { return len(l.bufs[l.cur]) - segHeader }
 func ReadRecords(p *sim.Proc, dev blockdev.Device, sectors int64) ([][]byte, error) {
 	var out [][]byte
 	le := binary.LittleEndian
-	for at := int64(1); at < sectors; { // sector 0 of the region is the metadata block
+	for at := int64(1); at < sectors; { // sector 0 of the region is reserved
 		hdr, err := dev.Read(p, at, 1)
 		if err != nil {
 			return nil, fmt.Errorf("wal: reading segment header: %w", err)

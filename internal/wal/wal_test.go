@@ -124,30 +124,6 @@ func TestGroupCommitCountScalesInversely(t *testing.T) {
 	}
 }
 
-func TestMetadataWritesDoubleIO(t *testing.T) {
-	ioTime := func(meta bool) (time.Duration, int64) {
-		env, l, d := newRig(t, func(c *Config) { c.MetadataWrites = meta })
-		defer env.Close()
-		run(env, func(p *sim.Proc) {
-			for i := 0; i < 10; i++ {
-				lsn, _ := l.Append(p, make([]byte, 300))
-				if err := l.Commit(p, lsn); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		return l.Stats().IOTime, d.Stats().Writes
-	}
-	plainTime, plainWrites := ioTime(false)
-	metaTime, metaWrites := ioTime(true)
-	if metaWrites != 2*plainWrites {
-		t.Errorf("writes: meta=%d plain=%d, want 2x", metaWrites, plainWrites)
-	}
-	if metaTime <= plainTime {
-		t.Errorf("metadata mode I/O %v <= plain %v", metaTime, plainTime)
-	}
-}
-
 func TestWaitDurable(t *testing.T) {
 	env, l, _ := newRig(t, func(c *Config) {
 		c.Mode = GroupCommit

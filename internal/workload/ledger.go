@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"cmp"
 	"slices"
 
 	"tracklog/internal/blockdev"
@@ -18,9 +17,10 @@ type Ledger struct {
 	acks map[int64][]ackedWrite
 }
 
+// ackedWrite is one acknowledged write a target may legally hold.
 type ackedWrite struct {
-	data          []byte
-	issued, acked sim.Time
+	data  []byte
+	acked sim.Time
 }
 
 // Outcome is what the read-back of one acknowledged target found: its
@@ -41,23 +41,25 @@ type Check struct {
 	Err     error
 }
 
-// Record keeps one acknowledged write; it is a Load.OnAck.
+// Record keeps one acknowledged write; it is a Load.OnAck, so writes arrive
+// in acknowledgement order. A write issued after another's acknowledgement
+// supersedes it: Record drops every write to the target acknowledged before
+// this one was issued, and keeps the writes that raced. A target thus holds
+// no more writes than were in flight to it at once.
 func (l *Ledger) Record(lba int64, data []byte, issued, acked sim.Time) {
 	if l.acks == nil {
 		l.acks = make(map[int64][]ackedWrite)
 	}
-	l.acks[lba] = append(l.acks[lba], ackedWrite{data, issued, acked})
+	kept := slices.DeleteFunc(l.acks[lba], func(a ackedWrite) bool { return a.acked < issued })
+	l.acks[lba] = append(kept, ackedWrite{data, acked})
 }
 
 // Targets returns the number of acknowledged targets.
 func (l *Ledger) Targets() int { return len(l.acks) }
 
 // ReadBack reads every acknowledged target from dev, in ascending LBA order,
-// over the extent of its last-issued write, and returns one Check each. A
-// target is intact when it holds the bytes of one of its writes that was not
-// yet acknowledged when the last-issued one was issued: a write issued after
-// another's acknowledgement supersedes it, and each of the writes that raced
-// is allowed.
+// over its extent, and returns one Check each. A target is intact when it
+// holds the bytes of one of the writes Record kept for it.
 func (l *Ledger) ReadBack(p *sim.Proc, dev blockdev.Device) []Check {
 	lbas := make([]int64, 0, len(l.acks))
 	for lba := range l.acks {
@@ -67,12 +69,11 @@ func (l *Ledger) ReadBack(p *sim.Proc, dev blockdev.Device) []Check {
 	checks := make([]Check, 0, len(lbas))
 	for _, lba := range lbas {
 		acks := l.acks[lba]
-		last := slices.MaxFunc(acks, func(a, b ackedWrite) int { return cmp.Compare(a.issued, b.issued) })
-		got, err := dev.Read(p, lba, len(last.data)/geom.SectorSize)
+		got, err := dev.Read(p, lba, len(acks[0].data)/geom.SectorSize)
 		c := Check{LBA: lba, Outcome: ReadFailed, Err: err}
 		if err == nil {
 			c.Outcome = OtherBytes
-			if slices.ContainsFunc(acks, func(a ackedWrite) bool { return a.acked >= last.issued && bytes.Equal(got, a.data) }) {
+			if slices.ContainsFunc(acks, func(a ackedWrite) bool { return bytes.Equal(got, a.data) }) {
 				c.Outcome = Intact
 			}
 		}

@@ -81,7 +81,7 @@ func TestUsageCommentsMatchFlags(t *testing.T) {
 // doc and test must keep working, so the count only moves on purpose.
 var flagPins = map[string]int{
 	"benchpairs": 4, "clustersim": 5, "crashexplore": 9, "reproduce": 5,
-	"rundiff": 5, "trailcheck": 3, "trailfmt": 1, "trailsim": 15,
+	"rundiff": 1, "trailcheck": 3, "trailfmt": 1, "trailsim": 15,
 }
 
 // TestFlagCountPinned holds every command's flag count to its pin, so the
