@@ -29,7 +29,6 @@ func smallTPCC() TPCCConfig {
 			Seed:                     3,
 		},
 		Transactions: 120,
-		Concurrency:  1,
 		Warmup:       10,
 		LogBufferKB:  50,
 		Seed:         5,

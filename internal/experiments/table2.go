@@ -48,7 +48,6 @@ func (s StorageSystem) String() string {
 type TPCCConfig struct {
 	DB           tpcc.Config
 	Transactions int
-	Concurrency  int
 	Warmup       int
 	LogBufferKB  int
 	Seed         uint64
@@ -73,9 +72,6 @@ func (c TPCCConfig) withDefaults() TPCCConfig {
 	if c.Transactions == 0 {
 		c.Transactions = 1000
 	}
-	if c.Concurrency == 0 {
-		c.Concurrency = 1
-	}
 	if c.Warmup == 0 {
 		c.Warmup = 300
 	}
@@ -99,7 +95,6 @@ func PaperScale() TPCCConfig {
 			Seed:                     2,
 		},
 		Transactions: 5000,
-		Concurrency:  1,
 		Warmup:       500,
 		LogBufferKB:  50,
 		Seed:         1,
@@ -166,10 +161,10 @@ func Table2(cfg TPCCConfig) (*Table2Result, error) {
 	return res, nil
 }
 
-// table2Column runs the TPC-C workload of one Table 2 column. A sync-commit
-// column at concurrency 1 fails unless it obeys the first law of ROADMAP
-// item 29: its one terminal is never idle, so the measured responses and the
-// checkpoints run before them sum to the measured phase, within 0.1 %.
+// table2Column runs the TPC-C workload of one Table 2 column, at
+// concurrency 1. A sync-commit column fails unless its one terminal is never
+// idle: the measured responses and the checkpoints run before them sum to
+// the measured phase, within 0.1 %.
 func table2Column(sys StorageSystem, cfg TPCCConfig) (*tpcc.Result, error) {
 	hw, runner, err := buildTPCC(sys, cfg)
 	if err != nil {
@@ -178,7 +173,7 @@ func table2Column(sys StorageSystem, cfg TPCCConfig) (*tpcc.Result, error) {
 	defer hw.Close()
 	r, err := runner.Run(hw.Env, tpcc.RunConfig{
 		Transactions: cfg.Transactions,
-		Concurrency:  cfg.Concurrency,
+		Concurrency:  1,
 		Warmup:       cfg.Warmup,
 		Seed:         cfg.Seed + 7,
 	})
@@ -186,7 +181,7 @@ func table2Column(sys StorageSystem, cfg TPCCConfig) (*tpcc.Result, error) {
 		return nil, err
 	}
 	busy := r.Response.Sum() + r.CheckpointTime
-	if sys != Ext2GC && cfg.Concurrency == 1 && (busy-r.Elapsed).Abs()*1000 > r.Elapsed {
+	if sys != Ext2GC && (busy-r.Elapsed).Abs()*1000 > r.Elapsed {
 		return nil, fmt.Errorf("responses %v + checkpoints %v = %v do not tile elapsed %v",
 			r.Response.Sum(), r.CheckpointTime, busy, r.Elapsed)
 	}
@@ -196,8 +191,8 @@ func table2Column(sys StorageSystem, cfg TPCCConfig) (*tpcc.Result, error) {
 // String renders Table 2.
 func (r *Table2Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 2: TPC-C, %d txns, concurrency %d, w=%d, %d KB log buffer\n",
-		r.Config.Transactions, r.Config.Concurrency, r.Config.DB.Warehouses, r.Config.LogBufferKB)
+	fmt.Fprintf(&b, "Table 2: TPC-C, %d txns, concurrency 1, w=%d, %d KB log buffer\n",
+		r.Config.Transactions, r.Config.DB.Warehouses, r.Config.LogBufferKB)
 	fmt.Fprintf(&b, "%-12s %14s %16s %10s %10s %8s\n", "system", "avg resp (s)", "log I/O (s)", "tpmC", "committed", "aborted")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-12s %14.3f %16.1f %10.0f %10d %8d\n",
@@ -245,14 +240,14 @@ type Table3Result struct {
 	Rows   []Table3Row
 }
 
+// table3Concurrency is Table 3's terminal count, the paper's.
+const table3Concurrency = 4
+
 // Table3 counts group commits (synchronous log writes) in a fixed TPC-C run
 // as the log buffer size varies (paper: 10000 txns, concurrency 4, buffers
 // 4..1200 KB, counts 10960 down to 39).
 func Table3(cfg TPCCConfig) (*Table3Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Concurrency < 2 {
-		cfg.Concurrency = 4
-	}
 	res := &Table3Result{Config: cfg}
 	for _, kb := range []int{4, 100, 400, 800, 1200} {
 		c := cfg
@@ -263,7 +258,7 @@ func Table3(cfg TPCCConfig) (*Table3Result, error) {
 		}
 		r, err := runner.Run(hw.Env, tpcc.RunConfig{
 			Transactions: c.Transactions,
-			Concurrency:  c.Concurrency,
+			Concurrency:  table3Concurrency,
 			Warmup:       c.Warmup,
 			Seed:         c.Seed + 13,
 		})
@@ -280,7 +275,7 @@ func Table3(cfg TPCCConfig) (*Table3Result, error) {
 func (r *Table3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3: group commits in a %d-txn run, concurrency %d\n",
-		r.Config.Transactions, max(r.Config.Concurrency, 4))
+		r.Config.Transactions, table3Concurrency)
 	fmt.Fprintf(&b, "%14s %16s %14s\n", "buffer KB", "group commits", "log KB total")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%14d %16d %14d\n", row.LogBufferKB, row.GroupCommits, row.LogBytes/1024)
@@ -328,22 +323,20 @@ func TrackUtilization(cfg TPCCConfig) (*UtilizationResult, error) {
 	cfg = cfg.withDefaults()
 	res := &UtilizationResult{}
 	for _, conc := range []int{4, 8, 12} {
-		c := cfg
-		c.Concurrency = conc
 		// Burstiness at the log disk is the object of study: the paper's
 		// cache-pressured configuration stalls groups of transactions on
 		// data-disk I/O, whose commits then arrive at the log in bursts
 		// ("the disk I/Os occur in bursts since the CPU time each
 		// transaction requires is much smaller than the disk I/O delay").
-		hw, runner, err := buildTPCC(Ext2Trail, c)
+		hw, runner, err := buildTPCC(Ext2Trail, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("utilization conc=%d: %w", conc, err)
 		}
 		_, err = runner.Run(hw.Env, tpcc.RunConfig{
-			Transactions: c.Transactions,
+			Transactions: cfg.Transactions,
 			Concurrency:  conc,
-			Warmup:       c.Warmup,
-			Seed:         c.Seed + 17,
+			Warmup:       cfg.Warmup,
+			Seed:         cfg.Seed + 17,
 		})
 		if err != nil {
 			hw.Close()

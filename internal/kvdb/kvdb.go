@@ -71,6 +71,10 @@ type Store struct {
 	cache    *bufcache.Cache
 	nextPage int64
 	roots    []int64
+	// latches holds one latch per tree, indexed like roots: a Put, Delete,
+	// GetAppend or Scan holds its tree's for the whole call, so no descent
+	// follows a path another call is splitting.
+	latches []*sim.Resource
 	// scratch is where a split lays out a node's cells and the entry that
 	// did not fit, and Put a new root's cell; it is used only while no
 	// process can yield, so the store's splits share it.
@@ -107,6 +111,7 @@ func Open(p *sim.Proc, dev blockdev.Device, cachePages int) (*Store, error) {
 			return nil, corruptf(0, "tree %d rooted at page %d of %d", i, root, s.nextPage)
 		}
 		s.roots = append(s.roots, root)
+		s.latches = append(s.latches, sim.NewResource(p.Env(), 1))
 	}
 	return s, nil
 }
@@ -160,6 +165,7 @@ func (s *Store) CreateTree(p *sim.Proc) (*Tree, error) {
 	}
 	s.unpin(root)
 	s.roots = append(s.roots, root.pg.ID)
+	s.latches = append(s.latches, sim.NewResource(p.Env(), 1))
 	if err := s.syncMeta(p); err != nil {
 		return nil, err
 	}
@@ -180,7 +186,8 @@ func (s *Store) Tree(idx int) (*Tree, error) {
 // internal node's link is its leftmost child and its cells are klen(2) key
 // child(8), the child holding the keys >= key. Nodes are read and edited
 // where they lie, in the pinned page, and every length, offset and page ID
-// read from one is checked before it is followed (DESIGN.md §16).
+// read from one is checked before it is followed (DESIGN.md
+// §internal/kvdb).
 
 // node is a pinned page viewed as a B+tree node.
 type node struct {
@@ -440,6 +447,13 @@ type Tree struct {
 // root returns the tree's root page ID.
 func (t *Tree) root() int64 { return t.store.roots[t.idx] }
 
+// latch takes the tree's latch for p and returns its release.
+func (t *Tree) latch(p *sim.Proc) func() {
+	l := t.store.latches[t.idx]
+	l.Acquire(p)
+	return l.Release
+}
+
 // step is one internal node of a descent: what Put needs to decide, on the
 // way back up and before pinning the node again, whether a separator fits.
 type step struct {
@@ -510,8 +524,10 @@ func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) { return t.GetAppend
 
 // GetAppend appends the value stored at key to dst and returns the extended
 // slice, dst itself with an error: the value leaves the pinned page by this
-// one copy, into memory the caller owns and may reuse (DESIGN.md §16).
+// one copy, into memory the caller owns and may reuse (DESIGN.md
+// §internal/kvdb).
 func (t *Tree) GetAppend(p *sim.Proc, dst, key []byte) ([]byte, error) {
+	defer t.latch(p)()
 	leaf, _, err := t.descend(p, key, nil)
 	if err != nil {
 		return dst, err
@@ -538,6 +554,7 @@ func (t *Tree) Put(p *sim.Proc, key, value []byte, logicalSize int) error {
 	if len(key)+logicalSize+leafEntryOverhead > maxEntry {
 		return fmt.Errorf("%w: key %d + logical %d", ErrTooLarge, len(key), logicalSize)
 	}
+	defer t.latch(p)()
 	var path [maxDepth]step
 	leaf, depth, err := t.descend(p, key, &path)
 	if err != nil {
@@ -575,7 +592,7 @@ func (t *Tree) putLeaf(p *sim.Proc, leaf node, key, value []byte, logical int) (
 	}
 	if sp.fill-sp.size+leafEntryOverhead+len(key)+logical > capacity {
 		s.unpin(leaf)
-		return t.split(p, leaf.pg.ID, true, entry{key: key, val: value, logical: logical}, sought{leaf.pg, leaf.pg.Edits(), sp})
+		return t.split(p, leaf.pg.ID, true, entry{key: key, val: value, logical: logical}, &sp)
 	}
 	defer s.unpin(leaf)
 	if err := s.edit(p, leaf); err != nil {
@@ -607,19 +624,16 @@ func (t *Tree) putSeparator(p *sim.Proc, at step, sep []byte, right int64) ([]by
 			s.unpin(nd)
 			return nil, 0, err
 		}
-		if sp.used+size <= bufcache.PageSize {
-			nd.splice(sp, size, size)
-			appendInternalCell(nd.pg.Data[:sp.off], sep, right) // in place: splice made the room
-			s.cache.MarkDirty(nd.pg)
-			s.unpin(nd)
-			return nil, 0, nil
+		defer s.unpin(nd)
+		if sp.used+size > bufcache.PageSize {
+			return nil, 0, corruptf(at.id, "node filled under the tree's latch")
 		}
-		// Another process filled the node while this one waited for a page
-		// below it.
-		s.unpin(nd)
-		return t.split(p, at.id, false, entry{key: sep, child: right}, sought{nd.pg, nd.pg.Edits(), sp})
+		nd.splice(sp, size, size)
+		appendInternalCell(nd.pg.Data[:sp.off], sep, right) // in place: splice made the room
+		s.cache.MarkDirty(nd.pg)
+		return nil, 0, nil
 	}
-	return t.split(p, at.id, false, entry{key: sep, child: right}, sought{})
+	return t.split(p, at.id, false, entry{key: sep, child: right}, nil)
 }
 
 // entry is the cell a split places: a leaf's key, value and logical size,
@@ -638,20 +652,13 @@ func (e entry) appendCell(b []byte, leaf bool) []byte {
 	return appendInternalCell(b, e.key, e.child)
 }
 
-// sought is where a key was sought in a node that was then the Page pg with
-// edits edits. It holds, as the descent's hop does, while the node still is.
-type sought struct {
-	pg    *bufcache.Page
-	edits uint32
-	sp    spot
-}
-
 // split gives node id a new right sibling and divides between the two the
 // node's cells and e, the entry that did not fit. It returns the separator
 // and the sibling for the level above. The division is worked out on a copy:
-// the overfull node never exists in a page. e's spot is sought again only
-// if the node changed since at was.
-func (t *Tree) split(p *sim.Proc, id int64, leaf bool, e entry, at sought) ([]byte, int64, error) {
+// the overfull node never exists in a page. at is e's spot, where the put
+// found it: the tree's latch keeps the node's bytes as they were then, even
+// if its page is evicted and read again meanwhile. A nil at is sought here.
+func (t *Tree) split(p *sim.Proc, id int64, leaf bool, e entry, at *spot) ([]byte, int64, error) {
 	s := t.store
 	right, err := s.newNode(p, leaf)
 	if err != nil {
@@ -677,11 +684,11 @@ func (t *Tree) split(p *sim.Proc, id int64, leaf bool, e entry, at sought) ([]by
 	if left.leaf != leaf {
 		return nil, 0, corruptf(id, "node changed kind under a split")
 	}
-	sp := at.sp
-	if at.pg != left.pg || at.edits != left.pg.Edits() {
-		if sp, err = left.seek(e.key); err != nil {
-			return nil, 0, err
-		}
+	var sp spot
+	if at != nil {
+		sp = *at
+	} else if sp, err = left.seek(e.key); err != nil {
+		return nil, 0, err
 	}
 	d := left.pg.Data
 	cells := e.appendCell(append(s.scratch[:0], d[nodeHeader:sp.off]...), leaf)
@@ -732,6 +739,7 @@ func (t *Tree) split(p *sim.Proc, id int64, leaf bool, e entry, at sought) ([]by
 // Delete removes key. Nodes are not rebalanced (lazy deletion, standard for
 // the workloads here: TPC-C only deletes new-order rows).
 func (t *Tree) Delete(p *sim.Proc, key []byte) error {
+	defer t.latch(p)()
 	s := t.store
 	leaf, _, err := t.descend(p, key, nil)
 	if err != nil {
@@ -755,8 +763,10 @@ func (t *Tree) Delete(p *sim.Proc, key []byte) error {
 
 // Scan calls fn for each key >= from in order until fn returns false. The
 // slices fn receives alias the pinned page: they are valid until fn
-// returns, and fn must not write to the tree.
+// returns, and fn must not call into the tree: it runs under the tree's
+// latch.
 func (t *Tree) Scan(p *sim.Proc, from []byte, fn func(key, value []byte) bool) error {
+	defer t.latch(p)()
 	s := t.store
 	leaf, _, err := t.descend(p, from, nil)
 	if err != nil {

@@ -369,3 +369,48 @@ func TestStructuralInvariantsAfterRandomOps(t *testing.T) {
 		}
 	})
 }
+
+// TestConcurrentWritersKeepTheTreeSound: writers put interleaved keys into
+// one tree on a 16-page cache, so each descent waits for pages while the
+// others split nodes on its path. The tree must pass Check and hold every
+// writer's last value for each of its keys.
+func TestConcurrentWritersKeepTheTreeSound(t *testing.T) {
+	for _, writers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprint(writers), func(t *testing.T) {
+			env, s := newRig(t, 16)
+			defer env.Close()
+			var tr *Tree
+			runErr(t, env, func(p *sim.Proc) (err error) {
+				tr, err = s.CreateTree(p)
+				return err
+			})
+			want := map[string][]byte{}
+			for w := 0; w < writers; w++ {
+				env.Go(fmt.Sprint("writer", w), func(p *sim.Proc) {
+					rng := sim.NewRand(uint64(w + 1))
+					for i := 0; i < 600; i++ {
+						k := genKey(writers*rng.Intn(100) + w)
+						v, logical := genValue(rng, k, maxEntry)
+						if err := tr.Put(p, k, v, logical); err != nil {
+							t.Error(err)
+							return
+						}
+						want[string(k)] = v
+					}
+				})
+			}
+			env.Run()
+			runErr(t, env, func(p *sim.Proc) error {
+				if err := tr.Check(p); err != nil {
+					return err
+				}
+				for k, v := range want {
+					if got, err := tr.Get(p, []byte(k)); err != nil || !bytes.Equal(got, v) {
+						return fmt.Errorf("key %.8q: got %d bytes, %v; want %d bytes", k, len(got), err, len(v))
+					}
+				}
+				return nil
+			})
+		})
+	}
+}

@@ -97,12 +97,11 @@ func TestModel(t *testing.T) {
 	}
 }
 
-// TestSplitSeeksAgainAfterAnEdit: a put that splits a leaf waits, for the
-// new page, on the write-back of a dirty victim; meanwhile a second put
-// edits the same leaf in place. The split must place its entry by the leaf
-// as it is then, not where it was sought before the wait, and keep the
-// other put's key.
-func TestSplitSeeksAgainAfterAnEdit(t *testing.T) {
+// TestPutWaitsForASplitInProgress: a put that splits a leaf waits, for the
+// new page, on the write-back of a dirty victim; meanwhile a second put to
+// the same leaf arrives. It must wait on the tree's latch until the split
+// is done, and the tree must keep both puts' keys.
+func TestPutWaitsForASplitInProgress(t *testing.T) {
 	env, s := newRig(t, 3) // the meta page and two leaves: a new page evicts
 	defer env.Close()
 	var full, other *Tree
@@ -135,6 +134,9 @@ func TestSplitSeeksAgainAfterAnEdit(t *testing.T) {
 		}
 		if err := full.Put(p, []byte("a"), val(1), 0); err != nil {
 			t.Error(err)
+		}
+		if !split {
+			t.Error("the put did not wait for the split")
 		}
 	})
 	env.Run()

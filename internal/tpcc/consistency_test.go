@@ -176,6 +176,9 @@ func TestDeterministicRuns(t *testing.T) {
 	// the log stopped writing an inode sector after each flush (internal/
 	// fslite models that write) and the rig's checkpoints went from every 10
 	// transactions to the programs' every 100: each run still crosses two.
+	// The concurrency-4 outcome was re-recorded once more when each tree
+	// took a latch for its operations (lock waits 312 -> 316, deadlocks
+	// 1 -> 3, flushes 280 -> 283).
 	type outcome struct {
 		committed, aborted, flushes int64
 		stats                       txn.Stats
@@ -190,8 +193,8 @@ func TestDeterministicRuns(t *testing.T) {
 		{1, 300, 2, "{committed:300 aborted:0 flushes:269 stats:{Begun:300 Committed:300 Aborted:0 Deadlocks:0 LockWaits:0 LockWaitTime:0 CommitIOTime:1326736004} " +
 			"elapsed:4416930381 tpmC:1779.51638853327 sum:3543083199 p50:11319441 p99:26847224 max:99499996}"},
 		{2, 50, 2, ""},
-		{4, 300, 10, "{committed:300 aborted:0 flushes:280 stats:{Begun:301 Committed:300 Aborted:1 Deadlocks:1 LockWaits:312 LockWaitTime:4668083071 CommitIOTime:2791638805} " +
-			"elapsed:2667208229 tpmC:2924.4060944294574 sum:9720957952 p50:31875000 p99:108333331 max:139916659}"},
+		{4, 300, 10, "{committed:299 aborted:1 flushes:283 stats:{Begun:303 Committed:299 Aborted:4 Deadlocks:3 LockWaits:316 LockWaitTime:4755624739 CommitIOTime:2873722123} " +
+			"elapsed:2731374890 tpmC:3009.4733718519324 sum:9980194048 p50:32083334 p99:108333331 max:139916659}"},
 	} {
 		run := func() outcome {
 			r := newRig(t, wal.SyncEveryCommit)
@@ -214,6 +217,34 @@ func TestDeterministicRuns(t *testing.T) {
 			if again := run(); again != first {
 				t.Fatalf("concurrency %d: run %d diverged:\n%+v\n%+v", tc.concurrency, i, first, again)
 			}
+		}
+	}
+}
+
+// TestConcurrentTerminalsKeepTheTreesSound: on a 24-page cache every
+// descent may wait for a page, under group commit several terminals are in
+// their trees at once, and at concurrency 8 they split the order table's
+// nodes under one another. Every table must pass Check after the run.
+func TestConcurrentTerminalsKeepTheTreesSound(t *testing.T) {
+	cfg := smallCfg()
+	cfg.CachePages = 24
+	for _, concurrency := range []int{1, 4, 8, 12} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("c%d/seed%d", concurrency, seed), func(t *testing.T) {
+				r := newRigCfg(t, cfg, wal.GroupCommit)
+				defer r.env.Close()
+				if _, err := r.run.Run(r.env, RunConfig{Transactions: 600, Concurrency: concurrency, Seed: seed}); err != nil {
+					t.Fatal(err)
+				}
+				r.env.Go("check", func(p *sim.Proc) {
+					for tb := Warehouse; tb <= Stock; tb++ {
+						if err := r.db.Tree(tb).Check(p); err != nil {
+							t.Errorf("%v: %v", tb, err)
+						}
+					}
+				})
+				r.env.Run()
+			})
 		}
 	}
 }

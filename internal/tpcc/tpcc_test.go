@@ -55,6 +55,12 @@ type testRig struct {
 
 func newRig(t *testing.T, mode wal.Mode) *testRig {
 	t.Helper()
+	return newRigCfg(t, smallCfg(), mode)
+}
+
+// newRigCfg is newRig over the database cfg describes.
+func newRigCfg(t *testing.T, cfg Config, mode wal.Mode) *testRig {
+	t.Helper()
 	env := sim.NewEnv()
 	d1 := disk.New(env, diskParams("data1"))
 	d2 := disk.New(env, diskParams("data2"))
@@ -67,7 +73,7 @@ func newRig(t *testing.T, mode wal.Mode) *testRig {
 			disk.NewInstantDev(d1, blockdev.DevID{Major: 3, Minor: 0}),
 			disk.NewInstantDev(d2, blockdev.DevID{Major: 3, Minor: 1}),
 		}
-		loaded, err := Load(p, smallCfg(), inst)
+		loaded, err := Load(p, cfg, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +91,7 @@ func newRig(t *testing.T, mode wal.Mode) *testRig {
 			stddisk.New(env, d2, blockdev.DevID{Major: 3, Minor: 1}, sched.LOOK),
 		}
 		var err error
-		db, err = Reopen(p, smallCfg(), timed)
+		db, err = Reopen(p, cfg, timed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -329,7 +329,7 @@ type Driver struct {
 	failed error
 
 	// free is recycled request bookkeeping and staged images (DESIGN.md
-	// §4): memory, not state.
+	// §internal/trail): memory, not state.
 	free recycled
 
 	// tr observes driver decisions when tracing is enabled (nil otherwise).

@@ -1,10 +1,10 @@
 package trail
 
-// Who owns a block's bytes (DESIGN.md §4): the caller's buffer is packed once
-// into a staged image, the image expanded once into the log disk's reused
-// record buffer and once into a write-back flight's buffer. These tests
-// scribble, supersede, reuse and fault at every hand-over and then read the
-// platters.
+// Who owns a block's bytes (DESIGN.md §internal/trail): the caller's buffer
+// is packed once into a staged image, the image expanded once into the log
+// disk's reused record buffer and once into a write-back flight's buffer.
+// These tests scribble, supersede, reuse and fault at every hand-over and
+// then read the platters.
 
 import (
 	"bytes"

@@ -1,9 +1,10 @@
 package trail
 
-// Who owns a request's bookkeeping (DESIGN.md §4): pending writes, staging
-// entries, records and platter-read requests come off the driver's free lists
-// and go back where their lifecycle ends. These tests drive every list through
-// the rare paths of that lifecycle, and pin what a request still allocates.
+// Who owns a request's bookkeeping (DESIGN.md §internal/trail): pending
+// writes, staging entries, records and platter-read requests come off the
+// driver's free lists and go back where their lifecycle ends. These tests
+// drive every list through the rare paths of that lifecycle, and pin what a
+// request still allocates.
 
 import (
 	"fmt"

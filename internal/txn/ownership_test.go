@@ -1,7 +1,7 @@
 package txn
 
-// A transaction copies what it keeps and nothing else (DESIGN.md §4, "Who
-// owns a block's bytes"): Put and Delete copy key and row once, into the redo
+// A transaction copies what it keeps and nothing else (DESIGN.md
+// §internal/txn): Put and Delete copy key and row once, into the redo
 // record that is later logged and applied; the lock table copies the name
 // into its fixed-width key; Get copies the row out into a buffer of the
 // transaction's. These tests scribble on everything a caller hands in or gets back.

@@ -20,7 +20,7 @@ type Ledger struct {
 // ackedWrite is one acknowledged write a target may legally hold.
 type ackedWrite struct {
 	data  []byte
-	acked sim.Time
+	acked int
 }
 
 // Outcome is what the read-back of one acknowledged target found: its
@@ -42,15 +42,18 @@ type Check struct {
 }
 
 // Record keeps one acknowledged write; it is a Load.OnAck, so writes arrive
-// in acknowledgement order. A write issued after another's acknowledgement
-// supersedes it: Record drops every write to the target acknowledged before
-// this one was issued, and keeps the writes that raced. A target thus holds
-// no more writes than were in flight to it at once.
-func (l *Ledger) Record(lba int64, data []byte, issued, acked sim.Time) {
+// in acknowledgement order, each with the load's issue count at its issue
+// and at its acknowledgement. A write issued after another's acknowledgement
+// supersedes it: Record drops every write to the target whose
+// acknowledgement came before this one was issued, and keeps the writes
+// that raced. Order is by issue count, not by instant, so a write issued at
+// the instant the last one was acknowledged supersedes it. A target thus
+// holds no more writes than were in flight to it at once.
+func (l *Ledger) Record(lba int64, data []byte, issued, acked int) {
 	if l.acks == nil {
 		l.acks = make(map[int64][]ackedWrite)
 	}
-	kept := slices.DeleteFunc(l.acks[lba], func(a ackedWrite) bool { return a.acked < issued })
+	kept := slices.DeleteFunc(l.acks[lba], func(a ackedWrite) bool { return a.acked <= issued })
 	l.acks[lba] = append(kept, ackedWrite{data, acked})
 }
 

@@ -46,7 +46,7 @@ func image(b byte) []byte { return bytes.Repeat([]byte{b}, 2*geom.SectorSize) }
 func TestLedgerReadBack(t *testing.T) {
 	type ack struct {
 		data          []byte
-		issued, acked sim.Time
+		issued, acked int
 	}
 	errRead := errors.New("read failed")
 	for _, tc := range []struct {
@@ -92,5 +92,37 @@ func TestLedgerReadBack(t *testing.T) {
 				t.Errorf("target: %+v, want lba 8 outcome %d error %v", got, tc.want, tc.readErr)
 			}
 		})
+	}
+}
+
+// keepFirst is a memDev that keeps only the first write to each LBA.
+type keepFirst struct{ memDev }
+
+func (d *keepFirst) Write(p *sim.Proc, lba int64, count int, data []byte) error {
+	if _, ok := d.media[lba]; !ok {
+		d.media[lba] = data
+	}
+	return nil
+}
+
+// TestLedgerBackToBackWrites: a closed stream with no gap writes one LBA
+// twice, the second write issued at the instant the first is acknowledged,
+// to a device that loses the second. The first write's bytes are then
+// superseded, and the read-back must find the loss.
+func TestLedgerBackToBackWrites(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	dev := &keepFirst{memDev{media: map[int64][]byte{}, fail: map[int64]error{}}}
+	op := TraceOp{Write: true, LBA: 8, Sectors: 2}
+	var l Ledger
+	load := Load{Streams: []Stream{{Name: "closed", Ops: []TraceOp{op, op}}}, OnAck: l.Record}
+	if _, err := Run(env, dev, load); err != nil {
+		t.Fatal(err)
+	}
+	var checks []Check
+	env.Go("readback", func(p *sim.Proc) { checks = l.ReadBack(p, dev) })
+	env.Run()
+	if len(checks) != 1 || checks[0].Outcome != OtherBytes {
+		t.Errorf("read-back %+v, want one target with OtherBytes", checks)
 	}
 }

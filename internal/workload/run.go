@@ -25,10 +25,11 @@ type Load struct {
 	// but not timed (a reference write that sets the device up).
 	Untimed int
 	// OnAck, when non-nil, is called for every acknowledged write with its
-	// target, payload (its own; the runner never touches it again), issue
-	// time and acknowledgement time: a Ledger's Record, which audits
-	// acknowledged-write survival.
-	OnAck func(lba int64, data []byte, issued, acked sim.Time)
+	// target, payload (its own; the runner never touches it again), and the
+	// load's issue count twice: the requests issued before this one, and
+	// those issued by its acknowledgement. It is a Ledger's Record, which
+	// audits acknowledged-write survival.
+	OnAck func(lba int64, data []byte, issued, acked int)
 }
 
 // Stream is the ops of one process of a load.
@@ -114,6 +115,7 @@ func (r *runner) issue(p *sim.Proc, i int, op TraceOp) error {
 	if r.issued == 0 {
 		r.first = start
 	}
+	seq := r.issued
 	r.issued++
 	var data []byte
 	var err error
@@ -147,7 +149,7 @@ func (r *runner) issue(p *sim.Proc, i int, op TraceOp) error {
 		lat.Add(p.Now().Sub(start))
 	}
 	if op.Write && r.load.OnAck != nil {
-		r.load.OnAck(op.LBA, data, start, p.Now())
+		r.load.OnAck(op.LBA, data, seq, r.issued)
 	}
 	return nil
 }

@@ -111,7 +111,7 @@ func TestElapsedCountsFirstIssueAtZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			load.OnAck = func(_ int64, _ []byte, _, at sim.Time) { lastAck = max(lastAck, at) }
+			load.OnAck = func(int64, []byte, int, int) { lastAck = max(lastAck, env2.Now()) }
 			ol, err := Run(env2, dev2, load)
 			if err != nil {
 				t.Fatal(err)
