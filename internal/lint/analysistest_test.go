@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"testing"
 )
 
 // Fixture testing in the style of golang.org/x/tools/go/analysis/analysistest:
@@ -19,13 +20,6 @@ import (
 // the real tree — runs the analyzers, and reports every mismatch in either
 // direction.
 
-// TestingT is the subset of *testing.T the fixture runner needs.
-type TestingT interface {
-	Errorf(format string, args ...interface{})
-	Fatalf(format string, args ...interface{})
-	Helper()
-}
-
 var wantRE = regexp.MustCompile("// want ((?:[\"`][^\"`]*[\"`]\\s*)+)$")
 var wantArgRE = regexp.MustCompile("[\"`]([^\"`]*)[\"`]")
 
@@ -33,7 +27,7 @@ var wantArgRE = regexp.MustCompile("[\"`]([^\"`]*)[\"`]")
 // caller's working directory, e.g. "testdata/src/tracklog/internal/trail")
 // with the given analyzers and compares diagnostics against // want
 // annotations.
-func RunFixture(t TestingT, dir string, analyzers ...*Analyzer) {
+func RunFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
 	pkgs, err := Load("", "./"+strings.TrimPrefix(dir, "./"))
 	if err != nil {

@@ -38,7 +38,6 @@ import (
 // calls. The fix is the same: range the sorted keys instead.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid math/rand outside internal/sim, and map ranges that emit, schedule or keep the first match",
 	Run:  runDeterminism,
 }
 

@@ -25,7 +25,6 @@ import (
 //     sentinel's identity and with it the caller's ability to classify.
 var ErrTaxonomy = &Analyzer{
 	Name: "errtaxonomy",
-	Doc:  "require errors.Is for sentinel comparisons and %w when wrapping sentinels",
 	Run:  runErrTaxonomy,
 }
 

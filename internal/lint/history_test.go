@@ -12,10 +12,9 @@ import (
 // catches is why each rule is kept: at least one row per rule, each a
 // one-hunk edit of the real tree (plus the import a banned package needs)
 // that reintroduces a bug the repo shipped or one the rule exists to stop.
-// `go test ./...` passes with each edit applied (three runs each) except
-// releaseAll's, which the TPC-C goldens catch too, and the stale read's,
-// which TestReadNewestOfOverlappingStagedExtents catches; the named analyzer
-// must report every one.
+// `go test ./...` passes with each edit applied (three runs each; one for
+// each ownership row) except releaseAll's, which the TPC-C goldens catch
+// too; the named analyzer must report every one.
 var catches = []struct {
 	name     string
 	analyzer string
@@ -119,6 +118,98 @@ var catches = []struct {
 		old:  "\td.free = recycled{}\n",
 		new:  "\td.free = recycled{}\n\td.tr, d.rec = nil, nil\n",
 		want: `handle field tr \(trace\.Tracer\) is assigned outside a Set\*/New\* accessor`,
+	},
+	{
+		// A log disk formatted by hand next to the rig that formats it.
+		name: "hand-wired format", analyzer: "ownership",
+		file: "cmd/trailfmt/main.go",
+		old:  "\tif err := sys.Start(); err != nil {\n",
+		new:  "\tif err := trail.Format(log); err != nil {\n\t\treturn err\n\t}\n\tif err := sys.Start(); err != nil {\n",
+		want: `a use of trail\.Format, NewDriver, NewDriverMulti or RecoverLogs outside`,
+	},
+	{
+		// A queued command awaited by hand before the loop that owns its
+		// retries and spans sees it.
+		name: "hand-written wait", analyzer: "ownership",
+		file: "internal/stddisk/stddisk.go",
+		old:  "\td.queue.Submit(req)\n",
+		new:  "\td.queue.Submit(req)\n\treq.Done.Wait(p)\n",
+		want: `a use of sched\.Request\.Done outside internal/sched`,
+	},
+	{
+		// A hand-written audit wrapped around the ledger.
+		name: "hand-written audit", analyzer: "ownership",
+		file: "cmd/trailsim/main.go",
+		old:  "\t\tload.OnAck = ledger.Record\n",
+		new:  "\t\tload.OnAck = func(lba int64, data []byte, issued, acked int) { ledger.Record(lba, data, issued, acked) }\n",
+		want: `a workload\.Load\.OnAck set to anything but a workload\.Ledger's Record`,
+	},
+	{
+		// A process handle kept past its process: the kernel recycles the
+		// record, so a later Kill would reach whatever runs in it then.
+		name: "stored process handle", analyzer: "ownership",
+		file: "internal/cluster/health.go",
+		old:  "\tprobeFails int // consecutive failed probes / soft request errors\n",
+		new:  "\tprobeFails int // consecutive failed probes / soft request errors\n\trebuilder  *sim.Proc // the process copying the shard back\n",
+		want: `a stored \*sim\.Proc`,
+	},
+	{
+		// A second read of the datasheet beside the head model's copy.
+		name: "second Params read", analyzer: "ownership",
+		file: "internal/trail/driver.go",
+		old:  "\t\t\tpw.rq.Command(&res, ld.head.rotPeriod)\n",
+		new:  "\t\t\tpw.rq.Command(&res, ld.disk.Params().RotPeriod())\n",
+		want: `a disk\.Disk\.Params read in package trail outside format\.go and NewDriverMulti`,
+	},
+	{
+		// A checkpoint of a drive, where a crash branch clones it.
+		name: "checkpoint method", analyzer: "ownership",
+		file: "internal/disk/disk.go",
+		old:  "func (d *Disk) Digest() uint64 {\n",
+		new:  "func (d *Disk) Snapshot() *Disk { return d.Clone() }\n\nfunc (d *Disk) Digest() uint64 {\n",
+		want: `a Snapshot or Restore method`,
+	},
+	{
+		// A second Prometheus writer.
+		name: "second Prometheus writer", analyzer: "ownership",
+		file: "internal/rig/instruments.go",
+		old:  "// NewInstruments returns a bundle",
+		new:  "func (in Instruments) WriteProm(w io.Writer) error { return in.Registry.WriteProm(w) }\n\n// NewInstruments returns a bundle",
+		want: `a WriteProm or ParseProm declaration outside internal/telemetry`,
+	},
+	{
+		// A second span-dump schema.
+		name: "second span schema", analyzer: "ownership",
+		file: "internal/rig/instruments.go",
+		old:  "\tSpans    []*span.Request\n",
+		new:  "\tSpans    []*span.Request `json:\"requests\"`\n",
+		want: `a trace-event or span-dump JSON tag outside internal/trace, internal/span`,
+	},
+	{
+		// A run's span budget computed where the run is read, not by rundiff.
+		name: "budget outside rundiff", analyzer: "ownership",
+		file: "internal/rig/instruments.go",
+		old:  "// ReadDir reads the artefacts",
+		new:  "func (r *Run) Budget() *span.Budget { return span.Analyze(r.Spans) }\n\n// ReadDir reads the artefacts",
+		want: `a use of span\.Analyze, span\.ExplainTail or trace\.AuditEvents outside cmd/rundiff`,
+	},
+	{
+		// Requests counted by walking them, the first step of a second
+		// span aggregation.
+		name: "second span aggregation", analyzer: "ownership",
+		file: "cmd/rundiff/main.go",
+		old:  "\tif len(run.Spans) > 0 {\n",
+		new:  "\treqs := 0\n\tfor range run.Spans {\n\t\treqs++\n\t}\n\tif reqs > 0 {\n",
+		want: `a range over a Spans field outside internal/span`,
+	},
+	{
+		// A storage layer pulled into the package every layer imports.
+		name: "module import in telemetry", analyzer: "ownership",
+		file: "internal/telemetry/counts.go",
+		old:  "// names returns the counter names in sorted order.\n",
+		new:  "// Bytes reads a sector counter in bytes.\nfunc (c Counts) Bytes(name string) int64 { return c[name] * geom.SectorSize }\n\n// names returns the counter names in sorted order.\n",
+		imp:  "tracklog/internal/geom",
+		want: `an import outside the standard library in internal/telemetry`,
 	},
 }
 

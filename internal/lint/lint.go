@@ -15,6 +15,9 @@
 //   - nilguard: instrumentation handles (tracer, recorder, registry,
 //     timeline) are installed only through Set*/New* accessors, so no run
 //     swaps them mid-flight.
+//   - ownership: each concept the repo has one of (the rig, the retry loop,
+//     the acknowledged-write audit, each artefact format, run analysis)
+//     stays in the package that owns it.
 //
 // Each rule is kept because a small mutation of the real tree that
 // `go test ./...` does not notice makes it fire (TestAnalyzersCatchHistory).
@@ -43,42 +46,13 @@ type Analyzer struct {
 	// identifier.
 	Name string
 
-	// Doc is a one-paragraph description of what the analyzer enforces.
-	Doc string
-
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass) error
 }
 
-// All returns the full trailcheck suite in stable order.
+// All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{VirtualTime, Determinism, ErrTaxonomy, NilGuard}
-}
-
-// ByName resolves a comma-separated analyzer list ("virtualtime,nilguard").
-// Unknown names, duplicates, and an effectively empty list are errors.
-func ByName(names string) ([]*Analyzer, error) {
-	var out []*Analyzer
-	picked := make(map[string]bool)
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		if picked[n] {
-			return nil, fmt.Errorf("duplicate analyzer %q", n)
-		}
-		i := slices.IndexFunc(All(), func(a *Analyzer) bool { return a.Name == n })
-		if i < 0 {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-		out = append(out, All()[i])
-		picked[n] = true
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty analyzer list")
-	}
-	return out, nil
+	return []*Analyzer{VirtualTime, Determinism, ErrTaxonomy, NilGuard, Ownership}
 }
 
 // A Pass provides one analyzer with one type-checked package.

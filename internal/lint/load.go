@@ -19,15 +19,14 @@ import (
 // A Package is one type-checked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
 
 	// TypeErrors holds type-check problems. Analyzers still run on a
-	// partially checked package, but the driver reports these and exits
-	// with a load failure so a broken tree can't silently pass the gate.
+	// partially checked package, but TestRealTreeIsClean fails on these so
+	// a broken tree can't silently pass the gate.
 	TypeErrors []error
 }
 
@@ -41,7 +40,6 @@ type listedPkg struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
@@ -55,12 +53,9 @@ type listedPkg struct {
 // stack itself, while tests legitimately use wall-clock timeouts and
 // unsorted map iteration in assertions.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,GoFiles,CgoFiles,Export,Standard,DepOnly,Incomplete,Error",
+		"-json=ImportPath,Name,Dir,GoFiles,CgoFiles,Export,Standard,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -112,7 +107,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(p.CgoFiles) > 0 {
 			return nil, fmt.Errorf("%s: cgo packages are not supported", p.ImportPath)
 		}
-		pkg := &Package{ImportPath: p.ImportPath, Dir: p.Dir, Fset: fset}
+		pkg := &Package{ImportPath: p.ImportPath, Fset: fset}
 		for _, gf := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, gf), nil, parser.ParseComments)
 			if err != nil {

@@ -17,7 +17,6 @@ import (
 // method that forgets its nil guard panics in every untraced test run.
 var NilGuard = &Analyzer{
 	Name: "nilguard",
-	Doc:  "install instrumentation handles (tracer, recorder, registry, timeline) only through Set*/New* accessors",
 	Run:  runNilGuard,
 }
 

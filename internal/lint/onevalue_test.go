@@ -17,7 +17,6 @@ import (
 // one constant and that stay parameters anyway, each with its reason.
 var oneValueAllowed = map[string]string{
 	"internal/geom.Uniform heads":              "a geometry's shape; test drives use 4 heads as well as 2",
-	"internal/lint.Load dir":                   "tests load the module root and bench/ from the package directory",
 	"internal/sim.NewResource capacity":        "a kernel primitive; its counting semantics are tested at capacity 2",
 	"internal/trace.New capacity":              "bench/ passes its own ring size, and tests pass 0 for an unbounded tracer",
 	"internal/sim.Rand.NURand x":               "the TPC-C specification's NURand(A, x, y) formula",

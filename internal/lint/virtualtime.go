@@ -17,7 +17,6 @@ import "go/ast"
 // tree by bench/.
 var VirtualTime = &Analyzer{
 	Name: "virtualtime",
-	Doc:  "forbid wall-clock time (time.Now, time.Sleep, ...) in simulated-path packages",
 	Run:  runVirtualTime,
 }
 

@@ -11,7 +11,8 @@ import (
 // Prometheus text exposition. This file is the single place in the module
 // that knows the text format — name sanitization, HELP escaping, label
 // escaping, value formatting — and holds its only writer (WriteProm) and
-// parser (ParseProm); CI greps that no other package defines either.
+// parser (ParseProm); lint.Ownership fails TestRealTreeIsClean when another
+// package declares either.
 
 // PromName maps an internal metric name onto the Prometheus identifier
 // charset [a-zA-Z0-9_]; every other rune becomes '_'.

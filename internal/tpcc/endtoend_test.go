@@ -112,7 +112,7 @@ func TestEndToEndCrashRecovery(t *testing.T) {
 		stdDevs = append(stdDevs, sd)
 	}
 	env2.Go("block-recovery", func(p *sim.Proc) {
-		rep, err := trail.Recover(p, logDisk, devs, trail.RecoverOptions{})
+		rep, err := trail.RecoverLogs(p, []*disk.Disk{logDisk}, devs, trail.RecoverOptions{})
 		if err != nil {
 			t.Fatalf("trail recovery: %v", err)
 		}

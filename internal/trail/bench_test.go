@@ -226,7 +226,7 @@ func benchmarkRecoverBacklog(b *testing.B, fill func(buf []byte, lba int64, seq 
 		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env, data, id, sched.LOOK)}
 		var rep *RecoverReport
 		env.Go("recovery", func(p *sim.Proc) {
-			rep, err = Recover(p, log, devs, RecoverOptions{})
+			rep, err = RecoverLogs(p, []*disk.Disk{log}, devs, RecoverOptions{})
 		})
 		env.Run()
 		env.Close()

@@ -155,7 +155,7 @@ func runFaultyCrashTrial(t *testing.T, seed uint64) {
 	devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.LOOK)}
 	var rerr error
 	env2.Go("recover", func(p *sim.Proc) {
-		_, rerr = Recover(p, log, devs, RecoverOptions{})
+		_, rerr = RecoverLogs(p, []*disk.Disk{log}, devs, RecoverOptions{})
 	})
 	env2.Run()
 	if rerr != nil {
@@ -212,7 +212,7 @@ func TestRecoverySkipsUnreadableSectors(t *testing.T) {
 	var rep *RecoverReport
 	var rerr error
 	env2.Go("recover", func(p *sim.Proc) {
-		rep, rerr = Recover(p, log, devs, RecoverOptions{})
+		rep, rerr = RecoverLogs(p, []*disk.Disk{log}, devs, RecoverOptions{})
 	})
 	env2.Run()
 	if rerr != nil {
@@ -283,7 +283,7 @@ func runDoubleCrashTrial(t *testing.T, seed uint64) {
 	id := blockdev.DevID{Major: 8, Minor: 0}
 	env2.Go("recover-1", func(p *sim.Proc) {
 		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.LOOK)}
-		_, _ = Recover(p, log, devs, RecoverOptions{})
+		_, _ = RecoverLogs(p, []*disk.Disk{log}, devs, RecoverOptions{})
 	})
 	env2.RunUntil(sim.Time(time.Duration(rng.IntRange(1, 40)) * time.Millisecond))
 	env2.Close()
@@ -296,7 +296,7 @@ func runDoubleCrashTrial(t *testing.T, seed uint64) {
 	var rerr error
 	env3.Go("recover-2", func(p *sim.Proc) {
 		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env3, data, id, sched.LOOK)}
-		_, rerr = Recover(p, log, devs, RecoverOptions{})
+		_, rerr = RecoverLogs(p, []*disk.Disk{log}, devs, RecoverOptions{})
 	})
 	env3.Run()
 	if rerr != nil {

@@ -178,7 +178,7 @@ func FuzzRecoverLog(f *testing.F) {
 		reads := log.Stats().Reads
 		var rep *RecoverReport
 		var rerr error
-		env.Go("recovery", func(p *sim.Proc) { rep, rerr = Recover(p, log, devs, RecoverOptions{}) })
+		env.Go("recovery", func(p *sim.Proc) { rep, rerr = RecoverLogs(p, []*disk.Disk{log}, devs, RecoverOptions{}) })
 		env.Run()
 		if reads = log.Stats().Reads - reads; reads > maxReads {
 			t.Fatalf("recovery read %d tracks, bound %d", reads, maxReads)

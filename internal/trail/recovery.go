@@ -68,23 +68,18 @@ func (r *RecoverReport) Total() time.Duration {
 	return r.LocateTime + r.RebuildTime + r.WriteBackTime
 }
 
-// Recover runs Trail's crash recovery on a log disk: it locates the
-// youngest active write record (binary search over tracks), rebuilds the
-// chain of pending records through their prev_sect pointers (bounded by the
-// log_head field), and replays the pending blocks onto the data disks in
-// sequence order. All I/O is timed; run it from a simulated process and
-// measure p's elapsed time for end-to-end cost.
+// RecoverLogs runs Trail's crash recovery on a (possibly multi-log-disk)
+// system: on each log disk it locates the youngest active write record
+// (binary search over tracks) and rebuilds the chain of pending records
+// through their prev_sect pointers (bounded by the log_head field). Record
+// chains never cross disks, so each disk is located and rebuilt
+// independently; the pending records of all disks are merged by their
+// global sequence numbers and replayed onto the data disks in that order.
+// All I/O is timed; run it from a simulated process and measure p's elapsed
+// time for end-to-end cost.
 //
 // devs maps record device IDs to the data disks to replay onto; it may be
 // nil when SkipWriteBack is set.
-func Recover(p *sim.Proc, log *disk.Disk, devs map[blockdev.DevID]blockdev.Device, opts RecoverOptions) (*RecoverReport, error) {
-	return RecoverLogs(p, []*disk.Disk{log}, devs, opts)
-}
-
-// RecoverLogs recovers a (possibly multi-log-disk) Trail system: each log
-// disk is located and rebuilt independently — record chains never cross
-// disks — and the pending records of all disks are merged by their global
-// sequence numbers before replay, preserving issue order.
 func RecoverLogs(p *sim.Proc, logs []*disk.Disk, devs map[blockdev.DevID]blockdev.Device, opts RecoverOptions) (*RecoverReport, error) {
 	rep := &RecoverReport{Clean: true}
 	rq := opts.Spans.Start(span.KRecover, "trail", "log", 0, len(logs), int64(p.Now()))

@@ -93,7 +93,7 @@ func recoverRig(t *testing.T, r *crashRig, opts RecoverOptions) *RecoverReport {
 	var rep *RecoverReport
 	var err error
 	env.Go("recovery", func(p *sim.Proc) {
-		rep, err = Recover(p, r.log, devs, opts)
+		rep, err = RecoverLogs(p, []*disk.Disk{r.log}, devs, opts)
 	})
 	env.Run()
 	if err != nil {
@@ -189,7 +189,7 @@ func TestRecoveryCleanDisk(t *testing.T) {
 	}
 	var rep *RecoverReport
 	env.Go("recovery", func(p *sim.Proc) {
-		rep, _ = Recover(p, log, nil, RecoverOptions{})
+		rep, _ = RecoverLogs(p, []*disk.Disk{log}, nil, RecoverOptions{})
 	})
 	env.Run()
 	if rep == nil || !rep.Clean {
@@ -301,7 +301,7 @@ func TestRecoveryAllocatesOneTrackImage(t *testing.T) {
 		var rep *RecoverReport
 		var err error
 		opts.SkipWriteBack = true // leaves the log as it is for the next run
-		env.Go("recovery", func(p *sim.Proc) { rep, err = Recover(p, r.log, nil, opts) })
+		env.Go("recovery", func(p *sim.Proc) { rep, err = RecoverLogs(p, []*disk.Disk{r.log}, nil, opts) })
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		env.Run()

@@ -345,7 +345,7 @@ func TestRecycledBookkeepingSurvivesRarePaths(t *testing.T) {
 		id := blockdev.DevID{Major: 8}
 		devs := map[blockdev.DevID]blockdev.Device{id: stddisk.New(env2, data, id, sched.LOOK)}
 		var rerr error
-		env2.Go("recover", func(p *sim.Proc) { _, rerr = Recover(p, log, devs, RecoverOptions{}) })
+		env2.Go("recover", func(p *sim.Proc) { _, rerr = RecoverLogs(p, []*disk.Disk{log}, devs, RecoverOptions{}) })
 		env2.Run()
 		if rerr != nil {
 			t.Fatalf("recover: %v", rerr)
