@@ -55,7 +55,6 @@ func FSMetadata(appends int, seed uint64) (*FSMetaResult, error) {
 				ferr = err
 				return
 			}
-			f.Sync = true
 			before := fs.Stats()
 			start := p.Now()
 			for i := 0; i < appends; i++ {

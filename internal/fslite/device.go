@@ -26,10 +26,8 @@ var _ blockdev.Device = (*FileDevice)(nil)
 const FileDeviceSectors = 2048
 
 // NewFileDevice wraps f as a device of FileDeviceSectors sectors. The file
-// is switched to O_SYNC semantics; it need not be pre-extended (holes read
-// as zeroes).
+// need not be pre-extended (holes read as zeroes).
 func NewFileDevice(f *File, id blockdev.DevID) *FileDevice {
-	f.Sync = true
 	return &FileDevice{f: f, id: id}
 }
 

@@ -12,7 +12,9 @@
 //
 // The layout is deliberately simple (no groups, no journaling) but the
 // write paths issue the same kinds of synchronous I/O an early-2000s EXT2
-// would under O_SYNC.
+// would under O_SYNC: every block goes through one buffer cache, and every
+// operation that changes the file system writes each block it dirtied
+// before it returns.
 package fslite
 
 import (
@@ -21,6 +23,7 @@ import (
 	"fmt"
 
 	"tracklog/internal/blockdev"
+	"tracklog/internal/bufcache"
 	"tracklog/internal/geom"
 	"tracklog/internal/sim"
 )
@@ -36,7 +39,7 @@ const (
 	MaxNameLen = 59
 
 	// directs is the number of direct block pointers per inode; one
-	// single-indirect block extends files to ~4 MB.
+	// single-indirect block extends files to ~2 MB.
 	directs = 12
 	// indirectSlots is the number of block pointers in an indirect block.
 	indirectSlots = BlockSize / 8
@@ -46,6 +49,10 @@ const (
 
 	inodeSize      = 128
 	inodesPerBlock = BlockSize / inodeSize
+	bitsPerBlock   = BlockSize * 8
+
+	// cachePages is the buffer cache's size in blocks: 1 MB, a FileDevice's size.
+	cachePages = 256
 
 	magic = 0x7EA11F5 // "TRAILFS"
 )
@@ -91,30 +98,27 @@ type inode struct {
 }
 
 // FS is a mounted file system. Not safe for real concurrency; simulated
-// processes interleave cooperatively.
+// processes interleave cooperatively, but two operations that change one
+// file, or two Creates, must not overlap: each edits its own copy of the
+// inode and writes it back.
 type FS struct {
-	dev blockdev.Device
-	sb  superblock
-
-	// Write-through metadata caches: every mutation is synchronously
-	// written to the device (O_SYNC semantics), but reads are served from
-	// memory once loaded, as the kernel's caches would.
-	bitmap   []bool
-	bitmapOK bool
-	inodes   map[int64]*inode
-
-	stats Stats
+	cache *bufcache.Cache
+	sb    superblock
+	// dataWrites counts the file data blocks written: each block a WriteAt
+	// covers is dirtied once and written once, by its flush or an eviction.
+	dataWrites int64
 }
 
-// Stats counts synchronous I/O by category, separating data from metadata —
-// the quantity the paper's metadata-journaling comparison turns on.
+// Stats counts synchronous writes by category, separating data from
+// metadata — the quantity the paper's metadata-journaling comparison turns
+// on.
 type Stats struct {
 	DataWrites, MetaWrites int64
-	DataReads, MetaReads   int64
 }
 
-// Mkfs formats the device: clears the tables and writes the superblock and
-// an empty root directory. Formatting is timed I/O (run it from a process).
+// Mkfs formats the device: zeroed tables, the superblock, the bitmap with
+// the metadata region in use, and an empty root directory. Formatting is
+// timed I/O (run it from a process).
 func Mkfs(p *sim.Proc, dev blockdev.Device) (*FS, error) {
 	blocks := dev.Sectors() / BlockSectors
 	if blocks < 16 {
@@ -124,39 +128,34 @@ func Mkfs(p *sim.Proc, dev blockdev.Device) (*FS, error) {
 		magic:        magic,
 		blocks:       blocks,
 		inodeBlocks:  max(1, blocks/256),
-		bitmapBlocks: (blocks + BlockSize*8 - 1) / (BlockSize * 8),
+		bitmapBlocks: (blocks + bitsPerBlock - 1) / bitsPerBlock,
 	}
-	fs := &FS{dev: dev, sb: sb, inodes: make(map[int64]*inode)}
-
-	// Zero the metadata region.
-	zero := make([]byte, BlockSize)
+	fs := &FS{cache: bufcache.New(dev, cachePages), sb: sb}
+	le := binary.LittleEndian
 	for b := int64(0); b < sb.dataStart(); b++ {
-		if err := fs.writeBlock(p, b, zero, true); err != nil {
+		pg, err := fs.cache.GetZero(p, b)
+		if err != nil {
 			return nil, err
 		}
+		if b == 0 {
+			le.PutUint64(pg.Data[0:], magic)
+			le.PutUint64(pg.Data[8:], uint64(sb.blocks))
+			le.PutUint64(pg.Data[16:], uint64(sb.inodeBlocks))
+			le.PutUint64(pg.Data[24:], uint64(sb.bitmapBlocks))
+		}
+		if b >= sb.bitmapStart() && b < sb.inodeStart() {
+			first := (b - sb.bitmapStart()) * bitsPerBlock
+			for i := int64(0); i < min(sb.dataStart()-first, bitsPerBlock); i++ {
+				pg.Data[i/8] |= 1 << (i % 8)
+			}
+		}
+		fs.cache.MarkDirty(pg)
+		fs.cache.Release(pg)
 	}
-	// Superblock.
-	buf := make([]byte, BlockSize)
-	le := binary.LittleEndian
-	le.PutUint64(buf[0:], magic)
-	le.PutUint64(buf[8:], uint64(sb.blocks))
-	le.PutUint64(buf[16:], uint64(sb.inodeBlocks))
-	le.PutUint64(buf[24:], uint64(sb.bitmapBlocks))
-	if err := fs.writeBlock(p, 0, buf, true); err != nil {
+	if err := fs.writeInode(p, 0, &inode{used: true}); err != nil {
 		return nil, err
 	}
-	// Root directory: inode 0, empty.
-	fs.bitmap = make([]bool, sb.blocks)
-	for b := int64(0); b < sb.dataStart(); b++ {
-		fs.bitmap[b] = true
-	}
-	fs.bitmapOK = true
-	root := &inode{used: true}
-	fs.inodes[0] = root
-	if err := fs.syncInode(p, 0); err != nil {
-		return nil, err
-	}
-	if err := fs.syncBitmap(p); err != nil {
+	if err := fs.cache.FlushAll(p); err != nil {
 		return nil, err
 	}
 	return fs, nil
@@ -164,181 +163,125 @@ func Mkfs(p *sim.Proc, dev blockdev.Device) (*FS, error) {
 
 // Mount opens a formatted device.
 func Mount(p *sim.Proc, dev blockdev.Device) (*FS, error) {
-	fs := &FS{dev: dev, inodes: make(map[int64]*inode)}
-	buf, err := fs.readBlockRaw(p, 0, true)
+	fs := &FS{cache: bufcache.New(dev, cachePages)}
+	pg, err := fs.cache.Get(p, 0)
 	if err != nil {
 		return nil, err
 	}
+	defer fs.cache.Release(pg)
 	le := binary.LittleEndian
-	if le.Uint64(buf) != magic {
+	if le.Uint64(pg.Data) != magic {
 		return nil, ErrNotFormatted
 	}
 	fs.sb = superblock{
 		magic:        magic,
-		blocks:       int64(le.Uint64(buf[8:])),
-		inodeBlocks:  int64(le.Uint64(buf[16:])),
-		bitmapBlocks: int64(le.Uint64(buf[24:])),
+		blocks:       int64(le.Uint64(pg.Data[8:])),
+		inodeBlocks:  int64(le.Uint64(pg.Data[16:])),
+		bitmapBlocks: int64(le.Uint64(pg.Data[24:])),
 	}
 	return fs, nil
 }
 
-// Stats returns a copy of the I/O counters.
-func (fs *FS) Stats() Stats { return fs.stats }
-
-// Block I/O helpers (meta flag routes the accounting).
-
-func (fs *FS) writeBlock(p *sim.Proc, block int64, data []byte, meta bool) error {
-	if meta {
-		fs.stats.MetaWrites++
-	} else {
-		fs.stats.DataWrites++
-	}
-	return fs.dev.Write(p, block*BlockSectors, BlockSectors, data)
+// Stats returns the write counters: every block the cache wrote that was
+// not file data was metadata.
+func (fs *FS) Stats() Stats {
+	return Stats{DataWrites: fs.dataWrites, MetaWrites: fs.cache.Stats().DirtyWrites - fs.dataWrites}
 }
 
-func (fs *FS) readBlockRaw(p *sim.Proc, block int64, meta bool) ([]byte, error) {
-	if meta {
-		fs.stats.MetaReads++
-	} else {
-		fs.stats.DataReads++
-	}
-	return fs.dev.Read(p, block*BlockSectors, BlockSectors)
-}
-
-// Bitmap management: loaded lazily, every change written through.
-
-func (fs *FS) loadBitmap(p *sim.Proc) error {
-	if fs.bitmapOK {
-		return nil
-	}
-	fs.bitmap = make([]bool, fs.sb.blocks)
-	for b := int64(0); b < fs.sb.bitmapBlocks; b++ {
-		buf, err := fs.readBlockRaw(p, fs.sb.bitmapStart()+b, true)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < BlockSize*8; i++ {
-			idx := b*BlockSize*8 + int64(i)
-			if idx >= fs.sb.blocks {
-				break
-			}
-			fs.bitmap[idx] = buf[i/8]&(1<<(i%8)) != 0
-		}
-	}
-	fs.bitmapOK = true
-	return nil
-}
-
-// syncBitmapBlock writes through the bitmap block covering block index idx.
-func (fs *FS) syncBitmapBlock(p *sim.Proc, idx int64) error {
-	b := idx / (BlockSize * 8)
-	buf := make([]byte, BlockSize)
-	for i := 0; i < BlockSize*8; i++ {
-		bit := b*BlockSize*8 + int64(i)
-		if bit >= fs.sb.blocks {
-			break
-		}
-		if fs.bitmap[bit] {
-			buf[i/8] |= 1 << (i % 8)
-		}
-	}
-	return fs.writeBlock(p, fs.sb.bitmapStart()+b, buf, true)
-}
-
-// syncBitmap writes through the whole bitmap.
-func (fs *FS) syncBitmap(p *sim.Proc) error {
-	for b := int64(0); b < fs.sb.bitmapBlocks; b++ {
-		if err := fs.syncBitmapBlock(p, b*BlockSize*8); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// allocBlock reserves one data block and writes the bitmap through.
+// allocBlock reserves the first free data block in the bitmap and caches it
+// zeroed and dirty, so a write to part of it reads nothing.
 func (fs *FS) allocBlock(p *sim.Proc) (int64, error) {
-	if err := fs.loadBitmap(p); err != nil {
-		return 0, err
-	}
-	for b := fs.sb.dataStart(); b < fs.sb.blocks; b++ {
-		if !fs.bitmap[b] {
-			fs.bitmap[b] = true
-			if err := fs.syncBitmapBlock(p, b); err != nil {
+	for b := fs.sb.dataStart(); b < fs.sb.blocks; {
+		pg, err := fs.cache.Get(p, fs.sb.bitmapStart()+b/bitsPerBlock)
+		if err != nil {
+			return 0, err
+		}
+		for end := min(fs.sb.blocks, (b/bitsPerBlock+1)*bitsPerBlock); b < end; b++ {
+			i := b % bitsPerBlock
+			if pg.Data[i/8]&(1<<(i%8)) != 0 {
+				continue
+			}
+			pg.Data[i/8] |= 1 << (i % 8)
+			fs.cache.MarkDirty(pg)
+			fs.cache.Release(pg)
+			fresh, err := fs.cache.GetZero(p, b)
+			if err != nil {
 				return 0, err
 			}
+			fs.cache.MarkDirty(fresh)
+			fs.cache.Release(fresh)
 			return b, nil
 		}
+		fs.cache.Release(pg)
 	}
 	return 0, ErrNoSpace
 }
 
-// Inode management.
-
-func (fs *FS) loadInode(p *sim.Proc, ino int64) (*inode, error) {
-	if in, ok := fs.inodes[ino]; ok {
-		return in, nil
-	}
+// inodeSlot pins the inode table block holding ino and returns it with
+// ino's bytes in it.
+func (fs *FS) inodeSlot(p *sim.Proc, ino int64) (*bufcache.Page, []byte, error) {
 	if ino < 0 || ino >= fs.sb.inodeCount() {
-		return nil, fmt.Errorf("fslite: inode %d out of range", ino)
+		return nil, nil, fmt.Errorf("fslite: inode %d out of range", ino)
 	}
-	blk := fs.sb.inodeStart() + ino/inodesPerBlock
-	buf, err := fs.readBlockRaw(p, blk, true)
+	pg, err := fs.cache.Get(p, fs.sb.inodeStart()+ino/inodesPerBlock)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	off := int(ino%inodesPerBlock) * inodeSize
+	return pg, pg.Data[off : off+inodeSize], nil
+}
+
+// readInode decodes ino from its inode table block.
+func (fs *FS) readInode(p *sim.Proc, ino int64) (inode, error) {
+	pg, b, err := fs.inodeSlot(p, ino)
+	if err != nil {
+		return inode{}, err
+	}
+	defer fs.cache.Release(pg)
 	le := binary.LittleEndian
-	in := &inode{
-		used:  buf[off] == 1,
-		size:  int64(le.Uint64(buf[off+8:])),
-		mtime: int64(le.Uint64(buf[off+16:])),
+	in := inode{
+		used:     b[0] == 1,
+		size:     int64(le.Uint64(b[8:])),
+		mtime:    int64(le.Uint64(b[16:])),
+		indirect: int64(le.Uint64(b[24+8*directs:])),
 	}
-	for i := 0; i < directs; i++ {
-		in.direct[i] = int64(le.Uint64(buf[off+24+8*i:]))
+	for i := range in.direct {
+		in.direct[i] = int64(le.Uint64(b[24+8*i:]))
 	}
-	in.indirect = int64(le.Uint64(buf[off+24+8*directs:]))
-	fs.inodes[ino] = in
 	return in, nil
 }
 
-// syncInode writes an inode through to its table block (read-modify-write
-// of the containing block, as a real implementation would).
-func (fs *FS) syncInode(p *sim.Proc, ino int64) error {
-	in := fs.inodes[ino]
-	blk := fs.sb.inodeStart() + ino/inodesPerBlock
-	buf, err := fs.readBlockRaw(p, blk, true)
+// writeInode encodes in into ino's inode table block and marks it dirty.
+func (fs *FS) writeInode(p *sim.Proc, ino int64, in *inode) error {
+	pg, b, err := fs.inodeSlot(p, ino)
 	if err != nil {
 		return err
 	}
-	off := int(ino%inodesPerBlock) * inodeSize
 	le := binary.LittleEndian
+	b[0] = 0
 	if in.used {
-		buf[off] = 1
-	} else {
-		buf[off] = 0
+		b[0] = 1
 	}
-	le.PutUint64(buf[off+8:], uint64(in.size))
-	le.PutUint64(buf[off+16:], uint64(in.mtime))
-	for i := 0; i < directs; i++ {
-		le.PutUint64(buf[off+24+8*i:], uint64(in.direct[i]))
+	le.PutUint64(b[8:], uint64(in.size))
+	le.PutUint64(b[16:], uint64(in.mtime))
+	for i, d := range in.direct {
+		le.PutUint64(b[24+8*i:], uint64(d))
 	}
-	le.PutUint64(buf[off+24+8*directs:], uint64(in.indirect))
-	return fs.writeBlock(p, blk, buf, true)
+	le.PutUint64(b[24+8*directs:], uint64(in.indirect))
+	fs.cache.MarkDirty(pg)
+	fs.cache.Release(pg)
+	return nil
 }
 
-// allocInode finds a free inode slot.
+// allocInode claims a free inode slot.
 func (fs *FS) allocInode(p *sim.Proc) (int64, error) {
 	for ino := int64(1); ino < fs.sb.inodeCount(); ino++ {
-		in, err := fs.loadInode(p, ino)
+		in, err := fs.readInode(p, ino)
 		if err != nil {
 			return 0, err
 		}
 		if !in.used {
-			in.used = true
-			in.size = 0
-			in.direct = [directs]int64{}
-			in.indirect = 0
-			return ino, nil
+			return ino, fs.writeInode(p, ino, &inode{used: true})
 		}
 	}
 	return 0, ErrNoSpace

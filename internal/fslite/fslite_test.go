@@ -16,9 +16,8 @@ import (
 	"tracklog/internal/trail"
 )
 
-// newFS formats a file system on a fresh standard device.
-func newFS(t *testing.T) (*sim.Env, *FS) {
-	t.Helper()
+// newDev returns a fresh, unformatted standard device.
+func newDev() (*sim.Env, blockdev.Device) {
 	env := sim.NewEnv()
 	d := disk.New(env, disk.Params{
 		Name:            "fs",
@@ -33,17 +32,28 @@ func newFS(t *testing.T) (*sim.Env, *FS) {
 		WriteSettle:     100 * time.Microsecond,
 		WriteTurnaround: time.Millisecond,
 	})
-	dev := stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
+	return env, stddisk.New(env, d, blockdev.DevID{Major: 3}, sched.LOOK)
+}
+
+// mkfs formats dev.
+func mkfs(t *testing.T, env *sim.Env, dev blockdev.Device) *FS {
+	t.Helper()
 	var fs *FS
-	env.Go("mkfs", func(p *sim.Proc) {
+	run(env, func(p *sim.Proc) {
 		var err error
 		fs, err = Mkfs(p, dev)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
-	env.Run()
-	return env, fs
+	return fs
+}
+
+// newFS formats a file system on a fresh standard device.
+func newFS(t *testing.T) (*sim.Env, *FS) {
+	t.Helper()
+	env, dev := newDev()
+	return env, mkfs(t, env, dev)
 }
 
 func run(env *sim.Env, fn func(p *sim.Proc)) {
@@ -78,8 +88,9 @@ func TestCreateWriteReadBack(t *testing.T) {
 }
 
 func TestMountFindsExistingFiles(t *testing.T) {
-	env, fs := newFS(t)
+	env, dev := newDev()
 	defer env.Close()
+	fs := mkfs(t, env, dev)
 	run(env, func(p *sim.Proc) {
 		f, err := fs.Create(p, "persist")
 		if err != nil {
@@ -88,11 +99,8 @@ func TestMountFindsExistingFiles(t *testing.T) {
 		if err := f.WriteAt(p, 0, []byte("hello")); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Close(p); err != nil {
-			t.Fatal(err)
-		}
 		// Remount from the device: a cold FS instance must see the file.
-		fs2, err := Mount(p, fs.dev)
+		fs2, err := Mount(p, dev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,13 +116,9 @@ func TestMountFindsExistingFiles(t *testing.T) {
 }
 
 func TestMountRejectsBlank(t *testing.T) {
-	env, fs := newFS(t)
+	env, blank := newDev()
 	defer env.Close()
 	run(env, func(p *sim.Proc) {
-		blank := fs.dev // reuse device but wipe superblock
-		if err := fs.writeBlock(p, 0, make([]byte, BlockSize), true); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := Mount(p, blank); !errors.Is(err, ErrNotFormatted) {
 			t.Errorf("mount of blank: %v", err)
 		}
@@ -205,7 +209,6 @@ func TestSyncWritesCountMetadata(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.Sync = true
 		before := fs.Stats()
 		// Appending grows the file: each O_SYNC append pays data + inode
 		// (+ bitmap on block allocation).
@@ -221,6 +224,63 @@ func TestSyncWritesCountMetadata(t *testing.T) {
 		if after.MetaWrites-before.MetaWrites < 8 {
 			t.Errorf("meta writes = %d, want >= 8 (inode + bitmap per append)",
 				after.MetaWrites-before.MetaWrites)
+		}
+	})
+}
+
+// readCounter counts the reads that reach a device.
+type readCounter struct {
+	blockdev.Device
+	reads int
+}
+
+func (d *readCounter) Read(p *sim.Proc, lba int64, count int) ([]byte, error) {
+	d.reads++
+	return d.Device.Read(p, lba, count)
+}
+
+// TestCachedBlocksAreNotReadAgain holds every O_SYNC operation to writes: a
+// block the cache holds, be it the inode, bitmap, indirect, directory or a
+// data block, is edited in place and written, never read first.
+func TestCachedBlocksAreNotReadAgain(t *testing.T) {
+	env, raw := newDev()
+	defer env.Close()
+	dev := &readCounter{Device: raw}
+	fs := mkfs(t, env, dev)
+	run(env, func(p *sim.Proc) {
+		f, err := fs.Create(p, "log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.reads = 0
+		before := fs.Stats()
+		// 20 appends cross from the 12 direct blocks into the indirect one.
+		for i := 0; i < 20; i++ {
+			if err := f.Append(p, make([]byte, BlockSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.WriteAt(p, 5*BlockSize+100, []byte("partial")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := fs.Lookup(p, "log"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dev.reads != 0 {
+			t.Errorf("device reads = %d, want 0", dev.reads)
+		}
+		// One data write per block written. Metadata: inode and bitmap per
+		// direct append; inode, bitmap and indirect per indirect append, the
+		// bitmap once although the first of them allocates twice; the inode
+		// alone for the partial write.
+		after := fs.Stats()
+		if got := after.DataWrites - before.DataWrites; got != 21 {
+			t.Errorf("data writes = %d, want 21", got)
+		}
+		if got := after.MetaWrites - before.MetaWrites; got != 12*2+8*3+1 {
+			t.Errorf("meta writes = %d, want %d", got, 12*2+8*3+1)
 		}
 	})
 }
@@ -258,7 +318,6 @@ func TestSyncAppendFasterOnTrail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.Sync = true
 			start := p.Now()
 			for i := 0; i < 10; i++ {
 				if err := f.Append(p, make([]byte, BlockSize)); err != nil {

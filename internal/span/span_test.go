@@ -323,8 +323,10 @@ func TestExplainTailQoSCauses(t *testing.T) {
 	}
 }
 
-// Cluster redirection causes are pinned strings: CI greps for them and the
-// kill-one-shard walkthrough quotes them, so they must not drift.
+// Cluster redirection causes are pinned strings: cmd/rundiff's
+// TestRunDirBlocks looks for them among a killed-shard run's slowest
+// requests and README.md's kill-one-shard walkthrough quotes them, so they
+// must not drift.
 func TestExplainTailClusterCauses(t *testing.T) {
 	r := NewRecorder(0)
 

@@ -12,10 +12,11 @@
 //     (name, labels) order, numbers use shortest-exact float formatting,
 //     and name sanitization plus help/label escaping happen in exactly one
 //     place (prom.go), the module's only Prometheus writer and parser.
-//  3. The registry holds only virtual-time state. Wall-clock measurements
-//     (events/sec, ns/event, allocs/event — see wall.go) never enter a
-//     Registry, so every registry export is safe to include in the two-run
-//     byte-compare CI jobs.
+//  3. The registry holds only virtual-time state. Wall-clock cost
+//     (events/sec, ns/event, allocs/event) is measured from outside the
+//     module by bench/ and never enters a Registry, so every registry
+//     export is a same-seed artefact that tests can pin byte for byte
+//     (cmd/clustersim's metrics.prom digests).
 //  4. A registry references the world it observes only until the sim.Env
 //     bound by Env.SetMetrics closes. Func-backed series (CounterFunc,
 //     GaugeFunc, CounterFuncs) close over the components they read; Close
