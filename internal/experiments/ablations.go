@@ -37,31 +37,20 @@ func ThresholdSweep(writes int, seed uint64) (*ThresholdResult, error) {
 	for _, th := range []float64{0.05, 0.15, 0.30, 0.50, 0.80} {
 		cfg := trail.Default()
 		cfg.UtilizationThreshold = th
-		sys, err := rig.New(rig.Config{Trail: cfg})
-		if err != nil {
-			return nil, err
-		}
-		load, err := workload.SyncWrites(workload.SyncWriteConfig{
+		out, err := runPoint(fmt.Sprintf("threshold %.2f", th), rig.Config{Trail: cfg}, false, syncWrites(workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        1024,
 			WritesPerProcess: writes,
 			Seed:             seed,
-		}, sys.Dev(0).Sectors())
-		var wres *workload.Result
-		if err == nil {
-			wres, err = workload.Run(sys.Env, sys.Dev(0), load)
-		}
+		}))
 		if err != nil {
-			sys.Env.Close()
-			return nil, fmt.Errorf("threshold %.2f: %w", th, err)
+			return nil, err
 		}
-		s := sys.Trail.Stats()
-		sys.Env.Close()
 		res.Rows = append(res.Rows, ThresholdRow{
 			Threshold:    th,
-			MeanLatency:  wres.Writes.Mean(),
-			Repositions:  s.Repositions,
-			AvgTrackUtil: s.AvgTrackUtilization(),
+			MeanLatency:  out.res[0].Writes.Mean(),
+			Repositions:  out.trail.Repositions,
+			AvgTrackUtil: out.trail.AvgTrackUtilization(),
 		})
 	}
 	return res, nil
@@ -186,40 +175,26 @@ func MultiLogAblation(writes int, seed uint64) (*MultiLogResult, error) {
 		// Aggressive threshold maximizes repositioning, the overhead under
 		// study.
 		cfg.UtilizationThreshold = 0.05
-		sys, err := rig.New(rig.Config{LogDisks: n, Trail: cfg})
-		if err != nil {
-			return nil, err
-		}
-		env := sys.Env
-		formatted := make([]int64, n)
-		for i, d := range sys.LogDisks {
-			formatted[i] = d.Stats().Writes
-		}
-		load, err := workload.SyncWrites(workload.SyncWriteConfig{
+		out, err := runPoint(fmt.Sprintf("multi-log n=%d", n), rig.Config{LogDisks: n, Trail: cfg}, false, syncWrites(workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        2048,
 			WritesPerProcess: writes,
 			Seed:             seed,
-		}, sys.Dev(0).Sectors())
-		var wres *workload.Result
-		if err == nil {
-			wres, err = workload.Run(env, sys.Dev(0), load)
-		}
-		env.Close()
+		}))
 		if err != nil {
-			return nil, fmt.Errorf("multi-log n=%d: %w", n, err)
+			return nil, err
 		}
 		counters := make([]counter, n)
-		for i, d := range sys.LogDisks {
-			counters[i] = counter{fmt.Sprintf("%d log disks: log disk %d records", n, i), d.Stats().Writes - formatted[i]}
+		for i, l := range out.logs {
+			counters[i] = counter{fmt.Sprintf("%d log disks: log disk %d records", n, i), l.writes}
 		}
 		if err := fired("ext-multilog", counters...); err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, MultiLogRow{
 			LogDisks:    n,
-			MeanLatency: wres.Writes.Mean(),
-			Elapsed:     wres.Elapsed,
+			MeanLatency: out.res[0].Writes.Mean(),
+			Elapsed:     out.res[0].Elapsed,
 		})
 	}
 	return res, nil

@@ -35,27 +35,18 @@ type DeltaResult struct {
 // delta whose writes do not pay a full rotation. The rig uses the paper's
 // ST41601N log disk.
 func DeltaCalibration(writesPerPoint int) (*DeltaResult, error) {
-	var res DeltaResult
+	res := DeltaResult{RotPeriod: disk.ST41601N().RotPeriod()}
 	for _, delta := range []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 20, 24} {
 		cfg := trail.Default()
 		cfg.FixedDelta = delta
-		sys, err := rig.New(rig.Config{Trail: cfg})
+		out, err := runPoint(fmt.Sprintf("delta %d", delta), rig.Config{Trail: cfg}, false, func(int64) ([]workload.Load, error) {
+			return []workload.Load{spacedWrites("calib", writesPerPoint, 64, 1, 3*time.Millisecond)}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if res.RotPeriod == 0 {
-			res.RotPeriod = sys.LogDisk.Params().RotPeriod()
-		}
-		run, err := workload.Run(sys.Env, sys.Dev(0), spacedWrites("calib", writesPerPoint, 64, 1, 3*time.Millisecond))
-		sys.Env.Close()
-		if err != nil {
-			return nil, fmt.Errorf("delta %d: %w", delta, err)
-		}
-		row := DeltaRow{
-			Delta:        delta,
-			Mean:         run.Writes.Mean(),
-			FullRotation: run.Writes.Mean() > res.RotPeriod/2,
-		}
+		mean := out.res[0].Writes.Mean()
+		row := DeltaRow{Delta: delta, Mean: mean, FullRotation: mean > res.RotPeriod/2}
 		res.Rows = append(res.Rows, row)
 		if !row.FullRotation && res.BestDelta == 0 {
 			res.BestDelta = delta
@@ -98,36 +89,23 @@ type AnatomyResult struct {
 // LatencyAnatomy reproduces §5.1's component analysis on the ST41601N.
 func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 	res := &AnatomyResult{}
-	measure := func(sectors int) (time.Duration, time.Duration, error) {
-		// The default driver: writes 10 ms apart wait neither for one
-		// another nor for a reposition, and the repositions the default
-		// utilization threshold triggers as tracks fill give their cost.
-		cfg := trail.Default()
-		sys, err := rig.New(rig.Config{Trail: cfg})
+	// The default driver: writes 10 ms apart wait neither for one another
+	// nor for a reposition, and the repositions the default utilization
+	// threshold triggers as tracks fill give their cost.
+	var outs [2]*outcome
+	for i, sectors := range []int{1, 8} {
+		var err error
+		outs[i], err = runPoint(fmt.Sprintf("anatomy %d-sector", sectors), rig.Config{Trail: trail.Default()}, false, func(int64) ([]workload.Load, error) {
+			return []workload.Load{spacedWrites("anatomy", writes, 256, sectors, 10*time.Millisecond)}, nil
+		})
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		defer sys.Env.Close()
-		run, err := workload.Run(sys.Env, sys.Dev(0), spacedWrites("anatomy", writes, 256, sectors, 10*time.Millisecond))
-		if err != nil {
-			return 0, 0, err
-		}
-		s := sys.Trail.Stats()
-		var repos time.Duration
-		if s.Repositions > 0 {
-			repos = s.RepositionTime / time.Duration(s.Repositions)
-		}
-		return run.Writes.Mean(), repos, nil
 	}
-	var err error
-	var repos1 time.Duration
-	if res.OneSector, repos1, err = measure(1); err != nil {
-		return nil, err
+	res.OneSector, res.FourKB = outs[0].res[0].Writes.Mean(), outs[1].res[0].Writes.Mean()
+	if s := outs[0].trail; s.Repositions > 0 {
+		res.Reposition = s.RepositionTime / time.Duration(s.Repositions)
 	}
-	if res.FourKB, _, err = measure(8); err != nil {
-		return nil, err
-	}
-	res.Reposition = repos1
 	res.SectorTransfer = disk.ST41601N().SectorTime()
 	cycle := res.OneSector + res.Reposition
 	if cycle > 0 {

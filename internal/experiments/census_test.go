@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 // world named by its inputs alone — shape, scenario, maxlba, seed — so a
 // failing one replays exactly through censusWorld. A world is an open load
 // of random 1-16 sector reads and writes whose write extents are disjoint,
-// run through runFaultWorld, and three verdicts hold in every world: each
+// run through runWorld, and three verdicts hold in every world: each
 // issued request completes, each error a request returns wraps one of
 // blockdev's device sentinels, and each acknowledged write reads back intact
 // (or its read fails with a sentinel). A Trail world's driver then passes its
@@ -84,28 +83,12 @@ func censusWorld(cfg rig.Config, raid5 bool, scenario string, maxLBA int64, seed
 	logP.Name = "log"
 	dataP.Name, dataP.Geom = "data", geom.Uniform(100, 2, 60)
 	cfg.LogDisk, cfg.DataDisk, cfg.Faults, cfg.FaultSeed = &logP, &dataP, &fcfg, seed
-	s, err := newFaultSystem(cfg, raid5)
+	s, err := newSystem(cfg, raid5)
 	if err != nil {
 		return []string{err.Error()}
 	}
-	out := runFaultWorld(s, censusLoad(seed, s.dev.Sectors()))
-	var problems []string
-	if out.runErr != nil {
-		problems = append(problems, out.runErr.Error())
-	}
-	if out.unread > 0 {
-		problems = append(problems, fmt.Sprintf("read-back stopped before %d of %d acknowledged writes", out.unread, out.targets))
-	}
-	if out.lost > 0 {
-		problems = append(problems, fmt.Sprintf("%d of %d acknowledged writes read back other data", out.lost, out.targets))
-	}
-	if out.invariants != nil {
-		problems = append(problems, out.invariants.Error())
-	}
-	for _, err := range out.unclassified {
-		problems = append(problems, "error wraps no device sentinel: "+err.Error())
-	}
-	return problems
+	out := runWorld(s, censusLoad(seed, s.dev.Sectors()))
+	return out.problems()
 }
 
 // TestFaultCensus runs the census's worlds, in parallel, and names each one

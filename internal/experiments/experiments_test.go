@@ -165,7 +165,7 @@ func TestTable2ResponsesTileElapsed(t *testing.T) {
 		cfg := QuickSizing().tpcc(seed).withDefaults()
 		var avg [2]time.Duration
 		for i, sys := range []StorageSystem{Ext2Trail, Ext2} {
-			r, err := table2Column(sys, cfg)
+			r, _, err := tpccWorld(sys, cfg, 1, cfg.Seed+7)
 			if err != nil {
 				t.Fatal(err)
 			}

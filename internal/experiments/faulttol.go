@@ -59,7 +59,7 @@ type FaultToleranceResult struct {
 // the three systems while faultScenario plays out on their drives: the
 // standard subsystem and Trail get the plan on every drive (Trail's log disk
 // too, since that is where its writes land), and the RAID-5 array gets it on
-// member 0 only. Each system is one fault world (runFaultWorld), which then
+// member 0 only. Each system is one fault world (runWorld), which then
 // reads back every acknowledged write.
 //
 // Everything — workload addresses, payloads, fault locations, onset times —
@@ -97,7 +97,7 @@ func faultToleranceRun(system string, writes int, seed uint64) (*FaultRow, error
 	case "raid5":
 		cfg = rig.Config{Baseline: sched.LOOK, Major: 9, DataDisks: 4}
 	}
-	s, err := newFaultSystem(cfg, system == "raid5")
+	s, err := newSystem(cfg, system == "raid5")
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func faultToleranceRun(system string, writes int, seed uint64) (*FaultRow, error
 		// Only member 0 is faulty: the array must mask one bad disk.
 		s.plans = append(s.plans, fault.Attach(s.rig.DataDisks[0], sim.NewRand(seed), scenario))
 	}
-	out := runFaultWorld(s, faultLoad(writes, seed+1))
+	out := runWorld(s, faultLoad(writes, seed+1))
 	errs := append(out.unclassified, out.runErr, out.invariants)
 	if out.unread > 0 {
 		errs = append(errs, fmt.Errorf("%d acknowledged targets never read back", out.unread))
@@ -114,9 +114,9 @@ func faultToleranceRun(system string, writes int, seed uint64) (*FaultRow, error
 		return nil, err
 	}
 	reads := writes/4 + faultRegion/faultExtent
-	return &FaultRow{System: system, Writes: writes, WriteErrors: writes - int(out.res.Writes.Count()),
-		Reads: reads + out.targets, ReadErrors: reads - int(out.res.Reads.Count()) + out.readErrs,
-		CorruptReads: out.lost, MeanWrite: out.res.Writes.Mean(), Counters: out.counters}, nil
+	return &FaultRow{System: system, Writes: writes, WriteErrors: writes - int(out.res[0].Writes.Count()),
+		Reads: reads + out.targets, ReadErrors: reads - int(out.res[0].Reads.Count()) + out.readErrs,
+		CorruptReads: out.lost, MeanWrite: out.res[0].Writes.Mean(), Counters: out.counters}, nil
 }
 
 // faultLoad is the comparison's open load, one faultExtent-sector op every

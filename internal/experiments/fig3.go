@@ -7,7 +7,6 @@ import (
 
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
-	"tracklog/internal/telemetry"
 	"tracklog/internal/workload"
 )
 
@@ -60,21 +59,18 @@ func Figure3(cfg Figure3Config) (*Fig3Result, error) {
 				WritesPerProcess: cfg.WritesPerProcess,
 				Seed:             cfg.Seed + uint64(sizeKB),
 			}
-			// Trail, then the Linux baseline on the same targets.
-			tres, _, err := syncWriteCell("trail", wcfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig3 trail %dKB %v: %w", sizeKB, mode, err)
-			}
-			lres, _, err := syncWriteCell("std", wcfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig3 linux %dKB %v: %w", sizeKB, mode, err)
+			var means [2]time.Duration
+			for i, sys := range syncSystems {
+				out, err := runPoint(fmt.Sprintf("fig3 %s %dKB %v", sys.name, sizeKB, mode), sys.cfg, false, syncWrites(wcfg))
+				if err != nil {
+					return nil, err
+				}
+				means[i] = out.res[0].Writes.Mean()
 			}
 			if mode == workload.Sparse {
-				row.TrailSparse = tres.Writes.Mean()
-				row.LinuxSparse = lres.Writes.Mean()
+				row.TrailSparse, row.LinuxSparse = means[0], means[1]
 			} else {
-				row.TrailClustered = tres.Writes.Mean()
-				row.LinuxClustered = lres.Writes.Mean()
+				row.TrailClustered, row.LinuxClustered = means[0], means[1]
 			}
 		}
 		res.Rows = append(res.Rows, row)
@@ -82,33 +78,20 @@ func Figure3(cfg Figure3Config) (*Fig3Result, error) {
 	return res, nil
 }
 
-// syncWriteCell runs one sync-write load on a fresh rig of system, "trail"
-// or "std" (the baseline behind LOOK), and returns the load's result and,
-// on Trail, the driver's counters. A seed names the same targets on both
-// systems, since their data disks are alike.
-func syncWriteCell(system string, wcfg workload.SyncWriteConfig) (*workload.Result, telemetry.Counts, error) {
-	var cfg rig.Config
-	if system != "trail" {
-		cfg.Baseline = sched.LOOK
+// syncSystems are the systems of a sync-write point: Trail, then the
+// standard subsystem behind LOOK. A seed names the same targets on both,
+// since their data disks are alike.
+var syncSystems = []struct {
+	name string
+	cfg  rig.Config
+}{{"trail", rig.Config{}}, {"std", rig.Config{Baseline: sched.LOOK}}}
+
+// syncWrites is the loads of a point of one sync-write load.
+func syncWrites(wcfg workload.SyncWriteConfig) func(sectors int64) ([]workload.Load, error) {
+	return func(sectors int64) ([]workload.Load, error) {
+		load, err := workload.SyncWrites(wcfg, sectors)
+		return []workload.Load{load}, err
 	}
-	r, err := rig.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer r.Close()
-	load, err := workload.SyncWrites(wcfg, r.Dev(0).Sectors())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := workload.Run(r.Env, r.Dev(0), load)
-	if err != nil {
-		return nil, nil, err
-	}
-	var counters telemetry.Counts
-	if r.Trail != nil {
-		counters = r.Trail.Stats().Counters()
-	}
-	return res, counters, nil
 }
 
 // String renders the panel as a table in milliseconds.

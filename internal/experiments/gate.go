@@ -55,21 +55,24 @@ func entryTable(es []benchfmt.Entry, err error) (string, []benchfmt.Entry, error
 // one process of gridWrites each on a fresh rig: sync-write/<system>/<mode>/<size>.
 func syncWriteGrid() ([]benchfmt.Entry, error) {
 	var out []benchfmt.Entry
-	for _, system := range []string{"trail", "std"} {
+	for _, sys := range syncSystems {
 		for _, mode := range []workload.Mode{workload.Sparse, workload.Clustered} {
 			for _, sizeKB := range []int{1, 8} {
-				res, counters, err := syncWriteCell(system, workload.SyncWriteConfig{
+				name := fmt.Sprintf("sync-write/%s/%v/%dKB", sys.name, mode, sizeKB)
+				pt, err := runPoint(name, sys.cfg, false, syncWrites(workload.SyncWriteConfig{
 					Mode:             mode,
 					WriteSize:        sizeKB * 1024,
 					Processes:        1,
 					WritesPerProcess: gridWrites,
 					Seed:             gateSeed,
-				})
+				}))
 				if err != nil {
-					return nil, fmt.Errorf("sync-write %s/%v/%dKB: %w", system, mode, sizeKB, err)
+					return nil, err
 				}
-				e := benchfmt.Latency(fmt.Sprintf("sync-write/%s/%v/%dKB", system, mode, sizeKB), res.Writes)
-				e.Counters = counters
+				e := benchfmt.Latency(name, pt.res[0].Writes)
+				if pt.trail != nil {
+					e.Counters = pt.trail.Counters()
+				}
 				out = append(out, e)
 			}
 		}

@@ -55,13 +55,13 @@ func overloadPolicy() *qos.Policy {
 func Overload() (*OverloadResult, error) {
 	svc, err := calibrateSaturation()
 	if err != nil {
-		return nil, fmt.Errorf("overload calibration: %w", err)
+		return nil, err
 	}
 	res := &OverloadResult{}
 	for _, withQoS := range []bool{false, true} {
 		row, err := overloadCell(withQoS, svc)
 		if err != nil {
-			return nil, fmt.Errorf("overload %.1fx qos=%v: %w", overloadMultiplier, withQoS, err)
+			return nil, err
 		}
 		res.Rows = append(res.Rows, *row)
 	}
@@ -79,27 +79,22 @@ func Overload() (*OverloadResult, error) {
 // times higher than the batched service time and would make "2× load"
 // comfortably sustainable.)
 func calibrateSaturation() (time.Duration, error) {
-	sys, err := rig.New(rig.Config{})
-	if err != nil {
-		return 0, err
-	}
-	defer sys.Env.Close()
 	const writes = 200
-	load, err := workload.OpenLoop(workload.OpenLoopConfig{
-		Interarrival: 50 * time.Microsecond,
-		Requests:     writes,
-		WriteSize:    1024,
-		Seed:         gateSeed,
-	}, sys.Dev(0).Sectors())
+	out, err := runPoint("overload calibration", rig.Config{}, false, func(sectors int64) ([]workload.Load, error) {
+		load, err := workload.OpenLoop(workload.OpenLoopConfig{
+			Interarrival: 50 * time.Microsecond,
+			Requests:     writes,
+			WriteSize:    1024,
+			Seed:         gateSeed,
+		}, sectors)
+		return []workload.Load{load}, err
+	})
 	if err != nil {
 		return 0, err
 	}
-	wres, err := workload.Run(sys.Env, sys.Dev(0), load)
-	if err != nil {
-		return 0, err
-	}
+	wres := out.res[0]
 	if wres.Writes.Count() != writes {
-		return 0, fmt.Errorf("probe lost writes: %d/%d acked", wres.Writes.Count(), writes)
+		return 0, fmt.Errorf("overload calibration: probe lost writes: %d/%d acked", wres.Writes.Count(), writes)
 	}
 	return wres.Elapsed / writes, nil
 }
@@ -110,32 +105,27 @@ func overloadCell(withQoS bool, svc time.Duration) (*OverloadRow, error) {
 	if withQoS {
 		cfg.QoS = overloadPolicy()
 	}
-	sys, err := rig.New(rig.Config{Trail: cfg})
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Env.Close()
 	interarrival := time.Duration(float64(svc) / overloadMultiplier)
 	if interarrival <= 0 {
 		interarrival = time.Microsecond
 	}
-	load, err := workload.OpenLoop(workload.OpenLoopConfig{
-		Interarrival: interarrival,
-		Requests:     gridWrites,
-		WriteSize:    1024,
-		Seed:         gateSeed,
-	}, sys.Dev(0).Sectors())
+	point := fmt.Sprintf("overload %.1fx qos=%v", overloadMultiplier, withQoS)
+	out, err := runPoint(point, rig.Config{Trail: cfg}, false, func(sectors int64) ([]workload.Load, error) {
+		load, err := workload.OpenLoop(workload.OpenLoopConfig{
+			Interarrival: interarrival,
+			Requests:     gridWrites,
+			WriteSize:    1024,
+			Seed:         gateSeed,
+		}, sectors)
+		return []workload.Load{load}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	wres, err := workload.Run(sys.Env, sys.Dev(0), load)
-	if err != nil {
-		return nil, err
-	}
+	wres := out.res[0]
 	if wres.Failed > 0 {
-		return nil, fmt.Errorf("%d unexpected write errors", wres.Failed)
+		return nil, fmt.Errorf("%s: %d unexpected write errors", point, wres.Failed)
 	}
-	st := sys.Trail.Stats()
 	return &OverloadRow{
 		QoS:         withQoS,
 		Acked:       wres.Writes.Count(),
@@ -144,6 +134,6 @@ func overloadCell(withQoS bool, svc time.Duration) (*OverloadRow, error) {
 		Mean:        wres.Writes.Mean(),
 		P50:         wres.Writes.Quantile(0.50),
 		P99:         wres.Writes.Quantile(0.99),
-		MaxLogQueue: st.MaxLogQueue,
+		MaxLogQueue: out.trail.MaxLogQueue,
 	}, nil
 }

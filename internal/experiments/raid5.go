@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"tracklog/internal/raid"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
@@ -38,36 +37,26 @@ func RAID5SmallWrites(writes int, seed uint64) (*RAID5Result, error) {
 		if useTrail {
 			name, cfg = "trail", rig.Config{DataDisks: nDevs}
 		}
-		sys, err := rig.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		env := sys.Env
-		a, err := raid.New(sys.Devs())
-		if err != nil {
-			env.Close()
-			return nil, err
-		}
 		// One writer of one-chunk ("small") writes over the first 64th of
 		// the array, 2 ms apart.
-		rng := sim.NewRand(seed)
-		region := a.Sectors() / 64
-		ops := make([]workload.TraceOp, writes)
-		for i := range ops {
-			ops[i] = workload.TraceOp{Write: true, LBA: rng.Int64n(region/8) * 8, Sectors: 8}
-		}
-		run, err := workload.Run(env, a, workload.Load{Streams: []workload.Stream{{Name: "writer", Ops: ops, Gap: 2 * time.Millisecond}}})
-		s := a.Stats()
-		env.Close()
+		out, err := runPoint("raid5 "+name, cfg, true, func(sectors int64) ([]workload.Load, error) {
+			rng := sim.NewRand(seed)
+			region := sectors / 64
+			ops := make([]workload.TraceOp, writes)
+			for i := range ops {
+				ops[i] = workload.TraceOp{Write: true, LBA: rng.Int64n(region/8) * 8, Sectors: 8}
+			}
+			return []workload.Load{{Streams: []workload.Stream{{Name: "writer", Ops: ops, Gap: 2 * time.Millisecond}}}}, nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("raid5 %s: %w", name, err)
+			return nil, err
 		}
 		res.Rows = append(res.Rows, RAID5Row{
 			System:       name,
-			MeanWrite:    run.Writes.Mean(),
-			SmallWrites:  s.SmallWrites,
-			DeviceReads:  s.DeviceReads,
-			DeviceWrites: s.DeviceWrites,
+			MeanWrite:    out.res[0].Writes.Mean(),
+			SmallWrites:  out.array.SmallWrites,
+			DeviceReads:  out.array.DeviceReads,
+			DeviceWrites: out.array.DeviceWrites,
 		})
 	}
 	return res, nil

@@ -37,10 +37,6 @@ func Table1() (*Table1Result, error) {
 	for _, bs := range []int{1, 2, 4, 8, 16, 32} {
 		cfg := trail.Default()
 		cfg.MaxBatchSectors = bs
-		sys, err := rig.New(rig.Config{Trail: cfg})
-		if err != nil {
-			return nil, err
-		}
 		// Warm the driver (establish the prediction reference point) so the
 		// measurement starts from steady state, as the paper's does; then
 		// queue every write at once, one stream each.
@@ -52,21 +48,17 @@ func Table1() (*Table1Result, error) {
 		for i := range load.Streams {
 			load.Streams[i] = oneSector(fmt.Sprintf("w%d", i), int64(i*64))
 		}
-		_, err = workload.Run(sys.Env, sys.Dev(0), warm)
-		warmRecords := sys.Trail.Stats().Records
-		var run *workload.Result
-		if err == nil {
-			run, err = workload.Run(sys.Env, sys.Dev(0), load)
-		}
-		records := sys.Trail.Stats().Records - warmRecords
-		sys.Env.Close()
+		out, err := runPoint(fmt.Sprintf("table1 batch %d", bs), rig.Config{Trail: cfg}, false, func(int64) ([]workload.Load, error) {
+			return []workload.Load{warm, load}, nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("table1 batch %d: %w", bs, err)
+			return nil, err
 		}
+		// The warm-up's one write, alone in the driver, is one record.
 		res.Rows = append(res.Rows, Table1Row{
 			BatchSize: bs,
-			Elapsed:   run.Elapsed,
-			Records:   records,
+			Elapsed:   out.res[1].Elapsed,
+			Records:   out.trail.Records - 1,
 		})
 	}
 	return res, nil

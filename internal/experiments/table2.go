@@ -7,10 +7,7 @@ import (
 
 	"tracklog/internal/benchfmt"
 	"tracklog/internal/disk"
-	"tracklog/internal/rig"
-	"tracklog/internal/sched"
 	"tracklog/internal/tpcc"
-	"tracklog/internal/wal"
 )
 
 // StorageSystem is one column of Table 2.
@@ -101,26 +98,6 @@ func PaperScale() TPCCConfig {
 	}
 }
 
-// buildTPCC assembles the paper's §5.2 hardware — one disk dedicated to the
-// database log file, two disks for tables — either behind the Trail driver
-// (plus its ST41601N log disk) or behind the standard subsystem, with the
-// column's commit discipline.
-func buildTPCC(system StorageSystem, cfg TPCCConfig) (*rig.Rig, *tpcc.Runner, error) {
-	var hw rig.Config
-	mode := wal.SyncEveryCommit
-	switch system {
-	case Ext2Trail:
-	case Ext2:
-		hw.Baseline = sched.LOOK
-	case Ext2GC:
-		hw.Baseline = sched.LOOK
-		mode = wal.GroupCommit
-	default:
-		return nil, nil, fmt.Errorf("unknown system %v", system)
-	}
-	return tpcc.Deploy(hw, cfg.DB, wal.Config{Mode: mode, BufferBytes: cfg.LogBufferKB * 1024})
-}
-
 // Table2Row is one column of Table 2 (transposed into a row here).
 type Table2Row struct {
 	System StorageSystem
@@ -145,7 +122,7 @@ func Table2(cfg TPCCConfig) (*Table2Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Table2Result{Config: cfg}
 	for _, sys := range []StorageSystem{Ext2Trail, Ext2, Ext2GC} {
-		r, err := table2Column(sys, cfg)
+		r, _, err := tpccWorld(sys, cfg, 1, cfg.Seed+7)
 		if err != nil {
 			return nil, fmt.Errorf("table2 %v: %w", sys, err)
 		}
@@ -159,33 +136,6 @@ func Table2(cfg TPCCConfig) (*Table2Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// table2Column runs the TPC-C workload of one Table 2 column, at
-// concurrency 1. A sync-commit column fails unless its one terminal is never
-// idle: the measured responses and the checkpoints run before them sum to
-// the measured phase, within 0.1 %.
-func table2Column(sys StorageSystem, cfg TPCCConfig) (*tpcc.Result, error) {
-	hw, runner, err := buildTPCC(sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer hw.Close()
-	r, err := runner.Run(hw.Env, tpcc.RunConfig{
-		Transactions: cfg.Transactions,
-		Concurrency:  1,
-		Warmup:       cfg.Warmup,
-		Seed:         cfg.Seed + 7,
-	})
-	if err != nil {
-		return nil, err
-	}
-	busy := r.Response.Sum() + r.CheckpointTime
-	if sys != Ext2GC && (busy-r.Elapsed).Abs()*1000 > r.Elapsed {
-		return nil, fmt.Errorf("responses %v + checkpoints %v = %v do not tile elapsed %v",
-			r.Response.Sum(), r.CheckpointTime, busy, r.Elapsed)
-	}
-	return r, nil
 }
 
 // String renders Table 2.
@@ -252,17 +202,7 @@ func Table3(cfg TPCCConfig) (*Table3Result, error) {
 	for _, kb := range []int{4, 100, 400, 800, 1200} {
 		c := cfg
 		c.LogBufferKB = kb
-		hw, runner, err := buildTPCC(Ext2GC, c)
-		if err != nil {
-			return nil, fmt.Errorf("table3 %dKB: %w", kb, err)
-		}
-		r, err := runner.Run(hw.Env, tpcc.RunConfig{
-			Transactions: c.Transactions,
-			Concurrency:  table3Concurrency,
-			Warmup:       c.Warmup,
-			Seed:         c.Seed + 13,
-		})
-		hw.Close()
+		r, _, err := tpccWorld(Ext2GC, c, table3Concurrency, c.Seed+13)
 		if err != nil {
 			return nil, fmt.Errorf("table3 %dKB: %w", kb, err)
 		}
@@ -328,28 +268,16 @@ func TrackUtilization(cfg TPCCConfig) (*UtilizationResult, error) {
 		// data-disk I/O, whose commits then arrive at the log in bursts
 		// ("the disk I/Os occur in bursts since the CPU time each
 		// transaction requires is much smaller than the disk I/O delay").
-		hw, runner, err := buildTPCC(Ext2Trail, cfg)
+		_, s, err := tpccWorld(Ext2Trail, cfg, conc, cfg.Seed+17)
 		if err != nil {
 			return nil, fmt.Errorf("utilization conc=%d: %w", conc, err)
 		}
-		_, err = runner.Run(hw.Env, tpcc.RunConfig{
-			Transactions: cfg.Transactions,
-			Concurrency:  conc,
-			Warmup:       cfg.Warmup,
-			Seed:         cfg.Seed + 17,
-		})
-		if err != nil {
-			hw.Close()
-			return nil, fmt.Errorf("utilization conc=%d: %w", conc, err)
-		}
-		s := hw.Trail.Stats()
 		g := disk.ST41601N().Geom
 		avgSPT := float64(g.TotalSectors()) / float64(g.TotalTracks())
 		oneBatch := 0.0
 		if s.Records > 0 {
 			oneBatch = (float64(s.LoggedSectors+s.Records) / float64(s.Records)) / avgSPT
 		}
-		hw.Close()
 		res.Rows = append(res.Rows, UtilizationRow{
 			Concurrency:  conc,
 			OneBatchUtil: oneBatch,

@@ -57,6 +57,17 @@ func (l *Ledger) Record(lba int64, data []byte, issued, acked int) {
 	l.acks[lba] = append(kept, ackedWrite{data, acked})
 }
 
+// Settle marks every write recorded so far acknowledged before any later
+// one is issued, so that a later write to a target supersedes them. Call it
+// between two loads: each load's issue counts start again at 0.
+func (l *Ledger) Settle() {
+	for _, acks := range l.acks {
+		for i := range acks {
+			acks[i].acked = 0
+		}
+	}
+}
+
 // Targets returns the number of acknowledged targets.
 func (l *Ledger) Targets() int { return len(l.acks) }
 

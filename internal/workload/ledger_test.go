@@ -126,3 +126,27 @@ func TestLedgerBackToBackWrites(t *testing.T) {
 		t.Errorf("read-back %+v, want one target with OtherBytes", checks)
 	}
 }
+
+// TestLedgerSettleBetweenLoads: the second of two loads writes an LBA the
+// first wrote, at its own issue count 0, to a device that loses it. Settled
+// between the loads, the ledger holds the first load's bytes superseded and
+// the read-back finds the loss; unsettled, it would take either.
+func TestLedgerSettleBetweenLoads(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	dev := &keepFirst{memDev{media: map[int64][]byte{}, fail: map[int64]error{}}}
+	write := func(lba int64) TraceOp { return TraceOp{Write: true, LBA: lba, Sectors: 2} }
+	var l Ledger
+	for _, ops := range [][]TraceOp{{write(64), write(8)}, {write(8)}} {
+		if _, err := Run(env, dev, Load{Streams: []Stream{{Name: "closed", Ops: ops}}, OnAck: l.Record}); err != nil {
+			t.Fatal(err)
+		}
+		l.Settle()
+	}
+	var checks []Check
+	env.Go("readback", func(p *sim.Proc) { checks = l.ReadBack(p, dev) })
+	env.Run()
+	if len(checks) != 2 || checks[0].LBA != 8 || checks[0].Outcome != OtherBytes || checks[1].Outcome != Intact {
+		t.Errorf("read-back %+v, want lba 8 OtherBytes and lba 64 intact", checks)
+	}
+}
