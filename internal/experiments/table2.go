@@ -177,11 +177,14 @@ func (r *Table2Result) Entries() []benchfmt.Entry {
 	return out
 }
 
-// Table3Row is one log-buffer-size point of Table 3.
+// Table3Row is one log-buffer-size point of Table 3. Elapsed is the
+// measured phase's virtual time, and TpmC the throughput over it.
 type Table3Row struct {
 	LogBufferKB  int
 	GroupCommits int64
 	LogBytes     int64
+	Elapsed      time.Duration
+	TpmC         float64
 }
 
 // Table3Result reproduces Table 3.
@@ -206,7 +209,8 @@ func Table3(cfg TPCCConfig) (*Table3Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table3 %dKB: %w", kb, err)
 		}
-		res.Rows = append(res.Rows, Table3Row{LogBufferKB: kb, GroupCommits: r.LogFlushes, LogBytes: r.LogBytes})
+		res.Rows = append(res.Rows, Table3Row{LogBufferKB: kb, GroupCommits: r.LogFlushes, LogBytes: r.LogBytes,
+			Elapsed: r.Elapsed, TpmC: r.TpmC()})
 	}
 	return res, nil
 }
@@ -216,9 +220,10 @@ func (r *Table3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3: group commits in a %d-txn run, concurrency %d\n",
 		r.Config.Transactions, table3Concurrency)
-	fmt.Fprintf(&b, "%14s %16s %14s\n", "buffer KB", "group commits", "log KB total")
+	fmt.Fprintf(&b, "%14s %16s %14s %12s %8s\n", "buffer KB", "group commits", "log KB total", "elapsed (s)", "tpmC")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%14d %16d %14d\n", row.LogBufferKB, row.GroupCommits, row.LogBytes/1024)
+		fmt.Fprintf(&b, "%14d %16d %14d %12.1f %8.1f\n",
+			row.LogBufferKB, row.GroupCommits, row.LogBytes/1024, row.Elapsed.Seconds(), row.TpmC)
 	}
 	b.WriteString("(paper at 10000 txns: 10960 / 448 / 113 / 57 / 39)\n")
 	return b.String()
@@ -230,6 +235,7 @@ func (r *Table3Result) Entries() []benchfmt.Entry {
 	for _, row := range r.Rows {
 		out = append(out, benchfmt.Entry{
 			Name:     fmt.Sprintf("table3/buffer=%dKB", row.LogBufferKB),
+			Rates:    map[string]float64{"tpmC": row.TpmC},
 			Counters: map[string]int64{"group_commits": row.GroupCommits, "log_bytes": row.LogBytes},
 		})
 	}
@@ -249,6 +255,10 @@ type UtilizationRow struct {
 	MeasuredUtil float64
 	Records      int64
 	TracksUsed   int64
+	// Elapsed is the measured phase's virtual time, and TpmC the
+	// throughput over it.
+	Elapsed time.Duration
+	TpmC    float64
 }
 
 // UtilizationResult reproduces the §5.2 utilization numbers.
@@ -268,7 +278,7 @@ func TrackUtilization(cfg TPCCConfig) (*UtilizationResult, error) {
 		// data-disk I/O, whose commits then arrive at the log in bursts
 		// ("the disk I/Os occur in bursts since the CPU time each
 		// transaction requires is much smaller than the disk I/O delay").
-		_, s, err := tpccWorld(Ext2Trail, cfg, conc, cfg.Seed+17)
+		r, s, err := tpccWorld(Ext2Trail, cfg, conc, cfg.Seed+17)
 		if err != nil {
 			return nil, fmt.Errorf("utilization conc=%d: %w", conc, err)
 		}
@@ -284,6 +294,8 @@ func TrackUtilization(cfg TPCCConfig) (*UtilizationResult, error) {
 			MeasuredUtil: s.AvgTrackUtilization(),
 			Records:      s.Records,
 			TracksUsed:   s.TrackUtilTracks,
+			Elapsed:      r.Elapsed,
+			TpmC:         r.TpmC(),
 		})
 	}
 	return res, nil
@@ -293,10 +305,10 @@ func TrackUtilization(cfg TPCCConfig) (*UtilizationResult, error) {
 func (r *UtilizationResult) String() string {
 	var b strings.Builder
 	b.WriteString("Section 5.2: per-track log disk utilization vs concurrency\n")
-	fmt.Fprintf(&b, "%12s %14s %14s %10s %8s\n", "concurrency", "one-batch util", "measured util", "records", "tracks")
+	fmt.Fprintf(&b, "%12s %14s %14s %10s %8s %12s %8s\n", "concurrency", "one-batch util", "measured util", "records", "tracks", "elapsed (s)", "tpmC")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%12d %13.1f%% %13.1f%% %10d %8d\n",
-			row.Concurrency, 100*row.OneBatchUtil, 100*row.MeasuredUtil, row.Records, row.TracksUsed)
+		fmt.Fprintf(&b, "%12d %13.1f%% %13.1f%% %10d %8d %12.1f %8.1f\n",
+			row.Concurrency, 100*row.OneBatchUtil, 100*row.MeasuredUtil, row.Records, row.TracksUsed, row.Elapsed.Seconds(), row.TpmC)
 	}
 	b.WriteString("(paper: 12% at 4, 21% at 8, >30% at 12)\n")
 	return b.String()
@@ -308,7 +320,7 @@ func (r *UtilizationResult) Entries() []benchfmt.Entry {
 	for _, row := range r.Rows {
 		out = append(out, benchfmt.Entry{
 			Name:     fmt.Sprintf("util/conc=%d", row.Concurrency),
-			Rates:    map[string]float64{"one_batch_util": row.OneBatchUtil, "measured_util": row.MeasuredUtil},
+			Rates:    map[string]float64{"one_batch_util": row.OneBatchUtil, "measured_util": row.MeasuredUtil, "tpmC": row.TpmC},
 			Counters: map[string]int64{"records": row.Records, "tracks": row.TracksUsed},
 		})
 	}
