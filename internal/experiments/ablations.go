@@ -35,9 +35,7 @@ type ThresholdResult struct {
 func ThresholdSweep(writes int, seed uint64) (*ThresholdResult, error) {
 	res := &ThresholdResult{}
 	for _, th := range []float64{0.05, 0.15, 0.30, 0.50, 0.80} {
-		cfg := trail.Default()
-		cfg.UtilizationThreshold = th
-		out, err := runPoint(fmt.Sprintf("threshold %.2f", th), rig.Config{Trail: cfg}, false, syncWrites(workload.SyncWriteConfig{
+		out, err := runPoint(fmt.Sprintf("threshold %.2f", th), rig.Config{Trail: trail.Config{UtilizationThreshold: th}}, false, syncWrites(workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        1024,
 			WritesPerProcess: writes,
@@ -85,9 +83,7 @@ type ReadPriorityResult struct {
 func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
 	res := &ReadPriorityResult{}
 	for _, policy := range []sched.Policy{sched.ReadPriorityLOOK, sched.LOOK} {
-		cfg := trail.Default()
-		cfg.DataPolicy = policy
-		sys, err := rig.New(rig.Config{Trail: cfg})
+		sys, err := rig.New(rig.Config{Trail: trail.Config{DataPolicy: policy}})
 		if err != nil {
 			return nil, err
 		}
@@ -171,11 +167,10 @@ type MultiLogResult struct {
 func MultiLogAblation(writes int, seed uint64) (*MultiLogResult, error) {
 	res := &MultiLogResult{}
 	for _, n := range []int{1, 2, 3} {
-		cfg := trail.Default()
 		// Aggressive threshold maximizes repositioning, the overhead under
 		// study.
-		cfg.UtilizationThreshold = 0.05
-		out, err := runPoint(fmt.Sprintf("multi-log n=%d", n), rig.Config{LogDisks: n, Trail: cfg}, false, syncWrites(workload.SyncWriteConfig{
+		cfg := rig.Config{LogDisks: n, Trail: trail.Config{UtilizationThreshold: 0.05}}
+		out, err := runPoint(fmt.Sprintf("multi-log n=%d", n), cfg, false, syncWrites(workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        2048,
 			WritesPerProcess: writes,

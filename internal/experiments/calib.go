@@ -37,9 +37,7 @@ type DeltaResult struct {
 func DeltaCalibration(writesPerPoint int) (*DeltaResult, error) {
 	res := DeltaResult{RotPeriod: disk.ST41601N().RotPeriod()}
 	for _, delta := range []int{1, 2, 4, 6, 8, 10, 12, 14, 16, 20, 24} {
-		cfg := trail.Default()
-		cfg.FixedDelta = delta
-		out, err := runPoint(fmt.Sprintf("delta %d", delta), rig.Config{Trail: cfg}, false, func(int64) ([]workload.Load, error) {
+		out, err := runPoint(fmt.Sprintf("delta %d", delta), rig.Config{Trail: trail.Config{FixedDelta: delta}}, false, func(int64) ([]workload.Load, error) {
 			return []workload.Load{spacedWrites("calib", writesPerPoint, 64, 1, 3*time.Millisecond)}, nil
 		})
 		if err != nil {
@@ -95,7 +93,7 @@ func LatencyAnatomy(writes int) (*AnatomyResult, error) {
 	var outs [2]*outcome
 	for i, sectors := range []int{1, 8} {
 		var err error
-		outs[i], err = runPoint(fmt.Sprintf("anatomy %d-sector", sectors), rig.Config{Trail: trail.Default()}, false, func(int64) ([]workload.Load, error) {
+		outs[i], err = runPoint(fmt.Sprintf("anatomy %d-sector", sectors), rig.Config{}, false, func(int64) ([]workload.Load, error) {
 			return []workload.Load{spacedWrites("anatomy", writes, 256, sectors, 10*time.Millisecond)}, nil
 		})
 		if err != nil {

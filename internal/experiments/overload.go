@@ -50,20 +50,50 @@ func overloadPolicy() *qos.Policy {
 }
 
 // Overload calibrates saturation with a saturating probe, then offers
-// overloadMultiplier times that load with and without the QoS policy, at
-// gridWrites open-loop arrivals per cell and the gate's seed.
+// overloadMultiplier times that load with and without the QoS policy. The
+// probe and each cell are gridWrites open-loop arrivals at the gate's seed.
+//
+// The probe measures the per-write service time at saturation: arrivals
+// every 50µs swamp the log disk, so every record ships a full batch and
+// elapsed/acked is the best sustained per-write service time batching can
+// deliver. (A closed-loop probe would measure per-write *latency*, which is
+// several times higher than the batched service time and would make "2×
+// load" comfortably sustainable.)
 func Overload() (*OverloadResult, error) {
-	svc, err := calibrateSaturation()
+	out, err := openLoopPoint("overload calibration", nil, 50*time.Microsecond)
 	if err != nil {
 		return nil, err
 	}
+	probe := out.res[0]
+	if n := probe.Writes.Count(); n != gridWrites {
+		return nil, fmt.Errorf("overload calibration: probe lost writes: %d/%d acked", n, gridWrites)
+	}
+	interarrival := max(time.Duration(float64(probe.Elapsed/gridWrites)/overloadMultiplier), time.Microsecond)
 	res := &OverloadResult{}
 	for _, withQoS := range []bool{false, true} {
-		row, err := overloadCell(withQoS, svc)
+		var pol *qos.Policy
+		if withQoS {
+			pol = overloadPolicy()
+		}
+		point := fmt.Sprintf("overload %.1fx qos=%v", overloadMultiplier, withQoS)
+		out, err := openLoopPoint(point, pol, interarrival)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, *row)
+		run := out.res[0]
+		if run.Failed > 0 {
+			return nil, fmt.Errorf("%s: %d unexpected write errors", point, run.Failed)
+		}
+		res.Rows = append(res.Rows, OverloadRow{
+			QoS:         withQoS,
+			Acked:       run.Writes.Count(),
+			Shed:        run.Shed,
+			Expired:     run.Expired,
+			Mean:        run.Writes.Mean(),
+			P50:         run.Writes.Quantile(0.50),
+			P99:         run.Writes.Quantile(0.99),
+			MaxLogQueue: out.trail.MaxLogQueue,
+		})
 	}
 	if err := fired("overload", counter{"qos=on shed", res.Rows[1].Shed}); err != nil {
 		return nil, err
@@ -71,46 +101,10 @@ func Overload() (*OverloadResult, error) {
 	return res, nil
 }
 
-// calibrateSaturation measures the per-write service time at saturation
-// with an open-loop probe far above capacity: arrivals every 50µs swamp the
-// log disk, so every record ships a full batch and elapsed/acked is the
-// best sustained per-write service time batching can deliver. (A
-// closed-loop probe would measure per-write *latency*, which is several
-// times higher than the batched service time and would make "2× load"
-// comfortably sustainable.)
-func calibrateSaturation() (time.Duration, error) {
-	const writes = 200
-	out, err := runPoint("overload calibration", rig.Config{}, false, func(sectors int64) ([]workload.Load, error) {
-		load, err := workload.OpenLoop(workload.OpenLoopConfig{
-			Interarrival: 50 * time.Microsecond,
-			Requests:     writes,
-			WriteSize:    1024,
-			Seed:         gateSeed,
-		}, sectors)
-		return []workload.Load{load}, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	wres := out.res[0]
-	if wres.Writes.Count() != writes {
-		return 0, fmt.Errorf("overload calibration: probe lost writes: %d/%d acked", wres.Writes.Count(), writes)
-	}
-	return wres.Elapsed / writes, nil
-}
-
-// overloadCell runs one open-loop cell.
-func overloadCell(withQoS bool, svc time.Duration) (*OverloadRow, error) {
-	cfg := trail.Default()
-	if withQoS {
-		cfg.QoS = overloadPolicy()
-	}
-	interarrival := time.Duration(float64(svc) / overloadMultiplier)
-	if interarrival <= 0 {
-		interarrival = time.Microsecond
-	}
-	point := fmt.Sprintf("overload %.1fx qos=%v", overloadMultiplier, withQoS)
-	out, err := runPoint(point, rig.Config{Trail: cfg}, false, func(sectors int64) ([]workload.Load, error) {
+// openLoopPoint runs gridWrites open-loop 1 KB writes, interarrival apart,
+// on the default Trail system under pol (nil: no QoS).
+func openLoopPoint(point string, pol *qos.Policy, interarrival time.Duration) (*outcome, error) {
+	return runPoint(point, rig.Config{Trail: trail.Config{QoS: pol}}, false, func(sectors int64) ([]workload.Load, error) {
 		load, err := workload.OpenLoop(workload.OpenLoopConfig{
 			Interarrival: interarrival,
 			Requests:     gridWrites,
@@ -119,21 +113,4 @@ func overloadCell(withQoS bool, svc time.Duration) (*OverloadRow, error) {
 		}, sectors)
 		return []workload.Load{load}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	wres := out.res[0]
-	if wres.Failed > 0 {
-		return nil, fmt.Errorf("%s: %d unexpected write errors", point, wres.Failed)
-	}
-	return &OverloadRow{
-		QoS:         withQoS,
-		Acked:       wres.Writes.Count(),
-		Shed:        wres.Shed,
-		Expired:     wres.Expired,
-		Mean:        wres.Writes.Mean(),
-		P50:         wres.Writes.Quantile(0.50),
-		P99:         wres.Writes.Quantile(0.99),
-		MaxLogQueue: out.trail.MaxLogQueue,
-	}, nil
 }

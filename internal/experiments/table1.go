@@ -35,8 +35,6 @@ func Table1() (*Table1Result, error) {
 	const writes = 32
 	res := &Table1Result{Writes: writes}
 	for _, bs := range []int{1, 2, 4, 8, 16, 32} {
-		cfg := trail.Default()
-		cfg.MaxBatchSectors = bs
 		// Warm the driver (establish the prediction reference point) so the
 		// measurement starts from steady state, as the paper's does; then
 		// queue every write at once, one stream each.
@@ -48,7 +46,7 @@ func Table1() (*Table1Result, error) {
 		for i := range load.Streams {
 			load.Streams[i] = oneSector(fmt.Sprintf("w%d", i), int64(i*64))
 		}
-		out, err := runPoint(fmt.Sprintf("table1 batch %d", bs), rig.Config{Trail: cfg}, false, func(int64) ([]workload.Load, error) {
+		out, err := runPoint(fmt.Sprintf("table1 batch %d", bs), rig.Config{Trail: trail.Config{MaxBatchSectors: bs}}, false, func(int64) ([]workload.Load, error) {
 			return []workload.Load{warm, load}, nil
 		})
 		if err != nil {
