@@ -83,7 +83,9 @@ type ReadPriorityResult struct {
 func ReadPriorityAblation(reads int, seed uint64) (*ReadPriorityResult, error) {
 	res := &ReadPriorityResult{}
 	for _, policy := range []sched.Policy{sched.ReadPriorityLOOK, sched.LOOK} {
-		sys, err := rig.New(rig.Config{Trail: trail.Config{DataPolicy: policy}})
+		cfg := trail.Default()
+		cfg.DataPolicy = policy
+		sys, err := rig.New(rig.Config{Trail: cfg})
 		if err != nil {
 			return nil, err
 		}

@@ -112,8 +112,9 @@ func Figure4(qs []int, seed uint64) (*Fig4Result, error) {
 // the rig carries it, so the data disks of a recovery record spans into it
 // and the write-back phase can be decomposed per device command.
 func crashWithBacklog(q int, seed uint64, rec *span.Recorder) (*rig.Rig, error) {
-	// One 2-sector write per record: backlog == Q records.
-	sys, err := rig.New(rig.Config{Trail: trail.Config{MaxBatchSectors: 2}, Instruments: rig.Instruments{Recorder: rec}})
+	cfg := trail.Default()
+	cfg.MaxBatchSectors = 2 // one 2-sector write per record: backlog == Q records
+	sys, err := rig.New(rig.Config{Trail: cfg, Instruments: rig.Instruments{Recorder: rec}})
 	if err != nil {
 		return nil, err
 	}
