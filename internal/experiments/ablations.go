@@ -35,7 +35,8 @@ type ThresholdResult struct {
 func ThresholdSweep(writes int, seed uint64) (*ThresholdResult, error) {
 	res := &ThresholdResult{}
 	for _, th := range []float64{0.05, 0.15, 0.30, 0.50, 0.80} {
-		out, err := runPoint(fmt.Sprintf("threshold %.2f", th), rig.Config{Trail: trail.Config{UtilizationThreshold: th}}, false, syncWrites(workload.SyncWriteConfig{
+		cfg := rig.Config{Trail: trail.Config{UtilizationThreshold: th}}
+		out, err := runPoint(fmt.Sprintf("threshold %.2f", th), cfg, false, syncWrites(workload.SyncWriteConfig{
 			Mode:             workload.Clustered,
 			WriteSize:        1024,
 			WritesPerProcess: writes,

@@ -60,11 +60,11 @@ func overloadPolicy() *qos.Policy {
 // several times higher than the batched service time and would make "2×
 // load" comfortably sustainable.)
 func Overload() (*OverloadResult, error) {
-	out, err := openLoopPoint("overload calibration", nil, 50*time.Microsecond)
+	cal, err := openLoopPoint("overload calibration", nil, 50*time.Microsecond)
 	if err != nil {
 		return nil, err
 	}
-	probe := out.res[0]
+	probe := cal.res[0]
 	if n := probe.Writes.Count(); n != gridWrites {
 		return nil, fmt.Errorf("overload calibration: probe lost writes: %d/%d acked", n, gridWrites)
 	}
