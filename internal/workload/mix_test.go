@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"slices"
 	"testing"
 	"time"
@@ -133,6 +135,52 @@ func TestGenerateMixRejectsBadConfig(t *testing.T) {
 	for _, cfg := range bad {
 		if _, err := GenerateMix(cfg); err == nil {
 			t.Errorf("GenerateMix(%+v) accepted bad config", cfg)
+		}
+	}
+}
+
+// mixDigest is the FNV-64a digest of every field of every request, each
+// written as a little-endian uint64, so a pin holds with a 32-bit int too.
+func mixDigest(reqs []MixRequest) uint64 {
+	h := fnv.New64a()
+	var b []byte
+	for _, r := range reqs {
+		b = binary.LittleEndian.AppendUint64(b[:0], uint64(r.At))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Tenant))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Block))
+		read := uint64(0)
+		if r.Read {
+			read = 1
+		}
+		b = binary.LittleEndian.AppendUint64(b, read)
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Class))
+		h.Write(b)
+	}
+	return h.Sum64()
+}
+
+// TestGenerateMixStreamPinned holds the streams the benchmark and the
+// cluster experiments replay to the bytes they had before the tenant draw
+// went through a guide table: a sampler change must not move a request.
+func TestGenerateMixStreamPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  MixConfig
+		want uint64
+	}{
+		// bench's cluster_observed mix on rep 1's inputs at its default seed 1.
+		{"bench", MixConfig{Tenants: 48, Requests: 60000, ReadFraction: 0.3,
+			Interarrival: 400 * time.Microsecond, ZipfS: 0.9, InteractiveWeight: 10, Seed: 1<<8 + 1}, 0x8e53300473c8ed0e},
+		// experiments.ClusterMix(60000, 1).
+		{"ClusterMix", MixConfig{Tenants: 48, Requests: 60000, ReadFraction: 0.3,
+			Interarrival: 400 * time.Microsecond, ZipfS: 0.9, BackgroundWeight: 15, InteractiveWeight: 10, Seed: 1}, 0x1b975c0d986f74e7},
+	} {
+		reqs, err := GenerateMix(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mixDigest(reqs); got != tc.want {
+			t.Errorf("%s: stream digest %#016x, want %#016x", tc.name, got, tc.want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +54,22 @@ func TestZipfSkew(t *testing.T) {
 	}
 	if counts[0] <= counts[8*5000] {
 		t.Error("hot slot not hotter than the middle")
+	}
+}
+
+// TestZipfPatternPinned holds 100 000 targets of trailsim's zipf pattern to
+// the bytes they had before the slot draw went through a guide table.
+func TestZipfPatternPinned(t *testing.T) {
+	z := NewZipf()
+	rng := sim.NewRand(1)
+	h := fnv.New64a()
+	var b []byte
+	for i := 0; i < 100000; i++ {
+		b = binary.LittleEndian.AppendUint64(b[:0], uint64(z.Next(rng, 10000*8, 8)))
+		h.Write(b)
+	}
+	if got, want := h.Sum64(), uint64(0x5866c2ff2bbb3672); got != want {
+		t.Errorf("target digest %#016x, want %#016x", got, want)
 	}
 }
 
