@@ -75,8 +75,16 @@ func GenerateMix(cfg MixConfig) ([]MixRequest, error) {
 	if cfg.Requests < 0 {
 		return nil, fmt.Errorf("workload: negative Requests %d", cfg.Requests)
 	}
-	if cfg.ReadFraction < 0 || cfg.ReadFraction > 1 {
+	if cfg.Interarrival < 0 {
+		return nil, fmt.Errorf("workload: negative Interarrival %v", cfg.Interarrival)
+	}
+	if !(cfg.ReadFraction >= 0 && cfg.ReadFraction <= 1) {
 		return nil, fmt.Errorf("workload: ReadFraction %v outside [0,1]", cfg.ReadFraction)
+	}
+	// A negative exponent can overflow the CDF's total to NaN, and the
+	// tenant draw needs a non-decreasing CDF.
+	if !(cfg.ZipfS >= 0) || math.IsInf(cfg.ZipfS, 1) {
+		return nil, fmt.Errorf("workload: ZipfS %v not a finite exponent >= 0", cfg.ZipfS)
 	}
 	if cfg.BackgroundWeight < 0 || cfg.InteractiveWeight < 0 ||
 		cfg.BackgroundWeight+cfg.InteractiveWeight > 100 {
@@ -85,9 +93,9 @@ func GenerateMix(cfg MixConfig) ([]MixRequest, error) {
 	}
 
 	// Precompute the zipfian CDF over tenants once; sampling is then a
-	// single uniform draw plus a binary search, with no float accumulation
+	// single uniform draw plus a table lookup, with no float accumulation
 	// order depending on the request stream.
-	cdf := zipfCDF(cfg.Tenants, cfg.ZipfS)
+	tenants := newZipfTable(cfg.Tenants, cfg.ZipfS)
 
 	rng := sim.NewRand(cfg.Seed)
 	reqs := make([]MixRequest, 0, cfg.Requests)
@@ -96,7 +104,7 @@ func GenerateMix(cfg MixConfig) ([]MixRequest, error) {
 		at += time.Duration(rng.Exp(float64(cfg.Interarrival)))
 		r := MixRequest{
 			At:     at,
-			Tenant: sampleCDF(cdf, rng.Float64()),
+			Tenant: tenants.draw(rng.Float64()),
 			Block:  rng.Intn(BlocksPerTenant),
 			Read:   rng.Float64() < cfg.ReadFraction,
 		}
@@ -127,16 +135,42 @@ func zipfCDF(n int, s float64) []float64 {
 	return cdf
 }
 
-// sampleCDF returns the first index whose cumulative mass covers u.
-func sampleCDF(cdf []float64, u float64) int {
-	lo, hi := 0, len(cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// zipfTable draws ranks from a Zipf CDF through a guide table: bucket b of
+// K holds the first rank whose cumulative mass covers b/K, and a draw u
+// walks forward from its bucket's rank while the mass is below u. That is
+// exactly the first rank covering u, since no rank before the bucket's
+// covers b/K <= u and cdf[n-1] == 1 ends the walk; K is a power of two, so
+// int(u*K) is u's bucket exactly. With K >= 32n buckets most hold one rank,
+// and a draw is a load and a compare where a binary search over the CDF
+// mispredicted a branch a step.
+type zipfTable struct {
+	cdf   []float64
+	start []int32
+}
+
+func newZipfTable(n int, s float64) zipfTable {
+	k := 1
+	for k < 32*n && k < 1<<16 {
+		k <<= 1
 	}
-	return lo
+	t := zipfTable{cdf: zipfCDF(n, s), start: make([]int32, k)}
+	i := 0
+	for b := range t.start {
+		i = t.walk(i, float64(b)/float64(k))
+		t.start[b] = int32(i)
+	}
+	return t
+}
+
+// draw returns the first rank whose cumulative mass covers u in [0, 1).
+func (t zipfTable) draw(u float64) int {
+	return t.walk(int(t.start[int(u*float64(len(t.start)))]), u)
+}
+
+// walk returns the first rank from i on whose cumulative mass covers u.
+func (t zipfTable) walk(i int, u float64) int {
+	for t.cdf[i] < u {
+		i++
+	}
+	return i
 }

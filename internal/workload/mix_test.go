@@ -3,11 +3,13 @@ package workload
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"slices"
 	"testing"
 	"time"
 
 	"tracklog/internal/blockdev"
+	"tracklog/internal/sim"
 )
 
 func TestGenerateMixDeterministic(t *testing.T) {
@@ -131,6 +133,12 @@ func TestGenerateMixRejectsBadConfig(t *testing.T) {
 		{Tenants: 1, ReadFraction: 1.5},
 		{Tenants: 1, BackgroundWeight: 80, InteractiveWeight: 30},
 		{Tenants: 1, BackgroundWeight: -1},
+		{Tenants: 1, Interarrival: -time.Microsecond},
+		{Tenants: 1, ReadFraction: math.NaN()},
+		{Tenants: 1, ZipfS: math.NaN()},
+		{Tenants: 1, ZipfS: math.Inf(1)},
+		{Tenants: 1, ZipfS: math.Inf(-1)},
+		{Tenants: 48, ZipfS: -400}, // the CDF's total overflows to +Inf
 	}
 	for _, cfg := range bad {
 		if _, err := GenerateMix(cfg); err == nil {
@@ -168,9 +176,7 @@ func TestGenerateMixStreamPinned(t *testing.T) {
 		cfg  MixConfig
 		want uint64
 	}{
-		// bench's cluster_observed mix on rep 1's inputs at its default seed 1.
-		{"bench", MixConfig{Tenants: 48, Requests: 60000, ReadFraction: 0.3,
-			Interarrival: 400 * time.Microsecond, ZipfS: 0.9, InteractiveWeight: 10, Seed: 1<<8 + 1}, 0x8e53300473c8ed0e},
+		{"bench", benchMix, 0x8e53300473c8ed0e},
 		// experiments.ClusterMix(60000, 1).
 		{"ClusterMix", MixConfig{Tenants: 48, Requests: 60000, ReadFraction: 0.3,
 			Interarrival: 400 * time.Microsecond, ZipfS: 0.9, BackgroundWeight: 15, InteractiveWeight: 10, Seed: 1}, 0x1b975c0d986f74e7},
@@ -181,6 +187,74 @@ func TestGenerateMixStreamPinned(t *testing.T) {
 		}
 		if got := mixDigest(reqs); got != tc.want {
 			t.Errorf("%s: stream digest %#016x, want %#016x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// sampleCDF is the reference a guide table must agree with: a binary search
+// for the first index whose cumulative mass covers u.
+func sampleCDF(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfTableMatchesBinarySearch holds every draw of the guide table to
+// the binary search's index: at 0, at each CDF value and both its float
+// neighbours (every edge where the answer changes), and on seeded draws, for
+// 1-64 tenants at five skews and for trailsim's 10 000-slot pattern.
+func TestZipfTableMatchesBinarySearch(t *testing.T) {
+	type shape struct {
+		n     int
+		s     float64
+		draws int
+	}
+	var shapes []shape
+	for n := 1; n <= 64; n++ {
+		for _, s := range []float64{0, 0.5, 0.9, 0.99, 1.5} {
+			draws := 20000
+			if n == benchMix.Tenants && s == benchMix.ZipfS {
+				draws = 1000000
+			}
+			shapes = append(shapes, shape{n, s, draws})
+		}
+	}
+	shapes = append(shapes, shape{10000, 0.99, 1000000})
+	for _, sh := range shapes {
+		tab := newZipfTable(sh.n, sh.s)
+		var walks, draws, longest int
+		check := func(u float64) {
+			got, want := tab.draw(u), sampleCDF(tab.cdf, u)
+			if got != want {
+				t.Fatalf("n=%d s=%v: draw(%v) = %d, binary search %d", sh.n, sh.s, u, got, want)
+			}
+			walk := got - int(tab.start[int(u*float64(len(tab.start)))])
+			walks += walk
+			draws++
+			longest = max(longest, walk)
+		}
+		check(0)
+		for _, c := range tab.cdf {
+			for _, u := range []float64{math.Nextafter(c, 0), c, math.Nextafter(c, 2)} {
+				if u < 1 {
+					check(u)
+				}
+			}
+		}
+		rng := sim.NewRand(uint64(sh.n))
+		for i := 0; i < sh.draws; i++ {
+			check(rng.Float64())
+		}
+		if sh.draws > 20000 {
+			t.Logf("n=%d s=%v, %d buckets: mean walk %.4f, longest %d over %d draws",
+				sh.n, sh.s, len(tab.start), float64(walks)/float64(draws), longest, draws)
 		}
 	}
 }

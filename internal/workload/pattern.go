@@ -49,21 +49,21 @@ func (s *SequentialPattern) String() string { return "sequential" }
 // distribution over n slots — a hot/cold working set, the common database
 // page-access shape. It uses inverse-CDF sampling over a precomputed table.
 type ZipfPattern struct {
-	cdf  []float64
-	name string
+	slots zipfTable
+	name  string
 }
 
 // NewZipf builds a Zipf pattern over 10 000 slots with the classic exponent
 // 0.99.
 func NewZipf() *ZipfPattern {
 	const n, s = 10000, 0.99
-	return &ZipfPattern{cdf: zipfCDF(n, s), name: fmt.Sprintf("zipf(%d,%.2f)", n, s)}
+	return &ZipfPattern{slots: newZipfTable(n, s), name: fmt.Sprintf("zipf(%d,%.2f)", n, s)}
 }
 
 // Next implements Pattern.
 func (z *ZipfPattern) Next(rng *sim.Rand, devSectors int64, sectors int) int64 {
 	slots := devSectors / int64(sectors)
-	slot := int64(sampleCDF(z.cdf, rng.Float64())) % slots
+	slot := int64(z.slots.draw(rng.Float64())) % slots
 	return slot * int64(sectors)
 }
 
