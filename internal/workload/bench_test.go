@@ -28,11 +28,16 @@ func BenchmarkGenerateMix(b *testing.B) {
 	}
 }
 
+// targetSink keeps the compiler from dropping the draws it is summed from.
+var targetSink int64
+
 func BenchmarkZipfPatternNext(b *testing.B) {
 	z := NewZipf()
 	rng := sim.NewRand(1)
+	var sum int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		z.Next(rng, 10000*8, 8)
+		sum += z.Next(rng, 10000*8, 8)
 	}
+	targetSink = sum
 }

@@ -81,8 +81,8 @@ func GenerateMix(cfg MixConfig) ([]MixRequest, error) {
 	if !(cfg.ReadFraction >= 0 && cfg.ReadFraction <= 1) {
 		return nil, fmt.Errorf("workload: ReadFraction %v outside [0,1]", cfg.ReadFraction)
 	}
-	// A negative exponent can overflow the CDF's total to NaN, and the
-	// tenant draw needs a non-decreasing CDF.
+	// A negative exponent can overflow the CDF's total and make the CDF
+	// NaN; the tenant draw needs a non-decreasing CDF.
 	if !(cfg.ZipfS >= 0) || math.IsInf(cfg.ZipfS, 1) {
 		return nil, fmt.Errorf("workload: ZipfS %v not a finite exponent >= 0", cfg.ZipfS)
 	}
@@ -141,8 +141,7 @@ func zipfCDF(n int, s float64) []float64 {
 // exactly the first rank covering u, since no rank before the bucket's
 // covers b/K <= u and cdf[n-1] == 1 ends the walk; K is a power of two, so
 // int(u*K) is u's bucket exactly. With K >= 32n buckets most hold one rank,
-// and a draw is a load and a compare where a binary search over the CDF
-// mispredicted a branch a step.
+// so a draw is a load and one compare whose branch the CPU predicts.
 type zipfTable struct {
 	cdf   []float64
 	start []int32
