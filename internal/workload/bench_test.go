@@ -36,6 +36,7 @@ func BenchmarkZipfPatternNext(b *testing.B) {
 	rng := sim.NewRand(1)
 	var sum int64
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sum += z.Next(rng, 10000*8, 8)
 	}
