@@ -65,7 +65,9 @@ func runIn(t *testing.T, args ...string) (stdout []byte, files map[string][]byte
 // subread time, so spans tile every request; all but stdout's summary lines
 // re-pinned when the rebuild stopped copying a slot while a write to it was
 // out, which had left one acknowledged write unreadable on the rebuilt
-// shard), and asserts the failure path was exercised and fully
+// shard; metrics.prom re-pinned when every layer's Stats began reaching the
+// registry through Counts, which changed HELP text and turned the kernel's
+// two peak gauges into counters), and asserts the failure path was exercised and fully
 // recovered: one death, one recovery, the killed shard back healthy on
 // replacement hardware and no acknowledged write lost. A change that moves
 // any byte here on purpose updates the pin and says so. The trace is also
@@ -75,7 +77,7 @@ func TestKillOneShardGolden(t *testing.T) {
 	files["out.txt"] = out
 	for name, want := range map[string]string{
 		"out.txt":      "540 bytes c35ba3e23710c304",
-		"metrics.prom": "5922 bytes 371490aea9d042bf",
+		"metrics.prom": "5952 bytes a100e25d6d487562",
 		"timeline.csv": "339536 bytes b4e32eb9ea509c88",
 		"trace.json":   "2449022 bytes 4f4018c93ef94112",
 		"spans.json":   "313463 bytes 4c93330b0bcd05c8",

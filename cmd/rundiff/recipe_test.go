@@ -22,8 +22,9 @@ import (
 // -out, the third with the log disk's seek arm derated, then rundiff on the
 // same-seed pair and on the perturbed pair. Both reports are pinned to their
 // length and FNV-64a with their exit statuses, recorded at 18d5d33 and
-// re-pinned when the first-divergence line joined them and when the span
-// budget difference replaced the share-of-run ranking; a change that moves
+// re-pinned when the first-divergence line joined them, when the span
+// budget difference replaced the share-of-run ranking and when the drive's
+// seek time became the counter tracklog_disk_seek_us_total; a change that moves
 // either on purpose updates the pin and says so. The perturbed report is
 // README.md's worked example, byte for byte, and puts the log writer's track
 // switches first. The derated seek is where the perturbed run's event stream
@@ -70,7 +71,7 @@ func TestTrailsimPairGolden(t *testing.T) {
 	if again := report("run-a", "run-b", 0, "95 bytes 567b4a6e0787594d"); again != same {
 		t.Errorf("same-seed report not byte-identical across invocations")
 	}
-	perturbed := report("run-a", "run-p", 1, "934 bytes 76b4f969d5dacb6e")
+	perturbed := report("run-a", "run-p", 1, "938 bytes 4eb8f68aaacc8dab")
 	if !regexp.MustCompile(`(?m)^trail/write: .*\n    trackswitch `).MatchString(perturbed) ||
 		!strings.Contains(perturbed, "REGRESSION") {
 		t.Errorf("perturbed report lacks a REGRESSION with trail/write trackswitch on top:\n%s", perturbed)

@@ -220,8 +220,8 @@ func runReplayFile(w io.Writer, r *rig.Rig, system, path string) ([]benchfmt.Ent
 
 // runPattern synthesizes a trace with the named pattern and replays it.
 func runPattern(w io.Writer, r *rig.Rig, system, pattern string, ops, size int, seed uint64) ([]benchfmt.Entry, error) {
-	if size <= 0 || size%geom.SectorSize != 0 {
-		return nil, fmt.Errorf("write size %d not a positive sector multiple", size)
+	if err := workload.CheckWriteSize(size, r.Dev(0).Sectors()); err != nil {
+		return nil, err
 	}
 	var pat workload.Pattern
 	switch pattern {

@@ -67,8 +67,11 @@ func runIn(t *testing.T, args ...string) (stdout, stderr []byte, files map[strin
 // was added and the spans line moved ahead of the span budget), and when the
 // span budget, tail explainer and prediction audit moved to `rundiff DIR`
 // (they left stdout; the Trail trace keeps its length, each predict event
-// now follows its record write's disk events). A change that moves any byte
-// here on purpose updates the pin and says so. The trace is also read back
+// now follows its record write's disk events); metrics.prom re-pinned when
+// every layer's Stats began reaching the registry through Counts (HELP text
+// changed, and the disk, sched and kernel series that rendered a Stats
+// duration or peak as a gauge became _us/_total counters). A change that
+// moves any byte here on purpose updates the pin and says so. The trace is also read back
 // through trace.ReadChrome, so it stays loadable.
 func TestTraceSmokeGolden(t *testing.T) {
 	for _, tc := range []struct {
@@ -77,7 +80,7 @@ func TestTraceSmokeGolden(t *testing.T) {
 	}{
 		{"trail", map[string]string{
 			"trace.json":   "240532 bytes 0c294704ef1bbdf1",
-			"metrics.prom": "10783 bytes 97bc52adf2102e70",
+			"metrics.prom": "10768 bytes 7e4b40d9ee3d010d",
 			"timeline.csv": "71201 bytes 7609ac0cc505d305",
 			"spans.json":   "56802 bytes 23c55f7ca873ce28",
 			"bench.json":   "197 bytes 12d21c8556a3748c",
@@ -85,7 +88,7 @@ func TestTraceSmokeGolden(t *testing.T) {
 		}},
 		{"std", map[string]string{
 			"trace.json":   "128346 bytes b96de04d7a287c2c",
-			"metrics.prom": "6095 bytes 28b88897594c3a0a",
+			"metrics.prom": "6056 bytes cc5105d256f1865b",
 			"timeline.csv": "36595 bytes 10356d28533041d7",
 			"spans.json":   "28191 bytes e3b88dca2268ca46",
 			"bench.json":   "197 bytes dc3bd0596f2cc0fd",
@@ -148,12 +151,16 @@ func TestChaosSoakGolden(t *testing.T) {
 // nothing, -faults under -pattern ran fault-free, -procs outside the sync
 // mode and -pattern, -seed and -size under -replay changed nothing. The
 // -replay rows run without the -writes prefix, which -replay does not read.
+// A write one sector larger than the 19 380 000-sector data disk once
+// panicked drawing a target from no slots (sync, -offered-load, uniform),
+// divided by zero (zipf) or allocated the whole write (sequential); those
+// rows need a 64-bit int to parse.
 func TestBadSizeExitsWithError(t *testing.T) {
 	replayFile := filepath.Join(t.TempDir(), "trace.txt")
 	if err := os.WriteFile(replayFile, []byte("0 W 100 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
+	rows := [][]string{
 		{"-size", "-512"},
 		{"-offered-load", "1000", "-size", "-512"},
 		{"-pattern", "uniform", "-size", "0"},
@@ -170,7 +177,18 @@ func TestBadSizeExitsWithError(t *testing.T) {
 		{"-pattern", "zipf", "-offered-load", "1000", "-verify"},
 		{"-replay", replayFile, "-pattern", "zipf"},
 		{"-replay", replayFile, "-seed", "9", "-size", "4096"},
-	} {
+	}
+	if strconv.IntSize == 64 {
+		overDevice := strconv.FormatInt((19380000+1)*512, 10)
+		rows = append(rows,
+			[]string{"-size", overDevice},
+			[]string{"-offered-load", "1000", "-size", overDevice},
+			[]string{"-pattern", "uniform", "-size", overDevice},
+			[]string{"-pattern", "zipf", "-size", overDevice},
+			[]string{"-pattern", "sequential", "-size", overDevice},
+		)
+	}
+	for _, args := range rows {
 		t.Run(strings.ReplaceAll(strings.Join(args, " "), replayFile, "TRACE"), func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {

@@ -106,19 +106,7 @@ func TestClosedWorldIsCollectable(t *testing.T) {
 // observedRigWrites runs a few writes through a rig built from cfg, closes
 // it and puts fin on its data disk.
 func observedRigWrites(t *testing.T, cfg rig.Config, fin func(*disk.Disk)) {
-	r, err := rig.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Go("client", func(p *sim.Proc) {
-		buf := make([]byte, 4*512)
-		for i := 0; i < 8; i++ {
-			if err := r.Dev(0).Write(p, int64(i)*64, 4, buf); err != nil {
-				t.Errorf("write %d: %v", i, err)
-			}
-		}
-	})
-	r.Run()
+	r := rigWrites(t, cfg)
 	r.Close()
 	runtime.SetFinalizer(r.DataDisks[0], fin)
 }

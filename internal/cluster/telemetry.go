@@ -1,7 +1,8 @@
 package cluster
 
 // Observability wiring. The cluster carries its own span recorder (driver
-// name "cluster", dev "shard<i>"), registers its counters and per-shard
+// name "cluster", dev "shard<i>"), registers its Stats counters (through
+// Stats.Counters and Registry.CounterFuncs, like every layer) and per-shard
 // health gauges with the telemetry registry, and exposes per-shard health
 // lanes plus failover/hedge/rebuild marks on the timeline aggregator. Shard
 // disks get their own timeline lanes under generation-qualified names
@@ -49,39 +50,33 @@ func (c *Cluster) observeShardDisks(sh *Shard) {
 	sh.data.SetTimeline(c.agg, fmt.Sprintf("s%d.g%d.data", sh.idx, sh.gen))
 }
 
-// RegisterMetrics exposes the cluster's counters and per-shard health on
-// reg. Per-shard series carry a shard label; the health gauge encodes the
+// Counters names every Stats field as a "cluster.*" counter.
+func (s Stats) Counters() telemetry.Counts {
+	return telemetry.Counts{
+		"cluster.writes":          s.Writes,
+		"cluster.writes_acked":    s.WritesAcked,
+		"cluster.degraded_acks":   s.DegradedAcks,
+		"cluster.writes_shed":     s.WritesShed,
+		"cluster.writes_failed":   s.WritesFailed,
+		"cluster.reads":           s.Reads,
+		"cluster.reads_ok":        s.ReadsOK,
+		"cluster.reads_failed":    s.ReadsFailed,
+		"cluster.failovers":       s.Failovers,
+		"cluster.hedges":          s.Hedges,
+		"cluster.hedge_wins":      s.HedgeWins,
+		"cluster.shard_deaths":    s.ShardDeaths,
+		"cluster.recoveries":      s.Recoveries,
+		"cluster.rebuild_copies":  s.RebuildCopies,
+		"cluster.rebuild_retries": s.RebuildRetries,
+	}
+}
+
+// RegisterMetrics exposes the cluster's Stats counters and per-shard health
+// on reg. Per-shard series carry a shard label; the health gauge encodes the
 // state machine numerically (0 healthy, 1 suspect, 2 dead, 3 recovering).
 func (c *Cluster) RegisterMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	counters := []struct {
-		name, help string
-		v          *int64
-	}{
-		{"cluster_writes_total", "Write requests admitted to the router.", &c.stats.Writes},
-		{"cluster_writes_acked_total", "Writes acknowledged with at least one durable copy.", &c.stats.WritesAcked},
-		{"cluster_degraded_acks_total", "Writes acknowledged with one copy down.", &c.stats.DegradedAcks},
-		{"cluster_writes_shed_total", "Writes refused with ErrOverload.", &c.stats.WritesShed},
-		{"cluster_writes_failed_total", "Writes failed outright.", &c.stats.WritesFailed},
-		{"cluster_reads_total", "Read requests admitted to the router.", &c.stats.Reads},
-		{"cluster_reads_ok_total", "Reads served from some copy.", &c.stats.ReadsOK},
-		{"cluster_reads_failed_total", "Reads that exhausted every copy.", &c.stats.ReadsFailed},
-		{"cluster_failovers_total", "Reads redirected to the replica after primary failure.", &c.stats.Failovers},
-		{"cluster_hedges_total", "Hedged replica reads issued.", &c.stats.Hedges},
-		{"cluster_hedge_wins_total", "Hedged reads that beat the primary.", &c.stats.HedgeWins},
-		{"cluster_shard_deaths_total", "Shards declared dead.", &c.stats.ShardDeaths},
-		{"cluster_recoveries_total", "Shards returned to healthy after rebuild.", &c.stats.Recoveries},
-		{"cluster_rebuild_copies_total", "Slots replayed onto replacement shards.", &c.stats.RebuildCopies},
-		{"cluster_rebuild_retries_total", "Rebuild copy attempts refused and retried.", &c.stats.RebuildRetries},
-	}
-	for _, ct := range counters {
-		v := ct.v
-		reg.CounterFunc(telemetry.Prefix+ct.name, ct.help, func() int64 { return *v })
-	}
+	reg.CounterFuncs(func() telemetry.Counts { return c.stats.Counters() })
 	for i := range c.shards {
-		i := i
 		lbl := telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}
 		reg.GaugeFunc(telemetry.Prefix+"cluster_shard_health",
 			"Shard health state (0 healthy, 1 suspect, 2 dead, 3 recovering).",

@@ -2,43 +2,29 @@ package disk
 
 import "tracklog/internal/telemetry"
 
-// RegisterMetrics registers the drive's activity counters and virtual-time
-// utilization on reg, labeled disk=name. All series read deterministic
-// virtual-time state (command counts, mechanical time breakdowns), so any
-// export of reg stays byte-comparable across same-seed runs. A nil
-// registry registers nothing.
-func (d *Disk) RegisterMetrics(reg *telemetry.Registry, name string) {
-	if reg == nil {
-		return
+// Counters names every Stats field as a "disk.*" counter, durations in
+// whole microseconds.
+func (s Stats) Counters() telemetry.Counts {
+	return telemetry.Counts{
+		"disk.reads":           s.Reads,
+		"disk.writes":          s.Writes,
+		"disk.sectors_read":    s.SectorsRead,
+		"disk.sectors_written": s.SectorsWritten,
+		"disk.errors":          s.Errors,
+		"disk.busy_us":         s.Busy.Microseconds(),
+		"disk.seek_us":         s.SeekTime.Microseconds(),
+		"disk.rotate_us":       s.RotateTime.Microseconds(),
+		"disk.transfer_us":     s.TransferTime.Microseconds(),
 	}
+}
+
+// RegisterMetrics registers the drive's Stats counters and virtual-time
+// utilization on reg, labeled disk=name. All series read deterministic
+// virtual-time state, so any export of reg stays byte-comparable across
+// same-seed runs. A nil registry registers nothing.
+func (d *Disk) RegisterMetrics(reg *telemetry.Registry, name string) {
 	l := telemetry.Label{Key: "disk", Value: name}
-	reg.CounterFunc(telemetry.Prefix+"disk_reads_total",
-		"Read commands completed.",
-		func() int64 { return d.stats.Reads }, l)
-	reg.CounterFunc(telemetry.Prefix+"disk_writes_total",
-		"Write commands completed.",
-		func() int64 { return d.stats.Writes }, l)
-	reg.CounterFunc(telemetry.Prefix+"disk_sectors_read_total",
-		"Sectors transferred by reads.",
-		func() int64 { return d.stats.SectorsRead }, l)
-	reg.CounterFunc(telemetry.Prefix+"disk_sectors_written_total",
-		"Sectors transferred by writes.",
-		func() int64 { return d.stats.SectorsWritten }, l)
-	reg.CounterFunc(telemetry.Prefix+"disk_errors_total",
-		"Commands that completed with a fault.",
-		func() int64 { return d.stats.Errors }, l)
-	reg.GaugeFunc(telemetry.Prefix+"disk_busy_ms",
-		"Virtual time spent servicing commands, in milliseconds.",
-		func() float64 { return float64(d.stats.Busy) / 1e6 }, l)
-	reg.GaugeFunc(telemetry.Prefix+"disk_seek_ms",
-		"Virtual time spent seeking, in milliseconds.",
-		func() float64 { return float64(d.stats.SeekTime) / 1e6 }, l)
-	reg.GaugeFunc(telemetry.Prefix+"disk_rotate_ms",
-		"Virtual time spent in rotational latency, in milliseconds.",
-		func() float64 { return float64(d.stats.RotateTime) / 1e6 }, l)
-	reg.GaugeFunc(telemetry.Prefix+"disk_transfer_ms",
-		"Virtual time spent transferring sectors, in milliseconds.",
-		func() float64 { return float64(d.stats.TransferTime) / 1e6 }, l)
+	reg.CounterFuncs(func() telemetry.Counts { return d.stats.Counters() }, l)
 	reg.GaugeFunc(telemetry.Prefix+"disk_utilization",
 		"Fraction of elapsed virtual time the drive spent busy.",
 		func() float64 {

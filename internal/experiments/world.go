@@ -171,10 +171,9 @@ func runWorld(s *system, loads ...workload.Load) outcome {
 		out.counters = s.rig.Trail.Stats().FaultCounters()
 		out.invariants = s.rig.Trail.CheckInvariants()
 	default:
-		out.counters = telemetry.Counts{"stddisk.retries": 0, "stddisk.failures": 0}
+		out.counters = telemetry.Counts{}
 		for _, d := range s.rig.Std {
-			out.counters["stddisk.retries"] += d.Stats().Retries
-			out.counters["stddisk.failures"] += d.Stats().Failures
+			out.counters.Merge(d.Stats().Counters())
 		}
 	}
 	for _, pl := range s.plans {

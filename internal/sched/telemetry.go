@@ -2,37 +2,28 @@ package sched
 
 import "tracklog/internal/telemetry"
 
-// RegisterMetrics registers the queue's scheduling counters on reg,
-// labeled disk=name, and registers the underlying drive under the same
+// Counters names every Stats field as a "sched.*" counter, the queue wait
+// in whole microseconds.
+func (s Stats) Counters() telemetry.Counts {
+	return telemetry.Counts{
+		"sched.submitted":     s.Submitted,
+		"sched.completed":     s.Completed,
+		"sched.errors":        s.Errors,
+		"sched.shed":          s.Shed,
+		"sched.expired":       s.Expired,
+		"sched.queue_wait_us": s.QueueWait.Microseconds(),
+		"sched.queue_peak":    int64(s.MaxDepth),
+	}
+}
+
+// RegisterMetrics registers the queue's Stats counters and current depth on
+// reg, labeled disk=name, and registers the underlying drive under the same
 // label. A nil registry registers nothing.
 func (q *Queue) RegisterMetrics(reg *telemetry.Registry, name string) {
-	if reg == nil {
-		return
-	}
 	l := telemetry.Label{Key: "disk", Value: name}
-	reg.CounterFunc(telemetry.Prefix+"sched_submitted_total",
-		"Requests submitted to the scheduler.",
-		func() int64 { return q.stats.Submitted }, l)
-	reg.CounterFunc(telemetry.Prefix+"sched_completed_total",
-		"Requests completed by the scheduler.",
-		func() int64 { return q.stats.Completed }, l)
-	reg.CounterFunc(telemetry.Prefix+"sched_errors_total",
-		"Requests completed with a fault.",
-		func() int64 { return q.stats.Errors }, l)
-	reg.CounterFunc(telemetry.Prefix+"sched_shed_total",
-		"Requests shed because the bounded queue was full.",
-		func() int64 { return q.stats.Shed }, l)
-	reg.CounterFunc(telemetry.Prefix+"sched_expired_total",
-		"Requests expired past their deadline before reaching the disk.",
-		func() int64 { return q.stats.Expired }, l)
-	reg.GaugeFunc(telemetry.Prefix+"sched_queue_wait_ms",
-		"Total virtual time requests spent waiting in queue, in milliseconds.",
-		func() float64 { return float64(q.stats.QueueWait) / 1e6 }, l)
+	reg.CounterFuncs(func() telemetry.Counts { return q.stats.Counters() }, l)
 	reg.GaugeFunc(telemetry.Prefix+"sched_queue_depth",
 		"Requests currently queued.",
 		func() float64 { return float64(q.Depth()) }, l)
-	reg.GaugeFunc(telemetry.Prefix+"sched_queue_peak",
-		"Queued-request high-water mark.",
-		func() float64 { return float64(q.stats.MaxDepth) }, l)
 	q.disk.RegisterMetrics(reg, name)
 }

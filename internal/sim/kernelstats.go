@@ -60,6 +60,21 @@ func (s KernelStats) Delta(base KernelStats) KernelStats {
 	}
 }
 
+// Counters names every KernelStats field as a "sim.*" counter.
+func (s KernelStats) Counters() telemetry.Counts {
+	return telemetry.Counts{
+		"sim.events_dispatched": s.EventsDispatched,
+		"sim.heap_pushes":       s.HeapPushes,
+		"sim.heap_pops":         s.HeapPops,
+		"sim.proc_wakeups":      s.Wakeups,
+		"sim.procs_spawned":     s.ProcsSpawned,
+		"sim.procs_finished":    s.ProcsFinished,
+		"sim.probe_events":      s.ProbeEvents,
+		"sim.event_queue_peak":  int64(s.QueuePeak),
+		"sim.procs_peak":        int64(s.ProcsPeak),
+	}
+}
+
 // KernelStats returns the kernel's work counters so far.
 func (e *Env) KernelStats() KernelStats {
 	s := e.kstats
@@ -83,40 +98,14 @@ func (e *Env) SetMetrics(reg *telemetry.Registry) {
 		telemetry.Prefix+"sim_dispatch_queue_depth",
 		"Event-queue depth observed at each dispatch.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
-	reg.CounterFunc(telemetry.Prefix+"sim_events_dispatched_total",
-		"Queue pops that transferred control to a process.",
-		func() int64 { return e.kstats.EventsDispatched })
-	reg.CounterFunc(telemetry.Prefix+"sim_heap_pushes_total",
-		"Event-queue heap pushes.",
-		func() int64 { return e.kstats.HeapPushes })
-	reg.CounterFunc(telemetry.Prefix+"sim_heap_pops_total",
-		"Event-queue heap pops, including stale entries for finished processes.",
-		func() int64 { return e.kstats.HeapPops })
-	reg.CounterFunc(telemetry.Prefix+"sim_proc_wakeups_total",
-		"Parked processes resumed by a kernel primitive.",
-		func() int64 { return e.kstats.Wakeups })
-	reg.CounterFunc(telemetry.Prefix+"sim_procs_spawned_total",
-		"Processes spawned (Go and GoDaemon).",
-		func() int64 { return e.kstats.ProcsSpawned })
-	reg.CounterFunc(telemetry.Prefix+"sim_procs_finished_total",
-		"Process functions that returned normally.",
-		func() int64 { return e.kstats.ProcsFinished })
-	reg.CounterFunc(telemetry.Prefix+"sim_probe_events_total",
-		"Durability-edge probe events numbered by the kernel.",
-		func() int64 { return e.probeSeq })
+	reg.CounterFuncs(func() telemetry.Counts { return e.KernelStats().Counters() })
 	reg.GaugeFunc(telemetry.Prefix+"sim_virtual_time_ms",
 		"Current virtual time, in milliseconds.",
 		func() float64 { return float64(e.now) / 1e6 })
 	reg.GaugeFunc(telemetry.Prefix+"sim_event_queue_depth",
 		"Current event-queue depth.",
 		func() float64 { return float64(len(e.queue)) })
-	reg.GaugeFunc(telemetry.Prefix+"sim_event_queue_peak",
-		"Event-queue high-water mark.",
-		func() float64 { return float64(e.kstats.QueuePeak) })
 	reg.GaugeFunc(telemetry.Prefix+"sim_procs_live",
 		"Processes currently spawned and not finished.",
 		func() float64 { return float64(len(e.live)) })
-	reg.GaugeFunc(telemetry.Prefix+"sim_procs_peak",
-		"Live-process high-water mark.",
-		func() float64 { return float64(e.kstats.ProcsPeak) })
 }

@@ -2,19 +2,19 @@ package stddisk
 
 import "tracklog/internal/telemetry"
 
-// RegisterMetrics registers the device's retry/failure counters on reg,
-// labeled disk=name, along with its scheduler queue and drive. A nil
-// registry registers nothing.
-func (d *Device) RegisterMetrics(reg *telemetry.Registry, name string) {
-	if reg == nil {
-		return
+// Counters names both Stats fields as "stddisk.*" counters.
+func (s Stats) Counters() telemetry.Counts {
+	return telemetry.Counts{
+		"stddisk.retries":  s.Retries,
+		"stddisk.failures": s.Failures,
 	}
-	l := telemetry.Label{Key: "disk", Value: name}
-	reg.CounterFunc(telemetry.Prefix+"stddisk_retries_total",
-		"Transient-failure command re-issues.",
-		func() int64 { return d.stats.Retries }, l)
-	reg.CounterFunc(telemetry.Prefix+"stddisk_failures_total",
-		"Commands surfaced to the client as errors.",
-		func() int64 { return d.stats.Failures }, l)
+}
+
+// RegisterMetrics registers the device's Stats counters on reg, labeled
+// disk=name, along with its scheduler queue and drive. A nil registry
+// registers nothing.
+func (d *Device) RegisterMetrics(reg *telemetry.Registry, name string) {
+	reg.CounterFuncs(func() telemetry.Counts { return d.stats.Counters() },
+		telemetry.Label{Key: "disk", Value: name})
 	d.queue.RegisterMetrics(reg, name)
 }

@@ -7,12 +7,14 @@ import (
 	"strings"
 )
 
-// Counts is the module's one named-counter set: what a layer's Stats hands
-// out as a snapshot (trail.Stats.Counters, raid.Stats.Counters,
-// fault.Stats.Counters), what reports print on their "counters:" lines, and
-// the shape benchfmt.Entry.Counters stores. It is a plain map — read, set
-// and range it as one; a nil Counts reads as empty. Every producer builds a
-// fresh map per call, so a caller may keep or edit what it was given.
+// Counts is the module's one named-counter set: what every layer's Stats
+// hands out as a snapshot (disk.Stats.Counters, trail.Stats.Counters,
+// sim.KernelStats.Counters and the rest), named "<layer>.<field>" with
+// durations in whole microseconds under a "_us" suffix; what reports print
+// on their "counters:" lines; and the shape benchfmt.Entry.Counters stores.
+// It is a plain map — read, set and range it as one; a nil Counts reads as
+// empty. Every producer builds a fresh map per call, so a caller may keep or
+// edit what it was given.
 type Counts map[string]int64
 
 // names returns the counter names in sorted order.
@@ -54,17 +56,16 @@ func (c Counts) String() string {
 
 // CounterFuncs registers every counter snap produces as a live counter
 // series under its conventional exported name (CounterName). snap is
-// re-invoked at export time, so the series read current values — the bridge
-// from a component's Stats().Counters() snapshot onto the registry. The name
-// set is fixed at registration: counters that only appear in later snapshots
-// are not exported.
+// re-invoked at export time, so the series read current values — the one
+// bridge from a component's Stats().Counters() snapshot onto the registry.
+// The name set is fixed at registration: counters that only appear in later
+// snapshots are not exported.
 func (r *Registry) CounterFuncs(snap func() Counts, labels ...Label) {
 	if r == nil {
 		return
 	}
 	for _, n := range snap().names() {
-		n := n
-		r.CounterFunc(CounterName(n), fmt.Sprintf("Value of counter %q.", n),
+		r.counterFunc(CounterName(n), fmt.Sprintf("Value of counter %q.", n),
 			func() int64 { return snap()[n] }, labels...)
 	}
 }

@@ -18,16 +18,18 @@
 //     export is a same-seed artefact that tests can pin byte for byte
 //     (cmd/clustersim's metrics.prom digests).
 //  4. A registry references the world it observes only until the sim.Env
-//     bound by Env.SetMetrics closes. Func-backed series (CounterFunc,
-//     GaugeFunc, CounterFuncs) close over the components they read; Close
+//     bound by Env.SetMetrics closes. Func-backed series (CounterFuncs,
+//     GaugeFunc) close over the components they read; Close
 //     calls Release, which freezes each at its last value and drops the
 //     function, so a caller that keeps the registry past Close keeps its
 //     exports and not the drives, queues and staging behind them.
 //
 // The package also holds the module's one counter-set type, Counts: the
-// sorted "name=value" snapshot every layer's Stats renders reports from, and
-// (through Registry.CounterFuncs) registers as live series; and its one
-// latency distribution, Summary, behind every reported mean and percentile.
+// sorted "name=value" snapshot every layer's Stats hands out for reports,
+// and Registry.CounterFuncs registers as live series — the one path from a
+// Stats field to the registry, since the single-series counterFunc is
+// unexported; and its one latency distribution, Summary, behind every
+// reported mean and percentile.
 //
 // The package imports only the standard library, so internal/sim and every
 // storage layer can depend on it without cycles.
@@ -172,11 +174,10 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return c
 }
 
-// CounterFunc registers a counter whose value is read from fn at export
-// time — the zero-hot-path-overhead shape for components that already
-// maintain their own deterministic counters (sim kernel stats, driver
-// Stats structs).
-func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+// counterFunc registers a counter whose value is read from fn at export
+// time. It is unexported so that CounterFuncs, which names each series after
+// a Counts entry, is the one way a layer's Stats reach the registry.
+func (r *Registry) counterFunc(name, help string, fn func() int64, labels ...Label) {
 	if r == nil {
 		return
 	}

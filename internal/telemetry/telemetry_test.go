@@ -33,7 +33,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if b, c := h.Buckets(); b != nil || c != nil {
 		t.Error("nil Histogram.Buckets returned slices")
 	}
-	r.CounterFunc("cf", "h", func() int64 { return 1 })
+	r.counterFunc("cf", "h", func() int64 { return 1 })
 	r.GaugeFunc("gf", "h", func() float64 { return 1 })
 	var sb strings.Builder
 	if err := r.WriteProm(&sb); err != nil {
@@ -116,7 +116,7 @@ func TestLabelKeysSortedAndSanitized(t *testing.T) {
 func TestFuncMetricsReadLive(t *testing.T) {
 	r := NewRegistry()
 	n := int64(0)
-	r.CounterFunc("live", "h", func() int64 { return n })
+	r.counterFunc("live", "h", func() int64 { return n })
 	n = 7
 	vals := mustParse(t, r)
 	if vals["live"] != 7 {
@@ -135,7 +135,7 @@ func TestReleaseKeepsExports(t *testing.T) {
 	c.Add(3)
 	h.Observe(4)
 	n, depth, calls := int64(7), 0.75, 0
-	r.CounterFunc("events", "h", func() int64 { calls++; return n })
+	r.counterFunc("events", "h", func() int64 { calls++; return n })
 	r.GaugeFunc("queue", "h", func() float64 { calls++; return depth })
 	r.CounterFuncs(func() Counts { calls++; return Counts{"writes": n, "reads": 2 * n} }, Label{Key: "disk", Value: "data0"})
 	export := func() string {

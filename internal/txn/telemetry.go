@@ -2,33 +2,24 @@ package txn
 
 import "tracklog/internal/telemetry"
 
-// RegisterMetrics registers the transaction manager's lifecycle and lock
-// counters on reg. A nil registry registers nothing.
-func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+// Counters names every Stats field as a "txn.*" counter, wait times in whole
+// microseconds.
+func (s Stats) Counters() telemetry.Counts {
+	return telemetry.Counts{
+		"txn.begun":        s.Begun,
+		"txn.committed":    s.Committed,
+		"txn.aborted":      s.Aborted,
+		"txn.deadlocks":    s.Deadlocks,
+		"txn.lock_waits":   s.LockWaits,
+		"txn.lock_wait_us": s.LockWaitTime.Microseconds(),
+		"txn.commit_io_us": s.CommitIOTime.Microseconds(),
 	}
-	reg.CounterFunc(telemetry.Prefix+"txn_begun_total",
-		"Transactions begun.",
-		func() int64 { return m.stats.Begun })
-	reg.CounterFunc(telemetry.Prefix+"txn_committed_total",
-		"Transactions committed.",
-		func() int64 { return m.stats.Committed })
-	reg.CounterFunc(telemetry.Prefix+"txn_aborted_total",
-		"Transactions aborted.",
-		func() int64 { return m.stats.Aborted })
-	reg.CounterFunc(telemetry.Prefix+"txn_deadlocks_total",
-		"Aborts due to waits-for cycles.",
-		func() int64 { return m.stats.Deadlocks })
-	reg.CounterFunc(telemetry.Prefix+"txn_lock_waits_total",
-		"Blocking lock requests.",
-		func() int64 { return m.stats.LockWaits })
-	reg.GaugeFunc(telemetry.Prefix+"txn_lock_wait_ms",
-		"Total virtual time spent blocked on locks, in milliseconds.",
-		func() float64 { return float64(m.stats.LockWaitTime) / 1e6 })
-	reg.GaugeFunc(telemetry.Prefix+"txn_commit_io_ms",
-		"Total virtual time spent waiting on the log at commit, in milliseconds.",
-		func() float64 { return float64(m.stats.CommitIOTime) / 1e6 })
+}
+
+// RegisterMetrics registers the transaction manager's Stats counters and
+// lock-table size on reg. A nil registry registers nothing.
+func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
+	reg.CounterFuncs(func() telemetry.Counts { return m.stats.Counters() })
 	reg.GaugeFunc(telemetry.Prefix+"txn_locked_keys",
 		"Keys currently present in the lock table.",
 		func() float64 { return float64(len(m.locks)) })

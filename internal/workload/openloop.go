@@ -47,8 +47,8 @@ func (c OpenLoopConfig) WithDefaults() OpenLoopConfig {
 // open-loop-arrivals process.
 func OpenLoop(cfg OpenLoopConfig, devSectors int64) (Load, error) {
 	cfg = cfg.WithDefaults()
-	if cfg.WriteSize < 0 || cfg.WriteSize%geom.SectorSize != 0 {
-		return Load{}, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
+	if err := CheckWriteSize(cfg.WriteSize, devSectors); err != nil {
+		return Load{}, err
 	}
 	if cfg.Requests < 0 {
 		return Load{}, fmt.Errorf("workload: negative request count %d", cfg.Requests)

@@ -76,8 +76,8 @@ func (c SyncWriteConfig) WithDefaults() SyncWriteConfig {
 // generator, pausing the sparse gap after each completion in sparse mode.
 func SyncWrites(cfg SyncWriteConfig, devSectors int64) (Load, error) {
 	cfg = cfg.WithDefaults()
-	if cfg.WriteSize < 0 || cfg.WriteSize%geom.SectorSize != 0 {
-		return Load{}, fmt.Errorf("workload: write size %d not a positive sector multiple", cfg.WriteSize)
+	if err := CheckWriteSize(cfg.WriteSize, devSectors); err != nil {
+		return Load{}, err
 	}
 	if cfg.Processes < 0 || cfg.WritesPerProcess < 0 {
 		return Load{}, fmt.Errorf("workload: negative count: %d processes x %d writes", cfg.Processes, cfg.WritesPerProcess)
@@ -97,6 +97,18 @@ func SyncWrites(cfg SyncWriteConfig, devSectors int64) (Load, error) {
 		load.Streams[i] = Stream{Name: fmt.Sprintf("writer-%d", i), Ops: ops, Gap: gap}
 	}
 	return load, nil
+}
+
+// CheckWriteSize refuses a write size that is not a positive sector multiple
+// or that does not fit on a device of devSectors sectors.
+func CheckWriteSize(size int, devSectors int64) error {
+	if size <= 0 || size%geom.SectorSize != 0 {
+		return fmt.Errorf("workload: write size %d not a positive sector multiple", size)
+	}
+	if int64(size/geom.SectorSize) > devSectors {
+		return fmt.Errorf("workload: write size %d larger than the device's %d sectors", size, devSectors)
+	}
+	return nil
 }
 
 // alignedTarget picks a random sector-aligned target with room for the

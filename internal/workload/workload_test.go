@@ -201,6 +201,27 @@ func TestRejectsUnalignedSize(t *testing.T) {
 	}
 }
 
+// A write that fills the device is accepted and one a sector larger is
+// refused, by both load builders, before any target is drawn: a draw from
+// zero slots once panicked.
+func TestRejectsWriteLargerThanDevice(t *testing.T) {
+	const devSectors = 8
+	for _, tc := range []struct {
+		size    int
+		refused bool
+	}{{devSectors * geom.SectorSize, false}, {(devSectors + 1) * geom.SectorSize, true}} {
+		check := func(what string, err error) {
+			if (err != nil) != tc.refused {
+				t.Errorf("%s: %d-byte write on %d sectors: err %v, want refused %v", what, tc.size, devSectors, err, tc.refused)
+			}
+		}
+		_, err := SyncWrites(SyncWriteConfig{WriteSize: tc.size}, devSectors)
+		check("SyncWrites", err)
+		_, err = OpenLoop(OpenLoopConfig{WriteSize: tc.size}, devSectors)
+		check("OpenLoop", err)
+	}
+}
+
 func TestModeString(t *testing.T) {
 	if Sparse.String() != "sparse" || Clustered.String() != "clustered" {
 		t.Error("mode strings wrong")
