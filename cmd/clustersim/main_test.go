@@ -67,17 +67,19 @@ func runIn(t *testing.T, args ...string) (stdout []byte, files map[string][]byte
 // out, which had left one acknowledged write unreadable on the rebuilt
 // shard; metrics.prom re-pinned when every layer's Stats began reaching the
 // registry through Counts, which changed HELP text and turned the kernel's
-// two peak gauges into counters), and asserts the failure path was exercised and fully
-// recovered: one death, one recovery, the killed shard back healthy on
-// replacement hardware and no acknowledged write lost. A change that moves
-// any byte here on purpose updates the pin and says so. The trace is also
-// read back through trace.ReadChrome, so it stays loadable.
+// two peak gauges into counters, and again when every gauge became an entry
+// of its layer's Levels, which changed gauge HELP text only), and asserts
+// the failure path was exercised and fully recovered: one death, one
+// recovery, the killed shard back healthy on replacement hardware and no
+// acknowledged write lost. A change that moves any byte here on purpose
+// updates the pin and says so. The trace is also read back through
+// trace.ReadChrome, so it stays loadable.
 func TestKillOneShardGolden(t *testing.T) {
 	out, files := runIn(t, "-chaos", "shardkill=1@250ms", "-seed", "11", "-verify", "-out", ".")
 	files["out.txt"] = out
 	for name, want := range map[string]string{
 		"out.txt":      "540 bytes c35ba3e23710c304",
-		"metrics.prom": "5952 bytes a100e25d6d487562",
+		"metrics.prom": "5916 bytes e1fdeb0db9160ae2",
 		"timeline.csv": "339536 bytes b4e32eb9ea509c88",
 		"trace.json":   "2449022 bytes 4f4018c93ef94112",
 		"spans.json":   "313463 bytes 4c93330b0bcd05c8",

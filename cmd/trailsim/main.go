@@ -52,7 +52,6 @@ import (
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
-	"tracklog/internal/telemetry"
 	"tracklog/internal/trail"
 	"tracklog/internal/workload"
 )
@@ -290,23 +289,14 @@ func runSync(w io.Writer, r *rig.Rig, system string, size, procs, writes int, se
 }
 
 // printCounters prints the Trail driver's counter line and, under a fault
-// scenario, every plan's trigger counts merged with the driver's own
-// fault-handling counters.
+// scenario, the system's fault counters (rig.Rig.FaultCounters).
 func printCounters(w io.Writer, r *rig.Rig, scenario string) {
 	if r.Trail != nil {
 		fmt.Fprintf(w, "counters: %s\n", r.Trail.Stats().Counters())
 	}
-	if len(r.Plans) == 0 {
-		return
+	if len(r.Plans) > 0 {
+		fmt.Fprintf(w, "faults (%s):\n%s\n", scenario, r.FaultCounters())
 	}
-	agg := telemetry.Counts{}
-	for _, pl := range r.Plans {
-		agg.Merge(pl.Stats().Counters())
-	}
-	if r.Trail != nil {
-		agg.Merge(r.Trail.Stats().FaultCounters())
-	}
-	fmt.Fprintf(w, "faults (%s):\n%s\n", scenario, agg)
 }
 
 // runOpenLoop issues writes at a fixed arrival rate regardless of

@@ -70,9 +70,11 @@ func runIn(t *testing.T, args ...string) (stdout, stderr []byte, files map[strin
 // now follows its record write's disk events); metrics.prom re-pinned when
 // every layer's Stats began reaching the registry through Counts (HELP text
 // changed, and the disk, sched and kernel series that rendered a Stats
-// duration or peak as a gauge became _us/_total counters). A change that
-// moves any byte here on purpose updates the pin and says so. The trace is also read back
-// through trace.ReadChrome, so it stays loadable.
+// duration or peak as a gauge became _us/_total counters), and again when
+// every gauge became an entry of its layer's Levels (gauge HELP lines only).
+// A change that moves any byte here on purpose updates the pin and says so.
+// The trace is also read back through trace.ReadChrome, so it stays
+// loadable.
 func TestTraceSmokeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		system string
@@ -80,7 +82,7 @@ func TestTraceSmokeGolden(t *testing.T) {
 	}{
 		{"trail", map[string]string{
 			"trace.json":   "240532 bytes 0c294704ef1bbdf1",
-			"metrics.prom": "10768 bytes 7e4b40d9ee3d010d",
+			"metrics.prom": "10712 bytes 39bafb3dfeeb8881",
 			"timeline.csv": "71201 bytes 7609ac0cc505d305",
 			"spans.json":   "56802 bytes 23c55f7ca873ce28",
 			"bench.json":   "197 bytes 12d21c8556a3748c",
@@ -88,7 +90,7 @@ func TestTraceSmokeGolden(t *testing.T) {
 		}},
 		{"std", map[string]string{
 			"trace.json":   "128346 bytes b96de04d7a287c2c",
-			"metrics.prom": "6056 bytes cc5105d256f1865b",
+			"metrics.prom": "6044 bytes 4c20c19086da2aa3",
 			"timeline.csv": "36595 bytes 10356d28533041d7",
 			"spans.json":   "28191 bytes e3b88dca2268ca46",
 			"bench.json":   "197 bytes dc3bd0596f2cc0fd",
@@ -262,5 +264,36 @@ func TestHeaderShowsDefaultedConfig(t *testing.T) {
 	out, _, _ := runIn(t, "-procs", "0", "-writes", "0", "-size", "0")
 	if want := "trail / sparse / 1024B x 100 writes x 1 procs\n"; !strings.HasPrefix(string(out), want) {
 		t.Errorf("header %q, want %q", strings.SplitAfter(string(out), "\n")[0], want)
+	}
+}
+
+// Under -faults every mode that takes it prints the system's fault counters:
+// the plans' trigger counts merged with the Trail driver's fault-handling
+// counters, or with the baseline device's retries and failures. The
+// baseline's stddisk counters were once left off.
+func TestFaultLineNamesTheSystemsCounters(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-faults", "latent=3,timeout=2", "-writes", "60", "-seed", "3"},
+			[]string{"fault.commands=", "trail.log_write_retries=", "trail.failed_writes="}},
+		{[]string{"-system", "std", "-faults", "latent=3,timeout=2", "-writes", "60", "-seed", "3"},
+			[]string{"fault.commands=", "stddisk.retries=", "stddisk.failures="}},
+		{[]string{"-system", "std", "-offered-load", "1000", "-faults", "timeout=1", "-writes", "40"},
+			[]string{"fault.commands=", "stddisk.retries=", "stddisk.failures="}},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			out, _, _ := runIn(t, tc.args...)
+			_, faults, ok := strings.Cut(string(out), "\nfaults (")
+			if !ok {
+				t.Fatalf("no faults line in\n%s", out)
+			}
+			for _, name := range tc.want {
+				if !strings.Contains(faults, " "+name) && !strings.Contains(faults, "\n"+name) {
+					t.Errorf("faults line lacks %s:\n%s", name, faults)
+				}
+			}
+		})
 	}
 }

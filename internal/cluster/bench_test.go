@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"io"
 	"runtime"
 	"testing"
 	"time"
 
 	"tracklog/internal/blockdev"
 	"tracklog/internal/sim"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/workload"
 )
 
@@ -52,6 +54,31 @@ func BenchmarkNew8Shards(b *testing.B) {
 			b.Fatal(err)
 		}
 		env.Close()
+	}
+}
+
+// Host cost of the registry's part of observing an 8-shard cluster, the
+// cluster_observed workload's shape: a fresh registry, the kernel's
+// SetMetrics and the cluster's RegisterMetrics, then one export. On a
+// 2-vCPU VM: 87-119 us, 55.7 KB and 1 170 allocations while every series
+// read its layer's whole snapshot, 64-71 us, 39.9 KB and 735 since each
+// export reads a snapshot once.
+func BenchmarkRegisterAndExport8Shards(b *testing.B) {
+	env := sim.NewEnv()
+	defer env.Close()
+	c, err := New(env, Config{Shards: 8, Tenants: 48})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg := telemetry.NewRegistry()
+		env.SetMetrics(reg)
+		c.RegisterMetrics(reg)
+		if err := reg.WriteProm(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

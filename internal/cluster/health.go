@@ -78,7 +78,6 @@ type Shard struct {
 	dev       *trail.DataDev
 
 	state      State
-	stateSince sim.Time
 	probeFails int // consecutive failed probes / soft request errors
 
 	lane *timeline.Lane // optional health-state lane (nil-safe)
@@ -102,7 +101,6 @@ func (c *Cluster) setState(sh *Shard, st State, at sim.Time) {
 		return
 	}
 	sh.state = st
-	sh.stateSince = at
 	sh.lane.Enter(int(st), int64(at))
 }
 
@@ -188,7 +186,6 @@ func (c *Cluster) markDead(sh *Shard, at sim.Time) {
 			return
 		}
 		fresh.state = Dead
-		fresh.stateSince = old.stateSince
 		fresh.setLane(old.lane)
 		c.shards[idx] = fresh
 		c.setState(fresh, Recovering, p.Now())

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -21,60 +22,45 @@ import (
 	"tracklog/internal/wal"
 )
 
-// layerCounts is one layer's Counts as its registry series should carry
-// them: label is the rendered label block, "" for none.
-type layerCounts struct {
+// layer is one layer's snapshots as its registry series should carry them:
+// label is the rendered label block, "" for none.
+type layer struct {
 	label  string
 	counts telemetry.Counts
+	levels telemetry.Levels
 }
 
-// liveGauges are the gauge series a registry may hold: values no Stats field
-// holds. A Stats field reaches the registry as a counter, through Counts.
-var liveGauges = map[string]bool{
-	"sim_virtual_time_ms":         true,
-	"sim_event_queue_depth":       true,
-	"sim_procs_live":              true,
-	"sched_queue_depth":           true,
-	"disk_utilization":            true,
-	"wal_buffered_bytes":          true,
-	"wal_durable_lsn":             true,
-	"txn_locked_keys":             true,
-	"cluster_shard_health":        true,
-	"cluster_shard_generation":    true,
-	"trail_log_queue_depth":       true,
-	"trail_staged_bytes":          true,
-	"trail_outstanding_records":   true,
-	"trail_avg_track_utilization": true,
-}
-
-// Every layer's Stats reach the registry through Counts and CounterFuncs,
-// and only there: after a short observed run, the registry's counter series
-// are exactly the Counts entries of each layer — under CounterName, with the
-// layer's label and value — and every gauge is one of liveGauges.
+// Every layer's func-backed series are entries of its snapshots, and only
+// those: after a short observed run, the registry's counter series are
+// exactly the Counts entries of each layer — under CounterName, with the
+// layer's label and value — and its gauge series exactly the Levels entries,
+// under GaugeName. No Levels entry shares a name with a Counts entry: a
+// Stats field reaches the registry as a counter, through Counts.
 func TestRegistryExportsEveryLayersCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		// run builds and runs a world observed by reg and returns each
-		// layer's Counts at its end.
-		run func(t *testing.T, reg *telemetry.Registry) []layerCounts
+		// layer's snapshots at its end; the world closes when the test
+		// does, after the export.
+		run func(t *testing.T, reg *telemetry.Registry) []layer
 	}{
-		{"trail-rig", func(t *testing.T, reg *telemetry.Registry) []layerCounts {
+		{"trail-rig", func(t *testing.T, reg *telemetry.Registry) []layer {
 			r := rigWrites(t, rig.Config{Instruments: rig.Instruments{Registry: reg}})
-			defer r.Close()
-			return []layerCounts{
-				{"", r.Env.KernelStats().Counters()},
-				{"", r.Trail.Stats().Counters()},
-				{`{disk="log0"}`, r.LogDisks[0].Stats().Counters()},
-				{`{disk="data0"}`, r.Trail.DataQueue(0).Stats().Counters()},
-				{`{disk="data0"}`, r.DataDisks[0].Stats().Counters()},
+			t.Cleanup(r.Close)
+			return []layer{
+				{"", r.Env.KernelStats().Counters(), r.Env.Levels()},
+				{"", r.Trail.Stats().Counters(), r.Trail.Levels()},
+				{`{disk="log0"}`, r.LogDisks[0].Stats().Counters(), r.LogDisks[0].Levels()},
+				{`{disk="data0"}`, r.Trail.DataQueue(0).Stats().Counters(), r.Trail.DataQueue(0).Levels()},
+				{`{disk="data0"}`, r.DataDisks[0].Stats().Counters(), r.DataDisks[0].Levels()},
 			}
 		}},
-		{"stddisk-rig-wal-txn", func(t *testing.T, reg *telemetry.Registry) []layerCounts {
+		{"stddisk-rig-wal-txn", func(t *testing.T, reg *telemetry.Registry) []layer {
 			r, err := rig.New(rig.Config{Baseline: sched.LOOK, DataDisks: 2, Instruments: rig.Instruments{Registry: reg}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
+			t.Cleanup(r.Close)
 			l, err := wal.New(r.Env, wal.Config{Dev: r.Dev(0), Sectors: r.Dev(0).Sectors(), Mode: wal.SyncEveryCommit})
 			if err != nil {
 				t.Fatal(err)
@@ -83,22 +69,22 @@ func TestRegistryExportsEveryLayersCounts(t *testing.T) {
 			m := txn.NewManager(r.Env, l)
 			m.RegisterMetrics(reg)
 			contendedCommits(t, r.Env, r.Dev(1), m)
-			out := []layerCounts{
-				{"", r.Env.KernelStats().Counters()},
-				{"", l.Stats().Counters()},
-				{"", m.Stats().Counters()},
+			out := []layer{
+				{"", r.Env.KernelStats().Counters(), r.Env.Levels()},
+				{"", l.Stats().Counters(), l.Levels()},
+				{"", m.Stats().Counters(), m.Levels()},
 			}
 			for i, d := range r.Std {
 				label := fmt.Sprintf(`{disk="disk%d"}`, i)
-				out = append(out, layerCounts{label, d.Stats().Counters()},
-					layerCounts{label, d.Queue().Stats().Counters()},
-					layerCounts{label, r.DataDisks[i].Stats().Counters()})
+				out = append(out, layer{label, d.Stats().Counters(), nil},
+					layer{label, d.Queue().Stats().Counters(), d.Queue().Levels()},
+					layer{label, r.DataDisks[i].Stats().Counters(), r.DataDisks[i].Levels()})
 			}
 			return out
 		}},
-		{"cluster", func(t *testing.T, reg *telemetry.Registry) []layerCounts {
+		{"cluster", func(t *testing.T, reg *telemetry.Registry) []layer {
 			env := sim.NewEnv()
-			defer env.Close()
+			t.Cleanup(env.Close)
 			c, err := New(env, Config{Shards: 2, Tenants: 8})
 			if err != nil {
 				t.Fatal(err)
@@ -113,7 +99,11 @@ func TestRegistryExportsEveryLayersCounts(t *testing.T) {
 				}
 			})
 			env.Run()
-			return []layerCounts{{"", env.KernelStats().Counters()}, {"", c.Stats().Counters()}}
+			out := []layer{{"", env.KernelStats().Counters(), env.Levels()}, {"", c.Stats().Counters(), nil}}
+			for i, sh := range c.shards {
+				out = append(out, layer{fmt.Sprintf(`{shard="%d"}`, i), nil, sh.Levels()})
+			}
+			return out
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,33 +117,46 @@ func TestRegistryExportsEveryLayersCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := map[string]int64{}
+			type series struct {
+				typ string
+				v   float64
+			}
+			want := map[string]series{}
+			add := func(key, typ string, v float64) {
+				if _, dup := want[key]; dup {
+					t.Errorf("two layers name series %s", key)
+				}
+				want[key] = series{typ, v}
+			}
+			counted := map[string]bool{}
 			for _, l := range layers {
 				for n, v := range l.counts {
-					key := telemetry.CounterName(n) + l.label
-					if _, dup := want[key]; dup {
-						t.Errorf("two layers name series %s", key)
-					}
-					want[key] = v
+					add(telemetry.CounterName(n)+l.label, "counter", float64(v))
+					counted[n] = true
 				}
 			}
-			for key, v := range want {
-				if got, ok := vals[key]; !ok || got != float64(v) {
-					t.Errorf("%s = %v (exported %v), want %d", key, got, ok, v)
+			for _, l := range layers {
+				for n, v := range l.levels {
+					if counted[n] {
+						t.Errorf("level %s is also a counter; a Stats field is exported through Counts", n)
+					}
+					add(telemetry.GaugeName(n)+l.label, "gauge", v)
+				}
+			}
+			for key, s := range want {
+				if got, ok := vals[key]; !ok || (got != s.v && !(math.IsNaN(got) && math.IsNaN(s.v))) {
+					t.Errorf("%s = %v (exported %v), want %v", key, got, ok, s.v)
 				}
 			}
 			types := seriesTypes(prom.String())
 			for key := range vals {
 				name, _, _ := strings.Cut(key, "{")
-				switch types[name] {
-				case "counter":
-					if _, ok := want[key]; !ok {
-						t.Errorf("counter %s is no layer's Counts entry", key)
-					}
-				case "gauge":
-					if !liveGauges[strings.TrimPrefix(name, telemetry.Prefix)] {
-						t.Errorf("gauge %s is not a live value; a Stats field is exported through Counts", key)
-					}
+				typ := types[name]
+				if typ != "counter" && typ != "gauge" {
+					continue
+				}
+				if s, ok := want[key]; !ok || s.typ != typ {
+					t.Errorf("%s %s is no entry of a layer's snapshot of that kind", typ, key)
 				}
 			}
 		})

@@ -1,15 +1,15 @@
 package cluster
 
 // Observability wiring. The cluster carries its own span recorder (driver
-// name "cluster", dev "shard<i>"), registers its Stats counters (through
-// Stats.Counters and Registry.CounterFuncs, like every layer) and per-shard
-// health gauges with the telemetry registry, and exposes per-shard health
-// lanes plus failover/hedge/rebuild marks on the timeline aggregator. Shard
-// disks get their own timeline lanes under generation-qualified names
-// ("s0.g1.log") so a replacement's traffic is distinguishable from the
-// hardware it replaced; the Trail drivers' own registry/timeline hooks are
-// left unwired — their hardcoded "trail"/"driver" series names would
-// collide across shards.
+// name "cluster", dev "shard<i>"), registers its Stats counters and each
+// shard's Levels with the telemetry registry (through CounterFuncs and
+// GaugeFuncs, like every layer), and exposes per-shard health lanes plus
+// failover/hedge/rebuild marks on the timeline aggregator. Shard disks get
+// their own timeline lanes under generation-qualified names ("s0.g1.log")
+// so a replacement's traffic is distinguishable from the hardware it
+// replaced; the Trail drivers' own registry/timeline hooks are left unwired
+// — their hardcoded "trail"/"driver" series names would collide across
+// shards.
 
 import (
 	"fmt"
@@ -71,18 +71,23 @@ func (s Stats) Counters() telemetry.Counts {
 	}
 }
 
-// RegisterMetrics exposes the cluster's Stats counters and per-shard health
-// on reg. Per-shard series carry a shard label; the health gauge encodes the
-// state machine numerically (0 healthy, 1 suspect, 2 dead, 3 recovering).
+// Levels snapshots the shard's health state (0 healthy, 1 suspect, 2 dead,
+// 3 recovering) and hardware generation, which each replacement
+// increments.
+func (s *Shard) Levels() telemetry.Levels {
+	return telemetry.Levels{
+		"cluster.shard_health":     float64(s.state),
+		"cluster.shard_generation": float64(s.gen),
+	}
+}
+
+// RegisterMetrics exposes the cluster's Stats counters, and each shard
+// slot's Levels under a shard label, on reg: a slot's series read whichever
+// generation serves it.
 func (c *Cluster) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFuncs(func() telemetry.Counts { return c.stats.Counters() })
 	for i := range c.shards {
-		lbl := telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}
-		reg.GaugeFunc(telemetry.Prefix+"cluster_shard_health",
-			"Shard health state (0 healthy, 1 suspect, 2 dead, 3 recovering).",
-			func() float64 { return float64(c.shards[i].state) }, lbl)
-		reg.GaugeFunc(telemetry.Prefix+"cluster_shard_generation",
-			"Shard hardware generation (replacements increment).",
-			func() float64 { return float64(c.shards[i].gen) }, lbl)
+		reg.GaugeFuncs(func() telemetry.Levels { return c.shards[i].Levels() },
+			telemetry.Label{Key: "shard", Value: strconv.Itoa(i)})
 	}
 }

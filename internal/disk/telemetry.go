@@ -18,20 +18,22 @@ func (s Stats) Counters() telemetry.Counts {
 	}
 }
 
-// RegisterMetrics registers the drive's Stats counters and virtual-time
-// utilization on reg, labeled disk=name. All series read deterministic
-// virtual-time state, so any export of reg stays byte-comparable across
-// same-seed runs. A nil registry registers nothing.
+// Levels snapshots the fraction of elapsed virtual time the drive spent
+// busy.
+func (d *Disk) Levels() telemetry.Levels {
+	var util float64
+	if now := d.env.Now(); now > 0 {
+		util = float64(d.stats.Busy) / float64(now)
+	}
+	return telemetry.Levels{"disk.utilization": util}
+}
+
+// RegisterMetrics registers the drive's Stats counters and Levels on reg,
+// labeled disk=name. All series read deterministic virtual-time state, so
+// any export of reg stays byte-comparable across same-seed runs. A nil
+// registry registers nothing.
 func (d *Disk) RegisterMetrics(reg *telemetry.Registry, name string) {
 	l := telemetry.Label{Key: "disk", Value: name}
 	reg.CounterFuncs(func() telemetry.Counts { return d.stats.Counters() }, l)
-	reg.GaugeFunc(telemetry.Prefix+"disk_utilization",
-		"Fraction of elapsed virtual time the drive spent busy.",
-		func() float64 {
-			now := d.env.Now()
-			if now <= 0 {
-				return 0
-			}
-			return float64(d.stats.Busy) / float64(now)
-		}, l)
+	reg.GaugeFuncs(d.Levels, l)
 }

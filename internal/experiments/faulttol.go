@@ -103,7 +103,7 @@ func faultToleranceRun(system string, writes int, seed uint64) (*FaultRow, error
 	}
 	if system == "raid5" {
 		// Only member 0 is faulty: the array must mask one bad disk.
-		s.plans = append(s.plans, fault.Attach(s.rig.DataDisks[0], sim.NewRand(seed), scenario))
+		s.rig.Plans = append(s.rig.Plans, fault.Attach(s.rig.DataDisks[0], sim.NewRand(seed), scenario))
 	}
 	out := runWorld(s, faultLoad(writes, seed+1))
 	errs := append(out.unclassified, out.runErr, out.invariants)

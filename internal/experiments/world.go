@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"tracklog/internal/blockdev"
-	"tracklog/internal/fault"
 	"tracklog/internal/raid"
 	"tracklog/internal/rig"
 	"tracklog/internal/sched"
@@ -39,7 +38,6 @@ type system struct {
 	rig   *rig.Rig
 	array *raid.Array
 	dev   *worldDev
-	plans []*fault.Plan
 	// logStart is each log disk's sectors and writes when the system was
 	// built.
 	logStart []logCount
@@ -50,13 +48,13 @@ type logCount struct{ sectors, writes int64 }
 
 // newSystem builds cfg's rig, with a RAID-5 array over its devices when
 // raid5 is set. The rig's plans are the system's; a caller may attach more
-// before the world runs.
+// and append them to the rig's Plans before the world runs.
 func newSystem(cfg rig.Config, raid5 bool) (*system, error) {
 	r, err := rig.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &system{rig: r, plans: r.Plans, dev: &worldDev{devs: r.Devs()}}
+	s := &system{rig: r, dev: &worldDev{devs: r.Devs()}}
 	if raid5 {
 		if s.array, err = raid.New(r.Devs()); err != nil {
 			r.Close()
@@ -164,20 +162,16 @@ func runWorld(s *system, loads ...workload.Load) outcome {
 		}
 	}
 	out.unclassified = s.dev.unclassified
-	switch {
-	case s.array != nil:
+	if s.array != nil {
 		out.counters = s.array.Stats().Counters()
-	case s.rig.Trail != nil:
-		out.counters = s.rig.Trail.Stats().FaultCounters()
-		out.invariants = s.rig.Trail.CheckInvariants()
-	default:
-		out.counters = telemetry.Counts{}
-		for _, d := range s.rig.Std {
-			out.counters.Merge(d.Stats().Counters())
+		for _, pl := range s.rig.Plans {
+			out.counters.Merge(pl.Stats().Counters())
 		}
+		return out
 	}
-	for _, pl := range s.plans {
-		out.counters.Merge(pl.Stats().Counters())
+	out.counters = s.rig.FaultCounters()
+	if s.rig.Trail != nil {
+		out.invariants = s.rig.Trail.CheckInvariants()
 	}
 	return out
 }

@@ -18,6 +18,7 @@ import (
 	"tracklog/internal/sched"
 	"tracklog/internal/sim"
 	"tracklog/internal/stddisk"
+	"tracklog/internal/telemetry"
 	"tracklog/internal/trail"
 )
 
@@ -75,7 +76,8 @@ type Rig struct {
 	Trail *trail.Driver
 	// Std are the devices of a started baseline rig, one per data disk.
 	Std []*stddisk.Device
-	// Plans are the fault plans Config.Faults attached, logs first.
+	// Plans are the fault plans Config.Faults attached, logs first, then
+	// any a caller attaches to the rig's drives and appends.
 	Plans []*fault.Plan
 
 	cfg Config
@@ -200,6 +202,23 @@ func (r *Rig) Devs() []blockdev.Device {
 		devs[i] = r.Dev(i)
 	}
 	return devs
+}
+
+// FaultCounters returns the system's fault counters: every plan's trigger
+// counts merged with the Trail driver's fault-handling counters, or with
+// each baseline device's retries and failures.
+func (r *Rig) FaultCounters() telemetry.Counts {
+	c := telemetry.Counts{}
+	for _, pl := range r.Plans {
+		c.Merge(pl.Stats().Counters())
+	}
+	if r.Trail != nil {
+		c.Merge(r.Trail.Stats().FaultCounters())
+	}
+	for _, d := range r.Std {
+		c.Merge(d.Stats().Counters())
+	}
+	return c
 }
 
 // Go spawns a simulated process (sugar over Env.Go).

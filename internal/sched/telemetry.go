@@ -16,14 +16,17 @@ func (s Stats) Counters() telemetry.Counts {
 	}
 }
 
-// RegisterMetrics registers the queue's Stats counters and current depth on
-// reg, labeled disk=name, and registers the underlying drive under the same
+// Levels snapshots the requests currently queued.
+func (q *Queue) Levels() telemetry.Levels {
+	return telemetry.Levels{"sched.queue_depth": float64(q.Depth())}
+}
+
+// RegisterMetrics registers the queue's Stats counters and Levels on reg,
+// labeled disk=name, and registers the underlying drive under the same
 // label. A nil registry registers nothing.
 func (q *Queue) RegisterMetrics(reg *telemetry.Registry, name string) {
 	l := telemetry.Label{Key: "disk", Value: name}
 	reg.CounterFuncs(func() telemetry.Counts { return q.stats.Counters() }, l)
-	reg.GaugeFunc(telemetry.Prefix+"sched_queue_depth",
-		"Requests currently queued.",
-		func() float64 { return float64(q.Depth()) }, l)
+	reg.GaugeFuncs(q.Levels, l)
 	q.disk.RegisterMetrics(reg, name)
 }

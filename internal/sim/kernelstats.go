@@ -99,13 +99,16 @@ func (e *Env) SetMetrics(reg *telemetry.Registry) {
 		"Event-queue depth observed at each dispatch.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 	reg.CounterFuncs(func() telemetry.Counts { return e.KernelStats().Counters() })
-	reg.GaugeFunc(telemetry.Prefix+"sim_virtual_time_ms",
-		"Current virtual time, in milliseconds.",
-		func() float64 { return float64(e.now) / 1e6 })
-	reg.GaugeFunc(telemetry.Prefix+"sim_event_queue_depth",
-		"Current event-queue depth.",
-		func() float64 { return float64(len(e.queue)) })
-	reg.GaugeFunc(telemetry.Prefix+"sim_procs_live",
-		"Processes currently spawned and not finished.",
-		func() float64 { return float64(len(e.live)) })
+	reg.GaugeFuncs(e.Levels)
+}
+
+// Levels snapshots the kernel's live values: the virtual time in
+// milliseconds, the event-queue depth, and processes spawned and not
+// finished.
+func (e *Env) Levels() telemetry.Levels {
+	return telemetry.Levels{
+		"sim.virtual_time_ms":   float64(e.now) / 1e6,
+		"sim.event_queue_depth": float64(len(e.queue)),
+		"sim.procs_live":        float64(len(e.live)),
+	}
 }

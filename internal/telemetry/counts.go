@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,18 +53,46 @@ func (c Counts) String() string {
 	return b.String()
 }
 
-// CounterFuncs registers every counter snap produces as a live counter
-// series under its conventional exported name (CounterName). snap is
-// re-invoked at export time, so the series read current values — the one
-// bridge from a component's Stats().Counters() snapshot onto the registry.
-// The name set is fixed at registration: counters that only appear in later
-// snapshots are not exported.
+// Levels is Counts' gauge counterpart: a layer's live values that no Stats
+// field holds (queue depths, buffered bytes, virtual time), named
+// "<layer>.<value>", fresh per call; each layer's Levels method documents
+// its entries.
+type Levels map[string]float64
+
+// CounterFuncs registers every counter snap produces as a series under
+// CounterName, the one bridge from a component's Stats().Counters() onto
+// the registry. Each export and Release read snap once and set every series
+// from that snapshot; entries that only appear in later snapshots are not
+// exported.
 func (r *Registry) CounterFuncs(snap func() Counts, labels ...Label) {
+	addSnapshot(r, snap, typeCounter, CounterName, labels)
+}
+
+// GaugeFuncs is CounterFuncs for a component's Levels, exported as gauges
+// under GaugeName.
+func (r *Registry) GaugeFuncs(snap func() Levels, labels ...Label) {
+	addSnapshot(r, snap, typeGauge, GaugeName, labels)
+}
+
+// addSnapshot registers one series of type typ per entry of snap's first
+// snapshot, named by name and helped `Value of <typ> "<entry>".`, and one
+// read of snap that sets them all.
+func addSnapshot[M ~map[string]V, V int64 | float64](r *Registry, snap func() M, typ metricType, name func(string) string, labels []Label) {
 	if r == nil {
 		return
 	}
-	for _, n := range snap().names() {
-		r.counterFunc(CounterName(n), fmt.Sprintf("Value of counter %q.", n),
-			func() int64 { return snap()[n] }, labels...)
+	ls := sortLabels(labels)
+	var series []*metric
+	for k := range snap() {
+		help := "Value of " + string(typ) + " " + strconv.Quote(k) + "."
+		m := &metric{name: name(k), help: help, typ: typ, key: k}
+		r.add(m, ls)
+		series = append(series, m)
 	}
+	r.reads = append(r.reads, func() {
+		vals := snap()
+		for _, m := range series {
+			m.val = float64(vals[m.key])
+		}
+	})
 }

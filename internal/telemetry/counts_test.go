@@ -87,6 +87,54 @@ func TestCounterFuncs(t *testing.T) {
 	disabled.CounterFuncs(func() Counts { t.Error("snap called on a nil registry"); return nil })
 }
 
+// Each export and Release read every snapshot function once, whatever the
+// number of series it backs, and set each series from that one snapshot;
+// after Release no function is read again.
+func TestSnapshotsReadOncePerExport(t *testing.T) {
+	r := NewRegistry()
+	reads := map[string]int{}
+	r.CounterFuncs(func() Counts { reads["counts"]++; return Counts{"a": 1, "b": 2, "c": int64(reads["counts"])} })
+	r.GaugeFuncs(func() Levels { reads["levels"]++; return Levels{"x": 0.5, "y": float64(reads["levels"])} },
+		Label{Key: "disk", Value: "log0"})
+	for _, step := range []struct {
+		name string
+		do   func()
+		want int
+	}{
+		{"registration", func() {}, 1},
+		{"export", func() { mustParse(t, r) }, 2},
+		{"second export", func() { mustParse(t, r) }, 3},
+		{"Release", r.Release, 4},
+		{"export after Release", func() { mustParse(t, r) }, 4},
+	} {
+		step.do()
+		if reads["counts"] != step.want || reads["levels"] != step.want {
+			t.Errorf("after %s: counts read %d times, levels %d, want %d each",
+				step.name, reads["counts"], reads["levels"], step.want)
+		}
+	}
+	vals := mustParse(t, r)
+	if vals["tracklog_c_total"] != 4 || vals[`tracklog_y{disk="log0"}`] != 4 || vals["tracklog_b_total"] != 2 {
+		t.Errorf("series are not the last snapshot's entries: %v", vals)
+	}
+}
+
+// GaugeFuncs exports each level as a gauge under GaugeName, helped with the
+// level's name; a level is never suffixed _total.
+func TestGaugeFuncs(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFuncs(func() Levels { return Levels{"sim.virtual_time_ms": 1.5} })
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP tracklog_sim_virtual_time_ms Value of gauge \"sim.virtual_time_ms\".\n" +
+		"# TYPE tracklog_sim_virtual_time_ms gauge\ntracklog_sim_virtual_time_ms 1.5\n"
+	if sb.String() != want {
+		t.Errorf("export\n%s\nwant\n%s", sb.String(), want)
+	}
+}
+
 // WriteFile writes the Prometheus text exposition whatever the file name;
 // a nil registry writes no file.
 func TestRegistryWriteFile(t *testing.T) {

@@ -17,16 +17,13 @@ import (
 // PromName maps an internal metric name onto the Prometheus identifier
 // charset [a-zA-Z0-9_]; every other rune becomes '_'.
 func PromName(s string) string {
-	var b strings.Builder
-	for _, r := range s {
+	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
+			return r
 		}
-	}
-	return b.String()
+		return '_'
+	}, s)
 }
 
 // CounterName builds the conventional exported name of a counter: Prefix +
@@ -39,6 +36,9 @@ func CounterName(name string) string {
 	}
 	return n
 }
+
+// GaugeName builds the exported name of a gauge: Prefix + sanitized name.
+func GaugeName(name string) string { return Prefix + PromName(name) }
 
 // FormatValue renders a sample value in shortest exact form, so the
 // Prometheus and timeline exports agree byte-for-byte.
@@ -80,13 +80,14 @@ func labelSig(labels []Label) string {
 	return b.String()
 }
 
-// seriesKey is the registry identity of a series.
-func seriesKey(name string, labels []Label) string { return name + labelSig(labels) }
-
 // WriteProm writes every registered series in Prometheus text exposition
 // format, in sorted (name, labels) order with one HELP/TYPE header per
-// metric name. Output is byte-deterministic for deterministic inputs.
+// metric name, after reading each layer snapshot once. Output is
+// byte-deterministic for deterministic inputs.
 func (r *Registry) WriteProm(w io.Writer) error {
+	if r != nil {
+		r.read()
+	}
 	bw := bufio.NewWriter(w)
 	prevName := ""
 	for _, m := range r.sorted() {
@@ -98,7 +99,11 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			writePromHistogram(bw, m)
 			continue
 		}
-		fmt.Fprintf(bw, "%s%s %s\n", m.name, labelSig(m.labels), FormatValue(m.value()))
+		v := m.val
+		if m.counter != nil {
+			v = float64(m.counter.Value())
+		}
+		bw.WriteString(m.name + m.sig + " " + FormatValue(v) + "\n")
 	}
 	return bw.Flush()
 }
@@ -119,8 +124,8 @@ func writePromHistogram(w io.Writer, m *metric) {
 		fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, withLE(FormatValue(b)), cum[i])
 	}
 	fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, withLE("+Inf"), h.Count())
-	fmt.Fprintf(w, "%s_sum%s %s\n", m.name, labelSig(m.labels), FormatValue(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", m.name, labelSig(m.labels), h.Count())
+	fmt.Fprintf(w, "%s_sum%s %s\n", m.name, m.sig, FormatValue(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", m.name, m.sig, h.Count())
 }
 
 // ParseProm parses Prometheus text exposition format (as written by

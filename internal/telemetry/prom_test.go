@@ -165,9 +165,10 @@ func TestParsePromAcceptsDistinctLabelSets(t *testing.T) {
 }
 
 // FuzzParseProm holds the one writer and the one parser to each other: a
-// series with an arbitrary name, label and help text round-trips through
-// WriteProm and ParseProm to the same key and value, and hostile bytes come
-// back as an error or a map, never a panic.
+// gauge with an arbitrary name, label and value and a counter with an
+// arbitrary help text round-trip through WriteProm and ParseProm to the same
+// keys and values, and hostile bytes come back as an error or a map, never a
+// panic.
 func FuzzParseProm(f *testing.F) {
 	f.Add("trail.writes", "disk", "log0", "plain help", 3.5, []byte("x{k=\"a\"} 1\nx{k=\"b\"} 2\n"))
 	f.Add("weird name/slash", "k\"ey", "a\"b\\c\nd}", "help with \\ and\nnewline", math.NaN(), []byte(`x{k="v" 1`))
@@ -182,7 +183,8 @@ func FuzzParseProm(f *testing.F) {
 			t.Skip("sample line past the scanner's token limit")
 		}
 		r := NewRegistry()
-		r.GaugeFunc(name, help, func() float64 { return v }, Label{Key: key, Value: value})
+		r.GaugeFuncs(func() Levels { return Levels{name: v} }, Label{Key: key, Value: value})
+		r.Counter("help", help).Add(2)
 		var sb strings.Builder
 		if err := r.WriteProm(&sb); err != nil {
 			t.Fatal(err)
@@ -191,10 +193,10 @@ func FuzzParseProm(f *testing.F) {
 		if err != nil {
 			t.Fatalf("own export does not parse: %v\n%s", err, sb.String())
 		}
-		want := seriesKey(PromName(name), []Label{{Key: PromName(key), Value: value}})
+		want := GaugeName(name) + labelSig([]Label{{Key: PromName(key), Value: value}})
 		got, ok := vals[want]
-		if !ok || len(vals) != 1 {
-			t.Fatalf("parsed %v, want the one key %q\n%s", vals, want, sb.String())
+		if !ok || vals["help"] != 2 || len(vals) != 2 {
+			t.Fatalf("parsed %v, want the keys %q and \"help\"\n%s", vals, want, sb.String())
 		}
 		if got != v && !(math.IsNaN(got) && math.IsNaN(v)) {
 			t.Fatalf("value %v came back as %v", v, got)

@@ -18,18 +18,17 @@
 //     export is a same-seed artefact that tests can pin byte for byte
 //     (cmd/clustersim's metrics.prom digests).
 //  4. A registry references the world it observes only until the sim.Env
-//     bound by Env.SetMetrics closes. Func-backed series (CounterFuncs,
-//     GaugeFunc) close over the components they read; Close
-//     calls Release, which freezes each at its last value and drops the
-//     function, so a caller that keeps the registry past Close keeps its
-//     exports and not the drives, queues and staging behind them.
+//     bound by Env.SetMetrics closes: Close calls Release, which reads each
+//     layer snapshot a last time and drops its function, so a caller that
+//     keeps the registry past Close keeps its exports and not the drives,
+//     queues and staging behind them.
 //
-// The package also holds the module's one counter-set type, Counts: the
-// sorted "name=value" snapshot every layer's Stats hands out for reports,
-// and Registry.CounterFuncs registers as live series — the one path from a
-// Stats field to the registry, since the single-series counterFunc is
-// unexported; and its one latency distribution, Summary, behind every
-// reported mean and percentile.
+// The package also holds the module's counter set, Counts, which every
+// layer's Stats hands out, and its gauge counterpart, Levels: a func-backed
+// series is only ever an entry of one, registered by CounterFuncs or
+// GaugeFuncs, and each export reads a layer's snapshot once. It also holds
+// the one latency distribution, Summary, behind every reported mean and
+// percentile.
 //
 // The package imports only the standard library, so internal/sim and every
 // storage layer can depend on it without cycles.
@@ -53,26 +52,13 @@ type Label struct {
 }
 
 // metricType is the exposition TYPE of a series.
-type metricType uint8
+type metricType string
 
 const (
-	typeCounter metricType = iota + 1
-	typeGauge
-	typeHistogram
+	typeCounter   metricType = "counter"
+	typeGauge     metricType = "gauge"
+	typeHistogram metricType = "histogram"
 )
-
-func (t metricType) String() string {
-	switch t {
-	case typeCounter:
-		return "counter"
-	case typeGauge:
-		return "gauge"
-	case typeHistogram:
-		return "histogram"
-	default:
-		return "unknown"
-	}
-}
 
 // metric is one registered series.
 type metric struct {
@@ -80,28 +66,14 @@ type metric struct {
 	help   string
 	typ    metricType
 	labels []Label // keys sanitized, sorted
+	sig    string  // labelSig(labels)
 
-	// Exactly one of the following backs the series, until Release turns a
-	// read function into the final value it read.
-	counter   *Counter
-	hist      *Histogram
-	counterFn func() int64
-	gaugeFn   func() float64
-	final     float64
-}
-
-// value reads the series' current value (counters and gauges only).
-func (m *metric) value() float64 {
-	switch {
-	case m.counter != nil:
-		return float64(m.counter.Value())
-	case m.counterFn != nil:
-		return float64(m.counterFn())
-	case m.gaugeFn != nil:
-		return m.gaugeFn()
-	default:
-		return m.final
-	}
+	// A handle backs the series, or else an entry of a layer snapshot: key
+	// names it, and val holds what the snapshot's last read gave it.
+	counter *Counter
+	hist    *Histogram
+	key     string
+	val     float64
 }
 
 // Registry is a set of named metric series. Create one with NewRegistry. A
@@ -114,6 +86,9 @@ func (m *metric) value() float64 {
 type Registry struct {
 	metrics []*metric
 	byKey   map[string]bool
+	// reads holds one function per CounterFuncs or GaugeFuncs call: it
+	// reads that call's snapshot once and sets every series it backs.
+	reads []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -129,9 +104,11 @@ func (r *Registry) Len() int {
 	return len(r.metrics)
 }
 
-// add registers m, panicking on a duplicate (name, labels) identity.
-func (r *Registry) add(m *metric) {
-	key := seriesKey(m.name, m.labels)
+// add registers m over labels, which sortLabels has sanitized and sorted,
+// panicking on a duplicate (name, labels) identity.
+func (r *Registry) add(m *metric, labels []Label) {
+	m.labels, m.sig = labels, labelSig(labels)
+	key := m.name + m.sig
 	if r.byKey[key] {
 		panic(fmt.Sprintf("telemetry: duplicate registration of series %s", key))
 	}
@@ -139,28 +116,15 @@ func (r *Registry) add(m *metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// newMetric sanitizes and sorts the series identity and attaches the
-// backing store (one of the handle types or a read function). Handle-typed
-// fields are assigned only here — inside a new* constructor — which is the
-// installed-handle store discipline nilguard enforces.
-func newMetric(name, help string, typ metricType, labels []Label, backing any) *metric {
+// sortLabels returns a copy of labels with its keys sanitized, sorted by
+// key.
+func sortLabels(labels []Label) []Label {
 	ls := make([]Label, len(labels))
 	for i, l := range labels {
 		ls[i] = Label{Key: PromName(l.Key), Value: l.Value}
 	}
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	m := &metric{name: PromName(name), help: help, typ: typ, labels: ls}
-	switch b := backing.(type) {
-	case *Counter:
-		m.counter = b
-	case *Histogram:
-		m.hist = b
-	case func() int64:
-		m.counterFn = b
-	case func() float64:
-		m.gaugeFn = b
-	}
-	return m
+	return ls
 }
 
 // Counter registers and returns a monotonically increasing counter. On a
@@ -170,26 +134,8 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		return nil
 	}
 	c := &Counter{}
-	r.add(newMetric(name, help, typeCounter, labels, c))
+	r.add(&metric{name: PromName(name), help: help, typ: typeCounter, counter: c}, sortLabels(labels))
 	return c
-}
-
-// counterFunc registers a counter whose value is read from fn at export
-// time. It is unexported so that CounterFuncs, which names each series after
-// a Counts entry, is the one way a layer's Stats reach the registry.
-func (r *Registry) counterFunc(name, help string, fn func() int64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.add(newMetric(name, help, typeCounter, labels, fn))
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at export time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	if r == nil {
-		return
-	}
-	r.add(newMetric(name, help, typeGauge, labels, fn))
 }
 
 // Histogram registers and returns a histogram with the given ascending
@@ -200,26 +146,29 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 		return nil
 	}
 	h := newHistogram(buckets)
-	r.add(newMetric(name, help, typeHistogram, labels, h))
+	r.add(&metric{name: PromName(name), help: help, typ: typeHistogram, hist: h}, sortLabels(labels))
 	return h
 }
 
-// Release reads every function-backed series once, keeps what it read as the
-// series' final value, and drops the function — and with it the reference to
-// the component the function read. Exports before and after print the same
-// bytes; handle-backed series are untouched and keep exporting their live
-// values. sim.Env.Close calls it on the registry SetMetrics bound, so a
-// registry references its world only until that world is closed. Releasing
-// twice, or a nil registry, is a no-op.
+// Release reads every layer snapshot once, keeps what it read as its
+// series' final values, and drops the snapshot functions — and with them
+// the references to the components they read. Exports before and after
+// print the same bytes; handle-backed series are untouched and keep
+// exporting their live values. sim.Env.Close calls it on the registry
+// SetMetrics bound, so a registry references its world only until that
+// world is closed. Releasing twice, or a nil registry, is a no-op.
 func (r *Registry) Release() {
 	if r == nil {
 		return
 	}
-	for _, m := range r.metrics {
-		if m.counterFn != nil || m.gaugeFn != nil {
-			m.final = m.value()
-			m.counterFn, m.gaugeFn = nil, nil
-		}
+	r.read()
+	r.reads = nil
+}
+
+// read reads every layer snapshot once, setting each series it backs.
+func (r *Registry) read() {
+	for _, read := range r.reads {
+		read()
 	}
 }
 
@@ -235,7 +184,7 @@ func (r *Registry) sorted() []*metric {
 		if out[i].name != out[j].name {
 			return out[i].name < out[j].name
 		}
-		return labelSig(out[i].labels) < labelSig(out[j].labels)
+		return out[i].sig < out[j].sig
 	})
 	return out
 }

@@ -33,8 +33,9 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if b, c := h.Buckets(); b != nil || c != nil {
 		t.Error("nil Histogram.Buckets returned slices")
 	}
-	r.counterFunc("cf", "h", func() int64 { return 1 })
-	r.GaugeFunc("gf", "h", func() float64 { return 1 })
+	r.CounterFuncs(func() Counts { t.Error("counter snapshot read on a nil registry"); return nil })
+	r.GaugeFuncs(func() Levels { t.Error("gauge snapshot read on a nil registry"); return nil })
+	r.Release()
 	var sb strings.Builder
 	if err := r.WriteProm(&sb); err != nil {
 		t.Errorf("nil Registry.WriteProm: %v", err)
@@ -79,7 +80,7 @@ func TestHistogramBucketsAreCumulative(t *testing.T) {
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x", "h", Label{Key: "a", Value: "1"})
+	r.Counter("tracklog_x", "h", Label{Key: "a", Value: "1"})
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
@@ -87,7 +88,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	}()
 	// Same sanitized name and label set, registered as a different kind:
 	// still the same series identity.
-	r.GaugeFunc("x", "other", func() float64 { return 0 }, Label{Key: "a", Value: "1"})
+	r.GaugeFuncs(func() Levels { return Levels{"x": 0} }, Label{Key: "a", Value: "1"})
 }
 
 func TestDistinctLabelsAreDistinctSeries(t *testing.T) {
@@ -115,12 +116,14 @@ func TestLabelKeysSortedAndSanitized(t *testing.T) {
 
 func TestFuncMetricsReadLive(t *testing.T) {
 	r := NewRegistry()
-	n := int64(0)
-	r.counterFunc("live", "h", func() int64 { return n })
-	n = 7
+	n, depth := int64(0), 0.0
+	r.CounterFuncs(func() Counts { return Counts{"live": n} })
+	r.GaugeFuncs(func() Levels { return Levels{"depth": depth} })
+	n, depth = 7, 2.5
 	vals := mustParse(t, r)
-	if vals["live"] != 7 {
-		t.Errorf("live = %v, want 7 (func metrics must read at export time)", vals["live"])
+	if vals["tracklog_live_total"] != 7 || vals["tracklog_depth"] != 2.5 {
+		t.Errorf("live = %v, depth = %v, want 7 and 2.5 (func metrics must read at export time)",
+			vals["tracklog_live_total"], vals["tracklog_depth"])
 	}
 }
 
@@ -135,8 +138,8 @@ func TestReleaseKeepsExports(t *testing.T) {
 	c.Add(3)
 	h.Observe(4)
 	n, depth, calls := int64(7), 0.75, 0
-	r.counterFunc("events", "h", func() int64 { calls++; return n })
-	r.GaugeFunc("queue", "h", func() float64 { calls++; return depth })
+	r.CounterFuncs(func() Counts { calls++; return Counts{"events": n} })
+	r.GaugeFuncs(func() Levels { calls++; return Levels{"queue": depth} })
 	r.CounterFuncs(func() Counts { calls++; return Counts{"writes": n, "reads": 2 * n} }, Label{Key: "disk", Value: "data0"})
 	export := func() string {
 		var p strings.Builder
@@ -166,7 +169,7 @@ func TestReleaseKeepsExports(t *testing.T) {
 	vals := mustParse(t, r)
 	for key, want := range map[string]float64{
 		`ops{disk="log0"}`: 4, "lat_count": 2, "lat_sum": 24,
-		"events": 7, "queue": 0.75, `tracklog_writes_total{disk="data0"}`: 7,
+		"tracklog_events_total": 7, "tracklog_queue": 0.75, `tracklog_writes_total{disk="data0"}`: 7,
 	} {
 		if vals[key] != want {
 			t.Errorf("%s = %v after Release, want %v", key, vals[key], want)

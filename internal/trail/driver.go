@@ -1246,7 +1246,7 @@ func (d *Driver) requeueOrFail(batch []*pendingWrite, cause error) {
 			d.expireWrite(now, pw)
 			continue
 		}
-		if d.failed != nil || pw.retries > d.cfg.QoS.RetryBudget(pw.class, maxWriteRetries) {
+		if d.failed != nil || pw.retries >= d.cfg.QoS.RetryBudget(pw.class, maxWriteRetries+1) {
 			d.fail(pw, fmt.Errorf("after %d attempts: %w", pw.retries, cause))
 			continue
 		}

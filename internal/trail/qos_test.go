@@ -2,10 +2,13 @@ package trail
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"tracklog/internal/blockdev"
+	"tracklog/internal/disk"
 	"tracklog/internal/geom"
 	"tracklog/internal/qos"
 	"tracklog/internal/sim"
@@ -141,5 +144,58 @@ func TestQoSNilPolicyUnchangedStats(t *testing.T) {
 	st := r.drv.Stats()
 	if st.ShedWrites != 0 || st.DeadlineExceeded != 0 || st.ThrottleStalls != 0 {
 		t.Errorf("QoS counters moved without a policy: %+v", st)
+	}
+}
+
+// writeTimeouts times out every write command and counts them; reads, and
+// with them the driver's reference reads, succeed.
+type writeTimeouts struct{ n int64 }
+
+func (f *writeTimeouts) CommandFault(_ sim.Time, write bool, _ int64, _ int) disk.CommandFault {
+	if !write {
+		return disk.CommandFault{}
+	}
+	f.n++
+	return disk.CommandFault{Err: blockdev.ErrTimeout, Delay: time.Millisecond}
+}
+func (f *writeTimeouts) SectorFault(sim.Time, bool, int64) error { return nil }
+func (f *writeTimeouts) SectorWritten(int64)                     {}
+func (f *writeTimeouts) Clone() disk.Injector                    { c := *f; return &c }
+
+// A log write's per-class retry budget counts attempts, as a read's and a
+// baseline device's do: with every log-disk write timing out, a write fails
+// after exactly its class's budget of attempts under qos.Default, and after
+// maxWriteRetries+1 without QoS.
+func TestQoSWriteRetryBudgetCountsAttempts(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		pol      *qos.Policy
+		class    blockdev.Class
+		attempts int64
+	}{
+		{"background", qos.Default(), blockdev.ClassBackground, 2},
+		{"normal", qos.Default(), blockdev.ClassNormal, 3},
+		{"interactive", qos.Default(), blockdev.ClassInteractive, 5},
+		{"no-qos", nil, blockdev.ClassNormal, maxWriteRetries + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1, Config{QoS: tc.pol})
+			defer r.env.Close()
+			faults := &writeTimeouts{}
+			r.log.SetInjector(faults)
+			var err error
+			r.env.Go("client", func(p *sim.Proc) {
+				err = r.drv.Dev(0).WriteOpts(p, 0, 4, fill(1, 4), blockdev.Options{Class: tc.class})
+			})
+			r.env.Run()
+			if want := fmt.Sprintf("after %d attempts", tc.attempts); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("write = %v, want an error %q", err, want)
+			}
+			st := r.drv.Stats()
+			if faults.n != tc.attempts || st.LogWriteRetries != tc.attempts || st.FailedWrites != 1 {
+				t.Errorf("%d log writes timed out (%d counted), %d writes failed; want %d attempts and 1 failure",
+					faults.n, st.LogWriteRetries, st.FailedWrites, tc.attempts)
+			}
+		})
 	}
 }

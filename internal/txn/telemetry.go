@@ -16,11 +16,14 @@ func (s Stats) Counters() telemetry.Counts {
 	}
 }
 
+// Levels snapshots the keys currently present in the lock table.
+func (m *Manager) Levels() telemetry.Levels {
+	return telemetry.Levels{"txn.locked_keys": float64(len(m.locks))}
+}
+
 // RegisterMetrics registers the transaction manager's Stats counters and
-// lock-table size on reg. A nil registry registers nothing.
+// Levels on reg. A nil registry registers nothing.
 func (m *Manager) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFuncs(func() telemetry.Counts { return m.stats.Counters() })
-	reg.GaugeFunc(telemetry.Prefix+"txn_locked_keys",
-		"Keys currently present in the lock table.",
-		func() float64 { return float64(len(m.locks)) })
+	reg.GaugeFuncs(m.Levels)
 }

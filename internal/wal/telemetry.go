@@ -14,14 +14,18 @@ func (s Stats) Counters() telemetry.Counts {
 	}
 }
 
-// RegisterMetrics registers the log's Stats counters and buffer gauges on
-// reg. A nil registry registers nothing.
+// Levels snapshots the log's live values: bytes appended but not yet
+// durable, and the byte offset durable on disk.
+func (l *Log) Levels() telemetry.Levels {
+	return telemetry.Levels{
+		"wal.buffered_bytes": float64(l.BufferedBytes()),
+		"wal.durable_lsn":    float64(l.flushedTo),
+	}
+}
+
+// RegisterMetrics registers the log's Stats counters and Levels on reg. A
+// nil registry registers nothing.
 func (l *Log) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFuncs(func() telemetry.Counts { return l.stats.Counters() })
-	reg.GaugeFunc(telemetry.Prefix+"wal_buffered_bytes",
-		"Bytes appended but not yet durable.",
-		func() float64 { return float64(l.BufferedBytes()) })
-	reg.GaugeFunc(telemetry.Prefix+"wal_durable_lsn",
-		"Byte offset durable on disk.",
-		func() float64 { return float64(l.flushedTo) })
+	reg.GaugeFuncs(l.Levels)
 }
